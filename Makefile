@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt bench bench-micro bench-smoke alloc-gate profile fuzz-smoke trace-demo slo-demo verify
+.PHONY: all build test race vet fmt bench bench-micro bench-smoke profile fuzz-smoke trace-demo slo-demo verify
 
 all: build test
 
@@ -16,13 +16,15 @@ test:
 # campaign scheduler, the substrate it fans out over, the serving
 # layer's shared cache/pool/cooldown state, the pooled wire codec and
 # its decode-scratch intern table, the telemetry registry every worker
-# increments, the sharded dataset store the pipeline commits into, and
-# the workload engine driving fleets inside the pipelined day replicas).
+# increments, the dataset store the pipeline commits into, and the
+# workload engine driving fleets inside the pipelined day replicas).
 race:
 	$(GO) test -race ./internal/scanner ./internal/simnet ./internal/core ./internal/transport ./internal/dnswire ./internal/obs ./internal/dataset ./internal/workload
 
-# Tier-1 verify as the roadmap defines it.
-verify: build test
+# Tier-1 verify as the roadmap defines it, then the nested benchmark
+# module: bench/ compiles against this module's exported surface, so its
+# vet and tests are what catch a signature the harness depends on moving.
+verify: build test bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -34,58 +36,35 @@ vet:
 fmt:
 	gofmt -w .
 
-# Campaign pipelining benchmark: times the same multi-week campaign serial
-# vs pipelined, checks the stores match, gates the speedup against the
-# committed baseline (>20% regression fails on a comparable host), and
-# records the new speedup in BENCH_campaign.json so the perf trajectory is
-# tracked from PR 2 on. The campaign runs through a mixed-protocol fleet
-# under the happy-eyeballs race strategy, so the report is tagged with
-# the serving-layer shape (frontends/mix/strategy) and the gate only
-# compares equally-tagged runs.
-BENCH_FLEET = -frontends 4 -mix mixed -strategy race
+# The repo benchmark (BENCHMARK.json; see bench/README.md): five
+# workloads, each a fresh process, medians over timed repetitions.
 bench:
-	$(GO) run ./cmd/benchcampaign $(BENCH_FLEET) -hourly -loadbench -baseline BENCH_campaign.json -maxregress 20 -out BENCH_campaign.json
+	$(GO) run -C bench repro/bench
 
-# CI-sized single-iteration bench smoke: verifies serial/pipelined store
-# equality (through the same mixed fleet + race strategy as the full
-# bench, so the strategy determinism contract is re-proven on every CI
-# run) and runs the speedup regression gate informationally without
-# overwriting the committed baseline (the tool downgrades speedup
-# comparisons to warnings whenever GOMAXPROCS or the campaign shape
-# differs from the baseline's — which smoke's shrunken campaign does).
+# The benchmark module's own vet and tests (toy-sized runs of every
+# workload, digest and binding-condition checks included).
 bench-smoke:
-	$(GO) run ./cmd/benchcampaign -smoke $(BENCH_FLEET) -hourly -loadbench -baseline BENCH_campaign.json -maxregress 20 -out -  > /dev/null
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
-# Allocation-budget gate, warn-only by design: runs the exchange-path
-# allocation benchmark and compares allocs/op against the committed
-# budgets (cached ≤ 2, uncached ≤ 10 — keep in sync with the
-# allocBudget* constants in cmd/benchcampaign). A budget miss prints a
-# WARNING into the CI log but never fails the build: allocation counts
-# are deterministic, but a perf regression should not block an
-# unrelated change — it should be loud and tracked.
-alloc-gate:
-	@$(GO) test -run xxx -bench 'BenchmarkExchangeAllocs' -benchtime 2000x . | \
-	awk '/^BenchmarkExchangeAllocs\/cached/   { print; if ($$7+0 > 2)  print "WARNING: cached-path " $$7 " allocs/op exceeds the committed budget of 2" } \
-	     /^BenchmarkExchangeAllocs\/stale/    { print; if ($$7+0 > 2)  print "WARNING: stale-path " $$7 " allocs/op exceeds the committed budget of 2" } \
-	     /^BenchmarkExchangeAllocs\/uncached/ { print; if ($$7+0 > 10) print "WARNING: uncached-path " $$7 " allocs/op exceeds the committed budget of 10" }'
-
-# CPU + heap profiles of the campaign benchmark (pipelined runs, the
-# workload engine, and the alloc section) for `go tool pprof`:
+# CPU + heap profiles of the serial and pipelined campaign benchmark for
+# `go tool pprof`:
 #
 #	go tool pprof cpu.pprof
 #	go tool pprof -alloc_objects mem.pprof
 profile:
-	$(GO) run ./cmd/benchcampaign $(BENCH_FLEET) -loadbench -cpuprofile cpu.pprof -memprofile mem.pprof -out - > /dev/null
+	$(GO) test -run xxx -bench BenchmarkCampaignSerialVsPipelined -cpuprofile cpu.pprof -memprofile mem.pprof .
 
 # Short fuzz pass over the wire-format decoders, seeded with
 # workload-shaped queries and hand-mangled frames. Ten seconds per
 # target is a smoke test, not a campaign: it proves the targets build,
-# the corpus parses, and no quick-to-find panic has crept into Unpack
-# or the RFC 1035 TCP framing.
+# the corpus parses, and no quick-to-find panic has crept into Unpack,
+# the RFC 1035 TCP framing, or the DoH envelope decoder.
 fuzz-smoke:
 	$(GO) test ./internal/dnswire -fuzz 'FuzzUnpack$$' -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnswire -fuzz FuzzUnpackInto -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnswire -fuzz FuzzReadTCP -fuzztime 10s -run xxx
+	$(GO) test ./internal/transport -fuzz FuzzDoHDecodeRequest -fuzztime 10s -run xxx
 
 # Traced-exchange demo: a mixed-protocol fleet under the race strategy
 # with every exchange traced, dumping the five slowest span trees —

@@ -21,7 +21,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/dnssec"
 	"repro/internal/dnswire"
-	"repro/internal/doh"
 	"repro/internal/ech"
 	"repro/internal/providers"
 	"repro/internal/scanner"
@@ -339,7 +338,8 @@ func benchmarkCampaignDays(b *testing.B, workers int) {
 // the pipelined scheduler (8 concurrent per-day scan contexts). The two
 // variants produce byte-identical stores (see core.TestPipelinedMatchesSerial);
 // the wall-clock ratio is the pipelining speedup on this host and scales
-// with available cores. `make bench` records it in BENCH_campaign.json.
+// with available cores (the repo benchmark reports the same ratio as
+// core.day_pipeline_speedup; `make profile` profiles this benchmark).
 func BenchmarkCampaignSerialVsPipelined(b *testing.B) {
 	b.Run("serial", func(b *testing.B) { benchmarkCampaignDays(b, 1) })
 	b.Run("dayworkers8", func(b *testing.B) { benchmarkCampaignDays(b, 8) })
@@ -611,9 +611,9 @@ func exchangeAllocsLoop(b *testing.B, client *transport.Client, list []string) {
 // BenchmarkExchangeAllocs pins the exchange hot path's allocation budget
 // under the reuse APIs: cached (shared-cache hit, the steady state),
 // stale (RFC 8767 serve-stale with a dead recursor), and uncached (full
-// envelope decode + recursor traversal per query). CI runs it as a
-// warn-only gate against the committed budget; benchcampaign records the
-// same three numbers into BENCH_campaign.json.
+// envelope decode + recursor traversal per query). The repo benchmark
+// bounds the same path as transport.allocs_per_exchange_hit/miss and the
+// end-to-end allocs_per_op.
 func BenchmarkExchangeAllocs(b *testing.B) {
 	b.Run("cached", func(b *testing.B) {
 		client, list, _ := transportBench(b, true)
@@ -753,13 +753,19 @@ func BenchmarkDoHNegativePath(b *testing.B) {
 // BenchmarkDoHEnvelopeRoundTrip isolates the RFC 8484 envelope codec.
 func BenchmarkDoHEnvelopeRoundTrip(b *testing.B) {
 	q := dnswire.NewQuery(7, "example.com", dnswire.TypeHTTPS, true)
+	var (
+		m       dnswire.Message
+		enc, sc []byte
+	)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req, err := doh.NewGETRequest(q)
+		param, buf, err := dnswire.AppendEncodeDoHParam(q, enc)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := doh.DecodeRequest(req); err != nil {
+		enc = buf
+		req := transport.DoHRequest{Method: "GET", Path: transport.DoHPath, DNSParam: param}
+		if sc, _, err = transport.DecodeDoHRequestInto(&m, &req, sc); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -98,7 +98,7 @@ type CampaignConfig struct {
 	// zero selects transport.DefaultHedgeQuantile.
 	HedgeQuantile float64
 	// DoHShards and DoHShardCap set the shared answer cache geometry;
-	// zero values select the doh package defaults.
+	// zero values select the transport package defaults.
 	DoHShards   int
 	DoHShardCap int
 	// DoHStaleWindow enables RFC 8767 serve-stale on the fleet's answer
@@ -518,7 +518,7 @@ func (c *Campaign) anomalyCapture(dc *scanContext, day time.Time) *dataset.Anoma
 // boundary — per-day clocks are frozen, so interval ticks could never
 // fire; stage boundaries are the natural deterministic sample points and
 // work identically for ScanDay's live world clock.
-func (c *Campaign) runDay(dc *scanContext, day time.Time) *dayResult {
+func (c *Campaign) runDay(dc *scanContext, day time.Time) (*dayResult, error) {
 	list := c.World.Tranco.ListFor(day)
 	res := &dayResult{day: day, list: list}
 	res.apexSnap = dc.scanner.ScanList(day, "apex", list)
@@ -535,13 +535,16 @@ func (c *Campaign) runDay(dc *scanContext, day time.Time) *dayResult {
 	}
 	res.serving = c.servingSnapshot(dc, day)
 	if c.Cfg.Workload != nil && dc.fleet != nil {
-		res.workload, res.workloadSeries = c.runWorkload(dc, day, list)
+		var err error
+		if res.workload, res.workloadSeries, err = c.runWorkload(dc, day, list); err != nil {
+			return nil, fmt.Errorf("core: scan day %s: %w", day.Format("2006-01-02"), err)
+		}
 		dc.sampler.Force("workload")
 	}
 	res.telemetry = telemetrySeries("daily", day, c.Cfg.TelemetryInterval, dc.sampler.Points())
 	// The capture comes last so it sees the workload stage's events too.
 	res.anomaly = c.anomalyCapture(dc, day)
-	return res
+	return res, nil
 }
 
 // runWorkload drives the configured simulated-client population against
@@ -554,7 +557,7 @@ func (c *Campaign) runDay(dc *scanContext, day time.Time) *dayResult {
 // counts is preserved. The engine seed folds the campaign seed with the
 // day, like the per-day fleet seeds, so each day's population draws a
 // fresh deterministic stream.
-func (c *Campaign) runWorkload(dc *scanContext, day time.Time, list []string) (*dataset.WorkloadSnapshot, *dataset.TelemetrySeries) {
+func (c *Campaign) runWorkload(dc *scanContext, day time.Time, list []string) (*dataset.WorkloadSnapshot, *dataset.TelemetrySeries, error) {
 	wcfg := *c.Cfg.Workload
 	if len(wcfg.Domains) == 0 {
 		wcfg.Domains = list
@@ -570,9 +573,7 @@ func (c *Campaign) runWorkload(dc *scanContext, day time.Time, list []string) (*
 	}
 	eng, err := workload.New(wcfg, dc.clock, dc.fleet.Client)
 	if err != nil {
-		// Config errors are campaign-config mistakes; surface loudly
-		// rather than silently skipping the stage.
-		panic(fmt.Sprintf("core: workload config: %v", err))
+		return nil, nil, fmt.Errorf("workload config: %w", err)
 	}
 	sum := eng.Run()
 	snap := &dataset.WorkloadSnapshot{
@@ -587,7 +588,7 @@ func (c *Campaign) runWorkload(dc *scanContext, day time.Time, list []string) (*
 		VirtualSec:     int64(sum.Virtual / time.Second),
 		Digest:         fmt.Sprintf("%016x", sum.Digest),
 	}
-	return snap, telemetrySeries("workload", day, wcfg.Interval, eng.Points())
+	return snap, telemetrySeries("workload", day, wcfg.Interval, eng.Points()), nil
 }
 
 // telemetrySeries flattens sampler points into the dataset's series form;
@@ -653,7 +654,10 @@ func (c *Campaign) commitDay(res *dayResult) {
 // RunDaily executes the daily scan schedule over the campaign window.
 // Days are scanned by a bounded pool of Cfg.DayWorkers workers, each day in
 // its own scan context; snapshots commit to the Store in day order, so the
-// collected dataset is identical for any worker count.
+// collected dataset is identical for any worker count. A day that fails
+// (a workload config the engine rejects) ends the campaign: the first
+// failing day in day order is returned, and neither it nor any later day
+// commits.
 func (c *Campaign) RunDaily() error {
 	var days []time.Time
 	for day := c.Cfg.Start; !day.After(c.Cfg.End); day = day.AddDate(0, 0, c.Cfg.StepDays) {
@@ -662,9 +666,27 @@ func (c *Campaign) RunDaily() error {
 	if len(days) == 0 {
 		return nil
 	}
+	type dayOutcome struct {
+		res *dayResult
+		err error
+	}
+	var failed error
 	runOrdered(len(days), c.Cfg.DayWorkers,
-		func(i int) *dayResult { return c.runDay(c.newDayContext(days[i]), days[i]) },
-		func(_ int, res *dayResult) { c.commitDay(res) })
+		func(i int) dayOutcome {
+			res, err := c.runDay(c.newDayContext(days[i]), days[i])
+			return dayOutcome{res, err}
+		},
+		func(_ int, o dayOutcome) {
+			if failed == nil {
+				failed = o.err
+			}
+			if failed == nil {
+				c.commitDay(o.res)
+			}
+		})
+	if failed != nil {
+		return failed
+	}
 	// Leave the world clock where the serial walk used to: at the final
 	// scan day, so follow-on one-shot experiments see the same time.
 	c.World.Clock.Set(days[len(days)-1].Add(12 * time.Hour))
@@ -697,7 +719,11 @@ func (c *Campaign) ScanDay(day time.Time) error {
 			dc.sampler = obs.NewSampler(c.Fleet.Metrics, c.World.Clock, c.Cfg.TelemetryInterval, true)
 		}
 	}
-	c.commitDay(c.runDay(dc, day))
+	res, err := c.runDay(dc, day)
+	if err != nil {
+		return err
+	}
+	c.commitDay(res)
 	return nil
 }
 

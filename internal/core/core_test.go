@@ -766,3 +766,72 @@ func mustWorkload(t *testing.T, c *Campaign, day time.Time) *dataset.WorkloadSna
 	}
 	return snap
 }
+
+// failAfterFirstDay is a Progress sink that corrupts the campaign's
+// workload config once the first day has committed, so a serial campaign
+// fails on its second day.
+type failAfterFirstDay struct{ c *Campaign }
+
+func (f failAfterFirstDay) Write(p []byte) (int, error) {
+	f.c.Cfg.Workload.Diurnal.Amplitude = 2
+	return len(p), nil
+}
+
+// TestRunDailyReturnsWorkloadConfigError pins the error path that used
+// to be a panic: a workload config the engine rejects surfaces from
+// RunDaily as an error naming the first failing day, and neither that
+// day nor any later one commits — at any worker count.
+func TestRunDailyReturnsWorkloadConfigError(t *testing.T) {
+	cfg := CampaignConfig{
+		Size: 200, Seed: 29,
+		Start:        time.Date(2024, 1, 25, 0, 0, 0, 0, time.UTC),
+		End:          time.Date(2024, 2, 8, 0, 0, 0, 0, time.UTC),
+		StepDays:     7,
+		DoHFrontends: 2,
+		Workload: &workload.Config{
+			Clients: 50, Model: workload.ModelOpen,
+			OpenRate: 0.01, Duration: time.Minute,
+		},
+	}
+
+	t.Run("second-day-serial", func(t *testing.T) {
+		wl := *cfg.Workload
+		cfg := cfg
+		cfg.Workload = &wl
+		c, err := NewCampaign(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Cfg.Progress = failAfterFirstDay{c}
+		err = c.RunDaily()
+		if err == nil || !strings.Contains(err.Error(), "2024-02-01") || !strings.Contains(err.Error(), "Amplitude") {
+			t.Fatalf("RunDaily error = %v, want the second day's Diurnal.Amplitude rejection", err)
+		}
+		days := c.Store.Days("apex")
+		if len(days) != 1 || !days[0].Equal(cfg.Start) {
+			t.Fatalf("store holds days %v, want only %s", days, cfg.Start.Format("2006-01-02"))
+		}
+		if got := len(c.Store.WorkloadDays()); got != 1 {
+			t.Fatalf("store holds %d workload snapshots, want 1", got)
+		}
+	})
+
+	t.Run("first-day-pipelined", func(t *testing.T) {
+		wl := *cfg.Workload
+		wl.Diurnal.Amplitude = 2
+		cfg := cfg
+		cfg.Workload = &wl
+		cfg.DayWorkers = 3
+		c, err := NewCampaign(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = c.RunDaily()
+		if err == nil || !strings.Contains(err.Error(), "2024-01-25") {
+			t.Fatalf("RunDaily error = %v, want the first day's rejection", err)
+		}
+		if days := c.Store.Days("apex"); len(days) != 0 {
+			t.Fatalf("store holds days %v after a first-day failure, want none", days)
+		}
+	})
+}

@@ -1,15 +1,13 @@
 package dataset
 
 import (
-	"encoding/binary"
 	"encoding/json"
-	"hash/fnv"
 	"io"
 	"net/netip"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -262,21 +260,10 @@ type ValidationResult struct {
 	Result string `json:"result"`
 }
 
-// DefaultStoreShards is NewStore's shard count — enough to spread the
-// commit load of a pipelined campaign without measurable read-side cost.
-const DefaultStoreShards = 8
-
-// seqRec is one appended record stamped with its store-wide sequence
-// number, so the shard-local append logs merge back into the global
-// append order on read.
-type seqRec[T any] struct {
-	seq uint64
-	rec T
-}
-
-// storeShard is one lock domain of the Store: a slice of every table,
-// holding the records whose keys hash to it.
-type storeShard struct {
+// Store accumulates a campaign's data: per-day tables keyed by UTC day
+// and three append tables, behind one lock. It is safe for concurrent
+// use; see the package documentation for the determinism contract.
+type Store struct {
 	mu sync.RWMutex
 
 	apex     map[int64]*Snapshot // keyed by unix day
@@ -289,16 +276,17 @@ type storeShard struct {
 	// hourly-ech series over the same dates never collide.
 	telemetry map[string]*TelemetrySeries
 
-	ech        []seqRec[ECHObservation]
-	probes     []seqRec[ProbeResult]
-	validation []seqRec[ValidationResult]
+	ech        []ECHObservation
+	probes     []ProbeResult
+	validation []ValidationResult
 
 	// trancoLists preserves each day's ranked list for overlap analysis.
 	trancoLists map[int64][]string
 }
 
-func newStoreShard() *storeShard {
-	return &storeShard{
+// NewStore creates an empty store.
+func NewStore() *Store {
+	return &Store{
 		apex:        map[int64]*Snapshot{},
 		www:         map[int64]*Snapshot{},
 		ns:          map[int64]*NSSnapshot{},
@@ -310,227 +298,153 @@ func newStoreShard() *storeShard {
 	}
 }
 
-// Store accumulates a campaign's data. Writes are domain-sharded — see
-// the package documentation for the shard/merge read path and the
-// determinism contract.
-type Store struct {
-	seq    atomic.Uint64
-	shards []*storeShard
-}
-
-// NewStore creates an empty store with DefaultStoreShards shards.
-func NewStore() *Store { return NewStoreSharded(DefaultStoreShards) }
-
-// NewStoreSharded creates an empty store with n lock shards (n < 1 is
-// treated as 1). Reads are identical for any n; the count only tunes
-// write-side lock contention.
-func NewStoreSharded(n int) *Store {
-	if n < 1 {
-		n = 1
-	}
-	s := &Store{shards: make([]*storeShard, n)}
-	for i := range s.shards {
-		s.shards[i] = newStoreShard()
-	}
-	return s
-}
-
-// Shards returns the store's shard count.
-func (s *Store) Shards() int { return len(s.shards) }
-
 func dayKey(t time.Time) int64 { return t.UTC().Truncate(24 * time.Hour).Unix() }
 
-// shardForString hashes a record's natural string key (domain, telemetry
-// key) to its shard.
-func (s *Store) shardForString(key string) *storeShard {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return s.shards[h.Sum64()%uint64(len(s.shards))]
+// The per-day tables share three operations. The map fields are set once
+// by NewStore, so reading the field outside the lock is safe; only the
+// map's contents are guarded.
+
+func putDay[V any](s *Store, m map[int64]V, date time.Time, v V) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	m[dayKey(date)] = v
 }
 
-// shardForDay hashes a unix-day key to its shard.
-func (s *Store) shardForDay(key int64) *storeShard {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(key))
-	h := fnv.New64a()
-	h.Write(b[:])
-	return s.shards[h.Sum64()%uint64(len(s.shards))]
+func getDay[V any](s *Store, m map[int64]V, date time.Time) (V, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	v, ok := m[dayKey(date)]
+	return v, ok
 }
 
-// stampSeq reserves a contiguous block of n sequence numbers and returns
-// the first. Batch appends draw one block, so a batch's records are
-// always consecutive in the merged order even under concurrent adders.
-func (s *Store) stampSeq(n int) uint64 {
-	return s.seq.Add(uint64(n)) - uint64(n)
-}
-
-// appendSharded distributes one batch across shards by domain, stamping
-// each record with its global sequence number; table selects the shard's
-// target slice.
-func appendSharded[T any](s *Store, batch []T, domain func(T) string, table func(*storeShard) *[]seqRec[T]) {
-	if len(batch) == 0 {
-		return
-	}
-	base := s.stampSeq(len(batch))
-	for i, rec := range batch {
-		sh := s.shardForString(domain(rec))
-		sh.mu.Lock()
-		t := table(sh)
-		*t = append(*t, seqRec[T]{seq: base + uint64(i), rec: rec})
-		sh.mu.Unlock()
-	}
-}
-
-// mergeSeq collects one append table from every shard and restores the
-// global append order by sequence number.
-func mergeSeq[T any](s *Store, table func(*storeShard) []seqRec[T]) []T {
-	var all []seqRec[T]
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		all = append(all, table(sh)...)
-		sh.mu.RUnlock()
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
-	out := make([]T, len(all))
-	for i, r := range all {
-		out[i] = r.rec
+func listDays[V any](s *Store, m map[int64]V) []time.Time {
+	s.mu.RLock()
+	keys := sortedKeys(m)
+	s.mu.RUnlock()
+	out := make([]time.Time, len(keys))
+	for i, k := range keys {
+		out[i] = time.Unix(k, 0).UTC()
 	}
 	return out
 }
 
-// AddSnapshot stores a daily snapshot.
-func (s *Store) AddSnapshot(snap *Snapshot) {
-	key := dayKey(snap.Date)
-	sh := s.shardForDay(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	switch snap.Kind {
-	case "www":
-		sh.www[key] = snap
-	default:
-		sh.apex[key] = snap
+func sortedKeys[V any](m map[int64]V) []int64 {
+	keys := make([]int64, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
+	slices.Sort(keys)
+	return keys
 }
+
+// sortedValues returns a per-day table's values in day order (nil when
+// the table is empty). The caller holds the lock.
+func sortedValues[V any](m map[int64]V) []V {
+	var out []V
+	for _, k := range sortedKeys(m) {
+		out = append(out, m[k])
+	}
+	return out
+}
+
+// appendRecs and copyRecs are the append tables' write and read: records
+// are kept in arrival order, so a read is a copy (never nil, which keeps
+// an empty table rendering as [] in the export).
+
+func appendRecs[T any](s *Store, table *[]T, recs []T) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	*table = append(*table, recs...)
+}
+
+func copyRecs[T any](s *Store, table *[]T) []T {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return cloneRecs(*table)
+}
+
+func cloneRecs[T any](recs []T) []T {
+	out := make([]T, len(recs))
+	copy(out, recs)
+	return out
+}
+
+func (s *Store) snapshots(kind string) map[int64]*Snapshot {
+	if kind == "www" {
+		return s.www
+	}
+	return s.apex
+}
+
+// AddSnapshot stores a daily snapshot.
+func (s *Store) AddSnapshot(snap *Snapshot) { putDay(s, s.snapshots(snap.Kind), snap.Date, snap) }
 
 // AddNSSnapshot stores a daily name-server snapshot.
-func (s *Store) AddNSSnapshot(snap *NSSnapshot) {
-	key := dayKey(snap.Date)
-	sh := s.shardForDay(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.ns[key] = snap
-}
+func (s *Store) AddNSSnapshot(snap *NSSnapshot) { putDay(s, s.ns, snap.Date, snap) }
 
 // AddServing stores a daily serving-layer lifecycle snapshot.
-func (s *Store) AddServing(snap *ServingSnapshot) {
-	key := dayKey(snap.Date)
-	sh := s.shardForDay(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.serving[key] = snap
-}
+func (s *Store) AddServing(snap *ServingSnapshot) { putDay(s, s.serving, snap.Date, snap) }
 
 // ServingDays returns the sorted dates with serving snapshots.
-func (s *Store) ServingDays() []time.Time {
-	return keysToDays(s.collectKeys(func(sh *storeShard) []int64 {
-		return mapKeys(sh.serving)
-	}))
-}
+func (s *Store) ServingDays() []time.Time { return listDays(s, s.serving) }
 
 // ServingFor returns the serving snapshot for a date.
 func (s *Store) ServingFor(date time.Time) (*ServingSnapshot, bool) {
-	key := dayKey(date)
-	sh := s.shardForDay(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	snap, ok := sh.serving[key]
-	return snap, ok
+	return getDay(s, s.serving, date)
 }
 
 // AddWorkload stores a daily workload-engine snapshot.
-func (s *Store) AddWorkload(snap *WorkloadSnapshot) {
-	key := dayKey(snap.Date)
-	sh := s.shardForDay(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.workload[key] = snap
-}
+func (s *Store) AddWorkload(snap *WorkloadSnapshot) { putDay(s, s.workload, snap.Date, snap) }
 
 // WorkloadDays returns the sorted dates with workload snapshots.
-func (s *Store) WorkloadDays() []time.Time {
-	return keysToDays(s.collectKeys(func(sh *storeShard) []int64 {
-		return mapKeys(sh.workload)
-	}))
-}
+func (s *Store) WorkloadDays() []time.Time { return listDays(s, s.workload) }
 
 // WorkloadFor returns the workload snapshot for a date.
 func (s *Store) WorkloadFor(date time.Time) (*WorkloadSnapshot, bool) {
-	key := dayKey(date)
-	sh := s.shardForDay(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	snap, ok := sh.workload[key]
-	return snap, ok
+	return getDay(s, s.workload, date)
+}
+
+// AddAnomaly stores a daily anomaly-capture bundle.
+func (s *Store) AddAnomaly(cap *AnomalyCapture) { putDay(s, s.anomaly, cap.Date, cap) }
+
+// AnomalyDays returns the sorted dates with anomaly captures.
+func (s *Store) AnomalyDays() []time.Time { return listDays(s, s.anomaly) }
+
+// AnomalyFor returns the anomaly capture for a date.
+func (s *Store) AnomalyFor(date time.Time) (*AnomalyCapture, bool) {
+	return getDay(s, s.anomaly, date)
 }
 
 func telemetryKey(scope string, date time.Time) string {
 	return scope + "|" + strconv.FormatInt(dayKey(date), 10)
 }
 
-// AddAnomaly stores a daily anomaly-capture bundle.
-func (s *Store) AddAnomaly(cap *AnomalyCapture) {
-	key := dayKey(cap.Date)
-	sh := s.shardForDay(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.anomaly[key] = cap
-}
-
-// AnomalyDays returns the sorted dates with anomaly captures.
-func (s *Store) AnomalyDays() []time.Time {
-	return keysToDays(s.collectKeys(func(sh *storeShard) []int64 {
-		return mapKeys(sh.anomaly)
-	}))
-}
-
-// AnomalyFor returns the anomaly capture for a date.
-func (s *Store) AnomalyFor(date time.Time) (*AnomalyCapture, bool) {
-	key := dayKey(date)
-	sh := s.shardForDay(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	cap, ok := sh.anomaly[key]
-	return cap, ok
-}
-
 // AddTelemetry stores one day's telemetry series for its scope.
 func (s *Store) AddTelemetry(series *TelemetrySeries) {
-	key := telemetryKey(series.Scope, series.Date)
-	sh := s.shardForString(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.telemetry[key] = series
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.telemetry[telemetryKey(series.Scope, series.Date)] = series
 }
 
 // TelemetryFor returns the telemetry series for (scope, date).
 func (s *Store) TelemetryFor(scope string, date time.Time) (*TelemetrySeries, bool) {
-	key := telemetryKey(scope, date)
-	sh := s.shardForString(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	series, ok := sh.telemetry[key]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	series, ok := s.telemetry[telemetryKey(scope, date)]
 	return series, ok
 }
 
 // TelemetryAll returns every stored series sorted by (scope, date).
 func (s *Store) TelemetryAll() []*TelemetrySeries {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.telemetryAll()
+}
+
+func (s *Store) telemetryAll() []*TelemetrySeries {
 	var out []*TelemetrySeries
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, series := range sh.telemetry {
-			out = append(out, series)
-		}
-		sh.mu.RUnlock()
+	for _, series := range s.telemetry {
+		out = append(out, series)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Scope != out[j].Scope {
@@ -542,100 +456,44 @@ func (s *Store) TelemetryAll() []*TelemetrySeries {
 }
 
 // AddTrancoList stores the day's ranked list.
-func (s *Store) AddTrancoList(date time.Time, list []string) {
-	key := dayKey(date)
-	sh := s.shardForDay(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.trancoLists[key] = list
-}
+func (s *Store) AddTrancoList(date time.Time, list []string) { putDay(s, s.trancoLists, date, list) }
 
 // AddECH appends hourly ECH observations.
-func (s *Store) AddECH(obs ...ECHObservation) {
-	appendSharded(s, obs,
-		func(o ECHObservation) string { return o.Domain },
-		func(sh *storeShard) *[]seqRec[ECHObservation] { return &sh.ech })
-}
+func (s *Store) AddECH(obs ...ECHObservation) { appendRecs(s, &s.ech, obs) }
 
 // AddProbes appends connectivity probe results.
-func (s *Store) AddProbes(res ...ProbeResult) {
-	appendSharded(s, res,
-		func(p ProbeResult) string { return p.Domain },
-		func(sh *storeShard) *[]seqRec[ProbeResult] { return &sh.probes })
-}
+func (s *Store) AddProbes(res ...ProbeResult) { appendRecs(s, &s.probes, res) }
 
 // AddValidation appends DNSSEC census rows.
-func (s *Store) AddValidation(res ...ValidationResult) {
-	appendSharded(s, res,
-		func(v ValidationResult) string { return v.Domain },
-		func(sh *storeShard) *[]seqRec[ValidationResult] { return &sh.validation })
-}
+func (s *Store) AddValidation(res ...ValidationResult) { appendRecs(s, &s.validation, res) }
 
 // Days returns the sorted scan dates present for the given kind.
-func (s *Store) Days(kind string) []time.Time {
-	return keysToDays(s.collectKeys(func(sh *storeShard) []int64 {
-		if kind == "www" {
-			return mapKeys(sh.www)
-		}
-		return mapKeys(sh.apex)
-	}))
-}
+func (s *Store) Days(kind string) []time.Time { return listDays(s, s.snapshots(kind)) }
 
 // SnapshotFor returns the snapshot for (kind, date).
 func (s *Store) SnapshotFor(kind string, date time.Time) (*Snapshot, bool) {
-	key := dayKey(date)
-	sh := s.shardForDay(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	m := sh.apex
-	if kind == "www" {
-		m = sh.www
-	}
-	snap, ok := m[key]
-	return snap, ok
+	return getDay(s, s.snapshots(kind), date)
 }
 
 // NSDays returns the sorted dates with name-server snapshots.
-func (s *Store) NSDays() []time.Time {
-	return keysToDays(s.collectKeys(func(sh *storeShard) []int64 {
-		return mapKeys(sh.ns)
-	}))
-}
+func (s *Store) NSDays() []time.Time { return listDays(s, s.ns) }
 
 // NSSnapshotFor returns the name-server snapshot for a date.
-func (s *Store) NSSnapshotFor(date time.Time) (*NSSnapshot, bool) {
-	key := dayKey(date)
-	sh := s.shardForDay(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	snap, ok := sh.ns[key]
-	return snap, ok
-}
+func (s *Store) NSSnapshotFor(date time.Time) (*NSSnapshot, bool) { return getDay(s, s.ns, date) }
 
 // TrancoListFor returns the stored ranked list for a date.
 func (s *Store) TrancoListFor(date time.Time) ([]string, bool) {
-	key := dayKey(date)
-	sh := s.shardForDay(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	l, ok := sh.trancoLists[key]
-	return l, ok
+	return getDay(s, s.trancoLists, date)
 }
 
 // ECHObservations returns all hourly ECH data points in append order.
-func (s *Store) ECHObservations() []ECHObservation {
-	return mergeSeq(s, func(sh *storeShard) []seqRec[ECHObservation] { return sh.ech })
-}
+func (s *Store) ECHObservations() []ECHObservation { return copyRecs(s, &s.ech) }
 
 // Probes returns all connectivity probe results in append order.
-func (s *Store) Probes() []ProbeResult {
-	return mergeSeq(s, func(sh *storeShard) []seqRec[ProbeResult] { return sh.probes })
-}
+func (s *Store) Probes() []ProbeResult { return copyRecs(s, &s.probes) }
 
 // Validation returns the DNSSEC census in append order.
-func (s *Store) Validation() []ValidationResult {
-	return mergeSeq(s, func(sh *storeShard) []seqRec[ValidationResult] { return sh.validation })
-}
+func (s *Store) Validation() []ValidationResult { return copyRecs(s, &s.validation) }
 
 // export is the JSON layout for WriteJSON.
 type export struct {
@@ -651,89 +509,23 @@ type export struct {
 	Validation []ValidationResult  `json:"validation"`
 }
 
-// WriteJSON serialises the whole store. The export is rendered in sorted
-// key order (and the append tables in sequence order), so equal stores
-// produce equal bytes regardless of shard count or commit concurrency.
+// WriteJSON serialises the whole store. The per-day tables are rendered
+// in day order and the append tables in append order, so stores committed
+// in the same order produce equal bytes.
 func (s *Store) WriteJSON(w io.Writer) error {
-	var e export
-	for _, day := range s.collectKeys(func(sh *storeShard) []int64 { return mapKeys(sh.apex) }) {
-		snap, _ := s.snapshotForKey("apex", day)
-		e.Apex = append(e.Apex, snap)
+	s.mu.RLock()
+	e := export{
+		Apex:       sortedValues(s.apex),
+		WWW:        sortedValues(s.www),
+		NS:         sortedValues(s.ns),
+		Serving:    sortedValues(s.serving),
+		Workload:   sortedValues(s.workload),
+		Anomalies:  sortedValues(s.anomaly),
+		Telemetry:  s.telemetryAll(),
+		ECH:        cloneRecs(s.ech),
+		Probes:     cloneRecs(s.probes),
+		Validation: cloneRecs(s.validation),
 	}
-	for _, day := range s.collectKeys(func(sh *storeShard) []int64 { return mapKeys(sh.www) }) {
-		snap, _ := s.snapshotForKey("www", day)
-		e.WWW = append(e.WWW, snap)
-	}
-	for _, day := range s.collectKeys(func(sh *storeShard) []int64 { return mapKeys(sh.ns) }) {
-		sh := s.shardForDay(day)
-		sh.mu.RLock()
-		e.NS = append(e.NS, sh.ns[day])
-		sh.mu.RUnlock()
-	}
-	for _, day := range s.collectKeys(func(sh *storeShard) []int64 { return mapKeys(sh.serving) }) {
-		sh := s.shardForDay(day)
-		sh.mu.RLock()
-		e.Serving = append(e.Serving, sh.serving[day])
-		sh.mu.RUnlock()
-	}
-	for _, day := range s.collectKeys(func(sh *storeShard) []int64 { return mapKeys(sh.workload) }) {
-		sh := s.shardForDay(day)
-		sh.mu.RLock()
-		e.Workload = append(e.Workload, sh.workload[day])
-		sh.mu.RUnlock()
-	}
-	for _, day := range s.collectKeys(func(sh *storeShard) []int64 { return mapKeys(sh.anomaly) }) {
-		sh := s.shardForDay(day)
-		sh.mu.RLock()
-		e.Anomalies = append(e.Anomalies, sh.anomaly[day])
-		sh.mu.RUnlock()
-	}
-	e.Telemetry = s.TelemetryAll()
-	e.ECH = s.ECHObservations()
-	e.Probes = s.Probes()
-	e.Validation = s.Validation()
-	enc := json.NewEncoder(w)
-	return enc.Encode(&e)
-}
-
-// snapshotForKey is SnapshotFor on a pre-computed day key.
-func (s *Store) snapshotForKey(kind string, key int64) (*Snapshot, bool) {
-	sh := s.shardForDay(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	m := sh.apex
-	if kind == "www" {
-		m = sh.www
-	}
-	snap, ok := m[key]
-	return snap, ok
-}
-
-// collectKeys gathers per-shard key sets (each read under the shard's
-// lock) into one sorted slice.
-func (s *Store) collectKeys(keys func(*storeShard) []int64) []int64 {
-	var all []int64
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		all = append(all, keys(sh)...)
-		sh.mu.RUnlock()
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	return all
-}
-
-func mapKeys[V any](m map[int64]V) []int64 {
-	keys := make([]int64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	return keys
-}
-
-func keysToDays(keys []int64) []time.Time {
-	out := make([]time.Time, len(keys))
-	for i, k := range keys {
-		out[i] = time.Unix(k, 0).UTC()
-	}
-	return out
+	s.mu.RUnlock()
+	return json.NewEncoder(w).Encode(&e)
 }

@@ -91,6 +91,24 @@ func TestAppendersAndCopies(t *testing.T) {
 	if s.Probes()[0].Domain != "a.com." {
 		t.Error("Probes aliases internal state")
 	}
+
+	// Reads return append order, whatever the domains; telemetry reads
+	// sort by (scope, date), whatever the insertion order.
+	s.AddECH(ECHObservation{Domain: "z.com.", KeyHash: 2}, ECHObservation{Domain: "b.com.", KeyHash: 3})
+	s.AddECH(ECHObservation{Domain: "a.com.", KeyHash: 4})
+	for i, o := range s.ECHObservations() {
+		if o.KeyHash != uint64(i+1) {
+			t.Fatalf("ECH read order diverges from append order at %d: %+v", i, o)
+		}
+	}
+	s.AddTelemetry(&TelemetrySeries{Scope: "hourly-ech", Date: day(2023, 7, 21)})
+	s.AddTelemetry(&TelemetrySeries{Scope: "daily", Date: day(2023, 7, 22)})
+	s.AddTelemetry(&TelemetrySeries{Scope: "daily", Date: day(2023, 7, 21)})
+	all := s.TelemetryAll()
+	if len(all) != 3 || all[0].Scope != "daily" || !all[0].Date.Equal(day(2023, 7, 21)) ||
+		all[1].Scope != "daily" || all[2].Scope != "hourly-ech" {
+		t.Fatalf("TelemetryAll not sorted by (scope, date): %+v", all)
+	}
 }
 
 func TestObservationHasHTTPS(t *testing.T) {
@@ -131,94 +149,11 @@ func TestWriteJSON(t *testing.T) {
 	}
 }
 
-// fillStore loads one deterministic campaign's worth of records into s,
-// exercising every table across several days and many domains.
-func fillStore(s *Store) {
-	base := day(2023, 7, 21)
-	domains := []string{"a.com.", "b.org.", "c.net.", "d.io.", "e.dev.", "f.co.", "g.app.", "h.xyz."}
-	for di := 0; di < 4; di++ {
-		d := base.AddDate(0, 0, di)
-		s.AddSnapshot(sampleSnapshot(d, "apex"))
-		s.AddSnapshot(sampleSnapshot(d, "www"))
-		s.AddNSSnapshot(&NSSnapshot{Date: d, Servers: map[string]*NSObservation{
-			"ns1.x.com.": {Host: "ns1.x.com.", Org: "Cloudflare"},
-		}})
-		s.AddServing(&ServingSnapshot{Date: d, StaleServed: uint64(di), NegativeHits: 2})
-		s.AddTrancoList(d, domains[:4+di%2])
-		s.AddTelemetry(&TelemetrySeries{Scope: "daily", Date: d, Points: []TelemetryPoint{
-			{Label: "apex", AtSec: d.Unix(), Values: []TelemetryValue{{Key: "k", Value: float64(di)}}},
-		}})
-		s.AddTelemetry(&TelemetrySeries{Scope: "hourly-ech", Date: d, IntervalSec: 3600})
-		for h := 0; h < 24; h++ {
-			at := d.Add(time.Duration(h) * time.Hour)
-			var batch []ECHObservation
-			for _, dom := range domains {
-				batch = append(batch, ECHObservation{Time: at, Domain: dom, KeyHash: uint64(h)})
-			}
-			s.AddECH(batch...)
-		}
-		for _, dom := range domains {
-			s.AddProbes(ProbeResult{Date: d, Domain: dom, Mismatch: di%2 == 0})
-			s.AddValidation(ValidationResult{Domain: dom, Result: "secure"})
-		}
-	}
-}
-
-// TestShardCountInvariance pins the determinism contract: the same
-// content written into stores with different shard counts reads back
-// identically through every accessor and exports identical bytes.
-func TestShardCountInvariance(t *testing.T) {
-	one := NewStoreSharded(1)
-	many := NewStoreSharded(16)
-	fillStore(one)
-	fillStore(many)
-
-	var a, b bytes.Buffer
-	if err := one.WriteJSON(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := many.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("WriteJSON differs between shard counts 1 and 16")
-	}
-
-	if got, want := len(one.ECHObservations()), len(many.ECHObservations()); got != want {
-		t.Fatalf("ECH counts differ: %d vs %d", got, want)
-	}
-	for i, o := range one.ECHObservations() {
-		if m := many.ECHObservations()[i]; o != m {
-			t.Fatalf("ECH append order diverges at %d: %+v vs %+v", i, o, m)
-		}
-	}
-	for _, kind := range []string{"apex", "www"} {
-		d1, d2 := one.Days(kind), many.Days(kind)
-		if len(d1) != len(d2) {
-			t.Fatalf("%s day counts differ", kind)
-		}
-		for i := range d1 {
-			if !d1[i].Equal(d2[i]) {
-				t.Fatalf("%s days diverge at %d", kind, i)
-			}
-		}
-	}
-	s1, s2 := one.TelemetryAll(), many.TelemetryAll()
-	if len(s1) != len(s2) {
-		t.Fatalf("telemetry counts differ: %d vs %d", len(s1), len(s2))
-	}
-	for i := range s1 {
-		if s1[i].Scope != s2[i].Scope || !s1[i].Date.Equal(s2[i].Date) {
-			t.Fatalf("telemetry order diverges at %d", i)
-		}
-	}
-}
-
 // TestBatchAppendContiguous checks that one Add batch's records stay
-// consecutive in the merged read order even when batches from other
-// goroutines interleave with it.
+// consecutive in the read order even when batches from other goroutines
+// interleave with it.
 func TestBatchAppendContiguous(t *testing.T) {
-	s := NewStoreSharded(4)
+	s := NewStore()
 	const writers, batches, batchLen = 8, 20, 5
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -255,7 +190,7 @@ func TestBatchAppendContiguous(t *testing.T) {
 
 // TestConcurrentReadDuringAppend drives readers across every accessor
 // while writers append — meaningful only under -race, where it pins the
-// per-shard locking.
+// store's locking.
 func TestConcurrentReadDuringAppend(t *testing.T) {
 	s := NewStore()
 	d := day(2023, 7, 21)

@@ -6,37 +6,24 @@
 // validation census — the in-memory equivalent of the paper's Table 1
 // datasets, with JSON export.
 //
-// # Sharded writes, merged reads
+// # One lock, commit order
 //
-// Store is internally sharded: its tables are split across N sub-stores
-// (NewStoreSharded; NewStore uses DefaultStoreShards), each guarded by
-// its own mutex, so concurrent writers contend only when they land on
-// the same shard instead of serializing on one store-wide lock. The
-// shard a record lands on is an fnv-64a hash of its natural key:
-//
-//   - the append-heavy tables — ECH observations, connectivity probes,
-//     and validation rows — shard by the record's domain;
-//   - the per-day maps — apex/www/NS snapshots, serving snapshots,
-//     Tranco lists — shard by the UTC day key, and telemetry series by
-//     their scope+day key.
-//
-// Sharding never leaks into reads. Every accessor merges across shards
-// behind the same signatures the unsharded store had: keyed lookups
-// hash straight to their shard; day listings collect and sort keys from
-// all shards; and the append tables restore the global append order by
-// sorting on a store-wide sequence number that every appended record is
-// stamped with (an atomic counter, drawn as a contiguous block per
-// Add call so one batch can never interleave with another's stamps).
+// Store keeps its per-day tables (apex/www/NS snapshots, serving,
+// workload and anomaly records, Tranco lists, telemetry series) in maps
+// keyed by UTC day and its three append tables (ECH observations,
+// connectivity probes, validation rows) in plain slices, all behind one
+// sync.RWMutex. It is safe for concurrent use, but every campaign writer
+// is a single goroutine — the pipeline's in-order committer — so the
+// lock is never contended on the measurement path.
 //
 // # Determinism contract
 //
 // The byte-identical store contract the campaign pipeline relies on —
-// serial and pipelined runs produce identical WriteJSON bytes — holds
-// for any shard count: as long as records are *committed* in the same
-// order (the pipeline's ordered committer guarantees that), the
-// sequence-sorted merge reconstructs exactly that order, and the keyed
-// tables are rendered in sorted-key order regardless of which shard
-// held them. TestShardCountInvariance pins reads and exports byte-equal
-// across shard counts; the concurrent-append tests under -race cover
-// the per-shard locking.
+// serial and pipelined runs produce identical WriteJSON bytes — follows
+// from commit order alone: the append tables are read back in the order
+// they were written (one Add call's records always contiguous), and the
+// keyed tables are rendered in sorted-key order. As long as records are
+// committed in the same order (the pipeline's ordered committer
+// guarantees that), the export is the same. The concurrent-append tests
+// under -race cover the locking.
 package dataset

@@ -5,13 +5,13 @@
 //
 // # Reuse APIs
 //
-// Every codec entry point comes in two forms: a convenience form that
-// allocates its result (Pack, Unpack, EncodeDoHParam, DecodeDoHParam)
-// and a reuse form that appends into or decodes into caller-owned
-// storage (AppendPack, UnpackInto, AppendEncodeDoHParam,
-// DecodeDoHParamInto). The serving layer's hot path uses only the reuse
-// forms; the convenience forms are thin wrappers kept for tests, tools,
-// and one-shot callers.
+// The message codec comes in two forms: a convenience form that
+// allocates its result (Pack, Unpack) and a reuse form that appends into
+// or decodes into caller-owned storage (AppendPack, UnpackInto). The
+// serving layer's hot path uses only the reuse forms; the convenience
+// forms are thin wrappers kept for one-shot callers. The DoH GET
+// parameter codec exists in the reuse form only (AppendEncodeDoHParam,
+// DecodeDoHParamInto).
 //
 // AppendPack(dst) appends the encoded message to dst and returns the
 // extended slice, amortising to zero allocations when the caller

@@ -9,16 +9,10 @@ import (
 // carried in DoH request and response bodies.
 const MediaTypeDNSMessage = "application/dns-message"
 
-// EncodeDoHParam packs the message and encodes it with unpadded
+// AppendEncodeDoHParam packs the message and encodes it with unpadded
 // base64url, the form carried in the RFC 8484 GET "dns" query parameter.
-func EncodeDoHParam(m *Message) (string, error) {
-	s, _, err := AppendEncodeDoHParam(m, nil)
-	return s, err
-}
-
-// AppendEncodeDoHParam is the reuse-API form of EncodeDoHParam: the
-// message packs into scratch and the base64url form is built in the same
-// buffer, so the only allocation is the returned parameter string
+// The message packs into scratch and the base64url form is built in the
+// same buffer, so the only allocation is the returned parameter string
 // itself. The (possibly grown) scratch comes back for the caller to
 // recycle.
 func AppendEncodeDoHParam(m *Message, scratch []byte) (string, []byte, error) {
@@ -32,21 +26,12 @@ func AppendEncodeDoHParam(m *Message, scratch []byte) (string, []byte, error) {
 	return string(buf[wlen:]), buf, nil
 }
 
-// DecodeDoHParam reverses EncodeDoHParam: it decodes an unpadded (padded
-// forms are tolerated, as servers must accept both) base64url string and
-// unpacks the wire-format message.
-func DecodeDoHParam(s string) (*Message, error) {
-	m := new(Message)
-	if _, err := DecodeDoHParamInto(m, s, nil); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// DecodeDoHParamInto is the reuse-API form of DecodeDoHParam: the
-// parameter's raw bytes and the decoded wire share scratch, and the
-// message decodes into m with UnpackInto semantics. The (possibly grown)
-// scratch comes back for the caller to recycle.
+// DecodeDoHParamInto reverses AppendEncodeDoHParam: it decodes an
+// unpadded (padded forms are tolerated, as servers must accept both)
+// base64url string and unpacks the wire-format message. The parameter's
+// raw bytes and the decoded wire share scratch, and the message decodes
+// into m with UnpackInto semantics. The (possibly grown) scratch comes
+// back for the caller to recycle.
 func DecodeDoHParamInto(m *Message, s string, scratch []byte) ([]byte, error) {
 	// Lay the buffer out as [param bytes][decoded wire]; RawURLEncoding's
 	// DecodedLen is an upper bound for the padded form too.

@@ -119,7 +119,7 @@ type cacheShard struct {
 	mu      sync.Mutex
 	entries map[Key]*cacheEntry
 	// head is most recently used, tail least; entries form a doubly
-	// linked list so Get/Put/evict are all O(1).
+	// linked list so Probe/Put/evict are all O(1).
 	head, tail *cacheEntry
 	capacity   int
 	// negEntries tracks resident negative entries so Stats is O(shards),
@@ -180,14 +180,9 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// NewCache creates a cache with the given shard count and per-shard entry
-// bound and the lifecycle defaults (serve-stale and prefetch disabled);
-// zero values select the default geometry.
-func NewCache(clock *simnet.Clock, shards, shardCapacity int) *Cache {
-	return NewCacheWith(clock, CacheConfig{Shards: shards, ShardCapacity: shardCapacity})
-}
-
-// NewCacheWith creates a cache with an explicit lifecycle configuration.
+// NewCacheWith creates a cache from its geometry and lifecycle
+// configuration; zero values select the default geometry and leave
+// serve-stale and prefetch disabled.
 func NewCacheWith(clock *simnet.Clock, cfg CacheConfig) *Cache {
 	if cfg.Shards <= 0 {
 		cfg.Shards = DefaultShards
@@ -253,23 +248,16 @@ func (k Key) shardHash() uint32 {
 }
 
 func (c *Cache) shardFor(key Key) *cacheShard {
-	return c.shards[int(key.shardHash())%len(c.shards)]
-}
-
-// GetWire returns the cached response as a fresh wire image with the
-// given query ID patched in and every TTL aged by the virtual time
-// elapsed since storing, plus the remaining max-age. Misses, stale
-// entries, and expired entries return ok=false.
-func (c *Cache) GetWire(key Key, id uint16) (body []byte, maxAge uint32, ok bool) {
-	l := c.Probe(key, id, nil)
-	if l.State != StateFresh {
-		return nil, 0, false
-	}
-	return l.Body, l.MaxAge, true
+	// Reduce in uint32: int(hash) is negative on 32-bit platforms when
+	// the hash has its top bit set.
+	return c.shards[key.shardHash()%uint32(len(c.shards))]
 }
 
 // Probe is the lifecycle-aware lookup: it classifies the entry as fresh,
-// stale, or missing, and returns a servable wire image for the first two.
+// stale, or missing, and returns a servable wire image for a fresh entry:
+// the stored response with the given query ID patched in and every TTL
+// aged by the virtual time elapsed since storing, plus the remaining
+// max-age.
 // A fresh hit counts toward Hits; stale and missing probes count toward
 // Misses, because the caller is expected to consult the upstream (a stale
 // body is only served — via NoteStaleServed — when that fails). Entries
@@ -365,21 +353,6 @@ func (c *Cache) StaleWire(key Key, id uint16, dst []byte) (body []byte, maxAge u
 	}
 	s.staleServes++
 	return out[base:], c.cfg.StaleTTL, true
-}
-
-// Get returns a copy of the cached response with TTLs aged by the virtual
-// time elapsed since it was stored, or nil on miss/expiry. It is the
-// message-level convenience over GetWire (the hot path frontends use).
-func (c *Cache) Get(key Key) *dnswire.Message {
-	wire, _, ok := c.GetWire(key, 0)
-	if !ok {
-		return nil
-	}
-	m, err := dnswire.Unpack(wire)
-	if err != nil {
-		return nil
-	}
-	return m
 }
 
 // Put stores a response. Uncacheable responses (SERVFAIL and friends) are

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/dnswire"
-	"repro/internal/doh"
 	"repro/internal/obs"
 	"repro/internal/simnet"
 )
@@ -252,7 +251,7 @@ func (c *Client) Exchange(q *dnswire.Message) (*dnswire.Message, error) {
 // stubs.
 func (c *Client) ExchangePreferring(q *dnswire.Message, pref Protocol) (*dnswire.Message, error) {
 	if len(q.Question) == 0 {
-		return nil, fmt.Errorf("%w: query without question", doh.ErrBadEnvelope)
+		return nil, fmt.Errorf("%w: query without question", ErrBadEnvelope)
 	}
 	if c.ReuseAnswers {
 		c.reclaimLast()
@@ -266,7 +265,7 @@ func (c *Client) ExchangePreferring(q *dnswire.Message, pref Protocol) (*dnswire
 	if sc == nil {
 		sc = new(exchangeScratch)
 	}
-	candidates := c.Pool.CandidatesPreferringAppend(sc.cand[:0], name, pref)
+	candidates := c.Pool.Candidates(sc.cand[:0], name, pref)
 	if len(candidates) == 0 {
 		sc.cand = candidates
 		c.scratch.Put(sc)
@@ -505,25 +504,22 @@ func (c *Client) sample(up *Upstream, wall time.Duration, setupRTTs int) (rtt, c
 // parameter encodes) into. The response's Body doubles as the reply
 // buffer a pooled server appends the answer wire into.
 type dialScratch struct {
-	req  doh.Request
-	resp doh.Response
+	req  DoHRequest
+	resp DoHResponse
 	buf  []byte
 }
 
 var dialScratchPool = sync.Pool{New: func() any { return new(dialScratch) }}
 
-// tryDoH performs one RFC 8484 exchange with a DoH member. The doh
-// package stays observability-free, so the pooled and traced variants
-// ride type assertions: servers implementing ExchangeDoHPooled
-// (DoHServer does) fill the scratch response in place; legacy servers
-// fall back to ExchangeDoHTraced or plain ExchangeDoH.
+// tryDoH performs one RFC 8484 exchange with a DoH member; the server
+// fills the scratch response in place.
 func (c *Client) tryDoH(up *Upstream, q *dnswire.Message, tr *obs.Trace) Attempt {
 	svc, err := c.Net.Service(up.Addr)
 	if err != nil {
 		// Failure injection: the address or port is down.
 		return Attempt{Bench: true, Err: err}
 	}
-	ex, ok := svc.(doh.Exchanger)
+	ex, ok := svc.(DoHExchanger)
 	if !ok {
 		return Attempt{Bench: true, Err: fmt.Errorf("%w: %v is not DoH", ErrNotProto, up.Addr)}
 	}
@@ -539,8 +535,8 @@ func (c *Client) tryDoH(up *Upstream, q *dnswire.Message, tr *obs.Trace) Attempt
 		if err != nil {
 			return Attempt{Err: err}
 		}
-		ds.req = doh.Request{
-			Method: "POST", Path: doh.Path,
+		ds.req = DoHRequest{
+			Method: "POST", Path: DoHPath,
 			ContentType: dnswire.MediaTypeDNSMessage, Body: wire,
 		}
 	} else {
@@ -549,21 +545,11 @@ func (c *Client) tryDoH(up *Upstream, q *dnswire.Message, tr *obs.Trace) Attempt
 		if err != nil {
 			return Attempt{Err: err}
 		}
-		ds.req = doh.Request{Method: "GET", Path: doh.Path, DNSParam: param}
+		ds.req = DoHRequest{Method: "GET", Path: DoHPath, DNSParam: param}
 	}
 	start := time.Now()
 	resp := &ds.resp
-	if px, ok := ex.(interface {
-		ExchangeDoHPooled(*doh.Request, *doh.Response, *obs.Trace)
-	}); ok {
-		px.ExchangeDoHPooled(&ds.req, resp, tr)
-	} else if tx, ok := ex.(interface {
-		ExchangeDoHTraced(*doh.Request, *obs.Trace) *doh.Response
-	}); ok && tr != nil {
-		resp = tx.ExchangeDoHTraced(&ds.req, tr)
-	} else {
-		resp = ex.ExchangeDoH(&ds.req)
-	}
+	ex.ExchangeDoH(&ds.req, resp, tr)
 	rtt, cost := c.sample(up, time.Since(start), 0)
 	m := c.getMsg()
 	if err := resp.DecodeInto(m); err != nil {
@@ -572,7 +558,7 @@ func (c *Client) tryDoH(up *Upstream, q *dnswire.Message, tr *obs.Trace) Attempt
 		// healthy transport — move on without benching, like the
 		// SERVFAIL case. Anything else (4xx, bad media type) is a
 		// protocol mismatch worth a cooldown.
-		return Attempt{Bench: resp.Status != doh.StatusServFailUpstream, Err: err, RTT: rtt, Cost: cost}
+		return Attempt{Bench: resp.Status != StatusServFailUpstream, Err: err, RTT: rtt, Cost: cost}
 	}
 	return Attempt{Msg: m, Stale: resp.Stale, RTT: rtt, Cost: cost}
 }
@@ -588,7 +574,7 @@ func (c *Client) tryDoT(up *Upstream, q *dnswire.Message, tr *obs.Trace) Attempt
 	}
 	start := time.Now()
 	m := c.getMsg()
-	stale, err := conn.ExchangePooled(q, m, tr)
+	stale, err := conn.Exchange(q, m, tr)
 	if err != nil {
 		c.putMsg(m)
 		c.dropDoT(up.Addr)
@@ -646,7 +632,7 @@ func (c *Client) tryDoQ(up *Upstream, q *dnswire.Message, tr *obs.Trace) Attempt
 	q.ID = 0
 	start := time.Now()
 	m := c.getMsg()
-	stale, err := sess.ExchangePooled(q, m, tr)
+	stale, err := sess.Exchange(q, m, tr)
 	q.ID = id
 	if err != nil {
 		c.putMsg(m)

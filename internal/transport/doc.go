@@ -15,7 +15,7 @@
 //   - Frontend: the engine — answer-cache lifecycle (probe → prefetch →
 //     serve-stale), upstream failure cooldown, and lifecycle counters.
 //     Every envelope server embeds one.
-//   - DoHServer: the RFC 8484 envelope (codec in package doh): one
+//   - DoHServer: the RFC 8484 envelope (codec in dohenvelope.go): one
 //     request/response envelope per query, GET or POST, with an
 //     HTTP-style status channel (502 for upstream failure).
 //   - DoTServer: the RFC 7858 envelope: persistent connections carrying
@@ -124,23 +124,38 @@
 //
 // # Hot path and the aliasing contract
 //
-// The query hot path is allocation-free by construction: per-exchange
-// state (candidate orderings, envelope request/response scratch, DoT
-// frame reassembly, DoQ stream buffers, decoded answer Messages) lives
-// in sync.Pools, wire encoding appends into recycled buffers via the
-// dnswire reuse APIs, and cache keys are interned structs rather than
-// formatted strings. Every pool put-site runs its buffer through the
-// recycling ceiling (trimRecycledBuf) so a jumbo answer cannot pin its
-// backing array for a campaign. Pooling never feeds an RNG or an
-// ordering decision — buffer identity is invisible to the determinism
-// contract above.
+// Each operation on the query path has exactly one entry point, and that
+// entry point takes its result storage from the caller:
+//
+//	DoTConn.Exchange(q, into, tr)      DoQSession.Exchange(q, into, tr)
+//	DoHServer.ExchangeDoH(req, resp, tr)
+//	Frontend.Resolve(q, dst, tr)       Cache.Probe(key, id, dst)
+//	Pool.Candidates(dst, qname, pref)  Cache.StaleWire(key, id, dst)
+//
+// into and resp receive the decoded answer (resp.Body's capacity is the
+// reply buffer); dst is append-style scratch, where nil simply
+// allocates; tr is the exchange's trace, where nil traces nothing; pref
+// is a protocol preference, where ProtoAny means none. There are no
+// allocating or untraced twins — a one-shot caller passes a fresh
+// Message and nils.
+//
+// With callers recycling those arguments the hot path is allocation-free
+// by construction: per-exchange state (candidate orderings, envelope
+// request/response scratch, DoT frame reassembly, DoQ stream buffers,
+// decoded answer Messages) lives in sync.Pools, wire encoding appends
+// into recycled buffers via the dnswire reuse APIs, and cache keys are
+// interned structs rather than formatted strings. Every pool put-site
+// runs its buffer through the recycling ceiling (trimRecycledBuf) so a
+// jumbo answer cannot pin its backing array for a campaign. Pooling
+// never feeds an RNG or an ordering decision — buffer identity is
+// invisible to the determinism contract above.
 //
 // The aliasing rules that make copy-free serving safe:
 //
-//   - Cached and stale answers are served as aliases of the cache
-//     entry's stored wire where the envelope permits; the envelope
-//     layers treat served bodies as read-only and re-encode rather
-//     than patch in place.
+//   - An Answer's Wire (and a Lookup's Body) aliases the dst the caller
+//     handed in: it is valid until the caller reuses that buffer, so
+//     envelope servers decode or hand off the body before recycling
+//     their scratch, and treat served bodies as read-only.
 //   - A Message returned by Client.Exchange is owned by the caller —
 //     unless the client's ReuseAnswers mode is on, in which case it is
 //     valid only until that client's next exchange (the client reclaims

@@ -1,16 +1,24 @@
-package doh
+package transport
 
 import (
 	"errors"
 	"fmt"
 
 	"repro/internal/dnswire"
+	"repro/internal/obs"
 )
 
-// Path is the conventional DoH endpoint path.
-const Path = "/dns-query"
+// The RFC 8484 DNS-over-HTTPS envelope codec: the wire shape of the one
+// envelope with a status channel, without an HTTP stack. GET requests
+// carry the query as an unpadded base64url "dns" parameter, POST requests
+// carry raw wire format, and responses report an HTTP-style status, media
+// type, a Cache-Control max-age derived from the answer's minimum TTL,
+// and the RFC 8767 serve-stale marker.
 
-// HTTP-ish status codes used by the envelope layer.
+// DoHPath is the conventional DoH endpoint path.
+const DoHPath = "/dns-query"
+
+// HTTP-ish status codes used by the DoH envelope.
 const (
 	StatusOK                   = 200
 	StatusBadRequest           = 400
@@ -26,11 +34,11 @@ var (
 	ErrStatus      = errors.New("doh: non-success status")
 )
 
-// Request is an RFC 8484-style DoH request envelope.
-type Request struct {
+// DoHRequest is an RFC 8484-style DoH request envelope.
+type DoHRequest struct {
 	// Method is "GET" or "POST".
 	Method string
-	// Path is the endpoint path, normally Path.
+	// Path is the endpoint path, normally DoHPath.
 	Path string
 	// DNSParam carries the base64url-encoded query for GET requests.
 	DNSParam string
@@ -39,8 +47,8 @@ type Request struct {
 	Body        []byte
 }
 
-// Response is a DoH response envelope.
-type Response struct {
+// DoHResponse is a DoH response envelope.
+type DoHResponse struct {
 	Status      int
 	ContentType string
 	Body        []byte
@@ -54,44 +62,12 @@ type Response struct {
 	Stale bool
 }
 
-// NewGETRequest builds a GET envelope for the query.
-func NewGETRequest(m *dnswire.Message) (*Request, error) {
-	param, err := dnswire.EncodeDoHParam(m)
-	if err != nil {
-		return nil, err
-	}
-	return &Request{Method: "GET", Path: Path, DNSParam: param}, nil
-}
-
-// NewPOSTRequest builds a POST envelope for the query.
-func NewPOSTRequest(m *dnswire.Message) (*Request, error) {
-	wire, err := m.Pack()
-	if err != nil {
-		return nil, err
-	}
-	return &Request{
-		Method: "POST", Path: Path,
-		ContentType: dnswire.MediaTypeDNSMessage, Body: wire,
-	}, nil
-}
-
-// DecodeRequest extracts the DNS query from an envelope, reporting an
-// HTTP-style status on failure.
-func DecodeRequest(req *Request) (*dnswire.Message, int, error) {
-	m := new(dnswire.Message)
-	_, status, err := DecodeRequestInto(m, req, nil)
-	if err != nil {
-		return nil, status, err
-	}
-	return m, status, nil
-}
-
-// DecodeRequestInto is the reuse-API form of DecodeRequest: the query
-// decodes into m with dnswire.UnpackInto semantics, and GET parameter
-// decoding works inside scratch, which comes back (possibly grown) for
-// the caller to recycle.
-func DecodeRequestInto(m *dnswire.Message, req *Request, scratch []byte) ([]byte, int, error) {
-	if req.Path != Path {
+// DecodeDoHRequestInto extracts the DNS query from an envelope, reporting
+// an HTTP-style status on failure: the query decodes into m with
+// dnswire.UnpackInto semantics, and GET parameter decoding works inside
+// scratch, which comes back (possibly grown) for the caller to recycle.
+func DecodeDoHRequestInto(m *dnswire.Message, req *DoHRequest, scratch []byte) ([]byte, int, error) {
+	if req.Path != DoHPath {
 		return scratch, StatusNotFound, fmt.Errorf("%w: path %q", ErrBadEnvelope, req.Path)
 	}
 	switch req.Method {
@@ -118,18 +94,9 @@ func DecodeRequestInto(m *dnswire.Message, req *Request, scratch []byte) ([]byte
 	}
 }
 
-// Message unpacks the response body into a DNS message.
-func (r *Response) Message() (*dnswire.Message, error) {
-	m := new(dnswire.Message)
-	if err := r.DecodeInto(m); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// DecodeInto is the reuse-API form of Message: the response body decodes
-// into m with dnswire.UnpackInto semantics.
-func (r *Response) DecodeInto(m *dnswire.Message) error {
+// DecodeInto unpacks the response body into m with dnswire.UnpackInto
+// semantics.
+func (r *DoHResponse) DecodeInto(m *dnswire.Message) error {
 	if r.Status != StatusOK {
 		return fmt.Errorf("%w: %d", ErrStatus, r.Status)
 	}
@@ -139,9 +106,13 @@ func (r *Response) DecodeInto(m *dnswire.Message) error {
 	return dnswire.UnpackInto(m, r.Body)
 }
 
-// Exchanger is the service interface a DoH frontend registers in simnet;
-// the transport client type-asserts it after the addr:port service
-// lookup. transport.DoHServer is the canonical implementation.
-type Exchanger interface {
-	ExchangeDoH(req *Request) *Response
+// DoHExchanger is the service interface a DoH frontend registers in
+// simnet; the Client type-asserts it after the addr:port service lookup,
+// like DoTDialer and DoQDialer. The request decodes into pooled server
+// scratch and the answer wire is appended into resp's existing Body
+// capacity, so a warm client/server pair exchanges with no envelope
+// allocations; all other resp fields are overwritten. Server-side spans
+// are recorded onto tr (a nil tr traces nothing).
+type DoHExchanger interface {
+	ExchangeDoH(req *DoHRequest, resp *DoHResponse, tr *obs.Trace)
 }

@@ -6,16 +6,14 @@ import (
 	"time"
 
 	"repro/internal/dnswire"
-	"repro/internal/doh"
 	"repro/internal/obs"
 	"repro/internal/simnet"
 )
 
 // DoHServer is the RFC 8484 envelope over a Frontend: it terminates DoH
-// request envelopes at a simnet addr:port, decodes them with the doh
-// codec, resolves through the shared engine, and re-encodes. It
-// implements doh.Exchanger, which is how the Client reaches it after the
-// addr:port service lookup.
+// request envelopes at a simnet addr:port, decodes them, resolves
+// through the shared engine, and re-encodes. It implements DoHExchanger,
+// which is how the Client reaches it after the addr:port service lookup.
 type DoHServer struct {
 	Frontend
 }
@@ -33,26 +31,9 @@ func (s *DoHServer) Register(n *simnet.Network, ap netip.AddrPort) {
 	n.RegisterService(ap, s)
 }
 
-// ExchangeDoH implements doh.Exchanger: decode the envelope, resolve, and
-// re-encode. A hard upstream failure with nothing stale becomes a 502 —
-// DoH is the one envelope with a status channel distinct from the DNS
-// RCode.
-func (s *DoHServer) ExchangeDoH(req *doh.Request) *doh.Response {
-	return s.ExchangeDoHTraced(req, nil)
-}
-
-// ExchangeDoHTraced is ExchangeDoH with server-side span recording onto
-// tr. The doh package itself stays observability-free; traced clients
-// reach this method by type assertion.
-func (s *DoHServer) ExchangeDoHTraced(req *doh.Request, tr *obs.Trace) *doh.Response {
-	resp := new(doh.Response)
-	s.ExchangeDoHPooled(req, resp, tr)
-	return resp
-}
-
 // dohScratch is the per-request server-side scratch: the decoded query
 // message and the GET-parameter decode buffer. A DoH exchange is fully
-// synchronous, so the scratch is released before ExchangeDoHPooled
+// synchronous, so the scratch is released before ExchangeDoH
 // returns.
 type dohScratch struct {
 	q   dnswire.Message
@@ -61,30 +42,30 @@ type dohScratch struct {
 
 var dohScratchPool = sync.Pool{New: func() any { return new(dohScratch) }}
 
-// ExchangeDoHPooled is the reuse-API exchange: the request decodes into
-// pooled server scratch and the answer wire is appended into resp's
-// existing Body capacity, so a warm client/server pair exchanges with no
-// envelope allocations. All other resp fields are overwritten.
-func (s *DoHServer) ExchangeDoHPooled(req *doh.Request, resp *doh.Response, tr *obs.Trace) {
+// ExchangeDoH implements DoHExchanger: decode the envelope, resolve, and
+// re-encode into resp. A hard upstream failure with nothing stale becomes
+// a 502 — DoH is the one envelope with a status channel distinct from
+// the DNS RCode.
+func (s *DoHServer) ExchangeDoH(req *DoHRequest, resp *DoHResponse, tr *obs.Trace) {
 	body := resp.Body[:0]
 	sc := dohScratchPool.Get().(*dohScratch)
 	defer func() {
 		sc.buf = trimRecycledBuf(sc.buf)
 		dohScratchPool.Put(sc)
 	}()
-	buf, status, err := doh.DecodeRequestInto(&sc.q, req, sc.buf[:0])
+	buf, status, err := DecodeDoHRequestInto(&sc.q, req, sc.buf[:0])
 	sc.buf = buf
 	if err != nil {
-		*resp = doh.Response{Status: status, Body: body}
+		*resp = DoHResponse{Status: status, Body: body}
 		return
 	}
-	ans, err := s.resolveAppend(&sc.q, body, tr)
+	ans, err := s.Resolve(&sc.q, body, tr)
 	if err != nil {
-		*resp = doh.Response{Status: doh.StatusServFailUpstream}
+		*resp = DoHResponse{Status: StatusServFailUpstream}
 		return
 	}
-	*resp = doh.Response{
-		Status:      doh.StatusOK,
+	*resp = DoHResponse{
+		Status:      StatusOK,
 		ContentType: dnswire.MediaTypeDNSMessage,
 		Body:        ans.Wire,
 		MaxAge:      ans.MaxAge,

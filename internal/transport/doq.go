@@ -116,29 +116,10 @@ func (s *DoQSession) check() error {
 	return nil
 }
 
-// Exchange opens one stream for the query and returns its response. The
-// query's message ID must be zero (RFC 9250 §4.2.1); a non-zero ID or an
-// unparseable frame resets this stream only. Safe for concurrent use —
-// streams are independent by construction.
-func (s *DoQSession) Exchange(q *dnswire.Message) (*dnswire.Message, bool, error) {
-	return s.ExchangeTraced(q, nil)
-}
-
-// ExchangeTraced is Exchange with server-side span recording onto tr (a
-// nil tr traces nothing).
-func (s *DoQSession) ExchangeTraced(q *dnswire.Message, tr *obs.Trace) (*dnswire.Message, bool, error) {
-	m := new(dnswire.Message)
-	stale, err := s.ExchangePooled(q, m, tr)
-	if err != nil {
-		return nil, false, err
-	}
-	return m, stale, nil
-}
-
 // doqStream is the per-stream server-side scratch: the decoded query
 // message and the answer wire buffer. A stream is fully synchronous —
 // query in, answer out, stream done — so the scratch is released before
-// ExchangePooled returns and the whole stream costs no allocations.
+// Exchange returns and the whole stream costs no allocations.
 type doqStream struct {
 	q   dnswire.Message
 	buf []byte
@@ -146,11 +127,16 @@ type doqStream struct {
 
 var doqStreamPool = sync.Pool{New: func() any { return new(doqStream) }}
 
-// ExchangePooled is the reuse-API exchange: one stream, with the query
-// framed into a pooled buffer, parsed into pooled server scratch, and the
-// response decoded into the caller-provided message before the scratch is
-// recycled — the answer never needs an intermediate copy.
-func (s *DoQSession) ExchangePooled(q *dnswire.Message, into *dnswire.Message, tr *obs.Trace) (stale bool, err error) {
+// Exchange opens one stream for the query and decodes its response into
+// the caller-provided message. The query's message ID must be zero
+// (RFC 9250 §4.2.1); a non-zero ID or an unparseable frame resets this
+// stream only. Safe for concurrent use — streams are independent by
+// construction. The query is framed into a pooled buffer and parsed into
+// pooled server scratch, and the response is decoded into the caller's
+// message before the scratch is recycled, so the answer never needs an
+// intermediate copy. Server-side spans are recorded onto tr (a nil tr
+// traces nothing).
+func (s *DoQSession) Exchange(q *dnswire.Message, into *dnswire.Message, tr *obs.Trace) (stale bool, err error) {
 	if err := s.check(); err != nil {
 		return false, err
 	}
@@ -180,7 +166,7 @@ func (s *DoQSession) ExchangePooled(q *dnswire.Message, into *dnswire.Message, t
 		s.srv.resets.Add(1)
 		return false, fmt.Errorf("%w: %v", ErrStreamReset, err)
 	}
-	ans, rerr := s.srv.resolveAppend(&st.q, st.buf[:0], tr)
+	ans, rerr := s.srv.Resolve(&st.q, st.buf[:0], tr)
 	if rerr != nil {
 		// Like DoT, DoQ has no status channel: hard upstream failures go
 		// on the stream as a synthesized SERVFAIL.

@@ -15,7 +15,7 @@ func doqFixture(t *testing.T) (*DoQSession, *DoQServer, *stubRecursor) {
 	t.Helper()
 	net, clock := testNet()
 	recursor := &stubRecursor{ttl: 300}
-	srv := NewDoQServer("doq0", recursor, NewCache(clock, 4, 64), 0)
+	srv := NewDoQServer("doq0", recursor, NewCacheWith(clock, CacheConfig{Shards: 4, ShardCapacity: 64}), 0)
 	srv.Register(net, frontendAddr(0))
 	return srv.DialDoQ(net, frontendAddr(0), false), srv, recursor
 }
@@ -36,13 +36,13 @@ func TestDoQStreamIsolation(t *testing.T) {
 			if i == 5 {
 				// The bad citizen: a non-zero ID resets its own stream.
 				bad := dnswire.NewQuery(99, "bad.test", dnswire.TypeA, false)
-				if _, _, err := sess.Exchange(bad); !errors.Is(err, ErrStreamReset) {
+				if _, _, err := exchangeVia(sess, bad); !errors.Is(err, ErrStreamReset) {
 					errs[i] = fmt.Errorf("bad stream got %v, want ErrStreamReset", err)
 				}
 				return
 			}
 			q := dnswire.NewQuery(0, fmt.Sprintf("s%d.test", i), dnswire.TypeA, false)
-			m, _, err := sess.Exchange(q)
+			m, _, err := exchangeVia(sess, q)
 			if err != nil {
 				errs[i] = err
 				return
@@ -66,7 +66,7 @@ func TestDoQStreamIsolation(t *testing.T) {
 		t.Errorf("streams = %d, want %d", st.Streams, n)
 	}
 	// The session survives its reset stream.
-	if _, _, err := sess.Exchange(dnswire.NewQuery(0, "after.test", dnswire.TypeA, false)); err != nil {
+	if _, _, err := exchangeVia(sess, dnswire.NewQuery(0, "after.test", dnswire.TypeA, false)); err != nil {
 		t.Errorf("session dead after an isolated stream reset: %v", err)
 	}
 }
@@ -140,7 +140,7 @@ func TestDoQWireIDIsZero(t *testing.T) {
 	}
 	// Direct session use enforces the zero-ID rule the client satisfies.
 	sess, _, _ := doqFixture(t)
-	if _, _, err := sess.Exchange(q); !errors.Is(err, ErrStreamReset) {
+	if _, _, err := exchangeVia(sess, q); !errors.Is(err, ErrStreamReset) {
 		t.Errorf("non-zero wire ID accepted: %v", err)
 	}
 }

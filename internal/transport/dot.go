@@ -193,7 +193,7 @@ func (c *DoTConn) Write(p []byte) error {
 	}
 	for i := len(batch) - 1; i >= 0; i-- {
 		q := batch[i]
-		// A trace parked for this query ID (ExchangeTraced) rides into
+		// A trace parked for this query ID (Exchange) rides into
 		// the frontend so its server-side spans join the dial span.
 		var tr *obs.Trace
 		if c.traces != nil {
@@ -202,7 +202,7 @@ func (c *DoTConn) Write(p []byte) error {
 		}
 		// The reply is packed into a recycled buffer; Exchange returns it
 		// via putReplyBuf once the frame is decoded.
-		ans, err := c.srv.resolveAppend(q, c.getReplyBuf(), tr)
+		ans, err := c.srv.Resolve(q, c.getReplyBuf(), tr)
 		if err != nil {
 			// DoT has no status channel: a hard upstream failure goes on
 			// the wire as a synthesized SERVFAIL.
@@ -235,28 +235,15 @@ func (c *DoTConn) ReadResponse() (wire []byte, stale bool, err error) {
 // response carrying its ID, parking any other pipelined responses it
 // drains along the way for their owners. Safe for concurrent use: many
 // goroutines can pipeline queries over one connection.
-func (c *DoTConn) Exchange(q *dnswire.Message) (*dnswire.Message, bool, error) {
-	return c.ExchangeTraced(q, nil)
-}
-
-// ExchangeTraced is Exchange with server-side span recording onto tr (a
-// nil tr traces nothing).
-func (c *DoTConn) ExchangeTraced(q *dnswire.Message, tr *obs.Trace) (*dnswire.Message, bool, error) {
-	m := new(dnswire.Message)
-	stale, err := c.ExchangePooled(q, m, tr)
-	if err != nil {
-		return nil, false, err
-	}
-	return m, stale, nil
-}
-
-// ExchangePooled is the reuse-API exchange: the query is framed into a
-// pooled buffer and the response is decoded into the caller-provided
-// message, so a steady stream of exchanges over a warm connection
-// allocates nothing on this layer. The trace is parked by query ID before
-// the frame is written, so the server side picks it up when it resolves
-// the frame — pipelined frames from other callers stay untraced.
-func (c *DoTConn) ExchangePooled(q *dnswire.Message, into *dnswire.Message, tr *obs.Trace) (stale bool, err error) {
+//
+// The query is framed into a pooled buffer and the response is decoded
+// into the caller-provided message, so a steady stream of exchanges over
+// a warm connection allocates nothing on this layer. Server-side spans
+// are recorded onto tr (a nil tr traces nothing): the trace is parked by
+// query ID before the frame is written, so the server side picks it up
+// when it resolves the frame — pipelined frames from other callers stay
+// untraced.
+func (c *DoTConn) Exchange(q *dnswire.Message, into *dnswire.Message, tr *obs.Trace) (stale bool, err error) {
 	bp := dnswire.GetWireBuf()
 	defer dnswire.PutWireBuf(bp)
 	frame := append(*bp, 0, 0)

@@ -8,14 +8,28 @@ import (
 	"time"
 
 	"repro/internal/dnswire"
+	"repro/internal/obs"
 )
+
+// exchangeVia runs one untraced exchange over a DoT connection or DoQ
+// session into a fresh message.
+func exchangeVia(e interface {
+	Exchange(q, into *dnswire.Message, tr *obs.Trace) (bool, error)
+}, q *dnswire.Message) (*dnswire.Message, bool, error) {
+	m := new(dnswire.Message)
+	stale, err := e.Exchange(q, m, nil)
+	if err != nil {
+		return nil, false, err
+	}
+	return m, stale, nil
+}
 
 // dotFixture stands up one DoT frontend and dials it directly.
 func dotFixture(t *testing.T) (*DoTConn, *DoTServer, *stubRecursor) {
 	t.Helper()
 	net, clock := testNet()
 	recursor := &stubRecursor{ttl: 300}
-	srv := NewDoTServer("dot0", recursor, NewCache(clock, 4, 64), 0)
+	srv := NewDoTServer("dot0", recursor, NewCacheWith(clock, CacheConfig{Shards: 4, ShardCapacity: 64}), 0)
 	srv.Register(net, frontendAddr(0))
 	return srv.DialDoT(net, frontendAddr(0)), srv, recursor
 }
@@ -114,7 +128,7 @@ func TestDoTExchangeDemuxesConcurrentPipelines(t *testing.T) {
 			defer wg.Done()
 			id := uint16(i + 1)
 			q := dnswire.NewQuery(id, fmt.Sprintf("c%d.test", i), dnswire.TypeA, false)
-			m, _, err := conn.Exchange(q)
+			m, _, err := exchangeVia(conn, q)
 			if err != nil {
 				errs[i] = err
 				return

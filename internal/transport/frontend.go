@@ -194,29 +194,16 @@ func (f *Frontend) bindMetrics(reg *obs.Registry) {
 // for one decoded query and returns the wire answer for the envelope
 // codec. It returns ErrUpstreamFailed only when the handler hard-failed
 // and nothing stale could cover for it.
-func (f *Frontend) Resolve(q *dnswire.Message) (Answer, error) {
-	return f.resolve(q, nil)
-}
-
-// ResolveTraced is Resolve with server-side span recording onto tr (a
-// nil tr traces nothing). The spans are structural — zero offset and
-// duration — because the frontend's work rides inside the enclosing dial
-// span, whose virtual cost the strategy layer charges.
-func (f *Frontend) ResolveTraced(q *dnswire.Message, tr *obs.Trace) (Answer, error) {
-	return f.resolve(q, tr)
-}
-
-func (f *Frontend) resolve(q *dnswire.Message, tr *obs.Trace) (Answer, error) {
-	return f.resolveAppend(q, nil, tr)
-}
-
-// resolveAppend is resolve with caller-supplied wire scratch: the answer
-// body is appended to dst (aliasing its backing array, per the contract in
-// doc.go), so envelope servers that recycle a per-exchange buffer serve
-// cache hits without allocating. A nil dst restores the old copy-per-answer
-// behavior. Every tracer call site is guarded so the tr == nil fast path
-// builds no label slices.
-func (f *Frontend) resolveAppend(q *dnswire.Message, dst []byte, tr *obs.Trace) (Answer, error) {
+//
+// The answer body is appended to dst (aliasing its backing array, per the
+// contract in doc.go), so envelope servers that recycle a per-exchange
+// buffer serve cache hits without allocating; a nil dst allocates.
+// Server-side spans are recorded onto tr (a nil tr traces nothing, and
+// every tracer call site is guarded so that fast path builds no label
+// slices). The spans are structural — zero offset and duration — because
+// the frontend's work rides inside the enclosing dial span, whose virtual
+// cost the strategy layer charges.
+func (f *Frontend) Resolve(q *dnswire.Message, dst []byte, tr *obs.Trace) (Answer, error) {
 	f.served.Add(1)
 
 	if len(q.Question) != 1 {

@@ -226,27 +226,19 @@ func (p *Pool) Healthy() int {
 // Strategies consume this ordering — serial failover walks it, racing
 // takes the top two across protocols, hedging pairs the head with a
 // same-protocol understudy.
-func (p *Pool) Candidates(qname string) []*Upstream {
-	return p.CandidatesAppend(nil, qname)
-}
-
-// CandidatesAppend is Candidates writing into dst (reused from length
-// zero, grown as needed) so per-exchange callers can recycle one buffer
-// instead of allocating a fresh ordering per query. The returned slice
-// holds exactly the ordering Candidates would have returned.
-func (p *Pool) CandidatesAppend(dst []*Upstream, qname string) []*Upstream {
-	return p.CandidatesPreferringAppend(dst, qname, ProtoAny)
-}
-
-// CandidatesPreferringAppend is CandidatesAppend with a per-caller
-// protocol preference: members speaking pref are stable-partitioned to
-// the front of the healthy segment (and of the benched tail), so a
-// client that prefers, say, DoQ fails over within its protocol before
-// crossing to another — the per-stub preference the workload engine
-// deals across its simulated population. ProtoAny keeps the pool's
-// ordering untouched; the preference never promotes a benched member
-// over a healthy one.
-func (p *Pool) CandidatesPreferringAppend(dst []*Upstream, qname string, pref Protocol) []*Upstream {
+//
+// The ordering is written into dst (reused from length zero, grown as
+// needed; nil allocates) so per-exchange callers can recycle one buffer
+// instead of allocating a fresh ordering per query.
+//
+// pref is a per-caller protocol preference: members speaking pref are
+// stable-partitioned to the front of the healthy segment (and of the
+// benched tail), so a client that prefers, say, DoQ fails over within its
+// protocol before crossing to another — the per-stub preference the
+// workload engine deals across its simulated population. ProtoAny keeps
+// the pool's ordering untouched; the preference never promotes a benched
+// member over a healthy one.
+func (p *Pool) Candidates(dst []*Upstream, qname string, pref Protocol) []*Upstream {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	now := p.clock.Now()

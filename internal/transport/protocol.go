@@ -26,7 +26,7 @@ const (
 )
 
 // ProtoAny is the no-preference sentinel for preference-aware candidate
-// orderings (Pool.CandidatesPreferringAppend, Client.ExchangePreferring):
+// orderings (Pool.Candidates, Client.ExchangePreferring):
 // the pool's failover order is used as-is.
 const ProtoAny Protocol = -1
 

@@ -163,7 +163,7 @@ func TestCacheKeyIncludesTypeAndDOBit(t *testing.T) {
 
 func TestCacheLRUEvictionPerShard(t *testing.T) {
 	_, clock := testNet()
-	cache := NewCache(clock, 1, 4) // single shard, capacity 4
+	cache := NewCacheWith(clock, CacheConfig{Shards: 1, ShardCapacity: 4}) // single shard, capacity 4
 	mk := func(name string) *dnswire.Message {
 		q := dnswire.NewQuery(1, name, dnswire.TypeA, false)
 		resp := q.Reply()
@@ -180,17 +180,17 @@ func TestCacheLRUEvictionPerShard(t *testing.T) {
 		cache.Put(key(i), mk(fmt.Sprintf("n%d.test.", i)))
 	}
 	// Touch n0 so n1 becomes least recently used, then overflow.
-	if cache.Get(key(0)) == nil {
+	if cache.Probe(key(0), 0, nil).State != StateFresh {
 		t.Fatal("warm entry missing")
 	}
 	cache.Put(key(4), mk("n4.test."))
 	if cache.Len() != 4 {
 		t.Fatalf("cache holds %d entries, want capacity 4", cache.Len())
 	}
-	if cache.Get(key(1)) != nil {
+	if cache.Probe(key(1), 0, nil).State != StateMiss {
 		t.Error("LRU victim n1 still cached")
 	}
-	if cache.Get(key(0)) == nil {
+	if cache.Probe(key(0), 0, nil).State != StateFresh {
 		t.Error("recently-used n0 evicted")
 	}
 	stats := cache.Stats()
@@ -201,7 +201,7 @@ func TestCacheLRUEvictionPerShard(t *testing.T) {
 
 func TestCacheShardingSpreadsKeys(t *testing.T) {
 	_, clock := testNet()
-	cache := NewCache(clock, 8, 16)
+	cache := NewCacheWith(clock, CacheConfig{Shards: 8, ShardCapacity: 16})
 	touched := 0
 	counts := map[int]int{}
 	for i := 0; i < 200; i++ {
@@ -273,7 +273,7 @@ func TestEWMAPrefersFasterUpstream(t *testing.T) {
 		pool.ObserveRTT(slow, 40*time.Millisecond)
 	}
 	for i := 0; i < 10; i++ {
-		if got := pool.Candidates("any.test.")[0]; got != fast {
+		if got := pool.Candidates(nil, "any.test.", ProtoAny)[0]; got != fast {
 			t.Fatalf("EWMA picked %s over the faster member", got.Name)
 		}
 	}
@@ -291,7 +291,7 @@ func TestP2FavoursLowerRTT(t *testing.T) {
 	wins := 0
 	const draws = 400
 	for i := 0; i < draws; i++ {
-		if pool.Candidates("x.test.")[0] == fast {
+		if pool.Candidates(nil, "x.test.", ProtoAny)[0] == fast {
 			wins++
 		}
 	}

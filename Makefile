@@ -16,10 +16,12 @@ test:
 # campaign scheduler, the substrate it fans out over, the serving
 # layer's shared cache/pool/cooldown state, the pooled wire codec and
 # its decode-scratch intern table, the telemetry registry every worker
-# increments, the dataset store the pipeline commits into, and the
-# workload engine driving fleets inside the pipelined day replicas).
+# increments, the dataset store the pipeline commits into, the workload
+# engine driving fleets inside the pipelined day replicas, and the
+# recursor, validator and authoritatives: forked recursors share one
+# verified-signature memo across day workers).
 race:
-	$(GO) test -race ./internal/scanner ./internal/simnet ./internal/core ./internal/transport ./internal/dnswire ./internal/obs ./internal/dataset ./internal/workload
+	$(GO) test -race ./internal/scanner ./internal/simnet ./internal/core ./internal/transport ./internal/dnswire ./internal/obs ./internal/dataset ./internal/workload ./internal/resolver ./internal/dnssec ./internal/providers
 
 # Tier-1 verify as the roadmap defines it, then the nested benchmark
 # module: bench/ compiles against this module's exported surface, so its
@@ -55,16 +57,18 @@ bench-smoke:
 profile:
 	$(GO) test -run xxx -bench BenchmarkCampaignSerialVsPipelined -cpuprofile cpu.pprof -memprofile mem.pprof .
 
-# Short fuzz pass over the wire-format decoders, seeded with
-# workload-shaped queries and hand-mangled frames. Ten seconds per
-# target is a smoke test, not a campaign: it proves the targets build,
-# the corpus parses, and no quick-to-find panic has crept into Unpack,
-# the RFC 1035 TCP framing, or the DoH envelope decoder.
+# Short fuzz pass over the wire-format decoders and the signature
+# verifier, seeded with workload-shaped queries and hand-mangled frames.
+# Ten seconds per target is a smoke test, not a campaign: it proves the
+# targets build, the corpus parses, and no quick-to-find panic has crept
+# into Unpack, the RFC 1035 TCP framing, the DoH envelope decoder, or
+# RRSIG verification (whose memoised and plain verdicts must agree).
 fuzz-smoke:
 	$(GO) test ./internal/dnswire -fuzz 'FuzzUnpack$$' -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnswire -fuzz FuzzUnpackInto -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnswire -fuzz FuzzReadTCP -fuzztime 10s -run xxx
 	$(GO) test ./internal/transport -fuzz FuzzDoHDecodeRequest -fuzztime 10s -run xxx
+	$(GO) test ./internal/dnssec -fuzz FuzzVerifyRRSIG -fuzztime 10s -run xxx
 
 # Traced-exchange demo: a mixed-protocol fleet under the race strategy
 # with every exchange traced, dumping the five slowest span trees —

@@ -19,7 +19,8 @@ import (
 	"io"
 	"math/big"
 	mathrand "math/rand"
-	"sort"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/dnswire"
@@ -42,27 +43,35 @@ type KeyPair struct {
 }
 
 // detachedReader draws a fixed-width seed from r and returns a fresh
-// stream seeded by it. The stdlib ECDSA routines consume a variable number
-// of reader bytes per call (randutil.MaybeReadByte, nonce rejection
-// sampling), so feeding them a shared seeded rng directly would leave it in
-// a run-dependent state and destroy whole-world seed determinism. The
-// detached stream absorbs that variability; the caller's rng always
-// advances by exactly eight bytes.
-func detachedReader(r io.Reader) io.Reader {
+// stream seeded by it, and a function that hands the stream back. The
+// stdlib ECDSA routines consume a variable number of reader bytes per call
+// (randutil.MaybeReadByte, nonce rejection sampling), so feeding them a
+// shared seeded rng directly would leave it in a run-dependent state and
+// destroy whole-world seed determinism. The detached stream absorbs that
+// variability; the caller's rng always advances by exactly eight bytes.
+func detachedReader(r io.Reader) (io.Reader, func()) {
 	var seed [8]byte
 	if _, err := io.ReadFull(r, seed[:]); err != nil {
-		return r
+		return r, func() {}
 	}
 	var s int64
 	for _, b := range seed {
 		s = s<<8 | int64(b)
 	}
-	return mathrand.New(mathrand.NewSource(s))
+	// A recycled generator re-seeded is the stream a new one would give,
+	// without 5 KB of state allocated per signature.
+	d := detachedPool.Get().(*mathrand.Rand)
+	d.Seed(s)
+	return d, func() { detachedPool.Put(d) }
 }
+
+var detachedPool = sync.Pool{New: func() any { return mathrand.New(mathrand.NewSource(0)) }}
 
 // GenerateKey creates a new ECDSA-P256 zone key. ksk selects the SEP flag.
 func GenerateKey(rng io.Reader, zone string, ksk bool) (*KeyPair, error) {
-	priv, err := ecdsa.GenerateKey(elliptic.P256(), detachedReader(rng))
+	rd, release := detachedReader(rng)
+	defer release()
+	priv, err := ecdsa.GenerateKey(elliptic.P256(), rd)
 	if err != nil {
 		return nil, fmt.Errorf("dnssec: generating key for %s: %w", zone, err)
 	}
@@ -108,11 +117,7 @@ func MakeDS(dnskey dnswire.RR, ttl uint32) (dnswire.RR, error) {
 	if !ok {
 		return dnswire.RR{}, fmt.Errorf("dnssec: record is not a DNSKEY")
 	}
-	owner, err := ownerWire(dnskey.Name)
-	if err != nil {
-		return dnswire.RR{}, err
-	}
-	rdata, err := packRData(dnskey)
+	_, owner, rdata, err := splitRR(dnskey)
 	if err != nil {
 		return dnswire.RR{}, err
 	}
@@ -154,31 +159,21 @@ func decodePublicKey(b []byte) (*ecdsa.PublicKey, error) {
 	return &ecdsa.PublicKey{Curve: elliptic.P256(), X: x, Y: y}, nil
 }
 
-// ownerWire returns the canonical (lowercase, uncompressed) wire form of a
-// name.
-func ownerWire(name string) ([]byte, error) {
-	rr := dnswire.RR{Name: name, Type: dnswire.TypeTXT, Class: dnswire.ClassINET,
-		Data: &dnswire.TXTData{Strings: []string{"x"}}}
-	wire, err := dnswire.PackRR(rr)
+// splitRR packs a record in canonical (lowercase, uncompressed) form and
+// returns the whole wire, its owner name and its RDATA.
+func splitRR(rr dnswire.RR) (full, owner, rdata []byte, err error) {
+	full, err = dnswire.PackRR(rr)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	// Owner name is everything before the fixed 10-byte type/class/ttl/rdlen
-	// suffix plus the 3-byte TXT RDATA.
-	return wire[:len(wire)-13], nil
-}
-
-// packRData returns the canonical wire RDATA of a record.
-func packRData(rr dnswire.RR) ([]byte, error) {
-	wire, err := dnswire.PackRR(rr)
-	if err != nil {
-		return nil, err
+	// A name's wire form is one length byte per label plus the root byte:
+	// as long as its dotted form and one more, the root alone one byte.
+	n := 1
+	if name := dnswire.CanonicalName(rr.Name); name != "." {
+		n = len(name) + 1
 	}
-	owner, err := ownerWire(rr.Name)
-	if err != nil {
-		return nil, err
-	}
-	return wire[len(owner)+10:], nil
+	// The fixed type/class/ttl/rdlen fields take 10 bytes.
+	return full, full[:n], full[n+10:], nil
 }
 
 // canonicalRRsetWire returns the canonical signing input for an RRset: each
@@ -195,21 +190,14 @@ func canonicalRRsetWire(rrs []dnswire.RR, origTTL uint32) ([]byte, error) {
 		if dnswire.CanonicalName(rr.Name) != name || rr.Type != typ || rr.Class != class {
 			return nil, ErrMixedRRset
 		}
-		canon := rr.Clone()
-		canon.TTL = origTTL
-		full, err := dnswire.PackRR(canon)
-		if err != nil {
-			return nil, err
-		}
-		rdata, err := packRData(canon)
+		rr.TTL = origTTL
+		full, _, rdata, err := splitRR(rr)
 		if err != nil {
 			return nil, err
 		}
 		entries = append(entries, entry{rdata: rdata, full: full})
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		return bytes.Compare(entries[i].rdata, entries[j].rdata) < 0
-	})
+	slices.SortFunc(entries, func(a, b entry) int { return bytes.Compare(a.rdata, b.rdata) })
 	var out []byte
 	var prev []byte
 	for _, e := range entries {
@@ -245,7 +233,9 @@ func SignRRset(rng io.Reader, key *KeyPair, rrs []dnswire.RR, inception, expirat
 		return dnswire.RR{}, err
 	}
 	digest := sha256.Sum256(signed)
-	r, s, err := ecdsa.Sign(detachedReader(rng), key.Private, digest[:])
+	rd, release := detachedReader(rng)
+	defer release()
+	r, s, err := ecdsa.Sign(rd, key.Private, digest[:])
 	if err != nil {
 		return dnswire.RR{}, fmt.Errorf("dnssec: signing: %w", err)
 	}
@@ -272,8 +262,45 @@ func signingInput(sig *dnswire.RRSIGData, rrs []dnswire.RR, origTTL uint32) ([]b
 }
 
 // VerifyRRSIG checks an RRSIG over an RRset against a DNSKEY record. now is
-// used for the validity window.
+// used for the validity window. It never consults a memo: every call pays
+// for the ECDSA verification.
 func VerifyRRSIG(rrsig dnswire.RR, rrs []dnswire.RR, dnskey dnswire.RR, now time.Time) error {
+	return (*SigMemo)(nil).Verify(rrsig, rrs, dnskey, now)
+}
+
+// SigMemo remembers which signatures already verified, so that a campaign
+// whose recursors meet the same (key, signature, RRset) thousands of times
+// — a TLD's DS RRset once per adopter, a domain's chain once per scan day —
+// pays for each ECDSA verification once. An entry is SHA-256(public key ‖
+// signature ‖ signing-input digest): a pure function of the three inputs of
+// the ECDSA step, so a hit can stand in for that step and nothing else.
+// The checks that depend on anything outside the key — type covered,
+// algorithm, key tag, signer, and the validity window against the caller's
+// now — run on every call before the memo is consulted, which is why a hit
+// can never carry a signature past its expiration or onto another key,
+// owner or RRset. Only successes are stored. Safe for concurrent use;
+// bounded at sigMemoCap entries (a full shard is dropped whole — entries do
+// not expire, there is nothing older to prefer). A nil *SigMemo verifies
+// without remembering.
+type SigMemo struct {
+	shards [sigMemoShards]struct {
+		mu sync.Mutex
+		m  map[[sha256.Size]byte]struct{}
+	}
+}
+
+const (
+	sigMemoShards = 16
+	sigMemoCap    = 1 << 16
+)
+
+// NewSigMemo returns an empty memo.
+func NewSigMemo() *SigMemo { return &SigMemo{} }
+
+// Verify is VerifyRRSIG with the ECDSA step skipped for a (key, signature,
+// RRset) that m has seen verify. Its verdict equals VerifyRRSIG's on every
+// input.
+func (m *SigMemo) Verify(rrsig dnswire.RR, rrs []dnswire.RR, dnskey dnswire.RR, now time.Time) error {
 	sig, ok := rrsig.Data.(*dnswire.RRSIGData)
 	if !ok {
 		return fmt.Errorf("dnssec: record is not an RRSIG")
@@ -304,10 +331,6 @@ func VerifyRRSIG(rrsig dnswire.RR, rrs []dnswire.RR, dnskey dnswire.RR, now time
 	if ts < sig.Inception || ts > sig.Expiration {
 		return ErrExpired
 	}
-	pub, err := decodePublicKey(keyData.PublicKey)
-	if err != nil {
-		return err
-	}
 	if len(sig.Signature) != 64 {
 		return fmt.Errorf("dnssec: P-256 signature must be 64 bytes, got %d", len(sig.Signature))
 	}
@@ -316,12 +339,45 @@ func VerifyRRSIG(rrsig dnswire.RR, rrs []dnswire.RR, dnskey dnswire.RR, now time
 		return err
 	}
 	digest := sha256.Sum256(input)
+	var id [sha256.Size]byte
+	if m != nil {
+		var buf [64 + 64 + sha256.Size]byte
+		id = sha256.Sum256(append(append(append(buf[:0], keyData.PublicKey...), sig.Signature...), digest[:]...))
+		if m.seen(id) {
+			return nil // this key decoded and verified this input before
+		}
+	}
+	pub, err := decodePublicKey(keyData.PublicKey)
+	if err != nil {
+		return err
+	}
 	r := new(big.Int).SetBytes(sig.Signature[:32])
 	s := new(big.Int).SetBytes(sig.Signature[32:])
 	if !ecdsa.Verify(pub, digest[:], r, s) {
 		return ErrBadSignature
 	}
+	if m != nil {
+		m.add(id)
+	}
 	return nil
+}
+
+func (m *SigMemo) seen(id [sha256.Size]byte) bool {
+	sh := &m.shards[id[0]%sigMemoShards]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	_, ok := sh.m[id]
+	return ok
+}
+
+func (m *SigMemo) add(id [sha256.Size]byte) {
+	sh := &m.shards[id[0]%sigMemoShards]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.m == nil || len(sh.m) >= sigMemoCap/sigMemoShards {
+		sh.m = map[[sha256.Size]byte]struct{}{}
+	}
+	sh.m[id] = struct{}{}
 }
 
 // MatchesDS reports whether the DNSKEY record corresponds to the DS record.

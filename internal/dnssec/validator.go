@@ -65,6 +65,9 @@ type Validator struct {
 	now    time.Time
 	// KeyCache, when set, short-circuits re-validation of zone keys.
 	KeyCache ZoneKeyCache
+	// Memo, when set, spares the ECDSA step of signatures it has already
+	// seen verify; nil verifies every signature in full.
+	Memo *SigMemo
 }
 
 // NewValidator creates a validator using the given source, trusted root
@@ -84,7 +87,7 @@ func (v *Validator) verifyWithKeys(rrs, sigs, keys []dnswire.RR) error {
 	var lastErr error
 	for _, sig := range sigs {
 		for _, key := range keys {
-			if err := VerifyRRSIG(sig, rrs, key, v.now); err == nil {
+			if err := v.Memo.Verify(sig, rrs, key, v.now); err == nil {
 				return nil
 			} else {
 				lastErr = err
@@ -148,10 +151,13 @@ func (v *Validator) validateZoneKeys(zone string, dsSet []dnswire.RR) ([]dnswire
 // containing name: the suffixes of name at which the source has an NS or
 // DNSKEY RRset (i.e. real zone cuts in the modelled hierarchy).
 func (v *Validator) zoneChain(name string) []string {
-	labels := dnswire.SplitLabels(name)
 	chain := []string{"."}
-	for i := len(labels) - 1; i >= 0; i-- {
-		candidate := dnswire.CanonicalName(joinLabels(labels[i:]))
+	// name is canonical, so every suffix that starts a label is too.
+	for i := len(name) - 2; i >= 0; i-- {
+		if i > 0 && name[i-1] != '.' {
+			continue
+		}
+		candidate := name[i:]
 		if _, _, ok := v.source.FetchRRset(candidate, dnswire.TypeNS); ok {
 			chain = append(chain, candidate)
 			continue
@@ -161,17 +167,6 @@ func (v *Validator) zoneChain(name string) []string {
 		}
 	}
 	return chain
-}
-
-func joinLabels(labels []string) string {
-	out := ""
-	for _, l := range labels {
-		out += l + "."
-	}
-	if out == "" {
-		return "."
-	}
-	return out
 }
 
 // Validate walks the chain of trust and validates the RRset (name, t).

@@ -54,11 +54,11 @@ func CountLabels(name string) int {
 // ParentName("www.example.com.") == "example.com.". The parent of the root
 // is the root.
 func ParentName(name string) string {
-	labels := SplitLabels(name)
-	if len(labels) <= 1 {
-		return "."
+	name = CanonicalName(name)
+	if dot := strings.IndexByte(name, '.'); dot+1 < len(name) {
+		return name[dot+1:] // a suffix of name: no allocation
 	}
-	return strings.Join(labels[1:], ".") + "."
+	return "."
 }
 
 // IsSubdomain reports whether child is equal to or underneath parent.

@@ -1,18 +1,26 @@
 // Package resolver implements a caching recursive DNS resolver over simnet:
-// iterative resolution from the root servers, TTL-driven caching on the
-// virtual clock, cross-zone CNAME chasing, and DNSSEC chain validation that
-// sets the AD bit — the role Google Public DNS (8.8.8.8) and Cloudflare
-// (1.1.1.1) play in the paper's measurements.
+// iterative resolution from the closest cached zone cut (the root servers
+// when none is known), TTL-driven caching on the virtual clock, cross-zone
+// CNAME chasing, and DNSSEC chain validation that sets the AD bit — the
+// role Google Public DNS (8.8.8.8) and Cloudflare (1.1.1.1) play in the
+// paper's measurements.
 //
-// The cache is load-bearing for two of the paper's findings: stale HTTPS
-// records explain both the ECH key-inconsistency window (§4.4.2) and the
-// transient IP-hint/A mismatches (§4.3.5).
+// A resolver keeps four bounded caches: answers per (name, type),
+// delegations per zone (the servers a referral named, for the NS TTL),
+// validated zone DNSKEY RRsets, and — shared with every Fork — a memo of
+// the signatures that already verified. docs/ARCHITECTURE.md, "Recursor
+// cold path", has the rules each one follows.
+//
+// The answer cache is load-bearing for two of the paper's findings: stale
+// HTTPS records explain both the ECH key-inconsistency window (§4.4.2) and
+// the transient IP-hint/A mismatches (§4.3.5).
 package resolver
 
 import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sync"
 	"time"
 
@@ -48,15 +56,32 @@ type Response struct {
 	Authority []dnswire.RR
 }
 
-type cacheEntry struct {
-	rrs       []dnswire.RR
-	sigs      []dnswire.RR
-	rcode     dnswire.RCode
-	authority []dnswire.RR
-	expires   time.Time
-	adKnown   bool
-	adValue   bool
+// rrKey addresses one cached RRset. name is canonical and shared with the
+// caller's string, so a probe allocates nothing.
+type rrKey struct {
+	name string
+	t    dnswire.Type
 }
+
+// AD states of a cache entry.
+const (
+	adUnknown uint8 = iota
+	adInsecure
+	adSecure
+)
+
+type cacheEntry struct {
+	// answer holds the nData data records, then the RRSIGs covering them.
+	answer    []dnswire.RR
+	authority []dnswire.RR // the SOA of a negative answer
+	expires   int64        // virtual-clock UnixNano
+	rcode     dnswire.RCode
+	nData     uint16
+	ad        uint8
+}
+
+func (e *cacheEntry) rrs() []dnswire.RR  { return e.answer[:e.nData:e.nData] }
+func (e *cacheEntry) sigs() []dnswire.RR { return slices.Clip(e.answer[e.nData:]) }
 
 // Resolver is a caching recursive resolver.
 type Resolver struct {
@@ -71,46 +96,95 @@ type Resolver struct {
 	Anchor []dnswire.RR
 
 	mu    sync.Mutex
-	cache map[string]*cacheEntry
+	cache map[rrKey]*cacheEntry
 
 	// zoneKeys caches already-validated zone DNSKEY RRsets for
 	// zoneKeyTTL of virtual time.
 	zoneKeys map[string]zoneKeyEntry
+
+	// cuts maps a zone to the servers a referral named for it, for the NS
+	// RRset's TTL. addrSets interns those server lists by content:
+	// thousands of apexes share a few dozen provider NS sets.
+	cuts     map[string]zoneCut
+	addrSets map[uint64][]netip.Addr
+
+	// memo remembers signatures that verified. It is the one piece of
+	// state Fork shares, so concurrent day workers verify each once.
+	memo *dnssec.SigMemo
 }
 
 type zoneKeyEntry struct {
 	keys    []dnswire.RR
-	expires time.Time
+	expires int64
+}
+
+type zoneCut struct {
+	servers []netip.Addr
+	expires int64
 }
 
 // zoneKeyTTL bounds reuse of validated zone keys (matches DNSKEY TTL).
 const zoneKeyTTL = time.Hour
 
-// New creates a resolver on the given network.
-func New(net *simnet.Network) *Resolver {
-	return &Resolver{Net: net, cache: map[string]*cacheEntry{}, zoneKeys: map[string]zoneKeyEntry{}}
+// Cache caps. Each sits above the largest benchmark working set (a
+// 20 000-domain serving world), so they bound a long-lived resolver
+// without moving any workload's upstream query count.
+const (
+	maxAnswers  = 1 << 18
+	maxZoneKeys = 1 << 14
+	maxCuts     = 1 << 16
+	maxAddrSets = 1 << 10
+)
+
+// makeRoom keeps m below max entries: at the cap it sweeps the expired
+// ones, and when that frees less than an eighth it drops everything, so
+// map order never decides what survives and a full table of live entries
+// is not re-swept on every insert.
+func makeRoom[K comparable, V any](m map[K]V, max int, expired func(V) bool) {
+	if len(m) < max {
+		return
+	}
+	for k, v := range m {
+		if expired(v) {
+			delete(m, k)
+		}
+	}
+	if len(m) > max-max/8 {
+		clear(m)
+	}
 }
 
-// Fork returns a fresh resolver on the given network (normally a per-day
-// view of the parent's) with the same validation configuration but empty
-// caches. Per-day scan contexts use it to give each simulated day an
-// isolated recursor state: with record TTLs far below a day, a fresh cache
-// answers identically to the serial run's carried-over cache, without any
-// cross-day locking or time skew.
+// New creates a resolver on the given network.
+func New(net *simnet.Network) *Resolver {
+	r := &Resolver{Net: net, memo: dnssec.NewSigMemo()}
+	r.FlushCache()
+	return r
+}
+
+// Fork returns a resolver on the given network (normally a per-day view of
+// the parent's) with the same validation configuration, empty answer,
+// delegation and zone-key caches, and the parent's verified-signature
+// memo. Per-day scan contexts use it to give each simulated day an isolated
+// recursor state: with record TTLs far below a day, a fresh cache answers
+// identically to the serial run's carried-over cache, without any
+// cross-day locking or time skew. The memo can be shared because a hit
+// replaces only the ECDSA step of a verification whose other checks
+// (validity window included) still run against the fork's own clock.
 func (r *Resolver) Fork(net *simnet.Network) *Resolver {
-	f := New(net)
-	f.Validate = r.Validate
-	f.ValidateTypes = r.ValidateTypes
-	f.Anchor = r.Anchor
+	f := &Resolver{Net: net, Validate: r.Validate, ValidateTypes: r.ValidateTypes, Anchor: r.Anchor, memo: r.memo}
+	f.FlushCache()
 	return f
 }
 
+func (r *Resolver) now() int64 { return r.Net.Clock.Now().UnixNano() }
+
 // Get implements dnssec.ZoneKeyCache.
 func (r *Resolver) Get(zone string) ([]dnswire.RR, bool) {
+	now := r.now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e, ok := r.zoneKeys[zone]
-	if !ok || !e.expires.After(r.Net.Clock.Now()) {
+	if !ok || e.expires <= now {
 		return nil, false
 	}
 	return e.keys, true
@@ -118,51 +192,56 @@ func (r *Resolver) Get(zone string) ([]dnswire.RR, bool) {
 
 // Put implements dnssec.ZoneKeyCache.
 func (r *Resolver) Put(zone string, keys []dnswire.RR) {
+	now := r.now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.zoneKeys[zone] = zoneKeyEntry{keys: keys, expires: r.Net.Clock.Now().Add(zoneKeyTTL)}
+	makeRoom(r.zoneKeys, maxZoneKeys, func(e zoneKeyEntry) bool { return e.expires <= now })
+	r.zoneKeys[zone] = zoneKeyEntry{keys: keys, expires: now + int64(zoneKeyTTL)}
 }
 
-func cacheKey(name string, t dnswire.Type) string {
-	return dnswire.CanonicalName(name) + "|" + t.String()
-}
-
-// FlushCache drops all cached entries (including validated zone keys).
+// FlushCache drops all cached answers, delegations and validated zone
+// keys. The verified-signature memo stays: it holds no DNS data.
 func (r *Resolver) FlushCache() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.cache = map[string]*cacheEntry{}
+	r.cache = map[rrKey]*cacheEntry{}
 	r.zoneKeys = map[string]zoneKeyEntry{}
+	r.cuts = map[string]zoneCut{}
+	r.addrSets = map[uint64][]netip.Addr{}
 }
 
 // CacheLen returns the number of live cache entries.
 func (r *Resolver) CacheLen() int {
+	now := r.now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	now := r.Net.Clock.Now()
 	n := 0
 	for _, e := range r.cache {
-		if e.expires.After(now) {
+		if e.expires > now {
 			n++
 		}
 	}
 	return n
 }
 
+// cached returns the live entry for a canonical name.
 func (r *Resolver) cached(name string, t dnswire.Type) (*cacheEntry, bool) {
+	now := r.now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.cache[cacheKey(name, t)]
-	if !ok || !e.expires.After(r.Net.Clock.Now()) {
+	e, ok := r.cache[rrKey{name, t}]
+	if !ok || e.expires <= now {
 		return nil, false
 	}
 	return e, true
 }
 
 func (r *Resolver) store(name string, t dnswire.Type, e *cacheEntry) {
+	now := r.now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.cache[cacheKey(name, t)] = e
+	makeRoom(r.cache, maxAnswers, func(e *cacheEntry) bool { return e.expires <= now })
+	r.cache[rrKey{name, t}] = e
 }
 
 // minTTL returns the smallest TTL in the set, defaulting to def.
@@ -176,47 +255,95 @@ func minTTL(rrs []dnswire.RR, def uint32) uint32 {
 	return ttl
 }
 
-// lookupAuthoritative performs one iterative resolution (no CNAME chasing,
-// no cache) starting from the root servers.
+// closestCut returns the servers of the deepest live cached cut enclosing
+// name, and that cut's zone; the root servers and "." when none is cached.
+// A DS RRset lives on the parent side of its owner's cut (RFC 4035 §3.1.4.1),
+// so for DS the search starts strictly above name: asked at the child, the
+// validator's DS fetch would come back empty and every secure chain would
+// lose its AD bit.
+func (r *Resolver) closestCut(name string, t dnswire.Type) ([]netip.Addr, string) {
+	now := r.now()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	zone := name
+	if t == dnswire.TypeDS {
+		zone = dnswire.ParentName(zone)
+	}
+	for ; zone != "."; zone = dnswire.ParentName(zone) {
+		if c, ok := r.cuts[zone]; ok && c.expires > now {
+			return c.servers, zone
+		}
+	}
+	return r.Net.RootServers(), "."
+}
+
+// lookupAuthoritative performs one iterative resolution of a canonical name
+// (no CNAME chasing, no answer cache) starting from the closest cached cut.
+// When a walk that started below the root fails — the cut's servers are
+// down, or refuse a zone that has since moved — the cut is dropped and the
+// walk redone from the root, so a cached delegation never produces a
+// failure the root walk would not have.
 func (r *Resolver) lookupAuthoritative(name string, t dnswire.Type) (*cacheEntry, error) {
-	servers := r.Net.RootServers()
+	servers, zone := r.closestCut(name, t)
+	e, err := r.walk(servers, zone, name, t)
+	if err != nil && zone != "." {
+		r.mu.Lock()
+		delete(r.cuts, zone)
+		r.mu.Unlock()
+		e, err = r.walk(r.Net.RootServers(), ".", name, t)
+	}
+	return e, err
+}
+
+// walk follows referrals from the servers of zone down to an answer for
+// name, recording each delegation it crosses in the cut table.
+func (r *Resolver) walk(servers []netip.Addr, zone, name string, t dnswire.Type) (*cacheEntry, error) {
 	if len(servers) == 0 {
 		return nil, ErrNoServers
 	}
-	name = dnswire.CanonicalName(name)
+	q := dnswire.NewQuery(uint16(len(name)*31+int(t)), name, t, true)
+	q.RecursionDesired = false
 	for depth := 0; depth < maxDepth; depth++ {
-		resp, err := r.queryAny(servers, name, t)
+		resp, err := r.queryAny(servers, q)
 		if err != nil {
 			return nil, err
 		}
+		now := r.now()
 		switch {
 		case resp.RCode == dnswire.RCodeNXDomain,
 			resp.RCode == dnswire.RCodeNoError && len(resp.Answer) > 0,
 			resp.RCode == dnswire.RCodeNoError && resp.Authoritative:
-			rrs, sigs := splitSigs(resp.Answer)
-			ttl := minTTL(rrs, 300)
-			if len(rrs) == 0 {
-				// Negative answer: TTL from SOA minimum if present.
+			e := &cacheEntry{rcode: resp.RCode}
+			answer, n := sigsLast(resp.Answer)
+			e.answer, e.nData = answer, uint16(n)
+			ttl := minTTL(e.rrs(), 300)
+			if n == 0 {
+				// Negative answer: TTL from SOA minimum if present, and
+				// the SOA kept (without its signatures) for the reply.
 				ttl = negativeTTL(resp.Authority)
+				auth, k := sigsLast(resp.Authority)
+				if e.authority = auth; k < len(auth) {
+					e.authority = slices.Clone(auth[:k]) // a copy, not to pin the dropped RRSIGs
+				}
 			}
-			auth, _ := splitSigs(resp.Authority)
-			return &cacheEntry{
-				rrs: rrs, sigs: sigs, rcode: resp.RCode, authority: auth,
-				expires: r.Net.Clock.Now().Add(time.Duration(ttl) * time.Second),
-			}, nil
+			e.expires = now + int64(ttl)*int64(time.Second)
+			return e, nil
 		case resp.RCode != dnswire.RCodeNoError:
-			return &cacheEntry{
-				rcode:   resp.RCode,
-				expires: r.Net.Clock.Now().Add(30 * time.Second),
-			}, nil
+			return &cacheEntry{rcode: resp.RCode, expires: now + int64(30*time.Second)}, nil
 		}
 		// Referral: gather next servers from the authority NS set.
-		next, err := r.referralServers(resp)
-		if err != nil {
-			return nil, err
-		}
+		child, ttl, next := r.referral(resp)
 		if len(next) == 0 {
 			return nil, fmt.Errorf("%w: dead referral for %s", ErrServFail, name)
+		}
+		// Only a delegation that leads down towards name is remembered; a
+		// sideways or upward referral is followed as before, once.
+		if len(child) > len(zone) && dnswire.IsSubdomain(child, zone) && dnswire.IsSubdomain(name, child) {
+			r.mu.Lock()
+			makeRoom(r.cuts, maxCuts, func(c zoneCut) bool { return c.expires <= now })
+			r.cuts[child] = zoneCut{servers: next, expires: now + int64(ttl)*int64(time.Second)}
+			r.mu.Unlock()
+			zone = child
 		}
 		servers = next
 	}
@@ -224,9 +351,7 @@ func (r *Resolver) lookupAuthoritative(name string, t dnswire.Type) (*cacheEntry
 }
 
 // queryAny tries the servers in order and returns the first response.
-func (r *Resolver) queryAny(servers []netip.Addr, name string, t dnswire.Type) (*dnswire.Message, error) {
-	q := dnswire.NewQuery(uint16(len(name)*31+int(t)), name, t, true)
-	q.RecursionDesired = false
+func (r *Resolver) queryAny(servers []netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 	var lastErr error
 	for _, s := range servers {
 		resp, err := r.Net.QueryDNS(s, q)
@@ -246,30 +371,35 @@ func (r *Resolver) queryAny(servers []netip.Addr, name string, t dnswire.Type) (
 	return nil, fmt.Errorf("%w: %v", ErrServFail, lastErr)
 }
 
-// referralServers extracts and resolves the name server addresses from a
-// referral response.
-func (r *Resolver) referralServers(resp *dnswire.Message) ([]netip.Addr, error) {
-	var hosts []string
+// referral extracts the delegated zone, its NS TTL and the name server
+// addresses from a referral response.
+func (r *Resolver) referral(resp *dnswire.Message) (zone string, ttl uint32, servers []netip.Addr) {
+	var buf [8]netip.Addr
+	addrs := buf[:0] // interned below, so the scratch stays on the stack
 	for _, rr := range resp.Authority {
-		if ns, ok := rr.Data.(*dnswire.NSData); ok {
-			hosts = append(hosts, ns.Host)
+		ns, ok := rr.Data.(*dnswire.NSData)
+		if !ok {
+			continue
 		}
-	}
-	var addrs []netip.Addr
-	// Prefer glue.
-	glue := map[string][]netip.Addr{}
-	for _, rr := range resp.Additional {
-		switch d := rr.Data.(type) {
-		case *dnswire.AData:
-			glue[rr.Name] = append(glue[rr.Name], d.Addr)
-		case *dnswire.AAAAData:
-			glue[rr.Name] = append(glue[rr.Name], d.Addr)
+		if zone == "" {
+			zone, ttl = dnswire.CanonicalName(rr.Name), rr.TTL
 		}
-	}
-	for _, h := range hosts {
-		h = dnswire.CanonicalName(h)
-		if g, ok := glue[h]; ok {
-			addrs = append(addrs, g...)
+		ttl = min(ttl, rr.TTL)
+		h := dnswire.CanonicalName(ns.Host)
+		// Prefer glue.
+		n := len(addrs)
+		for _, g := range resp.Additional {
+			if g.Name != h {
+				continue
+			}
+			switch d := g.Data.(type) {
+			case *dnswire.AData:
+				addrs = append(addrs, d.Addr)
+			case *dnswire.AAAAData:
+				addrs = append(addrs, d.Addr)
+			}
+		}
+		if len(addrs) > n {
 			continue
 		}
 		// Glueless delegation: resolve the NS host's address.
@@ -277,24 +407,64 @@ func (r *Resolver) referralServers(resp *dnswire.Message) ([]netip.Addr, error) 
 		if err != nil {
 			continue
 		}
-		for _, rr := range sub.rrs {
+		for _, rr := range sub.rrs() {
 			if a, ok := rr.Data.(*dnswire.AData); ok {
 				addrs = append(addrs, a.Addr)
 			}
 		}
 	}
-	return addrs, nil
+	return zone, ttl, r.intern(addrs)
 }
 
-func splitSigs(rrs []dnswire.RR) (data, sigs []dnswire.RR) {
-	for _, rr := range rrs {
-		if rr.Type == dnswire.TypeRRSIG {
-			sigs = append(sigs, rr)
-		} else {
-			data = append(data, rr)
+// intern returns the resolver's one retained copy of an address list, so
+// the cut table holds a slice per distinct NS set, not per delegation.
+func (r *Resolver) intern(addrs []netip.Addr) []netip.Addr {
+	if len(addrs) == 0 {
+		return nil
+	}
+	h := uint64(14695981039346656037) // FNV-1a
+	for _, a := range addrs {
+		for _, b := range a.As16() {
+			h = (h ^ uint64(b)) * 1099511628211
 		}
 	}
-	return data, sigs
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if set, ok := r.addrSets[h]; ok && slices.Equal(set, addrs) {
+		return set
+	}
+	if len(r.addrSets) >= maxAddrSets {
+		clear(r.addrSets)
+	}
+	set := slices.Clone(addrs)
+	r.addrSets[h] = set
+	return set
+}
+
+// sigsLast returns a response section ordered data first, RRSIGs last, and
+// the number of data records. Servers already answer in that order, so the
+// usual section is returned as is (the response is the resolver's own
+// copy); only an interleaved one is rebuilt.
+func sigsLast(rrs []dnswire.RR) ([]dnswire.RR, int) {
+	isSig := func(rr dnswire.RR) bool { return rr.Type == dnswire.TypeRRSIG }
+	n := slices.IndexFunc(rrs, isSig)
+	if n < 0 {
+		return rrs, len(rrs)
+	}
+	if slices.ContainsFunc(rrs[n:], func(rr dnswire.RR) bool { return !isSig(rr) }) {
+		rrs = slices.Clone(rrs)
+		slices.SortStableFunc(rrs, func(a, b dnswire.RR) int {
+			switch {
+			case isSig(a) == isSig(b):
+				return 0
+			case isSig(b):
+				return -1
+			}
+			return 1
+		})
+		n = slices.IndexFunc(rrs, isSig)
+	}
+	return rrs, n
 }
 
 func negativeTTL(authority []dnswire.RR) uint32 {
@@ -310,7 +480,8 @@ func negativeTTL(authority []dnswire.RR) uint32 {
 	return 60
 }
 
-// resolveRRset resolves one (name, type) with caching, no CNAME chasing.
+// resolveRRset resolves one (canonical name, type) with caching, no CNAME
+// chasing.
 func (r *Resolver) resolveRRset(name string, t dnswire.Type, depth int) (*cacheEntry, error) {
 	if depth <= 0 {
 		return nil, ErrLoop
@@ -338,27 +509,27 @@ func (r *Resolver) Resolve(name string, t dnswire.Type) (*Response, error) {
 			return nil, err
 		}
 		out.RCode = e.rcode
-		out.Answer = append(out.Answer, e.rrs...)
-		out.Sigs = append(out.Sigs, e.sigs...)
-		if len(e.rrs) == 0 {
+		out.Answer = append(out.Answer, e.rrs()...)
+		out.Sigs = append(out.Sigs, e.sigs()...)
+		if e.nData == 0 {
 			out.Authority = e.authority
 		}
 		shouldValidate := r.Validate && (r.ValidateTypes == nil || r.ValidateTypes[t])
-		if shouldValidate && (len(e.rrs) > 0 || e.rcode == dnswire.RCodeNoError) {
+		if shouldValidate && (e.nData > 0 || e.rcode == dnswire.RCodeNoError) {
 			out.AuthenticatedData = out.AuthenticatedData && r.validateEntry(current, t, e)
 		} else {
 			out.AuthenticatedData = false
 		}
 		// Determine whether to chase a CNAME: answer has a CNAME at
 		// `current` but no record of the queried type.
-		next := chaseTarget(e.rrs, current, t)
+		next := chaseTarget(e.rrs(), current, t)
 		if next == "" {
 			return out, nil
 		}
 		current = next
 		// If the chased target's records were already included by the
 		// authoritative server (in-zone chase), stop here.
-		if hasType(e.rrs, current, t) {
+		if hasType(e.rrs(), current, t) {
 			return out, nil
 		}
 	}
@@ -393,38 +564,43 @@ func hasType(rrs []dnswire.RR, name string, t dnswire.Type) bool {
 // validateEntry runs chain validation for one RRset and caches the result.
 func (r *Resolver) validateEntry(name string, t dnswire.Type, e *cacheEntry) bool {
 	r.mu.Lock()
-	if e.adKnown {
-		v := e.adValue
+	ad := e.ad
+	r.mu.Unlock()
+	if ad == adUnknown {
+		ad = adInsecure
+		// An RRset that came without signatures is insecure or bogus,
+		// never secure: its AD bit is known without walking the chain.
+		if len(e.answer) > int(e.nData) {
+			v := dnssec.NewValidator(&chainSource{r: r}, r.Anchor, r.Net.Clock.Now())
+			v.KeyCache, v.Memo = r, r.memo
+			if res, _ := v.Validate(name, t); res == dnssec.Secure {
+				ad = adSecure
+			}
+		}
+		r.mu.Lock()
+		e.ad = ad
 		r.mu.Unlock()
-		return v
 	}
-	r.mu.Unlock()
-	v := dnssec.NewValidator(&chainSource{r: r}, r.Anchor, r.Net.Clock.Now())
-	v.KeyCache = r
-	res, _ := v.Validate(name, t)
-	r.mu.Lock()
-	e.adKnown = true
-	e.adValue = res == dnssec.Secure
-	r.mu.Unlock()
-	return e.adValue
+	return ad == adSecure
 }
 
-// chainSource adapts the resolver's own iterative lookups to the validator.
+// chainSource adapts the resolver's own iterative lookups to the validator,
+// which asks only for the canonical name it was given and suffixes of it.
 type chainSource struct{ r *Resolver }
 
 func (cs *chainSource) FetchRRset(name string, t dnswire.Type) ([]dnswire.RR, []dnswire.RR, bool) {
 	e, err := cs.r.resolveRRset(name, t, maxChase)
-	if err != nil || e.rcode != dnswire.RCodeNoError || len(e.rrs) == 0 {
+	if err != nil || e.rcode != dnswire.RCodeNoError || e.nData == 0 {
 		return nil, nil, false
 	}
-	return e.rrs, e.sigs, true
+	return e.rrs(), e.sigs(), true
 }
 
 // FetchRRset exposes the resolver as a dnssec.ChainSource so callers (e.g.
 // the Table 9 validation census) can run full chain validation over live
 // recursive lookups.
 func (r *Resolver) FetchRRset(name string, t dnswire.Type) ([]dnswire.RR, []dnswire.RR, bool) {
-	return (&chainSource{r: r}).FetchRRset(name, t)
+	return (&chainSource{r: r}).FetchRRset(dnswire.CanonicalName(name), t)
 }
 
 // HandleDNS implements simnet.DNSHandler so the resolver can be placed at a

@@ -22,6 +22,7 @@ type testWorld struct {
 	rootZone *zone.Zone
 	comZone  *zone.Zone
 	exAddr   netip.Addr
+	exSrv    *authserver.Server
 }
 
 func aRR(name, ip string, ttl uint32) dnswire.RR {
@@ -93,13 +94,14 @@ func buildWorld(t *testing.T, sign bool, uploadDS bool) *testWorld {
 		}
 	}
 
+	var exSrv *authserver.Server
 	for _, hz := range []struct {
 		addr netip.Addr
 		z    *zone.Zone
 	}{{rootAddr, rootZone}, {comAddr, comZone}, {exAddr, exZone}} {
-		srv := authserver.New()
-		srv.AddZone(hz.z)
-		n.RegisterDNS(hz.addr, srv)
+		exSrv = authserver.New()
+		exSrv.AddZone(hz.z)
+		n.RegisterDNS(hz.addr, exSrv)
 	}
 	n.SetRootServers([]netip.Addr{rootAddr})
 
@@ -110,7 +112,7 @@ func buildWorld(t *testing.T, sign bool, uploadDS bool) *testWorld {
 		r.Anchor = rootKeys
 	}
 	return &testWorld{net: n, clock: clock, resolver: r,
-		exZone: exZone, rootZone: rootZone, comZone: comZone, exAddr: exAddr}
+		exZone: exZone, rootZone: rootZone, comZone: comZone, exAddr: exAddr, exSrv: exSrv}
 }
 
 func TestResolveA(t *testing.T) {

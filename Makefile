@@ -49,13 +49,14 @@ bench-smoke:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-# CPU + heap profiles of the serial and pipelined campaign benchmark for
-# `go tool pprof`:
+# CPU + heap profiles of the repo benchmark's daily-direct shape (stub to
+# public recursor, no fleet, one goroutine — the recursor, the validator
+# and the authoritatives own the samples) for `go tool pprof`:
 #
 #	go tool pprof cpu.pprof
-#	go tool pprof -alloc_objects mem.pprof
+#	go tool pprof -sample_index=alloc_objects mem.pprof
 profile:
-	$(GO) test -run xxx -bench BenchmarkCampaignSerialVsPipelined -cpuprofile cpu.pprof -memprofile mem.pprof .
+	$(GO) test -run xxx -bench BenchmarkDailyDirect -benchtime 3x -cpuprofile cpu.pprof -memprofile mem.pprof .
 
 # Short fuzz pass over the wire-format decoders and the signature
 # verifier, seeded with workload-shaped queries and hand-mangled frames.
@@ -84,7 +85,8 @@ trace-demo:
 slo-demo:
 	$(GO) run ./cmd/reproduce -size 2000 -exp slo -q
 
-# Fast benchmark subset: substrate + serving-layer hot paths (skips the
-# campaign-backed table/figure benchmarks, which rebuild a world).
+# Fast benchmark subset: substrate, authoritative-answer and serving-layer
+# hot paths (skips the campaign-backed table/figure benchmarks, which
+# rebuild a world).
 bench-micro:
-	$(GO) test -run xxx -bench 'BenchmarkDoH|BenchmarkTransport|BenchmarkDNSWire|BenchmarkResolveHTTPS|BenchmarkECHSealOpen|BenchmarkRRSIGSignVerify' -benchtime 100x .
+	$(GO) test -run xxx -bench 'BenchmarkDoH|BenchmarkTransport|BenchmarkDNSWire|BenchmarkResolveHTTPS|BenchmarkAuthoritativeAnswer|BenchmarkECHSealOpen|BenchmarkRRSIGSignVerify' -benchtime 100x .

@@ -307,28 +307,33 @@ func BenchmarkFig8Rankings(b *testing.B) {
 
 // --- campaign pipelining ---
 
-// benchmarkCampaignDays times a multi-week daily campaign (NS scans and
-// connectivity probes included) at the given day-worker count. World
-// construction runs off the clock; only RunDaily is measured.
-func benchmarkCampaignDays(b *testing.B, workers int) {
+// benchmarkCampaignDays times a daily campaign (NS scans and connectivity
+// probes included) of the given size and day count at the given day-worker
+// count; a positive concurrency overrides the scanner's. World construction
+// runs off the clock; only RunDaily is measured.
+func benchmarkCampaignDays(b *testing.B, size, days, workers, concurrency int) {
 	b.Helper()
+	start := time.Date(2024, 1, 25, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		c, err := core.NewCampaign(core.CampaignConfig{
-			Size: 300, Seed: 7,
-			Start:      time.Date(2024, 1, 25, 0, 0, 0, 0, time.UTC),
-			End:        time.Date(2024, 2, 14, 0, 0, 0, 0, time.UTC),
+			Size: size, Seed: 7,
+			Start:      start,
+			End:        start.AddDate(0, 0, days-1),
 			StepDays:   1,
 			DayWorkers: workers,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
+		if concurrency > 0 {
+			c.Scanner.Concurrency = concurrency
+		}
 		b.StartTimer()
 		if err := c.RunDaily(); err != nil {
 			b.Fatal(err)
 		}
-		if len(c.Store.Days("apex")) != 21 {
+		if len(c.Store.Days("apex")) != days {
 			b.Fatal("incomplete campaign")
 		}
 	}
@@ -339,10 +344,67 @@ func benchmarkCampaignDays(b *testing.B, workers int) {
 // variants produce byte-identical stores (see core.TestPipelinedMatchesSerial);
 // the wall-clock ratio is the pipelining speedup on this host and scales
 // with available cores (the repo benchmark reports the same ratio as
-// core.day_pipeline_speedup; `make profile` profiles this benchmark).
+// core.day_pipeline_speedup).
 func BenchmarkCampaignSerialVsPipelined(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchmarkCampaignDays(b, 1) })
-	b.Run("dayworkers8", func(b *testing.B) { benchmarkCampaignDays(b, 8) })
+	b.Run("serial", func(b *testing.B) { benchmarkCampaignDays(b, 300, 21, 1, 0) })
+	b.Run("dayworkers8", func(b *testing.B) { benchmarkCampaignDays(b, 300, 21, 8, 0) })
+}
+
+// BenchmarkDailyDirect is the repo benchmark's daily-direct workload as a Go
+// benchmark: stub to public recursor, no fleet, one goroutine, so recursor,
+// validator and authoritatives own the profile (`make profile` runs this).
+func BenchmarkDailyDirect(b *testing.B) {
+	b.ReportAllocs()
+	benchmarkCampaignDays(b, 3000, 15, 1, 1)
+}
+
+// BenchmarkAuthoritativeAnswer times the three answers a scan is mostly
+// made of, warm, straight at the handler: a provider's NODATA for an
+// unsigned non-adopter, its signed HTTPS answer for an adopter, and a TLD
+// referral. internal/providers pins the same three as allocation budgets.
+func BenchmarkAuthoritativeAnswer(b *testing.B) {
+	w, err := providers.BuildWorld(providers.WorldConfig{Size: 2000, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	now := time.Date(2024, 2, 1, 12, 0, 0, 0, time.UTC)
+	var plain, signed *providers.DomainState
+	for _, name := range w.Tranco.ListFor(now) {
+		d, ok := w.Domain(name)
+		if !ok || d.Intermittent != providers.IntermitNone || !d.SwitchDay.IsZero() || d.ApexCNAME {
+			continue
+		}
+		switch adopter := d.HTTPSPublished(now, d.Providers[0]); {
+		case plain == nil && !d.Signed && !adopter:
+			plain = d
+		case signed == nil && d.Signed && adopter:
+			signed = d
+		}
+	}
+	if plain == nil || signed == nil {
+		b.Fatal("world lacks an unsigned non-adopter or a signed adopter")
+	}
+	tld := w.TLDs[dnswire.ParentName(plain.Apex)]
+	for _, c := range []struct {
+		name string
+		h    interface {
+			HandleDNSAt(*dnswire.Message, time.Time) *dnswire.Message
+		}
+		q *dnswire.Message
+	}{
+		{"provider-nodata", plain.Providers[0], dnswire.NewQuery(1, plain.Apex, dnswire.TypeHTTPS, true)},
+		{"provider-signed-https", signed.Providers[0], dnswire.NewQuery(2, signed.Apex, dnswire.TypeHTTPS, true)},
+		{"tld-referral", tld, dnswire.NewQuery(3, plain.Apex, dnswire.TypeHTTPS, true)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if resp := c.h.HandleDNSAt(c.q, now); resp.RCode != dnswire.RCodeNoError {
+					b.Fatalf("rcode %v", resp.RCode)
+				}
+			}
+		})
+	}
 }
 
 // --- substrate micro-benchmarks ---

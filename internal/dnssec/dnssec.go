@@ -35,11 +35,38 @@ var (
 	ErrMixedRRset   = errors.New("dnssec: RRset members differ in name/type/class")
 )
 
-// KeyPair is a DNSSEC signing key for one zone.
+// KeyPair is a DNSSEC signing key for one zone. It caches its public RDATA
+// and must not be copied after first use.
 type KeyPair struct {
 	Zone    string
 	Private *ecdsa.PrivateKey
 	Flags   uint16 // DNSKEYFlagZone, optionally DNSKEYFlagSEP for a KSK
+
+	// The key's DNSKEY and DS RDATA, encoded on first use. Every record the
+	// key hands out shares these two values, so they are read-only.
+	once   sync.Once
+	dnskey *dnswire.DNSKEYData
+	ds     *dnswire.DSData
+	dsErr  error
+}
+
+func (k *KeyPair) rdata() {
+	k.once.Do(func() {
+		k.dnskey = &dnswire.DNSKEYData{
+			Flags:     k.Flags,
+			Protocol:  3,
+			Algorithm: dnswire.AlgECDSAP256SHA256,
+			PublicKey: encodePublicKey(&k.Private.PublicKey),
+		}
+		var ds dnswire.RR
+		if ds, k.dsErr = MakeDS(k.dnskeyRR(0), 0); k.dsErr == nil {
+			k.ds = ds.Data.(*dnswire.DSData)
+		}
+	})
+}
+
+func (k *KeyPair) dnskeyRR(ttl uint32) dnswire.RR {
+	return dnswire.RR{Name: k.Zone, Type: dnswire.TypeDNSKEY, Class: dnswire.ClassINET, TTL: ttl, Data: k.dnskey}
 }
 
 // detachedReader draws a fixed-width seed from r and returns a fresh
@@ -84,31 +111,23 @@ func GenerateKey(rng io.Reader, zone string, ksk bool) (*KeyPair, error) {
 
 // DNSKEY returns the public DNSKEY record for the key.
 func (k *KeyPair) DNSKEY(ttl uint32) dnswire.RR {
-	return dnswire.RR{
-		Name:  k.Zone,
-		Type:  dnswire.TypeDNSKEY,
-		Class: dnswire.ClassINET,
-		TTL:   ttl,
-		Data: &dnswire.DNSKEYData{
-			Flags:     k.Flags,
-			Protocol:  3,
-			Algorithm: dnswire.AlgECDSAP256SHA256,
-			PublicKey: encodePublicKey(&k.Private.PublicKey),
-		},
-	}
+	k.rdata()
+	return k.dnskeyRR(ttl)
 }
 
 // KeyTag returns the RFC 4034 key tag of the key's DNSKEY record.
 func (k *KeyPair) KeyTag() uint16 {
-	data := k.DNSKEY(0).Data.(*dnswire.DNSKEYData)
-	return data.KeyTag()
+	k.rdata()
+	return k.dnskey.KeyTag()
 }
 
 // DS returns the SHA-256 delegation-signer record to be published in the
 // parent zone for this (key-signing) key.
 func (k *KeyPair) DS(ttl uint32) (dnswire.RR, error) {
-	dnskey := k.DNSKEY(ttl)
-	return MakeDS(dnskey, ttl)
+	if k.rdata(); k.dsErr != nil {
+		return dnswire.RR{}, k.dsErr
+	}
+	return dnswire.RR{Name: k.Zone, Type: dnswire.TypeDS, Class: dnswire.ClassINET, TTL: ttl, Data: k.ds}, nil
 }
 
 // MakeDS computes the SHA-256 DS record for a DNSKEY record.

@@ -51,6 +51,43 @@ func TestNameHelpers(t *testing.T) {
 	}
 }
 
+// TestNameFastPathsMatchReference holds the single-pass CanonicalName and
+// the suffix-slicing ApexOf to the definitions they replaced, on the inputs
+// where a shortcut could differ: case, surrounding and inner whitespace,
+// missing and doubled dots, non-ASCII and invalid UTF-8.
+func TestNameFastPathsMatchReference(t *testing.T) {
+	refCanonical := func(s string) string {
+		s = strings.ToLower(strings.TrimSpace(s))
+		if s == "" || s == "." {
+			return "."
+		}
+		if !strings.HasSuffix(s, ".") {
+			s += "."
+		}
+		return s
+	}
+	refApex := func(name string) string {
+		labels := SplitLabels(name)
+		if len(labels) < 2 {
+			return refCanonical(name)
+		}
+		return strings.Join(labels[len(labels)-2:], ".") + "."
+	}
+	for _, in := range []string{
+		"", ".", "..", "com", "com.", "example.com", "example.com.", "a.b.example.com.",
+		"WWW.Example.COM.", " www.a.com. ", "www.a.com.\n", "\twww.a.com", "a b.com.", "a..com.", ".com.",
+		"bücher.example.", "BÜCHER.example.", "\xff\xfe.example.", "x\u00a0.example.", "\u0085a.example.",
+		"\x7f.example.", "a.b.c.d.e.f.g.", "www.", "www..",
+	} {
+		if got, want := CanonicalName(in), refCanonical(in); got != want {
+			t.Errorf("CanonicalName(%q) = %q, reference %q", in, got, want)
+		}
+		if got, want := ApexOf(in), refApex(in); got != want {
+			t.Errorf("ApexOf(%q) = %q, reference %q", in, got, want)
+		}
+	}
+}
+
 func TestValidateName(t *testing.T) {
 	if err := ValidateName("example.com"); err != nil {
 		t.Errorf("valid name rejected: %v", err)

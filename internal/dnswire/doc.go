@@ -30,6 +30,15 @@
 // must not hold references into a Message across UnpackInto calls on
 // it.
 //
+// # Skeletons
+//
+// NewQuery and Reply allocate once: the Message, its single Question, its
+// OPT record and that record's OPTData are one struct. Question and
+// Additional are handed out with capacity 1, so an append moves to an
+// array of the appender's own and never writes into the skeleton, the
+// query it answers, or another reply to it; SetEDNS0 rewrites the inline
+// OPT in place. A query with any other question count is copied.
+//
 // Pooled scratch follows one hygiene rule at every put-site: buffers
 // over the recycling ceiling (trimRecycled) are dropped for the GC
 // rather than returned, so one jumbo message can never pin its backing

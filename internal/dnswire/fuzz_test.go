@@ -137,7 +137,10 @@ func FuzzReadTCP(f *testing.F) {
 // Message still holding a fully-populated prior answer (the recycled
 // state every pooled decode on the serving path starts from). The two
 // results must agree on acceptance and on content — any divergence means
-// prior-message state leaked through the reuse machinery.
+// prior-message state leaked through the reuse machinery. A third decode
+// goes into a dirty skeleton — the answered, packed Reply itself, whose
+// question and OPT slots are inline — and must agree too, without reaching
+// the query the skeleton replied to.
 func FuzzUnpackInto(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
@@ -167,10 +170,24 @@ func FuzzUnpackInto(f *testing.F) {
 		if (freshErr == nil) != (dirtyErr == nil) {
 			t.Fatalf("fresh/dirty acceptance diverged: fresh=%v dirty=%v", freshErr, dirtyErr)
 		}
+		query := NewQuery(7, "dirty.example", TypeHTTPS, true)
+		skel := query.Reply()
+		skel.Answer = append(skel.Answer, dirtyTmpl.Answer[0].Clone(), dirtyTmpl.Answer[1].Clone())
+		if _, err := skel.Pack(); err != nil {
+			t.Fatalf("dirty skeleton failed to pack: %v", err)
+		}
+		if skelErr := UnpackInto(skel, data); (freshErr == nil) != (skelErr == nil) {
+			t.Fatalf("fresh/skeleton acceptance diverged: fresh=%v skeleton=%v", freshErr, skelErr)
+		}
+		if q := query.Question[0]; q.Name != "dirty.example." || q.Type != TypeHTTPS || !query.DNSSECOK() ||
+			len(query.Additional) != 1 || len(query.Additional[0].Data.(*OPTData).Options) != 0 {
+			t.Fatalf("decoding into a reply reached its query: %+v", query)
+		}
 		if freshErr != nil {
 			return
 		}
 		assertSameDecode(t, fresh, dirty)
+		assertSameDecode(t, fresh, skel)
 	})
 }
 

@@ -42,31 +42,54 @@ type Message struct {
 	Additional []RR
 }
 
-// NewQuery builds a recursion-desired query for (name, type) with EDNS(0).
+// skeleton is the single allocation behind NewQuery and Reply: the message
+// with inline room for its one question, its OPT record and that record's
+// RDATA. Question and Additional are handed out with capacity 1, so an
+// append by a handler moves to a fresh array and can never write into the
+// skeleton or, through it, into another message.
+type skeleton struct {
+	Message
+	q   [1]Question
+	opt [1]RR
+	od  OPTData
+}
+
+// edns arms the skeleton's inline OPT record.
+func (s *skeleton) edns(dnssecOK bool) {
+	s.opt[0] = optRR(MaxUDPSize, dnssecOK, &s.od)
+	s.Additional = s.opt[:]
+}
+
+// NewQuery builds a recursion-desired query for (name, type) with EDNS(0),
+// in one allocation.
 func NewQuery(id uint16, name string, t Type, dnssecOK bool) *Message {
-	m := &Message{
-		ID:               id,
-		RecursionDesired: true,
-		Question:         []Question{{Name: CanonicalName(name), Type: t, Class: ClassINET}},
-	}
-	m.SetEDNS0(MaxUDPSize, dnssecOK)
-	return m
+	s := &skeleton{Message: Message{ID: id, RecursionDesired: true}}
+	s.q[0] = Question{Name: CanonicalName(name), Type: t, Class: ClassINET}
+	s.Question = s.q[:]
+	s.edns(dnssecOK)
+	return &s.Message
 }
 
 // Reply builds a response skeleton for the query: same ID, question, and
-// opcode; RD copied; QR set.
+// opcode; RD copied; QR set. Replying to the usual one-question query is
+// one allocation; any other question count is copied.
 func (m *Message) Reply() *Message {
-	r := &Message{
+	s := &skeleton{Message: Message{
 		ID:               m.ID,
 		Opcode:           m.Opcode,
 		Response:         true,
 		RecursionDesired: m.RecursionDesired,
-		Question:         append([]Question(nil), m.Question...),
+	}}
+	if len(m.Question) == 1 {
+		s.q[0] = m.Question[0]
+		s.Question = s.q[:]
+	} else {
+		s.Question = append([]Question(nil), m.Question...)
 	}
 	if opt := m.OPT(); opt != nil {
-		r.SetEDNS0(MaxUDPSize, m.DNSSECOK())
+		s.edns(m.DNSSECOK())
 	}
-	return r
+	return &s.Message
 }
 
 // OPT returns the EDNS(0) pseudo-record from the additional section, if any.
@@ -84,23 +107,25 @@ func (m *Message) OPT() *RR {
 // RDATA value is reused in place, so re-arming EDNS on a recycled query
 // message allocates nothing.
 func (m *Message) SetEDNS0(udpSize uint16, dnssecOK bool) {
-	var ttl uint32
-	if dnssecOK {
-		ttl |= 0x8000 // DO bit lives in the high bit of the TTL field's flags half
-	}
 	for i := range m.Additional {
 		if m.Additional[i].Type == TypeOPT {
 			data, ok := m.Additional[i].Data.(*OPTData)
 			if !ok || len(data.Options) != 0 {
 				data = &OPTData{}
 			}
-			m.Additional[i] = RR{Name: ".", Type: TypeOPT, Class: Class(udpSize), TTL: ttl, Data: data}
+			m.Additional[i] = optRR(udpSize, dnssecOK, data)
 			return
 		}
 	}
-	m.Additional = append(m.Additional, RR{
-		Name: ".", Type: TypeOPT, Class: Class(udpSize), TTL: ttl, Data: &OPTData{},
-	})
+	m.Additional = append(m.Additional, optRR(udpSize, dnssecOK, &OPTData{}))
+}
+
+func optRR(udpSize uint16, dnssecOK bool, data *OPTData) RR {
+	var ttl uint32
+	if dnssecOK {
+		ttl |= 0x8000 // DO bit lives in the high bit of the TTL field's flags half
+	}
+	return RR{Name: ".", Type: TypeOPT, Class: Class(udpSize), TTL: ttl, Data: data}
 }
 
 // DNSSECOK reports whether the message carries an OPT record with the DO bit.
@@ -241,7 +266,13 @@ func packRR(dst []byte, rr RR, cmap *compressionMap) ([]byte, error) {
 // PackRR encodes a single record without message context (no compression).
 // This is the canonical form used for DNSSEC signing.
 func PackRR(rr RR) ([]byte, error) {
-	return packRR(nil, rr, nil)
+	return AppendPackRR(nil, rr)
+}
+
+// AppendPackRR is PackRR appending to dst, for callers that pack a whole
+// RRset into one scratch buffer.
+func AppendPackRR(dst []byte, rr RR) ([]byte, error) {
+	return packRR(dst, rr, nil)
 }
 
 // maxInternedNames bounds each pooled scratch's cross-message name

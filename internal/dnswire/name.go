@@ -25,6 +25,9 @@ var (
 // returned as ".". Input that is already canonical — the steady state on
 // the query hot path — is returned as-is without allocating.
 func CanonicalName(s string) string {
+	if isCanonical(s) {
+		return s
+	}
 	s = strings.ToLower(strings.TrimSpace(s))
 	if s == "" || s == "." {
 		return "."
@@ -33,6 +36,21 @@ func CanonicalName(s string) string {
 		s += "."
 	}
 	return s
+}
+
+// isCanonical reports in one pass whether CanonicalName would return s
+// unchanged: dot-terminated, and every byte printable ASCII that is not an
+// upper-case letter (anything else is left to TrimSpace and ToLower).
+func isCanonical(s string) bool {
+	if s == "" || s[len(s)-1] != '.' {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c <= ' ' || c >= 0x7f || 'A' <= c && c <= 'Z' {
+			return false
+		}
+	}
+	return true
 }
 
 // SplitLabels splits a canonical name into its labels, excluding the root.
@@ -72,13 +90,15 @@ func IsSubdomain(child, parent string) bool {
 
 // ApexOf returns the registrable apex assuming single-label TLDs
 // ("a.b.example.com." → "example.com."). Names with fewer than two labels
-// are returned unchanged.
+// are returned unchanged. The apex is a suffix of the canonical name, so a
+// canonical input costs no allocation.
 func ApexOf(name string) string {
-	labels := SplitLabels(name)
-	if len(labels) < 2 {
-		return CanonicalName(name)
+	name = CanonicalName(name)
+	tld := strings.LastIndexByte(name[:len(name)-1], '.')
+	if tld < 0 {
+		return name
 	}
-	return strings.Join(labels[len(labels)-2:], ".") + "."
+	return name[strings.LastIndexByte(name[:tld], '.')+1:]
 }
 
 // ValidateName checks RFC 1035 length limits on a canonical name. It walks

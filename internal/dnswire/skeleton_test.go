@@ -1,0 +1,160 @@
+package dnswire
+
+import (
+	"net/netip"
+	"reflect"
+	"testing"
+
+	"repro/internal/testrace"
+)
+
+// TestSkeletonAllocBudgets pins what a query, a reply and the name helpers
+// cost on canonical input, so a regression fails here and not in a
+// benchmark run.
+func TestSkeletonAllocBudgets(t *testing.T) {
+	if testrace.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	q := NewQuery(1, "www.example.com.", TypeHTTPS, true)
+	var sink *Message
+	var name string
+	for _, c := range []struct {
+		what string
+		want float64
+		fn   func()
+	}{
+		{"NewQuery of a canonical name", 1, func() { sink = NewQuery(2, "www.example.com.", TypeA, true) }},
+		{"Reply of a one-question EDNS query", 1, func() { sink = q.Reply() }},
+		{"SetEDNS0 on a skeleton", 0, func() { q.SetEDNS0(MaxUDPSize, false); q.SetEDNS0(MaxUDPSize, true) }},
+		{"CanonicalName of canonical input", 0, func() { name = CanonicalName("www.example.com.") }},
+		{"ApexOf canonical input", 0, func() { name = ApexOf("www.example.com.") }},
+	} {
+		if got := testing.AllocsPerRun(100, c.fn); got != c.want {
+			t.Errorf("%s: %v allocations, want %v", c.what, got, c.want)
+		}
+	}
+	_, _ = sink, name
+}
+
+func TestSetEDNS0FlipsSkeletonInPlace(t *testing.T) {
+	q := NewQuery(1, "example.com.", TypeA, false)
+	opt := &q.Additional[0]
+	data := opt.Data
+	q.SetEDNS0(1232, true)
+	if !q.DNSSECOK() || q.UDPSize() != 1232 {
+		t.Fatalf("DO=%v size=%d after SetEDNS0(1232, true)", q.DNSSECOK(), q.UDPSize())
+	}
+	if &q.Additional[0] != opt || q.Additional[0].Data != data || len(q.Additional) != 1 {
+		t.Error("SetEDNS0 moved the skeleton's OPT record instead of rewriting it in place")
+	}
+}
+
+// TestSkeletonAppendsNeverAlias: the inline question and OPT slots are
+// handed out with capacity 1, so whatever a handler appends to a reply
+// lands in an array of the reply's own — never in the query, and never in
+// another reply to it.
+func TestSkeletonAppendsNeverAlias(t *testing.T) {
+	q := NewQuery(9, "example.com.", TypeHTTPS, true)
+	r1, r2 := q.Reply(), q.Reply()
+	for _, m := range []*Message{q, r1, r2} {
+		if cap(m.Question) != 1 || cap(m.Additional) != 1 {
+			t.Fatalf("skeleton hands out Question cap %d, Additional cap %d; want 1 and 1", cap(m.Question), cap(m.Additional))
+		}
+	}
+	wantQ, wantR2 := snapshot(q), snapshot(r2)
+
+	glue := RR{Name: "ns.example.com.", Type: TypeA, Class: ClassINET, TTL: 60, Data: &AData{Addr: netip.MustParseAddr("192.0.2.1")}}
+	r1.Question = append(r1.Question, Question{Name: "other.example.", Type: TypeA, Class: ClassINET})
+	r1.Additional = append(r1.Additional, glue)
+	r1.Answer = append(r1.Answer, glue)
+	// Scribble over everything r1 now holds.
+	for i := range r1.Question {
+		r1.Question[i].Name = "scribbled."
+	}
+	for i := range r1.Additional {
+		r1.Additional[i].Name, r1.Additional[i].TTL = "scribbled.", 0
+	}
+	r1.Additional[0].Data.(*OPTData).Options = []EDNSOption{{Code: 10, Data: []byte{1}}}
+
+	if got := snapshot(q); !reflect.DeepEqual(got, wantQ) {
+		t.Errorf("query changed after appends to its reply:\n got %+v\nwant %+v", got, wantQ)
+	}
+	if got := snapshot(r2); !reflect.DeepEqual(got, wantR2) {
+		t.Errorf("second reply changed after appends to the first:\n got %+v\nwant %+v", got, wantR2)
+	}
+}
+
+// TestReplyCopiesOtherQuestionCounts: only the one-question query rides in
+// the skeleton; any other count is copied.
+func TestReplyCopiesOtherQuestionCounts(t *testing.T) {
+	q := NewQuery(3, "a.example.", TypeA, false)
+	q.Question = append(q.Question, Question{Name: "b.example.", Type: TypeAAAA, Class: ClassINET})
+	r := q.Reply()
+	if !reflect.DeepEqual(r.Question, q.Question) {
+		t.Fatalf("reply questions %+v, want %+v", r.Question, q.Question)
+	}
+	r.Question[1].Name = "scribbled."
+	if q.Question[1].Name != "b.example." {
+		t.Error("reply to a two-question query shares the query's question array")
+	}
+	q.Question = nil
+	if r := q.Reply(); len(r.Question) != 0 || r.OPT() == nil {
+		t.Errorf("reply to a question-less query: %d questions, OPT %v", len(r.Question), r.OPT())
+	}
+}
+
+// TestDirtySkeletonAsUnpackTarget: a reply that was answered and packed is
+// then recycled as the target of UnpackInto for an unrelated message.
+// Slot-matched reuse writes through Data pointers; the only RDATA it may
+// reach through the skeleton is the skeleton's own OPTData.
+func TestDirtySkeletonAsUnpackTarget(t *testing.T) {
+	q := NewQuery(7, "dirty.example.", TypeHTTPS, true)
+	bystander := q.Reply()
+	wantQ, wantBystander := snapshot(q), snapshot(bystander)
+
+	skel := q.Reply()
+	skel.Answer = append(skel.Answer,
+		RR{Name: "dirty.example.", Type: TypeHTTPS, Class: ClassINET, TTL: 300, Data: &SVCBData{Priority: 1, Target: "."}},
+		RR{Name: "dirty.example.", Type: TypeA, Class: ClassINET, TTL: 60, Data: &AData{Addr: netip.MustParseAddr("192.0.2.7")}})
+	if _, err := skel.Pack(); err != nil {
+		t.Fatal(err)
+	}
+
+	other := &Message{ID: 99, Response: true, RCode: RCodeNXDomain,
+		Question:  []Question{{Name: "unrelated.test.", Type: TypeAAAA, Class: ClassINET}},
+		Authority: []RR{{Name: "test.", Type: TypeNS, Class: ClassINET, TTL: 5, Data: &NSData{Host: "ns.test."}}},
+		Additional: []RR{{Name: ".", Type: TypeOPT, Class: 4096,
+			Data: &OPTData{Options: []EDNSOption{{Code: 10, Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}}}}}}}
+	wire, err := other.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Unpack(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := UnpackInto(skel, wire); err != nil {
+		t.Fatal(err)
+	}
+	assertSameDecode(t, want, skel)
+	if got := snapshot(q); !reflect.DeepEqual(got, wantQ) {
+		t.Errorf("decoding into the reply changed its query:\n got %+v\nwant %+v", got, wantQ)
+	}
+	if got := snapshot(bystander); !reflect.DeepEqual(got, wantBystander) {
+		t.Errorf("decoding into one reply changed another:\n got %+v\nwant %+v", got, wantBystander)
+	}
+}
+
+// snapshot is a deep copy of everything a message says, RDATA included.
+func snapshot(m *Message) Message {
+	out := *m
+	out.Question = append([]Question(nil), m.Question...)
+	for _, sec := range []*[]RR{&out.Answer, &out.Authority, &out.Additional} {
+		rrs := make([]RR, len(*sec))
+		for i, rr := range *sec {
+			rrs[i] = rr.Clone()
+		}
+		*sec = rrs
+	}
+	return out
+}

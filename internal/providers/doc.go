@@ -10,4 +10,17 @@
 // (section references inline); absolute counts from the paper's 1M-domain
 // population are scaled by Size/1M with a floor of 1 so the qualitative
 // populations survive at small simulation scales.
+//
+// # Answers are read-only
+//
+// A Provider or TLDServer answer is a fresh message whose records may be
+// shared with every other answer, day and fork: cached RRSIGs (per domain,
+// keyed by the content of the RRset — zones are synthesized per query, so
+// content is a set's only identity), per-key DNSKEY and DS RDATA, per-
+// provider NS, glue and SOA RNAME values built on first use. Consumers copy
+// or Clone; none writes through RR.Data, and no answer is ever recycled as
+// a dnswire.UnpackInto target. Unsigned zones skip the signing path whole.
+// Keys and signatures are world fixture: generators are recycled
+// (seededRng), never re-seeded differently. docs/ARCHITECTURE.md,
+// "Authoritative side", has the tests that hold each rule.
 package providers

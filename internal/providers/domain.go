@@ -141,21 +141,45 @@ type DomainState struct {
 	keyOnce sync.Once
 	ksk     *dnssec.KeyPair
 	zsk     *dnssec.KeyPair
+	dnskeys []dnswire.RR // the DNSKEY RRset, shared by every answer
 	keySeed int64
 
+	// sigCache holds one RRSIG per distinct RRset content ever served: the
+	// records are synthesized per query from schedules, so what they say,
+	// not which query asked, identifies a set. Cached RRSIGs are handed out
+	// as they are (read-only).
 	sigMu    sync.Mutex
-	sigCache map[string]dnswire.RR
+	sigCache map[[sha256.Size]byte]dnswire.RR
 }
 
 // WWWName returns the www subdomain name.
 func (d *DomainState) WWWName() string { return "www." + d.Apex }
 
+// isWWW reports whether name is the www subdomain name, without building it.
+func (d *DomainState) isWWW(name string) bool {
+	return len(name) == len(d.Apex)+4 && name[:4] == "www." && name[4:] == d.Apex
+}
+
+// seededRng returns a recycled generator re-seeded to seed, and the
+// function that hands it back. Seed restarts the stream a fresh
+// rand.New(rand.NewSource(seed)) would give, without allocating and
+// discarding 5 KB of generator state per use.
+func seededRng(seed int64) (*rand.Rand, func()) {
+	rng := rngPool.Get().(*rand.Rand)
+	rng.Seed(seed)
+	return rng, func() { rngPool.Put(rng) }
+}
+
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // keys lazily generates the domain's signing keys (deterministic per seed).
 func (d *DomainState) keys() (*dnssec.KeyPair, *dnssec.KeyPair) {
 	d.keyOnce.Do(func() {
-		rng := rand.New(rand.NewSource(d.keySeed))
+		rng, release := seededRng(d.keySeed)
+		defer release()
 		d.ksk, _ = dnssec.GenerateKey(rng, d.Apex, true)
 		d.zsk, _ = dnssec.GenerateKey(rng, d.Apex, false)
+		d.dnskeys = []dnswire.RR{d.ksk.DNSKEY(3600), d.zsk.DNSKEY(3600)}
 	})
 	return d.ksk, d.zsk
 }
@@ -327,8 +351,8 @@ func (d *DomainState) BuildHTTPSRecords(owner string, t time.Time, echList []byt
 	}
 }
 
-// signRRset returns a cached RRSIG over the RRset, signing on first use for
-// each distinct RRset content.
+// signRRset returns the cached RRSIG over the RRset, signing on first use
+// for each distinct RRset content.
 func (d *DomainState) signRRset(rrs []dnswire.RR) (dnswire.RR, bool) {
 	if !d.Signed || len(rrs) == 0 {
 		return dnswire.RR{}, false
@@ -338,34 +362,45 @@ func (d *DomainState) signRRset(rrs []dnswire.RR) (dnswire.RR, bool) {
 	if rrs[0].Type == dnswire.TypeDNSKEY {
 		signer = d.ksk
 	}
-	h := sha256.New()
-	for _, rr := range rrs {
-		w, err := dnswire.PackRR(rr)
-		if err != nil {
-			return dnswire.RR{}, false
-		}
-		h.Write(w)
+	key, ok := contentKey(rrs)
+	if !ok {
+		return dnswire.RR{}, false
 	}
-	var lenb [8]byte
-	binary.BigEndian.PutUint64(lenb[:], uint64(len(rrs)))
-	h.Write(lenb[:])
-	key := string(h.Sum(nil))
 
 	d.sigMu.Lock()
 	defer d.sigMu.Unlock()
-	if d.sigCache == nil {
-		d.sigCache = map[string]dnswire.RR{}
-	}
 	if sig, ok := d.sigCache[key]; ok {
-		return sig.Clone(), true
+		return sig, true
 	}
-	rng := rand.New(rand.NewSource(d.keySeed ^ int64(len(key))*7919 ^ int64(key[0])))
+	// The nonce stream is part of the world: seeded as it always was.
+	rng, release := seededRng(d.keySeed ^ int64(len(key))*7919 ^ int64(key[0]))
+	defer release()
 	sig, err := dnssec.SignRRset(rng, signer, rrs, sigInception, sigExpiration)
 	if err != nil {
 		return dnswire.RR{}, false
 	}
+	if d.sigCache == nil {
+		d.sigCache = map[[sha256.Size]byte]dnswire.RR{}
+	}
 	d.sigCache[key] = sig
-	return sig.Clone(), true
+	return sig, true
+}
+
+// contentKey digests an RRset's records, packed into pooled scratch, and
+// their count.
+func contentKey(rrs []dnswire.RR) (key [sha256.Size]byte, ok bool) {
+	bp := dnswire.GetWireBuf()
+	defer dnswire.PutWireBuf(bp)
+	wire := *bp
+	for _, rr := range rrs {
+		var err error
+		if wire, err = dnswire.AppendPackRR(wire, rr); err != nil {
+			return key, false
+		}
+	}
+	wire = binary.BigEndian.AppendUint64(wire, uint64(len(rrs)))
+	*bp = wire
+	return sha256.Sum256(wire), true
 }
 
 // Signature validity window covering the whole study with margin.
@@ -379,18 +414,22 @@ func (d *DomainState) DNSKEYRRset() []dnswire.RR {
 	if !d.Signed {
 		return nil
 	}
-	ksk, zsk := d.keys()
-	return []dnswire.RR{ksk.DNSKEY(3600), zsk.DNSKEY(3600)}
+	d.keys()
+	return d.dnskeys
 }
 
 // NSRRset synthesizes the NS RRset served at time t.
 func (d *DomainState) NSRRset(t time.Time) []dnswire.RR {
 	ps := d.ProvidersAt(t)
-	var rrs []dnswire.RR
+	n := 0
 	for _, p := range ps {
-		for _, host := range p.NSHosts {
+		n += len(p.NSHosts)
+	}
+	rrs := make([]dnswire.RR, 0, n)
+	for _, p := range ps {
+		for _, ns := range p.records().ns {
 			rrs = append(rrs, dnswire.RR{Name: d.Apex, Type: dnswire.TypeNS,
-				Class: dnswire.ClassINET, TTL: 3600, Data: &dnswire.NSData{Host: host}})
+				Class: dnswire.ClassINET, TTL: 3600, Data: ns})
 		}
 	}
 	return rrs
@@ -405,7 +444,7 @@ func (d *DomainState) SOARRset(t time.Time) []dnswire.RR {
 	return []dnswire.RR{{Name: d.Apex, Type: dnswire.TypeSOA, Class: dnswire.ClassINET, TTL: 3600,
 		Data: &dnswire.SOAData{
 			MName:  ps[0].NSHosts[0],
-			RName:  "dns." + ps[0].InfraDomain,
+			RName:  ps[0].records().rname,
 			Serial: uint32(t.Unix() / 86400), Refresh: 10000, Retry: 2400,
 			Expire: 604800, Minimum: 300,
 		}}}

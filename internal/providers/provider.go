@@ -44,6 +44,29 @@ type Provider struct {
 
 	mu      sync.RWMutex
 	domains map[string]*DomainState
+
+	recOnce sync.Once
+	rec     nsRecords
+}
+
+// nsRecords are the RDATA values that name a provider's servers, built on
+// first use. Every NS RRset, referral, glue record and SOA that names the
+// provider shares them, so they are read-only.
+type nsRecords struct {
+	ns    []*dnswire.NSData // per NSHosts entry
+	glue  []*dnswire.AData  // per NSAddrs entry
+	rname string            // SOA RNAME of the zones the provider hosts
+}
+
+func (p *Provider) records() *nsRecords {
+	p.recOnce.Do(func() {
+		for i, host := range p.NSHosts {
+			p.rec.ns = append(p.rec.ns, &dnswire.NSData{Host: host})
+			p.rec.glue = append(p.rec.glue, &dnswire.AData{Addr: p.NSAddrs[i]})
+		}
+		p.rec.rname = "dns." + p.InfraDomain
+	})
+	return &p.rec
 }
 
 // NewProvider creates a provider with n name servers, allocating addresses
@@ -117,14 +140,13 @@ func (p *Provider) HandleDNSAt(q *dnswire.Message, now time.Time) *dnswire.Messa
 	}
 	question := q.Question[0]
 	name := dnswire.CanonicalName(question.Name)
-	dnssecOK := q.DNSSECOK()
+	apex := dnswire.ApexOf(name)
 
 	// The provider's own infrastructure names (ns1.<infra> etc.).
-	if dnswire.IsSubdomain(name, p.InfraDomain) {
+	if apex == p.InfraDomain {
 		return p.answerInfra(resp, name, question.Type)
 	}
 
-	apex := dnswire.ApexOf(name)
 	p.mu.RLock()
 	d, ok := p.domains[apex]
 	p.mu.RUnlock()
@@ -146,47 +168,43 @@ func (p *Provider) HandleDNSAt(q *dnswire.Message, now time.Time) *dnswire.Messa
 	}
 
 	resp.Authoritative = true
+	// Only a signed zone has signatures to add, so only it pays for them.
+	sign := d.Signed && q.DNSSECOK()
 	rrs := p.answerFor(d, name, question.Type, now)
 	if len(rrs) == 0 {
 		// NODATA (the owner names we model always exist).
-		if name != d.Apex && name != d.WWWName() {
+		if name != d.Apex && !d.isWWW(name) {
 			resp.RCode = dnswire.RCodeNXDomain
 		}
-		resp.Authority = d.SOARRset(now)
-		if dnssecOK {
-			if sig, ok := d.signRRset(resp.Authority); ok {
-				resp.Authority = append(resp.Authority, sig)
-			}
+		rrs = d.SOARRset(now)
+		if sign {
+			rrs = appendSigs(d, rrs)
 		}
+		resp.Authority = rrs
 		return resp
 	}
-	resp.Answer = rrs
-	if dnssecOK {
-		resp.Answer = appendSigs(d, rrs)
+	if sign {
+		rrs = appendSigs(d, rrs)
 	}
+	resp.Answer = rrs
 	return resp
 }
 
-// appendSigs groups the answer into RRsets and appends an RRSIG per set.
+// appendSigs returns a copy of the answer with an RRSIG appended for each
+// of its RRsets. An answer is one RRset, or a CNAME followed by its target's:
+// each run of records with one owner and type is a set.
 func appendSigs(d *DomainState, rrs []dnswire.RR) []dnswire.RR {
-	out := append([]dnswire.RR(nil), rrs...)
-	type setKey struct {
-		name string
-		typ  dnswire.Type
-	}
-	sets := map[setKey][]dnswire.RR{}
-	var order []setKey
-	for _, rr := range rrs {
-		k := setKey{dnswire.CanonicalName(rr.Name), rr.Type}
-		if _, seen := sets[k]; !seen {
-			order = append(order, k)
+	out := make([]dnswire.RR, len(rrs), len(rrs)+2)
+	copy(out, rrs)
+	for start := 0; start < len(rrs); {
+		end := start + 1
+		for end < len(rrs) && rrs[end].Type == rrs[start].Type && rrs[end].Name == rrs[start].Name {
+			end++
 		}
-		sets[k] = append(sets[k], rr)
-	}
-	for _, k := range order {
-		if sig, ok := d.signRRset(sets[k]); ok {
+		if sig, ok := d.signRRset(rrs[start:end]); ok {
 			out = append(out, sig)
 		}
+		start = end
 	}
 	return out
 }
@@ -194,7 +212,7 @@ func appendSigs(d *DomainState, rrs []dnswire.RR) []dnswire.RR {
 // answerFor synthesizes the answer RRs for (name, type) of a hosted domain.
 func (p *Provider) answerFor(d *DomainState, name string, t dnswire.Type, now time.Time) []dnswire.RR {
 	isApex := name == d.Apex
-	isWWW := name == d.WWWName()
+	isWWW := d.isWWW(name)
 	if !isApex && !isWWW {
 		return nil
 	}
@@ -246,20 +264,17 @@ func (p *Provider) answerFor(d *DomainState, name string, t dnswire.Type, now ti
 // answerInfra serves the provider's own NS host records.
 func (p *Provider) answerInfra(resp *dnswire.Message, name string, t dnswire.Type) *dnswire.Message {
 	resp.Authoritative = true
+	rec := p.records()
 	for i, host := range p.NSHosts {
 		if name == host && t == dnswire.TypeA {
 			resp.Answer = append(resp.Answer, dnswire.RR{
-				Name: name, Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 3600,
-				Data: &dnswire.AData{Addr: p.NSAddrs[i]},
-			})
+				Name: name, Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 3600, Data: rec.glue[i]})
 		}
 	}
 	if name == p.InfraDomain && t == dnswire.TypeNS {
-		for _, host := range p.NSHosts {
+		for _, ns := range rec.ns {
 			resp.Answer = append(resp.Answer, dnswire.RR{
-				Name: name, Type: dnswire.TypeNS, Class: dnswire.ClassINET, TTL: 3600,
-				Data: &dnswire.NSData{Host: host},
-			})
+				Name: name, Type: dnswire.TypeNS, Class: dnswire.ClassINET, TTL: 3600, Data: ns})
 		}
 	}
 	return resp

@@ -26,9 +26,13 @@ type TLDServer struct {
 
 	mu      sync.RWMutex
 	domains map[string]*DomainState
-	infra   map[string]*Provider // provider infra domains under this TLD
-	sigs    map[string][]dnswire.RR
+	infra   map[string]*Provider // provider infra domains under this TLD, by apex
+	sigs    map[sigKey][]dnswire.RR
 }
+
+// sigKey names one signed RRset of the TLD zone: an apex set ("ns", "soa",
+// "dnskey") or, with kind "ds|", the DS set of a delegated apex.
+type sigKey struct{ kind, apex string }
 
 // NewTLDServer creates a signed TLD server. Keys are generated from rng.
 func NewTLDServer(tld string, addr netip.Addr, clock *simnet.Clock, rng *rand.Rand) (*TLDServer, error) {
@@ -50,7 +54,7 @@ func NewTLDServer(tld string, addr netip.Addr, clock *simnet.Clock, rng *rand.Ra
 		zsk:     zsk,
 		domains: map[string]*DomainState{},
 		infra:   map[string]*Provider{},
-		sigs:    map[string][]dnswire.RR{},
+		sigs:    map[sigKey][]dnswire.RR{},
 	}, nil
 }
 
@@ -64,7 +68,9 @@ func (s *TLDServer) AddDomain(d *DomainState) {
 	s.domains[d.Apex] = d
 }
 
-// AddInfra registers a provider's infrastructure domain under this TLD.
+// AddInfra registers a provider's infrastructure domain under this TLD. It
+// is a registrable name (one label under the TLD), which is what lookups
+// probe.
 func (s *TLDServer) AddInfra(p *Provider) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -72,27 +78,32 @@ func (s *TLDServer) AddInfra(p *Provider) {
 }
 
 // signCached signs an RRset with the TLD ZSK (KSK for DNSKEY), caching by
-// key.
-func (s *TLDServer) signCached(key string, rrs []dnswire.RR) []dnswire.RR {
+// key. A miss signs under the write lock after a second look, so day
+// workers that miss together sign once.
+func (s *TLDServer) signCached(key sigKey, rrs []dnswire.RR) []dnswire.RR {
 	s.mu.RLock()
 	sig, ok := s.sigs[key]
 	s.mu.RUnlock()
 	if ok {
 		return sig
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if sig, ok := s.sigs[key]; ok {
+		return sig
+	}
 	signer := s.zsk
 	if rrs[0].Type == dnswire.TypeDNSKEY {
 		signer = s.ksk
 	}
-	rng := rand.New(rand.NewSource(int64(len(key)) * 2654435761))
+	rng, release := seededRng(int64(len(key.kind)+len(key.apex)) * 2654435761)
+	defer release()
 	rr, err := dnssec.SignRRset(rng, signer, rrs, sigInception, sigExpiration)
 	if err != nil {
 		return nil
 	}
 	out := []dnswire.RR{rr}
-	s.mu.Lock()
 	s.sigs[key] = out
-	s.mu.Unlock()
 	return out
 }
 
@@ -138,14 +149,14 @@ func (s *TLDServer) HandleDNSAt(q *dnswire.Message, now time.Time) *dnswire.Mess
 	if name == s.TLD {
 		resp.Authoritative = true
 		var rrs []dnswire.RR
-		var key string
+		var key sigKey
 		switch question.Type {
 		case dnswire.TypeNS:
-			rrs, key = s.apexNS(), "ns"
+			rrs, key = s.apexNS(), sigKey{kind: "ns"}
 		case dnswire.TypeSOA:
-			rrs, key = s.apexSOA(), "soa"
+			rrs, key = s.apexSOA(), sigKey{kind: "soa"}
 		case dnswire.TypeDNSKEY:
-			rrs, key = s.dnskeys(), "dnskey"
+			rrs, key = s.dnskeys(), sigKey{kind: "dnskey"}
 		case dnswire.TypeA:
 			// The TLD server's glue (host a.nic-sim.<tld> is below, but
 			// the apex itself has no A).
@@ -169,54 +180,34 @@ func (s *TLDServer) HandleDNSAt(q *dnswire.Message, now time.Time) *dnswire.Mess
 		return resp
 	}
 
-	// Provider infrastructure delegations.
-	s.mu.RLock()
-	var infraProv *Provider
-	for infraDomain, p := range s.infra {
-		if dnswire.IsSubdomain(name, infraDomain) {
-			infraProv = p
-			break
-		}
-	}
-	s.mu.RUnlock()
-	if infraProv != nil {
-		return s.referToProvider(resp, infraProv.InfraDomain, []*Provider{infraProv})
-	}
-
+	// Provider infrastructure delegations, then customer domains: both are
+	// indexed by registrable apex.
 	apex := dnswire.ApexOf(name)
 	s.mu.RLock()
+	infraProv := s.infra[apex]
 	d, ok := s.domains[apex]
 	s.mu.RUnlock()
+	if infraProv != nil {
+		return s.referToProvider(resp, apex, infraProv)
+	}
 	if !ok {
 		resp.RCode = dnswire.RCodeNXDomain
 		resp.Authoritative = true
-		resp.Authority = s.apexSOA()
-		if dnssecOK {
-			resp.Authority = append(resp.Authority, s.signCached("soa", s.apexSOA())...)
-		}
-		return resp
+		return s.deny(resp, dnssecOK)
 	}
 
 	// DS at the delegation point: answered authoritatively by the parent.
 	if name == apex && question.Type == dnswire.TypeDS {
 		resp.Authoritative = true
-		if d.Signed && d.DSUploaded {
-			ds, err := dnssec.MakeDS(d.KSK().DNSKEY(3600), 3600)
-			if err == nil {
-				rrs := []dnswire.RR{ds}
-				resp.Answer = rrs
-				if dnssecOK {
-					resp.Answer = append(resp.Answer, s.signCached("ds|"+apex, rrs)...)
-				}
-				return resp
+		if ds, ok := uploadedDS(d); ok {
+			resp.Answer = append(make([]dnswire.RR, 0, 2), ds)
+			if dnssecOK {
+				resp.Answer = append(resp.Answer, s.signCached(sigKey{"ds|", apex}, resp.Answer)...)
 			}
+			return resp
 		}
 		// No DS: NODATA with (signed) SOA — provably unsigned delegation.
-		resp.Authority = s.apexSOA()
-		if dnssecOK {
-			resp.Authority = append(resp.Authority, s.signCached("soa", s.apexSOA())...)
-		}
-		return resp
+		return s.deny(resp, dnssecOK)
 	}
 
 	// Regular delegation referral.
@@ -226,28 +217,57 @@ func (s *TLDServer) HandleDNSAt(q *dnswire.Message, now time.Time) *dnswire.Mess
 		resp.RCode = dnswire.RCodeServFail
 		return resp
 	}
-	m := s.referToProvider(resp, apex, ps)
-	if dnssecOK && d.Signed && d.DSUploaded {
-		if ds, err := dnssec.MakeDS(d.KSK().DNSKEY(3600), 3600); err == nil {
-			m.Authority = append(m.Authority, ds)
-			m.Authority = append(m.Authority, s.signCached("ds|"+apex, []dnswire.RR{ds})...)
-		}
+	m := s.referToProvider(resp, apex, ps...)
+	if ds, ok := uploadedDS(d); ok && dnssecOK {
+		m.Authority = append(m.Authority, ds)
+		dsSet := m.Authority[len(m.Authority)-1:]
+		m.Authority = append(m.Authority, s.signCached(sigKey{"ds|", apex}, dsSet)...)
 	}
 	return m
 }
 
-// referToProvider builds a referral for child at the given providers.
-func (s *TLDServer) referToProvider(resp *dnswire.Message, child string, ps []*Provider) *dnswire.Message {
+// deny fills in the authority section of a negative answer: the apex SOA
+// and, with DO, its RRSIG.
+func (s *TLDServer) deny(resp *dnswire.Message, dnssecOK bool) *dnswire.Message {
+	resp.Authority = s.apexSOA()
+	if dnssecOK {
+		resp.Authority = append(resp.Authority, s.signCached(sigKey{kind: "soa"}, resp.Authority)...)
+	}
+	return resp
+}
+
+// uploadedDS returns the DS record the registrant of a signed domain
+// uploaded, if any. Its RDATA is computed once per key.
+func uploadedDS(d *DomainState) (dnswire.RR, bool) {
+	if !d.Signed || !d.DSUploaded {
+		return dnswire.RR{}, false
+	}
+	ds, err := d.KSK().DS(3600)
+	return ds, err == nil
+}
+
+// referToProvider builds a referral for child at the given providers: an NS
+// record per server and its glue, both sections sized once. Glue goes out
+// last server first, ahead of the skeleton's OPT record.
+func (s *TLDServer) referToProvider(resp *dnswire.Message, child string, ps ...*Provider) *dnswire.Message {
+	n := 0
 	for _, p := range ps {
+		n += len(p.NSHosts)
+	}
+	opt := resp.Additional
+	resp.Authority = make([]dnswire.RR, 0, n+2) // room for a signed child's DS and its RRSIG
+	resp.Additional = make([]dnswire.RR, n, n+len(opt))
+	for _, p := range ps {
+		rec := p.records()
 		for i, host := range p.NSHosts {
 			resp.Authority = append(resp.Authority, dnswire.RR{
-				Name: child, Type: dnswire.TypeNS, Class: dnswire.ClassINET, TTL: 86400,
-				Data: &dnswire.NSData{Host: host}})
-			resp.Additional = append([]dnswire.RR{{
-				Name: host, Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 86400,
-				Data: &dnswire.AData{Addr: p.NSAddrs[i]}}}, resp.Additional...)
+				Name: child, Type: dnswire.TypeNS, Class: dnswire.ClassINET, TTL: 86400, Data: rec.ns[i]})
+			n--
+			resp.Additional[n] = dnswire.RR{
+				Name: host, Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 86400, Data: rec.glue[i]}
 		}
 	}
+	resp.Additional = append(resp.Additional, opt...)
 	return resp
 }
 

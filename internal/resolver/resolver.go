@@ -42,7 +42,9 @@ const maxChase = 8
 // maxDepth bounds referral-following depth.
 const maxDepth = 16
 
-// Response is the outcome of a recursive resolution.
+// Response is the outcome of a recursive resolution. Its record slices may
+// alias the resolver's cache, capacity-clipped: read them, or append to get
+// a copy, but do not write through them.
 type Response struct {
 	RCode dnswire.RCode
 	// Answer contains the answer RRs in chase order (CNAMEs first).
@@ -54,6 +56,10 @@ type Response struct {
 	AuthenticatedData bool
 	// Authority carries the SOA for negative answers.
 	Authority []dnswire.RR
+
+	// joined is Answer followed by Sigs as one slice, set when that is how
+	// they already sit in the cache: every answer that took no CNAME hop.
+	joined []dnswire.RR
 }
 
 // rrKey addresses one cached RRset. name is canonical and shared with the
@@ -509,8 +515,15 @@ func (r *Resolver) Resolve(name string, t dnswire.Type) (*Response, error) {
 			return nil, err
 		}
 		out.RCode = e.rcode
-		out.Answer = append(out.Answer, e.rrs()...)
-		out.Sigs = append(out.Sigs, e.sigs()...)
+		if hop == 0 {
+			// Capacity-clipped aliases of the cached entry: a reader
+			// copies nothing, an appender moves to its own array.
+			out.Answer, out.Sigs, out.joined = e.rrs(), e.sigs(), slices.Clip(e.answer)
+		} else {
+			out.Answer = append(out.Answer, e.rrs()...)
+			out.Sigs = append(out.Sigs, e.sigs()...)
+			out.joined = nil
+		}
 		if e.nData == 0 {
 			out.Authority = e.authority
 		}
@@ -621,7 +634,11 @@ func (r *Resolver) HandleDNS(q *dnswire.Message) *dnswire.Message {
 	resp.RCode = res.RCode
 	resp.Answer = res.Answer
 	if q.DNSSECOK() {
-		resp.Answer = append(resp.Answer, res.Sigs...)
+		if res.joined != nil {
+			resp.Answer = res.joined
+		} else {
+			resp.Answer = append(resp.Answer, res.Sigs...)
+		}
 		resp.Authority = res.Authority
 	}
 	resp.AuthenticatedData = res.AuthenticatedData

@@ -1,6 +1,7 @@
 package resolver_test
 
 import (
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -185,7 +186,10 @@ func TestProviderChangeInsideNSTTL(t *testing.T) {
 // nothing but its verified-signature memo — resolve the same names at
 // once; every AD bit must equal a serial run's on a recursor that shares
 // no memo with them. Run under -race (make race) this is the coverage for
-// the first resolver state day workers share.
+// the first resolver state day workers share, and for the records the
+// authoritatives share between all of them: the cached RRSIGs and per-key
+// DNSKEY RDATA every fork aliases into its cache must come out of the run
+// saying what they said before it.
 func TestConcurrentForksMatchSerial(t *testing.T) {
 	w := buildWorld(t, 2000)
 	adopters := pick(w, func(d *providers.DomainState) bool {
@@ -194,6 +198,23 @@ func TestConcurrentForksMatchSerial(t *testing.T) {
 	if len(adopters) > 200 {
 		adopters = adopters[:200]
 	}
+	// served deep-copies what the signed adopters' providers answer.
+	served := func() (out [][]dnswire.RR) {
+		for _, d := range adopters {
+			if !d.Signed {
+				continue
+			}
+			for _, typ := range []dnswire.Type{dnswire.TypeHTTPS, dnswire.TypeDNSKEY} {
+				var rrs []dnswire.RR
+				for _, rr := range d.Providers[0].HandleDNSAt(dnswire.NewQuery(1, d.Apex, typ, true), scanTime).Answer {
+					rrs = append(rrs, rr.Clone())
+				}
+				out = append(out, rrs)
+			}
+		}
+		return out
+	}
+	before := served()
 	resolveAll := func(r *resolver.Resolver) []bool {
 		ad := make([]bool, len(adopters))
 		for i, d := range adopters {
@@ -233,5 +254,44 @@ func TestConcurrentForksMatchSerial(t *testing.T) {
 				t.Errorf("fork %d: %s AD=%v, serial run says %v", i, adopters[j].Apex, ad[j], want[j])
 			}
 		}
+	}
+	if after := served(); len(before) == 0 || !reflect.DeepEqual(after, before) {
+		t.Errorf("the %d signed answers the providers share changed while the forks read them", len(before))
+	}
+}
+
+// TestStubAnswerIsAClippedAlias: a one-hop answer leaves HandleDNS as an
+// alias of the cache entry — data then RRSIGs, nothing copied — clipped to
+// its length, so a stub that appends gets an array of its own and the next
+// stub still sees the entry as it was.
+func TestStubAnswerIsAClippedAlias(t *testing.T) {
+	w := buildWorld(t, 2000)
+	signed := pick(w, func(d *providers.DomainState) bool {
+		return steady(d) && d.Signed && d.DSUploaded && d.HTTPSPublished(scanTime, d.Providers[0])
+	})
+	if len(signed) == 0 {
+		t.Fatal("world has no signed HTTPS adopter")
+	}
+	r, _, _ := fork(w, scanTime)
+	q := dnswire.NewQuery(1, signed[0].Apex, dnswire.TypeHTTPS, true)
+	first := r.HandleDNS(q)
+	if len(first.Answer) < 2 || first.Answer[len(first.Answer)-1].Type != dnswire.TypeRRSIG {
+		t.Fatalf("answer %v, want data then RRSIG", first.Answer)
+	}
+	if cap(first.Answer) != len(first.Answer) {
+		t.Fatalf("answer has cap %d beyond len %d: an append would write into the cache entry", cap(first.Answer), len(first.Answer))
+	}
+	want, entry := append([]dnswire.RR(nil), first.Answer...), &first.Answer[0]
+	first.Answer = append(first.Answer, dnswire.RR{Name: "scribble.", Type: dnswire.TypeTXT})
+	second := r.HandleDNS(q)
+	if !reflect.DeepEqual(second.Answer, want) {
+		t.Errorf("second stub sees %v, first saw %v", second.Answer, want)
+	}
+	if &second.Answer[0] != entry {
+		t.Error("a cached one-hop answer was copied on its way to the stub")
+	}
+	plain := r.HandleDNS(dnswire.NewQuery(2, signed[0].Apex, dnswire.TypeHTTPS, false))
+	if n := len(plain.Answer); n != len(want)-1 || cap(plain.Answer) != n {
+		t.Errorf("without DO: %d records (cap %d), want the %d data records, clipped", n, cap(plain.Answer), len(want)-1)
 	}
 }

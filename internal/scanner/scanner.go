@@ -125,8 +125,9 @@ func (s *Scanner) forEach(n int, fn func(i int)) {
 // query sends one stub query, falling back to the backup resolver on error
 // or SERVFAIL (the paper's Google→Cloudflare fallback). With a Transport
 // configured, the query rides the encrypted serving layer instead and
-// failover happens inside the transport's upstream pool.
-func (s *Scanner) query(name string, t dnswire.Type) (*dnswire.Message, error) {
+// failover happens inside the transport's upstream pool. name is sent as
+// given, canonical or not; shown is how an error names it.
+func (s *Scanner) query(name, shown string, t dnswire.Type) (*dnswire.Message, error) {
 	q := dnswire.NewQuery(s.nextID(), name, t, true)
 	if s.Transport != nil {
 		resp, err := s.Transport.Exchange(q)
@@ -134,7 +135,7 @@ func (s *Scanner) query(name string, t dnswire.Type) (*dnswire.Message, error) {
 			return nil, err
 		}
 		if resp.RCode == dnswire.RCodeServFail {
-			return nil, fmt.Errorf("scanner: SERVFAIL via transport for %s/%s", name, t)
+			return nil, fmt.Errorf("scanner: SERVFAIL via transport for %s/%s", shown, t)
 		}
 		return resp, nil
 	}
@@ -147,7 +148,7 @@ func (s *Scanner) query(name string, t dnswire.Type) (*dnswire.Message, error) {
 		return resp, nil
 	}
 	if err == nil {
-		err = fmt.Errorf("scanner: SERVFAIL from both resolvers for %s/%s", name, t)
+		err = fmt.Errorf("scanner: SERVFAIL from both resolvers for %s/%s", shown, t)
 	}
 	return nil, err
 }
@@ -197,9 +198,12 @@ func hashBytes(b []byte) uint64 {
 // ScanDomain performs the full per-domain scan sequence: HTTPS (with CNAME
 // chasing), then A/AAAA/SOA/NS when HTTPS records exist.
 func (s *Scanner) ScanDomain(name string) *dataset.Observation {
-	obs := &dataset.Observation{Name: dnswire.CanonicalName(name)}
+	// Canonical once for the whole sequence, not once per query; errors
+	// still print the list's own spelling.
+	canon := dnswire.CanonicalName(name)
+	obs := &dataset.Observation{Name: canon}
 
-	resp, err := s.query(name, dnswire.TypeHTTPS)
+	resp, err := s.query(canon, name, dnswire.TypeHTTPS)
 	if err != nil {
 		obs.Err = err.Error()
 		return obs
@@ -211,7 +215,7 @@ func (s *Scanner) ScanDomain(name string) *dataset.Observation {
 	// did not chase to an HTTPS record, re-query the target explicitly.
 	if len(obs.CNAMEChain) > 0 && !obs.HasHTTPS() {
 		target := obs.CNAMEChain[len(obs.CNAMEChain)-1]
-		if sub, err := s.query(target, dnswire.TypeHTTPS); err == nil {
+		if sub, err := s.query(target, target, dnswire.TypeHTTPS); err == nil {
 			s.extractHTTPS(sub, obs)
 			obs.AD = obs.AD && sub.AuthenticatedData
 		}
@@ -221,29 +225,29 @@ func (s *Scanner) ScanDomain(name string) *dataset.Observation {
 		return obs
 	}
 	// Follow-up queries for adopters.
-	if resp, err := s.query(name, dnswire.TypeA); err == nil {
+	if resp, err := s.query(canon, name, dnswire.TypeA); err == nil {
 		for _, rr := range resp.Answer {
 			if a, ok := rr.Data.(*dnswire.AData); ok {
 				obs.A = append(obs.A, a.Addr)
 			}
 		}
 	}
-	if resp, err := s.query(name, dnswire.TypeAAAA); err == nil {
+	if resp, err := s.query(canon, name, dnswire.TypeAAAA); err == nil {
 		for _, rr := range resp.Answer {
 			if a, ok := rr.Data.(*dnswire.AAAAData); ok {
 				obs.AAAA = append(obs.AAAA, a.Addr)
 			}
 		}
 	}
-	apex := dnswire.ApexOf(name)
-	if resp, err := s.query(apex, dnswire.TypeSOA); err == nil {
+	apex := dnswire.ApexOf(canon)
+	if resp, err := s.query(apex, apex, dnswire.TypeSOA); err == nil {
 		for _, rr := range resp.Answer {
 			if rr.Type == dnswire.TypeSOA {
 				obs.HasSOA = true
 			}
 		}
 	}
-	if resp, err := s.query(apex, dnswire.TypeNS); err == nil {
+	if resp, err := s.query(apex, apex, dnswire.TypeNS); err == nil {
 		for _, rr := range resp.Answer {
 			if ns, ok := rr.Data.(*dnswire.NSData); ok {
 				obs.NS = append(obs.NS, ns.Host)
@@ -316,7 +320,7 @@ func (s *Scanner) ScanNameServers(date time.Time, snaps ...*dataset.Snapshot) *d
 	results := make([]*dataset.NSObservation, len(hosts))
 	s.forEach(len(hosts), func(i int) {
 		nso := &dataset.NSObservation{Host: hosts[i]}
-		if resp, err := s.query(hosts[i], dnswire.TypeA); err == nil {
+		if resp, err := s.query(hosts[i], hosts[i], dnswire.TypeA); err == nil {
 			for _, rr := range resp.Answer {
 				if a, ok := rr.Data.(*dnswire.AData); ok {
 					nso.Addrs = append(nso.Addrs, a.Addr)
@@ -342,7 +346,7 @@ func (s *Scanner) ECHScan(now time.Time, domains []string) []dataset.ECHObservat
 	slots := make([][]dataset.ECHObservation, len(domains))
 	s.forEach(len(domains), func(i int) {
 		name := domains[i]
-		resp, err := s.query(name, dnswire.TypeHTTPS)
+		resp, err := s.query(name, name, dnswire.TypeHTTPS)
 		if err != nil {
 			return
 		}

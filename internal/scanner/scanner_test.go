@@ -391,3 +391,32 @@ func TestScanNameServersDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestScanDomainNamesErrorsAsListed: the scan canonicalises a list name
+// once and queries with that, but Observation.Err is stored, so a SERVFAIL
+// must keep naming the domain the way the list spelt it.
+func TestScanDomainNamesErrorsAsListed(t *testing.T) {
+	w, sc := scanWorld(t)
+	var d *providers.DomainState
+	for _, c := range w.Domains {
+		if c.Intermittent == providers.IntermitNoNS && (d == nil || c.Apex < d.Apex) {
+			d = c
+		}
+	}
+	if d == nil {
+		t.Skip("world has no domain that loses its NS records")
+	}
+	listed := trimDot(d.Apex)
+	for day := providers.StudyStart; day.Before(providers.StudyEnd); day = day.Add(24 * time.Hour) {
+		if len(d.ProvidersAt(day)) > 0 {
+			continue
+		}
+		w.Clock.Set(day)
+		obs := sc.ScanDomain(listed)
+		if want := "scanner: SERVFAIL from both resolvers for " + listed + "/HTTPS"; obs.Err != want || obs.Name != d.Apex {
+			t.Errorf("scan of %q: name %q, error %q; want name %q, error %q", listed, obs.Name, obs.Err, d.Apex, want)
+		}
+		return
+	}
+	t.Skip("no NS-less day inside the study period")
+}

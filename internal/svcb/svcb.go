@@ -8,10 +8,12 @@
 package svcb
 
 import (
+	"cmp"
 	"encoding/base64"
 	"encoding/binary"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -106,9 +108,16 @@ func (ps *Params) Set(key ParamKey, value []byte) {
 			return
 		}
 	}
+	if *ps == nil {
+		*ps = make(Params, 0, 4) // room for the usual alpn, two hints and ech
+	}
 	*ps = append(*ps, Param{Key: key, Value: value})
-	sort.Slice(*ps, func(i, j int) bool { return (*ps)[i].Key < (*ps)[j].Key })
+	// On a list this short slices.SortFunc is an insertion sort: it slides
+	// the new key into place, with no reflection-based swapper to allocate.
+	slices.SortFunc(*ps, byKey)
 }
+
+func byKey(a, b Param) int { return cmp.Compare(a.Key, b.Key) }
 
 // Delete removes key from the list if present.
 func (ps *Params) Delete(key ParamKey) {
@@ -132,12 +141,16 @@ func (ps Params) Clone() Params {
 	return out
 }
 
-// Pack appends the wire encoding of the parameter list to dst. The list is
-// sorted by key first, as required by RFC 9460 §2.2.
+// Pack appends the wire encoding of the parameter list to dst, in the key
+// order RFC 9460 §2.2 requires. A list already in that order — anything
+// Set built or UnpackParams accepted — is packed as it stands; only an
+// unordered one is copied and sorted first.
 func (ps Params) Pack(dst []byte) ([]byte, error) {
-	sorted := make(Params, len(ps))
-	copy(sorted, ps)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
+	sorted := ps
+	if !slices.IsSortedFunc(ps, byKey) {
+		sorted = slices.Clone(ps)
+		slices.SortStableFunc(sorted, byKey)
+	}
 	for i, p := range sorted {
 		if i > 0 && sorted[i-1].Key == p.Key {
 			return nil, fmt.Errorf("svcb: duplicate SvcParam key %v", p.Key)

@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/testrace"
 )
 
 func TestKeyString(t *testing.T) {
@@ -421,5 +423,57 @@ func TestQuickPresentationRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSetAndPackOrder: Set leaves the list in key order whatever order the
+// keys arrive in — and whatever order a hand-built list was in before —
+// and Pack emits the same bytes for an ordered list (packed as it stands)
+// and a shuffled one (copied and sorted), rejecting duplicates in both.
+func TestSetAndPackOrder(t *testing.T) {
+	keys := []ParamKey{KeyALPN, KeyPort, KeyIPv4Hint, KeyECH, KeyIPv6Hint, ParamKey(700)}
+	var ordered Params
+	for _, k := range keys {
+		ordered.Set(k, []byte{byte(k), 1})
+	}
+	want, err := ordered.Pack(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 50; round++ {
+		rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+		var viaSet, literal Params
+		for _, k := range keys {
+			viaSet.Set(k, []byte{byte(k), 1})
+			literal = append(literal, Param{Key: k, Value: []byte{byte(k), 1}})
+		}
+		if !reflect.DeepEqual(viaSet, ordered) {
+			t.Fatalf("Set in order %v left %v", keys, viaSet)
+		}
+		before := append(Params(nil), literal...)
+		got, err := literal.Pack(nil)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("Pack of keys %v: %x, %v; want %x", keys, got, err, want)
+		}
+		if !reflect.DeepEqual(literal, before) {
+			t.Fatal("Pack reordered its receiver")
+		}
+		literal.Set(KeyMandatory, []byte{0, 1})
+		if !reflect.DeepEqual(literal[1:], ordered) || literal[0].Key != KeyMandatory {
+			t.Fatalf("Set on a shuffled list left %v", literal)
+		}
+	}
+	for _, dup := range []Params{
+		{{Key: KeyALPN}, {Key: KeyALPN}},
+		{{Key: KeyPort}, {Key: KeyALPN}, {Key: KeyPort}},
+	} {
+		if _, err := dup.Pack(nil); err == nil {
+			t.Errorf("Pack accepted duplicate keys %v", dup)
+		}
+	}
+	buf := make([]byte, 0, 256)
+	if n := testing.AllocsPerRun(100, func() { buf, _ = ordered.Pack(buf[:0]) }); n != 0 && !testrace.Enabled {
+		t.Errorf("Pack of an ordered list: %v allocations, want 0", n)
 	}
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"net/netip"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,6 +19,7 @@ import (
 // negative knobs switch it to RFC 2308 NXDOMAIN answers carrying an SOA.
 type stubRecursor struct {
 	ttl     uint32
+	mu      sync.Mutex // guards queries: concurrent streams share one stub
 	queries int
 
 	fail     bool // return nil: hard upstream failure
@@ -29,7 +31,9 @@ type stubRecursor struct {
 }
 
 func (s *stubRecursor) HandleDNS(q *dnswire.Message) *dnswire.Message {
+	s.mu.Lock()
 	s.queries++
+	s.mu.Unlock()
 	if s.fail {
 		return nil
 	}

@@ -62,14 +62,16 @@ profile:
 # verifier, seeded with workload-shaped queries and hand-mangled frames.
 # Ten seconds per target is a smoke test, not a campaign: it proves the
 # targets build, the corpus parses, and no quick-to-find panic has crept
-# into Unpack, the RFC 1035 TCP framing, the DoH envelope decoder, or
-# RRSIG verification (whose memoised and plain verdicts must agree).
+# into Unpack, the RFC 1035 TCP framing, the DoH envelope decoder, RRSIG
+# verification (whose memoised and plain verdicts must agree), or the
+# DNSKEY side of it (DS construction, key tag, public-key decoding).
 fuzz-smoke:
 	$(GO) test ./internal/dnswire -fuzz 'FuzzUnpack$$' -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnswire -fuzz FuzzUnpackInto -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnswire -fuzz FuzzReadTCP -fuzztime 10s -run xxx
 	$(GO) test ./internal/transport -fuzz FuzzDoHDecodeRequest -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnssec -fuzz FuzzVerifyRRSIG -fuzztime 10s -run xxx
+	$(GO) test ./internal/dnssec -fuzz FuzzDNSKEYDS -fuzztime 10s -run xxx
 
 # Traced-exchange demo: a mixed-protocol fleet under the race strategy
 # with every exchange traced, dumping the five slowest span trees —

@@ -11,14 +11,16 @@ package dnssec
 
 import (
 	"bytes"
+	"crypto"
+	"crypto/ecdh"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/sha256"
+	"encoding/asn1"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/big"
-	mathrand "math/rand"
 	"slices"
 	"sync"
 	"time"
@@ -69,44 +71,45 @@ func (k *KeyPair) dnskeyRR(ttl uint32) dnswire.RR {
 	return dnswire.RR{Name: k.Zone, Type: dnswire.TypeDNSKEY, Class: dnswire.ClassINET, TTL: ttl, Data: k.dnskey}
 }
 
-// detachedReader draws a fixed-width seed from r and returns a fresh
-// stream seeded by it, and a function that hands the stream back. The
-// stdlib ECDSA routines consume a variable number of reader bytes per call
-// (randutil.MaybeReadByte, nonce rejection sampling), so feeding them a
-// shared seeded rng directly would leave it in a run-dependent state and
-// destroy whole-world seed determinism. The detached stream absorbs that
-// variability; the caller's rng always advances by exactly eight bytes.
-func detachedReader(r io.Reader) (io.Reader, func()) {
-	var seed [8]byte
-	if _, err := io.ReadFull(r, seed[:]); err != nil {
-		return r, func() {}
-	}
-	var s int64
-	for _, b := range seed {
-		s = s<<8 | int64(b)
-	}
-	// A recycled generator re-seeded is the stream a new one would give,
-	// without 5 KB of state allocated per signature.
-	d := detachedPool.Get().(*mathrand.Rand)
-	d.Seed(s)
-	return d, func() { detachedPool.Put(d) }
-}
-
-var detachedPool = sync.Pool{New: func() any { return mathrand.New(mathrand.NewSource(0)) }}
-
-// GenerateKey creates a new ECDSA-P256 zone key. ksk selects the SEP flag.
-func GenerateKey(rng io.Reader, zone string, ksk bool) (*KeyPair, error) {
-	rd, release := detachedReader(rng)
-	defer release()
-	priv, err := ecdsa.GenerateKey(elliptic.P256(), rd)
-	if err != nil {
-		return nil, fmt.Errorf("dnssec: generating key for %s: %w", zone, err)
-	}
+// DeriveKey returns zone's ECDSA-P256 key in the world built from seed: its
+// private scalar is SHA-256 over (seed, role, canonical zone, counter), so
+// equal inputs give equal keys in any process and nothing else does. ksk
+// selects the SEP flag and the key-signing role. The counter moves on only
+// when a digest is not a valid scalar (zero, or at least the group order:
+// under 2⁻³² per draw).
+func DeriveKey(seed int64, zone string, ksk bool) *KeyPair {
+	zone = dnswire.CanonicalName(zone)
 	flags := uint16(dnswire.DNSKEYFlagZone)
 	if ksk {
 		flags |= dnswire.DNSKEYFlagSEP
 	}
-	return &KeyPair{Zone: dnswire.CanonicalName(zone), Private: priv, Flags: flags}, nil
+	input := binary.BigEndian.AppendUint64([]byte("dnssec-key"), uint64(seed))
+	input = binary.BigEndian.AppendUint16(input, flags)
+	input = append(input, zone...)
+	for counter := uint32(0); ; counter++ {
+		scalar := sha256.Sum256(binary.BigEndian.AppendUint32(input, counter))
+		if priv, err := p256Key(scalar[:]); err == nil {
+			return &KeyPair{Zone: zone, Private: priv, Flags: flags}
+		}
+	}
+}
+
+// p256Key loads a 32-byte big-endian scalar as an ECDSA private key. It
+// fails for zero and for values at or above the group order.
+func p256Key(scalar []byte) (*ecdsa.PrivateKey, error) {
+	priv, err := ecdh.P256().NewPrivateKey(scalar)
+	if err != nil {
+		return nil, err
+	}
+	pub := priv.PublicKey().Bytes() // 0x04 ‖ X ‖ Y
+	return &ecdsa.PrivateKey{
+		PublicKey: ecdsa.PublicKey{
+			Curve: elliptic.P256(),
+			X:     new(big.Int).SetBytes(pub[1:33]),
+			Y:     new(big.Int).SetBytes(pub[33:]),
+		},
+		D: new(big.Int).SetBytes(scalar),
+	}, nil
 }
 
 // DNSKEY returns the public DNSKEY record for the key.
@@ -231,7 +234,7 @@ func canonicalRRsetWire(rrs []dnswire.RR, origTTL uint32) ([]byte, error) {
 
 // SignRRset produces an RRSIG record over the RRset with the given key and
 // validity window.
-func SignRRset(rng io.Reader, key *KeyPair, rrs []dnswire.RR, inception, expiration time.Time) (dnswire.RR, error) {
+func SignRRset(key *KeyPair, rrs []dnswire.RR, inception, expiration time.Time) (dnswire.RR, error) {
 	if len(rrs) == 0 {
 		return dnswire.RR{}, ErrEmptyRRset
 	}
@@ -251,17 +254,9 @@ func SignRRset(rng io.Reader, key *KeyPair, rrs []dnswire.RR, inception, expirat
 	if err != nil {
 		return dnswire.RR{}, err
 	}
-	digest := sha256.Sum256(signed)
-	rd, release := detachedReader(rng)
-	defer release()
-	r, s, err := ecdsa.Sign(rd, key.Private, digest[:])
-	if err != nil {
-		return dnswire.RR{}, fmt.Errorf("dnssec: signing: %w", err)
+	if sig.Signature, err = signDigest(key.Private, sha256.Sum256(signed)); err != nil {
+		return dnswire.RR{}, err
 	}
-	sigBytes := make([]byte, 64)
-	r.FillBytes(sigBytes[:32])
-	s.FillBytes(sigBytes[32:])
-	sig.Signature = sigBytes
 	return dnswire.RR{
 		Name:  owner,
 		Type:  dnswire.TypeRRSIG,
@@ -269,6 +264,24 @@ func SignRRset(rng io.Reader, key *KeyPair, rrs []dnswire.RR, inception, expirat
 		TTL:   origTTL,
 		Data:  sig,
 	}, nil
+}
+
+// signDigest signs a SHA-256 digest and returns the fixed-width r‖s of RFC
+// 6605 §4. Handed no random source, PrivateKey.Sign picks the nonce per RFC
+// 6979: the signature is a function of the key and the digest alone.
+func signDigest(priv *ecdsa.PrivateKey, digest [sha256.Size]byte) ([]byte, error) {
+	der, err := priv.Sign(nil, digest[:], crypto.SHA256)
+	if err != nil {
+		return nil, fmt.Errorf("dnssec: signing: %w", err)
+	}
+	var rs struct{ R, S *big.Int }
+	if _, err := asn1.Unmarshal(der, &rs); err != nil {
+		return nil, fmt.Errorf("dnssec: signing: %w", err)
+	}
+	out := make([]byte, 64)
+	rs.R.FillBytes(out[:32]) // left-pads a short r or s
+	rs.S.FillBytes(out[32:])
+	return out, nil
 }
 
 func signingInput(sig *dnswire.RRSIGData, rrs []dnswire.RR, origTTL uint32) ([]byte, error) {

@@ -1,7 +1,12 @@
 package dnssec
 
 import (
-	"math/rand"
+	"bytes"
+	"crypto/ecdsa"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math/big"
 	"net/netip"
 	"testing"
 	"time"
@@ -15,13 +20,103 @@ var (
 	testExpiration = testNow.Add(30 * 24 * time.Hour)
 )
 
-func testRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-func TestKeyTagMatchesDNSKEY(t *testing.T) {
-	key, err := GenerateKey(testRNG(1), "example.com", true)
+// rfc6979Key is the P-256 private key of RFC 6979 appendix A.2.5.
+func rfc6979Key(t *testing.T) *ecdsa.PrivateKey {
+	t.Helper()
+	x, _ := hex.DecodeString("C9AFA9D845BA75166B5C215767B1D6934E50C3DB36E89B127B8A622B120F6721")
+	priv, err := p256Key(x)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := hex.EncodeToString(encodePublicKey(&priv.PublicKey)); got !=
+		"60fed4ba255a9d31c961eb74c6356d68c049b8923b61fa6ce669622e60f29fb6"+
+			"7903fe1008b8bc99a41ae9e95628bc64f2f1b20c2d7e9f5177a3c294d4462299" {
+		t.Fatalf("public key of the RFC 6979 scalar = %s", got)
+	}
+	return priv
+}
+
+// TestSignDigestRFC6979KnownAnswer: the signing step reproduces the RFC
+// 6979 A.2.5 vector for SHA-256("sample") as the r‖s of RFC 6605.
+func TestSignDigestRFC6979KnownAnswer(t *testing.T) {
+	got, err := signDigest(rfc6979Key(t), sha256.Sum256([]byte("sample")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "efd48b2aacb6a8fd1140dd9cd45e81d69d2c877b56aaf991c34d0ea84eaf3716" +
+		"f7cb1c942d657c41d436c7a1b6e29f65f3e900dbb9aff4064dc4ab2f843acda8"
+	if hex.EncodeToString(got) != want {
+		t.Errorf("r‖s = %x\nwant  %s", got, want)
+	}
+}
+
+// TestSignDigestPadsShortIntegers: one signature in 256 has an r (or an s)
+// whose DER integer is under 32 bytes. Every signature must still be 64
+// bytes with r and s in their own halves, which is what verifies.
+func TestSignDigestPadsShortIntegers(t *testing.T) {
+	priv := rfc6979Key(t)
+	var shortR, shortS int
+	for i := 0; shortR == 0 || shortS == 0; i++ {
+		if i == 5000 {
+			t.Fatalf("no short integer in %d signatures (short r %d, short s %d)", i, shortR, shortS)
+		}
+		digest := sha256.Sum256(fmt.Appendf(nil, "sample-%d", i))
+		sig, err := signDigest(priv, digest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sig) != 64 {
+			t.Fatalf("message %d: signature is %d bytes", i, len(sig))
+		}
+		r, s := new(big.Int).SetBytes(sig[:32]), new(big.Int).SetBytes(sig[32:])
+		if !ecdsa.Verify(&priv.PublicKey, digest[:], r, s) {
+			t.Fatalf("message %d: r‖s %x does not verify", i, sig)
+		}
+		if sig[0] == 0 {
+			shortR++
+		}
+		if sig[32] == 0 {
+			shortS++
+		}
+	}
+}
+
+// TestDeriveKey: a key is a function of (seed, canonical zone, role) and of
+// nothing else, and what it signs verifies.
+func TestDeriveKey(t *testing.T) {
+	pub := func(k *KeyPair) []byte { return k.DNSKEY(3600).Data.(*dnswire.DNSKEYData).PublicKey }
+	base := DeriveKey(7, "example.com.", true)
+	if again := DeriveKey(7, "example.com.", true); !bytes.Equal(pub(base), pub(again)) || base.Private.D.Cmp(again.Private.D) != 0 {
+		t.Error("equal inputs gave different keys")
+	}
+	if spelled := DeriveKey(7, " Example.COM", true); spelled.Zone != "example.com." || !bytes.Equal(pub(base), pub(spelled)) {
+		t.Errorf("zone %q not canonicalised into the same key", spelled.Zone)
+	}
+	for name, other := range map[string]*KeyPair{
+		"seed": DeriveKey(8, "example.com.", true),
+		"zone": DeriveKey(7, "example.org.", true),
+		"role": DeriveKey(7, "example.com.", false),
+	} {
+		if bytes.Equal(pub(base), pub(other)) {
+			t.Errorf("a different %s gave the same key", name)
+		}
+	}
+	rrs := []dnswire.RR{base.DNSKEY(3600)}
+	sig, err := SignRRset(base, rrs, testInception, testExpiration)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyRRSIG(sig, rrs, base.DNSKEY(3600), testNow); err != nil {
+		t.Errorf("signature of a derived key rejected: %v", err)
+	}
+	again, _ := SignRRset(DeriveKey(7, "example.com.", true), rrs, testInception, testExpiration)
+	if !bytes.Equal(sig.Data.(*dnswire.RRSIGData).Signature, again.Data.(*dnswire.RRSIGData).Signature) {
+		t.Error("the same key signed the same RRset into different bytes")
+	}
+}
+
+func TestKeyTagMatchesDNSKEY(t *testing.T) {
+	key := DeriveKey(1, "example.com", true)
 	rr := key.DNSKEY(3600)
 	data := rr.Data.(*dnswire.DNSKEYData)
 	if key.KeyTag() != data.KeyTag() {
@@ -30,24 +125,21 @@ func TestKeyTagMatchesDNSKEY(t *testing.T) {
 	if !data.IsKSK() {
 		t.Error("KSK flag not set")
 	}
-	zsk, _ := GenerateKey(testRNG(2), "example.com", false)
+	zsk := DeriveKey(2, "example.com", false)
 	if zsk.DNSKEY(0).Data.(*dnswire.DNSKEYData).IsKSK() {
 		t.Error("ZSK has SEP flag")
 	}
 }
 
 func TestSignVerifyRRset(t *testing.T) {
-	key, err := GenerateKey(testRNG(3), "example.com", false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := DeriveKey(3, "example.com", false)
 	rrs := []dnswire.RR{
 		{Name: "www.example.com.", Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 300,
 			Data: &dnswire.AData{Addr: netip.MustParseAddr("1.2.3.4")}},
 		{Name: "www.example.com.", Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 300,
 			Data: &dnswire.AData{Addr: netip.MustParseAddr("5.6.7.8")}},
 	}
-	sig, err := SignRRset(testRNG(4), key, rrs, testInception, testExpiration)
+	sig, err := SignRRset(key, rrs, testInception, testExpiration)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,10 +160,10 @@ func TestSignVerifyRRset(t *testing.T) {
 }
 
 func TestVerifyRejectsTampering(t *testing.T) {
-	key, _ := GenerateKey(testRNG(5), "example.com", false)
+	key := DeriveKey(5, "example.com", false)
 	rrs := []dnswire.RR{{Name: "a.example.com.", Type: dnswire.TypeA, Class: dnswire.ClassINET,
 		TTL: 300, Data: &dnswire.AData{Addr: netip.MustParseAddr("1.2.3.4")}}}
-	sig, err := SignRRset(testRNG(6), key, rrs, testInception, testExpiration)
+	sig, err := SignRRset(key, rrs, testInception, testExpiration)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,17 +179,17 @@ func TestVerifyRejectsTampering(t *testing.T) {
 		t.Error("corrupted signature verified")
 	}
 	// Wrong key.
-	other, _ := GenerateKey(testRNG(7), "example.com", false)
+	other := DeriveKey(7, "example.com", false)
 	if err := VerifyRRSIG(sig, rrs, other.DNSKEY(3600), testNow); err == nil {
 		t.Error("signature verified with unrelated key")
 	}
 }
 
 func TestVerifyValidityWindow(t *testing.T) {
-	key, _ := GenerateKey(testRNG(8), "example.com", false)
+	key := DeriveKey(8, "example.com", false)
 	rrs := []dnswire.RR{{Name: "a.example.com.", Type: dnswire.TypeA, Class: dnswire.ClassINET,
 		TTL: 300, Data: &dnswire.AData{Addr: netip.MustParseAddr("1.2.3.4")}}}
-	sig, err := SignRRset(testRNG(9), key, rrs, testInception, testExpiration)
+	sig, err := SignRRset(key, rrs, testInception, testExpiration)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +202,7 @@ func TestVerifyValidityWindow(t *testing.T) {
 }
 
 func TestDSMatching(t *testing.T) {
-	key, _ := GenerateKey(testRNG(10), "example.com", true)
+	key := DeriveKey(10, "example.com", true)
 	ds, err := key.DS(3600)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +210,7 @@ func TestDSMatching(t *testing.T) {
 	if !MatchesDS(key.DNSKEY(3600), ds) {
 		t.Error("DS does not match its own DNSKEY")
 	}
-	other, _ := GenerateKey(testRNG(11), "example.com", true)
+	other := DeriveKey(11, "example.com", true)
 	if MatchesDS(other.DNSKEY(3600), ds) {
 		t.Error("DS matched unrelated DNSKEY")
 	}
@@ -146,7 +238,7 @@ func (w *testWorld) add(t *testing.T, signer *KeyPair, rrs ...dnswire.RR) {
 	k := rrKey(rrs[0].Name, rrs[0].Type)
 	w.records[k] = rrs
 	if signer != nil {
-		sig, err := SignRRset(testRNG(999), signer, rrs, testInception, testExpiration)
+		sig, err := SignRRset(signer, rrs, testInception, testExpiration)
 		if err != nil {
 			t.Fatalf("signing %s: %v", k, err)
 		}
@@ -161,13 +253,9 @@ func buildWorld(t *testing.T, signExample bool, uploadDS bool) *testWorld {
 		sigs:    map[string][]dnswire.RR{},
 		zoneKey: map[string]*KeyPair{},
 	}
-	var err error
-	w.rootKey, err = GenerateKey(testRNG(20), ".", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comKey, _ := GenerateKey(testRNG(21), "com.", true)
-	exKey, _ := GenerateKey(testRNG(22), "example.com.", true)
+	w.rootKey = DeriveKey(20, ".", true)
+	comKey := DeriveKey(21, "com.", true)
+	exKey := DeriveKey(22, "example.com.", true)
 	w.zoneKey["com."] = comKey
 	w.zoneKey["example.com."] = exKey
 
@@ -247,7 +335,7 @@ func TestValidateBogusUnsignedInSignedZone(t *testing.T) {
 
 func TestValidateBogusWrongAnchor(t *testing.T) {
 	w := buildWorld(t, true, true)
-	evil, _ := GenerateKey(testRNG(66), ".", true)
+	evil := DeriveKey(66, ".", true)
 	v := NewValidator(w, []dnswire.RR{evil.DNSKEY(3600)}, testNow)
 	res, _ := v.Validate("www.example.com.", dnswire.TypeA)
 	if res != Bogus {

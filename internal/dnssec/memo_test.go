@@ -1,9 +1,9 @@
 package dnssec
 
 import (
+	"crypto/ecdh"
 	"crypto/sha256"
 	"encoding/binary"
-	"io"
 	"net/netip"
 	"testing"
 	"time"
@@ -22,17 +22,14 @@ type memoFixture struct {
 
 func newMemoFixture(t testing.TB) memoFixture {
 	t.Helper()
-	key, err := GenerateKey(testRNG(40), "example.com.", false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := DeriveKey(40, "example.com.", false)
 	rrs := []dnswire.RR{
 		{Name: "www.example.com.", Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 300,
 			Data: &dnswire.AData{Addr: netip.MustParseAddr("1.2.3.4")}},
 		{Name: "www.example.com.", Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 300,
 			Data: &dnswire.AData{Addr: netip.MustParseAddr("5.6.7.8")}},
 	}
-	sig, err := SignRRset(testRNG(41), key, rrs, testInception, testExpiration)
+	sig, err := SignRRset(key, rrs, testInception, testExpiration)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +66,7 @@ func TestMemoHostileInputs(t *testing.T) {
 	f := newMemoFixture(t)
 	good := f.key.DNSKEY(3600)
 
-	otherKey, _ := GenerateKey(testRNG(42), "example.com.", false)
+	otherKey := DeriveKey(42, "example.com.", false)
 	wrongAlg := good.Clone()
 	wrongAlg.Data.(*dnswire.DNSKEYData).Algorithm = 8 // RSASHA256: a downgrade
 	wrongOwner := good.Clone()
@@ -144,7 +141,7 @@ func TestValidatorHostileChainMemoOnAndOff(t *testing.T) {
 			w.records[www][0].Data = &dnswire.AData{Addr: netip.MustParseAddr("6.6.6.6")}
 		}, Bogus},
 		{"DNSKEY RRset re-keyed without a new DS", testNow, func(t *testing.T, w *testWorld) {
-			evil, _ := GenerateKey(testRNG(77), "example.com.", true)
+			evil := DeriveKey(77, "example.com.", true)
 			w.add(t, evil, evil.DNSKEY(3600))
 		}, Bogus},
 	}
@@ -197,37 +194,6 @@ func TestSigMemoBounded(t *testing.T) {
 	}
 	if n := m.len(); n > sigMemoCap || n == 0 {
 		t.Errorf("memo holds %d entries, want 1..%d", n, sigMemoCap)
-	}
-}
-
-// TestDetachedReaderPooledStreamIsFresh: a recycled generator must give the
-// stream a new one would, or world generation would depend on what was
-// signed before.
-func TestDetachedReaderPooledStreamIsFresh(t *testing.T) {
-	read := func(seed int64) [64]byte {
-		rd, release := detachedReader(testRNG(seed))
-		defer release()
-		var out [64]byte
-		if _, err := io.ReadFull(rd, out[:]); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	// What detachedReader documents: eight bytes of the caller's rng seed
-	// a generator of their own.
-	var s int64
-	var seed [8]byte
-	testRNG(5).Read(seed[:])
-	for _, b := range seed {
-		s = s<<8 | int64(b)
-	}
-	var want [64]byte
-	testRNG(s).Read(want[:])
-	for i := 0; i < 4; i++ {
-		read(int64(100 + i)) // leave a used generator in the pool
-		if got := read(5); got != want {
-			t.Fatalf("round %d: recycled stream differs from a fresh generator's", i)
-		}
 	}
 }
 
@@ -297,6 +263,52 @@ func FuzzVerifyRRSIG(f *testing.F) {
 		plain := VerifyRRSIG(sig, fx.rrs, key, testNow)
 		for pass := 1; pass <= 2; pass++ {
 			if got := fuzzMemo.Verify(sig, fx.rrs, key, testNow); errText(got) != errText(plain) {
+				t.Fatalf("memoised pass %d: %v, plain: %v", pass, got, plain)
+			}
+		}
+	})
+}
+
+// FuzzDNSKEYDS hands the key side of the chain DNSKEY RDATA straight from
+// the fuzzer — any flags, protocol and algorithm, key bytes of any length:
+// DS construction, the key tag, public-key decoding and verification must
+// not panic, the memoised verdict must be the plain one, and the fixture's
+// signature must never verify under a key that is not a point on P-256.
+func FuzzDNSKEYDS(f *testing.F) {
+	fx := newMemoFixture(f)
+	good := fx.key.DNSKEY(3600).Data.(*dnswire.DNSKEYData)
+	ksk := DeriveKey(41, "example.com.", true).DNSKEY(3600).Data.(*dnswire.DNSKEYData)
+	offCurve := append([]byte(nil), good.PublicKey...)
+	offCurve[63] ^= 0x01
+	f.Add(good.Flags, good.Protocol, good.Algorithm, good.PublicKey)
+	f.Add(ksk.Flags, ksk.Protocol, ksk.Algorithm, ksk.PublicKey)
+	f.Add(good.Flags, good.Protocol, good.Algorithm, good.PublicKey[:63])
+	f.Add(good.Flags, good.Protocol, good.Algorithm, append(good.PublicKey[:64:64], 0))
+	f.Add(good.Flags, good.Protocol, good.Algorithm, offCurve)
+	f.Add(good.Flags, good.Protocol, uint8(8), good.PublicKey)
+	f.Add(uint16(0), uint8(0), uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, flags uint16, protocol, algorithm uint8, key []byte) {
+		data := &dnswire.DNSKEYData{Flags: flags, Protocol: protocol, Algorithm: algorithm, PublicKey: key}
+		dnskey := dnswire.RR{Name: "example.com.", Type: dnswire.TypeDNSKEY, Class: dnswire.ClassINET, TTL: 3600, Data: data}
+		if ds, err := MakeDS(dnskey, 3600); err == nil {
+			if ds.Data.(*dnswire.DSData).KeyTag != data.KeyTag() {
+				t.Fatal("DS carries another key tag than its DNSKEY")
+			}
+			if !MatchesDS(dnskey, ds) {
+				t.Fatal("DNSKEY does not match the DS made from it")
+			}
+		}
+		// crypto/ecdh is the independent judge of what a P-256 point is.
+		_, pointErr := ecdh.P256().NewPublicKey(append([]byte{4}, key...))
+		if _, err := decodePublicKey(key); (err == nil) != (pointErr == nil) {
+			t.Fatalf("decodePublicKey: %v; crypto/ecdh: %v", err, pointErr)
+		}
+		plain := VerifyRRSIG(fx.sig, fx.rrs, dnskey, testNow)
+		if plain == nil && pointErr != nil {
+			t.Fatalf("signature verified under a %d-byte key that is no curve point", len(key))
+		}
+		for pass := 1; pass <= 2; pass++ {
+			if got := fuzzMemo.Verify(fx.sig, fx.rrs, dnskey, testNow); errText(got) != errText(plain) {
 				t.Fatalf("memoised pass %d: %v, plain: %v", pass, got, plain)
 			}
 		}

@@ -1,9 +1,7 @@
 package providers
 
 import (
-	"bytes"
 	"encoding/hex"
-	"math/rand"
 	"slices"
 	"strings"
 	"sync"
@@ -146,10 +144,7 @@ func TestReferralShape(t *testing.T) {
 // cache together must come away with the one signature that was stored, not
 // each with its own.
 func TestTLDSignsOncePerRRset(t *testing.T) {
-	srv, err := NewTLDServer("test.", simnet.NewAllocator().AllocV4("nic"), simnet.NewClock(answerTime), rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := NewTLDServer("test.", simnet.NewAllocator().AllocV4("nic"), simnet.NewClock(answerTime), 1)
 	const workers = 8
 	got := make([]*dnswire.RR, workers)
 	var start, done sync.WaitGroup
@@ -176,87 +171,138 @@ func TestTLDSignsOncePerRRset(t *testing.T) {
 	}
 }
 
-// TestSeededRngIsAFreshStream: a recycled generator, re-seeded, must yield
-// byte for byte what rand.New(rand.NewSource(seed)) yields — whatever state
-// its last user left it in, including a half-consumed Read word.
-func TestSeededRngIsAFreshStream(t *testing.T) {
-	for _, seed := range []int64{0, 1, -7, 32 * 7919, 1 << 40} {
-		dirty, release := seededRng(seed ^ 0x5a5a)
-		dirty.Read(make([]byte, 13)) // leaves a partial word behind
-		dirty.Int63()
-		release()
-
-		want := make([]byte, 64)
-		rand.New(rand.NewSource(seed)).Read(want)
-		rng, release := seededRng(seed)
-		got := make([]byte, 64)
-		rng.Read(got)
-		release()
-		if !bytes.Equal(got, want) {
-			t.Errorf("seed %d: pooled stream %x, fresh stream %x", seed, got[:16], want[:16])
-		}
-	}
-}
-
-// TestSignatureBytesUnchanged pins the nonce stream of the world: for world
-// seed 7, the DS digest of one signed adopter and the signature over its
-// HTTPS RRset, as produced at the commit before generators were pooled.
-//
-// Neither is a single value. crypto/ecdsa deliberately reads zero or one
-// extra byte from its random source (randutil.MaybeReadByte) once in
-// GenerateKey/Sign and once more in the FIPS DRBG wrapper beneath, so for a
-// fixed source a key is one of three and a signature one of three per key.
-// dnssec.detachedReader keeps that from leaking into the world's own
-// generator, not out of the key bytes. The sets below are every outcome
-// the parent commit produces (64 world builds; each value seen ≥ 3 times):
-// a generator seeded differently lands outside them with certainty.
+// TestSignatureBytesUnchanged pins the world's cryptography: for world seed
+// 7, the DS digest of one signed adopter and the signature over its HTTPS
+// RRset. Keys derive from (seed, zone, role) and signatures are RFC 6979,
+// so each is one value, in every build of the world.
 func TestSignatureBytesUnchanged(t *testing.T) {
-	w, err := BuildWorld(WorldConfig{Size: 2000, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := findDomain(w, func(d *DomainState) bool {
-		return d.Signed && d.DSUploaded && d.Intermittent == IntermitNone && d.SwitchDay.IsZero() &&
-			d.Profile != ProfileNone && d.HTTPSPublished(answerTime, d.Providers[0])
-	})
-	if d == nil || d.Apex != "site000091.org." {
-		t.Fatalf("pinned domain is site000091.org., world seed 7 now picks %v", d)
-	}
-	var sig, digest string
-	resp := d.Providers[0].HandleDNSAt(dnswire.NewQuery(1, d.Apex, dnswire.TypeHTTPS, true), answerTime)
-	for _, rr := range resp.Answer {
-		if s, ok := rr.Data.(*dnswire.RRSIGData); ok {
-			sig = hex.EncodeToString(s.Signature)
+	const (
+		pinnedDomain   = "site000033.org."
+		pinnedDSDigest = "7a9895d30ae2e36b69476acdb36fc5da4c8c0572bbc33f9edf6d5c23a1a306d3"
+		pinnedHTTPSSig = "cf45f5c5b276aca9cc5e69db2ba593b64d9b9f8949c3f79a2f6a8110efe5c1f2" +
+			"3f61342816c7bd239e2bfaaa02e9cb0a6ff61cd7723e229b3fb550730eac1a31"
+		worlds = 8
+	)
+	for i := 0; i < worlds; i++ {
+		w, err := BuildWorld(WorldConfig{Size: 2000, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	resp = tldOf(t, w, d).HandleDNSAt(dnswire.NewQuery(2, d.Apex, dnswire.TypeDS, true), answerTime)
-	for _, rr := range resp.Answer {
-		if ds, ok := rr.Data.(*dnswire.DSData); ok {
-			digest = hex.EncodeToString(ds.Digest)
+		d := findDomain(w, func(d *DomainState) bool {
+			return d.Signed && d.DSUploaded && d.Intermittent == IntermitNone && d.SwitchDay.IsZero() &&
+				d.Profile != ProfileNone && d.HTTPSPublished(answerTime, d.Providers[0])
+		})
+		if d == nil || d.Apex != pinnedDomain {
+			t.Fatalf("pinned domain is %s, world seed 7 now picks %v", pinnedDomain, d)
 		}
-	}
-	if !slices.Contains(pinnedDSDigests, digest) {
-		t.Errorf("DS digest of %s = %s, not one of the parent commit's three", d.Apex, digest)
-	}
-	if !slices.Contains(pinnedHTTPSSignatures, sig) {
-		t.Errorf("HTTPS RRSIG of %s = %s, not one of the parent commit's nine", d.Apex, sig)
+		var sig, digest string
+		resp := d.Providers[0].HandleDNSAt(dnswire.NewQuery(1, d.Apex, dnswire.TypeHTTPS, true), answerTime)
+		for _, rr := range resp.Answer {
+			if s, ok := rr.Data.(*dnswire.RRSIGData); ok {
+				sig = hex.EncodeToString(s.Signature)
+			}
+		}
+		resp = tldOf(t, w, d).HandleDNSAt(dnswire.NewQuery(2, d.Apex, dnswire.TypeDS, true), answerTime)
+		for _, rr := range resp.Answer {
+			if ds, ok := rr.Data.(*dnswire.DSData); ok {
+				digest = hex.EncodeToString(ds.Digest)
+			}
+		}
+		if digest != pinnedDSDigest {
+			t.Errorf("world %d: DS digest of %s = %s, pinned %s", i, d.Apex, digest, pinnedDSDigest)
+		}
+		if sig != pinnedHTTPSSig {
+			t.Errorf("world %d: HTTPS RRSIG of %s = %s, pinned %s", i, d.Apex, sig, pinnedHTTPSSig)
+		}
 	}
 }
 
-var pinnedDSDigests = []string{
-	"746d4a95d6e8ed96b482c593978e40f7ea9d645c888de15bf3dd048491f853be",
-	"ab42913031465852aa4656b8ee3e3120501d8c6eff68435179f6ce0bf90fd6ae",
-	"ebe92713620dbac5de60259c4f0b1cc59d3561e504ba8835532f3ec23df86e09",
+// worldCrypto lists every key and signature byte a world serves: DNSKEY, DS
+// and RRSIG records of the root, of every TLD and of every signed domain,
+// packed and sorted. It goes through the caches the servers sign into, so
+// on a fresh world it is also what fills them.
+func worldCrypto(t *testing.T, w *World) []string {
+	var out []string
+	keep := func(sections ...[]dnswire.RR) {
+		for _, rrs := range sections {
+			for _, rr := range rrs {
+				switch rr.Type {
+				case dnswire.TypeDNSKEY, dnswire.TypeDS, dnswire.TypeRRSIG:
+					wire, err := dnswire.PackRR(rr)
+					if err != nil {
+						t.Errorf("packing %s %s: %v", rr.Name, rr.Type, err)
+					}
+					out = append(out, hex.EncodeToString(wire))
+				}
+			}
+		}
+	}
+	ask := func(h simnet.DNSHandlerAt, name string, typ dnswire.Type) {
+		resp := h.HandleDNSAt(dnswire.NewQuery(1, name, typ, true), answerTime)
+		keep(resp.Answer, resp.Authority)
+	}
+	root := func(name string, typ dnswire.Type) {
+		rrs, sigs, _ := w.RootZone.Lookup(name, typ)
+		keep(rrs, sigs)
+	}
+	root(".", dnswire.TypeDNSKEY)
+	root(".", dnswire.TypeSOA)
+	for tld, srv := range w.TLDs {
+		root(tld, dnswire.TypeDS)
+		for _, typ := range []dnswire.Type{dnswire.TypeDNSKEY, dnswire.TypeSOA, dnswire.TypeNS} {
+			ask(srv, tld, typ)
+		}
+	}
+	for _, d := range w.Domains {
+		if !d.Signed {
+			continue
+		}
+		ask(w.TLDs[dnswire.ParentName(d.Apex)], d.Apex, dnswire.TypeDS)
+		for _, typ := range []dnswire.Type{dnswire.TypeDNSKEY, dnswire.TypeHTTPS, dnswire.TypeA, dnswire.TypeSOA} {
+			ask(d.Providers[0], d.Apex, typ)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
-var pinnedHTTPSSignatures = []string{
-	"097ef93f05bd7ca54d6ade808546b50fa6f767839c6f35eee36ab9582ab9f7f10937d95b209c30d2f512579a28a102882e032792c12d8b719065c562342f9cdc",
-	"265a85765ad8995520ee52cb99bcde606ff24e98c6acbfc196146fcae01c35778d1f730ab09722cbc87cdf6fd1fbc3f534e67fab2a280b6fed809b21596706c5",
-	"3c5e9614ece751d4cbcb86535f74483d83cc5a0b5bbfd51441f92b7f725673bbafd58cf96f2a9a100b81f895aa85ac937d8c74977b6c9cb6fb1f6231739b4413",
-	"61686acbcd1bd03782c34071fdb12798233286d752100e1a853f09bb18865f6936bdf3d1fa8fe6818d39af428102a3a480f081e225cdc6f9e095d8b2868c0bbb",
-	"63f7636b4b5fa34141de7732808e0c5dcbf5bb1e64563b4bb91d3a1f672c6841f0094d58b6411b10d6861cf243dedb05f8391d8c2b671e75a49549f3c0ce7796",
-	"ac4bc554de79abd19321d60a366d9b0a4e484c2b2587101c9bfcc3bdd2e279c6cd4f5c11c21eeefd8b12c303e72b7ee933baccc387d897627b17eff5be43d463",
-	"cf3cf57b759428684edf9ae6b4e95a5571f56e5450f88691e11b6c7aeccc2e9c6267d0645d2fa14463ee241fbef115f4ff5a4622fd723ab6ac297739e9087f41",
-	"facfc7b55b7ed5822a2eb4eb3d5fcb6f4068e4a226cc7f34e7bf8f6ee2b07dca4bfb555a5d289ccd3973c77fec70c0a5658688232173acb97bf27207e5f3e62c",
-	"fe1165d6bfd8667b38e9b4f02d6dc4d97502a0921498ac136cbb2d255fe11c9494e2acef09578795faed26420dc01054048de205e54633c346f57bfc2252973b",
+// TestWorldCryptoIsReproducible: two worlds built from one config serve the
+// same key and signature bytes, and so does a world whose cold signature
+// caches eight goroutines fill at once.
+func TestWorldCryptoIsReproducible(t *testing.T) {
+	build := func() *World {
+		w, err := BuildWorld(WorldConfig{Size: 2000, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	want := worldCrypto(t, build())
+	if len(want) < 500 {
+		t.Fatalf("world serves %d key and signature records, want hundreds", len(want))
+	}
+	if got := worldCrypto(t, build()); !slices.Equal(got, want) {
+		t.Error("a second world from the same config serves different key or signature bytes")
+	}
+
+	raced := build()
+	const workers = 8
+	got := make([][]string, workers)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for i := range got {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			start.Wait()
+			got[i] = worldCrypto(t, raced)
+		}()
+	}
+	start.Done()
+	done.Wait()
+	for i := range got {
+		if !slices.Equal(got[i], want) {
+			t.Errorf("worker %d of a raced cold world saw different key or signature bytes", i)
+		}
+	}
 }

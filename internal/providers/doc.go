@@ -20,7 +20,8 @@
 // provider NS, glue and SOA RNAME values built on first use. Consumers copy
 // or Clone; none writes through RR.Data, and no answer is ever recycled as
 // a dnswire.UnpackInto target. Unsigned zones skip the signing path whole.
-// Keys and signatures are world fixture: generators are recycled
-// (seededRng), never re-seeded differently. docs/ARCHITECTURE.md,
-// "Authoritative side", has the tests that hold each rule.
+// Keys and signatures are world fixture: keys derive from (world seed,
+// zone, role) and signatures from (key, RRset), nothing else.
+// docs/ARCHITECTURE.md, "Authoritative side", has the tests that hold each
+// rule.
 package providers

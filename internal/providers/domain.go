@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"net/netip"
 	"sync"
 	"time"
@@ -142,7 +141,7 @@ type DomainState struct {
 	ksk     *dnssec.KeyPair
 	zsk     *dnssec.KeyPair
 	dnskeys []dnswire.RR // the DNSKEY RRset, shared by every answer
-	keySeed int64
+	keySeed int64        // the world seed the keys derive from
 
 	// sigCache holds one RRSIG per distinct RRset content ever served: the
 	// records are synthesized per query from schedules, so what they say,
@@ -160,25 +159,11 @@ func (d *DomainState) isWWW(name string) bool {
 	return len(name) == len(d.Apex)+4 && name[:4] == "www." && name[4:] == d.Apex
 }
 
-// seededRng returns a recycled generator re-seeded to seed, and the
-// function that hands it back. Seed restarts the stream a fresh
-// rand.New(rand.NewSource(seed)) would give, without allocating and
-// discarding 5 KB of generator state per use.
-func seededRng(seed int64) (*rand.Rand, func()) {
-	rng := rngPool.Get().(*rand.Rand)
-	rng.Seed(seed)
-	return rng, func() { rngPool.Put(rng) }
-}
-
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
-
-// keys lazily generates the domain's signing keys (deterministic per seed).
+// keys lazily derives the domain's signing keys from the world seed.
 func (d *DomainState) keys() (*dnssec.KeyPair, *dnssec.KeyPair) {
 	d.keyOnce.Do(func() {
-		rng, release := seededRng(d.keySeed)
-		defer release()
-		d.ksk, _ = dnssec.GenerateKey(rng, d.Apex, true)
-		d.zsk, _ = dnssec.GenerateKey(rng, d.Apex, false)
+		d.ksk = dnssec.DeriveKey(d.keySeed, d.Apex, true)
+		d.zsk = dnssec.DeriveKey(d.keySeed, d.Apex, false)
 		d.dnskeys = []dnswire.RR{d.ksk.DNSKEY(3600), d.zsk.DNSKEY(3600)}
 	})
 	return d.ksk, d.zsk
@@ -372,10 +357,7 @@ func (d *DomainState) signRRset(rrs []dnswire.RR) (dnswire.RR, bool) {
 	if sig, ok := d.sigCache[key]; ok {
 		return sig, true
 	}
-	// The nonce stream is part of the world: seeded as it always was.
-	rng, release := seededRng(d.keySeed ^ int64(len(key))*7919 ^ int64(key[0]))
-	defer release()
-	sig, err := dnssec.SignRRset(rng, signer, rrs, sigInception, sigExpiration)
+	sig, err := dnssec.SignRRset(signer, rrs, sigInception, sigExpiration)
 	if err != nil {
 		return dnswire.RR{}, false
 	}

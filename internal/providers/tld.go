@@ -1,7 +1,6 @@
 package providers
 
 import (
-	"math/rand"
 	"net/netip"
 	"sync"
 	"time"
@@ -34,28 +33,20 @@ type TLDServer struct {
 // "dnskey") or, with kind "ds|", the DS set of a delegated apex.
 type sigKey struct{ kind, apex string }
 
-// NewTLDServer creates a signed TLD server. Keys are generated from rng.
-func NewTLDServer(tld string, addr netip.Addr, clock *simnet.Clock, rng *rand.Rand) (*TLDServer, error) {
+// NewTLDServer creates a signed TLD server whose keys derive from seed.
+func NewTLDServer(tld string, addr netip.Addr, clock *simnet.Clock, seed int64) *TLDServer {
 	tld = dnswire.CanonicalName(tld)
-	ksk, err := dnssec.GenerateKey(rng, tld, true)
-	if err != nil {
-		return nil, err
-	}
-	zsk, err := dnssec.GenerateKey(rng, tld, false)
-	if err != nil {
-		return nil, err
-	}
 	return &TLDServer{
 		TLD:     tld,
 		Host:    "a.nic-sim." + tld,
 		Addr:    addr,
 		Clock:   clock,
-		ksk:     ksk,
-		zsk:     zsk,
+		ksk:     dnssec.DeriveKey(seed, tld, true),
+		zsk:     dnssec.DeriveKey(seed, tld, false),
 		domains: map[string]*DomainState{},
 		infra:   map[string]*Provider{},
 		sigs:    map[sigKey][]dnswire.RR{},
-	}, nil
+	}
 }
 
 // DS returns the TLD's own DS record for the root zone.
@@ -96,9 +87,7 @@ func (s *TLDServer) signCached(key sigKey, rrs []dnswire.RR) []dnswire.RR {
 	if rrs[0].Type == dnswire.TypeDNSKEY {
 		signer = s.ksk
 	}
-	rng, release := seededRng(int64(len(key.kind)+len(key.apex)) * 2654435761)
-	defer release()
-	rr, err := dnssec.SignRRset(rng, signer, rrs, sigInception, sigExpiration)
+	rr, err := dnssec.SignRRset(signer, rrs, sigInception, sigExpiration)
 	if err != nil {
 		return nil
 	}

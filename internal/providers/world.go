@@ -102,7 +102,7 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 	}
 
 	w.buildProviders(rng)
-	if err := w.buildTLDsAndRoot(rng); err != nil {
+	if err := w.buildTLDsAndRoot(); err != nil {
 		return nil, err
 	}
 	w.buildDomains(rng)
@@ -168,7 +168,7 @@ func (w *World) addProvider(p *Provider) {
 
 // buildTLDsAndRoot creates one signed TLD server per TLD in the universe
 // plus the signed root zone holding their DS records.
-func (w *World) buildTLDsAndRoot(rng *rand.Rand) error {
+func (w *World) buildTLDsAndRoot() error {
 	w.RootAddr = netip.MustParseAddr("198.41.0.4")
 
 	root := zone.New(".")
@@ -184,8 +184,8 @@ func (w *World) buildTLDsAndRoot(rng *rand.Rand) error {
 	}
 	// Provider infra domains live under com.
 	tldSet["com."] = true
-	// Iterate in sorted order: NewTLDServer consumes rng, so map-order
-	// iteration would make the whole world nondeterministic per seed.
+	// Iterate in sorted order: each TLD takes the allocator's next address,
+	// so map-order iteration would number the world differently every run.
 	tlds := make([]string, 0, len(tldSet))
 	for tld := range tldSet {
 		tlds = append(tlds, tld)
@@ -194,10 +194,7 @@ func (w *World) buildTLDsAndRoot(rng *rand.Rand) error {
 
 	for _, tld := range tlds {
 		addr := w.Alloc.AllocV4("TLDRegistry")
-		srv, err := NewTLDServer(tld, addr, w.Clock, rng)
-		if err != nil {
-			return err
-		}
+		srv := NewTLDServer(tld, addr, w.Clock, w.Cfg.Seed)
 		w.TLDs[tld] = srv
 		w.Net.RegisterDNS(addr, srv)
 		root.Add(dnswire.RR{Name: tld, Type: dnswire.TypeNS, Class: dnswire.ClassINET,
@@ -210,7 +207,7 @@ func (w *World) buildTLDsAndRoot(rng *rand.Rand) error {
 		}
 		root.Add(ds)
 	}
-	if err := root.Sign(rng, sigInception, sigExpiration); err != nil {
+	if err := root.Sign(w.Cfg.Seed, sigInception, sigExpiration); err != nil {
 		return err
 	}
 	w.RootZone = root
@@ -248,7 +245,7 @@ func (w *World) buildDomains(rng *rand.Rand) {
 			Apex:    apex,
 			TTL:     w.Cal.RecordTTL,
 			HasWWW:  drng.Float64() < 0.95,
-			keySeed: w.Cfg.Seed ^ hashName(apex) ^ 0x5eed,
+			keySeed: w.Cfg.Seed,
 		}
 		d.OriginV4 = w.Alloc.AllocV4("Origin-" + hostingOrg(drng))
 		d.OriginV6 = w.Alloc.AllocV6("Origin-" + hostingOrg(drng))

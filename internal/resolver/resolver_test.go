@@ -1,7 +1,6 @@
 package resolver
 
 import (
-	"math/rand"
 	"net/netip"
 	"testing"
 	"time"
@@ -37,7 +36,6 @@ func nsRR(zone, host string) dnswire.RR {
 
 func buildWorld(t *testing.T, sign bool, uploadDS bool) *testWorld {
 	t.Helper()
-	rng := rand.New(rand.NewSource(7))
 	clock := simnet.NewClock(time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC))
 	n := simnet.New(clock)
 
@@ -71,7 +69,7 @@ func buildWorld(t *testing.T, sign bool, uploadDS bool) *testWorld {
 	inception := clock.Now().Add(-time.Hour)
 	expiration := clock.Now().Add(90 * 24 * time.Hour)
 	if sign {
-		if err := exZone.Sign(rng, inception, expiration); err != nil {
+		if err := exZone.Sign(7, inception, expiration); err != nil {
 			t.Fatal(err)
 		}
 		if uploadDS {
@@ -81,7 +79,7 @@ func buildWorld(t *testing.T, sign bool, uploadDS bool) *testWorld {
 			}
 			comZone.Add(ds)
 		}
-		if err := comZone.Sign(rng, inception, expiration); err != nil {
+		if err := comZone.Sign(7, inception, expiration); err != nil {
 			t.Fatal(err)
 		}
 		comDS, err := comZone.DS()
@@ -89,7 +87,7 @@ func buildWorld(t *testing.T, sign bool, uploadDS bool) *testWorld {
 			t.Fatal(err)
 		}
 		rootZone.Add(comDS)
-		if err := rootZone.Sign(rng, inception, expiration); err != nil {
+		if err := rootZone.Sign(7, inception, expiration); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -5,7 +5,6 @@ package zone
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -188,24 +187,18 @@ func (z *Zone) Signed() bool {
 	return z.ksk != nil
 }
 
-// Sign generates KSK/ZSK keys (if not provided), publishes the DNSKEY RRset,
-// and signs every RRset in the zone: the DNSKEY RRset with the KSK,
-// everything else with the ZSK. Delegation NS RRsets (and glue) are not
-// signed, matching authoritative behaviour.
-func (z *Zone) Sign(rng io.Reader, inception, expiration time.Time) error {
-	ksk, err := dnssec.GenerateKey(rng, z.Origin, true)
-	if err != nil {
-		return err
-	}
-	zsk, err := dnssec.GenerateKey(rng, z.Origin, false)
-	if err != nil {
-		return err
-	}
-	return z.SignWith(rng, ksk, zsk, inception, expiration)
+// Sign derives the zone's KSK and ZSK from seed (dnssec.DeriveKey),
+// publishes the DNSKEY RRset, and signs every RRset in the zone: the DNSKEY
+// RRset with the KSK, everything else with the ZSK. Delegation NS RRsets
+// (and glue) are not signed, matching authoritative behaviour.
+func (z *Zone) Sign(seed int64, inception, expiration time.Time) error {
+	return z.SignWith(dnssec.DeriveKey(seed, z.Origin, true), dnssec.DeriveKey(seed, z.Origin, false), inception, expiration)
 }
 
-// SignWith signs the zone with caller-provided keys.
-func (z *Zone) SignWith(rng io.Reader, ksk, zsk *dnssec.KeyPair, inception, expiration time.Time) error {
+// SignWith signs the zone with caller-provided keys. A signature depends on
+// its key and its RRset alone, so the order the sets are visited in does
+// not show in the result.
+func (z *Zone) SignWith(ksk, zsk *dnssec.KeyPair, inception, expiration time.Time) error {
 	z.mu.Lock()
 	defer z.mu.Unlock()
 	z.ksk, z.zsk = ksk, zsk
@@ -215,21 +208,7 @@ func (z *Zone) SignWith(rng io.Reader, ksk, zsk *dnssec.KeyPair, inception, expi
 	dnskeyRRs := []dnswire.RR{ksk.DNSKEY(3600), zsk.DNSKEY(3600)}
 	z.rrsets[rrsetKey{name: z.Origin, typ: dnswire.TypeDNSKEY}] = dnskeyRRs
 
-	// Sign in sorted order: ECDSA signing consumes a variable number of
-	// rng bytes, so map-order iteration would leave the shared rng in a
-	// different state on every run, breaking seed determinism world-wide.
-	keys := make([]rrsetKey, 0, len(z.rrsets))
-	for k := range z.rrsets {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].name != keys[j].name {
-			return keys[i].name < keys[j].name
-		}
-		return keys[i].typ < keys[j].typ
-	})
-	for _, k := range keys {
-		rrs := z.rrsets[k]
+	for k, rrs := range z.rrsets {
 		if k.typ == dnswire.TypeRRSIG {
 			continue
 		}
@@ -244,7 +223,7 @@ func (z *Zone) SignWith(rng io.Reader, ksk, zsk *dnssec.KeyPair, inception, expi
 		if k.typ == dnswire.TypeDNSKEY {
 			signer = ksk
 		}
-		sig, err := dnssec.SignRRset(rng, signer, rrs, inception, expiration)
+		sig, err := dnssec.SignRRset(signer, rrs, inception, expiration)
 		if err != nil {
 			return fmt.Errorf("zone %s: signing %s/%s: %w", z.Origin, k.name, k.typ, err)
 		}

@@ -238,9 +238,12 @@ func (w *World) buildDomains(rng *rand.Rand) {
 	windowDays := 1.0 / rate
 	windowStart := StudyStart.Add(-time.Duration(w.Cal.TailAdoptAtStart*windowDays*24) * time.Hour)
 
+	// One generator, re-seeded per domain: Seed restarts the stream a new
+	// source would give, without 5 KB of generator state per domain.
+	drng := rand.New(rand.NewSource(0))
 	for _, name := range w.Tranco.Universe() {
 		apex := dnswire.CanonicalName(name)
-		drng := rand.New(rand.NewSource(w.Cfg.Seed ^ hashName(apex)))
+		drng.Seed(w.Cfg.Seed ^ hashName(apex))
 		d := &DomainState{
 			Apex:    apex,
 			TTL:     w.Cal.RecordTTL,

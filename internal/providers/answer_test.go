@@ -171,6 +171,16 @@ func TestTLDSignsOncePerRRset(t *testing.T) {
 	}
 }
 
+// buildSeed7World builds the world whose key and signature bytes are pinned.
+func buildSeed7World(t *testing.T) *World {
+	t.Helper()
+	w, err := BuildWorld(WorldConfig{Size: 2000, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
 // TestSignatureBytesUnchanged pins the world's cryptography: for world seed
 // 7, the DS digest of one signed adopter and the signature over its HTTPS
 // RRset. Keys derive from (seed, zone, role) and signatures are RFC 6979,
@@ -184,10 +194,7 @@ func TestSignatureBytesUnchanged(t *testing.T) {
 		worlds = 8
 	)
 	for i := 0; i < worlds; i++ {
-		w, err := BuildWorld(WorldConfig{Size: 2000, Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
+		w := buildSeed7World(t)
 		d := findDomain(w, func(d *DomainState) bool {
 			return d.Signed && d.DSUploaded && d.Intermittent == IntermitNone && d.SwitchDay.IsZero() &&
 				d.Profile != ProfileNone && d.HTTPSPublished(answerTime, d.Providers[0])
@@ -270,22 +277,15 @@ func worldCrypto(t *testing.T, w *World) []string {
 // same key and signature bytes, and so does a world whose cold signature
 // caches eight goroutines fill at once.
 func TestWorldCryptoIsReproducible(t *testing.T) {
-	build := func() *World {
-		w, err := BuildWorld(WorldConfig{Size: 2000, Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w
-	}
-	want := worldCrypto(t, build())
+	want := worldCrypto(t, buildSeed7World(t))
 	if len(want) < 500 {
 		t.Fatalf("world serves %d key and signature records, want hundreds", len(want))
 	}
-	if got := worldCrypto(t, build()); !slices.Equal(got, want) {
+	if got := worldCrypto(t, buildSeed7World(t)); !slices.Equal(got, want) {
 		t.Error("a second world from the same config serves different key or signature bytes")
 	}
 
-	raced := build()
+	raced := buildSeed7World(t)
 	const workers = 8
 	got := make([][]string, workers)
 	var start, done sync.WaitGroup

@@ -192,7 +192,9 @@ func (z *Zone) Signed() bool {
 // RRset with the KSK, everything else with the ZSK. Delegation NS RRsets
 // (and glue) are not signed, matching authoritative behaviour.
 func (z *Zone) Sign(seed int64, inception, expiration time.Time) error {
-	return z.SignWith(dnssec.DeriveKey(seed, z.Origin, true), dnssec.DeriveKey(seed, z.Origin, false), inception, expiration)
+	ksk := dnssec.DeriveKey(seed, z.Origin, true)
+	zsk := dnssec.DeriveKey(seed, z.Origin, false)
+	return z.SignWith(ksk, zsk, inception, expiration)
 }
 
 // SignWith signs the zone with caller-provided keys. A signature depends on

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt bench bench-micro bench-smoke profile fuzz-smoke trace-demo slo-demo verify
+.PHONY: all build test race vet fmt bench bench-micro bench-smoke profile fuzz-smoke trace-demo slo-demo verify loc
 
 all: build test
 
@@ -27,6 +27,14 @@ race:
 # module: bench/ compiles against this module's exported surface, so its
 # vet and tests are what catch a signature the harness depends on moving.
 verify: build test bench-smoke
+
+# The roadmap's aim-2 yardstick: non-test Go lines outside bench/, per
+# top-level directory (and per package under internal/) and in total.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 wc -l | \
+	awk '$$2 != "total" { split($$2, p, "/"); n[p[2]] += $$1; t += $$1; \
+		if (p[2] == "internal") n[p[2] "/" p[3]] += $$1 } \
+	END { for (d in n) printf "%-22s %6d\n", d, n[d]; printf "%-22s %6d\n", "total", t }' | sort
 
 vet:
 	$(GO) vet ./...

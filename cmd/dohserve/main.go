@@ -48,14 +48,17 @@
 // goroutine scheduling (the span trees stay valid; which exchanges they
 // cover would not be reproducible for a seed).
 //
-// -tail K adds tail-based retention: every exchange is traced into a
-// scratch buffer and kept only if anomalous — an error, SERVFAIL,
-// stale-served answer, failover, race, or hedge, or (with -taillat) a
-// virtual cost at or over the threshold — ranked in a top-K ring by
-// cost and dumped after the load. Tail retention keys on per-exchange
-// properties rather than arrival index, so -tail lifts the single-
-// worker forcing: a concurrent drill still catches every anomalous
-// exchange the ring has room for, which is the point of tail sampling.
+// -tail K adds tail-based retention: every exchange's outcome is judged
+// when it finishes and the exchange is kept if anomalous — an error,
+// SERVFAIL, stale-served answer, failover, race, or hedge, or (with
+// -taillat) a virtual cost at or over the threshold — ranked in a top-K
+// ring by cost and dumped after the load as name, cost and flags. Only
+// head-sampled exchanges record spans, so -trace N -tail K together
+// (every exchange sampled) is how to get span trees for the retained
+// anomalies. Tail retention keys on per-exchange properties rather than
+// arrival index, so -tail lifts the single-worker forcing: a concurrent
+// drill still catches every anomalous exchange the ring has room for,
+// which is the point of tail sampling.
 //
 // All reporting reads one obs registry snapshot (Fleet.Metrics) instead
 // of per-struct counters; chaos mode diffs snapshots against a
@@ -127,7 +130,7 @@ func main() {
 	kill := flag.Int("kill", 1, "frontends to mark unreachable halfway through (ignored with -chaos)")
 	post := flag.Bool("post", false, "use POST envelopes instead of GET")
 	traceN := flag.Int("trace", 0, "trace every exchange and dump the N slowest span trees (forces -workers 1 unless -tail is on)")
-	tailK := flag.Int("tail", 0, "tail-sample anomalous exchanges into a top-K ring and dump them after the load (0 disables)")
+	tailK := flag.Int("tail", 0, "tail-sample anomalous exchanges into a top-K ring and dump name, cost and flags after the load (0 disables; add -trace N for their span trees)")
 	tailLat := flag.Duration("taillat", 0, "with -tail: also retain exchanges at or over this virtual cost")
 	staleWindow := flag.Duration("stalewindow", time.Hour, "RFC 8767 serve-stale window (0 disables)")
 	refreshAhead := flag.Float64("refreshahead", 0.8, "prefetch at this fraction of TTL elapsed (0 disables)")

@@ -126,28 +126,15 @@ type CampaignConfig struct {
 	// AnomalyCapture enables the campaign's anomaly tier on the daily
 	// pipeline: each per-day fleet replica carries a flight recorder
 	// (obs.Recorder) and a tail-sampling tracer, and every scan day whose
-	// anomaly trigger holds — any stable event fired, or an SLO objective
-	// was violated — commits a dataset.AnomalyCapture bundle: the stable
-	// SLO verdict, the recorder's exact stable event counts, and the tail
-	// ring's stable trace projections. Captures are built exclusively
-	// from schedule-independent inputs, so pipelined campaigns stay
-	// byte-identical with the tier on. Requires DoHFrontends > 0; ScanDay
-	// (the live-clock entry point) does not capture.
+	// anomaly trigger holds — any stable event fired, or an objective of
+	// obs.DefaultSLO was violated — commits a dataset.AnomalyCapture
+	// bundle: the stable SLO verdict, the recorder's exact stable event
+	// counts, and the tail ring's stable trace projections. Captures are
+	// built exclusively from schedule-independent inputs, so pipelined
+	// campaigns stay byte-identical with the tier on. Requires
+	// DoHFrontends > 0. Hourly-ECH scans store no captures, so their
+	// per-hour replicas carry no tier.
 	AnomalyCapture bool
-	// RecorderCapacity bounds each replica's flight-recorder event ring;
-	// zero selects obs.DefaultRecorderCapacity. Overflow never perturbs
-	// captures (stable counts are eviction-immune) — it only truncates
-	// the live event window.
-	RecorderCapacity int
-	// TailTopK bounds each replica tracer's tail ring; zero selects
-	// obs.DefaultTailTopK.
-	TailTopK int
-	// TailLatency additionally tail-retains any exchange whose virtual
-	// cost reaches the threshold; zero keeps flagged anomalies only.
-	TailLatency time.Duration
-	// SLO sets the objectives scan days are judged against when
-	// AnomalyCapture is on; the zero value selects obs.DefaultSLO().
-	SLO obs.SLO
 	// TelemetryInterval enables campaign telemetry series when positive
 	// and a fleet is configured: each scan day's fleet registry is
 	// sampled into a dataset.TelemetrySeries (stable metrics only, so
@@ -168,10 +155,11 @@ type Campaign struct {
 	Store   *dataset.Store
 
 	// Fleet is the encrypted-DNS serving layer, populated when
-	// Cfg.DoHFrontends is positive: the campaign-level fleet used by
-	// single-day ScanDay calls and RunHourlyECH. Pipelined days build
-	// per-day replicas at the same addresses (Fleet.Addrs) with the same
-	// protocol assignment.
+	// Cfg.DoHFrontends is positive: the campaign-level fleet the
+	// campaign's own Scanner queries through (the hourly-ECH discovery
+	// scan) and cmd/dohserve drives directly. Pipelined days and hours
+	// build per-context replicas at the same addresses (Fleet.Addrs) with
+	// the same protocol assignment.
 	Fleet *transport.Fleet
 }
 
@@ -249,7 +237,8 @@ func frontendRecursor(g, cf simnet.DNSHandler, i int) (simnet.DNSHandler, string
 // campaign mix — over the two public recursors with a shared answer cache
 // and routes the scanner through the pool. The campaign-level client
 // charges its synthetic latency to the world clock, so serving-layer
-// queueing delay is observable in single-day and hourly experiments.
+// queueing delay is observable to whoever drives this fleet directly
+// (cmd/dohserve's load and chaos drills).
 func (c *Campaign) buildFleet(n int, mix transport.Mix) {
 	w := c.World
 	fl := transport.NewFleet(w.Net, w.Clock, transport.FleetConfig{
@@ -281,17 +270,13 @@ var connectivityProbeStart = time.Date(2024, 1, 24, 0, 0, 0, 0, time.UTC)
 type scanContext struct {
 	scanner *scanner.Scanner
 	prober  scanner.Prober
-	// clock is the context's virtual clock (the world clock for ScanDay's
-	// shared context) — the clock the workload engine advances.
+	// clock is the context's virtual clock — the clock the workload
+	// engine advances.
 	clock *simnet.Clock
-	// fleet is the serving layer the day's queries ride (a per-day
-	// replica, or the campaign fleet for ScanDay); servingBase holds its
-	// counters at context creation so the day records deltas, and
-	// staleBase/negativeBase do the same for the stub-side counters.
-	fleet        *transport.Fleet
-	servingBase  transport.FrontendStats
-	staleBase    uint64
-	negativeBase uint64
+	// fleet is the context's serving-layer replica (nil for a direct
+	// campaign). Its counters start at zero, so what they read at the end
+	// of the unit is the unit's own traffic.
+	fleet *transport.Fleet
 	// sampler collects the day's telemetry series (stable metrics only)
 	// when Cfg.TelemetryInterval is set; nil-safe when disabled. Context
 	// clocks are frozen, so runDay forces a sample at each stage boundary
@@ -317,9 +302,12 @@ func (p dayProber) ProbeTLS(apex string, addr netip.Addr) error {
 // the campaign runs an encrypted serving layer — a fleet replica (fresh
 // sharded cache, fresh pool state seeded per context, identical protocol
 // assignment) at the same frontend addresses. seed differentiates the
-// replica's pool/routing randomness per context; withSampler attaches a
-// telemetry sampler (day contexts only — hour contexts snapshot their
-// registry directly).
+// replica's pool/routing randomness per context. A day context
+// additionally carries what only the daily pipeline reads back: the
+// telemetry sampler and, with Cfg.AnomalyCapture, the anomaly tier (tail
+// tracer + flight recorder) its capture bundle is built from. Hour
+// contexts keep the registry counters RunHourlyECH snapshots and nothing
+// else.
 //
 // Replica clients keep the synthetic latency for pool routing but do NOT
 // charge it to the context's clock: concurrent scan workers would
@@ -327,7 +315,7 @@ func (p dayProber) ProbeTLS(apex string, addr netip.Addr) error {
 // clock can move time-sensitive answers (ECH configs rotate on a
 // 76-minute period) — freezing the context's clock is what makes a
 // mixed-protocol pipelined campaign byte-identical to the serial run.
-func (c *Campaign) newScanContext(at time.Time, seed int64, withSampler bool) *scanContext {
+func (c *Campaign) newScanContext(at time.Time, seed int64, day bool) *scanContext {
 	clock := simnet.NewClock(at)
 	net := c.World.Net.WithClock(clock)
 	g := c.World.GoogleResolver.Fork(net)
@@ -338,18 +326,16 @@ func (c *Campaign) newScanContext(at time.Time, seed int64, withSampler bool) *s
 	dc := &scanContext{prober: dayProber{w: c.World, clock: clock}, clock: clock}
 	var t scanner.Transport
 	if c.Fleet != nil {
-		// The anomaly tier rides each replica: the tail tracer keeps
+		// The anomaly tier rides each day replica: the tracer keeps
 		// default-rate head sampling (the baseline ring is in-memory only —
 		// nothing schedule-dependent is stored from it) and adds the
 		// flagged-anomaly tail ring; the recorder collects typed events the
 		// capture bundle counts.
 		var tracer *obs.Tracer
 		var recorder *obs.Recorder
-		if c.Cfg.AnomalyCapture {
-			tracer = obs.NewTracer(clock, obs.TraceConfig{
-				Tail: &obs.TailConfig{Latency: c.Cfg.TailLatency, TopK: c.Cfg.TailTopK},
-			})
-			recorder = obs.NewRecorder(clock, c.Cfg.RecorderCapacity)
+		if day && c.Cfg.AnomalyCapture {
+			tracer = obs.NewTracer(clock, obs.TraceConfig{Tail: &obs.TailConfig{}})
+			recorder = obs.NewRecorder(clock, 0)
 		}
 		fl := transport.NewFleet(net, clock, transport.FleetConfig{
 			Balance: c.Cfg.DoHBalance, Seed: seed,
@@ -368,7 +354,7 @@ func (c *Campaign) newScanContext(at time.Time, seed int64, withSampler bool) *s
 		}
 		dc.fleet = fl
 		t = fl.Client
-		if withSampler && c.Cfg.TelemetryInterval > 0 {
+		if day && c.Cfg.TelemetryInterval > 0 {
 			dc.sampler = obs.NewSampler(fl.Metrics, clock, c.Cfg.TelemetryInterval, true)
 		}
 	}
@@ -390,29 +376,28 @@ func (c *Campaign) newHourContext(now time.Time) *scanContext {
 	return c.newScanContext(now, c.Cfg.Seed^now.Unix(), false)
 }
 
-// servingSnapshot derives the day's serving-layer record (as a delta
-// against the context's base, so ScanDay's reuse of the cumulative
-// campaign fleet records per-day numbers too). The staleness and
-// negative counters come from the stub client — one count per exchange
-// winner — rather than the frontends: a racing or hedging strategy
-// touches a schedule-dependent number of frontends per exchange, and
-// per-attempt counters would break the serial/pipelined store equality
-// the campaign guarantees. Prefetches stay frontend-side (armed at most
-// once per cache-entry generation, so attempt count cannot inflate
-// them), as do upstream failures (zero in a healthy world; chaos drills
-// do not byte-compare stores).
+// servingSnapshot derives the day's serving-layer record from the day
+// replica's counters. The staleness and negative counters come from the
+// stub client — one count per exchange winner — rather than the
+// frontends: a racing or hedging strategy touches a schedule-dependent
+// number of frontends per exchange, and per-attempt counters would break
+// the serial/pipelined store equality the campaign guarantees.
+// Prefetches stay frontend-side (armed at most once per cache-entry
+// generation, so attempt count cannot inflate them), as do upstream
+// failures (zero in a healthy world; chaos drills do not byte-compare
+// stores).
 func (c *Campaign) servingSnapshot(dc *scanContext, day time.Time) *dataset.ServingSnapshot {
 	if dc.fleet == nil {
 		return nil
 	}
-	now := dc.fleet.TotalStats()
+	total := dc.fleet.TotalStats()
 	return &dataset.ServingSnapshot{
 		Date:             day,
 		StaleWindowSec:   int64(dc.fleet.Cache.Config().StaleWindow / time.Second),
-		StaleServed:      dc.fleet.Client.StaleAnswers() - dc.staleBase,
-		NegativeHits:     dc.fleet.Client.NegativeAnswers() - dc.negativeBase,
-		Prefetches:       now.Prefetches - dc.servingBase.Prefetches,
-		UpstreamFailures: now.UpstreamFailures - dc.servingBase.UpstreamFailures,
+		StaleServed:      dc.fleet.Client.StaleAnswers(),
+		NegativeHits:     dc.fleet.Client.NegativeAnswers(),
+		Prefetches:       total.Prefetches,
+		UpstreamFailures: total.UpstreamFailures,
 	}
 }
 
@@ -430,15 +415,6 @@ type dayResult struct {
 	telemetry      *dataset.TelemetrySeries
 	anomaly        *dataset.AnomalyCapture
 	probes         []dataset.ProbeResult
-}
-
-// slo resolves the campaign's objective set (the zero config selects
-// the obs defaults).
-func (c *Campaign) slo() obs.SLO {
-	if c.Cfg.SLO.Enabled() {
-		return c.Cfg.SLO
-	}
-	return obs.DefaultSLO()
 }
 
 // stableTailFlags are the winner-side trace flags a stored anomaly
@@ -490,7 +466,7 @@ func (c *Campaign) anomalyCapture(dc *scanContext, day time.Time) *dataset.Anoma
 		return nil
 	}
 	stats := obs.SLOStatsFrom(dc.fleet.Metrics.StableSnapshot())
-	rep := c.slo().Eval(stats)
+	rep := obs.DefaultSLO().Eval(stats)
 	events := dc.fleet.Recorder.StableCounts()
 	traces := stableTailTraces(dc.fleet.Client.Tracer)
 	if rep.Violations == 0 && len(events) == 0 && len(traces) == 0 {
@@ -516,8 +492,7 @@ func (c *Campaign) anomalyCapture(dc *scanContext, day time.Time) *dataset.Anoma
 // runDay performs one day's full scan sequence inside the given context.
 // With telemetry enabled, a stable-metrics sample is forced at each stage
 // boundary — per-day clocks are frozen, so interval ticks could never
-// fire; stage boundaries are the natural deterministic sample points and
-// work identically for ScanDay's live world clock.
+// fire; stage boundaries are the natural deterministic sample points.
 func (c *Campaign) runDay(dc *scanContext, day time.Time) (*dayResult, error) {
 	list := c.World.Tranco.ListFor(day)
 	res := &dayResult{day: day, list: list}
@@ -690,40 +665,6 @@ func (c *Campaign) RunDaily() error {
 	// Leave the world clock where the serial walk used to: at the final
 	// scan day, so follow-on one-shot experiments see the same time.
 	c.World.Clock.Set(days[len(days)-1].Add(12 * time.Hour))
-	return nil
-}
-
-// ScanDay performs one day's full scan sequence on the shared world clock
-// (the campaign-level scanner, recursors, and fleet), for callers driving
-// single days by hand.
-//
-// Clock semantics differ deliberately from RunDaily when a fleet is
-// configured: the campaign-level client charges its synthetic serving
-// latency to the world clock (queueing delay is observable, cooldowns
-// expire under load — the live-drive behavior cmd/dohserve relies on),
-// while RunDaily's per-day replicas freeze their clocks for bitwise
-// reproducibility. A day scanned here is therefore not byte-comparable
-// to the same day collected by RunDaily; within either entry point,
-// results are deterministic.
-func (c *Campaign) ScanDay(day time.Time) error {
-	// Scans run mid-day so date-boundary schedules behave sharply.
-	c.World.Clock.Set(day.Add(12 * time.Hour))
-	dc := &scanContext{scanner: c.Scanner, prober: c.World, fleet: c.Fleet, clock: c.World.Clock}
-	if c.Fleet != nil {
-		// The campaign fleet's counters are cumulative across calls;
-		// record this day as a delta.
-		dc.servingBase = c.Fleet.TotalStats()
-		dc.staleBase = c.Fleet.Client.StaleAnswers()
-		dc.negativeBase = c.Fleet.Client.NegativeAnswers()
-		if c.Cfg.TelemetryInterval > 0 {
-			dc.sampler = obs.NewSampler(c.Fleet.Metrics, c.World.Clock, c.Cfg.TelemetryInterval, true)
-		}
-	}
-	res, err := c.runDay(dc, day)
-	if err != nil {
-		return err
-	}
-	c.commitDay(res)
 	return nil
 }
 

@@ -78,15 +78,18 @@ func TestRunDailyCollectsAllDatasets(t *testing.T) {
 // bare-stub path, with the fleet demonstrably in the loop.
 func TestCampaignThroughDoHFleet(t *testing.T) {
 	day := time.Date(2023, 9, 6, 0, 0, 0, 0, time.UTC)
-	bare, err := NewCampaign(CampaignConfig{Size: 800, Seed: 17})
+	bare, err := NewCampaign(CampaignConfig{Size: 800, Seed: 17, Start: day, End: day})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bare.ScanDay(day); err != nil {
+	if err := bare.RunDaily(); err != nil {
 		t.Fatal(err)
 	}
 
-	fleet, err := NewCampaign(CampaignConfig{Size: 800, Seed: 17, DoHFrontends: 3})
+	fleet, err := NewCampaign(CampaignConfig{
+		Size: 800, Seed: 17, Start: day, End: day,
+		DoHFrontends: 3, TelemetryInterval: time.Hour,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +97,7 @@ func TestCampaignThroughDoHFleet(t *testing.T) {
 		t.Fatalf("fleet not built: %d frontends, %d pool members",
 			len(fleet.Fleet.Frontends), fleet.Fleet.Pool.Len())
 	}
-	if err := fleet.ScanDay(day); err != nil {
+	if err := fleet.RunDaily(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -113,15 +116,39 @@ func TestCampaignThroughDoHFleet(t *testing.T) {
 			t.Errorf("adopter %s lost through the DoH layer", name)
 		}
 	}
-	if fleet.Fleet.TotalStats().Served == 0 {
+	// The day ran on a replica of the fleet, which is gone once the day
+	// commits; what it left in the store shows it carried the scan. The
+	// stub-side negative count only moves on exchanges through the fleet
+	// client (most of the list publishes no HTTPS record).
+	serving, ok := fleet.Store.ServingFor(day)
+	if !ok {
+		t.Fatal("serving snapshot not recorded for the scanned day")
+	}
+	if serving.NegativeHits == 0 {
+		t.Error("serving snapshot counts no negative answers through the fleet client")
+	}
+	series, ok := fleet.Store.TelemetryFor("daily", day)
+	if !ok || len(series.Points) == 0 {
+		t.Fatal("no daily telemetry series for the scanned day")
+	}
+	last := series.Points[len(series.Points)-1]
+	if last.Value("client_exchanges_total") == 0 {
 		t.Error("DoH frontends saw no traffic during the scan")
 	}
-	if fleet.Fleet.Cache.Stats().Hits == 0 {
+	if last.Value("pool_members") != 3 {
+		t.Errorf("day replica pool had %v members, want 3", last.Value("pool_members"))
+	}
+	// Cache counters are schedule-dependent and never stored, so look
+	// inside a day context built the way RunDaily builds them.
+	dc := fleet.newDayContext(day)
+	if _, err := fleet.runDay(dc, day); err != nil {
+		t.Fatal(err)
+	}
+	if dc.fleet.Cache.Stats().Hits == 0 {
 		t.Error("shared cache absorbed nothing (www scan re-queries apex NS/SOA)")
 	}
-	// ScanDay records the day's serving-layer lifecycle snapshot.
-	if _, ok := fleet.Store.ServingFor(day); !ok {
-		t.Error("serving snapshot not recorded for the scanned day")
+	if fleet.Fleet.TotalStats().Served != 0 {
+		t.Error("scan days touched the campaign-level fleet instead of their replicas")
 	}
 }
 
@@ -510,12 +537,12 @@ func TestPipelinedHourlyMatchesSerial(t *testing.T) {
 func TestHourlyDiscoveryFastPath(t *testing.T) {
 	start := time.Date(2023, 8, 20, 0, 0, 0, 0, time.UTC)
 	run := func(preScan bool) (uint64, map[string]bool) {
-		c, err := NewCampaign(CampaignConfig{Size: 1200, Seed: 17})
+		c, err := NewCampaign(CampaignConfig{Size: 1200, Seed: 17, Start: start, End: start})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if preScan {
-			if err := c.ScanDay(start); err != nil {
+			if err := c.RunDaily(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -677,7 +704,6 @@ func TestPipelinedAnomalyCaptureMatchesSerial(t *testing.T) {
 		TransportStrategy: transport.StrategyRace,
 		TelemetryInterval: time.Hour,
 		AnomalyCapture:    true,
-		TailTopK:          16,
 		Workload: &workload.Config{
 			Clients: 2_000, Model: workload.ModelOpen,
 			OpenRate: 0.01, Duration: time.Hour,
@@ -755,6 +781,38 @@ func TestPipelinedAnomalyCaptureMatchesSerial(t *testing.T) {
 	a, b := storeJSON(t, serial), storeJSON(t, pipelined)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("anomaly-enabled pipelined store diverges from serial: %d vs %d bytes", len(a), len(b))
+	}
+}
+
+// TestAnomalyTierRidesDayContextsOnly pins where the tier is wired: a
+// day context's replica carries the tail tracer and the flight recorder
+// its capture bundle reads, and an hour context's carries neither —
+// RunHourlyECH snapshots registry counters and stores no captures — even
+// with AnomalyCapture on. Without the flag no context carries the tier.
+func TestAnomalyTierRidesDayContextsOnly(t *testing.T) {
+	at := time.Date(2023, 7, 21, 0, 0, 0, 0, time.UTC)
+	for _, capture := range []bool{true, false} {
+		c, err := NewCampaign(CampaignConfig{
+			Size: 300, Seed: 5, DoHFrontends: 2,
+			TelemetryInterval: time.Hour, AnomalyCapture: capture,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		day, hour := c.newDayContext(at), c.newHourContext(at)
+		if got := day.fleet.Recorder != nil; got != capture {
+			t.Errorf("AnomalyCapture=%v: day context has a recorder = %v", capture, got)
+		}
+		if got := day.fleet.Client.Tracer.TailEnabled(); got != capture {
+			t.Errorf("AnomalyCapture=%v: day context has a tail tracer = %v", capture, got)
+		}
+		if hour.fleet.Recorder != nil || hour.fleet.Client.Recorder != nil || hour.fleet.Client.Tracer != nil {
+			t.Errorf("AnomalyCapture=%v: hour context carries the anomaly tier", capture)
+		}
+		if hour.sampler != nil || day.sampler == nil {
+			t.Errorf("AnomalyCapture=%v: sampler on hour=%v day=%v, want day only",
+				capture, hour.sampler != nil, day.sampler != nil)
+		}
 	}
 }
 

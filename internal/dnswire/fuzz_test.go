@@ -3,14 +3,17 @@ package dnswire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"strings"
 	"testing"
 )
 
 // fuzzSeeds builds the seed corpus both fuzz targets share: packed
 // workload-shaped queries (the HTTPS questions the simulated stub
 // population issues), their answers, and hand-mangled variants —
-// truncated QNAMEs, label lengths pointing past the buffer, and
-// compression-pointer edge shapes.
+// truncated QNAMEs, label lengths pointing past the buffer,
+// compression-pointer edge shapes, and labels holding bytes a dotted
+// name cannot carry.
 func fuzzSeeds(t testing.TB) [][]byte {
 	t.Helper()
 	var seeds [][]byte
@@ -52,7 +55,42 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	seeds = append(seeds, lying)
 	// Degenerate tiny inputs.
 	seeds = append(seeds, []byte{}, []byte{0}, bytes.Repeat([]byte{0xc0}, 16))
+	for _, bad := range badLabelWires(t) {
+		seeds = append(seeds, bad.wire)
+	}
 	return seeds
+}
+
+// badLabelWires are well-formed queries but for one QNAME label byte
+// that has no place in a dotted name: CanonicalName would rewrite a
+// high-bit byte, trim a leading space, and read a literal dot as a label
+// boundary, so a decode that let them through would not re-pack to the
+// labels it was given.
+func badLabelWires(t testing.TB) []struct {
+	what string
+	wire []byte
+} {
+	t.Helper()
+	base, err := NewQuery(9, "site0003.example", TypeHTTPS, false).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mangle := func(off int, c byte) []byte {
+		w := bytes.Clone(base)
+		w[off] = c
+		return w
+	}
+	// base[12] is the first label's length octet, base[13:21] "site0003".
+	return []struct {
+		what string
+		wire []byte
+	}{
+		{"high-bit byte", mangle(14, 0xe8)},
+		{"DEL", mangle(14, 0x7f)},
+		{"leading space", mangle(13, ' ')},
+		{"control byte", mangle(16, '\t')},
+		{"embedded dot", mangle(17, '.')},
+	}
 }
 
 // FuzzUnpack asserts Unpack never panics and that anything it accepts
@@ -249,5 +287,70 @@ func TestFuzzSeedsParse(t *testing.T) {
 	}
 	if parsed < 7 {
 		t.Fatalf("only %d seeds parse cleanly, want ≥ 7 (queries + answer)", parsed)
+	}
+}
+
+// TestNameDecodeRejectsUnrepresentableLabelBytes pins where hostile label
+// bytes are decided: at decode, once, with a typed error — by Unpack, by
+// UnpackInto over a dirty recycled message, and in RDATA names as in the
+// question — so every name that is accepted re-packs to itself.
+func TestNameDecodeRejectsUnrepresentableLabelBytes(t *testing.T) {
+	dirtyWire, err := NewQuery(7, "dirty.example", TypeHTTPS, true).Reply().Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range badLabelWires(t) {
+		if _, err := Unpack(bad.wire); !errors.Is(err, ErrBadLabelByte) {
+			t.Errorf("%s: Unpack error = %v, want ErrBadLabelByte", bad.what, err)
+		}
+		m := new(Message) // dirty reuse, as a pooled decode finds it
+		if err := UnpackInto(m, dirtyWire); err != nil {
+			t.Fatal(err)
+		}
+		if err := UnpackInto(m, bad.wire); !errors.Is(err, ErrBadLabelByte) {
+			t.Errorf("%s: UnpackInto over a dirty message error = %v, want ErrBadLabelByte", bad.what, err)
+		}
+	}
+	// The same byte inside an RDATA name (an NS host) is refused too.
+	resp := NewQuery(3, "site0004.example", TypeNS, false).Reply()
+	resp.Answer = append(resp.Answer, RR{
+		Name: "site0004.example.", Type: TypeNS, Class: ClassINET, TTL: 60,
+		Data: &NSData{Host: "ns1.elsewhere.test."},
+	})
+	wire, err := resp.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(wire, []byte("elsewhere"))
+	if at < 0 {
+		t.Fatal("NS host not found uncompressed in the packed answer")
+	}
+	wire[at+2] = 0x80
+	if _, err := Unpack(wire); !errors.Is(err, ErrBadLabelByte) {
+		t.Errorf("RDATA name: Unpack error = %v, want ErrBadLabelByte", err)
+	}
+	// What stays accepted is every printable byte but the dot, folded to
+	// lower case, and it is a fixed point of CanonicalName.
+	var label []byte
+	for c := byte('!'); c < 0x7f; c++ {
+		if c != '.' {
+			label = append(label, c)
+		}
+	}
+	first, second := label[:63], label[63:]           // 93 bytes: two labels
+	wire = []byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0} // header: ID 1, one question
+	wire = append(append(wire, byte(len(first))), first...)
+	wire = append(append(wire, byte(len(second))), second...)
+	wire = append(wire, 0, 0, byte(TypeA), 0, byte(ClassINET))
+	m, err := Unpack(wire)
+	if err != nil {
+		t.Fatalf("printable labels rejected: %v", err)
+	}
+	name := m.Question[0].Name
+	if want := strings.ToLower(string(first) + "." + string(second) + "."); name != want {
+		t.Fatalf("decoded name = %q, want %q", name, want)
+	}
+	if CanonicalName(name) != name || !isCanonical(name) {
+		t.Fatalf("decoded name %q is not canonical", name)
 	}
 }

@@ -19,6 +19,7 @@ var (
 	ErrBadPointer     = errors.New("dnswire: bad compression pointer")
 	ErrTruncatedName  = errors.New("dnswire: truncated name")
 	ErrTooManyPointer = errors.New("dnswire: compression pointer loop")
+	ErrBadLabelByte   = errors.New("dnswire: label byte has no dotted-name form")
 )
 
 // CanonicalName lower-cases s and ensures a trailing dot. The root name is
@@ -252,6 +253,13 @@ func unpackName(msg []byte, off int) (string, int, error) {
 // in canonical presentation form (lower-cased, dot-terminated, root as
 // ".") and returns the appended buffer plus the offset just past the name
 // in the original stream. It allocates nothing beyond dst growth.
+//
+// A label byte the dotted string cannot carry — a literal '.', which
+// would read back as a label boundary, or anything outside printable
+// ASCII, which CanonicalName would trim or rewrite — is rejected with
+// ErrBadLabelByte. That is the byte class isCanonical tests, so every
+// decoded name is a fixed point of CanonicalName: it re-packs to the
+// labels it was decoded from, on packName's allocation-free branch.
 func appendName(dst []byte, msg []byte, off int) ([]byte, int, error) {
 	start := len(dst)
 	ptrCount := 0
@@ -297,6 +305,9 @@ func appendName(dst []byte, msg []byte, off int) ([]byte, int, error) {
 				return dst, 0, ErrTruncatedName
 			}
 			for _, c := range msg[off+1 : off+1+n] {
+				if c == '.' || c <= ' ' || c >= 0x7f {
+					return dst, 0, ErrBadLabelByte
+				}
 				if 'A' <= c && c <= 'Z' {
 					c += 'a' - 'A'
 				}

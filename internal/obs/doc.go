@@ -43,26 +43,30 @@
 // but WHICH exchanges land on the every-Nth grid depends on arrival
 // order, so under concurrent drivers the head ring's contents are
 // schedule-dependent (cmd/dohserve documents this caveat on -trace).
-// Tail sampling (TraceConfig.Tail) traces every exchange into a scratch
-// buffer and keeps only those matching a deterministic anomaly
-// predicate — a TraceFlag set by the exchange owner (error, SERVFAIL,
-// stale-served, failover, race, hedge) or virtual cost over a threshold
-// — ranked into a bounded top-K ring by (cost, name, flags): properties
-// of the exchange itself, not of scheduling, so the retained set is
-// stable under concurrent drivers wherever per-exchange outcomes are.
+// Tail sampling (TraceConfig.Tail) traces nothing extra: Finish is told
+// each exchange's outcome by its owner — the TraceFlags (error, SERVFAIL,
+// stale-served, failover, race, hedge) and the virtual cost, all known
+// once the exchange is over — and keeps the ones matching a deterministic
+// anomaly predicate (a flag set, or cost over a threshold), ranked into a
+// bounded top-K ring by (cost, name, flags): properties of the exchange
+// itself, not of scheduling, so the retained set is stable under
+// concurrent drivers wherever per-exchange outcomes are. An exchange head
+// sampling skipped has no Trace; if it ranks into the ring it is kept as
+// a span-less record, and otherwise costs no allocation. Sampling every
+// exchange (SampleEvery 1) with Tail set retains anomalies with their
+// span trees.
 //
 // The flight recorder (Recorder) extends the same stable/volatile
-// discipline to event ORDER. Emission sites mark schedule-dependent
-// kinds volatile (attempt-side transport events: pool cooldowns and
-// removals, race/hedge fires, per-frontend stale serves); StableEvents
-// filters to the stable kinds and sorts canonically by (At, kind,
-// labels) — under frozen per-day clocks every At is equal, so the
-// canonical key, never arrival order, defines the committed sequence.
-// Anomaly captures additionally store events as aggregated counts
-// (CountEvents), an order-insensitive multiset. Both guarantees assume
-// the bounded ring never dropped (Recorder.Dropped() == 0); eviction is
-// arrival-ordered, so an overflowing ring forfeits byte-identity and
-// campaigns size the ring to the day.
+// discipline to events. Emission sites mark schedule-dependent kinds
+// volatile (attempt-side transport events: pool cooldowns and removals,
+// race/hedge fires, per-frontend stale serves). Arrival order under
+// concurrent emitters is schedule-dependent even for stable kinds — and
+// under frozen per-day clocks every At is equal — so what anomaly
+// captures commit is StableCounts: the exact stable-kind emission
+// multiset aggregated by (kind, labels) and sorted by key, kept beside
+// the ring and never evicted. The bounded ring itself (Window) is the
+// live drill view; overflow (Recorder.Dropped() > 0) truncates it and
+// nothing else.
 //
 // SLO evaluation (SLO, BurnEngine) is snapshot arithmetic on these same
 // quantities — winner-side counters and the latency histogram's

@@ -6,10 +6,10 @@ import (
 	"time"
 )
 
-// DefaultRecorderCapacity bounds a flight recorder's event ring when the
-// caller does not choose one. It is sized so a scan day's stable events
-// fit without drops — see the capture-determinism note on StableEvents.
-const DefaultRecorderCapacity = 4096
+// DefaultEventCapacity bounds a flight recorder's event ring when the
+// caller does not choose one. The ring is the live drill window only:
+// capture bundles read StableCounts, which eviction never touches.
+const DefaultEventCapacity = 4096
 
 // Event is one typed flight-recorder event on the virtual timeline:
 // what happened (Kind), when on the virtual clock (At), and to whom
@@ -35,15 +35,18 @@ func (e Event) Key() string { return metricKey(e.Kind, e.Labels) }
 // volatile event kinds: kinds whose emission multiset depends on worker
 // interleaving (attempt-side transport events — pool cooldowns, races,
 // per-frontend stale serves) are marked volatile by their emitter, and
-// StableEvents excludes them, which is what lets anomaly captures ride
+// StableCounts excludes them, which is what lets anomaly captures ride
 // pipelined campaigns byte-identically. Window returns everything, for
 // live single-driver tooling.
 type Recorder struct {
 	clock Clock
 	cap   int
 
-	mu       sync.Mutex
-	events   []Event // oldest first
+	mu sync.Mutex
+	// events is the bounded ring: it grows to cap, after which each emit
+	// overwrites the oldest event in place, at index oldest.
+	events   []Event
+	oldest   int
 	dropped  uint64
 	volatile map[string]bool
 	// counts is the exact stable-kind emission multiset, keyed by
@@ -54,10 +57,10 @@ type Recorder struct {
 }
 
 // NewRecorder builds a recorder on the given clock; capacity ≤ 0 selects
-// DefaultRecorderCapacity.
+// DefaultEventCapacity.
 func NewRecorder(clock Clock, capacity int) *Recorder {
 	if capacity <= 0 {
-		capacity = DefaultRecorderCapacity
+		capacity = DefaultEventCapacity
 	}
 	return &Recorder{
 		clock: clock, cap: capacity,
@@ -76,11 +79,12 @@ func (r *Recorder) Emit(kind string, labels ...Label) {
 		e.At = r.clock.Now()
 	}
 	r.mu.Lock()
-	r.events = append(r.events, e)
-	if len(r.events) > r.cap {
-		over := len(r.events) - r.cap
-		r.events = r.events[over:]
-		r.dropped += uint64(over)
+	if len(r.events) < r.cap {
+		r.events = append(r.events, e)
+	} else {
+		r.events[r.oldest] = e
+		r.oldest = (r.oldest + 1) % r.cap
+		r.dropped++
 	}
 	if !r.volatile[e.Kind] {
 		k := e.Key()
@@ -95,7 +99,7 @@ func (r *Recorder) Emit(kind string, labels ...Label) {
 
 // SetVolatile marks event kinds as schedule-dependent: their emission
 // multiset varies with worker interleaving even for a fixed seed, so
-// StableEvents and StableCounts — the capture views — exclude them.
+// StableCounts — the capture view — excludes them.
 // Counts accumulated for a kind before it is declared volatile are
 // purged, but emitters should declare volatility at wiring time, before
 // any traffic, as the fleet does.
@@ -126,8 +130,8 @@ func (r *Recorder) Len() int {
 }
 
 // Dropped reports how many events the bounded ring has evicted. A
-// non-zero count means Window and StableEvents describe a truncated
-// timeline (and capture determinism is void — size the ring to the run).
+// non-zero count means Window describes a truncated timeline;
+// StableCounts stays exact.
 func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
@@ -146,7 +150,8 @@ func (r *Recorder) Window(from, to time.Time) []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var out []Event
-	for _, e := range r.events {
+	for i := range r.events {
+		e := r.events[(r.oldest+i)%len(r.events)]
 		if e.At.Before(from) || e.At.After(to) {
 			continue
 		}
@@ -155,40 +160,14 @@ func (r *Recorder) Window(from, to time.Time) []Event {
 	return out
 }
 
-// StableEvents returns the retained stable-kind events in canonical
-// (At, key) order. Arrival order under concurrent emitters is
-// schedule-dependent even when the emission multiset is not — and under
-// a frozen per-day clock every At is equal — so the canonical sort, not
-// the ring order, is what anomaly captures commit. Determinism holds as
-// long as the ring never dropped (Dropped() == 0): eviction is
-// arrival-ordered, so an overflowing ring forfeits the guarantee.
-func (r *Recorder) StableEvents() []Event {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	var out []Event
-	for _, e := range r.events {
-		if !r.volatile[e.Kind] {
-			out = append(out, e)
-		}
-	}
-	r.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool {
-		if !out[i].At.Equal(out[j].At) {
-			return out[i].At.Before(out[j].At)
-		}
-		return out[i].Key() < out[j].Key()
-	})
-	return out
-}
-
 // StableCounts returns the exact stable-kind emission multiset,
-// aggregated by (kind, sorted labels) and sorted by key. Unlike
-// StableEvents it is immune to ring eviction: volatile-event pressure
-// can overflow the bounded ring (Dropped() > 0 voids the windowed
-// views) without perturbing these counts, which is why anomaly capture
-// bundles are built from this accessor rather than the ring.
+// aggregated by (kind, sorted labels) and sorted by key — an
+// order-insensitive form, since arrival order under concurrent emitters
+// is schedule-dependent even when the multiset is not. It is immune to
+// ring eviction: volatile-event pressure can overflow the bounded ring
+// (Dropped() > 0 truncates Window) without perturbing these counts,
+// which is why anomaly capture bundles are built from this accessor
+// rather than the ring.
 func (r *Recorder) StableCounts() []EventCount {
 	if r == nil {
 		return nil

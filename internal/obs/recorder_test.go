@@ -44,18 +44,24 @@ func TestRecorderRingBoundAndDropped(t *testing.T) {
 	if r.Dropped() != 6 {
 		t.Fatalf("dropped = %d, want 6", r.Dropped())
 	}
-	// Oldest-first eviction: the survivors are the last four emissions.
+	// Oldest-first eviction: the survivors are the last four emissions,
+	// and the window still reads oldest first after the ring has wrapped
+	// (10 emits into 4 slots leave the oldest mid-array).
 	win := r.Window(time.Time{}, time.Unix(1<<40, 0))
-	if win[0].Labels[0].Value != "g" {
-		t.Fatalf("oldest survivor = %+v, want the 7th emission", win[0])
+	var got string
+	for _, e := range win {
+		got += e.Labels[0].Value
+	}
+	if got != "ghij" {
+		t.Fatalf("window after wrap = %q, want the last four emissions \"ghij\"", got)
 	}
 }
 
-// TestRecorderStableEventsCanonicalOrder pins the capture view: volatile
-// kinds are excluded and the survivors sort by (At, kind, labels)
-// regardless of arrival order — the frozen-clock case where every At is
-// equal is exactly where arrival order would otherwise leak through.
-func TestRecorderStableEventsCanonicalOrder(t *testing.T) {
+// TestRecorderStableCountsCanonicalOrder pins the capture view: volatile
+// kinds are excluded and the survivors sort by (kind, labels) regardless
+// of arrival order — under a frozen clock every At is equal, which is
+// exactly where arrival order would otherwise leak through.
+func TestRecorderStableCountsCanonicalOrder(t *testing.T) {
 	r := NewRecorder(nil, 16) // nil clock: every At equal (zero)
 	r.SetVolatile("pool.cooldown", "strategy.race")
 	r.Emit("workload.crowd.start", L("crowd", "0"))
@@ -64,15 +70,19 @@ func TestRecorderStableEventsCanonicalOrder(t *testing.T) {
 	r.Emit("strategy.race")
 	r.Emit("client.negative")
 
-	stable := r.StableEvents()
+	stable := r.StableCounts()
 	if len(stable) != 3 {
-		t.Fatalf("stable events = %d, want 3: %+v", len(stable), stable)
+		t.Fatalf("stable counts = %d, want 3: %+v", len(stable), stable)
 	}
 	want := []string{"client.negative", "client.stale", "workload.crowd.start"}
-	for i, e := range stable {
-		if e.Kind != want[i] {
-			t.Fatalf("stable[%d] = %s, want %s", i, e.Kind, want[i])
+	for i, c := range stable {
+		if c.Kind != want[i] || c.Count != 1 {
+			t.Fatalf("stable[%d] = %+v, want one %s", i, c, want[i])
 		}
+	}
+	// The raw window keeps the volatile kinds, in arrival order.
+	if win := r.Window(time.Time{}, time.Time{}); len(win) != 5 || win[1].Kind != "pool.cooldown" {
+		t.Fatalf("window = %+v, want all five emissions in arrival order", win)
 	}
 }
 
@@ -92,8 +102,10 @@ func TestRecorderStableCountsSurviveEviction(t *testing.T) {
 	if r.Dropped() == 0 {
 		t.Fatal("expected ring overflow")
 	}
-	if len(r.StableEvents()) != 0 {
-		t.Fatalf("stable events survived eviction: %+v", r.StableEvents())
+	for _, e := range r.Window(time.Time{}, time.Time{}) {
+		if e.Kind != "strategy.race" {
+			t.Fatalf("stable event survived eviction from the ring: %+v", e)
+		}
 	}
 	counts := r.StableCounts()
 	if len(counts) != 2 {
@@ -141,7 +153,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	if r.Len() != 0 || r.Dropped() != 0 {
 		t.Fatal("nil recorder retained state")
 	}
-	if r.Window(time.Time{}, time.Time{}) != nil || r.StableEvents() != nil || r.StableCounts() != nil {
+	if r.Window(time.Time{}, time.Time{}) != nil || r.StableCounts() != nil {
 		t.Fatal("nil recorder returned events")
 	}
 }

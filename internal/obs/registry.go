@@ -341,8 +341,27 @@ type Snapshot struct {
 	Metrics []Metric  `json:"metrics"`
 }
 
+// sort orders Metrics by rendered key, rendering each key once rather
+// than twice per comparison (campaigns snapshot at every stage boundary).
 func (s *Snapshot) sort() {
-	sort.Slice(s.Metrics, func(i, j int) bool { return s.Metrics[i].Key() < s.Metrics[j].Key() })
+	keys := make([]string, len(s.Metrics))
+	for i := range s.Metrics {
+		keys[i] = s.Metrics[i].Key()
+	}
+	sort.Sort(&metricsByKey{keys, s.Metrics})
+}
+
+// metricsByKey sorts metrics and their pre-rendered keys in step.
+type metricsByKey struct {
+	keys    []string
+	metrics []Metric
+}
+
+func (m *metricsByKey) Len() int           { return len(m.keys) }
+func (m *metricsByKey) Less(i, j int) bool { return m.keys[i] < m.keys[j] }
+func (m *metricsByKey) Swap(i, j int) {
+	m.keys[i], m.keys[j] = m.keys[j], m.keys[i]
+	m.metrics[i], m.metrics[j] = m.metrics[j], m.metrics[i]
 }
 
 // Get returns the metric for (name, labels). Metrics is always sorted by

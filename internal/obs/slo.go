@@ -26,11 +26,6 @@ func DefaultSLO() SLO {
 	return SLO{Availability: 0.999, LatencyP99: 100 * time.Millisecond, StaleRatio: 0.05}
 }
 
-// Enabled reports whether any objective is declared.
-func (o SLO) Enabled() bool {
-	return o.Availability > 0 || o.LatencyP99 > 0 || o.StaleRatio > 0
-}
-
 // SLOStats are the winner-side quantities objectives are judged on,
 // read from a registry snapshot (cumulative) or a drill delta
 // (Snapshot.Sub). P99Known is false when the snapshot carries no

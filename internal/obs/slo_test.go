@@ -56,9 +56,6 @@ func TestSLOEval(t *testing.T) {
 
 func TestSLOEvalIdleAndDisabled(t *testing.T) {
 	var none SLO
-	if none.Enabled() {
-		t.Fatal("zero SLO reported enabled")
-	}
 	rep := none.Eval(SLOStats{Exchanges: 10, Errors: 10})
 	if rep.Violations != 0 {
 		t.Fatalf("disabled objectives violated: %+v", rep)

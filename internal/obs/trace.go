@@ -20,12 +20,13 @@ type TraceConfig struct {
 	// DefaultTraceCapacity.
 	Capacity int
 	// Tail, when non-nil, enables tail-based retention alongside head
-	// sampling: every exchange is traced into a scratch buffer, and the
-	// finished trace is kept only if it matches the anomaly predicate —
-	// any TraceFlag set (error, SERVFAIL, stale-served, failover, race,
-	// hedge fired) or virtual cost at or over Tail.Latency — ranked in a
-	// bounded top-K ring by virtual cost. Head sampling keeps recording
-	// the baseline population into the head ring unchanged.
+	// sampling: Finish judges every exchange, sampled or not, by the
+	// outcome its owner reports and keeps those matching the anomaly
+	// predicate — any TraceFlag set (error, SERVFAIL, stale-served,
+	// failover, race, hedge fired) or virtual cost at or over
+	// Tail.Latency — ranked in a bounded top-K ring by virtual cost. One
+	// that head sampling skipped is kept as a span-less record, so
+	// SampleEvery 1 with Tail is how to get span trees for anomalies.
 	Tail *TailConfig
 }
 
@@ -35,7 +36,7 @@ type TailConfig struct {
 	// threshold; 0 disables the latency predicate (anomaly flags still
 	// keep traces).
 	Latency time.Duration
-	// TopK bounds the tail ring; 0 selects DefaultTailTopK.
+	// TopK bounds the tail ring; 0 selects DefaultTopK.
 	TopK int
 }
 
@@ -43,12 +44,13 @@ type TailConfig struct {
 const (
 	DefaultSampleEvery   = 16
 	DefaultTraceCapacity = 64
-	DefaultTailTopK      = 32
+	DefaultTopK          = 32
 )
 
 // TraceFlag marks an exchange-level anomaly on a finished trace — the
-// tail sampler's keep predicate. Flags are set by the exchange owner
-// (the transport client) from the winning outcome before Finish.
+// tail sampler's keep predicate. The exchange owner (the transport
+// client) derives the flags from the exchange's outcome and hands them
+// to Finish.
 type TraceFlag uint8
 
 const (
@@ -106,15 +108,14 @@ type Tracer struct {
 	clock Clock
 	every uint64
 	cap   int
-	tail  *TailConfig
-	topK  int
+	tail  *TailConfig // nil: tail retention off; TopK resolved
 
 	seq    atomic.Uint64
 	nextID atomic.Uint64
 
 	mu       sync.Mutex
 	ring     []*Trace // most recent cap head-sampled traces, oldest first
-	tailRing []*Trace // top-K tail-kept traces, rank order (tailRank)
+	tailRing []*Trace // top-K tail-kept traces, rank order (tailInsert)
 }
 
 // NewTracer builds a tracer on the given clock.
@@ -130,11 +131,10 @@ func NewTracer(clock Clock, cfg TraceConfig) *Tracer {
 	t := &Tracer{clock: clock, every: uint64(every), cap: capacity}
 	if cfg.Tail != nil {
 		tail := *cfg.Tail
-		t.tail = &tail
-		t.topK = tail.TopK
-		if t.topK <= 0 {
-			t.topK = DefaultTailTopK
+		if tail.TopK <= 0 {
+			tail.TopK = DefaultTopK
 		}
+		t.tail = &tail
 	}
 	return t
 }
@@ -143,101 +143,86 @@ func NewTracer(clock Clock, cfg TraceConfig) *Tracer {
 func (t *Tracer) TailEnabled() bool { return t != nil && t.tail != nil }
 
 // Start begins a trace for the named exchange if head sampling selects
-// it — or, with tail retention enabled, always: the scratch trace is
-// discarded at Finish unless the anomaly predicate keeps it. Returns nil
-// on an unsampled exchange (and always on a nil tracer). The returned
-// Trace is single-goroutine state: one exchange, one owner.
+// it. Returns nil on an unsampled exchange (and always on a nil tracer).
+// The returned Trace is single-goroutine state: one exchange, one owner.
 func (t *Tracer) Start(name string) *Trace {
-	if t == nil {
+	if t == nil || (t.seq.Add(1)-1)%t.every != 0 {
 		return nil
 	}
-	head := (t.seq.Add(1)-1)%t.every == 0
-	if !head && t.tail == nil {
-		return nil
-	}
-	tr := &Trace{ID: t.nextID.Add(1), Name: name, head: head}
+	tr := &Trace{ID: t.nextID.Add(1), Name: name}
 	if t.clock != nil {
 		tr.Start = t.clock.Now()
 	}
 	return tr
 }
 
-// Finish sets the trace's total virtual duration and retains it: a
-// head-sampled trace joins the baseline ring, and — with tail retention
-// on — a trace matching the anomaly predicate is ranked into the top-K
-// tail ring. A scratch trace matching neither is dropped. Nil-safe on
-// both receiver and trace.
-func (t *Tracer) Finish(tr *Trace, total time.Duration) {
-	if t == nil || tr == nil {
+// Finish closes the named exchange with what its owner knows once it is
+// over: its anomaly flags and total virtual duration. A head-sampled
+// exchange (tr non-nil) joins the baseline ring; with tail retention on,
+// an exchange with a flag set, or a cost at or over the latency
+// threshold, is ranked into the top-K tail ring, sampled or not. One that
+// is neither allocates nothing. Nil-safe on both receiver and trace.
+func (t *Tracer) Finish(tr *Trace, name string, flags TraceFlag, total time.Duration) {
+	if t == nil {
 		return
 	}
-	tr.Duration = total
+	tail := t.tail != nil && (flags != 0 || (t.tail.Latency > 0 && total >= t.tail.Latency))
+	if tr == nil && !tail {
+		return
+	}
+	if tr != nil {
+		tr.Flags, tr.Duration = flags, total
+	}
 	t.mu.Lock()
-	if tr.head {
+	if tr != nil {
 		t.ring = append(t.ring, tr)
 		if len(t.ring) > t.cap {
 			t.ring = t.ring[len(t.ring)-t.cap:]
 		}
 	}
-	if t.tail != nil && t.tailKeep(tr) {
-		t.tailInsert(tr)
+	if tail {
+		t.tailInsert(tr, name, flags, total)
 	}
 	t.mu.Unlock()
 }
 
-// tailKeep is the deterministic anomaly predicate: any flag set, or
-// virtual cost at or over the latency threshold.
-func (t *Tracer) tailKeep(tr *Trace) bool {
-	if tr.Flags != 0 {
-		return true
-	}
-	return t.tail.Latency > 0 && tr.Duration >= t.tail.Latency
-}
-
-// tailRank orders a before b in the tail ring: higher virtual cost
-// first, then name, then flags, then trace ID. The leading keys are
-// schedule-independent properties of the exchange, so the retained set
-// is stable under concurrent drivers; the ID only breaks ties between
-// traces whose recorded content is otherwise identical.
-func tailRank(a, b *Trace) bool {
-	if a.Duration != b.Duration {
-		return a.Duration > b.Duration
-	}
-	if a.Name != b.Name {
-		return a.Name < b.Name
-	}
-	if a.Flags != b.Flags {
-		return a.Flags < b.Flags
-	}
-	return a.ID < b.ID
-}
-
-// tailInsert ranks tr into the bounded tail ring (caller holds mu).
-func (t *Tracer) tailInsert(tr *Trace) {
-	i := sort.Search(len(t.tailRing), func(i int) bool { return !tailRank(t.tailRing[i], tr) })
-	if i >= t.topK {
+// tailInsert ranks the exchange into the bounded tail ring (caller holds
+// mu): higher virtual cost first, then name, then flags — properties of
+// the exchange, not of scheduling, so the retained content is stable
+// under concurrent drivers; full ties keep arrival order. An unsampled
+// exchange gets its span-less record only once it is known to rank, with
+// Start back-dated from the clock by its virtual cost.
+func (t *Tracer) tailInsert(tr *Trace, name string, flags TraceFlag, total time.Duration) {
+	i := sort.Search(len(t.tailRing), func(i int) bool {
+		r := t.tailRing[i]
+		if r.Duration != total {
+			return r.Duration < total
+		}
+		if r.Name != name {
+			return r.Name > name
+		}
+		return r.Flags > flags
+	})
+	if i >= t.tail.TopK {
 		return // ranks below the ring's floor
+	}
+	if tr == nil {
+		tr = &Trace{ID: t.nextID.Add(1), Name: name, Flags: flags, Duration: total}
+		if t.clock != nil {
+			tr.Start = t.clock.Now().Add(-total)
+		}
 	}
 	t.tailRing = append(t.tailRing, nil)
 	copy(t.tailRing[i+1:], t.tailRing[i:])
 	t.tailRing[i] = tr
-	if len(t.tailRing) > t.topK {
-		t.tailRing = t.tailRing[:t.topK]
+	if len(t.tailRing) > t.tail.TopK {
+		t.tailRing = t.tailRing[:t.tail.TopK]
 	}
-}
-
-// TailLen reports the number of tail-retained traces.
-func (t *Tracer) TailLen() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.tailRing)
 }
 
 // Tail returns the tail-retained traces in rank order (highest virtual
-// cost first). The slice is a copy; the traces are shared.
+// cost first); one that head sampling skipped carries no spans. The
+// slice is a copy; the traces are shared.
 func (t *Tracer) Tail() []*Trace {
 	if t == nil {
 		return nil
@@ -301,19 +286,10 @@ type Trace struct {
 	Duration time.Duration `json:"duration"`
 	Spans    []Span        `json:"spans"`
 	// Flags carries the exchange-level anomaly markers the tail sampler
-	// keys on, set by the exchange owner before Finish.
+	// keys on, as the exchange owner reported them to Finish.
 	Flags TraceFlag `json:"flags,omitempty"`
 
 	depth int
-	head  bool // head sampling selected this trace for the baseline ring
-}
-
-// Flag sets an anomaly flag (nil-safe).
-func (tr *Trace) Flag(f TraceFlag) {
-	if tr == nil {
-		return
-	}
-	tr.Flags |= f
 }
 
 // Add records a leaf span at the current nesting depth.

@@ -409,3 +409,33 @@ func TestWorldPriorityListPathology(t *testing.T) {
 		}
 	}
 }
+
+// TestWorldNamesSurviveWireDecode sweeps every domain the world
+// generates through the wire codec: dnswire's name decode refuses label
+// bytes a dotted name cannot carry, and nothing the generator emits —
+// apexes, www names, NS hosts, SVCB targets, CNAME targets, SOA and RRSIG
+// names in signed answers — may fall in that class.
+func TestWorldNamesSurviveWireDecode(t *testing.T) {
+	w := buildTestWorld(t, 600)
+	w.Clock.Set(time.Date(2024, 2, 1, 12, 0, 0, 0, time.UTC))
+	var id uint16
+	for _, apex := range sortedApexes(w.Domains) {
+		for _, name := range []string{apex, "www." + apex} {
+			for _, qt := range []dnswire.Type{dnswire.TypeHTTPS, dnswire.TypeA, dnswire.TypeNS} {
+				id++
+				resp := w.GoogleResolver.HandleDNS(dnswire.NewQuery(id, name, qt, true))
+				wire, err := resp.Pack()
+				if err != nil {
+					t.Fatalf("%s/%s: pack: %v", name, qt, err)
+				}
+				back, err := dnswire.Unpack(wire)
+				if err != nil {
+					t.Fatalf("%s/%s: the world's own answer does not decode: %v", name, qt, err)
+				}
+				if back.String() != resp.String() {
+					t.Fatalf("%s/%s: answer drifted through the codec:\n%s\n→\n%s", name, qt, resp, back)
+				}
+			}
+		}
+	}
+}

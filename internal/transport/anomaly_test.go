@@ -2,22 +2,24 @@ package transport
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/dnswire"
 	"repro/internal/obs"
 	"repro/internal/simnet"
+	"repro/internal/testrace"
 )
 
 // newAnomalyFleet stands up a serve-stale-capable fleet with the anomaly
-// tier on: default-rate head sampling plus tail retention, and a flight
-// recorder wired through client and frontends.
-func newAnomalyFleet(t *testing.T, n int) (*Fleet, *stubRecursor, *simnet.Network, *simnet.Clock, *obs.Tracer, *obs.Recorder) {
+// tier on: head sampling at the given rate plus tail retention, and a
+// flight recorder wired through client and frontends.
+func newAnomalyFleet(t *testing.T, n, sampleEvery int) (*Fleet, *stubRecursor, *simnet.Network, *simnet.Clock, *obs.Tracer, *obs.Recorder) {
 	t.Helper()
 	net, clock := testNet()
 	tracer := obs.NewTracer(clock, obs.TraceConfig{
-		SampleEvery: obs.DefaultSampleEvery,
+		SampleEvery: sampleEvery,
 		Tail:        &obs.TailConfig{TopK: 8},
 	})
 	recorder := obs.NewRecorder(clock, 256)
@@ -42,7 +44,7 @@ func newAnomalyFleet(t *testing.T, n int) (*Fleet, *stubRecursor, *simnet.Networ
 // close — head sampling at 1-in-16 sees only the healthy warm-up
 // exchange.
 func TestChaosFlapTailCatchesWhatHeadMisses(t *testing.T) {
-	fl, recursor, _, clock, tracer, recorder := newAnomalyFleet(t, 1)
+	fl, recursor, _, clock, tracer, recorder := newAnomalyFleet(t, 1, obs.DefaultSampleEvery)
 	client := fl.Client
 
 	// Arrival 1 (head-sampled): a healthy exchange populates the cache.
@@ -91,18 +93,16 @@ func TestChaosFlapTailCatchesWhatHeadMisses(t *testing.T) {
 		}
 	}
 
-	// Flight recorder: stable winner-side events survive StableEvents;
-	// the volatile frontend-side kinds are filtered out of the capture
-	// view but present in the raw window.
-	stable := recorder.StableEvents()
-	counts := obs.CountEvents(stable)
+	// Flight recorder: stable winner-side events make the capture view
+	// (StableCounts); the volatile frontend-side kinds are filtered out of
+	// it but present in the raw window.
 	var stale uint64
-	for _, ec := range counts {
+	for _, ec := range recorder.StableCounts() {
 		if ec.Kind == "client.stale" {
 			stale = ec.Count
 		}
 		if ec.Kind == "frontend.stale" || ec.Kind == "frontend.dead" {
-			t.Fatalf("volatile kind %q leaked into stable events", ec.Kind)
+			t.Fatalf("volatile kind %q leaked into the stable counts", ec.Kind)
 		}
 	}
 	if stale != 4 {
@@ -117,6 +117,72 @@ func TestChaosFlapTailCatchesWhatHeadMisses(t *testing.T) {
 	}
 	if !dead {
 		t.Fatal("raw event window missing the frontend.dead flap marker")
+	}
+}
+
+// TestSampledAnomalyKeepsItsSpanTree pins how span trees for retained
+// anomalies are obtained now that unsampled exchanges record no spans:
+// head-sample every exchange (what dohserve -trace N -tail K composes)
+// and the stale serve sits in the tail ring as the very trace the head
+// ring holds, spans and all.
+func TestSampledAnomalyKeepsItsSpanTree(t *testing.T) {
+	fl, recursor, _, clock, tracer, _ := newAnomalyFleet(t, 1, 1)
+	if _, err := fl.Client.Query("flap.test", dnswire.TypeA, false); err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(90 * time.Second)
+	recursor.fail = true
+	if _, err := fl.Client.Query("flap.test", dnswire.TypeA, false); err != nil {
+		t.Fatal(err)
+	}
+	tail := tracer.Tail()
+	if len(tail) != 1 || tail[0].Flags != obs.FlagStale {
+		t.Fatalf("tail ring = %+v, want the one stale serve", tail)
+	}
+	var inHead bool
+	for _, tr := range tracer.Slowest(tracer.Len()) {
+		inHead = inHead || tr == tail[0]
+	}
+	if !inHead {
+		t.Fatal("the retained anomaly is not the trace the head ring holds")
+	}
+	if tree := tail[0].Tree(); !strings.Contains(tree, "stale.serve") || !strings.Contains(tree, "[stale]") {
+		t.Fatalf("retained anomaly lost its span tree:\n%s", tree)
+	}
+}
+
+// TestTailRetentionCostsUnsampledExchangesNothing is the anomaly tier's
+// allocation budget: with tail retention on, an exchange that head
+// sampling skips and that is no anomaly must allocate exactly what it
+// does with no tracer at all, and leave nothing in either ring. Warm
+// serial exchanges on a single-protocol fleet keep the figure exact.
+func TestTailRetentionCostsUnsampledExchangesNothing(t *testing.T) {
+	if testrace.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, proto := range []Protocol{ProtoDoH, ProtoDoT, ProtoDoQ} {
+		measure := func(tracer *obs.Tracer) float64 {
+			client, _, _, _, _ := newTestFleet(t, 2, BalanceRoundRobin, proto)
+			client.Tracer = tracer
+			q := dnswire.NewQuery(1, "warm.test", dnswire.TypeA, false)
+			// Warm-up: both members dialled, the answer cached, and the one
+			// exchange head sampling picks (the first) behind us.
+			for i := 0; i < 4; i++ {
+				if _, err := client.Exchange(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return testing.AllocsPerRun(200, func() { client.Exchange(q) })
+		}
+		tracer := obs.NewTracer(nil, obs.TraceConfig{SampleEvery: 1 << 30, Tail: &obs.TailConfig{}})
+		bare, tiered := measure(nil), measure(tracer)
+		if tiered != bare {
+			t.Errorf("%s: %v allocs per exchange with the tail tracer, %v without", proto, tiered, bare)
+		}
+		if tracer.Len() != 1 || len(tracer.Tail()) != 0 {
+			t.Errorf("%s: head ring %d, tail ring %d after healthy exchanges, want 1 and 0",
+				proto, tracer.Len(), len(tracer.Tail()))
+		}
 	}
 }
 

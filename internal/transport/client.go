@@ -59,11 +59,11 @@ type Client struct {
 	// their clocks frozen.
 	ChargeLatency bool
 	// Tracer, when non-nil, head-samples exchanges into span traces on
-	// the virtual clock (see obs.Tracer). When the tracer also carries a
-	// tail-retention policy, every exchange is traced into a scratch
-	// buffer and the client marks anomalies (error, SERVFAIL, stale,
-	// failover, race, hedge) with trace flags so the tail predicate can
-	// keep them. Nil traces nothing and costs one nil check per exchange.
+	// the virtual clock (see obs.Tracer). Every exchange, sampled or not,
+	// reports its anomaly flags (error, SERVFAIL, stale, failover, race,
+	// hedge) and virtual cost to Finish — all a tail-retention policy
+	// needs; unsampled exchanges record no spans. Nil traces nothing and
+	// costs one nil check per exchange.
 	Tracer *obs.Tracer
 	// Recorder, when non-nil, receives flight-recorder events for the
 	// anomaly tier: stable winner-side kinds (client.error, client.stale,
@@ -282,34 +282,34 @@ func (c *Client) ExchangePreferring(q *dnswire.Message, pref Protocol) (*dnswire
 	// the buffer can go back in the pool before the outcome is processed.
 	sc.cand = candidates
 	c.scratch.Put(sc)
-	if tr != nil {
-		// Shape flags feed the tracer's tail predicate: an exchange that
-		// raced, hedged, or failed over is anomalous enough to retain.
-		if out.Races > 0 {
-			tr.Flag(obs.FlagRace)
-		}
-		if out.Hedges > 0 {
-			tr.Flag(obs.FlagHedge)
-		}
-		if out.Attempts > 1 && out.Races == 0 && out.Hedges == 0 {
-			tr.Flag(obs.FlagFailover)
-		}
+	// The anomaly flags are a function of the outcome alone, so the
+	// tracer's tail predicate judges every exchange, traced or not. An
+	// exchange that raced, hedged, or failed over is anomalous enough to
+	// retain.
+	var flags obs.TraceFlag
+	if out.Races > 0 {
+		flags |= obs.FlagRace
+	}
+	if out.Hedges > 0 {
+		flags |= obs.FlagHedge
+	}
+	if out.Attempts > 1 && flags == 0 {
+		flags = obs.FlagFailover
 	}
 	c.account(out)
 	if out.Err != nil {
 		c.errAnswers.Add(1)
 		c.Recorder.Emit("client.error")
-		tr.Flag(obs.FlagError)
 		if tr != nil {
 			tr.Add("fail", out.Elapsed, 0, obs.L("err", out.Err.Error()))
 		}
-		c.Tracer.Finish(tr, out.Elapsed)
+		c.Tracer.Finish(tr, name, flags|obs.FlagError, out.Elapsed)
 		return nil, out.Err
 	}
 	if out.Winner.Stale {
 		c.staleAnswers.Add(1)
 		c.Recorder.Emit("client.stale")
-		tr.Flag(obs.FlagStale)
+		flags |= obs.FlagStale
 	}
 	if m := out.Winner.Msg; m.RCode == dnswire.RCodeNXDomain ||
 		(m.RCode == dnswire.RCodeNoError && len(m.Answer) == 0) {
@@ -318,12 +318,12 @@ func (c *Client) ExchangePreferring(q *dnswire.Message, pref Protocol) (*dnswire
 	}
 	if out.Winner.Msg.RCode == dnswire.RCodeServFail {
 		c.servfailAnswers.Add(1)
-		tr.Flag(obs.FlagServFail)
+		flags |= obs.FlagServFail
 	}
 	if tr != nil {
 		tr.Add("commit", out.Elapsed, 0, obs.L("winner", out.Winner.Upstream.Name))
 	}
-	c.Tracer.Finish(tr, out.Elapsed)
+	c.Tracer.Finish(tr, name, flags, out.Elapsed)
 	if c.ExchangeLatency != nil {
 		if tr != nil {
 			c.ExchangeLatency.ObserveExemplar(out.Elapsed, tr.ID)

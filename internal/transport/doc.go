@@ -139,6 +139,14 @@
 // allocating or untraced twins — a one-shot caller passes a fresh
 // Message and nils.
 //
+// tr is non-nil only for the exchanges Client.Tracer head-samples, and
+// every span site sits behind an `if tr != nil`. Anomaly (tail)
+// retention needs no trace: the client derives each exchange's anomaly
+// flags from the strategy's Outcome and the winner's RCode and reports
+// them, with the virtual cost, to Tracer.Finish, so an unsampled
+// exchange records no span and pays nothing for the anomaly tier unless
+// it is itself the anomaly.
+//
 // With callers recycling those arguments the hot path is allocation-free
 // by construction: per-exchange state (candidate orderings, envelope
 // request/response scratch, DoT frame reassembly, DoQ stream buffers,

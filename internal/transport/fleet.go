@@ -47,13 +47,13 @@ type FleetConfig struct {
 	// clock, so Fleet.Metrics is always usable.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, head-samples the client's exchanges into
-	// span traces (and tail-samples anomalies when it carries a
-	// TailConfig).
+	// span traces (and, when it carries a TailConfig, retains anomalous
+	// exchanges from the outcomes the client reports to it).
 	Tracer *obs.Tracer
 	// Recorder, when non-nil, is the fleet's flight recorder: the client
 	// and every frontend emit typed anomaly events into it, and the fleet
 	// declares which event kinds are volatile (worker-interleaving
-	// dependent) so capture bundles built from StableEvents stay
+	// dependent) so capture bundles built from StableCounts stay
 	// byte-identical between serial and pipelined campaign runs.
 	Recorder *obs.Recorder
 }

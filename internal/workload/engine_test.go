@@ -312,7 +312,7 @@ func TestModelParseRoundTrip(t *testing.T) {
 
 // TestCrowdRecorderMarkers pins the flight-recorder crowd markers: one
 // start and one end event per configured crowd, stamped at the crowd's
-// config-derived virtual boundaries, surviving the stable-event filter.
+// config-derived virtual boundaries, and counted in the stable view.
 func TestCrowdRecorderMarkers(t *testing.T) {
 	clock := testClock()
 	start := clock.Now()
@@ -332,9 +332,8 @@ func TestCrowdRecorderMarkers(t *testing.T) {
 	}
 	e.Run()
 
-	stable := rec.StableEvents()
 	var got []obs.Event
-	for _, ev := range stable {
+	for _, ev := range rec.Window(start, clock.Now()) {
 		if ev.Kind == "workload.crowd.start" || ev.Kind == "workload.crowd.end" {
 			got = append(got, ev)
 		}
@@ -356,5 +355,12 @@ func TestCrowdRecorderMarkers(t *testing.T) {
 	}
 	if domain != "site0001.example." {
 		t.Fatalf("start marker domain = %q", domain)
+	}
+	stable := map[string]uint64{}
+	for _, c := range rec.StableCounts() {
+		stable[c.Kind] += c.Count
+	}
+	if stable["workload.crowd.start"] != 1 || stable["workload.crowd.end"] != 1 {
+		t.Fatalf("stable counts = %v, want one start and one end marker", stable)
 	}
 }

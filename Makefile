@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt bench bench-micro bench-smoke profile fuzz-smoke trace-demo slo-demo verify loc
+.PHONY: all build test race vet fmt bench bench-micro bench-smoke profile profile-fleet fuzz-smoke trace-demo slo-demo verify loc
 
 all: build test
 
@@ -66,6 +66,12 @@ bench-smoke:
 profile:
 	$(GO) test -run xxx -bench BenchmarkDailyDirect -benchtime 3x -cpuprofile cpu.pprof -memprofile mem.pprof .
 
+# The same for the daily-fleet shape (four-frontend racing DoH/DoT/DoQ
+# fleet, telemetry and anomaly tier on, one day worker per processor): the
+# profile the roadmap's serving-layer items quote.
+profile-fleet:
+	$(GO) test -run xxx -bench BenchmarkDailyFleet -benchtime 3x -cpuprofile cpu.pprof -memprofile mem.pprof .
+
 # Short fuzz pass over the wire-format decoders and the signature
 # verifier, seeded with workload-shaped queries and hand-mangled frames.
 # Ten seconds per target is a smoke test, not a campaign: it proves the
@@ -99,4 +105,4 @@ slo-demo:
 # hot paths (skips the campaign-backed table/figure benchmarks, which
 # rebuild a world).
 bench-micro:
-	$(GO) test -run xxx -bench 'BenchmarkDoH|BenchmarkTransport|BenchmarkDNSWire|BenchmarkResolveHTTPS|BenchmarkAuthoritativeAnswer|BenchmarkECHSealOpen|BenchmarkRRSIGSignVerify' -benchtime 100x .
+	$(GO) test -run xxx -bench 'BenchmarkDoH|BenchmarkTransport|BenchmarkFleetMissPath|BenchmarkDNSWire|BenchmarkResolveHTTPS|BenchmarkAuthoritativeAnswer|BenchmarkECHSealOpen|BenchmarkRRSIGSignVerify' -benchtime 100x .

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -308,21 +309,18 @@ func BenchmarkFig8Rankings(b *testing.B) {
 // --- campaign pipelining ---
 
 // benchmarkCampaignDays times a daily campaign (NS scans and connectivity
-// probes included) of the given size and day count at the given day-worker
-// count; a positive concurrency overrides the scanner's. World construction
-// runs off the clock; only RunDaily is measured.
-func benchmarkCampaignDays(b *testing.B, size, days, workers, concurrency int) {
+// probes included) of the given day count; cfg supplies the size, the
+// day-worker count and, for a fleet campaign, the serving layer. A positive
+// concurrency overrides the scanner's. World construction runs off the
+// clock; only RunDaily is measured.
+func benchmarkCampaignDays(b *testing.B, days, concurrency int, cfg core.CampaignConfig) {
 	b.Helper()
-	start := time.Date(2024, 1, 25, 0, 0, 0, 0, time.UTC)
+	cfg.Seed, cfg.StepDays = 7, 1
+	cfg.Start = time.Date(2024, 1, 25, 0, 0, 0, 0, time.UTC)
+	cfg.End = cfg.Start.AddDate(0, 0, days-1)
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		c, err := core.NewCampaign(core.CampaignConfig{
-			Size: size, Seed: 7,
-			Start:      start,
-			End:        start.AddDate(0, 0, days-1),
-			StepDays:   1,
-			DayWorkers: workers,
-		})
+		c, err := core.NewCampaign(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -346,8 +344,12 @@ func benchmarkCampaignDays(b *testing.B, size, days, workers, concurrency int) {
 // with available cores (the repo benchmark reports the same ratio as
 // core.day_pipeline_speedup).
 func BenchmarkCampaignSerialVsPipelined(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchmarkCampaignDays(b, 300, 21, 1, 0) })
-	b.Run("dayworkers8", func(b *testing.B) { benchmarkCampaignDays(b, 300, 21, 8, 0) })
+	b.Run("serial", func(b *testing.B) {
+		benchmarkCampaignDays(b, 21, 0, core.CampaignConfig{Size: 300, DayWorkers: 1})
+	})
+	b.Run("dayworkers8", func(b *testing.B) {
+		benchmarkCampaignDays(b, 21, 0, core.CampaignConfig{Size: 300, DayWorkers: 8})
+	})
 }
 
 // BenchmarkDailyDirect is the repo benchmark's daily-direct workload as a Go
@@ -355,7 +357,22 @@ func BenchmarkCampaignSerialVsPipelined(b *testing.B) {
 // validator and authoritatives own the profile (`make profile` runs this).
 func BenchmarkDailyDirect(b *testing.B) {
 	b.ReportAllocs()
-	benchmarkCampaignDays(b, 3000, 15, 1, 1)
+	benchmarkCampaignDays(b, 15, 1, core.CampaignConfig{Size: 3000, DayWorkers: 1})
+}
+
+// BenchmarkDailyFleet is the repo benchmark's daily-fleet workload as a Go
+// benchmark: the same campaign through the four-frontend doh=2,dot=1,doq=1
+// racing fleet, telemetry series and anomaly tier on, one day worker per
+// processor, so envelopes, shared cache, strategy and obs join the profile
+// (`make profile-fleet` runs this).
+func BenchmarkDailyFleet(b *testing.B) {
+	b.ReportAllocs()
+	benchmarkCampaignDays(b, 16, 0, core.CampaignConfig{
+		Size: 3000, DayWorkers: runtime.GOMAXPROCS(0),
+		DoHFrontends: 4, TransportMix: transport.Mix{DoH: 2, DoT: 1, DoQ: 1},
+		TransportStrategy: transport.StrategyRace,
+		TelemetryInterval: time.Hour, AnomalyCapture: true,
+	})
 }
 
 // BenchmarkAuthoritativeAnswer times the three answers a scan is mostly
@@ -526,24 +543,21 @@ func BenchmarkWorldBuild(b *testing.B) {
 // --- encrypted-DNS serving layer ---
 
 // transportBench builds a small world fronted by an encrypted-DNS fleet
-// of three frontends speaking the given protocols (cycled). withCache
-// selects whether the frontends share the sharded answer cache.
-func transportBench(b *testing.B, withCache bool, protos ...transport.Protocol) (*transport.Client, []string, *providers.World) {
+// of three frontends speaking the given protocols (cycled). cache is the
+// geometry of the sharded answer cache the frontends share (the zero value
+// is the default one); nil runs them with no cache at all.
+func transportBench(b *testing.B, cache *transport.CacheConfig, protos ...transport.Protocol) (*transport.Client, []string, *providers.World) {
 	b.Helper()
 	w, err := providers.BuildWorld(providers.WorldConfig{Size: 500, Seed: 11})
 	if err != nil {
 		b.Fatal(err)
 	}
 	w.Clock.Set(time.Date(2023, 9, 1, 0, 0, 0, 0, time.UTC))
-	cacheCfg := transport.CacheConfig{}
-	if !withCache {
-		// A one-entry geometry with zero shards is still a cache; disable
-		// by omitting the cache from the frontends instead.
-		cacheCfg = transport.CacheConfig{Shards: 1, ShardCapacity: 1}
+	cfg := transport.FleetConfig{Balance: transport.BalanceRoundRobin, Seed: 11}
+	if cache != nil {
+		cfg.Cache = *cache
 	}
-	fl := transport.NewFleet(w.Net, w.Clock, transport.FleetConfig{
-		Balance: transport.BalanceRoundRobin, Seed: 11, Cache: cacheCfg,
-	})
+	fl := transport.NewFleet(w.Net, w.Clock, cfg)
 	if len(protos) == 0 {
 		protos = []transport.Protocol{transport.ProtoDoH}
 	}
@@ -551,7 +565,7 @@ func transportBench(b *testing.B, withCache bool, protos ...transport.Protocol) 
 		p := protos[i%len(protos)]
 		ap := netip.AddrPortFrom(w.Alloc.AllocV4("DoHFrontend"), p.Port())
 		fe := fl.Add(p, "fe", w.GoogleResolver, ap)
-		if !withCache {
+		if cache == nil {
 			fe.Cache = nil
 		}
 	}
@@ -561,7 +575,7 @@ func transportBench(b *testing.B, withCache bool, protos ...transport.Protocol) 
 // BenchmarkDoHCachedPath measures the fleet's hot path: every query after
 // the warm-up is answered from the shared sharded cache.
 func BenchmarkDoHCachedPath(b *testing.B) {
-	client, list, _ := transportBench(b, true)
+	client, list, _ := transportBench(b, &transport.CacheConfig{})
 	for _, name := range list {
 		if _, err := client.Query(name, dnswire.TypeHTTPS, true); err != nil {
 			b.Fatal(err)
@@ -583,7 +597,7 @@ func BenchmarkDoHCachedPath(b *testing.B) {
 func BenchmarkTransportPath(b *testing.B) {
 	for _, proto := range []transport.Protocol{transport.ProtoDoH, transport.ProtoDoT, transport.ProtoDoQ} {
 		b.Run(proto.String(), func(b *testing.B) {
-			client, list, _ := transportBench(b, true, proto)
+			client, list, _ := transportBench(b, &transport.CacheConfig{}, proto)
 			for _, name := range list {
 				if _, err := client.Query(name, dnswire.TypeHTTPS, true); err != nil {
 					b.Fatal(err)
@@ -612,7 +626,7 @@ func BenchmarkTransportStrategy(b *testing.B) {
 		transport.StrategySerial, transport.StrategyRace, transport.StrategyHedge,
 	} {
 		b.Run(kind.String(), func(b *testing.B) {
-			client, list, _ := transportBench(b, true,
+			client, list, _ := transportBench(b, &transport.CacheConfig{},
 				transport.ProtoDoH, transport.ProtoDoT, transport.ProtoDoQ)
 			client.Strategy = transport.StrategyConfig{Kind: kind}.New()
 			client.Latency = transport.SyntheticLatency(2*time.Millisecond, 18*time.Millisecond)
@@ -674,7 +688,7 @@ func exchangeAllocsLoop(b *testing.B, client *transport.Client, list []string) {
 // end-to-end allocs_per_op.
 func BenchmarkExchangeAllocs(b *testing.B) {
 	b.Run("cached", func(b *testing.B) {
-		client, list, _ := transportBench(b, true)
+		client, list, _ := transportBench(b, &transport.CacheConfig{})
 		exchangeAllocsLoop(b, client, list)
 	})
 	b.Run("stale", func(b *testing.B) {
@@ -706,15 +720,31 @@ func BenchmarkExchangeAllocs(b *testing.B) {
 		exchangeAllocsLoop(b, client, list)
 	})
 	b.Run("uncached", func(b *testing.B) {
-		client, list, _ := transportBench(b, false)
+		client, list, _ := transportBench(b, nil)
 		exchangeAllocsLoop(b, client, list)
 	})
+}
+
+// BenchmarkFleetMissPath measures one exchange per envelope when every
+// query misses: a single-protocol fleet over a 1×1 shared cache, names
+// cycling, answers recycled. Per query that is envelope encode and decode,
+// a cache probe, the recursor's warm path, the one answer encode, an insert
+// into the evicted entry and the client's decode into a recycled message;
+// the allocations reported are the recursor's, the serving layer adding
+// none (transport.TestExchangeAllocBudgets).
+func BenchmarkFleetMissPath(b *testing.B) {
+	for _, proto := range []transport.Protocol{transport.ProtoDoH, transport.ProtoDoT, transport.ProtoDoQ} {
+		b.Run(proto.String(), func(b *testing.B) {
+			client, list, _ := transportBench(b, &transport.CacheConfig{Shards: 1, ShardCapacity: 1}, proto)
+			exchangeAllocsLoop(b, client, list)
+		})
+	}
 }
 
 // BenchmarkDoHUncachedPath measures the same exchanges with the answer
 // cache disabled: every query pays envelope decode + recursor traversal.
 func BenchmarkDoHUncachedPath(b *testing.B) {
-	client, list, _ := transportBench(b, false)
+	client, list, _ := transportBench(b, nil)
 	for _, name := range list {
 		if _, err := client.Query(name, dnswire.TypeHTTPS, true); err != nil {
 			b.Fatal(err)

@@ -19,7 +19,9 @@ import (
 // first; then the name goes through recursor → scanner, and through a
 // four-frontend racing fleet whose client recycles its answer messages
 // (pack, cache put, cache hit, stale serve, Driver.Discard of the losers);
-// then the servers are asked again and must say exactly what they said.
+// then a whole day is scanned through a day replica of that fleet, every
+// answer handed back with Client.Recycle and decoded over by the next; then
+// the servers are asked again and must say exactly what they said.
 func TestServedRecordsStayReadOnly(t *testing.T) {
 	camp, err := NewCampaign(CampaignConfig{
 		Size: 2000, Seed: 7, DoHFrontends: 4,
@@ -114,6 +116,18 @@ func TestServedRecordsStayReadOnly(t *testing.T) {
 	}
 	if st := camp.Fleet.StrategyStats(); st.Races == 0 {
 		t.Errorf("the racing client never raced (no loser was discarded): %+v", st)
+	}
+
+	// A scanned day: the scanner returns each answer to the day replica's
+	// client once read, so eight workers decode into recycled message graphs
+	// all day. Only the client's own decodes may ever be in that pool.
+	day := at.Truncate(24 * time.Hour)
+	res, err := camp.runDay(camp.newDayContext(day), day)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o := res.apexSnap.Obs[d.Apex]; o == nil || !o.HasHTTPS() || !o.Signed || len(o.NS) == 0 {
+		t.Errorf("day scan of %s: %+v", d.Apex, o)
 	}
 
 	if got := ask(); !reflect.DeepEqual(got, want) {

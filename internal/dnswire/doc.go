@@ -11,7 +11,8 @@
 // serving layer's hot path uses only the reuse forms; the convenience
 // forms are thin wrappers kept for one-shot callers. The DoH GET
 // parameter codec exists in the reuse form only (AppendEncodeDoHParam,
-// DecodeDoHParamInto).
+// DecodeDoHParamInto); the parameter travels as bytes aliasing the
+// encoder's scratch, never as a string.
 //
 // AppendPack(dst) appends the encoded message to dst and returns the
 // extended slice, amortising to zero allocations when the caller
@@ -20,15 +21,18 @@
 //
 // UnpackInto(m, wire) decodes into an existing Message, truncating its
 // question and section slices cap-preservingly and reusing RDATA values
-// whose types line up slot-for-slot with the prior decode: byte slices
-// are overwritten in place, and name strings are reused when the bytes
-// match. Names that do change are deduplicated twice — within the
-// message (compression-pointer reuse yields one shared string) and
-// across messages, via a bounded intern table that rides the pooled
-// decode scratch, so a steady-state decode whose names have all been
-// seen before mints zero strings. The aliasing consequence: callers
-// must not hold references into a Message across UnpackInto calls on
-// it.
+// whose types line up slot-for-slot with what the backing array holds:
+// byte slices are overwritten in place, and name strings are reused when
+// the bytes match. Slots come from each array's capacity, not from the
+// previous decode's length — sections, SvcParams, TXT strings and EDNS
+// options alike — so a short message between two long ones leaves the
+// long shape's storage in place. Names that do change are deduplicated
+// twice — within the message (compression-pointer reuse yields one
+// shared string) and across messages, via a bounded intern table that
+// rides the pooled decode scratch, so a steady-state decode whose names
+// have all been seen before mints zero strings. The aliasing
+// consequence: callers must not hold references into a Message across
+// UnpackInto calls on it.
 //
 // # Skeletons
 //

@@ -178,7 +178,13 @@ func FuzzReadTCP(f *testing.F) {
 // prior-message state leaked through the reuse machinery. A third decode
 // goes into a dirty skeleton — the answered, packed Reply itself, whose
 // question and OPT slots are inline — and must agree too, without reaching
-// the query the skeleton replied to.
+// the query the skeleton replied to. Last comes the shrink-then-grow leg:
+// both recycled messages decode a bare header — every section cut to zero
+// length, its slots still in the backing array — and then the input again.
+// Slots are reused from capacity, so this is the decode that finds its own
+// RDATA values behind the length; it must still equal the fresh decode,
+// encode to the same bytes, and leave no RDATA value reachable from two
+// live messages (or from two records of one).
 func FuzzUnpackInto(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
@@ -226,6 +232,34 @@ func FuzzUnpackInto(f *testing.F) {
 		}
 		assertSameDecode(t, fresh, dirty)
 		assertSameDecode(t, fresh, skel)
+
+		freshWire, freshPackErr := fresh.Pack()
+		owner := map[RData]string{}
+		for _, m := range []struct {
+			name string
+			*Message
+		}{{"fresh", fresh}, {"dirty", dirty}, {"skeleton", skel}} {
+			if m.Message != fresh {
+				if err := UnpackInto(m.Message, make([]byte, headerLen)); err != nil {
+					t.Fatalf("%s: bare header rejected: %v", m.name, err)
+				}
+				if err := UnpackInto(m.Message, data); err != nil {
+					t.Fatalf("%s: accepted input rejected after a shrink: %v", m.name, err)
+				}
+				assertSameDecode(t, fresh, m.Message)
+				if wire, err := m.Pack(); (err == nil) != (freshPackErr == nil) || !bytes.Equal(wire, freshWire) {
+					t.Fatalf("%s: re-encodes to %x (%v), the fresh decode to %x (%v)", m.name, wire, err, freshWire, freshPackErr)
+				}
+			}
+			for _, sec := range [][]RR{m.Answer, m.Authority, m.Additional} {
+				for _, rr := range sec {
+					if prev, shared := owner[rr.Data]; shared {
+						t.Fatalf("%s and %s share one %s RDATA value", prev, m.name, rr.Type)
+					}
+					owner[rr.Data] = m.name
+				}
+			}
+		}
 	})
 }
 

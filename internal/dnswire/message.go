@@ -359,11 +359,12 @@ func Unpack(b []byte) (*Message, error) {
 
 // UnpackInto decodes a wire-format message into m, reusing m's question and
 // section slices (cap-preserving truncation) and, where types line up,
-// existing RDATA values and name strings. Decoding the same shape of
-// message into a recycled Message allocates nothing. Previous contents of m
-// are overwritten; strings and RDATA from the prior decode may be reused,
-// so callers must not hold references into a Message across UnpackInto
-// calls on it.
+// existing RDATA values and name strings. Recycled slots are taken from
+// each backing array's capacity, so decoding a message into a recycled
+// Message that has held its shape before — however short the decodes in
+// between — allocates nothing. Previous contents of m are overwritten;
+// strings and RDATA from any earlier decode may be reused, so callers must
+// not hold references into a Message across UnpackInto calls on it.
 func UnpackInto(m *Message, b []byte) error {
 	sc := decScratchPool.Get().(*decodeScratch)
 	err := unpackInto(m, b, sc)
@@ -394,7 +395,9 @@ func unpackInto(m *Message, b []byte, sc *decodeScratch) error {
 
 	off := headerLen
 	var err error
-	prevQ := m.Question
+	// Capacity, not length: a short message between two long ones must not
+	// cost the long shape its names and RDATA.
+	prevQ := m.Question[:cap(m.Question)]
 	m.Question = m.Question[:0]
 	for i := 0; i < qd; i++ {
 		// Read the recycled slot before append overwrites it in place.
@@ -419,7 +422,7 @@ func unpackInto(m *Message, b []byte, sc *decodeScratch) error {
 	counts := [3]int{an, ns, ar}
 	for si, count := range counts {
 		sp := sections[si]
-		prevS := *sp
+		prevS := (*sp)[:cap(*sp)]
 		*sp = (*sp)[:0]
 		for i := 0; i < count; i++ {
 			var prev RR

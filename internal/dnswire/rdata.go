@@ -606,7 +606,7 @@ func unpackRDataInto(t Type, msg []byte, off, rdlen int, prev RData, sc *decodeS
 		if !ok {
 			d = &TXTData{}
 		}
-		prevStrs := d.Strings
+		prevStrs := d.Strings[:cap(d.Strings)]
 		strs := d.Strings[:0]
 		b := rd
 		for len(b) > 0 {
@@ -743,7 +743,7 @@ func unpackRDataInto(t Type, msg []byte, off, rdlen int, prev RData, sc *decodeS
 		if !ok {
 			d = &OPTData{}
 		}
-		prevOpts := d.Options
+		prevOpts := d.Options[:cap(d.Options)]
 		opts := d.Options[:0]
 		b := rd
 		for len(b) > 0 {

@@ -4,6 +4,10 @@
 // re-queries, RRSIG and AD-bit collection, name-server address + WHOIS
 // scans, the hourly ECH rotation scans, and the TLS connectivity probes for
 // domains with mismatched IP hints.
+//
+// A scan keeps nothing of an answer but copied values (addresses, name
+// strings, SummarizeHTTPS's fresh slices), so through a Transport that
+// offers Recycle it hands every answer back as soon as it has read it.
 package scanner
 
 import (
@@ -122,19 +126,40 @@ func (s *Scanner) forEach(n int, fn func(i int)) {
 	ForEach(n, s.Concurrency, fn)
 }
 
-// query sends one stub query, falling back to the backup resolver on error
-// or SERVFAIL (the paper's Google→Cloudflare fallback). With a Transport
-// configured, the query rides the encrypted serving layer instead and
-// failover happens inside the transport's upstream pool. name is sent as
-// given, canonical or not; shown is how an error names it.
-func (s *Scanner) query(name, shown string, t dnswire.Type) (*dnswire.Message, error) {
-	q := dnswire.NewQuery(s.nextID(), name, t, true)
+// recycler is the optional way home for an answer the scanner has finished
+// reading (*transport.Client implements it).
+type recycler interface{ Recycle(m *dnswire.Message) }
+
+// done hands back an answer whose values have been copied out; it must not
+// be read afterwards. Without Recycle the garbage collector keeps the job.
+func (s *Scanner) done(m *dnswire.Message) {
+	if r, ok := s.Transport.(recycler); ok {
+		r.Recycle(m)
+	}
+}
+
+// newQuery builds the message a scan patches for each of its questions.
+func newQuery() *dnswire.Message {
+	return dnswire.NewQuery(0, "", dnswire.TypeHTTPS, true)
+}
+
+// query patches q into the scan's next question — fresh ID, name (sent as
+// given, canonical or not), type; nothing downstream retains q — and sends
+// it, falling back to the backup resolver on error or SERVFAIL (the paper's
+// Google→Cloudflare fallback). With a Transport configured, the query rides
+// the encrypted serving layer instead and failover happens inside the
+// transport's upstream pool. shown is how an error names the question. The
+// caller gives the answer to done once it has read it.
+func (s *Scanner) query(q *dnswire.Message, name, shown string, t dnswire.Type) (*dnswire.Message, error) {
+	q.ID = s.nextID()
+	q.Question[0].Name, q.Question[0].Type = dnswire.CanonicalName(name), t
 	if s.Transport != nil {
 		resp, err := s.Transport.Exchange(q)
 		if err != nil {
 			return nil, err
 		}
 		if resp.RCode == dnswire.RCodeServFail {
+			s.done(resp)
 			return nil, fmt.Errorf("scanner: SERVFAIL via transport for %s/%s", shown, t)
 		}
 		return resp, nil
@@ -203,21 +228,24 @@ func (s *Scanner) ScanDomain(name string) *dataset.Observation {
 	canon := dnswire.CanonicalName(name)
 	obs := &dataset.Observation{Name: canon}
 
-	resp, err := s.query(canon, name, dnswire.TypeHTTPS)
+	q := newQuery()
+	resp, err := s.query(q, canon, name, dnswire.TypeHTTPS)
 	if err != nil {
 		obs.Err = err.Error()
 		return obs
 	}
 	obs.AD = resp.AuthenticatedData
 	s.extractHTTPS(resp, obs)
+	s.done(resp)
 
 	// CNAME chase (§4.1): if the answer contains a CNAME but the resolver
 	// did not chase to an HTTPS record, re-query the target explicitly.
 	if len(obs.CNAMEChain) > 0 && !obs.HasHTTPS() {
 		target := obs.CNAMEChain[len(obs.CNAMEChain)-1]
-		if sub, err := s.query(target, target, dnswire.TypeHTTPS); err == nil {
+		if sub, err := s.query(q, target, target, dnswire.TypeHTTPS); err == nil {
 			s.extractHTTPS(sub, obs)
 			obs.AD = obs.AD && sub.AuthenticatedData
+			s.done(sub)
 		}
 	}
 
@@ -225,34 +253,38 @@ func (s *Scanner) ScanDomain(name string) *dataset.Observation {
 		return obs
 	}
 	// Follow-up queries for adopters.
-	if resp, err := s.query(canon, name, dnswire.TypeA); err == nil {
+	if resp, err := s.query(q, canon, name, dnswire.TypeA); err == nil {
 		for _, rr := range resp.Answer {
 			if a, ok := rr.Data.(*dnswire.AData); ok {
 				obs.A = append(obs.A, a.Addr)
 			}
 		}
+		s.done(resp)
 	}
-	if resp, err := s.query(canon, name, dnswire.TypeAAAA); err == nil {
+	if resp, err := s.query(q, canon, name, dnswire.TypeAAAA); err == nil {
 		for _, rr := range resp.Answer {
 			if a, ok := rr.Data.(*dnswire.AAAAData); ok {
 				obs.AAAA = append(obs.AAAA, a.Addr)
 			}
 		}
+		s.done(resp)
 	}
 	apex := dnswire.ApexOf(canon)
-	if resp, err := s.query(apex, apex, dnswire.TypeSOA); err == nil {
+	if resp, err := s.query(q, apex, apex, dnswire.TypeSOA); err == nil {
 		for _, rr := range resp.Answer {
 			if rr.Type == dnswire.TypeSOA {
 				obs.HasSOA = true
 			}
 		}
+		s.done(resp)
 	}
-	if resp, err := s.query(apex, apex, dnswire.TypeNS); err == nil {
+	if resp, err := s.query(q, apex, apex, dnswire.TypeNS); err == nil {
 		for _, rr := range resp.Answer {
 			if ns, ok := rr.Data.(*dnswire.NSData); ok {
 				obs.NS = append(obs.NS, ns.Host)
 			}
 		}
+		s.done(resp)
 	}
 	return obs
 }
@@ -320,12 +352,13 @@ func (s *Scanner) ScanNameServers(date time.Time, snaps ...*dataset.Snapshot) *d
 	results := make([]*dataset.NSObservation, len(hosts))
 	s.forEach(len(hosts), func(i int) {
 		nso := &dataset.NSObservation{Host: hosts[i]}
-		if resp, err := s.query(hosts[i], hosts[i], dnswire.TypeA); err == nil {
+		if resp, err := s.query(newQuery(), hosts[i], hosts[i], dnswire.TypeA); err == nil {
 			for _, rr := range resp.Answer {
 				if a, ok := rr.Data.(*dnswire.AData); ok {
 					nso.Addrs = append(nso.Addrs, a.Addr)
 				}
 			}
+			s.done(resp)
 		}
 		if s.Whois != nil && len(nso.Addrs) > 0 {
 			nso.Org = s.Whois.AttributeNameServer(nso.Addrs[0])
@@ -346,7 +379,7 @@ func (s *Scanner) ECHScan(now time.Time, domains []string) []dataset.ECHObservat
 	slots := make([][]dataset.ECHObservation, len(domains))
 	s.forEach(len(domains), func(i int) {
 		name := domains[i]
-		resp, err := s.query(name, name, dnswire.TypeHTTPS)
+		resp, err := s.query(newQuery(), name, name, dnswire.TypeHTTPS)
 		if err != nil {
 			return
 		}
@@ -366,6 +399,7 @@ func (s *Scanner) ECHScan(now time.Time, domains []string) []dataset.ECHObservat
 				PublicName: sum.ECHPublicName,
 			})
 		}
+		s.done(resp)
 	})
 	var out []dataset.ECHObservation
 	for _, obs := range slots {

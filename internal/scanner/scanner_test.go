@@ -2,10 +2,13 @@ package scanner
 
 import (
 	"net/netip"
+	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/dataset"
 	"repro/internal/dnswire"
 	"repro/internal/providers"
 	"repro/internal/simnet"
@@ -419,4 +422,103 @@ func TestScanDomainNamesErrorsAsListed(t *testing.T) {
 		return
 	}
 	t.Skip("no NS-less day inside the study period")
+}
+
+// answerCounter is a Transport over the fleet client that counts answered
+// exchanges and the answers handed back, forwarding both.
+type answerCounter struct {
+	c                 *transport.Client
+	answers, recycled atomic.Int64
+}
+
+func (a *answerCounter) Exchange(q *dnswire.Message) (*dnswire.Message, error) {
+	m, err := a.c.Exchange(q)
+	if err == nil {
+		a.answers.Add(1)
+	}
+	return m, err
+}
+
+func (a *answerCounter) Recycle(m *dnswire.Message) {
+	a.recycled.Add(1)
+	a.c.Recycle(m)
+}
+
+// hidesRecycle narrows a transport to Exchange, so the scanner's type
+// assertion finds no Recycle method — a transport that never offered one.
+type hidesRecycle struct{ Transport }
+
+var _ recycler = (*transport.Client)(nil)
+
+// TestRecycledAnswersLeaveScansUnchanged scans the same list three times,
+// each through its own racing doh=2,dot=1,doq=1 fleet over forked recursors
+// with eight workers: with the bare client (whose answers the scanner hands
+// back for the next decode to overwrite), with a forwarding counter, and
+// with a transport that hides Recycle (every answer left to the collector).
+// A value read out of an answer after it went home — or a message decoded
+// into by two workers at once, which the race detector sees — would move
+// one of the three results; they must be deep-equal. The counter proves the
+// scanner hands back exactly the answers it was given.
+func TestRecycledAnswersLeaveScansUnchanged(t *testing.T) {
+	w, base := scanWorld(t)
+	at := time.Date(2023, 7, 21, 12, 0, 0, 0, time.UTC)
+	list := w.Tranco.ListFor(at)[:400]
+	var echDomains []string
+	for apex, d := range w.Domains {
+		if d.ECH && !d.ApexCNAME && !d.AdoptDay.After(at) {
+			echDomains = append(echDomains, apex)
+		}
+	}
+	sort.Strings(echDomains)
+
+	type result struct {
+		snap *dataset.Snapshot
+		ns   *dataset.NSSnapshot
+		ech  []dataset.ECHObservation
+	}
+	scan := func(wrap func(*transport.Client) Transport) result {
+		clock := simnet.NewClock(at)
+		net := w.Net.WithClock(clock)
+		fl := transport.NewFleet(net, clock, transport.FleetConfig{
+			Seed: 5, Override: true,
+			Strategy: transport.StrategyConfig{Kind: transport.StrategyRace},
+			Latency:  transport.SyntheticLatency(8*time.Millisecond, 24*time.Millisecond),
+		})
+		recursors := []simnet.DNSHandler{w.GoogleResolver.Fork(net), w.CFResolver.Fork(net)}
+		for i, proto := range (transport.Mix{DoH: 2, DoT: 1, DoQ: 1}).Assign(4) {
+			ap := netip.AddrPortFrom(netip.AddrFrom4([4]byte{203, 0, 113, byte(10 + i)}), proto.Port())
+			fl.Add(proto, proto.String(), recursors[i%2], ap)
+		}
+		sc := base.Fork(net, wrap(fl.Client))
+		sc.Concurrency = 8
+		var r result
+		r.snap = sc.ScanList(at, "apex", list)
+		r.ns = sc.ScanNameServers(at, r.snap)
+		r.ech = sc.ECHScan(at, echDomains)
+		if st := fl.StrategyStats(); st.Races == 0 {
+			t.Errorf("the fleet never raced: %+v", st)
+		}
+		return r
+	}
+
+	bare := scan(func(c *transport.Client) Transport { return c })
+	if len(bare.snap.Obs) == 0 || len(bare.ns.Servers) == 0 || len(bare.ech) == 0 {
+		t.Fatalf("scan saw too little to compare: %d observations, %d name servers, %d ECH observations",
+			len(bare.snap.Obs), len(bare.ns.Servers), len(bare.ech))
+	}
+	var counted answerCounter
+	forwarded := scan(func(c *transport.Client) Transport { counted.c = c; return &counted })
+	if n := counted.answers.Load(); n == 0 || counted.recycled.Load() != n {
+		t.Errorf("%d answers handed back of %d given", counted.recycled.Load(), n)
+	}
+	if !reflect.DeepEqual(bare, forwarded) {
+		t.Error("scan through a forwarding wrapper differs from the bare client's")
+	}
+	hidden := scan(func(c *transport.Client) Transport { return hidesRecycle{c} })
+	if _, ok := Transport(hidesRecycle{}).(recycler); ok {
+		t.Fatal("the hiding wrapper does not hide Recycle")
+	}
+	if !reflect.DeepEqual(bare, hidden) {
+		t.Error("scan with recycled answers differs from the scan that recycles nothing")
+	}
 }

@@ -173,9 +173,11 @@ func UnpackParams(b []byte) (Params, error) {
 
 // UnpackParamsInto parses a wire-format SvcParams blob into the recycled
 // params slice, reusing its backing array and each slot's Value buffer.
-// Re-decoding a same-shape blob allocates nothing.
+// Slots are taken from the array's capacity, so a list that shrank keeps
+// the Value buffers of its longer past; re-decoding a blob no longer than
+// any decoded before allocates nothing.
 func UnpackParamsInto(params Params, b []byte) (Params, error) {
-	prevSlots := params
+	prevSlots := params[:cap(params)]
 	ps := params[:0]
 	prev := -1
 	for len(b) > 0 {

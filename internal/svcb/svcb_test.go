@@ -406,6 +406,81 @@ func randomParams(rng *rand.Rand) Params {
 	return ps
 }
 
+// Property: decoding into a recycled list takes its slots from the backing
+// array's capacity, so a short blob between two decodes of a long one must
+// change nothing about the second: for any blob — well-formed, truncated or
+// with a flipped byte — a list that decoded it, then an empty blob, then it
+// again agrees with a fresh UnpackParams on acceptance and content, reuses
+// every Value buffer the first decode left (no allocation), and shares no
+// Value storage with another live list decoded from the same bytes.
+func TestQuickUnpackIntoShrinkThenGrow(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		wire, err := randomParams(rng).Pack(nil)
+		if err != nil {
+			return false
+		}
+		switch rng.Intn(4) {
+		case 0:
+			wire = wire[:rng.Intn(len(wire)+1)]
+		case 1:
+			if len(wire) > 0 {
+				wire[rng.Intn(len(wire))] ^= byte(1 + rng.Intn(255))
+			}
+		}
+		fresh, freshErr := UnpackParams(wire)
+		// Two recycled lists with different pasts: a longer decode, and none.
+		dirty, _ := randomParams(rng).Pack(nil)
+		lists := make([]Params, 2)
+		lists[0], _ = UnpackParamsInto(nil, dirty)
+		for i := range lists {
+			for _, blob := range [][]byte{wire, nil, wire} {
+				ps, err := UnpackParamsInto(lists[i], blob)
+				if (err == nil) != (freshErr == nil || blob == nil) {
+					t.Logf("seed %d: acceptance diverged from a fresh decode: %v vs %v", seed, err, freshErr)
+					return false
+				}
+				if err == nil {
+					lists[i] = ps
+				}
+			}
+		}
+		if freshErr != nil {
+			return true
+		}
+		for _, ps := range lists {
+			if len(ps) != len(fresh) {
+				return false
+			}
+			for j := range ps {
+				if ps[j].Key != fresh[j].Key || !bytes.Equal(ps[j].Value, fresh[j].Value) {
+					return false
+				}
+				for _, other := range [2]Params{fresh, lists[0]} {
+					if &other[0] != &ps[0] && len(ps[j].Value) > 0 && &other[j].Value[0] == &ps[j].Value[0] {
+						t.Logf("seed %d: param %d shares its value buffer with another live list", seed, j)
+						return false
+					}
+				}
+			}
+		}
+		if !testrace.Enabled {
+			ps := lists[0]
+			if n := testing.AllocsPerRun(10, func() {
+				ps, _ = UnpackParamsInto(ps, nil)
+				ps, _ = UnpackParamsInto(ps, wire)
+			}); n != 0 {
+				t.Logf("seed %d: shrink-then-grow re-decode allocated %v times", seed, n)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
 // Property: String() output always reparses to an equivalent Params when the
 // params are semantically valid.
 func TestQuickPresentationRoundTrip(t *testing.T) {

@@ -131,15 +131,16 @@ type cacheShard struct {
 }
 
 // cacheEntry holds the response as a packed wire image plus the byte
-// offsets of every RR TTL field, precomputed at store time. A hit is then
-// one copy, an ID patch, and in-place TTL rewrites — no message encode on
-// the hot path.
+// offset and original value of every RR TTL field, precomputed at store
+// time. A hit is then one copy, an ID patch, and in-place TTL rewrites — no
+// message encode on the hot path. Both buffers belong to the entry: a
+// replace overwrites them in place and an eviction hands them, with the
+// struct, to the answer that displaced it.
 type cacheEntry struct {
 	key      Key
 	wire     []byte
-	ttlOffs  []int
-	ttls     []uint32 // original TTLs, parallel to ttlOffs
-	minTTL   uint32   // minimum answer TTL at store time (the DoH max-age)
+	ttls     []ttlSlot
+	minTTL   uint32 // minimum answer TTL at store time (the DoH max-age)
 	storedAt time.Time
 	expires  time.Time
 	// negative marks RFC 2308 entries (NXDOMAIN or empty answers).
@@ -151,6 +152,10 @@ type cacheEntry struct {
 	refreshing bool
 	prev, next *cacheEntry
 }
+
+// ttlSlot locates one record's TTL field in an entry's wire image and keeps
+// the value it was stored with.
+type ttlSlot struct{ off, ttl uint32 }
 
 // CacheStats aggregates counters across shards.
 type CacheStats struct {
@@ -308,14 +313,12 @@ func (c *Cache) Probe(key Key, id uint16, dst []byte) Lookup {
 	base := len(dst)
 	out := append(dst, e.wire...)
 	binary.BigEndian.PutUint16(out[base:], id)
-	for i, off := range e.ttlOffs {
-		ttl := e.ttls[i]
-		if ttl > elapsed {
-			ttl -= elapsed
-		} else {
-			ttl = 0
+	for _, t := range e.ttls {
+		ttl := uint32(0)
+		if t.ttl > elapsed {
+			ttl = t.ttl - elapsed
 		}
-		binary.BigEndian.PutUint32(out[base+off:], ttl)
+		binary.BigEndian.PutUint32(out[base+int(t.off):], ttl)
 	}
 	if e.minTTL > elapsed {
 		l.MaxAge = e.minTTL - elapsed
@@ -344,12 +347,8 @@ func (c *Cache) StaleWire(key Key, id uint16, dst []byte) (body []byte, maxAge u
 	base := len(dst)
 	out := append(dst, e.wire...)
 	binary.BigEndian.PutUint16(out[base:], id)
-	for i, off := range e.ttlOffs {
-		ttl := e.ttls[i]
-		if ttl > c.cfg.StaleTTL {
-			ttl = c.cfg.StaleTTL
-		}
-		binary.BigEndian.PutUint32(out[base+off:], ttl)
+	for _, t := range e.ttls {
+		binary.BigEndian.PutUint32(out[base+int(t.off):], min(t.ttl, c.cfg.StaleTTL))
 	}
 	s.staleServes++
 	return out[base:], c.cfg.StaleTTL, true
@@ -357,8 +356,26 @@ func (c *Cache) StaleWire(key Key, id uint16, dst []byte) (body []byte, maxAge u
 
 // Put stores a response. Uncacheable responses (SERVFAIL and friends) are
 // ignored; the retention window is the answer's minimum TTL, or the RFC
-// 2308 SOA-minimum (capped by MaxNegativeTTL) for negative answers.
+// 2308 SOA-minimum (capped by MaxNegativeTTL) for negative answers. Put
+// packs m into a borrowed buffer; the frontend, which has already packed
+// the answer for its envelope, inserts those bytes directly.
 func (c *Cache) Put(key Key, m *dnswire.Message) {
+	bp := dnswire.GetWireBuf()
+	defer dnswire.PutWireBuf(bp)
+	wire, err := m.AppendPack(*bp)
+	if err != nil {
+		return
+	}
+	*bp = wire
+	c.insert(key, m, wire)
+}
+
+// insert stores m under key as the wire image it was packed to. The cache
+// copies wire, so the caller's buffer stays the caller's. The wire is walked
+// and validated before any entry is touched; after that a replace reuses
+// the entry's own buffers and an insert at capacity reuses the LRU victim's
+// struct and buffers, so only a growing shard allocates.
+func (c *Cache) insert(key Key, m *dnswire.Message, wire []byte) {
 	ttl, negative, ok := cacheTTL(m)
 	if !ok || ttl <= 0 {
 		return
@@ -366,93 +383,83 @@ func (c *Cache) Put(key Key, m *dnswire.Message) {
 	if negative && ttl > c.cfg.MaxNegativeTTL {
 		ttl = c.cfg.MaxNegativeTTL
 	}
-	wire, err := m.Pack()
-	if err != nil {
-		return
-	}
-	offs, ttls, err := ttlOffsets(wire)
+	// Room for the records of any usual answer; a longer walk spills to
+	// the heap.
+	var stack [16]ttlSlot
+	slots, err := appendTTLSlots(stack[:0], wire)
 	if err != nil {
 		return
 	}
 	minTTL, _ := minAnswerTTL(m)
 	now := c.clock.Now()
-	refreshAt := time.Time{}
-	if c.cfg.RefreshAhead > 0 {
-		refreshAt = now.Add(time.Duration(c.cfg.RefreshAhead * float64(ttl)))
-	}
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.entries[key]; ok {
-		if negative != e.negative {
-			if negative {
-				s.negEntries++
-			} else {
-				s.negEntries--
-			}
-		}
-		e.wire, e.ttlOffs, e.ttls, e.minTTL = wire, offs, ttls, minTTL
-		e.storedAt, e.expires, e.negative = now, now.Add(ttl), negative
-		e.refreshAt, e.refreshing = refreshAt, false
-		s.moveToFront(e)
-		return
+	e, replace := s.entries[key]
+	if !replace && len(s.entries) >= s.capacity {
+		e = s.tail
+		delete(s.entries, e.key)
+		s.evictions++
 	}
-	e := &cacheEntry{key: key, wire: wire, ttlOffs: offs, ttls: ttls,
-		minTTL: minTTL, storedAt: now, expires: now.Add(ttl),
-		negative: negative, refreshAt: refreshAt}
+	if e == nil {
+		e = new(cacheEntry)
+	} else {
+		s.remove(e)
+		if e.negative {
+			s.negEntries--
+		}
+	}
+	e.key = key
 	s.entries[key] = e
 	s.pushFront(e)
 	if negative {
 		s.negEntries++
 	}
-	if len(s.entries) > s.capacity {
-		victim := s.tail
-		s.remove(victim)
-		delete(s.entries, victim.key)
-		if victim.negative {
-			s.negEntries--
-		}
-		s.evictions++
+	e.wire = append(e.wire[:0], wire...)
+	e.ttls = append(e.ttls[:0], slots...)
+	e.minTTL, e.negative = minTTL, negative
+	e.storedAt, e.expires = now, now.Add(ttl)
+	e.refreshAt, e.refreshing = time.Time{}, false
+	if c.cfg.RefreshAhead > 0 {
+		e.refreshAt = now.Add(time.Duration(c.cfg.RefreshAhead * float64(ttl)))
 	}
 }
 
-// ttlOffsets walks a packed message once and records the byte offset and
-// original value of every resource record's TTL field, excluding the OPT
-// pseudo-record (its TTL field holds EDNS flags, not a TTL).
-func ttlOffsets(wire []byte) (offs []int, ttls []uint32, err error) {
+// appendTTLSlots walks a packed message once and appends the byte offset
+// and original value of every resource record's TTL field to dst, excluding
+// the OPT pseudo-record (its TTL field holds EDNS flags, not a TTL).
+func appendTTLSlots(dst []ttlSlot, wire []byte) ([]ttlSlot, error) {
 	if len(wire) < 12 {
-		return nil, nil, dnswire.ErrShortMessage
+		return nil, dnswire.ErrShortMessage
 	}
 	qd := int(binary.BigEndian.Uint16(wire[4:]))
 	rrs := int(binary.BigEndian.Uint16(wire[6:])) +
 		int(binary.BigEndian.Uint16(wire[8:])) +
 		int(binary.BigEndian.Uint16(wire[10:]))
 	pos := 12
+	var err error
 	for i := 0; i < qd; i++ {
 		if pos, err = skipName(wire, pos); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		pos += 4 // qtype + qclass
 	}
 	for i := 0; i < rrs; i++ {
 		if pos, err = skipName(wire, pos); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if pos+10 > len(wire) {
-			return nil, nil, errTruncatedRR
+			return nil, errTruncatedRR
 		}
-		typ := dnswire.Type(binary.BigEndian.Uint16(wire[pos:]))
-		if typ != dnswire.TypeOPT {
-			offs = append(offs, pos+4)
-			ttls = append(ttls, binary.BigEndian.Uint32(wire[pos+4:]))
+		if dnswire.Type(binary.BigEndian.Uint16(wire[pos:])) != dnswire.TypeOPT {
+			dst = append(dst, ttlSlot{off: uint32(pos + 4), ttl: binary.BigEndian.Uint32(wire[pos+4:])})
 		}
-		rdlen := int(binary.BigEndian.Uint16(wire[pos+8:]))
-		pos += 10 + rdlen
+		pos += 10 + int(binary.BigEndian.Uint16(wire[pos+8:]))
 		if pos > len(wire) {
-			return nil, nil, errTruncatedRR
+			return nil, errTruncatedRR
 		}
 	}
-	return offs, ttls, nil
+	return dst, nil
 }
 
 var errTruncatedRR = errors.New("transport: truncated record in wire image")

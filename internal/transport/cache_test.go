@@ -1,0 +1,331 @@
+package transport
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"net/netip"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/dnswire"
+	"repro/internal/testrace"
+)
+
+// answerOf builds a response to (name, A) carrying one A record per TTL;
+// no TTLs makes it a NODATA answer with an SOA (TTL 50, minimum 40).
+func answerOf(name string, ttls ...uint32) *dnswire.Message {
+	resp := dnswire.NewQuery(1, name, dnswire.TypeA, true).Reply()
+	for i, ttl := range ttls {
+		resp.Answer = append(resp.Answer, dnswire.RR{
+			Name: name, Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: ttl,
+			Data: &dnswire.AData{Addr: netip.AddrFrom4([4]byte{192, 0, 2, byte(i)})},
+		})
+	}
+	if len(ttls) == 0 {
+		resp.Authority = append(resp.Authority, dnswire.RR{
+			Name: "test.", Type: dnswire.TypeSOA, Class: dnswire.ClassINET, TTL: 50,
+			Data: &dnswire.SOAData{MName: "ns1.test.", RName: "hostmaster.test.", Serial: 1, Minimum: 40},
+		})
+	}
+	return resp
+}
+
+func testKey(i int) Key {
+	return Key{Name: fmt.Sprintf("n%02d.test.", i), Type: dnswire.TypeA, DO: true}
+}
+
+// An insert allocates only while its shard is growing: at capacity the LRU
+// victim's struct and buffers carry the incoming answer, and a replace
+// reuses the entry's own.
+func TestCacheInsertAllocatesNothingWhenFullOrReplacing(t *testing.T) {
+	if testrace.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	_, clock := testNet()
+	cache := NewCacheWith(clock, CacheConfig{Shards: 1, ShardCapacity: 8})
+	keys := make([]Key, 32)
+	msgs := make([]*dnswire.Message, len(keys))
+	for i := range keys {
+		keys[i] = testKey(i)
+		msgs[i] = answerOf(keys[i].Name, 300, 200)
+		cache.Put(keys[i], msgs[i])
+	}
+	i := 0
+	if n := testing.AllocsPerRun(200, func() {
+		cache.Put(keys[i%len(keys)], msgs[i%len(keys)])
+		i++
+	}); n != 0 {
+		t.Errorf("insert with eviction on a full 1×8 cache: %v allocs, want 0", n)
+	}
+	if st := cache.Stats(); st.Entries != 8 || st.Evictions < 200 {
+		t.Fatalf("the inserts did not evict: %+v", st)
+	}
+	resident := cache.shards[0].head.key
+	if n := testing.AllocsPerRun(200, func() { cache.Put(resident, msgs[0]) }); n != 0 {
+		t.Errorf("replacing a resident entry: %v allocs, want 0", n)
+	}
+}
+
+// A wire image the TTL walk rejects must leave the cache as it was: the
+// entry already stored for the key keeps serving, and on a full shard
+// nothing is evicted to make room for an answer that never arrives.
+func TestCacheRejectedWireLeavesEntriesIntact(t *testing.T) {
+	_, clock := testNet()
+	cache := NewCacheWith(clock, CacheConfig{Shards: 1, ShardCapacity: 2})
+	cache.Put(testKey(0), answerOf(testKey(0).Name, 300))
+	cache.Put(testKey(1), answerOf(testKey(1).Name, 300))
+	want := cache.Probe(testKey(0), 7, nil).Body
+
+	m := answerOf(testKey(0).Name, 100, 100)
+	wire, err := m.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache.insert(testKey(0), m, wire[:len(wire)-3]) // last record truncated
+	cache.insert(testKey(2), m, wire[:len(wire)-3])
+	cache.insert(testKey(2), m, wire[:8]) // shorter than a header
+
+	if got := cache.Probe(testKey(0), 7, nil); got.State != StateFresh || !bytes.Equal(got.Body, want) {
+		t.Errorf("entry changed by a rejected replace: state %v\n got %x\nwant %x", got.State, got.Body, want)
+	}
+	if st := cache.Stats(); st.Entries != 2 || st.Evictions != 0 {
+		t.Errorf("a rejected insert evicted: %+v", st)
+	}
+	if cache.Probe(testKey(2), 7, nil).State != StateMiss {
+		t.Error("a rejected wire was stored")
+	}
+}
+
+// modelCache is the naive reference for one cache shard: entries keep the
+// message itself, the LRU is a slice, and a served body is produced by
+// rewriting the TTLs on a copy of the message and encoding it again — none
+// of the wire-offset bookkeeping or buffer reuse of the real thing.
+type modelCache struct {
+	cfg   CacheConfig
+	lru   []*modelEntry // most recently used first
+	stats CacheStats
+}
+
+type modelEntry struct {
+	key               Key
+	msg               *dnswire.Message
+	minTTL            uint32
+	negative          bool
+	storedAt, expires time.Time
+}
+
+func (mc *modelCache) find(key Key) int {
+	for i, e := range mc.lru {
+		if e.key == key {
+			return i
+		}
+	}
+	return -1
+}
+
+func (mc *modelCache) drop(i int) { mc.lru = append(mc.lru[:i], mc.lru[i+1:]...) }
+
+func (mc *modelCache) touch(i int) *modelEntry {
+	e := mc.lru[i]
+	mc.drop(i)
+	mc.lru = append([]*modelEntry{e}, mc.lru...)
+	return e
+}
+
+func (mc *modelCache) put(now time.Time, key Key, m *dnswire.Message) {
+	if m.RCode != dnswire.RCodeNoError && m.RCode != dnswire.RCodeNXDomain {
+		return
+	}
+	e := &modelEntry{key: key, msg: m, storedAt: now}
+	var ttl time.Duration
+	if len(m.Answer) > 0 && m.RCode == dnswire.RCodeNoError {
+		e.minTTL = m.Answer[0].TTL
+		for _, rr := range m.Answer {
+			e.minTTL = min(e.minTTL, rr.TTL)
+		}
+		ttl = time.Duration(e.minTTL) * time.Second
+	} else {
+		e.negative = true
+		soa := m.Authority[0]
+		ttl = time.Duration(min(soa.TTL, soa.Data.(*dnswire.SOAData).Minimum)) * time.Second
+		ttl = min(ttl, mc.cfg.MaxNegativeTTL)
+	}
+	if ttl <= 0 {
+		return
+	}
+	e.expires = now.Add(ttl)
+	if i := mc.find(key); i >= 0 {
+		mc.drop(i)
+	} else if len(mc.lru) == mc.cfg.ShardCapacity {
+		mc.drop(len(mc.lru) - 1)
+		mc.stats.Evictions++
+	}
+	mc.lru = append([]*modelEntry{e}, mc.lru...)
+}
+
+// body encodes e's message with the query ID and each record's TTL mapped
+// through ttl (the OPT pseudo-record excepted).
+func (e *modelEntry) body(t *testing.T, id uint16, ttl func(uint32) uint32) []byte {
+	t.Helper()
+	m := *e.msg
+	m.ID = id
+	for _, sec := range []*[]dnswire.RR{&m.Answer, &m.Authority, &m.Additional} {
+		rrs := append([]dnswire.RR(nil), *sec...)
+		for i := range rrs {
+			if rrs[i].Type != dnswire.TypeOPT {
+				rrs[i].TTL = ttl(rrs[i].TTL)
+			}
+		}
+		*sec = rrs
+	}
+	wire, err := m.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire
+}
+
+func (mc *modelCache) probe(t *testing.T, now time.Time, key Key, id uint16) Lookup {
+	t.Helper()
+	i := mc.find(key)
+	if i >= 0 && !mc.lru[i].expires.Add(mc.cfg.StaleWindow).After(now) {
+		mc.drop(i)
+		mc.stats.Expirations++
+		i = -1
+	}
+	if i < 0 {
+		mc.stats.Misses++
+		return Lookup{State: StateMiss}
+	}
+	e := mc.touch(i)
+	if !e.expires.After(now) {
+		mc.stats.Misses++
+		return Lookup{State: StateStale, Negative: e.negative}
+	}
+	mc.stats.Hits++
+	if e.negative {
+		mc.stats.NegativeHits++
+	}
+	elapsed := uint32(now.Sub(e.storedAt) / time.Second)
+	age := func(ttl uint32) uint32 {
+		if ttl > elapsed {
+			return ttl - elapsed
+		}
+		return 0
+	}
+	return Lookup{State: StateFresh, Negative: e.negative, MaxAge: age(e.minTTL), Body: e.body(t, id, age)}
+}
+
+func (mc *modelCache) staleWire(t *testing.T, now time.Time, key Key, id uint16) ([]byte, uint32, bool) {
+	t.Helper()
+	i := mc.find(key)
+	if i < 0 || !mc.lru[i].expires.Add(mc.cfg.StaleWindow).After(now) {
+		return nil, 0, false
+	}
+	mc.stats.StaleServes++
+	capTTL := func(ttl uint32) uint32 { return min(ttl, mc.cfg.StaleTTL) }
+	return mc.lru[i].body(t, id, capTTL), mc.cfg.StaleTTL, true
+}
+
+// TestCacheMatchesReferenceModel drives one small shard and the naive model
+// through the same few hundred mixed steps — inserts of answers of three
+// lengths and of uncacheable ones, probes, stale serves, clock advances
+// across TTL and stale-window edges — and requires, after every step, the
+// same lookup result down to the served bytes (TTL aging, ID patch, stale
+// cap), the same counters, and the same residents in the same LRU order
+// (so every eviction picked the model's victim). Entries change hands with
+// their buffers here, so a short answer is regularly served out of a
+// longer victim's storage; the first steps script exactly that.
+func TestCacheMatchesReferenceModel(t *testing.T) {
+	_, clock := testNet()
+	cfg := CacheConfig{Shards: 1, ShardCapacity: 4, StaleWindow: 60 * time.Second,
+		StaleTTL: 5, MaxNegativeTTL: 35 * time.Second}
+	cache := NewCacheWith(clock, cfg)
+	model := &modelCache{cfg: cfg}
+
+	shapes := []func(name string) *dnswire.Message{
+		func(name string) *dnswire.Message { return answerOf(name) },
+		func(name string) *dnswire.Message { return answerOf(name, 30) },
+		func(name string) *dnswire.Message { return answerOf(name, 90, 20, 45, 300) },
+		func(name string) *dnswire.Message {
+			m := answerOf(name, 30)
+			m.RCode = dnswire.RCodeServFail
+			return m
+		},
+	}
+	check := func(step string) {
+		t.Helper()
+		want := model.stats
+		want.Entries = len(model.lru)
+		for _, e := range model.lru {
+			if e.negative {
+				want.NegativeEntries++
+			}
+		}
+		if got := cache.Stats(); got != want {
+			t.Fatalf("%s: stats\n got %+v\nwant %+v", step, got, want)
+		}
+		e := cache.shards[0].head
+		for i, me := range model.lru {
+			if e == nil || e.key != me.key {
+				t.Fatalf("%s: LRU position %d holds %v, the model has %v", step, i, e, me.key)
+			}
+			e = e.next
+		}
+	}
+	put := func(step string, k int, shape int) {
+		t.Helper()
+		m := shapes[shape](testKey(k).Name)
+		cache.Put(testKey(k), m)
+		model.put(clock.Now(), testKey(k), m)
+		check(step)
+	}
+	probe := func(step string, k int, id uint16) {
+		t.Helper()
+		got := cache.Probe(testKey(k), id, nil)
+		want := model.probe(t, clock.Now(), testKey(k), id)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: probe of %s\n got %+v\nwant %+v", step, testKey(k).Name, got, want)
+		}
+		check(step)
+	}
+
+	// Four long answers fill the shard; a short one evicts the oldest,
+	// inherits its buffers and is served at once.
+	for k := 0; k < 4; k++ {
+		put("fill", k, 2)
+	}
+	put("short over long", 4, 1)
+	probe("short over long", 4, 0xbeef)
+	put("negative over long", 5, 0)
+	probe("negative over long", 5, 0xcafe)
+
+	rng := rand.New(rand.NewSource(18))
+	for i := 0; i < 600; i++ {
+		step := fmt.Sprintf("step %d", i)
+		k := rng.Intn(7)
+		switch op := rng.Intn(10); {
+		case op < 3:
+			put(step, k, rng.Intn(len(shapes)))
+		case op < 7:
+			probe(step, k, uint16(rng.Intn(1<<16)))
+		case op < 8:
+			id := uint16(rng.Intn(1 << 16))
+			body, maxAge, ok := cache.StaleWire(testKey(k), id, nil)
+			wantBody, wantAge, wantOK := model.staleWire(t, clock.Now(), testKey(k), id)
+			if ok != wantOK || maxAge != wantAge || !bytes.Equal(body, wantBody) {
+				t.Fatalf("%s: stale wire of %s\n got %x %d %v\nwant %x %d %v", step,
+					testKey(k).Name, body, maxAge, ok, wantBody, wantAge, wantOK)
+			}
+			check(step)
+		default:
+			clock.Advance(time.Duration(rng.Intn(25)) * time.Second)
+		}
+	}
+	if st := cache.Stats(); st.Evictions == 0 || st.Expirations == 0 || st.StaleServes == 0 ||
+		st.NegativeHits == 0 || st.Hits == 0 {
+		t.Errorf("the walk missed part of the lifecycle: %+v", st)
+	}
+}

@@ -81,7 +81,8 @@ type Client struct {
 	// query (the workload engine, benchmarks, any serial driver) get a
 	// near-allocation-free exchange loop; callers that retain answers or
 	// exchange concurrently must leave it off — the default keeps the
-	// returned message caller-owned forever.
+	// returned message caller-owned until the caller itself gives it back
+	// with Recycle, the explicit form of the same hand-over.
 	ReuseAnswers bool
 
 	mu          sync.Mutex
@@ -99,8 +100,9 @@ type Client struct {
 	scratch sync.Pool
 	// msgPool recycles attempt answer messages. Every dialer decodes into
 	// a pooled message; losers go back via Discard as soon as the strategy
-	// rules them out, and winners return only under ReuseAnswers (via the
-	// lastAns swap at the next exchange).
+	// rules them out, and winners come home when the caller hands them to
+	// Recycle or, under ReuseAnswers, via the lastAns swap at the next
+	// exchange.
 	msgPool sync.Pool
 
 	staleAnswers    obs.Counter
@@ -182,6 +184,24 @@ func (c *Client) Discard(at Attempt) {
 	if at.Msg != nil {
 		c.putMsg(at.Msg)
 	}
+}
+
+// Recycle hands an answer Exchange returned back to the client once the
+// caller has read what it needs: the message, and everything reachable
+// from it (sections, RDATA values, their byte slices), is reclaimed for a
+// later exchange's decode and must not be touched again. It is the explicit
+// way into the pool that Discard and ReuseAnswers feed; if m is the answer
+// ReuseAnswers would reclaim at the next exchange, that claim is dropped,
+// so one message is never pooled twice. Safe for concurrent use.
+func (c *Client) Recycle(m *dnswire.Message) {
+	if c.ReuseAnswers {
+		c.mu.Lock()
+		if c.lastAns == m {
+			c.lastAns = nil
+		}
+		c.mu.Unlock()
+	}
+	c.putMsg(m)
 }
 
 // SetReuseAnswers toggles ReuseAnswers (see the field's contract). It
@@ -501,7 +521,8 @@ func (c *Client) sample(up *Upstream, wall time.Duration, setupRTTs int) (rtt, c
 
 // dialScratch is the per-attempt DoH envelope working set: the request
 // and response structs, plus the buffer the query packs (and the GET
-// parameter encodes) into. The response's Body doubles as the reply
+// parameter encodes) into — the request's DNSParam aliases it, which the
+// synchronous ExchangeDoH permits. The response's Body doubles as the reply
 // buffer a pooled server appends the answer wire into.
 type dialScratch struct {
 	req  DoHRequest

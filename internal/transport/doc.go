@@ -148,15 +148,17 @@
 // it is itself the anomaly.
 //
 // With callers recycling those arguments the hot path is allocation-free
-// by construction: per-exchange state (candidate orderings, envelope
-// request/response scratch, DoT frame reassembly, DoQ stream buffers,
-// decoded answer Messages) lives in sync.Pools, wire encoding appends
-// into recycled buffers via the dnswire reuse APIs, and cache keys are
-// interned structs rather than formatted strings. Every pool put-site
-// runs its buffer through the recycling ceiling (trimRecycledBuf) so a
-// jumbo answer cannot pin its backing array for a campaign. Pooling
-// never feeds an RNG or an ordering decision — buffer identity is
-// invisible to the determinism contract above.
+// by construction, on a miss as on a hit: per-exchange state (candidate
+// orderings, envelope request/response scratch, DoT frame reassembly and
+// reply queue, DoQ stream buffers, decoded answer Messages) lives in
+// sync.Pools, wire encoding appends into recycled buffers via the
+// dnswire reuse APIs, a miss encodes its answer once (Resolve packs into
+// dst and the cache stores a copy in the entry it evicts or replaces),
+// and cache keys are interned structs rather than formatted strings.
+// Every pool put-site runs its buffer through the recycling ceiling
+// (trimRecycledBuf) so a jumbo answer cannot pin its backing array for a
+// campaign. Pooling never feeds an RNG or an ordering decision — buffer
+// identity is invisible to the determinism contract above.
 //
 // The aliasing rules that make copy-free serving safe:
 //
@@ -164,16 +166,32 @@
 //     handed in: it is valid until the caller reuses that buffer, so
 //     envelope servers decode or hand off the body before recycling
 //     their scratch, and treat served bodies as read-only.
-//   - A Message returned by Client.Exchange is owned by the caller —
-//     unless the client's ReuseAnswers mode is on, in which case it is
-//     valid only until that client's next exchange (the client reclaims
-//     it into its message pool at the next call). ReuseAnswers is
-//     therefore only safe for a serial sole-driver caller, like the
-//     workload engine, which flips it on for the duration of a run.
+//   - The cache copies the wire it is given (Resolve's packed answer, or
+//     Put's own pack of a message); an entry's bytes change only under
+//     its shard lock, when a replace or an eviction reuses its buffers.
+//     A DoHRequest's DNSParam may alias client scratch: ExchangeDoH only
+//     reads it, and is done with it on return.
+//   - A Message returned by Client.Exchange is owned by the caller, who
+//     may give it back with Client.Recycle once it has copied out every
+//     value it wants: the message and everything reachable from it —
+//     sections, RDATA values, their byte slices — is then gone, reclaimed
+//     for a later exchange's decode (the scanner does this at every read
+//     site). Once per message, and only if no part of it was handed to
+//     someone who keeps it.
+//   - ReuseAnswers says the same implicitly: the returned message is
+//     valid only until that client's next exchange, which reclaims it —
+//     safe only for a serial sole-driver caller, like the workload engine
+//     and the benchmark harness, which flip it on through SetReuseAnswers
+//     for the duration of a run. Both feed one pool; Recycle drops the
+//     pending claim, so a message given back explicitly is not pooled
+//     again.
 //   - Strategies recycle losing attempts' Messages via Driver.Discard —
 //     exactly for attempts whose answer can no longer escape the
 //     exchange (raced/hedged losers, superseded parked SERVFAILs);
 //     winners are never discarded.
+//   - Only the client's own decodes enter the pool, never a handler's
+//     message: its records may be the very values the handler serves
+//     next (core.TestServedRecordsStayReadOnly).
 //
 // # What the envelopes do differently
 //

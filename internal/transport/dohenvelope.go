@@ -40,8 +40,10 @@ type DoHRequest struct {
 	Method string
 	// Path is the endpoint path, normally DoHPath.
 	Path string
-	// DNSParam carries the base64url-encoded query for GET requests.
-	DNSParam string
+	// DNSParam carries the base64url-encoded query for GET requests. The
+	// server only reads it during ExchangeDoH, so a client may alias its
+	// own recycled scratch here.
+	DNSParam []byte
 	// ContentType and Body carry the wire-format query for POST requests.
 	ContentType string
 	Body        []byte
@@ -72,7 +74,7 @@ func DecodeDoHRequestInto(m *dnswire.Message, req *DoHRequest, scratch []byte) (
 	}
 	switch req.Method {
 	case "GET":
-		if req.DNSParam == "" {
+		if len(req.DNSParam) == 0 {
 			return scratch, StatusBadRequest, fmt.Errorf("%w: missing dns parameter", ErrBadEnvelope)
 		}
 		scratch, err := dnswire.DecodeDoHParamInto(m, req.DNSParam, scratch)

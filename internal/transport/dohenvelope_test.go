@@ -51,9 +51,9 @@ func TestEnvelopeRejections(t *testing.T) {
 		req    *DoHRequest
 		status int
 	}{
-		{"wrong path", &DoHRequest{Method: "GET", Path: "/", DNSParam: "AAAA"}, StatusNotFound},
+		{"wrong path", &DoHRequest{Method: "GET", Path: "/", DNSParam: []byte("AAAA")}, StatusNotFound},
 		{"missing param", &DoHRequest{Method: "GET", Path: DoHPath}, StatusBadRequest},
-		{"bad base64", &DoHRequest{Method: "GET", Path: DoHPath, DNSParam: "!!!"}, StatusBadRequest},
+		{"bad base64", &DoHRequest{Method: "GET", Path: DoHPath, DNSParam: []byte("!!!")}, StatusBadRequest},
 		{"bad media type", &DoHRequest{Method: "POST", Path: DoHPath, ContentType: "text/plain"}, StatusUnsupportedMediaType},
 		{"bad method", &DoHRequest{Method: "PUT", Path: DoHPath}, StatusMethodNotAllowed},
 		{"truncated body", &DoHRequest{Method: "POST", Path: DoHPath,
@@ -80,7 +80,7 @@ func FuzzDoHDecodeRequest(f *testing.F) {
 			dnswire.NewQuery(2, "a.very.deep.subdomain.of.site0001.example", dnswire.TypeA, true),
 		} {
 			req := dohRequest(f, q, usePost)
-			f.Add(usePost, req.Path, req.ContentType, req.DNSParam, req.Body)
+			f.Add(usePost, req.Path, req.ContentType, string(req.DNSParam), req.Body)
 		}
 	}
 	f.Add(false, DoHPath, "", "AAAB=", []byte(nil))                           // padded parameter
@@ -89,7 +89,7 @@ func FuzzDoHDecodeRequest(f *testing.F) {
 	f.Add(true, DoHPath, "text/plain", "", []byte{1, 2})                      // wrong media type
 	f.Add(true, DoHPath, dnswire.MediaTypeDNSMessage, "", []byte{0, 1, 0xc0}) // truncated body
 	f.Fuzz(func(t *testing.T, usePost bool, path, contentType, param string, body []byte) {
-		req := &DoHRequest{Method: "GET", Path: path, DNSParam: param, ContentType: contentType, Body: body}
+		req := &DoHRequest{Method: "GET", Path: path, DNSParam: []byte(param), ContentType: contentType, Body: body}
 		if usePost {
 			req.Method = "POST"
 		}

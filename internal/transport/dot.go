@@ -81,7 +81,8 @@ type DoTConn struct {
 	mu      sync.Mutex
 	rbuf    []byte              // client→server bytes not yet framed
 	roff    int                 // consumed prefix of rbuf (cursor, not re-slice)
-	replies []dotReply          // response frames not yet read
+	replies []dotReply          // response frames, emitted in order
+	rhead   int                 // read prefix of replies (cursor, as roff)
 	pending map[uint16]dotReply // responses drained by other callers, demuxed by ID
 	traces  map[uint16]*obs.Trace
 	closed  bool
@@ -129,6 +130,21 @@ func (c *DoTConn) putReplyBuf(b []byte) {
 		return
 	}
 	c.replyBuf = append(c.replyBuf, b)
+}
+
+// popReply takes the next response frame in server emission order. The
+// popped slot is cleared so the queue does not pin a reply buffer, and a
+// drained queue rewinds onto its backing array. Caller holds mu.
+func (c *DoTConn) popReply() (r dotReply, ok bool) {
+	if c.rhead == len(c.replies) {
+		return dotReply{}, false
+	}
+	r = c.replies[c.rhead]
+	c.replies[c.rhead] = dotReply{}
+	if c.rhead++; c.rhead == len(c.replies) {
+		c.replies, c.rhead = c.replies[:0], 0
+	}
+	return r, true
 }
 
 // check verifies the connection is still usable: not closed by a framing
@@ -223,11 +239,10 @@ func (c *DoTConn) ReadResponse() (wire []byte, stale bool, err error) {
 	if err := c.check(); err != nil {
 		return nil, false, err
 	}
-	if len(c.replies) == 0 {
+	r, ok := c.popReply()
+	if !ok {
 		return nil, false, fmt.Errorf("%w: no response pending", ErrConnClosed)
 	}
-	r := c.replies[0]
-	c.replies = c.replies[1:]
 	return r.wire, r.stale, nil
 }
 
@@ -278,13 +293,12 @@ func (c *DoTConn) Exchange(q *dnswire.Message, into *dnswire.Message, tr *obs.Tr
 		if err := c.check(); err != nil {
 			return false, err
 		}
-		if len(c.replies) == 0 {
+		r, ok := c.popReply()
+		if !ok {
 			// The server answers synchronously on Write, so a missing
 			// response means it was lost to a connection death.
 			return false, fmt.Errorf("%w: response never arrived", ErrConnClosed)
 		}
-		r := c.replies[0]
-		c.replies = c.replies[1:]
 		if len(r.wire) < 2 {
 			return false, ErrBadFrame
 		}

@@ -298,8 +298,14 @@ func (f *Frontend) Resolve(q *dnswire.Message, dst []byte, tr *obs.Trace) (Answe
 		return packAnswerAppend(resp, dst)
 	}
 	f.noteHandlerSuccess()
+	// The one encode of a miss: the envelope's reply buffer takes it, and
+	// the cache stores a copy of those bytes.
+	ans, err := packAnswerAppend(resp, dst)
+	if err != nil {
+		return ans, err
+	}
 	if f.Cache != nil {
-		f.Cache.Put(key, resp)
+		f.Cache.insert(key, resp, ans.Wire)
 		if tr != nil {
 			tr.Add("cache.put", 0, 0)
 		}
@@ -307,7 +313,7 @@ func (f *Frontend) Resolve(q *dnswire.Message, dst []byte, tr *obs.Trace) (Answe
 	if tr != nil {
 		tr.Add("upstream", 0, 0, obs.L("rcode", resp.RCode.String()))
 	}
-	return packAnswerAppend(resp, dst)
+	return ans, nil
 }
 
 // serveStale materializes the stale body, marked so stubs can count it;

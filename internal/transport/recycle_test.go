@@ -1,0 +1,125 @@
+package transport
+
+import (
+	"net/netip"
+	"testing"
+
+	"repro/internal/dnswire"
+	"repro/internal/testrace"
+)
+
+// cannedRecursor answers from prebuilt responses, patching only the ID, so
+// an exchange through it counts the serving layer's allocations and nothing
+// of a handler's.
+type cannedRecursor map[string]*dnswire.Message
+
+func (c cannedRecursor) HandleDNS(q *dnswire.Message) *dnswire.Message {
+	resp := c[q.Question[0].Name]
+	resp.ID = q.ID
+	return resp
+}
+
+// TestExchangeAllocBudgets pins what one exchange, answer handed back with
+// Recycle, allocates on a warm fleet under serial failover, per protocol:
+// nothing when the shared cache answers, and nothing when every query
+// misses a 1×1 cache either — the frontend encodes the recursor's answer
+// once into recycled envelope scratch, the cache copies those bytes into
+// the entry it evicts, and the client decodes into the message it was just
+// handed back. A second encode, a fresh entry or a fresh message graph
+// would each show up here.
+func TestExchangeAllocBudgets(t *testing.T) {
+	if testrace.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	names := []string{"one.budget.test.", "two.budget.test."}
+	recursor := cannedRecursor{}
+	for i, name := range names {
+		resp := dnswire.NewQuery(1, name, dnswire.TypeHTTPS, true).Reply()
+		resp.RecursionAvailable = true
+		if i == 0 {
+			// One NODATA and one HTTPS answer: alternating shapes are what
+			// recycled slots have to survive.
+			resp.Authority = append(resp.Authority, dnswire.RR{
+				Name: "budget.test.", Type: dnswire.TypeSOA, Class: dnswire.ClassINET, TTL: 300,
+				Data: &dnswire.SOAData{MName: "ns1.budget.test.", RName: "hostmaster.budget.test.", Minimum: 300},
+			})
+		} else {
+			data := &dnswire.SVCBData{Priority: 1, Target: "."}
+			if err := data.Params.SetALPN([]string{"h2", "h3"}); err != nil {
+				t.Fatal(err)
+			}
+			if err := data.Params.SetIPv4Hints([]netip.Addr{netip.MustParseAddr("192.0.2.1")}); err != nil {
+				t.Fatal(err)
+			}
+			resp.Answer = append(resp.Answer, dnswire.RR{
+				Name: name, Type: dnswire.TypeHTTPS, Class: dnswire.ClassINET, TTL: 300, Data: data,
+			})
+		}
+		recursor[name] = resp
+	}
+	for _, proto := range []Protocol{ProtoDoH, ProtoDoT, ProtoDoQ} {
+		for _, tc := range []struct {
+			kind  string
+			hit   bool
+			cache CacheConfig
+		}{
+			{"hit", true, CacheConfig{}},
+			{"miss", false, CacheConfig{Shards: 1, ShardCapacity: 1}},
+		} {
+			net, clock := testNet()
+			fl := NewFleet(net, clock, FleetConfig{Balance: BalanceRoundRobin, Seed: 1, Cache: tc.cache})
+			for i := 0; i < 2; i++ {
+				fl.Add(proto, "fe", recursor, frontendAddr(i))
+			}
+			q := dnswire.NewQuery(1, names[0], dnswire.TypeHTTPS, true)
+			i := 0
+			exchange := func() {
+				q.ID++
+				q.Question[0].Name = names[i%len(names)]
+				i++
+				m, err := fl.Client.Exchange(q)
+				if err != nil || m.RCode != dnswire.RCodeNoError {
+					t.Fatalf("%s %s: %v, %v", proto, tc.kind, err, m)
+				}
+				fl.Client.Recycle(m)
+			}
+			for j := 0; j < 8; j++ {
+				exchange()
+			}
+			before := fl.Cache.Stats()
+			if n := testing.AllocsPerRun(200, exchange); n != 0 {
+				t.Errorf("%s %s: %v allocs per exchange, want 0", proto, tc.kind, n)
+			}
+			st := fl.Cache.Stats()
+			if hit, evicted := st.Hits > before.Hits, st.Evictions > before.Evictions; hit != tc.hit || evicted == tc.hit {
+				t.Errorf("%s %s: not the path it claims to measure: %+v", proto, tc.kind, st)
+			}
+		}
+	}
+}
+
+// Under ReuseAnswers the client already holds a claim on the answer it
+// last returned; Recycle must drop that claim, or the next exchange would
+// pool the message a second time and two later decodes would share it.
+func TestRecycleUnderReuseAnswersPoolsOnce(t *testing.T) {
+	client, _, _, _, _ := newTestFleet(t, 2, BalanceRoundRobin, ProtoDoH, ProtoDoT)
+	client.SetReuseAnswers(true)
+	first, err := client.Query("once.test", dnswire.TypeA, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.Recycle(first)
+	live, err := client.Query("twice.test", dnswire.TypeA, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Whatever the pool still holds, it must not hold the live answer.
+	for i := 0; i < 8; i++ {
+		if m := client.getMsg(); m == live {
+			t.Fatal("the answer in the caller's hands is also in the message pool")
+		}
+	}
+	if live.Question[0].Name != "twice.test." || len(live.Answer) != 1 {
+		t.Errorf("live answer damaged: %v", live)
+	}
+}

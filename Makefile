@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt bench bench-micro bench-smoke profile profile-fleet fuzz-smoke trace-demo slo-demo verify loc
+.PHONY: all build test race vet fmt bench bench-micro bench-smoke profile profile-fleet profile-hourly fuzz-smoke trace-demo slo-demo verify loc
 
 all: build test
 
@@ -17,11 +17,13 @@ test:
 # layer's shared cache/pool/cooldown state, the pooled wire codec and
 # its decode-scratch intern table, the telemetry registry every worker
 # increments, the dataset store the pipeline commits into, the workload
-# engine driving fleets inside the pipelined day replicas, and the
-# recursor, validator and authoritatives: forked recursors share one
-# verified-signature memo across day workers).
+# engine driving fleets inside the pipelined day replicas, the recursor,
+# validator and authoritatives (forked recursors share one
+# verified-signature memo across day workers; built messages come from and
+# go back to one skeleton pool), and the ECH key manager, whose per-epoch
+# memo every day and hour worker reads through one lock).
 race:
-	$(GO) test -race ./internal/scanner ./internal/simnet ./internal/core ./internal/transport ./internal/dnswire ./internal/obs ./internal/dataset ./internal/workload ./internal/resolver ./internal/dnssec ./internal/providers
+	$(GO) test -race ./internal/scanner ./internal/simnet ./internal/core ./internal/transport ./internal/dnswire ./internal/obs ./internal/dataset ./internal/workload ./internal/resolver ./internal/dnssec ./internal/providers ./internal/ech
 
 # Tier-1 verify as the roadmap defines it, then the nested benchmark
 # module: bench/ compiles against this module's exported surface, so its
@@ -71,6 +73,11 @@ profile:
 # profile the roadmap's serving-layer items quote.
 profile-fleet:
 	$(GO) test -run xxx -bench BenchmarkDailyFleet -benchtime 3x -cpuprofile cpu.pprof -memprofile mem.pprof .
+
+# The same for the hourly-ech shape (five days of hourly ECH scans through
+# that fleet, each hour on forked recursors and a cold cache).
+profile-hourly:
+	$(GO) test -run xxx -bench BenchmarkHourlyECH -benchtime 3x -cpuprofile cpu.pprof -memprofile mem.pprof .
 
 # Short fuzz pass over the wire-format decoders and the signature
 # verifier, seeded with workload-shaped queries and hand-mangled frames.

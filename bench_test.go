@@ -360,19 +360,51 @@ func BenchmarkDailyDirect(b *testing.B) {
 	benchmarkCampaignDays(b, 15, 1, core.CampaignConfig{Size: 3000, DayWorkers: 1})
 }
 
-// BenchmarkDailyFleet is the repo benchmark's daily-fleet workload as a Go
-// benchmark: the same campaign through the four-frontend doh=2,dot=1,doq=1
-// racing fleet, telemetry series and anomaly tier on, one day worker per
-// processor, so envelopes, shared cache, strategy and obs join the profile
-// (`make profile-fleet` runs this).
-func BenchmarkDailyFleet(b *testing.B) {
-	b.ReportAllocs()
-	benchmarkCampaignDays(b, 16, 0, core.CampaignConfig{
-		Size: 3000, DayWorkers: runtime.GOMAXPROCS(0),
+// fleetCampaign is the serving layer of the repo benchmark's fleet campaigns:
+// the four-frontend doh=2,dot=1,doq=1 racing fleet, telemetry series and
+// anomaly tier on, one day and one hour worker per processor.
+func fleetCampaign() core.CampaignConfig {
+	p := runtime.GOMAXPROCS(0)
+	return core.CampaignConfig{
+		Size: 3000, DayWorkers: p, HourWorkers: p,
 		DoHFrontends: 4, TransportMix: transport.Mix{DoH: 2, DoT: 1, DoQ: 1},
 		TransportStrategy: transport.StrategyRace,
 		TelemetryInterval: time.Hour, AnomalyCapture: true,
-	})
+	}
+}
+
+// BenchmarkDailyFleet is the repo benchmark's daily-fleet workload as a Go
+// benchmark: the daily-direct campaign through fleetCampaign's serving
+// layer, so envelopes, shared cache, strategy and obs join the profile
+// (`make profile-fleet` runs this).
+func BenchmarkDailyFleet(b *testing.B) {
+	b.ReportAllocs()
+	benchmarkCampaignDays(b, 16, 0, fleetCampaign())
+}
+
+// BenchmarkHourlyECH is the repo benchmark's hourly-ech workload as a Go
+// benchmark: five days of hourly scans of the ECH publishers among 3 000
+// domains through fleetCampaign's serving layer, every hour on forked
+// recursors and a cold fleet cache, so cold-cache recursion and the ECH
+// answer path own the profile (`make profile-hourly` runs this). The
+// discovery scan that finds the publishers is timed with it, as the repo
+// benchmark times it.
+func BenchmarkHourlyECH(b *testing.B) {
+	b.ReportAllocs()
+	cfg := fleetCampaign()
+	cfg.Seed = 7
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c, err := core.NewCampaign(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		c.RunHourlyECH(time.Date(2023, 7, 21, 0, 0, 0, 0, time.UTC), 5)
+		if len(c.Store.ECHObservations()) == 0 {
+			b.Fatal("no ECH observations")
+		}
+	}
 }
 
 // BenchmarkAuthoritativeAnswer times the three answers a scan is mostly

@@ -36,12 +36,21 @@
 //
 // # Skeletons
 //
-// NewQuery and Reply allocate once: the Message, its single Question, its
-// OPT record and that record's OPTData are one struct. Question and
+// NewQuery and Reply build in a skeleton: the Message, its single Question,
+// its OPT record and that record's OPTData are one struct. Question and
 // Additional are handed out with capacity 1, so an append moves to an
 // array of the appender's own and never writes into the skeleton, the
 // query it answers, or another reply to it; SetEDNS0 rewrites the inline
 // OPT in place. A query with any other question count is copied.
+//
+// Skeletons come from one pool and Release is the way back, called by the
+// one holder of a built message when it is dead: the consumer of a
+// handler's reply once it has packed or cached what it said, a scan after
+// its last question. Release zeroes the skeleton first, so the sections a
+// reply carried (a server's shared records, a recursor's cache entry) are
+// dropped, never kept as decode slots, and nothing is reachable from a
+// pooled skeleton. On a message it does not own (nil, decoded, hand-built,
+// a value copy, already released) it does nothing.
 //
 // Pooled scratch follows one hygiene rule at every put-site: buffers
 // over the recycling ceiling (trimRecycled) are dropped for the GC

@@ -40,6 +40,10 @@ type Message struct {
 	Answer     []RR
 	Authority  []RR
 	Additional []RR
+
+	// home is the skeleton a NewQuery or Reply message lives in; nil for
+	// every other message. Release gives it back.
+	home *skeleton
 }
 
 // skeleton is the single allocation behind NewQuery and Reply: the message
@@ -54,6 +58,31 @@ type skeleton struct {
 	od  OPTData
 }
 
+// skeletons recycles what Release hands back, zeroed: the sections a reply
+// carried are its handler's shared records and are dropped on the way in,
+// never kept as decode slots the way a transport.Client's answers are.
+var skeletons = sync.Pool{New: func() any { return new(skeleton) }}
+
+func newSkeleton() *skeleton {
+	s := skeletons.Get().(*skeleton)
+	s.home = s
+	return s
+}
+
+// Release returns a message built by NewQuery or Reply to the pool they
+// draw from. The caller must be the message's only holder and must not
+// touch it again; the records its sections pointed at are not affected.
+// On any message Release does not own — nil, decoded, hand-built, a value
+// copy of a skeleton's message, one already released — it does nothing.
+func (m *Message) Release() {
+	if m == nil || m.home == nil || &m.home.Message != m {
+		return
+	}
+	s := m.home
+	*s = skeleton{}
+	skeletons.Put(s)
+}
+
 // edns arms the skeleton's inline OPT record.
 func (s *skeleton) edns(dnssecOK bool) {
 	s.opt[0] = optRR(MaxUDPSize, dnssecOK, &s.od)
@@ -61,9 +90,10 @@ func (s *skeleton) edns(dnssecOK bool) {
 }
 
 // NewQuery builds a recursion-desired query for (name, type) with EDNS(0),
-// in one allocation.
+// in one allocation or in a skeleton that came back through Release.
 func NewQuery(id uint16, name string, t Type, dnssecOK bool) *Message {
-	s := &skeleton{Message: Message{ID: id, RecursionDesired: true}}
+	s := newSkeleton()
+	s.ID, s.RecursionDesired = id, true
 	s.q[0] = Question{Name: CanonicalName(name), Type: t, Class: ClassINET}
 	s.Question = s.q[:]
 	s.edns(dnssecOK)
@@ -71,15 +101,11 @@ func NewQuery(id uint16, name string, t Type, dnssecOK bool) *Message {
 }
 
 // Reply builds a response skeleton for the query: same ID, question, and
-// opcode; RD copied; QR set. Replying to the usual one-question query is
-// one allocation; any other question count is copied.
+// opcode; RD copied; QR set. Like NewQuery it draws on the skeleton pool;
+// a query with any other question count than one has its questions copied.
 func (m *Message) Reply() *Message {
-	s := &skeleton{Message: Message{
-		ID:               m.ID,
-		Opcode:           m.Opcode,
-		Response:         true,
-		RecursionDesired: m.RecursionDesired,
-	}}
+	s := newSkeleton()
+	s.ID, s.Opcode, s.Response, s.RecursionDesired = m.ID, m.Opcode, true, m.RecursionDesired
 	if len(m.Question) == 1 {
 		s.q[0] = m.Question[0]
 		s.Question = s.q[:]

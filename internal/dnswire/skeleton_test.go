@@ -1,6 +1,8 @@
 package dnswire
 
 import (
+	"fmt"
+	"math/rand"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -10,12 +12,20 @@ import (
 
 // TestSkeletonAllocBudgets pins what a query, a reply and the name helpers
 // cost on canonical input, so a regression fails here and not in a
-// benchmark run.
+// benchmark run: one allocation for a skeleton its holder keeps, none for
+// one that comes back through Release.
 func TestSkeletonAllocBudgets(t *testing.T) {
 	if testrace.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	q := NewQuery(1, "www.example.com.", TypeHTTPS, true)
+	// An empty pool, so that the count of fresh skeletons does not depend on
+	// what earlier tests released.
+	fresh := skeletons.New
+	skeletons.New = nil
+	for skeletons.Get() != nil {
+	}
+	skeletons.New = fresh
 	var sink *Message
 	var name string
 	for _, c := range []struct {
@@ -25,6 +35,8 @@ func TestSkeletonAllocBudgets(t *testing.T) {
 	}{
 		{"NewQuery of a canonical name", 1, func() { sink = NewQuery(2, "www.example.com.", TypeA, true) }},
 		{"Reply of a one-question EDNS query", 1, func() { sink = q.Reply() }},
+		{"NewQuery and Release", 0, func() { NewQuery(2, "www.example.com.", TypeA, true).Release() }},
+		{"Reply and Release", 0, func() { q.Reply().Release() }},
 		{"SetEDNS0 on a skeleton", 0, func() { q.SetEDNS0(MaxUDPSize, false); q.SetEDNS0(MaxUDPSize, true) }},
 		{"CanonicalName of canonical input", 0, func() { name = CanonicalName("www.example.com.") }},
 		{"ApexOf canonical input", 0, func() { name = ApexOf("www.example.com.") }},
@@ -142,6 +154,110 @@ func TestDirtySkeletonAsUnpackTarget(t *testing.T) {
 	}
 	if got := snapshot(bystander); !reflect.DeepEqual(got, wantBystander) {
 		t.Errorf("decoding into one reply changed another:\n got %+v\nwant %+v", got, wantBystander)
+	}
+}
+
+// TestReleaseOwnsOnlyLiveSkeletons: Release takes back a message NewQuery
+// or Reply built, once, and leaves it holding nothing; on a decoded
+// message, a literal, a value copy or a second call it does nothing.
+func TestReleaseOwnsOnlyLiveSkeletons(t *testing.T) {
+	q := NewQuery(5, "release.example.", TypeHTTPS, true)
+	wire, err := q.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := Unpack(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	literal := &Message{ID: 5, Question: []Question{{Name: "release.example.", Type: TypeHTTPS, Class: ClassINET}}}
+	copied := *q
+	for what, m := range map[string]*Message{"decoded message": decoded, "literal": literal, "value copy": &copied} {
+		want := snapshot(m)
+		m.Release()
+		if got := snapshot(m); !reflect.DeepEqual(got, want) {
+			t.Errorf("Release changed a %s:\n got %+v\nwant %+v", what, got, want)
+		}
+	}
+	if got, want := snapshot(q), snapshot(&copied); !reflect.DeepEqual(got, want) {
+		t.Fatalf("releasing a value copy changed the skeleton it was copied from:\n got %+v\nwant %+v", got, want)
+	}
+
+	shared := []RR{{Name: "release.example.", Type: TypeA, Class: ClassINET, TTL: 60, Data: &AData{Addr: netip.MustParseAddr("192.0.2.9")}}}
+	r := q.Reply()
+	r.Answer, r.Authority = shared, shared
+	r.Additional = append(r.Additional, shared...)
+	s := r.home
+	r.Release()
+	if !reflect.ValueOf(*s).IsZero() {
+		t.Errorf("a released skeleton still holds %+v", *s)
+	}
+	if shared[0].Name != "release.example." || shared[0].Data.(*AData).Addr != netip.MustParseAddr("192.0.2.9") {
+		t.Errorf("Release wrote through a section it carried: %+v", shared[0])
+	}
+	r.Release() // released already: must not pool the skeleton a second time
+	a, b := NewQuery(1, "a.example.", TypeA, false), NewQuery(2, "b.example.", TypeA, false)
+	if a.home == b.home || a.Question[0].Name != "a.example." || b.Question[0].Name != "b.example." {
+		t.Errorf("a skeleton released twice was handed out twice: %+v, %+v", a, b)
+	}
+}
+
+// TestLiveSkeletonsNeverShare drives NewQuery, Reply, Release and UnpackInto
+// into a skeleton in a seeded random order and checks after every step that
+// no two live messages sit in one skeleton and that each still says exactly
+// what it said when it was built or last decoded into.
+func TestLiveSkeletonsNeverShare(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	type live struct {
+		m    *Message
+		want Message
+	}
+	var msgs []live
+	add := func(m *Message) { msgs = append(msgs, live{m, snapshot(m)}) }
+	name := func() string { return fmt.Sprintf("n%d.example.", rng.Intn(1000)) }
+	for step := 0; step < 4000; step++ {
+		switch op := rng.Intn(5); {
+		case op == 0 || len(msgs) == 0:
+			add(NewQuery(uint16(rng.Intn(1<<16)), name(), Type(1+rng.Intn(64)), rng.Intn(2) == 0))
+		case op == 1:
+			r := msgs[rng.Intn(len(msgs))].m.Reply()
+			r.RCode = RCode(rng.Intn(6))
+			r.Answer = append(r.Answer, RR{Name: name(), Type: TypeA, Class: ClassINET, TTL: uint32(step),
+				Data: &AData{Addr: netip.AddrFrom4([4]byte{192, 0, 2, byte(step)})}})
+			add(r)
+		case op == 2:
+			i := rng.Intn(len(msgs))
+			other := &Message{ID: uint16(step), Response: true, RCode: RCodeNXDomain,
+				Question:  []Question{{Name: name(), Type: TypeAAAA, Class: ClassINET}},
+				Authority: []RR{{Name: "example.", Type: TypeNS, Class: ClassINET, TTL: uint32(step), Data: &NSData{Host: name()}}}}
+			if rng.Intn(2) == 0 {
+				other.SetEDNS0(1232, true)
+			}
+			wire, err := other.Pack()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := UnpackInto(msgs[i].m, wire); err != nil {
+				t.Fatal(err)
+			}
+			msgs[i].want = snapshot(msgs[i].m)
+			assertSameDecode(t, other, msgs[i].m)
+		default:
+			i := rng.Intn(len(msgs))
+			msgs[i].m.Release()
+			msgs[i] = msgs[len(msgs)-1]
+			msgs = msgs[:len(msgs)-1]
+		}
+		homes := map[*skeleton]bool{}
+		for _, l := range msgs {
+			if l.m.home == nil || &l.m.home.Message != l.m || homes[l.m.home] {
+				t.Fatalf("step %d: a live message lost its skeleton or shares it: %+v", step, l.m)
+			}
+			homes[l.m.home] = true
+			if got := snapshot(l.m); !reflect.DeepEqual(got, l.want) {
+				t.Fatalf("step %d: a live message changed under another's build or release:\n got %+v\nwant %+v", step, got, l.want)
+			}
+		}
 	}
 }
 

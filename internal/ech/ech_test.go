@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/testrace"
 )
 
 func testRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -267,6 +270,50 @@ func TestKeyManagerTimeTravel(t *testing.T) {
 	if !bytes.Equal(a.PublicKey, b.PublicKey) || a.ConfigID != b.ConfigID {
 		t.Error("rewinding the clock changed the epoch key")
 	}
+}
+
+// TestConfigListMarshalsOncePerEpoch: the advertised list is a function of
+// the epoch alone, so an epoch's second caller gets the first one's bytes —
+// across a rotation, after a rewind, and from several goroutines at once.
+func TestConfigListMarshalsOncePerEpoch(t *testing.T) {
+	start := time.Unix(0, 0)
+	km, _ := NewKeyManager(testRNG(22), "x.example", time.Hour, 2*time.Hour, start)
+	first := km.ConfigList(start)
+	if want := MarshalList([]Config{km.CurrentConfig(start)}); !bytes.Equal(first, want) {
+		t.Fatalf("ConfigList = %x, want the marshalled current config %x", first, want)
+	}
+	later := start.Add(59 * time.Minute)
+	if again := km.ConfigList(later); &again[0] != &first[0] || len(again) != len(first) {
+		t.Error("second call in an epoch marshalled the list again")
+	}
+	if !testrace.Enabled {
+		if n := testing.AllocsPerRun(100, func() { km.ConfigList(later) }); n != 0 {
+			t.Errorf("ConfigList in a known epoch: %v allocations, want 0", n)
+		}
+	}
+	next := km.ConfigList(start.Add(time.Hour))
+	if bytes.Equal(next, first) {
+		t.Error("the next epoch advertises the same list")
+	}
+	if back := km.ConfigList(start); &back[0] != &first[0] {
+		t.Error("moving the clock back did not return the earlier epoch's list")
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				at := start.Add(time.Duration(i%8) * 30 * time.Minute)
+				if want := MarshalList([]Config{km.CurrentConfig(at)}); !bytes.Equal(km.ConfigList(at), want) {
+					t.Errorf("ConfigList at +%v differs from the marshalled current config", at.Sub(start))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Property: Seal/Open round-trips for arbitrary payloads and AADs.

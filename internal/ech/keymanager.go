@@ -26,7 +26,14 @@ type KeyManager struct {
 	start      time.Time
 	seed       int64
 
-	epochKeys map[int64]*KeyPair
+	epochKeys map[int64]*epochKey
+}
+
+// epochKey is what a rotation epoch determines: its key pair and, from the
+// first ConfigList of the epoch on, the marshalled list advertising it.
+type epochKey struct {
+	*KeyPair
+	list []byte
 }
 
 // NewKeyManager creates a key manager that advertises publicName and
@@ -56,7 +63,7 @@ func NewKeyManager(rng io.Reader, publicName string, period, retain time.Duratio
 		retain:     retain,
 		start:      start,
 		seed:       seed,
-		epochKeys:  map[int64]*KeyPair{},
+		epochKeys:  map[int64]*epochKey{},
 	}, nil
 }
 
@@ -74,24 +81,31 @@ func (km *KeyManager) epochAt(t time.Time) int64 {
 }
 
 // keyFor returns (generating lazily) the deterministic key pair of epoch e.
-func (km *KeyManager) keyFor(e int64) *KeyPair {
-	if kp, ok := km.epochKeys[e]; ok {
-		return kp
+func (km *KeyManager) keyFor(e int64) *epochKey {
+	if k, ok := km.epochKeys[e]; ok {
+		return k
 	}
 	rng := mathrand.New(mathrand.NewSource(km.seed ^ e*0x9e3779b97f4a7c))
 	kp, err := GenerateKeyPair(rng, uint8(e&0xff), km.publicName)
 	if err != nil {
 		return nil
 	}
-	km.epochKeys[e] = kp
-	return kp
+	k := &epochKey{KeyPair: kp}
+	km.epochKeys[e] = k
+	return k
 }
 
-// ConfigList returns the ECHConfigList to publish in DNS as of now.
+// ConfigList returns the ECHConfigList to publish in DNS as of now. It is
+// marshalled once per epoch and shared by every caller in it: read-only,
+// like the served records that carry it.
 func (km *KeyManager) ConfigList(now time.Time) []byte {
 	km.mu.Lock()
 	defer km.mu.Unlock()
-	return MarshalList([]Config{km.keyFor(km.epochAt(now)).Config})
+	k := km.keyFor(km.epochAt(now))
+	if k.list == nil {
+		k.list = MarshalList([]Config{k.Config})
+	}
+	return k.list
 }
 
 // CurrentConfig returns a copy of the currently advertised config.
@@ -110,11 +124,11 @@ func (km *KeyManager) Open(now time.Time, configID uint8, enc, aad, ciphertext [
 	cur := km.epochAt(now)
 	retainEpochs := int64(km.retain / km.period)
 	for e := cur; e >= cur-retainEpochs; e-- {
-		kp := km.keyFor(e)
-		if kp == nil || kp.Config.ConfigID != configID {
+		k := km.keyFor(e)
+		if k == nil || k.Config.ConfigID != configID {
 			continue
 		}
-		return kp.Open(enc, aad, ciphertext)
+		return k.Open(enc, aad, ciphertext)
 	}
 	return nil, ErrUnknownConfig
 }

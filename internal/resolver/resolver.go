@@ -307,6 +307,8 @@ func (r *Resolver) walk(servers []netip.Addr, zone, name string, t dnswire.Type)
 	if len(servers) == 0 {
 		return nil, ErrNoServers
 	}
+	// q is left to the collector, and never patched once sent: a handler
+	// may keep the queries it saw (the benchmark's replay probe does).
 	q := dnswire.NewQuery(uint16(len(name)*31+int(t)), name, t, true)
 	q.RecursionDesired = false
 	for depth := 0; depth < maxDepth; depth++ {
@@ -333,12 +335,19 @@ func (r *Resolver) walk(servers []netip.Addr, zone, name string, t dnswire.Type)
 				}
 			}
 			e.expires = now + int64(ttl)*int64(time.Second)
+			// The entry aliases the server's section arrays, which are
+			// never the skeleton's inline ones, so the reply can go home.
+			resp.Release()
 			return e, nil
 		case resp.RCode != dnswire.RCodeNoError:
-			return &cacheEntry{rcode: resp.RCode, expires: now + int64(30*time.Second)}, nil
+			e := &cacheEntry{rcode: resp.RCode, expires: now + int64(30*time.Second)}
+			resp.Release()
+			return e, nil
 		}
-		// Referral: gather next servers from the authority NS set.
+		// Referral: gather next servers from the authority NS set, as
+		// interned addresses that hold nothing of the reply.
 		child, ttl, next := r.referral(resp)
+		resp.Release()
 		if len(next) == 0 {
 			return nil, fmt.Errorf("%w: dead referral for %s", ErrServFail, name)
 		}
@@ -356,7 +365,8 @@ func (r *Resolver) walk(servers []netip.Addr, zone, name string, t dnswire.Type)
 	return nil, ErrLoop
 }
 
-// queryAny tries the servers in order and returns the first response.
+// queryAny tries the servers in order and returns the first response,
+// which is the caller's to release; a refusal it releases itself.
 func (r *Resolver) queryAny(servers []netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 	var lastErr error
 	for _, s := range servers {
@@ -367,6 +377,7 @@ func (r *Resolver) queryAny(servers []netip.Addr, q *dnswire.Message) (*dnswire.
 		}
 		if resp.RCode == dnswire.RCodeRefused {
 			lastErr = fmt.Errorf("resolver: %v refused", s)
+			resp.Release()
 			continue
 		}
 		return resp, nil
@@ -506,13 +517,21 @@ func (r *Resolver) resolveRRset(name string, t dnswire.Type, depth int) (*cacheE
 // Resolve performs a full recursive resolution with CNAME chasing and
 // (when enabled) DNSSEC validation.
 func (r *Resolver) Resolve(name string, t dnswire.Type) (*Response, error) {
-	name = dnswire.CanonicalName(name)
-	out := &Response{RCode: dnswire.RCodeNoError, AuthenticatedData: r.Validate}
-	current := name
+	out := new(Response)
+	if err := r.resolveInto(out, name, t); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// resolveInto is Resolve into out, which HandleDNS keeps on its stack.
+func (r *Resolver) resolveInto(out *Response, name string, t dnswire.Type) error {
+	*out = Response{RCode: dnswire.RCodeNoError, AuthenticatedData: r.Validate}
+	current := dnswire.CanonicalName(name)
 	for hop := 0; hop < maxChase; hop++ {
 		e, err := r.resolveRRset(current, t, maxChase)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		out.RCode = e.rcode
 		if hop == 0 {
@@ -537,16 +556,16 @@ func (r *Resolver) Resolve(name string, t dnswire.Type) (*Response, error) {
 		// `current` but no record of the queried type.
 		next := chaseTarget(e.rrs(), current, t)
 		if next == "" {
-			return out, nil
+			return nil
 		}
 		current = next
 		// If the chased target's records were already included by the
 		// authoritative server (in-zone chase), stop here.
 		if hasType(e.rrs(), current, t) {
-			return out, nil
+			return nil
 		}
 	}
-	return nil, ErrLoop
+	return ErrLoop
 }
 
 func chaseTarget(rrs []dnswire.RR, name string, t dnswire.Type) string {
@@ -626,8 +645,8 @@ func (r *Resolver) HandleDNS(q *dnswire.Message) *dnswire.Message {
 		return resp
 	}
 	question := q.Question[0]
-	res, err := r.Resolve(question.Name, question.Type)
-	if err != nil {
+	var res Response
+	if err := r.resolveInto(&res, question.Name, question.Type); err != nil {
 		resp.RCode = dnswire.RCodeServFail
 		return resp
 	}

@@ -22,6 +22,8 @@ type testWorld struct {
 	comZone  *zone.Zone
 	exAddr   netip.Addr
 	exSrv    *authserver.Server
+	// auth is every authoritative server by address: root, com., example.com.
+	auth map[netip.Addr]simnet.DNSHandler
 }
 
 func aRR(name, ip string, ttl uint32) dnswire.RR {
@@ -93,6 +95,7 @@ func buildWorld(t *testing.T, sign bool, uploadDS bool) *testWorld {
 	}
 
 	var exSrv *authserver.Server
+	auth := map[netip.Addr]simnet.DNSHandler{}
 	for _, hz := range []struct {
 		addr netip.Addr
 		z    *zone.Zone
@@ -100,6 +103,7 @@ func buildWorld(t *testing.T, sign bool, uploadDS bool) *testWorld {
 		exSrv = authserver.New()
 		exSrv.AddZone(hz.z)
 		n.RegisterDNS(hz.addr, exSrv)
+		auth[hz.addr] = exSrv
 	}
 	n.SetRootServers([]netip.Addr{rootAddr})
 
@@ -110,7 +114,7 @@ func buildWorld(t *testing.T, sign bool, uploadDS bool) *testWorld {
 		r.Anchor = rootKeys
 	}
 	return &testWorld{net: n, clock: clock, resolver: r,
-		exZone: exZone, rootZone: rootZone, comZone: comZone, exAddr: exAddr, exSrv: exSrv}
+		exZone: exZone, rootZone: rootZone, comZone: comZone, exAddr: exAddr, exSrv: exSrv, auth: auth}
 }
 
 func TestResolveA(t *testing.T) {

@@ -6,13 +6,14 @@
 // domains with mismatched IP hints.
 //
 // A scan keeps nothing of an answer but copied values (addresses, name
-// strings, SummarizeHTTPS's fresh slices), so through a Transport that
-// offers Recycle it hands every answer back as soon as it has read it.
+// strings, SummarizeHTTPS's fresh slices), so it hands every answer back as
+// soon as it has read it: to a Transport that offers Recycle, or, having
+// asked a recursor directly, with Release (a handler's reply is its
+// caller's). Its own query message follows when the scan is over.
 package scanner
 
 import (
 	"fmt"
-	"hash/fnv"
 	"net/netip"
 	"sort"
 	"sync"
@@ -131,14 +132,17 @@ func (s *Scanner) forEach(n int, fn func(i int)) {
 type recycler interface{ Recycle(m *dnswire.Message) }
 
 // done hands back an answer whose values have been copied out; it must not
-// be read afterwards. Without Recycle the garbage collector keeps the job.
+// be read afterwards. A recursor's own reply is released; a transport's
+// answer goes to its Recycle, and without one to the garbage collector.
 func (s *Scanner) done(m *dnswire.Message) {
-	if r, ok := s.Transport.(recycler); ok {
+	if s.Transport == nil {
+		m.Release()
+	} else if r, ok := s.Transport.(recycler); ok {
 		r.Recycle(m)
 	}
 }
 
-// newQuery builds the message a scan patches for each of its questions.
+// newQuery builds the message a scan patches per question, then releases.
 func newQuery() *dnswire.Message {
 	return dnswire.NewQuery(0, "", dnswire.TypeHTTPS, true)
 }
@@ -168,10 +172,12 @@ func (s *Scanner) query(q *dnswire.Message, name, shown string, t dnswire.Type) 
 	if err == nil && resp.RCode != dnswire.RCodeServFail {
 		return resp, nil
 	}
+	resp.Release() // a SERVFAIL, or nil
 	resp, berr := s.Net.QueryDNS(s.Backup, q)
 	if berr == nil && resp.RCode != dnswire.RCodeServFail {
 		return resp, nil
 	}
+	resp.Release()
 	if err == nil {
 		err = fmt.Errorf("scanner: SERVFAIL from both resolvers for %s/%s", shown, t)
 	}
@@ -214,25 +220,37 @@ func SummarizeHTTPS(rr dnswire.RR) (dataset.HTTPSRecord, bool) {
 	return out, true
 }
 
+// hashBytes is FNV-1a, 64 bits.
 func hashBytes(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	return h
 }
 
 // ScanDomain performs the full per-domain scan sequence: HTTPS (with CNAME
 // chasing), then A/AAAA/SOA/NS when HTTPS records exist.
 func (s *Scanner) ScanDomain(name string) *dataset.Observation {
+	obs := new(dataset.Observation)
+	s.scanInto(name, obs)
+	return obs
+}
+
+// scanInto is ScanDomain into the caller's observation, so a list scan
+// allocates only the ones it keeps.
+func (s *Scanner) scanInto(name string, obs *dataset.Observation) {
 	// Canonical once for the whole sequence, not once per query; errors
 	// still print the list's own spelling.
 	canon := dnswire.CanonicalName(name)
-	obs := &dataset.Observation{Name: canon}
+	*obs = dataset.Observation{Name: canon}
 
 	q := newQuery()
+	defer q.Release()
 	resp, err := s.query(q, canon, name, dnswire.TypeHTTPS)
 	if err != nil {
 		obs.Err = err.Error()
-		return obs
+		return
 	}
 	obs.AD = resp.AuthenticatedData
 	s.extractHTTPS(resp, obs)
@@ -250,7 +268,7 @@ func (s *Scanner) ScanDomain(name string) *dataset.Observation {
 	}
 
 	if !obs.HasHTTPS() {
-		return obs
+		return
 	}
 	// Follow-up queries for adopters.
 	if resp, err := s.query(q, canon, name, dnswire.TypeA); err == nil {
@@ -286,7 +304,6 @@ func (s *Scanner) ScanDomain(name string) *dataset.Observation {
 		}
 		s.done(resp)
 	}
-	return obs
 }
 
 func (s *Scanner) extractHTTPS(resp *dnswire.Message, obs *dataset.Observation) {
@@ -316,10 +333,13 @@ func (s *Scanner) ScanList(date time.Time, kind string, list []string) *dataset.
 		if kind == "www" {
 			name = "www." + name
 		}
-		obs := s.ScanDomain(name)
-		obs.Rank = i + 1
+		// Most domain-days are dropped: only a keeper goes to the heap.
+		var obs dataset.Observation
+		s.scanInto(name, &obs)
 		if obs.HasHTTPS() || obs.Err != "" {
-			slots[i] = obs
+			kept := obs
+			kept.Rank = i + 1
+			slots[i] = &kept
 		}
 	})
 	snap := &dataset.Snapshot{Date: date, Kind: kind, Total: len(list), Obs: map[string]*dataset.Observation{}}
@@ -352,7 +372,9 @@ func (s *Scanner) ScanNameServers(date time.Time, snaps ...*dataset.Snapshot) *d
 	results := make([]*dataset.NSObservation, len(hosts))
 	s.forEach(len(hosts), func(i int) {
 		nso := &dataset.NSObservation{Host: hosts[i]}
-		if resp, err := s.query(newQuery(), hosts[i], hosts[i], dnswire.TypeA); err == nil {
+		q := newQuery()
+		defer q.Release()
+		if resp, err := s.query(q, hosts[i], hosts[i], dnswire.TypeA); err == nil {
 			for _, rr := range resp.Answer {
 				if a, ok := rr.Data.(*dnswire.AData); ok {
 					nso.Addrs = append(nso.Addrs, a.Addr)
@@ -379,7 +401,9 @@ func (s *Scanner) ECHScan(now time.Time, domains []string) []dataset.ECHObservat
 	slots := make([][]dataset.ECHObservation, len(domains))
 	s.forEach(len(domains), func(i int) {
 		name := domains[i]
-		resp, err := s.query(newQuery(), name, name, dnswire.TypeHTTPS)
+		q := newQuery()
+		defer q.Release()
+		resp, err := s.query(q, name, name, dnswire.TypeHTTPS)
 		if err != nil {
 			return
 		}

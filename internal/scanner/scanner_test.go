@@ -450,6 +450,15 @@ type hidesRecycle struct{ Transport }
 
 var _ recycler = (*transport.Client)(nil)
 
+// copiedReplies wraps a handler so that every answer leaves it as a value
+// copy, which Release leaves alone: the unreleased path, for comparison.
+type copiedReplies struct{ h simnet.DNSHandler }
+
+func (c copiedReplies) HandleDNS(q *dnswire.Message) *dnswire.Message {
+	m := *c.h.HandleDNS(q)
+	return &m
+}
+
 // TestRecycledAnswersLeaveScansUnchanged scans the same list three times,
 // each through its own racing doh=2,dot=1,doq=1 fleet over forked recursors
 // with eight workers: with the bare client (whose answers the scanner hands
@@ -458,7 +467,10 @@ var _ recycler = (*transport.Client)(nil)
 // A value read out of an answer after it went home — or a message decoded
 // into by two workers at once, which the race detector sees — would move
 // one of the three results; they must be deep-equal. The counter proves the
-// scanner hands back exactly the answers it was given.
+// scanner hands back exactly the answers it was given. Two more scans ask
+// forked recursors directly: bare, so that every reply and every scan's own
+// query is released into the pool the other workers build theirs from, and
+// behind copiedReplies, where nothing the scanner reads is ever released.
 func TestRecycledAnswersLeaveScansUnchanged(t *testing.T) {
 	w, base := scanWorld(t)
 	at := time.Date(2023, 7, 21, 12, 0, 0, 0, time.UTC)
@@ -476,6 +488,19 @@ func TestRecycledAnswersLeaveScansUnchanged(t *testing.T) {
 		ns   *dataset.NSSnapshot
 		ech  []dataset.ECHObservation
 	}
+	run := func(sc *Scanner) (r result) {
+		sc.Concurrency = 8
+		r.snap = sc.ScanList(at, "apex", list)
+		r.ns = sc.ScanNameServers(at, r.snap)
+		r.ech = sc.ECHScan(at, echDomains)
+		return r
+	}
+	direct := func(wrap func(simnet.DNSHandler) simnet.DNSHandler) result {
+		net := w.Net.WithClock(simnet.NewClock(at))
+		net.OverrideDNS(base.Primary, wrap(w.GoogleResolver.Fork(net)))
+		net.OverrideDNS(base.Backup, wrap(w.CFResolver.Fork(net)))
+		return run(base.Fork(net, nil))
+	}
 	scan := func(wrap func(*transport.Client) Transport) result {
 		clock := simnet.NewClock(at)
 		net := w.Net.WithClock(clock)
@@ -489,12 +514,7 @@ func TestRecycledAnswersLeaveScansUnchanged(t *testing.T) {
 			ap := netip.AddrPortFrom(netip.AddrFrom4([4]byte{203, 0, 113, byte(10 + i)}), proto.Port())
 			fl.Add(proto, proto.String(), recursors[i%2], ap)
 		}
-		sc := base.Fork(net, wrap(fl.Client))
-		sc.Concurrency = 8
-		var r result
-		r.snap = sc.ScanList(at, "apex", list)
-		r.ns = sc.ScanNameServers(at, r.snap)
-		r.ech = sc.ECHScan(at, echDomains)
+		r := run(base.Fork(net, wrap(fl.Client)))
 		if st := fl.StrategyStats(); st.Races == 0 {
 			t.Errorf("the fleet never raced: %+v", st)
 		}
@@ -520,5 +540,15 @@ func TestRecycledAnswersLeaveScansUnchanged(t *testing.T) {
 	}
 	if !reflect.DeepEqual(bare, hidden) {
 		t.Error("scan with recycled answers differs from the scan that recycles nothing")
+	}
+
+	released := direct(func(h simnet.DNSHandler) simnet.DNSHandler { return h })
+	if len(released.snap.Obs) == 0 || len(released.ns.Servers) == 0 || len(released.ech) == 0 {
+		t.Fatalf("direct scan saw too little to compare: %d observations, %d name servers, %d ECH observations",
+			len(released.snap.Obs), len(released.ns.Servers), len(released.ech))
+	}
+	kept := direct(func(h simnet.DNSHandler) simnet.DNSHandler { return copiedReplies{h} })
+	if !reflect.DeepEqual(released, kept) {
+		t.Error("direct scan with released replies differs from the scan that releases nothing")
 	}
 }

@@ -64,6 +64,12 @@ var (
 
 // DNSHandler answers DNS queries. Both authoritative servers and recursive
 // resolvers implement it.
+//
+// The message a handler returns belongs to its caller: a handler builds one
+// per call (q.Reply()) and keeps no reference to it, and a wrapper that
+// passes an inner handler's answer on passes ownership. The caller knows
+// when the answer is dead and may then Release it; the records in its
+// sections stay the handler's, shared and read-only. Nil is a hard failure.
 type DNSHandler interface {
 	HandleDNS(q *dnswire.Message) *dnswire.Message
 }
@@ -180,7 +186,8 @@ func (n *Network) RootServers() []netip.Addr {
 	return append([]netip.Addr(nil), n.state.rootServers...)
 }
 
-// QueryDNS sends a DNS query to the server at addr and returns its response.
+// QueryDNS sends a DNS query to the server at addr and returns its response,
+// which is the caller's to Release once read (see DNSHandler).
 func (n *Network) QueryDNS(addr netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 	n.state.mu.RLock()
 	h, ok := n.state.dns[addr]

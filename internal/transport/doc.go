@@ -192,6 +192,10 @@
 //   - Only the client's own decodes enter the pool, never a handler's
 //     message: its records may be the very values the handler serves
 //     next (core.TestServedRecordsStayReadOnly).
+//   - A handler's message goes home another way: it is the frontend's
+//     once HandleDNS returns (simnet.DNSHandler), and Resolve, prefetch
+//     and servFailWire Release it, like their own FORMERR and SERVFAIL
+//     replies, once packed and, where cached, inserted.
 //
 // # What the envelopes do differently
 //

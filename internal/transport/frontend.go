@@ -208,6 +208,7 @@ func (f *Frontend) Resolve(q *dnswire.Message, dst []byte, tr *obs.Trace) (Answe
 
 	if len(q.Question) != 1 {
 		resp := q.Reply()
+		defer resp.Release()
 		resp.RCode = dnswire.RCodeFormErr
 		return packAnswerAppend(resp, dst)
 	}
@@ -275,6 +276,9 @@ func (f *Frontend) Resolve(q *dnswire.Message, dst []byte, tr *obs.Trace) (Answe
 		}
 		return Answer{}, ErrUpstreamFailed
 	}
+	// The handler's answer is the frontend's now (simnet.DNSHandler), and
+	// dead once packed and, on the path that caches, inserted.
+	defer resp.Release()
 	if resp.RCode == dnswire.RCodeServFail {
 		// A struggling recursor over a healthy transport: RFC 8767
 		// prefers a stale answer over a fresh SERVFAIL. Either way a
@@ -337,6 +341,7 @@ func (f *Frontend) prefetch(key Key, q *dnswire.Message) {
 		f.noteHandlerFailure()
 		return
 	}
+	defer resp.Release()
 	if resp.RCode == dnswire.RCodeServFail {
 		return
 	}
@@ -366,6 +371,7 @@ func packAnswerAppend(m *dnswire.Message, dst []byte) (Answer, error) {
 // envelopes have no out-of-band status channel like DoH's 502).
 func servFailWire(q *dnswire.Message) []byte {
 	resp := q.Reply()
+	defer resp.Release()
 	resp.RCode = dnswire.RCodeServFail
 	wire, err := resp.Pack()
 	if err != nil {

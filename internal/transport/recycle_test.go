@@ -5,17 +5,36 @@ import (
 	"testing"
 
 	"repro/internal/dnswire"
+	"repro/internal/simnet"
 	"repro/internal/testrace"
 )
 
 // cannedRecursor answers from prebuilt responses, patching only the ID, so
 // an exchange through it counts the serving layer's allocations and nothing
-// of a handler's.
-type cannedRecursor map[string]*dnswire.Message
+// of a handler's. A handler's answer belongs to its caller, who releases it
+// (simnet.DNSHandler), so one Reply-built message cannot be served twice:
+// each call hands out a value copy of it, which Release leaves alone, in a
+// slot this test's serial exchanges are done with by the next call.
+type cannedRecursor map[string]*cannedAnswer
+
+type cannedAnswer struct{ built, out dnswire.Message }
 
 func (c cannedRecursor) HandleDNS(q *dnswire.Message) *dnswire.Message {
-	resp := c[q.Question[0].Name]
-	resp.ID = q.ID
+	a := c[q.Question[0].Name]
+	a.out = a.built
+	a.out.ID = q.ID
+	return &a.out
+}
+
+// replyingRecursor is what a real handler does: a fresh Reply per query
+// carrying records it shares between answers.
+type replyingRecursor map[string]*cannedAnswer
+
+func (c replyingRecursor) HandleDNS(q *dnswire.Message) *dnswire.Message {
+	a := c[q.Question[0].Name]
+	resp := q.Reply()
+	resp.RecursionAvailable = true
+	resp.Answer, resp.Authority = a.built.Answer, a.built.Authority
 	return resp
 }
 
@@ -26,7 +45,8 @@ func (c cannedRecursor) HandleDNS(q *dnswire.Message) *dnswire.Message {
 // once into recycled envelope scratch, the cache copies those bytes into
 // the entry it evicts, and the client decodes into the message it was just
 // handed back. A second encode, a fresh entry or a fresh message graph
-// would each show up here.
+// would each show up here — and so would a reply skeleton the frontend did
+// not release, on the leg whose recursor builds one per query.
 func TestExchangeAllocBudgets(t *testing.T) {
 	if testrace.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -55,21 +75,23 @@ func TestExchangeAllocBudgets(t *testing.T) {
 				Name: name, Type: dnswire.TypeHTTPS, Class: dnswire.ClassINET, TTL: 300, Data: data,
 			})
 		}
-		recursor[name] = resp
+		recursor[name] = &cannedAnswer{built: *resp}
 	}
 	for _, proto := range []Protocol{ProtoDoH, ProtoDoT, ProtoDoQ} {
 		for _, tc := range []struct {
-			kind  string
-			hit   bool
-			cache CacheConfig
+			kind     string
+			hit      bool
+			cache    CacheConfig
+			recursor simnet.DNSHandler
 		}{
-			{"hit", true, CacheConfig{}},
-			{"miss", false, CacheConfig{Shards: 1, ShardCapacity: 1}},
+			{"hit", true, CacheConfig{}, recursor},
+			{"miss", false, CacheConfig{Shards: 1, ShardCapacity: 1}, recursor},
+			{"miss with a reply built per query", false, CacheConfig{Shards: 1, ShardCapacity: 1}, replyingRecursor(recursor)},
 		} {
 			net, clock := testNet()
 			fl := NewFleet(net, clock, FleetConfig{Balance: BalanceRoundRobin, Seed: 1, Cache: tc.cache})
 			for i := 0; i < 2; i++ {
-				fl.Add(proto, "fe", recursor, frontendAddr(i))
+				fl.Add(proto, "fe", tc.recursor, frontendAddr(i))
 			}
 			q := dnswire.NewQuery(1, names[0], dnswire.TypeHTTPS, true)
 			i := 0

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt bench bench-micro bench-smoke profile profile-fleet profile-hourly fuzz-smoke trace-demo slo-demo verify loc
+.PHONY: all build test race vet fmt bench bench-micro bench-smoke profile profile-fleet profile-hourly profile-serve fuzz-smoke trace-demo slo-demo verify loc
 
 all: build test
 
@@ -79,6 +79,13 @@ profile-fleet:
 profile-hourly:
 	$(GO) test -run xxx -bench BenchmarkHourlyECH -benchtime 3x -cpuprofile cpu.pprof -memprofile mem.pprof .
 
+# The same for the serve-hot shape (a million open-loop clients from
+# internal/workload on that fleet; only the engine run is timed);
+# SERVE=Miss profiles serve-miss instead.
+SERVE ?= Hot
+profile-serve:
+	$(GO) test -run xxx -bench 'BenchmarkServe$(SERVE)$$' -benchtime 3x -cpuprofile cpu.pprof -memprofile mem.pprof .
+
 # Short fuzz pass over the wire-format decoders and the signature
 # verifier, seeded with workload-shaped queries and hand-mangled frames.
 # Ten seconds per target is a smoke test, not a campaign: it proves the
@@ -110,6 +117,9 @@ slo-demo:
 
 # Fast benchmark subset: substrate, authoritative-answer and serving-layer
 # hot paths (skips the campaign-backed table/figure benchmarks, which
-# rebuild a world).
+# rebuild a world), then one run each of the workload engine alone and of
+# the two serve shapes (a million clients apiece, so one run, not 100).
 bench-micro:
 	$(GO) test -run xxx -bench 'BenchmarkDoH|BenchmarkTransport|BenchmarkFleetMissPath|BenchmarkDNSWire|BenchmarkResolveHTTPS|BenchmarkAuthoritativeAnswer|BenchmarkECHSealOpen|BenchmarkRRSIGSignVerify' -benchtime 100x .
+	$(GO) test -run xxx -bench BenchmarkEngine -benchtime 1x ./internal/workload
+	$(GO) test -run xxx -bench 'BenchmarkServe(Hot|Miss)$$' -benchtime 1x .

@@ -27,6 +27,7 @@ import (
 	"repro/internal/scanner"
 	"repro/internal/svcb"
 	"repro/internal/transport"
+	"repro/internal/workload"
 )
 
 var (
@@ -406,6 +407,64 @@ func BenchmarkHourlyECH(b *testing.B) {
 		}
 	}
 }
+
+// benchmarkServe runs the repo benchmark's serve workloads as a Go
+// benchmark: a million open-loop clients (Zipf s = 1 over the names the
+// world serves at noon) driving fleetCampaign's serving layer over a
+// world of the given size, with the fleet cache's geometry (0, 0 keeps
+// the default). Campaign and engine are built off the clock; only
+// Engine.Run is timed, and ns/query is its cost per client query.
+func benchmarkServe(b *testing.B, size, shards, capacity, queries int) {
+	b.ReportAllocs()
+	start := time.Date(2024, 1, 25, 0, 0, 0, 0, time.UTC)
+	at := start.Add(12 * time.Hour)
+	var ns, n float64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cfg := fleetCampaign()
+		cfg.Size, cfg.Seed, cfg.StepDays, cfg.Start, cfg.End = size, 7, 1, start, start
+		cfg.DoHShards, cfg.DoHShardCap = shards, capacity
+		c, err := core.NewCampaign(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.World.Clock.Set(at)
+		var names []string
+		for _, name := range c.World.Tranco.ListFor(at) {
+			if d, ok := c.World.Domain(dnswire.ApexOf(name)); ok && len(d.ProvidersAt(at)) > 0 {
+				names = append(names, name)
+			}
+		}
+		eng, err := workload.New(workload.Config{
+			Clients: 1_000_000, Model: workload.ModelOpen, Seed: 7,
+			Domains: names, ZipfS: 1, Duration: 24 * time.Hour, MaxQueries: queries,
+			Mix: cfg.TransportMix,
+		}, c.World.Clock, c.Fleet.Client)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		t0 := time.Now()
+		sum := eng.Run()
+		ns += float64(time.Since(t0))
+		n += float64(sum.Queries)
+		if sum.Queries != uint64(queries) || sum.Errors != 0 {
+			b.Fatalf("ran %d queries with %d errors, want %d clean", sum.Queries, sum.Errors, queries)
+		}
+	}
+	b.ReportMetric(ns/n, "ns/query")
+}
+
+// BenchmarkServeHot is the repo benchmark's serve-hot workload: 900 000
+// queries on a 500-name world, fleet-cache hits dominating (`make
+// profile-serve` runs this).
+func BenchmarkServeHot(b *testing.B) { benchmarkServe(b, 500, 0, 0, 900_000) }
+
+// BenchmarkServeMiss is the repo benchmark's serve-miss workload: 260 000
+// queries on a 20 000-name world behind a 4×64 fleet cache, so inserts,
+// evictions and the recursor's warm path carry the load (`make
+// profile-serve SERVE=Miss`).
+func BenchmarkServeMiss(b *testing.B) { benchmarkServe(b, 20000, 4, 64, 260_000) }
 
 // BenchmarkAuthoritativeAnswer times the three answers a scan is mostly
 // made of, warm, straight at the handler: a provider's NODATA for an

@@ -37,6 +37,15 @@ func TestMixAssignDistributionAndDeterminism(t *testing.T) {
 			t.Fatalf("zero mix assigned %v", p)
 		}
 	}
+	// One Period of the deal repeats for ever.
+	for _, m := range []Mix{{}, {DoH: 2, DoT: 1, DoQ: 1}, {DoH: 60, DoT: 30, DoQ: 10}, {DoT: 3, DoQ: -1}, {DoH: 1, DoT: 6, DoQ: 2}} {
+		cycle, long := m.Assign(m.Period()), m.Assign(5*m.Period()+3)
+		for i, p := range long {
+			if p != cycle[i%len(cycle)] {
+				t.Fatalf("%+v: Assign pick %d is %v, want the cycle's %v", m, i, p, cycle[i%len(cycle)])
+			}
+		}
+	}
 }
 
 func TestParseMixAndString(t *testing.T) {

@@ -131,6 +131,14 @@ func (m Mix) Assign(n int) []Protocol {
 	return out
 }
 
+// Period is the length of Assign's cycle: each Period consecutive picks
+// deal every protocol exactly its weight and return every credit to zero,
+// so Assign(n)[i] == Assign(Period())[i%Period()] for any n.
+func (m Mix) Period() int {
+	m = m.normalized()
+	return m.DoH + m.DoT + m.DoQ
+}
+
 // String renders the mix in ParseMix form ("doh=2,dot=1,doq=1"), omitting
 // zero-weight protocols; the all-DoH default renders as "doh". It tags
 // bench reports so baselines are only compared against runs with the same

@@ -211,8 +211,7 @@ type Engine struct {
 
 	zipf  *zipfSampler
 	names []string // canonical FQDN per rank, built once
-	rngs  []rng
-	prefs []transport.Protocol // nil: no preferences
+	mean  float64  // mean gap between one client's arrivals, seconds
 
 	// Per-client direct-mapped stub caches in two flat arrays
 	// (client*StubSlots + rank%StubSlots): the domain rank cached in the
@@ -220,8 +219,8 @@ type Engine struct {
 	cacheDom []uint32
 	cacheExp []int64
 
-	heap *eventHeap
-	q    *dnswire.Message // reused query message (ID/QNAME patched per event)
+	cal calendar         // per-client records and the arrival schedule
+	q   *dnswire.Message // reused query message (ID/QNAME patched per event)
 
 	start     int64 // unix nanos at Run start
 	end       int64
@@ -255,8 +254,8 @@ const (
 )
 
 // New validates cfg and builds an engine over clock and target. The
-// alias table, client RNG streams, protocol preferences, and initial
-// arrival schedule are all computed here, so Run is allocation-light.
+// alias table, client RNG streams, protocol preferences and the calendar
+// are all built here, so Run allocates a constant amount.
 func New(cfg Config, clock *simnet.Clock, target Exchanger) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Clients <= 0 {
@@ -278,14 +277,18 @@ func New(cfg Config, clock *simnet.Clock, target Exchanger) (*Engine, error) {
 		return nil, fmt.Errorf("workload: nil target")
 	}
 
+	mean := float64(cfg.Think) / float64(time.Second)
+	if cfg.Model == ModelOpen {
+		mean = 1 / cfg.OpenRate
+	}
 	e := &Engine{
 		cfg: cfg, clock: clock, target: target,
 		zipf:     newZipfSampler(len(cfg.Domains), cfg.ZipfS),
 		names:    make([]string, len(cfg.Domains)),
-		rngs:     make([]rng, cfg.Clients),
+		mean:     mean,
 		cacheDom: make([]uint32, cfg.Clients*cfg.StubSlots),
 		cacheExp: make([]int64, cfg.Clients*cfg.StubSlots),
-		heap:     newEventHeap(cfg.Clients),
+		cal:      newCalendar(cfg.Clients, mean*float64(time.Second)),
 		digest:   fnvOffset,
 	}
 	rankOf := make(map[string]uint32, len(cfg.Domains))
@@ -313,15 +316,18 @@ func New(cfg Config, clock *simnet.Clock, target Exchanger) (*Engine, error) {
 	for i := range e.cacheDom {
 		e.cacheDom[i] = emptySlot
 	}
-	for i := range e.rngs {
-		e.rngs[i] = newRNG(cfg.Seed, uint32(i))
+	for i := range e.cal.clients {
+		e.cal.clients[i].rng = newRNG(cfg.Seed, uint32(i))
 	}
 	if cfg.Mix != (transport.Mix{}) {
-		if pt, ok := target.(preferring); ok {
-			e.prefTx = pt
-			e.prefs = cfg.Mix.Assign(cfg.Clients)
-		} else {
+		pt, ok := target.(preferring)
+		if !ok {
 			return nil, fmt.Errorf("workload: Mix set but target has no ExchangePreferring")
+		}
+		e.prefTx = pt
+		cycle := cfg.Mix.Assign(min(cfg.Clients, cfg.Mix.Period()))
+		for i := range e.cal.clients {
+			e.cal.clients[i].pref = int8(cycle[i%len(cycle)])
 		}
 	}
 	e.stale, _ = target.(staleCounter)
@@ -400,13 +406,7 @@ func (e *Engine) crowdPin(r *rng, t int64) (uint32, bool) {
 // over the gap, which the statistical tests verify at the configured
 // tolerances).
 func (e *Engine) gap(r *rng, due int64) int64 {
-	var mean float64 // seconds
-	if e.cfg.Model == ModelOpen {
-		mean = 1 / e.cfg.OpenRate
-	} else {
-		mean = float64(e.cfg.Think) / float64(time.Second)
-	}
-	d := r.exp(mean / e.rateFactor(due))
+	d := r.exp(e.mean / e.rateFactor(due))
 	if d > 1e9 { // degenerate draw; cap far past any horizon
 		d = 1e9
 	}
@@ -528,10 +528,10 @@ const (
 // cache, and on a miss exchange through the serving layer and fill the
 // slot. Returns the outcome for the digest.
 func (e *Engine) process(ev event) byte {
-	r := &e.rngs[ev.client]
-	rank, pinned := e.crowdPin(r, ev.due)
+	c := &e.cal.clients[ev.client]
+	rank, pinned := e.crowdPin(&c.rng, ev.due)
 	if !pinned {
-		rank = e.zipf.draw(r)
+		rank = e.zipf.draw(&c.rng)
 	}
 	e.queries.Add(1)
 	slot := int(ev.client)*e.cfg.StubSlots + int(rank)%e.cfg.StubSlots
@@ -545,8 +545,8 @@ func (e *Engine) process(ev event) byte {
 	e.q.ID = uint16(e.queries.Load())
 	e.q.Question[0].Name = e.names[rank]
 	var err error
-	if e.prefs != nil {
-		_, err = e.prefTx.ExchangePreferring(e.q, e.prefs[ev.client])
+	if e.prefTx != nil {
+		_, err = e.prefTx.ExchangePreferring(e.q, transport.Protocol(c.pref))
 	} else {
 		_, err = e.target.Exchange(e.q)
 	}
@@ -594,15 +594,15 @@ func (e *Engine) Run() Summary {
 	e.seedCrowdMarks()
 
 	// Seed every client's first arrival.
-	for i := 0; i < e.cfg.Clients; i++ {
-		e.heap.Push(event{due: e.start + e.gap(&e.rngs[i], e.start), client: uint32(i)})
+	for i := range e.cal.clients {
+		e.cal.Push(uint32(i), e.start+e.gap(&e.cal.clients[i].rng, e.start))
 	}
 
 	for {
 		if e.cfg.MaxQueries > 0 && e.queries.Load() >= uint64(e.cfg.MaxQueries) {
 			break
 		}
-		ev, ok := e.heap.Pop()
+		ev, ok := e.cal.Pop()
 		if !ok || ev.due >= e.end {
 			break
 		}
@@ -613,7 +613,7 @@ func (e *Engine) Run() Summary {
 		e.emitCrowdMarks(ev.due)
 		e.process(ev)
 		e.lastDue = ev.due
-		e.heap.Push(event{due: ev.due + e.gap(&e.rngs[ev.client], ev.due), client: ev.client})
+		e.cal.Push(ev.client, ev.due+e.gap(&e.cal.clients[ev.client].rng, ev.due))
 	}
 
 	if e.cfg.Duration > 0 {

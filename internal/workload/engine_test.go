@@ -50,10 +50,19 @@ func testClock() *simnet.Clock {
 	return simnet.NewClock(time.Date(2023, 7, 1, 0, 0, 0, 0, time.UTC))
 }
 
+// pinnedDigests are Summary.Digest of TestSameSeedIdenticalRuns' two
+// configs, held across commits: a scheduler, RNG or draw change that
+// moves the event stream moves these. The closed loop's 10 s think time
+// and the open loop's 0.1 q/s draw identical gaps, hence one value.
+var pinnedDigests = map[Model]uint64{
+	ModelClosed: 0x9aa625f3d11c200b,
+	ModelOpen:   0x9aa625f3d11c200b,
+}
+
 // TestSameSeedIdenticalRuns is the engine's determinism contract: two
 // runs of the same (seed, clock start, config) must replay the exact
 // same event stream — same totals, same digest, same query-name
-// sequence at the target.
+// sequence at the target — and that stream is the pinned one.
 func TestSameSeedIdenticalRuns(t *testing.T) {
 	for _, model := range []Model{ModelClosed, ModelOpen} {
 		cfg := Config{
@@ -82,6 +91,9 @@ func TestSameSeedIdenticalRuns(t *testing.T) {
 		}
 		if a.Digest == 0 || a.Queries == 0 {
 			t.Fatalf("%v: degenerate run: %+v", model, a)
+		}
+		if a.Digest != pinnedDigests[model] {
+			t.Fatalf("%v: digest %#016x, pinned %#016x", model, a.Digest, pinnedDigests[model])
 		}
 		if len(ta.names) != len(tb.names) {
 			t.Fatalf("%v: query-name sequences differ in length", model)
@@ -138,7 +150,7 @@ func TestDifferentSeedsDistinctDraws(t *testing.T) {
 
 // TestRNGStreamsIndependentOfSiblings: a client's stream depends only
 // on (seed, client id), never on how many clients exist — the property
-// that keeps event replay stable however the heap interleaves pops.
+// that keeps event replay stable however the calendar interleaves pops.
 func TestRNGStreamsIndependentOfSiblings(t *testing.T) {
 	a := newRNG(99, 7)
 	b := newRNG(99, 7)
@@ -160,31 +172,202 @@ func TestRNGStreamsIndependentOfSiblings(t *testing.T) {
 	}
 }
 
-// TestEventHeapTotalOrder: pops must come out ordered by (due, client)
-// whatever the push order, across every shard.
-func TestEventHeapTotalOrder(t *testing.T) {
-	h := newEventHeap(1000)
-	r := newRNG(5, 0)
-	const n = 5000
-	for i := 0; i < n; i++ {
-		h.Push(event{due: int64(r.intn(1 << 20)), client: uint32(r.intn(1000))})
+// refHeap is the engine's former scheduler, kept as the calendar's order
+// oracle: one binary min-heap per client-ID shard (≤ 64 of them), pop =
+// the least shard head by (due, client).
+type refHeap struct {
+	shards [][]event
+	mask   uint32
+	size   int
+}
+
+func newRefHeap(n int) *refHeap {
+	shards := 1
+	for shards < 64 && shards*2 <= n {
+		shards *= 2
 	}
-	if h.Len() != n {
-		t.Fatalf("heap length %d, want %d", h.Len(), n)
+	return &refHeap{shards: make([][]event, shards), mask: uint32(shards - 1)}
+}
+
+func (h *refHeap) Push(e event) {
+	s := append(h.shards[e.client&h.mask], e)
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if cmpEvent(s[i], s[parent]) >= 0 {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+	h.shards[e.client&h.mask] = s
+	h.size++
+}
+
+func (h *refHeap) Pop() (event, bool) {
+	if h.size == 0 {
+		return event{}, false
+	}
+	best := -1
+	for i, s := range h.shards {
+		if len(s) > 0 && (best < 0 || cmpEvent(s[0], h.shards[best][0]) < 0) {
+			best = i
+		}
+	}
+	s := h.shards[best]
+	e := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	for i := 0; ; {
+		l, r, m := 2*i+1, 2*i+2, i
+		if l < last && cmpEvent(s[l], s[m]) < 0 {
+			m = l
+		}
+		if r < last && cmpEvent(s[r], s[m]) < 0 {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		s[i], s[m] = s[m], s[i]
+		i = m
+	}
+	h.shards[best] = s
+	h.size--
+	return e, true
+}
+
+// TestEventHeapTotalOrder: with one pending event per client, the
+// calendar pops in (due, client) order whatever the push order, and a
+// popped client re-pushed later is popped again in its place.
+func TestEventHeapTotalOrder(t *testing.T) {
+	const n, pops = 1000, 20_000
+	c := newCalendar(n, 1<<20)
+	r := newRNG(5, 0)
+	for i := range c.clients {
+		c.Push(uint32(i), int64(r.intn(1<<20)))
+	}
+	if c.size != n {
+		t.Fatalf("calendar holds %d events, want %d", c.size, n)
 	}
 	var prev event
-	for i := 0; i < n; i++ {
-		ev, ok := h.Pop()
+	for i := 0; i < pops; i++ {
+		ev, ok := c.Pop()
 		if !ok {
-			t.Fatalf("heap dry after %d pops, want %d", i, n)
+			t.Fatalf("calendar dry after %d pops, want %d", i, pops)
 		}
-		if i > 0 && ev.less(prev) {
+		if i > 0 && cmpEvent(ev, prev) < 0 {
 			t.Fatalf("pop %d out of order: %+v after %+v", i, ev, prev)
 		}
 		prev = ev
+		c.Push(ev.client, ev.due+int64(r.intn(1<<21)))
 	}
-	if _, ok := h.Pop(); ok {
-		t.Fatal("pop succeeded on an empty heap")
+	for i := 0; i < n; i++ {
+		if _, ok := c.Pop(); !ok {
+			t.Fatalf("calendar dry after %d of %d pending pops", i, n)
+		}
+	}
+	if _, ok := c.Pop(); ok {
+		t.Fatal("pop succeeded on an empty calendar")
+	}
+}
+
+// TestCalendarMatchesReferenceHeap replays seeded, interleaved push/pop
+// sequences through the calendar and the reference heap and requires
+// identical pops: many clients sharing a due time, pushes into the
+// active bucket (and before it), events a lap or more ahead, laps with
+// nothing due, at 1 and 2^20 clients.
+func TestCalendarMatchesReferenceHeap(t *testing.T) {
+	cases := []struct {
+		name    string
+		clients int
+		meanGap float64 // ns; sets the bucket width and ring size
+		steps   int
+		far     int // percent of pushes five or more laps ahead
+	}{
+		{"one-client", 1, 1e9, 2_000, 3},
+		{"small", 64, 1e6, 50_000, 3},
+		{"sparse", 16, 1e6, 20_000, 70},
+		{"million", 1 << 20, 1e10, 300_000, 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCalendar(tc.clients, tc.meanGap)
+			width := int64(1) << c.shift
+			lap := width * (c.mask + 1)
+			ref := newRefHeap(tc.clients)
+			r := newRNG(int64(tc.clients), 1)
+			// gap spans the shapes the calendar treats differently.
+			gap := func() int64 {
+				if r.intn(100) < tc.far {
+					return 5*lap + int64(r.intn(int(min(lap, 1<<40)))) // empty laps in between
+				}
+				switch k := r.intn(100); {
+				case k < 10:
+					return 0 // a tie with the due just popped
+				case k < 40:
+					return int64(r.intn(int(width))) // the active bucket, often
+				case k < 85:
+					return int64(r.intn(int(min(lap, 1<<40))))
+				default:
+					return lap + int64(r.intn(int(min(3*lap, 1<<40)))) // laps ahead
+				}
+			}
+			idle := make([]uint32, 0, tc.clients)
+			for i := 0; i < tc.clients; i++ {
+				if r.intn(4) == 0 {
+					idle = append(idle, uint32(i))
+					continue
+				}
+				// Coarse initial dues: many clients share one.
+				due := int64(r.intn(4096)) * (lap / 4096)
+				c.Push(uint32(i), due)
+				ref.Push(event{due: due, client: uint32(i)})
+			}
+			var now int64
+			for step := 0; step < tc.steps; step++ {
+				if len(idle) > 0 && r.intn(3) == 0 {
+					// Wake an idle client; now and then one behind the clock.
+					j := r.intn(len(idle))
+					id := idle[j]
+					idle[j] = idle[len(idle)-1]
+					idle = idle[:len(idle)-1]
+					due := now + gap()
+					if r.intn(50) == 0 {
+						due = now - int64(r.intn(int(width)))
+					}
+					c.Push(id, due)
+					ref.Push(event{due: due, client: id})
+					continue
+				}
+				got, gok := c.Pop()
+				want, wok := ref.Pop()
+				if got != want || gok != wok {
+					t.Fatalf("step %d: calendar popped %+v/%v, reference %+v/%v", step, got, gok, want, wok)
+				}
+				if !gok {
+					continue
+				}
+				now = got.due
+				if r.intn(8) == 0 {
+					idle = append(idle, got.client)
+					continue
+				}
+				due := now + gap()
+				c.Push(got.client, due)
+				ref.Push(event{due: due, client: got.client})
+			}
+			for {
+				got, gok := c.Pop()
+				want, wok := ref.Pop()
+				if got != want || gok != wok {
+					t.Fatalf("drain: calendar popped %+v/%v, reference %+v/%v", got, gok, want, wok)
+				}
+				if !gok {
+					break
+				}
+			}
+		})
 	}
 }
 
@@ -294,6 +477,31 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(ok, clock, &fakeTarget{}); err != nil {
 		t.Errorf("valid config rejected: %v", err)
+	}
+}
+
+// prefTarget is a fakeTarget that also takes protocol preferences.
+type prefTarget struct{ fakeTarget }
+
+func (p *prefTarget) ExchangePreferring(q *dnswire.Message, _ transport.Protocol) (*dnswire.Message, error) {
+	return p.Exchange(q)
+}
+
+// TestPreferencesFollowMixAssign: the preferences dealt from one cycle of
+// the mix are Mix.Assign over the whole population.
+func TestPreferencesFollowMixAssign(t *testing.T) {
+	for _, mix := range []transport.Mix{{DoH: 2, DoT: 1, DoQ: 1}, {DoH: 60, DoT: 30, DoQ: 10}} {
+		const n = 1_000
+		e, err := New(Config{Clients: n, Domains: testDomains(10), Duration: time.Second, Mix: mix},
+			testClock(), &prefTarget{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range mix.Assign(n) {
+			if got := transport.Protocol(e.cal.clients[i].pref); got != want {
+				t.Fatalf("%v: client %d prefers %v, Assign says %v", mix, i, got, want)
+			}
+		}
 	}
 }
 

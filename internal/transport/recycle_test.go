@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"fmt"
 	"net/netip"
 	"testing"
+	"time"
 
 	"repro/internal/dnswire"
 	"repro/internal/simnet"
@@ -39,14 +41,15 @@ func (c replyingRecursor) HandleDNS(q *dnswire.Message) *dnswire.Message {
 }
 
 // TestExchangeAllocBudgets pins what one exchange, answer handed back with
-// Recycle, allocates on a warm fleet under serial failover, per protocol:
-// nothing when the shared cache answers, and nothing when every query
-// misses a 1×1 cache either — the frontend encodes the recursor's answer
-// once into recycled envelope scratch, the cache copies those bytes into
-// the entry it evicts, and the client decodes into the message it was just
-// handed back. A second encode, a fresh entry or a fresh message graph
-// would each show up here — and so would a reply skeleton the frontend did
-// not release, on the leg whose recursor builds one per query.
+// Recycle, allocates on a warm fleet, per strategy and protocol: nothing
+// when the shared cache answers, and nothing when every query misses a 1×1
+// cache either — the frontend encodes the recursor's answer once into
+// recycled envelope scratch, the cache copies those bytes into the entry it
+// evicts, and the client decodes into the message it was just handed back.
+// A second encode, a fresh entry or a fresh message graph would each show
+// up here — and so would a reply skeleton the frontend did not release, on
+// the leg whose recursor builds one per query, or a raced or hedged loser
+// whose answer the client did not take back.
 func TestExchangeAllocBudgets(t *testing.T) {
 	if testrace.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -77,44 +80,75 @@ func TestExchangeAllocBudgets(t *testing.T) {
 		}
 		recursor[name] = &cannedAnswer{built: *resp}
 	}
-	for _, proto := range []Protocol{ProtoDoH, ProtoDoT, ProtoDoQ} {
-		for _, tc := range []struct {
-			kind     string
-			hit      bool
-			cache    CacheConfig
-			recursor simnet.DNSHandler
-		}{
-			{"hit", true, CacheConfig{}, recursor},
-			{"miss", false, CacheConfig{Shards: 1, ShardCapacity: 1}, recursor},
-			{"miss with a reply built per query", false, CacheConfig{Shards: 1, ShardCapacity: 1}, replyingRecursor(recursor)},
-		} {
-			net, clock := testNet()
-			fl := NewFleet(net, clock, FleetConfig{Balance: BalanceRoundRobin, Seed: 1, Cache: tc.cache})
-			for i := 0; i < 2; i++ {
-				fl.Add(proto, "fe", tc.recursor, frontendAddr(i))
-			}
-			q := dnswire.NewQuery(1, names[0], dnswire.TypeHTTPS, true)
-			i := 0
-			exchange := func() {
-				q.ID++
-				q.Question[0].Name = names[i%len(names)]
-				i++
-				m, err := fl.Client.Exchange(q)
-				if err != nil || m.RCode != dnswire.RCodeNoError {
-					t.Fatalf("%s %s: %v, %v", proto, tc.kind, err, m)
+	for _, strategy := range []StrategyKind{StrategySerial, StrategyRace, StrategyHedge} {
+		for _, proto := range []Protocol{ProtoDoH, ProtoDoT, ProtoDoQ} {
+			for _, tc := range []struct {
+				kind     string
+				hit      bool
+				cache    CacheConfig
+				recursor simnet.DNSHandler
+			}{
+				{"hit", true, CacheConfig{}, recursor},
+				{"miss", false, CacheConfig{Shards: 1, ShardCapacity: 1}, recursor},
+				{"miss with a reply built per query", false, CacheConfig{Shards: 1, ShardCapacity: 1}, replyingRecursor(recursor)},
+			} {
+				leg := fmt.Sprintf("%s %s %s", strategy, proto, tc.kind)
+				// Every RTT lies past the default race stagger, so every race
+				// fires, and one draw in sixteen is a tail a p90 hedge timer
+				// cuts off.
+				draws := 0
+				net, clock := testNet()
+				fl := NewFleet(net, clock, FleetConfig{
+					Balance: BalanceRoundRobin, Seed: 1, Cache: tc.cache,
+					Strategy: StrategyConfig{Kind: strategy},
+					Latency: func(*Upstream) time.Duration {
+						draws++
+						if draws%16 == 0 {
+							return 30 * time.Millisecond
+						}
+						return DefaultRaceStagger + time.Millisecond
+					},
+				})
+				for i := 0; i < 2; i++ {
+					fl.Add(proto, "fe", tc.recursor, frontendAddr(i))
 				}
-				fl.Client.Recycle(m)
-			}
-			for j := 0; j < 8; j++ {
-				exchange()
-			}
-			before := fl.Cache.Stats()
-			if n := testing.AllocsPerRun(200, exchange); n != 0 {
-				t.Errorf("%s %s: %v allocs per exchange, want 0", proto, tc.kind, n)
-			}
-			st := fl.Cache.Stats()
-			if hit, evicted := st.Hits > before.Hits, st.Evictions > before.Evictions; hit != tc.hit || evicted == tc.hit {
-				t.Errorf("%s %s: not the path it claims to measure: %+v", proto, tc.kind, st)
+				q := dnswire.NewQuery(1, names[0], dnswire.TypeHTTPS, true)
+				i := 0
+				exchange := func() {
+					q.ID++
+					q.Question[0].Name = names[i%len(names)]
+					i++
+					m, err := fl.Client.Exchange(q)
+					if err != nil || m.RCode != dnswire.RCodeNoError {
+						t.Fatalf("%s: %v, %v", leg, err, m)
+					}
+					fl.Client.Recycle(m)
+				}
+				for j := 0; j < 8; j++ {
+					exchange()
+				}
+				before, stratBefore := fl.Cache.Stats(), fl.StrategyStats()
+				if n := testing.AllocsPerRun(200, exchange); n != 0 {
+					t.Errorf("%s: %v allocs per exchange, want 0", leg, n)
+				}
+				// A raced partner of a miss hits the entry its primary just
+				// inserted, so a miss leg is told by its misses and evictions.
+				st := fl.Cache.Stats()
+				if missed, evicted := st.Misses > before.Misses, st.Evictions > before.Evictions; missed == tc.hit || evicted == tc.hit {
+					t.Errorf("%s: not the cache path it claims to measure: %+v", leg, st)
+				}
+				strat := fl.StrategyStats()
+				races, hedges := strat.Races-stratBefore.Races, strat.Hedges-stratBefore.Hedges
+				fired := races+hedges == 0
+				switch strategy {
+				case StrategyRace:
+					fired = races > 0
+				case StrategyHedge:
+					fired = hedges > 0
+				}
+				if !fired {
+					t.Errorf("%s: %d races, %d hedges: not the strategy path it claims to measure", leg, races, hedges)
+				}
 			}
 		}
 	}

@@ -227,6 +227,30 @@ func TestRaceBothFailFallsThrough(t *testing.T) {
 			t.Errorf("races=%d, want 1 (the stagger timer fired before the SERVFAIL landed)", st.Races)
 		}
 	})
+	t.Run("servfail-inside-stagger-is-failover", func(t *testing.T) {
+		// The primary's SERVFAIL lands at 1ms, inside the 5ms stagger: its
+		// outcome is known before the timer fires, so the partner is the
+		// next serial attempt, not a racer.
+		net, clock := testNet()
+		fl := NewFleet(net, clock, FleetConfig{
+			Balance:  BalanceRoundRobin,
+			Strategy: StrategyConfig{Kind: StrategyRace, RaceStagger: 5 * time.Millisecond},
+			Seed:     1,
+			Latency:  latencyTable(nil, time.Millisecond),
+		})
+		fl.Add(ProtoDoH, "fe0", servFailRecursor{}, frontendAddr(0))
+		fl.Add(ProtoDoT, "fe1", &stubRecursor{ttl: 300}, frontendAddr(1))
+		resp, err := fl.Client.Query("early-fail.test", dnswire.TypeHTTPS, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.RCode != dnswire.RCodeNoError {
+			t.Errorf("rcode = %v, want the partner's NOERROR", resp.RCode)
+		}
+		if st := fl.StrategyStats(); st.Races != 0 || st.Wasted != 0 || st.Attempts != 2 {
+			t.Errorf("races=%d wasted=%d attempts=%d, want 0/0/2", st.Races, st.Wasted, st.Attempts)
+		}
+	})
 }
 
 // TestRaceSkipsBenchedPartner pins the cooldown interaction: once the
@@ -400,6 +424,84 @@ func TestHedgeColdQuantileStaysSerial(t *testing.T) {
 	if st := fl.StrategyStats(); st.Hedges != 0 || st.Attempts != 3 {
 		t.Errorf("hedges=%d attempts=%d on a cold quantile window, want 0/3", st.Hedges, st.Attempts)
 	}
+}
+
+// TestHedgePairEdges pins where a hedge may and may not take its
+// understudy. Each leg warms every member's quantile window at 4ms over
+// round-robin, so the next exchange's primary is fe0, then gives fe0 a
+// 30ms tail RTT.
+func TestHedgePairEdges(t *testing.T) {
+	warmed := func(t *testing.T, primary *stubRecursor, protos ...Protocol) *Fleet {
+		t.Helper()
+		net, clock := testNet()
+		tail := new(bool)
+		fl := NewFleet(net, clock, FleetConfig{
+			Balance:  BalanceRoundRobin,
+			Strategy: StrategyConfig{Kind: StrategyHedge, HedgeQuantile: 0.9},
+			Seed:     1,
+			Cache:    CacheConfig{Shards: 4, ShardCapacity: 64},
+			Latency: func(u *Upstream) time.Duration {
+				if *tail && u.Addr == frontendAddr(0) {
+					return 30 * time.Millisecond
+				}
+				return 4 * time.Millisecond
+			},
+		})
+		fl.Add(protos[0], "fe0", primary, frontendAddr(0))
+		for i := 1; i < len(protos); i++ {
+			fl.Add(protos[i], fmt.Sprintf("fe%d", i), &stubRecursor{ttl: 300}, frontendAddr(i))
+		}
+		for i := 0; i < quantileMinSamples*len(protos); i++ {
+			if _, err := fl.Client.Query(fmt.Sprintf("warm%d.test", i), dnswire.TypeHTTPS, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := fl.StrategyStats(); st.Hedges != 0 {
+			t.Fatalf("hedges fired during the uniform warmup: %d", st.Hedges)
+		}
+		*tail = true
+		return fl
+	}
+	t.Run("servfail-with-dark-understudy-falls-through", func(t *testing.T) {
+		// The tail primary SERVFAILs and its same-protocol understudy is
+		// dark: the hedge fired, lost both legs, and the third candidate
+		// answers serially.
+		primary := &stubRecursor{ttl: 300}
+		fl := warmed(t, primary, ProtoDoH, ProtoDoH, ProtoDoH)
+		primary.servfail = true
+		fl.Net.SetAddrDown(frontendAddr(1).Addr(), true)
+		base, served := fl.StrategyStats(), fl.Frontends[2].Stats().Served
+		resp, err := fl.Client.Query("tail-fail.test", dnswire.TypeHTTPS, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.RCode != dnswire.RCodeNoError {
+			t.Errorf("rcode = %v, want the third candidate's NOERROR", resp.RCode)
+		}
+		st := fl.StrategyStats()
+		if hedges, attempts := st.Hedges-base.Hedges, st.Attempts-base.Attempts; hedges != 1 || attempts != 3 {
+			t.Errorf("hedges=%d attempts=%d, want 1/3", hedges, attempts)
+		}
+		if got := fl.Frontends[2].Stats().Served - served; got != 1 {
+			t.Errorf("third candidate served %d, want 1", got)
+		}
+	})
+	t.Run("never-crosses-protocols", func(t *testing.T) {
+		// The only other member speaks DoT: a hedge armed by a DoH
+		// threshold has no understudy, so the exchange stays serial.
+		fl := warmed(t, &stubRecursor{ttl: 300}, ProtoDoH, ProtoDoT)
+		base, served := fl.StrategyStats(), fl.Frontends[1].Stats().Served
+		if _, err := fl.Client.Query("tail.test", dnswire.TypeHTTPS, false); err != nil {
+			t.Fatal(err)
+		}
+		st := fl.StrategyStats()
+		if hedges, attempts := st.Hedges-base.Hedges, st.Attempts-base.Attempts; hedges != 0 || attempts != 1 {
+			t.Errorf("hedges=%d attempts=%d, want 0/1", hedges, attempts)
+		}
+		if got := fl.Frontends[1].Stats().Served - served; got != 0 {
+			t.Errorf("DoT member served %d, want 0 (no cross-protocol duplicate)", got)
+		}
+	})
 }
 
 // TestRemovedUpstreamEvictsConnections is the long-campaign leak fix: a

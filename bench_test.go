@@ -719,7 +719,7 @@ func BenchmarkTransportStrategy(b *testing.B) {
 		b.Run(kind.String(), func(b *testing.B) {
 			client, list, _ := transportBench(b, &transport.CacheConfig{},
 				transport.ProtoDoH, transport.ProtoDoT, transport.ProtoDoQ)
-			client.Strategy = transport.StrategyConfig{Kind: kind}.New()
+			client.Strategy = transport.StrategyConfig{Kind: kind}
 			client.Latency = transport.SyntheticLatency(2*time.Millisecond, 18*time.Millisecond)
 			for _, name := range list {
 				if _, err := client.Query(name, dnswire.TypeHTTPS, true); err != nil {

@@ -238,9 +238,9 @@ func main() {
 	}
 	// Layer a deterministic 1-in-8 latency tail over the campaign's
 	// synthetic per-member band: constant per-member RTTs never exceed
-	// their own quantile, so without a tail the quantile-armed Hedge
-	// strategy would have nothing to react to (and Race would never see
-	// an upset win). Chaos mode drives queries from one goroutine, so
+	// their own quantile, so without a tail the quantile-armed hedge
+	// strategy would have nothing to react to (and a race would never
+	// see an upset win). Chaos mode drives queries from one goroutine, so
 	// the tail sequence is reproducible for a seed.
 	base := client.Latency
 	var tailTick atomic.Uint64

@@ -1,7 +1,6 @@
-// Raceclient: drive the transport layer's pluggable resolution
-// strategies — the happy-eyeballs shape real encrypted-DNS clients
-// (Firefox, Chrome, dnscrypt-proxy) actually use — against a mixed
-// DoH/DoT/DoQ fleet:
+// Raceclient: drive the transport client's resolution strategies — the
+// happy-eyeballs shape real encrypted-DNS clients (Firefox, Chrome,
+// dnscrypt-proxy) actually use — against a mixed DoH/DoT/DoQ fleet:
 //
 //  1. protocol racing: the pool's top candidate gets a stagger head
 //     start; when its answer misses the deadline, the next candidate on
@@ -11,10 +10,10 @@
 //     the duplicate upstream load the race pays for its latency win;
 //  2. failover under fire: with every DoH frontend dark, races ride the
 //     DoT/DoQ survivors without a single lost exchange;
-//  3. hedged queries: strategies are a Client field, so the same fleet
-//     switches to Hedge mid-run — a per-upstream latency-quantile timer
-//     that fires a same-protocol duplicate when the primary lands in
-//     its own tail;
+//  3. hedged queries: the strategy is a StrategyConfig field on the
+//     Client, so the same fleet switches to hedging mid-run — a
+//     per-upstream latency-quantile timer that fires a same-protocol
+//     duplicate when the primary lands in its own tail;
 //  4. traced exchanges: an obs.Tracer on the client records every hedge
 //     as a span tree — the receive, the primary dial, the understudy
 //     launching at the hedge timer's virtual offset, and the commit —
@@ -53,7 +52,7 @@ func main() {
 	list := world.Tranco.ListFor(day)
 
 	fmt.Printf("fleet mix %s, strategy %s, stagger %v:\n",
-		camp.Cfg.TransportMix, client.Strategy.Name(), camp.Cfg.RaceStagger)
+		camp.Cfg.TransportMix, client.Strategy.Kind, camp.Cfg.RaceStagger)
 	for i, st := range fleet.Stats() {
 		fmt.Printf("  %-18s %s at %v\n", st.Name, st.Proto, fleet.Addrs[i])
 	}
@@ -91,14 +90,14 @@ func main() {
 	fmt.Printf("  400 more queries, %d lost\n", lost)
 	printStrategy(fleet, "cumulative")
 
-	// 3. Strategies are pluggable on a live client: switch the same
+	// 3. The strategy is plain config on a live client: switch the same
 	// fleet to hedged queries under a tail-latency model — every 9th
 	// exchange is an outlier, so the p80-armed hedge timer fires on the
 	// tail and only the tail.
 	for _, st := range fleet.Pool.Stats() {
 		world.Net.SetAddrDown(st.Addr.Addr(), false)
 	}
-	client.Strategy = transport.Hedge{Quantile: 0.8}
+	client.Strategy = transport.StrategyConfig{Kind: transport.StrategyHedge, HedgeQuantile: 0.8}
 	calls := 0
 	client.Latency = func(u *transport.Upstream) time.Duration {
 		calls++

@@ -91,10 +91,10 @@ type CampaignConfig struct {
 	// counts under every strategy (per-day replicas keep their clocks
 	// frozen; see newDayContext).
 	TransportStrategy transport.StrategyKind
-	// RaceStagger overrides the Race strategy's happy-eyeballs head
+	// RaceStagger overrides the race strategy's happy-eyeballs head
 	// start; zero selects transport.DefaultRaceStagger.
 	RaceStagger time.Duration
-	// HedgeQuantile overrides the Hedge strategy's arming quantile;
+	// HedgeQuantile overrides the hedge strategy's arming quantile;
 	// zero selects transport.DefaultHedgeQuantile.
 	HedgeQuantile float64
 	// DoHShards and DoHShardCap set the shared answer cache geometry;

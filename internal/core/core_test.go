@@ -304,7 +304,7 @@ func TestPipelinedStrategiesMatchSerial(t *testing.T) {
 // behavior, byte-identical" proof at the campaign level: explicitly
 // selecting StrategySerial collects a store byte-identical to the
 // zero-value config's (whose fleets ran the pre-refactor failover
-// shape). The nil-strategy ≡ SerialFailover equivalence itself is pinned
+// shape). The default ≡ explicit-serial equivalence itself is pinned
 // deterministically in the transport package
 // (TestSerialFailoverExplicitMatchesDefault); RunDaily is used here
 // because its per-day replicas freeze their clocks, making the store

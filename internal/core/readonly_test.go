@@ -18,7 +18,7 @@ import (
 // write through it. Deep copies of a signed adopter's answers are taken
 // first; then the name goes through recursor → scanner, and through a
 // four-frontend racing fleet whose client recycles its answer messages
-// (pack, cache put, cache hit, stale serve, Driver.Discard of the losers);
+// (pack, cache put, cache hit, stale serve, the losers' discard);
 // then a whole day is scanned through a day replica of that fleet, every
 // answer handed back with Client.Recycle and decoded over by the next; then
 // the servers are asked again and must say exactly what they said.

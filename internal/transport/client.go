@@ -23,18 +23,17 @@ var (
 // advertises — RFC 8484 DoH request/response envelopes, RFC 7858 DoT
 // frames over a persistent per-member connection, or RFC 9250 DoQ
 // streams over a per-member session. Which members are attempted, in
-// what simulated overlap, and whose answer wins is the pluggable
-// Strategy's decision; the client supplies the candidate ordering and
-// the per-protocol dialers. It satisfies the scanner's Transport
-// interface, so the measurement framework can run its campaigns through
-// any protocol mix and any resolution strategy instead of bare stub
-// queries.
+// what simulated overlap, and whose answer wins is decided by its
+// Strategy over the pool's candidate ordering, through the per-protocol
+// dialers. It satisfies the scanner's Transport interface, so the
+// measurement framework can run its campaigns through any protocol mix
+// and any resolution strategy instead of bare stub queries.
 type Client struct {
 	Net  *simnet.Network
 	Pool *Pool
-	// Strategy is the resolution policy driving each exchange; nil means
-	// SerialFailover (the pre-strategy behavior).
-	Strategy Strategy
+	// Strategy is the resolution policy driving each exchange; the zero
+	// value is serial failover.
+	Strategy StrategyConfig
 	// UsePOST selects POST envelopes for DoH members; the default is
 	// RFC 8484 GET, whose base64url form is the cache-friendly one.
 	UsePOST bool
@@ -42,7 +41,7 @@ type Client struct {
 	// the pool instead of a wall-clock measurement. Exchanges are
 	// synchronous in-process calls, so wall time is host scheduling
 	// noise; a deterministic Latency function makes the EWMA/P2 routing
-	// decisions — and the Race/Hedge completion-time comparisons —
+	// decisions — and the race/hedge completion-time comparisons —
 	// replayable along with the rest of the simulation.
 	Latency func(u *Upstream) time.Duration
 	// ChargeLatency additionally charges each exchange's critical path —
@@ -94,12 +93,12 @@ type Client struct {
 
 	// scratch recycles per-exchange candidate buffers. Exchange is the
 	// hottest path in a campaign (every simulated query lands here), and
-	// the pool ordering is consumed synchronously inside Resolve, so the
-	// backing array can be returned as soon as the strategy is done with
-	// it — only the winning *Upstream escapes via the Outcome.
+	// the pool ordering is consumed synchronously inside resolve, so the
+	// backing array can be returned as soon as resolve is done with it —
+	// only the winning *Upstream escapes via the Outcome.
 	scratch sync.Pool
 	// msgPool recycles attempt answer messages. Every dialer decodes into
-	// a pooled message; losers go back via Discard as soon as the strategy
+	// a pooled message; losers go back via discard as soon as resolve
 	// rules them out, and winners come home when the caller hands them to
 	// Recycle or, under ReuseAnswers, via the lastAns swap at the next
 	// exchange.
@@ -176,11 +175,12 @@ func (c *Client) putMsg(m *dnswire.Message) {
 	c.msgPool.Put(m)
 }
 
-// Discard implements Driver: return a losing attempt's answer message to
-// the recycle pool. Strategies call it for attempts whose answer can no
-// longer escape the exchange, so recycling is unconditionally safe here —
-// only the winner's message reaches the caller.
-func (c *Client) Discard(at Attempt) {
+// discard returns a losing attempt's answer message to the recycle pool.
+// resolve calls it exactly for attempts whose answer can no longer escape
+// the exchange — raced or hedged losers, and parked SERVFAILs superseded
+// by a better answer — so recycling is unconditionally safe here: only
+// the winner's message reaches the caller.
+func (c *Client) discard(at Attempt) {
 	if at.Msg != nil {
 		c.putMsg(at.Msg)
 	}
@@ -190,7 +190,7 @@ func (c *Client) Discard(at Attempt) {
 // caller has read what it needs: the message, and everything reachable
 // from it (sections, RDATA values, their byte slices), is reclaimed for a
 // later exchange's decode and must not be touched again. It is the explicit
-// way into the pool that Discard and ReuseAnswers feed; if m is the answer
+// way into the pool that discard and ReuseAnswers feed; if m is the answer
 // ReuseAnswers would reclaim at the next exchange, that claim is dropped,
 // so one message is never pooled twice. Safe for concurrent use.
 func (c *Client) Recycle(m *dnswire.Message) {
@@ -241,19 +241,10 @@ func (c *Client) nextID() uint16 {
 	return c.qid
 }
 
-// strategy returns the active resolution strategy (serial failover when
-// none is configured).
-func (c *Client) strategy() Strategy {
-	if c.Strategy != nil {
-		return c.Strategy
-	}
-	return SerialFailover{}
-}
-
 // Exchange sends the query to the pool: candidate selection (the pool's
 // failover ordering), then strategy dispatch — serial failover, a
 // happy-eyeballs protocol race, or a hedged duplicate, per the
-// configured Strategy. Per-attempt RTTs fold into the pool's EWMA and
+// client's Strategy. Per-attempt RTTs fold into the pool's EWMA and
 // quantile windows; protocol dispatch happens per member, so a mixed
 // fleet races and fails over across protocols transparently.
 func (c *Client) Exchange(q *dnswire.Message) (*dnswire.Message, error) {
@@ -295,11 +286,11 @@ func (c *Client) ExchangePreferring(q *dnswire.Message, pref Protocol) (*dnswire
 	if tr != nil {
 		tr.Add("receive", 0, 0,
 			obs.L("qtype", q.Question[0].Type.String()),
-			obs.L("strategy", c.strategy().Name()))
+			obs.L("strategy", c.Strategy.Kind.String()))
 	}
-	out := c.strategy().Resolve(c, q, candidates, tr)
-	// Resolve is synchronous and strategies do not retain the slice, so
-	// the buffer can go back in the pool before the outcome is processed.
+	out := c.resolve(q, candidates, tr)
+	// resolve is synchronous and does not retain the slice, so the buffer
+	// can go back in the pool before the outcome is processed.
 	sc.cand = candidates
 	c.scratch.Put(sc)
 	// The anomaly flags are a function of the outcome alone, so the
@@ -397,7 +388,7 @@ func (c *Client) account(out Outcome) {
 // queries, and the winner-protocol distribution.
 func (c *Client) StrategyStats() StrategyStats {
 	st := StrategyStats{
-		Strategy:        c.strategy().Name(),
+		Strategy:        c.Strategy.Kind.String(),
 		Exchanges:       c.exchanges.Load(),
 		Attempts:        c.attempts.Load(),
 		Races:           c.races.Load(),
@@ -441,10 +432,13 @@ func (c *Client) bindMetrics(reg *obs.Registry) {
 	reg.RegisterHistogram(c.ExchangeLatency, "exchange_latency_seconds")
 }
 
-// Dial implements Driver: one synchronous attempt against the member
-// over its envelope protocol. A non-nil tr threads server-side span
-// recording through the envelope into the frontend.
-func (c *Client) Dial(up *Upstream, q *dnswire.Message, tr *obs.Trace) Attempt {
+// dial performs one synchronous attempt against the member over its
+// envelope protocol. The attempt's RTT is fed to the pool as part of the
+// dial (completed exchanges are valid samples no matter which attempt
+// wins); the virtual clock is NOT advanced — resolve owns the exchange's
+// timeline and charges its critical path once. A non-nil tr threads
+// server-side span recording through the envelope into the frontend.
+func (c *Client) dial(up *Upstream, q *dnswire.Message, tr *obs.Trace) Attempt {
 	var at Attempt
 	switch up.Proto {
 	case ProtoDoT:
@@ -458,12 +452,16 @@ func (c *Client) Dial(up *Upstream, q *dnswire.Message, tr *obs.Trace) Attempt {
 	return at
 }
 
-// Bench implements Driver: report a transport-level failure to the pool.
-// A member the pool removes outright (Pool.RemoveAfter) has its cached
-// DoT connection and DoQ session dropped too, so long campaigns don't
-// accumulate dead simnet connections for upstreams that will never be
-// offered again.
-func (c *Client) Bench(up *Upstream) {
+// bench reports an attempt's transport-level failure (Attempt.Bench) to
+// the pool: cooldown, and eventually removal. A member the pool removes
+// outright (Pool.RemoveAfter) has its cached DoT connection and DoQ
+// session dropped too, so long campaigns don't accumulate dead simnet
+// connections for upstreams that will never be offered again.
+func (c *Client) bench(at Attempt) {
+	if at.Err == nil || !at.Bench {
+		return
+	}
+	up := at.Upstream
 	if c.Pool.MarkFailed(up) {
 		if c.Recorder != nil {
 			c.Recorder.Emit("pool.remove", obs.L("member", up.Name))
@@ -475,24 +473,16 @@ func (c *Client) Bench(up *Upstream) {
 	}
 }
 
-// Charge implements Driver: advance the virtual clock by the exchange's
-// critical-path duration. A no-op without a deterministic latency model
-// (wall-clock costs are host scheduling noise) or with ChargeLatency
-// off.
-func (c *Client) Charge(d time.Duration) {
+// charge advances the virtual clock by d of the exchange's critical path
+// and accumulates it into out.Elapsed, so Outcome.Elapsed is the
+// exchange's timeline by construction. The clock itself moves only with
+// a deterministic latency model (wall-clock costs are host scheduling
+// noise) and ChargeLatency on.
+func (c *Client) charge(out *Outcome, d time.Duration) {
+	out.Elapsed += d
 	if c.ChargeLatency && c.Latency != nil && d > 0 {
 		c.Net.Clock.Advance(d)
 	}
-}
-
-// Quantile implements Driver: the member's tracked latency quantile.
-func (c *Client) Quantile(up *Upstream, q float64) (time.Duration, bool) {
-	return c.Pool.RTTQuantile(up, q)
-}
-
-// Benched implements Driver: whether the member is cooling down.
-func (c *Client) Benched(up *Upstream) bool {
-	return c.Pool.IsBenched(up)
 }
 
 // evict drops every piece of cached connection state for an upstream
@@ -508,8 +498,8 @@ func (c *Client) evict(ap netip.AddrPort) {
 
 // sample feeds the pool the attempt's RTT and returns the (RTT, Cost)
 // pair for the attempt: cost includes setupRTTs extra round-trips of
-// connection establishment. The virtual clock is not touched here — the
-// strategy charges its critical path once the exchange's shape is known.
+// connection establishment. The virtual clock is not touched here —
+// resolve charges its critical path once the exchange's shape is known.
 func (c *Client) sample(up *Upstream, wall time.Duration, setupRTTs int) (rtt, cost time.Duration) {
 	d := wall
 	if c.Latency != nil {

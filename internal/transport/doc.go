@@ -33,11 +33,9 @@
 //     failover, per-member RTT quantile tracking) and the
 //     protocol-agnostic stub that dispatches each attempt by the
 //     member's envelope — a mixed fleet races and fails over across
-//     protocols.
-//   - Strategy: the pluggable resolution policy layer between the two —
-//     given the pool's candidate ordering and the client's per-protocol
-//     dialers, it decides which candidates are attempted, in what
-//     simulated overlap, and whose answer wins (see below).
+//     protocols. The client's Strategy (a StrategyConfig) decides, over
+//     the pool's candidate ordering, which candidates are attempted, in
+//     what simulated overlap, and whose answer wins (see below).
 //   - Fleet: the bundle — one cache, one pool, one client, any Mix of
 //     frontends — with per-frontend, per-protocol, fleet-wide, and
 //     strategy stats.
@@ -84,37 +82,37 @@
 //
 // # Resolution strategies
 //
-// Client.Exchange is candidate selection plus strategy dispatch: the
-// Pool orders the members (its Balance policy picks the head, healthy
-// members follow, benched members last), and the configured Strategy
-// drives the per-protocol dialers over that ordering. Three policies
-// ship, mirroring how real encrypted-DNS clients behave rather than the
-// strictly serial failover a naive stub performs:
+// Client.Exchange is candidate selection plus one resolver: the Pool
+// orders the members (its Balance policy picks the head, healthy members
+// follow, benched members last), and the client's resolve switches on
+// Strategy.Kind to drive the per-protocol dialers over that ordering.
+// Three kinds exist, mirroring how real encrypted-DNS clients behave
+// rather than the strictly serial failover a naive stub performs:
 //
-//   - SerialFailover (default): one candidate at a time, first usable
-//     answer wins, SERVFAIL returned only when every member agrees —
-//     byte-identical to the pre-strategy client.
-//   - Race: happy-eyeballs protocol racing (the Firefox/Chrome DoH
-//     fallback shape, RFC 8305's connection-attempt delay). The primary
-//     gets a Stagger head start; if its answer has not arrived when the
-//     timer fires, the first candidate on a *different* protocol
-//     launches too, and the earlier virtual completion wins. The loser
-//     is cancelled and accounted as wasted upstream load; if both fail,
-//     the exchange falls through to the remaining candidates serially.
-//   - Hedge: quantile-armed duplicate queries on a single protocol.
-//     Each member's recent RTTs feed a sliding quantile window
+//   - StrategySerial (the zero value): one candidate at a time, first
+//     usable answer wins, SERVFAIL returned only when every member
+//     agrees.
+//   - StrategyRace: happy-eyeballs protocol racing (the Firefox/Chrome
+//     DoH fallback shape, RFC 8305's connection-attempt delay). The
+//     primary gets a RaceStagger head start; if its answer has not
+//     arrived when the timer fires, the first candidate on a *different*
+//     protocol launches too, and the earlier virtual completion wins.
+//   - StrategyHedge: quantile-armed duplicate queries on a single
+//     protocol. Each member's recent RTTs feed a sliding quantile window
 //     (Pool.RTTQuantile — the per-server latency estimation
 //     dnscrypt-proxy builds its candidate ordering from); when the
-//     primary exceeds its own quantile, a same-protocol understudy
+//     primary exceeds its own HedgeQuantile, a same-protocol understudy
 //     launches at the threshold and the first answer wins.
 //
-// Determinism contract: a Strategy runs on the virtual clock and must
-// be a pure function of (clock, pool state, strategy parameters,
-// latency model). Dials execute synchronously and sequentially;
-// concurrency is *simulated* by comparing virtual completion times
-// (launch offset + attempt cost, where cost is the latency-model RTT
-// plus connection-setup round-trips). No goroutines, no wall-clock
-// reads, no private randomness. Completed attempts feed the pool's
+// Race and hedge differ only in who the partner is, whether its timer
+// fires, and when it launches; from there they share one tail — the
+// loser is cancelled and accounted as wasted upstream load, and if both
+// fail the exchange falls through to the remaining candidates serially.
+// Every path runs on the virtual clock under the determinism contract
+// on resolve: dials execute synchronously, overlap is simulated by
+// comparing launch offset + attempt cost (the latency-model RTT plus
+// connection-setup round-trips), and no goroutine, wall-clock read or
+// private randomness enters. Completed attempts feed the pool's
 // EWMA/quantile state whether they win or lose (the sample is real);
 // the virtual clock is charged once per exchange with the critical
 // path, not the attempt sum. This is what keeps pipelined multi-day
@@ -142,7 +140,7 @@
 // tr is non-nil only for the exchanges Client.Tracer head-samples, and
 // every span site sits behind an `if tr != nil`. Anomaly (tail)
 // retention needs no trace: the client derives each exchange's anomaly
-// flags from the strategy's Outcome and the winner's RCode and reports
+// flags from the exchange's Outcome and the winner's RCode and reports
 // them, with the virtual cost, to Tracer.Finish, so an unsampled
 // exchange records no span and pays nothing for the anomaly tier unless
 // it is itself the anomaly.
@@ -185,7 +183,7 @@
 //     for the duration of a run. Both feed one pool; Recycle drops the
 //     pending claim, so a message given back explicitly is not pooled
 //     again.
-//   - Strategies recycle losing attempts' Messages via Driver.Discard —
+//   - The resolver recycles losing attempts' Messages (Client.discard) —
 //     exactly for attempts whose answer can no longer escape the
 //     exchange (raced/hedged losers, superseded parked SERVFAILs);
 //     winners are never discarded.

@@ -95,7 +95,7 @@ func NewFleet(net *simnet.Network, clock *simnet.Clock, cfg FleetConfig) *Fleet 
 	pool := NewPool(clock, cfg.Balance, cfg.Seed)
 	pool.RemoveAfter = cfg.RemoveAfter
 	client := NewClient(net, pool)
-	client.Strategy = cfg.Strategy.New()
+	client.Strategy = cfg.Strategy
 	client.Latency = cfg.Latency
 	client.ChargeLatency = cfg.ChargeLatency
 	client.Tracer = cfg.Tracer

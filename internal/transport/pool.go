@@ -34,7 +34,7 @@ func fnv64aString(s string) uint64 {
 // ships: random pairs weighted by measured RTT, pure lowest-RTT, strict
 // rotation, and query-name affinity. (Resolution policy — how many of
 // the ordered candidates are attempted, raced, or hedged — is the
-// Strategy layer's job; the balancer only produces the ordering.)
+// client's Strategy; the balancer only produces the ordering.)
 type Balance int
 
 const (
@@ -223,9 +223,9 @@ func (p *Pool) Healthy() int {
 // Candidates returns the failover order for a query: the balancer's pick
 // first, the remaining healthy members next, and benched members last so
 // a fully-down fleet still gets retried rather than erroring instantly.
-// Strategies consume this ordering — serial failover walks it, racing
-// takes the top two across protocols, hedging pairs the head with a
-// same-protocol understudy.
+// The client's resolver consumes this ordering — serial failover walks
+// it, racing takes the top two across protocols, hedging pairs the head
+// with a same-protocol understudy.
 //
 // The ordering is written into dst (reused from length zero, grown as
 // needed; nil allocates) so per-exchange callers can recycle one buffer
@@ -376,7 +376,7 @@ func (p *Pool) ObserveRTT(u *Upstream, d time.Duration) {
 }
 
 // RTTQuantile reports the member's q-quantile RTT over its sliding
-// sample window — the per-upstream latency estimate the Hedge strategy
+// sample window — the per-upstream latency estimate the hedge strategy
 // arms its timer with (dnscrypt-proxy keeps the same kind of per-server
 // estimator to drive its candidate ordering). ok is false until
 // quantileMinSamples samples exist: a hedge threshold derived from a

@@ -9,7 +9,7 @@ import (
 )
 
 // Attempt is the outcome of one upstream try, as produced by the
-// client's per-protocol dialers and consumed by a Strategy.
+// client's per-protocol dialers and weighed by its resolver.
 type Attempt struct {
 	// Upstream is the member the attempt was dialed against.
 	Upstream *Upstream
@@ -42,51 +42,14 @@ func (at Attempt) usable() bool {
 	return at.Err == nil && at.Msg.RCode != dnswire.RCodeServFail
 }
 
-// Driver is what a Strategy needs from the transport client: synchronous
-// per-protocol dial attempts plus pool and clock accounting. *Client is
-// the production implementation.
-type Driver interface {
-	// Dial performs one synchronous attempt against the member over its
-	// envelope protocol. The attempt's RTT is fed to the pool as part of
-	// the dial (completed exchanges are valid samples no matter which
-	// attempt wins); the virtual clock is NOT advanced — the strategy
-	// owns the exchange's timeline and charges its critical path once.
-	// tr, when non-nil, threads server-side span recording through the
-	// envelope (nil dials untraced).
-	Dial(up *Upstream, q *dnswire.Message, tr *obs.Trace) Attempt
-	// Bench reports a transport-level failure to the pool (cooldown, and
-	// eventually removal — see Pool.RemoveAfter).
-	Bench(up *Upstream)
-	// Charge advances the virtual clock by the exchange's critical-path
-	// duration; a no-op without a latency model or with ChargeLatency
-	// off.
-	Charge(d time.Duration)
-	// Quantile reports the member's q-quantile RTT estimate (ok false
-	// until enough samples exist) — the hedge timer's threshold.
-	Quantile(up *Upstream, q float64) (time.Duration, bool)
-	// Benched reports whether the member is currently cooling down
-	// after a failure. Candidate orderings sort benched members last as
-	// a last resort for serial failover; racing and hedging must not
-	// pick them as partners — a duplicate attempt against a known-bad
-	// member wastes load and, with Pool.RemoveAfter set, can escalate a
-	// transient flap into permanent removal.
-	Benched(up *Upstream) bool
-	// Discard returns a losing attempt's answer message to the driver's
-	// recycle pool. Strategies must call it exactly for attempts whose
-	// answer can no longer escape the exchange — raced or hedged losers,
-	// and parked SERVFAILs superseded by a better answer; the winning
-	// attempt's message belongs to the exchange's caller.
-	Discard(at Attempt)
-}
-
-// Outcome is a strategy's result: the winning attempt plus per-attempt
-// telemetry. Exactly one of Winner.Msg and Err is set.
+// Outcome is an exchange's resolution result: the winning attempt plus
+// per-attempt telemetry. Exactly one of Winner.Msg and Err is set.
 type Outcome struct {
 	Winner Attempt
 	Err    error
 
 	// Elapsed is the exchange's critical-path virtual duration — the sum
-	// of every clock charge the strategy made, i.e. how far the exchange
+	// of every clock charge the resolver made, i.e. how far the exchange
 	// advanced the virtual timeline. It accumulates even when latency
 	// charging is off, so tracing and latency histograms see the modeled
 	// timeline either way.
@@ -111,39 +74,17 @@ type Outcome struct {
 	Wasted int
 }
 
-// Strategy is a pluggable resolution policy: given the pool's
-// failover-ordered candidates and a driver that can dial any of them, it
-// decides which candidates are attempted, in what simulated overlap, and
-// which attempt's answer wins.
-//
-// Determinism contract: strategies run on the virtual clock. Dials
-// execute synchronously and sequentially; concurrency is *simulated* by
-// comparing virtual completion times (launch offset + Attempt.Cost), so
-// an exchange's outcome is a pure function of (clock, pool state,
-// strategy parameters, latency model) — no goroutines, no wall-clock
-// reads, no randomness. That is what lets pipelined campaigns stay
-// byte-identical to serial runs under every strategy.
-type Strategy interface {
-	// Name tags the strategy in flags, stats, and bench reports.
-	Name() string
-	// Resolve drives one exchange over the ordered candidates. tr, when
-	// non-nil, receives a "dial" span per attempt at its simulated launch
-	// offset (stagger edges, hedge thresholds) with the attempt's virtual
-	// cost as its duration.
-	Resolve(d Driver, q *dnswire.Message, candidates []*Upstream, tr *obs.Trace) Outcome
-}
-
-// StrategyKind enumerates the built-in resolution strategies for flags
-// and campaign config.
+// StrategyKind enumerates the resolution strategies for flags and
+// campaign config.
 type StrategyKind int
 
 const (
-	// StrategySerial is SerialFailover, the pre-strategy behavior and
-	// the zero-value default.
+	// StrategySerial tries candidates strictly one at a time: the
+	// zero-value default.
 	StrategySerial StrategyKind = iota
-	// StrategyRace is Race: happy-eyeballs protocol racing.
+	// StrategyRace is happy-eyeballs protocol racing.
 	StrategyRace
-	// StrategyHedge is Hedge: quantile-armed duplicate queries.
+	// StrategyHedge is quantile-armed duplicate queries.
 	StrategyHedge
 )
 
@@ -175,154 +116,139 @@ func ParseStrategy(name string) (StrategyKind, error) {
 // zero value is serial failover.
 type StrategyConfig struct {
 	Kind StrategyKind
-	// RaceStagger overrides Race's head start (zero: DefaultRaceStagger).
+	// RaceStagger overrides the race's head start (zero:
+	// DefaultRaceStagger).
 	RaceStagger time.Duration
-	// HedgeQuantile overrides Hedge's arming quantile (zero:
+	// HedgeQuantile overrides the hedge's arming quantile (zero:
 	// DefaultHedgeQuantile).
 	HedgeQuantile float64
 }
 
-// New builds the configured Strategy.
-func (c StrategyConfig) New() Strategy {
-	switch c.Kind {
-	case StrategyRace:
-		return Race{Stagger: c.RaceStagger}
-	case StrategyHedge:
-		return Hedge{Quantile: c.HedgeQuantile}
-	default:
-		return SerialFailover{}
-	}
-}
-
-// SerialFailover tries candidates strictly in pool order and keeps the
-// first usable answer — the pre-strategy Client.Exchange behavior,
-// byte-identical results included: one attempt at a time, each attempt's
-// cost charged before the next dial, SERVFAILs remembered and returned
-// only when every member agrees.
-type SerialFailover struct{}
-
-// Name implements Strategy.
-func (SerialFailover) Name() string { return "serial" }
-
-// Resolve implements Strategy.
-func (SerialFailover) Resolve(d Driver, q *dnswire.Message, candidates []*Upstream, tr *obs.Trace) Outcome {
-	return serialResolve(d, q, candidates, Outcome{}, Attempt{}, nil, len(candidates), tr)
-}
-
-// charge advances the virtual clock by dur and accumulates it into the
-// outcome's critical-path total. Every clock charge a strategy makes
-// goes through here, so Outcome.Elapsed is the exchange's timeline by
-// construction.
-func charge(d Driver, out *Outcome, dur time.Duration) {
-	d.Charge(dur)
-	out.Elapsed += dur
-}
-
-// dialSpan opens a traced dial attempt at the given launch offset; mode
-// tags the attempt's role on the exchange timeline. Unsampled exchanges
-// (tr nil, the overwhelmingly common case) return early before the span
-// name and label slice are built, keeping the hot path allocation-free.
-func dialSpan(tr *obs.Trace, up *Upstream, offset time.Duration, mode string) int {
-	if tr == nil {
-		return -1
-	}
-	return tr.Enter("dial "+up.Name, offset, obs.L("proto", up.Proto.String()), obs.L("mode", mode))
-}
-
-// exitDialSpan closes a dial span with the attempt's virtual cost and
-// outcome.
-func exitDialSpan(tr *obs.Trace, idx int, at Attempt) {
-	if tr == nil {
-		return
-	}
-	outcome := "answer"
-	switch {
-	case at.Err != nil:
-		outcome = "error"
-	case at.Msg.RCode == dnswire.RCodeServFail:
-		outcome = "servfail"
-	}
-	tr.Exit(idx, at.Cost, obs.L("outcome", outcome))
-}
-
-// serialResolve walks candidates in order, continuing from the given
-// partial outcome — the shared tail for SerialFailover and for Race and
-// Hedge falling through after their paired attempts lost. total is the
-// exchange's full candidate count, kept for the all-failed error. Each
-// dial launches at the timeline charged so far (out.Elapsed), which is
-// exactly serial semantics: one attempt at a time, back to back.
-func serialResolve(d Driver, q *dnswire.Message, candidates []*Upstream, out Outcome, servFail Attempt, lastErr error, total int, tr *obs.Trace) Outcome {
-	for _, up := range candidates {
-		span := dialSpan(tr, up, out.Elapsed, "serial")
-		at := d.Dial(up, q, tr)
-		exitDialSpan(tr, span, at)
-		out.Attempts++
-		charge(d, &out, at.Cost)
-		if at.Err != nil {
-			if at.Bench {
-				d.Bench(up)
-			}
-			lastErr = fmt.Errorf("upstream %s (%s): %w", up.Name, up.Proto, at.Err)
-			continue
-		}
-		// A SERVFAIL is a healthy transport over a struggling recursor:
-		// try the next pool member without benching this one. Returned
-		// as-is only if every member agrees.
-		if at.Msg.RCode == dnswire.RCodeServFail {
-			if servFail.Msg != nil {
-				d.Discard(servFail)
-			}
-			servFail = at
-			continue
-		}
-		if servFail.Msg != nil {
-			d.Discard(servFail)
-		}
-		out.Winner = at
-		return out
-	}
-	if servFail.Msg != nil {
-		out.Winner = servFail
-		return out
-	}
-	out.Err = fmt.Errorf("transport: all %d upstreams failed: %w", total, lastErr)
-	return out
-}
-
-// DefaultRaceStagger is Race's head start for the primary candidate —
+// DefaultRaceStagger is the race's head start for the primary candidate —
 // the RFC 8305 "connection attempt delay", scaled to the simulation's
 // synthetic 2–20ms latency band so races actually fire. (Browsers use
 // 50–250ms against real-world RTTs.)
 const DefaultRaceStagger = 5 * time.Millisecond
 
-// Race is happy-eyeballs protocol racing (the shape Firefox and Chrome
+// DefaultHedgeQuantile arms the hedge timer at the primary's p90: the
+// tail dnscrypt-proxy's per-server latency estimates are built to avoid.
+const DefaultHedgeQuantile = 0.9
+
+// resolve drives one exchange over the pool's failover-ordered
+// candidates under c.Strategy, deciding which candidates are attempted,
+// in what simulated overlap, and which attempt's answer wins. tr, when
+// non-nil, receives a "dial" span per attempt at its simulated launch
+// offset (stagger edges, hedge thresholds) with the attempt's virtual
+// cost as its duration.
+//
+// Determinism contract: resolution runs on the virtual clock. Dials
+// execute synchronously and sequentially; concurrency is *simulated* by
+// comparing virtual completion times (launch offset + Attempt.Cost), so
+// an exchange's outcome is a pure function of (clock, pool state,
+// strategy parameters, latency model) — no goroutines, no wall-clock
+// reads, no randomness. That is what lets pipelined campaigns stay
+// byte-identical to serial runs under every strategy.
+func (c *Client) resolve(q *dnswire.Message, candidates []*Upstream, tr *obs.Trace) Outcome {
+	switch c.Strategy.Kind {
+	case StrategyRace:
+		return c.race(q, candidates, tr)
+	case StrategyHedge:
+		return c.hedge(q, candidates, tr)
+	}
+	return c.serialResolve(q, candidates, Outcome{}, Attempt{}, nil, tr)
+}
+
+// attempt dials one candidate launched at offset on the exchange
+// timeline and counts it. A traced exchange records it as a dial span in
+// the given role, with the attempt's virtual cost and outcome; unsampled
+// exchanges (tr nil, the overwhelmingly common case) build no span name
+// or labels, keeping the hot path allocation-free.
+func (c *Client) attempt(out *Outcome, up *Upstream, q *dnswire.Message, offset time.Duration, mode string, tr *obs.Trace) Attempt {
+	span := -1
+	if tr != nil {
+		span = tr.Enter("dial "+up.Name, offset, obs.L("proto", up.Proto.String()), obs.L("mode", mode))
+	}
+	at := c.dial(up, q, tr)
+	out.Attempts++
+	if tr != nil {
+		outcome := "answer"
+		switch {
+		case at.Err != nil:
+			outcome = "error"
+		case at.Msg.RCode == dnswire.RCodeServFail:
+			outcome = "servfail"
+		}
+		tr.Exit(span, at.Cost, obs.L("outcome", outcome))
+	}
+	return at
+}
+
+// serialResolve walks candidates in order, continuing from the given
+// partial outcome and residue — serial failover itself, and the tail
+// every race or hedge falls through to once its paired attempts lost.
+// Each dial launches at the timeline charged so far (out.Elapsed), which
+// is exactly serial semantics: one attempt at a time, back to back.
+// Every path dials each candidate once, so out.Attempts is the
+// exchange's candidate count when all of them failed.
+func (c *Client) serialResolve(q *dnswire.Message, candidates []*Upstream, out Outcome, servFail Attempt, lastErr error, tr *obs.Trace) Outcome {
+	for _, up := range candidates {
+		at := c.attempt(&out, up, q, out.Elapsed, "serial", tr)
+		c.charge(&out, at.Cost)
+		c.bench(at)
+		if at.usable() {
+			c.discard(servFail)
+			out.Winner = at
+			return out
+		}
+		servFail, lastErr = c.park(at, servFail, lastErr)
+	}
+	if servFail.Msg != nil {
+		out.Winner = servFail
+		return out
+	}
+	out.Err = fmt.Errorf("transport: all %d upstreams failed: %w", out.Attempts, lastErr)
+	return out
+}
+
+// park folds an unusable attempt into the exchange's residue. A SERVFAIL
+// is a healthy transport over a struggling recursor: it supersedes (and
+// recycles) any earlier one as the answer of last resort, returned only
+// if every member agrees. An error becomes the failure context.
+func (c *Client) park(at Attempt, servFail Attempt, lastErr error) (Attempt, error) {
+	if at.Err != nil {
+		return servFail, fmt.Errorf("upstream %s (%s): %w", at.Upstream.Name, at.Upstream.Proto, at.Err)
+	}
+	c.discard(servFail)
+	return at, lastErr
+}
+
+// serialFrom finishes an exchange whose primary ran alone: its cost is
+// the critical path so far, a usable answer wins, and anything else
+// fails over serially through the remaining candidates.
+func (c *Client) serialFrom(out Outcome, q *dnswire.Message, candidates []*Upstream, primary Attempt, tr *obs.Trace) Outcome {
+	c.charge(&out, primary.Cost)
+	if primary.usable() {
+		out.Winner = primary
+		return out
+	}
+	servFail, lastErr := c.park(primary, Attempt{}, nil)
+	return c.serialResolve(q, candidates[1:], out, servFail, lastErr, tr)
+}
+
+// race is happy-eyeballs protocol racing (the shape Firefox and Chrome
 // use for DoH fallback, and RFC 8305 codifies for address families): the
 // top pool candidate launches immediately, and if its answer has not
 // arrived when the stagger timer fires, the next candidate speaking a
 // *different* protocol launches too. First usable answer wins; the loser
-// is cancelled (and accounted as wasted upstream load). If both racers
-// fail, the exchange falls through to the remaining candidates serially.
+// is cancelled (and accounted as wasted upstream load).
 //
 // On the virtual clock the race is simulated, not scheduled: the
 // primary's attempt runs synchronously, its Cost decides whether the
 // partner launches at all (an answer at or before the stagger edge
 // cancels the timer), and completion times are compared as launch offset
 // plus Cost. Ties go to the primary — it started first.
-type Race struct {
-	// Stagger is the primary's head start before the cross-protocol
-	// partner launches; zero selects DefaultRaceStagger.
-	Stagger time.Duration
-}
-
-// Name implements Strategy.
-func (Race) Name() string { return "race" }
-
-// Resolve implements Strategy.
-func (r Race) Resolve(d Driver, q *dnswire.Message, candidates []*Upstream, tr *obs.Trace) Outcome {
-	if len(candidates) < 2 {
-		return SerialFailover{}.Resolve(d, q, candidates, tr)
-	}
-	stagger := r.Stagger
+func (c *Client) race(q *dnswire.Message, candidates []*Upstream, tr *obs.Trace) Outcome {
+	stagger := c.Strategy.RaceStagger
 	if stagger <= 0 {
 		stagger = DefaultRaceStagger
 	}
@@ -333,163 +259,151 @@ func (r Race) Resolve(d Driver, q *dnswire.Message, candidates []*Upstream, tr *
 	// with no healthy partner (or a benched primary) there is nothing
 	// worth racing and the exchange walks the candidates serially.
 	primary := candidates[0]
-	pi, fb := pickPartner(d, candidates, func(c *Upstream) bool { return c.Proto != primary.Proto })
+	pi, fallback := c.partner(candidates, false)
 	if pi < 0 {
-		pi = fb
+		pi = fallback
 	}
-	if pi < 0 || d.Benched(primary) {
-		return SerialFailover{}.Resolve(d, q, candidates, tr)
+	if pi < 0 || c.Pool.IsBenched(primary) {
+		return c.serialResolve(q, candidates, Outcome{}, Attempt{}, nil, tr)
 	}
 
 	var out Outcome
-	span := dialSpan(tr, primary, 0, "race-primary")
-	atA := d.Dial(primary, q, tr)
-	exitDialSpan(tr, span, atA)
-	out.Attempts++
-	if atA.Err != nil && atA.Bench {
-		d.Bench(primary)
+	atA := c.attempt(&out, primary, q, 0, "race-primary", tr)
+	c.bench(atA)
+	// The primary's outcome was known before the timer fired: an answer
+	// at or before the stagger edge cancels the timer (no race, no
+	// waste), and a dial failure detected synchronously (never on wire,
+	// zero cost) or an error/SERVFAIL arriving inside the stagger moves
+	// on to the next attempt at once, as RFC 8305 does — ordinary
+	// failover, not a race.
+	if atA.usable() && atA.Cost <= stagger || !atA.usable() && attemptCompletion(atA, 0) < stagger {
+		return c.serialFrom(out, q, candidates, atA, tr)
 	}
-	// The primary answered at or before the stagger edge: the timer is
-	// cancelled and the partner never launches (no race, no waste).
-	if atA.usable() && atA.Cost <= stagger {
-		charge(d, &out, atA.Cost)
-		out.Winner = atA
-		return out
-	}
-	// The primary's outcome was known before the timer fired — a dial
-	// failure detected synchronously (never on wire, zero cost) or an
-	// error/SERVFAIL arriving inside the stagger. RFC 8305 moves to the
-	// next attempt immediately rather than waiting out the timer, so
-	// this is ordinary failover, not a race.
-	if !atA.usable() && attemptCompletion(atA, 0) < stagger {
-		charge(d, &out, atA.Cost)
-		servFail, lastErr := attemptResidue(atA, primary)
-		return serialResolve(d, q, candidates[1:], out, servFail, lastErr, len(candidates), tr)
-	}
-
-	// Timer fired: the partner launches at the stagger offset.
 	out.Races++
-	span = dialSpan(tr, candidates[pi], stagger, "race-partner")
-	atB := d.Dial(candidates[pi], q, tr)
-	exitDialSpan(tr, span, atB)
-	out.Attempts++
-	if atB.Err != nil && atB.Bench {
-		d.Bench(candidates[pi])
-	}
-	out, done := raceDecide(d, out, atA, atB, atA.Cost, stagger+atB.Cost)
-	if done {
-		return out
-	}
-
-	// Both racers lost: charge the race window and fail over serially
-	// through the remaining candidates, keeping any SERVFAIL as the
-	// answer of last resort.
-	servFail, lastErr := raceResidue(d, atA, atB, primary, candidates[pi])
-	charge(d, &out, maxAttemptCompletion(atA.Cost, attemptCompletion(atB, stagger)))
-	var restBuf [8]*Upstream
-	rest := restTail(restBuf[:0], candidates, pi)
-	return serialResolve(d, q, rest, out, servFail, lastErr, len(candidates), tr)
+	return c.pairWith(out, q, candidates, atA, pi, stagger, "race-partner", tr)
 }
 
-// pickPartner scans the candidates after the head for un-benched
-// members: pick is the first satisfying prefer, fallback the first of
-// any kind (-1 when absent). Race accepts the fallback — connection
-// racing beats no racing — while Hedge does not: its contract is
-// same-protocol only.
-func pickPartner(d Driver, candidates []*Upstream, prefer func(*Upstream) bool) (pick, fallback int) {
-	pick, fallback = -1, -1
+// hedge is a hedged query (the "defer request" pattern): the primary
+// candidate is queried alone, but a timer armed at the primary's tracked
+// latency quantile launches a duplicate to an understudy — the next
+// candidate speaking the *same* protocol, this is not a protocol race —
+// and the first usable answer wins. Until the pool has enough samples to
+// trust a quantile, hedging stays serial.
+//
+// Like a race, the overlap is simulated on the virtual clock: the hedge
+// fires exactly when the primary's RTT exceeds the threshold (RTT, not
+// Cost — the quantile window tracks RTTs, and a reconnect's setup
+// round-trips must not read as tail latency), the understudy launches
+// at the primary's send time + threshold, and the earlier usable
+// completion wins (ties to the primary).
+func (c *Client) hedge(q *dnswire.Message, candidates []*Upstream, tr *obs.Trace) Outcome {
+	quantile := c.Strategy.HedgeQuantile
+	if quantile <= 0 {
+		quantile = DefaultHedgeQuantile
+	}
+	primary := candidates[0]
+	threshold, armed := c.Pool.RTTQuantile(primary, quantile)
+
+	var out Outcome
+	atA := c.attempt(&out, primary, q, 0, "hedge-primary", tr)
+	c.bench(atA)
+	// The hedge fires only when the primary blew its quantile: a
+	// transport failure is detected synchronously (ordinary failover),
+	// and with no timer armed (cold quantile window) or an answer within
+	// the threshold the exchange is serial. The trigger compares the
+	// attempt's RTT — the quantity the quantile window tracks — not its
+	// Cost: a reconnect pays setup round-trips on top of a nominal RTT,
+	// and hedging on connection churn would duplicate load exactly when
+	// the fleet is already reconnecting. The understudy is the first
+	// healthy same-protocol candidate, and only same-protocol (a
+	// cross-protocol duplicate would be an undeclared race, armed by a
+	// threshold that says nothing about the other protocol's latency);
+	// never a benched member (duplicating load onto a known-bad upstream
+	// only hastens its removal). With no eligible understudy the
+	// exchange stays serial.
+	if atA.Err == nil && armed && atA.RTT > threshold {
+		if ui, _ := c.partner(candidates, true); ui >= 0 {
+			out.Hedges++
+			// The hedge timer starts when the primary's request goes out —
+			// after any connection setup it paid — so the understudy
+			// launches at send-time + threshold on the exchange timeline.
+			return c.pairWith(out, q, candidates, atA, ui, atA.Cost-atA.RTT+threshold, "hedge-understudy", tr)
+		}
+	}
+	return c.serialFrom(out, q, candidates, atA, tr)
+}
+
+// partner scans the candidates after the head for un-benched members:
+// pick is the first whose protocol is the head's (same) or differs from
+// it (!same), fallback the first of any protocol (-1 when absent). A
+// race accepts the fallback — connection racing beats no racing — while
+// a hedge does not: its contract is same-protocol only. Racing and
+// hedging must not pick a benched partner: a duplicate attempt against a
+// known-bad member wastes load and, with Pool.RemoveAfter set, can
+// escalate a transient flap into permanent removal.
+func (c *Client) partner(candidates []*Upstream, same bool) (pick, fallback int) {
+	fallback = -1
 	for i := 1; i < len(candidates); i++ {
-		if d.Benched(candidates[i]) {
+		if c.Pool.IsBenched(candidates[i]) {
 			continue
 		}
-		if prefer(candidates[i]) {
+		if (candidates[i].Proto == candidates[0].Proto) == same {
 			return i, fallback
 		}
 		if fallback < 0 {
 			fallback = i
 		}
 	}
-	return pick, fallback
+	return -1, fallback
 }
 
-// raceDecide picks the winner between two simulated-concurrent attempts
-// completing at aDone and bDone on the exchange timeline. done is false
-// when neither attempt is usable.
-func raceDecide(d Driver, out Outcome, atA, atB Attempt, aDone, bDone time.Duration) (Outcome, bool) {
+// pairWith is the tail a race and a hedge share once their timer fired:
+// the partner at index pi launches at offset while the primary (atA,
+// launched at 0) is in flight, the earlier usable completion wins, and
+// if both lost the exchange charges the pair's window and fails over
+// serially through the remaining candidates, keeping any SERVFAIL as
+// the answer of last resort.
+func (c *Client) pairWith(out Outcome, q *dnswire.Message, candidates []*Upstream, atA Attempt, pi int, offset time.Duration, mode string, tr *obs.Trace) Outcome {
+	atB := c.attempt(&out, candidates[pi], q, offset, mode, tr)
+	c.bench(atB)
+	aDone, bDone := atA.Cost, offset+atB.Cost
 	switch {
 	case atA.usable() && (!atB.usable() || aDone <= bDone):
-		charge(d, &out, aDone)
-		out.Winner = atA
-		out = accountLoser(out, atB, bDone, aDone)
-		d.Discard(atB)
-		return out, true
+		return c.win(out, atA, atB, aDone, bDone)
 	case atB.usable():
-		charge(d, &out, bDone)
-		out.Winner = atB
-		out = accountLoser(out, atA, aDone, bDone)
-		d.Discard(atA)
-		return out, true
+		return c.win(out, atB, atA, bDone, aDone)
 	}
-	return out, false
-}
-
-// accountLoser books the losing attempt: any attempt that reached the
-// wire is wasted upstream load, and one whose completion lay beyond the
-// winner's was cancelled in flight.
-func accountLoser(out Outcome, loser Attempt, loserDone, winnerDone time.Duration) Outcome {
-	if loser.Cost <= 0 && loser.Err != nil {
-		return out // never reached the wire
-	}
-	out.Wasted++
-	if loserDone > winnerDone {
-		out.LosersCancelled++
-	}
-	return out
-}
-
-// attemptResidue extracts what a losing attempt leaves behind: the
-// last-resort SERVFAIL answer, or the wrapped failure context.
-func attemptResidue(at Attempt, up *Upstream) (servFail Attempt, lastErr error) {
-	if at.Err != nil {
-		return Attempt{}, fmt.Errorf("upstream %s (%s): %w", up.Name, up.Proto, at.Err)
-	}
-	if at.Msg.RCode == dnswire.RCodeServFail {
-		servFail = at
-	}
-	return servFail, nil
-}
-
-// raceResidue merges the residue of two losing attempts, recycling the
-// SERVFAIL the later one supersedes.
-func raceResidue(d Driver, atA, atB Attempt, upA, upB *Upstream) (servFail Attempt, lastErr error) {
-	sfA, errA := attemptResidue(atA, upA)
-	sfB, errB := attemptResidue(atB, upB)
-	if sfB.Msg != nil {
-		if sfA.Msg != nil {
-			d.Discard(sfA)
-		}
-		sfA = sfB
-	}
-	if errA != nil {
-		lastErr = errA
-	}
-	if errB != nil {
-		lastErr = errB
-	}
-	return sfA, lastErr
-}
-
-// restTail collects the candidates a paired strategy has not yet tried —
-// everything but the head and the partner at index skip — into buf.
-// Callers hand in a stack array's empty slice, so the common fleet sizes
-// fall through serially without heap-allocating the remainder list.
-func restTail(buf []*Upstream, candidates []*Upstream, skip int) []*Upstream {
+	servFail, lastErr := c.park(atA, Attempt{}, nil)
+	servFail, lastErr = c.park(atB, servFail, lastErr)
+	c.charge(&out, max(atA.Cost, attemptCompletion(atB, offset)))
+	// The candidates not yet tried — all but the head and the partner —
+	// gather in a stack array, so the common fleet sizes fall through
+	// without heap-allocating the remainder list.
+	var restBuf [8]*Upstream
+	rest := restBuf[:0]
 	for i, up := range candidates {
-		if i != 0 && i != skip {
-			buf = append(buf, up)
+		if i != 0 && i != pi {
+			rest = append(rest, up)
 		}
 	}
-	return buf
+	return c.serialResolve(q, rest, out, servFail, lastErr, tr)
+}
+
+// win settles a paired exchange: the winner's completion is the critical
+// path, and the loser — if it reached the wire — is wasted upstream
+// load, cancelled in flight when it would have completed later; its
+// answer can no longer escape the exchange, so it goes back to the pool.
+func (c *Client) win(out Outcome, winner, loser Attempt, winDone, loseDone time.Duration) Outcome {
+	c.charge(&out, winDone)
+	out.Winner = winner
+	if loser.Cost > 0 || loser.Err == nil {
+		out.Wasted++
+		if loseDone > winDone {
+			out.LosersCancelled++
+		}
+	}
+	c.discard(loser)
+	return out
 }
 
 // attemptCompletion places an attempt on the exchange timeline: launch
@@ -499,122 +413,6 @@ func attemptCompletion(at Attempt, offset time.Duration) time.Duration {
 		return 0
 	}
 	return offset + at.Cost
-}
-
-func maxAttemptCompletion(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// DefaultHedgeQuantile arms the hedge timer at the primary's p90: the
-// tail dnscrypt-proxy's per-server latency estimates are built to avoid.
-const DefaultHedgeQuantile = 0.9
-
-// Hedge is a hedged-query strategy (the "defer request" pattern): the
-// primary candidate is queried alone, but a timer armed at the primary's
-// tracked latency quantile launches a duplicate to an understudy — the
-// next candidate speaking the *same* protocol, this is not a protocol
-// race — and the first usable answer wins. Until the pool has enough
-// samples to trust a quantile, hedging stays serial.
-//
-// Like Race, the overlap is simulated on the virtual clock: the hedge
-// fires exactly when the primary's RTT exceeds the threshold (RTT, not
-// Cost — the quantile window tracks RTTs, and a reconnect's setup
-// round-trips must not read as tail latency), the understudy launches
-// at the primary's send time + threshold, and the earlier usable
-// completion wins (ties to the primary).
-type Hedge struct {
-	// Quantile is the per-upstream latency quantile that arms the hedge
-	// timer; zero selects DefaultHedgeQuantile.
-	Quantile float64
-}
-
-// Name implements Strategy.
-func (Hedge) Name() string { return "hedge" }
-
-// Resolve implements Strategy.
-func (h Hedge) Resolve(d Driver, q *dnswire.Message, candidates []*Upstream, tr *obs.Trace) Outcome {
-	quantile := h.Quantile
-	if quantile <= 0 {
-		quantile = DefaultHedgeQuantile
-	}
-	primary := candidates[0]
-	threshold, armed := d.Quantile(primary, quantile)
-
-	var out Outcome
-	span := dialSpan(tr, primary, 0, "hedge-primary")
-	atA := d.Dial(primary, q, tr)
-	exitDialSpan(tr, span, atA)
-	out.Attempts++
-	if atA.Err != nil {
-		// A transport failure is ordinary failover, not a hedge: the
-		// error is detected synchronously, so the exchange moves on to
-		// the remaining candidates serially.
-		if atA.Bench {
-			d.Bench(primary)
-		}
-		charge(d, &out, atA.Cost)
-		lastErr := fmt.Errorf("upstream %s (%s): %w", primary.Name, primary.Proto, atA.Err)
-		return serialResolve(d, q, candidates[1:], out, Attempt{}, lastErr, len(candidates), tr)
-	}
-	// No timer armed (cold quantile window, or nobody to hedge to), or
-	// the primary beat its threshold: serial semantics. The trigger
-	// compares the attempt's RTT — the quantity the quantile window
-	// tracks — not its Cost: a reconnect exchange pays setup round-trips
-	// on top of a nominal RTT, and hedging on connection churn would
-	// duplicate load exactly when the fleet is already reconnecting.
-	if !armed || len(candidates) < 2 || atA.RTT <= threshold {
-		charge(d, &out, atA.Cost)
-		if atA.usable() {
-			out.Winner = atA
-			return out
-		}
-		return serialResolve(d, q, candidates[1:], out, atA, nil, len(candidates), tr)
-	}
-
-	// The primary blew its quantile: the hedge fires at the threshold,
-	// before the primary's answer arrived — to the first healthy
-	// same-protocol understudy, and only same-protocol (a cross-
-	// protocol duplicate would be an undeclared race, armed by a
-	// threshold that says nothing about the other protocol's latency);
-	// never a benched member (duplicating load onto a known-bad
-	// upstream only hastens its removal). With no eligible understudy
-	// the exchange stays serial.
-	ui, _ := pickPartner(d, candidates, func(c *Upstream) bool { return c.Proto == primary.Proto })
-	if ui < 0 {
-		charge(d, &out, atA.Cost)
-		if atA.usable() {
-			out.Winner = atA
-			return out
-		}
-		return serialResolve(d, q, candidates[1:], out, atA, nil, len(candidates), tr)
-	}
-	out.Hedges++
-	understudy := candidates[ui]
-	// The hedge timer starts when the primary's request goes out — after
-	// any connection setup it paid — so the understudy launches at
-	// send-time + threshold on the exchange timeline.
-	hedgeAt := atA.Cost - atA.RTT + threshold
-	span = dialSpan(tr, understudy, hedgeAt, "hedge-understudy")
-	atB := d.Dial(understudy, q, tr)
-	exitDialSpan(tr, span, atB)
-	out.Attempts++
-	if atB.Err != nil && atB.Bench {
-		d.Bench(understudy)
-	}
-	out, done := raceDecide(d, out, atA, atB, atA.Cost, hedgeAt+atB.Cost)
-	if done {
-		return out
-	}
-
-	// Primary SERVFAILed and the hedge lost too: serial fallthrough.
-	servFail, lastErr := raceResidue(d, atA, atB, primary, understudy)
-	charge(d, &out, maxAttemptCompletion(atA.Cost, attemptCompletion(atB, hedgeAt)))
-	var restBuf [8]*Upstream
-	rest := restTail(restBuf[:0], candidates, ui)
-	return serialResolve(d, q, rest, out, servFail, lastErr, len(candidates), tr)
 }
 
 // StrategyStats snapshots a client's resolution-strategy telemetry: the

@@ -42,18 +42,20 @@ func raceFleet(t *testing.T, stagger time.Duration, lat map[int]time.Duration, p
 	return fl.Client, fl, recursor
 }
 
-// TestSerialFailoverExplicitMatchesDefault pins that the nil default,
-// the explicit SerialFailover value, and the zero StrategyConfig are the
-// same policy: identical answers, identical pool accounting, for the
-// same scripted failure scenario.
+// TestSerialFailoverExplicitMatchesDefault pins that the default client
+// and an explicit serial StrategyConfig are the same policy: identical
+// answers, identical pool accounting, for the same scripted failure
+// scenario.
 func TestSerialFailoverExplicitMatchesDefault(t *testing.T) {
 	type snap struct {
 		answers []string
 		pool    []UpstreamStats
 	}
-	run := func(strategy Strategy) snap {
+	run := func(strategy *StrategyConfig) snap {
 		client, fl, _, net, _ := newTestFleet(t, 3, BalanceRoundRobin)
-		client.Strategy = strategy
+		if strategy != nil {
+			client.Strategy = *strategy
+		}
 		// A fixed latency model keeps the pool's RTT bookkeeping out of
 		// wall-clock noise so the snapshots compare byte-for-byte.
 		client.Latency = func(*Upstream) time.Duration { return 4 * time.Millisecond }
@@ -70,9 +72,9 @@ func TestSerialFailoverExplicitMatchesDefault(t *testing.T) {
 		return s
 	}
 	def := run(nil)
-	for name, strategy := range map[string]Strategy{
-		"explicit":    SerialFailover{},
-		"zero-config": StrategyConfig{}.New(),
+	for name, strategy := range map[string]*StrategyConfig{
+		"explicit":    {Kind: StrategySerial},
+		"zero-config": {},
 	} {
 		got := run(strategy)
 		if fmt.Sprint(got) != fmt.Sprint(def) {
@@ -311,7 +313,7 @@ func TestRaceSingleCandidateDegradesToSerial(t *testing.T) {
 	}
 }
 
-// hedgeFleet builds a two-frontend same-protocol fleet under the Hedge
+// hedgeFleet builds a two-frontend same-protocol fleet under the hedge
 // strategy with a scripted latency sequence (one draw per dial).
 func hedgeFleet(t *testing.T, quantile float64, seq []time.Duration) (*Client, *Fleet) {
 	t.Helper()

@@ -95,7 +95,7 @@ type Client struct {
 	// hottest path in a campaign (every simulated query lands here), and
 	// the pool ordering is consumed synchronously inside resolve, so the
 	// backing array can be returned as soon as resolve is done with it —
-	// only the winning *Upstream escapes via the Outcome.
+	// only the winning *Upstream escapes via the outcome.
 	scratch sync.Pool
 	// msgPool recycles attempt answer messages. Every dialer decodes into
 	// a pooled message; losers go back via discard as soon as resolve
@@ -180,7 +180,7 @@ func (c *Client) putMsg(m *dnswire.Message) {
 // the exchange — raced or hedged losers, and parked SERVFAILs superseded
 // by a better answer — so recycling is unconditionally safe here: only
 // the winner's message reaches the caller.
-func (c *Client) discard(at Attempt) {
+func (c *Client) discard(at attemptResult) {
 	if at.Msg != nil {
 		c.putMsg(at.Msg)
 	}
@@ -350,12 +350,12 @@ func (c *Client) ExchangePreferring(q *dnswire.Message, pref Protocol) (*dnswire
 	return out.Winner.Msg, nil
 }
 
-// account folds one exchange's Outcome into the client's telemetry and
+// account folds one exchange's outcome into the client's telemetry and
 // emits the flight-recorder events describing the exchange's shape. The
 // shape events are volatile: which members an exchange dials — and hence
 // whether it raced, hedged, or failed over — depends on pool state other
 // workers mutated concurrently.
-func (c *Client) account(out Outcome) {
+func (c *Client) account(out outcome) {
 	c.exchanges.Add(1)
 	c.attempts.Add(uint64(out.Attempts))
 	c.races.Add(uint64(out.Races))
@@ -438,8 +438,8 @@ func (c *Client) bindMetrics(reg *obs.Registry) {
 // wins); the virtual clock is NOT advanced — resolve owns the exchange's
 // timeline and charges its critical path once. A non-nil tr threads
 // server-side span recording through the envelope into the frontend.
-func (c *Client) dial(up *Upstream, q *dnswire.Message, tr *obs.Trace) Attempt {
-	var at Attempt
+func (c *Client) dial(up *Upstream, q *dnswire.Message, tr *obs.Trace) attemptResult {
+	var at attemptResult
 	switch up.Proto {
 	case ProtoDoT:
 		at = c.tryDoT(up, q, tr)
@@ -452,12 +452,12 @@ func (c *Client) dial(up *Upstream, q *dnswire.Message, tr *obs.Trace) Attempt {
 	return at
 }
 
-// bench reports an attempt's transport-level failure (Attempt.Bench) to
+// bench reports an attempt's transport-level failure (its Bench flag) to
 // the pool: cooldown, and eventually removal. A member the pool removes
 // outright (Pool.RemoveAfter) has its cached DoT connection and DoQ
 // session dropped too, so long campaigns don't accumulate dead simnet
 // connections for upstreams that will never be offered again.
-func (c *Client) bench(at Attempt) {
+func (c *Client) bench(at attemptResult) {
 	if at.Err == nil || !at.Bench {
 		return
 	}
@@ -474,11 +474,11 @@ func (c *Client) bench(at Attempt) {
 }
 
 // charge advances the virtual clock by d of the exchange's critical path
-// and accumulates it into out.Elapsed, so Outcome.Elapsed is the
+// and accumulates it into out.Elapsed, so an outcome's Elapsed is the
 // exchange's timeline by construction. The clock itself moves only with
 // a deterministic latency model (wall-clock costs are host scheduling
 // noise) and ChargeLatency on.
-func (c *Client) charge(out *Outcome, d time.Duration) {
+func (c *Client) charge(out *outcome, d time.Duration) {
 	out.Elapsed += d
 	if c.ChargeLatency && c.Latency != nil && d > 0 {
 		c.Net.Clock.Advance(d)
@@ -524,15 +524,15 @@ var dialScratchPool = sync.Pool{New: func() any { return new(dialScratch) }}
 
 // tryDoH performs one RFC 8484 exchange with a DoH member; the server
 // fills the scratch response in place.
-func (c *Client) tryDoH(up *Upstream, q *dnswire.Message, tr *obs.Trace) Attempt {
+func (c *Client) tryDoH(up *Upstream, q *dnswire.Message, tr *obs.Trace) attemptResult {
 	svc, err := c.Net.Service(up.Addr)
 	if err != nil {
 		// Failure injection: the address or port is down.
-		return Attempt{Bench: true, Err: err}
+		return attemptResult{Bench: true, Err: err}
 	}
 	ex, ok := svc.(DoHExchanger)
 	if !ok {
-		return Attempt{Bench: true, Err: fmt.Errorf("%w: %v is not DoH", ErrNotProto, up.Addr)}
+		return attemptResult{Bench: true, Err: fmt.Errorf("%w: %v is not DoH", ErrNotProto, up.Addr)}
 	}
 	ds := dialScratchPool.Get().(*dialScratch)
 	defer func() {
@@ -544,7 +544,7 @@ func (c *Client) tryDoH(up *Upstream, q *dnswire.Message, tr *obs.Trace) Attempt
 		wire, err := q.AppendPack(ds.buf[:0])
 		ds.buf = wire
 		if err != nil {
-			return Attempt{Err: err}
+			return attemptResult{Err: err}
 		}
 		ds.req = DoHRequest{
 			Method: "POST", Path: DoHPath,
@@ -554,7 +554,7 @@ func (c *Client) tryDoH(up *Upstream, q *dnswire.Message, tr *obs.Trace) Attempt
 		param, buf, err := dnswire.AppendEncodeDoHParam(q, ds.buf)
 		ds.buf = buf
 		if err != nil {
-			return Attempt{Err: err}
+			return attemptResult{Err: err}
 		}
 		ds.req = DoHRequest{Method: "GET", Path: DoHPath, DNSParam: param}
 	}
@@ -569,19 +569,19 @@ func (c *Client) tryDoH(up *Upstream, q *dnswire.Message, tr *obs.Trace) Attempt
 		// healthy transport — move on without benching, like the
 		// SERVFAIL case. Anything else (4xx, bad media type) is a
 		// protocol mismatch worth a cooldown.
-		return Attempt{Bench: resp.Status != StatusServFailUpstream, Err: err, RTT: rtt, Cost: cost}
+		return attemptResult{Bench: resp.Status != StatusServFailUpstream, Err: err, RTT: rtt, Cost: cost}
 	}
-	return Attempt{Msg: m, Stale: resp.Stale, RTT: rtt, Cost: cost}
+	return attemptResult{Msg: m, Stale: resp.Stale, RTT: rtt, Cost: cost}
 }
 
 // tryDoT performs one exchange over the member's persistent DoT
 // connection, dialing one (and paying its TCP+TLS setup) if none is
 // cached. A connection that died mid-stream is dropped, so the query
 // fails over to the next candidate.
-func (c *Client) tryDoT(up *Upstream, q *dnswire.Message, tr *obs.Trace) Attempt {
+func (c *Client) tryDoT(up *Upstream, q *dnswire.Message, tr *obs.Trace) attemptResult {
 	conn, setup, err := c.dotConn(up)
 	if err != nil {
-		return Attempt{Bench: true, Err: err}
+		return attemptResult{Bench: true, Err: err}
 	}
 	start := time.Now()
 	m := c.getMsg()
@@ -589,10 +589,10 @@ func (c *Client) tryDoT(up *Upstream, q *dnswire.Message, tr *obs.Trace) Attempt
 	if err != nil {
 		c.putMsg(m)
 		c.dropDoT(up.Addr)
-		return Attempt{Bench: true, Err: err}
+		return attemptResult{Bench: true, Err: err}
 	}
 	rtt, cost := c.sample(up, time.Since(start), setup)
-	return Attempt{Msg: m, Stale: stale, RTT: rtt, Cost: cost}
+	return attemptResult{Msg: m, Stale: stale, RTT: rtt, Cost: cost}
 }
 
 // dotConn returns the cached live connection to the member, dialing a
@@ -634,10 +634,10 @@ func (c *Client) dropDoT(ap netip.AddrPort) {
 // rewritten on the way out — the exchange is synchronous, so the ID is
 // zeroed in place and restored before returning — and the caller's ID
 // restored on the answer.
-func (c *Client) tryDoQ(up *Upstream, q *dnswire.Message, tr *obs.Trace) Attempt {
+func (c *Client) tryDoQ(up *Upstream, q *dnswire.Message, tr *obs.Trace) attemptResult {
 	sess, setup, err := c.doqSession(up)
 	if err != nil {
-		return Attempt{Bench: true, Err: err}
+		return attemptResult{Bench: true, Err: err}
 	}
 	id := q.ID
 	q.ID = 0
@@ -649,14 +649,14 @@ func (c *Client) tryDoQ(up *Upstream, q *dnswire.Message, tr *obs.Trace) Attempt
 		c.putMsg(m)
 		if errors.Is(err, ErrStreamReset) {
 			// Per-stream failure: the session is fine, the query is not.
-			return Attempt{Err: err}
+			return attemptResult{Err: err}
 		}
 		c.dropDoQ(up.Addr)
-		return Attempt{Bench: true, Err: err}
+		return attemptResult{Bench: true, Err: err}
 	}
 	rtt, cost := c.sample(up, time.Since(start), setup)
 	m.ID = id
-	return Attempt{Msg: m, Stale: stale, RTT: rtt, Cost: cost}
+	return attemptResult{Msg: m, Stale: stale, RTT: rtt, Cost: cost}
 }
 
 // doqSession returns the cached live session to the member, establishing

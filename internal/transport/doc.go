@@ -140,7 +140,7 @@
 // tr is non-nil only for the exchanges Client.Tracer head-samples, and
 // every span site sits behind an `if tr != nil`. Anomaly (tail)
 // retention needs no trace: the client derives each exchange's anomaly
-// flags from the exchange's Outcome and the winner's RCode and reports
+// flags from the exchange's outcome and the winner's RCode and reports
 // them, with the virtual cost, to Tracer.Finish, so an unsampled
 // exchange records no span and pays nothing for the anomaly tier unless
 // it is itself the anomaly.

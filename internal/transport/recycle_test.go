@@ -127,17 +127,25 @@ func TestExchangeAllocBudgets(t *testing.T) {
 				for j := 0; j < 8; j++ {
 					exchange()
 				}
-				before, stratBefore := fl.Cache.Stats(), fl.StrategyStats()
+				before, stratBefore, first := fl.Cache.Stats(), fl.StrategyStats(), i
 				if n := testing.AllocsPerRun(200, exchange); n != 0 {
 					t.Errorf("%s: %v allocs per exchange, want 0", leg, n)
 				}
-				// A raced partner of a miss hits the entry its primary just
-				// inserted, so a miss leg is told by its misses and evictions.
-				st := fl.Cache.Stats()
-				if missed, evicted := st.Misses > before.Misses, st.Evictions > before.Evictions; missed == tc.hit || evicted == tc.hit {
-					t.Errorf("%s: not the cache path it claims to measure: %+v", leg, st)
+				// Every measured exchange must take the leg's path, or a few
+				// allocating ones would round down to 0 among the rest. On a
+				// miss leg each primary misses and evicts; a raced or hedged
+				// partner then hits the entry its primary just inserted.
+				st, strat, exchanges := fl.Cache.Stats(), fl.StrategyStats(), uint64(i-first)
+				hits, misses, evictions := st.Hits-before.Hits, st.Misses-before.Misses, st.Evictions-before.Evictions
+				attempts := strat.Attempts - stratBefore.Attempts
+				wantMisses := exchanges
+				if tc.hit {
+					wantMisses = 0
 				}
-				strat := fl.StrategyStats()
+				if misses != wantMisses || evictions != wantMisses || hits != attempts-misses {
+					t.Errorf("%s: %d exchanges, %d attempts, %d hits, %d misses, %d evictions: not the cache path it claims to measure",
+						leg, exchanges, attempts, hits, misses, evictions)
+				}
 				races, hedges := strat.Races-stratBefore.Races, strat.Hedges-stratBefore.Hedges
 				fired := races+hedges == 0
 				switch strategy {

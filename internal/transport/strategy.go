@@ -8,9 +8,9 @@ import (
 	"repro/internal/obs"
 )
 
-// Attempt is the outcome of one upstream try, as produced by the
+// attemptResult is the outcome of one upstream try, as produced by the
 // client's per-protocol dialers and weighed by its resolver.
-type Attempt struct {
+type attemptResult struct {
 	// Upstream is the member the attempt was dialed against.
 	Upstream *Upstream
 	// Msg is the decoded answer (nil when Err is set); Stale marks an
@@ -38,14 +38,14 @@ type Attempt struct {
 // usable reports whether the attempt can win an exchange: it produced an
 // answer that is not a SERVFAIL (a SERVFAIL is kept as a last resort,
 // never raced to victory — the paper's Google→Cloudflare fallback).
-func (at Attempt) usable() bool {
+func (at attemptResult) usable() bool {
 	return at.Err == nil && at.Msg.RCode != dnswire.RCodeServFail
 }
 
-// Outcome is an exchange's resolution result: the winning attempt plus
+// outcome is an exchange's resolution result: the winning attempt plus
 // per-attempt telemetry. Exactly one of Winner.Msg and Err is set.
-type Outcome struct {
-	Winner Attempt
+type outcome struct {
+	Winner attemptResult
 	Err    error
 
 	// Elapsed is the exchange's critical-path virtual duration — the sum
@@ -143,19 +143,24 @@ const DefaultHedgeQuantile = 0.9
 //
 // Determinism contract: resolution runs on the virtual clock. Dials
 // execute synchronously and sequentially; concurrency is *simulated* by
-// comparing virtual completion times (launch offset + Attempt.Cost), so
+// comparing virtual completion times (launch offset + attempt Cost), so
 // an exchange's outcome is a pure function of (clock, pool state,
 // strategy parameters, latency model) — no goroutines, no wall-clock
 // reads, no randomness. That is what lets pipelined campaigns stay
 // byte-identical to serial runs under every strategy.
-func (c *Client) resolve(q *dnswire.Message, candidates []*Upstream, tr *obs.Trace) Outcome {
+//
+// A Kind outside the three strategies dials nothing and fails the
+// exchange, so nothing runs under a name StrategyStats does not report.
+func (c *Client) resolve(q *dnswire.Message, candidates []*Upstream, tr *obs.Trace) outcome {
 	switch c.Strategy.Kind {
+	case StrategySerial:
+		return c.serialResolve(q, candidates, outcome{}, attemptResult{}, nil, tr)
 	case StrategyRace:
 		return c.race(q, candidates, tr)
 	case StrategyHedge:
 		return c.hedge(q, candidates, tr)
 	}
-	return c.serialResolve(q, candidates, Outcome{}, Attempt{}, nil, tr)
+	return outcome{Err: fmt.Errorf("transport: unknown %v", c.Strategy.Kind)}
 }
 
 // attempt dials one candidate launched at offset on the exchange
@@ -163,7 +168,7 @@ func (c *Client) resolve(q *dnswire.Message, candidates []*Upstream, tr *obs.Tra
 // the given role, with the attempt's virtual cost and outcome; unsampled
 // exchanges (tr nil, the overwhelmingly common case) build no span name
 // or labels, keeping the hot path allocation-free.
-func (c *Client) attempt(out *Outcome, up *Upstream, q *dnswire.Message, offset time.Duration, mode string, tr *obs.Trace) Attempt {
+func (c *Client) attempt(out *outcome, up *Upstream, q *dnswire.Message, offset time.Duration, mode string, tr *obs.Trace) attemptResult {
 	span := -1
 	if tr != nil {
 		span = tr.Enter("dial "+up.Name, offset, obs.L("proto", up.Proto.String()), obs.L("mode", mode))
@@ -171,14 +176,14 @@ func (c *Client) attempt(out *Outcome, up *Upstream, q *dnswire.Message, offset 
 	at := c.dial(up, q, tr)
 	out.Attempts++
 	if tr != nil {
-		outcome := "answer"
+		result := "answer"
 		switch {
 		case at.Err != nil:
-			outcome = "error"
+			result = "error"
 		case at.Msg.RCode == dnswire.RCodeServFail:
-			outcome = "servfail"
+			result = "servfail"
 		}
-		tr.Exit(span, at.Cost, obs.L("outcome", outcome))
+		tr.Exit(span, at.Cost, obs.L("outcome", result))
 	}
 	return at
 }
@@ -190,7 +195,7 @@ func (c *Client) attempt(out *Outcome, up *Upstream, q *dnswire.Message, offset 
 // is exactly serial semantics: one attempt at a time, back to back.
 // Every path dials each candidate once, so out.Attempts is the
 // exchange's candidate count when all of them failed.
-func (c *Client) serialResolve(q *dnswire.Message, candidates []*Upstream, out Outcome, servFail Attempt, lastErr error, tr *obs.Trace) Outcome {
+func (c *Client) serialResolve(q *dnswire.Message, candidates []*Upstream, out outcome, servFail attemptResult, lastErr error, tr *obs.Trace) outcome {
 	for _, up := range candidates {
 		at := c.attempt(&out, up, q, out.Elapsed, "serial", tr)
 		c.charge(&out, at.Cost)
@@ -214,7 +219,7 @@ func (c *Client) serialResolve(q *dnswire.Message, candidates []*Upstream, out O
 // is a healthy transport over a struggling recursor: it supersedes (and
 // recycles) any earlier one as the answer of last resort, returned only
 // if every member agrees. An error becomes the failure context.
-func (c *Client) park(at Attempt, servFail Attempt, lastErr error) (Attempt, error) {
+func (c *Client) park(at attemptResult, servFail attemptResult, lastErr error) (attemptResult, error) {
 	if at.Err != nil {
 		return servFail, fmt.Errorf("upstream %s (%s): %w", at.Upstream.Name, at.Upstream.Proto, at.Err)
 	}
@@ -225,13 +230,13 @@ func (c *Client) park(at Attempt, servFail Attempt, lastErr error) (Attempt, err
 // serialFrom finishes an exchange whose primary ran alone: its cost is
 // the critical path so far, a usable answer wins, and anything else
 // fails over serially through the remaining candidates.
-func (c *Client) serialFrom(out Outcome, q *dnswire.Message, candidates []*Upstream, primary Attempt, tr *obs.Trace) Outcome {
+func (c *Client) serialFrom(out outcome, q *dnswire.Message, candidates []*Upstream, primary attemptResult, tr *obs.Trace) outcome {
 	c.charge(&out, primary.Cost)
 	if primary.usable() {
 		out.Winner = primary
 		return out
 	}
-	servFail, lastErr := c.park(primary, Attempt{}, nil)
+	servFail, lastErr := c.park(primary, attemptResult{}, nil)
 	return c.serialResolve(q, candidates[1:], out, servFail, lastErr, tr)
 }
 
@@ -247,7 +252,7 @@ func (c *Client) serialFrom(out Outcome, q *dnswire.Message, candidates []*Upstr
 // partner launches at all (an answer at or before the stagger edge
 // cancels the timer), and completion times are compared as launch offset
 // plus Cost. Ties go to the primary — it started first.
-func (c *Client) race(q *dnswire.Message, candidates []*Upstream, tr *obs.Trace) Outcome {
+func (c *Client) race(q *dnswire.Message, candidates []*Upstream, tr *obs.Trace) outcome {
 	stagger := c.Strategy.RaceStagger
 	if stagger <= 0 {
 		stagger = DefaultRaceStagger
@@ -264,10 +269,10 @@ func (c *Client) race(q *dnswire.Message, candidates []*Upstream, tr *obs.Trace)
 		pi = fallback
 	}
 	if pi < 0 || c.Pool.IsBenched(primary) {
-		return c.serialResolve(q, candidates, Outcome{}, Attempt{}, nil, tr)
+		return c.serialResolve(q, candidates, outcome{}, attemptResult{}, nil, tr)
 	}
 
-	var out Outcome
+	var out outcome
 	atA := c.attempt(&out, primary, q, 0, "race-primary", tr)
 	c.bench(atA)
 	// The primary's outcome was known before the timer fired: an answer
@@ -296,7 +301,7 @@ func (c *Client) race(q *dnswire.Message, candidates []*Upstream, tr *obs.Trace)
 // round-trips must not read as tail latency), the understudy launches
 // at the primary's send time + threshold, and the earlier usable
 // completion wins (ties to the primary).
-func (c *Client) hedge(q *dnswire.Message, candidates []*Upstream, tr *obs.Trace) Outcome {
+func (c *Client) hedge(q *dnswire.Message, candidates []*Upstream, tr *obs.Trace) outcome {
 	quantile := c.Strategy.HedgeQuantile
 	if quantile <= 0 {
 		quantile = DefaultHedgeQuantile
@@ -304,7 +309,7 @@ func (c *Client) hedge(q *dnswire.Message, candidates []*Upstream, tr *obs.Trace
 	primary := candidates[0]
 	threshold, armed := c.Pool.RTTQuantile(primary, quantile)
 
-	var out Outcome
+	var out outcome
 	atA := c.attempt(&out, primary, q, 0, "hedge-primary", tr)
 	c.bench(atA)
 	// The hedge fires only when the primary blew its quantile: a
@@ -363,7 +368,7 @@ func (c *Client) partner(candidates []*Upstream, same bool) (pick, fallback int)
 // if both lost the exchange charges the pair's window and fails over
 // serially through the remaining candidates, keeping any SERVFAIL as
 // the answer of last resort.
-func (c *Client) pairWith(out Outcome, q *dnswire.Message, candidates []*Upstream, atA Attempt, pi int, offset time.Duration, mode string, tr *obs.Trace) Outcome {
+func (c *Client) pairWith(out outcome, q *dnswire.Message, candidates []*Upstream, atA attemptResult, pi int, offset time.Duration, mode string, tr *obs.Trace) outcome {
 	atB := c.attempt(&out, candidates[pi], q, offset, mode, tr)
 	c.bench(atB)
 	aDone, bDone := atA.Cost, offset+atB.Cost
@@ -373,7 +378,7 @@ func (c *Client) pairWith(out Outcome, q *dnswire.Message, candidates []*Upstrea
 	case atB.usable():
 		return c.win(out, atB, atA, bDone, aDone)
 	}
-	servFail, lastErr := c.park(atA, Attempt{}, nil)
+	servFail, lastErr := c.park(atA, attemptResult{}, nil)
 	servFail, lastErr = c.park(atB, servFail, lastErr)
 	c.charge(&out, max(atA.Cost, attemptCompletion(atB, offset)))
 	// The candidates not yet tried — all but the head and the partner —
@@ -393,7 +398,7 @@ func (c *Client) pairWith(out Outcome, q *dnswire.Message, candidates []*Upstrea
 // path, and the loser — if it reached the wire — is wasted upstream
 // load, cancelled in flight when it would have completed later; its
 // answer can no longer escape the exchange, so it goes back to the pool.
-func (c *Client) win(out Outcome, winner, loser Attempt, winDone, loseDone time.Duration) Outcome {
+func (c *Client) win(out outcome, winner, loser attemptResult, winDone, loseDone time.Duration) outcome {
 	c.charge(&out, winDone)
 	out.Winner = winner
 	if loser.Cost > 0 || loser.Err == nil {
@@ -408,7 +413,7 @@ func (c *Client) win(out Outcome, winner, loser Attempt, winDone, loseDone time.
 
 // attemptCompletion places an attempt on the exchange timeline: launch
 // offset plus cost for attempts that reached the wire, zero otherwise.
-func attemptCompletion(at Attempt, offset time.Duration) time.Duration {
+func attemptCompletion(at attemptResult, offset time.Duration) time.Duration {
 	if at.Cost <= 0 {
 		return 0
 	}
@@ -426,7 +431,7 @@ type StrategyStats struct {
 	Exchanges uint64
 	Attempts  uint64
 	// Races, LosersCancelled, Hedges, and Wasted aggregate the per-
-	// exchange Outcome telemetry.
+	// exchange outcome telemetry.
 	Races           uint64
 	LosersCancelled uint64
 	Hedges          uint64

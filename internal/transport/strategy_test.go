@@ -596,3 +596,16 @@ func TestParseStrategyKinds(t *testing.T) {
 		t.Error("balance name accepted as a resolution strategy")
 	}
 }
+
+// TestUnknownStrategyKindDialsNothing pins that a Kind ParseStrategy would
+// reject runs no strategy at all, rather than one StrategyStats misnames.
+func TestUnknownStrategyKindDialsNothing(t *testing.T) {
+	client, _, _, _, _ := newTestFleet(t, 2, BalanceRoundRobin)
+	client.Strategy = StrategyConfig{Kind: StrategyHedge + 1}
+	if m, err := client.Query("unknown.test", dnswire.TypeHTTPS, false); err == nil {
+		t.Fatalf("exchange under an unknown strategy answered: %v", m)
+	}
+	if st := client.StrategyStats(); st.Strategy != "strategy(3)" || st.Attempts != 0 {
+		t.Errorf("stats = %q with %d attempts, want strategy(3) with none", st.Strategy, st.Attempts)
+	}
+}

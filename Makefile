@@ -87,16 +87,17 @@ profile-serve:
 	$(GO) test -run xxx -bench 'BenchmarkServe$(SERVE)$$' -benchtime 3x -cpuprofile cpu.pprof -memprofile mem.pprof .
 
 # Short fuzz pass over the wire-format decoders and the signature
-# verifier, seeded with workload-shaped queries and hand-mangled frames.
-# Ten seconds per target is a smoke test, not a campaign: it proves the
-# targets build, the corpus parses, and no quick-to-find panic has crept
-# into Unpack, the RFC 1035 TCP framing, the DoH envelope decoder, RRSIG
+# verifier, seeded with workload-shaped queries, served SvcParams and
+# hand-mangled messages. Ten seconds per target is a smoke test, not a
+# campaign: it proves the targets build, the corpus parses, and no
+# quick-to-find panic has crept into Unpack, the SvcParams decoder (dirty
+# reuse against a fresh decode), the DoH envelope decoder, RRSIG
 # verification (whose memoised and plain verdicts must agree), or the
 # DNSKEY side of it (DS construction, key tag, public-key decoding).
 fuzz-smoke:
 	$(GO) test ./internal/dnswire -fuzz 'FuzzUnpack$$' -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnswire -fuzz FuzzUnpackInto -fuzztime 10s -run xxx
-	$(GO) test ./internal/dnswire -fuzz FuzzReadTCP -fuzztime 10s -run xxx
+	$(GO) test ./internal/svcb -fuzz FuzzUnpackParamsInto -fuzztime 10s -run xxx
 	$(GO) test ./internal/transport -fuzz FuzzDoHDecodeRequest -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnssec -fuzz FuzzVerifyRRSIG -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnssec -fuzz FuzzDNSKEYDS -fuzztime 10s -run xxx

@@ -1,13 +1,12 @@
-// Package authserver implements an authoritative DNS server over the zone
-// store: it selects the longest-matching zone for each question, applies
-// authoritative answer/referral semantics, honours EDNS(0) and the DO bit,
-// and can serve both in-memory (simnet) and over real UDP/TCP sockets for
-// integration tests — the role BIND9 plays in the paper's testbed.
+// Package authserver is an in-memory authoritative DNS server over zone
+// stores, served through simnet: it selects the longest-matching zone for
+// each question, applies authoritative answer/referral semantics, and
+// honours EDNS(0) and the DO bit — the role BIND9 plays in the paper's
+// testbed. It serves the world's root zone, the browser lab's zones and the
+// benchmark's root-zone probe; it opens no sockets.
 package authserver
 
 import (
-	"log"
-	"net"
 	"sync"
 
 	"repro/internal/dnswire"
@@ -20,10 +19,6 @@ type Server struct {
 	zones map[string]*zone.Zone
 	// RefuseAll simulates a server that is up but refuses service.
 	RefuseAll bool
-	// NoHTTPSSupport simulates DNS providers that do not implement the
-	// HTTPS RRtype: queries for HTTPS return NOTIMP-free empty NOERROR
-	// (observed behaviour of legacy servers in §4.2.3).
-	NoHTTPSSupport bool
 }
 
 // New creates an empty authoritative server.
@@ -36,21 +31,6 @@ func (s *Server) AddZone(z *zone.Zone) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.zones[z.Origin] = z
-}
-
-// RemoveZone detaches the zone rooted at origin.
-func (s *Server) RemoveZone(origin string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.zones, dnswire.CanonicalName(origin))
-}
-
-// Zone returns the zone rooted exactly at origin, if hosted.
-func (s *Server) Zone(origin string) (*zone.Zone, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	z, ok := s.zones[dnswire.CanonicalName(origin)]
-	return z, ok
 }
 
 // findZone returns the hosted zone with the longest suffix match for name.
@@ -81,11 +61,6 @@ func (s *Server) HandleDNS(q *dnswire.Message) *dnswire.Message {
 		resp.RCode = dnswire.RCodeRefused
 		return resp
 	}
-	if s.NoHTTPSSupport && (question.Type == dnswire.TypeHTTPS || question.Type == dnswire.TypeSVCB) {
-		// Legacy software: the name may exist but the type is never served.
-		resp.Authoritative = true
-		return resp
-	}
 	z := s.findZone(question.Name)
 	if z == nil {
 		resp.RCode = dnswire.RCodeRefused
@@ -98,64 +73,4 @@ func (s *Server) HandleDNS(q *dnswire.Message) *dnswire.Message {
 	resp.Additional = append(res.Additional, resp.Additional...)
 	resp.Authoritative = !res.Referral
 	return resp
-}
-
-// ServeUDP serves DNS over a real UDP socket until the connection is closed.
-// It returns the error that terminated the loop (net.ErrClosed on shutdown).
-func (s *Server) ServeUDP(conn net.PacketConn) error {
-	buf := make([]byte, 65535)
-	for {
-		n, addr, err := conn.ReadFrom(buf)
-		if err != nil {
-			return err
-		}
-		q, err := dnswire.Unpack(buf[:n])
-		if err != nil {
-			continue // malformed datagram: drop, as real servers do
-		}
-		resp := s.HandleDNS(q)
-		wire, err := resp.Pack()
-		if err != nil {
-			log.Printf("authserver: packing response: %v", err)
-			continue
-		}
-		if len(wire) > q.UDPSize() {
-			// Truncate: empty the sections and set TC so the client
-			// retries over TCP.
-			resp.Truncated = true
-			resp.Answer, resp.Authority = nil, nil
-			resp.Additional = resp.Additional[:0]
-			resp.SetEDNS0(dnswire.MaxUDPSize, q.DNSSECOK())
-			wire, err = resp.Pack()
-			if err != nil {
-				continue
-			}
-		}
-		if _, err := conn.WriteTo(wire, addr); err != nil {
-			return err
-		}
-	}
-}
-
-// ServeTCP serves DNS over a TCP listener until it is closed.
-func (s *Server) ServeTCP(ln net.Listener) error {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		go func(c net.Conn) {
-			defer c.Close()
-			for {
-				q, err := dnswire.ReadTCP(c)
-				if err != nil {
-					return
-				}
-				resp := s.HandleDNS(q)
-				if err := dnswire.WriteTCP(c, resp); err != nil {
-					return
-				}
-			}
-		}(conn)
-	}
 }

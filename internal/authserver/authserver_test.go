@@ -1,10 +1,8 @@
 package authserver
 
 import (
-	"net"
 	"net/netip"
 	"testing"
-	"time"
 
 	"repro/internal/dnswire"
 	"repro/internal/zone"
@@ -69,101 +67,10 @@ func TestHandleDNSFormErr(t *testing.T) {
 	}
 }
 
-func TestNoHTTPSSupportMode(t *testing.T) {
-	s := buildServer()
-	s.NoHTTPSSupport = true
-	resp := s.HandleDNS(query("example.com.", dnswire.TypeHTTPS))
-	if resp.RCode != dnswire.RCodeNoError || len(resp.Answer) != 0 {
-		t.Errorf("legacy server should return empty NOERROR: %+v", resp)
-	}
-	// Other types still served.
-	resp = s.HandleDNS(query("www.example.com.", dnswire.TypeA))
-	if len(resp.Answer) != 1 {
-		t.Error("A record lost in NoHTTPSSupport mode")
-	}
-}
-
 func TestRefuseAllMode(t *testing.T) {
 	s := buildServer()
 	s.RefuseAll = true
 	if resp := s.HandleDNS(query("example.com.", dnswire.TypeA)); resp.RCode != dnswire.RCodeRefused {
 		t.Errorf("rcode = %v", resp.RCode)
-	}
-}
-
-func TestRemoveZone(t *testing.T) {
-	s := buildServer()
-	s.RemoveZone("deep.example.com.")
-	resp := s.HandleDNS(query("x.deep.example.com.", dnswire.TypeA))
-	// Falls back to example.com zone → NXDOMAIN there.
-	if resp.RCode != dnswire.RCodeNXDomain {
-		t.Errorf("rcode = %v", resp.RCode)
-	}
-}
-
-// TestServeUDP exercises the real-socket path end to end on loopback.
-func TestServeUDP(t *testing.T) {
-	s := buildServer()
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pc.Close()
-	go s.ServeUDP(pc) //nolint:errcheck
-
-	conn, err := net.Dial("udp", pc.LocalAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	q := query("www.example.com.", dnswire.TypeA)
-	wire, err := q.Pack()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(wire); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-	buf := make([]byte, 65535)
-	n, err := conn.Read(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := dnswire.Unpack(buf[:n])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.ID != q.ID || len(resp.Answer) != 1 {
-		t.Errorf("UDP response = %+v", resp)
-	}
-}
-
-// TestServeTCP exercises TCP framing over a real listener.
-func TestServeTCP(t *testing.T) {
-	s := buildServer()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go s.ServeTCP(ln) //nolint:errcheck
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-	q := query("example.com.", dnswire.TypeHTTPS)
-	if err := dnswire.WriteTCP(conn, q); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := dnswire.ReadTCP(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Answer) != 1 || resp.Answer[0].Type != dnswire.TypeHTTPS {
-		t.Errorf("TCP response = %+v", resp)
 	}
 }

@@ -186,14 +186,17 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 	if cfg.End.IsZero() {
 		cfg.End = providers.StudyEnd
 	}
+	if cfg.Workload != nil && cfg.DoHFrontends <= 0 {
+		return nil, fmt.Errorf("core: Workload requires DoHFrontends > 0 (the population needs a fleet to resolve through)")
+	}
+	if cfg.AnomalyCapture && cfg.DoHFrontends <= 0 {
+		return nil, fmt.Errorf("core: AnomalyCapture requires DoHFrontends > 0 (the tier records the fleet's exchanges)")
+	}
 	w, err := providers.BuildWorld(providers.WorldConfig{Size: cfg.Size, Seed: cfg.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("building world: %w", err)
 	}
 	sc := scanner.New(w.Net, w.GoogleAddr, w.CFResolverAddr, w.Whois)
-	if cfg.Workload != nil && cfg.DoHFrontends <= 0 {
-		return nil, fmt.Errorf("core: Workload requires DoHFrontends > 0 (the population needs a fleet to resolve through)")
-	}
 	c := &Campaign{Cfg: cfg, World: w, Scanner: sc, Store: dataset.NewStore()}
 	if cfg.DoHFrontends > 0 {
 		c.buildFleet(cfg.DoHFrontends, cfg.TransportMix)

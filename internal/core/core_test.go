@@ -42,6 +42,25 @@ func TestCampaignDefaults(t *testing.T) {
 	}
 }
 
+// TestNewCampaignRejectsFleetFeaturesWithoutFleet: the options whose doc
+// says "Requires DoHFrontends > 0" are refused without a fleet rather than
+// silently storing nothing.
+func TestNewCampaignRejectsFleetFeaturesWithoutFleet(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  CampaignConfig
+	}{
+		{"Workload", CampaignConfig{Workload: &workload.Config{Clients: 10}}},
+		{"AnomalyCapture", CampaignConfig{AnomalyCapture: true}},
+	} {
+		tc.cfg.Size, tc.cfg.Seed = 200, 1
+		_, err := NewCampaign(tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.name+" requires DoHFrontends > 0") {
+			t.Errorf("%s without a fleet: NewCampaign error = %v", tc.name, err)
+		}
+	}
+}
+
 func TestRunDailyCollectsAllDatasets(t *testing.T) {
 	c := augCampaign(t)
 	var progress bytes.Buffer

@@ -2,6 +2,7 @@ package dnswire
 
 import (
 	"bytes"
+	"hash/fnv"
 	"math/rand"
 	"net/netip"
 	"reflect"
@@ -307,18 +308,24 @@ func TestUnpackCorruptMessages(t *testing.T) {
 	}
 }
 
-func TestTCPFraming(t *testing.T) {
-	m := NewQuery(99, "tcp.example.com", TypeHTTPS, true)
-	var buf bytes.Buffer
-	if err := WriteTCP(&buf, m); err != nil {
-		t.Fatal(err)
+// TestFNV1aMatchesHashFNV: the helper the scanner's ECH key hash, the
+// world's per-domain seeds and the pool's member seeds are computed with
+// must equal hash/fnv's New64a bit for bit, on strings and bytes alike,
+// and allocate nothing.
+func TestFNV1aMatchesHashFNV(t *testing.T) {
+	for _, s := range []string{"", "a", "example.com.", "198.41.0.4", "\x00\xff\x80 ünïcode"} {
+		ref := fnv.New64a()
+		ref.Write([]byte(s))
+		if got, want := FNV1a(s), ref.Sum64(); got != want {
+			t.Errorf("FNV1a(%q) = %#x, hash/fnv %#x", s, got, want)
+		}
+		if got, want := FNV1a([]byte(s)), ref.Sum64(); got != want {
+			t.Errorf("FNV1a([]byte(%q)) = %#x, hash/fnv %#x", s, got, want)
+		}
 	}
-	got, err := ReadTCP(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ID != 99 || got.Question[0].Name != "tcp.example.com." {
-		t.Errorf("TCP round trip = %+v", got)
+	name, key := "site0001.example.", bytes.Repeat([]byte{0xa5}, 32)
+	if n := testing.AllocsPerRun(100, func() { _ = FNV1a(name) + FNV1a(key) }); n != 0 {
+		t.Errorf("FNV1a allocated %v times", n)
 	}
 }
 

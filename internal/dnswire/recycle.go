@@ -22,8 +22,8 @@ func trimRecycled(b []byte) []byte {
 	return b[:0]
 }
 
-// wireBufPool recycles whole-message wire buffers (TCP framing, transient
-// packs inside the package).
+// wireBufPool recycles whole-message wire buffers (DoT and DoQ framing,
+// transient packs).
 var wireBufPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 1024)
 	return &b

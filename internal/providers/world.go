@@ -2,12 +2,12 @@ package providers
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"net/netip"
 	"sort"
 	"time"
 
+	"repro/internal/authserver"
 	"repro/internal/dnswire"
 	"repro/internal/ech"
 	"repro/internal/resolver"
@@ -61,12 +61,6 @@ type World struct {
 	// ECHKeys is Cloudflare's client-facing key manager
 	// (cloudflare-ech.com), rotated on the virtual clock.
 	ECHKeys *ech.KeyManager
-}
-
-func hashName(name string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return int64(h.Sum64())
 }
 
 // BuildWorld constructs the simulated ecosystem.
@@ -214,7 +208,8 @@ func (w *World) buildTLDsAndRoot() error {
 	rootKeys, _, _ := root.Lookup(".", dnswire.TypeDNSKEY)
 	w.Anchor = rootKeys
 
-	rootSrv := newRootServer(root)
+	rootSrv := authserver.New()
+	rootSrv.AddZone(root)
 	w.Net.RegisterDNS(w.RootAddr, rootSrv)
 	w.Net.SetRootServers([]netip.Addr{w.RootAddr})
 
@@ -243,7 +238,7 @@ func (w *World) buildDomains(rng *rand.Rand) {
 	drng := rand.New(rand.NewSource(0))
 	for _, name := range w.Tranco.Universe() {
 		apex := dnswire.CanonicalName(name)
-		drng.Seed(w.Cfg.Seed ^ hashName(apex))
+		drng.Seed(w.Cfg.Seed ^ int64(dnswire.FNV1a(apex)))
 		d := &DomainState{
 			Apex:    apex,
 			TTL:     w.Cal.RecordTTL,
@@ -447,26 +442,6 @@ func (w *World) assignNonAdopterProvider(d *DomainState, rng *rand.Rand) {
 		d.Providers = []*Provider{w.pickNonCFProvider(rng)}
 		d.AnycastV4, d.AnycastV6 = d.OriginV4, d.OriginV6
 	}
-}
-
-// rootServer wraps the root zone in an authoritative handler.
-type rootServer struct{ z *zone.Zone }
-
-func newRootServer(z *zone.Zone) *rootServer { return &rootServer{z: z} }
-
-func (r *rootServer) HandleDNS(q *dnswire.Message) *dnswire.Message {
-	resp := q.Reply()
-	if len(q.Question) != 1 {
-		resp.RCode = dnswire.RCodeFormErr
-		return resp
-	}
-	res := r.z.Query(q.Question[0].Name, q.Question[0].Type, q.DNSSECOK())
-	resp.RCode = res.RCode
-	resp.Answer = res.Answer
-	resp.Authority = res.Authority
-	resp.Additional = append(res.Additional, resp.Additional...)
-	resp.Authoritative = !res.Referral
-	return resp
 }
 
 // buildResolvers wires the two public resolvers.

@@ -439,12 +439,15 @@ func (r *Resolver) intern(addrs []netip.Addr) []netip.Addr {
 	if len(addrs) == 0 {
 		return nil
 	}
-	h := uint64(14695981039346656037) // FNV-1a
+	// The hash key is every address's 16 bytes; up to 16 addresses it stays
+	// on the stack.
+	var buf [16 * 16]byte
+	key := buf[:0]
 	for _, a := range addrs {
-		for _, b := range a.As16() {
-			h = (h ^ uint64(b)) * 1099511628211
-		}
+		b := a.As16()
+		key = append(key, b[:]...)
 	}
+	h := dnswire.FNV1a(key)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if set, ok := r.addrSets[h]; ok && slices.Equal(set, addrs) {

@@ -212,21 +212,12 @@ func SummarizeHTTPS(rr dnswire.RR) (dataset.HTTPSRecord, bool) {
 		if configs, err := ech.UnmarshalList(echBytes); err == nil {
 			if cfg, err := ech.SelectConfig(configs); err == nil {
 				out.ECHConfigID = cfg.ConfigID
-				out.ECHKeyHash = hashBytes(cfg.PublicKey)
+				out.ECHKeyHash = dnswire.FNV1a(cfg.PublicKey)
 				out.ECHPublicName = cfg.PublicName
 			}
 		}
 	}
 	return out, true
-}
-
-// hashBytes is FNV-1a, 64 bits.
-func hashBytes(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h = (h ^ uint64(c)) * 1099511628211
-	}
-	return h
 }
 
 // ScanDomain performs the full per-domain scan sequence: HTTPS (with CNAME

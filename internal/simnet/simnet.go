@@ -86,12 +86,12 @@ type DNSHandlerAt interface {
 // netState is the registry shared by a base network and all of its views:
 // handlers, services, failure injection, and the global query counter.
 type netState struct {
-	mu          sync.RWMutex
-	dns         map[netip.Addr]DNSHandler
-	services    map[netip.AddrPort]any
-	downAddrs   map[netip.Addr]bool
-	downPorts   map[netip.AddrPort]bool
-	rootServers []netip.Addr
+	mu        sync.RWMutex
+	dns       map[netip.Addr]DNSHandler
+	services  map[netip.AddrPort]any
+	downAddrs map[netip.Addr]bool
+	downPorts map[netip.AddrPort]bool
+	roots     []netip.Addr
 
 	// queryCount is atomic, not mutex-guarded: it is bumped on every
 	// routed query, and taking the write lock just for the bump was the
@@ -165,25 +165,18 @@ func (n *Network) RegisterDNS(addr netip.Addr, h DNSHandler) {
 	n.state.dns[addr] = h
 }
 
-// UnregisterDNS removes the handler at addr.
-func (n *Network) UnregisterDNS(addr netip.Addr) {
-	n.state.mu.Lock()
-	defer n.state.mu.Unlock()
-	delete(n.state.dns, addr)
-}
-
 // SetRootServers records the root name server addresses for resolvers.
 func (n *Network) SetRootServers(addrs []netip.Addr) {
 	n.state.mu.Lock()
 	defer n.state.mu.Unlock()
-	n.state.rootServers = append([]netip.Addr(nil), addrs...)
+	n.state.roots = append([]netip.Addr(nil), addrs...)
 }
 
 // RootServers returns the configured root server addresses.
 func (n *Network) RootServers() []netip.Addr {
 	n.state.mu.RLock()
 	defer n.state.mu.RUnlock()
-	return append([]netip.Addr(nil), n.state.rootServers...)
+	return append([]netip.Addr(nil), n.state.roots...)
 }
 
 // QueryDNS sends a DNS query to the server at addr and returns its response,
@@ -361,15 +354,4 @@ func (a *Allocator) SetOwner(addr netip.Addr, org string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.owner[addr] = org
-}
-
-// Owners returns a snapshot of all allocations.
-func (a *Allocator) Owners() map[netip.Addr]string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make(map[netip.Addr]string, len(a.owner))
-	for k, v := range a.owner {
-		out[k] = v
-	}
-	return out
 }

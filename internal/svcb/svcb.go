@@ -1,6 +1,6 @@
-// Package svcb implements the SVCB/HTTPS resource record SvcParams wire and
-// presentation formats defined by RFC 9460 (Service Binding and Parameter
-// Specification via the DNS).
+// Package svcb implements the SVCB/HTTPS resource record SvcParams wire
+// format and presentation output defined by RFC 9460 (Service Binding and
+// Parameter Specification via the DNS).
 //
 // The package is deliberately independent of the DNS message codec: it deals
 // only with the parameter list that follows SvcPriority and TargetName in the
@@ -54,23 +54,6 @@ func (k ParamKey) String() string {
 		return s
 	}
 	return "key" + strconv.FormatUint(uint64(k), 10)
-}
-
-// ParseKey converts a presentation-format key name into a ParamKey.
-func ParseKey(s string) (ParamKey, error) {
-	for k, name := range keyNames {
-		if s == name {
-			return k, nil
-		}
-	}
-	if rest, ok := strings.CutPrefix(s, "key"); ok {
-		n, err := strconv.ParseUint(rest, 10, 16)
-		if err != nil {
-			return 0, fmt.Errorf("svcb: invalid numeric key %q", s)
-		}
-		return ParamKey(n), nil
-	}
-	return 0, fmt.Errorf("svcb: unknown SvcParam key %q", s)
 }
 
 // Param is a single SvcParam: a key and its wire-format value.
@@ -512,93 +495,4 @@ func joinAddrs(addrs []netip.Addr) string {
 		parts[i] = a.String()
 	}
 	return strings.Join(parts, ",")
-}
-
-// ParseParams parses presentation-format SvcParams tokens (e.g.
-// "alpn=h2,h3", "port=8443", "no-default-alpn") into a Params list.
-func ParseParams(tokens []string) (Params, error) {
-	var ps Params
-	for _, tok := range tokens {
-		keyStr, valStr, hasVal := strings.Cut(tok, "=")
-		key, err := ParseKey(keyStr)
-		if err != nil {
-			return nil, err
-		}
-		if ps.Has(key) {
-			return nil, fmt.Errorf("svcb: duplicate key %v in presentation input", key)
-		}
-		var value []byte
-		switch key {
-		case KeyMandatory:
-			if !hasVal || valStr == "" {
-				return nil, fmt.Errorf("svcb: mandatory requires a value")
-			}
-			var keys []ParamKey
-			for _, name := range strings.Split(valStr, ",") {
-				k, err := ParseKey(name)
-				if err != nil {
-					return nil, err
-				}
-				keys = append(keys, k)
-			}
-			tmp := Params{}
-			if err := tmp.SetMandatory(keys); err != nil {
-				return nil, err
-			}
-			value, _ = tmp.Get(KeyMandatory)
-		case KeyALPN:
-			if !hasVal || valStr == "" {
-				return nil, fmt.Errorf("svcb: alpn requires a value")
-			}
-			value, err = EncodeALPN(strings.Split(valStr, ","))
-			if err != nil {
-				return nil, err
-			}
-		case KeyNoDefaultALPN:
-			if hasVal {
-				return nil, fmt.Errorf("svcb: no-default-alpn takes no value")
-			}
-		case KeyPort:
-			n, err := strconv.ParseUint(valStr, 10, 16)
-			if err != nil {
-				return nil, fmt.Errorf("svcb: invalid port %q", valStr)
-			}
-			value = binary.BigEndian.AppendUint16(nil, uint16(n))
-		case KeyIPv4Hint, KeyIPv6Hint:
-			if !hasVal || valStr == "" {
-				return nil, fmt.Errorf("svcb: %v requires a value", key)
-			}
-			for _, s := range strings.Split(valStr, ",") {
-				a, err := netip.ParseAddr(s)
-				if err != nil {
-					return nil, fmt.Errorf("svcb: invalid address %q: %v", s, err)
-				}
-				if key == KeyIPv4Hint {
-					if !a.Is4() {
-						return nil, fmt.Errorf("svcb: %v is not IPv4", a)
-					}
-					b := a.As4()
-					value = append(value, b[:]...)
-				} else {
-					if !a.Is6() || a.Is4In6() {
-						return nil, fmt.Errorf("svcb: %v is not IPv6", a)
-					}
-					b := a.As16()
-					value = append(value, b[:]...)
-				}
-			}
-		case KeyECH:
-			value, err = base64.StdEncoding.DecodeString(valStr)
-			if err != nil {
-				return nil, fmt.Errorf("svcb: invalid ech base64: %v", err)
-			}
-		default:
-			value = []byte(valStr)
-		}
-		ps.Set(key, value)
-	}
-	if err := ps.Validate(); err != nil {
-		return nil, err
-	}
-	return ps, nil
 }

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -31,27 +33,6 @@ func TestKeyString(t *testing.T) {
 		if got := c.key.String(); got != c.want {
 			t.Errorf("ParamKey(%d).String() = %q, want %q", c.key, got, c.want)
 		}
-	}
-}
-
-func TestParseKeyRoundTrip(t *testing.T) {
-	for k := ParamKey(0); k <= KeyIPv6Hint; k++ {
-		got, err := ParseKey(k.String())
-		if err != nil {
-			t.Fatalf("ParseKey(%q): %v", k.String(), err)
-		}
-		if got != k {
-			t.Errorf("ParseKey(%q) = %v, want %v", k.String(), got, k)
-		}
-	}
-	if _, err := ParseKey("nonsense"); err == nil {
-		t.Error("ParseKey accepted unknown key name")
-	}
-	if _, err := ParseKey("key99999"); err == nil {
-		t.Error("ParseKey accepted out-of-range numeric key")
-	}
-	if k, err := ParseKey("key300"); err != nil || k != ParamKey(300) {
-		t.Errorf("ParseKey(key300) = %v, %v", k, err)
 	}
 }
 
@@ -263,74 +244,50 @@ func TestIPHintAccessors(t *testing.T) {
 	}
 }
 
+// TestPresentationFormat pins the RFC 9460 presentation rendering of every
+// registered key and of an unregistered one, the key order of a whole list,
+// and the generic keyNNNNN="…" fallback for a malformed value.
 func TestPresentationFormat(t *testing.T) {
 	var ps Params
-	if err := ps.SetALPN([]string{"h2", "h3"}); err != nil {
-		t.Fatal(err)
-	}
-	ps.SetPort(8443)
-	if err := ps.SetIPv4Hints([]netip.Addr{netip.MustParseAddr("1.2.3.4")}); err != nil {
-		t.Fatal(err)
-	}
-	want := "alpn=h2,h3 port=8443 ipv4hint=1.2.3.4"
-	if got := ps.String(); got != want {
-		t.Errorf("String() = %q, want %q", got, want)
-	}
-}
-
-func TestParseParamsRoundTrip(t *testing.T) {
-	tokens := []string{"alpn=h2,h3", "port=8443", "ipv4hint=1.2.3.4,5.6.7.8", "ipv6hint=2001:db8::1", "ech=AEX+DQ=="}
-	ps, err := ParseParams(tokens)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reparsed, err := ParseParams(splitTokens(ps.String()))
-	if err != nil {
-		t.Fatalf("reparsing %q: %v", ps.String(), err)
-	}
-	if !reflect.DeepEqual(ps, reparsed) {
-		t.Errorf("presentation round trip mismatch:\n%v\n%v", ps, reparsed)
-	}
-}
-
-func splitTokens(s string) []string {
-	var out []string
-	for _, tok := range bytes.Fields([]byte(s)) {
-		out = append(out, string(tok))
-	}
-	return out
-}
-
-func TestParseParamsErrors(t *testing.T) {
-	bad := [][]string{
-		{"alpn="},
-		{"alpn=h2", "alpn=h3"}, // duplicate
-		{"port=notanumber"},
-		{"port=70000"},
-		{"ipv4hint=::1"},
-		{"ipv6hint=1.2.3.4"},
-		{"ech=!!!"},
-		{"no-default-alpn=x"},
-		{"mandatory=port"}, // port absent
-		{"bogus=1"},
-	}
-	for _, tokens := range bad {
-		if _, err := ParseParams(tokens); err == nil {
-			t.Errorf("ParseParams(%v) accepted invalid input", tokens)
+	for _, err := range []error{
+		ps.SetMandatory([]ParamKey{KeyPort, KeyALPN}),
+		ps.SetALPN([]string{"h2", "h3"}),
+		ps.SetIPv4Hints([]netip.Addr{netip.MustParseAddr("1.2.3.4"), netip.MustParseAddr("5.6.7.8")}),
+		ps.SetIPv6Hints([]netip.Addr{netip.MustParseAddr("2001:db8::1")}),
+	} {
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
-}
-
-func TestNoDefaultALPNParsing(t *testing.T) {
-	ps, err := ParseParams([]string{"alpn=h3", "no-default-alpn"})
-	if err != nil {
-		t.Fatal(err)
+	ps.Set(KeyNoDefaultALPN, nil)
+	ps.SetPort(8443)
+	ps.SetECH([]byte{0x00, 0x45, 0xfe, 0x0d})
+	ps.Set(ParamKey(700), []byte("hello"))
+	want := []string{ // one row per key, in key order
+		"mandatory=alpn,port",
+		"alpn=h2,h3",
+		"no-default-alpn",
+		"port=8443",
+		"ipv4hint=1.2.3.4,5.6.7.8",
+		"ech=AEX+DQ==",
+		"ipv6hint=2001:db8::1",
+		`key700="hello"`,
 	}
-	if !ps.Has(KeyNoDefaultALPN) {
-		t.Error("no-default-alpn not parsed")
+	if len(ps) != len(want) {
+		t.Fatalf("%d params, want %d", len(ps), len(want))
 	}
-	if v, _ := ps.Get(KeyNoDefaultALPN); len(v) != 0 {
-		t.Error("no-default-alpn value not empty")
+	for i, p := range ps {
+		if got := (Params{p}).String(); got != want[i] {
+			t.Errorf("%v: String() = %q, want %q", p.Key, got, want[i])
+		}
+	}
+	reversed := slices.Clone(ps)
+	slices.Reverse(reversed)
+	if got := reversed.String(); got != strings.Join(want, " ") {
+		t.Errorf("whole list: String() = %q, want %q", got, strings.Join(want, " "))
+	}
+	if got := (Params{{Key: KeyPort, Value: []byte{1}}}).String(); got != `port="\x01"` {
+		t.Errorf("malformed port: String() = %q", got)
 	}
 }
 
@@ -477,26 +434,6 @@ func TestQuickUnpackIntoShrinkThenGrow(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: String() output always reparses to an equivalent Params when the
-// params are semantically valid.
-func TestQuickPresentationRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		ps := randomParams(rng)
-		if len(ps) == 0 {
-			return true
-		}
-		got, err := ParseParams(splitTokens(ps.String()))
-		if err != nil {
-			return false
-		}
-		return reflect.DeepEqual(got, ps)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

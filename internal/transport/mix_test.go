@@ -81,14 +81,12 @@ func TestParseMixAndString(t *testing.T) {
 }
 
 func TestProtocolParseAndPorts(t *testing.T) {
+	// A protocol's name is the flag value that selects it alone.
 	for _, p := range []Protocol{ProtoDoH, ProtoDoT, ProtoDoQ} {
-		got, err := ParseProtocol(p.String())
-		if err != nil || got != p {
-			t.Errorf("ParseProtocol(%q) = %v, %v", p.String(), got, err)
+		m, err := ParseMix(p.String())
+		if err != nil || m.Period() != 1 || m.Weight(p) != 1 {
+			t.Errorf("ParseMix(%q) = %+v, %v; want %v alone", p.String(), m, err, p)
 		}
-	}
-	if _, err := ParseProtocol("dnscrypt"); err == nil {
-		t.Error("unknown protocol accepted")
 	}
 	if ProtoDoH.Port() != 443 || ProtoDoT.Port() != 853 || ProtoDoQ.Port() != 853 {
 		t.Error("conventional ports wrong")

@@ -9,25 +9,9 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/dnswire"
 	"repro/internal/simnet"
 )
-
-// fnv64aString is FNV-1a over a string without hash.Hash machinery —
-// bit-identical to hash/fnv's New64a + Write, minus its per-call
-// allocations.
-const (
-	fnv64Offset uint64 = 14695981039346656037
-	fnv64Prime  uint64 = 1099511628211
-)
-
-func fnv64aString(s string) uint64 {
-	h := fnv64Offset
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnv64Prime
-	}
-	return h
-}
 
 // Balance selects how the pool orders upstreams for a query. The shapes
 // mirror the dnscrypt-proxy server-selection strategies the related work
@@ -190,7 +174,7 @@ func NewPool(clock *simnet.Clock, balance Balance, seed int64) *Pool {
 func (p *Pool) Add(name string, addr netip.AddrPort, proto Protocol) *Upstream {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	u := &Upstream{Name: name, Addr: addr, Proto: proto, synthSeed: fnv64aString(addr.String())}
+	u := &Upstream{Name: name, Addr: addr, Proto: proto, synthSeed: dnswire.FNV1a(addr.String())}
 	p.ups = append(p.ups, u)
 	return u
 }
@@ -332,7 +316,7 @@ func (p *Pool) pick(healthy []*Upstream, qname string) int {
 		p.rrNext++
 		return (p.rrNext - 1) % n
 	case BalanceHashAffinity:
-		return int(fnv64aString(qname) % uint64(n))
+		return int(dnswire.FNV1a(qname) % uint64(n))
 	default:
 		return 0
 	}
@@ -457,7 +441,7 @@ func SyntheticLatency(base, spread time.Duration) func(*Upstream) time.Duration 
 		}
 		h := u.synthSeed
 		if h == 0 {
-			h = fnv64aString(u.Addr.String())
+			h = dnswire.FNV1a(u.Addr.String())
 		}
 		return base + time.Duration(h%uint64(spread))
 	}

@@ -53,16 +53,6 @@ func (p Protocol) Port() uint16 {
 	return 853
 }
 
-// ParseProtocol resolves a flag value to a Protocol.
-func ParseProtocol(name string) (Protocol, error) {
-	for _, p := range []Protocol{ProtoDoH, ProtoDoT, ProtoDoQ} {
-		if p.String() == name {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("transport: unknown protocol %q (want doh, dot, or doq)", name)
-}
-
 // Mix is a per-campaign protocol mix: relative weights for how many
 // frontends of a fleet speak each protocol. The zero value means all-DoH
 // (the pre-transport behavior). Weights are relative, not percentages:

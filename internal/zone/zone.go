@@ -5,7 +5,6 @@ package zone
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -31,8 +30,8 @@ type Zone struct {
 	// apex) for referral processing.
 	delegations map[string]bool
 
-	ksk, zsk *dnssec.KeyPair
-	signedAt time.Time
+	// ksk is the key-signing key Sign derived, for DS; nil when unsigned.
+	ksk *dnssec.KeyPair
 }
 
 // New creates an empty zone for origin.
@@ -95,20 +94,6 @@ func (z *Zone) RemoveRRset(name string, t dnswire.Type) {
 	}
 }
 
-// RemoveName deletes every RRset at name.
-func (z *Zone) RemoveName(name string) {
-	name = dnswire.CanonicalName(name)
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	for k := range z.rrsets {
-		if k.name == name {
-			delete(z.rrsets, k)
-			delete(z.sigs, k)
-		}
-	}
-	delete(z.delegations, name)
-}
-
 // Lookup returns the RRset and its signatures for (name, type).
 func (z *Zone) Lookup(name string, t dnswire.Type) (rrs, sigs []dnswire.RR, ok bool) {
 	name = dnswire.CanonicalName(name)
@@ -122,46 +107,6 @@ func (z *Zone) Lookup(name string, t dnswire.Type) (rrs, sigs []dnswire.RR, ok b
 	return cloneRRs(rrs), cloneRRs(z.sigs[k]), true
 }
 
-// NameExists reports whether any RRset exists at name.
-func (z *Zone) NameExists(name string) bool {
-	name = dnswire.CanonicalName(name)
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	for k := range z.rrsets {
-		if k.name == name {
-			return true
-		}
-	}
-	return false
-}
-
-// Names returns every owner name in the zone, sorted.
-func (z *Zone) Names() []string {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	seen := map[string]bool{}
-	for k := range z.rrsets {
-		seen[k.name] = true
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// RRsets returns all RRsets in the zone (deep-copied), keyed for iteration.
-func (z *Zone) RRsets() map[string][]dnswire.RR {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	out := make(map[string][]dnswire.RR, len(z.rrsets))
-	for k, rrs := range z.rrsets {
-		out[k.name+"|"+k.typ.String()] = cloneRRs(rrs)
-	}
-	return out
-}
-
 func cloneRRs(rrs []dnswire.RR) []dnswire.RR {
 	if rrs == nil {
 		return nil
@@ -173,38 +118,18 @@ func cloneRRs(rrs []dnswire.RR) []dnswire.RR {
 	return out
 }
 
-// Keys returns the zone's signing keys, if the zone is signed.
-func (z *Zone) Keys() (ksk, zsk *dnssec.KeyPair) {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	return z.ksk, z.zsk
-}
-
-// Signed reports whether Sign has been called.
-func (z *Zone) Signed() bool {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	return z.ksk != nil
-}
-
 // Sign derives the zone's KSK and ZSK from seed (dnssec.DeriveKey),
 // publishes the DNSKEY RRset, and signs every RRset in the zone: the DNSKEY
 // RRset with the KSK, everything else with the ZSK. Delegation NS RRsets
-// (and glue) are not signed, matching authoritative behaviour.
+// (and glue) are not signed, matching authoritative behaviour. A signature
+// depends on its key and its RRset alone, so the order the sets are visited
+// in does not show in the result.
 func (z *Zone) Sign(seed int64, inception, expiration time.Time) error {
 	ksk := dnssec.DeriveKey(seed, z.Origin, true)
 	zsk := dnssec.DeriveKey(seed, z.Origin, false)
-	return z.SignWith(ksk, zsk, inception, expiration)
-}
-
-// SignWith signs the zone with caller-provided keys. A signature depends on
-// its key and its RRset alone, so the order the sets are visited in does
-// not show in the result.
-func (z *Zone) SignWith(ksk, zsk *dnssec.KeyPair, inception, expiration time.Time) error {
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	z.ksk, z.zsk = ksk, zsk
-	z.signedAt = inception
+	z.ksk = ksk
 
 	// Publish the DNSKEY RRset at the apex.
 	dnskeyRRs := []dnswire.RR{ksk.DNSKEY(3600), zsk.DNSKEY(3600)}
@@ -232,15 +157,6 @@ func (z *Zone) SignWith(ksk, zsk *dnssec.KeyPair, inception, expiration time.Tim
 		z.sigs[k] = []dnswire.RR{sig}
 	}
 	return nil
-}
-
-// Unsign removes all signatures and keys from the zone.
-func (z *Zone) Unsign() {
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	z.ksk, z.zsk = nil, nil
-	z.sigs = map[rrsetKey][]dnswire.RR{}
-	delete(z.rrsets, rrsetKey{name: z.Origin, typ: dnswire.TypeDNSKEY})
 }
 
 // DS returns the delegation-signer record for this zone's KSK, for upload

@@ -308,6 +308,21 @@ func TestUnpackCorruptMessages(t *testing.T) {
 	}
 }
 
+func TestTCPFraming(t *testing.T) {
+	m := NewQuery(99, "tcp.example.com", TypeHTTPS, true)
+	var buf bytes.Buffer
+	if err := WriteTCP(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadTCP(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ID != 99 || got.Question[0].Name != "tcp.example.com." {
+		t.Errorf("TCP round trip = %+v", got)
+	}
+}
+
 // TestFNV1aMatchesHashFNV: the helper the scanner's ECH key hash, the
 // world's per-domain seeds and the pool's member seeds are computed with
 // must equal hash/fnv's New64a bit for bit, on strings and bytes alike,

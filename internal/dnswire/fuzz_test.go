@@ -129,6 +129,47 @@ func FuzzUnpack(f *testing.F) {
 	})
 }
 
+// FuzzReadTCP drives the RFC 1035 §4.2.2 two-byte length framing with
+// arbitrary streams: malformed prefixes, short bodies, and trailing
+// garbage must come back as errors, never panics or over-reads.
+func FuzzReadTCP(f *testing.F) {
+	for _, s := range fuzzSeeds(f) {
+		framed := make([]byte, 2+len(s))
+		binary.BigEndian.PutUint16(framed, uint16(len(s)))
+		copy(framed[2:], s)
+		f.Add(framed)
+		// Length prefix longer than the body.
+		lying := bytes.Clone(framed)
+		binary.BigEndian.PutUint16(lying, uint16(len(s))+40)
+		f.Add(lying)
+		// Length prefix shorter than the body: trailing garbage.
+		if len(s) > 4 {
+			short := bytes.Clone(framed)
+			binary.BigEndian.PutUint16(short, uint16(len(s))-4)
+			f.Add(short)
+		}
+	}
+	f.Add([]byte{0x00})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		m, err := ReadTCP(r)
+		if err != nil {
+			return
+		}
+		if m == nil {
+			t.Fatal("ReadTCP returned nil message with nil error")
+		}
+		// A parsed frame must round-trip through the writer.
+		var buf bytes.Buffer
+		if err := WriteTCP(&buf, m); err != nil {
+			return
+		}
+		if _, err := ReadTCP(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatalf("rewritten frame failed to read back: %v", err)
+		}
+	})
+}
+
 // FuzzUnpackInto drives the pooled decode path with dirty reuse: every
 // input is decoded twice, once into a fresh Message and once into a
 // Message still holding a fully-populated prior answer (the recycled

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 )
@@ -531,6 +532,40 @@ func (m *Message) String() string {
 		}
 	}
 	return sb.String()
+}
+
+// WriteTCP writes the message to w with the 2-byte length prefix used by
+// DNS over TCP. The frame is assembled in a pooled buffer, so a steady
+// stream of writes allocates nothing.
+func WriteTCP(w io.Writer, m *Message) error {
+	bp := GetWireBuf()
+	defer PutWireBuf(bp)
+	buf := append(*bp, 0, 0)
+	buf, err := m.AppendPack(buf)
+	if err != nil {
+		return err
+	}
+	*bp = buf
+	if len(buf)-2 > 65535 {
+		return fmt.Errorf("dnswire: message exceeds TCP limit")
+	}
+	binary.BigEndian.PutUint16(buf, uint16(len(buf)-2))
+	_, err = w.Write(buf)
+	return err
+}
+
+// ReadTCP reads one length-prefixed DNS message from r.
+func ReadTCP(r io.Reader) (*Message, error) {
+	var lenBuf [2]byte
+	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+		return nil, err
+	}
+	n := binary.BigEndian.Uint16(lenBuf[:])
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, err
+	}
+	return Unpack(buf)
 }
 
 // FNV1a is the 64-bit FNV-1a hash of b, the same value as hash/fnv's

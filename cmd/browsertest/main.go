@@ -2,7 +2,8 @@
 // builds the controlled testbed (authoritative zone + web endpoints) and
 // measures how each browser model handles HTTPS records and ECH, printing
 // Tables 6 and 7 plus the failover matrix. Use -verbose to see every
-// connection attempt.
+// visit with its connection attempts (address, port, SNI, ALPN, ECH
+// offered/accepted, error) and any follow-up DNS queries.
 package main
 
 import (
@@ -35,6 +36,17 @@ func main() {
 					sc.Build(l)
 					v := l.Visit(b, sc.URL)
 					fmt.Printf("  %-28s %-8s %s\n", sc.Row, b.Name, v)
+					for i, a := range v.Attempts {
+						status := "ok"
+						if a.Err != "" {
+							status = a.Err
+						}
+						fmt.Printf("      attempt %d: %s:%d sni=%s alpn=%v ech=%v/%v (%s)\n",
+							i+1, a.Addr, a.Port, a.SNI, a.ALPN, a.ECHOffered, a.ECHAccepted, status)
+					}
+					if len(v.FollowUpQueries) > 0 {
+						fmt.Printf("      follow-up DNS: %v\n", v.FollowUpQueries)
+					}
 				}
 			}
 			fmt.Println()

@@ -47,7 +47,8 @@ import (
 
 // CampaignConfig controls a measurement campaign.
 type CampaignConfig struct {
-	// Size is the Tranco list size of the generated world.
+	// Size is the Tranco list size of the generated world; zero selects
+	// 20 000, and a negative size is rejected.
 	Size int
 	// Seed drives world generation.
 	Seed int64
@@ -55,7 +56,8 @@ type CampaignConfig struct {
 	// paper's full study period.
 	Start, End time.Time
 	// StepDays samples every Nth day (1 = daily like the paper; larger
-	// steps trade trend resolution for speed).
+	// steps trade trend resolution for speed). Zero selects 1; a negative
+	// step, which would walk the day loop backwards forever, is rejected.
 	StepDays int
 	// DayWorkers bounds how many scan days run concurrently (each in its
 	// own scan context); 0 or 1 runs days one at a time. Results are
@@ -185,6 +187,12 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 	}
 	if cfg.End.IsZero() {
 		cfg.End = providers.StudyEnd
+	}
+	if cfg.Size < 0 {
+		return nil, fmt.Errorf("core: Size %d must not be negative", cfg.Size)
+	}
+	if cfg.StepDays < 0 {
+		return nil, fmt.Errorf("core: StepDays %d must not be negative", cfg.StepDays)
 	}
 	if cfg.Workload != nil && cfg.DoHFrontends <= 0 {
 		return nil, fmt.Errorf("core: Workload requires DoHFrontends > 0 (the population needs a fleet to resolve through)")

@@ -61,6 +61,20 @@ func TestNewCampaignRejectsFleetFeaturesWithoutFleet(t *testing.T) {
 	}
 }
 
+// TestNewCampaignRejectsNegativeSizeAndStep: a negative step would walk
+// RunDaily's day loop backwards past End forever, and a negative size has
+// no world to build, so both are refused up front.
+func TestNewCampaignRejectsNegativeSizeAndStep(t *testing.T) {
+	for _, cfg := range []CampaignConfig{
+		{Size: -5, Seed: 1},
+		{Size: 200, Seed: 1, StepDays: -1},
+	} {
+		if _, err := NewCampaign(cfg); err == nil {
+			t.Errorf("NewCampaign(Size %d, StepDays %d) returned no error", cfg.Size, cfg.StepDays)
+		}
+	}
+}
+
 func TestRunDailyCollectsAllDatasets(t *testing.T) {
 	c := augCampaign(t)
 	var progress bytes.Buffer

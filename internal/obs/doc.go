@@ -58,8 +58,8 @@
 //
 // The flight recorder (Recorder) extends the same stable/volatile
 // discipline to events. Emission sites mark schedule-dependent kinds
-// volatile (attempt-side transport events: pool cooldowns and removals,
-// race/hedge fires, per-frontend stale serves). Arrival order under
+// volatile (attempt-side transport events: pool cooldowns, race/hedge
+// fires, per-frontend stale serves). Arrival order under
 // concurrent emitters is schedule-dependent even for stable kinds — and
 // under frozen per-day clocks every At is equal — so what anomaly
 // captures commit is StableCounts: the exact stable-kind emission

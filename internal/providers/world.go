@@ -23,8 +23,6 @@ type WorldConfig struct {
 	Size int
 	// Seed drives all generation.
 	Seed int64
-	// Cal are the behavioural rates; zero value means DefaultCalibration.
-	Cal *Calibration
 }
 
 // World is the fully wired simulated Internet: root + TLD + provider DNS
@@ -69,9 +67,6 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 		cfg.Size = 20_000
 	}
 	cal := DefaultCalibration()
-	if cfg.Cal != nil {
-		cal = *cfg.Cal
-	}
 	clock := simnet.NewClock(StudyStart)
 	w := &World{
 		Cfg:            cfg,
@@ -84,7 +79,7 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 		ProviderByName: map[string]*Provider{},
 	}
 	w.Whois = whois.New(w.Alloc)
-	w.Tranco = tranco.NewSimulator(tranco.DefaultConfig(cfg.Size, cfg.Seed))
+	w.Tranco = tranco.NewSimulator(cfg.Size, cfg.Seed)
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 

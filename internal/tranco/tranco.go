@@ -1,9 +1,9 @@
 // Package tranco simulates the Tranco top-sites list the paper scans daily:
 // a ranked domain population with a stable popular core, a churning tail,
 // and the 2023-08-01 source-change event that reshuffled the list
-// composition. Absolute size is configurable; ratios (core fraction, churn
-// rate) default to values that reproduce the paper's overlapping-domain
-// counts (63.5% overlap before the change, 68.4% after).
+// composition. Absolute size is configurable; the ratios (core fraction,
+// churn pool) are fixed at values that reproduce the paper's
+// overlapping-domain counts (63.5% overlap before the change, 68.4% after).
 package tranco
 
 import (
@@ -16,39 +16,26 @@ import (
 // SourceChangeDate is the day Tranco swapped Alexa for CrUX+Radar feeds.
 var SourceChangeDate = time.Date(2023, 8, 1, 0, 0, 0, 0, time.UTC)
 
-// Config parameterises the simulated list.
-type Config struct {
-	// Size is the daily list length (the paper's is 1M; simulations
-	// default to a scale-free 20k).
-	Size int
-	// CoreFraction1 is the fraction of the list that is stable before the
+// The list's composition, calibrated to the paper's overlapping-domain
+// counts.
+const (
+	// coreFraction1 is the fraction of the list that is stable before the
 	// source change (paper: 634,810 / 1M ≈ 0.635).
-	CoreFraction1 float64
-	// CoreFraction2 is the stable fraction after the source change
+	coreFraction1 = 0.635
+	// coreFraction2 is the stable fraction after the source change
 	// (paper: 684,292 / 1M ≈ 0.684).
-	CoreFraction2 float64
-	// TailPoolFactor sizes the churning candidate pool relative to the
+	coreFraction2 = 0.684
+	// tailPoolFactor sizes the churning candidate pool relative to the
 	// tail slots (>1 so daily membership varies).
-	TailPoolFactor float64
-	// Seed drives all randomness.
-	Seed int64
-}
-
-// DefaultConfig returns the paper-calibrated configuration at the given
-// scale.
-func DefaultConfig(size int, seed int64) Config {
-	return Config{
-		Size:           size,
-		CoreFraction1:  0.635,
-		CoreFraction2:  0.684,
-		TailPoolFactor: 2.5,
-		Seed:           seed,
-	}
-}
+	tailPoolFactor = 2.5
+)
 
 // Simulator produces the daily ranked list.
 type Simulator struct {
-	cfg Config
+	// size is the daily list length (the paper's is 1M); seed drives all
+	// randomness.
+	size int
+	seed int64
 	// core1/core2 are the stable cores before/after the source change.
 	core1, core2 []string
 	// tailPool is the shared churn pool.
@@ -60,17 +47,18 @@ type Simulator struct {
 // tlds weights the synthetic TLD mix.
 var tlds = []string{"com", "com", "com", "com", "net", "org", "io", "de", "co", "ru", "cn", "jp", "uk", "fr"}
 
-// NewSimulator builds the population. Domain names are synthetic but unique
-// and stable across runs for a given seed.
-func NewSimulator(cfg Config) *Simulator {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	core1N := int(float64(cfg.Size) * cfg.CoreFraction1)
-	core2N := int(float64(cfg.Size) * cfg.CoreFraction2)
-	tailSlots := cfg.Size - core1N
-	if s2 := cfg.Size - core2N; s2 > tailSlots {
+// NewSimulator builds a population whose daily list holds size domains.
+// Domain names are synthetic but unique and stable across runs for a given
+// seed.
+func NewSimulator(size int, seed int64) *Simulator {
+	rng := rand.New(rand.NewSource(seed))
+	core1N := int(float64(size) * coreFraction1)
+	core2N := int(float64(size) * coreFraction2)
+	tailSlots := size - core1N
+	if s2 := size - core2N; s2 > tailSlots {
 		tailSlots = s2
 	}
-	poolN := int(float64(tailSlots) * cfg.TailPoolFactor)
+	poolN := int(float64(tailSlots) * tailPoolFactor)
 
 	// The second core keeps most of the first (the source change replaced
 	// a minority of stable domains) plus some promoted tail names.
@@ -83,7 +71,7 @@ func NewSimulator(cfg Config) *Simulator {
 	for i := range names {
 		names[i] = fmt.Sprintf("site%06d.%s", i, tlds[rng.Intn(len(tlds))])
 	}
-	s := &Simulator{cfg: cfg, universe: names}
+	s := &Simulator{size: size, seed: seed, universe: names}
 	s.core1 = names[:core1N]
 	s.core2 = append(append([]string(nil), s.core1[:keep]...), names[core1N:core1N+(core2N-keep)]...)
 	s.tailPool = names[core1N+(core2N-keep):]
@@ -137,8 +125,8 @@ func (s *Simulator) ListFor(date time.Time) []string {
 	if !date.Before(SourceChangeDate) {
 		core = s.core2
 	}
-	tailSlots := s.cfg.Size - len(core)
-	rng := rand.New(rand.NewSource(s.cfg.Seed ^ dayNumber(date)*0x9e3779b9))
+	tailSlots := s.size - len(core)
+	rng := rand.New(rand.NewSource(s.seed ^ dayNumber(date)*0x9e3779b9))
 
 	// Daily tail sample: choose tailSlots names from the pool.
 	perm := rng.Perm(len(s.tailPool))
@@ -147,7 +135,7 @@ func (s *Simulator) ListFor(date time.Time) []string {
 		tail = append(tail, s.tailPool[idx])
 	}
 
-	list := make([]string, 0, s.cfg.Size)
+	list := make([]string, 0, s.size)
 	list = append(list, core...)
 	list = append(list, tail...)
 	// Mild rank jitter: swap adjacent windows so ranks are not frozen, but

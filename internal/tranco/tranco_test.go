@@ -6,7 +6,7 @@ import (
 )
 
 func newSim() *Simulator {
-	return NewSimulator(DefaultConfig(1000, 1))
+	return NewSimulator(1000, 1)
 }
 
 func TestListSizeAndUniqueness(t *testing.T) {

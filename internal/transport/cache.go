@@ -21,7 +21,7 @@ import (
 // their TTL expires, then (with a non-zero StaleWindow) stale and
 // servable under RFC 8767 when the upstream cannot answer, then evicted.
 // Negative answers (NXDOMAIN/NODATA) are first-class entries retained for
-// their RFC 2308 SOA-minimum TTL, capped by MaxNegativeTTL.
+// their RFC 2308 SOA-minimum TTL, capped by DefaultMaxNegativeTTL.
 type Cache struct {
 	clock *simnet.Clock
 	cfg   CacheConfig
@@ -41,28 +41,23 @@ type CacheConfig struct {
 	// servable under RFC 8767 serve-stale. Zero disables serve-stale:
 	// entries are dropped at TTL expiry.
 	StaleWindow time.Duration
-	// StaleTTL caps the TTL stamped on records of a stale answer; zero
-	// selects DefaultStaleTTL (the 30 s RFC 8767 §4 recommends).
-	StaleTTL uint32
 	// RefreshAhead arms a prefetch once a fresh entry has consumed this
 	// fraction of its TTL: the next hit past the threshold is still served
 	// from cache but reports NeedsRefresh so the frontend can refresh the
 	// entry before it ever goes stale. Zero disables prefetch.
 	RefreshAhead float64
-	// MaxNegativeTTL caps how long negative answers are retained, however
-	// large their SOA minimum (RFC 2308 §5 advises bounding negative
-	// retention); zero selects DefaultMaxNegativeTTL.
-	MaxNegativeTTL time.Duration
 }
 
 // Default cache geometry and lifecycle bounds.
 const (
 	DefaultShards        = 16
 	DefaultShardCapacity = 1024
-	// DefaultStaleTTL is the TTL stamped on stale answers (RFC 8767 §4
-	// recommends 30 seconds).
+	// DefaultStaleTTL caps the TTL stamped on records of a stale answer
+	// (RFC 8767 §4 recommends 30 seconds).
 	DefaultStaleTTL = 30
-	// DefaultMaxNegativeTTL bounds negative retention (RFC 2308 §5).
+	// DefaultMaxNegativeTTL caps how long negative answers are retained,
+	// however large their SOA minimum (RFC 2308 §5 advises bounding
+	// negative retention).
 	DefaultMaxNegativeTTL = 3 * time.Hour
 )
 
@@ -176,15 +171,6 @@ type CacheStats struct {
 	Refreshes uint64
 }
 
-// HitRate returns hits/(hits+misses), or 0 before any lookups.
-func (s CacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // NewCacheWith creates a cache from its geometry and lifecycle
 // configuration; zero values select the default geometry and leave
 // serve-stale and prefetch disabled.
@@ -194,12 +180,6 @@ func NewCacheWith(clock *simnet.Clock, cfg CacheConfig) *Cache {
 	}
 	if cfg.ShardCapacity <= 0 {
 		cfg.ShardCapacity = DefaultShardCapacity
-	}
-	if cfg.StaleTTL == 0 {
-		cfg.StaleTTL = DefaultStaleTTL
-	}
-	if cfg.MaxNegativeTTL <= 0 {
-		cfg.MaxNegativeTTL = DefaultMaxNegativeTTL
 	}
 	c := &Cache{clock: clock, cfg: cfg, shards: make([]*cacheShard, cfg.Shards)}
 	for i := range c.shards {
@@ -328,11 +308,11 @@ func (c *Cache) Probe(key Key, id uint16, dst []byte) Lookup {
 }
 
 // StaleWire materializes the stale answer a prior Probe reported, with
-// the query ID patched in and every TTL capped at StaleTTL per RFC 8767,
-// and counts the stale serve. The entry is re-evaluated under the shard
-// lock: if a sibling refreshed it meanwhile the (now fresh) body is still
-// served with capped TTLs — conservative but correct — and if it vanished
-// (LRU pressure) ok is false and the caller has nothing to serve.
+// the query ID patched in and every TTL capped at DefaultStaleTTL per RFC
+// 8767, and counts the stale serve. The entry is re-evaluated under the
+// shard lock: if a sibling refreshed it meanwhile the (now fresh) body is
+// still served with capped TTLs — conservative but correct — and if it
+// vanished (LRU pressure) ok is false and the caller has nothing to serve.
 // The stale body is appended to dst under the same aliasing contract as
 // Probe; nil dst allocates a fresh copy.
 func (c *Cache) StaleWire(key Key, id uint16, dst []byte) (body []byte, maxAge uint32, ok bool) {
@@ -348,17 +328,17 @@ func (c *Cache) StaleWire(key Key, id uint16, dst []byte) (body []byte, maxAge u
 	out := append(dst, e.wire...)
 	binary.BigEndian.PutUint16(out[base:], id)
 	for _, t := range e.ttls {
-		binary.BigEndian.PutUint32(out[base+int(t.off):], min(t.ttl, c.cfg.StaleTTL))
+		binary.BigEndian.PutUint32(out[base+int(t.off):], min(t.ttl, DefaultStaleTTL))
 	}
 	s.staleServes++
-	return out[base:], c.cfg.StaleTTL, true
+	return out[base:], DefaultStaleTTL, true
 }
 
 // Put stores a response. Uncacheable responses (SERVFAIL and friends) are
 // ignored; the retention window is the answer's minimum TTL, or the RFC
-// 2308 SOA-minimum (capped by MaxNegativeTTL) for negative answers. Put
-// packs m into a borrowed buffer; the frontend, which has already packed
-// the answer for its envelope, inserts those bytes directly.
+// 2308 SOA-minimum (capped by DefaultMaxNegativeTTL) for negative answers.
+// Put packs m into a borrowed buffer; the frontend, which has already
+// packed the answer for its envelope, inserts those bytes directly.
 func (c *Cache) Put(key Key, m *dnswire.Message) {
 	bp := dnswire.GetWireBuf()
 	defer dnswire.PutWireBuf(bp)
@@ -380,8 +360,8 @@ func (c *Cache) insert(key Key, m *dnswire.Message, wire []byte) {
 	if !ok || ttl <= 0 {
 		return
 	}
-	if negative && ttl > c.cfg.MaxNegativeTTL {
-		ttl = c.cfg.MaxNegativeTTL
+	if negative {
+		ttl = min(ttl, DefaultMaxNegativeTTL)
 	}
 	// Room for the records of any usual answer; a longer walk spills to
 	// the heap.

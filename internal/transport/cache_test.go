@@ -150,7 +150,7 @@ func (mc *modelCache) put(now time.Time, key Key, m *dnswire.Message) {
 		e.negative = true
 		soa := m.Authority[0]
 		ttl = time.Duration(min(soa.TTL, soa.Data.(*dnswire.SOAData).Minimum)) * time.Second
-		ttl = min(ttl, mc.cfg.MaxNegativeTTL)
+		ttl = min(ttl, DefaultMaxNegativeTTL)
 	}
 	if ttl <= 0 {
 		return
@@ -225,8 +225,8 @@ func (mc *modelCache) staleWire(t *testing.T, now time.Time, key Key, id uint16)
 		return nil, 0, false
 	}
 	mc.stats.StaleServes++
-	capTTL := func(ttl uint32) uint32 { return min(ttl, mc.cfg.StaleTTL) }
-	return mc.lru[i].body(t, id, capTTL), mc.cfg.StaleTTL, true
+	capTTL := func(ttl uint32) uint32 { return min(ttl, DefaultStaleTTL) }
+	return mc.lru[i].body(t, id, capTTL), DefaultStaleTTL, true
 }
 
 // TestCacheMatchesReferenceModel drives one small shard and the naive model
@@ -237,11 +237,11 @@ func (mc *modelCache) staleWire(t *testing.T, now time.Time, key Key, id uint16)
 // cap), the same counters, and the same residents in the same LRU order
 // (so every eviction picked the model's victim). Entries change hands with
 // their buffers here, so a short answer is regularly served out of a
-// longer victim's storage; the first steps script exactly that.
+// longer victim's storage; the first steps script exactly that, and then
+// walk the clock to the negative-retention cap.
 func TestCacheMatchesReferenceModel(t *testing.T) {
 	_, clock := testNet()
-	cfg := CacheConfig{Shards: 1, ShardCapacity: 4, StaleWindow: 60 * time.Second,
-		StaleTTL: 5, MaxNegativeTTL: 35 * time.Second}
+	cfg := CacheConfig{Shards: 1, ShardCapacity: 4, StaleWindow: 60 * time.Second}
 	cache := NewCacheWith(clock, cfg)
 	model := &modelCache{cfg: cfg}
 
@@ -252,6 +252,13 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 		func(name string) *dnswire.Message {
 			m := answerOf(name, 30)
 			m.RCode = dnswire.RCodeServFail
+			return m
+		},
+		func(name string) *dnswire.Message {
+			// A negative answer whose SOA outlives DefaultMaxNegativeTTL.
+			m := answerOf(name)
+			m.Authority[0].TTL = 5 * 3600
+			m.Authority[0].Data.(*dnswire.SOAData).Minimum = 4 * 3600
 			return m
 		},
 	}
@@ -301,6 +308,13 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 	probe("short over long", 4, 0xbeef)
 	put("negative over long", 5, 0)
 	probe("negative over long", 5, 0xcafe)
+	// The SOA asks for four hours; the entry is fresh until the cap and
+	// stale just past it.
+	put("long negative", 6, 4)
+	clock.Advance(DefaultMaxNegativeTTL - time.Second)
+	probe("long negative before the cap", 6, 0xf00d)
+	clock.Advance(2 * time.Second)
+	probe("long negative past the cap", 6, 0xf00d)
 
 	rng := rand.New(rand.NewSource(18))
 	for i := 0; i < 600; i++ {

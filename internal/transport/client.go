@@ -66,13 +66,9 @@ type Client struct {
 	Tracer *obs.Tracer
 	// Recorder, when non-nil, receives flight-recorder events for the
 	// anomaly tier: stable winner-side kinds (client.error, client.stale,
-	// client.negative) plus volatile strategy and pool-churn kinds. Nil
+	// client.negative) plus volatile strategy and pool-cooldown kinds. Nil
 	// records nothing.
 	Recorder *obs.Recorder
-	// ExchangeLatency, when non-nil, observes each successful exchange's
-	// critical-path virtual duration; sampled exchanges attach their
-	// trace ID as the bucket exemplar.
-	ExchangeLatency *obs.Histogram
 	// ReuseAnswers opts into answer-message recycling: the *dnswire.Message
 	// an exchange returns stays valid only until this client's next
 	// exchange begins, at which point its memory is reclaimed for the next
@@ -103,6 +99,11 @@ type Client struct {
 	// Recycle or, under ReuseAnswers, via the lastAns swap at the next
 	// exchange.
 	msgPool sync.Pool
+
+	// exchangeLatency, bound by a fleet, observes each successful
+	// exchange's critical-path virtual duration; sampled exchanges attach
+	// their trace ID as the bucket exemplar.
+	exchangeLatency *obs.Histogram
 
 	staleAnswers    obs.Counter
 	negativeAnswers obs.Counter
@@ -335,11 +336,11 @@ func (c *Client) ExchangePreferring(q *dnswire.Message, pref Protocol) (*dnswire
 		tr.Add("commit", out.Elapsed, 0, obs.L("winner", out.Winner.Upstream.Name))
 	}
 	c.Tracer.Finish(tr, name, flags, out.Elapsed)
-	if c.ExchangeLatency != nil {
+	if c.exchangeLatency != nil {
 		if tr != nil {
-			c.ExchangeLatency.ObserveExemplar(out.Elapsed, tr.ID)
+			c.exchangeLatency.ObserveExemplar(out.Elapsed, tr.ID)
 		} else {
-			c.ExchangeLatency.Observe(out.Elapsed)
+			c.exchangeLatency.Observe(out.Elapsed)
 		}
 	}
 	if c.ReuseAnswers {
@@ -409,9 +410,6 @@ func (c *Client) StrategyStats() StrategyStats {
 // registry. The existing accessors (StaleAnswers, StrategyStats) keep
 // working as views over the same handles.
 func (c *Client) bindMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
 	reg.RegisterCounter(&c.exchanges, "client_exchanges_total")
 	reg.RegisterCounter(&c.staleAnswers, "client_stale_answers_total")
 	reg.RegisterCounter(&c.negativeAnswers, "client_negative_answers_total")
@@ -426,10 +424,8 @@ func (c *Client) bindMetrics(reg *obs.Registry) {
 		reg.RegisterCounter(&c.winsByProto[p], "strategy_wins_total",
 			obs.L("proto", Protocol(p).String()))
 	}
-	if c.ExchangeLatency == nil {
-		c.ExchangeLatency = obs.NewHistogram(obs.DefaultLatencyBuckets()...)
-	}
-	reg.RegisterHistogram(c.ExchangeLatency, "exchange_latency_seconds")
+	c.exchangeLatency = obs.NewHistogram(obs.DefaultLatencyBuckets()...)
+	reg.RegisterHistogram(c.exchangeLatency, "exchange_latency_seconds")
 }
 
 // dial performs one synchronous attempt against the member over its
@@ -453,23 +449,14 @@ func (c *Client) dial(up *Upstream, q *dnswire.Message, tr *obs.Trace) attemptRe
 }
 
 // bench reports an attempt's transport-level failure (its Bench flag) to
-// the pool: cooldown, and eventually removal. A member the pool removes
-// outright (Pool.RemoveAfter) has its cached DoT connection and DoQ
-// session dropped too, so long campaigns don't accumulate dead simnet
-// connections for upstreams that will never be offered again.
+// the pool, which benches the member for its cooldown.
 func (c *Client) bench(at attemptResult) {
 	if at.Err == nil || !at.Bench {
 		return
 	}
-	up := at.Upstream
-	if c.Pool.MarkFailed(up) {
-		if c.Recorder != nil {
-			c.Recorder.Emit("pool.remove", obs.L("member", up.Name))
-			c.Recorder.Emit("conn.evict", obs.L("member", up.Name))
-		}
-		c.evict(up.Addr)
-	} else if c.Recorder != nil {
-		c.Recorder.Emit("pool.cooldown", obs.L("member", up.Name))
+	c.Pool.MarkFailed(at.Upstream)
+	if c.Recorder != nil {
+		c.Recorder.Emit("pool.cooldown", obs.L("member", at.Upstream.Name))
 	}
 }
 
@@ -483,17 +470,6 @@ func (c *Client) charge(out *outcome, d time.Duration) {
 	if c.ChargeLatency && c.Latency != nil && d > 0 {
 		c.Net.Clock.Advance(d)
 	}
-}
-
-// evict drops every piece of cached connection state for an upstream
-// removed from the pool (the 0-RTT ticket included — the member is gone,
-// not resting).
-func (c *Client) evict(ap netip.AddrPort) {
-	c.mu.Lock()
-	delete(c.dotConns, ap)
-	delete(c.doqSessions, ap)
-	delete(c.doqTickets, ap)
-	c.mu.Unlock()
 }
 
 // sample feeds the pool the attempt's RTT and returns the (RTT, Cost)

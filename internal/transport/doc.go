@@ -29,8 +29,9 @@
 //   - Cache: the sharded TTL+LRU answer cache shared across frontends
 //     regardless of protocol (the anycast-pod property).
 //   - Pool and Client: the load-balanced upstream set (P2/EWMA/
-//     round-robin/hash Balance policies, virtual-clock cooldown
-//     failover, per-member RTT quantile tracking) and the
+//     round-robin/hash Balance policies, failover that benches a failed
+//     member for DefaultCooldown of virtual time and never removes it,
+//     per-member RTT quantile tracking) and the
 //     protocol-agnostic stub that dispatches each attempt by the
 //     member's envelope — a mixed fleet races and fails over across
 //     protocols. The client's Strategy (a StrategyConfig) decides, over
@@ -51,8 +52,8 @@
 //	                  │                       │                     (or LRU victim
 //	                  │ RefreshAhead·TTL      │ upstream fails           any time)
 //	                  ▼ elapsed               ▼ or in cooldown
-//	            prefetch armed:         served with TTLs
-//	            next hit refreshes      capped at StaleTTL
+//	            prefetch armed:         served with TTLs capped
+//	            next hit refreshes      at DefaultStaleTTL
 //	            the entry upstream      (RFC 8767, stale-marked)
 //
 // FRESH (within TTL): served directly, TTLs aged by elapsed virtual time.
@@ -64,10 +65,10 @@
 // STALE (past TTL, within StaleWindow): not served on the happy path —
 // the upstream is consulted first. Only when the handler hard-fails
 // (nil), SERVFAILs, or is benched in FailureCooldown does the frontend
-// serve the stale body, with every record TTL capped at StaleTTL and the
-// answer stale-marked (RFC 8767 serve-stale) — a DoH envelope flag, or
-// DoT/DoQ frame metadata standing in for the RFC 8914 "Stale Answer"
-// extended error.
+// serve the stale body, with every record TTL capped at DefaultStaleTTL
+// (30 s) and the answer stale-marked (RFC 8767 serve-stale) — a DoH
+// envelope flag, or DoT/DoQ frame metadata standing in for the RFC 8914
+// "Stale Answer" extended error.
 //
 // Evicted: past TTL + StaleWindow an entry is dropped at probe time; LRU
 // eviction under capacity pressure can remove any entry earlier.
@@ -75,9 +76,9 @@
 // Positive and negative entries differ only in how their TTL is derived
 // and in accounting: negative answers (NXDOMAIN, or NOERROR with an empty
 // answer section — NODATA) are retained for the RFC 2308 negative TTL,
-// min(SOA TTL, SOA minimum) capped by MaxNegativeTTL, so repeated misses
-// during census scans stop hammering upstreams; hits on them are reported
-// as NegativeHits. With StaleWindow zero (the default) the STALE state
+// min(SOA TTL, SOA minimum) capped by DefaultMaxNegativeTTL (3 h), so
+// repeated misses during census scans stop hammering upstreams; hits on
+// them are reported as NegativeHits. With StaleWindow zero (the default) the STALE state
 // vanishes and entries die at TTL expiry.
 //
 // # Resolution strategies

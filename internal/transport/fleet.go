@@ -19,10 +19,6 @@ type FleetConfig struct {
 	// Strategy selects and parameterizes the client's resolution
 	// strategy (the zero value is serial failover).
 	Strategy StrategyConfig
-	// RemoveAfter removes a pool member outright after that many
-	// consecutive failures (0: bench-only, never remove); the client
-	// drops the member's cached connection state on removal.
-	RemoveAfter int
 	// Seed drives the balancer's random draws.
 	Seed int64
 	// Cache is the shared answer cache's geometry and lifecycle policy.
@@ -42,10 +38,6 @@ type FleetConfig struct {
 	// how per-day campaign replicas stand their fleets up on network
 	// views without touching the shared registry.
 	Override bool
-	// Metrics, when non-nil, is the obs registry the fleet binds its
-	// counters onto; nil makes the fleet create its own on the fleet
-	// clock, so Fleet.Metrics is always usable.
-	Metrics *obs.Registry
 	// Tracer, when non-nil, head-samples the client's exchanges into
 	// span traces (and, when it carries a TailConfig, retains anomalous
 	// exchanges from the outcomes the client reports to it).
@@ -70,9 +62,10 @@ type Fleet struct {
 	Pool   *Pool
 	Client *Client
 
-	// Metrics is the fleet's telemetry registry: every frontend, cache,
-	// pool, and client counter is registered here (the struct accessors
-	// below remain as thin views over the same handles). Always non-nil.
+	// Metrics is the fleet's own telemetry registry, on the fleet clock:
+	// every frontend, cache, pool, and client counter is registered here
+	// (the struct accessors below remain as thin views over the same
+	// handles). Always non-nil.
 	Metrics *obs.Registry
 
 	// Recorder is the fleet's flight recorder (nil when the config left
@@ -92,21 +85,15 @@ type Fleet struct {
 // NewFleet creates an empty fleet over the network; frontends are wired
 // in with Add.
 func NewFleet(net *simnet.Network, clock *simnet.Clock, cfg FleetConfig) *Fleet {
-	pool := NewPool(clock, cfg.Balance, cfg.Seed)
-	pool.RemoveAfter = cfg.RemoveAfter
-	client := NewClient(net, pool)
+	client := NewClient(net, NewPool(clock, cfg.Balance, cfg.Seed))
 	client.Strategy = cfg.Strategy
 	client.Latency = cfg.Latency
 	client.ChargeLatency = cfg.ChargeLatency
 	client.Tracer = cfg.Tracer
 	client.Recorder = cfg.Recorder
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry(clock)
-	}
 	fl := &Fleet{
 		Net: net, Cache: NewCacheWith(clock, cfg.Cache),
-		Pool: client.Pool, Client: client, Metrics: reg,
+		Pool: client.Pool, Client: client, Metrics: obs.NewRegistry(clock),
 		Recorder: cfg.Recorder,
 		override: cfg.Override, cooldown: cfg.FailureCooldown,
 	}
@@ -184,7 +171,7 @@ func (fl *Fleet) bindMetrics() {
 	// tied to which frontend or member an attempt touched, or to an
 	// exchange's dial shape, varies with worker interleaving.
 	fl.Recorder.SetVolatile(
-		"pool.cooldown", "pool.remove", "conn.evict",
+		"pool.cooldown",
 		"strategy.race", "strategy.hedge", "strategy.cancel",
 		"strategy.failover",
 		"cache.prefetch", "frontend.stale", "frontend.dead",

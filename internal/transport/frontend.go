@@ -178,9 +178,6 @@ func (f *Frontend) noteHandlerSuccess() {
 // by frontend name and protocol. The old Stats() accessors keep working
 // as thin views over the same handles.
 func (f *Frontend) bindMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
 	labels := []obs.Label{obs.L("frontend", f.Name), obs.L("proto", f.Proto.String())}
 	reg.RegisterCounter(&f.served, "frontend_served_total", labels...)
 	reg.RegisterCounter(&f.cacheHits, "frontend_cache_hits_total", labels...)

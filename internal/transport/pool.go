@@ -92,8 +92,7 @@ type Upstream struct {
 	failures   uint64
 	downUntil  time.Time
 
-	// consecFails counts failures since the last successful exchange;
-	// Pool.RemoveAfter removes the member when it crosses the limit.
+	// consecFails counts failures since the last successful exchange.
 	consecFails int
 
 	// cooldownTotal accumulates the virtual time the member has actually
@@ -127,7 +126,7 @@ type UpstreamStats struct {
 	RTT      time.Duration
 	Down     bool
 	// ConsecFails is the member's current failure streak (reset by any
-	// successful exchange) — how close it is to RemoveAfter eviction.
+	// successful exchange).
 	ConsecFails int
 	// CooldownTotal is the virtual time the member has spent benched,
 	// net of cooldown remainders forgiven by successful exchanges.
@@ -136,20 +135,9 @@ type UpstreamStats struct {
 
 // Pool is a load-balanced, protocol-agnostic set of encrypted-DNS
 // upstreams with failover bookkeeping: DoH, DoT, and DoQ members mix
-// freely, and the balancers see only addresses and RTTs.
+// freely, and the balancers see only addresses and RTTs. A failed member
+// is benched for DefaultCooldown and never removed.
 type Pool struct {
-	// Cooldown is how long a failed upstream is benched in virtual time;
-	// zero selects DefaultCooldown.
-	Cooldown time.Duration
-	// RemoveAfter removes a member from the pool outright once it has
-	// failed this many consecutive times with no successful exchange in
-	// between; 0 (the default) benches but never removes. Long campaigns
-	// use it to shed permanently-dead frontends — MarkFailed reports the
-	// removal so the client can release the member's cached DoT
-	// connection and DoQ session. A removed member no longer appears in
-	// Stats.
-	RemoveAfter int
-
 	clock   *simnet.Clock
 	balance Balance
 
@@ -393,21 +381,14 @@ func (p *Pool) IsBenched(u *Upstream) bool {
 	return u.downUntil.After(p.clock.Now())
 }
 
-// MarkFailed benches the member for the cooldown window. When the
-// member's consecutive-failure count crosses RemoveAfter it is instead
-// removed from the pool outright; removed reports that, so the caller
-// can release any per-member connection state.
-func (p *Pool) MarkFailed(u *Upstream) (removed bool) {
+// MarkFailed benches the member for DefaultCooldown.
+func (p *Pool) MarkFailed(u *Upstream) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	u.failures++
 	u.consecFails++
-	cd := p.Cooldown
-	if cd == 0 {
-		cd = DefaultCooldown
-	}
 	now := p.clock.Now()
-	until := now.Add(cd)
+	until := now.Add(DefaultCooldown)
 	// Charge only the cooldown extension to the occupancy scorecard: a
 	// re-failure mid-bench extends the window, it does not double-bill it.
 	start := now
@@ -418,16 +399,6 @@ func (p *Pool) MarkFailed(u *Upstream) (removed bool) {
 		u.cooldownTotal += until.Sub(start)
 	}
 	u.downUntil = until
-	if p.RemoveAfter > 0 && u.consecFails >= p.RemoveAfter {
-		for i, m := range p.ups {
-			if m == u {
-				p.ups = append(p.ups[:i], p.ups[i+1:]...)
-				break
-			}
-		}
-		return true
-	}
-	return false
 }
 
 // SyntheticLatency returns a deterministic per-member latency source for

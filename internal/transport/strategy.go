@@ -324,7 +324,7 @@ func (c *Client) hedge(q *dnswire.Message, candidates []*Upstream, tr *obs.Trace
 	// cross-protocol duplicate would be an undeclared race, armed by a
 	// threshold that says nothing about the other protocol's latency);
 	// never a benched member (duplicating load onto a known-bad upstream
-	// only hastens its removal). With no eligible understudy the
+	// only extends its bench). With no eligible understudy the
 	// exchange stays serial.
 	if atA.Err == nil && armed && atA.RTT > threshold {
 		if ui, _ := c.partner(candidates, true); ui >= 0 {
@@ -344,8 +344,7 @@ func (c *Client) hedge(q *dnswire.Message, candidates []*Upstream, tr *obs.Trace
 // race accepts the fallback — connection racing beats no racing — while
 // a hedge does not: its contract is same-protocol only. Racing and
 // hedging must not pick a benched partner: a duplicate attempt against a
-// known-bad member wastes load and, with Pool.RemoveAfter set, can
-// escalate a transient flap into permanent removal.
+// known-bad member wastes load and extends its bench.
 func (c *Client) partner(candidates []*Upstream, same bool) (pick, fallback int) {
 	fallback = -1
 	for i := 1; i < len(candidates); i++ {
@@ -461,21 +460,4 @@ func (s *StrategyStats) Add(o StrategyStats) {
 // duplicated-load price of racing and hedging (0 when idle).
 func (s StrategyStats) WasteRate() float64 {
 	return obs.Ratio(s.Wasted, s.Attempts)
-}
-
-// Sub removes a baseline snapshot's counters (for drill deltas); the
-// mirror image of Add so the counter list lives in one place.
-func (s *StrategyStats) Sub(o StrategyStats) {
-	s.Exchanges -= o.Exchanges
-	s.Attempts -= o.Attempts
-	s.Races -= o.Races
-	s.LosersCancelled -= o.LosersCancelled
-	s.Hedges -= o.Hedges
-	s.Wasted -= o.Wasted
-	if s.WinsByProto == nil {
-		s.WinsByProto = map[Protocol]uint64{}
-	}
-	for p, n := range o.WinsByProto {
-		s.WinsByProto[p] -= n
-	}
 }

@@ -258,19 +258,17 @@ func TestRaceBothFailFallsThrough(t *testing.T) {
 // TestRaceSkipsBenchedPartner pins the cooldown interaction: once the
 // only cross-protocol member is benched, races fall back to a healthy
 // same-protocol partner instead of re-dialing the benched member — a
-// duplicate attempt against a known-bad upstream wastes load and, with
-// RemoveAfter set, would escalate a transient flap into permanent
-// removal.
+// duplicate attempt against a known-bad upstream wastes load and extends
+// its bench.
 func TestRaceSkipsBenchedPartner(t *testing.T) {
 	net, clock := testNet()
 	recursor := &stubRecursor{ttl: 300}
 	fl := NewFleet(net, clock, FleetConfig{
-		Balance:     BalanceRoundRobin,
-		Strategy:    StrategyConfig{Kind: StrategyRace, RaceStagger: time.Millisecond},
-		Seed:        1,
-		RemoveAfter: 2,
-		Cache:       CacheConfig{Shards: 4, ShardCapacity: 64},
-		Latency:     latencyTable(map[int]time.Duration{0: 10 * time.Millisecond}, 2*time.Millisecond),
+		Balance:  BalanceRoundRobin,
+		Strategy: StrategyConfig{Kind: StrategyRace, RaceStagger: time.Millisecond},
+		Seed:     1,
+		Cache:    CacheConfig{Shards: 4, ShardCapacity: 64},
+		Latency:  latencyTable(map[int]time.Duration{0: 10 * time.Millisecond}, 2*time.Millisecond),
 	})
 	fl.Add(ProtoDoH, "fe0", recursor, frontendAddr(0))
 	fl.Add(ProtoDoH, "fe1", recursor, frontendAddr(1))
@@ -281,15 +279,12 @@ func TestRaceSkipsBenchedPartner(t *testing.T) {
 	// The first race picks the DoT member as the cross-protocol partner
 	// and benches it (address down, one strike); the following races
 	// must fall back to the healthy DoH sibling rather than hand the
-	// benched member its RemoveAfter=2 second strike.
+	// benched member a second strike.
 	net.SetAddrDown(frontendAddr(2).Addr(), true)
 	for i := 0; i < 6; i++ {
 		if _, err := client.Query(fmt.Sprintf("benched%d.test", i), dnswire.TypeHTTPS, false); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got := fl.Pool.Len(); got != 3 {
-		t.Fatalf("benched member was removed from the pool (len %d, want 3): races kept dialing it", got)
 	}
 	for _, st := range fl.Pool.Stats() {
 		if st.Proto == ProtoDoT && st.Failures != 1 {
@@ -298,6 +293,35 @@ func TestRaceSkipsBenchedPartner(t *testing.T) {
 	}
 	if st := fl.StrategyStats(); st.Races < 2 {
 		t.Errorf("races=%d, want the fallback same-protocol races to keep firing", st.Races)
+	}
+}
+
+// TestRaceOverMixedFleetWithDoHDown: with every DoH address of a 2:1:1
+// mixed fleet dark, racing turns the outage into failover — every
+// exchange answers, the DoT and DoQ survivors race each other, and only
+// they win.
+func TestRaceOverMixedFleetWithDoHDown(t *testing.T) {
+	client, fl, _ := raceFleet(t, time.Millisecond, nil, Mix{DoH: 2, DoT: 1, DoQ: 1}.Assign(4)...)
+	for i, p := range fl.Stats() {
+		if p.Proto == ProtoDoH {
+			fl.Net.SetAddrDown(fl.Addrs[i].Addr(), true)
+		}
+	}
+	const n = 40
+	for i := 0; i < n; i++ {
+		if _, err := client.Query(fmt.Sprintf("dark-doh%d.test", i), dnswire.TypeHTTPS, false); err != nil {
+			t.Fatalf("exchange %d failed with DoT and DoQ up: %v", i, err)
+		}
+	}
+	st := fl.StrategyStats()
+	if st.Exchanges != n || client.Errors() != 0 {
+		t.Errorf("exchanges=%d errors=%d, want %d/0", st.Exchanges, client.Errors(), n)
+	}
+	if st.Races == 0 {
+		t.Error("no race fired between the DoT and DoQ survivors")
+	}
+	if doh, dot, doq := st.WinsByProto[ProtoDoH], st.WinsByProto[ProtoDoT], st.WinsByProto[ProtoDoQ]; doh != 0 || dot == 0 || doq == 0 || dot+doq != n {
+		t.Errorf("wins doh=%d dot=%d doq=%d, want 0 on DoH and all %d split over DoT and DoQ", doh, dot, doq, n)
 	}
 }
 
@@ -504,60 +528,6 @@ func TestHedgePairEdges(t *testing.T) {
 			t.Errorf("DoT member served %d, want 0 (no cross-protocol duplicate)", got)
 		}
 	})
-}
-
-// TestRemovedUpstreamEvictsConnections is the long-campaign leak fix: a
-// member failing past Pool.RemoveAfter is removed outright and the
-// client drops its cached DoT connection, DoQ session, and resumption
-// ticket, so dead simnet connections don't accumulate.
-func TestRemovedUpstreamEvictsConnections(t *testing.T) {
-	net, clock := testNet()
-	recursor := &stubRecursor{ttl: 300}
-	fl := NewFleet(net, clock, FleetConfig{
-		Balance:     BalanceRoundRobin,
-		Seed:        1,
-		RemoveAfter: 2,
-		Cache:       CacheConfig{Shards: 4, ShardCapacity: 64},
-	})
-	fl.Add(ProtoDoT, "dot0", recursor, frontendAddr(0))
-	fl.Add(ProtoDoQ, "doq1", recursor, frontendAddr(1))
-	client := fl.Client
-
-	// Prime both members' connection state (round-robin rotates the
-	// primary, and distinct names dodge the shared cache).
-	for i := 0; i < 2; i++ {
-		if _, err := client.Query(fmt.Sprintf("prime%d.test", i), dnswire.TypeA, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	client.mu.Lock()
-	conns, sessions, tickets := len(client.dotConns), len(client.doqSessions), len(client.doqTickets)
-	client.mu.Unlock()
-	if conns != 1 || sessions != 1 || tickets != 1 {
-		t.Fatalf("priming cached %d DoT conns, %d DoQ sessions, %d tickets; want 1/1/1",
-			conns, sessions, tickets)
-	}
-
-	// Kill both addresses. Benched members stay in the candidate list,
-	// so each failed exchange re-tries them: two rounds cross
-	// RemoveAfter=2 and both members are removed for good.
-	net.SetAddrDown(frontendAddr(0).Addr(), true)
-	net.SetAddrDown(frontendAddr(1).Addr(), true)
-	for i := 0; i < 2; i++ {
-		if _, err := client.Query(fmt.Sprintf("down%d.test", i), dnswire.TypeA, false); err == nil {
-			t.Fatal("query succeeded with the whole fleet down")
-		}
-	}
-	if got := fl.Pool.Len(); got != 0 {
-		t.Errorf("pool still holds %d members after permanent failure, want 0", got)
-	}
-	client.mu.Lock()
-	conns, sessions, tickets = len(client.dotConns), len(client.doqSessions), len(client.doqTickets)
-	client.mu.Unlock()
-	if conns != 0 || sessions != 0 || tickets != 0 {
-		t.Errorf("removed members left %d DoT conns, %d DoQ sessions, %d tickets cached; want 0/0/0",
-			conns, sessions, tickets)
-	}
 }
 
 // TestRTTQuantile pins the pool's quantile estimator: no estimate below

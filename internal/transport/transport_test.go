@@ -686,10 +686,10 @@ func TestNegativeCacheHonoursSOAMinimum(t *testing.T) {
 }
 
 // TestNegativeTTLCappedByMaxNegativeTTL: an absurd SOA minimum cannot pin
-// a negative answer beyond MaxNegativeTTL (RFC 2308 §5).
+// a negative answer beyond DefaultMaxNegativeTTL (RFC 2308 §5).
 func TestNegativeTTLCappedByMaxNegativeTTL(t *testing.T) {
-	const cap = 2 * time.Minute
-	client, _, recursor, clock := newStaleFleet(t, CacheConfig{MaxNegativeTTL: cap}, 0, ProtoDoH)
+	const cap = DefaultMaxNegativeTTL
+	client, _, recursor, clock := newStaleFleet(t, CacheConfig{}, 0, ProtoDoH)
 	recursor.negative = true
 	recursor.soaTTL, recursor.soaMinimum = 604800, 604800 // a week
 

@@ -8,10 +8,10 @@
 // function of engine seed and client ID), the due time of its one
 // pending arrival, its calendar link, and a protocol preference dealt by
 // transport.Mix.Assign (the dnscrypt-proxy-style per-stub preference) —
-// plus a direct-mapped stub cache of StubSlots (rank, expiry) pairs in
-// two flat arrays, 12 bytes a slot. BenchmarkEngine measures what New
-// allocates: 73 bytes per client at the default four slots, the
-// calendar's ring included. Query domains are drawn from a Zipf(s)
+// plus a direct-mapped stub cache of four (rank, expiry) pairs
+// (stubSlots) in two flat arrays, 12 bytes a slot. BenchmarkEngine measures
+// what New allocates: 73 bytes per client, the calendar's ring included.
+// Every client queries HTTPS, the paper's record of interest. Query domains are drawn from a Zipf(s)
 // popularity law over the ranked domain list via a Walker alias table —
 // O(1) per draw. Arrivals follow either a closed loop (exponential
 // think time after each answer) or an open loop (per-client Poisson

@@ -85,12 +85,13 @@ type Config struct {
 	// popular — a Tranco list slice in campaign use).
 	Domains []string
 	// ZipfS is the popularity exponent; 0 selects 1.0, the classic
-	// DNS-trace value.
+	// DNS-trace value. Negative is rejected.
 	ZipfS float64
 	// OpenRate is the open-loop per-client mean arrival rate in
-	// queries/second; 0 selects 0.1.
+	// queries/second; 0 selects 0.1. Negative is rejected.
 	OpenRate float64
-	// Think is the closed-loop mean think time; 0 selects 10s.
+	// Think is the closed-loop mean think time; 0 selects 10s. Negative
+	// is rejected.
 	Think time.Duration
 	// Duration bounds the simulated horizon. Zero is allowed only with
 	// MaxQueries set.
@@ -102,11 +103,9 @@ type Config struct {
 	// configured value rather than the answer's TTL: answer TTLs depend
 	// on fleet-cache aging, whose LRU residency is schedule-dependent
 	// under concurrent scanner stages, and the engine's event stream
-	// must stay a pure function of (seed, clock, config). 0 selects 60s.
+	// must stay a pure function of (seed, clock, config). 0 selects 60s;
+	// negative is rejected.
 	StubTTL time.Duration
-	// StubSlots is the per-client direct-mapped stub-cache size; 0
-	// selects 4.
-	StubSlots int
 	// Mix deals per-client protocol preferences across the population
 	// (the dnscrypt-proxy-style per-stub preference). The zero Mix
 	// leaves every client protocol-agnostic.
@@ -115,11 +114,9 @@ type Config struct {
 	Diurnal Diurnal
 	Crowds  []FlashCrowd
 	// Interval enables per-interval telemetry sampling (qps, stub
-	// hit-rate, stale-serve) on the virtual clock; 0 disables.
+	// hit-rate, stale-serve) on the virtual clock; 0 disables, negative
+	// is rejected.
 	Interval time.Duration
-	// QType is the query type clients issue; 0 selects TypeHTTPS, the
-	// paper's record of interest.
-	QType dnswire.Type
 	// Recorder, when non-nil, receives flight-recorder markers for
 	// scheduled load anomalies: workload.crowd.start / workload.crowd.end
 	// at each flash crowd's boundaries. The markers are emitted from the
@@ -142,14 +139,11 @@ func (cfg Config) withDefaults() Config {
 	if cfg.StubTTL == 0 {
 		cfg.StubTTL = 60 * time.Second
 	}
-	if cfg.StubSlots == 0 {
-		cfg.StubSlots = 4
-	}
-	if cfg.QType == 0 {
-		cfg.QType = dnswire.TypeHTTPS
-	}
 	return cfg
 }
+
+// stubSlots is each client's direct-mapped stub-cache size.
+const stubSlots = 4
 
 // Exchanger is the serving-layer hook the engine drives — satisfied by
 // *transport.Client and by any test double.
@@ -214,7 +208,7 @@ type Engine struct {
 	mean  float64  // mean gap between one client's arrivals, seconds
 
 	// Per-client direct-mapped stub caches in two flat arrays
-	// (client*StubSlots + rank%StubSlots): the domain rank cached in the
+	// (client*stubSlots + rank%stubSlots): the domain rank cached in the
 	// slot and its expiry in unix nanoseconds.
 	cacheDom []uint32
 	cacheExp []int64
@@ -267,6 +261,15 @@ func New(cfg Config, clock *simnet.Clock, target Exchanger) (*Engine, error) {
 	if cfg.Duration <= 0 && cfg.MaxQueries <= 0 {
 		return nil, fmt.Errorf("workload: need Duration or MaxQueries")
 	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"ZipfS", cfg.ZipfS}, {"OpenRate", cfg.OpenRate}, {"Think", float64(cfg.Think)},
+		{"StubTTL", float64(cfg.StubTTL)}, {"Interval", float64(cfg.Interval)}} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("workload: %s must not be negative", f.name)
+		}
+	}
 	if cfg.Diurnal.Amplitude < 0 || cfg.Diurnal.Amplitude > 0.95 {
 		return nil, fmt.Errorf("workload: Diurnal.Amplitude %v outside [0, 0.95]", cfg.Diurnal.Amplitude)
 	}
@@ -286,8 +289,8 @@ func New(cfg Config, clock *simnet.Clock, target Exchanger) (*Engine, error) {
 		zipf:     newZipfSampler(len(cfg.Domains), cfg.ZipfS),
 		names:    make([]string, len(cfg.Domains)),
 		mean:     mean,
-		cacheDom: make([]uint32, cfg.Clients*cfg.StubSlots),
-		cacheExp: make([]int64, cfg.Clients*cfg.StubSlots),
+		cacheDom: make([]uint32, cfg.Clients*stubSlots),
+		cacheExp: make([]int64, cfg.Clients*stubSlots),
 		cal:      newCalendar(cfg.Clients, mean*float64(time.Second)),
 		digest:   fnvOffset,
 	}
@@ -301,6 +304,9 @@ func New(cfg Config, clock *simnet.Clock, target Exchanger) (*Engine, error) {
 		e.crowdRank[i] = -1
 		if fc.Multiplier <= 0 {
 			return nil, fmt.Errorf("workload: crowd %d Multiplier must be positive", i)
+		}
+		if fc.At < 0 || fc.Duration < 0 {
+			return nil, fmt.Errorf("workload: crowd %d At %v and Duration %v must not be negative", i, fc.At, fc.Duration)
 		}
 		if fc.Fraction < 0 || fc.Fraction > 1 {
 			return nil, fmt.Errorf("workload: crowd %d Fraction %v outside [0, 1]", i, fc.Fraction)
@@ -331,7 +337,7 @@ func New(cfg Config, clock *simnet.Clock, target Exchanger) (*Engine, error) {
 		}
 	}
 	e.stale, _ = target.(staleCounter)
-	e.q = dnswire.NewQuery(0, e.names[0], cfg.QType, false)
+	e.q = dnswire.NewQuery(0, e.names[0], dnswire.TypeHTTPS, false)
 	e.bindMetrics()
 	return e, nil
 }
@@ -534,7 +540,7 @@ func (e *Engine) process(ev event) byte {
 		rank = e.zipf.draw(&c.rng)
 	}
 	e.queries.Add(1)
-	slot := int(ev.client)*e.cfg.StubSlots + int(rank)%e.cfg.StubSlots
+	slot := int(ev.client)*stubSlots + int(rank)%stubSlots
 	if e.cacheDom[slot] == rank && e.cacheExp[slot] >= ev.due {
 		e.stubHits.Add(1)
 		e.digestEvent(ev.client, ev.due, rank, outcomeStubHit)

@@ -378,7 +378,7 @@ func TestStubCacheServesRepeats(t *testing.T) {
 	eng, err := New(Config{
 		Clients: 100, Model: ModelOpen, Seed: 3,
 		Domains: testDomains(4), Duration: 5 * time.Minute,
-		OpenRate: 0.5, StubTTL: time.Hour, StubSlots: 4,
+		OpenRate: 0.5, StubTTL: time.Hour,
 	}, testClock(), tgt)
 	if err != nil {
 		t.Fatal(err)
@@ -449,6 +449,17 @@ func TestConfigValidation(t *testing.T) {
 		{"no domains", func(c *Config) { c.Domains = nil }, &fakeTarget{}},
 		{"no horizon", func(c *Config) { c.Duration = 0; c.MaxQueries = 0 }, &fakeTarget{}},
 		{"amplitude", func(c *Config) { c.Diurnal.Amplitude = 0.99 }, &fakeTarget{}},
+		{"negative zipf exponent", func(c *Config) { c.ZipfS = -1 }, &fakeTarget{}},
+		{"negative open rate", func(c *Config) { c.Model, c.OpenRate = ModelOpen, -0.1 }, &fakeTarget{}},
+		{"negative think time", func(c *Config) { c.Think = -time.Second }, &fakeTarget{}},
+		{"negative stub TTL", func(c *Config) { c.StubTTL = -time.Second }, &fakeTarget{}},
+		{"negative interval", func(c *Config) { c.Interval = -time.Second }, &fakeTarget{}},
+		{"negative crowd start", func(c *Config) {
+			c.Crowds = []FlashCrowd{{Multiplier: 2, At: -time.Second, Duration: time.Second}}
+		}, &fakeTarget{}},
+		{"negative crowd duration", func(c *Config) {
+			c.Crowds = []FlashCrowd{{Multiplier: 2, Duration: -time.Second}}
+		}, &fakeTarget{}},
 		{"crowd multiplier", func(c *Config) {
 			c.Crowds = []FlashCrowd{{Multiplier: 0}}
 		}, &fakeTarget{}},

@@ -91,14 +91,17 @@ profile-serve:
 # hand-mangled messages. Ten seconds per target is a smoke test, not a
 # campaign: it proves the targets build, the corpus parses, and no
 # quick-to-find panic has crept into Unpack, the SvcParams decoder (dirty
-# reuse against a fresh decode), the DoH envelope decoder, RRSIG
-# verification (whose memoised and plain verdicts must agree), or the
-# DNSKEY side of it (DS construction, key tag, public-key decoding).
+# reuse against a fresh decode), the DoH envelope decoder, the cache's
+# TTL-slot walk (every slot a decoded record's TTL, dirty reuse against a
+# fresh walk), RRSIG verification (whose memoised and plain verdicts must
+# agree), or the DNSKEY side of it (DS construction, key tag, public-key
+# decoding).
 fuzz-smoke:
 	$(GO) test ./internal/dnswire -fuzz 'FuzzUnpack$$' -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnswire -fuzz FuzzUnpackInto -fuzztime 10s -run xxx
 	$(GO) test ./internal/svcb -fuzz FuzzUnpackParamsInto -fuzztime 10s -run xxx
 	$(GO) test ./internal/transport -fuzz FuzzDoHDecodeRequest -fuzztime 10s -run xxx
+	$(GO) test ./internal/transport -fuzz FuzzAppendTTLSlots -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnssec -fuzz FuzzVerifyRRSIG -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnssec -fuzz FuzzDNSKEYDS -fuzztime 10s -run xxx
 
@@ -110,8 +113,8 @@ trace-demo:
 	$(GO) run ./cmd/dohserve -size 800 -frontends 4 -proto mixed -strategy race -queries 600 -hot 200 -kill 0 -trace 5
 
 # Anomaly-capture demo: a CI-sized campaign with the anomaly tier on
-# (flight recorder, tail-sampled traces, per-day SLO verdicts), printing
-# the per-day capture table. The captures are identical for any
+# (client event counters, tail-sampled traces, per-day SLO verdicts),
+# printing the per-day capture table. The captures are identical for any
 # -dayworkers value — the determinism contract the tier is built on.
 slo-demo:
 	$(GO) run ./cmd/reproduce -size 2000 -exp slo -q

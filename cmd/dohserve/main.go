@@ -217,7 +217,7 @@ func main() {
 			fmt.Println("tracing: forcing -workers 1 so the head-sampled ring is deterministic")
 			*workers = 1
 		}
-		tcfg := obs.TraceConfig{SampleEvery: obs.DefaultSampleEvery}
+		var tcfg obs.TraceConfig
 		if *traceN > 0 {
 			tcfg.SampleEvery = 1
 			tcfg.Capacity = max(obs.DefaultTraceCapacity, 4**traceN)
@@ -227,9 +227,8 @@ func main() {
 		}
 		client.Tracer = obs.NewTracer(world.Clock, tcfg)
 	}
-	// The drill fleet carries a flight recorder. Live tooling reads the
-	// raw event window — volatile kinds included — unlike campaign
-	// captures, which stick to the stable multiset.
+	// The drill fleet carries a flight recorder; the chaos summary reads
+	// its raw event window.
 	recorder := obs.NewRecorder(world.Clock, 0)
 	camp.Fleet.Recorder = recorder
 	client.Recorder = recorder

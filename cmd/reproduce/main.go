@@ -35,11 +35,11 @@
 // for a seed and identical for any -dayworkers value.
 //
 // -exp slo turns on the campaign's anomaly tier on every per-day fleet
-// replica — a flight recorder, a tracer whose tail ring keeps anomalous
-// exchanges from their outcomes (no extra tracing), and the
-// obs.DefaultSLO objectives, all at their obs defaults — and renders the
-// per-day anomaly-capture table: the stable SLO verdict plus the day's
-// flight-recorder evidence. The hourly ECH scans store no captures and
+// replica — a tracer whose tail ring keeps anomalous exchanges from their
+// outcomes (no extra tracing) and the obs.DefaultSLO objectives, both at
+// their obs defaults — and renders the per-day anomaly-capture table: the
+// stable SLO verdict plus the day's client error, negative and stale
+// counts. The hourly ECH scans store no captures and
 // carry no tier. Like timeline it needs a fleet and auto-enables 4
 // frontends when selected explicitly; the captures are identical for any
 // -dayworkers value.

@@ -9,9 +9,9 @@ import (
 // AnomalyReport renders the campaign's per-day anomaly captures as a
 // table: the stable SLO verdict (winner-side exchange counts,
 // availability, stale ratio, objectives violated) plus a digest of the
-// flight-recorder evidence — total stable events, the day's most
-// frequent event group, and how many distinct tail-trace projections
-// were stored. An empty table means the campaign ran without
+// event evidence — total client error, negative and stale events, the
+// day's most frequent of them, and how many distinct tail-trace
+// projections were stored. An empty table means the campaign ran without
 // CampaignConfig.AnomalyCapture (or no day tripped the trigger).
 func AnomalyReport(store *dataset.Store) *Table {
 	t := &Table{

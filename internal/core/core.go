@@ -42,7 +42,6 @@ import (
 	"repro/internal/scanner"
 	"repro/internal/simnet"
 	"repro/internal/transport"
-	"repro/internal/workload"
 )
 
 // CampaignConfig controls a measurement campaign.
@@ -114,26 +113,15 @@ type CampaignConfig struct {
 	// failure, serving stale without re-trying it for the window; zero
 	// disables benching.
 	DoHFailureCooldown time.Duration
-	// Workload, when non-nil, runs the simulated-client workload engine
-	// against each scan day's fleet after the day's measurement stages:
-	// Workload.Clients stubs draw Zipf-popular domains from that day's
-	// Tranco list (unless Workload.Domains overrides it) and resolve
-	// through the day's fleet replica on the day clock. The engine is a
-	// pure function of (seed, clock, config), so workload-enabled
-	// pipelined campaigns stay byte-identical at any DayWorkers count.
-	// Requires DoHFrontends > 0. Per day, a dataset.WorkloadSnapshot and
-	// a "workload" telemetry series are committed alongside the scan
-	// data.
-	Workload *workload.Config
 	// AnomalyCapture enables the campaign's anomaly tier on the daily
-	// pipeline: each per-day fleet replica carries a flight recorder
-	// (obs.Recorder) and a tail-sampling tracer, and every scan day whose
-	// anomaly trigger holds — any stable event fired, or an objective of
-	// obs.DefaultSLO was violated — commits a dataset.AnomalyCapture
-	// bundle: the stable SLO verdict, the recorder's exact stable event
-	// counts, and the tail ring's stable trace projections. Captures are
-	// built exclusively from schedule-independent inputs, so pipelined
-	// campaigns stay byte-identical with the tier on. Requires
+	// pipeline: each per-day fleet replica carries a tail-sampling tracer,
+	// and every scan day whose anomaly trigger holds — a client error,
+	// negative or stale answer, a tail-retained stable anomaly, or a
+	// violated obs.DefaultSLO objective — commits a dataset.AnomalyCapture
+	// bundle: the stable SLO verdict, the client's error, negative and
+	// stale counters, and the tail ring's stable trace projections.
+	// Captures are built exclusively from schedule-independent inputs, so
+	// pipelined campaigns stay byte-identical with the tier on. Requires
 	// DoHFrontends > 0. Hourly-ECH scans store no captures, so their
 	// per-hour replicas carry no tier.
 	AnomalyCapture bool
@@ -193,9 +181,6 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 	}
 	if cfg.StepDays < 0 {
 		return nil, fmt.Errorf("core: StepDays %d must not be negative", cfg.StepDays)
-	}
-	if cfg.Workload != nil && cfg.DoHFrontends <= 0 {
-		return nil, fmt.Errorf("core: Workload requires DoHFrontends > 0 (the population needs a fleet to resolve through)")
 	}
 	if cfg.AnomalyCapture && cfg.DoHFrontends <= 0 {
 		return nil, fmt.Errorf("core: AnomalyCapture requires DoHFrontends > 0 (the tier records the fleet's exchanges)")
@@ -281,9 +266,6 @@ var connectivityProbeStart = time.Date(2024, 1, 24, 0, 0, 0, 0, time.UTC)
 type scanContext struct {
 	scanner *scanner.Scanner
 	prober  scanner.Prober
-	// clock is the context's virtual clock — the clock the workload
-	// engine advances.
-	clock *simnet.Clock
 	// fleet is the context's serving-layer replica (nil for a direct
 	// campaign). Its counters start at zero, so what they read at the end
 	// of the unit is the unit's own traffic.
@@ -315,10 +297,10 @@ func (p dayProber) ProbeTLS(apex string, addr netip.Addr) error {
 // assignment) at the same frontend addresses. seed differentiates the
 // replica's pool/routing randomness per context. A day context
 // additionally carries what only the daily pipeline reads back: the
-// telemetry sampler and, with Cfg.AnomalyCapture, the anomaly tier (tail
-// tracer + flight recorder) its capture bundle is built from. Hour
-// contexts keep the registry counters RunHourlyECH snapshots and nothing
-// else.
+// telemetry sampler and, with Cfg.AnomalyCapture, the tail tracer whose
+// ring its capture bundle projects (the bundle's counts come from the
+// replica's registry). Hour contexts keep the registry counters
+// RunHourlyECH snapshots and nothing else.
 //
 // Replica clients keep the synthetic latency for pool routing but do NOT
 // charge it to the context's clock: concurrent scan workers would
@@ -334,19 +316,14 @@ func (c *Campaign) newScanContext(at time.Time, seed int64, day bool) *scanConte
 	net.OverrideDNS(c.World.GoogleAddr, g)
 	net.OverrideDNS(c.World.CFResolverAddr, cf)
 
-	dc := &scanContext{prober: dayProber{w: c.World, clock: clock}, clock: clock}
+	dc := &scanContext{prober: dayProber{w: c.World, clock: clock}}
 	var t scanner.Transport
 	if c.Fleet != nil {
-		// The anomaly tier rides each day replica: the tracer keeps
-		// default-rate head sampling (the baseline ring is in-memory only —
-		// nothing schedule-dependent is stored from it) and adds the
-		// flagged-anomaly tail ring; the recorder collects typed events the
-		// capture bundle counts.
+		// The anomaly tier rides each day replica as a tail-only tracer:
+		// no head ring, just the flagged-anomaly ring the capture projects.
 		var tracer *obs.Tracer
-		var recorder *obs.Recorder
 		if day && c.Cfg.AnomalyCapture {
 			tracer = obs.NewTracer(clock, obs.TraceConfig{Tail: &obs.TailConfig{}})
-			recorder = obs.NewRecorder(clock, 0)
 		}
 		fl := transport.NewFleet(net, clock, transport.FleetConfig{
 			Balance: c.Cfg.DoHBalance, Seed: seed,
@@ -356,7 +333,6 @@ func (c *Campaign) newScanContext(at time.Time, seed int64, day bool) *scanConte
 			Latency:         transport.SyntheticLatency(dohLatencyBase, dohLatencySpread),
 			Override:        true,
 			Tracer:          tracer,
-			Recorder:        recorder,
 		})
 		protos := c.Cfg.TransportMix.Assign(len(c.Fleet.Addrs))
 		for i, ap := range c.Fleet.Addrs {
@@ -415,17 +391,15 @@ func (c *Campaign) servingSnapshot(dc *scanContext, day time.Time) *dataset.Serv
 // dayResult is one day's collected data, buffered until its in-order
 // commit.
 type dayResult struct {
-	day            time.Time
-	list           []string
-	apexSnap       *dataset.Snapshot
-	wwwSnap        *dataset.Snapshot
-	nsSnap         *dataset.NSSnapshot
-	serving        *dataset.ServingSnapshot
-	workload       *dataset.WorkloadSnapshot
-	workloadSeries *dataset.TelemetrySeries
-	telemetry      *dataset.TelemetrySeries
-	anomaly        *dataset.AnomalyCapture
-	probes         []dataset.ProbeResult
+	day       time.Time
+	list      []string
+	apexSnap  *dataset.Snapshot
+	wwwSnap   *dataset.Snapshot
+	nsSnap    *dataset.NSSnapshot
+	serving   *dataset.ServingSnapshot
+	telemetry *dataset.TelemetrySeries
+	anomaly   *dataset.AnomalyCapture
+	probes    []dataset.ProbeResult
 }
 
 // stableTailFlags are the winner-side trace flags a stored anomaly
@@ -465,25 +439,40 @@ func stableTailTraces(t *obs.Tracer) []dataset.AnomalyTrace {
 	return out
 }
 
+// captureEvents maps the client's winner-side counters to the event keys
+// a capture stores, in key order. Client.ExchangePreferring bumps each
+// counter once per exchange of that outcome.
+var captureEvents = []struct{ key, metric string }{
+	{"client.error", "client_errors_total"},
+	{"client.negative", "client_negative_answers_total"},
+	{"client.stale", "client_stale_answers_total"},
+}
+
 // anomalyCapture assembles the day's capture bundle when the anomaly
-// trigger holds: any stable flight-recorder event fired, or an SLO
-// objective was violated. The SLO verdict reads the replica's stable
-// snapshot — no latency histogram there, so the p99 objective goes
-// unevaluated (see obs.SLOStatsFrom) and Violations counts only the
-// availability and staleness objectives; event counts come from the
-// recorder's eviction-immune stable multiset.
+// trigger holds: a client error, negative or stale answer was counted, a
+// stable anomaly was tail-retained, or an SLO objective was violated.
+// Everything reads the replica's stable snapshot — no latency histogram
+// there, so the p99 objective goes unevaluated (see obs.SLOStatsFrom) and
+// Violations counts only the availability and staleness objectives; the
+// event counts are the client counters, zero counts omitted.
 func (c *Campaign) anomalyCapture(dc *scanContext, day time.Time) *dataset.AnomalyCapture {
-	if dc.fleet == nil || dc.fleet.Recorder == nil {
+	if !c.Cfg.AnomalyCapture || dc.fleet == nil {
 		return nil
 	}
-	stats := obs.SLOStatsFrom(dc.fleet.Metrics.StableSnapshot())
+	snap := dc.fleet.Metrics.StableSnapshot()
+	stats := obs.SLOStatsFrom(snap)
 	rep := obs.DefaultSLO().Eval(stats)
-	events := dc.fleet.Recorder.StableCounts()
+	var events []dataset.AnomalyEvent
+	for _, ce := range captureEvents {
+		if n := uint64(snap.Value(ce.metric)); n > 0 {
+			events = append(events, dataset.AnomalyEvent{Key: ce.key, Count: n})
+		}
+	}
 	traces := stableTailTraces(dc.fleet.Client.Tracer)
 	if rep.Violations == 0 && len(events) == 0 && len(traces) == 0 {
 		return nil
 	}
-	capt := &dataset.AnomalyCapture{
+	return &dataset.AnomalyCapture{
 		Date:         day,
 		Exchanges:    stats.Exchanges,
 		Errors:       stats.Errors,
@@ -492,19 +481,16 @@ func (c *Campaign) anomalyCapture(dc *scanContext, day time.Time) *dataset.Anoma
 		Availability: rep.Availability,
 		StaleRatio:   rep.StaleRatio,
 		Violations:   rep.Violations,
+		Events:       events,
 		Traces:       traces,
 	}
-	for _, ec := range events {
-		capt.Events = append(capt.Events, dataset.AnomalyEvent{Key: ec.Key(), Count: ec.Count})
-	}
-	return capt
 }
 
 // runDay performs one day's full scan sequence inside the given context.
 // With telemetry enabled, a stable-metrics sample is forced at each stage
 // boundary — per-day clocks are frozen, so interval ticks could never
 // fire; stage boundaries are the natural deterministic sample points.
-func (c *Campaign) runDay(dc *scanContext, day time.Time) (*dayResult, error) {
+func (c *Campaign) runDay(dc *scanContext, day time.Time) *dayResult {
 	list := c.World.Tranco.ListFor(day)
 	res := &dayResult{day: day, list: list}
 	res.apexSnap = dc.scanner.ScanList(day, "apex", list)
@@ -520,61 +506,9 @@ func (c *Campaign) runDay(dc *scanContext, day time.Time) (*dayResult, error) {
 		dc.sampler.Force("probes")
 	}
 	res.serving = c.servingSnapshot(dc, day)
-	if c.Cfg.Workload != nil && dc.fleet != nil {
-		var err error
-		if res.workload, res.workloadSeries, err = c.runWorkload(dc, day, list); err != nil {
-			return nil, fmt.Errorf("core: scan day %s: %w", day.Format("2006-01-02"), err)
-		}
-		dc.sampler.Force("workload")
-	}
 	res.telemetry = telemetrySeries("daily", day, c.Cfg.TelemetryInterval, dc.sampler.Points())
-	// The capture comes last so it sees the workload stage's events too.
 	res.anomaly = c.anomalyCapture(dc, day)
-	return res, nil
-}
-
-// runWorkload drives the configured simulated-client population against
-// the day's fleet on the day context's clock. It runs after the scan
-// stages (and after the day's serving snapshot is taken, so scan-drill
-// serving numbers stay comparable across campaigns with and without a
-// workload): advancing a day replica's frozen clock is safe once no
-// more scans will read it, and the engine advances it deterministically
-// — the same Set sequence every run — so byte-identity across worker
-// counts is preserved. The engine seed folds the campaign seed with the
-// day, like the per-day fleet seeds, so each day's population draws a
-// fresh deterministic stream.
-func (c *Campaign) runWorkload(dc *scanContext, day time.Time, list []string) (*dataset.WorkloadSnapshot, *dataset.TelemetrySeries, error) {
-	wcfg := *c.Cfg.Workload
-	if len(wcfg.Domains) == 0 {
-		wcfg.Domains = list
-	}
-	// Crowd markers land in the day's flight recorder (nil when the
-	// anomaly tier is off — the engine's emission is nil-safe).
-	wcfg.Recorder = dc.fleet.Recorder
-	if wcfg.Seed == 0 {
-		wcfg.Seed = c.Cfg.Seed ^ day.Unix() ^ 0x776f726b6c6f6164 // "workload"
-	}
-	if wcfg.Interval == 0 {
-		wcfg.Interval = c.Cfg.TelemetryInterval
-	}
-	eng, err := workload.New(wcfg, dc.clock, dc.fleet.Client)
-	if err != nil {
-		return nil, nil, fmt.Errorf("workload config: %w", err)
-	}
-	sum := eng.Run()
-	snap := &dataset.WorkloadSnapshot{
-		Date:           day,
-		Clients:        sum.Clients,
-		Model:          sum.Model.String(),
-		Queries:        sum.Queries,
-		StubHits:       sum.StubHits,
-		FleetExchanges: sum.FleetExchanges,
-		StaleServed:    sum.StaleServed,
-		Errors:         sum.Errors,
-		VirtualSec:     int64(sum.Virtual / time.Second),
-		Digest:         fmt.Sprintf("%016x", sum.Digest),
-	}
-	return snap, telemetrySeries("workload", day, wcfg.Interval, eng.Points()), nil
+	return res
 }
 
 // telemetrySeries flattens sampler points into the dataset's series form;
@@ -615,12 +549,6 @@ func (c *Campaign) commitDay(res *dayResult) {
 	if res.serving != nil {
 		c.Store.AddServing(res.serving)
 	}
-	if res.workload != nil {
-		c.Store.AddWorkload(res.workload)
-	}
-	if res.workloadSeries != nil {
-		c.Store.AddTelemetry(res.workloadSeries)
-	}
 	if res.telemetry != nil {
 		c.Store.AddTelemetry(res.telemetry)
 	}
@@ -640,10 +568,8 @@ func (c *Campaign) commitDay(res *dayResult) {
 // RunDaily executes the daily scan schedule over the campaign window.
 // Days are scanned by a bounded pool of Cfg.DayWorkers workers, each day in
 // its own scan context; snapshots commit to the Store in day order, so the
-// collected dataset is identical for any worker count. A day that fails
-// (a workload config the engine rejects) ends the campaign: the first
-// failing day in day order is returned, and neither it nor any later day
-// commits.
+// collected dataset is identical for any worker count. No stage fails, so
+// the error is always nil.
 func (c *Campaign) RunDaily() error {
 	var days []time.Time
 	for day := c.Cfg.Start; !day.After(c.Cfg.End); day = day.AddDate(0, 0, c.Cfg.StepDays) {
@@ -652,27 +578,9 @@ func (c *Campaign) RunDaily() error {
 	if len(days) == 0 {
 		return nil
 	}
-	type dayOutcome struct {
-		res *dayResult
-		err error
-	}
-	var failed error
 	runOrdered(len(days), c.Cfg.DayWorkers,
-		func(i int) dayOutcome {
-			res, err := c.runDay(c.newDayContext(days[i]), days[i])
-			return dayOutcome{res, err}
-		},
-		func(_ int, o dayOutcome) {
-			if failed == nil {
-				failed = o.err
-			}
-			if failed == nil {
-				c.commitDay(o.res)
-			}
-		})
-	if failed != nil {
-		return failed
-	}
+		func(i int) *dayResult { return c.runDay(c.newDayContext(days[i]), days[i]) },
+		func(_ int, res *dayResult) { c.commitDay(res) })
 	// Leave the world clock where the serial walk used to: at the final
 	// scan day, so follow-on one-shot experiments see the same time.
 	c.World.Clock.Set(days[len(days)-1].Add(12 * time.Hour))
@@ -694,11 +602,11 @@ func (c *Campaign) RunDaily() error {
 // (obs.MergeSnapshots) into one hourly-ech series, mirroring the
 // cumulative counters the old shared-fleet sampler reported within a day.
 func (c *Campaign) RunHourlyECH(start time.Time, days int) {
-	echDomains := c.discoverECHDomains(start)
 	hours := days * 24
 	if hours <= 0 {
 		return
 	}
+	echDomains := c.discoverECHDomains(start)
 	collectTelemetry := c.Fleet != nil && c.Cfg.TelemetryInterval > 0
 	type hourResult struct {
 		echObs []dataset.ECHObservation

@@ -2,14 +2,15 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/dnswire"
 	"repro/internal/obs"
 	"repro/internal/transport"
-	"repro/internal/workload"
 )
 
 func augCampaign(t *testing.T) *Campaign {
@@ -50,7 +51,6 @@ func TestNewCampaignRejectsFleetFeaturesWithoutFleet(t *testing.T) {
 		name string
 		cfg  CampaignConfig
 	}{
-		{"Workload", CampaignConfig{Workload: &workload.Config{Clients: 10}}},
 		{"AnomalyCapture", CampaignConfig{AnomalyCapture: true}},
 	} {
 		tc.cfg.Size, tc.cfg.Seed = 200, 1
@@ -174,9 +174,7 @@ func TestCampaignThroughDoHFleet(t *testing.T) {
 	// Cache counters are schedule-dependent and never stored, so look
 	// inside a day context built the way RunDaily builds them.
 	dc := fleet.newDayContext(day)
-	if _, err := fleet.runDay(dc, day); err != nil {
-		t.Fatal(err)
-	}
+	fleet.runDay(dc, day)
 	if dc.fleet.Cache.Stats().Hits == 0 {
 		t.Error("shared cache absorbed nothing (www scan re-queries apex NS/SOA)")
 	}
@@ -642,90 +640,13 @@ func TestPartitionByDayBoundaries(t *testing.T) {
 	}
 }
 
-// TestWorkloadPipelinedMatchesSerial extends the pipelining equivalence
-// to the workload engine: a campaign that drives a simulated stub
-// population through each day's fleet must produce byte-identical
-// stores — workload snapshots, digests, and telemetry series included —
-// for any day-worker count. The engine runs single-goroutine inside
-// each day's frozen-clock replica, so its (seed, clock, config) purity
-// carries straight through the day pipeline.
-func TestWorkloadPipelinedMatchesSerial(t *testing.T) {
-	cfg := CampaignConfig{
-		Size: 500, Seed: 29,
-		Start:             time.Date(2024, 1, 25, 0, 0, 0, 0, time.UTC),
-		End:               time.Date(2024, 2, 1, 0, 0, 0, 0, time.UTC),
-		StepDays:          7,
-		DoHFrontends:      4,
-		TransportMix:      transport.Mix{DoH: 2, DoT: 1, DoQ: 1},
-		TransportStrategy: transport.StrategyRace,
-		TelemetryInterval: time.Hour,
-		Workload: &workload.Config{
-			Clients: 3_000, Model: workload.ModelOpen,
-			OpenRate: 0.01, Duration: time.Hour,
-			StubTTL: 30 * time.Second,
-			Mix:     transport.Mix{DoH: 2, DoT: 1, DoQ: 1},
-			Crowds: []workload.FlashCrowd{{
-				At: 30 * time.Minute, Duration: 10 * time.Minute, Multiplier: 8,
-			}},
-		},
-	}
-	run := func(workers int) *Campaign {
-		c, err := NewCampaign(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Cfg.DayWorkers = workers
-		if err := c.RunDaily(); err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	serial := run(1)
-	pipelined := run(8)
-
-	days := serial.Store.WorkloadDays()
-	if len(days) != 2 {
-		t.Fatalf("workload snapshots for %d days, want 2", len(days))
-	}
-	for _, day := range days {
-		snap, ok := serial.Store.WorkloadFor(day)
-		if !ok {
-			t.Fatalf("no workload snapshot for %s", day.Format("2006-01-02"))
-		}
-		if snap.Queries == 0 || snap.Digest == "" {
-			t.Fatalf("%s: degenerate workload snapshot: %+v", day.Format("2006-01-02"), snap)
-		}
-		if snap.Clients != 3_000 {
-			t.Fatalf("%s: snapshot records %d clients, want 3000", day.Format("2006-01-02"), snap.Clients)
-		}
-		series, ok := serial.Store.TelemetryFor("workload", day)
-		if !ok {
-			t.Fatalf("no workload telemetry series for %s", day.Format("2006-01-02"))
-		}
-		if len(series.Points) == 0 {
-			t.Fatalf("%s: empty workload telemetry series", day.Format("2006-01-02"))
-		}
-	}
-	// Per-day seeds differ, so per-day event streams must too.
-	if a, b := mustWorkload(t, serial, days[0]), mustWorkload(t, serial, days[1]); a.Digest == b.Digest {
-		t.Fatalf("days %s and %s share workload digest %s", days[0].Format("01-02"), days[1].Format("01-02"), a.Digest)
-	}
-
-	a, b := storeJSON(t, serial), storeJSON(t, pipelined)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("workload-enabled pipelined store diverges from serial: %d vs %d bytes", len(a), len(b))
-	}
-}
-
 // TestPipelinedAnomalyCaptureMatchesSerial is the anomaly tier's
-// determinism proof: with the flight recorder, tail-sampled tracing, and
-// SLO evaluation all enabled on every per-day replica, a mixed racing
-// fleet driving both the scan stages and a flash-crowd workload must
-// still produce byte-identical stores — AnomalyCapture records included
-// — for any day-worker count. The captures are assembled exclusively
-// from schedule-independent inputs (eviction-immune stable event
-// counts, winner-side SLO stats, winner-side trace flags), which is
-// exactly what this test pins.
+// determinism proof: with tail-sampled tracing and SLO evaluation enabled
+// on every per-day replica, a mixed racing fleet must still produce
+// byte-identical stores — AnomalyCapture records included — for any
+// day-worker count. The captures are assembled exclusively from
+// schedule-independent inputs (winner-side client counters, SLO stats and
+// trace flags), which is exactly what this test pins.
 func TestPipelinedAnomalyCaptureMatchesSerial(t *testing.T) {
 	cfg := CampaignConfig{
 		Size: 500, Seed: 29,
@@ -737,15 +658,6 @@ func TestPipelinedAnomalyCaptureMatchesSerial(t *testing.T) {
 		TransportStrategy: transport.StrategyRace,
 		TelemetryInterval: time.Hour,
 		AnomalyCapture:    true,
-		Workload: &workload.Config{
-			Clients: 2_000, Model: workload.ModelOpen,
-			OpenRate: 0.01, Duration: time.Hour,
-			StubTTL: 30 * time.Second,
-			Mix:     transport.Mix{DoH: 2, DoT: 1, DoQ: 1},
-			Crowds: []workload.FlashCrowd{{
-				At: 20 * time.Minute, Duration: 10 * time.Minute, Multiplier: 8,
-			}},
-		},
 	}
 	run := func(workers int) *Campaign {
 		c, err := NewCampaign(cfg)
@@ -761,8 +673,8 @@ func TestPipelinedAnomalyCaptureMatchesSerial(t *testing.T) {
 	serial := run(1)
 	pipelined := run(8)
 
-	// Every scan day triggers a capture: negative answers and crowd
-	// markers are stable events, and both fire in this configuration.
+	// Every scan day triggers a capture: negative answers are stable
+	// events, and they fire in this configuration.
 	days := serial.Store.Days("apex")
 	if got := serial.Store.AnomalyDays(); len(got) != len(days) {
 		t.Fatalf("anomaly captures for %d days, want %d", len(got), len(days))
@@ -793,18 +705,6 @@ func TestPipelinedAnomalyCaptureMatchesSerial(t *testing.T) {
 	if keys["client.negative"] == 0 {
 		t.Fatalf("capture misses the negative-answer events: %v", keys)
 	}
-	var crowdStart, crowdEnd bool
-	for k := range keys {
-		if strings.HasPrefix(k, "workload.crowd.start") {
-			crowdStart = true
-		}
-		if strings.HasPrefix(k, "workload.crowd.end") {
-			crowdEnd = true
-		}
-	}
-	if !crowdStart || !crowdEnd {
-		t.Fatalf("capture misses the flash-crowd markers: %v", keys)
-	}
 	for k := range keys {
 		if strings.HasPrefix(k, "strategy.") || strings.HasPrefix(k, "pool.") || strings.HasPrefix(k, "frontend.") {
 			t.Fatalf("volatile event kind %q leaked into the capture", k)
@@ -818,10 +718,11 @@ func TestPipelinedAnomalyCaptureMatchesSerial(t *testing.T) {
 }
 
 // TestAnomalyTierRidesDayContextsOnly pins where the tier is wired: a
-// day context's replica carries the tail tracer and the flight recorder
-// its capture bundle reads, and an hour context's carries neither —
-// RunHourlyECH snapshots registry counters and stores no captures — even
-// with AnomalyCapture on. Without the flag no context carries the tier.
+// day context's replica carries the tail-only tracer its capture bundle
+// projects, and an hour context's carries none — RunHourlyECH snapshots
+// registry counters and stores no captures — even with AnomalyCapture on.
+// Without the flag no context carries the tier, and no context ever
+// carries a flight recorder: captures count from the registry.
 func TestAnomalyTierRidesDayContextsOnly(t *testing.T) {
 	at := time.Date(2023, 7, 21, 0, 0, 0, 0, time.UTC)
 	for _, capture := range []bool{true, false} {
@@ -833,11 +734,14 @@ func TestAnomalyTierRidesDayContextsOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 		day, hour := c.newDayContext(at), c.newHourContext(at)
-		if got := day.fleet.Recorder != nil; got != capture {
-			t.Errorf("AnomalyCapture=%v: day context has a recorder = %v", capture, got)
+		if day.fleet.Recorder != nil || day.fleet.Client.Recorder != nil {
+			t.Errorf("AnomalyCapture=%v: day context carries a flight recorder", capture)
 		}
 		if got := day.fleet.Client.Tracer.TailEnabled(); got != capture {
 			t.Errorf("AnomalyCapture=%v: day context has a tail tracer = %v", capture, got)
+		}
+		if tr := day.fleet.Client.Tracer.Start("probe.test."); tr != nil {
+			t.Errorf("AnomalyCapture=%v: day context head-samples exchanges", capture)
 		}
 		if hour.fleet.Recorder != nil || hour.fleet.Client.Recorder != nil || hour.fleet.Client.Tracer != nil {
 			t.Errorf("AnomalyCapture=%v: hour context carries the anomaly tier", capture)
@@ -849,80 +753,99 @@ func TestAnomalyTierRidesDayContextsOnly(t *testing.T) {
 	}
 }
 
-func mustWorkload(t *testing.T, c *Campaign, day time.Time) *dataset.WorkloadSnapshot {
-	t.Helper()
-	snap, ok := c.Store.WorkloadFor(day)
-	if !ok {
-		t.Fatalf("no workload snapshot for %s", day.Format("2006-01-02"))
+// TestRunHourlyECHWithoutHoursScansNothing: a run of no hours issues no
+// query and leaves the world clock where it was — the ECH discovery scan
+// runs only when there is an hour to scan.
+func TestRunHourlyECHWithoutHoursScansNothing(t *testing.T) {
+	c, err := NewCampaign(CampaignConfig{Size: 300, Seed: 5, DoHFrontends: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return snap
+	queries, now := c.World.Net.QueryCount(), c.World.Clock.Now()
+	for _, days := range []int{0, -1} {
+		c.RunHourlyECH(time.Date(2023, 7, 21, 0, 0, 0, 0, time.UTC), days)
+	}
+	if got := c.World.Net.QueryCount(); got != queries {
+		t.Errorf("RunHourlyECH with no hours issued %d queries", got-queries)
+	}
+	if got := c.World.Clock.Now(); !got.Equal(now) {
+		t.Errorf("RunHourlyECH with no hours moved the world clock from %v to %v", now, got)
+	}
+	if ech := c.Store.ECHObservations(); len(ech) != 0 {
+		t.Errorf("RunHourlyECH with no hours stored %d observations", len(ech))
+	}
 }
 
-// failAfterFirstDay is a Progress sink that corrupts the campaign's
-// workload config once the first day has committed, so a serial campaign
-// fails on its second day.
-type failAfterFirstDay struct{ c *Campaign }
+// deadRecursor is a frontend handler whose recursor is down: every query
+// is a hard failure.
+type deadRecursor struct{}
 
-func (f failAfterFirstDay) Write(p []byte) (int, error) {
-	f.c.Cfg.Workload.Diurnal.Amplitude = 2
-	return len(p), nil
-}
+func (deadRecursor) HandleDNS(*dnswire.Message) *dnswire.Message { return nil }
 
-// TestRunDailyReturnsWorkloadConfigError pins the error path that used
-// to be a panic: a workload config the engine rejects surfaces from
-// RunDaily as an error naming the first failing day, and neither that
-// day nor any later one commits — at any worker count.
-func TestRunDailyReturnsWorkloadConfigError(t *testing.T) {
-	cfg := CampaignConfig{
-		Size: 200, Seed: 29,
-		Start:        time.Date(2024, 1, 25, 0, 0, 0, 0, time.UTC),
-		End:          time.Date(2024, 2, 8, 0, 0, 0, 0, time.UTC),
-		StepDays:     7,
-		DoHFrontends: 2,
-		Workload: &workload.Config{
-			Clients: 50, Model: workload.ModelOpen,
-			OpenRate: 0.01, Duration: time.Minute,
-		},
+// TestAnomalyCaptureCountsEveryClientEvent drives one day context's fleet
+// client through each event kind a capture stores — a negative answer, a
+// stale serve and a failed exchange — and pins the capture's Events to the
+// client's own counters, in key order.
+func TestAnomalyCaptureCountsEveryClientEvent(t *testing.T) {
+	day := time.Date(2023, 9, 6, 0, 0, 0, 0, time.UTC)
+	c, err := NewCampaign(CampaignConfig{
+		Size: 300, Seed: 5, DoHFrontends: 2,
+		DoHStaleWindow: 7 * 24 * time.Hour, AnomalyCapture: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc := c.newDayContext(day)
+	client := dc.fleet.Client
+
+	// A negative answer: a name under no delegated TLD.
+	if _, err := client.Query("no-such-name.invalid", dnswire.TypeA, false); err != nil {
+		t.Fatal(err)
+	}
+	// A stale serve: cache a positive answer, step the day clock past its
+	// TTL and take every frontend's recursor down.
+	name := c.World.Tranco.ListFor(day)[0]
+	resp, err := client.Query(name, dnswire.TypeNS, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ttl uint32
+	for _, rr := range resp.Answer {
+		ttl = max(ttl, rr.TTL)
+	}
+	client.Recycle(resp)
+	if ttl == 0 {
+		t.Fatalf("%s NS: no answer to cache", name)
+	}
+	dc.prober.(dayProber).clock.Advance(time.Duration(ttl+1) * time.Second)
+	for _, fe := range dc.fleet.Frontends {
+		fe.Handler = deadRecursor{}
+	}
+	if _, err := client.Query(name, dnswire.TypeNS, false); err != nil {
+		t.Fatalf("stale serve: %v", err)
+	}
+	// A failed exchange: every frontend address unreachable.
+	for _, ap := range dc.fleet.Addrs {
+		c.World.Net.SetAddrDown(ap.Addr(), true)
+	}
+	if _, err := client.Query(name, dnswire.TypeA, false); err == nil {
+		t.Fatal("exchange with every frontend down succeeded")
 	}
 
-	t.Run("second-day-serial", func(t *testing.T) {
-		wl := *cfg.Workload
-		cfg := cfg
-		cfg.Workload = &wl
-		c, err := NewCampaign(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Cfg.Progress = failAfterFirstDay{c}
-		err = c.RunDaily()
-		if err == nil || !strings.Contains(err.Error(), "2024-02-01") || !strings.Contains(err.Error(), "Amplitude") {
-			t.Fatalf("RunDaily error = %v, want the second day's Diurnal.Amplitude rejection", err)
-		}
-		days := c.Store.Days("apex")
-		if len(days) != 1 || !days[0].Equal(cfg.Start) {
-			t.Fatalf("store holds days %v, want only %s", days, cfg.Start.Format("2006-01-02"))
-		}
-		if got := len(c.Store.WorkloadDays()); got != 1 {
-			t.Fatalf("store holds %d workload snapshots, want 1", got)
-		}
-	})
-
-	t.Run("first-day-pipelined", func(t *testing.T) {
-		wl := *cfg.Workload
-		wl.Diurnal.Amplitude = 2
-		cfg := cfg
-		cfg.Workload = &wl
-		cfg.DayWorkers = 3
-		c, err := NewCampaign(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = c.RunDaily()
-		if err == nil || !strings.Contains(err.Error(), "2024-01-25") {
-			t.Fatalf("RunDaily error = %v, want the first day's rejection", err)
-		}
-		if days := c.Store.Days("apex"); len(days) != 0 {
-			t.Fatalf("store holds days %v after a first-day failure, want none", days)
-		}
-	})
+	if client.Errors() == 0 || client.NegativeAnswers() == 0 || client.StaleAnswers() == 0 {
+		t.Fatalf("client counted errors=%d negative=%d stale=%d, want each non-zero",
+			client.Errors(), client.NegativeAnswers(), client.StaleAnswers())
+	}
+	capt := c.anomalyCapture(dc, day)
+	if capt == nil {
+		t.Fatal("no capture for a day with errors, negative and stale answers")
+	}
+	want := []dataset.AnomalyEvent{
+		{Key: "client.error", Count: client.Errors()},
+		{Key: "client.negative", Count: client.NegativeAnswers()},
+		{Key: "client.stale", Count: client.StaleAnswers()},
+	}
+	if !reflect.DeepEqual(capt.Events, want) {
+		t.Fatalf("capture events = %+v, want %+v", capt.Events, want)
+	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/transport"
-	"repro/internal/workload"
 )
 
 // The golden digests pin Store.WriteJSON bytes across commits: the
@@ -18,19 +17,18 @@ import (
 // edit one has changed what a campaign measures or how the store renders
 // it, and must say so.
 //
-// goldenDailyFleet and goldenWorkload were re-pinned once (from ef31d928…
-// and 5fec0a4f…) when zone keys became derived values: building the TLDs
-// and the root no longer draws from the world's population generator, so
-// assignSpecialPopulations deals a different hand to the same calibration.
+// goldenDailyFleet was re-pinned once (from ef31d928…) when zone keys
+// became derived values: building the TLDs and the root no longer draws
+// from the world's population generator, so assignSpecialPopulations
+// deals a different hand to the same calibration.
 // No key or signature byte is stored; goldenHourlyECH, whose campaign does
 // not look at those populations, did not move.
 const (
 	goldenDailyFleet = "078c3bfd205fd4f9d41aadffc4eac8cdf0e25673849c7780de101e694b8e2e2f"
 	goldenHourlyECH  = "ec93e90c5ab714932512e801a8f9e38abfebf0841946171a76a71b9b3bce8931"
-	goldenWorkload   = "724b6d05b7b310dd69695d9f77a2f0b5ec646c1988c1a44d61aa258692f5cd94"
 )
 
-// goldenFleet is the serving layer all three campaigns run through: the
+// goldenFleet is the serving layer both campaigns run through: the
 // mixed racing fleet the benchmark's fleet workloads use.
 func goldenFleet(cfg CampaignConfig) CampaignConfig {
 	cfg.DoHFrontends = 4
@@ -75,22 +73,6 @@ func TestGoldenStoreDigests(t *testing.T) {
 				c.RunHourlyECH(time.Date(2023, 7, 21, 0, 0, 0, 0, time.UTC), 1)
 				return nil
 			},
-		},
-		{
-			name: "daily-workload", want: goldenWorkload,
-			cfg: goldenFleet(CampaignConfig{
-				Size: 300, Seed: 37,
-				Start:    time.Date(2024, 1, 25, 0, 0, 0, 0, time.UTC),
-				End:      time.Date(2024, 2, 1, 0, 0, 0, 0, time.UTC),
-				StepDays: 7,
-				Workload: &workload.Config{
-					Clients: 1_000, Model: workload.ModelOpen,
-					OpenRate: 0.01, Duration: time.Hour,
-					StubTTL: 30 * time.Second,
-					Mix:     transport.Mix{DoH: 2, DoT: 1, DoQ: 1},
-				},
-			}),
-			run: (*Campaign).RunDaily,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

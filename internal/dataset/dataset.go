@@ -134,38 +134,9 @@ type ServingSnapshot struct {
 	UpstreamFailures uint64 `json:"upstream_failures"`
 }
 
-// WorkloadSnapshot records one scan day's simulated-client workload
-// totals — the internal/workload engine's Summary in dataset form.
-// Everything here is a deterministic function of (campaign seed, day,
-// workload config): the engine is single-goroutine and its stub caches
-// use configured TTLs, so pipelined and serial campaign stores stay
-// byte-identical (the Digest field is the engine's event-stream
-// fingerprint pinning exactly that).
-type WorkloadSnapshot struct {
-	Date    time.Time `json:"date"`
-	Clients int       `json:"clients"`
-	// Model is "closed" (think-time loop) or "open" (Poisson arrivals).
-	Model string `json:"model"`
-	// Queries counts client arrivals; StubHits the ones answered from
-	// the client's own stub cache; FleetExchanges the remainder that
-	// reached the serving layer; Errors the exchanges that failed.
-	Queries        uint64 `json:"queries"`
-	StubHits       uint64 `json:"stub_hits"`
-	FleetExchanges uint64 `json:"fleet_exchanges"`
-	// StaleServed counts fleet answers served stale (RFC 8767) to the
-	// simulated population.
-	StaleServed uint64 `json:"stale_served"`
-	Errors      uint64 `json:"errors"`
-	// VirtualSec is the simulated span the population covered.
-	VirtualSec int64 `json:"virtual_sec"`
-	// Digest is the engine's event-stream fingerprint in hex (a string:
-	// uint64 does not survive JSON number precision).
-	Digest string `json:"digest"`
-}
-
-// AnomalyEvent is one aggregated flight-recorder event group inside an
-// anomaly capture: the event key (kind plus sorted labels) and how many
-// times it fired.
+// AnomalyEvent is one counted event kind inside an anomaly capture: the
+// event key ("client.error", "client.negative", "client.stale") and how
+// many times it happened that day.
 type AnomalyEvent struct {
 	Key   string `json:"key"`
 	Count uint64 `json:"count"`
@@ -183,7 +154,7 @@ type AnomalyTrace struct {
 }
 
 // AnomalyCapture is one scan day's anomaly bundle: the stable SLO
-// verdict, the flight recorder's stable event counts, and the stable
+// verdict, the client's winner-side event counts, and the stable
 // projections of the tail-sampled traces. Campaigns commit one per day
 // on which the anomaly trigger held (stable anomaly events present or an
 // SLO objective violated). Like ServingSnapshot, every field is a
@@ -202,8 +173,7 @@ type AnomalyCapture struct {
 	// Violations counts SLO objectives the day breached (the latency
 	// objective is excluded: p99 is volatile under pipelining).
 	Violations int `json:"violations"`
-	// Events are the day's stable flight-recorder event counts in
-	// canonical key order.
+	// Events are the day's non-zero client event counts in key order.
 	Events []AnomalyEvent `json:"events,omitempty"`
 	// Traces are the tail ring's stable projections, deduplicated and
 	// sorted by (name, flags).
@@ -266,12 +236,11 @@ type ValidationResult struct {
 type Store struct {
 	mu sync.RWMutex
 
-	apex     map[int64]*Snapshot // keyed by unix day
-	www      map[int64]*Snapshot
-	ns       map[int64]*NSSnapshot
-	serving  map[int64]*ServingSnapshot
-	workload map[int64]*WorkloadSnapshot
-	anomaly  map[int64]*AnomalyCapture
+	apex    map[int64]*Snapshot // keyed by unix day
+	www     map[int64]*Snapshot
+	ns      map[int64]*NSSnapshot
+	serving map[int64]*ServingSnapshot
+	anomaly map[int64]*AnomalyCapture
 	// telemetry is keyed by scope + "|" + unix day, so daily series and
 	// hourly-ech series over the same dates never collide.
 	telemetry map[string]*TelemetrySeries
@@ -291,7 +260,6 @@ func NewStore() *Store {
 		www:         map[int64]*Snapshot{},
 		ns:          map[int64]*NSSnapshot{},
 		serving:     map[int64]*ServingSnapshot{},
-		workload:    map[int64]*WorkloadSnapshot{},
 		anomaly:     map[int64]*AnomalyCapture{},
 		telemetry:   map[string]*TelemetrySeries{},
 		trancoLists: map[int64][]string{},
@@ -393,17 +361,6 @@ func (s *Store) ServingFor(date time.Time) (*ServingSnapshot, bool) {
 	return getDay(s, s.serving, date)
 }
 
-// AddWorkload stores a daily workload-engine snapshot.
-func (s *Store) AddWorkload(snap *WorkloadSnapshot) { putDay(s, s.workload, snap.Date, snap) }
-
-// WorkloadDays returns the sorted dates with workload snapshots.
-func (s *Store) WorkloadDays() []time.Time { return listDays(s, s.workload) }
-
-// WorkloadFor returns the workload snapshot for a date.
-func (s *Store) WorkloadFor(date time.Time) (*WorkloadSnapshot, bool) {
-	return getDay(s, s.workload, date)
-}
-
 // AddAnomaly stores a daily anomaly-capture bundle.
 func (s *Store) AddAnomaly(cap *AnomalyCapture) { putDay(s, s.anomaly, cap.Date, cap) }
 
@@ -497,16 +454,15 @@ func (s *Store) Validation() []ValidationResult { return copyRecs(s, &s.validati
 
 // export is the JSON layout for WriteJSON.
 type export struct {
-	Apex       []*Snapshot         `json:"apex"`
-	WWW        []*Snapshot         `json:"www"`
-	NS         []*NSSnapshot       `json:"ns"`
-	Serving    []*ServingSnapshot  `json:"serving,omitempty"`
-	Workload   []*WorkloadSnapshot `json:"workload,omitempty"`
-	Anomalies  []*AnomalyCapture   `json:"anomalies,omitempty"`
-	Telemetry  []*TelemetrySeries  `json:"telemetry,omitempty"`
-	ECH        []ECHObservation    `json:"ech"`
-	Probes     []ProbeResult       `json:"probes"`
-	Validation []ValidationResult  `json:"validation"`
+	Apex       []*Snapshot        `json:"apex"`
+	WWW        []*Snapshot        `json:"www"`
+	NS         []*NSSnapshot      `json:"ns"`
+	Serving    []*ServingSnapshot `json:"serving,omitempty"`
+	Anomalies  []*AnomalyCapture  `json:"anomalies,omitempty"`
+	Telemetry  []*TelemetrySeries `json:"telemetry,omitempty"`
+	ECH        []ECHObservation   `json:"ech"`
+	Probes     []ProbeResult      `json:"probes"`
+	Validation []ValidationResult `json:"validation"`
 }
 
 // WriteJSON serialises the whole store. The per-day tables are rendered
@@ -519,7 +475,6 @@ func (s *Store) WriteJSON(w io.Writer) error {
 		WWW:        sortedValues(s.www),
 		NS:         sortedValues(s.ns),
 		Serving:    sortedValues(s.serving),
-		Workload:   sortedValues(s.workload),
 		Anomalies:  sortedValues(s.anomaly),
 		Telemetry:  s.telemetryAll(),
 		ECH:        cloneRecs(s.ech),

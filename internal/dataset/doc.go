@@ -8,8 +8,8 @@
 //
 // # One lock, commit order
 //
-// Store keeps its per-day tables (apex/www/NS snapshots, serving,
-// workload and anomaly records, Tranco lists, telemetry series) in maps
+// Store keeps its per-day tables (apex/www/NS snapshots, serving and
+// anomaly records, Tranco lists, telemetry series) in maps
 // keyed by UTC day and its three append tables (ECH observations,
 // connectivity probes, validation rows) in plain slices, all behind one
 // sync.RWMutex. It is safe for concurrent use, but every campaign writer

@@ -52,21 +52,18 @@
 // itself, not of scheduling, so the retained set is stable under
 // concurrent drivers wherever per-exchange outcomes are. An exchange head
 // sampling skipped has no Trace; if it ranks into the ring it is kept as
-// a span-less record, and otherwise costs no allocation. Sampling every
-// exchange (SampleEvery 1) with Tail set retains anomalies with their
-// span trees.
+// a span-less record, and otherwise costs no allocation. SampleEvery 0
+// keeps no head ring at all — a tail-only tracer, what campaign day
+// contexts carry — and sampling every exchange (SampleEvery 1) with Tail
+// set retains anomalies with their span trees.
 //
-// The flight recorder (Recorder) extends the same stable/volatile
-// discipline to events. Emission sites mark schedule-dependent kinds
-// volatile (attempt-side transport events: pool cooldowns, race/hedge
-// fires, per-frontend stale serves). Arrival order under
-// concurrent emitters is schedule-dependent even for stable kinds — and
-// under frozen per-day clocks every At is equal — so what anomaly
-// captures commit is StableCounts: the exact stable-kind emission
-// multiset aggregated by (kind, labels) and sorted by key, kept beside
-// the ring and never evicted. The bounded ring itself (Window) is the
-// live drill view; overflow (Recorder.Dropped() > 0) truncates it and
-// nothing else.
+// The flight recorder (Recorder) is a live ring only: a bounded,
+// arrival-ordered timeline of typed events (Window) for single-driver
+// drills such as cmd/dohserve's chaos summary; overflow
+// (Recorder.Dropped() > 0) truncates it. It counts nothing. An event
+// whose number a campaign stores is counted by a registry counter beside
+// its emission site, so anomaly captures read the stable snapshot like
+// every other committed record.
 //
 // SLO evaluation (SLO, BurnEngine) is snapshot arithmetic on these same
 // quantities — winner-side counters and the latency histogram's

@@ -57,73 +57,6 @@ func TestRecorderRingBoundAndDropped(t *testing.T) {
 	}
 }
 
-// TestRecorderStableCountsCanonicalOrder pins the capture view: volatile
-// kinds are excluded and the survivors sort by (kind, labels) regardless
-// of arrival order — under a frozen clock every At is equal, which is
-// exactly where arrival order would otherwise leak through.
-func TestRecorderStableCountsCanonicalOrder(t *testing.T) {
-	r := NewRecorder(nil, 16) // nil clock: every At equal (zero)
-	r.SetVolatile("pool.cooldown", "strategy.race")
-	r.Emit("workload.crowd.start", L("crowd", "0"))
-	r.Emit("pool.cooldown", L("member", "doh-0"))
-	r.Emit("client.stale")
-	r.Emit("strategy.race")
-	r.Emit("client.negative")
-
-	stable := r.StableCounts()
-	if len(stable) != 3 {
-		t.Fatalf("stable counts = %d, want 3: %+v", len(stable), stable)
-	}
-	want := []string{"client.negative", "client.stale", "workload.crowd.start"}
-	for i, c := range stable {
-		if c.Kind != want[i] || c.Count != 1 {
-			t.Fatalf("stable[%d] = %+v, want one %s", i, c, want[i])
-		}
-	}
-	// The raw window keeps the volatile kinds, in arrival order.
-	if win := r.Window(time.Time{}, time.Time{}); len(win) != 5 || win[1].Kind != "pool.cooldown" {
-		t.Fatalf("window = %+v, want all five emissions in arrival order", win)
-	}
-}
-
-// TestRecorderStableCountsSurviveEviction pins the eviction immunity
-// anomaly captures rely on: volatile-event pressure overflows the ring
-// (voiding the windowed views) without perturbing the exact stable-kind
-// multiset.
-func TestRecorderStableCountsSurviveEviction(t *testing.T) {
-	r := NewRecorder(nil, 4)
-	r.SetVolatile("strategy.race")
-	r.Emit("client.stale", L("proto", "doh"))
-	r.Emit("client.stale", L("proto", "doh"))
-	r.Emit("client.negative")
-	for i := 0; i < 10; i++ {
-		r.Emit("strategy.race") // evicts the stable events from the ring
-	}
-	if r.Dropped() == 0 {
-		t.Fatal("expected ring overflow")
-	}
-	for _, e := range r.Window(time.Time{}, time.Time{}) {
-		if e.Kind != "strategy.race" {
-			t.Fatalf("stable event survived eviction from the ring: %+v", e)
-		}
-	}
-	counts := r.StableCounts()
-	if len(counts) != 2 {
-		t.Fatalf("stable counts = %+v, want negative=1 and stale=2", counts)
-	}
-	if counts[0].Kind != "client.negative" || counts[0].Count != 1 {
-		t.Fatalf("counts[0] = %+v", counts[0])
-	}
-	if counts[1].Kind != "client.stale" || counts[1].Count != 2 || counts[1].Labels[0].Value != "doh" {
-		t.Fatalf("counts[1] = %+v", counts[1])
-	}
-	// Late volatility declaration purges accumulated counts.
-	r.SetVolatile("client.stale")
-	if got := r.StableCounts(); len(got) != 1 || got[0].Kind != "client.negative" {
-		t.Fatalf("post-purge counts = %+v", got)
-	}
-}
-
 func TestCountEvents(t *testing.T) {
 	events := []Event{
 		{Kind: "client.stale"},
@@ -149,11 +82,10 @@ func TestCountEvents(t *testing.T) {
 func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
 	r.Emit("x")
-	r.SetVolatile("x")
 	if r.Len() != 0 || r.Dropped() != 0 {
 		t.Fatal("nil recorder retained state")
 	}
-	if r.Window(time.Time{}, time.Time{}) != nil || r.StableCounts() != nil {
+	if r.Window(time.Time{}, time.Time{}) != nil {
 		t.Fatal("nil recorder returned events")
 	}
 }

@@ -13,8 +13,8 @@ import (
 type TraceConfig struct {
 	// SampleEvery traces one exchange in every N (head-based, counter-
 	// driven — never random, so single-driver loops sample the identical
-	// exchanges run over run). 0 selects DefaultSampleEvery; 1 traces
-	// everything.
+	// exchanges run over run) into the head ring; 1 traces everything,
+	// and 0 keeps no head ring at all (a tail-only tracer).
 	SampleEvery int
 	// Capacity bounds the ring of retained finished traces; 0 selects
 	// DefaultTraceCapacity.
@@ -42,7 +42,6 @@ type TailConfig struct {
 
 // Tracer defaults.
 const (
-	DefaultSampleEvery   = 16
 	DefaultTraceCapacity = 64
 	DefaultTopK          = 32
 )
@@ -106,7 +105,7 @@ func (f TraceFlag) String() string { return strings.Join(f.Strings(), ",") }
 // tracing is off.
 type Tracer struct {
 	clock Clock
-	every uint64
+	every uint64 // 0: no head sampling
 	cap   int
 	tail  *TailConfig // nil: tail retention off; TopK resolved
 
@@ -120,10 +119,7 @@ type Tracer struct {
 
 // NewTracer builds a tracer on the given clock.
 func NewTracer(clock Clock, cfg TraceConfig) *Tracer {
-	every := cfg.SampleEvery
-	if every <= 0 {
-		every = DefaultSampleEvery
-	}
+	every := max(cfg.SampleEvery, 0)
 	capacity := cfg.Capacity
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
@@ -143,10 +139,11 @@ func NewTracer(clock Clock, cfg TraceConfig) *Tracer {
 func (t *Tracer) TailEnabled() bool { return t != nil && t.tail != nil }
 
 // Start begins a trace for the named exchange if head sampling selects
-// it. Returns nil on an unsampled exchange (and always on a nil tracer).
-// The returned Trace is single-goroutine state: one exchange, one owner.
+// it. Returns nil on an unsampled exchange (and always on a nil or
+// tail-only tracer). The returned Trace is single-goroutine state: one
+// exchange, one owner.
 func (t *Tracer) Start(name string) *Trace {
-	if t == nil || (t.seq.Add(1)-1)%t.every != 0 {
+	if t == nil || t.every == 0 || (t.seq.Add(1)-1)%t.every != 0 {
 		return nil
 	}
 	tr := &Trace{ID: t.nextID.Add(1), Name: name}

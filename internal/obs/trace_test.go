@@ -31,6 +31,14 @@ func TestTracerHeadSampling(t *testing.T) {
 	if tr2.Start("first") == nil {
 		t.Fatal("first exchange was not sampled")
 	}
+	// The zero value keeps no head ring at all.
+	tail := NewTracer(nil, TraceConfig{Tail: &TailConfig{}})
+	for i := 0; i < 4; i++ {
+		exchange(tail, "q", 0, time.Millisecond)
+	}
+	if tail.Len() != 0 {
+		t.Fatalf("SampleEvery 0 head-sampled %d exchanges, want none", tail.Len())
+	}
 }
 
 func TestTracerRingBoundAndSlowest(t *testing.T) {
@@ -133,7 +141,7 @@ func TestTailSamplingKeepsAnomalies(t *testing.T) {
 // feeding more anomalies than the ring holds keeps the K most expensive,
 // in rank order, with ties broken by name and then by flags.
 func TestTailRingBoundedAndRanked(t *testing.T) {
-	tr := NewTracer(nil, TraceConfig{SampleEvery: 1 << 30, Tail: &TailConfig{TopK: 3}})
+	tr := NewTracer(nil, TraceConfig{Tail: &TailConfig{TopK: 3}})
 	for _, ms := range []int{3, 8, 1, 6, 2, 7, 5, 4} {
 		exchange(tr, "q", FlagError, time.Duration(ms)*time.Millisecond)
 	}
@@ -174,8 +182,8 @@ func TestTailDropsBelowFloorWithoutAllocating(t *testing.T) {
 	if testrace.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	tr := NewTracer(testClock(), TraceConfig{SampleEvery: 1 << 30, Tail: &TailConfig{TopK: 2}})
-	for i := 0; i < 3; i++ { // the first is head-sampled; all three fill the ring
+	tr := NewTracer(testClock(), TraceConfig{Tail: &TailConfig{TopK: 2}})
+	for i := 0; i < 3; i++ { // fill the ring
 		exchange(tr, "q", FlagRace, 9*time.Millisecond)
 	}
 	if got := testing.AllocsPerRun(100, func() { exchange(tr, "q", FlagRace, 5*time.Millisecond) }); got != 0 {

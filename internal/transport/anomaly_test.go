@@ -38,13 +38,13 @@ func newAnomalyFleet(t *testing.T, n, sampleEvery int) (*Fleet, *stubRecursor, *
 }
 
 // TestChaosFlapTailCatchesWhatHeadMisses is the anomaly-tier chaos
-// drill: a recursor flap forces stale serves at arrival indexes the
-// default-rate head sampler skips, and the tail ring retains exactly
+// drill: a recursor flap forces stale serves at arrival indexes a
+// 1-in-16 head sampler skips, and the tail ring retains exactly
 // those exchanges. This is the retention gap tail sampling exists to
 // close — head sampling at 1-in-16 sees only the healthy warm-up
 // exchange.
 func TestChaosFlapTailCatchesWhatHeadMisses(t *testing.T) {
-	fl, recursor, _, clock, tracer, recorder := newAnomalyFleet(t, 1, obs.DefaultSampleEvery)
+	fl, recursor, _, clock, tracer, recorder := newAnomalyFleet(t, 1, 16)
 	client := fl.Client
 
 	// Arrival 1 (head-sampled): a healthy exchange populates the cache.
@@ -93,30 +93,14 @@ func TestChaosFlapTailCatchesWhatHeadMisses(t *testing.T) {
 		}
 	}
 
-	// Flight recorder: stable winner-side events make the capture view
-	// (StableCounts); the volatile frontend-side kinds are filtered out of
-	// it but present in the raw window.
-	var stale uint64
-	for _, ec := range recorder.StableCounts() {
-		if ec.Kind == "client.stale" {
-			stale = ec.Count
-		}
-		if ec.Kind == "frontend.stale" || ec.Kind == "frontend.dead" {
-			t.Fatalf("volatile kind %q leaked into the stable counts", ec.Kind)
-		}
+	// Flight recorder: the live window holds the client's stale serves
+	// beside the frontend-side flap marker.
+	kinds := map[string]int{}
+	for _, e := range recorder.Window(time.Time{}, clock.Now()) {
+		kinds[e.Kind]++
 	}
-	if stale != 4 {
-		t.Fatalf("stable client.stale count = %d, want 4", stale)
-	}
-	raw := recorder.Window(time.Time{}, clock.Now())
-	var dead bool
-	for _, e := range raw {
-		if e.Kind == "frontend.dead" {
-			dead = true
-		}
-	}
-	if !dead {
-		t.Fatal("raw event window missing the frontend.dead flap marker")
+	if kinds["client.stale"] != 4 || kinds["frontend.dead"] == 0 {
+		t.Fatalf("event window = %v, want 4 client.stale and the frontend.dead flap marker", kinds)
 	}
 }
 
@@ -165,8 +149,7 @@ func TestTailRetentionCostsUnsampledExchangesNothing(t *testing.T) {
 			client, _, _, _, _ := newTestFleet(t, 2, BalanceRoundRobin, proto)
 			client.Tracer = tracer
 			q := dnswire.NewQuery(1, "warm.test", dnswire.TypeA, false)
-			// Warm-up: both members dialled, the answer cached, and the one
-			// exchange head sampling picks (the first) behind us.
+			// Warm-up: both members dialled and the answer cached.
 			for i := 0; i < 4; i++ {
 				if _, err := client.Exchange(q); err != nil {
 					t.Fatal(err)
@@ -174,19 +157,19 @@ func TestTailRetentionCostsUnsampledExchangesNothing(t *testing.T) {
 			}
 			return testing.AllocsPerRun(200, func() { client.Exchange(q) })
 		}
-		tracer := obs.NewTracer(nil, obs.TraceConfig{SampleEvery: 1 << 30, Tail: &obs.TailConfig{}})
+		tracer := obs.NewTracer(nil, obs.TraceConfig{Tail: &obs.TailConfig{}})
 		bare, tiered := measure(nil), measure(tracer)
 		if tiered != bare {
 			t.Errorf("%s: %v allocs per exchange with the tail tracer, %v without", proto, tiered, bare)
 		}
-		if tracer.Len() != 1 || len(tracer.Tail()) != 0 {
-			t.Errorf("%s: head ring %d, tail ring %d after healthy exchanges, want 1 and 0",
+		if tracer.Len() != 0 || len(tracer.Tail()) != 0 {
+			t.Errorf("%s: head ring %d, tail ring %d after healthy exchanges, want 0 and 0",
 				proto, tracer.Len(), len(tracer.Tail()))
 		}
 	}
 }
 
-// TestRecorderPoolChurnEvents pins the transport-side volatile kind: a
+// TestRecorderPoolChurnEvents pins the pool's flight-recorder event: a
 // downed frontend address produces pool.cooldown each time it is benched,
 // and a member that keeps failing stays in the pool.
 func TestRecorderPoolChurnEvents(t *testing.T) {

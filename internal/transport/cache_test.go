@@ -2,10 +2,12 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -342,4 +344,87 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 		st.NegativeHits == 0 || st.Hits == 0 {
 		t.Errorf("the walk missed part of the lifecycle: %+v", st)
 	}
+}
+
+// FuzzAppendTTLSlots drives the walk that decides which bytes every cache
+// hit patches. Arbitrary bytes must never panic or yield a slot whose TTL
+// field runs past the wire; bytes dnswire.Unpack accepts must yield one
+// slot per non-OPT record of the three sections, in order, holding that
+// record's TTL; and appending into a dirty dst must leave its prefix alone
+// and add exactly the slots a fresh call returns.
+func FuzzAppendTTLSlots(f *testing.F) {
+	signed := answerOf("signed.test.", 300, 60)
+	signed.Answer = append(signed.Answer, dnswire.RR{
+		Name: "signed.test.", Type: dnswire.TypeRRSIG, Class: dnswire.ClassINET, TTL: 300,
+		Data: &dnswire.RRSIGData{
+			TypeCovered: dnswire.TypeA, Algorithm: 13, Labels: 2, OriginalTTL: 300,
+			Expiration: 1_800_000_000, Inception: 1_700_000_000, KeyTag: 4242,
+			SignerName: "test.", Signature: bytes.Repeat([]byte{0xab}, 64),
+		},
+	})
+	nodata := answerOf("nodata.test.")
+	// No OPT: the SOA is the only record.
+	nodata.Additional = nil
+	// OPT first in the additional section, glue after it.
+	glued := answerOf("glued.test.", 120)
+	glued.Additional = append(glued.Additional, dnswire.RR{
+		Name: "ns1.test.", Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 7200,
+		Data: &dnswire.AData{Addr: netip.AddrFrom4([4]byte{192, 0, 2, 53})},
+	})
+	for _, m := range []*dnswire.Message{signed, nodata, glued} {
+		wire, err := m.Pack()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(wire)
+		f.Add(wire[:len(wire)-3]) // last record cut short
+	}
+	f.Fuzz(func(t *testing.T, wire []byte) {
+		fresh, err := appendTTLSlots(nil, wire)
+		for _, s := range fresh {
+			if int(s.off)+4 > len(wire) {
+				t.Fatalf("slot at %d runs past a %d-byte wire", s.off, len(wire))
+			}
+		}
+
+		junk := make([]ttlSlot, 16)
+		for i := range junk {
+			junk[i] = ttlSlot{off: uint32(i), ttl: ^uint32(i)}
+		}
+		prefix := slices.Clone(junk[:3])
+		dirty, dirtyErr := appendTTLSlots(junk[:3], wire)
+		if !slices.Equal(junk[:3], prefix) {
+			t.Fatalf("dst prefix rewritten: %v, want %v", junk[:3], prefix)
+		}
+		if (err == nil) != (dirtyErr == nil) {
+			t.Fatalf("fresh err %v, dirty err %v", err, dirtyErr)
+		}
+		if err == nil && (!slices.Equal(dirty[:3], prefix) || !slices.Equal(dirty[3:], fresh)) {
+			t.Fatalf("dirty append = %v, want %v then %v", dirty, prefix, fresh)
+		}
+
+		m, uerr := dnswire.Unpack(wire)
+		if uerr != nil {
+			return
+		}
+		if err != nil {
+			t.Fatalf("Unpack accepts the wire, appendTTLSlots rejects it: %v", err)
+		}
+		var want []dnswire.RR
+		for _, sec := range [][]dnswire.RR{m.Answer, m.Authority, m.Additional} {
+			for _, rr := range sec {
+				if rr.Type != dnswire.TypeOPT {
+					want = append(want, rr)
+				}
+			}
+		}
+		if len(fresh) != len(want) {
+			t.Fatalf("%d slots for %d non-OPT records", len(fresh), len(want))
+		}
+		for i, s := range fresh {
+			if s.ttl != want[i].TTL || binary.BigEndian.Uint32(wire[s.off:]) != s.ttl {
+				t.Fatalf("slot %d = %+v, want TTL %d of %s %s", i, s, want[i].TTL, want[i].Name, want[i].Type)
+			}
+		}
+	})
 }

@@ -64,10 +64,10 @@ type Client struct {
 	// needs; unsampled exchanges record no spans. Nil traces nothing and
 	// costs one nil check per exchange.
 	Tracer *obs.Tracer
-	// Recorder, when non-nil, receives flight-recorder events for the
-	// anomaly tier: stable winner-side kinds (client.error, client.stale,
-	// client.negative) plus volatile strategy and pool-cooldown kinds. Nil
-	// records nothing.
+	// Recorder, when non-nil, receives flight-recorder events: the
+	// winner-side kinds (client.error, client.stale, client.negative, each
+	// emitted beside the counter that campaigns store) plus strategy and
+	// pool-cooldown kinds. Nil records nothing.
 	Recorder *obs.Recorder
 	// ReuseAnswers opts into answer-message recycling: the *dnswire.Message
 	// an exchange returns stays valid only until this client's next

@@ -43,10 +43,7 @@ type FleetConfig struct {
 	// exchanges from the outcomes the client reports to it).
 	Tracer *obs.Tracer
 	// Recorder, when non-nil, is the fleet's flight recorder: the client
-	// and every frontend emit typed anomaly events into it, and the fleet
-	// declares which event kinds are volatile (worker-interleaving
-	// dependent) so capture bundles built from StableCounts stay
-	// byte-identical between serial and pipelined campaign runs.
+	// and every frontend emit typed anomaly events into its live ring.
 	Recorder *obs.Recorder
 }
 
@@ -164,17 +161,6 @@ func (fl *Fleet) bindMetrics() {
 		"pool_member_cooldown_seconds",
 		"fleet_stale_served_total",
 		"exchange_latency_seconds",
-	)
-	// The flight recorder gets the same stable/volatile discipline: only
-	// winner-side per-exchange kinds (client.*) and the workload engine's
-	// single-driver crowd markers are schedule-independent. Everything
-	// tied to which frontend or member an attempt touched, or to an
-	// exchange's dial shape, varies with worker interleaving.
-	fl.Recorder.SetVolatile(
-		"pool.cooldown",
-		"strategy.race", "strategy.hedge", "strategy.cancel",
-		"strategy.failover",
-		"cache.prefetch", "frontend.stale", "frontend.dead",
 	)
 }
 

@@ -45,11 +45,8 @@
 // (due, client) tie-break, per-client RNG streams independent of firing
 // order, and stub-cache TTLs taken from Config.StubTTL rather than
 // answer TTLs (answer TTLs depend on fleet-cache LRU residency, which
-// is schedule-dependent under the concurrent scanner stages that may
-// precede a workload run in the same scan context). Two runs with the
-// same inputs replay byte-identically; Summary.Digest — an FNV-1a fold
-// of every processed (client, due, rank, outcome) tuple — pins this in
-// tests, and campaign integration inherits it: a workload-enabled
-// pipelined campaign stores byte-identical datasets at any worker
-// count.
+// is schedule-dependent whenever other drivers share the fleet). Two
+// runs with the same inputs replay byte-identically; Summary.Digest — an
+// FNV-1a fold of every processed (client, due, rank, outcome) tuple —
+// pins this in tests.
 package workload

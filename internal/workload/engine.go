@@ -3,8 +3,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strconv"
 	"time"
 
 	"repro/internal/dnswire"
@@ -117,12 +115,6 @@ type Config struct {
 	// hit-rate, stale-serve) on the virtual clock; 0 disables, negative
 	// is rejected.
 	Interval time.Duration
-	// Recorder, when non-nil, receives flight-recorder markers for
-	// scheduled load anomalies: workload.crowd.start / workload.crowd.end
-	// at each flash crowd's boundaries. The markers are emitted from the
-	// single-driver event loop at config-derived virtual times, so they
-	// are stable (schedule-independent) events.
-	Recorder *obs.Recorder
 }
 
 // withDefaults fills the zero-value knobs.
@@ -221,8 +213,7 @@ type Engine struct {
 	charged   int64 // clock high-water mark already Set
 	lastDue   int64
 	nextPoll  int64
-	crowdRank []int32     // resolved Domains rank per crowd (-1: none)
-	marks     []crowdMark // pending flash-crowd recorder markers, time-ordered
+	crowdRank []int32 // resolved Domains rank per crowd (-1: none)
 
 	queries   obs.Counter
 	stubHits  obs.Counter
@@ -463,51 +454,6 @@ func (e *Engine) pollInterval(boundary int64) {
 	e.sampler.Poll()
 }
 
-// crowdMark is one pending flash-crowd boundary marker for the flight
-// recorder.
-type crowdMark struct {
-	at    int64
-	kind  string
-	crowd int
-}
-
-// seedCrowdMarks computes the run's crowd boundary markers (start and
-// end per configured crowd, time-ordered) once e.start is known.
-func (e *Engine) seedCrowdMarks() {
-	e.marks = e.marks[:0]
-	if e.cfg.Recorder == nil {
-		return
-	}
-	for i, fc := range e.cfg.Crowds {
-		at := e.start + int64(fc.At)
-		e.marks = append(e.marks,
-			crowdMark{at: at, kind: "workload.crowd.start", crowd: i},
-			crowdMark{at: at + int64(fc.Duration), kind: "workload.crowd.end", crowd: i})
-	}
-	sort.Slice(e.marks, func(i, j int) bool {
-		if e.marks[i].at != e.marks[j].at {
-			return e.marks[i].at < e.marks[j].at
-		}
-		return e.marks[i].kind < e.marks[j].kind
-	})
-}
-
-// emitCrowdMarks flushes every pending marker due at or before t. The
-// clock is advanced to each marker's boundary first so the recorded At
-// is the crowd boundary itself, not the arrival that revealed it.
-func (e *Engine) emitCrowdMarks(t int64) {
-	for len(e.marks) > 0 && e.marks[0].at <= t {
-		m := e.marks[0]
-		e.marks = e.marks[1:]
-		e.setClock(m.at)
-		labels := []obs.Label{obs.L("crowd", strconv.Itoa(m.crowd))}
-		if d := e.cfg.Crowds[m.crowd].Domain; d != "" {
-			labels = append(labels, obs.L("domain", dnswire.CanonicalName(d)))
-		}
-		e.cfg.Recorder.Emit(m.kind, labels...)
-	}
-}
-
 // digestEvent folds one processed event into the stream fingerprint.
 func (e *Engine) digestEvent(client uint32, due int64, rank uint32, outcome byte) {
 	h := e.digest
@@ -597,8 +543,6 @@ func (e *Engine) Run() Summary {
 		e.nextPoll = e.start + int64(e.cfg.Interval)
 	}
 
-	e.seedCrowdMarks()
-
 	// Seed every client's first arrival.
 	for i := range e.cal.clients {
 		e.cal.Push(uint32(i), e.start+e.gap(&e.cal.clients[i].rng, e.start))
@@ -616,7 +560,6 @@ func (e *Engine) Run() Summary {
 			e.pollInterval(e.nextPoll)
 			e.nextPoll += int64(e.cfg.Interval)
 		}
-		e.emitCrowdMarks(ev.due)
 		e.process(ev)
 		e.lastDue = ev.due
 		e.cal.Push(ev.client, ev.due+e.gap(&e.cal.clients[ev.client].rng, ev.due))
@@ -628,7 +571,6 @@ func (e *Engine) Run() Summary {
 			e.pollInterval(e.nextPoll)
 			e.nextPoll += int64(e.cfg.Interval)
 		}
-		e.emitCrowdMarks(e.end)
 		e.setClock(e.end)
 		e.lastDue = e.end
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/dnswire"
-	"repro/internal/obs"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 )
@@ -526,60 +525,5 @@ func TestModelParseRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseModel("thundering"); err == nil {
 		t.Error("ParseModel accepted an unknown model")
-	}
-}
-
-// TestCrowdRecorderMarkers pins the flight-recorder crowd markers: one
-// start and one end event per configured crowd, stamped at the crowd's
-// config-derived virtual boundaries, and counted in the stable view.
-func TestCrowdRecorderMarkers(t *testing.T) {
-	clock := testClock()
-	start := clock.Now()
-	rec := obs.NewRecorder(clock, 32)
-	cfg := Config{
-		Clients: 50, Model: ModelOpen, Seed: 7,
-		Domains: testDomains(20), Duration: 10 * time.Minute,
-		Crowds: []FlashCrowd{{
-			At: 2 * time.Minute, Duration: 3 * time.Minute,
-			Multiplier: 5, Domain: "site0001.example", Fraction: 0.5,
-		}},
-		Recorder: rec,
-	}
-	e, err := New(cfg, clock, &fakeTarget{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Run()
-
-	var got []obs.Event
-	for _, ev := range rec.Window(start, clock.Now()) {
-		if ev.Kind == "workload.crowd.start" || ev.Kind == "workload.crowd.end" {
-			got = append(got, ev)
-		}
-	}
-	if len(got) != 2 {
-		t.Fatalf("crowd markers = %d, want start+end: %+v", len(got), got)
-	}
-	if got[0].Kind != "workload.crowd.start" || !got[0].At.Equal(start.Add(2*time.Minute)) {
-		t.Fatalf("start marker = %+v, want at %v", got[0], start.Add(2*time.Minute))
-	}
-	if got[1].Kind != "workload.crowd.end" || !got[1].At.Equal(start.Add(5*time.Minute)) {
-		t.Fatalf("end marker = %+v, want at %v", got[1], start.Add(5*time.Minute))
-	}
-	var domain string
-	for _, l := range got[0].Labels {
-		if l.Key == "domain" {
-			domain = l.Value
-		}
-	}
-	if domain != "site0001.example." {
-		t.Fatalf("start marker domain = %q", domain)
-	}
-	stable := map[string]uint64{}
-	for _, c := range rec.StableCounts() {
-		stable[c.Kind] += c.Count
-	}
-	if stable["workload.crowd.start"] != 1 || stable["workload.crowd.end"] != 1 {
-		t.Fatalf("stable counts = %v, want one start and one end marker", stable)
 	}
 }

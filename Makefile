@@ -91,15 +91,19 @@ profile-serve:
 # hand-mangled messages. Ten seconds per target is a smoke test, not a
 # campaign: it proves the targets build, the corpus parses, and no
 # quick-to-find panic has crept into Unpack, the SvcParams decoder (dirty
-# reuse against a fresh decode), the DoH envelope decoder, the cache's
+# reuse against a fresh decode), the ECHConfigList decoder (accepted lists
+# re-marshal to themselves), the DoH envelope decoder, the cache's
 # TTL-slot walk (every slot a decoded record's TTL, dirty reuse against a
 # fresh walk), RRSIG verification (whose memoised and plain verdicts must
 # agree), or the DNSKEY side of it (DS construction, key tag, public-key
-# decoding).
+# decoding); and that the world's O(1)-seeded random source still gives
+# math/rand's exact stream.
 fuzz-smoke:
 	$(GO) test ./internal/dnswire -fuzz 'FuzzUnpack$$' -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnswire -fuzz FuzzUnpackInto -fuzztime 10s -run xxx
 	$(GO) test ./internal/svcb -fuzz FuzzUnpackParamsInto -fuzztime 10s -run xxx
+	$(GO) test ./internal/ech -fuzz FuzzUnmarshalList -fuzztime 10s -run xxx
+	$(GO) test ./internal/providers -fuzz FuzzStreamSource -fuzztime 10s -run xxx
 	$(GO) test ./internal/transport -fuzz FuzzDoHDecodeRequest -fuzztime 10s -run xxx
 	$(GO) test ./internal/transport -fuzz FuzzAppendTTLSlots -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnssec -fuzz FuzzVerifyRRSIG -fuzztime 10s -run xxx

@@ -623,11 +623,18 @@ func BenchmarkBrowserNavigate(b *testing.B) {
 	}
 }
 
+// BenchmarkWorldBuild times BuildWorld at the benchmark's list size and at
+// the default one (universes of 4 980 and 33 200 domains).
 func BenchmarkWorldBuild(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := providers.BuildWorld(providers.WorldConfig{Size: 1000, Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
+	for _, size := range []int{3000, 20_000} {
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := providers.BuildWorld(providers.WorldConfig{Size: size, Seed: int64(i)}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

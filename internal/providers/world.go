@@ -74,7 +74,6 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 		Clock:          clock,
 		Net:            simnet.New(clock),
 		Alloc:          simnet.NewAllocator(),
-		Domains:        map[string]*DomainState{},
 		TLDs:           map[string]*TLDServer{},
 		ProviderByName: map[string]*Provider{},
 	}
@@ -228,10 +227,14 @@ func (w *World) buildDomains(rng *rand.Rand) {
 	windowDays := 1.0 / rate
 	windowStart := StudyStart.Add(-time.Duration(w.Cal.TailAdoptAtStart*windowDays*24) * time.Hour)
 
-	// One generator, re-seeded per domain: Seed restarts the stream a new
-	// source would give, without 5 KB of generator state per domain.
-	drng := rand.New(rand.NewSource(0))
-	for _, name := range w.Tranco.Universe() {
+	// Each domain draws from its own stream, math/rand's exact stream for
+	// seed ^ FNV1a(apex): every stored byte about a domain follows from
+	// those draws, so a source that drifted from math/rand by one value
+	// would move every golden digest.
+	drng := rand.New(new(streamSource))
+	universe := w.Tranco.Universe()
+	w.Domains = make(map[string]*DomainState, len(universe))
+	for _, name := range universe {
 		apex := dnswire.CanonicalName(name)
 		drng.Seed(w.Cfg.Seed ^ int64(dnswire.FNV1a(apex)))
 		d := &DomainState{
@@ -240,9 +243,9 @@ func (w *World) buildDomains(rng *rand.Rand) {
 			HasWWW:  drng.Float64() < 0.95,
 			keySeed: w.Cfg.Seed,
 		}
-		d.OriginV4 = w.Alloc.AllocV4("Origin-" + hostingOrg(drng))
-		d.OriginV6 = w.Alloc.AllocV6("Origin-" + hostingOrg(drng))
-		d.AltV4 = w.Alloc.AllocV4("Origin-" + hostingOrg(drng))
+		d.OriginV4 = w.Alloc.AllocV4(originOrg(drng))
+		d.OriginV6 = w.Alloc.AllocV6(originOrg(drng))
+		d.AltV4 = w.Alloc.AllocV4(originOrg(drng))
 
 		// Adoption.
 		adopts := false
@@ -276,9 +279,9 @@ func (w *World) buildDomains(rng *rand.Rand) {
 	}
 }
 
-func hostingOrg(rng *rand.Rand) string {
-	return []string{"HostA", "HostB", "HostC", "CloudHostCo"}[rng.Intn(4)]
-}
+var originOrgs = [4]string{"Origin-HostA", "Origin-HostB", "Origin-HostC", "Origin-CloudHostCo"}
+
+func originOrg(rng *rand.Rand) string { return originOrgs[rng.Intn(len(originOrgs))] }
 
 // nonCFShare returns the probability an adopter uses non-Cloudflare NS:
 // the paper's 0.11%, floored so small simulations keep a meaningful

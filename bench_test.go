@@ -713,16 +713,12 @@ func BenchmarkTransportPath(b *testing.B) {
 
 // BenchmarkTransportStrategy measures the resolution-strategy dispatch
 // cost on the cached hot path over a mixed DoH/DoT/DoQ fleet: serial
-// failover (one dial per exchange), happy-eyeballs racing (a second
-// cross-protocol dial whenever the primary misses the stagger), and
-// hedged queries (a quantile check per exchange, duplicate dials only on
-// tail latencies). The latency model is synthetic so strategy decisions
-// are deterministic and the numbers compare strategy overhead, not host
-// scheduling.
+// failover (one dial per exchange) and happy-eyeballs racing (a second
+// cross-protocol dial whenever the primary misses the stagger). The
+// latency model is synthetic so strategy decisions are deterministic and
+// the numbers compare strategy overhead, not host scheduling.
 func BenchmarkTransportStrategy(b *testing.B) {
-	for _, kind := range []transport.StrategyKind{
-		transport.StrategySerial, transport.StrategyRace, transport.StrategyHedge,
-	} {
+	for _, kind := range []transport.StrategyKind{transport.StrategySerial, transport.StrategyRace} {
 		b.Run(kind.String(), func(b *testing.B) {
 			client, list, _ := transportBench(b, &transport.CacheConfig{},
 				transport.ProtoDoH, transport.ProtoDoT, transport.ProtoDoQ)

@@ -9,8 +9,7 @@
 // Usage:
 //
 //	dohserve [-size N] [-seed S] [-frontends N] [-proto doh|dot|doq|mixed]
-//	         [-strategy serial|race|hedge] [-stagger D] [-hedgeq F]
-//	         [-balance p2|ewma|roundrobin|hash]
+//	         [-strategy serial|race] [-balance p2|roundrobin]
 //	         [-queries N] [-workers N] [-shards N] [-shardcap N] [-hot N]
 //	         [-kill N] [-post] [-trace N] [-tail K] [-taillat D]
 //	         [-stalewindow D] [-refreshahead F] [-cooldown D]
@@ -25,23 +24,21 @@
 // doh=60,dot=30,doq=10. All protocols share the same cache, pool, and
 // recursors, so the report compares them on equal footing.
 //
-// -strategy selects the stub's resolution strategy: serial failover,
-// happy-eyeballs protocol racing (-stagger sets the head start), or
-// quantile-armed hedged queries (-hedgeq sets the arming quantile);
+// -strategy selects the stub's resolution strategy: serial failover or
+// happy-eyeballs protocol racing (a 5 ms head start for the primary);
 // -balance independently selects the pool's load-balancing policy. The
 // report shows the strategy's winner-protocol distribution and its
 // wasted-query overhead (duplicate attempts whose answers were
 // discarded) — run -proto mixed -strategy race to watch the
 // happy-eyeballs split. The drive layers a deterministic 1-in-8 latency
-// tail over the synthetic per-member RTTs so the tail-sensitive
-// strategies have something to react to.
+// tail over the synthetic per-member RTTs so a race has upsets to win.
 //
 // -kill marks that many frontend addresses unreachable halfway through
 // the load, exercising failover under fire.
 //
 // -trace samples every exchange into a span trace and, after the load,
 // dumps the N slowest exchanges as span trees — frontend receive, cache
-// probe, each dial attempt with its protocol and race/hedge role, the
+// probe, each dial attempt with its protocol and race role, the
 // upstream answer, and the commit, all on virtual-time offsets. Head
 // sampling indexes arrivals, so a head-only -trace run forces
 // -workers 1: under concurrency the ring's membership would depend on
@@ -50,7 +47,7 @@
 //
 // -tail K adds tail-based retention: every exchange's outcome is judged
 // when it finishes and the exchange is kept if anomalous — an error,
-// SERVFAIL, stale-served answer, failover, race, or hedge, or (with
+// SERVFAIL, stale-served answer, failover, or race, or (with
 // -taillat) a virtual cost at or over the threshold — ranked in a top-K
 // ring by cost and dumped after the load as name, cost and flags. Only
 // head-sampled exchanges record spans, so -trace N -tail K together
@@ -67,9 +64,9 @@
 // window (pool cooldowns, stale serves, frontend deaths) and show the
 // timeline's tail, and every pool row carries its health scorecard —
 // consecutive-failure streak and cooldown occupancy. Chaos mode
-// additionally records one registry snapshot per epoch into an SLO burn
-// engine (obs.DefaultSLO) and prints the multi-window burn-rate table
-// after the drill.
+// additionally judges the per-epoch registry snapshots against
+// obs.DefaultSLO and prints the multi-window burn-rate table after the
+// drill.
 //
 // -load replaces the uniform worker drill with the internal/workload
 // engine: -clients simulated stubs — each with its own RNG stream, stub
@@ -118,10 +115,8 @@ func main() {
 	seed := flag.Int64("seed", 1, "generation seed (also drives chaos flaps)")
 	frontends := flag.Int("frontends", 4, "number of DoH frontends")
 	protoMix := flag.String("proto", "doh", "protocol mix: doh, dot, doq, mixed, or weights like doh=60,dot=30,doq=10")
-	strategyName := flag.String("strategy", "serial", "resolution strategy (serial, race, hedge)")
-	stagger := flag.Duration("stagger", 0, "race head start before the cross-protocol partner launches (0: transport default)")
-	hedgeQ := flag.Float64("hedgeq", 0, "hedge arming quantile in (0,1] (0: transport default)")
-	balanceName := flag.String("balance", "p2", "load-balancing policy (p2, ewma, roundrobin, hash)")
+	strategyName := flag.String("strategy", "serial", "resolution strategy (serial, race)")
+	balanceName := flag.String("balance", "p2", "load-balancing policy (p2, roundrobin)")
 	queries := flag.Int("queries", 2000, "total queries to drive")
 	workers := flag.Int("workers", 8, "concurrent stub workers (chaos mode always uses 1)")
 	shards := flag.Int("shards", transport.DefaultShards, "answer-cache shard count")
@@ -168,14 +163,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if *hedgeQ < 0 || *hedgeQ > 1 {
-		fmt.Fprintln(os.Stderr, "dohserve: -hedgeq must be in [0,1] (0 selects the transport default)")
-		os.Exit(2)
-	}
-	if *stagger < 0 {
-		fmt.Fprintln(os.Stderr, "dohserve: -stagger must be non-negative (0 selects the transport default)")
-		os.Exit(2)
-	}
 	mix, err := transport.ParseMix(*protoMix)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -197,8 +184,7 @@ func main() {
 	// the measurement runs use; here only the fleet is driven.
 	camp, err := core.NewCampaign(core.CampaignConfig{
 		Size: *size, Seed: *seed,
-		DoHFrontends: *frontends, DoHBalance: balance, TransportMix: mix,
-		TransportStrategy: strategy, RaceStagger: *stagger, HedgeQuantile: *hedgeQ,
+		DoHFrontends: *frontends, DoHBalance: balance, TransportMix: mix, TransportStrategy: strategy,
 		DoHShards: *shards, DoHShardCap: *shardCap,
 		DoHStaleWindow: *staleWindow, DoHRefreshAhead: *refreshAhead,
 		DoHFailureCooldown: *cooldown,
@@ -236,11 +222,9 @@ func main() {
 		fe.Recorder = recorder
 	}
 	// Layer a deterministic 1-in-8 latency tail over the campaign's
-	// synthetic per-member band: constant per-member RTTs never exceed
-	// their own quantile, so without a tail the quantile-armed hedge
-	// strategy would have nothing to react to (and a race would never
-	// see an upset win). Chaos mode drives queries from one goroutine, so
-	// the tail sequence is reproducible for a seed.
+	// synthetic per-member band: with constant per-member RTTs a race
+	// would never see an upset win. Chaos mode drives queries from one
+	// goroutine, so the tail sequence is reproducible for a seed.
 	base := client.Latency
 	var tailTick atomic.Uint64
 	client.Latency = func(u *transport.Upstream) time.Duration {
@@ -408,13 +392,14 @@ func dumpTail(client *transport.Client) {
 	}
 }
 
-// burnTable renders the drill's multi-window SLO burn rates.
-func burnTable(burn *obs.BurnEngine) {
-	burns := burn.Burn()
+// burnTable renders the drill's multi-window SLO burn rates over the
+// post-warmup base and the per-epoch samples.
+func burnTable(base *obs.Snapshot, points []obs.Point) {
+	slo := obs.DefaultSLO()
+	burns := obs.Burn(slo, base, points)
 	if len(burns) == 0 {
 		return
 	}
-	slo := burn.SLO()
 	fmt.Printf("\nSLO burn rates (avail ≥ %.3f, p99 ≤ %v, stale ≤ %.0f%%; trailing windows):\n",
 		slo.Availability, slo.LatencyP99, 100*slo.StaleRatio)
 	fmt.Println("  window    avail     burn    p99          stale%    burn  viol")
@@ -524,14 +509,10 @@ func runChaos(camp *core.Campaign, list []string, queries, epochs int, epochLen 
 	}
 	// Baseline snapshot taken after warmup so every reported delta is
 	// drill-only; the sampler records one full snapshot per epoch for the
-	// resilience curve.
+	// resilience curve and the burn table — full, not stable: a live
+	// drill wants the latency histogram so the p99 objective is evaluated.
 	base := camp.Fleet.Metrics.Snapshot()
 	sampler := obs.NewSampler(camp.Fleet.Metrics, world.Clock, epochLen, false)
-	// One full snapshot per epoch feeds the multi-window burn engine —
-	// full, not stable: a live drill wants the latency histogram so the
-	// p99 objective is evaluated.
-	burn := obs.NewBurnEngine(world.Clock, obs.DefaultSLO())
-	burn.Record(base)
 
 	rng := rand.New(rand.NewSource(seed))
 	perEpoch := queries / epochs
@@ -566,7 +547,6 @@ func runChaos(camp *core.Campaign, list []string, queries, epochs int, epochLen 
 		fmt.Printf("  epoch %2d: %d/%d recursors down, %3d queries, %3d stale-served\n",
 			e, downs, len(ups), perEpoch, client.StaleAnswers()-staleBefore)
 		sampler.Force(fmt.Sprintf("epoch%02d", e))
-		burn.Record(camp.Fleet.Metrics.Snapshot())
 	}
 	for _, u := range ups {
 		u.setDown(false)
@@ -581,8 +561,9 @@ func runChaos(camp *core.Campaign, list []string, queries, epochs int, epochLen 
 	if servfails == 0 && errored == 0 {
 		fmt.Println("zero SERVFAILs / hard failures: every outage was covered by serve-stale")
 	}
-	chaosCurve(camp, base, sampler.Points())
-	burnTable(burn)
+	points := sampler.Points()
+	chaosCurve(base, points)
+	burnTable(base, points)
 	recorderSummary(camp.Fleet.Recorder, chaosStart, world.Clock.Now())
 	report(camp, diff, "drill deltas")
 
@@ -622,21 +603,21 @@ func fleetProtocols(camp *core.Campaign) []transport.Protocol {
 }
 
 // chaosCurve prints the per-epoch resilience curve from the sampler's
-// full snapshots: stale serves and hedges as per-epoch deltas against the
+// full snapshots: stale serves and races as per-epoch deltas against the
 // previous sample, pool health and cache hit rate as levels.
-func chaosCurve(camp *core.Campaign, base *obs.Snapshot, points []obs.Point) {
+func chaosCurve(base *obs.Snapshot, points []obs.Point) {
 	if len(points) == 0 {
 		return
 	}
 	fmt.Println("\nresilience curve (per-epoch snapshot deltas):")
-	fmt.Println("  epoch    stale  hedges  pool-healthy  cache-hit%")
+	fmt.Println("  epoch    stale   races  pool-healthy  cache-hit%")
 	prev := base
 	for _, p := range points {
 		d := p.Snap.Sub(prev)
 		hitRate := 100 * obs.Ratio(uint64(p.Snap.Value("cache_hits_total")),
 			uint64(p.Snap.Value("cache_hits_total")+p.Snap.Value("cache_misses_total")))
 		fmt.Printf("  %-7s %6.0f  %6.0f  %7.0f/%-4.0f  %9.1f\n",
-			p.Label, d.Value("client_stale_answers_total"), d.Value("strategy_hedges_total"),
+			p.Label, d.Value("client_stale_answers_total"), d.Value("strategy_races_total"),
 			p.Snap.Value("pool_healthy"), p.Snap.Value("pool_members"), hitRate)
 		prev = p.Snap
 	}
@@ -701,9 +682,9 @@ func report(camp *core.Campaign, snap *obs.Snapshot, label string) {
 	fmt.Printf("\nresolution strategy %s (%s):\n", camp.Fleet.StrategyStats().Strategy, label)
 	exchanges := snap.Value("client_exchanges_total")
 	wasted := snap.Value("strategy_wasted_total")
-	fmt.Printf("  %.0f exchanges, %.0f attempts: %.0f races started, %.0f hedges fired, %.0f losers cancelled\n",
+	fmt.Printf("  %.0f exchanges, %.0f attempts: %.0f races started, %.0f losers cancelled\n",
 		exchanges, snap.Value("strategy_attempts_total"), snap.Value("strategy_races_total"),
-		snap.Value("strategy_hedges_total"), snap.Value("strategy_losers_cancelled_total"))
+		snap.Value("strategy_losers_cancelled_total"))
 	overhead := 0.0
 	if exchanges > 0 {
 		overhead = 100 * wasted / exchanges

@@ -5,7 +5,7 @@
 //
 //	reproduce [-size N] [-seed S] [-step D] [-dayworkers W] [-hourworkers W]
 //	          [-frontends N] [-mix doh|dot|doq|mixed]
-//	          [-strategy serial|race|hedge] [-minobs N]
+//	          [-strategy serial|race] [-minobs N]
 //	          [-exp all|fig2|tab2|tab3|fig3|
 //	          intermittency|tab4|tab5|params|tab8|fig11|fig12|connectivity|
 //	          fig13|fig4|fig5|tab9|fig14|fig8|stalecorr|timeline|slo|
@@ -70,7 +70,7 @@ func main() {
 		"hourly ECH scan hours resolved concurrently (1 = serial; results are identical)")
 	frontends := flag.Int("frontends", 0, "encrypted-DNS frontends to scan through (0: direct stub queries)")
 	mixFlag := flag.String("mix", "doh", "frontend protocol mix (with -frontends): doh, dot, doq, mixed, or weights")
-	strategyFlag := flag.String("strategy", "serial", "resolution strategy (with -frontends): serial, race, or hedge")
+	strategyFlag := flag.String("strategy", "serial", "resolution strategy (with -frontends): serial or race")
 	minObs := flag.Int("minobs", analysis.DefaultIntermittencyMinObs,
 		"intermittency classification gate: minimum observed in-list days")
 	exp := flag.String("exp", "all", "experiment selector (comma-separated ids or 'all')")

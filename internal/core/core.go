@@ -85,19 +85,13 @@ type CampaignConfig struct {
 	// value is power-of-two-choices).
 	DoHBalance transport.Balance
 	// TransportStrategy selects the stub client's resolution strategy:
-	// serial failover (the zero value — today's behavior), happy-eyeballs
-	// protocol racing, or hedged queries. Strategies change which
-	// frontend answers and how many attempts fire, never the answers
-	// themselves, so campaign stores stay byte-identical across worker
-	// counts under every strategy (per-day replicas keep their clocks
-	// frozen; see newDayContext).
+	// serial failover (the zero value — today's behavior) or
+	// happy-eyeballs protocol racing. Strategies change which frontend
+	// answers and how many attempts fire, never the answers themselves,
+	// so campaign stores stay byte-identical across worker counts under
+	// either strategy (per-day replicas keep their clocks frozen; see
+	// newDayContext).
 	TransportStrategy transport.StrategyKind
-	// RaceStagger overrides the race strategy's happy-eyeballs head
-	// start; zero selects transport.DefaultRaceStagger.
-	RaceStagger time.Duration
-	// HedgeQuantile overrides the hedge strategy's arming quantile;
-	// zero selects transport.DefaultHedgeQuantile.
-	HedgeQuantile float64
 	// DoHShards and DoHShardCap set the shared answer cache geometry;
 	// zero values select the transport package defaults.
 	DoHShards   int
@@ -208,17 +202,6 @@ func (c *Campaign) cacheConfig() transport.CacheConfig {
 	}
 }
 
-// strategyConfig assembles the resolution-strategy selection from the
-// campaign knobs (shared by the campaign fleet and per-day replicas, so
-// both resolve with the identical policy).
-func (c *Campaign) strategyConfig() transport.StrategyConfig {
-	return transport.StrategyConfig{
-		Kind:          c.Cfg.TransportStrategy,
-		RaceStagger:   c.Cfg.RaceStagger,
-		HedgeQuantile: c.Cfg.HedgeQuantile,
-	}
-}
-
 // frontendRecursor returns frontend i's wrapped recursor and its org
 // label — the fleet alternates Google/Cloudflare by index, like the
 // paper's primary/backup split.
@@ -239,7 +222,7 @@ func (c *Campaign) buildFleet(n int, mix transport.Mix) {
 	w := c.World
 	fl := transport.NewFleet(w.Net, w.Clock, transport.FleetConfig{
 		Balance: c.Cfg.DoHBalance, Seed: c.Cfg.Seed,
-		Strategy:        c.strategyConfig(),
+		Strategy:        transport.StrategyConfig{Kind: c.Cfg.TransportStrategy},
 		Cache:           c.cacheConfig(),
 		FailureCooldown: c.Cfg.DoHFailureCooldown,
 		Latency:         transport.SyntheticLatency(dohLatencyBase, dohLatencySpread),
@@ -327,7 +310,7 @@ func (c *Campaign) newScanContext(at time.Time, seed int64, day bool) *scanConte
 		}
 		fl := transport.NewFleet(net, clock, transport.FleetConfig{
 			Balance: c.Cfg.DoHBalance, Seed: seed,
-			Strategy:        c.strategyConfig(),
+			Strategy:        transport.StrategyConfig{Kind: c.Cfg.TransportStrategy},
 			Cache:           c.cacheConfig(),
 			FailureCooldown: c.Cfg.DoHFailureCooldown,
 			Latency:         transport.SyntheticLatency(dohLatencyBase, dohLatencySpread),
@@ -366,7 +349,7 @@ func (c *Campaign) newHourContext(now time.Time) *scanContext {
 // servingSnapshot derives the day's serving-layer record from the day
 // replica's counters. The staleness and negative counters come from the
 // stub client — one count per exchange winner — rather than the
-// frontends: a racing or hedging strategy touches a schedule-dependent
+// frontends: a racing strategy touches a schedule-dependent
 // number of frontends per exchange, and per-attempt counters would break
 // the serial/pipelined store equality the campaign guarantees.
 // Prefetches stay frontend-side (armed at most once per cache-entry
@@ -403,7 +386,7 @@ type dayResult struct {
 }
 
 // stableTailFlags are the winner-side trace flags a stored anomaly
-// projection may carry. Dial-shape flags (failover, race, hedge) depend
+// projection may carry. Dial-shape flags (failover, race) depend
 // on how scanner workers interleaved their pool updates, so they are
 // masked out of the store — they remain visible on the in-memory ring.
 const stableTailFlags = obs.FlagError | obs.FlagServFail | obs.FlagStale

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -265,9 +266,12 @@ func TestPipelinedMixedFleetMatchesSerial(t *testing.T) {
 	pipelined := run(4)
 
 	// The fleet must actually be mixed and in the loop.
-	perProto := serial.Fleet.ProtocolStats()
-	if len(perProto) != 3 {
-		t.Fatalf("fleet spans %d protocols, want 3 (%v)", len(perProto), perProto)
+	protos := map[transport.Protocol]bool{}
+	for _, fe := range serial.Fleet.Frontends {
+		protos[fe.Proto] = true
+	}
+	if len(protos) != 3 {
+		t.Fatalf("fleet spans %d protocols, want 3 (%v)", len(protos), protos)
 	}
 	// Per-day replicas carry the traffic during RunDaily; the campaign
 	// fleet itself stays idle. The replicas' protocol assignment is
@@ -285,12 +289,12 @@ func TestPipelinedMixedFleetMatchesSerial(t *testing.T) {
 }
 
 // TestPipelinedStrategiesMatchSerial extends the pipelining equivalence
-// to the resolution strategies: a mixed-fleet campaign under
-// happy-eyeballs racing, and a same-protocol campaign under hedged
-// queries, must each produce byte-identical stores for any worker count.
-// Races and hedges change which frontend answers and how many attempts
-// fire — never the answers — and per-day replicas keep their clocks
-// frozen, so the determinism contract holds attempt-for-attempt.
+// to the race strategy: a mixed-fleet campaign under happy-eyeballs
+// protocol racing, and a same-protocol campaign whose races degrade to
+// connection racing, must each produce byte-identical stores for any
+// worker count. Races change which frontend answers and how many
+// attempts fire — never the answers — and per-day replicas keep their
+// clocks frozen, so the determinism contract holds attempt-for-attempt.
 func TestPipelinedStrategiesMatchSerial(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -298,7 +302,7 @@ func TestPipelinedStrategiesMatchSerial(t *testing.T) {
 		mix  transport.Mix
 	}{
 		{"race", transport.StrategyRace, transport.Mix{DoH: 2, DoT: 1, DoQ: 1}},
-		{"hedge", transport.StrategyHedge, transport.Mix{DoH: 1}},
+		{"race-doh", transport.StrategyRace, transport.Mix{DoH: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := CampaignConfig{
@@ -331,28 +335,24 @@ func TestPipelinedStrategiesMatchSerial(t *testing.T) {
 	}
 }
 
-// TestSerialStrategyByteIdenticalToDefault is the refactor's "today's
-// behavior, byte-identical" proof at the campaign level: explicitly
-// selecting StrategySerial collects a store byte-identical to the
-// zero-value config's (whose fleets ran the pre-refactor failover
-// shape). The default ≡ explicit-serial equivalence itself is pinned
-// deterministically in the transport package
-// (TestSerialFailoverExplicitMatchesDefault); RunDaily is used here
-// because its per-day replicas freeze their clocks, making the store
-// bytes reproducible.
-func TestSerialStrategyByteIdenticalToDefault(t *testing.T) {
-	run := func(explicit bool) []byte {
+// TestServingPathsStoreWhatDirectStores is the serving layer's
+// metamorphic check: one world scanned four ways — direct stub queries,
+// a one-frontend DoH fleet under serial failover, and the 2:1:1 mixed
+// fleet under serial and under race — must commit byte-equal
+// measurement tables. Only the serving table, which exists only behind
+// a fleet, may differ. The golden digests pin one configuration to its
+// own bytes; this pins every configuration to the same answers, so a
+// serving-path bug that rewrites answers the same way every run (a
+// frontend or strategy dropping AD, say) fails here.
+func TestServingPathsStoreWhatDirectStores(t *testing.T) {
+	tables := func(fleet func(*CampaignConfig)) map[string]json.RawMessage {
 		cfg := CampaignConfig{
 			Size: 400, Seed: 17,
-			Start:        time.Date(2024, 1, 25, 0, 0, 0, 0, time.UTC),
-			End:          time.Date(2024, 2, 8, 0, 0, 0, 0, time.UTC),
-			StepDays:     7,
-			DoHFrontends: 3,
-			TransportMix: transport.Mix{DoH: 1, DoT: 1, DoQ: 1},
+			Start:    time.Date(2024, 1, 25, 0, 0, 0, 0, time.UTC),
+			End:      time.Date(2024, 2, 8, 0, 0, 0, 0, time.UTC),
+			StepDays: 7,
 		}
-		if explicit {
-			cfg.TransportStrategy = transport.StrategySerial
-		}
+		fleet(&cfg)
 		c, err := NewCampaign(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -360,10 +360,44 @@ func TestSerialStrategyByteIdenticalToDefault(t *testing.T) {
 		if err := c.RunDaily(); err != nil {
 			t.Fatal(err)
 		}
-		return storeJSON(t, c)
+		// cmd/reproduce's order. Cloudflare still served ECH in July 2023,
+		// so the ech table fills; the census comes last because it warms
+		// the world's own recursors and fleet on the world clock, and an
+		// ECH day set back behind it would read answers cached later.
+		c.RunHourlyECH(time.Date(2023, 7, 21, 0, 0, 0, 0, time.UTC), 1)
+		c.RunValidationCensus(c.Cfg.End)
+		var out map[string]json.RawMessage
+		if err := json.Unmarshal(storeJSON(t, c), &out); err != nil {
+			t.Fatal(err)
+		}
+		delete(out, "serving")
+		return out
 	}
-	if !bytes.Equal(run(true), run(false)) {
-		t.Fatal("explicit StrategySerial diverged from the default config")
+	direct := tables(func(*CampaignConfig) {})
+	for _, table := range []string{"apex", "www", "ns", "ech", "probes", "validation"} {
+		if len(direct[table]) < 8 {
+			t.Fatalf("direct run stored no %s table: %s", table, direct[table])
+		}
+	}
+	mixed := transport.Mix{DoH: 2, DoT: 1, DoQ: 1}
+	for name, fleet := range map[string]func(*CampaignConfig){
+		"doh1-serial": func(c *CampaignConfig) { c.DoHFrontends = 1 },
+		"mixed-serial": func(c *CampaignConfig) {
+			c.DoHFrontends, c.TransportMix = 4, mixed
+		},
+		"mixed-race": func(c *CampaignConfig) {
+			c.DoHFrontends, c.TransportMix, c.TransportStrategy = 4, mixed, transport.StrategyRace
+		},
+	} {
+		got := tables(fleet)
+		if len(got) != len(direct) {
+			t.Errorf("%s: stored tables %d, direct %d", name, len(got), len(direct))
+		}
+		for table, want := range direct {
+			if !bytes.Equal(got[table], want) {
+				t.Errorf("%s: %s table differs from the direct run's (%d vs %d bytes)", name, table, len(got[table]), len(want))
+			}
+		}
 	}
 }
 

@@ -27,7 +27,7 @@
 //
 //   - Sample only schedule-independent metrics into series. Counters
 //     whose value depends on which attempt ran where (per-frontend
-//     served counts, per-member pool traffic, race/hedge fire counts,
+//     served counts, per-member pool traffic, race fire counts,
 //     cache probe totals) vary with scanner-worker interleaving even for
 //     a fixed seed; registries mark them volatile (Registry.SetVolatile)
 //     and StableSnapshot excludes them. What remains — per-exchange
@@ -45,7 +45,7 @@
 // schedule-dependent (cmd/dohserve documents this caveat on -trace).
 // Tail sampling (TraceConfig.Tail) traces nothing extra: Finish is told
 // each exchange's outcome by its owner — the TraceFlags (error, SERVFAIL,
-// stale-served, failover, race, hedge) and the virtual cost, all known
+// stale-served, failover, race) and the virtual cost, all known
 // once the exchange is over — and keeps the ones matching a deterministic
 // anomaly predicate (a flag set, or cost over a threshold), ranked into a
 // bounded top-K ring by (cost, name, flags): properties of the exchange
@@ -65,9 +65,10 @@
 // its emission site, so anomaly captures read the stable snapshot like
 // every other committed record.
 //
-// SLO evaluation (SLO, BurnEngine) is snapshot arithmetic on these same
-// quantities — winner-side counters and the latency histogram's
-// quantiles — so it inherits the contract: burn rates over stable
+// SLO evaluation (SLO.Eval, and Burn over a base snapshot and a
+// sampler's points) is a pure function of snapshots — winner-side
+// counters and the latency histogram's quantiles — so it holds no state
+// and inherits the contract: burn rates over stable
 // snapshots are schedule-independent; the latency objective reads the
 // (volatile) histogram and is therefore only evaluated on live
 // single-driver registries, never in committed campaign records.

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // SLO declares the service objectives a serving fleet is judged
 // against, all evaluated on the virtual clock. A zero field disables
@@ -136,111 +133,47 @@ type WindowBurn struct {
 	Report SLOReport
 }
 
-// BurnEngine evaluates an SLO over multiple trailing virtual-time
-// windows — the multi-window burn-rate shape (a short window catches a
-// fast burn, a long window keeps a slow burn honest). Feed it cumulative
-// registry snapshots as virtual time advances; each Burn call subtracts
-// the snapshot at the window's edge, so per-window stats are true
-// deltas, latency histogram included.
-type BurnEngine struct {
-	clock   Clock
-	slo     SLO
-	windows []time.Duration
-
-	mu      sync.Mutex
-	samples []burnSample // time-ordered
-}
-
-type burnSample struct {
-	at   time.Time
-	snap *Snapshot
-}
-
 // DefaultBurnWindows is the demo window ladder, scaled to drills that
 // span virtual minutes to hours.
 func DefaultBurnWindows() []time.Duration {
 	return []time.Duration{5 * time.Minute, 30 * time.Minute, 2 * time.Hour}
 }
 
-// NewBurnEngine builds an engine judging slo over the given trailing
-// windows (empty selects DefaultBurnWindows).
-func NewBurnEngine(clock Clock, slo SLO, windows ...time.Duration) *BurnEngine {
-	if len(windows) == 0 {
-		windows = DefaultBurnWindows()
+// Burn evaluates slo over multiple trailing virtual-time windows — the
+// multi-window burn-rate shape (a short window catches a fast burn, a
+// long window keeps a slow burn honest). base is the cumulative snapshot
+// the series starts from, stamped at its At; points are later cumulative
+// samples in time order (a Sampler's Points). Each window ends at the
+// latest sample and subtracts the newest sample at or before its edge,
+// so per-window stats are true deltas, latency histogram included; a
+// window older than the whole series has no such sample and judges the
+// cumulative stats — correct for drills shorter than the window. Empty
+// windows select DefaultBurnWindows. Returns nil when there is no
+// sample at all.
+func Burn(slo SLO, base *Snapshot, points []Point, windows ...time.Duration) []WindowBurn {
+	samples := make([]Point, 0, len(points)+1)
+	if base != nil {
+		samples = append(samples, Point{At: base.At, Snap: base})
 	}
-	ws := append([]time.Duration(nil), windows...)
-	return &BurnEngine{clock: clock, slo: slo, windows: ws}
-}
-
-// SLO returns the engine's objectives.
-func (e *BurnEngine) SLO() SLO { return e.slo }
-
-// Windows returns the trailing windows, in declaration order.
-func (e *BurnEngine) Windows() []time.Duration {
-	return append([]time.Duration(nil), e.windows...)
-}
-
-// Record appends the registry's cumulative snapshot at the clock's
-// current virtual time. Samples older than the longest window (plus one
-// baseline sample before its edge) are trimmed.
-func (e *BurnEngine) Record(snap *Snapshot) {
-	if e == nil || snap == nil {
-		return
-	}
-	var at time.Time
-	if e.clock != nil {
-		at = e.clock.Now()
-	} else {
-		at = snap.At
-	}
-	longest := e.windows[0]
-	for _, w := range e.windows[1:] {
-		if w > longest {
-			longest = w
-		}
-	}
-	e.mu.Lock()
-	e.samples = append(e.samples, burnSample{at: at, snap: snap})
-	edge := at.Add(-longest)
-	cut := 0
-	for cut+1 < len(e.samples) && !e.samples[cut+1].at.After(edge) {
-		cut++
-	}
-	e.samples = e.samples[cut:]
-	e.mu.Unlock()
-}
-
-// Burn judges each trailing window ending at the latest sample. The
-// window's baseline is the newest sample at or before its edge; a
-// window older than the whole run has no baseline and judges the
-// cumulative stats — correct for drills shorter than the window.
-// Returns nil before any sample.
-func (e *BurnEngine) Burn() []WindowBurn {
-	if e == nil {
-		return nil
-	}
-	e.mu.Lock()
-	samples := append([]burnSample(nil), e.samples...)
-	e.mu.Unlock()
+	samples = append(samples, points...)
 	if len(samples) == 0 {
 		return nil
 	}
+	if len(windows) == 0 {
+		windows = DefaultBurnWindows()
+	}
 	latest := samples[len(samples)-1]
-	out := make([]WindowBurn, 0, len(e.windows))
-	for _, w := range e.windows {
-		edge := latest.at.Add(-w)
-		var base *Snapshot
+	out := make([]WindowBurn, 0, len(windows))
+	for _, w := range windows {
+		edge := latest.At.Add(-w)
+		delta := latest.Snap
 		for i := len(samples) - 1; i >= 0; i-- {
-			if !samples[i].at.After(edge) {
-				base = samples[i].snap
+			if !samples[i].At.After(edge) {
+				delta = latest.Snap.Sub(samples[i].Snap)
 				break
 			}
 		}
-		delta := latest.snap
-		if base != nil {
-			delta = latest.snap.Sub(base)
-		}
-		out = append(out, WindowBurn{Window: w, Report: e.slo.Eval(SLOStatsFrom(delta))})
+		out = append(out, WindowBurn{Window: w, Report: slo.Eval(SLOStatsFrom(delta))})
 	}
 	return out
 }

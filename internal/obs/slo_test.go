@@ -73,15 +73,14 @@ func TestSLOEvalIdleAndDisabled(t *testing.T) {
 	}
 }
 
-// TestBurnEngineMultiWindow drives a clean hour then a bad five
-// minutes: the short window sees the full burn while the long window
-// dilutes it — the multi-window shape that separates a blip from a
-// budget fire.
-func TestBurnEngineMultiWindow(t *testing.T) {
+// TestBurnMultiWindow drives a clean hour then a bad five minutes: the
+// short window sees the full burn while the long window dilutes it — the
+// multi-window shape that separates a blip from a budget fire.
+func TestBurnMultiWindow(t *testing.T) {
 	clock := testClock()
 	r, ex, errs, _, h := sloRegistry(clock)
 	slo := SLO{Availability: 0.9, LatencyP99: time.Second}
-	e := NewBurnEngine(clock, slo, 5*time.Minute, time.Hour)
+	sampler := NewSampler(r, clock, 0, false)
 
 	observe := func(n, bad int) {
 		for i := 0; i < n; i++ {
@@ -93,14 +92,14 @@ func TestBurnEngineMultiWindow(t *testing.T) {
 	// A clean hour in 5-minute ticks.
 	for i := 0; i < 12; i++ {
 		observe(100, 0)
-		e.Record(r.Snapshot())
+		sampler.Force("tick")
 		clock.Advance(5 * time.Minute)
 	}
 	// Five bad minutes: half the exchanges fail.
 	observe(100, 50)
-	e.Record(r.Snapshot())
+	sampler.Force("tick")
 
-	burns := e.Burn()
+	burns := Burn(slo, nil, sampler.Points(), 5*time.Minute, time.Hour)
 	if len(burns) != 2 {
 		t.Fatalf("burn windows = %d, want 2", len(burns))
 	}
@@ -126,20 +125,47 @@ func TestBurnEngineMultiWindow(t *testing.T) {
 	}
 }
 
-func TestBurnEngineCumulativeFallback(t *testing.T) {
+// TestBurnCumulativeFallback pins the windows no sample reaches back
+// to: they judge the cumulative stats of the latest sample, whether
+// that is the base alone or a later point.
+func TestBurnCumulativeFallback(t *testing.T) {
 	clock := testClock()
 	r, ex, _, _, _ := sloRegistry(clock)
-	e := NewBurnEngine(clock, DefaultSLO()) // default windows
-	if e.Burn() != nil {
+	if Burn(DefaultSLO(), nil, nil) != nil {
 		t.Fatal("burn before any sample")
 	}
 	ex.Add(10)
-	e.Record(r.Snapshot())
-	burns := e.Burn()
-	// A run shorter than every window judges the cumulative stats.
-	for _, b := range burns {
-		if b.Report.Stats.Exchanges != 10 {
-			t.Fatalf("window %v stats = %+v, want cumulative 10 exchanges", b.Window, b.Report.Stats)
+	base := r.Snapshot()
+	clock.Advance(time.Minute)
+	ex.Add(5)
+	point := Point{At: clock.Now(), Snap: r.Snapshot()}
+	for name, tc := range map[string]struct {
+		base   *Snapshot
+		points []Point
+		want   uint64
+	}{
+		"base-only":  {base, nil, 10},
+		"point-only": {nil, []Point{point}, 15},
+	} {
+		burns := Burn(DefaultSLO(), tc.base, tc.points) // default windows
+		if len(burns) != len(DefaultBurnWindows()) {
+			t.Fatalf("%s: %d windows, want the default %d", name, len(burns), len(DefaultBurnWindows()))
 		}
+		// A run shorter than every window judges the cumulative stats.
+		for _, b := range burns {
+			if b.Report.Stats.Exchanges != tc.want {
+				t.Fatalf("%s: window %v stats = %+v, want cumulative %d exchanges", name, b.Window, b.Report.Stats, tc.want)
+			}
+		}
+	}
+	// With the base a minute back, the 5-minute window still reaches
+	// before it and stays cumulative; a window shorter than that minute
+	// subtracts the base.
+	burns := Burn(DefaultSLO(), base, []Point{point}, 30*time.Second, 5*time.Minute)
+	if got := burns[0].Report.Stats.Exchanges; got != 5 {
+		t.Errorf("30s window = %d exchanges, want the 5 past the base", got)
+	}
+	if got := burns[1].Report.Stats.Exchanges; got != 15 {
+		t.Errorf("5m window = %d exchanges, want cumulative 15", got)
 	}
 }

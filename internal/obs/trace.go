@@ -23,7 +23,7 @@ type TraceConfig struct {
 	// sampling: Finish judges every exchange, sampled or not, by the
 	// outcome its owner reports and keeps those matching the anomaly
 	// predicate — any TraceFlag set (error, SERVFAIL, stale-served,
-	// failover, race, hedge fired) or virtual cost at or over
+	// failover, race fired) or virtual cost at or over
 	// Tail.Latency — ranked in a bounded top-K ring by virtual cost. One
 	// that head sampling skipped is kept as a span-less record, so
 	// SampleEvery 1 with Tail is how to get span trees for anomalies.
@@ -61,14 +61,11 @@ const (
 	// FlagStale marks an RFC 8767 stale-served answer.
 	FlagStale
 	// FlagFailover marks an exchange that needed more than one attempt
-	// without racing or hedging — serial failover past a dead or failing
-	// member.
+	// without racing — serial failover past a dead or failing member.
 	FlagFailover
 	// FlagRace marks an exchange whose happy-eyeballs race actually
 	// fired.
 	FlagRace
-	// FlagHedge marks an exchange whose hedge timer fired.
-	FlagHedge
 )
 
 // traceFlagNames orders flag names for stable rendering.
@@ -81,7 +78,6 @@ var traceFlagNames = []struct {
 	{FlagStale, "stale"},
 	{FlagFailover, "failover"},
 	{FlagRace, "race"},
-	{FlagHedge, "hedge"},
 }
 
 // Strings renders the set flags as a stable, declaration-ordered name
@@ -262,7 +258,7 @@ func (t *Tracer) Slowest(n int) []*Trace {
 
 // Span is one event on a trace's virtual timeline. Offset is the span's
 // launch offset from the exchange start (the strategy layer's simulated-
-// concurrency offsets: stagger edges, hedge thresholds); Dur is its
+// concurrency offsets: race stagger edges); Dur is its
 // virtual duration (zero for structural server-side events, whose cost
 // is carried by the enclosing dial span).
 type Span struct {

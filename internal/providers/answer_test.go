@@ -2,6 +2,7 @@ package providers
 
 import (
 	"encoding/hex"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -306,5 +307,58 @@ func TestWorldCryptoIsReproducible(t *testing.T) {
 		if !slices.Equal(got[i], want) {
 			t.Errorf("worker %d of a raced cold world saw different key or signature bytes", i)
 		}
+	}
+}
+
+// TestSigCacheBounded signs one signed domain's SOA for more than
+// sigCacheMax distinct days (the serial is the day number, so each day is
+// new content): the domain's signature cache never holds more than
+// sigCacheMax entries, and a signature made again after the clear equals
+// the one made before it.
+func TestSigCacheBounded(t *testing.T) {
+	w, err := BuildWorld(WorldConfig{Size: 300, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := findDomain(w, func(d *DomainState) bool {
+		return d.Signed && d.Intermittent == IntermitNone && d.SwitchDay.IsZero() && len(d.NoNSEpisodes) == 0
+	})
+	if d == nil {
+		t.Fatal("world has no signed domain")
+	}
+	sign := func(day int) dnswire.RR {
+		t.Helper()
+		soa := d.SOARRset(StudyStart.Add(time.Duration(day) * 24 * time.Hour))
+		if len(soa) == 0 {
+			t.Fatalf("day %d: %s serves no SOA", day, d.Apex)
+		}
+		sig, ok := d.signRRset(soa)
+		if !ok {
+			t.Fatalf("day %d: %s SOA not signed", day, d.Apex)
+		}
+		return sig
+	}
+	first := sign(0)
+	for day := 1; day <= sigCacheMax+10; day++ {
+		sign(day)
+		d.sigMu.Lock()
+		n := len(d.sigCache)
+		d.sigMu.Unlock()
+		if n > sigCacheMax {
+			t.Fatalf("day %d: signature cache holds %d entries, bound %d", day, n, sigCacheMax)
+		}
+	}
+	key, ok := contentKey(d.SOARRset(StudyStart))
+	if !ok {
+		t.Fatal("SOA RRset does not pack")
+	}
+	d.sigMu.Lock()
+	_, cached := d.sigCache[key]
+	d.sigMu.Unlock()
+	if cached {
+		t.Fatal("day 0's signature survived more than sigCacheMax newer ones: the cache never cleared")
+	}
+	if again := sign(0); !reflect.DeepEqual(again, first) {
+		t.Errorf("re-signed SOA after a clear = %v, want the first signature %v", again, first)
 	}
 }

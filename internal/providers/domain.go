@@ -143,7 +143,8 @@ type DomainState struct {
 	dnskeys []dnswire.RR // the DNSKEY RRset, shared by every answer
 	keySeed int64        // the world seed the keys derive from
 
-	// sigCache holds one RRSIG per distinct RRset content ever served: the
+	// sigCache holds one RRSIG per distinct RRset content served since
+	// it was last cleared (it is cleared at sigCacheMax entries): the
 	// records are synthesized per query from schedules, so what they say,
 	// not which query asked, identifies a set. Cached RRSIGs are handed out
 	// as they are (read-only).
@@ -336,6 +337,14 @@ func (d *DomainState) BuildHTTPSRecords(owner string, t time.Time, echList []byt
 	}
 }
 
+// sigCacheMax bounds a domain's signature cache. Content changes with
+// time — the SOA serial is the day number, ECH rotates HTTPS content
+// every 76 minutes — so an unbounded cache would grow for the life of the
+// World. Signing is RFC 6979, so a signature dropped by a clear is
+// re-made byte-equal; 256 is more than twice the largest per-domain cache
+// any benchmark workload builds, so none of them ever clears.
+const sigCacheMax = 256
+
 // signRRset returns the cached RRSIG over the RRset, signing on first use
 // for each distinct RRset content.
 func (d *DomainState) signRRset(rrs []dnswire.RR) (dnswire.RR, bool) {
@@ -363,6 +372,8 @@ func (d *DomainState) signRRset(rrs []dnswire.RR) (dnswire.RR, bool) {
 	}
 	if d.sigCache == nil {
 		d.sigCache = map[[sha256.Size]byte]dnswire.RR{}
+	} else if len(d.sigCache) >= sigCacheMax {
+		clear(d.sigCache)
 	}
 	d.sigCache[key] = sig
 	return sig, true

@@ -41,7 +41,7 @@ type Client struct {
 	// the pool instead of a wall-clock measurement. Exchanges are
 	// synchronous in-process calls, so wall time is host scheduling
 	// noise; a deterministic Latency function makes the EWMA/P2 routing
-	// decisions — and the race/hedge completion-time comparisons —
+	// decisions — and the race's completion-time comparisons —
 	// replayable along with the rest of the simulation.
 	Latency func(u *Upstream) time.Duration
 	// ChargeLatency additionally charges each exchange's critical path —
@@ -49,8 +49,8 @@ type Client struct {
 	// a fresh DoT connection (TCP + TLS), one for a fresh DoQ session
 	// (QUIC handshake), none for a 0-RTT DoQ resumption — to the
 	// network's virtual clock, so queueing delay through the serving
-	// layer is observable in campaign timings. Racing and hedging charge
-	// the winner's completion time, not the sum of attempts: overlapped
+	// layer is observable in campaign timings. A race charges the
+	// winner's completion time, not the sum of attempts: overlapped
 	// work costs wall time only along the critical path. Leave it off
 	// where bitwise reproducibility matters more than modeled delay:
 	// concurrent workers interleave their clock charges
@@ -59,8 +59,8 @@ type Client struct {
 	ChargeLatency bool
 	// Tracer, when non-nil, head-samples exchanges into span traces on
 	// the virtual clock (see obs.Tracer). Every exchange, sampled or not,
-	// reports its anomaly flags (error, SERVFAIL, stale, failover, race,
-	// hedge) and virtual cost to Finish — all a tail-retention policy
+	// reports its anomaly flags (error, SERVFAIL, stale, failover, race)
+	// and virtual cost to Finish — all a tail-retention policy
 	// needs; unsampled exchanges record no spans. Nil traces nothing and
 	// costs one nil check per exchange.
 	Tracer *obs.Tracer
@@ -115,7 +115,6 @@ type Client struct {
 	attempts        obs.Counter
 	races           obs.Counter
 	losersCancelled obs.Counter
-	hedges          obs.Counter
 	wasted          obs.Counter
 	winsByProto     [3]obs.Counter
 }
@@ -131,7 +130,7 @@ func (c *Client) StaleAnswers() uint64 { return c.staleAnswers.Load() }
 // negative (NXDOMAIN, or NOERROR with an empty answer section — NODATA),
 // the same classification the answer cache applies. Campaign serving
 // snapshots record this stub-side count rather than the frontends'
-// negative-hit counters: strategies that race or hedge touch a
+// negative-hit counters: a racing strategy touches a
 // nondeterministic number of frontends per exchange, but each exchange
 // has exactly one winner, so per-exchange counters stay byte-identical
 // between serial and pipelined campaign runs.
@@ -178,7 +177,7 @@ func (c *Client) putMsg(m *dnswire.Message) {
 
 // discard returns a losing attempt's answer message to the recycle pool.
 // resolve calls it exactly for attempts whose answer can no longer escape
-// the exchange — raced or hedged losers, and parked SERVFAILs superseded
+// the exchange — raced losers, and parked SERVFAILs superseded
 // by a better answer — so recycling is unconditionally safe here: only
 // the winner's message reaches the caller.
 func (c *Client) discard(at attemptResult) {
@@ -243,11 +242,10 @@ func (c *Client) nextID() uint16 {
 }
 
 // Exchange sends the query to the pool: candidate selection (the pool's
-// failover ordering), then strategy dispatch — serial failover, a
-// happy-eyeballs protocol race, or a hedged duplicate, per the
-// client's Strategy. Per-attempt RTTs fold into the pool's EWMA and
-// quantile windows; protocol dispatch happens per member, so a mixed
-// fleet races and fails over across protocols transparently.
+// failover ordering), then strategy dispatch — serial failover or a
+// happy-eyeballs protocol race, per the client's Strategy. Per-attempt
+// RTTs fold into the pool's EWMA; protocol dispatch happens per member,
+// so a mixed fleet races and fails over across protocols transparently.
 func (c *Client) Exchange(q *dnswire.Message) (*dnswire.Message, error) {
 	return c.ExchangePreferring(q, ProtoAny)
 }
@@ -277,7 +275,7 @@ func (c *Client) ExchangePreferring(q *dnswire.Message, pref Protocol) (*dnswire
 	if sc == nil {
 		sc = new(exchangeScratch)
 	}
-	candidates := c.Pool.Candidates(sc.cand[:0], name, pref)
+	candidates := c.Pool.Candidates(sc.cand[:0], pref)
 	if len(candidates) == 0 {
 		sc.cand = candidates
 		c.scratch.Put(sc)
@@ -296,16 +294,11 @@ func (c *Client) ExchangePreferring(q *dnswire.Message, pref Protocol) (*dnswire
 	c.scratch.Put(sc)
 	// The anomaly flags are a function of the outcome alone, so the
 	// tracer's tail predicate judges every exchange, traced or not. An
-	// exchange that raced, hedged, or failed over is anomalous enough to
-	// retain.
+	// exchange that raced or failed over is anomalous enough to retain.
 	var flags obs.TraceFlag
 	if out.Races > 0 {
-		flags |= obs.FlagRace
-	}
-	if out.Hedges > 0 {
-		flags |= obs.FlagHedge
-	}
-	if out.Attempts > 1 && flags == 0 {
+		flags = obs.FlagRace
+	} else if out.Attempts > 1 {
 		flags = obs.FlagFailover
 	}
 	c.account(out)
@@ -354,26 +347,22 @@ func (c *Client) ExchangePreferring(q *dnswire.Message, pref Protocol) (*dnswire
 // account folds one exchange's outcome into the client's telemetry and
 // emits the flight-recorder events describing the exchange's shape. The
 // shape events are volatile: which members an exchange dials — and hence
-// whether it raced, hedged, or failed over — depends on pool state other
+// whether it raced or failed over — depends on pool state other
 // workers mutated concurrently.
 func (c *Client) account(out outcome) {
 	c.exchanges.Add(1)
 	c.attempts.Add(uint64(out.Attempts))
 	c.races.Add(uint64(out.Races))
 	c.losersCancelled.Add(uint64(out.LosersCancelled))
-	c.hedges.Add(uint64(out.Hedges))
 	c.wasted.Add(uint64(out.Wasted))
 	if c.Recorder != nil {
 		if out.Races > 0 {
 			c.Recorder.Emit("strategy.race")
 		}
-		if out.Hedges > 0 {
-			c.Recorder.Emit("strategy.hedge")
-		}
 		if out.LosersCancelled > 0 {
 			c.Recorder.Emit("strategy.cancel")
 		}
-		if out.Attempts > 1 && out.Races == 0 && out.Hedges == 0 {
+		if out.Attempts > 1 && out.Races == 0 {
 			c.Recorder.Emit("strategy.failover")
 		}
 	}
@@ -385,7 +374,7 @@ func (c *Client) account(out outcome) {
 }
 
 // StrategyStats snapshots the client's resolution telemetry: attempt
-// overhead, races/hedges fired, losers cancelled, wasted upstream
+// overhead, races fired, losers cancelled, wasted upstream
 // queries, and the winner-protocol distribution.
 func (c *Client) StrategyStats() StrategyStats {
 	st := StrategyStats{
@@ -394,7 +383,6 @@ func (c *Client) StrategyStats() StrategyStats {
 		Attempts:        c.attempts.Load(),
 		Races:           c.races.Load(),
 		LosersCancelled: c.losersCancelled.Load(),
-		Hedges:          c.hedges.Load(),
 		Wasted:          c.wasted.Load(),
 		WinsByProto:     map[Protocol]uint64{},
 	}
@@ -418,7 +406,6 @@ func (c *Client) bindMetrics(reg *obs.Registry) {
 	reg.RegisterCounter(&c.attempts, "strategy_attempts_total")
 	reg.RegisterCounter(&c.races, "strategy_races_total")
 	reg.RegisterCounter(&c.losersCancelled, "strategy_losers_cancelled_total")
-	reg.RegisterCounter(&c.hedges, "strategy_hedges_total")
 	reg.RegisterCounter(&c.wasted, "strategy_wasted_total")
 	for p := range c.winsByProto {
 		reg.RegisterCounter(&c.winsByProto[p], "strategy_wins_total",
@@ -472,17 +459,17 @@ func (c *Client) charge(out *outcome, d time.Duration) {
 	}
 }
 
-// sample feeds the pool the attempt's RTT and returns the (RTT, Cost)
-// pair for the attempt: cost includes setupRTTs extra round-trips of
-// connection establishment. The virtual clock is not touched here —
-// resolve charges its critical path once the exchange's shape is known.
-func (c *Client) sample(up *Upstream, wall time.Duration, setupRTTs int) (rtt, cost time.Duration) {
+// sample feeds the pool the attempt's RTT and returns the attempt's
+// cost: the RTT plus setupRTTs extra round-trips of connection
+// establishment. The virtual clock is not touched here — resolve charges
+// its critical path once the exchange's shape is known.
+func (c *Client) sample(up *Upstream, wall time.Duration, setupRTTs int) time.Duration {
 	d := wall
 	if c.Latency != nil {
 		d = c.Latency(up)
 	}
 	c.Pool.ObserveRTT(up, d)
-	return d, d + time.Duration(setupRTTs)*d
+	return d + time.Duration(setupRTTs)*d
 }
 
 // dialScratch is the per-attempt DoH envelope working set: the request
@@ -537,7 +524,7 @@ func (c *Client) tryDoH(up *Upstream, q *dnswire.Message, tr *obs.Trace) attempt
 	start := time.Now()
 	resp := &ds.resp
 	ex.ExchangeDoH(&ds.req, resp, tr)
-	rtt, cost := c.sample(up, time.Since(start), 0)
+	cost := c.sample(up, time.Since(start), 0)
 	m := c.getMsg()
 	if err := resp.DecodeInto(m); err != nil {
 		c.putMsg(m)
@@ -545,9 +532,9 @@ func (c *Client) tryDoH(up *Upstream, q *dnswire.Message, tr *obs.Trace) attempt
 		// healthy transport — move on without benching, like the
 		// SERVFAIL case. Anything else (4xx, bad media type) is a
 		// protocol mismatch worth a cooldown.
-		return attemptResult{Bench: resp.Status != StatusServFailUpstream, Err: err, RTT: rtt, Cost: cost}
+		return attemptResult{Bench: resp.Status != StatusServFailUpstream, Err: err, Cost: cost}
 	}
-	return attemptResult{Msg: m, Stale: resp.Stale, RTT: rtt, Cost: cost}
+	return attemptResult{Msg: m, Stale: resp.Stale, Cost: cost}
 }
 
 // tryDoT performs one exchange over the member's persistent DoT
@@ -567,8 +554,8 @@ func (c *Client) tryDoT(up *Upstream, q *dnswire.Message, tr *obs.Trace) attempt
 		c.dropDoT(up.Addr)
 		return attemptResult{Bench: true, Err: err}
 	}
-	rtt, cost := c.sample(up, time.Since(start), setup)
-	return attemptResult{Msg: m, Stale: stale, RTT: rtt, Cost: cost}
+	cost := c.sample(up, time.Since(start), setup)
+	return attemptResult{Msg: m, Stale: stale, Cost: cost}
 }
 
 // dotConn returns the cached live connection to the member, dialing a
@@ -630,9 +617,9 @@ func (c *Client) tryDoQ(up *Upstream, q *dnswire.Message, tr *obs.Trace) attempt
 		c.dropDoQ(up.Addr)
 		return attemptResult{Bench: true, Err: err}
 	}
-	rtt, cost := c.sample(up, time.Since(start), setup)
+	cost := c.sample(up, time.Since(start), setup)
 	m.ID = id
-	return attemptResult{Msg: m, Stale: stale, RTT: rtt, Cost: cost}
+	return attemptResult{Msg: m, Stale: stale, Cost: cost}
 }
 
 // doqSession returns the cached live session to the member, establishing

@@ -28,18 +28,17 @@
 //     resumed ones ride 0-RTT.
 //   - Cache: the sharded TTL+LRU answer cache shared across frontends
 //     regardless of protocol (the anycast-pod property).
-//   - Pool and Client: the load-balanced upstream set (P2/EWMA/
-//     round-robin/hash Balance policies, failover that benches a failed
-//     member for DefaultCooldown of virtual time and never removes it,
-//     per-member RTT quantile tracking) and the
-//     protocol-agnostic stub that dispatches each attempt by the
+//   - Pool and Client: the load-balanced upstream set (P2 or round-robin
+//     Balance, failover that benches a failed member for DefaultCooldown
+//     of virtual time and never removes it, a per-member EWMA RTT) and
+//     the protocol-agnostic stub that dispatches each attempt by the
 //     member's envelope — a mixed fleet races and fails over across
 //     protocols. The client's Strategy (a StrategyConfig) decides, over
 //     the pool's candidate ordering, which candidates are attempted, in
 //     what simulated overlap, and whose answer wins (see below).
 //   - Fleet: the bundle — one cache, one pool, one client, any Mix of
-//     frontends — with per-frontend, per-protocol, fleet-wide, and
-//     strategy stats.
+//     frontends — with one registry holding every counter, plus
+//     fleet-wide and strategy views.
 //
 // # Cache lifecycle
 //
@@ -87,37 +86,29 @@
 // orders the members (its Balance policy picks the head, healthy members
 // follow, benched members last), and the client's resolve switches on
 // Strategy.Kind to drive the per-protocol dialers over that ordering.
-// Three kinds exist, mirroring how real encrypted-DNS clients behave
-// rather than the strictly serial failover a naive stub performs:
+// Two kinds exist:
 //
 //   - StrategySerial (the zero value): one candidate at a time, first
 //     usable answer wins, SERVFAIL returned only when every member
 //     agrees.
 //   - StrategyRace: happy-eyeballs protocol racing (the Firefox/Chrome
 //     DoH fallback shape, RFC 8305's connection-attempt delay). The
-//     primary gets a RaceStagger head start; if its answer has not
-//     arrived when the timer fires, the first candidate on a *different*
-//     protocol launches too, and the earlier virtual completion wins.
-//   - StrategyHedge: quantile-armed duplicate queries on a single
-//     protocol. Each member's recent RTTs feed a sliding quantile window
-//     (Pool.RTTQuantile — the per-server latency estimation
-//     dnscrypt-proxy builds its candidate ordering from); when the
-//     primary exceeds its own HedgeQuantile, a same-protocol understudy
-//     launches at the threshold and the first answer wins.
+//     primary gets a 5 ms head start; if its answer has not arrived when
+//     the timer fires, the first healthy candidate on a *different*
+//     protocol (else any healthy one) launches too, and the earlier
+//     virtual completion wins. The loser is cancelled and accounted as
+//     wasted upstream load; if both fail, the exchange falls through to
+//     the remaining candidates serially.
 //
-// Race and hedge differ only in who the partner is, whether its timer
-// fires, and when it launches; from there they share one tail — the
-// loser is cancelled and accounted as wasted upstream load, and if both
-// fail the exchange falls through to the remaining candidates serially.
 // Every path runs on the virtual clock under the determinism contract
 // on resolve: dials execute synchronously, overlap is simulated by
 // comparing launch offset + attempt cost (the latency-model RTT plus
 // connection-setup round-trips), and no goroutine, wall-clock read or
-// private randomness enters. Completed attempts feed the pool's
-// EWMA/quantile state whether they win or lose (the sample is real);
+// private randomness enters. Completed attempts feed the pool's EWMA
+// whether they win or lose (the sample is real);
 // the virtual clock is charged once per exchange with the critical
 // path, not the attempt sum. This is what keeps pipelined multi-day
-// campaigns byte-identical to serial runs under every strategy — and
+// campaigns byte-identical to serial runs under either strategy — and
 // why campaign serving snapshots count per-exchange winners rather than
 // per-attempt frontend events.
 //
@@ -129,7 +120,7 @@
 //	DoTConn.Exchange(q, into, tr)      DoQSession.Exchange(q, into, tr)
 //	DoHServer.ExchangeDoH(req, resp, tr)
 //	Frontend.Resolve(q, dst, tr)       Cache.Probe(key, id, dst)
-//	Pool.Candidates(dst, qname, pref)  Cache.StaleWire(key, id, dst)
+//	Pool.Candidates(dst, pref)         Cache.StaleWire(key, id, dst)
 //
 // into and resp receive the decoded answer (resp.Body's capacity is the
 // reply buffer); dst is append-style scratch, where nil simply
@@ -186,7 +177,7 @@
 //     again.
 //   - The resolver recycles losing attempts' Messages (Client.discard) —
 //     exactly for attempts whose answer can no longer escape the
-//     exchange (raced/hedged losers, superseded parked SERVFAILs);
+//     exchange (raced losers, superseded parked SERVFAILs);
 //     winners are never discarded.
 //   - Only the client's own decodes enter the pool, never a handler's
 //     message: its records may be the very values the handler serves

@@ -80,7 +80,11 @@ func TestDoQClientZeroRTTResumption(t *testing.T) {
 	const rtt = 10 * time.Millisecond
 	client.Latency = func(*Upstream) time.Duration { return rtt }
 	client.ChargeLatency = true
-	srv := fl.Servers[0].(*DoQServer)
+	svc, err := net.Service(fl.Addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := svc.(*DoQServer)
 
 	// First exchange: QUIC handshake (1 RTT) + exchange (1 RTT).
 	t0 := clock.Now()

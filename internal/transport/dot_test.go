@@ -174,8 +174,8 @@ func TestDoTMidStreamDeathFailsOverToPoolSibling(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := -1
-	for i, st := range fl.Stats() {
-		if st.Served > 0 {
+	for i, fe := range fl.Frontends {
+		if fe.Stats().Served > 0 {
 			first = i
 		}
 	}

@@ -69,11 +69,10 @@ type Fleet struct {
 	// it off: event emission costs one nil check).
 	Recorder *obs.Recorder
 
-	// Frontends are the per-frontend engines in Add order; Addrs and
-	// Servers hold the parallel addresses and envelope servers.
+	// Frontends are the per-frontend engines in Add order; Addrs holds
+	// the parallel addresses.
 	Frontends []*Frontend
 	Addrs     []netip.AddrPort
-	Servers   []any
 
 	override bool
 	cooldown time.Duration
@@ -154,8 +153,8 @@ func (fl *Fleet) bindMetrics() {
 		"cache_negative_entries", "cache_negative_hits_total",
 		"cache_stale_serves_total", "cache_refreshes_total",
 		"strategy_attempts_total", "strategy_races_total",
-		"strategy_losers_cancelled_total", "strategy_hedges_total",
-		"strategy_wasted_total", "strategy_wins_total",
+		"strategy_losers_cancelled_total", "strategy_wasted_total",
+		"strategy_wins_total",
 		"pool_member_queries_total", "pool_member_failures_total",
 		"pool_member_rtt_seconds", "pool_member_consec_fails",
 		"pool_member_cooldown_seconds",
@@ -191,36 +190,11 @@ func (fl *Fleet) Add(proto Protocol, name string, handler simnet.DNSHandler, ap 
 	engine.bindMetrics(fl.Metrics)
 	fl.Frontends = append(fl.Frontends, engine)
 	fl.Addrs = append(fl.Addrs, ap)
-	fl.Servers = append(fl.Servers, svc)
 	return engine
 }
 
-// Stats snapshots every frontend in Add order.
-func (fl *Fleet) Stats() []FrontendStats {
-	out := make([]FrontendStats, len(fl.Frontends))
-	for i, f := range fl.Frontends {
-		out[i] = f.Stats()
-	}
-	return out
-}
-
-// ProtocolStats aggregates frontend counters per protocol — the
-// per-protocol dimension chaos drills and campaign serving snapshots
-// report.
-func (fl *Fleet) ProtocolStats() map[Protocol]FrontendStats {
-	out := map[Protocol]FrontendStats{}
-	for _, f := range fl.Frontends {
-		st := f.Stats()
-		agg := out[st.Proto]
-		agg.Name, agg.Proto = st.Proto.String(), st.Proto
-		agg.Add(st)
-		out[st.Proto] = agg
-	}
-	return out
-}
-
 // StrategyStats snapshots the fleet client's resolution-strategy
-// telemetry: races and hedges fired, losers cancelled, wasted upstream
+// telemetry: races fired, losers cancelled, wasted upstream
 // queries, and the winner-protocol distribution.
 func (fl *Fleet) StrategyStats() StrategyStats {
 	return fl.Client.StrategyStats()

@@ -105,10 +105,10 @@ func TestMixedFleetFailsOverAcrossProtocols(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	perProto := fl.ProtocolStats()
-	for _, p := range []Protocol{ProtoDoH, ProtoDoT, ProtoDoQ} {
-		if perProto[p].Served != 2 {
-			t.Errorf("%s served %d, want 2 (round-robin over the mix)", p, perProto[p].Served)
+	// One frontend per protocol, so each frontend's count is its protocol's.
+	for _, fe := range fl.Frontends {
+		if st := fe.Stats(); st.Served != 2 {
+			t.Errorf("%s served %d, want 2 (round-robin over the mix)", st.Proto, st.Served)
 		}
 	}
 

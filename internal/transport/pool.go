@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"net/netip"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -13,11 +12,10 @@ import (
 	"repro/internal/simnet"
 )
 
-// Balance selects how the pool orders upstreams for a query. The shapes
-// mirror the dnscrypt-proxy server-selection strategies the related work
-// ships: random pairs weighted by measured RTT, pure lowest-RTT, strict
-// rotation, and query-name affinity. (Resolution policy — how many of
-// the ordered candidates are attempted, raced, or hedged — is the
+// Balance selects how the pool orders upstreams for a query: random
+// pairs weighted by measured RTT (dnscrypt-proxy's default
+// server-selection strategy) or strict rotation. (Resolution policy —
+// how many of the ordered candidates are attempted or raced — is the
 // client's Strategy; the balancer only produces the ordering.)
 type Balance int
 
@@ -26,13 +24,8 @@ const (
 	// upstreams, use the one with the lower smoothed RTT. The fleet
 	// default — near-optimal load spread with minimal coordination.
 	BalanceP2 Balance = iota
-	// BalanceEWMA always picks the lowest smoothed RTT.
-	BalanceEWMA
 	// BalanceRoundRobin rotates through healthy upstreams.
 	BalanceRoundRobin
-	// BalanceHashAffinity pins a query name to an upstream, maximising
-	// per-frontend cache locality when frontends do not share a cache.
-	BalanceHashAffinity
 )
 
 // String names the balancer for flags and stats output.
@@ -40,12 +33,8 @@ func (b Balance) String() string {
 	switch b {
 	case BalanceP2:
 		return "p2"
-	case BalanceEWMA:
-		return "ewma"
 	case BalanceRoundRobin:
 		return "roundrobin"
-	case BalanceHashAffinity:
-		return "hash"
 	default:
 		return fmt.Sprintf("balance(%d)", int(b))
 	}
@@ -53,12 +42,12 @@ func (b Balance) String() string {
 
 // ParseBalance resolves a flag value to a Balance.
 func ParseBalance(name string) (Balance, error) {
-	for _, b := range []Balance{BalanceP2, BalanceEWMA, BalanceRoundRobin, BalanceHashAffinity} {
+	for _, b := range []Balance{BalanceP2, BalanceRoundRobin} {
 		if b.String() == name {
 			return b, nil
 		}
 	}
-	return 0, fmt.Errorf("transport: unknown balance %q (want p2, ewma, roundrobin, or hash)", name)
+	return 0, fmt.Errorf("transport: unknown balance %q (want p2 or roundrobin)", name)
 }
 
 // ewmaWeight is the smoothing factor for RTT averaging, matching an
@@ -68,15 +57,6 @@ const ewmaWeight = 2.0 / 11.0
 // DefaultCooldown is how long (virtual time) a failed upstream is benched
 // before the pool offers it again.
 const DefaultCooldown = 60 * time.Second
-
-// quantileWindow is how many recent RTT samples each upstream retains
-// for quantile estimation; quantileMinSamples is how many must exist
-// before RTTQuantile reports an estimate — hedge timers armed off a
-// couple of cold-cache samples would fire on noise.
-const (
-	quantileWindow     = 64
-	quantileMinSamples = 8
-)
 
 // Upstream is one pool member: a frontend address, the envelope protocol
 // it speaks, and its measured state. All mutable fields are guarded by
@@ -100,11 +80,6 @@ type Upstream struct {
 	// a successful exchange. It is the occupancy column of the member's
 	// health scorecard.
 	cooldownTotal time.Duration
-
-	// rttRing is the sliding sample window behind RTTQuantile.
-	rttRing [quantileWindow]float64
-	ringLen int
-	ringPos int
 
 	// synthSeed caches the FNV-1a hash of Addr.String() for
 	// SyntheticLatency, computed once at Pool.Add so the latency model
@@ -145,10 +120,6 @@ type Pool struct {
 	ups    []*Upstream
 	rng    *rand.Rand
 	rrNext int
-	// qbuf is RTTQuantile's sort scratch (guarded by mu, at most
-	// quantileWindow entries) so hedge-timer arming costs no per-exchange
-	// allocation.
-	qbuf []float64
 }
 
 // NewPool creates an empty pool using the given balancer. The seed
@@ -174,9 +145,6 @@ func (p *Pool) Len() int {
 	return len(p.ups)
 }
 
-// Balance returns the pool's load-balancing policy.
-func (p *Pool) Balance() Balance { return p.balance }
-
 // Healthy returns how many members are currently un-benched — the fleet
 // capacity a chaos run watches recover after flaps.
 func (p *Pool) Healthy() int {
@@ -196,8 +164,7 @@ func (p *Pool) Healthy() int {
 // first, the remaining healthy members next, and benched members last so
 // a fully-down fleet still gets retried rather than erroring instantly.
 // The client's resolver consumes this ordering — serial failover walks
-// it, racing takes the top two across protocols, hedging pairs the head
-// with a same-protocol understudy.
+// it, racing takes the top two across protocols.
 //
 // The ordering is written into dst (reused from length zero, grown as
 // needed; nil allocates) so per-exchange callers can recycle one buffer
@@ -210,7 +177,7 @@ func (p *Pool) Healthy() int {
 // workload engine deals across its simulated population. ProtoAny keeps
 // the pool's ordering untouched; the preference never promotes a benched
 // member over a healthy one.
-func (p *Pool) Candidates(dst []*Upstream, qname string, pref Protocol) []*Upstream {
+func (p *Pool) Candidates(dst []*Upstream, pref Protocol) []*Upstream {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	now := p.clock.Now()
@@ -229,7 +196,7 @@ func (p *Pool) Candidates(dst []*Upstream, qname string, pref Protocol) []*Upstr
 	if healthy > 0 {
 		// Rotate the balancer's pick to the front in place, keeping the
 		// rest of the healthy ordering intact.
-		pick := p.pick(dst[:healthy], qname)
+		pick := p.pick(dst[:healthy])
 		top := dst[pick]
 		copy(dst[1:pick+1], dst[:pick])
 		dst[0] = top
@@ -263,26 +230,23 @@ func preferProto(seg []*Upstream, pref Protocol) {
 	}
 }
 
-// explorationN makes the RTT-driven balancers pick a uniformly random
-// member one draw in every explorationN: a member whose EWMA was seeded
-// by one slow (e.g. cold-cache) sample only refreshes its estimate when
-// traffic reaches it, so without exploration it could be starved forever.
+// explorationN makes the p2 balancer pick a uniformly random member one
+// draw in every explorationN: a member whose EWMA was seeded by one slow
+// (e.g. cold-cache) sample only refreshes its estimate when traffic
+// reaches it, so without exploration it could be starved forever.
 const explorationN = 16
 
 // pick selects an index into healthy per the balancer. Caller holds p.mu.
-func (p *Pool) pick(healthy []*Upstream, qname string) int {
+func (p *Pool) pick(healthy []*Upstream) int {
 	n := len(healthy)
 	if n == 1 {
 		return 0
 	}
 	switch p.balance {
-	case BalanceP2, BalanceEWMA:
+	case BalanceP2:
 		if p.rng.Intn(explorationN) == 0 {
 			return p.rng.Intn(n)
 		}
-	}
-	switch p.balance {
-	case BalanceP2:
 		a := p.rng.Intn(n)
 		b := p.rng.Intn(n - 1)
 		if b >= a {
@@ -292,25 +256,15 @@ func (p *Pool) pick(healthy []*Upstream, qname string) int {
 			return b
 		}
 		return a
-	case BalanceEWMA:
-		best := 0
-		for i := 1; i < n; i++ {
-			if healthy[i].effectiveRTT() < healthy[best].effectiveRTT() {
-				best = i
-			}
-		}
-		return best
 	case BalanceRoundRobin:
 		p.rrNext++
 		return (p.rrNext - 1) % n
-	case BalanceHashAffinity:
-		return int(dnswire.FNV1a(qname) % uint64(n))
 	default:
 		return 0
 	}
 }
 
-// effectiveRTT orders members for RTT-sensitive balancers; unsampled
+// effectiveRTT orders members for the p2 balancer; unsampled
 // members sort first so new frontends get probed promptly.
 func (u *Upstream) effectiveRTT() float64 {
 	if !u.sampled {
@@ -319,10 +273,9 @@ func (u *Upstream) effectiveRTT() float64 {
 	return u.rttSeconds
 }
 
-// ObserveRTT folds a latency sample into the member's moving average and
-// quantile window. A sample means the member just completed an exchange,
-// so any bench state is cleared: a demonstrably-serving upstream is
-// healthy.
+// ObserveRTT folds a latency sample into the member's moving average. A
+// sample means the member just completed an exchange, so any bench state
+// is cleared: a demonstrably-serving upstream is healthy.
 func (p *Pool) ObserveRTT(u *Upstream, d time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -331,11 +284,6 @@ func (p *Pool) ObserveRTT(u *Upstream, d time.Duration) {
 		u.rttSeconds, u.sampled = sample, true
 	} else {
 		u.rttSeconds = u.rttSeconds*(1-ewmaWeight) + sample*ewmaWeight
-	}
-	u.rttRing[u.ringPos] = sample
-	u.ringPos = (u.ringPos + 1) % quantileWindow
-	if u.ringLen < quantileWindow {
-		u.ringLen++
 	}
 	u.queries++
 	u.consecFails = 0
@@ -347,34 +295,9 @@ func (p *Pool) ObserveRTT(u *Upstream, d time.Duration) {
 	u.downUntil = time.Time{}
 }
 
-// RTTQuantile reports the member's q-quantile RTT over its sliding
-// sample window — the per-upstream latency estimate the hedge strategy
-// arms its timer with (dnscrypt-proxy keeps the same kind of per-server
-// estimator to drive its candidate ordering). ok is false until
-// quantileMinSamples samples exist: a hedge threshold derived from a
-// couple of cold-cache exchanges would fire on noise, not tail latency.
-func (p *Pool) RTTQuantile(u *Upstream, q float64) (d time.Duration, ok bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if u.ringLen < quantileMinSamples {
-		return 0, false
-	}
-	buf := append(p.qbuf[:0], u.rttRing[:u.ringLen]...)
-	p.qbuf = buf
-	sort.Float64s(buf)
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	idx := int(q * float64(len(buf)-1))
-	return time.Duration(buf[idx] * float64(time.Second)), true
-}
-
 // IsBenched reports whether the member is currently cooling down after
 // a failure — still offered by Candidates as a last resort, but not a
-// member racing or hedging strategies should duplicate load onto.
+// member a race should duplicate load onto.
 func (p *Pool) IsBenched(u *Upstream) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -48,7 +48,7 @@ func (c replyingRecursor) HandleDNS(q *dnswire.Message) *dnswire.Message {
 // evicts, and the client decodes into the message it was just handed back.
 // A second encode, a fresh entry or a fresh message graph would each show
 // up here — and so would a reply skeleton the frontend did not release, on
-// the leg whose recursor builds one per query, or a raced or hedged loser
+// the leg whose recursor builds one per query, or a raced loser
 // whose answer the client did not take back.
 func TestExchangeAllocBudgets(t *testing.T) {
 	if testrace.Enabled {
@@ -80,7 +80,7 @@ func TestExchangeAllocBudgets(t *testing.T) {
 		}
 		recursor[name] = &cannedAnswer{built: *resp}
 	}
-	for _, strategy := range []StrategyKind{StrategySerial, StrategyRace, StrategyHedge} {
+	for _, strategy := range []StrategyKind{StrategySerial, StrategyRace} {
 		for _, proto := range []Protocol{ProtoDoH, ProtoDoT, ProtoDoQ} {
 			for _, tc := range []struct {
 				kind     string
@@ -93,9 +93,9 @@ func TestExchangeAllocBudgets(t *testing.T) {
 				{"miss with a reply built per query", false, CacheConfig{Shards: 1, ShardCapacity: 1}, replyingRecursor(recursor)},
 			} {
 				leg := fmt.Sprintf("%s %s %s", strategy, proto, tc.kind)
-				// Every RTT lies past the default race stagger, so every race
-				// fires, and one draw in sixteen is a tail a p90 hedge timer
-				// cuts off.
+				// Every RTT lies past the race stagger, so every race fires,
+				// and one draw in sixteen is a tail the partner beats, so
+				// losers come from both sides of a race.
 				draws := 0
 				net, clock := testNet()
 				fl := NewFleet(net, clock, FleetConfig{
@@ -106,7 +106,7 @@ func TestExchangeAllocBudgets(t *testing.T) {
 						if draws%16 == 0 {
 							return 30 * time.Millisecond
 						}
-						return DefaultRaceStagger + time.Millisecond
+						return raceStagger + time.Millisecond
 					},
 				})
 				for i := 0; i < 2; i++ {
@@ -133,8 +133,8 @@ func TestExchangeAllocBudgets(t *testing.T) {
 				}
 				// Every measured exchange must take the leg's path, or a few
 				// allocating ones would round down to 0 among the rest. On a
-				// miss leg each primary misses and evicts; a raced or hedged
-				// partner then hits the entry its primary just inserted.
+				// miss leg each primary misses and evicts; a raced partner
+				// then hits the entry its primary just inserted.
 				st, strat, exchanges := fl.Cache.Stats(), fl.StrategyStats(), uint64(i-first)
 				hits, misses, evictions := st.Hits-before.Hits, st.Misses-before.Misses, st.Evictions-before.Evictions
 				attempts := strat.Attempts - stratBefore.Attempts
@@ -146,16 +146,8 @@ func TestExchangeAllocBudgets(t *testing.T) {
 					t.Errorf("%s: %d exchanges, %d attempts, %d hits, %d misses, %d evictions: not the cache path it claims to measure",
 						leg, exchanges, attempts, hits, misses, evictions)
 				}
-				races, hedges := strat.Races-stratBefore.Races, strat.Hedges-stratBefore.Hedges
-				fired := races+hedges == 0
-				switch strategy {
-				case StrategyRace:
-					fired = races > 0
-				case StrategyHedge:
-					fired = hedges > 0
-				}
-				if !fired {
-					t.Errorf("%s: %d races, %d hedges: not the strategy path it claims to measure", leg, races, hedges)
+				if races := strat.Races - stratBefore.Races; (races > 0) != (strategy == StrategyRace) {
+					t.Errorf("%s: %d races: not the strategy path it claims to measure", leg, races)
 				}
 			}
 		}

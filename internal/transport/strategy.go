@@ -22,11 +22,8 @@ type attemptResult struct {
 	// recursor behind a healthy transport.
 	Bench bool
 	Err   error
-	// RTT is the attempt's latency sample (the latency model's draw, or
-	// wall clock without one), already folded into the pool's EWMA and
-	// quantile window by the dialer.
-	RTT time.Duration
-	// Cost is the attempt's virtual completion cost: RTT plus any
+	// Cost is the attempt's virtual completion cost: its latency sample
+	// (already folded into the pool's EWMA by the dialer) plus any
 	// connection-setup round-trips the attempt paid (TCP+TLS for a fresh
 	// DoT connection, the QUIC handshake for a fresh DoQ session). Zero
 	// when the attempt failed before reaching the envelope exchange —
@@ -56,21 +53,18 @@ type outcome struct {
 	Elapsed time.Duration
 
 	// Attempts counts dials performed for the exchange (1 on the serial
-	// happy path; 2 when a race or hedge fired).
+	// happy path; 2 when a race fired).
 	Attempts int
 	// Races counts happy-eyeballs races actually started (the partner
 	// launched because the primary missed the stagger deadline).
 	Races int
-	// LosersCancelled counts raced or hedged attempts cancelled in
-	// flight: their virtual completion lay beyond the winner's, so a
-	// real client would have torn them down before the answer arrived.
+	// LosersCancelled counts raced attempts cancelled in flight: their
+	// virtual completion lay beyond the winner's, so a real client would
+	// have torn them down before the answer arrived.
 	LosersCancelled int
-	// Hedges counts hedged second attempts fired because the primary
-	// exceeded its latency-quantile threshold.
-	Hedges int
 	// Wasted counts attempts that reached the wire but whose answer was
-	// not used — the duplicated upstream load racing and hedging pay for
-	// their latency win.
+	// not used — the duplicated upstream load racing pays for its
+	// latency win.
 	Wasted int
 }
 
@@ -84,8 +78,6 @@ const (
 	StrategySerial StrategyKind = iota
 	// StrategyRace is happy-eyeballs protocol racing.
 	StrategyRace
-	// StrategyHedge is quantile-armed duplicate queries.
-	StrategyHedge
 )
 
 // String names the strategy kind.
@@ -95,8 +87,6 @@ func (k StrategyKind) String() string {
 		return "serial"
 	case StrategyRace:
 		return "race"
-	case StrategyHedge:
-		return "hedge"
 	default:
 		return fmt.Sprintf("strategy(%d)", int(k))
 	}
@@ -104,42 +94,32 @@ func (k StrategyKind) String() string {
 
 // ParseStrategy resolves a flag value to a StrategyKind.
 func ParseStrategy(name string) (StrategyKind, error) {
-	for _, k := range []StrategyKind{StrategySerial, StrategyRace, StrategyHedge} {
+	for _, k := range []StrategyKind{StrategySerial, StrategyRace} {
 		if k.String() == name {
 			return k, nil
 		}
 	}
-	return 0, fmt.Errorf("transport: unknown strategy %q (want serial, race, or hedge)", name)
+	return 0, fmt.Errorf("transport: unknown strategy %q (want serial or race)", name)
 }
 
-// StrategyConfig selects and parameterizes a resolution strategy; the
-// zero value is serial failover.
+// StrategyConfig selects a resolution strategy; the zero value is
+// serial failover.
 type StrategyConfig struct {
 	Kind StrategyKind
-	// RaceStagger overrides the race's head start (zero:
-	// DefaultRaceStagger).
-	RaceStagger time.Duration
-	// HedgeQuantile overrides the hedge's arming quantile (zero:
-	// DefaultHedgeQuantile).
-	HedgeQuantile float64
 }
 
-// DefaultRaceStagger is the race's head start for the primary candidate —
-// the RFC 8305 "connection attempt delay", scaled to the simulation's
+// raceStagger is the race's head start for the primary candidate — the
+// RFC 8305 "connection attempt delay", scaled to the simulation's
 // synthetic 2–20ms latency band so races actually fire. (Browsers use
 // 50–250ms against real-world RTTs.)
-const DefaultRaceStagger = 5 * time.Millisecond
-
-// DefaultHedgeQuantile arms the hedge timer at the primary's p90: the
-// tail dnscrypt-proxy's per-server latency estimates are built to avoid.
-const DefaultHedgeQuantile = 0.9
+const raceStagger = 5 * time.Millisecond
 
 // resolve drives one exchange over the pool's failover-ordered
 // candidates under c.Strategy, deciding which candidates are attempted,
 // in what simulated overlap, and which attempt's answer wins. tr, when
 // non-nil, receives a "dial" span per attempt at its simulated launch
-// offset (stagger edges, hedge thresholds) with the attempt's virtual
-// cost as its duration.
+// offset (the race's stagger edge) with the attempt's virtual cost as
+// its duration.
 //
 // Determinism contract: resolution runs on the virtual clock. Dials
 // execute synchronously and sequentially; concurrency is *simulated* by
@@ -149,7 +129,7 @@ const DefaultHedgeQuantile = 0.9
 // reads, no randomness. That is what lets pipelined campaigns stay
 // byte-identical to serial runs under every strategy.
 //
-// A Kind outside the three strategies dials nothing and fails the
+// A Kind outside the two strategies dials nothing and fails the
 // exchange, so nothing runs under a name StrategyStats does not report.
 func (c *Client) resolve(q *dnswire.Message, candidates []*Upstream, tr *obs.Trace) outcome {
 	switch c.Strategy.Kind {
@@ -157,8 +137,6 @@ func (c *Client) resolve(q *dnswire.Message, candidates []*Upstream, tr *obs.Tra
 		return c.serialResolve(q, candidates, outcome{}, attemptResult{}, nil, tr)
 	case StrategyRace:
 		return c.race(q, candidates, tr)
-	case StrategyHedge:
-		return c.hedge(q, candidates, tr)
 	}
 	return outcome{Err: fmt.Errorf("transport: unknown %v", c.Strategy.Kind)}
 }
@@ -190,7 +168,7 @@ func (c *Client) attempt(out *outcome, up *Upstream, q *dnswire.Message, offset 
 
 // serialResolve walks candidates in order, continuing from the given
 // partial outcome and residue — serial failover itself, and the tail
-// every race or hedge falls through to once its paired attempts lost.
+// a race falls through to once both its attempts lost.
 // Each dial launches at the timeline charged so far (out.Elapsed), which
 // is exactly serial semantics: one attempt at a time, back to back.
 // Every path dials each candidate once, so out.Attempts is the
@@ -253,10 +231,6 @@ func (c *Client) serialFrom(out outcome, q *dnswire.Message, candidates []*Upstr
 // cancels the timer), and completion times are compared as launch offset
 // plus Cost. Ties go to the primary — it started first.
 func (c *Client) race(q *dnswire.Message, candidates []*Upstream, tr *obs.Trace) outcome {
-	stagger := c.Strategy.RaceStagger
-	if stagger <= 0 {
-		stagger = DefaultRaceStagger
-	}
 	// The race pairs the balancer's pick with the first *healthy*
 	// candidate speaking a different protocol — the happy-eyeballs
 	// point is protocol diversity. A single-protocol fleet degrades to
@@ -264,10 +238,7 @@ func (c *Client) race(q *dnswire.Message, candidates []*Upstream, tr *obs.Trace)
 	// with no healthy partner (or a benched primary) there is nothing
 	// worth racing and the exchange walks the candidates serially.
 	primary := candidates[0]
-	pi, fallback := c.partner(candidates, false)
-	if pi < 0 {
-		pi = fallback
-	}
+	pi := c.partner(candidates)
 	if pi < 0 || c.Pool.IsBenched(primary) {
 		return c.serialResolve(q, candidates, outcome{}, attemptResult{}, nil, tr)
 	}
@@ -281,96 +252,44 @@ func (c *Client) race(q *dnswire.Message, candidates []*Upstream, tr *obs.Trace)
 	// zero cost) or an error/SERVFAIL arriving inside the stagger moves
 	// on to the next attempt at once, as RFC 8305 does — ordinary
 	// failover, not a race.
-	if atA.usable() && atA.Cost <= stagger || !atA.usable() && attemptCompletion(atA, 0) < stagger {
+	if atA.usable() && atA.Cost <= raceStagger || !atA.usable() && attemptCompletion(atA, 0) < raceStagger {
 		return c.serialFrom(out, q, candidates, atA, tr)
 	}
 	out.Races++
-	return c.pairWith(out, q, candidates, atA, pi, stagger, "race-partner", tr)
+	return c.pairWith(out, q, candidates, atA, pi, tr)
 }
 
-// hedge is a hedged query (the "defer request" pattern): the primary
-// candidate is queried alone, but a timer armed at the primary's tracked
-// latency quantile launches a duplicate to an understudy — the next
-// candidate speaking the *same* protocol, this is not a protocol race —
-// and the first usable answer wins. Until the pool has enough samples to
-// trust a quantile, hedging stays serial.
-//
-// Like a race, the overlap is simulated on the virtual clock: the hedge
-// fires exactly when the primary's RTT exceeds the threshold (RTT, not
-// Cost — the quantile window tracks RTTs, and a reconnect's setup
-// round-trips must not read as tail latency), the understudy launches
-// at the primary's send time + threshold, and the earlier usable
-// completion wins (ties to the primary).
-func (c *Client) hedge(q *dnswire.Message, candidates []*Upstream, tr *obs.Trace) outcome {
-	quantile := c.Strategy.HedgeQuantile
-	if quantile <= 0 {
-		quantile = DefaultHedgeQuantile
-	}
-	primary := candidates[0]
-	threshold, armed := c.Pool.RTTQuantile(primary, quantile)
-
-	var out outcome
-	atA := c.attempt(&out, primary, q, 0, "hedge-primary", tr)
-	c.bench(atA)
-	// The hedge fires only when the primary blew its quantile: a
-	// transport failure is detected synchronously (ordinary failover),
-	// and with no timer armed (cold quantile window) or an answer within
-	// the threshold the exchange is serial. The trigger compares the
-	// attempt's RTT — the quantity the quantile window tracks — not its
-	// Cost: a reconnect pays setup round-trips on top of a nominal RTT,
-	// and hedging on connection churn would duplicate load exactly when
-	// the fleet is already reconnecting. The understudy is the first
-	// healthy same-protocol candidate, and only same-protocol (a
-	// cross-protocol duplicate would be an undeclared race, armed by a
-	// threshold that says nothing about the other protocol's latency);
-	// never a benched member (duplicating load onto a known-bad upstream
-	// only extends its bench). With no eligible understudy the
-	// exchange stays serial.
-	if atA.Err == nil && armed && atA.RTT > threshold {
-		if ui, _ := c.partner(candidates, true); ui >= 0 {
-			out.Hedges++
-			// The hedge timer starts when the primary's request goes out —
-			// after any connection setup it paid — so the understudy
-			// launches at send-time + threshold on the exchange timeline.
-			return c.pairWith(out, q, candidates, atA, ui, atA.Cost-atA.RTT+threshold, "hedge-understudy", tr)
-		}
-	}
-	return c.serialFrom(out, q, candidates, atA, tr)
-}
-
-// partner scans the candidates after the head for un-benched members:
-// pick is the first whose protocol is the head's (same) or differs from
-// it (!same), fallback the first of any protocol (-1 when absent). A
-// race accepts the fallback — connection racing beats no racing — while
-// a hedge does not: its contract is same-protocol only. Racing and
-// hedging must not pick a benched partner: a duplicate attempt against a
-// known-bad member wastes load and extends its bench.
-func (c *Client) partner(candidates []*Upstream, same bool) (pick, fallback int) {
-	fallback = -1
+// partner picks the race partner among the candidates after the head:
+// the first un-benched member speaking a different protocol, else the
+// first un-benched member of any protocol (connection racing beats no
+// racing), else -1. A race must not pick a benched partner: a duplicate
+// attempt against a known-bad member wastes load and extends its bench.
+func (c *Client) partner(candidates []*Upstream) int {
+	fallback := -1
 	for i := 1; i < len(candidates); i++ {
 		if c.Pool.IsBenched(candidates[i]) {
 			continue
 		}
-		if (candidates[i].Proto == candidates[0].Proto) == same {
-			return i, fallback
+		if candidates[i].Proto != candidates[0].Proto {
+			return i
 		}
 		if fallback < 0 {
 			fallback = i
 		}
 	}
-	return -1, fallback
+	return fallback
 }
 
-// pairWith is the tail a race and a hedge share once their timer fired:
-// the partner at index pi launches at offset while the primary (atA,
-// launched at 0) is in flight, the earlier usable completion wins, and
-// if both lost the exchange charges the pair's window and fails over
-// serially through the remaining candidates, keeping any SERVFAIL as
-// the answer of last resort.
-func (c *Client) pairWith(out outcome, q *dnswire.Message, candidates []*Upstream, atA attemptResult, pi int, offset time.Duration, mode string, tr *obs.Trace) outcome {
-	atB := c.attempt(&out, candidates[pi], q, offset, mode, tr)
+// pairWith is the race's tail once its timer fired: the partner at index
+// pi launches at the stagger edge while the primary (atA, launched at 0)
+// is in flight, the earlier usable completion wins, and if both lost the
+// exchange charges the pair's window and fails over serially through the
+// remaining candidates, keeping any SERVFAIL as the answer of last
+// resort.
+func (c *Client) pairWith(out outcome, q *dnswire.Message, candidates []*Upstream, atA attemptResult, pi int, tr *obs.Trace) outcome {
+	atB := c.attempt(&out, candidates[pi], q, raceStagger, "race-partner", tr)
 	c.bench(atB)
-	aDone, bDone := atA.Cost, offset+atB.Cost
+	aDone, bDone := atA.Cost, raceStagger+atB.Cost
 	switch {
 	case atA.usable() && (!atB.usable() || aDone <= bDone):
 		return c.win(out, atA, atB, aDone, bDone)
@@ -379,7 +298,7 @@ func (c *Client) pairWith(out outcome, q *dnswire.Message, candidates []*Upstrea
 	}
 	servFail, lastErr := c.park(atA, attemptResult{}, nil)
 	servFail, lastErr = c.park(atB, servFail, lastErr)
-	c.charge(&out, max(atA.Cost, attemptCompletion(atB, offset)))
+	c.charge(&out, max(atA.Cost, attemptCompletion(atB, raceStagger)))
 	// The candidates not yet tried — all but the head and the partner —
 	// gather in a stack array, so the common fleet sizes fall through
 	// without heap-allocating the remainder list.
@@ -420,7 +339,7 @@ func attemptCompletion(at attemptResult, offset time.Duration) time.Duration {
 }
 
 // StrategyStats snapshots a client's resolution-strategy telemetry: the
-// racing/hedging overhead counters and the winner-protocol distribution
+// racing overhead counters and the winner-protocol distribution
 // (which envelope actually answered — the happy-eyeballs question).
 type StrategyStats struct {
 	// Strategy is the active strategy's name.
@@ -429,11 +348,10 @@ type StrategyStats struct {
 	// so Attempts-Exchanges is the duplicated-load overhead ceiling.
 	Exchanges uint64
 	Attempts  uint64
-	// Races, LosersCancelled, Hedges, and Wasted aggregate the per-
-	// exchange outcome telemetry.
+	// Races, LosersCancelled, and Wasted aggregate the per-exchange
+	// outcome telemetry.
 	Races           uint64
 	LosersCancelled uint64
-	Hedges          uint64
 	Wasted          uint64
 	// WinsByProto counts winning answers per envelope protocol.
 	WinsByProto map[Protocol]uint64
@@ -446,7 +364,6 @@ func (s *StrategyStats) Add(o StrategyStats) {
 	s.Attempts += o.Attempts
 	s.Races += o.Races
 	s.LosersCancelled += o.LosersCancelled
-	s.Hedges += o.Hedges
 	s.Wasted += o.Wasted
 	if s.WinsByProto == nil {
 		s.WinsByProto = map[Protocol]uint64{}
@@ -457,7 +374,7 @@ func (s *StrategyStats) Add(o StrategyStats) {
 }
 
 // WasteRate is the fraction of dials whose answer went unused — the
-// duplicated-load price of racing and hedging (0 when idle).
+// duplicated-load price of racing (0 when idle).
 func (s StrategyStats) WasteRate() float64 {
 	return obs.Ratio(s.Wasted, s.Attempts)
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,8 +10,7 @@ import (
 )
 
 // latencyTable pins a fixed virtual RTT per frontend index, keyed by
-// address — the deterministic knob every racing/hedging boundary test
-// turns.
+// address — the deterministic knob every racing boundary test turns.
 func latencyTable(d map[int]time.Duration, fallback time.Duration) func(*Upstream) time.Duration {
 	return func(u *Upstream) time.Duration {
 		for i, l := range d {
@@ -25,13 +25,13 @@ func latencyTable(d map[int]time.Duration, fallback time.Duration) func(*Upstrea
 // raceFleet builds an n-frontend fleet with a race strategy, round-robin
 // balancing (query 1 orders candidates 0,1,…,n-1), and a per-frontend
 // latency table.
-func raceFleet(t *testing.T, stagger time.Duration, lat map[int]time.Duration, protos ...Protocol) (*Client, *Fleet, *stubRecursor) {
+func raceFleet(t *testing.T, lat map[int]time.Duration, protos ...Protocol) (*Client, *Fleet, *stubRecursor) {
 	t.Helper()
 	net, clock := testNet()
 	recursor := &stubRecursor{ttl: 300}
 	fl := NewFleet(net, clock, FleetConfig{
 		Balance:  BalanceRoundRobin,
-		Strategy: StrategyConfig{Kind: StrategyRace, RaceStagger: stagger},
+		Strategy: StrategyConfig{Kind: StrategyRace},
 		Seed:     1,
 		Cache:    CacheConfig{Shards: 4, ShardCapacity: 64},
 		Latency:  latencyTable(lat, 4*time.Millisecond),
@@ -87,10 +87,9 @@ func TestSerialFailoverExplicitMatchesDefault(t *testing.T) {
 // whose answer lands exactly at the stagger deadline cancels the timer —
 // the partner never launches — while one a nanosecond later races.
 func TestRaceStaggerBoundary(t *testing.T) {
-	const stagger = 5 * time.Millisecond
 	t.Run("at-edge-no-race", func(t *testing.T) {
-		client, fl, _ := raceFleet(t, stagger,
-			map[int]time.Duration{0: stagger, 1: time.Millisecond},
+		client, fl, _ := raceFleet(t,
+			map[int]time.Duration{0: raceStagger, 1: time.Millisecond},
 			ProtoDoH, ProtoDoT)
 		if _, err := client.Query("edge.test", dnswire.TypeHTTPS, false); err != nil {
 			t.Fatal(err)
@@ -103,8 +102,8 @@ func TestRaceStaggerBoundary(t *testing.T) {
 		}
 	})
 	t.Run("past-edge-races", func(t *testing.T) {
-		client, fl, _ := raceFleet(t, stagger,
-			map[int]time.Duration{0: stagger + time.Nanosecond, 1: time.Millisecond},
+		client, fl, _ := raceFleet(t,
+			map[int]time.Duration{0: raceStagger + time.Nanosecond, 1: time.Millisecond},
 			ProtoDoH, ProtoDoT)
 		if _, err := client.Query("late.test", dnswire.TypeHTTPS, false); err != nil {
 			t.Fatal(err)
@@ -130,7 +129,7 @@ func TestRaceStaggerBoundary(t *testing.T) {
 	t.Run("slow-primary-loses", func(t *testing.T) {
 		// Primary at 20ms, partner completing at 5ms+3×1ms=8ms: the
 		// race flips and the cross-protocol partner wins.
-		client, fl, _ := raceFleet(t, stagger,
+		client, fl, _ := raceFleet(t,
 			map[int]time.Duration{0: 20 * time.Millisecond, 1: time.Millisecond},
 			ProtoDoH, ProtoDoT)
 		if _, err := client.Query("slow.test", dnswire.TypeHTTPS, false); err != nil {
@@ -151,7 +150,7 @@ func TestRaceStaggerBoundary(t *testing.T) {
 // the primary with the first candidate speaking a different protocol,
 // skipping same-protocol siblings.
 func TestRacePartnerIsCrossProtocol(t *testing.T) {
-	client, fl, _ := raceFleet(t, time.Millisecond,
+	client, fl, _ := raceFleet(t,
 		map[int]time.Duration{0: 10 * time.Millisecond, 1: 10 * time.Millisecond, 2: 2 * time.Millisecond},
 		ProtoDoH, ProtoDoH, ProtoDoQ)
 	if _, err := client.Query("xproto.test", dnswire.TypeHTTPS, false); err != nil {
@@ -172,7 +171,7 @@ func TestRacePartnerIsCrossProtocol(t *testing.T) {
 // serially, and a fully-dark fleet errors.
 func TestRaceBothFailFallsThrough(t *testing.T) {
 	t.Run("sync-failure-is-failover", func(t *testing.T) {
-		client, fl, _ := raceFleet(t, time.Millisecond, nil,
+		client, fl, _ := raceFleet(t, nil,
 			ProtoDoH, ProtoDoT, ProtoDoQ)
 		net := client.Net
 		net.SetAddrDown(frontendAddr(0).Addr(), true)
@@ -210,7 +209,7 @@ func TestRaceBothFailFallsThrough(t *testing.T) {
 		net, clock := testNet()
 		fl := NewFleet(net, clock, FleetConfig{
 			Balance:  BalanceRoundRobin,
-			Strategy: StrategyConfig{Kind: StrategyRace, RaceStagger: time.Millisecond},
+			Strategy: StrategyConfig{Kind: StrategyRace},
 			Seed:     1,
 			Latency:  latencyTable(nil, 10*time.Millisecond),
 		})
@@ -236,7 +235,7 @@ func TestRaceBothFailFallsThrough(t *testing.T) {
 		net, clock := testNet()
 		fl := NewFleet(net, clock, FleetConfig{
 			Balance:  BalanceRoundRobin,
-			Strategy: StrategyConfig{Kind: StrategyRace, RaceStagger: 5 * time.Millisecond},
+			Strategy: StrategyConfig{Kind: StrategyRace},
 			Seed:     1,
 			Latency:  latencyTable(nil, time.Millisecond),
 		})
@@ -265,17 +264,17 @@ func TestRaceSkipsBenchedPartner(t *testing.T) {
 	recursor := &stubRecursor{ttl: 300}
 	fl := NewFleet(net, clock, FleetConfig{
 		Balance:  BalanceRoundRobin,
-		Strategy: StrategyConfig{Kind: StrategyRace, RaceStagger: time.Millisecond},
+		Strategy: StrategyConfig{Kind: StrategyRace},
 		Seed:     1,
 		Cache:    CacheConfig{Shards: 4, ShardCapacity: 64},
-		Latency:  latencyTable(map[int]time.Duration{0: 10 * time.Millisecond}, 2*time.Millisecond),
+		Latency:  latencyTable(nil, 10*time.Millisecond),
 	})
 	fl.Add(ProtoDoH, "fe0", recursor, frontendAddr(0))
 	fl.Add(ProtoDoH, "fe1", recursor, frontendAddr(1))
 	fl.Add(ProtoDoT, "fe2", recursor, frontendAddr(2))
 	client := fl.Client
 
-	// Every primary misses the 1ms stagger, so every exchange races.
+	// Every primary misses the 5ms stagger, so every exchange races.
 	// The first race picks the DoT member as the cross-protocol partner
 	// and benches it (address down, one strike); the following races
 	// must fall back to the healthy DoH sibling rather than hand the
@@ -301,9 +300,11 @@ func TestRaceSkipsBenchedPartner(t *testing.T) {
 // exchange answers, the DoT and DoQ survivors race each other, and only
 // they win.
 func TestRaceOverMixedFleetWithDoHDown(t *testing.T) {
-	client, fl, _ := raceFleet(t, time.Millisecond, nil, Mix{DoH: 2, DoT: 1, DoQ: 1}.Assign(4)...)
-	for i, p := range fl.Stats() {
-		if p.Proto == ProtoDoH {
+	// Every member answers past the 5ms stagger, so the survivors race.
+	slow := map[int]time.Duration{0: 10 * time.Millisecond, 1: 10 * time.Millisecond, 2: 10 * time.Millisecond, 3: 10 * time.Millisecond}
+	client, fl, _ := raceFleet(t, slow, Mix{DoH: 2, DoT: 1, DoQ: 1}.Assign(4)...)
+	for i, fe := range fl.Frontends {
+		if fe.Proto == ProtoDoH {
 			fl.Net.SetAddrDown(fl.Addrs[i].Addr(), true)
 		}
 	}
@@ -327,7 +328,7 @@ func TestRaceOverMixedFleetWithDoHDown(t *testing.T) {
 
 // TestRaceSingleCandidateDegradesToSerial: nothing to race against.
 func TestRaceSingleCandidateDegradesToSerial(t *testing.T) {
-	client, fl, _ := raceFleet(t, time.Millisecond,
+	client, fl, _ := raceFleet(t,
 		map[int]time.Duration{0: 20 * time.Millisecond}, ProtoDoH)
 	if _, err := client.Query("solo.test", dnswire.TypeHTTPS, false); err != nil {
 		t.Fatal(err)
@@ -337,233 +338,19 @@ func TestRaceSingleCandidateDegradesToSerial(t *testing.T) {
 	}
 }
 
-// hedgeFleet builds a two-frontend same-protocol fleet under the hedge
-// strategy with a scripted latency sequence (one draw per dial).
-func hedgeFleet(t *testing.T, quantile float64, seq []time.Duration) (*Client, *Fleet) {
-	t.Helper()
-	net, clock := testNet()
-	recursor := &stubRecursor{ttl: 300}
-	fl := NewFleet(net, clock, FleetConfig{
-		Balance:  BalanceRoundRobin,
-		Strategy: StrategyConfig{Kind: StrategyHedge, HedgeQuantile: quantile},
-		Seed:     1,
-		Cache:    CacheConfig{Shards: 4, ShardCapacity: 64},
-	})
-	call := 0
-	fl.Client.Latency = func(u *Upstream) time.Duration {
-		if call < len(seq) {
-			call++
-			return seq[call-1]
-		}
-		return 4 * time.Millisecond
-	}
-	fl.Add(ProtoDoH, "fe0", recursor, frontendAddr(0))
-	fl.Add(ProtoDoH, "fe1", recursor, frontendAddr(1))
-	return fl.Client, fl
-}
-
-// TestHedgeFiresAboveQuantile pins the hedge trigger: with warm
-// quantile windows, a primary exchange landing in its own tail fires a
-// same-protocol duplicate, and the faster understudy wins.
-func TestHedgeFiresAboveQuantile(t *testing.T) {
-	// 20 warm draws at 4ms fill both members' quantile windows (ring
-	// minimum is quantileMinSamples per member), then one 30ms tail draw
-	// for the primary and a 4ms draw for the understudy.
-	seq := make([]time.Duration, 20)
-	for i := range seq {
-		seq[i] = 4 * time.Millisecond
-	}
-	seq = append(seq, 30*time.Millisecond, 4*time.Millisecond)
-	client, fl := hedgeFleet(t, 0.9, seq)
-	for i := 0; i < 20; i++ {
-		if _, err := client.Query(fmt.Sprintf("warm%d.test", i), dnswire.TypeHTTPS, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := fl.StrategyStats(); st.Hedges != 0 {
-		t.Fatalf("hedges fired during the uniform warmup: %d", st.Hedges)
-	}
-	if _, err := client.Query("tail.test", dnswire.TypeHTTPS, false); err != nil {
-		t.Fatal(err)
-	}
-	st := fl.StrategyStats()
-	if st.Hedges != 1 {
-		t.Fatalf("hedges=%d after a tail exchange, want 1", st.Hedges)
-	}
-	// Understudy completes at threshold(4ms)+4ms = 8ms, beating the
-	// primary's 30ms: the slow primary is cancelled in flight.
-	if st.LosersCancelled != 1 || st.Wasted != 1 {
-		t.Errorf("cancelled=%d wasted=%d, want 1/1", st.LosersCancelled, st.Wasted)
-	}
-	if st.Exchanges != 21 || st.Attempts != 22 {
-		t.Errorf("exchanges=%d attempts=%d, want 21/22", st.Exchanges, st.Attempts)
-	}
-}
-
-// TestHedgeIgnoresReconnectSetupCost pins the trigger's unit: the hedge
-// compares the attempt's RTT against the RTT-quantile threshold, so a
-// reconnect exchange — nominal RTT plus TCP+TLS setup round-trips after
-// a dropped DoT connection — must not fire a hedge.
-func TestHedgeIgnoresReconnectSetupCost(t *testing.T) {
-	net, clock := testNet()
-	recursor := &stubRecursor{ttl: 300}
-	fl := NewFleet(net, clock, FleetConfig{
-		Balance:  BalanceRoundRobin,
-		Strategy: StrategyConfig{Kind: StrategyHedge, HedgeQuantile: 0.9},
-		Seed:     1,
-		Cache:    CacheConfig{Shards: 4, ShardCapacity: 64},
-		Latency:  func(*Upstream) time.Duration { return 4 * time.Millisecond },
-	})
-	fl.Add(ProtoDoT, "fe0", recursor, frontendAddr(0))
-	fl.Add(ProtoDoT, "fe1", recursor, frontendAddr(1))
-	client := fl.Client
-
-	// Warm both members' quantile windows past the sample floor.
-	for i := 0; i < 20; i++ {
-		if _, err := client.Query(fmt.Sprintf("warm%d.test", i), dnswire.TypeHTTPS, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Drop both persistent connections: the next exchange redials and
-	// pays Cost = 3×RTT while its RTT stays nominal.
-	client.dropDoT(frontendAddr(0))
-	client.dropDoT(frontendAddr(1))
-	if _, err := client.Query("reconnect.test", dnswire.TypeHTTPS, false); err != nil {
-		t.Fatal(err)
-	}
-	if st := fl.StrategyStats(); st.Hedges != 0 {
-		t.Errorf("hedges=%d after a reconnect with nominal RTT, want 0 (setup cost is not tail latency)", st.Hedges)
-	}
-}
-
-// TestHedgeColdQuantileStaysSerial pins the guard: until a member has
-// quantileMinSamples RTT samples, no threshold exists and hedging
-// behaves serially even for slow exchanges.
-func TestHedgeColdQuantileStaysSerial(t *testing.T) {
-	seq := []time.Duration{40 * time.Millisecond, 40 * time.Millisecond, 40 * time.Millisecond}
-	client, fl := hedgeFleet(t, 0.9, seq)
-	for i := 0; i < 3; i++ {
-		if _, err := client.Query(fmt.Sprintf("cold%d.test", i), dnswire.TypeHTTPS, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := fl.StrategyStats(); st.Hedges != 0 || st.Attempts != 3 {
-		t.Errorf("hedges=%d attempts=%d on a cold quantile window, want 0/3", st.Hedges, st.Attempts)
-	}
-}
-
-// TestHedgePairEdges pins where a hedge may and may not take its
-// understudy. Each leg warms every member's quantile window at 4ms over
-// round-robin, so the next exchange's primary is fe0, then gives fe0 a
-// 30ms tail RTT.
-func TestHedgePairEdges(t *testing.T) {
-	warmed := func(t *testing.T, primary *stubRecursor, protos ...Protocol) *Fleet {
-		t.Helper()
-		net, clock := testNet()
-		tail := new(bool)
-		fl := NewFleet(net, clock, FleetConfig{
-			Balance:  BalanceRoundRobin,
-			Strategy: StrategyConfig{Kind: StrategyHedge, HedgeQuantile: 0.9},
-			Seed:     1,
-			Cache:    CacheConfig{Shards: 4, ShardCapacity: 64},
-			Latency: func(u *Upstream) time.Duration {
-				if *tail && u.Addr == frontendAddr(0) {
-					return 30 * time.Millisecond
-				}
-				return 4 * time.Millisecond
-			},
-		})
-		fl.Add(protos[0], "fe0", primary, frontendAddr(0))
-		for i := 1; i < len(protos); i++ {
-			fl.Add(protos[i], fmt.Sprintf("fe%d", i), &stubRecursor{ttl: 300}, frontendAddr(i))
-		}
-		for i := 0; i < quantileMinSamples*len(protos); i++ {
-			if _, err := fl.Client.Query(fmt.Sprintf("warm%d.test", i), dnswire.TypeHTTPS, false); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if st := fl.StrategyStats(); st.Hedges != 0 {
-			t.Fatalf("hedges fired during the uniform warmup: %d", st.Hedges)
-		}
-		*tail = true
-		return fl
-	}
-	t.Run("servfail-with-dark-understudy-falls-through", func(t *testing.T) {
-		// The tail primary SERVFAILs and its same-protocol understudy is
-		// dark: the hedge fired, lost both legs, and the third candidate
-		// answers serially.
-		primary := &stubRecursor{ttl: 300}
-		fl := warmed(t, primary, ProtoDoH, ProtoDoH, ProtoDoH)
-		primary.servfail = true
-		fl.Net.SetAddrDown(frontendAddr(1).Addr(), true)
-		base, served := fl.StrategyStats(), fl.Frontends[2].Stats().Served
-		resp, err := fl.Client.Query("tail-fail.test", dnswire.TypeHTTPS, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.RCode != dnswire.RCodeNoError {
-			t.Errorf("rcode = %v, want the third candidate's NOERROR", resp.RCode)
-		}
-		st := fl.StrategyStats()
-		if hedges, attempts := st.Hedges-base.Hedges, st.Attempts-base.Attempts; hedges != 1 || attempts != 3 {
-			t.Errorf("hedges=%d attempts=%d, want 1/3", hedges, attempts)
-		}
-		if got := fl.Frontends[2].Stats().Served - served; got != 1 {
-			t.Errorf("third candidate served %d, want 1", got)
-		}
-	})
-	t.Run("never-crosses-protocols", func(t *testing.T) {
-		// The only other member speaks DoT: a hedge armed by a DoH
-		// threshold has no understudy, so the exchange stays serial.
-		fl := warmed(t, &stubRecursor{ttl: 300}, ProtoDoH, ProtoDoT)
-		base, served := fl.StrategyStats(), fl.Frontends[1].Stats().Served
-		if _, err := fl.Client.Query("tail.test", dnswire.TypeHTTPS, false); err != nil {
-			t.Fatal(err)
-		}
-		st := fl.StrategyStats()
-		if hedges, attempts := st.Hedges-base.Hedges, st.Attempts-base.Attempts; hedges != 0 || attempts != 1 {
-			t.Errorf("hedges=%d attempts=%d, want 0/1", hedges, attempts)
-		}
-		if got := fl.Frontends[1].Stats().Served - served; got != 0 {
-			t.Errorf("DoT member served %d, want 0 (no cross-protocol duplicate)", got)
-		}
-	})
-}
-
-// TestRTTQuantile pins the pool's quantile estimator: no estimate below
-// the sample floor, exact order statistics above it.
-func TestRTTQuantile(t *testing.T) {
-	net, clock := testNet()
-	_ = net
-	pool := NewPool(clock, BalanceRoundRobin, 1)
-	u := pool.Add("fe0", frontendAddr(0), ProtoDoH)
-	if _, ok := pool.RTTQuantile(u, 0.9); ok {
-		t.Error("quantile reported with zero samples")
-	}
-	for i := 1; i <= 10; i++ {
-		pool.ObserveRTT(u, time.Duration(i)*time.Millisecond)
-	}
-	if d, ok := pool.RTTQuantile(u, 0.0); !ok || d != time.Millisecond {
-		t.Errorf("p0 = %v/%v, want 1ms", d, ok)
-	}
-	if d, ok := pool.RTTQuantile(u, 1.0); !ok || d != 10*time.Millisecond {
-		t.Errorf("p100 = %v/%v, want 10ms", d, ok)
-	}
-	if d, ok := pool.RTTQuantile(u, 0.5); !ok || d != 5*time.Millisecond {
-		t.Errorf("p50 = %v/%v, want 5ms (index 4 of 10 ascending)", d, ok)
-	}
-}
-
 // TestParseStrategyKinds round-trips the strategy names.
 func TestParseStrategyKinds(t *testing.T) {
-	for _, k := range []StrategyKind{StrategySerial, StrategyRace, StrategyHedge} {
+	for _, k := range []StrategyKind{StrategySerial, StrategyRace} {
 		got, err := ParseStrategy(k.String())
 		if err != nil || got != k {
 			t.Errorf("ParseStrategy(%q) = %v, %v", k.String(), got, err)
 		}
 	}
-	if _, err := ParseStrategy("p2"); err == nil {
-		t.Error("balance name accepted as a resolution strategy")
+	for _, name := range []string{"p2", "hedge"} {
+		_, err := ParseStrategy(name)
+		if err == nil || !strings.Contains(err.Error(), "want serial or race") {
+			t.Errorf("ParseStrategy(%q) error = %v, want one listing serial and race", name, err)
+		}
 	}
 }
 
@@ -571,11 +358,11 @@ func TestParseStrategyKinds(t *testing.T) {
 // reject runs no strategy at all, rather than one StrategyStats misnames.
 func TestUnknownStrategyKindDialsNothing(t *testing.T) {
 	client, _, _, _, _ := newTestFleet(t, 2, BalanceRoundRobin)
-	client.Strategy = StrategyConfig{Kind: StrategyHedge + 1}
+	client.Strategy = StrategyConfig{Kind: StrategyRace + 1}
 	if m, err := client.Query("unknown.test", dnswire.TypeHTTPS, false); err == nil {
 		t.Fatalf("exchange under an unknown strategy answered: %v", m)
 	}
-	if st := client.StrategyStats(); st.Strategy != "strategy(3)" || st.Attempts != 0 {
-		t.Errorf("stats = %q with %d attempts, want strategy(3) with none", st.Strategy, st.Attempts)
+	if st := client.StrategyStats(); st.Strategy != "strategy(2)" || st.Attempts != 0 {
+		t.Errorf("stats = %q with %d attempts, want strategy(2) with none", st.Strategy, st.Attempts)
 	}
 }

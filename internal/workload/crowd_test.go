@@ -172,12 +172,11 @@ func TestCrowdFailoverPastDeadFrontends(t *testing.T) {
 	if sum.FleetExchanges == 0 {
 		t.Fatal("no fleet exchanges")
 	}
-	stats := fl.Stats()
-	if stats[0].Served == 0 {
+	if fl.Frontends[0].Stats().Served == 0 {
 		t.Fatal("healthy frontend served nothing")
 	}
-	if stats[1].Served != 0 || stats[2].Served != 0 {
-		t.Fatalf("dead frontends served traffic: %+v / %+v", stats[1], stats[2])
+	if dead1, dead2 := fl.Frontends[1].Stats(), fl.Frontends[2].Stats(); dead1.Served != 0 || dead2.Served != 0 {
+		t.Fatalf("dead frontends served traffic: %+v / %+v", dead1, dead2)
 	}
 	// The client must have benched the dead members: attempts above
 	// exchanges early on, then the healthy member pinned.

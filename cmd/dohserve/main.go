@@ -77,8 +77,11 @@
 // -crowdmult/-crowdat/-crowddur/-crowddomain/-crowdfrac schedule a
 // flash crowd (optionally pinned to one domain — the thundering-herd
 // case). The run is single-goroutine and deterministic for a seed; the
-// report adds the engine's own counters and per-interval qps/hit-rate
-// curve on virtual time. -kill and -workers are ignored under -load.
+// report adds the engine's own counters and a load curve with one row
+// per -loadinterval on the engine's virtual timeline: qps, stub-hit %
+// and stale %, each the delta of the engine's counters between
+// consecutive interval points. -kill and -workers are ignored under
+// -load.
 //
 // -chaos switches to the RFC 8767 resilience drill: instead of killing
 // frontend addresses, the *recursors behind* the frontends flap up and
@@ -324,7 +327,8 @@ func main() {
 // runLoad drives the workload engine against the campaign fleet on the
 // world clock and reports the population-level view: wall-clock
 // throughput (the serving-path events/sec the benchmark gates), the
-// stub-cache absorption rate, and the per-interval virtual-time curve.
+// stub-cache absorption rate, and the per-interval virtual-time curve
+// from consecutive points' counter deltas.
 func runLoad(camp *core.Campaign, wcfg workload.Config) {
 	eng, err := workload.New(wcfg, camp.World.Clock, camp.Fleet.Client)
 	if err != nil {
@@ -351,17 +355,21 @@ func runLoad(camp *core.Campaign, wcfg workload.Config) {
 		sum.FleetExchanges, sum.StaleServed, sum.Errors)
 	fmt.Printf("virtual span %v, event-stream digest %016x\n", sum.Virtual.Round(time.Second), sum.Digest)
 
-	if points := eng.Points(); len(points) > 1 {
+	if points := eng.Points(); len(points) > 0 {
 		fmt.Println("\nload curve (per virtual interval):")
 		fmt.Println("  at            qps    stub-hit%  stale%")
+		prev := &obs.Snapshot{}
 		for _, p := range points {
-			if p.Label != "tick" {
-				continue
+			d := p.Snap.Sub(prev)
+			prev = p.Snap
+			q := d.Value("workload_queries_total")
+			var hit, stale float64
+			if q > 0 {
+				hit = d.Value("workload_stub_hits_total") / q
+				stale = d.Value("workload_stale_answers_total") / q
 			}
 			fmt.Printf("  %s  %8.1f  %8.1f  %6.2f\n", p.At.Format("15:04:05"),
-				p.Snap.Value("workload_qps"),
-				100*p.Snap.Value("workload_stub_hit_rate"),
-				100*p.Snap.Value("workload_stale_rate"))
+				q/wcfg.Interval.Seconds(), 100*hit, 100*stale)
 		}
 	}
 	report(camp, camp.Fleet.Metrics.Snapshot(), "totals incl. load")
@@ -512,7 +520,7 @@ func runChaos(camp *core.Campaign, list []string, queries, epochs int, epochLen 
 	// resilience curve and the burn table — full, not stable: a live
 	// drill wants the latency histogram so the p99 objective is evaluated.
 	base := camp.Fleet.Metrics.Snapshot()
-	sampler := obs.NewSampler(camp.Fleet.Metrics, world.Clock, epochLen, false)
+	sampler := obs.NewSampler(camp.Fleet.Metrics, world.Clock, false)
 
 	rng := rand.New(rand.NewSource(seed))
 	perEpoch := queries / epochs

@@ -191,6 +191,21 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 	return c, nil
 }
 
+// setWorldClock moves the world clock to t. The world's recursors and the
+// campaign fleet's cache stamp entries with the virtual time they were
+// stored at, so after a step back in time an answer cached later would
+// still read as fresh; a step back flushes all three first.
+func (c *Campaign) setWorldClock(t time.Time) {
+	if t.Before(c.World.Clock.Now()) {
+		c.World.GoogleResolver.FlushCache()
+		c.World.CFResolver.FlushCache()
+		if c.Fleet != nil {
+			c.Fleet.Cache.Flush()
+		}
+	}
+	c.World.Clock.Set(t)
+}
+
 // cacheConfig assembles the answer-cache lifecycle configuration from
 // the campaign knobs (shared by the campaign fleet and per-day replicas).
 func (c *Campaign) cacheConfig() transport.CacheConfig {
@@ -255,9 +270,9 @@ type scanContext struct {
 	fleet *transport.Fleet
 	// sampler collects the day's telemetry series (stable metrics only)
 	// when Cfg.TelemetryInterval is set; nil-safe when disabled. Context
-	// clocks are frozen, so runDay forces a sample at each stage boundary
-	// instead of relying on interval polling. Hour contexts skip the
-	// sampler: RunHourlyECH snapshots each hour's registry directly.
+	// clocks are frozen, so runDay forces a sample at each stage boundary.
+	// Hour contexts skip the sampler: RunHourlyECH snapshots each hour's
+	// registry directly.
 	sampler *obs.Sampler
 }
 
@@ -325,7 +340,7 @@ func (c *Campaign) newScanContext(at time.Time, seed int64, day bool) *scanConte
 		dc.fleet = fl
 		t = fl.Client
 		if day && c.Cfg.TelemetryInterval > 0 {
-			dc.sampler = obs.NewSampler(fl.Metrics, clock, c.Cfg.TelemetryInterval, true)
+			dc.sampler = obs.NewSampler(fl.Metrics, clock, true)
 		}
 	}
 	dc.scanner = c.Scanner.Fork(net, t)
@@ -471,8 +486,8 @@ func (c *Campaign) anomalyCapture(dc *scanContext, day time.Time) *dataset.Anoma
 
 // runDay performs one day's full scan sequence inside the given context.
 // With telemetry enabled, a stable-metrics sample is forced at each stage
-// boundary — per-day clocks are frozen, so interval ticks could never
-// fire; stage boundaries are the natural deterministic sample points.
+// boundary — per-day clocks are frozen, so stage boundaries are the
+// natural deterministic sample points.
 func (c *Campaign) runDay(dc *scanContext, day time.Time) *dayResult {
 	list := c.World.Tranco.ListFor(day)
 	res := &dayResult{day: day, list: list}
@@ -508,7 +523,7 @@ func telemetrySeries(scope string, day time.Time, interval time.Duration, points
 	for _, p := range points {
 		tp := dataset.TelemetryPoint{Label: p.Label, AtSec: p.At.Unix()}
 		for _, m := range p.Snap.Metrics {
-			if m.Kind == obs.KindHistogram.String() {
+			if m.Kind == obs.KindHistogram {
 				tp.Values = append(tp.Values,
 					dataset.TelemetryValue{Key: m.Key() + "_count", Value: float64(m.Count)},
 					dataset.TelemetryValue{Key: m.Key() + "_sum", Value: m.Sum})
@@ -566,7 +581,7 @@ func (c *Campaign) RunDaily() error {
 		func(_ int, res *dayResult) { c.commitDay(res) })
 	// Leave the world clock where the serial walk used to: at the final
 	// scan day, so follow-on one-shot experiments see the same time.
-	c.World.Clock.Set(days[len(days)-1].Add(12 * time.Hour))
+	c.setWorldClock(days[len(days)-1].Add(12 * time.Hour))
 	return nil
 }
 
@@ -616,7 +631,7 @@ func (c *Campaign) RunHourlyECH(start time.Time, days int) {
 		})
 	// Leave the world clock where the serial walk used to: at the final
 	// scanned hour.
-	c.World.Clock.Set(start.Add(time.Duration(hours-1) * time.Hour))
+	c.setWorldClock(start.Add(time.Duration(hours-1) * time.Hour))
 	// Store one series per scan day so the timeline lines up with the rest
 	// of the dataset's per-day records. Within a day, point h carries the
 	// merge of hours 0..h — a cumulative curve, like a registry sampled
@@ -643,7 +658,7 @@ func (c *Campaign) discoverECHDomains(start time.Time) []string {
 	snap, ok := c.Store.SnapshotFor("apex", start)
 	if !ok {
 		// Discover the ECH population with a full scan on the world clock.
-		c.World.Clock.Set(start)
+		c.setWorldClock(start)
 		list := c.World.Tranco.ListFor(start)
 		snap = c.Scanner.ScanList(start, "apex", list)
 	}
@@ -678,7 +693,7 @@ func partitionByDay(points []obs.Point) map[time.Time][]obs.Point {
 // Domains are censused concurrently on the scanner's worker bound; rows are
 // stored in list order.
 func (c *Campaign) RunValidationCensus(day time.Time) {
-	c.World.Clock.Set(day.Add(12 * time.Hour))
+	c.setWorldClock(day.Add(12 * time.Hour))
 	list := c.World.Tranco.ListFor(day)
 	r := c.World.GoogleResolver
 	now := c.World.Clock.Now()

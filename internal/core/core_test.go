@@ -639,6 +639,47 @@ func TestHourlyDiscoveryFastPath(t *testing.T) {
 	}
 }
 
+// TestRewindReadsNoLaterAnswers: a stage that sets the world clock back
+// must not read answers the world's recursors or the campaign fleet
+// cached at a later virtual time. The hourly ECH discovery scan runs on
+// the world clock, so after the January 2024 census, or an ECH day in
+// January, it must store the July 2023 observations a fresh campaign
+// stores.
+func TestRewindReadsNoLaterAnswers(t *testing.T) {
+	july := time.Date(2023, 7, 21, 0, 0, 0, 0, time.UTC)
+	jan := time.Date(2024, 1, 2, 0, 0, 0, 0, time.UTC)
+	julyObs := func(frontends int, before func(*Campaign)) int {
+		c, err := NewCampaign(CampaignConfig{Size: 400, Seed: 17, DoHFrontends: frontends})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before(c)
+		c.RunHourlyECH(july, 1)
+		n := 0
+		for _, o := range c.Store.ECHObservations() {
+			if o.Time.Before(jan) {
+				n++
+			}
+		}
+		return n
+	}
+	for _, frontends := range []int{0, 1} {
+		fresh := julyObs(frontends, func(*Campaign) {})
+		if fresh == 0 {
+			t.Fatalf("frontends=%d: a fresh campaign stored no July ECH observations", frontends)
+		}
+		for name, before := range map[string]func(*Campaign){
+			"census":  func(c *Campaign) { c.RunValidationCensus(jan) },
+			"ech-jan": func(c *Campaign) { c.RunHourlyECH(jan, 1) },
+		} {
+			if got := julyObs(frontends, before); got != fresh {
+				t.Errorf("frontends=%d, after %s: %d July ECH observations, a fresh campaign stores %d",
+					frontends, name, got, fresh)
+			}
+		}
+	}
+}
+
 // TestPartitionByDayBoundaries pins the UTC day-bucketing: a point
 // exactly at midnight belongs to the day it opens, and multi-day spans
 // split into per-day groups preserving order.

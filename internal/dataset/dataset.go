@@ -215,7 +215,8 @@ type TelemetrySeries struct {
 	// Scope names the collection loop ("daily", "hourly-ech").
 	Scope string    `json:"scope"`
 	Date  time.Time `json:"date"`
-	// IntervalSec is the sampler's poll interval (0: stage-forced only).
+	// IntervalSec records the campaign's TelemetryInterval in seconds;
+	// points are taken at stage boundaries (daily) or per hour (hourly-ech).
 	IntervalSec int64            `json:"interval_sec,omitempty"`
 	Points      []TelemetryPoint `json:"points"`
 }

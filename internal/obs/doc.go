@@ -3,15 +3,20 @@
 // name + label set), per-exchange query tracing, and a time-series
 // sampler — all native to the simulation's virtual clock.
 //
+// A metric enters a Registry one way or the other: as a hot-path handle
+// its owner registers (RegisterCounter, RegisterHistogram), or as a
+// snapshot-time view (RegisterView). It leaves only as a *Snapshot, read
+// with Get, Value, Sub, MergeSnapshots and Metric.Quantile.
+//
 // # Determinism contract
 //
 // Nothing in this package reads the wall clock. Every timestamp — a
-// snapshot's At, a trace's Start, a sampler's tick schedule — comes from
-// an injected Clock (simnet.Clock in practice), and every duration on a
+// snapshot's At, a trace's Start, a sampler's point — comes from an
+// injected Clock (simnet.Clock in practice), and every duration on a
 // trace span is a virtual-timeline quantity (launch offset + attempt
-// cost) computed by the strategy layer, never measured. Rendering is
-// stable too: snapshots sort metrics by (name, labels), so the JSON and
-// Prometheus expositions of equal registries are byte-identical.
+// cost) computed by the strategy layer, never measured. Snapshots are
+// stable too: they sort metrics by (name, labels), so equal registries
+// give equal snapshots.
 //
 // Pipelined campaigns stay byte-identical to serial runs because
 // telemetry follows the same two rules the dataset layer already
@@ -23,7 +28,7 @@
 //     scheduling. Snapshot merging itself (MergeSnapshots) is
 //     argument-order-independent: each key's contributions are folded in
 //     a sorted order (float addition is not associative) and the output
-//     is sorted, which the shuffled-merge tests pin byte-for-byte.
+//     is sorted, which the shuffled-merge test pins.
 //
 //   - Sample only schedule-independent metrics into series. Counters
 //     whose value depends on which attempt ran where (per-frontend

@@ -3,8 +3,6 @@ package obs
 import (
 	"math"
 	"sort"
-	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -21,25 +19,15 @@ func DefaultLatencyBuckets() []time.Duration {
 }
 
 // Histogram is a fixed-bucket duration histogram with lock-free
-// observation and optional per-bucket exemplars (the slowest observation
-// in each bucket, tagged with its trace ID — the slow-query breadcrumb
-// from histogram to span tree). Bucket semantics follow Prometheus: an
-// observation lands in the first bucket whose upper bound is ≥ the
-// value; over-range observations land in the implicit +Inf bucket.
+// observation. Bucket semantics follow Prometheus: an observation lands
+// in the first bucket whose upper bound is ≥ the value; over-range
+// observations land in the implicit +Inf bucket.
 type Histogram struct {
 	bounds []time.Duration // sorted ascending; +Inf implicit at the end
 
 	counts []atomic.Uint64 // per-bucket (non-cumulative), len(bounds)+1
 	count  atomic.Uint64
 	sum    atomic.Int64 // nanoseconds
-
-	mu        sync.Mutex
-	exemplars []exemplar // len(bounds)+1
-}
-
-type exemplar struct {
-	traceID uint64
-	value   time.Duration
 }
 
 // NewHistogram builds a histogram over the given bucket bounds (sorted
@@ -58,96 +46,34 @@ func NewHistogram(bounds ...time.Duration) *Histogram {
 	}
 	h := &Histogram{bounds: dedup}
 	h.counts = make([]atomic.Uint64, len(dedup)+1)
-	h.exemplars = make([]exemplar, len(dedup)+1)
 	return h
 }
 
-// bucketIndex returns the bucket d lands in: the first bound ≥ d, or the
-// +Inf bucket past the last bound.
-func (h *Histogram) bucketIndex(d time.Duration) int {
-	return sort.Search(len(h.bounds), func(i int) bool { return h.bounds[i] >= d })
-}
-
-// Observe records one duration.
+// Observe records one duration in the first bucket whose bound is ≥ d,
+// or the +Inf bucket past the last bound.
 func (h *Histogram) Observe(d time.Duration) {
-	h.counts[h.bucketIndex(d)].Add(1)
+	h.counts[sort.Search(len(h.bounds), func(i int) bool { return h.bounds[i] >= d })].Add(1)
 	h.count.Add(1)
 	h.sum.Add(int64(d))
 }
 
-// ObserveExemplar records one duration and attaches the trace as the
-// bucket's exemplar if it is the slowest observation seen there.
-func (h *Histogram) ObserveExemplar(d time.Duration, traceID uint64) {
-	i := h.bucketIndex(d)
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(int64(d))
-	if traceID == 0 {
-		return
-	}
-	h.mu.Lock()
-	if d > h.exemplars[i].value || h.exemplars[i].traceID == 0 {
-		h.exemplars[i] = exemplar{traceID: traceID, value: d}
-	}
-	h.mu.Unlock()
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Quantile estimates the q-quantile (0 < q ≤ 1) as the upper bound of
-// the bucket holding the target cumulative rank — the resolution a
-// fixed-bucket histogram can honestly offer. Observations past the last
-// finite bound clamp to that bound (the +Inf bucket has no upper edge),
-// and an empty histogram reports 0. The rank is ceil(q·count), so an
-// observation exactly at a bucket boundary resolves to that bucket's
-// bound, matching Observe's le-inclusive placement.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	total := h.count.Load()
-	if total == 0 || q <= 0 || len(h.bounds) == 0 {
-		return 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank == 0 {
-		rank = 1
-	}
-	var cum uint64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		if cum >= rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			break
-		}
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
-// Quantile is the snapshot-side counterpart of Histogram.Quantile: it
-// estimates the q-quantile from a snapshotted histogram metric's
-// cumulative buckets, which is the only form drill deltas (Snapshot.Sub)
-// exist in. Non-histogram or empty metrics report 0; ranks landing in
-// the +Inf bucket clamp to the last finite bound.
+// Quantile estimates the q-quantile (0 < q ≤ 1) of a snapshotted
+// histogram metric as the upper bound of the bucket holding the target
+// cumulative rank — the resolution a fixed-bucket histogram can honestly
+// offer, and the only form drill deltas (Snapshot.Sub) exist in. The
+// rank is ceil(q·count), so an observation exactly at a bucket boundary
+// resolves to that bucket's bound, matching Observe's le-inclusive
+// placement. Ranks landing in the +Inf bucket clamp to the last finite
+// bound; non-histogram or empty metrics report 0.
 func (m Metric) Quantile(q float64) time.Duration {
-	if m.Count == 0 || len(m.Buckets) == 0 || q <= 0 {
+	if m.Count == 0 || q <= 0 {
 		return 0
 	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(math.Ceil(q * float64(m.Count)))
-	if rank == 0 {
-		rank = 1
-	}
+	rank := max(uint64(math.Ceil(min(q, 1)*float64(m.Count))), 1)
 	var lastFinite time.Duration
 	for _, b := range m.Buckets {
-		// ParseFloat accepts "+Inf"; only finite bounds are candidates.
-		if sec, err := strconv.ParseFloat(b.LE, 64); err == nil && !math.IsInf(sec, 0) {
-			lastFinite = time.Duration(sec * float64(time.Second))
+		if !math.IsInf(b.LE, 1) {
+			lastFinite = time.Duration(b.LE * float64(time.Second))
 		}
 		if b.Count >= rank {
 			break
@@ -156,27 +82,17 @@ func (m Metric) Quantile(q float64) time.Duration {
 	return lastFinite
 }
 
-// Sum returns the total of all observations.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
-
 // snapshot renders the histogram's cumulative buckets for a Snapshot.
 func (h *Histogram) snapshot() (count uint64, sumSec float64, buckets []Bucket) {
-	h.mu.Lock()
-	ex := append([]exemplar(nil), h.exemplars...)
-	h.mu.Unlock()
 	buckets = make([]Bucket, len(h.bounds)+1)
 	var cum uint64
 	for i := range h.counts {
 		cum += h.counts[i].Load()
-		le := "+Inf"
+		le := math.Inf(1)
 		if i < len(h.bounds) {
-			le = formatFloat(h.bounds[i].Seconds())
+			le = h.bounds[i].Seconds()
 		}
 		buckets[i] = Bucket{LE: le, Count: cum}
-		if ex[i].traceID != 0 {
-			buckets[i].ExemplarTrace = ex[i].traceID
-			buckets[i].ExemplarSec = ex[i].value.Seconds()
-		}
 	}
-	return h.count.Load(), h.Sum().Seconds(), buckets
+	return h.count.Load(), time.Duration(h.sum.Load()).Seconds(), buckets
 }

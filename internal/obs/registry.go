@@ -1,11 +1,8 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -40,7 +37,7 @@ func Ratio(num, den uint64) float64 {
 // Counter is a monotonically increasing metric. The zero value is ready
 // to use, so hot-path owners (Frontend, Client) embed counters as plain
 // fields and pay one atomic add per event — registration into a Registry
-// is only for exposition.
+// is only for snapshots.
 type Counter struct {
 	v atomic.Uint64
 }
@@ -54,17 +51,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Load returns the current count.
 func (c *Counter) Load() uint64 { return c.v.Load() }
 
-// Gauge is a point-in-time float metric. The zero value is ready to use.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores the value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Load returns the current value.
-func (g *Gauge) Load() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // Kind enumerates metric kinds.
 type Kind int
 
@@ -74,40 +60,26 @@ const (
 	KindHistogram
 )
 
-// String names the kind in expositions.
-func (k Kind) String() string {
-	switch k {
-	case KindGauge:
-		return "gauge"
-	case KindHistogram:
-		return "histogram"
-	default:
-		return "counter"
-	}
-}
-
-// entry is one registered metric source.
+// entry is one registered hot-path handle: exactly one of counter and
+// hist is set.
 type entry struct {
-	name   string
-	labels []Label
-	kind   Kind
-
+	name    string
+	labels  []Label
 	counter *Counter
-	gauge   *Gauge
 	hist    *Histogram
-	fn      func() float64
 }
 
 // ViewAdd is the callback a registered view reports metrics through at
 // snapshot time.
 type ViewAdd func(name string, kind Kind, value float64, labels ...Label)
 
-// Registry is a catalog of metric sources: handles it created, external
-// handles registered onto it, read-functions over mutex-guarded stats,
-// and whole views (one callback adding many metrics from a single
-// consistent stats call). Hot paths never touch the registry — they hold
-// *Counter/*Gauge/*Histogram handles directly; the registry is walked
-// only by Snapshot.
+// Registry is a catalog of metric sources. A metric enters it one of two
+// ways: as a hot-path handle its owner registers (RegisterCounter,
+// RegisterHistogram), or through a view (RegisterView: one snapshot-time
+// callback adding many metrics from a single consistent stats read). It
+// leaves only as a Snapshot. Hot paths never touch the registry — they
+// hold *Counter/*Histogram handles directly; the registry is walked only
+// by Snapshot.
 type Registry struct {
 	clock Clock
 
@@ -151,70 +123,16 @@ func (r *Registry) register(e *entry) {
 	r.mu.Unlock()
 }
 
-// Counter returns the registry-owned counter for (name, labels),
-// creating it on first use.
-func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	key := metricKey(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.entries[key]; ok && e.counter != nil {
-		return e.counter
-	}
-	c := &Counter{}
-	r.entries[key] = &entry{name: name, labels: labels, kind: KindCounter, counter: c}
-	return c
-}
-
-// Gauge returns the registry-owned gauge for (name, labels), creating it
-// on first use.
-func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	key := metricKey(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.entries[key]; ok && e.gauge != nil {
-		return e.gauge
-	}
-	g := &Gauge{}
-	r.entries[key] = &entry{name: name, labels: labels, kind: KindGauge, gauge: g}
-	return g
-}
-
-// Histogram returns the registry-owned histogram for (name, labels),
-// creating it with the given bucket bounds on first use.
-func (r *Registry) Histogram(name string, bounds []time.Duration, labels ...Label) *Histogram {
-	key := metricKey(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.entries[key]; ok && e.hist != nil {
-		return e.hist
-	}
-	h := NewHistogram(bounds...)
-	r.entries[key] = &entry{name: name, labels: labels, kind: KindHistogram, hist: h}
-	return h
-}
-
-// RegisterCounter exposes an externally-owned counter handle — how the
-// transport layer's embedded hot-path counters join the registry without
-// an extra indirection on the increment path.
+// RegisterCounter registers a counter its owner embeds — how hot-path
+// counters join the registry without an extra indirection on the
+// increment path. Registering a key again replaces its entry.
 func (r *Registry) RegisterCounter(c *Counter, name string, labels ...Label) {
-	r.register(&entry{name: name, labels: labels, kind: KindCounter, counter: c})
+	r.register(&entry{name: name, labels: labels, counter: c})
 }
 
-// RegisterHistogram exposes an externally-owned histogram handle.
+// RegisterHistogram registers a histogram its owner observes into.
 func (r *Registry) RegisterHistogram(h *Histogram, name string, labels ...Label) {
-	r.register(&entry{name: name, labels: labels, kind: KindHistogram, hist: h})
-}
-
-// RegisterCounterFunc exposes a counter read at snapshot time — the thin
-// view over mutex-guarded stats that should not be restructured into
-// atomic handles.
-func (r *Registry) RegisterCounterFunc(fn func() float64, name string, labels ...Label) {
-	r.register(&entry{name: name, labels: labels, kind: KindCounter, fn: fn})
-}
-
-// RegisterGaugeFunc exposes a gauge read at snapshot time.
-func (r *Registry) RegisterGaugeFunc(fn func() float64, name string, labels ...Label) {
-	r.register(&entry{name: name, labels: labels, kind: KindGauge, fn: fn})
+	r.register(&entry{name: name, labels: labels, hist: h})
 }
 
 // RegisterView adds a snapshot-time callback that reports any number of
@@ -273,7 +191,7 @@ func (r *Registry) snapshot(stableOnly bool) *Snapshot {
 				return
 			}
 			snap.Metrics = append(snap.Metrics, Metric{
-				Name: name, Labels: sortedLabels(labels), Kind: kind.String(), Value: value,
+				Name: name, Labels: sortedLabels(labels), Kind: kind, Value: value,
 			})
 		})
 	}
@@ -283,16 +201,12 @@ func (r *Registry) snapshot(stableOnly bool) *Snapshot {
 
 // read materializes the entry's current value.
 func (e *entry) read() Metric {
-	m := Metric{Name: e.name, Labels: sortedLabels(e.labels), Kind: e.kind.String()}
-	switch {
-	case e.counter != nil:
-		m.Value = float64(e.counter.Load())
-	case e.gauge != nil:
-		m.Value = e.gauge.Load()
-	case e.hist != nil:
+	m := Metric{Name: e.name, Labels: sortedLabels(e.labels)}
+	if e.hist != nil {
+		m.Kind = KindHistogram
 		m.Count, m.Sum, m.Buckets = e.hist.snapshot()
-	case e.fn != nil:
-		m.Value = e.fn()
+	} else {
+		m.Value = float64(e.counter.Load())
 	}
 	return m
 }
@@ -308,37 +222,34 @@ func sortedLabels(labels []Label) []Label {
 
 // Metric is one snapshotted metric value.
 type Metric struct {
-	Name   string  `json:"name"`
-	Labels []Label `json:"labels,omitempty"`
-	Kind   string  `json:"kind"`
+	Name   string
+	Labels []Label
+	Kind   Kind
 	// Value carries counter and gauge readings.
-	Value float64 `json:"value"`
+	Value float64
 	// Count, Sum (seconds), and Buckets carry histogram readings; bucket
 	// counts are cumulative, Prometheus-style.
-	Count   uint64   `json:"count,omitempty"`
-	Sum     float64  `json:"sum,omitempty"`
-	Buckets []Bucket `json:"buckets,omitempty"`
+	Count   uint64
+	Sum     float64
+	Buckets []Bucket
 }
 
 // Key renders the metric's stable identity (name plus sorted labels).
 func (m Metric) Key() string { return metricKey(m.Name, m.Labels) }
 
-// Bucket is one histogram bucket in a snapshot. LE is the upper bound in
-// seconds rendered as a string ("+Inf" for the overflow bucket — JSON
-// has no infinity). Exemplar fields carry the slowest observation's
-// trace, when one was recorded.
+// Bucket is one histogram bucket in a snapshot: LE is the upper bound in
+// seconds (math.Inf(1) for the overflow bucket), Count the cumulative
+// count at or below it.
 type Bucket struct {
-	LE            string  `json:"le"`
-	Count         uint64  `json:"count"`
-	ExemplarTrace uint64  `json:"exemplar_trace,omitempty"`
-	ExemplarSec   float64 `json:"exemplar_sec,omitempty"`
+	LE    float64
+	Count uint64
 }
 
 // Snapshot is a point-in-time capture of a registry, ordered by metric
-// key so equal registries render byte-identically.
+// key so equal registries give equal snapshots.
 type Snapshot struct {
-	At      time.Time `json:"at"`
-	Metrics []Metric  `json:"metrics"`
+	At      time.Time
+	Metrics []Metric
 }
 
 // sort orders Metrics by rendered key, rendering each key once rather
@@ -397,7 +308,7 @@ func (s *Snapshot) Sub(base *Snapshot) *Snapshot {
 	out := &Snapshot{At: s.At, Metrics: make([]Metric, 0, len(s.Metrics))}
 	for _, m := range s.Metrics {
 		b, ok := prior[m.Key()]
-		if ok && m.Kind != KindGauge.String() {
+		if ok && m.Kind != KindGauge {
 			m.Value -= b.Value
 			m.Count -= b.Count
 			m.Sum -= b.Sum
@@ -413,7 +324,7 @@ func subBuckets(cur, base []Bucket) []Bucket {
 		return nil
 	}
 	out := append([]Bucket(nil), cur...)
-	byLE := map[string]uint64{}
+	byLE := map[float64]uint64{}
 	for _, b := range base {
 		byLE[b.LE] = b.Count
 	}
@@ -470,77 +381,16 @@ func MergeSnapshots(snaps ...*Snapshot) *Snapshot {
 }
 
 func addBuckets(a, b []Bucket) []Bucket {
-	byLE := map[string]int{}
+	byLE := map[float64]int{}
 	for i := range a {
 		byLE[a[i].LE] = i
 	}
 	for _, bb := range b {
 		if i, ok := byLE[bb.LE]; ok {
 			a[i].Count += bb.Count
-			// Keep the slower exemplar; ties break toward the lower trace
-			// ID so the merge stays order-independent.
-			if bb.ExemplarSec > a[i].ExemplarSec ||
-				(bb.ExemplarSec == a[i].ExemplarSec && bb.ExemplarTrace != 0 &&
-					(a[i].ExemplarTrace == 0 || bb.ExemplarTrace < a[i].ExemplarTrace)) {
-				a[i].ExemplarTrace, a[i].ExemplarSec = bb.ExemplarTrace, bb.ExemplarSec
-			}
 		} else {
 			a = append(a, bb)
 		}
 	}
 	return a
-}
-
-// JSON renders the snapshot as stable, deterministic JSON.
-func (s *Snapshot) JSON() ([]byte, error) {
-	return json.Marshal(s)
-}
-
-// Prom renders the snapshot as a Prometheus-style text exposition, with
-// OpenMetrics-style exemplar comments on histogram buckets that carry
-// one.
-func (s *Snapshot) Prom() string {
-	var b strings.Builder
-	lastName := ""
-	for _, m := range s.Metrics {
-		if m.Name != lastName {
-			fmt.Fprintf(&b, "# TYPE %s %s\n", m.Name, m.Kind)
-			lastName = m.Name
-		}
-		if m.Kind == KindHistogram.String() {
-			for _, bk := range m.Buckets {
-				fmt.Fprintf(&b, "%s_bucket%s %d", m.Name, promLabels(m.Labels, L("le", bk.LE)), bk.Count)
-				if bk.ExemplarTrace != 0 {
-					fmt.Fprintf(&b, " # {trace_id=\"%d\"} %s", bk.ExemplarTrace, formatFloat(bk.ExemplarSec))
-				}
-				b.WriteByte('\n')
-			}
-			fmt.Fprintf(&b, "%s_sum%s %s\n", m.Name, promLabels(m.Labels), formatFloat(m.Sum))
-			fmt.Fprintf(&b, "%s_count%s %d\n", m.Name, promLabels(m.Labels), m.Count)
-			continue
-		}
-		fmt.Fprintf(&b, "%s%s %s\n", m.Name, promLabels(m.Labels), formatFloat(m.Value))
-	}
-	return b.String()
-}
-
-func promLabels(labels []Label, extra ...Label) string {
-	all := append(append([]Label(nil), labels...), extra...)
-	if len(all) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, l := range all {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%q", l.Key, l.Value)
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-func formatFloat(f float64) string {
-	return strconv.FormatFloat(f, 'g', -1, 64)
 }

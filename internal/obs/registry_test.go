@@ -1,10 +1,10 @@
 package obs
 
 import (
-	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
-	"strings"
+	"reflect"
 	"testing"
 	"time"
 
@@ -13,6 +13,26 @@ import (
 
 func testClock() *simnet.Clock {
 	return simnet.NewClock(time.Date(2023, 7, 1, 12, 0, 0, 0, time.UTC))
+}
+
+// counter registers a fresh counter handle on r, the way a hot-path
+// owner registers the counter it embeds.
+func counter(r *Registry, name string, labels ...Label) *Counter {
+	c := &Counter{}
+	r.RegisterCounter(c, name, labels...)
+	return c
+}
+
+// histogram registers a fresh histogram handle on r.
+func histogram(r *Registry, name string, bounds ...time.Duration) *Histogram {
+	h := NewHistogram(bounds...)
+	r.RegisterHistogram(h, name)
+	return h
+}
+
+// gauge registers a view reporting *v as a gauge at snapshot time.
+func gauge(r *Registry, name string, v *float64) {
+	r.RegisterView(func(add ViewAdd) { add(name, KindGauge, *v) })
 }
 
 func TestRatioZeroDenominator(t *testing.T) {
@@ -26,31 +46,25 @@ func TestRatioZeroDenominator(t *testing.T) {
 
 func TestCounterGaugeSnapshot(t *testing.T) {
 	r := NewRegistry(testClock())
-	c := r.Counter("requests_total", L("proto", "doh"))
+	c := counter(r, "requests_total", L("proto", "doh"))
 	c.Add(3)
 	c.Inc()
-	r.Gauge("pool_healthy").Set(7)
-	var ext Counter
-	ext.Add(2)
-	r.RegisterCounter(&ext, "external_total")
-	r.RegisterGaugeFunc(func() float64 { return 1.5 }, "view_gauge")
+	healthy := 7.0
+	gauge(r, "pool_healthy", &healthy)
 
 	snap := r.Snapshot()
 	if v := snap.Value("requests_total", L("proto", "doh")); v != 4 {
 		t.Fatalf("requests_total = %v, want 4", v)
 	}
-	if v := snap.Value("pool_healthy"); v != 7 {
-		t.Fatalf("pool_healthy = %v, want 7", v)
+	if m, _ := snap.Get("pool_healthy"); m.Value != 7 || m.Kind != KindGauge {
+		t.Fatalf("pool_healthy = %+v, want a gauge reading 7", m)
 	}
-	if v := snap.Value("external_total"); v != 2 {
-		t.Fatalf("external_total = %v, want 2", v)
-	}
-	if v := snap.Value("view_gauge"); v != 1.5 {
-		t.Fatalf("view_gauge = %v, want 1.5", v)
-	}
-	// Counter() must be idempotent: same key, same handle.
-	if r.Counter("requests_total", L("proto", "doh")) != c {
-		t.Fatal("Counter() returned a fresh handle for an existing key")
+	// Registering the same key again replaces the handle.
+	var other Counter
+	other.Add(2)
+	r.RegisterCounter(&other, "requests_total", L("proto", "doh"))
+	if v := r.Snapshot().Value("requests_total", L("proto", "doh")); v != 2 {
+		t.Fatalf("re-registered requests_total = %v, want 2", v)
 	}
 }
 
@@ -71,8 +85,8 @@ func TestRegisterView(t *testing.T) {
 
 func TestStableSnapshotExcludesVolatile(t *testing.T) {
 	r := NewRegistry(nil)
-	r.Counter("stable_total").Add(1)
-	r.Counter("noisy_total", L("member", "a")).Add(9)
+	counter(r, "stable_total").Add(1)
+	counter(r, "noisy_total", L("member", "a")).Add(9)
 	r.SetVolatile("noisy_total")
 	snap := r.StableSnapshot()
 	if _, ok := snap.Get("noisy_total", L("member", "a")); ok {
@@ -110,25 +124,11 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	// Cumulative counts: 1 at le=0.001, 3 at le=0.01, 5 at +Inf.
 	for i, wantN := range []uint64{1, 3, 5} {
 		if buckets[i].Count != wantN {
-			t.Fatalf("bucket[%d] (le=%s) = %d, want %d", i, buckets[i].LE, buckets[i].Count, wantN)
+			t.Fatalf("bucket[%d] (le=%v) = %d, want %d", i, buckets[i].LE, buckets[i].Count, wantN)
 		}
 	}
-	if buckets[2].LE != "+Inf" {
-		t.Fatalf("last bucket le = %q, want +Inf", buckets[2].LE)
-	}
-}
-
-func TestHistogramExemplarKeepsSlowest(t *testing.T) {
-	h := NewHistogram(time.Second)
-	h.ObserveExemplar(100*time.Millisecond, 7)
-	h.ObserveExemplar(300*time.Millisecond, 9)
-	h.ObserveExemplar(200*time.Millisecond, 11)
-	_, _, buckets := h.snapshot()
-	if buckets[0].ExemplarTrace != 9 {
-		t.Fatalf("exemplar trace = %d, want 9 (the slowest)", buckets[0].ExemplarTrace)
-	}
-	if buckets[0].ExemplarSec != (300 * time.Millisecond).Seconds() {
-		t.Fatalf("exemplar value = %v", buckets[0].ExemplarSec)
+	if buckets[0].LE != 0.001 || !math.IsInf(buckets[2].LE, 1) {
+		t.Fatalf("bucket bounds = %v, %v; want 0.001 and +Inf", buckets[0].LE, buckets[2].LE)
 	}
 }
 
@@ -138,9 +138,9 @@ func TestHistogramExemplarKeepsSlowest(t *testing.T) {
 func TestSnapshotGetBinarySearch(t *testing.T) {
 	r := NewRegistry(nil)
 	for i := 0; i < 50; i++ {
-		r.Counter(fmt.Sprintf("m%02d_total", i)).Add(uint64(i + 1))
+		counter(r, fmt.Sprintf("m%02d_total", i)).Add(uint64(i + 1))
 	}
-	r.Counter("m25_total", L("proto", "doh")).Add(7)
+	counter(r, "m25_total", L("proto", "doh")).Add(7)
 	snap := r.Snapshot()
 	for i := 0; i < 50; i++ {
 		name := fmt.Sprintf("m%02d_total", i)
@@ -163,12 +163,12 @@ func TestSnapshotGetBinarySearch(t *testing.T) {
 // unchanged (absent from base means nothing to subtract).
 func TestSnapshotSubNewMetricMidDrill(t *testing.T) {
 	r := NewRegistry(nil)
-	r.Counter("old_total").Add(3)
+	old := counter(r, "old_total")
+	old.Add(3)
 	base := r.Snapshot()
-	r.Counter("old_total").Add(2)
-	r.Counter("new_total").Add(9)
-	h := r.Histogram("new_latency_seconds", []time.Duration{time.Millisecond})
-	h.Observe(2 * time.Millisecond)
+	old.Add(2)
+	counter(r, "new_total").Add(9)
+	histogram(r, "new_latency_seconds", time.Millisecond).Observe(2 * time.Millisecond)
 	diff := r.Snapshot().Sub(base)
 	if v := diff.Value("old_total"); v != 2 {
 		t.Fatalf("old_total delta = %v, want 2", v)
@@ -181,7 +181,7 @@ func TestSnapshotSubNewMetricMidDrill(t *testing.T) {
 		t.Fatalf("mid-drill histogram = %+v, want count 1", m)
 	}
 	// Cumulative shape intact: the +Inf bucket still counts everything.
-	if last := m.Buckets[len(m.Buckets)-1]; last.LE != "+Inf" || last.Count != 1 {
+	if last := m.Buckets[len(m.Buckets)-1]; !math.IsInf(last.LE, 1) || last.Count != 1 {
 		t.Fatalf("mid-drill histogram +Inf bucket = %+v", last)
 	}
 }
@@ -190,13 +190,14 @@ func TestSnapshotSubNewMetricMidDrill(t *testing.T) {
 // present in cur but absent from base (snapshots merged from different
 // bucket ladders): the unmatched bucket subtracts zero.
 func TestSnapshotSubBucketAbsentFromBase(t *testing.T) {
+	inf := math.Inf(1)
 	base := &Snapshot{Metrics: []Metric{{
-		Name: "lat_seconds", Kind: "histogram", Count: 2, Sum: 0.002,
-		Buckets: []Bucket{{LE: "0.001", Count: 2}, {LE: "+Inf", Count: 2}},
+		Name: "lat_seconds", Kind: KindHistogram, Count: 2, Sum: 0.002,
+		Buckets: []Bucket{{LE: 0.001, Count: 2}, {LE: inf, Count: 2}},
 	}}}
 	cur := &Snapshot{Metrics: []Metric{{
-		Name: "lat_seconds", Kind: "histogram", Count: 5, Sum: 0.025,
-		Buckets: []Bucket{{LE: "0.001", Count: 3}, {LE: "0.01", Count: 5}, {LE: "+Inf", Count: 5}},
+		Name: "lat_seconds", Kind: KindHistogram, Count: 5, Sum: 0.025,
+		Buckets: []Bucket{{LE: 0.001, Count: 3}, {LE: 0.01, Count: 5}, {LE: inf, Count: 5}},
 	}}}
 	diff := cur.Sub(base)
 	m, ok := diff.Get("lat_seconds")
@@ -206,19 +207,26 @@ func TestSnapshotSubBucketAbsentFromBase(t *testing.T) {
 	if m.Count != 3 {
 		t.Fatalf("count delta = %d, want 3", m.Count)
 	}
-	want := []Bucket{{LE: "0.001", Count: 1}, {LE: "0.01", Count: 5}, {LE: "+Inf", Count: 3}}
-	for i, b := range m.Buckets {
-		if b.LE != want[i].LE || b.Count != want[i].Count {
-			t.Fatalf("bucket[%d] = %+v, want %+v", i, b, want[i])
-		}
+	want := []Bucket{{LE: 0.001, Count: 1}, {LE: 0.01, Count: 5}, {LE: inf, Count: 3}}
+	if !reflect.DeepEqual(m.Buckets, want) {
+		t.Fatalf("buckets = %+v, want %+v", m.Buckets, want)
 	}
 }
 
-// TestHistogramQuantileBoundaries pins Quantile against exact
-// bucket-boundary ranks, on the live histogram and its snapshot form.
+// TestHistogramQuantileBoundaries pins Metric.Quantile against exact
+// bucket-boundary ranks, the +Inf clamp, an empty histogram and q
+// outside (0, 1].
 func TestHistogramQuantileBoundaries(t *testing.T) {
-	h := NewHistogram(time.Millisecond, 10*time.Millisecond, 100*time.Millisecond)
-	if got := h.Quantile(0.5); got != 0 {
+	r := NewRegistry(nil)
+	h := histogram(r, "lat_seconds", time.Millisecond, 10*time.Millisecond, 100*time.Millisecond)
+	quantile := func(q float64) time.Duration {
+		m, ok := r.Snapshot().Get("lat_seconds")
+		if !ok {
+			t.Fatal("histogram missing from snapshot")
+		}
+		return m.Quantile(q)
+	}
+	if got := quantile(0.5); got != 0 {
 		t.Fatalf("empty histogram quantile = %v, want 0", got)
 	}
 	// Two observations per bucket: cum = 2 at 1ms, 4 at 10ms.
@@ -235,31 +243,22 @@ func TestHistogramQuantileBoundaries(t *testing.T) {
 		{0.51, 10 * time.Millisecond}, // rank 3 — one past the edge
 		{1, 10 * time.Millisecond},
 		{1.5, 10 * time.Millisecond}, // clamped to q=1
+		{0, 0},                       // q ≤ 0 reports 0
+		{-1, 0},
 	}
 	for _, c := range cases {
-		if got := h.Quantile(c.q); got != c.want {
+		if got := quantile(c.q); got != c.want {
 			t.Fatalf("Quantile(%v) = %v, want %v", c.q, got, c.want)
 		}
 	}
 	// Over-range mass: ranks landing in +Inf clamp to the last finite
 	// bound.
 	h.Observe(5 * time.Second)
-	if got := h.Quantile(1); got != 100*time.Millisecond {
+	if got := quantile(1); got != 100*time.Millisecond {
 		t.Fatalf("+Inf-bucket quantile = %v, want clamp to 100ms", got)
 	}
-
-	// The snapshot-side Metric.Quantile agrees on every case.
-	r := NewRegistry(nil)
-	r.RegisterHistogram(h, "lat_seconds")
-	m, ok := r.Snapshot().Get("lat_seconds")
-	if !ok {
-		t.Fatal("histogram missing from snapshot")
-	}
-	if got := m.Quantile(1); got != 100*time.Millisecond {
-		t.Fatalf("Metric.Quantile(1) = %v, want 100ms", got)
-	}
-	if got := m.Quantile(0.4); got != time.Millisecond {
-		t.Fatalf("Metric.Quantile(0.4) = %v, want 1ms", got)
+	if got := quantile(0.4); got != time.Millisecond {
+		t.Fatalf("Quantile(0.4) = %v, want 1ms", got)
 	}
 	var zero Metric
 	if got := zero.Quantile(0.99); got != 0 {
@@ -269,13 +268,13 @@ func TestHistogramQuantileBoundaries(t *testing.T) {
 
 func TestSnapshotSub(t *testing.T) {
 	r := NewRegistry(nil)
-	c := r.Counter("served_total")
-	g := r.Gauge("healthy")
+	c := counter(r, "served_total")
+	healthy := 4.0
+	gauge(r, "healthy", &healthy)
 	c.Add(10)
-	g.Set(4)
 	base := r.Snapshot()
 	c.Add(5)
-	g.Set(3)
+	healthy = 3
 	diff := r.Snapshot().Sub(base)
 	if v := diff.Value("served_total"); v != 5 {
 		t.Fatalf("diff counter = %v, want 5", v)
@@ -287,39 +286,26 @@ func TestSnapshotSub(t *testing.T) {
 }
 
 // TestMergeShuffledDeterminism pins the commit-order contract's other
-// half: merging child-registry snapshots is independent of merge order,
-// byte for byte, in both renderings.
+// half: merging child-registry snapshots is independent of merge order.
 func TestMergeShuffledDeterminism(t *testing.T) {
 	mkChild := func(i int) *Snapshot {
 		r := NewRegistry(nil)
-		r.Counter("exchanges_total").Add(uint64(10 * (i + 1)))
-		r.Counter("stale_total", L("proto", "doh")).Add(uint64(i))
-		h := r.Histogram("latency_seconds", nil)
-		h.ObserveExemplar(time.Duration(i+1)*5*time.Millisecond, uint64(i+1))
-		r.Gauge("healthy").Set(float64(i + 1))
+		counter(r, "exchanges_total").Add(uint64(10 * (i + 1)))
+		counter(r, "stale_total", L("proto", "doh")).Add(uint64(i))
+		histogram(r, "latency_seconds").Observe(time.Duration(i+1) * 5 * time.Millisecond)
+		healthy := float64(i + 1)
+		gauge(r, "healthy", &healthy)
 		return r.Snapshot()
 	}
 	children := []*Snapshot{mkChild(0), mkChild(1), mkChild(2), mkChild(3)}
 
 	ref := MergeSnapshots(children...)
-	refJSON, err := ref.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 10; trial++ {
 		shuffled := append([]*Snapshot(nil), children...)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		got := MergeSnapshots(shuffled...)
-		gotJSON, err := got.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(refJSON, gotJSON) {
-			t.Fatalf("trial %d: shuffled merge JSON diverged:\n%s\nvs\n%s", trial, refJSON, gotJSON)
-		}
-		if ref.Prom() != got.Prom() {
-			t.Fatalf("trial %d: shuffled merge Prom exposition diverged", trial)
+		if got := MergeSnapshots(shuffled...); !reflect.DeepEqual(ref, got) {
+			t.Fatalf("trial %d: shuffled merge diverged:\n%+v\nvs\n%+v", trial, ref, got)
 		}
 	}
 	if v := ref.Value("exchanges_total"); v != 10+20+30+40 {
@@ -334,72 +320,42 @@ func TestMergeShuffledDeterminism(t *testing.T) {
 	}
 }
 
-func TestPromExposition(t *testing.T) {
-	r := NewRegistry(testClock())
-	r.Counter("served_total", L("proto", "doh")).Add(2)
-	r.Counter("served_total", L("proto", "dot")).Add(1)
-	h := r.Histogram("latency_seconds", []time.Duration{time.Millisecond})
-	h.ObserveExemplar(2*time.Millisecond, 5)
-	text := r.Snapshot().Prom()
-	for _, want := range []string{
-		"# TYPE served_total counter",
-		`served_total{proto="doh"} 2`,
-		`served_total{proto="dot"} 1`,
-		"# TYPE latency_seconds histogram",
-		`latency_seconds_bucket{le="0.001"} 0`,
-		`latency_seconds_bucket{le="+Inf"} 1 # {trace_id="5"} 0.002`,
-		"latency_seconds_sum 0.002",
-		"latency_seconds_count 1",
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, text)
-		}
-	}
-}
-
-func TestSamplerPollAndForce(t *testing.T) {
+func TestSamplerForce(t *testing.T) {
 	clock := testClock()
 	r := NewRegistry(clock)
-	c := r.Counter("ticks_total")
-	s := NewSampler(r, clock, time.Hour, false)
+	c := counter(r, "ticks_total")
+	counter(r, "noisy_total").Add(3)
+	r.SetVolatile("noisy_total")
+	s := NewSampler(r, clock, true)
 
-	if s.Poll() {
-		t.Fatal("Poll fired before the interval elapsed")
-	}
 	c.Inc()
+	s.Force("apex")
 	clock.Advance(time.Hour)
-	if !s.Poll() {
-		t.Fatal("Poll did not fire at the interval")
-	}
-	if s.Poll() {
-		t.Fatal("Poll fired twice in one interval")
-	}
-	s.Force("stage")
+	c.Inc()
+	s.Force("www")
 	pts := s.Points()
 	if len(pts) != 2 {
 		t.Fatalf("points = %d, want 2", len(pts))
 	}
-	if pts[0].Label != "tick" || pts[1].Label != "stage" {
+	if pts[0].Label != "apex" || pts[1].Label != "www" {
 		t.Fatalf("labels = %q, %q", pts[0].Label, pts[1].Label)
 	}
-	if v := pts[0].Snap.Value("ticks_total"); v != 1 {
-		t.Fatalf("sampled value = %v, want 1", v)
+	if !pts[1].At.Equal(pts[0].At.Add(time.Hour)) {
+		t.Fatalf("stamps %v, %v: want one virtual hour apart", pts[0].At, pts[1].At)
 	}
-	// A long gap collapses into one sample, not a burst.
-	clock.Advance(5 * time.Hour)
-	if !s.Poll() {
-		t.Fatal("Poll did not fire after a long gap")
+	for i, want := range []float64{1, 2} {
+		if v := pts[i].Snap.Value("ticks_total"); v != want {
+			t.Fatalf("point %d ticks_total = %v, want %v", i, v, want)
+		}
 	}
-	if s.Poll() {
-		t.Fatal("Poll burst-fired after a long gap")
+	// A stable-only sampler drops volatile metrics.
+	if _, ok := pts[0].Snap.Get("noisy_total"); ok {
+		t.Fatal("stable sampler kept a volatile metric")
 	}
 }
 
 func TestNilSamplerSafe(t *testing.T) {
 	var s *Sampler
-	if s.Poll() {
-		t.Fatal("nil sampler polled")
-	}
 	s.Force("x")
 	if pts := s.Points(); pts != nil {
 		t.Fatalf("nil sampler points = %v", pts)

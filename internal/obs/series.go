@@ -12,58 +12,24 @@ type Point struct {
 	Snap  *Snapshot
 }
 
-// Sampler captures registry snapshots into a time series. It has two
-// triggers, matching the two clock regimes the campaign runs under:
-//
-//   - Poll takes an interval-driven sample when the virtual clock has
-//     reached the next tick — the trigger for live-clock loops (hourly
-//     ECH scans, chaos drills), where virtual time actually advances.
-//
-//   - Force takes a labeled sample immediately — the trigger for
-//     stage boundaries inside a scan day, whose per-day replica clocks
-//     are deliberately frozen (see core.newDayContext) and would never
-//     fire an interval.
-//
-// Campaign samplers run stable-only, so the collected series holds only
+// Sampler captures labeled registry snapshots into a time series. Force
+// is its one trigger: campaigns force a sample at each stage boundary
+// inside a scan day, whose per-day replica clocks are deliberately frozen
+// (see core.newDayContext), and drills force one per epoch. Campaign
+// samplers run stable-only, so the collected series holds only
 // schedule-independent metrics and pipelined runs merge byte-identically
 // in commit order (the package determinism contract).
 type Sampler struct {
 	mu         sync.Mutex
 	reg        *Registry
 	clock      Clock
-	interval   time.Duration
-	next       time.Time
 	stableOnly bool
 	points     []Point
 }
 
-// NewSampler builds a sampler over reg polling at interval on clock.
-func NewSampler(reg *Registry, clock Clock, interval time.Duration, stableOnly bool) *Sampler {
-	s := &Sampler{reg: reg, clock: clock, interval: interval, stableOnly: stableOnly}
-	if clock != nil && interval > 0 {
-		s.next = clock.Now().Add(interval)
-	}
-	return s
-}
-
-// Poll takes an interval sample if the clock has reached the next tick,
-// reporting whether one was taken. Multiple elapsed intervals collapse
-// into one sample (the registry is cumulative; nothing is lost).
-func (s *Sampler) Poll() bool {
-	if s == nil || s.clock == nil || s.interval <= 0 {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.clock.Now()
-	if now.Before(s.next) {
-		return false
-	}
-	for !s.next.After(now) {
-		s.next = s.next.Add(s.interval)
-	}
-	s.take(now, "tick")
-	return true
+// NewSampler builds a sampler over reg, stamping points from clock.
+func NewSampler(reg *Registry, clock Clock, stableOnly bool) *Sampler {
+	return &Sampler{reg: reg, clock: clock, stableOnly: stableOnly}
 }
 
 // Force takes a labeled sample immediately.
@@ -77,16 +43,7 @@ func (s *Sampler) Force(label string) {
 	if s.clock != nil {
 		now = s.clock.Now()
 	}
-	s.take(now, label)
-}
-
-// take appends one sample; callers hold s.mu.
-func (s *Sampler) take(now time.Time, label string) {
-	snap := s.reg.Snapshot()
-	if s.stableOnly {
-		snap = s.reg.StableSnapshot()
-	}
-	s.points = append(s.points, Point{At: now, Label: label, Snap: snap})
+	s.points = append(s.points, Point{At: now, Label: label, Snap: s.reg.snapshot(s.stableOnly)})
 }
 
 // Points returns the collected samples in capture order.

@@ -9,11 +9,11 @@ import (
 // winner-side surface.
 func sloRegistry(clock Clock) (*Registry, *Counter, *Counter, *Counter, *Histogram) {
 	r := NewRegistry(clock)
-	ex := r.Counter("client_exchanges_total")
-	errs := r.Counter("client_errors_total")
-	stale := r.Counter("client_stale_answers_total")
-	r.Counter("client_servfail_total")
-	h := r.Histogram("exchange_latency_seconds", DefaultLatencyBuckets())
+	ex := counter(r, "client_exchanges_total")
+	errs := counter(r, "client_errors_total")
+	stale := counter(r, "client_stale_answers_total")
+	counter(r, "client_servfail_total")
+	h := histogram(r, "exchange_latency_seconds")
 	return r, ex, errs, stale, h
 }
 
@@ -80,7 +80,7 @@ func TestBurnMultiWindow(t *testing.T) {
 	clock := testClock()
 	r, ex, errs, _, h := sloRegistry(clock)
 	slo := SLO{Availability: 0.9, LatencyP99: time.Second}
-	sampler := NewSampler(r, clock, 0, false)
+	sampler := NewSampler(r, clock, false)
 
 	observe := func(n, bad int) {
 		for i := 0; i < n; i++ {

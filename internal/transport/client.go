@@ -101,8 +101,7 @@ type Client struct {
 	msgPool sync.Pool
 
 	// exchangeLatency, bound by a fleet, observes each successful
-	// exchange's critical-path virtual duration; sampled exchanges attach
-	// their trace ID as the bucket exemplar.
+	// exchange's critical-path virtual duration.
 	exchangeLatency *obs.Histogram
 
 	staleAnswers    obs.Counter
@@ -330,11 +329,7 @@ func (c *Client) ExchangePreferring(q *dnswire.Message, pref Protocol) (*dnswire
 	}
 	c.Tracer.Finish(tr, name, flags, out.Elapsed)
 	if c.exchangeLatency != nil {
-		if tr != nil {
-			c.exchangeLatency.ObserveExemplar(out.Elapsed, tr.ID)
-		} else {
-			c.exchangeLatency.Observe(out.Elapsed)
-		}
+		c.exchangeLatency.Observe(out.Elapsed)
 	}
 	if c.ReuseAnswers {
 		c.mu.Lock()

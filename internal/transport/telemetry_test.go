@@ -3,7 +3,6 @@ package transport
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/dnswire"
 	"repro/internal/obs"
@@ -137,30 +136,5 @@ func TestTraceThroughEnvelopes(t *testing.T) {
 	// traced exchange, so its server-side spans joined the client trace.
 	if len(seen) != 3 {
 		t.Errorf("dial spans reached %d distinct frontends, want 3: %v", len(seen), seen)
-	}
-}
-
-// TestTraceExemplarOnHistogram checks that a traced exchange plants its
-// trace ID as the latency histogram's bucket exemplar.
-func TestTraceExemplarOnHistogram(t *testing.T) {
-	client, fl, _, _, _ := newTestFleet(t, 1, BalanceRoundRobin)
-	client.Tracer = obs.NewTracer(nil, obs.TraceConfig{SampleEvery: 1})
-	client.Latency = func(*Upstream) time.Duration { return 7 * time.Millisecond }
-
-	if _, err := client.Query("exemplar.test", dnswire.TypeA, false); err != nil {
-		t.Fatal(err)
-	}
-	m, ok := fl.Metrics.Snapshot().Get("exchange_latency_seconds")
-	if !ok {
-		t.Fatal("no latency histogram in snapshot")
-	}
-	var found bool
-	for _, b := range m.Buckets {
-		if b.ExemplarTrace != 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no bucket exemplar planted: %+v", m.Buckets)
 	}
 }

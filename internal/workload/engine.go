@@ -111,9 +111,9 @@ type Config struct {
 	// Diurnal shapes the rate over the day; Crowds schedules spikes.
 	Diurnal Diurnal
 	Crowds  []FlashCrowd
-	// Interval enables per-interval telemetry sampling (qps, stub
-	// hit-rate, stale-serve) on the virtual clock; 0 disables, negative
-	// is rejected.
+	// Interval enables per-interval telemetry: at each boundary on the
+	// engine's timeline Run records the stable snapshot of its counters
+	// (Points); 0 disables, negative is rejected.
 	Interval time.Duration
 }
 
@@ -150,8 +150,8 @@ type preferring interface {
 	ExchangePreferring(q *dnswire.Message, pref transport.Protocol) (*dnswire.Message, error)
 }
 
-// staleCounter is the optional stale-answer counter the engine deltas
-// for its stale-serve telemetry.
+// staleCounter is the optional stale-answer counter the engine reports
+// as workload_stale_answers_total, counted from Run's start.
 type staleCounter interface{ StaleAnswers() uint64 }
 
 // answerReuser is the optional answer-recycling toggle
@@ -212,22 +212,17 @@ type Engine struct {
 	end       int64
 	charged   int64 // clock high-water mark already Set
 	lastDue   int64
-	nextPoll  int64
+	nextTick  int64
 	crowdRank []int32 // resolved Domains rank per crowd (-1: none)
 
 	queries   obs.Counter
 	stubHits  obs.Counter
 	exchanges obs.Counter
 	errors    obs.Counter
-	qps       *obs.Gauge
-	hitRate   *obs.Gauge
-	staleRate *obs.Gauge
 
 	reg       *obs.Registry
-	sampler   *obs.Sampler
+	points    []obs.Point
 	staleBase uint64
-	// Interval deltas backing the per-interval gauges.
-	intQueries, intHits, intStale uint64
 
 	digest uint64
 }
@@ -336,11 +331,10 @@ func New(cfg Config, clock *simnet.Clock, target Exchanger) (*Engine, error) {
 // emptySlot marks an unused stub-cache slot (no rank reaches 2^32−1).
 const emptySlot = ^uint32(0)
 
-// bindMetrics stands up the engine-owned registry: cumulative counters
-// plus per-interval gauges the poll loop refreshes at each boundary.
-// Everything here is a deterministic function of the event stream, so
-// none of it is marked volatile and workload series survive the stable
-// snapshot filter campaign samplers apply.
+// bindMetrics stands up the engine-owned registry of cumulative
+// counters. Everything here is a deterministic function of the event
+// stream, so none of it is marked volatile and every counter survives the
+// stable snapshot the interval points carry.
 func (e *Engine) bindMetrics() {
 	e.reg = obs.NewRegistry(e.clock)
 	e.reg.RegisterCounter(&e.queries, "workload_queries_total")
@@ -348,21 +342,18 @@ func (e *Engine) bindMetrics() {
 	e.reg.RegisterCounter(&e.exchanges, "workload_fleet_exchanges_total")
 	e.reg.RegisterCounter(&e.errors, "workload_errors_total")
 	if e.stale != nil {
-		e.reg.RegisterCounterFunc(func() float64 {
-			return float64(e.stale.StaleAnswers() - e.staleBase)
-		}, "workload_stale_answers_total")
+		e.reg.RegisterView(func(add obs.ViewAdd) {
+			add("workload_stale_answers_total", obs.KindCounter, float64(e.stale.StaleAnswers()-e.staleBase))
+		})
 	}
-	e.qps = e.reg.Gauge("workload_qps")
-	e.hitRate = e.reg.Gauge("workload_stub_hit_rate")
-	e.staleRate = e.reg.Gauge("workload_stale_rate")
 }
 
-// Registry exposes the engine's metrics registry (for drill reports).
-func (e *Engine) Registry() *obs.Registry { return e.reg }
-
-// Points returns the per-interval telemetry samples collected by Run
-// (nil when Config.Interval is 0).
-func (e *Engine) Points() []obs.Point { return e.sampler.Points() }
+// Points returns the per-interval telemetry Run collected: one "tick"
+// point per Config.Interval boundary, stamped with the boundary and
+// carrying the counters' stable snapshot there (nil when Interval is 0).
+// Per-interval rates are consecutive points' counter deltas
+// (Snapshot.Sub) over the interval.
+func (e *Engine) Points() []obs.Point { return e.points }
 
 // rateFactor is the instantaneous arrival-rate multiplier at t (unix
 // nanos): the diurnal curve times any active flash crowd.
@@ -429,29 +420,16 @@ func (e *Engine) setClock(t int64) {
 	}
 }
 
-// pollInterval closes out one telemetry interval ending at boundary:
-// the clock moves to the boundary, the per-interval gauges are
-// refreshed from the counter deltas, and the sampler takes its tick.
-func (e *Engine) pollInterval(boundary int64) {
+// tick closes out one telemetry interval ending at boundary: the clock
+// moves to the boundary and the counters' snapshot is recorded there. A
+// target that charges latency to the clock may have pushed it past the
+// boundary, so the point is stamped with the boundary itself, on the
+// engine's timeline.
+func (e *Engine) tick(boundary int64) {
 	e.setClock(boundary)
-	sec := float64(e.cfg.Interval) / float64(time.Second)
-	q := e.queries.Load()
-	h := e.stubHits.Load()
-	var st uint64
-	if e.stale != nil {
-		st = e.stale.StaleAnswers() - e.staleBase
-	}
-	dq := q - e.intQueries
-	e.qps.Set(float64(dq) / sec)
-	if dq > 0 {
-		e.hitRate.Set(float64(h-e.intHits) / float64(dq))
-		e.staleRate.Set(float64(st-e.intStale) / float64(dq))
-	} else {
-		e.hitRate.Set(0)
-		e.staleRate.Set(0)
-	}
-	e.intQueries, e.intHits, e.intStale = q, h, st
-	e.sampler.Poll()
+	e.points = append(e.points, obs.Point{
+		At: time.Unix(0, boundary).UTC(), Label: "tick", Snap: e.reg.StableSnapshot(),
+	})
 }
 
 // digestEvent folds one processed event into the stream fingerprint.
@@ -538,9 +516,8 @@ func (e *Engine) Run() Summary {
 		ru.SetReuseAnswers(true)
 		defer ru.SetReuseAnswers(false)
 	}
-	e.sampler = obs.NewSampler(e.reg, e.clock, e.cfg.Interval, true)
 	if e.cfg.Interval > 0 {
-		e.nextPoll = e.start + int64(e.cfg.Interval)
+		e.nextTick = e.start + int64(e.cfg.Interval)
 	}
 
 	// Seed every client's first arrival.
@@ -556,9 +533,9 @@ func (e *Engine) Run() Summary {
 		if !ok || ev.due >= e.end {
 			break
 		}
-		for e.nextPoll > 0 && ev.due >= e.nextPoll {
-			e.pollInterval(e.nextPoll)
-			e.nextPoll += int64(e.cfg.Interval)
+		for e.nextTick > 0 && ev.due >= e.nextTick {
+			e.tick(e.nextTick)
+			e.nextTick += int64(e.cfg.Interval)
 		}
 		e.process(ev)
 		e.lastDue = ev.due
@@ -567,14 +544,13 @@ func (e *Engine) Run() Summary {
 
 	if e.cfg.Duration > 0 {
 		// Close out the horizon: remaining interval ticks, then the end.
-		for e.nextPoll > 0 && e.nextPoll <= e.end {
-			e.pollInterval(e.nextPoll)
-			e.nextPoll += int64(e.cfg.Interval)
+		for e.nextTick > 0 && e.nextTick <= e.end {
+			e.tick(e.nextTick)
+			e.nextTick += int64(e.cfg.Interval)
 		}
 		e.setClock(e.end)
 		e.lastDue = e.end
 	}
-	e.sampler.Force("end")
 	return e.summary()
 }
 

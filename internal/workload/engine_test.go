@@ -527,3 +527,54 @@ func TestModelParseRoundTrip(t *testing.T) {
 		t.Error("ParseModel accepted an unknown model")
 	}
 }
+
+// driftTarget charges a fixed latency to the shared clock per exchange,
+// as the campaign fleet's client does, so the clock runs ahead of the
+// engine's event time.
+type driftTarget struct {
+	fakeTarget
+	clock *simnet.Clock
+	step  time.Duration
+}
+
+func (d *driftTarget) Exchange(q *dnswire.Message) (*dnswire.Message, error) {
+	d.clock.Advance(d.step)
+	return d.fakeTarget.Exchange(q)
+}
+
+// TestTicksOnEngineTimeline: with a target that pushes the clock more
+// than one Interval per exchange, Run still records exactly one point per
+// boundary, stamped start + k·Interval, each carrying the counters at
+// that boundary.
+func TestTicksOnEngineTimeline(t *testing.T) {
+	cfg := Config{
+		Clients: 200, Model: ModelOpen, Seed: 5,
+		Domains: testDomains(50), Duration: 10 * time.Minute,
+		OpenRate: 0.5, Interval: time.Minute,
+	}
+	clock := testClock()
+	start := clock.Now()
+	eng, err := New(cfg, clock, &driftTarget{clock: clock, step: 2 * cfg.Interval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := eng.Run()
+	points := eng.Points()
+	if want := int(cfg.Duration / cfg.Interval); len(points) != want {
+		t.Fatalf("%d points, want %d", len(points), want)
+	}
+	var prev float64
+	for k, p := range points {
+		if want := start.Add(time.Duration(k+1) * cfg.Interval); p.Label != "tick" || !p.At.Equal(want) {
+			t.Fatalf("point %d = %q at %v, want tick at %v", k, p.Label, p.At, want)
+		}
+		q := p.Snap.Value("workload_queries_total")
+		if q <= prev {
+			t.Fatalf("point %d: workload_queries_total %v not above the previous %v", k, q, prev)
+		}
+		prev = q
+	}
+	if prev != float64(sum.Queries) {
+		t.Fatalf("last point counts %v queries, the run %d", prev, sum.Queries)
+	}
+}

@@ -92,7 +92,8 @@ profile-serve:
 # campaign: it proves the targets build, the corpus parses, and no
 # quick-to-find panic has crept into Unpack, the SvcParams decoder (dirty
 # reuse against a fresh decode), the ECHConfigList decoder (accepted lists
-# re-marshal to themselves), the DoH envelope decoder, the cache's
+# re-marshal to themselves), the DoH envelope decoder, DoT frame
+# reassembly (one write against the same bytes split anywhere), the cache's
 # TTL-slot walk (every slot a decoded record's TTL, dirty reuse against a
 # fresh walk), RRSIG verification (whose memoised and plain verdicts must
 # agree), or the DNSKEY side of it (DS construction, key tag, public-key
@@ -105,6 +106,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ech -fuzz FuzzUnmarshalList -fuzztime 10s -run xxx
 	$(GO) test ./internal/providers -fuzz FuzzStreamSource -fuzztime 10s -run xxx
 	$(GO) test ./internal/transport -fuzz FuzzDoHDecodeRequest -fuzztime 10s -run xxx
+	$(GO) test ./internal/transport -fuzz FuzzDoTWrite -fuzztime 10s -run xxx
 	$(GO) test ./internal/transport -fuzz FuzzAppendTTLSlots -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnssec -fuzz FuzzVerifyRRSIG -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnssec -fuzz FuzzDNSKEYDS -fuzztime 10s -run xxx

@@ -233,7 +233,13 @@ func canonicalRRsetWire(rrs []dnswire.RR, origTTL uint32) ([]byte, error) {
 }
 
 // SignRRset produces an RRSIG record over the RRset with the given key and
-// validity window.
+// validity window. Every step that can fail runs here: the RRSIG's fixed
+// fields and the SHA-256 of the canonical signing input. The ECDSA step
+// waits until something first reads the signature bytes — packing the
+// record, Clone, String, or verification (SigMemo.Verify, VerifyRRSIG),
+// all through RRSIGData.SignatureBytes — and runs once. RFC 6979 makes the
+// bytes a function of the key and the digest alone, so they are the same
+// whenever they are made; a record nothing reads never pays for them.
 func SignRRset(key *KeyPair, rrs []dnswire.RR, inception, expiration time.Time) (dnswire.RR, error) {
 	if len(rrs) == 0 {
 		return dnswire.RR{}, ErrEmptyRRset
@@ -254,9 +260,13 @@ func SignRRset(key *KeyPair, rrs []dnswire.RR, inception, expiration time.Time) 
 	if err != nil {
 		return dnswire.RR{}, err
 	}
-	if sig.Signature, err = signDigest(key.Private, sha256.Sum256(signed)); err != nil {
-		return dnswire.RR{}, err
-	}
+	priv, digest := key.Private, sha256.Sum256(signed)
+	sig.DeferSignature(func() []byte {
+		// signDigest fails only for a scalar that is no P-256 key, which
+		// DeriveKey never returns; an empty signature verifies nowhere.
+		out, _ := signDigest(priv, digest)
+		return out
+	})
 	return dnswire.RR{
 		Name:  owner,
 		Type:  dnswire.TypeRRSIG,
@@ -363,8 +373,11 @@ func (m *SigMemo) Verify(rrsig dnswire.RR, rrs []dnswire.RR, dnskey dnswire.RR, 
 	if ts < sig.Inception || ts > sig.Expiration {
 		return ErrExpired
 	}
-	if len(sig.Signature) != 64 {
-		return fmt.Errorf("dnssec: P-256 signature must be 64 bytes, got %d", len(sig.Signature))
+	// The one read of the signature bytes: a deferred signature is made
+	// here, after the field and validity-window checks.
+	sigBytes := sig.SignatureBytes()
+	if len(sigBytes) != 64 {
+		return fmt.Errorf("dnssec: P-256 signature must be 64 bytes, got %d", len(sigBytes))
 	}
 	input, err := signingInput(sig, rrs, sig.OriginalTTL)
 	if err != nil {
@@ -374,7 +387,7 @@ func (m *SigMemo) Verify(rrsig dnswire.RR, rrs []dnswire.RR, dnskey dnswire.RR, 
 	var id [sha256.Size]byte
 	if m != nil {
 		var buf [64 + 64 + sha256.Size]byte
-		id = sha256.Sum256(append(append(append(buf[:0], keyData.PublicKey...), sig.Signature...), digest[:]...))
+		id = sha256.Sum256(append(append(append(buf[:0], keyData.PublicKey...), sigBytes...), digest[:]...))
 		if m.seen(id) {
 			return nil // this key decoded and verified this input before
 		}
@@ -383,8 +396,8 @@ func (m *SigMemo) Verify(rrsig dnswire.RR, rrs []dnswire.RR, dnskey dnswire.RR, 
 	if err != nil {
 		return err
 	}
-	r := new(big.Int).SetBytes(sig.Signature[:32])
-	s := new(big.Int).SetBytes(sig.Signature[32:])
+	r := new(big.Int).SetBytes(sigBytes[:32])
+	s := new(big.Int).SetBytes(sigBytes[32:])
 	if !ecdsa.Verify(pub, digest[:], r, s) {
 		return ErrBadSignature
 	}

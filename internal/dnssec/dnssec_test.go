@@ -110,7 +110,7 @@ func TestDeriveKey(t *testing.T) {
 		t.Errorf("signature of a derived key rejected: %v", err)
 	}
 	again, _ := SignRRset(DeriveKey(7, "example.com.", true), rrs, testInception, testExpiration)
-	if !bytes.Equal(sig.Data.(*dnswire.RRSIGData).Signature, again.Data.(*dnswire.RRSIGData).Signature) {
+	if !bytes.Equal(sig.Data.(*dnswire.RRSIGData).SignatureBytes(), again.Data.(*dnswire.RRSIGData).SignatureBytes()) {
 		t.Error("the same key signed the same RRset into different bytes")
 	}
 }
@@ -174,7 +174,7 @@ func TestVerifyRejectsTampering(t *testing.T) {
 	}
 	// Corrupt the signature bytes.
 	badSig := sig.Clone()
-	badSig.Data.(*dnswire.RRSIGData).Signature[10] ^= 0xff
+	badSig.Data.(*dnswire.RRSIGData).SignatureBytes()[10] ^= 0xff
 	if err := VerifyRRSIG(badSig, rrs, key.DNSKEY(3600), testNow); err == nil {
 		t.Error("corrupted signature verified")
 	}

@@ -72,7 +72,7 @@ func TestMemoHostileInputs(t *testing.T) {
 	wrongOwner := good.Clone()
 	wrongOwner.Name = "evil.example."
 	flipped := f.sig.Clone()
-	flipped.Data.(*dnswire.RRSIGData).Signature[17] ^= 0x01
+	flipped.Data.(*dnswire.RRSIGData).SignatureBytes()[17] ^= 0x01
 	swapped := []dnswire.RR{f.rrs[0].Clone(), f.rrs[1].Clone()}
 	swapped[1].Data = &dnswire.AData{Addr: netip.MustParseAddr("6.6.6.6")}
 
@@ -133,7 +133,7 @@ func TestValidatorHostileChainMemoOnAndOff(t *testing.T) {
 		{"before inception", testInception.Add(-time.Hour), func(*testing.T, *testWorld) {}, Bogus},
 		{"flipped signature byte", testNow, func(t *testing.T, w *testWorld) {
 			sig := w.sigs[www][0].Clone()
-			sig.Data.(*dnswire.RRSIGData).Signature[3] ^= 0x80
+			sig.Data.(*dnswire.RRSIGData).SignatureBytes()[3] ^= 0x80
 			w.sigs[www] = []dnswire.RR{sig}
 		}, Bogus},
 		{"rdata changed under unchanged RRSIG", testNow, func(t *testing.T, w *testWorld) {

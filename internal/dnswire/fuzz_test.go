@@ -190,26 +190,38 @@ func FuzzUnpackInto(f *testing.F) {
 		f.Add(s)
 	}
 	// The dirty template: an answered message with populated answer,
-	// authority-adjacent EDNS state, and SVCB params, so every reuse slot
-	// (questions, RR sections, RDATA values, the OPT record) holds stale
-	// content a leaky decode could surface.
+	// authority-adjacent EDNS state, SVCB params and an RRSIG, so every reuse
+	// slot (questions, RR sections, RDATA values, the OPT record) holds stale
+	// content a leaky decode could surface. The template itself is a seed, so
+	// its RRSIG slot is decoded over from the start.
 	dirtyTmpl := NewQuery(7, "dirty.example", TypeHTTPS, true).Reply()
 	dirtyTmpl.Answer = append(dirtyTmpl.Answer,
 		RR{Name: "dirty.example.", Type: TypeHTTPS, Class: ClassINET, TTL: 300,
 			Data: &SVCBData{Priority: 1, Target: "svc.dirty.example."}},
 		RR{Name: "dirty.example.", Type: TypeTXT, Class: ClassINET, TTL: 60,
 			Data: &TXTData{Strings: []string{"stale-state", "leak-canary"}}},
+		rrsigRR(testRRSIG(bytes.Repeat([]byte{0x5a}, 64))),
 	)
 	dirtyWire, err := dirtyTmpl.Pack()
 	if err != nil {
 		f.Fatal(err)
 	}
+	f.Add(dirtyWire)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fresh, freshErr := Unpack(data)
 		dirty := new(Message)
 		if err := UnpackInto(dirty, dirtyWire); err != nil {
 			t.Fatalf("dirty template failed to decode: %v", err)
 		}
+		// Its RRSIG slot holds a deferred signature nothing has read, as a
+		// signer's record would: no decode over it may run the signer.
+		slot, signed := deferredRRSIG(bytes.Repeat([]byte{0xef}, 64))
+		dirty.Answer[2].Data = slot
+		defer func() {
+			if n := signed.Load(); n != 0 {
+				t.Fatalf("a decode ran the deferred signer of a recycled RRSIG slot %d times", n)
+			}
+		}()
 		dirtyErr := UnpackInto(dirty, data)
 		if (freshErr == nil) != (dirtyErr == nil) {
 			t.Fatalf("fresh/dirty acceptance diverged: fresh=%v dirty=%v", freshErr, dirtyErr)

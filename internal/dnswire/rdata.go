@@ -8,6 +8,7 @@ import (
 	"net/netip"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/svcb"
 )
@@ -298,6 +299,10 @@ func (d *DNSKEYData) KeyTag() uint16 {
 }
 
 // RRSIGData is a DNSSEC signature over an RRset.
+//
+// A signature may be deferred (DeferSignature): its bytes are made the first
+// time anything reads them — packing, Clone, String or SignatureBytes. An
+// RRSIGData is not copied by value.
 type RRSIGData struct {
 	TypeCovered Type
 	Algorithm   uint8
@@ -307,12 +312,36 @@ type RRSIGData struct {
 	Inception   uint32
 	KeyTag      uint16
 	SignerName  string
-	Signature   []byte
+	// Signature holds the signature bytes once they exist. Outside this
+	// package read it through SignatureBytes, which fills it first.
+	Signature []byte
+
+	// deferred is set by DeferSignature before the record is shared and
+	// never after, so reading it races with nothing; sign runs under once
+	// and is dropped when it has.
+	deferred bool
+	once     sync.Once
+	sign     func() []byte
+}
+
+// DeferSignature makes sign compute the signature of a fresh record the
+// first time it is read. Call it before the record is shared; sign runs at
+// most once, on whichever goroutine reads first, and must return the same
+// bytes whenever it runs.
+func (d *RRSIGData) DeferSignature(sign func() []byte) { d.deferred, d.sign = true, sign }
+
+// SignatureBytes returns the signature, running a deferred signer first if
+// nothing has read it yet. Safe for concurrent use.
+func (d *RRSIGData) SignatureBytes() []byte {
+	if d.deferred {
+		d.once.Do(func() { d.Signature, d.sign = d.sign(), nil })
+	}
+	return d.Signature
 }
 
 func (d *RRSIGData) pack(dst []byte, _ *compressionMap) ([]byte, error) {
 	dst = d.packPresig(dst)
-	return append(dst, d.Signature...), nil
+	return append(dst, d.SignatureBytes()...), nil
 }
 
 // packPresig packs all RRSIG fields except the signature itself; this is the
@@ -333,14 +362,14 @@ func (d *RRSIGData) packPresig(dst []byte) []byte {
 func (d *RRSIGData) SignedPrefix() []byte { return d.packPresig(nil) }
 
 func (d *RRSIGData) clone() RData {
-	c := *d
-	c.Signature = append([]byte(nil), d.Signature...)
-	return &c
+	return &RRSIGData{TypeCovered: d.TypeCovered, Algorithm: d.Algorithm, Labels: d.Labels,
+		OriginalTTL: d.OriginalTTL, Expiration: d.Expiration, Inception: d.Inception,
+		KeyTag: d.KeyTag, SignerName: d.SignerName, Signature: append([]byte(nil), d.SignatureBytes()...)}
 }
 func (d *RRSIGData) String() string {
 	return fmt.Sprintf("%s %d %d %d %d %d %d %s %s", d.TypeCovered, d.Algorithm, d.Labels,
 		d.OriginalTTL, d.Expiration, d.Inception, d.KeyTag, CanonicalName(d.SignerName),
-		base64.StdEncoding.EncodeToString(d.Signature))
+		base64.StdEncoding.EncodeToString(d.SignatureBytes()))
 }
 
 // NSECData is an authenticated-denial record naming the next owner and the
@@ -719,6 +748,9 @@ func unpackRDataInto(t Type, msg []byte, off, rdlen int, prev RData, sc *decodeS
 		d.KeyTag = binary.BigEndian.Uint16(rd[16:])
 		d.SignerName = signer
 		d.Signature = append(d.Signature[:0], msg[n:end]...)
+		if d.deferred { // the wire bytes are the signature: a recycled slot's signer must never run
+			d.deferred, d.sign, d.once = false, nil, sync.Once{}
+		}
 		return d, nil
 	case TypeNSEC:
 		d, ok := prev.(*NSECData)

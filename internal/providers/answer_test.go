@@ -2,13 +2,13 @@ package providers
 
 import (
 	"encoding/hex"
-	"reflect"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/dnssec"
 	"repro/internal/dnswire"
 	"repro/internal/simnet"
 	"repro/internal/testrace"
@@ -83,31 +83,66 @@ func TestUnsignedDomainPaysNothingForDO(t *testing.T) {
 	}
 }
 
-// TestAuthoritativeAllocBudgets pins the warm cost of the three answers a
-// scan is mostly made of.
+// TestAuthoritativeAllocBudgets pins the warm cost of the answers a scan is
+// mostly made of, and the cold cost of a signed NODATA: asked on a new day
+// each run, its SOA carries a new serial, so every run misses the
+// signature cache and signs — and a signature nobody reads costs no ECDSA
+// step. That NODATA's RRSIG must then pack to the bytes of an eager
+// sign-and-pack of the same SOA.
 func TestAuthoritativeAllocBudgets(t *testing.T) {
 	if testrace.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	w := buildTestWorld(t, 2000)
 	unsigned, signed := steadyDomain(t, w, false, false), steadyDomain(t, w, true, true)
+	negative := findDomain(w, func(d *DomainState) bool {
+		return d.Signed && d.Profile == ProfileNone && d.Intermittent == IntermitNone && d.SwitchDay.IsZero() &&
+			len(d.NoNSEpisodes) == 0 && !d.ApexCNAME
+	})
+	if negative == nil {
+		t.Fatal("world has no steady signed non-adopter")
+	}
+	day := 0
 	for _, c := range []struct {
-		what string
-		max  float64
-		h    simnet.DNSHandlerAt
-		q    *dnswire.Message
+		what   string
+		max    float64
+		h      simnet.DNSHandlerAt
+		q      *dnswire.Message
+		newDay bool // ask each run one day later than the last
 	}{
-		{"provider NODATA for an unsigned domain", 4, unsigned.Providers[0], dnswire.NewQuery(1, unsigned.Apex, dnswire.TypeHTTPS, true)},
-		{"provider HTTPS answer of a signed adopter", 8, signed.Providers[0], dnswire.NewQuery(2, signed.Apex, dnswire.TypeHTTPS, true)},
-		{"TLD referral", 4, tldOf(t, w, unsigned), dnswire.NewQuery(3, unsigned.Apex, dnswire.TypeA, true)},
-		{"TLD referral to a signed child", 4, tldOf(t, w, signed), dnswire.NewQuery(4, signed.Apex, dnswire.TypeA, true)},
+		{"provider NODATA for an unsigned domain", 4, unsigned.Providers[0], dnswire.NewQuery(1, unsigned.Apex, dnswire.TypeHTTPS, true), false},
+		{"provider HTTPS answer of a signed adopter", 8, signed.Providers[0], dnswire.NewQuery(2, signed.Apex, dnswire.TypeHTTPS, true), false},
+		{"TLD referral", 4, tldOf(t, w, unsigned), dnswire.NewQuery(3, unsigned.Apex, dnswire.TypeA, true), false},
+		{"TLD referral to a signed child", 4, tldOf(t, w, signed), dnswire.NewQuery(4, signed.Apex, dnswire.TypeA, true), false},
+		{"signed NODATA on a new day (signature-cache miss)", 24, negative.Providers[0], dnswire.NewQuery(5, negative.Apex, dnswire.TypeHTTPS, true), true},
 	} {
-		if resp := c.h.HandleDNSAt(c.q, answerTime); resp.RCode != dnswire.RCodeNoError {
+		at := func() time.Time {
+			if c.newDay {
+				day++
+				return answerTime.AddDate(0, 0, day)
+			}
+			return answerTime
+		}
+		if resp := c.h.HandleDNSAt(c.q, at()); resp.RCode != dnswire.RCodeNoError {
 			t.Fatalf("%s: rcode %v", c.what, resp.RCode)
 		}
-		if got := testing.AllocsPerRun(100, func() { c.h.HandleDNSAt(c.q, answerTime) }); got > c.max {
+		if got := testing.AllocsPerRun(100, func() { c.h.HandleDNSAt(c.q, at()) }); got > c.max {
 			t.Errorf("%s: %v allocations, budget %v", c.what, got, c.max)
 		}
+	}
+
+	resp := negative.Providers[0].HandleDNSAt(dnswire.NewQuery(6, negative.Apex, dnswire.TypeHTTPS, true), answerTime.AddDate(0, 0, day+1))
+	if len(resp.Answer) != 0 || len(resp.Authority) != 2 || resp.Authority[0].Type != dnswire.TypeSOA || resp.Authority[1].Type != dnswire.TypeRRSIG {
+		t.Fatalf("signed NODATA: answer %v, authority %v; want no answer, then SOA and its RRSIG", resp.Answer, resp.Authority)
+	}
+	_, zsk := negative.keys()
+	eager, err := dnssec.SignRRset(zsk, resp.Authority[:1], sigInception, sigExpiration)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eager.Data.(*dnswire.RRSIGData).SignatureBytes() // made now, not on the pack below
+	if got, want := packed(t, resp.Authority[1]), packed(t, eager); got != want {
+		t.Errorf("served NODATA RRSIG packs to %s, an eager sign-and-pack to %s", got, want)
 	}
 }
 
@@ -209,7 +244,7 @@ func TestSignatureBytesUnchanged(t *testing.T) {
 		resp := d.Providers[0].HandleDNSAt(dnswire.NewQuery(1, d.Apex, dnswire.TypeHTTPS, true), answerTime)
 		for _, rr := range resp.Answer {
 			if s, ok := rr.Data.(*dnswire.RRSIGData); ok {
-				sig = hex.EncodeToString(s.Signature)
+				sig = hex.EncodeToString(s.SignatureBytes())
 			}
 		}
 		resp = tldOf(t, w, d).HandleDNSAt(dnswire.NewQuery(2, d.Apex, dnswire.TypeDS, true), answerTime)
@@ -358,7 +393,17 @@ func TestSigCacheBounded(t *testing.T) {
 	if cached {
 		t.Fatal("day 0's signature survived more than sigCacheMax newer ones: the cache never cleared")
 	}
-	if again := sign(0); !reflect.DeepEqual(again, first) {
-		t.Errorf("re-signed SOA after a clear = %v, want the first signature %v", again, first)
+	if got, want := packed(t, sign(0)), packed(t, first); got != want {
+		t.Errorf("re-signed SOA after a clear packs to %s, want the first signature's %s", got, want)
 	}
+}
+
+// packed returns a record's wire bytes, hex-encoded.
+func packed(t *testing.T, rr dnswire.RR) string {
+	t.Helper()
+	wire, err := dnswire.PackRR(rr)
+	if err != nil {
+		t.Fatalf("packing %s %s: %v", rr.Name, rr.Type, err)
+	}
+	return hex.EncodeToString(wire)
 }

@@ -22,6 +22,12 @@
 // a dnswire.UnpackInto target. Unsigned zones skip the signing path whole.
 // Keys and signatures are world fixture: keys derive from (world seed,
 // zone, role) and signatures from (key, RRset), nothing else.
+//
+// One value changes after it is handed out: an RRSIG's signature bytes.
+// dnssec.SignRRset leaves the ECDSA step to the first read of the bytes
+// (packing, Clone, String, verification), which fills them in once, under
+// the record's sync.Once; RFC 6979 makes them the same whenever that is.
+// Most signatures, a negative answer's SOA RRSIG above all, are never read.
 // docs/ARCHITECTURE.md, "Authoritative side", has the tests that hold each
 // rule.
 package providers

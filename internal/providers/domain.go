@@ -147,7 +147,9 @@ type DomainState struct {
 	// it was last cleared (it is cleared at sigCacheMax entries): the
 	// records are synthesized per query from schedules, so what they say,
 	// not which query asked, identifies a set. Cached RRSIGs are handed out
-	// as they are (read-only).
+	// as they are (read-only), with one exception: dnssec.SignRRset defers
+	// the ECDSA step, so a handed-out RRSIG fills in its own signature bytes
+	// once, under its sync.Once, when something first packs or verifies it.
 	sigMu    sync.Mutex
 	sigCache map[[sha256.Size]byte]dnswire.RR
 }
@@ -346,7 +348,8 @@ func (d *DomainState) BuildHTTPSRecords(owner string, t time.Time, echList []byt
 const sigCacheMax = 256
 
 // signRRset returns the cached RRSIG over the RRset, signing on first use
-// for each distinct RRset content.
+// for each distinct RRset content (the ECDSA step itself waits for the
+// signature's first read; see dnssec.SignRRset).
 func (d *DomainState) signRRset(rrs []dnswire.RR) (dnswire.RR, bool) {
 	if !d.Signed || len(rrs) == 0 {
 		return dnswire.RR{}, false

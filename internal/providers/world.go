@@ -442,7 +442,10 @@ func (w *World) assignNonAdopterProvider(d *DomainState, rng *rand.Rand) {
 	}
 }
 
-// buildResolvers wires the two public resolvers.
+// buildResolvers wires the two public resolvers. Cloudflare's is a fork of
+// Google's: the same validation config, caches of its own, and one
+// verified-signature memo for the world, since a memo entry is a pure
+// function of (public key, signature, signing-input digest).
 func (w *World) buildResolvers() {
 	w.GoogleAddr = netip.MustParseAddr("8.8.8.8")
 	w.CFResolverAddr = netip.MustParseAddr("1.1.1.1")
@@ -454,12 +457,8 @@ func (w *World) buildResolvers() {
 	w.GoogleResolver = g
 	w.Net.RegisterDNS(w.GoogleAddr, g)
 
-	c := resolver.New(w.Net)
-	c.Validate = true
-	c.ValidateTypes = map[dnswire.Type]bool{dnswire.TypeHTTPS: true}
-	c.Anchor = w.Anchor
-	w.CFResolver = c
-	w.Net.RegisterDNS(w.CFResolverAddr, c)
+	w.CFResolver = g.Fork(w.Net)
+	w.Net.RegisterDNS(w.CFResolverAddr, w.CFResolver)
 }
 
 // Domain returns the state for an apex (accepts names with or without the

@@ -35,7 +35,7 @@ func TestHostileAnswersNeverGetAD(t *testing.T) {
 		for i, rr := range m.Answer {
 			if sig, ok := rr.Data.(*dnswire.RRSIGData); ok && sig.TypeCovered == dnswire.TypeHTTPS {
 				forged := rr.Clone()
-				forged.Data.(*dnswire.RRSIGData).Signature[5] ^= 0x10
+				forged.Data.(*dnswire.RRSIGData).SignatureBytes()[5] ^= 0x10
 				m.Answer[i] = forged
 			}
 		}

@@ -7,9 +7,10 @@
 //
 // A resolver keeps four bounded caches: answers per (name, type),
 // delegations per zone (the servers a referral named, for the NS TTL),
-// validated zone DNSKEY RRsets, and — shared with every Fork — a memo of
-// the signatures that already verified. docs/ARCHITECTURE.md, "Recursor
-// cold path", has the rules each one follows.
+// validated zone DNSKEY RRsets, and — shared with every Fork, and so by a
+// world's two public resolvers, Cloudflare's being a fork of Google's — a
+// memo of the signatures that already verified. docs/ARCHITECTURE.md,
+// "Recursor cold path", has the rules each one follows.
 //
 // The answer cache is load-bearing for two of the paper's findings: stale
 // HTTPS records explain both the ECH key-inconsistency window (§4.4.2) and

@@ -1,8 +1,13 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -34,7 +39,7 @@ func dotFixture(t *testing.T) (*DoTConn, *DoTServer, *stubRecursor) {
 	return srv.DialDoT(net, frontendAddr(0)), srv, recursor
 }
 
-func packQuery(t *testing.T, id uint16, name string) []byte {
+func packQuery(t testing.TB, id uint16, name string) []byte {
 	t.Helper()
 	wire, err := dnswire.NewQuery(id, name, dnswire.TypeA, false).Pack()
 	if err != nil {
@@ -217,4 +222,86 @@ func TestDoTMidStreamDeathFailsOverToPoolSibling(t *testing.T) {
 	if fl.Frontends[first].Stats().Served == 0 {
 		t.Error("recovered member never served after redial")
 	}
+}
+
+// FuzzDoTWrite holds the connection's frame reassembly to the framing
+// alone: a byte stream written in one Write and the same stream split at
+// fuzzer-chosen offsets (each byte of cuts is the length of the next write;
+// the rest goes in one last write) must draw the same reply bytes for each
+// query ID — only their order may differ, since each write's batch is
+// answered in reverse. A frame that fails to decode must close the
+// connection on both sides, so the next Write returns ErrConnClosed.
+func FuzzDoTWrite(f *testing.F) {
+	one := Frame(packQuery(f, 7, "site0000.example"))
+	var three []byte
+	for i, name := range []string{"site0001.example", "crowd.test", "a.very.deep.subdomain.of.site0002.example"} {
+		three = append(three, Frame(packQuery(f, uint16(i+1), name))...)
+	}
+	f.Add(one, []byte{})
+	f.Add(three, []byte{})
+	f.Add(three, []byte{5, 40, 1, 0, 3})
+	f.Add(one, []byte{1})                             // the length prefix split across writes
+	f.Add(append([]byte{0, 0}, three...), []byte{1})  // a zero-length frame
+	f.Add(append(bytes.Clone(one), 0, 0), []byte{30}) // ... after a good one
+	f.Fuzz(func(t *testing.T, stream, cuts []byte) {
+		whole, _, _ := dotFixture(t)
+		wholeErr := whole.Write(stream)
+		split, _, _ := dotFixture(t)
+		var splitErr error
+		rest := stream
+		for _, c := range cuts {
+			n := min(int(c), len(rest))
+			if splitErr = split.Write(rest[:n]); splitErr != nil {
+				break
+			}
+			rest = rest[n:]
+		}
+		if splitErr == nil {
+			splitErr = split.Write(rest)
+		}
+		if (wholeErr == nil) != (splitErr == nil) {
+			t.Fatalf("one write: %v; split writes: %v", wholeErr, splitErr)
+		}
+		if wholeErr != nil {
+			for _, side := range []struct {
+				what string
+				err  error
+				c    *DoTConn
+			}{{"one write", wholeErr, whole}, {"split writes", splitErr, split}} {
+				if !errors.Is(side.err, ErrBadFrame) {
+					t.Fatalf("%s failed with %v, not a bad frame", side.what, side.err)
+				}
+				if err := side.c.Write(one); !errors.Is(err, ErrConnClosed) {
+					t.Fatalf("%s: the Write after a bad frame returned %v, want ErrConnClosed", side.what, err)
+				}
+			}
+			return
+		}
+		if got, want := repliesByID(t, split), repliesByID(t, whole); !reflect.DeepEqual(got, want) {
+			t.Fatalf("split writes drew replies %v, one write %v", got, want)
+		}
+	})
+}
+
+// repliesByID drains the connection's reply frames into their hex wire
+// forms per query ID, sorted, so two connections compare whatever order
+// their batches were answered in.
+func repliesByID(t *testing.T, c *DoTConn) map[uint16][]string {
+	t.Helper()
+	out := map[uint16][]string{}
+	for {
+		wire, _, err := c.ReadResponse()
+		if err != nil {
+			break
+		}
+		if len(wire) < 2 {
+			t.Fatalf("reply frame of %d bytes", len(wire))
+		}
+		id := binary.BigEndian.Uint16(wire)
+		out[id] = append(out[id], hex.EncodeToString(wire))
+	}
+	for _, ws := range out {
+		slices.Sort(ws)
+	}
+	return out
 }

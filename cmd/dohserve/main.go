@@ -11,7 +11,7 @@
 //	dohserve [-size N] [-seed S] [-frontends N] [-proto doh|dot|doq|mixed]
 //	         [-strategy serial|race] [-balance p2|roundrobin]
 //	         [-queries N] [-workers N] [-shards N] [-shardcap N] [-hot N]
-//	         [-kill N] [-post] [-trace N] [-tail K] [-taillat D]
+//	         [-kill N] [-trace N] [-tail K] [-taillat D]
 //	         [-stalewindow D] [-refreshahead F] [-cooldown D]
 //	         [-chaos] [-epochs N] [-epochlen D] [-flap P]
 //	         [-load] [-clients N] [-loadmodel closed|open] [-rate F] [-think D]
@@ -126,7 +126,6 @@ func main() {
 	shardCap := flag.Int("shardcap", transport.DefaultShardCapacity, "answer-cache entries per shard")
 	hot := flag.Int("hot", 500, "working-set size (distinct names cycled through)")
 	kill := flag.Int("kill", 1, "frontends to mark unreachable halfway through (ignored with -chaos)")
-	post := flag.Bool("post", false, "use POST envelopes instead of GET")
 	traceN := flag.Int("trace", 0, "trace every exchange and dump the N slowest span trees (forces -workers 1 unless -tail is on)")
 	tailK := flag.Int("tail", 0, "tail-sample anomalous exchanges into a top-K ring and dump name, cost and flags after the load (0 disables; add -trace N for their span trees)")
 	tailLat := flag.Duration("taillat", 0, "with -tail: also retain exchanges at or over this virtual cost")
@@ -197,7 +196,6 @@ func main() {
 		os.Exit(1)
 	}
 	world, client := camp.World, camp.Fleet.Client
-	client.UsePOST = *post
 	if *traceN > 0 || *tailK > 0 {
 		// Head sampling indexes arrivals, so a head-only dump forces one
 		// worker (see the package comment); the tail ring keys on exchange

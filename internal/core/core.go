@@ -147,15 +147,6 @@ type Campaign struct {
 	Fleet *transport.Fleet
 }
 
-// Synthetic per-frontend latency band: deterministic per member so the
-// EWMA/P2 routing decisions are replayable for a seed (wall-clock timing of
-// in-process calls is pure noise), charged to the virtual clock so the
-// serving layer's queueing delay is observable in campaign timings.
-const (
-	dohLatencyBase   = 2 * time.Millisecond
-	dohLatencySpread = 18 * time.Millisecond
-)
-
 // NewCampaign builds the world and wires the scanner.
 func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 	if cfg.Size == 0 {
@@ -240,7 +231,6 @@ func (c *Campaign) buildFleet(n int, mix transport.Mix) {
 		Strategy:        transport.StrategyConfig{Kind: c.Cfg.TransportStrategy},
 		Cache:           c.cacheConfig(),
 		FailureCooldown: c.Cfg.DoHFailureCooldown,
-		Latency:         transport.SyntheticLatency(dohLatencyBase, dohLatencySpread),
 		ChargeLatency:   true,
 	})
 	protos := mix.Assign(n)
@@ -328,7 +318,6 @@ func (c *Campaign) newScanContext(at time.Time, seed int64, day bool) *scanConte
 			Strategy:        transport.StrategyConfig{Kind: c.Cfg.TransportStrategy},
 			Cache:           c.cacheConfig(),
 			FailureCooldown: c.Cfg.DoHFailureCooldown,
-			Latency:         transport.SyntheticLatency(dohLatencyBase, dohLatencySpread),
 			Override:        true,
 			Tracer:          tracer,
 		})

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dnswire"
 	"repro/internal/obs"
 	"repro/internal/simnet"
+	"repro/internal/testrace"
 )
 
 // Errors returned by client exchanges.
@@ -24,25 +25,24 @@ var (
 // frames over a persistent per-member connection, or RFC 9250 DoQ
 // streams over a per-member session. Which members are attempted, in
 // what simulated overlap, and whose answer wins is decided by its
-// Strategy over the pool's candidate ordering, through the per-protocol
-// dialers. It satisfies the scanner's Transport interface, so the
-// measurement framework can run its campaigns through any protocol mix
-// and any resolution strategy instead of bare stub queries.
+// Strategy over the pool's candidate ordering; every attempt goes through
+// one per-member session table. It satisfies the scanner's Transport
+// interface, so the measurement framework can run its campaigns through
+// any protocol mix and any resolution strategy instead of bare stub
+// queries.
 type Client struct {
 	Net  *simnet.Network
 	Pool *Pool
 	// Strategy is the resolution policy driving each exchange; the zero
 	// value is serial failover.
 	Strategy StrategyConfig
-	// UsePOST selects POST envelopes for DoH members; the default is
-	// RFC 8484 GET, whose base64url form is the cache-friendly one.
-	UsePOST bool
-	// Latency, when non-nil, supplies the per-exchange RTT sample fed to
-	// the pool instead of a wall-clock measurement. Exchanges are
-	// synchronous in-process calls, so wall time is host scheduling
-	// noise; a deterministic Latency function makes the EWMA/P2 routing
-	// decisions — and the race's completion-time comparisons —
-	// replayable along with the rest of the simulation.
+	// Latency is the latency model: the RTT of one exchange with u, fed
+	// to the pool's EWMA and costed on the exchange's virtual timeline.
+	// NewClient sets the 2–20 ms SyntheticLatency band; it must not be
+	// nil. Exchanges are synchronous in-process calls, so the model is
+	// the only clock an attempt reads: the EWMA/P2 routing decisions and
+	// the race's completion-time comparisons replay with the rest of the
+	// simulation.
 	Latency func(u *Upstream) time.Duration
 	// ChargeLatency additionally charges each exchange's critical path —
 	// including per-protocol connection-setup costs: two extra RTTs for
@@ -80,12 +80,13 @@ type Client struct {
 	// with Recycle, the explicit form of the same hand-over.
 	ReuseAnswers bool
 
-	mu          sync.Mutex
-	qid         uint16
-	dotConns    map[netip.AddrPort]*DoTConn
-	doqSessions map[netip.AddrPort]*DoQSession
-	doqTickets  map[netip.AddrPort]bool
-	lastAns     *dnswire.Message
+	mu  sync.Mutex
+	qid uint16
+	// sessions holds the live session to each member dialed. A dropped
+	// session leaves a nil value: the member was dialed before, so a DoQ
+	// redial resumes with 0-RTT on the ticket its first handshake issued.
+	sessions map[*Upstream]session
+	lastAns  *dnswire.Message
 
 	// scratch recycles per-exchange candidate buffers. Exchange is the
 	// hottest path in a campaign (every simulated query lands here), and
@@ -93,7 +94,7 @@ type Client struct {
 	// backing array can be returned as soon as resolve is done with it —
 	// only the winning *Upstream escapes via the outcome.
 	scratch sync.Pool
-	// msgPool recycles attempt answer messages. Every dialer decodes into
+	// msgPool recycles attempt answer messages. Every attempt decodes into
 	// a pooled message; losers go back via discard as soon as resolve
 	// rules them out, and winners come home when the caller hands them to
 	// Recycle or, under ReuseAnswers, via the lastAns swap at the next
@@ -145,13 +146,13 @@ func (c *Client) Errors() uint64 { return c.errAnswers.Load() }
 // recursor struggled over a healthy transport and no stale cover existed.
 func (c *Client) ServFails() uint64 { return c.servfailAnswers.Load() }
 
-// NewClient creates a stub over the given network and pool.
+// NewClient creates a stub over the given network and pool, with the
+// 2–20 ms SyntheticLatency band as its latency model.
 func NewClient(net *simnet.Network, pool *Pool) *Client {
 	return &Client{
 		Net: net, Pool: pool,
-		dotConns:    map[netip.AddrPort]*DoTConn{},
-		doqSessions: map[netip.AddrPort]*DoQSession{},
-		doqTickets:  map[netip.AddrPort]bool{},
+		Latency:  SyntheticLatency(2*time.Millisecond, 18*time.Millisecond),
+		sessions: map[*Upstream]session{},
 	}
 }
 
@@ -170,9 +171,31 @@ func (c *Client) getMsg() *dnswire.Message {
 	return new(dnswire.Message)
 }
 
+// putMsg takes an answer message home. Under the race detector it is
+// poisoned first — a header no real answer carries (QR clear, opcode 15,
+// RCODE 0xffff; AA, TC, AD, CD set), every question and record of type
+// and class 0 under poisonName — so a read after the hand-back cannot pass
+// for an answer. RDATA values and slice capacity stay for the next decode
+// to reuse, and for the race detector to catch a holder of one when that
+// decode overwrites it.
 func (c *Client) putMsg(m *dnswire.Message) {
+	if testrace.Enabled {
+		*m = dnswire.Message{ID: 0xdead, Opcode: 15, RCode: 0xffff,
+			Authoritative: true, Truncated: true, AuthenticatedData: true, CheckingDisabled: true,
+			Question: m.Question, Answer: m.Answer, Authority: m.Authority, Additional: m.Additional}
+		for i := range m.Question {
+			m.Question[i] = dnswire.Question{Name: poisonName}
+		}
+		for _, sec := range [...][]dnswire.RR{m.Answer, m.Authority, m.Additional} {
+			for i := range sec {
+				sec[i] = dnswire.RR{Name: poisonName, TTL: 0xffffffff, Data: sec[i].Data}
+			}
+		}
+	}
 	c.msgPool.Put(m)
 }
+
+const poisonName = "poisoned-after-recycle.invalid."
 
 // discard returns a losing attempt's answer message to the recycle pool.
 // resolve calls it exactly for attempts whose answer can no longer escape
@@ -410,24 +433,102 @@ func (c *Client) bindMetrics(reg *obs.Registry) {
 	reg.RegisterHistogram(c.exchangeLatency, "exchange_latency_seconds")
 }
 
+// session is a client's channel to one member — a DoTConn, a DoQSession
+// or a DoH GET session. Exchange sends q and decodes the answer into
+// into; stale marks an RFC 8767 stale answer; a nil tr traces nothing.
+type session interface {
+	Exchange(q, into *dnswire.Message, tr *obs.Trace) (stale bool, err error)
+}
+
+// dialer is every envelope server: its protocol, and a dial that opens a
+// session to it at ap — resumed if the client dialed the member before (a
+// DoQ frontend then resumes with 0-RTT), costing setupRTTs round-trips.
+type dialer interface {
+	protocol() Protocol
+	dial(n *simnet.Network, ap netip.AddrPort, resumed bool) (s session, setupRTTs int)
+}
+
+// protoNames spells each protocol the way error text does.
+var protoNames = map[Protocol]string{ProtoDoH: "DoH", ProtoDoT: "DoT", ProtoDoQ: "DoQ"}
+
 // dial performs one synchronous attempt against the member over its
-// envelope protocol. The attempt's RTT is fed to the pool as part of the
-// dial (completed exchanges are valid samples no matter which attempt
-// wins); the virtual clock is NOT advanced — resolve owns the exchange's
+// session. The attempt's RTT is fed to the pool as part of the dial
+// (completed exchanges are valid samples no matter which attempt wins);
+// the virtual clock is NOT advanced — resolve owns the exchange's
 // timeline and charges its critical path once. A non-nil tr threads
 // server-side span recording through the envelope into the frontend.
-func (c *Client) dial(up *Upstream, q *dnswire.Message, tr *obs.Trace) attemptResult {
-	var at attemptResult
-	switch up.Proto {
-	case ProtoDoT:
-		at = c.tryDoT(up, q, tr)
-	case ProtoDoQ:
-		at = c.tryDoQ(up, q, tr)
-	default:
-		at = c.tryDoH(up, q, tr)
-	}
+func (c *Client) dial(up *Upstream, q *dnswire.Message, tr *obs.Trace) (at attemptResult) {
 	at.Upstream = up
+	s, setup, err := c.session(up)
+	if err != nil {
+		// Failure injection (the address or port is down) or a protocol
+		// mismatch: the attempt never reached the wire.
+		at.Bench, at.Err = true, err
+		return at
+	}
+	id := q.ID
+	if up.Proto == ProtoDoQ {
+		// RFC 9250 §4.2.1: the ID on a stream is 0. The exchange is
+		// synchronous: zero it in place, restore it on query and answer.
+		q.ID = 0
+	}
+	m := c.getMsg()
+	at.Stale, err = s.Exchange(q, m, tr)
+	q.ID = id
+	if err == nil {
+		m.ID = id
+		at.Msg, at.Cost = m, c.sample(up, setup)
+		return at
+	}
+	c.putMsg(m)
+	at.Err = err
+	if a, ok := err.(*answeredError); ok {
+		// The DoH frontend answered: the round-trip happened. A 502 is
+		// recursor trouble over a healthy transport, not benched, like a
+		// SERVFAIL; anything else is a protocol mismatch worth a cooldown.
+		at.Bench = a.status != StatusServFailUpstream
+		at.Cost = c.sample(up, setup)
+	} else if !errors.Is(err, ErrStreamReset) {
+		// The session died (peer down, or a framing violation closed it):
+		// the next attempt redials. A DoQ stream reset kills only its stream.
+		c.drop(up, s)
+		at.Bench = true
+	}
 	return at
+}
+
+// session returns the client's live session to the member, dialing one
+// if there is none, and the setup round-trips this attempt pays (none if
+// the session was open). Lookup and dial run under the client lock, so
+// attempts that miss at once share one dial.
+func (c *Client) session(up *Upstream) (session, int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s, dialed := c.sessions[up]
+	if s != nil {
+		return s, 0, nil
+	}
+	svc, err := c.Net.Service(up.Addr)
+	if err != nil {
+		return nil, 0, err
+	}
+	d, ok := svc.(dialer)
+	if !ok || d.protocol() != up.Proto {
+		return nil, 0, fmt.Errorf("%w: %v is not %s", ErrNotProto, up.Addr, protoNames[up.Proto])
+	}
+	s, setup := d.dial(c.Net, up.Addr, dialed)
+	c.sessions[up] = s
+	return s, setup, nil
+}
+
+// drop forgets a session that died, unless another attempt has already
+// replaced it with a fresh one. The member stays marked as dialed.
+func (c *Client) drop(up *Upstream, s session) {
+	c.mu.Lock()
+	if c.sessions[up] == s {
+		c.sessions[up] = nil
+	}
+	c.mu.Unlock()
 }
 
 // bench reports an attempt's transport-level failure (its Bench flag) to
@@ -443,217 +544,23 @@ func (c *Client) bench(at attemptResult) {
 }
 
 // charge advances the virtual clock by d of the exchange's critical path
-// and accumulates it into out.Elapsed, so an outcome's Elapsed is the
-// exchange's timeline by construction. The clock itself moves only with
-// a deterministic latency model (wall-clock costs are host scheduling
-// noise) and ChargeLatency on.
+// (with ChargeLatency on) and accumulates it into out.Elapsed, so an
+// outcome's Elapsed is the exchange's timeline by construction.
 func (c *Client) charge(out *outcome, d time.Duration) {
 	out.Elapsed += d
-	if c.ChargeLatency && c.Latency != nil && d > 0 {
+	if c.ChargeLatency && d > 0 {
 		c.Net.Clock.Advance(d)
 	}
 }
 
-// sample feeds the pool the attempt's RTT and returns the attempt's
-// cost: the RTT plus setupRTTs extra round-trips of connection
-// establishment. The virtual clock is not touched here — resolve charges
-// its critical path once the exchange's shape is known.
-func (c *Client) sample(up *Upstream, wall time.Duration, setupRTTs int) time.Duration {
-	d := wall
-	if c.Latency != nil {
-		d = c.Latency(up)
-	}
+// sample feeds the pool the latency model's RTT for the member and
+// returns the attempt's cost: the RTT plus setupRTTs extra round-trips of
+// connection establishment. The virtual clock is not touched here —
+// resolve charges its critical path once the exchange's shape is known.
+func (c *Client) sample(up *Upstream, setupRTTs int) time.Duration {
+	d := c.Latency(up)
 	c.Pool.ObserveRTT(up, d)
 	return d + time.Duration(setupRTTs)*d
-}
-
-// dialScratch is the per-attempt DoH envelope working set: the request
-// and response structs, plus the buffer the query packs (and the GET
-// parameter encodes) into — the request's DNSParam aliases it, which the
-// synchronous ExchangeDoH permits. The response's Body doubles as the reply
-// buffer a pooled server appends the answer wire into.
-type dialScratch struct {
-	req  DoHRequest
-	resp DoHResponse
-	buf  []byte
-}
-
-var dialScratchPool = sync.Pool{New: func() any { return new(dialScratch) }}
-
-// tryDoH performs one RFC 8484 exchange with a DoH member; the server
-// fills the scratch response in place.
-func (c *Client) tryDoH(up *Upstream, q *dnswire.Message, tr *obs.Trace) attemptResult {
-	svc, err := c.Net.Service(up.Addr)
-	if err != nil {
-		// Failure injection: the address or port is down.
-		return attemptResult{Bench: true, Err: err}
-	}
-	ex, ok := svc.(DoHExchanger)
-	if !ok {
-		return attemptResult{Bench: true, Err: fmt.Errorf("%w: %v is not DoH", ErrNotProto, up.Addr)}
-	}
-	ds := dialScratchPool.Get().(*dialScratch)
-	defer func() {
-		ds.buf = trimRecycledBuf(ds.buf)
-		ds.resp.Body = trimRecycledBuf(ds.resp.Body)
-		dialScratchPool.Put(ds)
-	}()
-	if c.UsePOST {
-		wire, err := q.AppendPack(ds.buf[:0])
-		ds.buf = wire
-		if err != nil {
-			return attemptResult{Err: err}
-		}
-		ds.req = DoHRequest{
-			Method: "POST", Path: DoHPath,
-			ContentType: dnswire.MediaTypeDNSMessage, Body: wire,
-		}
-	} else {
-		param, buf, err := dnswire.AppendEncodeDoHParam(q, ds.buf)
-		ds.buf = buf
-		if err != nil {
-			return attemptResult{Err: err}
-		}
-		ds.req = DoHRequest{Method: "GET", Path: DoHPath, DNSParam: param}
-	}
-	start := time.Now()
-	resp := &ds.resp
-	ex.ExchangeDoH(&ds.req, resp, tr)
-	cost := c.sample(up, time.Since(start), 0)
-	m := c.getMsg()
-	if err := resp.DecodeInto(m); err != nil {
-		c.putMsg(m)
-		// A 502 is the frontend reporting recursor trouble over a
-		// healthy transport — move on without benching, like the
-		// SERVFAIL case. Anything else (4xx, bad media type) is a
-		// protocol mismatch worth a cooldown.
-		return attemptResult{Bench: resp.Status != StatusServFailUpstream, Err: err, Cost: cost}
-	}
-	return attemptResult{Msg: m, Stale: resp.Stale, Cost: cost}
-}
-
-// tryDoT performs one exchange over the member's persistent DoT
-// connection, dialing one (and paying its TCP+TLS setup) if none is
-// cached. A connection that died mid-stream is dropped, so the query
-// fails over to the next candidate.
-func (c *Client) tryDoT(up *Upstream, q *dnswire.Message, tr *obs.Trace) attemptResult {
-	conn, setup, err := c.dotConn(up)
-	if err != nil {
-		return attemptResult{Bench: true, Err: err}
-	}
-	start := time.Now()
-	m := c.getMsg()
-	stale, err := conn.Exchange(q, m, tr)
-	if err != nil {
-		c.putMsg(m)
-		c.dropDoT(up.Addr)
-		return attemptResult{Bench: true, Err: err}
-	}
-	cost := c.sample(up, time.Since(start), setup)
-	return attemptResult{Msg: m, Stale: stale, Cost: cost}
-}
-
-// dotConn returns the cached live connection to the member, dialing a
-// fresh one when needed; setupRTTs reports the handshake round-trips the
-// dial cost (two: TCP then TLS 1.3).
-func (c *Client) dotConn(up *Upstream) (conn *DoTConn, setupRTTs int, err error) {
-	c.mu.Lock()
-	conn = c.dotConns[up.Addr]
-	c.mu.Unlock()
-	if conn != nil {
-		return conn, 0, nil
-	}
-	svc, err := c.Net.Service(up.Addr)
-	if err != nil {
-		return nil, 0, err
-	}
-	d, ok := svc.(DoTDialer)
-	if !ok {
-		return nil, 0, fmt.Errorf("%w: %v is not DoT", ErrNotProto, up.Addr)
-	}
-	conn = d.DialDoT(c.Net, up.Addr)
-	c.mu.Lock()
-	c.dotConns[up.Addr] = conn
-	c.mu.Unlock()
-	return conn, 2, nil
-}
-
-// dropDoT discards a dead connection so the next try redials.
-func (c *Client) dropDoT(ap netip.AddrPort) {
-	c.mu.Lock()
-	delete(c.dotConns, ap)
-	c.mu.Unlock()
-}
-
-// tryDoQ performs one exchange as a fresh stream on the member's DoQ
-// session, dialing a session if none is cached — a full QUIC handshake
-// (one setup RTT) the first time, a 0-RTT resumption (no setup cost) once
-// the client holds the member's ticket. The mandatory zero message ID is
-// rewritten on the way out — the exchange is synchronous, so the ID is
-// zeroed in place and restored before returning — and the caller's ID
-// restored on the answer.
-func (c *Client) tryDoQ(up *Upstream, q *dnswire.Message, tr *obs.Trace) attemptResult {
-	sess, setup, err := c.doqSession(up)
-	if err != nil {
-		return attemptResult{Bench: true, Err: err}
-	}
-	id := q.ID
-	q.ID = 0
-	start := time.Now()
-	m := c.getMsg()
-	stale, err := sess.Exchange(q, m, tr)
-	q.ID = id
-	if err != nil {
-		c.putMsg(m)
-		if errors.Is(err, ErrStreamReset) {
-			// Per-stream failure: the session is fine, the query is not.
-			return attemptResult{Err: err}
-		}
-		c.dropDoQ(up.Addr)
-		return attemptResult{Bench: true, Err: err}
-	}
-	cost := c.sample(up, time.Since(start), setup)
-	m.ID = id
-	return attemptResult{Msg: m, Stale: stale, Cost: cost}
-}
-
-// doqSession returns the cached live session to the member, establishing
-// one when needed; setupRTTs is 1 for a full handshake, 0 for a 0-RTT
-// resumption.
-func (c *Client) doqSession(up *Upstream) (sess *DoQSession, setupRTTs int, err error) {
-	c.mu.Lock()
-	sess = c.doqSessions[up.Addr]
-	resumed := c.doqTickets[up.Addr]
-	c.mu.Unlock()
-	if sess != nil {
-		return sess, 0, nil
-	}
-	svc, err := c.Net.Service(up.Addr)
-	if err != nil {
-		return nil, 0, err
-	}
-	d, ok := svc.(DoQDialer)
-	if !ok {
-		return nil, 0, fmt.Errorf("%w: %v is not DoQ", ErrNotProto, up.Addr)
-	}
-	sess = d.DialDoQ(c.Net, up.Addr, resumed)
-	setup := 1
-	if resumed {
-		setup = 0
-	}
-	c.mu.Lock()
-	c.doqSessions[up.Addr] = sess
-	c.doqTickets[up.Addr] = true // the handshake issued a resumption ticket
-	c.mu.Unlock()
-	return sess, setup, nil
-}
-
-// dropDoQ discards a dead session; the resumption ticket survives, so the
-// next dial to the same member rides 0-RTT.
-func (c *Client) dropDoQ(ap netip.AddrPort) {
-	c.mu.Lock()
-	delete(c.doqSessions, ap)
-	c.mu.Unlock()
 }
 
 // Query builds and exchanges a recursion-desired query for (name, type).

@@ -31,8 +31,8 @@
 //   - Pool and Client: the load-balanced upstream set (P2 or round-robin
 //     Balance, failover that benches a failed member for DefaultCooldown
 //     of virtual time and never removes it, a per-member EWMA RTT) and
-//     the protocol-agnostic stub that dispatches each attempt by the
-//     member's envelope — a mixed fleet races and fails over across
+//     the protocol-agnostic stub that sends each attempt through the
+//     member's session — a mixed fleet races and fails over across
 //     protocols. The client's Strategy (a StrategyConfig) decides, over
 //     the pool's candidate ordering, which candidates are attempted, in
 //     what simulated overlap, and whose answer wins (see below).
@@ -85,8 +85,7 @@
 // Client.Exchange is candidate selection plus one resolver: the Pool
 // orders the members (its Balance policy picks the head, healthy members
 // follow, benched members last), and the client's resolve switches on
-// Strategy.Kind to drive the per-protocol dialers over that ordering.
-// Two kinds exist:
+// Strategy.Kind to drive attempts over that ordering. Two kinds exist:
 //
 //   - StrategySerial (the zero value): one candidate at a time, first
 //     usable answer wins, SERVFAIL returned only when every member
@@ -104,7 +103,8 @@
 // on resolve: dials execute synchronously, overlap is simulated by
 // comparing launch offset + attempt cost (the latency-model RTT plus
 // connection-setup round-trips), and no goroutine, wall-clock read or
-// private randomness enters. Completed attempts feed the pool's EWMA
+// private randomness enters: the client's Latency model is the only clock
+// an attempt reads. Completed attempts feed the pool's EWMA
 // whether they win or lose (the sample is real);
 // the virtual clock is charged once per exchange with the critical
 // path, not the attempt sum. This is what keeps pipelined multi-day
@@ -117,8 +117,7 @@
 // Each operation on the query path has exactly one entry point, and that
 // entry point takes its result storage from the caller:
 //
-//	DoTConn.Exchange(q, into, tr)      DoQSession.Exchange(q, into, tr)
-//	DoHServer.ExchangeDoH(req, resp, tr)
+//	session.Exchange(q, into, tr)      DoHServer.ExchangeDoH(req, resp, tr)
 //	Frontend.Resolve(q, dst, tr)       Cache.Probe(key, id, dst)
 //	Pool.Candidates(dst, pref)         Cache.StaleWire(key, id, dst)
 //
@@ -189,14 +188,27 @@
 //
 // # What the envelopes do differently
 //
-// Upstream hard failure with nothing stale: DoH answers 502 (the client
-// retries the next member without benching it); DoT and DoQ synthesize a
-// SERVFAIL message — those wire formats have no status channel — which
-// the client likewise treats as try-the-next-member. Connection state:
-// DoH is stateless per exchange; DoT holds one persistent connection per
-// (client, member), killed by failure injection mid-stream; DoQ holds one
-// session per (client, member) whose first establishment costs a
-// handshake RTT and whose re-establishment rides 0-RTT on the retained
-// ticket. All connection-setup costs are charged to the virtual clock
-// when the client's ChargeLatency is on.
+// The client reaches every member through one table of sessions, one per
+// member dialed. Each envelope server's dial opens a session, whose
+// Exchange(q, into, tr) is the attempt (a DoTConn, a DoQSession, or a DoH
+// GET session):
+//
+//	envelope  setup RTTs                   session dies on
+//	DoH       0                            address down
+//	DoT       2 (TCP, TLS)                 address down, bad frame
+//	DoQ       1 (handshake), 0 if resumed  address down
+//
+// A DoQ member dialed before resumes with 0-RTT on its ticket. Lookup and
+// dial run under the client lock, so attempts that miss together share
+// one dial, and a dead session is dropped only while the table still
+// holds it. A dead session or a failed dial (address down, or a service
+// of another protocol: ErrNotProto) benches the member and costs nothing;
+// the next attempt redials and pays the setup again. A DoQ stream reset
+// kills only its stream, and benches nothing.
+//
+// Upstream hard failure with nothing stale: DoH answers 502, which costs
+// its round-trip and is not benched (any other status is); DoT and DoQ
+// synthesize a SERVFAIL message — those wire formats have no status
+// channel — which the client likewise treats as try-the-next-member.
+// Setup costs reach the virtual clock when ChargeLatency is on.
 package transport

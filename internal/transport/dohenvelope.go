@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/dnswire"
-	"repro/internal/obs"
 )
 
 // The RFC 8484 DNS-over-HTTPS envelope codec: the wire shape of the one
@@ -106,15 +105,4 @@ func (r *DoHResponse) DecodeInto(m *dnswire.Message) error {
 		return fmt.Errorf("%w: content type %q", ErrBadEnvelope, r.ContentType)
 	}
 	return dnswire.UnpackInto(m, r.Body)
-}
-
-// DoHExchanger is the service interface a DoH frontend registers in
-// simnet; the Client type-asserts it after the addr:port service lookup,
-// like DoTDialer and DoQDialer. The request decodes into pooled server
-// scratch and the answer wire is appended into resp's existing Body
-// capacity, so a warm client/server pair exchanges with no envelope
-// allocations; all other resp fields are overwritten. Server-side spans
-// are recorded onto tr (a nil tr traces nothing).
-type DoHExchanger interface {
-	ExchangeDoH(req *DoHRequest, resp *DoHResponse, tr *obs.Trace)
 }

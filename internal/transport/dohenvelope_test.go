@@ -6,8 +6,8 @@ import (
 	"repro/internal/dnswire"
 )
 
-// dohRequest builds a GET or POST envelope for the query, the way
-// Client.tryDoH does.
+// dohRequest builds a GET or POST envelope for the query — GET the way a
+// client's DoH session does, POST as other clients may.
 func dohRequest(t testing.TB, q *dnswire.Message, usePost bool) *DoHRequest {
 	t.Helper()
 	if usePost {

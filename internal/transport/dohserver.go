@@ -12,8 +12,8 @@ import (
 
 // DoHServer is the RFC 8484 envelope over a Frontend: it terminates DoH
 // request envelopes at a simnet addr:port, decodes them, resolves
-// through the shared engine, and re-encodes. It implements DoHExchanger,
-// which is how the Client reaches it after the addr:port service lookup.
+// through the shared engine, and re-encodes. A Client reaches it through
+// a GET session (dial) after the addr:port service lookup.
 type DoHServer struct {
 	Frontend
 }
@@ -24,11 +24,6 @@ func NewDoHServer(name string, handler simnet.DNSHandler, cache *Cache, cooldown
 		Name: name, Proto: ProtoDoH, Handler: handler,
 		Cache: cache, FailureCooldown: cooldown,
 	}}
-}
-
-// Register attaches the frontend to the network at ap.
-func (s *DoHServer) Register(n *simnet.Network, ap netip.AddrPort) {
-	n.RegisterService(ap, s)
 }
 
 // dohScratch is the per-request server-side scratch: the decoded query
@@ -42,10 +37,13 @@ type dohScratch struct {
 
 var dohScratchPool = sync.Pool{New: func() any { return new(dohScratch) }}
 
-// ExchangeDoH implements DoHExchanger: decode the envelope, resolve, and
-// re-encode into resp. A hard upstream failure with nothing stale becomes
-// a 502 — DoH is the one envelope with a status channel distinct from
-// the DNS RCode.
+// ExchangeDoH decodes the envelope, resolves, and re-encodes into resp. A
+// hard upstream failure with nothing stale becomes a 502 — DoH is the one
+// envelope with a status channel distinct from the DNS RCode. The request
+// decodes into pooled server scratch and the answer wire is appended into
+// resp's existing Body capacity, so a warm client/server pair exchanges
+// with no envelope allocations; all other resp fields are overwritten.
+// Server-side spans are recorded onto tr (a nil tr traces nothing).
 func (s *DoHServer) ExchangeDoH(req *DoHRequest, resp *DoHResponse, tr *obs.Trace) {
 	body := resp.Body[:0]
 	sc := dohScratchPool.Get().(*dohScratch)
@@ -71,4 +69,61 @@ func (s *DoHServer) ExchangeDoH(req *DoHRequest, resp *DoHResponse, tr *obs.Trac
 		MaxAge:      ans.MaxAge,
 		Stale:       ans.Stale,
 	}
+}
+
+// dohSession is a client's RFC 8484 GET session: each Exchange is one
+// envelope, after the reachability check a DoT connection makes too. DoH
+// keeps no connection state here, so a dial costs no setup round-trip.
+type dohSession struct {
+	srv *DoHServer
+	net *simnet.Network
+	ap  netip.AddrPort
+}
+
+func (s *DoHServer) dial(n *simnet.Network, ap netip.AddrPort, _ bool) (session, int) {
+	return &dohSession{srv: s, net: n, ap: ap}, 0
+}
+
+// answeredError is a DoH exchange the frontend answered without a usable
+// answer — a non-200 status or an undecodable body. Unlike a dead
+// session's error, it cost a round-trip.
+type answeredError struct {
+	error
+	status int
+}
+
+func (e *answeredError) Unwrap() error { return e.error }
+
+// dialScratch is a GET exchange's client-side working set: the request's
+// DNSParam aliases buf, which the synchronous ExchangeDoH permits, and the
+// response's Body is the buffer the server appends the answer wire into.
+type dialScratch struct {
+	req  DoHRequest
+	resp DoHResponse
+	buf  []byte
+}
+
+var dialScratchPool = sync.Pool{New: func() any { return new(dialScratch) }}
+
+func (s *dohSession) Exchange(q, into *dnswire.Message, tr *obs.Trace) (bool, error) {
+	if _, err := s.net.Service(s.ap); err != nil {
+		return false, err
+	}
+	ds := dialScratchPool.Get().(*dialScratch)
+	defer func() {
+		ds.buf = trimRecycledBuf(ds.buf)
+		ds.resp.Body = trimRecycledBuf(ds.resp.Body)
+		dialScratchPool.Put(ds)
+	}()
+	param, buf, err := dnswire.AppendEncodeDoHParam(q, ds.buf)
+	ds.buf = buf
+	if err != nil {
+		return false, err
+	}
+	ds.req = DoHRequest{Method: "GET", Path: DoHPath, DNSParam: param}
+	s.srv.ExchangeDoH(&ds.req, &ds.resp, tr)
+	if err := ds.resp.DecodeInto(into); err != nil {
+		return false, &answeredError{err, ds.resp.Status}
+	}
+	return ds.resp.Stale, nil
 }

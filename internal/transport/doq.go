@@ -42,11 +42,6 @@ func NewDoQServer(name string, handler simnet.DNSHandler, cache *Cache, cooldown
 	}}
 }
 
-// Register attaches the frontend to the network at ap.
-func (s *DoQServer) Register(n *simnet.Network, ap netip.AddrPort) {
-	n.RegisterService(ap, s)
-}
-
 // DoQSessionStats reports a frontend's session-layer traffic: how many
 // sessions were established (and how many of those resumed with 0-RTT),
 // how many streams carried queries, and how many streams were reset.
@@ -67,21 +62,25 @@ func (s *DoQServer) SessionStats() DoQSessionStats {
 	}
 }
 
-// DoQDialer is the service interface a DoQ frontend registers in simnet.
-type DoQDialer interface {
-	DialDoQ(n *simnet.Network, ap netip.AddrPort, resumed bool) *DoQSession
-}
-
-// DialDoQ implements DoQDialer: it establishes a session bound to (n, ap).
-// resumed marks a 0-RTT session resumption — the client holds a ticket
-// from an earlier session to this frontend and pays no handshake
-// round-trip; the latency difference is the client's to charge.
+// DialDoQ establishes a session bound to (n, ap). resumed marks a 0-RTT
+// session resumption — the client holds a ticket from an earlier session
+// to this frontend and pays no handshake round-trip; the latency
+// difference is the client's to charge.
 func (s *DoQServer) DialDoQ(n *simnet.Network, ap netip.AddrPort, resumed bool) *DoQSession {
 	s.sessions.Add(1)
 	if resumed {
 		s.resumed.Add(1)
 	}
-	return &DoQSession{srv: s, net: n, ap: ap, Resumed: resumed}
+	return &DoQSession{srv: s, net: n, ap: ap}
+}
+
+// dial establishes a client's session: one setup round-trip for the QUIC
+// handshake, none for a 0-RTT resumption.
+func (s *DoQServer) dial(n *simnet.Network, ap netip.AddrPort, resumed bool) (session, int) {
+	if resumed {
+		return s.DialDoQ(n, ap, true), 0
+	}
+	return s.DialDoQ(n, ap, false), 1
 }
 
 // DoQSession is one client session. Each Exchange call is one stream:
@@ -94,9 +93,6 @@ type DoQSession struct {
 	srv *DoQServer
 	net *simnet.Network
 	ap  netip.AddrPort
-
-	// Resumed records whether the session was established with 0-RTT.
-	Resumed bool
 
 	mu     sync.Mutex
 	closed bool
@@ -174,12 +170,4 @@ func (s *DoQSession) Exchange(q *dnswire.Message, into *dnswire.Message, tr *obs
 	}
 	st.buf = ans.Wire
 	return ans.Stale, dnswire.UnpackInto(into, ans.Wire)
-}
-
-// Close ends the session; the next dial to the same frontend resumes
-// with 0-RTT if the client kept its ticket.
-func (s *DoQSession) Close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
 }

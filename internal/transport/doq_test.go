@@ -16,7 +16,7 @@ func doqFixture(t *testing.T) (*DoQSession, *DoQServer, *stubRecursor) {
 	net, clock := testNet()
 	recursor := &stubRecursor{ttl: 300}
 	srv := NewDoQServer("doq0", recursor, NewCacheWith(clock, CacheConfig{Shards: 4, ShardCapacity: 64}), 0)
-	srv.Register(net, frontendAddr(0))
+	net.RegisterService(frontendAddr(0), srv)
 	return srv.DialDoQ(net, frontendAddr(0), false), srv, recursor
 }
 

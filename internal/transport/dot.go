@@ -40,23 +40,17 @@ func NewDoTServer(name string, handler simnet.DNSHandler, cache *Cache, cooldown
 	}}
 }
 
-// Register attaches the frontend to the network at ap.
-func (s *DoTServer) Register(n *simnet.Network, ap netip.AddrPort) {
-	n.RegisterService(ap, s)
-}
-
-// DoTDialer is the service interface a DoT frontend registers in simnet;
-// the Client type-asserts it after the addr:port service lookup and
-// dials a persistent connection.
-type DoTDialer interface {
-	DialDoT(n *simnet.Network, ap netip.AddrPort) *DoTConn
-}
-
-// DialDoT implements DoTDialer: it opens a persistent connection bound to
-// (n, ap) so every subsequent operation re-checks reachability — a mid-
-// stream SetAddrDown kills the connection exactly like a TCP reset.
+// DialDoT opens a persistent connection bound to (n, ap) so every
+// subsequent operation re-checks reachability — a mid-stream SetAddrDown
+// kills the connection exactly like a TCP reset.
 func (s *DoTServer) DialDoT(n *simnet.Network, ap netip.AddrPort) *DoTConn {
 	return &DoTConn{srv: s, net: n, ap: ap, pending: map[uint16]dotReply{}}
+}
+
+// dial opens a client's connection: two setup round-trips, TCP then
+// TLS 1.3.
+func (s *DoTServer) dial(n *simnet.Network, ap netip.AddrPort, _ bool) (session, int) {
+	return s.DialDoT(n, ap), 2
 }
 
 // dotReply is one server→client response frame plus the out-of-band

@@ -35,7 +35,7 @@ func dotFixture(t *testing.T) (*DoTConn, *DoTServer, *stubRecursor) {
 	net, clock := testNet()
 	recursor := &stubRecursor{ttl: 300}
 	srv := NewDoTServer("dot0", recursor, NewCacheWith(clock, CacheConfig{Shards: 4, ShardCapacity: 64}), 0)
-	srv.Register(net, frontendAddr(0))
+	net.RegisterService(frontendAddr(0), srv)
 	return srv.DialDoT(net, frontendAddr(0)), srv, recursor
 }
 

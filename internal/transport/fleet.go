@@ -25,9 +25,8 @@ type FleetConfig struct {
 	Cache CacheConfig
 	// FailureCooldown benches a frontend's recursor after a hard failure.
 	FailureCooldown time.Duration
-	// Latency is the client's deterministic per-member RTT source
-	// (SyntheticLatency in practice); nil falls back to wall-clock
-	// sampling.
+	// Latency replaces the client's latency model (see Client.Latency);
+	// nil keeps NewClient's 2–20 ms SyntheticLatency band.
 	Latency func(*Upstream) time.Duration
 	// ChargeLatency charges sampled latencies (and protocol setup costs)
 	// to the network's virtual clock. See Client.ChargeLatency for when
@@ -83,7 +82,9 @@ type Fleet struct {
 func NewFleet(net *simnet.Network, clock *simnet.Clock, cfg FleetConfig) *Fleet {
 	client := NewClient(net, NewPool(clock, cfg.Balance, cfg.Seed))
 	client.Strategy = cfg.Strategy
-	client.Latency = cfg.Latency
+	if cfg.Latency != nil {
+		client.Latency = cfg.Latency
+	}
 	client.ChargeLatency = cfg.ChargeLatency
 	client.Tracer = cfg.Tracer
 	client.Recorder = cfg.Recorder

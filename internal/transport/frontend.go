@@ -37,8 +37,8 @@ var ErrUpstreamFailed = errors.New("transport: upstream failed with no stale ans
 type Frontend struct {
 	// Name labels the frontend in stats output.
 	Name string
-	// Proto is the envelope protocol the embedding server speaks; it only
-	// labels stats (the engine is protocol-blind).
+	// Proto is the envelope the embedding server speaks: it labels stats,
+	// and a client checks it before dialing (the engine is protocol-blind).
 	Proto Protocol
 	// Handler answers cache misses (a resolver.Resolver in practice).
 	Handler simnet.DNSHandler
@@ -138,6 +138,9 @@ func (f *Frontend) Stats() FrontendStats {
 		UpstreamFailures: f.upstreamFail.Load(),
 	}
 }
+
+// protocol is what a client checks against the member's before dialing.
+func (f *Frontend) protocol() Protocol { return f.Proto }
 
 // inCooldown reports whether the handler is benched after a hard failure.
 func (f *Frontend) inCooldown() bool {

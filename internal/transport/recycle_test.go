@@ -179,3 +179,25 @@ func TestRecycleUnderReuseAnswersPoolsOnce(t *testing.T) {
 		t.Errorf("live answer damaged: %v", live)
 	}
 }
+
+// TestRecycledAnswerIsPoisonedUnderRace: under the race detector an answer
+// handed back reads as no real answer does — QR clear, an RCODE past the
+// extended range, AD set, records of a reserved type under an invalid name
+// — so a read after Recycle moves whatever it feeds instead of passing for
+// a plausible answer. The RDATA stays for the next decode to reuse.
+func TestRecycledAnswerIsPoisonedUnderRace(t *testing.T) {
+	if !testrace.Enabled {
+		t.Skip("answers are poisoned only under the race detector")
+	}
+	client, _, _, _, _ := newTestFleet(t, 1, BalanceRoundRobin)
+	m, err := client.Query("poison.test", dnswire.TypeA, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := m.Answer[0].Data
+	client.Recycle(m)
+	if m.Response || m.RCode != 0xffff || !m.AuthenticatedData || m.Question[0].Name != poisonName ||
+		len(m.Answer) != 1 || m.Answer[0].Type != 0 || m.Answer[0].Name != poisonName || m.Answer[0].Data != data {
+		t.Errorf("recycled answer not poisoned: %+v", m)
+	}
+}

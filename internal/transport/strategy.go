@@ -9,7 +9,7 @@ import (
 )
 
 // attemptResult is the outcome of one upstream try, as produced by the
-// client's per-protocol dialers and weighed by its resolver.
+// client's dial and weighed by its resolver.
 type attemptResult struct {
 	// Upstream is the member the attempt was dialed against.
 	Upstream *Upstream
@@ -23,7 +23,7 @@ type attemptResult struct {
 	Bench bool
 	Err   error
 	// Cost is the attempt's virtual completion cost: its latency sample
-	// (already folded into the pool's EWMA by the dialer) plus any
+	// (already folded into the pool's EWMA by the dial) plus any
 	// connection-setup round-trips the attempt paid (TCP+TLS for a fresh
 	// DoT connection, the QUIC handshake for a fresh DoQ session). Zero
 	// when the attempt failed before reaching the envelope exchange —

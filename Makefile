@@ -20,10 +20,11 @@ test:
 # engine driving fleets inside the pipelined day replicas, the recursor,
 # validator and authoritatives (forked recursors share one
 # verified-signature memo across day workers; built messages come from and
-# go back to one skeleton pool), and the ECH key manager, whose per-epoch
-# memo every day and hour worker reads through one lock).
+# go back to one skeleton pool), the ECH key manager, whose per-epoch
+# memo every day and hour worker reads through one lock, and the Tranco
+# simulator, whose spelling table every day worker reads).
 race:
-	$(GO) test -race ./internal/scanner ./internal/simnet ./internal/core ./internal/transport ./internal/dnswire ./internal/obs ./internal/dataset ./internal/workload ./internal/resolver ./internal/dnssec ./internal/providers ./internal/ech
+	$(GO) test -race ./internal/scanner ./internal/simnet ./internal/core ./internal/transport ./internal/dnswire ./internal/obs ./internal/dataset ./internal/workload ./internal/resolver ./internal/dnssec ./internal/providers ./internal/ech ./internal/tranco
 
 # Tier-1 verify as the roadmap defines it, then the nested benchmark
 # module: bench/ compiles against this module's exported surface, so its

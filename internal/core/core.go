@@ -478,11 +478,11 @@ func (c *Campaign) anomalyCapture(dc *scanContext, day time.Time) *dataset.Anoma
 // boundary — per-day clocks are frozen, so stage boundaries are the
 // natural deterministic sample points.
 func (c *Campaign) runDay(dc *scanContext, day time.Time) *dayResult {
-	list := c.World.Tranco.ListFor(day)
+	list, www := c.World.Tranco.CanonListFor(day)
 	res := &dayResult{day: day, list: list}
-	res.apexSnap = dc.scanner.ScanList(day, "apex", list)
+	res.apexSnap = dc.scanner.ScanList(day, "apex", list, www...)
 	dc.sampler.Force("apex")
-	res.wwwSnap = dc.scanner.ScanList(day, "www", list)
+	res.wwwSnap = dc.scanner.ScanList(day, "www", list, www...)
 	dc.sampler.Force("www")
 	if !day.Before(providers.NSScanStart) {
 		res.nsSnap = dc.scanner.ScanNameServers(day, res.apexSnap, res.wwwSnap)

@@ -8,20 +8,25 @@ import (
 	"repro/internal/dnswire"
 	"repro/internal/providers"
 	"repro/internal/scanner"
+	"repro/internal/simnet"
 	"repro/internal/transport"
 )
 
 // TestServedRecordsStayReadOnly holds every consumer to the contract the
 // authoritative side now depends on: a record a server hands out may be the
 // very value it hands out next time — the cached RRSIG, the key's DNSKEY
-// and DS RDATA, the provider's NS and glue RDATA — so nobody downstream may
-// write through it. Deep copies of a signed adopter's answers are taken
-// first; then the name goes through recursor → scanner, and through a
-// four-frontend racing fleet whose client recycles its answer messages
-// (pack, cache put, cache hit, stale serve, the losers' discard);
-// then a whole day is scanned through a day replica of that fleet, every
-// answer handed back with Client.Recycle and decoded over by the next; then
-// the servers are asked again and must say exactly what they said.
+// and DS RDATA, the provider's NS and glue RDATA, a domain's memoised SOA
+// set and the SOA RDATA its provider shares that day, a child's memoised
+// referral sections — so nobody downstream may write through it. Deep
+// copies of a signed adopter's answers, and of an unsigned neighbour's at
+// the same provider, are taken first; then the name goes through recursor →
+// scanner, and through a four-frontend racing fleet whose client recycles
+// its answer messages (pack, cache put, cache hit, stale serve, the losers'
+// discard); then a whole day is scanned through a day replica of that
+// fleet, every answer handed back with Client.Recycle and decoded over by
+// the next; then the servers are asked on the next day, which replaces
+// every SOA memo: every answer handed out on the first day must still say
+// what it said, and asked again on that day the servers must say it too.
 func TestServedRecordsStayReadOnly(t *testing.T) {
 	camp, err := NewCampaign(CampaignConfig{
 		Size: 2000, Seed: 7, DoHFrontends: 4,
@@ -49,21 +54,26 @@ func TestServedRecordsStayReadOnly(t *testing.T) {
 		t.Fatal("world has no steady signed adopter")
 	}
 	p, tld := d.Providers[0], w.TLDs[dnswire.ParentName(d.Apex)]
+	var u *providers.DomainState
+	for _, c := range w.Domains {
+		if !c.Signed && c.Providers[0] == p && c.Intermittent == providers.IntermitNone && c.SwitchDay.IsZero() &&
+			len(c.NoNSEpisodes) == 0 && !c.ApexCNAME && w.TLDs[dnswire.ParentName(c.Apex)] != nil && (u == nil || c.Apex < u.Apex) {
+			u = c
+		}
+	}
+	if u == nil {
+		t.Fatalf("world has no steady unsigned domain at %s", p.Name)
+	}
+	utld := w.TLDs[dnswire.ParentName(u.Apex)]
 	scanTypes := []dnswire.Type{dnswire.TypeHTTPS, dnswire.TypeA, dnswire.TypeAAAA, dnswire.TypeSOA, dnswire.TypeNS}
 
-	// ask collects deep copies of what the authoritatives say at `at`.
-	ask := func() (out []dnswire.Message) {
+	// held is every answer the servers handed out, as handed out.
+	var held []*dnswire.Message
+	// ask collects deep copies of what the authoritatives say at a time.
+	ask := func(at time.Time) (out []dnswire.Message) {
 		keep := func(m *dnswire.Message) {
-			c := *m
-			for _, sec := range []*[]dnswire.RR{&c.Answer, &c.Authority, &c.Additional} {
-				rrs := make([]dnswire.RR, len(*sec))
-				for i, rr := range *sec {
-					rrs[i] = rr.Clone()
-				}
-				*sec = rrs
-			}
-			c.Question = append([]dnswire.Question(nil), m.Question...)
-			out = append(out, c)
+			held = append(held, m)
+			out = append(out, deepCopy(m))
 		}
 		for _, typ := range append([]dnswire.Type{dnswire.TypeDNSKEY, dnswire.TypeTXT}, scanTypes...) {
 			keep(p.HandleDNSAt(dnswire.NewQuery(1, d.Apex, typ, true), at))
@@ -73,9 +83,15 @@ func TestServedRecordsStayReadOnly(t *testing.T) {
 		keep(tld.HandleDNSAt(dnswire.NewQuery(1, d.Apex, dnswire.TypeHTTPS, true), at)) // referral with DS
 		keep(tld.HandleDNSAt(dnswire.NewQuery(1, d.Apex, dnswire.TypeDS, true), at))
 		keep(tld.HandleDNSAt(dnswire.NewQuery(1, tld.TLD, dnswire.TypeDNSKEY, true), at))
+		// The unsigned neighbour's SOA memo, as an answer and as a NODATA
+		// authority, and its referral's shared sections.
+		keep(p.HandleDNSAt(dnswire.NewQuery(1, u.Apex, dnswire.TypeSOA, true), at))
+		keep(p.HandleDNSAt(dnswire.NewQuery(1, u.Apex, dnswire.TypeTXT, true), at))
+		keep(utld.HandleDNSAt(dnswire.NewQuery(1, u.Apex, dnswire.TypeHTTPS, true), at))
 		return out
 	}
-	want := ask()
+	want := ask(at)
+	checkSharing(t, at, p, tld, d, u, utld)
 
 	// Recursor → scanner, the paper's direct path.
 	direct := scanner.New(w.Net, w.GoogleAddr, w.CFResolverAddr, w.Whois)
@@ -127,11 +143,86 @@ func TestServedRecordsStayReadOnly(t *testing.T) {
 		t.Errorf("day scan of %s: %+v", d.Apex, o)
 	}
 
-	if got := ask(); !reflect.DeepEqual(got, want) {
+	// The next day replaces every SOA memo; nothing handed out may move.
+	next := ask(at.AddDate(0, 0, 1))
+	if serial(next[len(next)-3]) == serial(want[len(want)-3]) {
+		t.Errorf("%s serves one SOA serial on two days", u.Apex)
+	}
+	diff := func(what string, got []dnswire.Message) {
 		for i := range want {
 			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Errorf("after serving, %s %s answers\n%v\nbefore it was\n%v", want[i].Question[0].Name, want[i].Question[0].Type, &got[i], &want[i])
+				t.Errorf("%s, %s %s answers\n%v\nbefore it was\n%v", what, want[i].Question[0].Name, want[i].Question[0].Type, &got[i], &want[i])
 			}
 		}
+	}
+	var first []dnswire.Message
+	for _, m := range held[:len(want)] {
+		first = append(first, deepCopy(m))
+	}
+	diff("after serving and a day change, the first answer handed out", first)
+	diff("after serving", ask(at))
+}
+
+// deepCopy copies a message and every record in it.
+func deepCopy(m *dnswire.Message) dnswire.Message {
+	c := *m
+	for _, sec := range []*[]dnswire.RR{&c.Answer, &c.Authority, &c.Additional} {
+		rrs := make([]dnswire.RR, len(*sec))
+		for i, rr := range *sec {
+			rrs[i] = rr.Clone()
+		}
+		*sec = rrs
+	}
+	c.Question = append([]dnswire.Question(nil), m.Question...)
+	return c
+}
+
+// serial is the SOA serial of an unsigned SOA answer.
+func serial(m dnswire.Message) uint32 { return m.Answer[0].Data.(*dnswire.SOAData).Serial }
+
+// checkSharing pins what the authoritatives share between answers, and
+// that a consumer may append to any section it is handed: signed d and
+// unsigned u are hosted by p, d's delegation is in tld and u's in utld.
+func checkSharing(t *testing.T, at time.Time, p *providers.Provider, tld *providers.TLDServer, d, u *providers.DomainState, utld *providers.TLDServer) {
+	t.Helper()
+	ask := func(h simnet.DNSHandlerAt, name string, typ dnswire.Type) *dnswire.Message {
+		return h.HandleDNSAt(dnswire.NewQuery(1, name, typ, true), at)
+	}
+	soa, nodata := ask(p, u.Apex, dnswire.TypeSOA).Answer, ask(p, u.Apex, dnswire.TypeTXT).Authority
+	if len(soa) != 1 || len(nodata) != 1 || &soa[0] != &nodata[0] {
+		t.Errorf("%s: the SOA answer and the NODATA authority are not one memoised set", u.Apex)
+	}
+	signed := ask(p, d.Apex, dnswire.TypeSOA).Answer
+	if len(signed) != 2 || signed[0].Data != soa[0].Data {
+		t.Errorf("%s and %s at %s do not share their SOA RDATA: %v, %v", d.Apex, u.Apex, p.Name, signed, soa)
+	}
+	refA, refB := ask(utld, u.Apex, dnswire.TypeA), ask(utld, u.Apex, dnswire.TypeA)
+	if &refA.Authority[0] != &refB.Authority[0] || &refA.Additional[0] != &refB.Additional[0] {
+		t.Errorf("two referrals to %s do not share their sections", u.Apex)
+	}
+	dsA, dsB := ask(tld, d.Apex, dnswire.TypeA), ask(tld, d.Apex, dnswire.TypeA)
+	if sameArray(dsA.Authority, dsB.Authority) {
+		t.Errorf("two referrals to signed %s appended their DS and RRSIG into one array", d.Apex)
+	}
+	appendsStayApart(t, "memoised SOA answer", soa, ask(p, u.Apex, dnswire.TypeSOA).Answer)
+	appendsStayApart(t, "memoised NODATA authority", nodata, ask(p, u.Apex, dnswire.TypeTXT).Authority)
+	appendsStayApart(t, "referral authority", refA.Authority, refB.Authority)
+	appendsStayApart(t, "referral additional", refA.Additional, refB.Additional)
+}
+
+// sameArray reports whether two non-empty slices end their capacity at one
+// element, that is, share a backing array.
+func sameArray(a, b []dnswire.RR) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:cap(a)][cap(a)-1] == &b[:cap(b)][cap(b)-1]
+}
+
+// appendsStayApart has two consumers each append a record to a section they
+// were handed: each must read back its own.
+func appendsStayApart(t *testing.T, what string, a, b []dnswire.RR) {
+	t.Helper()
+	x := append(a, dnswire.RR{Name: "consumer-a.invalid.", Type: dnswire.TypeTXT})
+	y := append(b, dnswire.RR{Name: "consumer-b.invalid.", Type: dnswire.TypeTXT})
+	if x[len(a)].Name != "consumer-a.invalid." || y[len(b)].Name != "consumer-b.invalid." {
+		t.Errorf("%s: one consumer's append reached another's", what)
 	}
 }

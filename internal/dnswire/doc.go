@@ -49,8 +49,9 @@
 // its last question. Release zeroes the skeleton first, so the sections a
 // reply carried (a server's shared records, a recursor's cache entry) are
 // dropped, never kept as decode slots, and nothing is reachable from a
-// pooled skeleton. On a message it does not own (nil, decoded, hand-built,
-// a value copy, already released) it does nothing.
+// pooled skeleton (in race builds, but for a poisoned header, question and
+// OPT record). On a message it does not own (nil, decoded, hand-built, a
+// value copy, already released) it does nothing.
 //
 // Pooled scratch follows one hygiene rule at every put-site: buffers
 // over the recycling ceiling (trimRecycled) are dropped for the GC

@@ -7,6 +7,8 @@ import (
 	"io"
 	"strings"
 	"sync"
+
+	"repro/internal/testrace"
 )
 
 // Question is a DNS question section entry.
@@ -65,6 +67,9 @@ var skeletons = sync.Pool{New: func() any { return new(skeleton) }}
 
 func newSkeleton() *skeleton {
 	s := skeletons.Get().(*skeleton)
+	if testrace.Enabled {
+		*s = skeleton{} // Release poisoned it
+	}
 	s.home = s
 	return s
 }
@@ -80,8 +85,17 @@ func (m *Message) Release() {
 	}
 	s := m.home
 	*s = skeleton{}
+	if testrace.Enabled {
+		// A read after Release is loud: what the skeleton owns says what no
+		// answer says. Sections are dropped, never written: they are shared.
+		s.Message = Message{ID: 0xdead, Opcode: 15, RCode: 0xffff, Authoritative: true, Truncated: true,
+			AuthenticatedData: true, CheckingDisabled: true, Question: s.q[:], Additional: s.opt[:]}
+		s.q[0], s.opt[0] = Question{Name: poisonName}, RR{Name: poisonName, TTL: 0xffffffff}
+	}
 	skeletons.Put(s)
 }
+
+const poisonName = "poisoned-after-release.invalid."
 
 // edns arms the skeleton's inline OPT record.
 func (s *skeleton) edns(dnssecOK bool) {

@@ -158,8 +158,9 @@ func TestDirtySkeletonAsUnpackTarget(t *testing.T) {
 }
 
 // TestReleaseOwnsOnlyLiveSkeletons: Release takes back a message NewQuery
-// or Reply built, once, and leaves it holding nothing; on a decoded
-// message, a literal, a value copy or a second call it does nothing.
+// or Reply built, once, and leaves it holding nothing (in race builds, only
+// its poison); on a decoded message, a literal, a value copy or a second
+// call it does nothing.
 func TestReleaseOwnsOnlyLiveSkeletons(t *testing.T) {
 	q := NewQuery(5, "release.example.", TypeHTTPS, true)
 	wire, err := q.Pack()
@@ -187,10 +188,12 @@ func TestReleaseOwnsOnlyLiveSkeletons(t *testing.T) {
 	r := q.Reply()
 	r.Answer, r.Authority = shared, shared
 	r.Additional = append(r.Additional, shared...)
-	s := r.home
+	bare := NewQuery(6, "bare.example.", TypeA, false)
+	s, released := r.home, bare.home
 	r.Release()
-	if !reflect.ValueOf(*s).IsZero() {
-		t.Errorf("a released skeleton still holds %+v", *s)
+	bare.Release() // what any released skeleton holds: nothing, and in race builds only poison
+	if !reflect.DeepEqual(*s, *released) || !testrace.Enabled && !reflect.ValueOf(*s).IsZero() {
+		t.Errorf("a released skeleton holds %+v, want %+v", *s, *released)
 	}
 	if shared[0].Name != "release.example." || shared[0].Data.(*AData).Addr != netip.MustParseAddr("192.0.2.9") {
 		t.Errorf("Release wrote through a section it carried: %+v", shared[0])
@@ -199,6 +202,31 @@ func TestReleaseOwnsOnlyLiveSkeletons(t *testing.T) {
 	a, b := NewQuery(1, "a.example.", TypeA, false), NewQuery(2, "b.example.", TypeA, false)
 	if a.home == b.home || a.Question[0].Name != "a.example." || b.Question[0].Name != "b.example." {
 		t.Errorf("a skeleton released twice was handed out twice: %+v, %+v", a, b)
+	}
+}
+
+// TestReleasedReplyIsPoisonedUnderRace: under the race detector a reply
+// read after Release says what no answer says — QR clear, an RCODE past
+// the extended range, AD set, a question and OPT record under an invalid
+// name, no sections — while the shared records it carried stay as they were.
+func TestReleasedReplyIsPoisonedUnderRace(t *testing.T) {
+	if !testrace.Enabled {
+		t.Skip("replies are poisoned only under the race detector")
+	}
+	shared := []RR{{Name: "poison.example.", Type: TypeA, Class: ClassINET, TTL: 60, Data: &AData{Addr: netip.MustParseAddr("192.0.2.9")}}}
+	want := snapshot(&Message{Answer: shared})
+	r := NewQuery(4, "poison.example.", TypeA, true).Reply()
+	r.RCode, r.Answer, r.Authority = RCodeNoError, shared, shared
+	r.Release()
+	if r.Response || r.RCode != 0xffff || !r.AuthenticatedData || r.Question[0].Name != poisonName ||
+		r.Additional[0].Name != poisonName || r.Answer != nil || r.Authority != nil {
+		t.Errorf("released reply not poisoned: %+v", r)
+	}
+	if got := snapshot(&Message{Answer: shared}); !reflect.DeepEqual(got, want) {
+		t.Errorf("poisoning wrote through a section the reply carried: %+v", shared)
+	}
+	if q := NewQuery(5, "fresh.example.", TypeA, false); q.RCode != 0 || q.AuthenticatedData || q.Opcode != 0 {
+		t.Errorf("a skeleton drawn after a release keeps its poison: %+v", q)
 	}
 }
 

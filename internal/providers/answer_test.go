@@ -88,7 +88,11 @@ func TestUnsignedDomainPaysNothingForDO(t *testing.T) {
 // each run, its SOA carries a new serial, so every run misses the
 // signature cache and signs — and a signature nobody reads costs no ECDSA
 // step. That NODATA's RRSIG must then pack to the bytes of an eager
-// sign-and-pack of the same SOA.
+// sign-and-pack of the same SOA. Warm, an unsigned NODATA costs its reply
+// skeleton and nothing else (the SOA is the domain's memo), so released it
+// costs nothing; a referral costs the skeleton, its sections being the
+// child's memo, and for a signed child one more array for the DS and its
+// RRSIG behind the shared NS set.
 func TestAuthoritativeAllocBudgets(t *testing.T) {
 	if testrace.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -104,17 +108,19 @@ func TestAuthoritativeAllocBudgets(t *testing.T) {
 	}
 	day := 0
 	for _, c := range []struct {
-		what   string
-		max    float64
-		h      simnet.DNSHandlerAt
-		q      *dnswire.Message
-		newDay bool // ask each run one day later than the last
+		what    string
+		max     float64
+		h       simnet.DNSHandlerAt
+		q       *dnswire.Message
+		newDay  bool // ask each run one day later than the last
+		release bool // hand each reply back, so its skeleton costs nothing
 	}{
-		{"provider NODATA for an unsigned domain", 4, unsigned.Providers[0], dnswire.NewQuery(1, unsigned.Apex, dnswire.TypeHTTPS, true), false},
-		{"provider HTTPS answer of a signed adopter", 8, signed.Providers[0], dnswire.NewQuery(2, signed.Apex, dnswire.TypeHTTPS, true), false},
-		{"TLD referral", 4, tldOf(t, w, unsigned), dnswire.NewQuery(3, unsigned.Apex, dnswire.TypeA, true), false},
-		{"TLD referral to a signed child", 4, tldOf(t, w, signed), dnswire.NewQuery(4, signed.Apex, dnswire.TypeA, true), false},
-		{"signed NODATA on a new day (signature-cache miss)", 24, negative.Providers[0], dnswire.NewQuery(5, negative.Apex, dnswire.TypeHTTPS, true), true},
+		{"provider NODATA for an unsigned domain", 1, unsigned.Providers[0], dnswire.NewQuery(1, unsigned.Apex, dnswire.TypeHTTPS, true), false, false},
+		{"unsigned NODATA again on the same day", 0, unsigned.Providers[0], dnswire.NewQuery(1, unsigned.Apex, dnswire.TypeHTTPS, true), false, true},
+		{"provider HTTPS answer of a signed adopter", 8, signed.Providers[0], dnswire.NewQuery(2, signed.Apex, dnswire.TypeHTTPS, true), false, false},
+		{"TLD referral", 1, tldOf(t, w, unsigned), dnswire.NewQuery(3, unsigned.Apex, dnswire.TypeA, true), false, false},
+		{"TLD referral to a signed child", 2, tldOf(t, w, signed), dnswire.NewQuery(4, signed.Apex, dnswire.TypeA, true), false, false},
+		{"signed NODATA on a new day (signature-cache miss)", 24, negative.Providers[0], dnswire.NewQuery(5, negative.Apex, dnswire.TypeHTTPS, true), true, false},
 	} {
 		at := func() time.Time {
 			if c.newDay {
@@ -126,7 +132,11 @@ func TestAuthoritativeAllocBudgets(t *testing.T) {
 		if resp := c.h.HandleDNSAt(c.q, at()); resp.RCode != dnswire.RCodeNoError {
 			t.Fatalf("%s: rcode %v", c.what, resp.RCode)
 		}
-		if got := testing.AllocsPerRun(100, func() { c.h.HandleDNSAt(c.q, at()) }); got > c.max {
+		if got := testing.AllocsPerRun(100, func() {
+			if resp := c.h.HandleDNSAt(c.q, at()); c.release {
+				resp.Release()
+			}
+		}); got > c.max {
 			t.Errorf("%s: %v allocations, budget %v", c.what, got, c.max)
 		}
 	}
@@ -144,6 +154,48 @@ func TestAuthoritativeAllocBudgets(t *testing.T) {
 	if got, want := packed(t, resp.Authority[1]), packed(t, eager); got != want {
 		t.Errorf("served NODATA RRSIG packs to %s, an eager sign-and-pack to %s", got, want)
 	}
+}
+
+// TestSOAMemoUnderConcurrentDays: eight goroutines ask one multi-provider
+// domain, whose primary provider changes from day to day, for its SOA on
+// alternating days, so the domain's memo and its providers' SOA RDATA are
+// replaced under them all the time. Every set must say what a set built
+// from scratch for that day says.
+func TestSOAMemoUnderConcurrentDays(t *testing.T) {
+	w := buildTestWorld(t, 2000)
+	d := findDomain(w, func(d *DomainState) bool {
+		return d.Intermittent == IntermitMultiProvider && len(d.Providers) > 1 && d.SwitchDay.IsZero() && len(d.NoNSEpisodes) == 0
+	})
+	if d == nil {
+		t.Fatal("world has no multi-provider domain")
+	}
+	day := func(i int) time.Time { return answerTime.AddDate(0, 0, i%4) }
+	primaries := map[*Provider]bool{}
+	for i := 0; i < 4; i++ {
+		primaries[d.ProvidersAt(day(i))[0]] = true
+	}
+	if len(primaries) < 2 {
+		t.Fatalf("%s keeps one primary provider on the days asked", d.Apex)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < g+200; i++ {
+				at := day(i)
+				p := d.ProvidersAt(at)[0]
+				rrs := d.SOARRset(at)
+				soa, ok := rrs[0].Data.(*dnswire.SOAData)
+				if len(rrs) != 1 || !ok || rrs[0].Name != d.Apex || soa.Serial != uint32(at.Unix()/86400) ||
+					soa.MName != p.NSHosts[0] || soa.RName != "dns."+p.InfraDomain {
+					t.Errorf("%s on %s: %v, want serial %d from %s", d.Apex, at.Format(time.DateOnly), rrs, at.Unix()/86400, p.NSHosts[0])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestReferralShape: the referral sized in one go must say what the

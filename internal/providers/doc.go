@@ -20,6 +20,11 @@
 // provider NS, glue and SOA RNAME values built on first use. Consumers copy
 // or Clone; none writes through RR.Data, and no answer is ever recycled as
 // a dnswire.UnpackInto target. Unsigned zones skip the signing path whole.
+// Memos hand out whole sections: a domain's SOA set per (ProvidersAt(t)[0],
+// day) — switches and multi-provider days move the primary — with RDATA its
+// provider's zones share that day, and a child's referral per provider
+// arrangement and OPT record, clipped so a signed child's DS append moves. A
+// miss replaces a memo, never writes into it, nor allocates more than before.
 // Keys and signatures are world fixture: keys derive from (world seed,
 // zone, role) and signatures from (key, RRset), nothing else.
 //

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dnssec"
@@ -152,6 +153,10 @@ type DomainState struct {
 	// once, under its sync.Once, when something first packs or verifies it.
 	sigMu    sync.Mutex
 	sigCache map[[sha256.Size]byte]dnswire.RR
+
+	// The last SOA set and referral served; a miss replaces, never writes.
+	soa atomic.Pointer[[1]dnswire.RR]
+	ref atomic.Pointer[referral]
 }
 
 // WWWName returns the www subdomain name.
@@ -252,13 +257,6 @@ func (d *DomainState) HintV4Addr(t time.Time) netip.Addr {
 		return d.AnycastV4
 	}
 	return d.OriginV4
-}
-
-// ECHActive reports whether the ech parameter is published at t: the
-// provider programme must be running (Cloudflare disabled it globally on
-// 2023-10-05) and the domain enrolled.
-func (d *DomainState) ECHActive(t time.Time, echProgramActive bool) bool {
-	return d.ECH && echProgramActive
 }
 
 // BuildHTTPSRecords synthesizes the HTTPS RRset for owner (the apex or its
@@ -431,19 +429,20 @@ func (d *DomainState) NSRRset(t time.Time) []dnswire.RR {
 	return rrs
 }
 
-// SOARRset synthesizes the SOA record.
+// SOARRset returns the SOA record served at t: memoised per (primary
+// provider, day), with RDATA the provider's zones share that day.
 func (d *DomainState) SOARRset(t time.Time) []dnswire.RR {
 	ps := d.ProvidersAt(t)
 	if len(ps) == 0 {
 		return nil
 	}
-	return []dnswire.RR{{Name: d.Apex, Type: dnswire.TypeSOA, Class: dnswire.ClassINET, TTL: 3600,
-		Data: &dnswire.SOAData{
-			MName:  ps[0].NSHosts[0],
-			RName:  ps[0].records().rname,
-			Serial: uint32(t.Unix() / 86400), Refresh: 10000, Retry: 2400,
-			Expire: 604800, Minimum: 300,
-		}}}
+	data := ps[0].soaData(t.Unix() / 86400)
+	soa := d.soa.Load()
+	if soa == nil || soa[0].Data != data {
+		soa = &[1]dnswire.RR{{Name: d.Apex, Type: dnswire.TypeSOA, Class: dnswire.ClassINET, TTL: 3600, Data: data}}
+		d.soa.Store(soa)
+	}
+	return soa[:]
 }
 
 // ARRset synthesizes the A RRset for owner at t.

@@ -4,6 +4,7 @@ import (
 	"net/netip"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dnswire"
@@ -47,6 +48,8 @@ type Provider struct {
 
 	recOnce sync.Once
 	rec     nsRecords
+
+	soas [8]atomic.Pointer[dnswire.SOAData] // recent days' SOA RDATA, by day modulo 8
 }
 
 // nsRecords are the RDATA values that name a provider's servers, built on
@@ -67,6 +70,18 @@ func (p *Provider) records() *nsRecords {
 		p.rec.rname = "dns." + p.InfraDomain
 	})
 	return &p.rec
+}
+
+// soaData returns the SOA RDATA the provider's zones serve on a day.
+func (p *Provider) soaData(day int64) *dnswire.SOAData {
+	slot := &p.soas[uint64(day)%uint64(len(p.soas))]
+	data := slot.Load()
+	if data == nil || data.Serial != uint32(day) {
+		data = &dnswire.SOAData{MName: p.NSHosts[0], RName: p.records().rname,
+			Serial: uint32(day), Refresh: 10000, Retry: 2400, Expire: 604800, Minimum: 300}
+		slot.Store(data)
+	}
+	return data
 }
 
 // NewProvider creates a provider with n name servers, allocating addresses
@@ -102,13 +117,6 @@ func (p *Provider) Domain(apex string) (*DomainState, bool) {
 	defer p.mu.RUnlock()
 	d, ok := p.domains[dnswire.CanonicalName(apex)]
 	return d, ok
-}
-
-// DomainCount returns the number of hosted domains.
-func (p *Provider) DomainCount() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return len(p.domains)
 }
 
 // echListFor returns the ECHConfigList to embed for a domain at time t,

@@ -2,6 +2,7 @@ package providers
 
 import (
 	"net/netip"
+	"slices"
 	"sync"
 	"time"
 
@@ -27,6 +28,7 @@ type TLDServer struct {
 	domains map[string]*DomainState
 	infra   map[string]*Provider // provider infra domains under this TLD, by apex
 	sigs    map[sigKey][]dnswire.RR
+	od      dnswire.OPTData // RDATA of every referral's OPT record, not a reply's own
 }
 
 // sigKey names one signed RRset of the TLD zone: an apex set ("ns", "soa",
@@ -177,7 +179,8 @@ func (s *TLDServer) HandleDNSAt(q *dnswire.Message, now time.Time) *dnswire.Mess
 	d, ok := s.domains[apex]
 	s.mu.RUnlock()
 	if infraProv != nil {
-		return s.referToProvider(resp, apex, infraProv)
+		resp.Authority, resp.Additional = s.delegation(apex, resp.Additional, infraProv)
+		return resp
 	}
 	if !ok {
 		resp.RCode = dnswire.RCodeNXDomain
@@ -206,13 +209,13 @@ func (s *TLDServer) HandleDNSAt(q *dnswire.Message, now time.Time) *dnswire.Mess
 		resp.RCode = dnswire.RCodeServFail
 		return resp
 	}
-	m := s.referToProvider(resp, apex, ps...)
+	resp.Authority, resp.Additional = s.referral(d, ps, resp.Additional)
 	if ds, ok := uploadedDS(d); ok && dnssecOK {
-		m.Authority = append(m.Authority, ds)
-		dsSet := m.Authority[len(m.Authority)-1:]
-		m.Authority = append(m.Authority, s.signCached(sigKey{"ds|", apex}, dsSet)...)
+		resp.Authority = append(resp.Authority, ds) // clipped, so a fresh array
+		dsSet := resp.Authority[len(resp.Authority)-1:]
+		resp.Authority = append(resp.Authority, s.signCached(sigKey{"ds|", apex}, dsSet)...)
 	}
-	return m
+	return resp
 }
 
 // deny fills in the authority section of a negative answer: the apex SOA
@@ -235,29 +238,51 @@ func uploadedDS(d *DomainState) (dnswire.RR, bool) {
 	return ds, err == nil
 }
 
-// referToProvider builds a referral for child at the given providers: an NS
-// record per server and its glue, both sections sized once. Glue goes out
-// last server first, ahead of the skeleton's OPT record.
-func (s *TLDServer) referToProvider(resp *dnswire.Message, child string, ps ...*Provider) *dnswire.Message {
+// referral is a child's delegation as built for a provider arrangement and OPT.
+type referral struct {
+	ps                    []*Provider
+	authority, additional []dnswire.RR
+}
+
+// referral returns the child's delegation sections to ps for a reply
+// carrying opt, from its memo when built for the same arrangement and OPT.
+func (s *TLDServer) referral(d *DomainState, ps []*Provider, opt []dnswire.RR) (authority, additional []dnswire.RR) {
+	r := d.ref.Load()
+	if r == nil || !slices.Equal(r.ps, ps) || !slices.EqualFunc(r.additional[len(r.authority):], opt,
+		func(a, b dnswire.RR) bool { return a.Class == b.Class && a.TTL == b.TTL }) {
+		r = &referral{ps: ps}
+		r.authority, r.additional = s.delegation(d.Apex, opt, ps...)
+		d.ref.Store(r)
+	}
+	return r.authority, r.additional
+}
+
+// delegation builds a referral's sections for child at the given providers:
+// an NS record per server, and its glue, last server first, ahead of the
+// OPT record. Both are clipped parts of one array, so an append moves.
+func (s *TLDServer) delegation(child string, opt []dnswire.RR, ps ...*Provider) (authority, additional []dnswire.RR) {
 	n := 0
 	for _, p := range ps {
 		n += len(p.NSHosts)
 	}
-	opt := resp.Additional
-	resp.Authority = make([]dnswire.RR, 0, n+2) // room for a signed child's DS and its RRSIG
-	resp.Additional = make([]dnswire.RR, n, n+len(opt))
+	rrs := make([]dnswire.RR, 2*n+len(opt))
+	authority, additional = rrs[:n:n], rrs[n:]
+	k := 0
 	for _, p := range ps {
 		rec := p.records()
 		for i, host := range p.NSHosts {
-			resp.Authority = append(resp.Authority, dnswire.RR{
-				Name: child, Type: dnswire.TypeNS, Class: dnswire.ClassINET, TTL: 86400, Data: rec.ns[i]})
-			n--
-			resp.Additional[n] = dnswire.RR{
+			authority[k] = dnswire.RR{
+				Name: child, Type: dnswire.TypeNS, Class: dnswire.ClassINET, TTL: 86400, Data: rec.ns[i]}
+			k++
+			additional[n-k] = dnswire.RR{
 				Name: host, Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 86400, Data: rec.glue[i]}
 		}
 	}
-	resp.Additional = append(resp.Additional, opt...)
-	return resp
+	if len(opt) > 0 {
+		additional[n] = opt[0]
+		additional[n].Data = &s.od
+	}
+	return authority, additional
 }
 
 // Ensure interface satisfaction.

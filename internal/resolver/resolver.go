@@ -104,6 +104,7 @@ type Resolver struct {
 
 	mu    sync.Mutex
 	cache map[rrKey]*cacheEntry
+	slab  []cacheEntry // where newEntry carves the cache's entries from
 
 	// zoneKeys caches already-validated zone DNSKEY RRsets for
 	// zoneKeyTTL of virtual time.
@@ -212,6 +213,7 @@ func (r *Resolver) FlushCache() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.cache = map[rrKey]*cacheEntry{}
+	r.slab = nil
 	r.zoneKeys = map[string]zoneKeyEntry{}
 	r.cuts = map[string]zoneCut{}
 	r.addrSets = map[uint64][]netip.Addr{}
@@ -229,6 +231,18 @@ func (r *Resolver) CacheLen() int {
 		}
 	}
 	return n
+}
+
+// newEntry returns a cache entry for rcode from the resolver's slab. Chunks
+// start at 16 entries, for a fork that makes a few dozen, and double to 256.
+func (r *Resolver) newEntry(rcode dnswire.RCode) *cacheEntry {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.slab) == cap(r.slab) {
+		r.slab = make([]cacheEntry, 0, min(max(2*cap(r.slab), 16), 256))
+	}
+	r.slab = append(r.slab, cacheEntry{rcode: rcode})
+	return &r.slab[len(r.slab)-1]
 }
 
 // cached returns the live entry for a canonical name.
@@ -322,7 +336,7 @@ func (r *Resolver) walk(servers []netip.Addr, zone, name string, t dnswire.Type)
 		case resp.RCode == dnswire.RCodeNXDomain,
 			resp.RCode == dnswire.RCodeNoError && len(resp.Answer) > 0,
 			resp.RCode == dnswire.RCodeNoError && resp.Authoritative:
-			e := &cacheEntry{rcode: resp.RCode}
+			e := r.newEntry(resp.RCode)
 			answer, n := sigsLast(resp.Answer)
 			e.answer, e.nData = answer, uint16(n)
 			ttl := minTTL(e.rrs(), 300)
@@ -341,7 +355,8 @@ func (r *Resolver) walk(servers []netip.Addr, zone, name string, t dnswire.Type)
 			resp.Release()
 			return e, nil
 		case resp.RCode != dnswire.RCodeNoError:
-			e := &cacheEntry{rcode: resp.RCode, expires: now + int64(30*time.Second)}
+			e := r.newEntry(resp.RCode)
+			e.expires = now + int64(30*time.Second)
 			resp.Release()
 			return e, nil
 		}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -224,16 +225,13 @@ func SummarizeHTTPS(rr dnswire.RR) (dataset.HTTPSRecord, bool) {
 // chasing), then A/AAAA/SOA/NS when HTTPS records exist.
 func (s *Scanner) ScanDomain(name string) *dataset.Observation {
 	obs := new(dataset.Observation)
-	s.scanInto(name, obs)
+	s.scanInto(dnswire.CanonicalName(name), name, obs)
 	return obs
 }
 
-// scanInto is ScanDomain into the caller's observation, so a list scan
-// allocates only the ones it keeps.
-func (s *Scanner) scanInto(name string, obs *dataset.Observation) {
-	// Canonical once for the whole sequence, not once per query; errors
-	// still print the list's own spelling.
-	canon := dnswire.CanonicalName(name)
+// scanInto is ScanDomain of name, spelt canonically canon (which queries ask
+// for), into the caller's observation: a list scan allocates only keepers.
+func (s *Scanner) scanInto(canon, name string, obs *dataset.Observation) {
 	*obs = dataset.Observation{Name: canon}
 
 	q := newQuery()
@@ -316,17 +314,19 @@ func (s *Scanner) extractHTTPS(resp *dnswire.Message, obs *dataset.Observation) 
 
 // ScanList scans a ranked domain list concurrently over the bounded worker
 // pool, producing a snapshot. kind is "apex" or "www"; for "www" the names
-// are prefixed.
-func (s *Scanner) ScanList(date time.Time, kind string, list []string) *dataset.Snapshot {
+// are prefixed. www, if given, is each name's canonical www spelling
+// "www.<name>." (tranco.Simulator.CanonListFor), index for index, so no
+// name is spelled anew each day.
+func (s *Scanner) ScanList(date time.Time, kind string, list []string, www ...string) *dataset.Snapshot {
 	slots := make([]*dataset.Observation, len(list))
+	if len(www) == 0 {
+		www = make([]string, len(list)) // every name spelt anew
+	}
 	s.forEach(len(list), func(i int) {
-		name := list[i]
-		if kind == "www" {
-			name = "www." + name
-		}
+		canon, name := spell(kind, list[i], www[i])
 		// Most domain-days are dropped: only a keeper goes to the heap.
 		var obs dataset.Observation
-		s.scanInto(name, &obs)
+		s.scanInto(canon, name, &obs)
 		if obs.HasHTTPS() || obs.Err != "" {
 			kept := obs
 			kept.Rank = i + 1
@@ -340,6 +340,22 @@ func (s *Scanner) ScanList(date time.Time, kind string, list []string) *dataset.
 		}
 	}
 	return snap
+}
+
+// spell returns the question name and shown spelling of a list name: cut
+// from www if it is canonical "www." + name + "." (name undotted), or new.
+func spell(kind, name, www string) (canon, shown string) {
+	if len(www) != len(name)+len("www..") || www[:4] != "www." || www[4:len(www)-1] != name ||
+		strings.HasSuffix(www, "..") || dnswire.CanonicalName(www) != www {
+		if kind == "www" {
+			name = "www." + name
+		}
+		return dnswire.CanonicalName(name), name
+	}
+	if kind == "www" {
+		return www, www[:len(www)-1]
+	}
+	return www[4:], name
 }
 
 // ScanNameServers resolves the addresses of every name-server host seen in

@@ -424,6 +424,72 @@ func TestScanDomainNamesErrorsAsListed(t *testing.T) {
 	t.Skip("no NS-less day inside the study period")
 }
 
+// TestSpellMatchesScanList: a list name's canonical www spelling gives the
+// question name and the shown spelling ScanList would build, for both
+// kinds; a spelling that is not exactly the name's, or a name CanonicalName
+// would change beyond the dot, is spelt the way ScanList spells it.
+func TestSpellMatchesScanList(t *testing.T) {
+	for _, c := range []struct{ kind, name, www, canon, shown string }{
+		{"apex", "site000001.com", "www.site000001.com.", "site000001.com.", "site000001.com"},
+		{"www", "site000001.com", "www.site000001.com.", "www.site000001.com.", "www.site000001.com"},
+		{"apex", "site000001.com", "", "site000001.com.", "site000001.com"},
+		{"www", "site000001.com", "", "www.site000001.com.", "www.site000001.com"},
+		{"www", "site000001.com", "www.site000002.com.", "www.site000001.com.", "www.site000001.com"},
+		{"apex", "site000001.com", "www.site000001.co.", "site000001.com.", "site000001.com"},
+		{"www", "Site000001.com", "www.Site000001.com.", "www.site000001.com.", "www.Site000001.com"},
+		{"apex", "site000001.com.", "www.site000001.com..", "site000001.com.", "site000001.com."},
+		{"apex", "", "www..", ".", ""},
+	} {
+		canon, shown := spell(c.kind, c.name, c.www)
+		if canon != c.canon || shown != c.shown {
+			t.Errorf("spell(%q, %q, %q) = %q, %q; want %q, %q", c.kind, c.name, c.www, canon, shown, c.canon, c.shown)
+		}
+	}
+}
+
+// TestConcurrentCanonScansMatchSerial: four workers share one recursor, its
+// answer cache and the slab its entries come from, and scan with the list's
+// canonical spellings; each kind's snapshot must equal one worker's
+// ScanList, which spells every name itself. A name whose NS records are gone
+// that day is scanned too, so a stored error text is compared.
+func TestConcurrentCanonScansMatchSerial(t *testing.T) {
+	w, base := scanWorld(t)
+	var gone *providers.DomainState
+	for _, c := range w.Domains {
+		if c.Intermittent == providers.IntermitNoNS && len(c.NoNSEpisodes) > 0 && (gone == nil || c.Apex < gone.Apex) {
+			gone = c
+		}
+	}
+	if gone == nil {
+		t.Fatal("world has no domain that loses its NS records")
+	}
+	at := gone.NoNSEpisodes[0].From.Add(time.Hour)
+	list, www := w.Tranco.CanonListFor(at)
+	listed := trimDot(gone.Apex)
+	list, www = append(list[:400:400], listed), append(www[:400:400], "www."+gone.Apex)
+	scan := func(workers int, kind string, canon []string) *dataset.Snapshot {
+		net := w.Net.WithClock(simnet.NewClock(at))
+		net.OverrideDNS(base.Primary, w.GoogleResolver.Fork(net))
+		net.OverrideDNS(base.Backup, w.CFResolver.Fork(net))
+		sc := base.Fork(net, nil)
+		sc.Concurrency = workers
+		return sc.ScanList(at, kind, list, canon...)
+	}
+	for _, kind := range []string{"apex", "www"} {
+		want, got := scan(1, kind, nil), scan(4, kind, www)
+		key := gone.Apex
+		if kind == "www" {
+			key = "www." + key
+		}
+		if o := want.Obs[key]; o == nil || o.Err == "" {
+			t.Fatalf("%s scan of %s on a day without NS records: %+v", kind, key, o)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: four workers over canonical spellings store what one worker spelling each name does not", kind)
+		}
+	}
+}
+
 // answerCounter is a Transport over the fleet client that counts answered
 // exchanges and the answers handed back, forwarding both.
 type answerCounter struct {

@@ -42,6 +42,9 @@ type Simulator struct {
 	tailPool []string
 	// universe is every domain name that can ever appear.
 	universe []string
+	// wcore1, wcore2 and wtailPool spell core1, core2 and tailPool
+	// canonically, "www.<name>.", index for index.
+	wcore1, wcore2, wtailPool []string
 }
 
 // tlds weights the synthetic TLD mix.
@@ -67,14 +70,16 @@ func NewSimulator(size int, seed int64) *Simulator {
 		keep = core2N
 	}
 	total := core1N + (core2N - keep) + poolN
-	names := make([]string, total)
+	names, www := make([]string, total), make([]string, total)
 	for i := range names {
-		names[i] = fmt.Sprintf("site%06d.%s", i, tlds[rng.Intn(len(tlds))])
+		www[i] = fmt.Sprintf("www.site%06d.%s.", i, tlds[rng.Intn(len(tlds))])
+		names[i] = www[i][4 : len(www[i])-1]
 	}
 	s := &Simulator{size: size, seed: seed, universe: names}
-	s.core1 = names[:core1N]
+	s.core1, s.wcore1 = names[:core1N], www[:core1N]
 	s.core2 = append(append([]string(nil), s.core1[:keep]...), names[core1N:core1N+(core2N-keep)]...)
-	s.tailPool = names[core1N+(core2N-keep):]
+	s.wcore2 = append(append([]string(nil), s.wcore1[:keep]...), www[core1N:core1N+(core2N-keep)]...)
+	s.tailPool, s.wtailPool = names[core1N+(core2N-keep):], www[core1N+(core2N-keep):]
 	return s
 }
 
@@ -121,31 +126,34 @@ func dayNumber(date time.Time) int64 {
 // the top ranks (with mild daily shuffling), the remainder is a daily
 // sample of the tail pool.
 func (s *Simulator) ListFor(date time.Time) []string {
-	core := s.core1
+	list, _ := s.CanonListFor(date)
+	return list
+}
+
+// CanonListFor returns ListFor(date) and, index for index, each name's
+// canonical www spelling "www.<name>.", whose [4:] is its canonical apex.
+func (s *Simulator) CanonListFor(date time.Time) (list, www []string) {
+	core, wcore := s.core1, s.wcore1
 	if !date.Before(SourceChangeDate) {
-		core = s.core2
+		core, wcore = s.core2, s.wcore2
 	}
 	tailSlots := s.size - len(core)
 	rng := rand.New(rand.NewSource(s.seed ^ dayNumber(date)*0x9e3779b9))
 
 	// Daily tail sample: choose tailSlots names from the pool.
-	perm := rng.Perm(len(s.tailPool))
-	tail := make([]string, 0, tailSlots)
-	for _, idx := range perm[:tailSlots] {
-		tail = append(tail, s.tailPool[idx])
+	list, www = append(make([]string, 0, s.size), core...), append(make([]string, 0, s.size), wcore...)
+	for _, idx := range rng.Perm(len(s.tailPool))[:tailSlots] {
+		list, www = append(list, s.tailPool[idx]), append(www, s.wtailPool[idx])
 	}
-
-	list := make([]string, 0, s.size)
-	list = append(list, core...)
-	list = append(list, tail...)
 	// Mild rank jitter: swap adjacent windows so ranks are not frozen, but
 	// core stays broadly above tail (Fig 8's distribution shape).
 	for i := 0; i+1 < len(list); i += 2 {
 		if rng.Intn(4) == 0 {
 			list[i], list[i+1] = list[i+1], list[i]
+			www[i], www[i+1] = www[i+1], www[i]
 		}
 	}
-	return list
+	return list, www
 }
 
 // Overlapping returns the set of domains present on every sampled day.

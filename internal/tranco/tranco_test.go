@@ -1,6 +1,8 @@
 package tranco
 
 import (
+	"slices"
+	"sync"
 	"testing"
 	"time"
 )
@@ -144,4 +146,36 @@ func TestUniverseCoversLists(t *testing.T) {
 			t.Fatalf("listed domain %s outside universe", d)
 		}
 	}
+}
+
+// TestCanonListForMatchesListFor: the canonical www spellings ride the list
+// index for index, each "www." + name + ".", with the list itself equal to
+// ListFor's, on days before and after the source change, read by eight
+// goroutines at once (the table is built once and never written again).
+func TestCanonListForMatchesListFor(t *testing.T) {
+	s := newSim()
+	days := []time.Time{
+		time.Date(2023, 5, 8, 0, 0, 0, 0, time.UTC),
+		time.Date(2023, 9, 1, 0, 0, 0, 0, time.UTC),
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			day := days[g%len(days)].AddDate(0, 0, g)
+			list, www := s.CanonListFor(day)
+			if !slices.Equal(list, s.ListFor(day)) || len(www) != len(list) {
+				t.Errorf("%s: CanonListFor's list is not ListFor's, or its spellings are %d for %d names", day, len(www), len(list))
+				return
+			}
+			for i, name := range list {
+				if www[i] != "www."+name+"." {
+					t.Errorf("%s: rank %d is %q, spelt %q", day, i+1, name, www[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

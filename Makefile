@@ -94,9 +94,10 @@ profile-serve:
 # quick-to-find panic has crept into Unpack, the SvcParams decoder (dirty
 # reuse against a fresh decode), the ECHConfigList decoder (accepted lists
 # re-marshal to themselves), the DoH envelope decoder, DoT frame
-# reassembly (one write against the same bytes split anywhere), the cache's
-# TTL-slot walk (every slot a decoded record's TTL, dirty reuse against a
-# fresh walk), RRSIG verification (whose memoised and plain verdicts must
+# reassembly (one write against the same bytes split anywhere), DoQ
+# stream framing (prefix and zero-ID checks, pooled scratch reused after a
+# valid stream against fresh scratch), the cache's TTL-slot walk (every
+# slot a decoded record's TTL, dirty reuse against a fresh walk), RRSIG verification (whose memoised and plain verdicts must
 # agree), or the DNSKEY side of it (DS construction, key tag, public-key
 # decoding); and that the world's O(1)-seeded random source still gives
 # math/rand's exact stream.
@@ -108,6 +109,7 @@ fuzz-smoke:
 	$(GO) test ./internal/providers -fuzz FuzzStreamSource -fuzztime 10s -run xxx
 	$(GO) test ./internal/transport -fuzz FuzzDoHDecodeRequest -fuzztime 10s -run xxx
 	$(GO) test ./internal/transport -fuzz FuzzDoTWrite -fuzztime 10s -run xxx
+	$(GO) test ./internal/transport -fuzz FuzzDoQStream -fuzztime 10s -run xxx
 	$(GO) test ./internal/transport -fuzz FuzzAppendTTLSlots -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnssec -fuzz FuzzVerifyRRSIG -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnssec -fuzz FuzzDNSKEYDS -fuzztime 10s -run xxx

@@ -568,7 +568,7 @@ func runChaos(camp *core.Campaign, list []string, queries, epochs int, epochLen 
 		fmt.Println("zero SERVFAILs / hard failures: every outage was covered by serve-stale")
 	}
 	points := sampler.Points()
-	chaosCurve(base, points)
+	chaosCurve(camp.Fleet.Frontends, base, points)
 	burnTable(base, points)
 	recorderSummary(camp.Fleet.Recorder, chaosStart, world.Clock.Now())
 	report(camp, diff, "drill deltas")
@@ -608,10 +608,19 @@ func fleetProtocols(camp *core.Campaign) []transport.Protocol {
 	return out
 }
 
+// frontendTotal sums one frontend_* family over the fleet's frontends.
+func frontendTotal(fes []*transport.Frontend, snap *obs.Snapshot, name string) float64 {
+	var total float64
+	for _, fe := range fes {
+		total += snap.Value(name, obs.L("frontend", fe.Name), obs.L("proto", fe.Proto.String()))
+	}
+	return total
+}
+
 // chaosCurve prints the per-epoch resilience curve from the sampler's
 // full snapshots: stale serves and races as per-epoch deltas against the
 // previous sample, pool health and cache hit rate as levels.
-func chaosCurve(base *obs.Snapshot, points []obs.Point) {
+func chaosCurve(fes []*transport.Frontend, base *obs.Snapshot, points []obs.Point) {
 	if len(points) == 0 {
 		return
 	}
@@ -620,8 +629,8 @@ func chaosCurve(base *obs.Snapshot, points []obs.Point) {
 	prev := base
 	for _, p := range points {
 		d := p.Snap.Sub(prev)
-		hitRate := 100 * obs.Ratio(uint64(p.Snap.Value("cache_hits_total")),
-			uint64(p.Snap.Value("cache_hits_total")+p.Snap.Value("cache_misses_total")))
+		hitRate := 100 * obs.Ratio(uint64(frontendTotal(fes, p.Snap, "frontend_cache_hits_total")),
+			uint64(frontendTotal(fes, p.Snap, "frontend_served_total")))
 		fmt.Printf("  %-7s %6.0f  %6.0f  %7.0f/%-4.0f  %9.1f\n",
 			p.Label, d.Value("client_stale_answers_total"), d.Value("strategy_races_total"),
 			p.Snap.Value("pool_healthy"), p.Snap.Value("pool_members"), hitRate)
@@ -725,7 +734,11 @@ func report(camp *core.Campaign, snap *obs.Snapshot, label string) {
 			(time.Duration(snap.Value("pool_member_rtt_seconds", labels...) * float64(time.Second))).Round(time.Microsecond))
 	}
 
-	hits, misses := snap.Value("cache_hits_total"), snap.Value("cache_misses_total")
+	// The frontends count every probe of the shared cache: a served
+	// query that was not a fresh hit was a miss.
+	fes := camp.Fleet.Frontends
+	hits := frontendTotal(fes, snap, "frontend_cache_hits_total")
+	misses := frontendTotal(fes, snap, "frontend_served_total") - hits
 	hitRate := 0.0
 	if hits+misses > 0 {
 		hitRate = 100 * hits / (hits + misses)
@@ -733,8 +746,9 @@ func report(camp *core.Campaign, snap *obs.Snapshot, label string) {
 	fmt.Printf("\nshared cache: %.0f entries (%.0f negative), %.0f hits / %.0f misses (%.1f%% hit rate), %.0f evictions\n",
 		snap.Value("cache_entries"), snap.Value("cache_negative_entries"),
 		hits, misses, hitRate, snap.Value("cache_evictions_total"))
-	fmt.Printf("lifecycle: %.0f stale serves, %.0f negative hits, %.0f prefetches armed\n",
-		snap.Value("cache_stale_serves_total"), snap.Value("cache_negative_hits_total"),
-		snap.Value("cache_refreshes_total"))
+	fmt.Printf("lifecycle: %.0f stale serves, %.0f negative hits, %.0f prefetches\n",
+		frontendTotal(fes, snap, "frontend_stale_served_total"),
+		frontendTotal(fes, snap, "frontend_negative_hits_total"),
+		snap.Value("fleet_prefetches_total"))
 	fmt.Printf("recursor-side queries (incl. iterative lookups): %d\n", camp.World.Net.QueryCount())
 }

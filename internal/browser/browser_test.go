@@ -237,7 +237,7 @@ func TestFirefoxRoutesHTTPSOverDoHStub(t *testing.T) {
 	if _, err := fl.Client.Query("a.com", 65, false); err != nil {
 		t.Fatalf("direct stub query failed: %v", err)
 	}
-	if fl.Cache.Stats().Hits == 0 {
+	if fl.TotalStats().CacheHits == 0 {
 		t.Error("lab DoH cache absorbed nothing across visits")
 	}
 }

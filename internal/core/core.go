@@ -624,14 +624,17 @@ func (c *Campaign) RunHourlyECH(start time.Time, days int) {
 	// Store one series per scan day so the timeline lines up with the rest
 	// of the dataset's per-day records. Within a day, point h carries the
 	// merge of hours 0..h — a cumulative curve, like a registry sampled
-	// hourly would show — and the commit loop appended samples in hour
-	// order, so the fold is deterministic.
+	// hourly would show — folded one hour at a time onto the running
+	// total. The commit loop appended samples in hour order, and stable
+	// series carry only integer-valued counters and gauges, whose float
+	// sums are exact in any grouping, so the fold is deterministic and
+	// equals a merge of every hour at once.
 	for day, points := range partitionByDay(samples) {
 		cumulative := make([]obs.Point, len(points))
-		var acc []*obs.Snapshot
+		var total *obs.Snapshot
 		for i, p := range points {
-			acc = append(acc, p.Snap)
-			cumulative[i] = obs.Point{At: p.At, Label: p.Label, Snap: obs.MergeSnapshots(acc...)}
+			total = obs.MergeSnapshots(total, p.Snap)
+			cumulative[i] = obs.Point{At: p.At, Label: p.Label, Snap: total}
 		}
 		c.Store.AddTelemetry(telemetrySeries("hourly-ech", day, c.Cfg.TelemetryInterval, cumulative))
 	}

@@ -176,7 +176,7 @@ func TestCampaignThroughDoHFleet(t *testing.T) {
 	// inside a day context built the way RunDaily builds them.
 	dc := fleet.newDayContext(day)
 	fleet.runDay(dc, day)
-	if dc.fleet.Cache.Stats().Hits == 0 {
+	if dc.fleet.TotalStats().CacheHits == 0 {
 		t.Error("shared cache absorbed nothing (www scan re-queries apex NS/SOA)")
 	}
 	if fleet.Fleet.TotalStats().Served != 0 {

@@ -114,7 +114,7 @@ func TestServedRecordsStayReadOnly(t *testing.T) {
 	}
 	query("cold")
 	query("cached")
-	if camp.Fleet.Cache.Stats().Hits == 0 {
+	if camp.Fleet.TotalStats().CacheHits == 0 {
 		t.Error("second pass never hit the fleet cache")
 	}
 	// Past every TTL with the provider unreachable, the frontends serve stale.

@@ -109,11 +109,11 @@ func TestNameWireRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("packName(%q): %v", name, err)
 		}
-		got, off, err := unpackName(wire, 0)
+		got, off, err := appendName(nil, wire, 0)
 		if err != nil {
-			t.Fatalf("unpackName(%q): %v", name, err)
+			t.Fatalf("appendName(%q): %v", name, err)
 		}
-		if got != name || off != len(wire) {
+		if string(got) != name || off != len(wire) {
 			t.Errorf("round trip %q = %q (off %d of %d)", name, got, off, len(wire))
 		}
 	}
@@ -135,11 +135,11 @@ func TestNameCompression(t *testing.T) {
 	if len(buf)-uncompressedLen != 7 {
 		t.Errorf("compression not applied: second name used %d bytes", len(buf)-uncompressedLen)
 	}
-	name, _, err := unpackName(buf, uncompressedLen)
+	name, _, err := appendName(nil, buf, uncompressedLen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name != "mail.example.com." {
+	if string(name) != "mail.example.com." {
 		t.Errorf("decompressed = %q", name)
 	}
 }
@@ -148,7 +148,7 @@ func TestUnpackNameLoopGuard(t *testing.T) {
 	// Pointer to self: 0xc000 at offset 0 would point to itself; our decoder
 	// requires pointers to point strictly backwards.
 	msg := []byte{0xc0, 0x00}
-	if _, _, err := unpackName(msg, 0); err == nil {
+	if _, _, err := appendName(nil, msg, 0); err == nil {
 		t.Error("self-pointer accepted")
 	}
 }
@@ -459,8 +459,8 @@ func TestQuickCompressionCorrectness(t *testing.T) {
 			}
 		}
 		for i, name := range names {
-			got, _, err := unpackName(buf, offsets[i])
-			if err != nil || got != name {
+			got, _, err := appendName(nil, buf, offsets[i])
+			if err != nil || string(got) != name {
 				return false
 			}
 		}

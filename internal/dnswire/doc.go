@@ -54,7 +54,7 @@
 // value copy, already released) it does nothing.
 //
 // Pooled scratch follows one hygiene rule at every put-site: buffers
-// over the recycling ceiling (trimRecycled) are dropped for the GC
+// over the recycling ceiling (TrimRecycled) are dropped for the GC
 // rather than returned, so one jumbo message can never pin its backing
 // array in a pool for the rest of a campaign.
 package dnswire

@@ -347,7 +347,7 @@ func putDecScratch(sc *decodeScratch) {
 	if cap(sc.names) > maxRecycledNames {
 		sc.names = nil
 	}
-	sc.buf = trimRecycled(sc.buf)
+	sc.buf = TrimRecycled(sc.buf)
 	decScratchPool.Put(sc)
 }
 

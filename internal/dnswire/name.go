@@ -224,31 +224,6 @@ func packName(dst []byte, name string, cmap *compressionMap) ([]byte, error) {
 	return append(dst, 0), nil
 }
 
-// nameScratchPool recycles the presentation-form byte buffer unpackName
-// decodes into before the final string conversion.
-var nameScratchPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 256)
-	return &b
-}}
-
-// unpackName reads a (possibly compressed) name from msg starting at off.
-// It returns the canonical name and the offset just past the name in the
-// original (uncompressed) stream. The only allocation is the returned
-// string itself.
-func unpackName(msg []byte, off int) (string, int, error) {
-	bp := nameScratchPool.Get().(*[]byte)
-	b, end, err := appendName((*bp)[:0], msg, off)
-	if err != nil {
-		*bp = b
-		nameScratchPool.Put(bp)
-		return "", 0, err
-	}
-	name := string(b)
-	*bp = b
-	nameScratchPool.Put(bp)
-	return name, end, nil
-}
-
 // appendName decodes the (possibly compressed) name at msg[off:] into dst
 // in canonical presentation form (lower-cased, dot-terminated, root as
 // ".") and returns the appended buffer plus the offset just past the name

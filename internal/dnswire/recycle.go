@@ -2,10 +2,11 @@ package dnswire
 
 import "sync"
 
-// Recycled-buffer hygiene. Every sync.Pool put-site in the hot path runs
-// its buffer through trimRecycled so a single jumbo message (a 64KiB TCP
-// response, a fat TXT set) cannot pin its backing array in the pool for the
-// rest of a campaign.
+// Recycled-buffer hygiene. Every sync.Pool put-site in the hot path —
+// this package's and the serving layer's — runs its buffer through
+// TrimRecycled so a single jumbo message (a 64KiB TCP response, a fat TXT
+// set) cannot pin its backing array in the pool for the rest of a
+// campaign.
 const (
 	// maxRecycledBuf caps the capacity of byte buffers returned to pools.
 	maxRecycledBuf = 16 << 10
@@ -13,9 +14,9 @@ const (
 	maxRecycledNames = 512
 )
 
-// trimRecycled returns b truncated to zero length, or nil when its backing
+// TrimRecycled returns b truncated to zero length, or nil when its backing
 // array exceeds the recycling ceiling and should be dropped for the GC.
-func trimRecycled(b []byte) []byte {
+func TrimRecycled(b []byte) []byte {
 	if cap(b) > maxRecycledBuf {
 		return nil
 	}
@@ -44,6 +45,6 @@ func PutWireBuf(bp *[]byte) {
 	if bp == nil {
 		return
 	}
-	*bp = trimRecycled(*bp)
+	*bp = TrimRecycled(*bp)
 	wireBufPool.Put(bp)
 }

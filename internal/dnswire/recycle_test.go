@@ -5,19 +5,22 @@ import "testing"
 // TestTrimRecycledCeiling pins the recycling ceiling: buffers at or under
 // maxRecycledBuf keep their backing array (truncated to zero length),
 // anything over is dropped for the GC. The ceiling is what stops one
-// jumbo message from pinning its array in a pool for a whole campaign.
+// jumbo message from pinning its array in a pool for a whole campaign;
+// every pooled envelope scratch of the serving layer (DoH request and
+// response bodies, DoT frame reassembly, DoQ stream buffers) runs through
+// the same helper.
 func TestTrimRecycledCeiling(t *testing.T) {
 	under := make([]byte, 100, maxRecycledBuf)
-	if got := trimRecycled(under); len(got) != 0 || cap(got) != maxRecycledBuf {
+	if got := TrimRecycled(under); len(got) != 0 || cap(got) != maxRecycledBuf {
 		t.Fatalf("under-ceiling buffer: got len=%d cap=%d, want len=0 cap=%d",
 			len(got), cap(got), maxRecycledBuf)
 	}
 	over := make([]byte, 0, maxRecycledBuf+1)
-	if got := trimRecycled(over); got != nil {
+	if got := TrimRecycled(over); got != nil {
 		t.Fatalf("over-ceiling buffer kept: cap=%d, want nil", cap(got))
 	}
-	if got := trimRecycled(nil); got != nil {
-		t.Fatalf("trimRecycled(nil) = %v, want nil", got)
+	if got := TrimRecycled(nil); got != nil {
+		t.Fatalf("TrimRecycled(nil) = %v, want nil", got)
 	}
 }
 

@@ -195,7 +195,6 @@ func TestScanViaDoHTransport(t *testing.T) {
 	fl := transport.NewFleet(w.Net, w.Clock, transport.FleetConfig{
 		Balance: transport.BalanceRoundRobin, Seed: 5,
 	})
-	cache := fl.Cache
 	addrs := make([]netip.AddrPort, 2)
 	protos := []transport.Protocol{transport.ProtoDoH, transport.ProtoDoT}
 	for i, handler := range []simnet.DNSHandler{w.GoogleResolver, w.CFResolver} {
@@ -217,11 +216,11 @@ func TestScanViaDoHTransport(t *testing.T) {
 	}
 
 	// Re-scanning the same domain must be absorbed by the shared cache.
-	before := cache.Stats().Hits
+	before := fl.TotalStats().CacheHits
 	if obs := sc.ScanDomain(apex); obs.Err != "" {
 		t.Fatalf("second scan failed: %s", obs.Err)
 	}
-	if cache.Stats().Hits == before {
+	if fl.TotalStats().CacheHits == before {
 		t.Error("second scan produced no shared-cache hits")
 	}
 

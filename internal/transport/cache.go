@@ -121,8 +121,7 @@ type cacheShard struct {
 	// not a walk of every LRU list.
 	negEntries int
 
-	hits, misses, evictions, expirations uint64
-	staleServes, negativeHits, refreshes uint64
+	evictions, expirations uint64
 }
 
 // cacheEntry holds the response as a packed wire image plus the byte
@@ -152,23 +151,17 @@ type cacheEntry struct {
 // the value it was stored with.
 type ttlSlot struct{ off, ttl uint32 }
 
-// CacheStats aggregates counters across shards.
+// CacheStats aggregates what the cache owns across shards: its residents
+// and the entries it dropped. Hits, stale serves and prefetches are the
+// probing Frontend's counters (FrontendStats).
 type CacheStats struct {
-	Entries     int
-	Hits        uint64
-	Misses      uint64
+	Entries int
+	// NegativeEntries is the resident RFC 2308 entry count.
+	NegativeEntries int
+	// Evictions counts LRU victims; Expirations counts entries a probe
+	// found past TTL + StaleWindow and dropped.
 	Evictions   uint64
 	Expirations uint64
-	// NegativeEntries is the resident RFC 2308 entry count; NegativeHits
-	// counts fresh hits on them (misses a negative entry absorbed).
-	NegativeEntries int
-	NegativeHits    uint64
-	// StaleServes counts answers actually served past TTL under RFC 8767
-	// (stale lookups also count as misses — the upstream was consulted or
-	// at least wanted).
-	StaleServes uint64
-	// Refreshes counts prefetches armed by the refresh-ahead threshold.
-	Refreshes uint64
 }
 
 // NewCacheWith creates a cache from its geometry and lifecycle
@@ -242,11 +235,9 @@ func (c *Cache) shardFor(key Key) *cacheShard {
 // stale, or missing, and returns a servable wire image for a fresh entry:
 // the stored response with the given query ID patched in and every TTL
 // aged by the virtual time elapsed since storing, plus the remaining
-// max-age.
-// A fresh hit counts toward Hits; stale and missing probes count toward
-// Misses, because the caller is expected to consult the upstream (a stale
-// body is only served — via NoteStaleServed — when that fails). Entries
-// past TTL + StaleWindow are evicted by the probe.
+// max-age. A stale probe carries no body: the caller is expected to
+// consult the upstream, and to serve the stale body (StaleWire) only when
+// that fails. Entries past TTL + StaleWindow are evicted by the probe.
 //
 // On a fresh hit the wire image is appended to dst (Body aliases dst's
 // backing array, so a caller handing in recycled scratch serves the hit
@@ -258,7 +249,6 @@ func (c *Cache) Probe(key Key, id uint16, dst []byte) Lookup {
 	defer s.mu.Unlock()
 	e, found := s.entries[key]
 	if !found {
-		s.misses++
 		return Lookup{State: StateMiss}
 	}
 	if !e.expires.Add(c.cfg.StaleWindow).After(now) {
@@ -268,7 +258,6 @@ func (c *Cache) Probe(key Key, id uint16, dst []byte) Lookup {
 			s.negEntries--
 		}
 		s.expirations++
-		s.misses++
 		return Lookup{State: StateMiss}
 	}
 	s.moveToFront(e)
@@ -276,17 +265,11 @@ func (c *Cache) Probe(key Key, id uint16, dst []byte) Lookup {
 		// Past TTL but within the stale window: report stale so the
 		// caller consults the upstream; StaleWire materializes the body
 		// only if that fails.
-		s.misses++
 		return Lookup{State: StateStale, Negative: e.negative}
-	}
-	s.hits++
-	if e.negative {
-		s.negativeHits++
 	}
 	l := Lookup{State: StateFresh, Negative: e.negative}
 	if c.cfg.RefreshAhead > 0 && !e.refreshing && !e.refreshAt.After(now) {
 		e.refreshing = true
-		s.refreshes++
 		l.NeedsRefresh = true
 	}
 	elapsed := uint32(now.Sub(e.storedAt) / time.Second)
@@ -309,10 +292,10 @@ func (c *Cache) Probe(key Key, id uint16, dst []byte) Lookup {
 
 // StaleWire materializes the stale answer a prior Probe reported, with
 // the query ID patched in and every TTL capped at DefaultStaleTTL per RFC
-// 8767, and counts the stale serve. The entry is re-evaluated under the
-// shard lock: if a sibling refreshed it meanwhile the (now fresh) body is
-// still served with capped TTLs — conservative but correct — and if it
-// vanished (LRU pressure) ok is false and the caller has nothing to serve.
+// 8767. The entry is re-evaluated under the shard lock: if a sibling
+// refreshed it meanwhile the (now fresh) body is still served with capped
+// TTLs — conservative but correct — and if it vanished (LRU pressure) ok
+// is false and the caller has nothing to serve.
 // The stale body is appended to dst under the same aliasing contract as
 // Probe; nil dst allocates a fresh copy.
 func (c *Cache) StaleWire(key Key, id uint16, dst []byte) (body []byte, maxAge uint32, ok bool) {
@@ -330,7 +313,6 @@ func (c *Cache) StaleWire(key Key, id uint16, dst []byte) (body []byte, maxAge u
 	for _, t := range e.ttls {
 		binary.BigEndian.PutUint32(out[base+int(t.off):], min(t.ttl, DefaultStaleTTL))
 	}
-	s.staleServes++
 	return out[base:], DefaultStaleTTL, true
 }
 
@@ -485,20 +467,15 @@ func (c *Cache) Flush() {
 	}
 }
 
-// Stats aggregates hit/miss/eviction and lifecycle counters across shards.
+// Stats aggregates the resident and dropped entry counts across shards.
 func (c *Cache) Stats() CacheStats {
 	var out CacheStats
 	for _, s := range c.shards {
 		s.mu.Lock()
 		out.Entries += len(s.entries)
 		out.NegativeEntries += s.negEntries
-		out.Hits += s.hits
-		out.Misses += s.misses
 		out.Evictions += s.evictions
 		out.Expirations += s.expirations
-		out.NegativeHits += s.negativeHits
-		out.StaleServes += s.staleServes
-		out.Refreshes += s.refreshes
 		s.mu.Unlock()
 	}
 	return out

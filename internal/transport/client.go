@@ -433,16 +433,18 @@ func (c *Client) bindMetrics(reg *obs.Registry) {
 	reg.RegisterHistogram(c.exchangeLatency, "exchange_latency_seconds")
 }
 
-// session is a client's channel to one member — a DoTConn, a DoQSession
-// or a DoH GET session. Exchange sends q and decodes the answer into
-// into; stale marks an RFC 8767 stale answer; a nil tr traces nothing.
+// session is a client's channel to one member — a DoT connection, a DoQ
+// session or a DoH GET session. Exchange sends q and decodes the answer
+// into into; stale marks an RFC 8767 stale answer; a nil tr traces
+// nothing.
 type session interface {
 	Exchange(q, into *dnswire.Message, tr *obs.Trace) (stale bool, err error)
 }
 
-// dialer is every envelope server: its protocol, and a dial that opens a
-// session to it at ap — resumed if the client dialed the member before (a
-// DoQ frontend then resumes with 0-RTT), costing setupRTTs round-trips.
+// dialer is a service a client can dial (a Frontend, or a test's wrapper
+// around one): its protocol, and a dial that opens a session to it at ap
+// — resumed if the client dialed the member before (a DoQ frontend then
+// resumes with 0-RTT), costing setupRTTs round-trips.
 type dialer interface {
 	protocol() Protocol
 	dial(n *simnet.Network, ap netip.AddrPort, resumed bool) (s session, setupRTTs int)

@@ -9,20 +9,21 @@
 // per-protocol latency — need the envelope split from the serving
 // machinery, not a per-protocol copy of it.
 //
-// The package therefore splits into one protocol-independent core and
-// three thin envelope codecs:
+// The package therefore splits into one protocol-independent frontend
+// and three thin envelope sessions it hands out:
 //
-//   - Frontend: the engine — answer-cache lifecycle (probe → prefetch →
-//     serve-stale), upstream failure cooldown, and lifecycle counters.
-//     Every envelope server embeds one.
-//   - DoHServer: the RFC 8484 envelope (codec in dohenvelope.go): one
+//   - Frontend (frontend.go): the service a fleet registers at each
+//     address — answer-cache lifecycle (probe → prefetch → serve-stale),
+//     upstream failure cooldown, and lifecycle counters. Its Proto field
+//     picks the envelope, and its one dial opens the matching session.
+//   - DoH (doh.go, codec in dohenvelope.go): the RFC 8484 envelope: one
 //     request/response envelope per query, GET or POST, with an
 //     HTTP-style status channel (502 for upstream failure).
-//   - DoTServer: the RFC 7858 envelope: persistent connections carrying
-//     2-byte length-prefixed frames; queries pipeline and responses
-//     return out of order, matched by query ID; framing errors and dead
-//     addresses kill the connection (and the client fails over).
-//   - DoQServer: the RFC 9250 envelope: one stream per query over a
+//   - DoT (dot.go): the RFC 7858 envelope: persistent connections
+//     carrying 2-byte length-prefixed frames; queries pipeline and
+//     responses return out of order, matched by query ID; framing errors
+//     and dead addresses kill the connection (and the client fails over).
+//   - DoQ (doq.go): the RFC 9250 envelope: one stream per query over a
 //     session, message ID pinned to 0 on the wire, stream errors
 //     isolated from the session; fresh sessions pay a handshake RTT,
 //     resumed ones ride 0-RTT.
@@ -77,8 +78,11 @@
 // answer section — NODATA) are retained for the RFC 2308 negative TTL,
 // min(SOA TTL, SOA minimum) capped by DefaultMaxNegativeTTL (3 h), so
 // repeated misses during census scans stop hammering upstreams; hits on
-// them are reported as NegativeHits. With StaleWindow zero (the default) the STALE state
-// vanishes and entries die at TTL expiry.
+// them are counted as the frontend's NegativeHits. The cache itself
+// counts only what it owns — residents, evictions, expirations — and the
+// frontend that probed it counts every hit, stale serve and prefetch,
+// so each serving event is counted once. With StaleWindow zero (the
+// default) the STALE state vanishes and entries die at TTL expiry.
 //
 // # Resolution strategies
 //
@@ -117,7 +121,7 @@
 // Each operation on the query path has exactly one entry point, and that
 // entry point takes its result storage from the caller:
 //
-//	session.Exchange(q, into, tr)      DoHServer.ExchangeDoH(req, resp, tr)
+//	session.Exchange(q, into, tr)      Frontend.exchangeDoH(req, resp, tr)
 //	Frontend.Resolve(q, dst, tr)       Cache.Probe(key, id, dst)
 //	Pool.Candidates(dst, pref)         Cache.StaleWire(key, id, dst)
 //
@@ -144,8 +148,8 @@
 // dnswire reuse APIs, a miss encodes its answer once (Resolve packs into
 // dst and the cache stores a copy in the entry it evicts or replaces),
 // and cache keys are interned structs rather than formatted strings.
-// Every pool put-site runs its buffer through the recycling ceiling
-// (trimRecycledBuf) so a jumbo answer cannot pin its backing array for a
+// Every pool put-site runs its buffer through dnswire's recycling
+// ceiling (dnswire.TrimRecycled) so a jumbo answer cannot pin its backing array for a
 // campaign. Pooling never feeds an RNG or an ordering decision — buffer
 // identity is invisible to the determinism contract above.
 //
@@ -153,12 +157,12 @@
 //
 //   - An Answer's Wire (and a Lookup's Body) aliases the dst the caller
 //     handed in: it is valid until the caller reuses that buffer, so
-//     envelope servers decode or hand off the body before recycling
+//     envelope sessions decode or hand off the body before recycling
 //     their scratch, and treat served bodies as read-only.
 //   - The cache copies the wire it is given (Resolve's packed answer, or
 //     Put's own pack of a message); an entry's bytes change only under
 //     its shard lock, when a replace or an eviction reuses its buffers.
-//     A DoHRequest's DNSParam may alias client scratch: ExchangeDoH only
+//     A DoHRequest's DNSParam may alias client scratch: exchangeDoH only
 //     reads it, and is done with it on return.
 //   - A Message returned by Client.Exchange is owned by the caller, who
 //     may give it back with Client.Recycle once it has copied out every
@@ -189,9 +193,9 @@
 // # What the envelopes do differently
 //
 // The client reaches every member through one table of sessions, one per
-// member dialed. Each envelope server's dial opens a session, whose
-// Exchange(q, into, tr) is the attempt (a DoTConn, a DoQSession, or a DoH
-// GET session):
+// member dialed. A Frontend's dial switches on its Proto and opens a
+// session, whose Exchange(q, into, tr) is the attempt (a DoT connection,
+// a DoQ session, or a DoH GET session):
 //
 //	envelope  setup RTTs                   session dies on
 //	DoH       0                            address down

@@ -3,32 +3,15 @@ package transport
 import (
 	"net/netip"
 	"sync"
-	"time"
 
 	"repro/internal/dnswire"
 	"repro/internal/obs"
 	"repro/internal/simnet"
 )
 
-// DoHServer is the RFC 8484 envelope over a Frontend: it terminates DoH
-// request envelopes at a simnet addr:port, decodes them, resolves
-// through the shared engine, and re-encodes. A Client reaches it through
-// a GET session (dial) after the addr:port service lookup.
-type DoHServer struct {
-	Frontend
-}
-
-// NewDoHServer builds a DoH frontend over the handler.
-func NewDoHServer(name string, handler simnet.DNSHandler, cache *Cache, cooldown time.Duration) *DoHServer {
-	return &DoHServer{Frontend: Frontend{
-		Name: name, Proto: ProtoDoH, Handler: handler,
-		Cache: cache, FailureCooldown: cooldown,
-	}}
-}
-
 // dohScratch is the per-request server-side scratch: the decoded query
 // message and the GET-parameter decode buffer. A DoH exchange is fully
-// synchronous, so the scratch is released before ExchangeDoH
+// synchronous, so the scratch is released before exchangeDoH
 // returns.
 type dohScratch struct {
 	q   dnswire.Message
@@ -37,18 +20,19 @@ type dohScratch struct {
 
 var dohScratchPool = sync.Pool{New: func() any { return new(dohScratch) }}
 
-// ExchangeDoH decodes the envelope, resolves, and re-encodes into resp. A
-// hard upstream failure with nothing stale becomes a 502 — DoH is the one
+// exchangeDoH is the RFC 8484 server side of a DoH frontend: it decodes
+// the request envelope, resolves, and re-encodes into resp. A hard
+// upstream failure with nothing stale becomes a 502 — DoH is the one
 // envelope with a status channel distinct from the DNS RCode. The request
 // decodes into pooled server scratch and the answer wire is appended into
 // resp's existing Body capacity, so a warm client/server pair exchanges
 // with no envelope allocations; all other resp fields are overwritten.
 // Server-side spans are recorded onto tr (a nil tr traces nothing).
-func (s *DoHServer) ExchangeDoH(req *DoHRequest, resp *DoHResponse, tr *obs.Trace) {
+func (f *Frontend) exchangeDoH(req *DoHRequest, resp *DoHResponse, tr *obs.Trace) {
 	body := resp.Body[:0]
 	sc := dohScratchPool.Get().(*dohScratch)
 	defer func() {
-		sc.buf = trimRecycledBuf(sc.buf)
+		sc.buf = dnswire.TrimRecycled(sc.buf)
 		dohScratchPool.Put(sc)
 	}()
 	buf, status, err := DecodeDoHRequestInto(&sc.q, req, sc.buf[:0])
@@ -57,7 +41,7 @@ func (s *DoHServer) ExchangeDoH(req *DoHRequest, resp *DoHResponse, tr *obs.Trac
 		*resp = DoHResponse{Status: status, Body: body}
 		return
 	}
-	ans, err := s.Resolve(&sc.q, body, tr)
+	ans, err := f.Resolve(&sc.q, body, tr)
 	if err != nil {
 		*resp = DoHResponse{Status: StatusServFailUpstream}
 		return
@@ -75,13 +59,9 @@ func (s *DoHServer) ExchangeDoH(req *DoHRequest, resp *DoHResponse, tr *obs.Trac
 // envelope, after the reachability check a DoT connection makes too. DoH
 // keeps no connection state here, so a dial costs no setup round-trip.
 type dohSession struct {
-	srv *DoHServer
+	fe  *Frontend
 	net *simnet.Network
 	ap  netip.AddrPort
-}
-
-func (s *DoHServer) dial(n *simnet.Network, ap netip.AddrPort, _ bool) (session, int) {
-	return &dohSession{srv: s, net: n, ap: ap}, 0
 }
 
 // answeredError is a DoH exchange the frontend answered without a usable
@@ -95,7 +75,7 @@ type answeredError struct {
 func (e *answeredError) Unwrap() error { return e.error }
 
 // dialScratch is a GET exchange's client-side working set: the request's
-// DNSParam aliases buf, which the synchronous ExchangeDoH permits, and the
+// DNSParam aliases buf, which the synchronous exchangeDoH permits, and the
 // response's Body is the buffer the server appends the answer wire into.
 type dialScratch struct {
 	req  DoHRequest
@@ -111,8 +91,8 @@ func (s *dohSession) Exchange(q, into *dnswire.Message, tr *obs.Trace) (bool, er
 	}
 	ds := dialScratchPool.Get().(*dialScratch)
 	defer func() {
-		ds.buf = trimRecycledBuf(ds.buf)
-		ds.resp.Body = trimRecycledBuf(ds.resp.Body)
+		ds.buf = dnswire.TrimRecycled(ds.buf)
+		ds.resp.Body = dnswire.TrimRecycled(ds.resp.Body)
 		dialScratchPool.Put(ds)
 	}()
 	param, buf, err := dnswire.AppendEncodeDoHParam(q, ds.buf)
@@ -121,7 +101,7 @@ func (s *dohSession) Exchange(q, into *dnswire.Message, tr *obs.Trace) (bool, er
 		return false, err
 	}
 	ds.req = DoHRequest{Method: "GET", Path: DoHPath, DNSParam: param}
-	s.srv.ExchangeDoH(&ds.req, &ds.resp, tr)
+	s.fe.exchangeDoH(&ds.req, &ds.resp, tr)
 	if err := ds.resp.DecodeInto(into); err != nil {
 		return false, &answeredError{err, ds.resp.Status}
 	}

@@ -40,7 +40,7 @@ type DoHRequest struct {
 	// Path is the endpoint path, normally DoHPath.
 	Path string
 	// DNSParam carries the base64url-encoded query for GET requests. The
-	// server only reads it during ExchangeDoH, so a client may alias its
+	// server only reads it during exchangeDoH, so a client may alias its
 	// own recycled scratch here.
 	DNSParam []byte
 	// ContentType and Body carry the wire-format query for POST requests.

@@ -66,7 +66,7 @@ func TestEnvelopeRejections(t *testing.T) {
 	}
 }
 
-// FuzzDoHDecodeRequest drives the envelope decoder the way DoHServer
+// FuzzDoHDecodeRequest drives the envelope decoder the way a DoH frontend
 // does — a recycled message and a recycled GET scratch buffer, both
 // still holding the previous request — against a fresh decode of the
 // same envelope. The decoder must never panic, must report StatusOK

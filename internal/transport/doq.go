@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/dnswire"
 	"repro/internal/obs"
@@ -19,78 +17,15 @@ import (
 // it — stays usable.
 var ErrStreamReset = errors.New("transport: DoQ stream reset (DOQ_PROTOCOL_ERROR)")
 
-// DoQServer is the RFC 9250 envelope over a Frontend: clients open a
-// session (a QUIC connection in the real world) to its simnet addr:port
-// and carry exactly one query and one response per stream. The DNS
-// message ID on a DoQ stream MUST be zero (RFC 9250 §4.2.1) — streams
-// already demultiplex queries, so the ID field is redundant and a
-// non-zero one resets the stream.
-type DoQServer struct {
-	Frontend
-
-	sessions atomic.Uint64
-	resumed  atomic.Uint64
-	streams  atomic.Uint64
-	resets   atomic.Uint64
-}
-
-// NewDoQServer builds a DoQ frontend over the handler.
-func NewDoQServer(name string, handler simnet.DNSHandler, cache *Cache, cooldown time.Duration) *DoQServer {
-	return &DoQServer{Frontend: Frontend{
-		Name: name, Proto: ProtoDoQ, Handler: handler,
-		Cache: cache, FailureCooldown: cooldown,
-	}}
-}
-
-// DoQSessionStats reports a frontend's session-layer traffic: how many
-// sessions were established (and how many of those resumed with 0-RTT),
-// how many streams carried queries, and how many streams were reset.
-type DoQSessionStats struct {
-	Sessions uint64
-	Resumed  uint64
-	Streams  uint64
-	Resets   uint64
-}
-
-// SessionStats returns the session-layer counters.
-func (s *DoQServer) SessionStats() DoQSessionStats {
-	return DoQSessionStats{
-		Sessions: s.sessions.Load(),
-		Resumed:  s.resumed.Load(),
-		Streams:  s.streams.Load(),
-		Resets:   s.resets.Load(),
-	}
-}
-
-// DialDoQ establishes a session bound to (n, ap). resumed marks a 0-RTT
-// session resumption — the client holds a ticket from an earlier session
-// to this frontend and pays no handshake round-trip; the latency
-// difference is the client's to charge.
-func (s *DoQServer) DialDoQ(n *simnet.Network, ap netip.AddrPort, resumed bool) *DoQSession {
-	s.sessions.Add(1)
-	if resumed {
-		s.resumed.Add(1)
-	}
-	return &DoQSession{srv: s, net: n, ap: ap}
-}
-
-// dial establishes a client's session: one setup round-trip for the QUIC
-// handshake, none for a 0-RTT resumption.
-func (s *DoQServer) dial(n *simnet.Network, ap netip.AddrPort, resumed bool) (session, int) {
-	if resumed {
-		return s.DialDoQ(n, ap, true), 0
-	}
-	return s.DialDoQ(n, ap, false), 1
-}
-
-// DoQSession is one client session. Each Exchange call is one stream:
-// the query travels framed on its own stream, the response comes back on
-// the same stream, and the stream is done. Stream failures are isolated —
+// doqSession is one client's RFC 9250 session to a DoQ frontend (a QUIC
+// connection in the real world). Each Exchange call is one stream: the
+// query travels framed on its own stream, the response comes back on the
+// same stream, and the stream is done. Stream failures are isolated —
 // ErrStreamReset from one Exchange leaves concurrent and subsequent
 // streams on the session untouched; only a dead peer address kills the
 // session itself.
-type DoQSession struct {
-	srv *DoQServer
+type doqSession struct {
+	fe  *Frontend
 	net *simnet.Network
 	ap  netip.AddrPort
 
@@ -99,7 +34,7 @@ type DoQSession struct {
 }
 
 // check verifies the session's peer is still reachable.
-func (s *DoQSession) check() error {
+func (s *doqSession) check() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -123,51 +58,63 @@ type doqStream struct {
 
 var doqStreamPool = sync.Pool{New: func() any { return new(doqStream) }}
 
+// serve is the server half of one stream: raw is what the client sent on
+// it, a 2-byte length prefix and the query (RFC 9250 §4.2). A prefix that
+// disagrees with the bytes behind it, a query that does not decode, or a
+// non-zero message ID (§4.2.1: streams already demultiplex queries) resets
+// the stream. The answer wire aliases st's buffer, so it is valid until
+// st is recycled.
+func (st *doqStream) serve(f *Frontend, raw []byte, tr *obs.Trace) (wire []byte, stale bool, err error) {
+	if len(raw) < 2 || int(binary.BigEndian.Uint16(raw)) != len(raw)-2 {
+		return nil, false, fmt.Errorf("%w: length prefix does not match the stream", ErrStreamReset)
+	}
+	if err := dnswire.UnpackInto(&st.q, raw[2:]); err != nil {
+		return nil, false, fmt.Errorf("%w: %v", ErrStreamReset, err)
+	}
+	if st.q.ID != 0 {
+		return nil, false, fmt.Errorf("%w: message ID %d must be 0", ErrStreamReset, st.q.ID)
+	}
+	ans, err := f.Resolve(&st.q, st.buf[:0], tr)
+	if err != nil {
+		// Like DoT, DoQ has no status channel: hard upstream failures go
+		// on the stream as a synthesized SERVFAIL.
+		return servFailWire(&st.q), false, nil
+	}
+	st.buf = ans.Wire
+	return ans.Wire, ans.Stale, nil
+}
+
 // Exchange opens one stream for the query and decodes its response into
 // the caller-provided message. The query's message ID must be zero
-// (RFC 9250 §4.2.1); a non-zero ID or an unparseable frame resets this
+// (RFC 9250 §4.2.1); a non-zero ID or an unparseable query resets this
 // stream only. Safe for concurrent use — streams are independent by
-// construction. The query is framed into a pooled buffer and parsed into
-// pooled server scratch, and the response is decoded into the caller's
+// construction. The query is framed into a pooled buffer and served out
+// of pooled stream scratch, and the response is decoded into the caller's
 // message before the scratch is recycled, so the answer never needs an
 // intermediate copy. Server-side spans are recorded onto tr (a nil tr
 // traces nothing).
-func (s *DoQSession) Exchange(q *dnswire.Message, into *dnswire.Message, tr *obs.Trace) (stale bool, err error) {
+func (s *doqSession) Exchange(q *dnswire.Message, into *dnswire.Message, tr *obs.Trace) (stale bool, err error) {
 	if err := s.check(); err != nil {
 		return false, err
 	}
-	s.srv.streams.Add(1)
-	if q.ID != 0 {
-		s.srv.resets.Add(1)
-		return false, fmt.Errorf("%w: message ID %d must be 0", ErrStreamReset, q.ID)
-	}
-	// The frame travels length-prefixed like DoT (RFC 9250 §4.2); pack
+	// The query travels length-prefixed like DoT (RFC 9250 §4.2); pack
 	// and unpack so the wire codec is exercised per stream.
 	bp := dnswire.GetWireBuf()
 	defer dnswire.PutWireBuf(bp)
-	frame := append(*bp, 0, 0)
-	frame, err = q.AppendPack(frame)
-	*bp = frame
+	raw, err := q.AppendPack(append(*bp, 0, 0))
+	*bp = raw
 	if err != nil {
-		s.srv.resets.Add(1)
 		return false, fmt.Errorf("%w: %v", ErrStreamReset, err)
 	}
-	binary.BigEndian.PutUint16(frame, uint16(len(frame)-2))
+	binary.BigEndian.PutUint16(raw, uint16(len(raw)-2))
 	st := doqStreamPool.Get().(*doqStream)
 	defer func() {
-		st.buf = trimRecycledBuf(st.buf)
+		st.buf = dnswire.TrimRecycled(st.buf)
 		doqStreamPool.Put(st)
 	}()
-	if err := dnswire.UnpackInto(&st.q, frame[2:]); err != nil {
-		s.srv.resets.Add(1)
-		return false, fmt.Errorf("%w: %v", ErrStreamReset, err)
+	wire, stale, err := st.serve(s.fe, raw, tr)
+	if err != nil {
+		return false, err
 	}
-	ans, rerr := s.srv.Resolve(&st.q, st.buf[:0], tr)
-	if rerr != nil {
-		// Like DoT, DoQ has no status channel: hard upstream failures go
-		// on the stream as a synthesized SERVFAIL.
-		return false, dnswire.UnpackInto(into, servFailWire(&st.q))
-	}
-	st.buf = ans.Wire
-	return ans.Stale, dnswire.UnpackInto(into, ans.Wire)
+	return stale, dnswire.UnpackInto(into, wire)
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sync"
-	"time"
 
 	"repro/internal/dnswire"
 	"repro/internal/obs"
@@ -23,36 +22,6 @@ var (
 	ErrBadFrame = errors.New("transport: malformed frame")
 )
 
-// DoTServer is the RFC 7858 envelope over a Frontend: clients dial a
-// persistent connection to its simnet addr:port (conventionally :853) and
-// exchange 2-byte length-prefixed DNS messages over it. Queries may be
-// pipelined — several frames written before any response is read — and
-// responses come back out of order, so clients match them by query ID.
-type DoTServer struct {
-	Frontend
-}
-
-// NewDoTServer builds a DoT frontend over the handler.
-func NewDoTServer(name string, handler simnet.DNSHandler, cache *Cache, cooldown time.Duration) *DoTServer {
-	return &DoTServer{Frontend: Frontend{
-		Name: name, Proto: ProtoDoT, Handler: handler,
-		Cache: cache, FailureCooldown: cooldown,
-	}}
-}
-
-// DialDoT opens a persistent connection bound to (n, ap) so every
-// subsequent operation re-checks reachability — a mid-stream SetAddrDown
-// kills the connection exactly like a TCP reset.
-func (s *DoTServer) DialDoT(n *simnet.Network, ap netip.AddrPort) *DoTConn {
-	return &DoTConn{srv: s, net: n, ap: ap, pending: map[uint16]dotReply{}}
-}
-
-// dial opens a client's connection: two setup round-trips, TCP then
-// TLS 1.3.
-func (s *DoTServer) dial(n *simnet.Network, ap netip.AddrPort, _ bool) (session, int) {
-	return s.DialDoT(n, ap), 2
-}
-
 // dotReply is one server→client response frame plus the out-of-band
 // stale marker (standing in for the RFC 8914 "Stale Answer" EDE).
 type dotReply struct {
@@ -60,15 +29,18 @@ type dotReply struct {
 	stale bool
 }
 
-// DoTConn is one persistent DoT connection. The client side writes raw
-// length-prefixed bytes — frames may be split across writes, and one
-// write may carry several pipelined frames — and reads back response
-// frames that the server emits in reverse arrival order per write (the
-// deterministic stand-in for a real resolver answering cheap queries
-// first). Exchange layers ID-matching on top so concurrent callers can
-// pipeline queries over one connection safely.
-type DoTConn struct {
-	srv *DoTServer
+// dotConn is one persistent RFC 7858 connection to a DoT frontend,
+// bound to (net, ap) so every operation re-checks reachability — a
+// mid-stream SetAddrDown kills it exactly like a TCP reset. The client
+// side writes raw 2-byte length-prefixed bytes (RFC 1035 §4.2.2) —
+// frames may be split across writes, and one write may carry several
+// pipelined frames — and reads back response frames that the server
+// emits in reverse arrival order per write (the deterministic stand-in
+// for a real resolver answering cheap queries first). Exchange layers
+// ID-matching on top so concurrent callers can pipeline queries over one
+// connection safely.
+type dotConn struct {
+	fe  *Frontend
 	net *simnet.Network
 	ap  netip.AddrPort
 
@@ -91,7 +63,7 @@ type DoTConn struct {
 
 // getQMsg pops a recycled query message (or makes one) for a frame decode.
 // Caller holds mu.
-func (c *DoTConn) getQMsg() *dnswire.Message {
+func (c *dotConn) getQMsg() *dnswire.Message {
 	if n := len(c.qmsgs); n > 0 {
 		m := c.qmsgs[n-1]
 		c.qmsgs = c.qmsgs[:n-1]
@@ -100,14 +72,14 @@ func (c *DoTConn) getQMsg() *dnswire.Message {
 	return new(dnswire.Message)
 }
 
-func (c *DoTConn) putQMsg(m *dnswire.Message) {
+func (c *dotConn) putQMsg(m *dnswire.Message) {
 	if len(c.qmsgs) < 16 {
 		c.qmsgs = append(c.qmsgs, m)
 	}
 }
 
 // getReplyBuf pops a recycled reply wire buffer. Caller holds mu.
-func (c *DoTConn) getReplyBuf() []byte {
+func (c *dotConn) getReplyBuf() []byte {
 	if n := len(c.replyBuf); n > 0 {
 		b := c.replyBuf[n-1]
 		c.replyBuf = c.replyBuf[:n-1]
@@ -116,11 +88,11 @@ func (c *DoTConn) getReplyBuf() []byte {
 	return nil
 }
 
-func (c *DoTConn) putReplyBuf(b []byte) {
+func (c *dotConn) putReplyBuf(b []byte) {
 	if b == nil || len(c.replyBuf) >= 16 {
 		return
 	}
-	if b = trimRecycledBuf(b); b == nil {
+	if b = dnswire.TrimRecycled(b); b == nil {
 		return
 	}
 	c.replyBuf = append(c.replyBuf, b)
@@ -129,7 +101,7 @@ func (c *DoTConn) putReplyBuf(b []byte) {
 // popReply takes the next response frame in server emission order. The
 // popped slot is cleared so the queue does not pin a reply buffer, and a
 // drained queue rewinds onto its backing array. Caller holds mu.
-func (c *DoTConn) popReply() (r dotReply, ok bool) {
+func (c *dotConn) popReply() (r dotReply, ok bool) {
 	if c.rhead == len(c.replies) {
 		return dotReply{}, false
 	}
@@ -143,7 +115,7 @@ func (c *DoTConn) popReply() (r dotReply, ok bool) {
 
 // check verifies the connection is still usable: not closed by a framing
 // error and with the server address still reachable.
-func (c *DoTConn) check() error {
+func (c *dotConn) check() error {
 	if c.closed {
 		return ErrConnClosed
 	}
@@ -154,22 +126,13 @@ func (c *DoTConn) check() error {
 	return nil
 }
 
-// Frame wraps a packed DNS message in the RFC 1035 §4.2.2 2-byte length
-// prefix DoT uses.
-func Frame(wire []byte) []byte {
-	out := make([]byte, 2+len(wire))
-	binary.BigEndian.PutUint16(out, uint16(len(wire)))
-	copy(out[2:], wire)
-	return out
-}
-
 // Write delivers raw bytes to the server side of the connection. Partial
 // frames accumulate — a length prefix split across two writes is
 // reassembled — and every frame completed by this write is resolved, with
 // the batch's responses emitted in reverse arrival order (pipelined
 // queries complete out of order). A malformed frame closes the
 // connection, per RFC 7858's guidance for framing errors.
-func (c *DoTConn) Write(p []byte) error {
+func (c *dotConn) Write(p []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.check(); err != nil {
@@ -198,7 +161,7 @@ func (c *DoTConn) Write(p []byte) error {
 	if c.roff == len(c.rbuf) {
 		// Fully framed: rewind the reassembly buffer instead of letting
 		// the consumed prefix march its capacity away.
-		c.rbuf = trimRecycledBuf(c.rbuf)
+		c.rbuf = dnswire.TrimRecycled(c.rbuf)
 		c.roff = 0
 	}
 	for i := len(batch) - 1; i >= 0; i-- {
@@ -212,7 +175,7 @@ func (c *DoTConn) Write(p []byte) error {
 		}
 		// The reply is packed into a recycled buffer; Exchange returns it
 		// via putReplyBuf once the frame is decoded.
-		ans, err := c.srv.Resolve(q, c.getReplyBuf(), tr)
+		ans, err := c.fe.Resolve(q, c.getReplyBuf(), tr)
 		if err != nil {
 			// DoT has no status channel: a hard upstream failure goes on
 			// the wire as a synthesized SERVFAIL.
@@ -224,20 +187,6 @@ func (c *DoTConn) Write(p []byte) error {
 	}
 	c.batch = batch[:0]
 	return nil
-}
-
-// ReadResponse pops the next response frame in server emission order.
-func (c *DoTConn) ReadResponse() (wire []byte, stale bool, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.check(); err != nil {
-		return nil, false, err
-	}
-	r, ok := c.popReply()
-	if !ok {
-		return nil, false, fmt.Errorf("%w: no response pending", ErrConnClosed)
-	}
-	return r.wire, r.stale, nil
 }
 
 // Exchange sends one query over the connection and waits for the
@@ -252,7 +201,7 @@ func (c *DoTConn) ReadResponse() (wire []byte, stale bool, err error) {
 // query ID before the frame is written, so the server side picks it up
 // when it resolves the frame — pipelined frames from other callers stay
 // untraced.
-func (c *DoTConn) Exchange(q *dnswire.Message, into *dnswire.Message, tr *obs.Trace) (stale bool, err error) {
+func (c *dotConn) Exchange(q *dnswire.Message, into *dnswire.Message, tr *obs.Trace) (stale bool, err error) {
 	bp := dnswire.GetWireBuf()
 	defer dnswire.PutWireBuf(bp)
 	frame := append(*bp, 0, 0)

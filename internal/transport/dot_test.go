@@ -30,13 +30,39 @@ func exchangeVia(e interface {
 }
 
 // dotFixture stands up one DoT frontend and dials it directly.
-func dotFixture(t *testing.T) (*DoTConn, *DoTServer, *stubRecursor) {
+func dotFixture(t *testing.T) (*dotConn, *stubRecursor) {
 	t.Helper()
 	net, clock := testNet()
 	recursor := &stubRecursor{ttl: 300}
-	srv := NewDoTServer("dot0", recursor, NewCacheWith(clock, CacheConfig{Shards: 4, ShardCapacity: 64}), 0)
-	net.RegisterService(frontendAddr(0), srv)
-	return srv.DialDoT(net, frontendAddr(0)), srv, recursor
+	fe := &Frontend{Name: "dot0", Proto: ProtoDoT, Handler: recursor,
+		Cache: NewCacheWith(clock, CacheConfig{Shards: 4, ShardCapacity: 64})}
+	net.RegisterService(frontendAddr(0), fe)
+	c, _ := fe.dial(net, frontendAddr(0), false)
+	return c.(*dotConn), recursor
+}
+
+// dotFrame wraps a packed DNS message in the RFC 1035 §4.2.2 2-byte
+// length prefix DoT uses.
+func dotFrame(wire []byte) []byte {
+	out := make([]byte, 2+len(wire))
+	binary.BigEndian.PutUint16(out, uint16(len(wire)))
+	copy(out[2:], wire)
+	return out
+}
+
+// readResponse pops the connection's next response frame in server
+// emission order.
+func readResponse(c *dotConn) (wire []byte, stale bool, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.check(); err != nil {
+		return nil, false, err
+	}
+	r, ok := c.popReply()
+	if !ok {
+		return nil, false, fmt.Errorf("%w: no response pending", ErrConnClosed)
+	}
+	return r.wire, r.stale, nil
 }
 
 func packQuery(t testing.TB, id uint16, name string) []byte {
@@ -52,14 +78,14 @@ func packQuery(t testing.TB, id uint16, name string) []byte {
 // byte by byte — the 2-byte length prefix itself split across writes —
 // and expects exactly one well-formed response once the frame completes.
 func TestDoTSplitLengthPrefixAcrossReads(t *testing.T) {
-	conn, _, _ := dotFixture(t)
-	frame := Frame(packQuery(t, 7, "split.test"))
+	conn, _ := dotFixture(t)
+	frame := dotFrame(packQuery(t, 7, "split.test"))
 
 	// First byte of the length prefix alone.
 	if err := conn.Write(frame[:1]); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := conn.ReadResponse(); err == nil {
+	if _, _, err := readResponse(conn); err == nil {
 		t.Fatal("response emitted from half a length prefix")
 	}
 	// Second prefix byte plus half the message.
@@ -67,14 +93,14 @@ func TestDoTSplitLengthPrefixAcrossReads(t *testing.T) {
 	if err := conn.Write(frame[1:mid]); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := conn.ReadResponse(); err == nil {
+	if _, _, err := readResponse(conn); err == nil {
 		t.Fatal("response emitted from a truncated message body")
 	}
 	// The rest: the frame completes and is answered.
 	if err := conn.Write(frame[mid:]); err != nil {
 		t.Fatal(err)
 	}
-	wire, stale, err := conn.ReadResponse()
+	wire, stale, err := readResponse(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,10 +120,10 @@ func TestDoTSplitLengthPrefixAcrossReads(t *testing.T) {
 // and expects the responses out of order (reverse arrival), each matched
 // to its query by ID — the RFC 7858 pipelining contract.
 func TestDoTPipelinedOutOfOrderResponses(t *testing.T) {
-	conn, _, recursor := dotFixture(t)
+	conn, recursor := dotFixture(t)
 	var burst []byte
 	for i := uint16(1); i <= 3; i++ {
-		burst = append(burst, Frame(packQuery(t, i, fmt.Sprintf("p%d.test", i)))...)
+		burst = append(burst, dotFrame(packQuery(t, i, fmt.Sprintf("p%d.test", i)))...)
 	}
 	if err := conn.Write(burst); err != nil {
 		t.Fatal(err)
@@ -107,7 +133,7 @@ func TestDoTPipelinedOutOfOrderResponses(t *testing.T) {
 	}
 	var order []uint16
 	for i := 0; i < 3; i++ {
-		wire, _, err := conn.ReadResponse()
+		wire, _, err := readResponse(conn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +149,7 @@ func TestDoTPipelinedOutOfOrderResponses(t *testing.T) {
 // the response bearing its own ID even though frames interleave and
 // arrive out of order.
 func TestDoTExchangeDemuxesConcurrentPipelines(t *testing.T) {
-	conn, _, _ := dotFixture(t)
+	conn, _ := dotFixture(t)
 	const n = 32
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -158,11 +184,11 @@ func TestDoTExchangeDemuxesConcurrentPipelines(t *testing.T) {
 // well-framed segment kills the connection, per RFC 7858's handling of
 // framing violations.
 func TestDoTMalformedFrameClosesConnection(t *testing.T) {
-	conn, _, _ := dotFixture(t)
-	if err := conn.Write(Frame([]byte{0xde, 0xad})); err == nil {
+	conn, _ := dotFixture(t)
+	if err := conn.Write(dotFrame([]byte{0xde, 0xad})); err == nil {
 		t.Fatal("malformed frame accepted")
 	}
-	if err := conn.Write(Frame(packQuery(t, 1, "after.test"))); err == nil {
+	if err := conn.Write(dotFrame(packQuery(t, 1, "after.test"))); err == nil {
 		t.Fatal("connection still usable after a framing violation")
 	}
 }
@@ -232,10 +258,10 @@ func TestDoTMidStreamDeathFailsOverToPoolSibling(t *testing.T) {
 // answered in reverse. A frame that fails to decode must close the
 // connection on both sides, so the next Write returns ErrConnClosed.
 func FuzzDoTWrite(f *testing.F) {
-	one := Frame(packQuery(f, 7, "site0000.example"))
+	one := dotFrame(packQuery(f, 7, "site0000.example"))
 	var three []byte
 	for i, name := range []string{"site0001.example", "crowd.test", "a.very.deep.subdomain.of.site0002.example"} {
-		three = append(three, Frame(packQuery(f, uint16(i+1), name))...)
+		three = append(three, dotFrame(packQuery(f, uint16(i+1), name))...)
 	}
 	f.Add(one, []byte{})
 	f.Add(three, []byte{})
@@ -244,9 +270,9 @@ func FuzzDoTWrite(f *testing.F) {
 	f.Add(append([]byte{0, 0}, three...), []byte{1})  // a zero-length frame
 	f.Add(append(bytes.Clone(one), 0, 0), []byte{30}) // ... after a good one
 	f.Fuzz(func(t *testing.T, stream, cuts []byte) {
-		whole, _, _ := dotFixture(t)
+		whole, _ := dotFixture(t)
 		wholeErr := whole.Write(stream)
-		split, _, _ := dotFixture(t)
+		split, _ := dotFixture(t)
 		var splitErr error
 		rest := stream
 		for _, c := range cuts {
@@ -266,7 +292,7 @@ func FuzzDoTWrite(f *testing.F) {
 			for _, side := range []struct {
 				what string
 				err  error
-				c    *DoTConn
+				c    *dotConn
 			}{{"one write", wholeErr, whole}, {"split writes", splitErr, split}} {
 				if !errors.Is(side.err, ErrBadFrame) {
 					t.Fatalf("%s failed with %v, not a bad frame", side.what, side.err)
@@ -286,11 +312,11 @@ func FuzzDoTWrite(f *testing.F) {
 // repliesByID drains the connection's reply frames into their hex wire
 // forms per query ID, sorted, so two connections compare whatever order
 // their batches were answered in.
-func repliesByID(t *testing.T, c *DoTConn) map[uint16][]string {
+func repliesByID(t *testing.T, c *dotConn) map[uint16][]string {
 	t.Helper()
 	out := map[uint16][]string{}
 	for {
-		wire, _, err := c.ReadResponse()
+		wire, _, err := readResponse(c)
 		if err != nil {
 			break
 		}

@@ -68,7 +68,7 @@ type Fleet struct {
 	// it off: event emission costs one nil check).
 	Recorder *obs.Recorder
 
-	// Frontends are the per-frontend engines in Add order; Addrs holds
+	// Frontends are the registered services in Add order; Addrs holds
 	// the parallel addresses.
 	Frontends []*Frontend
 	Addrs     []netip.AddrPort
@@ -111,14 +111,9 @@ func (fl *Fleet) bindMetrics() {
 	reg.RegisterView(func(add obs.ViewAdd) {
 		cs := fl.Cache.Stats()
 		add("cache_entries", obs.KindGauge, float64(cs.Entries))
-		add("cache_hits_total", obs.KindCounter, float64(cs.Hits))
-		add("cache_misses_total", obs.KindCounter, float64(cs.Misses))
 		add("cache_evictions_total", obs.KindCounter, float64(cs.Evictions))
 		add("cache_expirations_total", obs.KindCounter, float64(cs.Expirations))
 		add("cache_negative_entries", obs.KindGauge, float64(cs.NegativeEntries))
-		add("cache_negative_hits_total", obs.KindCounter, float64(cs.NegativeHits))
-		add("cache_stale_serves_total", obs.KindCounter, float64(cs.StaleServes))
-		add("cache_refreshes_total", obs.KindCounter, float64(cs.Refreshes))
 	})
 	reg.RegisterView(func(add obs.ViewAdd) {
 		add("pool_members", obs.KindGauge, float64(fl.Pool.Len()))
@@ -136,7 +131,6 @@ func (fl *Fleet) bindMetrics() {
 		total := fl.TotalStats()
 		add("fleet_prefetches_total", obs.KindCounter, float64(total.Prefetches))
 		add("fleet_upstream_failures_total", obs.KindCounter, float64(total.UpstreamFailures))
-		add("fleet_stale_served_total", obs.KindCounter, float64(total.StaleServed))
 	})
 	// Everything tied to which frontend a given attempt hit — or to how
 	// many attempts an exchange made — varies with scanner-worker
@@ -149,49 +143,36 @@ func (fl *Fleet) bindMetrics() {
 		"frontend_served_total", "frontend_cache_hits_total",
 		"frontend_stale_served_total", "frontend_negative_hits_total",
 		"frontend_prefetches_total", "frontend_upstream_failures_total",
-		"cache_entries", "cache_hits_total", "cache_misses_total",
-		"cache_evictions_total", "cache_expirations_total",
-		"cache_negative_entries", "cache_negative_hits_total",
-		"cache_stale_serves_total", "cache_refreshes_total",
+		"cache_entries", "cache_evictions_total", "cache_expirations_total",
+		"cache_negative_entries",
 		"strategy_attempts_total", "strategy_races_total",
 		"strategy_losers_cancelled_total", "strategy_wasted_total",
 		"strategy_wins_total",
 		"pool_member_queries_total", "pool_member_failures_total",
 		"pool_member_rtt_seconds", "pool_member_consec_fails",
 		"pool_member_cooldown_seconds",
-		"fleet_stale_served_total",
 		"exchange_latency_seconds",
 	)
 }
 
 // Add stands up one frontend speaking proto over handler at ap, registers
 // it on the network (or as a view-local override), and joins it to the
-// pool. It returns the frontend's engine for stats and chaos wiring.
+// pool. It returns the frontend for stats and chaos wiring.
 func (fl *Fleet) Add(proto Protocol, name string, handler simnet.DNSHandler, ap netip.AddrPort) *Frontend {
-	var engine *Frontend
-	var svc any
-	switch proto {
-	case ProtoDoT:
-		s := NewDoTServer(name, handler, fl.Cache, fl.cooldown)
-		engine, svc = &s.Frontend, s
-	case ProtoDoQ:
-		s := NewDoQServer(name, handler, fl.Cache, fl.cooldown)
-		engine, svc = &s.Frontend, s
-	default:
-		s := NewDoHServer(name, handler, fl.Cache, fl.cooldown)
-		engine, svc = &s.Frontend, s
+	fe := &Frontend{
+		Name: name, Proto: proto, Handler: handler,
+		Cache: fl.Cache, FailureCooldown: fl.cooldown, Recorder: fl.Recorder,
 	}
 	if fl.override {
-		fl.Net.OverrideService(ap, svc)
+		fl.Net.OverrideService(ap, fe)
 	} else {
-		fl.Net.RegisterService(ap, svc)
+		fl.Net.RegisterService(ap, fe)
 	}
 	fl.Pool.Add(name, ap, proto)
-	engine.Recorder = fl.Recorder
-	engine.bindMetrics(fl.Metrics)
-	fl.Frontends = append(fl.Frontends, engine)
+	fe.bindMetrics(fl.Metrics)
+	fl.Frontends = append(fl.Frontends, fe)
 	fl.Addrs = append(fl.Addrs, ap)
-	return engine
+	return fe
 }
 
 // StrategyStats snapshots the fleet client's resolution-strategy

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -16,14 +17,15 @@ import (
 // is all those wire formats can say.
 var ErrUpstreamFailed = errors.New("transport: upstream failed with no stale answer")
 
-// Frontend is the protocol-independent core of one encrypted-DNS
-// frontend: it consults the (optionally shared) answer cache, forwards
-// misses to the wrapped DNS handler — normally a caching recursive
-// resolver, mirroring how public encrypted-DNS endpoints sit in front of
-// the same recursive fleet the paper queried over UDP — and keeps the
-// lifecycle counters. The envelope servers (DoHServer, DoTServer,
-// DoQServer) embed it and add only their wire codec, so all three
-// protocols share one cache/failover/stats implementation.
+// Frontend is one encrypted-DNS frontend, the service a fleet registers
+// at its address: it consults the (optionally shared) answer cache,
+// forwards misses to the wrapped DNS handler — normally a caching
+// recursive resolver, mirroring how public encrypted-DNS endpoints sit in
+// front of the same recursive fleet the paper queried over UDP — and
+// keeps the lifecycle counters. Proto picks the envelope a client's dial
+// opens (a DoH GET session, a DoT connection or a DoQ session); every
+// session resolves through the same Frontend, so all three protocols
+// share one cache/failover/stats implementation.
 //
 // With a lifecycle-configured Cache the frontend implements the RFC 8767
 // serve-stale flow: a fresh hit is served directly (arming a refresh-ahead
@@ -37,8 +39,9 @@ var ErrUpstreamFailed = errors.New("transport: upstream failed with no stale ans
 type Frontend struct {
 	// Name labels the frontend in stats output.
 	Name string
-	// Proto is the envelope the embedding server speaks: it labels stats,
-	// and a client checks it before dialing (the engine is protocol-blind).
+	// Proto is the envelope the frontend speaks: it labels stats, a
+	// client checks it before dialing, and dial switches on it (Resolve
+	// is protocol-blind).
 	Proto Protocol
 	// Handler answers cache misses (a resolver.Resolver in practice).
 	Handler simnet.DNSHandler
@@ -142,6 +145,25 @@ func (f *Frontend) Stats() FrontendStats {
 // protocol is what a client checks against the member's before dialing.
 func (f *Frontend) protocol() Protocol { return f.Proto }
 
+// dial opens a client's session to the frontend at ap and returns the
+// setup round-trips it costs: none for a DoH GET session, two for a DoT
+// connection (TCP, then TLS 1.3), one for a DoQ session's QUIC handshake,
+// or none when resumed with 0-RTT on a ticket from an earlier session.
+func (f *Frontend) dial(n *simnet.Network, ap netip.AddrPort, resumed bool) (session, int) {
+	switch f.Proto {
+	case ProtoDoT:
+		return &dotConn{fe: f, net: n, ap: ap, pending: map[uint16]dotReply{}}, 2
+	case ProtoDoQ:
+		s := &doqSession{fe: f, net: n, ap: ap}
+		if resumed {
+			return s, 0
+		}
+		return s, 1
+	default:
+		return &dohSession{fe: f, net: n, ap: ap}, 0
+	}
+}
+
 // inCooldown reports whether the handler is benched after a hard failure.
 func (f *Frontend) inCooldown() bool {
 	if f.FailureCooldown <= 0 || f.Cache == nil {
@@ -196,7 +218,7 @@ func (f *Frontend) bindMetrics(reg *obs.Registry) {
 // and nothing stale could cover for it.
 //
 // The answer body is appended to dst (aliasing its backing array, per the
-// contract in doc.go), so envelope servers that recycle a per-exchange
+// contract in doc.go), so envelope sessions that recycle a per-exchange
 // buffer serve cache hits without allocating; a nil dst allocates.
 // Server-side spans are recorded onto tr (a nil tr traces nothing, and
 // every tracer call site is guarded so that fast path builds no label

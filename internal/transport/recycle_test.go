@@ -127,7 +127,7 @@ func TestExchangeAllocBudgets(t *testing.T) {
 				for j := 0; j < 8; j++ {
 					exchange()
 				}
-				before, stratBefore, first := fl.Cache.Stats(), fl.StrategyStats(), i
+				before, cacheBefore, stratBefore, first := fl.TotalStats(), fl.Cache.Stats(), fl.StrategyStats(), i
 				if n := testing.AllocsPerRun(200, exchange); n != 0 {
 					t.Errorf("%s: %v allocs per exchange, want 0", leg, n)
 				}
@@ -135,8 +135,10 @@ func TestExchangeAllocBudgets(t *testing.T) {
 				// allocating ones would round down to 0 among the rest. On a
 				// miss leg each primary misses and evicts; a raced partner
 				// then hits the entry its primary just inserted.
-				st, strat, exchanges := fl.Cache.Stats(), fl.StrategyStats(), uint64(i-first)
-				hits, misses, evictions := st.Hits-before.Hits, st.Misses-before.Misses, st.Evictions-before.Evictions
+				st, strat, exchanges := fl.TotalStats(), fl.StrategyStats(), uint64(i-first)
+				hits := st.CacheHits - before.CacheHits
+				misses := st.Served - before.Served - hits
+				evictions := fl.Cache.Stats().Evictions - cacheBefore.Evictions
 				attempts := strat.Attempts - stratBefore.Attempts
 				wantMisses := exchanges
 				if tc.hit {

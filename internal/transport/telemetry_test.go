@@ -52,7 +52,7 @@ func TestFleetRegistrySnapshot(t *testing.T) {
 		"client_exchanges_total",
 		"strategy_attempts_total",
 		"frontend_served_total",
-		"cache_hits_total",
+		"cache_entries",
 		"pool_members",
 		"pool_member_queries_total",
 		"fleet_prefetches_total",
@@ -60,6 +60,17 @@ func TestFleetRegistrySnapshot(t *testing.T) {
 	} {
 		if byName[name] == 0 {
 			t.Errorf("snapshot missing %s", name)
+		}
+	}
+	// Each serving event is counted once, by the frontend that served it:
+	// the cache keeps only what it owns, and no fleet total shadows a
+	// frontend family.
+	for _, name := range []string{
+		"cache_hits_total", "cache_misses_total", "cache_negative_hits_total",
+		"cache_stale_serves_total", "cache_refreshes_total", "fleet_stale_served_total",
+	} {
+		if byName[name] != 0 {
+			t.Errorf("snapshot still carries %s", name)
 		}
 	}
 	if byName["frontend_served_total"] != 2 || byName["pool_member_queries_total"] != 2 {
@@ -85,7 +96,7 @@ func TestFleetRegistrySnapshot(t *testing.T) {
 		stableNames[m.Name] = true
 	}
 	for _, volatile := range []string{
-		"frontend_served_total", "cache_hits_total",
+		"frontend_served_total", "cache_entries",
 		"strategy_attempts_total", "exchange_latency_seconds",
 	} {
 		if stableNames[volatile] {

@@ -119,12 +119,12 @@ fuzz-smoke:
 # frontend receive, each dial attempt with its race role, the upstream
 # answer, and the commit, all on virtual-time offsets.
 trace-demo:
-	$(GO) run ./cmd/dohserve -size 800 -frontends 4 -proto mixed -strategy race -queries 600 -hot 200 -kill 0 -trace 5
+	$(GO) run ./cmd/dohserve -size 800 -frontends 4 -proto mixed -strategy race -queries 600 -hot 200 -clients 1000 -kill 0 -trace 5
 
 # Anomaly-capture demo: a CI-sized campaign with the anomaly tier on
 # (client event counters, tail-sampled traces, per-day SLO verdicts),
 # printing the per-day capture table. The captures are identical for any
-# -dayworkers value — the determinism contract the tier is built on.
+# -workers value — the determinism contract the tier is built on.
 slo-demo:
 	$(GO) run ./cmd/reproduce -size 2000 -exp slo -q
 

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	reproduce [-size N] [-seed S] [-step D] [-dayworkers W] [-hourworkers W]
+//	reproduce [-size N] [-seed S] [-step D] [-workers W]
 //	          [-frontends N] [-mix doh|dot|doq|mixed]
 //	          [-strategy serial|race] [-minobs N]
 //	          [-exp all|fig2|tab2|tab3|fig3|
@@ -13,13 +13,13 @@
 //
 // Larger -size values converge the percentages to the paper's (the
 // non-Cloudflare population floor dominates below ~90k domains); -step
-// trades trend resolution for runtime; -dayworkers pipelines that many
-// scan days concurrently and -hourworkers does the same for the hourly
-// ECH rotation scans (results are identical for any value of either);
-// -frontends routes every scan through an encrypted-DNS serving fleet
-// with the -mix protocol split and the -strategy resolution strategy
-// (results are again identical — the serving layer is transparent to
-// the measurements, whichever frontend wins each exchange).
+// trades trend resolution for runtime; -workers pipelines that many scan
+// days concurrently, and as many hours of the hourly ECH rotation scans
+// (results are identical for any value); -frontends routes every scan
+// through an encrypted-DNS serving fleet with the -mix protocol split and
+// the -strategy resolution strategy (results are again identical — the
+// serving layer is transparent to the measurements, whichever frontend
+// wins each exchange). An unknown -exp id exits 2 listing the valid ids.
 //
 // -minobs sweeps the §4.2.3 intermittency classification gate: domains
 // observed on fewer in-list days are skipped (reported as sparse) rather
@@ -32,7 +32,7 @@
 // boundary (plus hourly samples during the ECH rotation experiment when
 // that also runs). It needs a fleet; selecting it explicitly with
 // -frontends 0 auto-enables 4 frontends. The curves are deterministic
-// for a seed and identical for any -dayworkers value.
+// for a seed and identical for any -workers value.
 //
 // -exp slo turns on the campaign's anomaly tier on every per-day fleet
 // replica — a tracer whose tail ring keeps anomalous exchanges from their
@@ -42,7 +42,7 @@
 // counts. The hourly ECH scans store no captures and
 // carry no tier. Like timeline it needs a fleet and auto-enables 4
 // frontends when selected explicitly; the captures are identical for any
-// -dayworkers value.
+// -workers value.
 package main
 
 import (
@@ -50,6 +50,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -64,10 +65,8 @@ func main() {
 	size := flag.Int("size", 10_000, "Tranco list size of the generated world")
 	seed := flag.Int64("seed", 2024, "generation seed")
 	step := flag.Int("step", 7, "scan every Nth day")
-	dayWorkers := flag.Int("dayworkers", runtime.GOMAXPROCS(0),
-		"scan days resolved concurrently (1 = serial; results are identical)")
-	hourWorkers := flag.Int("hourworkers", runtime.GOMAXPROCS(0),
-		"hourly ECH scan hours resolved concurrently (1 = serial; results are identical)")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
+		"scan days, and hourly ECH scan hours, resolved concurrently (1 = serial; results are identical)")
 	frontends := flag.Int("frontends", 0, "encrypted-DNS frontends to scan through (0: direct stub queries)")
 	mixFlag := flag.String("mix", "doh", "frontend protocol mix (with -frontends): doh, dot, doq, mixed, or weights")
 	strategyFlag := flag.String("strategy", "serial", "resolution strategy (with -frontends): serial or race")
@@ -77,20 +76,12 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress per-day progress")
 	flag.Parse()
 
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(e)] = true
+	want, err := parseExperiments(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	sel := func(id string) bool { return want["all"] || want[id] }
-
-	serverSide := false
-	for _, id := range []string{"fig2", "tab2", "tab3", "fig3", "intermittency", "tab4",
-		"tab5", "params", "tab8", "fig11", "fig12", "connectivity", "fig13", "fig4",
-		"fig5", "tab9", "fig14", "fig8", "stalecorr", "timeline", "slo"} {
-		if sel(id) {
-			serverSide = true
-		}
-	}
 	// The telemetry timeline needs a fleet for its registry; explicit
 	// selection turns one on rather than rendering an empty table (under
 	// "all" it simply rides whatever -frontends says).
@@ -113,18 +104,42 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if serverSide {
-		runServerSide(*size, *seed, *step, *dayWorkers, *hourWorkers, *frontends, mix, strategy, *minObs, *quiet, sel)
+	if slices.ContainsFunc(serverExperiments, sel) {
+		runServerSide(*size, *seed, *step, *workers, *frontends, mix, strategy, *minObs, *quiet, sel)
 	}
-	if sel("tab6") || sel("tab7") || sel("failover") {
+	if slices.ContainsFunc(clientExperiments, sel) {
 		runClientSide(sel)
 	}
 }
 
-func runServerSide(size int, seed int64, step, dayWorkers, hourWorkers, frontends int, mix transport.Mix, strategy transport.StrategyKind, minObs int, quiet bool, sel func(string) bool) {
-	cfg := core.CampaignConfig{Size: size, Seed: seed, StepDays: step, DayWorkers: dayWorkers,
-		HourWorkers:  hourWorkers,
-		DoHFrontends: frontends, TransportMix: mix, TransportStrategy: strategy}
+// The -exp ids in usage order: the server-side experiments read the daily
+// campaign's store, the client-side ones run the browser lab.
+var (
+	serverExperiments = []string{"fig2", "tab2", "tab3", "fig3", "intermittency", "tab4",
+		"tab5", "params", "tab8", "fig11", "fig12", "connectivity", "fig13", "fig4",
+		"fig5", "tab9", "fig14", "fig8", "stalecorr", "timeline", "slo"}
+	clientExperiments = []string{"tab6", "tab7", "failover"}
+)
+
+// parseExperiments splits a comma-separated -exp value into the set of
+// selected ids ("all" selects every one); an unknown id is an error
+// listing the valid ones.
+func parseExperiments(spec string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, id := range strings.Split(spec, ",") {
+		id = strings.TrimSpace(id)
+		if id != "all" && !slices.Contains(serverExperiments, id) && !slices.Contains(clientExperiments, id) {
+			return nil, fmt.Errorf("reproduce: unknown -exp id %q (valid: all, %s, %s)", id,
+				strings.Join(serverExperiments, ", "), strings.Join(clientExperiments, ", "))
+		}
+		want[id] = true
+	}
+	return want, nil
+}
+
+func runServerSide(size int, seed int64, step, workers, frontends int, mix transport.Mix, strategy transport.StrategyKind, minObs int, quiet bool, sel func(string) bool) {
+	cfg := core.CampaignConfig{Size: size, Seed: seed, StepDays: step, DayWorkers: workers,
+		HourWorkers: workers, DoHFrontends: frontends, TransportMix: mix, TransportStrategy: strategy}
 	if sel("timeline") && frontends > 0 {
 		cfg.TelemetryInterval = time.Hour
 	}
@@ -140,8 +155,8 @@ func runServerSide(size int, seed int64, step, dayWorkers, hourWorkers, frontend
 	if frontends > 0 {
 		fleet = fmt.Sprintf(" frontends=%d mix=%s strategy=%s", frontends, mix, strategy)
 	}
-	fmt.Fprintf(os.Stderr, "building world: size=%d seed=%d step=%dd dayworkers=%d hourworkers=%d%s\n",
-		size, seed, step, dayWorkers, hourWorkers, fleet)
+	fmt.Fprintf(os.Stderr, "building world: size=%d seed=%d step=%dd workers=%d%s\n",
+		size, seed, step, workers, fleet)
 	c, err := core.NewCampaign(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)

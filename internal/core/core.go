@@ -223,7 +223,7 @@ func frontendRecursor(g, cf simnet.DNSHandler, i int) (simnet.DNSHandler, string
 // and routes the scanner through the pool. The campaign-level client
 // charges its synthetic latency to the world clock, so serving-layer
 // queueing delay is observable to whoever drives this fleet directly
-// (cmd/dohserve's load and chaos drills).
+// (cmd/dohserve's drill).
 func (c *Campaign) buildFleet(n int, mix transport.Mix) {
 	w := c.World
 	fl := transport.NewFleet(w.Net, w.Clock, transport.FleetConfig{

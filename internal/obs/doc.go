@@ -47,7 +47,7 @@
 // single-goroutine drive samples the identical exchanges run over run —
 // but WHICH exchanges land on the every-Nth grid depends on arrival
 // order, so under concurrent drivers the head ring's contents are
-// schedule-dependent (cmd/dohserve documents this caveat on -trace).
+// schedule-dependent (cmd/dohserve drives from one goroutine for this).
 // Tail sampling (TraceConfig.Tail) traces nothing extra: Finish is told
 // each exchange's outcome by its owner — the TraceFlags (error, SERVFAIL,
 // stale-served, failover, race) and the virtual cost, all known
@@ -64,7 +64,7 @@
 //
 // The flight recorder (Recorder) is a live ring only: a bounded,
 // arrival-ordered timeline of typed events (Window) for single-driver
-// drills such as cmd/dohserve's chaos summary; overflow
+// drills such as cmd/dohserve's summary; overflow
 // (Recorder.Dropped() > 0) truncates it. It counts nothing. An event
 // whose number a campaign stores is counted by a registry counter beside
 // its emission site, so anomaly captures read the stable snapshot like

@@ -17,6 +17,7 @@ import (
 var (
 	ErrNoUpstreams = errors.New("transport: no healthy upstreams")
 	ErrNotProto    = errors.New("transport: service does not speak the member's protocol")
+	errWrongAnswer = errors.New("transport: answer does not match the query's ID and question")
 )
 
 // Client is a protocol-agnostic encrypted-DNS stub: it exchanges queries
@@ -476,6 +477,9 @@ func (c *Client) dial(up *Upstream, q *dnswire.Message, tr *obs.Trace) (at attem
 	}
 	m := c.getMsg()
 	at.Stale, err = s.Exchange(q, m, tr)
+	if err == nil && !answers(m, q) {
+		err = errWrongAnswer
+	}
 	q.ID = id
 	if err == nil {
 		m.ID = id
@@ -491,8 +495,8 @@ func (c *Client) dial(up *Upstream, q *dnswire.Message, tr *obs.Trace) (at attem
 		at.Bench = a.status != StatusServFailUpstream
 		at.Cost = c.sample(up, setup)
 	} else if !errors.Is(err, ErrStreamReset) {
-		// The session died (peer down, or a framing violation closed it):
-		// the next attempt redials. A DoQ stream reset kills only its stream.
+		// The session died (peer down, or a framing violation closed it)
+		// or answered some other query: the next attempt redials. A DoQ stream reset kills only its stream.
 		c.drop(up, s)
 		at.Bench = true
 	}

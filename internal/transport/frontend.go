@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"net/netip"
+	"strings"
 	"sync"
 	"time"
 
@@ -279,7 +280,7 @@ func (f *Frontend) Resolve(q *dnswire.Message, dst []byte, tr *obs.Trace) (Answe
 		}
 	}
 
-	resp := f.Handler.HandleDNS(q)
+	resp := f.handle(q)
 	if resp == nil {
 		f.noteHandlerFailure()
 		if stale {
@@ -342,6 +343,26 @@ func (f *Frontend) Resolve(q *dnswire.Message, dst []byte, tr *obs.Trace) (Answe
 	return ans, nil
 }
 
+// handle asks the handler for q's answer. A reply with another ID or
+// question, or a truncated one, is no answer: it is released and reported
+// as the hard failure of none, so nothing from it is cached or served.
+func (f *Frontend) handle(q *dnswire.Message) *dnswire.Message {
+	resp := f.Handler.HandleDNS(q)
+	if resp != nil && (resp.Truncated || !answers(resp, q)) {
+		resp.Release()
+		return nil
+	}
+	return resp
+}
+
+// answers reports whether m carries q's ID and its one question (the
+// name compared case-insensitively).
+func answers(m, q *dnswire.Message) bool {
+	return m.ID == q.ID && len(m.Question) == 1 && len(q.Question) == 1 &&
+		m.Question[0].Type == q.Question[0].Type && m.Question[0].Class == q.Question[0].Class &&
+		strings.EqualFold(m.Question[0].Name, q.Question[0].Name)
+}
+
 // serveStale materializes the stale body, marked so stubs can count it;
 // ok is false when the entry vanished since the probe (LRU pressure).
 func (f *Frontend) serveStale(key Key, id uint16, dst []byte) (Answer, bool) {
@@ -358,7 +379,7 @@ func (f *Frontend) serveStale(key Key, id uint16, dst []byte) (Answer, bool) {
 // (synchronous on the virtual clock — deterministic, no goroutine races)
 // and renews the entry before it ever goes stale.
 func (f *Frontend) prefetch(key Key, q *dnswire.Message) {
-	resp := f.Handler.HandleDNS(q)
+	resp := f.handle(q)
 	if resp == nil {
 		f.noteHandlerFailure()
 		return

@@ -29,7 +29,8 @@ race:
 # Tier-1 verify as the roadmap defines it, then the nested benchmark
 # module: bench/ compiles against this module's exported surface, so its
 # vet and tests are what catch a signature the harness depends on moving.
-verify: build test bench-smoke
+# It ends with the aim-2 yardstick, make loc.
+verify: build test bench-smoke loc
 
 # The roadmap's aim-2 yardstick: non-test Go lines outside bench/, per
 # top-level directory (and per package under internal/) and in total.
@@ -93,7 +94,8 @@ profile-serve:
 # campaign: it proves the targets build, the corpus parses, and no
 # quick-to-find panic has crept into Unpack, the SvcParams decoder (dirty
 # reuse against a fresh decode), the ECHConfigList decoder (accepted lists
-# re-marshal to themselves), the DoH envelope decoder, DoT frame
+# re-marshal to themselves), the DoH GET parameter through the frontend
+# (400 exactly when it does not decode, reused scratch against fresh), DoT frame
 # reassembly (one write against the same bytes split anywhere), DoQ
 # stream framing (prefix and zero-ID checks, pooled scratch reused after a
 # valid stream against fresh scratch), the cache's TTL-slot walk (every
@@ -115,7 +117,7 @@ fuzz-smoke:
 	$(GO) test ./internal/dnssec -fuzz FuzzDNSKEYDS -fuzztime 10s -run xxx
 
 # Traced-exchange demo: a mixed-protocol fleet under the race strategy
-# with every exchange traced, dumping the five slowest span trees —
+# with every exchange traced, dumping the five costliest span trees —
 # frontend receive, each dial attempt with its race role, the upstream
 # answer, and the commit, all on virtual-time offsets.
 trace-demo:

@@ -932,7 +932,8 @@ func BenchmarkDoHNegativePath(b *testing.B) {
 	}
 }
 
-// BenchmarkDoHEnvelopeRoundTrip isolates the RFC 8484 envelope codec.
+// BenchmarkDoHEnvelopeRoundTrip isolates the RFC 8484 GET parameter
+// codec: encode the query, decode it back.
 func BenchmarkDoHEnvelopeRoundTrip(b *testing.B) {
 	q := dnswire.NewQuery(7, "example.com", dnswire.TypeHTTPS, true)
 	var (
@@ -946,8 +947,7 @@ func BenchmarkDoHEnvelopeRoundTrip(b *testing.B) {
 			b.Fatal(err)
 		}
 		enc = buf
-		req := transport.DoHRequest{Method: "GET", Path: transport.DoHPath, DNSParam: param}
-		if sc, _, err = transport.DecodeDoHRequestInto(&m, &req, sc); err != nil {
+		if sc, err = dnswire.DecodeDoHParamInto(&m, param, sc); err != nil {
 			b.Fatal(err)
 		}
 	}

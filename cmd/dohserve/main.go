@@ -31,9 +31,10 @@
 // sits at an offset from the drill's start, and each epoch's engine gets
 // the part inside it. -proto also deals each client a protocol
 // preference, and a deterministic 1-in-8 latency tail gives -strategy
-// race upsets to win. -trace N dumps the N slowest exchanges as span
-// trees; -tail K keeps the top-K anomalous ones (an error, SERVFAIL,
-// stale answer, failover or race, or a cost of at least -taillat).
+// race upsets to win. -trace N traces every exchange and dumps the N
+// costliest of the drill (virtual cost, then name) as span trees; -tail
+// K keeps the top-K anomalous ones (an error, SERVFAIL, stale answer,
+// failover or race, or a cost of at least -taillat).
 //
 // The report adds a per-epoch curve, the obs.DefaultSLO burn table, the
 // flight recorder's events, and per-frontend, per-protocol, strategy,
@@ -88,7 +89,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	kill := fs.Int("kill", 1, "frontend addresses to mark unreachable at the middle epoch")
 	chaos := fs.Bool("chaos", false, "flap the recursors behind the frontends at every epoch")
 	flap := fs.Float64("flap", 0.35, "per-epoch probability that -chaos takes a recursor down")
-	traceN := fs.Int("trace", 0, "trace every exchange and dump the N slowest span trees")
+	traceN := fs.Int("trace", 0, "trace every exchange and dump the span trees of the drill's N costliest")
 	tailK := fs.Int("tail", 0, "tail-sample anomalous exchanges into a top-K ring and dump name, cost and flags (0 disables; add -trace N for their span trees)")
 	tailLat := fs.Duration("taillat", 0, "-tail also retains exchanges at or over this virtual cost")
 	clients := fs.Int("clients", 100_000, "simulated stub clients")
@@ -139,7 +140,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *traceN > 0 || *tailK > 0 {
 		var tcfg obs.TraceConfig
 		if *traceN > 0 {
-			tcfg.SampleEvery, tcfg.Capacity = 1, max(obs.DefaultTraceCapacity, 4**traceN)
+			tcfg.SampleEvery, tcfg.Capacity = 1, *traceN
 		}
 		if *tailK > 0 {
 			tcfg.Tail = &obs.TailConfig{TopK: *tailK, Latency: *tailLat}
@@ -315,13 +316,13 @@ func epochCurve(w io.Writer, fes []*transport.Frontend, base *obs.Snapshot, poin
 	}
 }
 
-// dumpTraces prints the n slowest traced exchanges as span trees.
+// dumpTraces prints the n costliest traced exchanges as span trees.
 func dumpTraces(w io.Writer, client *transport.Client, n int) {
 	if n <= 0 || client.Tracer == nil {
 		return
 	}
 	traces := client.Tracer.Slowest(n)
-	fmt.Fprintf(w, "\nslowest %d of %d traced exchanges (virtual-time offsets):\n", len(traces), client.Tracer.Len())
+	fmt.Fprintf(w, "\n%d costliest traced exchanges (virtual-time offsets):\n", len(traces))
 	for _, tr := range traces {
 		fmt.Fprint(w, tr.Tree())
 	}

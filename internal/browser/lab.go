@@ -431,13 +431,6 @@ func RunMatrix(title string, scenarios []Scenario, behaviors []Behavior) (*analy
 	return t, marks
 }
 
-// FailoverScenario is one §5.2.2 failover experiment.
-type FailoverScenario struct {
-	Row      string
-	Build    func(l *Lab)
-	Classify func(l *Lab, v *VisitResult) Support
-}
-
 // FailoverScenarios returns the port/IP-hint failover experiments.
 func FailoverScenarios() []Scenario {
 	return []Scenario{

@@ -5,10 +5,6 @@ import (
 	"fmt"
 )
 
-// MediaTypeDNSMessage is the RFC 8484 media type for DNS wire format
-// carried in DoH request and response bodies.
-const MediaTypeDNSMessage = "application/dns-message"
-
 // AppendEncodeDoHParam packs the message and encodes it with unpadded
 // base64url, the form carried in the RFC 8484 GET "dns" query parameter.
 // The message packs into scratch and the base64url form is built in the

@@ -8,7 +8,6 @@
 package ech
 
 import (
-	"bytes"
 	"crypto/ecdh"
 	"crypto/rand"
 	"encoding/binary"
@@ -277,6 +276,3 @@ func SelectConfig(configs []Config) (Config, error) {
 	}
 	return Config{}, ErrNoSupported
 }
-
-// ConfigsEqual reports whether two marshalled ECHConfigLists are identical.
-func ConfigsEqual(a, b []byte) bool { return bytes.Equal(a, b) }

@@ -16,8 +16,8 @@ type TraceConfig struct {
 	// exchanges run over run) into the head ring; 1 traces everything,
 	// and 0 keeps no head ring at all (a tail-only tracer).
 	SampleEvery int
-	// Capacity bounds the ring of retained finished traces; 0 selects
-	// DefaultTraceCapacity.
+	// Capacity bounds the head ring, which keeps the costliest sampled
+	// traces ranked like the tail ring; 0 selects DefaultTraceCapacity.
 	Capacity int
 	// Tail, when non-nil, enables tail-based retention alongside head
 	// sampling: Finish judges every exchange, sampled or not, by the
@@ -95,8 +95,8 @@ func (f TraceFlag) Strings() []string {
 // String renders the flag set as a comma-joined list ("" when empty).
 func (f TraceFlag) String() string { return strings.Join(f.Strings(), ",") }
 
-// Tracer samples exchanges into traces and retains the most recent ones
-// in a bounded ring. A nil *Tracer is valid everywhere and traces
+// Tracer samples exchanges into traces and retains the costliest ones in
+// a bounded ring. A nil *Tracer is valid everywhere and traces
 // nothing, so the exchange path carries exactly one nil check when
 // tracing is off.
 type Tracer struct {
@@ -109,8 +109,8 @@ type Tracer struct {
 	nextID atomic.Uint64
 
 	mu       sync.Mutex
-	ring     []*Trace // most recent cap head-sampled traces, oldest first
-	tailRing []*Trace // top-K tail-kept traces, rank order (tailInsert)
+	ring     []*Trace // top-cap head-sampled traces, rank order (rankInsert)
+	tailRing []*Trace // top-K tail-kept traces, rank order
 }
 
 // NewTracer builds a tracer on the given clock.
@@ -151,7 +151,7 @@ func (t *Tracer) Start(name string) *Trace {
 
 // Finish closes the named exchange with what its owner knows once it is
 // over: its anomaly flags and total virtual duration. A head-sampled
-// exchange (tr non-nil) joins the baseline ring; with tail retention on,
+// exchange (tr non-nil) is ranked into the head ring; with tail retention on,
 // an exchange with a flag set, or a cost at or over the latency
 // threshold, is ranked into the top-K tail ring, sampled or not. One that
 // is neither allocates nothing. Nil-safe on both receiver and trace.
@@ -168,26 +168,24 @@ func (t *Tracer) Finish(tr *Trace, name string, flags TraceFlag, total time.Dura
 	}
 	t.mu.Lock()
 	if tr != nil {
-		t.ring = append(t.ring, tr)
-		if len(t.ring) > t.cap {
-			t.ring = t.ring[len(t.ring)-t.cap:]
-		}
+		t.ring = t.rankInsert(t.ring, t.cap, tr, name, flags, total)
 	}
 	if tail {
-		t.tailInsert(tr, name, flags, total)
+		t.tailRing = t.rankInsert(t.tailRing, t.tail.TopK, tr, name, flags, total)
 	}
 	t.mu.Unlock()
 }
 
-// tailInsert ranks the exchange into the bounded tail ring (caller holds
-// mu): higher virtual cost first, then name, then flags — properties of
-// the exchange, not of scheduling, so the retained content is stable
-// under concurrent drivers; full ties keep arrival order. An unsampled
-// exchange gets its span-less record only once it is known to rank, with
-// Start back-dated from the clock by its virtual cost.
-func (t *Tracer) tailInsert(tr *Trace, name string, flags TraceFlag, total time.Duration) {
-	i := sort.Search(len(t.tailRing), func(i int) bool {
-		r := t.tailRing[i]
+// rankInsert ranks the exchange into ring, bounded at k, and returns the
+// ring (caller holds mu): higher virtual cost first, then name, then
+// flags — properties of the exchange, not of scheduling, so the retained
+// content is stable under concurrent drivers; full ties keep arrival
+// order. An unsampled exchange (nil tr) gets its span-less record only
+// once it is known to rank, with Start back-dated from the clock by its
+// virtual cost.
+func (t *Tracer) rankInsert(ring []*Trace, k int, tr *Trace, name string, flags TraceFlag, total time.Duration) []*Trace {
+	i := sort.Search(len(ring), func(i int) bool {
+		r := ring[i]
 		if r.Duration != total {
 			return r.Duration < total
 		}
@@ -196,8 +194,8 @@ func (t *Tracer) tailInsert(tr *Trace, name string, flags TraceFlag, total time.
 		}
 		return r.Flags > flags
 	})
-	if i >= t.tail.TopK {
-		return // ranks below the ring's floor
+	if i >= k {
+		return ring // ranks below the ring's floor
 	}
 	if tr == nil {
 		tr = &Trace{ID: t.nextID.Add(1), Name: name, Flags: flags, Duration: total}
@@ -205,12 +203,10 @@ func (t *Tracer) tailInsert(tr *Trace, name string, flags TraceFlag, total time.
 			tr.Start = t.clock.Now().Add(-total)
 		}
 	}
-	t.tailRing = append(t.tailRing, nil)
-	copy(t.tailRing[i+1:], t.tailRing[i:])
-	t.tailRing[i] = tr
-	if len(t.tailRing) > t.tail.TopK {
-		t.tailRing = t.tailRing[:t.tail.TopK]
-	}
+	ring = append(ring, nil)
+	copy(ring[i+1:], ring[i:])
+	ring[i] = tr
+	return ring[:min(len(ring), k)]
 }
 
 // Tail returns the tail-retained traces in rank order (highest virtual
@@ -235,25 +231,15 @@ func (t *Tracer) Len() int {
 	return len(t.ring)
 }
 
-// Slowest returns up to n retained traces ordered by descending
-// duration (ties to the earlier trace ID).
+// Slowest returns up to n head-sampled traces in rank order (highest
+// virtual cost first). The slice is a copy; the traces are shared.
 func (t *Tracer) Slowest(n int) []*Trace {
 	if t == nil || n <= 0 {
 		return nil
 	}
 	t.mu.Lock()
-	all := append([]*Trace(nil), t.ring...)
-	t.mu.Unlock()
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Duration != all[j].Duration {
-			return all[i].Duration > all[j].Duration
-		}
-		return all[i].ID < all[j].ID
-	})
-	if len(all) > n {
-		all = all[:n]
-	}
-	return all
+	defer t.mu.Unlock()
+	return append([]*Trace(nil), t.ring[:min(n, len(t.ring))]...)
 }
 
 // Span is one event on a trace's virtual timeline. Offset is the span's

@@ -58,6 +58,24 @@ func TestTracerRingBoundAndSlowest(t *testing.T) {
 	}
 }
 
+// TestTracerHeadRingKeepsCostliest: the head ring ranks by cost, so the
+// costliest exchange survives any number of cheaper ones after it.
+func TestTracerHeadRingKeepsCostliest(t *testing.T) {
+	tr := NewTracer(nil, TraceConfig{SampleEvery: 1, Capacity: 2})
+	exchange(tr, "costly", 0, time.Second)
+	for i := 1; i <= 5; i++ {
+		exchange(tr, "cheap", 0, time.Duration(i)*time.Millisecond)
+	}
+	if slow := tr.Slowest(1); len(slow) != 1 || slow[0].Name != "costly" {
+		t.Fatalf("Slowest(1) kept %d traces, the first costing %v; want the 1 s exchange traced first",
+			len(slow), slow[0].Duration)
+	}
+	if slow := tr.Slowest(3); len(slow) != 2 || slow[1].Duration != 5*time.Millisecond {
+		t.Fatalf("Slowest(3) kept %d traces, the last costing %v; want the 1 s and the 5 ms exchange",
+			len(slow), slow[len(slow)-1].Duration)
+	}
+}
+
 func TestNilTracerAndTraceSafe(t *testing.T) {
 	var tr *Tracer
 	trace := tr.Start("q")

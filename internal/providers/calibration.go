@@ -19,222 +19,162 @@ var (
 	NSScanStart = time.Date(2023, 8, 16, 0, 0, 0, 0, time.UTC)
 )
 
-// Calibration holds every generative rate of the world model.
-type Calibration struct {
+// The world model's generative rates, calibrated to the paper. The
+// fractions are typed so that sums and ratios of them round as float64
+// arithmetic does.
+const (
 	// --- adoption (Fig 2) ---
 
-	// CoreAdoptRate is the fraction of stable (overlapping) domains with
+	// coreAdoptRate is the fraction of stable (overlapping) domains with
 	// HTTPS records throughout (Fig 2b: ~21–26% stable band; we use the
 	// apex level).
-	CoreAdoptRate float64
-	// TailAdoptAtStart/AtEnd give the tail-domain adoption probability at
+	coreAdoptRate float64 = 0.21
+	// tailAdoptAtStart/AtEnd give the tail-domain adoption probability at
 	// the study boundaries; the daily tail resample turns this into the
 	// rising dynamic-Tranco trend of Fig 2a (20% → 27% overall).
-	TailAdoptAtStart float64
-	TailAdoptAtEnd   float64
-	// WWWGivenApex is P(www has HTTPS | apex has HTTPS) (Fig 2: www sits
+	tailAdoptAtStart float64 = 0.18
+	tailAdoptAtEnd   float64 = 0.375
+	// wwwGivenApex is P(www has HTTPS | apex has HTTPS) (Fig 2: www sits
 	// a few points below apex).
-	WWWGivenApex float64
+	wwwGivenApex float64 = 0.85
 
 	// --- name servers (Table 2, Table 3, Fig 3) ---
 
-	// CloudflareShare is the fraction of HTTPS adopters on full
+	// cloudflareShare is the fraction of HTTPS adopters on full
 	// Cloudflare NS (Table 2: 99.89%).
-	CloudflareShare float64
-	// PartialCloudflareShare is the sliver mixing Cloudflare and other
-	// NS (<0.01%).
-	PartialCloudflareShare float64
-	// NonCFWeights ranks the non-Cloudflare providers by domain count
-	// (Table 3 dynamic column).
-	NonCFWeights []ProviderWeight
-	// NonCFProviderTotal is the number of distinct non-CF providers ever
+	cloudflareShare float64 = 0.9989
+	// nonCFProviderTotal is the number of distinct non-CF providers ever
 	// seen (§4.2.2: 244), scaled.
-	NonCFProviderTotal int
-	// MinNonCFAdopters floors the absolute non-Cloudflare adopter
+	nonCFProviderTotal = 244
+	// minNonCFAdopters floors the absolute non-Cloudflare adopter
 	// population so the Table 3 / Fig 3 analyses stay populated at small
 	// simulation scales. The true 0.11% share emerges once
 	// 0.0011 × adopters exceeds this floor (≈ size 90k).
-	MinNonCFAdopters int
+	minNonCFAdopters = 30
 
 	// --- Cloudflare configuration (Table 4, §4.3.1) ---
 
-	// CFDefaultShare is the fraction of CF domains with the untouched
+	// cfDefaultShare is the fraction of CF domains with the untouched
 	// proxied default HTTPS record (Table 4: 79.96% dynamic).
-	CFDefaultShare float64
+	cfDefaultShare float64 = 0.7996
 
 	// --- ECH (Fig 13, §4.4) ---
 
-	// ECHShareOfAdopters is the fraction of HTTPS adopters with the ech
+	// echShareOfAdopters is the fraction of HTTPS adopters with the ech
 	// parameter before the shutdown (§4.4.1: ~70% of apex). All are CF
 	// default-config (free-plan proxied) domains.
-	ECHShareOfAdopters float64
-	// NonCFECHApex/WWW are absolute counts of domains publishing ECH via
-	// non-CF name servers (§4.4.1: 106 apex, 74 www), scaled.
-	NonCFECHApex int
-	NonCFECHWWW  int
-	// ECHRotationPeriod is the key-rotation interval the hourly scans
+	echShareOfAdopters float64 = 0.70
+	// nonCFECHApex is the absolute count of apexes publishing ECH via
+	// non-CF name servers (§4.4.1: 106), scaled.
+	nonCFECHApex = 106
+	// echRotationPeriod is the key-rotation interval the hourly scans
 	// measure (Fig 4: 1.1–1.4h, mean 1.26h).
-	ECHRotationPeriod time.Duration
-	// ECHRetention is how long superseded ECH keys still decrypt.
-	ECHRetention time.Duration
+	echRotationPeriod = 76 * time.Minute
+	// echRetention is how long superseded ECH keys still decrypt.
+	echRetention = 3 * time.Hour
 
 	// --- DNSSEC (Fig 5, Table 9) ---
 
-	// SignedShareCF is P(signed | HTTPS adopter on Cloudflare NS)
+	// signedShareCF is P(signed | HTTPS adopter on Cloudflare NS)
 	// (Table 9: 16,784 of ~210k CF adopters ≈ 8%).
-	SignedShareCF float64
-	// CFInsecureShare is P(missing DS | signed, CF NS) (Table 9: 49.5%).
-	CFInsecureShare float64
-	// SignedShareNonCF is P(signed | HTTPS adopter, non-CF NS)
+	signedShareCF float64 = 0.08
+	// cfInsecureShare is P(missing DS | signed, CF NS) (Table 9: 49.5%).
+	cfInsecureShare float64 = 0.495
+	// signedShareNonCF is P(signed | HTTPS adopter, non-CF NS)
 	// (Table 9: 64 of ~231 ≈ 28%).
-	SignedShareNonCF float64
-	// NonCFInsecureShare is P(missing DS | signed, non-CF) (14.1%).
-	NonCFInsecureShare float64
-	// SignedShareNoHTTPS is P(signed | no HTTPS records) (Table 9:
+	signedShareNonCF float64 = 0.28
+	// nonCFInsecureShare is P(missing DS | signed, non-CF) (14.1%).
+	nonCFInsecureShare float64 = 0.141
+	// signedShareNoHTTPS is P(signed | no HTTPS records) (Table 9:
 	// 46,850 of ~780k ≈ 6%).
-	SignedShareNoHTTPS float64
-	// NoHTTPSInsecureShare is P(missing DS | signed, no HTTPS) (23.7%).
-	NoHTTPSInsecureShare float64
+	signedShareNoHTTPS float64 = 0.059
+	// noHTTPSInsecureShare is P(missing DS | signed, no HTTPS) (23.7%).
+	noHTTPSInsecureShare float64 = 0.237
 
 	// --- intermittency (§4.2.3) ---
 
-	// IntermittentShare is the fraction of adopters with on/off HTTPS
+	// intermittentShare is the fraction of adopters with on/off HTTPS
 	// episodes (4,598 of ~210k ≈ 2.2%).
-	IntermittentShare float64
-	// IntermittentSameNSShare: of intermittent domains, fraction keeping
+	intermittentShare float64 = 0.022
+	// intermittentSameNSShare: of intermittent domains, fraction keeping
 	// the same name servers (59.13%, proxied toggling).
-	IntermittentSameNSShare float64
-	// SwitchAwayCount is the absolute number of domains switching from
+	intermittentSameNSShare float64 = 0.5913
+	// switchAwayCount is the absolute number of domains switching from
 	// CF to non-CF NS and losing HTTPS (236), scaled.
-	SwitchAwayCount int
-	// MultiProviderMixCount is the absolute number of domains using a mix
+	switchAwayCount = 236
+	// multiProviderMixCount is the absolute number of domains using a mix
 	// of providers where not all support HTTPS (6), scaled.
-	MultiProviderMixCount int
+	multiProviderMixCount = 6
 
 	// --- IP hints (§4.3.5, Fig 11/12) ---
 
-	// HintShareV4/V6: fraction of adopters publishing ipv4hint/ipv6hint
+	// hintShareV4/V6: fraction of adopters publishing ipv4hint/ipv6hint
 	// (97% / 87%).
-	HintShareV4 float64
-	HintShareV6 float64
-	// EarlyMismatchShare is the pre-June-19 mismatch rate (~2%).
-	EarlyMismatchShare float64
-	// LateMismatchShare is the post-June-19 steady mismatch rate
+	hintShareV4 float64 = 0.97
+	hintShareV6 float64 = 0.87
+	// earlyMismatchShare is the pre-June-19 mismatch rate (~2%).
+	earlyMismatchShare float64 = 0.02
+	// lateMismatchShare is the post-June-19 steady mismatch rate
 	// (≈30–80 domains/day of ~210k ≈ 0.03%).
-	LateMismatchShare float64
-	// MismatchMeanDays is the mean mismatch episode length (6.57 days
+	lateMismatchShare float64 = 0.0003
+	// mismatchMeanDays is the mean mismatch episode length (6.57 days
 	// apex).
-	MismatchMeanDays float64
-	// PersistentMismatchCount: domains mismatched for the entire period
+	mismatchMeanDays float64 = 6.57
+	// persistentMismatchCount: domains mismatched for the entire period
 	// (5 apex, cf-ns/China network), scaled.
-	PersistentMismatchCount int
-	// HintUnreachableShare is P(one side unreachable | mismatch)
+	persistentMismatchCount = 5
+	// hintUnreachableShare is P(one side unreachable | mismatch)
 	// (§4.3.5: 193 of 317 distinct ≈ 61%).
-	HintUnreachableShare float64
-	// HintOnlyReachableShare / AOnlyReachableShare split the unreachable
-	// cases (117 hint-only vs 59 A-only of 193).
-	HintOnlyReachableShare float64
+	hintUnreachableShare float64 = 0.61
+	// hintOnlyReachableShare splits the unreachable cases: 117 hint-only
+	// of (117 + 59 A-only).
+	hintOnlyReachableShare float64 = 0.66
 
 	// --- ALPN (Table 8, §4.3.4, §E.2) ---
 
-	// NonCFALPN gives the non-CF alpn mix: h2 64.09%, h3 26.79%,
-	// none 8.44% (the remainder is exotic).
-	NonCFH2Share   float64
-	NonCFH3Share   float64
-	NonCFNoneShare float64
+	// The non-CF alpn mix: h2 64.09%, h3 26.79%, none 8.44% (the
+	// remainder is exotic).
+	nonCFH2Share   float64 = 0.6409
+	nonCFH3Share   float64 = 0.2679
+	nonCFNoneShare float64 = 0.0844
 
 	// --- provider-specific record shapes (Table 5, §E.1) ---
 
-	// GoogleEmptyParamShare: Google-NS records in ServiceMode with no
+	// googleEmptyParamShare: Google-NS records in ServiceMode with no
 	// SvcParams (95–99%).
-	GoogleEmptyParamShare float64
-	// GoDaddyAliasShare: GoDaddy-NS records in AliasMode (99.19%).
-	GoDaddyAliasShare float64
+	googleEmptyParamShare float64 = 0.9511
+	// goDaddyAliasShare: GoDaddy-NS records in AliasMode (99.19%).
+	goDaddyAliasShare float64 = 0.9919
 
 	// --- pathological specials (§E.1), absolute counts scaled ---
 
-	// AliasSelfTargetCount: AliasMode records with "." as TargetName (19).
-	AliasSelfTargetCount int
-	// ServiceNoParamsCount: ServiceMode with no SvcParams (232).
-	ServiceNoParamsCount int
-	// PriorityListCount: nexuspipe-style records with priorities 1..12 (14).
-	PriorityListCount int
-	// CNAMEApexCount: apexes answering with (illegal) CNAME (small).
-	CNAMEApexCount int
+	// aliasSelfTargetCount: AliasMode records with "." as TargetName (19).
+	aliasSelfTargetCount = 19
+	// serviceNoParamsCount: ServiceMode with no SvcParams (232).
+	serviceNoParamsCount = 232
+	// priorityListCount: nexuspipe-style records with priorities 1..12 (14).
+	priorityListCount = 14
+	// cnameApexCount: apexes answering with (illegal) CNAME (small).
+	cnameApexCount = 25
 
-	// RecordTTL is the HTTPS record TTL (§4.4.2: 300s for >99%).
-	RecordTTL uint32
+	// recordTTL is the HTTPS record TTL (§4.4.2: 300s for >99%).
+	recordTTL = 300
+)
+
+// providerWeight is one row of the non-CF provider ranking.
+type providerWeight struct {
+	name  string
+	count int // absolute domain count at 1M scale (Table 3)
 }
 
-// ProviderWeight is one row of the non-CF provider ranking.
-type ProviderWeight struct {
-	Name  string
-	Count int // absolute domain count at 1M scale (Table 3)
-}
-
-// DefaultCalibration returns the paper-calibrated rates.
-func DefaultCalibration() Calibration {
-	return Calibration{
-		CoreAdoptRate:    0.21,
-		TailAdoptAtStart: 0.18,
-		TailAdoptAtEnd:   0.375,
-		WWWGivenApex:     0.85,
-
-		CloudflareShare:        0.9989,
-		PartialCloudflareShare: 0.00005,
-		NonCFWeights: []ProviderWeight{
-			{"eName", 185}, {"Google", 159}, {"GoDaddy", 105}, {"NSONE", 79},
-			{"Domeneshop", 16}, {"Hover", 11}, {"ubmdns", 9}, {"domainactive", 8},
-			{"informadns", 7}, {"nexuspipe", 14}, {"domaincontrol", 21},
-			{"netclient", 6}, {"icsn", 5}, {"d-53", 5}, {"jpberlin", 4},
-			{"gandi", 3}, {"cloudns", 3}, {"gentoo", 1}, {"sone", 7},
-		},
-		NonCFProviderTotal: 244,
-		MinNonCFAdopters:   30,
-
-		CFDefaultShare: 0.7996,
-
-		ECHShareOfAdopters: 0.70,
-		NonCFECHApex:       106,
-		NonCFECHWWW:        74,
-		ECHRotationPeriod:  76 * time.Minute, // mean observed 1.26h
-		ECHRetention:       3 * time.Hour,
-
-		SignedShareCF:        0.08,
-		CFInsecureShare:      0.495,
-		SignedShareNonCF:     0.28,
-		NonCFInsecureShare:   0.141,
-		SignedShareNoHTTPS:   0.059,
-		NoHTTPSInsecureShare: 0.237,
-
-		IntermittentShare:       0.022,
-		IntermittentSameNSShare: 0.5913,
-		SwitchAwayCount:         236,
-		MultiProviderMixCount:   6,
-
-		HintShareV4:             0.97,
-		HintShareV6:             0.87,
-		EarlyMismatchShare:      0.02,
-		LateMismatchShare:       0.0003,
-		MismatchMeanDays:        6.57,
-		PersistentMismatchCount: 5,
-		HintUnreachableShare:    0.61,
-		HintOnlyReachableShare:  0.66, // 117 of (117+59)
-
-		NonCFH2Share:   0.6409,
-		NonCFH3Share:   0.2679,
-		NonCFNoneShare: 0.0844,
-
-		GoogleEmptyParamShare: 0.9511,
-		GoDaddyAliasShare:     0.9919,
-
-		AliasSelfTargetCount: 19,
-		ServiceNoParamsCount: 232,
-		PriorityListCount:    14,
-		CNAMEApexCount:       25,
-
-		RecordTTL: 300,
-	}
+// nonCFWeights ranks the non-Cloudflare providers by domain count
+// (Table 3 dynamic column).
+var nonCFWeights = []providerWeight{
+	{"eName", 185}, {"Google", 159}, {"GoDaddy", 105}, {"NSONE", 79},
+	{"Domeneshop", 16}, {"Hover", 11}, {"ubmdns", 9}, {"domainactive", 8},
+	{"informadns", 7}, {"nexuspipe", 14}, {"domaincontrol", 21},
+	{"netclient", 6}, {"icsn", 5}, {"d-53", 5}, {"jpberlin", 4},
+	{"gandi", 3}, {"cloudns", 3}, {"gentoo", 1}, {"sone", 7},
 }
 
 // ScaleCount converts an absolute 1M-scale count to the simulation scale,

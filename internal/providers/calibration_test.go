@@ -21,35 +21,34 @@ func TestScaleCount(t *testing.T) {
 }
 
 func TestDefaultCalibrationSanity(t *testing.T) {
-	cal := DefaultCalibration()
 	probs := map[string]float64{
-		"CoreAdoptRate":        cal.CoreAdoptRate,
-		"TailAdoptAtStart":     cal.TailAdoptAtStart,
-		"TailAdoptAtEnd":       cal.TailAdoptAtEnd,
-		"WWWGivenApex":         cal.WWWGivenApex,
-		"CloudflareShare":      cal.CloudflareShare,
-		"CFDefaultShare":       cal.CFDefaultShare,
-		"ECHShareOfAdopters":   cal.ECHShareOfAdopters,
-		"SignedShareCF":        cal.SignedShareCF,
-		"CFInsecureShare":      cal.CFInsecureShare,
-		"SignedShareNoHTTPS":   cal.SignedShareNoHTTPS,
-		"NoHTTPSInsecureShare": cal.NoHTTPSInsecureShare,
-		"HintShareV4":          cal.HintShareV4,
-		"NonCFH2Share":         cal.NonCFH2Share,
-		"GoDaddyAliasShare":    cal.GoDaddyAliasShare,
+		"coreAdoptRate":        coreAdoptRate,
+		"tailAdoptAtStart":     tailAdoptAtStart,
+		"tailAdoptAtEnd":       tailAdoptAtEnd,
+		"wwwGivenApex":         wwwGivenApex,
+		"cloudflareShare":      cloudflareShare,
+		"cfDefaultShare":       cfDefaultShare,
+		"echShareOfAdopters":   echShareOfAdopters,
+		"signedShareCF":        signedShareCF,
+		"cfInsecureShare":      cfInsecureShare,
+		"signedShareNoHTTPS":   signedShareNoHTTPS,
+		"noHTTPSInsecureShare": noHTTPSInsecureShare,
+		"hintShareV4":          hintShareV4,
+		"nonCFH2Share":         nonCFH2Share,
+		"goDaddyAliasShare":    goDaddyAliasShare,
 	}
 	for name, p := range probs {
 		if p <= 0 || p > 1 {
 			t.Errorf("%s = %f out of (0,1]", name, p)
 		}
 	}
-	if cal.TailAdoptAtEnd <= cal.TailAdoptAtStart {
+	if tailAdoptAtEnd <= tailAdoptAtStart {
 		t.Error("tail adoption must rise (Fig 2a trend)")
 	}
-	if cal.ECHRotationPeriod < time.Hour || cal.ECHRotationPeriod > 2*time.Hour {
-		t.Errorf("rotation period %v outside the paper's 1-2h band", cal.ECHRotationPeriod)
+	if echRotationPeriod < time.Hour || echRotationPeriod > 2*time.Hour {
+		t.Errorf("rotation period %v outside the paper's 1-2h band", echRotationPeriod)
 	}
-	if cal.NonCFWeights[0].Name != "eName" {
+	if nonCFWeights[0].name != "eName" {
 		t.Error("Table 3's top provider must be eName")
 	}
 	if !ECHDisableDate.After(StudyStart) || !ECHDisableDate.Before(StudyEnd) {

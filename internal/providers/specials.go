@@ -64,9 +64,9 @@ func (w *World) assignDNSSECQuotas(rng *rand.Rand) {
 			pool[i].DSUploaded = i >= insecure
 		}
 	}
-	assign(cf, w.Cal.SignedShareCF, w.Cal.CFInsecureShare)
-	assign(nonCF, w.Cal.SignedShareNonCF, w.Cal.NonCFInsecureShare)
-	assign(none, w.Cal.SignedShareNoHTTPS, w.Cal.NoHTTPSInsecureShare)
+	assign(cf, signedShareCF, cfInsecureShare)
+	assign(nonCF, signedShareNonCF, nonCFInsecureShare)
+	assign(none, signedShareNoHTTPS, noHTTPSInsecureShare)
 }
 
 func sortedApexes(m map[string]*DomainState) []string {
@@ -105,13 +105,13 @@ func randomDay(rng *rand.Rand, from, to time.Time) time.Time {
 // multi-provider mixes, switch-aways, and transient NS loss.
 func (w *World) assignIntermittency(rng *rand.Rand, pool []*DomainState) {
 	adopters := len(pool)
-	totalIntermittent := int(float64(adopters) * w.Cal.IntermittentShare)
+	totalIntermittent := int(float64(adopters) * intermittentShare)
 	if totalIntermittent < 4 {
 		totalIntermittent = 4
 	}
-	sameNS := int(float64(totalIntermittent) * w.Cal.IntermittentSameNSShare)
-	switchAway := ScaleCount(w.Cal.SwitchAwayCount, w.Cfg.Size)
-	multiMix := ScaleCount(w.Cal.MultiProviderMixCount, w.Cfg.Size)
+	sameNS := int(float64(totalIntermittent) * intermittentSameNSShare)
+	switchAway := ScaleCount(switchAwayCount, w.Cfg.Size)
+	multiMix := ScaleCount(multiProviderMixCount, w.Cfg.Size)
 	noNS := ScaleCount(20, w.Cfg.Size)
 	multiNS := totalIntermittent - sameNS - switchAway - noNS
 	if multiNS < multiMix {
@@ -165,15 +165,15 @@ func (w *World) assignIntermittency(rng *rand.Rand, pool []*DomainState) {
 // assignMismatches reproduces the §4.3.5/§E.3 IP-hint drift populations.
 func (w *World) assignMismatches(rng *rand.Rand, pool []*DomainState) {
 	adopters := len(pool) + 1
-	early := int(float64(adopters) * w.Cal.EarlyMismatchShare)
-	late := int(float64(adopters) * w.Cal.LateMismatchShare * 10) // episodes spread over ~10 windows
+	early := int(float64(adopters) * earlyMismatchShare)
+	late := int(float64(adopters) * lateMismatchShare * 10) // episodes spread over ~10 windows
 	if late < 8 {
 		late = 8
 	}
-	persistent := ScaleCount(w.Cal.PersistentMismatchCount, w.Cfg.Size)
+	persistent := ScaleCount(persistentMismatchCount, w.Cfg.Size)
 
 	episode := func(d *DomainState, from time.Time) {
-		days := 1 + int(rng.ExpFloat64()*w.Cal.MismatchMeanDays)
+		days := 1 + int(rng.ExpFloat64()*mismatchMeanDays)
 		if days > 30 {
 			days = 30
 		}
@@ -182,8 +182,8 @@ func (w *World) assignMismatches(rng *rand.Rand, pool []*DomainState) {
 	}
 	reach := func(d *DomainState) {
 		d.HintReachable, d.AReachable = true, true
-		if rng.Float64() < w.Cal.HintUnreachableShare {
-			if rng.Float64() < w.Cal.HintOnlyReachableShare {
+		if rng.Float64() < hintUnreachableShare {
+			if rng.Float64() < hintOnlyReachableShare {
 				d.AReachable = false // only the hint address answers
 			} else {
 				d.HintReachable = false // only the A record answers
@@ -229,7 +229,7 @@ func (w *World) assignMismatches(rng *rand.Rand, pool []*DomainState) {
 // whose ECH configs nevertheless point at Cloudflare's client-facing server
 // (§4.4.1).
 func (w *World) assignNonCFECH(rng *rand.Rand, pool []*DomainState) {
-	n := ScaleCount(w.Cal.NonCFECHApex, w.Cfg.Size)
+	n := ScaleCount(nonCFECHApex, w.Cfg.Size)
 	for _, d := range take(&pool, n) {
 		d.ECH = true
 		// Their provider serves the CF config list.
@@ -245,17 +245,17 @@ func (w *World) assignNonCFECH(rng *rand.Rand, pool []*DomainState) {
 
 // assignPathologies plants the §E.1 configuration oddities.
 func (w *World) assignPathologies(rng *rand.Rand, cf, nonCF []*DomainState) {
-	for _, d := range take(&nonCF, ScaleCount(w.Cal.AliasSelfTargetCount, w.Cfg.Size)) {
+	for _, d := range take(&nonCF, ScaleCount(aliasSelfTargetCount, w.Cfg.Size)) {
 		d.Profile = ProfileAliasSelf
 	}
-	for _, d := range take(&nonCF, ScaleCount(w.Cal.ServiceNoParamsCount, w.Cfg.Size)) {
+	for _, d := range take(&nonCF, ScaleCount(serviceNoParamsCount, w.Cfg.Size)) {
 		d.Profile = ProfileServiceNoParams
 		d.ALPN = nil
 	}
-	for _, d := range take(&nonCF, ScaleCount(w.Cal.PriorityListCount, w.Cfg.Size)) {
+	for _, d := range take(&nonCF, ScaleCount(priorityListCount, w.Cfg.Size)) {
 		d.Profile = ProfilePriorityList
 	}
-	for _, d := range take(&cf, ScaleCount(w.Cal.CNAMEApexCount, w.Cfg.Size)) {
+	for _, d := range take(&cf, ScaleCount(cnameApexCount, w.Cfg.Size)) {
 		d.ApexCNAME = true
 		d.WWWCNAME = false // the two would alias each other in a loop
 		d.HasWWW = true

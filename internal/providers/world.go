@@ -30,7 +30,6 @@ type WorldConfig struct {
 // resolvers, and the WHOIS database.
 type World struct {
 	Cfg   WorldConfig
-	Cal   Calibration
 	Net   *simnet.Network
 	Clock *simnet.Clock
 	Alloc *simnet.Allocator
@@ -66,11 +65,9 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 	if cfg.Size == 0 {
 		cfg.Size = 20_000
 	}
-	cal := DefaultCalibration()
 	clock := simnet.NewClock(StudyStart)
 	w := &World{
 		Cfg:            cfg,
-		Cal:            cal,
 		Clock:          clock,
 		Net:            simnet.New(clock),
 		Alloc:          simnet.NewAllocator(),
@@ -84,7 +81,7 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 
 	var err error
 	w.ECHKeys, err = ech.NewKeyManager(rng, "cloudflare-ech.com",
-		cal.ECHRotationPeriod, cal.ECHRetention, StudyStart.Add(-24*time.Hour))
+		echRotationPeriod, echRetention, StudyStart.Add(-24*time.Hour))
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +107,7 @@ func (w *World) buildProviders(rng *rand.Rand) {
 	w.Cloudflare = cf
 	w.addProvider(cf)
 
-	for i, pw := range w.Cal.NonCFWeights {
+	for i, pw := range nonCFWeights {
 		// Stagger HTTPS support start dates: about half supported from
 		// the beginning, the rest switch it on during the study,
 		// producing Fig 3's upward provider-count trend.
@@ -119,11 +116,11 @@ func (w *World) buildProviders(rng *rand.Rand) {
 			offset := time.Duration(rng.Intn(300)) * 24 * time.Hour
 			start = StudyStart.Add(offset)
 		}
-		p := NewProvider(pw.Name, w.Alloc, w.Clock, true, start)
+		p := NewProvider(pw.name, w.Alloc, w.Clock, true, start)
 		w.addProvider(p)
 	}
 	// Generated tail up to the scaled distinct-provider total.
-	total := ScaleCount(w.Cal.NonCFProviderTotal, w.Cfg.Size)
+	total := ScaleCount(nonCFProviderTotal, w.Cfg.Size)
 	for i := len(w.Providers) - 1; i < total; i++ {
 		start := StudyStart.Add(time.Duration(rng.Intn(320)) * 24 * time.Hour)
 		if rng.Intn(2) == 0 {
@@ -223,9 +220,9 @@ func (w *World) buildDomains(rng *rand.Rand) {
 	// Tail adoption window: uniform adoption dates chosen so the adopted
 	// fraction rises linearly from TailAdoptAtStart to TailAdoptAtEnd
 	// across the study (see DESIGN.md E1).
-	rate := (w.Cal.TailAdoptAtEnd - w.Cal.TailAdoptAtStart) / studyDays // per day
+	rate := (tailAdoptAtEnd - tailAdoptAtStart) / studyDays // per day
 	windowDays := 1.0 / rate
-	windowStart := StudyStart.Add(-time.Duration(w.Cal.TailAdoptAtStart*windowDays*24) * time.Hour)
+	windowStart := StudyStart.Add(-time.Duration(tailAdoptAtStart*windowDays*24) * time.Hour)
 
 	// Each domain draws from its own stream, math/rand's exact stream for
 	// seed ^ FNV1a(apex): every stored byte about a domain follows from
@@ -239,7 +236,7 @@ func (w *World) buildDomains(rng *rand.Rand) {
 		drng.Seed(w.Cfg.Seed ^ int64(dnswire.FNV1a(apex)))
 		d := &DomainState{
 			Apex:    apex,
-			TTL:     w.Cal.RecordTTL,
+			TTL:     recordTTL,
 			HasWWW:  drng.Float64() < 0.95,
 			keySeed: w.Cfg.Seed,
 		}
@@ -250,7 +247,7 @@ func (w *World) buildDomains(rng *rand.Rand) {
 		// Adoption.
 		adopts := false
 		if core[name] {
-			adopts = drng.Float64() < w.Cal.CoreAdoptRate
+			adopts = drng.Float64() < coreAdoptRate
 			d.AdoptDay = StudyStart.Add(-24 * time.Hour)
 		} else {
 			adopts = true // adoption gated purely by the date
@@ -287,10 +284,10 @@ func originOrg(rng *rand.Rand) string { return originOrgs[rng.Intn(len(originOrg
 // the paper's 0.11%, floored so small simulations keep a meaningful
 // non-CF population (documented in EXPERIMENTS.md).
 func (w *World) nonCFShare() float64 {
-	share := 1 - w.Cal.CloudflareShare
-	expectedAdopters := w.Cal.CoreAdoptRate * float64(w.Cfg.Size)
+	share := 1 - cloudflareShare
+	expectedAdopters := coreAdoptRate * float64(w.Cfg.Size)
 	if expectedAdopters > 0 {
-		if floor := float64(w.Cal.MinNonCFAdopters) / expectedAdopters; floor > share {
+		if floor := float64(minNonCFAdopters) / expectedAdopters; floor > share {
 			return floor
 		}
 	}
@@ -307,11 +304,11 @@ func (w *World) assignAdopterConfig(d *DomainState, rng *rand.Rand) {
 		d.Proxied = true
 		d.AnycastV4 = w.cfAnycastV4(rng)
 		d.AnycastV6 = w.cfAnycastV6(rng)
-		if rng.Float64() < w.Cal.CFDefaultShare {
+		if rng.Float64() < cfDefaultShare {
 			d.Profile = ProfileCFDefault
 			d.HintV4, d.HintV6 = true, true
 			// ECH rides the free-plan proxied default (§4.4.1).
-			d.ECH = rng.Float64() < w.Cal.ECHShareOfAdopters/(w.Cal.CloudflareShare*w.Cal.CFDefaultShare)
+			d.ECH = rng.Float64() < echShareOfAdopters/(cloudflareShare*cfDefaultShare)
 		} else {
 			d.Profile = ProfileCFCustom
 			// §E.2: customised CF domains advertise h2 (98.57%), rarely
@@ -323,8 +320,8 @@ func (w *World) assignAdopterConfig(d *DomainState, rng *rand.Rand) {
 			case cr < 0.9885:
 				d.ALPN = []string{"h2", "h3"}
 			}
-			d.HintV4 = rng.Float64() < w.Cal.HintShareV4
-			d.HintV6 = rng.Float64() < w.Cal.HintShareV6
+			d.HintV4 = rng.Float64() < hintShareV4
+			d.HintV6 = rng.Float64() < hintShareV6
 		}
 	default:
 		p := w.pickNonCFProvider(rng)
@@ -333,12 +330,12 @@ func (w *World) assignAdopterConfig(d *DomainState, rng *rand.Rand) {
 		switch p.Name {
 		case "Google":
 			d.Profile = ProfileGoogle
-			if rng.Float64() >= w.Cal.GoogleEmptyParamShare {
+			if rng.Float64() >= googleEmptyParamShare {
 				d.ALPN = []string{"h2"}
 				d.HintV4 = rng.Float64() < 0.3
 			}
 		case "GoDaddy":
-			if rng.Float64() < w.Cal.GoDaddyAliasShare {
+			if rng.Float64() < goDaddyAliasShare {
 				d.Profile = ProfileGoDaddyAlias
 			} else {
 				d.Profile = ProfileGoDaddyService
@@ -354,11 +351,11 @@ func (w *World) assignAdopterConfig(d *DomainState, rng *rand.Rand) {
 			d.Profile = ProfileNonCFGeneric
 			ar := rng.Float64()
 			switch {
-			case ar < w.Cal.NonCFNoneShare:
+			case ar < nonCFNoneShare:
 				// no alpn parameter
-			case ar < w.Cal.NonCFNoneShare+w.Cal.NonCFH3Share:
+			case ar < nonCFNoneShare+nonCFH3Share:
 				d.ALPN = []string{"h2", "h3"}
-			case ar < w.Cal.NonCFNoneShare+w.Cal.NonCFH3Share+w.Cal.NonCFH2Share:
+			case ar < nonCFNoneShare+nonCFH3Share+nonCFH2Share:
 				d.ALPN = []string{"h2"}
 			default:
 				d.ALPN = []string{"http/1.1"}
@@ -367,7 +364,7 @@ func (w *World) assignAdopterConfig(d *DomainState, rng *rand.Rand) {
 			d.HintV6 = rng.Float64() < 0.3
 		}
 	}
-	d.WWWHTTPS = rng.Float64() < w.Cal.WWWGivenApex
+	d.WWWHTTPS = rng.Float64() < wwwGivenApex
 	if d.HasWWW && rng.Float64() < 0.05 {
 		d.WWWCNAME = true
 	}
@@ -389,17 +386,17 @@ func (w *World) cfAnycastV6(rng *rand.Rand) netip.Addr {
 // Table 3 weighting.
 func (w *World) pickNonCFProvider(rng *rand.Rand) *Provider {
 	total := 0
-	for _, pw := range w.Cal.NonCFWeights {
-		total += pw.Count
+	for _, pw := range nonCFWeights {
+		total += pw.count
 	}
 	// The generated tail shares a modest slice.
 	tailWeight := total / 4
 	pick := rng.Intn(total + tailWeight)
-	for _, pw := range w.Cal.NonCFWeights {
-		if pick < pw.Count {
-			return w.ProviderByName[pw.Name]
+	for _, pw := range nonCFWeights {
+		if pick < pw.count {
+			return w.ProviderByName[pw.name]
 		}
-		pick -= pw.Count
+		pick -= pw.count
 	}
 	// Tail providers.
 	var tail []*Provider
@@ -409,14 +406,14 @@ func (w *World) pickNonCFProvider(rng *rand.Rand) *Provider {
 		}
 	}
 	if len(tail) == 0 {
-		return w.ProviderByName[w.Cal.NonCFWeights[0].Name]
+		return w.ProviderByName[nonCFWeights[0].name]
 	}
 	return tail[rng.Intn(len(tail))]
 }
 
 func (w *World) isTailProvider(p *Provider) bool {
-	for _, pw := range w.Cal.NonCFWeights {
-		if p.Name == pw.Name {
+	for _, pw := range nonCFWeights {
+		if p.Name == pw.name {
 			return false
 		}
 	}
@@ -466,9 +463,4 @@ func (w *World) buildResolvers() {
 func (w *World) Domain(apex string) (*DomainState, bool) {
 	d, ok := w.Domains[dnswire.CanonicalName(apex)]
 	return d, ok
-}
-
-// ECHProgramActive reports whether Cloudflare's ECH programme is on at t.
-func (w *World) ECHProgramActive(t time.Time) bool {
-	return t.Before(ECHDisableDate)
 }

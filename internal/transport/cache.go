@@ -101,8 +101,6 @@ type Lookup struct {
 	// Body is the response wire image with the query ID patched in and
 	// TTLs aged by elapsed virtual time (Fresh only).
 	Body []byte
-	// MaxAge is the Cache-Control max-age: the remaining freshness.
-	MaxAge uint32
 	// Negative marks RFC 2308 negative entries (NXDOMAIN or NODATA).
 	Negative bool
 	// NeedsRefresh is set on the first fresh hit past the refresh-ahead
@@ -134,7 +132,6 @@ type cacheEntry struct {
 	key      Key
 	wire     []byte
 	ttls     []ttlSlot
-	minTTL   uint32 // minimum answer TTL at store time (the DoH max-age)
 	storedAt time.Time
 	expires  time.Time
 	// negative marks RFC 2308 entries (NXDOMAIN or empty answers).
@@ -234,10 +231,10 @@ func (c *Cache) shardFor(key Key) *cacheShard {
 // Probe is the lifecycle-aware lookup: it classifies the entry as fresh,
 // stale, or missing, and returns a servable wire image for a fresh entry:
 // the stored response with the given query ID patched in and every TTL
-// aged by the virtual time elapsed since storing, plus the remaining
-// max-age. A stale probe carries no body: the caller is expected to
-// consult the upstream, and to serve the stale body (StaleWire) only when
-// that fails. Entries past TTL + StaleWindow are evicted by the probe.
+// aged by the virtual time elapsed since storing. A stale probe carries
+// no body: the caller is expected to consult the upstream, and to serve
+// the stale body (StaleWire) only when that fails. Entries past TTL +
+// StaleWindow are evicted by the probe.
 //
 // On a fresh hit the wire image is appended to dst (Body aliases dst's
 // backing array, so a caller handing in recycled scratch serves the hit
@@ -283,9 +280,6 @@ func (c *Cache) Probe(key Key, id uint16, dst []byte) Lookup {
 		}
 		binary.BigEndian.PutUint32(out[base+int(t.off):], ttl)
 	}
-	if e.minTTL > elapsed {
-		l.MaxAge = e.minTTL - elapsed
-	}
 	l.Body = out[base:]
 	return l
 }
@@ -298,14 +292,14 @@ func (c *Cache) Probe(key Key, id uint16, dst []byte) Lookup {
 // is false and the caller has nothing to serve.
 // The stale body is appended to dst under the same aliasing contract as
 // Probe; nil dst allocates a fresh copy.
-func (c *Cache) StaleWire(key Key, id uint16, dst []byte) (body []byte, maxAge uint32, ok bool) {
+func (c *Cache) StaleWire(key Key, id uint16, dst []byte) (body []byte, ok bool) {
 	now := c.clock.Now()
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, found := s.entries[key]
 	if !found || !e.expires.Add(c.cfg.StaleWindow).After(now) {
-		return nil, 0, false
+		return nil, false
 	}
 	base := len(dst)
 	out := append(dst, e.wire...)
@@ -313,7 +307,7 @@ func (c *Cache) StaleWire(key Key, id uint16, dst []byte) (body []byte, maxAge u
 	for _, t := range e.ttls {
 		binary.BigEndian.PutUint32(out[base+int(t.off):], min(t.ttl, DefaultStaleTTL))
 	}
-	return out[base:], DefaultStaleTTL, true
+	return out[base:], true
 }
 
 // Put stores a response. Uncacheable responses (SERVFAIL and friends) are
@@ -352,7 +346,6 @@ func (c *Cache) insert(key Key, m *dnswire.Message, wire []byte) {
 	if err != nil {
 		return
 	}
-	minTTL, _ := minAnswerTTL(m)
 	now := c.clock.Now()
 	s := c.shardFor(key)
 	s.mu.Lock()
@@ -379,7 +372,7 @@ func (c *Cache) insert(key Key, m *dnswire.Message, wire []byte) {
 	}
 	e.wire = append(e.wire[:0], wire...)
 	e.ttls = append(e.ttls[:0], slots...)
-	e.minTTL, e.negative = minTTL, negative
+	e.negative = negative
 	e.storedAt, e.expires = now, now.Add(ttl)
 	e.refreshAt, e.refreshing = time.Time{}, false
 	if c.cfg.RefreshAhead > 0 {

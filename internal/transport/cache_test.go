@@ -113,7 +113,6 @@ type modelCache struct {
 type modelEntry struct {
 	key               Key
 	msg               *dnswire.Message
-	minTTL            uint32
 	negative          bool
 	storedAt, expires time.Time
 }
@@ -143,11 +142,11 @@ func (mc *modelCache) put(now time.Time, key Key, m *dnswire.Message) {
 	e := &modelEntry{key: key, msg: m, storedAt: now}
 	var ttl time.Duration
 	if len(m.Answer) > 0 && m.RCode == dnswire.RCodeNoError {
-		e.minTTL = m.Answer[0].TTL
+		minTTL := m.Answer[0].TTL
 		for _, rr := range m.Answer {
-			e.minTTL = min(e.minTTL, rr.TTL)
+			minTTL = min(minTTL, rr.TTL)
 		}
-		ttl = time.Duration(e.minTTL) * time.Second
+		ttl = time.Duration(minTTL) * time.Second
 	} else {
 		e.negative = true
 		soa := m.Authority[0]
@@ -211,17 +210,17 @@ func (mc *modelCache) probe(t *testing.T, now time.Time, key Key, id uint16) Loo
 		}
 		return 0
 	}
-	return Lookup{State: StateFresh, Negative: e.negative, MaxAge: age(e.minTTL), Body: e.body(t, id, age)}
+	return Lookup{State: StateFresh, Negative: e.negative, Body: e.body(t, id, age)}
 }
 
-func (mc *modelCache) staleWire(t *testing.T, now time.Time, key Key, id uint16) ([]byte, uint32, bool) {
+func (mc *modelCache) staleWire(t *testing.T, now time.Time, key Key, id uint16) ([]byte, bool) {
 	t.Helper()
 	i := mc.find(key)
 	if i < 0 || !mc.lru[i].expires.Add(mc.cfg.StaleWindow).After(now) {
-		return nil, 0, false
+		return nil, false
 	}
 	capTTL := func(ttl uint32) uint32 { return min(ttl, DefaultStaleTTL) }
-	return mc.lru[i].body(t, id, capTTL), DefaultStaleTTL, true
+	return mc.lru[i].body(t, id, capTTL), true
 }
 
 // TestCacheMatchesReferenceModel drives one small shard and the naive model
@@ -330,11 +329,11 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 			probe(step, k, uint16(rng.Intn(1<<16)))
 		case op < 8:
 			id := uint16(rng.Intn(1 << 16))
-			body, maxAge, ok := cache.StaleWire(testKey(k), id, nil)
-			wantBody, wantAge, wantOK := model.staleWire(t, clock.Now(), testKey(k), id)
-			if ok != wantOK || maxAge != wantAge || !bytes.Equal(body, wantBody) {
-				t.Fatalf("%s: stale wire of %s\n got %x %d %v\nwant %x %d %v", step,
-					testKey(k).Name, body, maxAge, ok, wantBody, wantAge, wantOK)
+			body, ok := cache.StaleWire(testKey(k), id, nil)
+			wantBody, wantOK := model.staleWire(t, clock.Now(), testKey(k), id)
+			if ok != wantOK || !bytes.Equal(body, wantBody) {
+				t.Fatalf("%s: stale wire of %s\n got %x %v\nwant %x %v", step,
+					testKey(k).Name, body, ok, wantBody, wantOK)
 			}
 			if ok {
 				staleServes++

@@ -16,9 +16,10 @@
 //     address — answer-cache lifecycle (probe → prefetch → serve-stale),
 //     upstream failure cooldown, and lifecycle counters. Its Proto field
 //     picks the envelope, and its one dial opens the matching session.
-//   - DoH (doh.go, codec in dohenvelope.go): the RFC 8484 envelope: one
-//     request/response envelope per query, GET or POST, with an
-//     HTTP-style status channel (502 for upstream failure).
+//   - DoH (doh.go): the RFC 8484 envelope: one GET per query, its "dns"
+//     parameter in and an HTTP-style status, the answer wire and the
+//     serve-stale marker out (400 for a parameter that does not decode,
+//     502 for upstream failure).
 //   - DoT (dot.go): the RFC 7858 envelope: persistent connections
 //     carrying 2-byte length-prefixed frames; queries pipeline and
 //     responses return out of order, matched by query ID; framing errors
@@ -121,12 +122,13 @@
 // Each operation on the query path has exactly one entry point, and that
 // entry point takes its result storage from the caller:
 //
-//	session.Exchange(q, into, tr)      Frontend.exchangeDoH(req, resp, tr)
+//	session.Exchange(q, into, tr)      Frontend.exchangeDoH(sc, param, tr)
 //	Frontend.Resolve(q, dst, tr)       Cache.Probe(key, id, dst)
 //	Pool.Candidates(dst, pref)         Cache.StaleWire(key, id, dst)
 //
-// into and resp receive the decoded answer (resp.Body's capacity is the
-// reply buffer); dst is append-style scratch, where nil simply
+// into receives the decoded answer; sc is the DoH exchange's pooled
+// server scratch, whose buffer the answer wire lands in; dst is
+// append-style scratch, where nil simply
 // allocates; tr is the exchange's trace, where nil traces nothing; pref
 // is a protocol preference, where ProtoAny means none. There are no
 // allocating or untraced twins — a one-shot caller passes a fresh
@@ -142,7 +144,7 @@
 //
 // With callers recycling those arguments the hot path is allocation-free
 // by construction, on a miss as on a hit: per-exchange state (candidate
-// orderings, envelope request/response scratch, DoT frame reassembly and
+// orderings, DoH parameter and answer scratch, DoT frame reassembly and
 // reply queue, DoQ stream buffers, decoded answer Messages) lives in
 // sync.Pools, wire encoding appends into recycled buffers via the
 // dnswire reuse APIs, a miss encodes its answer once (Resolve packs into
@@ -162,8 +164,6 @@
 //   - The cache copies the wire it is given (Resolve's packed answer, or
 //     Put's own pack of a message); an entry's bytes change only under
 //     its shard lock, when a replace or an eviction reuses its buffers.
-//     A DoHRequest's DNSParam may alias client scratch: exchangeDoH only
-//     reads it, and is done with it on return.
 //   - A Message returned by Client.Exchange is owned by the caller, who
 //     may give it back with Client.Recycle once it has copied out every
 //     value it wants: the message and everything reachable from it —

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"errors"
+	"fmt"
 	"net/netip"
 	"sync"
 
@@ -9,50 +11,53 @@ import (
 	"repro/internal/simnet"
 )
 
-// dohScratch is the per-request server-side scratch: the decoded query
-// message and the GET-parameter decode buffer. A DoH exchange is fully
-// synchronous, so the scratch is released before exchangeDoH
-// returns.
+// The RFC 8484 DNS-over-HTTPS envelope, without an HTTP stack: a GET
+// carries the query as an unpadded base64url "dns" parameter, and the
+// response is an HTTP-style status, the answer wire, and the RFC 8767
+// serve-stale marker.
+
+// HTTP-ish status codes of the DoH envelope.
+const (
+	StatusOK               = 200
+	StatusBadRequest       = 400
+	StatusServFailUpstream = 502
+)
+
+// Errors returned by envelope handling.
+var (
+	ErrBadEnvelope = errors.New("doh: malformed envelope")
+	ErrStatus      = errors.New("doh: non-success status")
+)
+
+// dohScratch is one GET exchange's server-side scratch: the decoded query
+// message, the parameter decode buffer and the answer wire buffer. A DoH
+// exchange is fully synchronous, so the scratch is released before the
+// session's Exchange returns and the exchange costs no allocations.
 type dohScratch struct {
-	q   dnswire.Message
-	buf []byte
+	q        dnswire.Message
+	buf, ans []byte
 }
 
 var dohScratchPool = sync.Pool{New: func() any { return new(dohScratch) }}
 
-// exchangeDoH is the RFC 8484 server side of a DoH frontend: it decodes
-// the request envelope, resolves, and re-encodes into resp. A hard
-// upstream failure with nothing stale becomes a 502 — DoH is the one
-// envelope with a status channel distinct from the DNS RCode. The request
-// decodes into pooled server scratch and the answer wire is appended into
-// resp's existing Body capacity, so a warm client/server pair exchanges
-// with no envelope allocations; all other resp fields are overwritten.
+// exchangeDoH is the server half of one GET exchange: param is the
+// request's "dns" parameter. A parameter that does not decode is a 400,
+// and a hard upstream failure with nothing stale is a 502 — DoH is the one
+// envelope with a status channel distinct from the DNS RCode. The answer
+// wire aliases sc's buffer, so it is valid until sc is recycled.
 // Server-side spans are recorded onto tr (a nil tr traces nothing).
-func (f *Frontend) exchangeDoH(req *DoHRequest, resp *DoHResponse, tr *obs.Trace) {
-	body := resp.Body[:0]
-	sc := dohScratchPool.Get().(*dohScratch)
-	defer func() {
-		sc.buf = dnswire.TrimRecycled(sc.buf)
-		dohScratchPool.Put(sc)
-	}()
-	buf, status, err := DecodeDoHRequestInto(&sc.q, req, sc.buf[:0])
+func (f *Frontend) exchangeDoH(sc *dohScratch, param []byte, tr *obs.Trace) (status int, wire []byte, stale bool) {
+	buf, err := dnswire.DecodeDoHParamInto(&sc.q, param, sc.buf)
 	sc.buf = buf
 	if err != nil {
-		*resp = DoHResponse{Status: status, Body: body}
-		return
+		return StatusBadRequest, nil, false
 	}
-	ans, err := f.Resolve(&sc.q, body, tr)
+	ans, err := f.Resolve(&sc.q, sc.ans[:0], tr)
 	if err != nil {
-		*resp = DoHResponse{Status: StatusServFailUpstream}
-		return
+		return StatusServFailUpstream, nil, false
 	}
-	*resp = DoHResponse{
-		Status:      StatusOK,
-		ContentType: dnswire.MediaTypeDNSMessage,
-		Body:        ans.Wire,
-		MaxAge:      ans.MaxAge,
-		Stale:       ans.Stale,
-	}
+	sc.ans = ans.Wire
+	return StatusOK, ans.Wire, ans.Stale
 }
 
 // dohSession is a client's RFC 8484 GET session: each Exchange is one
@@ -74,36 +79,31 @@ type answeredError struct {
 
 func (e *answeredError) Unwrap() error { return e.error }
 
-// dialScratch is a GET exchange's client-side working set: the request's
-// DNSParam aliases buf, which the synchronous exchangeDoH permits, and the
-// response's Body is the buffer the server appends the answer wire into.
-type dialScratch struct {
-	req  DoHRequest
-	resp DoHResponse
-	buf  []byte
-}
-
-var dialScratchPool = sync.Pool{New: func() any { return new(dialScratch) }}
-
+// Exchange encodes the query's GET parameter into a pooled buffer, serves
+// it out of pooled scratch, and decodes the answer into the caller's
+// message before the scratch is recycled.
 func (s *dohSession) Exchange(q, into *dnswire.Message, tr *obs.Trace) (bool, error) {
 	if _, err := s.net.Service(s.ap); err != nil {
 		return false, err
 	}
-	ds := dialScratchPool.Get().(*dialScratch)
-	defer func() {
-		ds.buf = dnswire.TrimRecycled(ds.buf)
-		ds.resp.Body = dnswire.TrimRecycled(ds.resp.Body)
-		dialScratchPool.Put(ds)
-	}()
-	param, buf, err := dnswire.AppendEncodeDoHParam(q, ds.buf)
-	ds.buf = buf
+	bp := dnswire.GetWireBuf()
+	defer dnswire.PutWireBuf(bp)
+	param, buf, err := dnswire.AppendEncodeDoHParam(q, *bp)
+	*bp = buf
 	if err != nil {
 		return false, err
 	}
-	ds.req = DoHRequest{Method: "GET", Path: DoHPath, DNSParam: param}
-	s.fe.exchangeDoH(&ds.req, &ds.resp, tr)
-	if err := ds.resp.DecodeInto(into); err != nil {
-		return false, &answeredError{err, ds.resp.Status}
+	sc := dohScratchPool.Get().(*dohScratch)
+	defer func() {
+		sc.buf, sc.ans = dnswire.TrimRecycled(sc.buf), dnswire.TrimRecycled(sc.ans)
+		dohScratchPool.Put(sc)
+	}()
+	status, wire, stale := s.fe.exchangeDoH(sc, param, tr)
+	if status != StatusOK {
+		return false, &answeredError{fmt.Errorf("%w: %d", ErrStatus, status), status}
 	}
-	return ds.resp.Stale, nil
+	if err := dnswire.UnpackInto(into, wire); err != nil {
+		return false, &answeredError{err, status}
+	}
+	return stale, nil
 }

@@ -83,9 +83,6 @@ type Frontend struct {
 type Answer struct {
 	// Wire is the packed response with the query's ID already in place.
 	Wire []byte
-	// MaxAge is the remaining freshness the DoH codec turns into a
-	// Cache-Control max-age (RFC 8484 §5.1); DoT/DoQ have no use for it.
-	MaxAge uint32
 	// Stale marks an RFC 8767 serve-stale answer: the frontend's upstream
 	// could not produce a fresh one, so a past-TTL cache entry was served
 	// with capped TTLs. The DoH envelope carries it as a header-equivalent
@@ -261,7 +258,7 @@ func (f *Frontend) Resolve(q *dnswire.Message, dst []byte, tr *obs.Trace) (Answe
 				}
 				f.prefetch(key, q)
 			}
-			return Answer{Wire: probe.Body, MaxAge: probe.MaxAge}, nil
+			return Answer{Wire: probe.Body}, nil
 		case StateStale:
 			stale = true
 			if f.inCooldown() {
@@ -366,12 +363,12 @@ func answers(m, q *dnswire.Message) bool {
 // serveStale materializes the stale body, marked so stubs can count it;
 // ok is false when the entry vanished since the probe (LRU pressure).
 func (f *Frontend) serveStale(key Key, id uint16, dst []byte) (Answer, bool) {
-	body, maxAge, ok := f.Cache.StaleWire(key, id, dst)
+	body, ok := f.Cache.StaleWire(key, id, dst)
 	if !ok {
 		return Answer{}, false
 	}
 	f.staleServed.Add(1)
-	return Answer{Wire: body, MaxAge: maxAge, Stale: true}, true
+	return Answer{Wire: body, Stale: true}, true
 }
 
 // prefetch refreshes an entry nearing expiry: the hit that armed it was
@@ -396,17 +393,16 @@ func (f *Frontend) prefetch(key Key, q *dnswire.Message) {
 	f.Cache.Put(key, resp)
 }
 
-// packAnswerAppend packs a DNS message into dst (nil dst allocates) with
-// max-age derived from the answer's minimum TTL; packing failures surface
-// as an upstream failure so the stub fails over rather than mis-parsing.
+// packAnswerAppend packs a DNS message into dst (nil dst allocates);
+// packing failures surface as an upstream failure so the stub fails over
+// rather than mis-parsing.
 func packAnswerAppend(m *dnswire.Message, dst []byte) (Answer, error) {
 	base := len(dst)
 	wire, err := m.AppendPack(dst)
 	if err != nil {
 		return Answer{}, ErrUpstreamFailed
 	}
-	maxAge, _ := minAnswerTTL(m)
-	return Answer{Wire: wire[base:], MaxAge: maxAge}, nil
+	return Answer{Wire: wire[base:]}, nil
 }
 
 // servFailWire synthesizes a packed SERVFAIL reply to q — what a DoT or

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/dnswire"
-	"repro/internal/obs"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 )
@@ -111,10 +110,6 @@ type Config struct {
 	// Diurnal shapes the rate over the day; Crowds schedules spikes.
 	Diurnal Diurnal
 	Crowds  []FlashCrowd
-	// Interval enables per-interval telemetry: at each boundary on the
-	// engine's timeline Run records the stable snapshot of its counters
-	// (Points); 0 disables, negative is rejected.
-	Interval time.Duration
 }
 
 // withDefaults fills the zero-value knobs.
@@ -150,10 +145,6 @@ type preferring interface {
 	ExchangePreferring(q *dnswire.Message, pref transport.Protocol) (*dnswire.Message, error)
 }
 
-// staleCounter is the optional stale-answer counter the engine reports
-// as workload_stale_answers_total, counted from Run's start.
-type staleCounter interface{ StaleAnswers() uint64 }
-
 // answerReuser is the optional answer-recycling toggle
 // (*transport.Client implements it). The engine is the target's sole
 // driver for the duration of Run and discards every answer before the
@@ -167,18 +158,13 @@ type answerReuser interface{ SetReuseAnswers(on bool) }
 // than paying one mutex-guarded Set each per query.
 const chargeQuantum = 100 * time.Millisecond
 
-// Summary is one engine run's totals.
+// Summary is one engine run's totals: of its Queries, StubHits were
+// answered from the clients' stub caches, the rest went to the target,
+// and Errors of those failed.
 type Summary struct {
-	Clients        int
-	Model          Model
-	Queries        uint64
-	StubHits       uint64
-	FleetExchanges uint64
-	StaleServed    uint64
-	Errors         uint64
-	// Virtual is the simulated span actually covered (shorter than
-	// Config.Duration when MaxQueries capped the run).
-	Virtual time.Duration
+	Queries  uint64
+	StubHits uint64
+	Errors   uint64
 	// Digest fingerprints the full event stream — every (client, due,
 	// rank, outcome) tuple in pop order — so tests can assert two runs
 	// replayed identically without storing millions of events.
@@ -193,7 +179,6 @@ type Engine struct {
 	clock  *simnet.Clock
 	target Exchanger
 	prefTx preferring
-	stale  staleCounter
 
 	zipf  *zipfSampler
 	names []string // canonical FQDN per rank, built once
@@ -210,21 +195,11 @@ type Engine struct {
 
 	start     int64 // unix nanos at Run start
 	end       int64
-	charged   int64 // clock high-water mark already Set
-	lastDue   int64
-	nextTick  int64
+	charged   int64   // clock high-water mark already Set
 	crowdRank []int32 // resolved Domains rank per crowd (-1: none)
 
-	queries   obs.Counter
-	stubHits  obs.Counter
-	exchanges obs.Counter
-	errors    obs.Counter
-
-	reg       *obs.Registry
-	points    []obs.Point
-	staleBase uint64
-
-	digest uint64
+	queries, stubHits, errors uint64
+	digest                    uint64
 }
 
 // fnvOffset/fnvPrime are the FNV-1a 64 parameters for the event digest.
@@ -251,7 +226,7 @@ func New(cfg Config, clock *simnet.Clock, target Exchanger) (*Engine, error) {
 		name string
 		v    float64
 	}{{"ZipfS", cfg.ZipfS}, {"OpenRate", cfg.OpenRate}, {"Think", float64(cfg.Think)},
-		{"StubTTL", float64(cfg.StubTTL)}, {"Interval", float64(cfg.Interval)}} {
+		{"StubTTL", float64(cfg.StubTTL)}} {
 		if f.v < 0 {
 			return nil, fmt.Errorf("workload: %s must not be negative", f.name)
 		}
@@ -322,38 +297,12 @@ func New(cfg Config, clock *simnet.Clock, target Exchanger) (*Engine, error) {
 			e.cal.clients[i].pref = int8(cycle[i%len(cycle)])
 		}
 	}
-	e.stale, _ = target.(staleCounter)
 	e.q = dnswire.NewQuery(0, e.names[0], dnswire.TypeHTTPS, false)
-	e.bindMetrics()
 	return e, nil
 }
 
 // emptySlot marks an unused stub-cache slot (no rank reaches 2^32−1).
 const emptySlot = ^uint32(0)
-
-// bindMetrics stands up the engine-owned registry of cumulative
-// counters. Everything here is a deterministic function of the event
-// stream, so none of it is marked volatile and every counter survives the
-// stable snapshot the interval points carry.
-func (e *Engine) bindMetrics() {
-	e.reg = obs.NewRegistry(e.clock)
-	e.reg.RegisterCounter(&e.queries, "workload_queries_total")
-	e.reg.RegisterCounter(&e.stubHits, "workload_stub_hits_total")
-	e.reg.RegisterCounter(&e.exchanges, "workload_fleet_exchanges_total")
-	e.reg.RegisterCounter(&e.errors, "workload_errors_total")
-	if e.stale != nil {
-		e.reg.RegisterView(func(add obs.ViewAdd) {
-			add("workload_stale_answers_total", obs.KindCounter, float64(e.stale.StaleAnswers()-e.staleBase))
-		})
-	}
-}
-
-// Points returns the per-interval telemetry Run collected: one "tick"
-// point per Config.Interval boundary, stamped with the boundary and
-// carrying the counters' stable snapshot there (nil when Interval is 0).
-// Per-interval rates are consecutive points' counter deltas
-// (Snapshot.Sub) over the interval.
-func (e *Engine) Points() []obs.Point { return e.points }
 
 // rateFactor is the instantaneous arrival-rate multiplier at t (unix
 // nanos): the diurnal curve times any active flash crowd.
@@ -420,18 +369,6 @@ func (e *Engine) setClock(t int64) {
 	}
 }
 
-// tick closes out one telemetry interval ending at boundary: the clock
-// moves to the boundary and the counters' snapshot is recorded there. A
-// target that charges latency to the clock may have pushed it past the
-// boundary, so the point is stamped with the boundary itself, on the
-// engine's timeline.
-func (e *Engine) tick(boundary int64) {
-	e.setClock(boundary)
-	e.points = append(e.points, obs.Point{
-		At: time.Unix(0, boundary).UTC(), Label: "tick", Snap: e.reg.StableSnapshot(),
-	})
-}
-
 // digestEvent folds one processed event into the stream fingerprint.
 func (e *Engine) digestEvent(client uint32, due int64, rank uint32, outcome byte) {
 	h := e.digest
@@ -463,16 +400,16 @@ func (e *Engine) process(ev event) byte {
 	if !pinned {
 		rank = e.zipf.draw(&c.rng)
 	}
-	e.queries.Add(1)
+	e.queries++
 	slot := int(ev.client)*stubSlots + int(rank)%stubSlots
 	if e.cacheDom[slot] == rank && e.cacheExp[slot] >= ev.due {
-		e.stubHits.Add(1)
+		e.stubHits++
 		e.digestEvent(ev.client, ev.due, rank, outcomeStubHit)
 		return outcomeStubHit
 	}
 	// Amortised clock charge: the fleet sees time in chargeQuantum steps.
 	e.setClock(ev.due - ev.due%int64(chargeQuantum))
-	e.q.ID = uint16(e.queries.Load())
+	e.q.ID = uint16(e.queries)
 	e.q.Question[0].Name = e.names[rank]
 	var err error
 	if e.prefTx != nil {
@@ -480,10 +417,9 @@ func (e *Engine) process(ev event) byte {
 	} else {
 		_, err = e.target.Exchange(e.q)
 	}
-	e.exchanges.Add(1)
 	outcome := outcomeAnswered
 	if err != nil {
-		e.errors.Add(1)
+		e.errors++
 		outcome = outcomeError
 	} else {
 		e.cacheDom[slot] = rank
@@ -500,14 +436,10 @@ func (e *Engine) process(ev event) byte {
 func (e *Engine) Run() Summary {
 	e.start = e.clock.Now().UnixNano()
 	e.charged = e.start
-	e.lastDue = e.start
 	if e.cfg.Duration > 0 {
 		e.end = e.start + int64(e.cfg.Duration)
 	} else {
 		e.end = math.MaxInt64
-	}
-	if e.stale != nil {
-		e.staleBase = e.stale.StaleAnswers()
 	}
 	// The engine is the target's sole driver until Run returns and never
 	// reads an answer after the next exchange starts, so the client may
@@ -516,9 +448,6 @@ func (e *Engine) Run() Summary {
 		ru.SetReuseAnswers(true)
 		defer ru.SetReuseAnswers(false)
 	}
-	if e.cfg.Interval > 0 {
-		e.nextTick = e.start + int64(e.cfg.Interval)
-	}
 
 	// Seed every client's first arrival.
 	for i := range e.cal.clients {
@@ -526,49 +455,19 @@ func (e *Engine) Run() Summary {
 	}
 
 	for {
-		if e.cfg.MaxQueries > 0 && e.queries.Load() >= uint64(e.cfg.MaxQueries) {
+		if e.cfg.MaxQueries > 0 && e.queries >= uint64(e.cfg.MaxQueries) {
 			break
 		}
 		ev, ok := e.cal.Pop()
 		if !ok || ev.due >= e.end {
 			break
 		}
-		for e.nextTick > 0 && ev.due >= e.nextTick {
-			e.tick(e.nextTick)
-			e.nextTick += int64(e.cfg.Interval)
-		}
 		e.process(ev)
-		e.lastDue = ev.due
 		e.cal.Push(ev.client, ev.due+e.gap(&e.cal.clients[ev.client].rng, ev.due))
 	}
 
 	if e.cfg.Duration > 0 {
-		// Close out the horizon: remaining interval ticks, then the end.
-		for e.nextTick > 0 && e.nextTick <= e.end {
-			e.tick(e.nextTick)
-			e.nextTick += int64(e.cfg.Interval)
-		}
 		e.setClock(e.end)
-		e.lastDue = e.end
 	}
-	return e.summary()
-}
-
-// summary assembles the run totals.
-func (e *Engine) summary() Summary {
-	var stale uint64
-	if e.stale != nil {
-		stale = e.stale.StaleAnswers() - e.staleBase
-	}
-	return Summary{
-		Clients:        e.cfg.Clients,
-		Model:          e.cfg.Model,
-		Queries:        e.queries.Load(),
-		StubHits:       e.stubHits.Load(),
-		FleetExchanges: e.exchanges.Load(),
-		StaleServed:    stale,
-		Errors:         e.errors.Load(),
-		Virtual:        time.Duration(e.lastDue - e.start),
-		Digest:         e.digest,
-	}
+	return Summary{Queries: e.queries, StubHits: e.stubHits, Errors: e.errors, Digest: e.digest}
 }

@@ -5,7 +5,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/dnswire"
+	"repro/internal/simnet"
 )
 
 // TestZipfRankFrequencySlope checks the popularity model statistically:
@@ -124,47 +125,46 @@ func TestClosedLoopThinkTime(t *testing.T) {
 	}
 }
 
+// hourTarget counts exchanges by the hour of day its clock reads.
+type hourTarget struct {
+	fakeTarget
+	clock  *simnet.Clock
+	byHour [24]int
+}
+
+func (h *hourTarget) Exchange(q *dnswire.Message) (*dnswire.Message, error) {
+	h.byHour[h.clock.Now().Hour()]++
+	return h.fakeTarget.Exchange(q)
+}
+
 // TestDiurnalPeakLandsOnSchedule: with a strong diurnal curve peaking
-// at 20h, the busiest hourly tick of a 24 h run must sit in the
-// scheduled evening, and the peak/trough ratio must reflect the
-// configured amplitude. Hourly qps is each tick's workload_queries_total
-// delta over the previous tick.
+// at 20h, the busiest hour of a 24 h run must sit in the scheduled
+// evening, and the peak/trough ratio must reflect the configured
+// amplitude. Hourly load is the exchanges a target sees in each clock
+// hour; with a 1 s stub TTL nearly every query is one.
 func TestDiurnalPeakLandsOnSchedule(t *testing.T) {
 	cfg := Config{
 		Clients: 300, Model: ModelOpen, Seed: 19,
 		Domains: testDomains(100), Duration: 24 * time.Hour,
 		OpenRate: 0.01, StubTTL: time.Second,
-		Diurnal:  Diurnal{Amplitude: 0.8, Peak: 20 * time.Hour},
-		Interval: time.Hour,
+		Diurnal: Diurnal{Amplitude: 0.8, Peak: 20 * time.Hour},
 	}
-	// Clock starts at midnight UTC, so tick hour = hour of day.
-	eng, err := New(cfg, testClock(), &fakeTarget{})
+	// Clock starts at midnight UTC, so clock hour = hour of day.
+	clock := testClock()
+	tgt := &hourTarget{clock: clock}
+	eng, err := New(cfg, clock, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
-	points := eng.Points()
-	if len(points) != 24 {
-		t.Fatalf("%d hourly ticks over a 24 h run, want 24", len(points))
-	}
-	var peakHour int
-	var peakQPS, troughQPS float64
-	troughQPS = math.Inf(1)
-	prev := &obs.Snapshot{}
-	for _, p := range points {
-		qps := p.Snap.Sub(prev).Value("workload_queries_total") / cfg.Interval.Seconds()
-		prev = p.Snap
-		if qps > peakQPS {
-			peakQPS = qps
-			// The tick at hh:00 covers the preceding hour.
-			peakHour = p.At.UTC().Hour()
-			if peakHour == 0 {
-				peakHour = 24
-			}
+	var peakHour, peak int
+	trough := math.MaxInt
+	for h, n := range tgt.byHour {
+		if n > peak {
+			// Name the bucket by the hour it ends at.
+			peak, peakHour = n, h+1
 		}
-		if qps < troughQPS {
-			troughQPS = qps
-		}
+		trough = min(trough, n)
 	}
 	// The 20h peak should land in the 20:00 or 21:00 bucket; allow one
 	// bucket of sampling noise either side.
@@ -173,8 +173,8 @@ func TestDiurnalPeakLandsOnSchedule(t *testing.T) {
 	}
 	// factor spans [1−A, 1+A] = [0.2, 1.8]: a 9× ideal ratio. Demand at
 	// least 3× so a flat curve can't pass.
-	if troughQPS <= 0 || peakQPS/troughQPS < 3 {
-		t.Errorf("peak/trough qps ratio %.2f (%.1f/%.1f), want ≥ 3 for amplitude 0.8",
-			peakQPS/troughQPS, peakQPS, troughQPS)
+	if trough <= 0 || float64(peak)/float64(trough) < 3 {
+		t.Errorf("peak/trough ratio %.2f (%d/%d exchanges an hour), want ≥ 3 for amplitude 0.8",
+			float64(peak)/float64(trough), peak, trough)
 	}
 }

@@ -16,17 +16,21 @@ import (
 // authoritative side now depends on: a record a server hands out may be the
 // very value it hands out next time — the cached RRSIG, the key's DNSKEY
 // and DS RDATA, the provider's NS and glue RDATA, a domain's memoised SOA
-// set and the SOA RDATA its provider shares that day, a child's memoised
-// referral sections — so nobody downstream may write through it. Deep
-// copies of a signed adopter's answers, and of an unsigned neighbour's at
-// the same provider, are taken first; then the name goes through recursor →
+// set and the SOA RDATA its provider shares that day, its memoised HTTPS, A
+// and AAAA sets, a child's memoised referral sections — so nobody
+// downstream may write through it. Deep copies of a signed adopter's
+// answers, of an unsigned adopter's at the same provider, of an unsigned ECH
+// adopter's HTTPS sets and of a mismatch domain's A sets are taken first;
+// then the name goes through recursor →
 // scanner, and through a four-frontend racing fleet whose client recycles
 // its answer messages (pack, cache put, cache hit, stale serve, the losers'
 // discard); then a whole day is scanned through a day replica of that
 // fleet, every answer handed back with Client.Recycle and decoded over by
-// the next; then the servers are asked on the next day, which replaces
-// every SOA memo: every answer handed out on the first day must still say
-// what it said, and asked again on that day the servers must say it too.
+// the next; then the servers are asked a day later, which replaces every
+// SOA memo, the ECH adopter's HTTPS memos (its key has rotated) and the
+// mismatch domain's A memos (an episode has begun): every answer handed out
+// first must still say what it said, and asked again at its time the
+// servers must say it too.
 func TestServedRecordsStayReadOnly(t *testing.T) {
 	camp, err := NewCampaign(CampaignConfig{
 		Size: 2000, Seed: 7, DoHFrontends: 4,
@@ -54,26 +58,62 @@ func TestServedRecordsStayReadOnly(t *testing.T) {
 		t.Fatal("world has no steady signed adopter")
 	}
 	p, tld := d.Providers[0], w.TLDs[dnswire.ParentName(d.Apex)]
-	var u *providers.DomainState
-	for _, c := range w.Domains {
-		if !c.Signed && c.Providers[0] == p && c.Intermittent == providers.IntermitNone && c.SwitchDay.IsZero() &&
-			len(c.NoNSEpisodes) == 0 && !c.ApexCNAME && w.TLDs[dnswire.ParentName(c.Apex)] != nil && (u == nil || c.Apex < u.Apex) {
-			u = c
+	// unsigned picks the steady unsigned domain with the smallest name that
+	// has a www name and a TLD server and passes ok; it fails the test when
+	// none does.
+	unsigned := func(what string, ok func(*providers.DomainState) bool) *providers.DomainState {
+		var u *providers.DomainState
+		for _, c := range w.Domains {
+			if !c.Signed && c.Intermittent == providers.IntermitNone && c.SwitchDay.IsZero() && len(c.NoNSEpisodes) == 0 &&
+				!c.ApexCNAME && !c.WWWCNAME && c.HasWWW && w.TLDs[dnswire.ParentName(c.Apex)] != nil && ok(c) && (u == nil || c.Apex < u.Apex) {
+				u = c
+			}
 		}
+		if u == nil {
+			t.Fatalf("world has no steady unsigned %s", what)
+		}
+		return u
 	}
-	if u == nil {
-		t.Fatalf("world has no steady unsigned domain at %s", p.Name)
-	}
+	u := unsigned("adopter at "+p.Name, func(c *providers.DomainState) bool {
+		return c.Providers[0] == p && c.WWWHTTPS && c.HTTPSPublished(at, p)
+	})
 	utld := w.TLDs[dnswire.ParentName(u.Apex)]
+	// An ECH adopter while ECH is on, and a mismatch domain half a day
+	// before an episode: a day later its key has rotated, and the episode
+	// has begun.
+	echAt := time.Date(2023, 7, 3, 12, 0, 0, 0, time.UTC)
+	e := unsigned("ECH adopter", func(c *providers.DomainState) bool {
+		return c.ECH && c.WWWHTTPS && c.HTTPSPublished(echAt, c.Providers[0]) && c.HTTPSPublished(echAt.AddDate(0, 0, 1), c.Providers[0])
+	})
+	mis := unsigned("mismatch domain", func(c *providers.DomainState) bool {
+		return len(c.MismatchEpisodes) > 0 && c.MismatchEpisodes[0].From.After(providers.StudyStart.AddDate(0, 0, 1))
+	})
+	misAt := mis.MismatchEpisodes[0].From.Add(-12 * time.Hour)
+	if mis.InMismatch(misAt) || !mis.InMismatch(misAt.AddDate(0, 0, 1)) {
+		t.Fatalf("%s: no mismatch episode begins within a day of %s", mis.Apex, misAt)
+	}
 	scanTypes := []dnswire.Type{dnswire.TypeHTTPS, dnswire.TypeA, dnswire.TypeAAAA, dnswire.TypeSOA, dnswire.TypeNS}
 
 	// held is every answer the servers handed out, as handed out.
 	var held []*dnswire.Message
-	// ask collects deep copies of what the authoritatives say at a time.
-	ask := func(at time.Time) (out []dnswire.Message) {
+	// ask collects deep copies of what the authoritatives say at the first
+	// asks' times moved on by shift days.
+	ask := func(shift int) (out []dnswire.Message) {
 		keep := func(m *dnswire.Message) {
 			held = append(held, m)
 			out = append(out, deepCopy(m))
+		}
+		for _, name := range []string{e.Apex, e.WWWName()} {
+			keep(e.Providers[0].HandleDNSAt(dnswire.NewQuery(1, name, dnswire.TypeHTTPS, true), echAt.AddDate(0, 0, shift)))
+		}
+		for _, name := range []string{mis.Apex, mis.WWWName()} {
+			keep(mis.Providers[0].HandleDNSAt(dnswire.NewQuery(1, name, dnswire.TypeA, true), misAt.AddDate(0, 0, shift)))
+		}
+		at := at.AddDate(0, 0, shift)
+		for _, name := range []string{u.Apex, u.WWWName()} {
+			for _, typ := range []dnswire.Type{dnswire.TypeHTTPS, dnswire.TypeA, dnswire.TypeAAAA} {
+				keep(p.HandleDNSAt(dnswire.NewQuery(1, name, typ, true), at))
+			}
 		}
 		for _, typ := range append([]dnswire.Type{dnswire.TypeDNSKEY, dnswire.TypeTXT}, scanTypes...) {
 			keep(p.HandleDNSAt(dnswire.NewQuery(1, d.Apex, typ, true), at))
@@ -90,7 +130,7 @@ func TestServedRecordsStayReadOnly(t *testing.T) {
 		keep(utld.HandleDNSAt(dnswire.NewQuery(1, u.Apex, dnswire.TypeHTTPS, true), at))
 		return out
 	}
-	want := ask(at)
+	want := ask(0)
 	checkSharing(t, at, p, tld, d, u, utld)
 
 	// Recursor → scanner, the paper's direct path.
@@ -143,10 +183,16 @@ func TestServedRecordsStayReadOnly(t *testing.T) {
 		t.Errorf("day scan of %s: %+v", d.Apex, o)
 	}
 
-	// The next day replaces every SOA memo; nothing handed out may move.
-	next := ask(at.AddDate(0, 0, 1))
+	// A day later replaces every SOA memo, and the ECH and mismatch
+	// domains' answer memos; nothing handed out may move.
+	next := ask(1)
 	if serial(next[len(next)-3]) == serial(want[len(want)-3]) {
 		t.Errorf("%s serves one SOA serial on two days", u.Apex)
+	}
+	for i := 0; i < 4; i++ {
+		if reflect.DeepEqual(next[i].Answer, want[i].Answer) {
+			t.Errorf("%s %s answers alike a day apart: its memo was never replaced", want[i].Question[0].Name, want[i].Question[0].Type)
+		}
 	}
 	diff := func(what string, got []dnswire.Message) {
 		for i := range want {
@@ -160,7 +206,7 @@ func TestServedRecordsStayReadOnly(t *testing.T) {
 		first = append(first, deepCopy(m))
 	}
 	diff("after serving and a day change, the first answer handed out", first)
-	diff("after serving", ask(at))
+	diff("after serving", ask(0))
 }
 
 // deepCopy copies a message and every record in it.
@@ -203,6 +249,15 @@ func checkSharing(t *testing.T, at time.Time, p *providers.Provider, tld *provid
 	dsA, dsB := ask(tld, d.Apex, dnswire.TypeA), ask(tld, d.Apex, dnswire.TypeA)
 	if sameArray(dsA.Authority, dsB.Authority) {
 		t.Errorf("two referrals to signed %s appended their DS and RRSIG into one array", d.Apex)
+	}
+	for _, name := range []string{u.Apex, u.WWWName()} {
+		for _, typ := range []dnswire.Type{dnswire.TypeHTTPS, dnswire.TypeA, dnswire.TypeAAAA} {
+			x, y := ask(p, name, typ).Answer, ask(p, name, typ).Answer
+			if len(x) == 0 || &x[0] != &y[0] {
+				t.Errorf("%s %s: two answers are not one memoised set", name, typ)
+			}
+			appendsStayApart(t, "memoised "+typ.String()+" answer", x, y)
+		}
 	}
 	appendsStayApart(t, "memoised SOA answer", soa, ask(p, u.Apex, dnswire.TypeSOA).Answer)
 	appendsStayApart(t, "memoised NODATA authority", nodata, ask(p, u.Apex, dnswire.TypeTXT).Authority)

@@ -44,7 +44,7 @@ type Message struct {
 	Additional []RR
 
 	// home is the skeleton a NewQuery or Reply message lives in; nil for
-	// every other message. Release gives it back.
+	// every other message, a QuerySlab's included. Release gives it back.
 	home *skeleton
 }
 
@@ -106,12 +106,37 @@ func (s *skeleton) edns(dnssecOK bool) {
 // NewQuery builds a recursion-desired query for (name, type) with EDNS(0),
 // in one allocation or in a skeleton that came back through Release.
 func NewQuery(id uint16, name string, t Type, dnssecOK bool) *Message {
-	s := newSkeleton()
+	return newSkeleton().query(id, name, t, dnssecOK)
+}
+
+// query makes a zeroed skeleton NewQuery's message.
+func (s *skeleton) query(id uint16, name string, t Type, dnssecOK bool) *Message {
 	s.ID, s.RecursionDesired = id, true
 	s.q[0] = Question{Name: CanonicalName(name), Type: t, Class: ClassINET}
 	s.Question = s.q[:]
 	s.edns(dnssecOK)
 	return &s.Message
+}
+
+// QuerySlab hands out queries carved from chunks of skeletons that never go
+// back to a pool: a slot is written once, when its query is built, so a
+// receiver may keep the query and read it as sent for good. Release on such
+// a query does nothing. The zero value is ready to use; a QuerySlab is not
+// safe for concurrent use.
+type QuerySlab struct{ free []skeleton }
+
+// querySlabChunk is how many skeletons a QuerySlab allocates at a time
+// (about 6.5 KB).
+const querySlabChunk = 32
+
+// NewQuery is the package's NewQuery, built in the slab's next free slot.
+func (qs *QuerySlab) NewQuery(id uint16, name string, t Type, dnssecOK bool) *Message {
+	if len(qs.free) == 0 {
+		qs.free = make([]skeleton, querySlabChunk)
+	}
+	s := &qs.free[0]
+	qs.free = qs.free[1:]
+	return s.query(id, name, t, dnssecOK)
 }
 
 // Reply builds a response skeleton for the query: same ID, question, and

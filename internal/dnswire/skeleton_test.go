@@ -302,3 +302,39 @@ func snapshot(m *Message) Message {
 	}
 	return out
 }
+
+// TestQuerySlabNeverRecycles: a slab's queries are NewQuery's messages in
+// slots written once, one chunk of querySlabChunk per allocation. Release
+// leaves them alone, so neither later slab queries nor pooled skeletons
+// built after it may change what one of them says.
+func TestQuerySlabNeverRecycles(t *testing.T) {
+	var qs QuerySlab
+	var kept []*Message
+	var want []Message
+	for i := 0; i < 3*querySlabChunk; i++ {
+		q := qs.NewQuery(uint16(i), fmt.Sprintf("n%d.example.", i), TypeA, i%2 == 0)
+		fresh := snapshot(NewQuery(uint16(i), q.Question[0].Name, TypeA, i%2 == 0))
+		if fresh.home = nil; !reflect.DeepEqual(snapshot(q), fresh) {
+			t.Fatalf("slab query %d says %+v, NewQuery %+v", i, q, &fresh)
+		}
+		q.Release()
+		kept, want = append(kept, q), append(want, snapshot(q))
+		NewQuery(1, "pooled.example.", TypeHTTPS, true).Release()
+	}
+	for i, q := range kept {
+		if q.home != nil || !reflect.DeepEqual(snapshot(q), want[i]) {
+			t.Fatalf("slab query %d changed after Release and later builds: %+v, want %+v", i, q, &want[i])
+		}
+	}
+	if testrace.Enabled {
+		return
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		var qs QuerySlab
+		for i := 0; i < querySlabChunk; i++ {
+			qs.NewQuery(1, "www.example.com.", TypeA, true)
+		}
+	}); n != 1 {
+		t.Errorf("a chunk of slab queries: %v allocations, want 1", n)
+	}
+}

@@ -2,11 +2,13 @@ package providers
 
 import (
 	"encoding/hex"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/dnssec"
 	"repro/internal/dnswire"
@@ -90,15 +92,18 @@ func TestUnsignedDomainPaysNothingForDO(t *testing.T) {
 // step. That NODATA's RRSIG must then pack to the bytes of an eager
 // sign-and-pack of the same SOA. Warm, an unsigned NODATA costs its reply
 // skeleton and nothing else (the SOA is the domain's memo), so released it
-// costs nothing; a referral costs the skeleton, its sections being the
-// child's memo, and for a signed child one more array for the DS and its
-// RRSIG behind the shared NS set.
+// costs nothing, and so do an unsigned HTTPS, A or AAAA answer (each set is
+// the domain's memo for its owner); a signed one costs the skeleton and the
+// array its RRSIG is appended to; a referral costs the skeleton, its
+// sections being the child's memo, and for a signed child one more array
+// for the DS and its RRSIG behind the shared NS set.
 func TestAuthoritativeAllocBudgets(t *testing.T) {
 	if testrace.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	w := buildTestWorld(t, 2000)
 	unsigned, signed := steadyDomain(t, w, false, false), steadyDomain(t, w, true, true)
+	adopter := steadyDomain(t, w, false, true)
 	negative := findDomain(w, func(d *DomainState) bool {
 		return d.Signed && d.Profile == ProfileNone && d.Intermittent == IntermitNone && d.SwitchDay.IsZero() &&
 			len(d.NoNSEpisodes) == 0 && !d.ApexCNAME
@@ -117,7 +122,10 @@ func TestAuthoritativeAllocBudgets(t *testing.T) {
 	}{
 		{"provider NODATA for an unsigned domain", 1, unsigned.Providers[0], dnswire.NewQuery(1, unsigned.Apex, dnswire.TypeHTTPS, true), false, false},
 		{"unsigned NODATA again on the same day", 0, unsigned.Providers[0], dnswire.NewQuery(1, unsigned.Apex, dnswire.TypeHTTPS, true), false, true},
-		{"provider HTTPS answer of a signed adopter", 8, signed.Providers[0], dnswire.NewQuery(2, signed.Apex, dnswire.TypeHTTPS, true), false, false},
+		{"provider HTTPS answer of a signed adopter", 2, signed.Providers[0], dnswire.NewQuery(2, signed.Apex, dnswire.TypeHTTPS, true), false, false},
+		{"unsigned apex HTTPS again", 0, adopter.Providers[0], dnswire.NewQuery(2, adopter.Apex, dnswire.TypeHTTPS, true), false, true},
+		{"A again", 0, adopter.Providers[0], dnswire.NewQuery(2, adopter.Apex, dnswire.TypeA, true), false, true},
+		{"AAAA again", 0, adopter.Providers[0], dnswire.NewQuery(2, adopter.Apex, dnswire.TypeAAAA, true), false, true},
 		{"TLD referral", 1, tldOf(t, w, unsigned), dnswire.NewQuery(3, unsigned.Apex, dnswire.TypeA, true), false, false},
 		{"TLD referral to a signed child", 2, tldOf(t, w, signed), dnswire.NewQuery(4, signed.Apex, dnswire.TypeA, true), false, false},
 		{"signed NODATA on a new day (signature-cache miss)", 24, negative.Providers[0], dnswire.NewQuery(5, negative.Apex, dnswire.TypeHTTPS, true), true, false},
@@ -196,6 +204,107 @@ func TestSOAMemoUnderConcurrentDays(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestAnswerMemoUnderConcurrentDays: eight goroutines ask an ECH adopter's
+// apex and www for their HTTPS, A and AAAA sets at times on both sides of
+// ECH key rotations and of the h3-29 sunset, a Cloudflare default without
+// ECH the same (only the sunset moves its set), and a mismatch domain in
+// and out of an IP-hint mismatch episode, so the answer memos are
+// replaced under them all the time. Every set must equal one built from
+// scratch for its time.
+func TestAnswerMemoUnderConcurrentDays(t *testing.T) {
+	w := buildTestWorld(t, 2000)
+	steady := func(d *DomainState, at time.Time) bool {
+		return d.Intermittent == IntermitNone && d.SwitchDay.IsZero() && len(d.NoNSEpisodes) == 0 &&
+			!d.ApexCNAME && !d.WWWCNAME && d.HasWWW && d.HTTPSPublished(at, d.Providers[0])
+	}
+	early := H3Draft29SunsetDate.Add(-2 * time.Hour)
+	ech := findDomain(w, func(d *DomainState) bool {
+		return d.Profile == ProfileCFDefault && d.WWWHTTPS && steady(d, early) && d.Providers[0].echListFor(d, early) != nil
+	})
+	plain := findDomain(w, func(d *DomainState) bool {
+		return d.Profile == ProfileCFDefault && !d.ECH && steady(d, early)
+	})
+	mis := findDomain(w, func(d *DomainState) bool {
+		return len(d.MismatchEpisodes) > 0 && d.MismatchEpisodes[0].From.After(StudyStart) && d.HintV4 &&
+			steady(d, d.MismatchEpisodes[0].From.Add(-12*time.Hour))
+	})
+	if ech == nil || plain == nil || mis == nil {
+		t.Fatalf("world lacks an ECH adopter (%v), a Cloudflare default without ECH (%v) or a mismatch domain (%v)", ech, plain, mis)
+	}
+	type ask struct {
+		d    *DomainState
+		name string
+		typ  dnswire.Type
+		at   time.Time
+	}
+	var asks []ask
+	add := func(d *DomainState, at time.Time) {
+		for _, name := range []string{d.Apex, d.WWWName()} {
+			for _, typ := range []dnswire.Type{dnswire.TypeHTTPS, dnswire.TypeA, dnswire.TypeAAAA} {
+				asks = append(asks, ask{d, name, typ, at})
+			}
+		}
+	}
+	for i := 0; i < 4; i++ {
+		at := early.Add(time.Duration(i) * echRotationPeriod) // the sunset falls between the second and the third
+		add(ech, at)
+		add(plain, at)
+	}
+	from := mis.MismatchEpisodes[0].From
+	add(mis, from.Add(-12*time.Hour))
+	add(mis, from.Add(12*time.Hour))
+	p := ech.Providers[0]
+	if sameList(p.echListFor(ech, early), p.echListFor(ech, early.Add(echRotationPeriod))) ||
+		mis.InMismatch(from.Add(-12*time.Hour)) || !mis.InMismatch(from.Add(12*time.Hour)) {
+		t.Fatal("the times asked cross no ECH rotation or no mismatch episode boundary")
+	}
+	// fresh builds what a's set says, from nothing but the domain's state.
+	fresh := func(a ask) []dnswire.RR {
+		rr := dnswire.RR{Name: a.name, Type: a.typ, Class: dnswire.ClassINET, TTL: a.d.TTL}
+		switch a.typ {
+		case dnswire.TypeA:
+			rr.Data = &dnswire.AData{Addr: a.d.CurrentV4(a.at)}
+		case dnswire.TypeAAAA:
+			rr.Data = &dnswire.AAAAData{Addr: a.d.OriginV6}
+			if a.d.Proxied {
+				rr.Data = &dnswire.AAAAData{Addr: a.d.AnycastV6}
+			}
+		default:
+			p := a.d.Providers[0]
+			if !a.d.HTTPSPublished(a.at, p) || a.name != a.d.Apex && !a.d.WWWHTTPS {
+				return nil
+			}
+			return a.d.newHTTPSSet(a.name, a.at.Before(H3Draft29SunsetDate), p.echListFor(a.d, a.at)).rrs
+		}
+		return []dnswire.RR{rr}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < g+300; i++ {
+				a := asks[i%len(asks)]
+				got := a.d.Providers[0].answerFor(a.d, a.name, a.typ, a.at)
+				if want := fresh(a); !reflect.DeepEqual(got, want) || cap(got) != len(got) {
+					t.Errorf("%s %s at %s: %v (cap %d), want %v", a.name, a.typ, a.at, got, cap(got), want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestDomainStateSizeClass: a world holds one DomainState per domain, so
+// the answer memos hang off one lazily made table rather than widening the
+// struct past its 448-byte size class (on 64-bit platforms).
+func TestDomainStateSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(DomainState{}); n > 448 {
+		t.Errorf("DomainState is %d bytes, past the 448-byte size class", n)
+	}
 }
 
 // TestReferralShape: the referral sized in one go must say what the

@@ -22,9 +22,16 @@
 // a dnswire.UnpackInto target. Unsigned zones skip the signing path whole.
 // Memos hand out whole sections: a domain's SOA set per (ProvidersAt(t)[0],
 // day) — switches and multi-provider days move the primary — with RDATA its
-// provider's zones share that day, and a child's referral per provider
-// arrangement and OPT record, clipped so a signed child's DS append moves. A
-// miss replaces a memo, never writes into it, nor allocates more than before.
+// provider's zones share that day; its HTTPS, A and AAAA sets per owner (apex
+// or www), keyed by exactly what each is built from — for HTTPS the identity
+// of the provider's ECHConfigList (the memo holds the list, so no other can
+// take its address) and the side of H3Draft29SunsetDate, for A the address
+// CurrentV4 serves, for AAAA nothing — in one table made on the first
+// positive answer; and a child's referral per provider arrangement and OPT
+// record. Every handed-out set is capacity-clipped, so an append (a signed
+// child's DS, say) moves to an array of its own. A miss replaces a memo, never
+// writes into it, nor allocates more objects than a build did before (the
+// twelve-record priority list aside: its box is one more).
 // Keys and signatures are world fixture: keys derive from (world seed,
 // zone, role) and signatures from (key, RRset), nothing else.
 //

@@ -154,9 +154,11 @@ type DomainState struct {
 	sigMu    sync.Mutex
 	sigCache map[[sha256.Size]byte]dnswire.RR
 
-	// The last SOA set and referral served; a miss replaces, never writes.
-	soa atomic.Pointer[[1]dnswire.RR]
-	ref atomic.Pointer[referral]
+	// The last SOA set, referral and positive answers served; a miss
+	// replaces, never writes.
+	soa  atomic.Pointer[[1]dnswire.RR]
+	ref  atomic.Pointer[referral]
+	sets atomic.Pointer[answerSets]
 }
 
 // WWWName returns the www subdomain name.
@@ -250,31 +252,46 @@ func (d *DomainState) CurrentV4(t time.Time) netip.Addr {
 	return d.OriginV4
 }
 
-// HintV4Addr returns the address published in ipv4hint at time t: during a
-// mismatch episode the hint lags behind the A record.
-func (d *DomainState) HintV4Addr(t time.Time) netip.Addr {
+// HintV4Addr returns the address published in ipv4hint. It does not move
+// with time: during a mismatch episode the hint lags behind the A record.
+func (d *DomainState) HintV4Addr() netip.Addr {
 	if d.Proxied {
 		return d.AnycastV4
 	}
 	return d.OriginV4
 }
 
-// BuildHTTPSRecords synthesizes the HTTPS RRset for owner (the apex or its
-// www name) at time t. echList is the provider's current ECHConfigList
-// (nil when the programme is off). Returns nil when no records exist.
-func (d *DomainState) BuildHTTPSRecords(owner string, t time.Time, echList []byte) []dnswire.RR {
-	owner = dnswire.CanonicalName(owner)
-	isWWW := owner != d.Apex
-	if isWWW && !d.WWWHTTPS {
+// httpsRRset returns the HTTPS RRset of owner (the apex or its www name,
+// canonical) at time t, with echList the provider's current ECHConfigList
+// (nil when the programme is off); nil when no records exist. The set is
+// memoised per owner, keyed by what it is built from: echList's identity
+// and the side of H3Draft29SunsetDate t falls on.
+func (d *DomainState) httpsRRset(owner string, t time.Time, echList []byte) []dnswire.RR {
+	www := owner != d.Apex
+	if www && !d.WWWHTTPS {
 		return nil
 	}
-	mk := func(prio uint16, target string, params svcb.Params) dnswire.RR {
-		return dnswire.RR{Name: owner, Type: dnswire.TypeHTTPS, Class: dnswire.ClassINET,
-			TTL: d.TTL, Data: &dnswire.SVCBData{Priority: prio, Target: target, Params: params}}
+	slot := &d.answerSets().https[b2i(www)]
+	preH3 := t.Before(H3Draft29SunsetDate)
+	if s := slot.Load(); s != nil && s.preH3 == preH3 && sameList(s.ech, echList) {
+		return s.rrs
 	}
-	withHints := func(ps *svcb.Params) {
+	s := d.newHTTPSSet(owner, preH3, echList)
+	slot.Store(s)
+	return s.rrs
+}
+
+// newHTTPSSet builds owner's HTTPS RRset for its memo key.
+func (d *DomainState) newHTTPSSet(owner string, preH3 bool, echList []byte) *httpsSet {
+	s := &httpsSet{ech: echList, preH3: preH3}
+	rr := func(data *dnswire.SVCBData) dnswire.RR {
+		return dnswire.RR{Name: owner, Type: dnswire.TypeHTTPS, Class: dnswire.ClassINET, TTL: d.TTL, Data: data}
+	}
+	prio, target := uint16(1), "."
+	var ps svcb.Params
+	withHints := func() {
 		if d.HintV4 {
-			_ = ps.SetIPv4Hints([]netip.Addr{d.HintV4Addr(t)})
+			_ = ps.SetIPv4Hints([]netip.Addr{d.HintV4Addr()})
 		}
 		if d.HintV6 {
 			_ = ps.SetIPv6Hints([]netip.Addr{d.AnycastV6})
@@ -282,59 +299,110 @@ func (d *DomainState) BuildHTTPSRecords(owner string, t time.Time, echList []byt
 	}
 	switch d.Profile {
 	case ProfileCFDefault:
-		var ps svcb.Params
 		alpn := []string{"h2", "h3"}
-		if t.Before(H3Draft29SunsetDate) {
+		if preH3 {
 			alpn = append(alpn, "h3-29")
 		}
 		_ = ps.SetALPN(alpn)
-		withHints(&ps)
+		withHints()
 		if echList != nil {
 			ps.SetECH(echList)
 		}
-		return []dnswire.RR{mk(1, ".", ps)}
 	case ProfileCFCustom, ProfileNonCFGeneric:
-		var ps svcb.Params
 		if len(d.ALPN) > 0 {
 			_ = ps.SetALPN(d.ALPN)
 		}
-		withHints(&ps)
+		withHints()
 		if echList != nil {
 			ps.SetECH(echList)
 		}
-		return []dnswire.RR{mk(1, ".", ps)}
 	case ProfileGoogle:
-		var ps svcb.Params
 		if len(d.ALPN) > 0 {
 			_ = ps.SetALPN(d.ALPN)
 			if d.HintV4 {
 				_ = ps.SetIPv4Hints([]netip.Addr{d.OriginV4})
 			}
 		}
-		return []dnswire.RR{mk(1, ".", ps)}
 	case ProfileGoDaddyAlias:
-		return []dnswire.RR{mk(0, "redirect."+d.Providers[0].InfraDomain, nil)}
+		prio, target = 0, "redirect."+d.Providers[0].InfraDomain
 	case ProfileGoDaddyService:
-		var ps svcb.Params
 		_ = ps.SetALPN(d.ALPN)
 		_ = ps.SetIPv4Hints([]netip.Addr{d.OriginV4})
 		_ = ps.SetIPv6Hints([]netip.Addr{d.OriginV6})
-		return []dnswire.RR{mk(1, ".", ps)}
 	case ProfileAliasSelf:
-		return []dnswire.RR{mk(0, ".", nil)}
+		prio = 0
 	case ProfileServiceNoParams:
-		return []dnswire.RR{mk(1, ".", nil)}
 	case ProfilePriorityList:
-		rrs := make([]dnswire.RR, 0, 12)
-		for prio := uint16(1); prio <= 12; prio++ {
+		s.rrs = make([]dnswire.RR, 12)
+		for i := range s.rrs {
 			var ps svcb.Params
-			ps.SetPort(8000 + prio)
-			rrs = append(rrs, mk(prio, "geo-routing.nexuspipe-sim.com.", ps))
+			ps.SetPort(8001 + uint16(i))
+			s.rrs[i] = rr(&dnswire.SVCBData{Priority: uint16(i) + 1, Target: "geo-routing.nexuspipe-sim.com.", Params: ps})
 		}
-		return rrs
+		return s
 	default:
-		return nil
+		return s
 	}
+	s.data = dnswire.SVCBData{Priority: prio, Target: target, Params: ps}
+	s.one[0] = rr(&s.data)
+	s.rrs = s.one[:]
+	return s
+}
+
+// answerSets is a domain's memo of positive answers: the last HTTPS, A and
+// AAAA set served for each owner, the apex at index 0 and www at 1. A set
+// is an immutable box holding its key, its records and (for one record) the
+// RDATA; a miss replaces the box, never writes into it.
+type answerSets struct {
+	https [2]atomic.Pointer[httpsSet]
+	a     [2]atomic.Pointer[aSet]
+	aaaa  [2]atomic.Pointer[aaaaSet]
+}
+
+// httpsSet is an HTTPS RRset and its key. It holds the ECHConfigList it
+// carries, so no other list can take that list's address.
+type httpsSet struct {
+	ech   []byte
+	preH3 bool
+	rrs   []dnswire.RR
+	one   [1]dnswire.RR
+	data  dnswire.SVCBData
+}
+
+// aSet and aaaaSet are one-record address sets, keyed by their address.
+type aSet struct {
+	rr   [1]dnswire.RR
+	data dnswire.AData
+}
+
+type aaaaSet struct {
+	rr   [1]dnswire.RR
+	data dnswire.AAAAData
+}
+
+// answerSets returns the domain's memo table, made on first use.
+func (d *DomainState) answerSets() *answerSets {
+	if m := d.sets.Load(); m != nil {
+		return m
+	}
+	d.sets.CompareAndSwap(nil, new(answerSets))
+	return d.sets.Load()
+}
+
+// sameList reports whether a and b are one ECHConfigList: both nil, or the
+// same bytes at the same address.
+func sameList(a, b []byte) bool {
+	if len(a) != len(b) || (a == nil) != (b == nil) {
+		return false
+	}
+	return len(a) == 0 || &a[0] == &b[0]
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // sigCacheMax bounds a domain's signature cache. Content changes with
@@ -445,20 +513,34 @@ func (d *DomainState) SOARRset(t time.Time) []dnswire.RR {
 	return soa[:]
 }
 
-// ARRset synthesizes the A RRset for owner at t.
-func (d *DomainState) ARRset(owner string, t time.Time) []dnswire.RR {
-	return []dnswire.RR{{Name: owner, Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: d.TTL,
-		Data: &dnswire.AData{Addr: d.CurrentV4(t)}}}
+// aRRset returns the A RRset of owner at t, memoised per owner and keyed by
+// the address served, CurrentV4(t).
+func (d *DomainState) aRRset(owner string, t time.Time) []dnswire.RR {
+	addr := d.CurrentV4(t)
+	slot := &d.answerSets().a[b2i(owner != d.Apex)]
+	if s := slot.Load(); s != nil && s.data.Addr == addr {
+		return s.rr[:]
+	}
+	s := &aSet{data: dnswire.AData{Addr: addr}}
+	s.rr[0] = dnswire.RR{Name: owner, Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: d.TTL, Data: &s.data}
+	slot.Store(s)
+	return s.rr[:]
 }
 
-// AAAARRset synthesizes the AAAA RRset for owner.
-func (d *DomainState) AAAARRset(owner string) []dnswire.RR {
-	addr := d.OriginV6
-	if d.Proxied {
-		addr = d.AnycastV6
+// aaaaRRset returns the AAAA RRset of owner, which never changes: it is
+// built once per owner.
+func (d *DomainState) aaaaRRset(owner string) []dnswire.RR {
+	slot := &d.answerSets().aaaa[b2i(owner != d.Apex)]
+	if s := slot.Load(); s != nil {
+		return s.rr[:]
 	}
-	return []dnswire.RR{{Name: owner, Type: dnswire.TypeAAAA, Class: dnswire.ClassINET, TTL: d.TTL,
-		Data: &dnswire.AAAAData{Addr: addr}}}
+	s := &aaaaSet{data: dnswire.AAAAData{Addr: d.OriginV6}}
+	if d.Proxied {
+		s.data.Addr = d.AnycastV6
+	}
+	s.rr[0] = dnswire.RR{Name: owner, Type: dnswire.TypeAAAA, Class: dnswire.ClassINET, TTL: d.TTL, Data: &s.data}
+	slot.Store(s)
+	return s.rr[:]
 }
 
 // String aids debugging.

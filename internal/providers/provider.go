@@ -245,14 +245,14 @@ func (p *Provider) answerFor(d *DomainState, name string, t dnswire.Type, now ti
 
 	switch t {
 	case dnswire.TypeA:
-		return d.ARRset(name, now)
+		return d.aRRset(name, now)
 	case dnswire.TypeAAAA:
-		return d.AAAARRset(name)
+		return d.aaaaRRset(name)
 	case dnswire.TypeHTTPS:
 		if !d.HTTPSPublished(now, p) {
 			return nil
 		}
-		return d.BuildHTTPSRecords(name, now, p.echListFor(d, now))
+		return d.httpsRRset(name, now, p.echListFor(d, now))
 	case dnswire.TypeNS:
 		if isApex {
 			return d.NSRRset(now)

@@ -279,7 +279,7 @@ func (w *World) ProbeTLSAt(apex string, addr netip.Addr, now time.Time) error {
 		return simnet.ErrNoService
 	}
 	if d.InMismatch(now) {
-		hintAddr := d.HintV4Addr(now)
+		hintAddr := d.HintV4Addr()
 		aAddr := d.CurrentV4(now)
 		switch addr {
 		case hintAddr:
@@ -296,7 +296,7 @@ func (w *World) ProbeTLSAt(apex string, addr netip.Addr, now time.Time) error {
 		return simnet.ErrUnreachable
 	}
 	// Outside mismatch episodes every published address serves.
-	if addr == d.CurrentV4(now) || addr == d.HintV4Addr(now) ||
+	if addr == d.CurrentV4(now) || addr == d.HintV4Addr() ||
 		addr == d.OriginV4 || addr == d.AnycastV4 {
 		return nil
 	}

@@ -294,7 +294,7 @@ func TestWorldMismatchSchedule(t *testing.T) {
 	}
 	ep := d.MismatchEpisodes[0]
 	mid := ep.From.Add(ep.To.Sub(ep.From) / 2)
-	if d.CurrentV4(mid) == d.HintV4Addr(mid) {
+	if d.CurrentV4(mid) == d.HintV4Addr() {
 		t.Error("addresses match during mismatch episode")
 	}
 	after := ep.To.Add(24 * time.Hour)
@@ -303,12 +303,12 @@ func TestWorldMismatchSchedule(t *testing.T) {
 		if !inAny(d.MismatchEpisodes, after) {
 			t.Error("InMismatch wrong")
 		}
-	} else if d.CurrentV4(after) != d.HintV4Addr(after) {
+	} else if d.CurrentV4(after) != d.HintV4Addr() {
 		t.Error("addresses differ outside mismatch episode")
 	}
 	// Connectivity probe honours reachability flags during the episode.
 	w.Clock.Set(mid)
-	errHint := w.ProbeTLS(d.Apex, d.HintV4Addr(mid))
+	errHint := w.ProbeTLS(d.Apex, d.HintV4Addr())
 	errA := w.ProbeTLS(d.Apex, d.CurrentV4(mid))
 	if d.HintReachable && errHint != nil {
 		t.Errorf("hint address should be reachable: %v", errHint)

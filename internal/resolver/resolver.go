@@ -102,9 +102,10 @@ type Resolver struct {
 	// Anchor is the trusted root DNSKEY RRset used when Validate is set.
 	Anchor []dnswire.RR
 
-	mu    sync.Mutex
-	cache map[rrKey]*cacheEntry
-	slab  []cacheEntry // where newEntry carves the cache's entries from
+	mu      sync.Mutex
+	cache   map[rrKey]*cacheEntry
+	slab    []cacheEntry      // where newEntry carves the cache's entries from
+	queries dnswire.QuerySlab // where newQuery carves walk's queries from
 
 	// zoneKeys caches already-validated zone DNSKEY RRsets for
 	// zoneKeyTTL of virtual time.
@@ -213,7 +214,7 @@ func (r *Resolver) FlushCache() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.cache = map[rrKey]*cacheEntry{}
-	r.slab = nil
+	r.slab, r.queries = nil, dnswire.QuerySlab{}
 	r.zoneKeys = map[string]zoneKeyEntry{}
 	r.cuts = map[string]zoneCut{}
 	r.addrSets = map[uint64][]netip.Addr{}
@@ -243,6 +244,16 @@ func (r *Resolver) newEntry(rcode dnswire.RCode) *cacheEntry {
 	}
 	r.slab = append(r.slab, cacheEntry{rcode: rcode})
 	return &r.slab[len(r.slab)-1]
+}
+
+// newQuery returns walk's non-recursive query for (name, t) from the
+// resolver's query slab.
+func (r *Resolver) newQuery(name string, t dnswire.Type) *dnswire.Message {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	q := r.queries.NewQuery(uint16(len(name)*31+int(t)), name, t, true)
+	q.RecursionDesired = false
+	return q
 }
 
 // cached returns the live entry for a canonical name.
@@ -322,10 +333,10 @@ func (r *Resolver) walk(servers []netip.Addr, zone, name string, t dnswire.Type)
 	if len(servers) == 0 {
 		return nil, ErrNoServers
 	}
-	// q is left to the collector, and never patched once sent: a handler
-	// may keep the queries it saw (the benchmark's replay probe does).
-	q := dnswire.NewQuery(uint16(len(name)*31+int(t)), name, t, true)
-	q.RecursionDesired = false
+	// q is a query slab slot, never patched once sent nor handed out again:
+	// a handler may keep the queries it saw (the benchmark's replay probe
+	// does). FlushCache drops the slab; the slots stay with their holders.
+	q := r.newQuery(name, t)
 	for depth := 0; depth < maxDepth; depth++ {
 		resp, err := r.queryAny(servers, q)
 		if err != nil {

@@ -14,11 +14,12 @@ import (
 
 // TestServedRecordsStayReadOnly holds every consumer to the contract the
 // authoritative side now depends on: a record a server hands out may be the
-// very value it hands out next time — the cached RRSIG, the key's DNSKEY
-// and DS RDATA, the provider's NS and glue RDATA, a domain's memoised SOA
-// set and the SOA RDATA its provider shares that day, its memoised HTTPS, A
-// and AAAA sets, a child's memoised referral sections — so nobody
-// downstream may write through it. Deep copies of a signed adopter's
+// very value it hands out next time — every set's box with the RRSIG it
+// signed itself, the key's DNSKEY and DS RDATA, the provider's NS and glue
+// RDATA, a domain's memoised SOA set and the SOA RDATA its provider shares
+// that day, its memoised HTTPS, A, AAAA, NS, DNSKEY and DS sets, the TLD's
+// apex sets, a child's memoised referral sections — so nobody downstream
+// may write through it. Deep copies of a signed adopter's
 // answers, of an unsigned adopter's at the same provider, of an unsigned ECH
 // adopter's HTTPS sets and of a mismatch domain's A sets are taken first;
 // then the name goes through recursor →
@@ -257,6 +258,35 @@ func checkSharing(t *testing.T, at time.Time, p *providers.Provider, tld *provid
 				t.Errorf("%s %s: two answers are not one memoised set", name, typ)
 			}
 			appendsStayApart(t, "memoised "+typ.String()+" answer", x, y)
+		}
+	}
+	// A signed set's box carries its RRSIG behind its records: two consumers
+	// may append to a signed answer, and an ask without DO after it gets the
+	// records alone, clipped.
+	section := func(m *dnswire.Message) []dnswire.RR {
+		if len(m.Answer) > 0 {
+			return m.Answer
+		}
+		return m.Authority
+	}
+	for _, c := range []struct {
+		h    simnet.DNSHandlerAt
+		name string
+		typ  dnswire.Type
+	}{
+		{p, d.Apex, dnswire.TypeHTTPS}, {p, d.WWWName(), dnswire.TypeHTTPS}, {p, d.Apex, dnswire.TypeA}, {p, d.Apex, dnswire.TypeAAAA},
+		{p, d.Apex, dnswire.TypeSOA}, {p, d.Apex, dnswire.TypeNS}, {p, d.Apex, dnswire.TypeDNSKEY}, {p, d.Apex, dnswire.TypeTXT},
+		{tld, d.Apex, dnswire.TypeDS}, {tld, tld.TLD, dnswire.TypeSOA}, {tld, tld.TLD, dnswire.TypeNS}, {tld, tld.TLD, dnswire.TypeDNSKEY},
+	} {
+		x, y := section(ask(c.h, c.name, c.typ)), section(ask(c.h, c.name, c.typ))
+		if len(x) < 2 || x[len(x)-1].Type != dnswire.TypeRRSIG {
+			t.Errorf("signed %s %s: %v ends in no RRSIG", c.name, c.typ, x)
+			continue
+		}
+		appendsStayApart(t, "signed "+c.name+" "+c.typ.String(), x, y)
+		plain := section(c.h.HandleDNSAt(dnswire.NewQuery(1, c.name, c.typ, false), at))
+		if n := len(x) - 1; len(plain) != n || cap(plain) != n {
+			t.Errorf("%s %s without DO after a signed ask: length %d, capacity %d, want %d and %d", c.name, c.typ, len(plain), cap(plain), n, n)
 		}
 	}
 	appendsStayApart(t, "memoised SOA answer", soa, ask(p, u.Apex, dnswire.TypeSOA).Answer)

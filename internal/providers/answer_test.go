@@ -2,7 +2,6 @@ package providers
 
 import (
 	"encoding/hex"
-	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -87,16 +86,15 @@ func TestUnsignedDomainPaysNothingForDO(t *testing.T) {
 
 // TestAuthoritativeAllocBudgets pins the warm cost of the answers a scan is
 // mostly made of, and the cold cost of a signed NODATA: asked on a new day
-// each run, its SOA carries a new serial, so every run misses the
-// signature cache and signs — and a signature nobody reads costs no ECDSA
-// step. That NODATA's RRSIG must then pack to the bytes of an eager
-// sign-and-pack of the same SOA. Warm, an unsigned NODATA costs its reply
-// skeleton and nothing else (the SOA is the domain's memo), so released it
-// costs nothing, and so do an unsigned HTTPS, A or AAAA answer (each set is
-// the domain's memo for its owner); a signed one costs the skeleton and the
-// array its RRSIG is appended to; a referral costs the skeleton, its
-// sections being the child's memo, and for a signed child one more array
-// for the DS and its RRSIG behind the shared NS set.
+// each run, its SOA carries a new serial, so every run builds a new SOA box
+// that signs itself — and a signature nobody reads costs no ECDSA step.
+// That NODATA's RRSIG must then pack to the bytes of an eager sign-and-pack
+// of the same SOA. Every set a server hands out is a box that holds its
+// RRSIG beside its records, so warm, any answer of a provider or TLD costs
+// its reply skeleton and nothing else, signed or not, and released it costs
+// nothing; a referral costs the skeleton, its sections being the child's
+// memo, and for a signed child one more array for the DS and its RRSIG
+// behind the shared NS set.
 func TestAuthoritativeAllocBudgets(t *testing.T) {
 	if testrace.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -111,6 +109,8 @@ func TestAuthoritativeAllocBudgets(t *testing.T) {
 	if negative == nil {
 		t.Fatal("world has no steady signed non-adopter")
 	}
+	sp, stld := signed.Providers[0], tldOf(t, w, signed)
+	do := func(name string, typ dnswire.Type) *dnswire.Message { return dnswire.NewQuery(7, name, typ, true) }
 	day := 0
 	for _, c := range []struct {
 		what    string
@@ -122,13 +122,23 @@ func TestAuthoritativeAllocBudgets(t *testing.T) {
 	}{
 		{"provider NODATA for an unsigned domain", 1, unsigned.Providers[0], dnswire.NewQuery(1, unsigned.Apex, dnswire.TypeHTTPS, true), false, false},
 		{"unsigned NODATA again on the same day", 0, unsigned.Providers[0], dnswire.NewQuery(1, unsigned.Apex, dnswire.TypeHTTPS, true), false, true},
-		{"provider HTTPS answer of a signed adopter", 2, signed.Providers[0], dnswire.NewQuery(2, signed.Apex, dnswire.TypeHTTPS, true), false, false},
+		{"provider HTTPS answer of a signed adopter", 1, sp, dnswire.NewQuery(2, signed.Apex, dnswire.TypeHTTPS, true), false, false},
 		{"unsigned apex HTTPS again", 0, adopter.Providers[0], dnswire.NewQuery(2, adopter.Apex, dnswire.TypeHTTPS, true), false, true},
 		{"A again", 0, adopter.Providers[0], dnswire.NewQuery(2, adopter.Apex, dnswire.TypeA, true), false, true},
 		{"AAAA again", 0, adopter.Providers[0], dnswire.NewQuery(2, adopter.Apex, dnswire.TypeAAAA, true), false, true},
+		{"unsigned NS again", 0, adopter.Providers[0], do(adopter.Apex, dnswire.TypeNS), false, true},
+		{"signed HTTPS again", 0, sp, do(signed.Apex, dnswire.TypeHTTPS), false, true},
+		{"signed A again", 0, sp, do(signed.Apex, dnswire.TypeA), false, true},
+		{"signed SOA again", 0, sp, do(signed.Apex, dnswire.TypeSOA), false, true},
+		{"signed DNSKEY again", 0, sp, do(signed.Apex, dnswire.TypeDNSKEY), false, true},
+		{"signed NS again", 0, sp, do(signed.Apex, dnswire.TypeNS), false, true},
+		{"TLD DS with DO", 0, stld, do(signed.Apex, dnswire.TypeDS), false, true},
+		{"TLD apex SOA with DO", 0, stld, do(stld.TLD, dnswire.TypeSOA), false, true},
+		{"TLD apex NS with DO", 0, stld, do(stld.TLD, dnswire.TypeNS), false, true},
+		{"TLD apex DNSKEY with DO", 0, stld, do(stld.TLD, dnswire.TypeDNSKEY), false, true},
 		{"TLD referral", 1, tldOf(t, w, unsigned), dnswire.NewQuery(3, unsigned.Apex, dnswire.TypeA, true), false, false},
-		{"TLD referral to a signed child", 2, tldOf(t, w, signed), dnswire.NewQuery(4, signed.Apex, dnswire.TypeA, true), false, false},
-		{"signed NODATA on a new day (signature-cache miss)", 24, negative.Providers[0], dnswire.NewQuery(5, negative.Apex, dnswire.TypeHTTPS, true), true, false},
+		{"TLD referral to a signed child", 2, stld, dnswire.NewQuery(4, signed.Apex, dnswire.TypeA, true), false, false},
+		{"signed NODATA on a new day (a new SOA box)", 20, negative.Providers[0], dnswire.NewQuery(5, negative.Apex, dnswire.TypeHTTPS, true), true, false},
 	} {
 		at := func() time.Time {
 			if c.newDay {
@@ -153,8 +163,7 @@ func TestAuthoritativeAllocBudgets(t *testing.T) {
 	if len(resp.Answer) != 0 || len(resp.Authority) != 2 || resp.Authority[0].Type != dnswire.TypeSOA || resp.Authority[1].Type != dnswire.TypeRRSIG {
 		t.Fatalf("signed NODATA: answer %v, authority %v; want no answer, then SOA and its RRSIG", resp.Answer, resp.Authority)
 	}
-	_, zsk := negative.keys()
-	eager, err := dnssec.SignRRset(zsk, resp.Authority[:1], sigInception, sigExpiration)
+	eager, err := dnssec.SignRRset(negative.keys().zsk, resp.Authority[:1], sigInception, sigExpiration)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,10 +174,10 @@ func TestAuthoritativeAllocBudgets(t *testing.T) {
 }
 
 // TestSOAMemoUnderConcurrentDays: eight goroutines ask one multi-provider
-// domain, whose primary provider changes from day to day, for its SOA on
-// alternating days, so the domain's memo and its providers' SOA RDATA are
-// replaced under them all the time. Every set must say what a set built
-// from scratch for that day says.
+// domain, whose primary provider and provider arrangement change from day
+// to day, for its SOA and NS sets on alternating days, so the domain's
+// memos and its providers' SOA RDATA are replaced under them all the time.
+// Every set must say what a set built from scratch for that day says.
 func TestSOAMemoUnderConcurrentDays(t *testing.T) {
 	w := buildTestWorld(t, 2000)
 	d := findDomain(w, func(d *DomainState) bool {
@@ -193,11 +202,23 @@ func TestSOAMemoUnderConcurrentDays(t *testing.T) {
 			for i := g; i < g+200; i++ {
 				at := day(i)
 				p := d.ProvidersAt(at)[0]
-				rrs := d.SOARRset(at)
+				rrs := d.soaRRset(at).records()
 				soa, ok := rrs[0].Data.(*dnswire.SOAData)
 				if len(rrs) != 1 || !ok || rrs[0].Name != d.Apex || soa.Serial != uint32(at.Unix()/86400) ||
 					soa.MName != p.NSHosts[0] || soa.RName != "dns."+p.InfraDomain {
 					t.Errorf("%s on %s: %v, want serial %d from %s", d.Apex, at.Format(time.DateOnly), rrs, at.Unix()/86400, p.NSHosts[0])
+					return
+				}
+				var hosts []string
+				for _, rr := range d.nsRRset(at).records() {
+					hosts = append(hosts, rr.Data.(*dnswire.NSData).Host)
+				}
+				var want []string
+				for _, p := range d.ProvidersAt(at) {
+					want = append(want, p.NSHosts...)
+				}
+				if !slices.Equal(hosts, want) {
+					t.Errorf("%s on %s: NS %v, want %v", d.Apex, at.Format(time.DateOnly), hosts, want)
 					return
 				}
 			}
@@ -209,16 +230,20 @@ func TestSOAMemoUnderConcurrentDays(t *testing.T) {
 // TestAnswerMemoUnderConcurrentDays: eight goroutines ask an ECH adopter's
 // apex and www for their HTTPS, A and AAAA sets at times on both sides of
 // ECH key rotations and of the h3-29 sunset, a Cloudflare default without
-// ECH the same (only the sunset moves its set), and a mismatch domain in
-// and out of an IP-hint mismatch episode, so the answer memos are
-// replaced under them all the time. Every set must equal one built from
-// scratch for its time.
+// ECH the same (only the sunset moves its set), a mismatch domain in and out
+// of an IP-hint mismatch episode, and a signed adopter and a signed
+// non-adopter, apex SOA, NS and DNSKEY too, on four neighbouring days, all
+// with DO, so the answer memos are replaced and their boxes sign themselves
+// under them all the time. Every answer, RRSIG included, must pack to a set
+// built from scratch for its time and, for a signed domain, an eager
+// SignRRset over it.
 func TestAnswerMemoUnderConcurrentDays(t *testing.T) {
 	w := buildTestWorld(t, 2000)
-	steady := func(d *DomainState, at time.Time) bool {
+	still := func(d *DomainState) bool {
 		return d.Intermittent == IntermitNone && d.SwitchDay.IsZero() && len(d.NoNSEpisodes) == 0 &&
-			!d.ApexCNAME && !d.WWWCNAME && d.HasWWW && d.HTTPSPublished(at, d.Providers[0])
+			!d.ApexCNAME && !d.WWWCNAME && d.HasWWW
 	}
+	steady := func(d *DomainState, at time.Time) bool { return still(d) && d.HTTPSPublished(at, d.Providers[0]) }
 	early := H3Draft29SunsetDate.Add(-2 * time.Hour)
 	ech := findDomain(w, func(d *DomainState) bool {
 		return d.Profile == ProfileCFDefault && d.WWWHTTPS && steady(d, early) && d.Providers[0].echListFor(d, early) != nil
@@ -230,8 +255,11 @@ func TestAnswerMemoUnderConcurrentDays(t *testing.T) {
 		return len(d.MismatchEpisodes) > 0 && d.MismatchEpisodes[0].From.After(StudyStart) && d.HintV4 &&
 			steady(d, d.MismatchEpisodes[0].From.Add(-12*time.Hour))
 	})
-	if ech == nil || plain == nil || mis == nil {
-		t.Fatalf("world lacks an ECH adopter (%v), a Cloudflare default without ECH (%v) or a mismatch domain (%v)", ech, plain, mis)
+	signed := findDomain(w, func(d *DomainState) bool { return d.Signed && d.WWWHTTPS && steady(d, answerTime) })
+	negative := findDomain(w, func(d *DomainState) bool { return d.Signed && d.Profile == ProfileNone && still(d) })
+	if ech == nil || plain == nil || mis == nil || signed == nil || negative == nil {
+		t.Fatalf("world lacks an ECH adopter (%v), a Cloudflare default without ECH (%v), a mismatch domain (%v), a signed adopter (%v) or a signed non-adopter (%v)",
+			ech, plain, mis, signed, negative)
 	}
 	type ask struct {
 		d    *DomainState
@@ -240,17 +268,23 @@ func TestAnswerMemoUnderConcurrentDays(t *testing.T) {
 		at   time.Time
 	}
 	var asks []ask
-	add := func(d *DomainState, at time.Time) {
+	add := func(d *DomainState, at time.Time, apexTypes ...dnswire.Type) {
 		for _, name := range []string{d.Apex, d.WWWName()} {
 			for _, typ := range []dnswire.Type{dnswire.TypeHTTPS, dnswire.TypeA, dnswire.TypeAAAA} {
 				asks = append(asks, ask{d, name, typ, at})
 			}
+		}
+		for _, typ := range apexTypes {
+			asks = append(asks, ask{d, d.Apex, typ, at})
 		}
 	}
 	for i := 0; i < 4; i++ {
 		at := early.Add(time.Duration(i) * echRotationPeriod) // the sunset falls between the second and the third
 		add(ech, at)
 		add(plain, at)
+		for _, d := range []*DomainState{signed, negative} {
+			add(d, answerTime.AddDate(0, 0, i), dnswire.TypeSOA, dnswire.TypeNS, dnswire.TypeDNSKEY)
+		}
 	}
 	from := mis.MismatchEpisodes[0].From
 	add(mis, from.Add(-12*time.Hour))
@@ -260,25 +294,55 @@ func TestAnswerMemoUnderConcurrentDays(t *testing.T) {
 		mis.InMismatch(from.Add(-12*time.Hour)) || !mis.InMismatch(from.Add(12*time.Hour)) {
 		t.Fatal("the times asked cross no ECH rotation or no mismatch episode boundary")
 	}
-	// fresh builds what a's set says, from nothing but the domain's state.
-	fresh := func(a ask) []dnswire.RR {
-		rr := dnswire.RR{Name: a.name, Type: a.typ, Class: dnswire.ClassINET, TTL: a.d.TTL}
+	// fresh packs what a's answer says, built from nothing but the domain's
+	// state and, for a signed domain, keys derived anew: the set (a NODATA's
+	// SOA) and an eagerly made RRSIG over it.
+	fresh := func(a ask) string {
+		d, p := a.d, a.d.Providers[0]
+		soa := []dnswire.RR{{Name: d.Apex, Type: dnswire.TypeSOA, Class: dnswire.ClassINET, TTL: 3600, Data: &dnswire.SOAData{
+			MName: p.NSHosts[0], RName: "dns." + p.InfraDomain, Serial: uint32(a.at.Unix() / 86400),
+			Refresh: 10000, Retry: 2400, Expire: 604800, Minimum: 300}}}
+		rr := dnswire.RR{Name: a.name, Type: a.typ, Class: dnswire.ClassINET, TTL: d.TTL}
+		var rrs []dnswire.RR
 		switch a.typ {
 		case dnswire.TypeA:
-			rr.Data = &dnswire.AData{Addr: a.d.CurrentV4(a.at)}
+			rr.Data = &dnswire.AData{Addr: d.CurrentV4(a.at)}
+			rrs = []dnswire.RR{rr}
 		case dnswire.TypeAAAA:
-			rr.Data = &dnswire.AAAAData{Addr: a.d.OriginV6}
-			if a.d.Proxied {
-				rr.Data = &dnswire.AAAAData{Addr: a.d.AnycastV6}
+			rr.Data = &dnswire.AAAAData{Addr: d.OriginV6}
+			if d.Proxied {
+				rr.Data = &dnswire.AAAAData{Addr: d.AnycastV6}
 			}
-		default:
-			p := a.d.Providers[0]
-			if !a.d.HTTPSPublished(a.at, p) || a.name != a.d.Apex && !a.d.WWWHTTPS {
-				return nil
+			rrs = []dnswire.RR{rr}
+		case dnswire.TypeHTTPS:
+			if d.HTTPSPublished(a.at, p) && (a.name == d.Apex || d.WWWHTTPS) {
+				rrs = d.newHTTPSSet(a.name, a.at.Before(H3Draft29SunsetDate), p.echListFor(d, a.at)).records()
 			}
-			return a.d.newHTTPSSet(a.name, a.at.Before(H3Draft29SunsetDate), p.echListFor(a.d, a.at)).rrs
+		case dnswire.TypeSOA:
+			rrs = soa
+		case dnswire.TypeNS:
+			for _, host := range p.NSHosts {
+				rrs = append(rrs, dnswire.RR{Name: d.Apex, Type: dnswire.TypeNS, Class: dnswire.ClassINET, TTL: 3600, Data: &dnswire.NSData{Host: host}})
+			}
+		case dnswire.TypeDNSKEY:
+			rrs = []dnswire.RR{dnssec.DeriveKey(d.keySeed, d.Apex, true).DNSKEY(3600), dnssec.DeriveKey(d.keySeed, d.Apex, false).DNSKEY(3600)}
 		}
-		return []dnswire.RR{rr}
+		if rrs == nil {
+			rrs = soa
+		}
+		if d.Signed {
+			sig, err := dnssec.SignRRset(dnssec.DeriveKey(d.keySeed, d.Apex, rrs[0].Type == dnswire.TypeDNSKEY), rrs, sigInception, sigExpiration)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sig.Data.(*dnswire.RRSIGData).SignatureBytes()
+			rrs = append(slices.Clip(rrs), sig)
+		}
+		return packedSet(rrs)
+	}
+	want := make([]string, len(asks))
+	for i, a := range asks {
+		want[i] = fresh(a)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -287,15 +351,57 @@ func TestAnswerMemoUnderConcurrentDays(t *testing.T) {
 			defer wg.Done()
 			for i := g; i < g+300; i++ {
 				a := asks[i%len(asks)]
-				got := a.d.Providers[0].answerFor(a.d, a.name, a.typ, a.at)
-				if want := fresh(a); !reflect.DeepEqual(got, want) || cap(got) != len(got) {
-					t.Errorf("%s %s at %s: %v (cap %d), want %v", a.name, a.typ, a.at, got, cap(got), want)
+				resp := a.d.Providers[0].HandleDNSAt(dnswire.NewQuery(1, a.name, a.typ, true), a.at)
+				got := resp.Answer
+				if len(got) == 0 {
+					got = resp.Authority
+				}
+				if packedSet(got) != want[i%len(asks)] || cap(got) != len(got) {
+					t.Errorf("%s %s at %s: %v (cap %d), want %s", a.name, a.typ, a.at, got, cap(got), want[i%len(asks)])
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// TestSignedCNAMEChain: a CNAME pathology owner's answer is the one that
+// joins two boxes, in the order [CNAME, target, RRSIG(CNAME),
+// RRSIG(target)], with the target's RRSIG the one its own box carries and
+// each RRSIG packing to an eager sign of its set.
+func TestSignedCNAMEChain(t *testing.T) {
+	w := buildTestWorld(t, 2000)
+	d := findDomain(w, func(d *DomainState) bool {
+		return d.Signed && d.WWWCNAME && d.HasWWW && d.Intermittent == IntermitNone && d.SwitchDay.IsZero() && len(d.NoNSEpisodes) == 0
+	})
+	if d == nil {
+		t.Fatal("world has no steady signed domain whose www is a CNAME")
+	}
+	p := d.Providers[0]
+	got := p.HandleDNSAt(dnswire.NewQuery(1, d.WWWName(), dnswire.TypeA, true), answerTime).Answer
+	var types []dnswire.Type
+	for _, rr := range got {
+		types = append(types, rr.Type)
+	}
+	if want := []dnswire.Type{dnswire.TypeCNAME, dnswire.TypeA, dnswire.TypeRRSIG, dnswire.TypeRRSIG}; !slices.Equal(types, want) {
+		t.Fatalf("www A answer types %v, want %v", types, want)
+	}
+	if apex := p.HandleDNSAt(dnswire.NewQuery(1, d.Apex, dnswire.TypeA, true), answerTime).Answer; apex[1].Data != got[3].Data {
+		t.Error("the chain's target RRSIG is not the one the target's box carries")
+	}
+	for i, set := range [][]dnswire.RR{got[:1], got[1:2]} {
+		eager, err := dnssec.SignRRset(d.keys().zsk, set, sigInception, sigExpiration)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if packed(t, got[2+i]) != packed(t, eager) {
+			t.Errorf("RRSIG %d of the chain packs unlike an eager sign of %v", i, set)
+		}
+	}
+	if plain := p.HandleDNSAt(dnswire.NewQuery(1, d.WWWName(), dnswire.TypeA, false), answerTime).Answer; len(plain) != 2 {
+		t.Errorf("www A without DO: %v, want the CNAME and the A record", plain)
+	}
 }
 
 // TestDomainStateSizeClass: a world holds one DomainState per domain, so
@@ -339,13 +445,13 @@ func TestReferralShape(t *testing.T) {
 	}
 }
 
-// TestTLDSignsOncePerRRset: day workers that miss the TLD's signature
-// cache together must come away with the one signature that was stored, not
+// TestTLDSignsOncePerRRset: day workers that ask the TLD's apex SOA with
+// DO together must all come away with the one signature its box made, not
 // each with its own.
 func TestTLDSignsOncePerRRset(t *testing.T) {
 	srv := NewTLDServer("test.", simnet.NewAllocator().AllocV4("nic"), simnet.NewClock(answerTime), 1)
 	const workers = 8
-	got := make([]*dnswire.RR, workers)
+	got := make([]*dnswire.RRSIGData, workers)
 	var start, done sync.WaitGroup
 	start.Add(1)
 	for i := range got {
@@ -358,14 +464,14 @@ func TestTLDSignsOncePerRRset(t *testing.T) {
 				t.Errorf("worker %d: answer %v", i, resp.Answer)
 				return
 			}
-			got[i] = &srv.signCached(sigKey{kind: "soa"}, resp.Answer[:1])[0]
+			got[i] = resp.Answer[1].Data.(*dnswire.RRSIGData)
 		}()
 	}
 	start.Done()
 	done.Wait()
 	for i, sig := range got {
 		if sig != got[0] {
-			t.Errorf("worker %d holds a different cached signature than worker 0", i)
+			t.Errorf("worker %d holds a different signature than worker 0", i)
 		}
 	}
 }
@@ -506,56 +612,48 @@ func TestWorldCryptoIsReproducible(t *testing.T) {
 	}
 }
 
-// TestSigCacheBounded signs one signed domain's SOA for more than
-// sigCacheMax distinct days (the serial is the day number, so each day is
-// new content): the domain's signature cache never holds more than
-// sigCacheMax entries, and a signature made again after the clear equals
-// the one made before it.
+// TestSigCacheBounded: a signed domain's SOA sets sit in four day slots,
+// and each box signs once. Asking day d, then d+1 to d+3, then d again
+// returns the identical signed slice, so day workers on neighbouring days
+// do not evict each other's; day d+4 replaces day d's box, and the
+// signature made again packs to the first one's bytes.
 func TestSigCacheBounded(t *testing.T) {
 	w, err := BuildWorld(WorldConfig{Size: 300, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := findDomain(w, func(d *DomainState) bool {
-		return d.Signed && d.Intermittent == IntermitNone && d.SwitchDay.IsZero() && len(d.NoNSEpisodes) == 0
+		return d.Signed && d.Intermittent == IntermitNone && d.SwitchDay.IsZero() && len(d.NoNSEpisodes) == 0 && !d.ApexCNAME
 	})
 	if d == nil {
 		t.Fatal("world has no signed domain")
 	}
-	sign := func(day int) dnswire.RR {
+	soa := func(day int) []dnswire.RR {
 		t.Helper()
-		soa := d.SOARRset(StudyStart.Add(time.Duration(day) * 24 * time.Hour))
-		if len(soa) == 0 {
-			t.Fatalf("day %d: %s serves no SOA", day, d.Apex)
+		at := StudyStart.AddDate(0, 0, day)
+		rrs := d.Providers[0].HandleDNSAt(dnswire.NewQuery(1, d.Apex, dnswire.TypeSOA, true), at).Answer
+		if len(rrs) != 2 || rrs[1].Type != dnswire.TypeRRSIG {
+			t.Fatalf("day %d: %s SOA answer %v, want the SOA and its RRSIG", day, d.Apex, rrs)
 		}
-		sig, ok := d.signRRset(soa)
-		if !ok {
-			t.Fatalf("day %d: %s SOA not signed", day, d.Apex)
+		if again := d.Providers[0].HandleDNSAt(dnswire.NewQuery(1, d.Apex, dnswire.TypeSOA, true), at).Answer; &again[0] != &rrs[0] {
+			t.Fatalf("day %d: two asks on one day got two SOA boxes", day)
 		}
-		return sig
+		return rrs
 	}
-	first := sign(0)
-	for day := 1; day <= sigCacheMax+10; day++ {
-		sign(day)
-		d.sigMu.Lock()
-		n := len(d.sigCache)
-		d.sigMu.Unlock()
-		if n > sigCacheMax {
-			t.Fatalf("day %d: signature cache holds %d entries, bound %d", day, n, sigCacheMax)
-		}
+	first := soa(0)
+	for day := 1; day <= 3; day++ {
+		soa(day)
 	}
-	key, ok := contentKey(d.SOARRset(StudyStart))
-	if !ok {
-		t.Fatal("SOA RRset does not pack")
+	if again := soa(0); &again[0] != &first[0] || len(again) != len(first) {
+		t.Error("asking the next three days replaced day 0's signed SOA box")
 	}
-	d.sigMu.Lock()
-	_, cached := d.sigCache[key]
-	d.sigMu.Unlock()
-	if cached {
-		t.Fatal("day 0's signature survived more than sigCacheMax newer ones: the cache never cleared")
+	soa(4)
+	remade := soa(0)
+	if &remade[0] == &first[0] {
+		t.Fatal("day 4 did not replace day 0's SOA box")
 	}
-	if got, want := packed(t, sign(0)), packed(t, first); got != want {
-		t.Errorf("re-signed SOA after a clear packs to %s, want the first signature's %s", got, want)
+	if got, want := packed(t, remade[1]), packed(t, first[1]); got != want {
+		t.Errorf("re-signed SOA after its slot was replaced packs to %s, want the first signature's %s", got, want)
 	}
 }
 
@@ -567,4 +665,17 @@ func packed(t *testing.T, rr dnswire.RR) string {
 		t.Fatalf("packing %s %s: %v", rr.Name, rr.Type, err)
 	}
 	return hex.EncodeToString(wire)
+}
+
+// packedSet returns an RRset's wire bytes, hex-encoded, or the packing error.
+func packedSet(rrs []dnswire.RR) string {
+	var out string
+	for _, rr := range rrs {
+		wire, err := dnswire.PackRR(rr)
+		if err != nil {
+			return err.Error()
+		}
+		out += hex.EncodeToString(wire)
+	}
+	return out
 }

@@ -14,24 +14,27 @@
 // # Answers are read-only
 //
 // A Provider or TLDServer answer is a fresh message whose records may be
-// shared with every other answer, day and fork: cached RRSIGs (per domain,
-// keyed by the content of the RRset — zones are synthesized per query, so
-// content is a set's only identity), per-key DNSKEY and DS RDATA, per-
-// provider NS, glue and SOA RNAME values built on first use. Consumers copy
-// or Clone; none writes through RR.Data, and no answer is ever recycled as
-// a dnswire.UnpackInto target. Unsigned zones skip the signing path whole.
-// Memos hand out whole sections: a domain's SOA set per (ProvidersAt(t)[0],
-// day) — switches and multi-provider days move the primary — with RDATA its
-// provider's zones share that day; its HTTPS, A and AAAA sets per owner (apex
-// or www), keyed by exactly what each is built from — for HTTPS the identity
-// of the provider's ECHConfigList (the memo holds the list, so no other can
-// take its address) and the side of H3Draft29SunsetDate, for A the address
-// CurrentV4 serves, for AAAA nothing — in one table made on the first
-// positive answer; and a child's referral per provider arrangement and OPT
-// record. Every handed-out set is capacity-clipped, so an append (a signed
-// child's DS, say) moves to an array of its own. A miss replaces a memo, never
-// writes into it, nor allocates more objects than a build did before (the
-// twelve-record priority list aside: its box is one more).
+// shared with every other answer, day and fork: every RRset a server hands
+// out is one immutable box (rrset) holding the records and room for their
+// RRSIG, which it makes at most once, on its first signed ask. An unsigned
+// ask gets the records, a signed zone's DO ask the records and the RRSIG,
+// both capacity-clipped slices of the box's one array, so an append (a
+// signed child's DS, say) moves to an array of its own; only a CNAME chain
+// joins two boxes, [CNAME, target…, RRSIG(CNAME), RRSIG(target)], in a copy.
+// Consumers copy or Clone; none writes through RR.Data, and no answer is
+// ever recycled as a dnswire.UnpackInto target, and unsigned zones skip the
+// signing path whole. A domain's boxes are keyed by what they are built
+// from: its SOA set by (ProvidersAt(t)[0], day) in four slots by day modulo
+// 4, so day workers on neighbouring days keep each other's, with RDATA its
+// provider's zones share that day; its NS set and its referral by provider
+// arrangement (the referral by OPT record too); its HTTPS, A, AAAA and CNAME
+// sets per owner (apex or www), in one table made on the first positive
+// answer, HTTPS by the identity of the provider's ECHConfigList (the box
+// holds the list, so no other can take its address) and the side of
+// H3Draft29SunsetDate, A by the address CurrentV4 serves, AAAA and CNAME by
+// nothing; its DNSKEY and DS sets (the DS signed by its TLD) by its keys. A
+// TLD's apex NS, SOA and DNSKEY and a provider's own NS and server A sets
+// are built once per server. A miss replaces a box, never writes into it.
 // Keys and signatures are world fixture: keys derive from (world seed,
 // zone, role) and signatures from (key, RRset), nothing else.
 //

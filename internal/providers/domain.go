@@ -1,10 +1,9 @@
 package providers
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -139,24 +138,17 @@ type DomainState struct {
 	DSUploaded bool
 
 	keyOnce sync.Once
-	ksk     *dnssec.KeyPair
-	zsk     *dnssec.KeyPair
-	dnskeys []dnswire.RR // the DNSKEY RRset, shared by every answer
-	keySeed int64        // the world seed the keys derive from
+	key     signer
+	keySeed int64 // the world seed the keys derive from
+	// The DNSKEY set and, when uploaded, the DS set the TLD serves: built
+	// with the keys.
+	dnskey, ds *rrset
 
-	// sigCache holds one RRSIG per distinct RRset content served since
-	// it was last cleared (it is cleared at sigCacheMax entries): the
-	// records are synthesized per query from schedules, so what they say,
-	// not which query asked, identifies a set. Cached RRSIGs are handed out
-	// as they are (read-only), with one exception: dnssec.SignRRset defers
-	// the ECDSA step, so a handed-out RRSIG fills in its own signature bytes
-	// once, under its sync.Once, when something first packs or verifies it.
-	sigMu    sync.Mutex
-	sigCache map[[sha256.Size]byte]dnswire.RR
-
-	// The last SOA set, referral and positive answers served; a miss
-	// replaces, never writes.
-	soa  atomic.Pointer[[1]dnswire.RR]
+	// The answer memos; a miss replaces a box, never writes into it. SOA
+	// sets sit in the slot of their day modulo 4, so day workers on
+	// neighbouring days keep each other's.
+	soa  [4]atomic.Pointer[rrset]
+	ns   atomic.Pointer[nsSet]
 	ref  atomic.Pointer[referral]
 	sets atomic.Pointer[answerSets]
 }
@@ -169,20 +161,17 @@ func (d *DomainState) isWWW(name string) bool {
 	return len(name) == len(d.Apex)+4 && name[:4] == "www." && name[4:] == d.Apex
 }
 
-// keys lazily derives the domain's signing keys from the world seed.
-func (d *DomainState) keys() (*dnssec.KeyPair, *dnssec.KeyPair) {
+// keys lazily derives the domain's signing keys from the world seed, and
+// with them its DNSKEY set and, when uploaded, its DS set.
+func (d *DomainState) keys() *signer {
 	d.keyOnce.Do(func() {
-		d.ksk = dnssec.DeriveKey(d.keySeed, d.Apex, true)
-		d.zsk = dnssec.DeriveKey(d.keySeed, d.Apex, false)
-		d.dnskeys = []dnswire.RR{d.ksk.DNSKEY(3600), d.zsk.DNSKEY(3600)}
+		d.key = signer{ksk: dnssec.DeriveKey(d.keySeed, d.Apex, true), zsk: dnssec.DeriveKey(d.keySeed, d.Apex, false)}
+		d.dnskey = newRRset(d.key.ksk.DNSKEY(3600), d.key.zsk.DNSKEY(3600))
+		if ds, err := d.key.ksk.DS(3600); d.DSUploaded && err == nil {
+			d.ds = newRRset(ds)
+		}
 	})
-	return d.ksk, d.zsk
-}
-
-// KSK exposes the key-signing key (used by the TLD server for DS records).
-func (d *DomainState) KSK() *dnssec.KeyPair {
-	ksk, _ := d.keys()
-	return ksk
+	return &d.key
 }
 
 // ProvidersAt returns the provider list serving the domain at time t, in
@@ -261,12 +250,12 @@ func (d *DomainState) HintV4Addr() netip.Addr {
 	return d.OriginV4
 }
 
-// httpsRRset returns the HTTPS RRset of owner (the apex or its www name,
+// httpsRRset returns the HTTPS set of owner (the apex or its www name,
 // canonical) at time t, with echList the provider's current ECHConfigList
 // (nil when the programme is off); nil when no records exist. The set is
 // memoised per owner, keyed by what it is built from: echList's identity
 // and the side of H3Draft29SunsetDate t falls on.
-func (d *DomainState) httpsRRset(owner string, t time.Time, echList []byte) []dnswire.RR {
+func (d *DomainState) httpsRRset(owner string, t time.Time, echList []byte) *rrset {
 	www := owner != d.Apex
 	if www && !d.WWWHTTPS {
 		return nil
@@ -274,14 +263,18 @@ func (d *DomainState) httpsRRset(owner string, t time.Time, echList []byte) []dn
 	slot := &d.answerSets().https[b2i(www)]
 	preH3 := t.Before(H3Draft29SunsetDate)
 	if s := slot.Load(); s != nil && s.preH3 == preH3 && sameList(s.ech, echList) {
-		return s.rrs
+		return &s.rrset
 	}
 	s := d.newHTTPSSet(owner, preH3, echList)
+	if s == nil {
+		return nil
+	}
 	slot.Store(s)
-	return s.rrs
+	return &s.rrset
 }
 
-// newHTTPSSet builds owner's HTTPS RRset for its memo key.
+// newHTTPSSet builds owner's HTTPS set for its memo key; nil for a profile
+// that publishes none.
 func (d *DomainState) newHTTPSSet(owner string, preH3 bool, echList []byte) *httpsSet {
 	s := &httpsSet{ech: echList, preH3: preH3}
 	rr := func(data *dnswire.SVCBData) dnswire.RR {
@@ -333,51 +326,55 @@ func (d *DomainState) newHTTPSSet(owner string, preH3 bool, echList []byte) *htt
 		prio = 0
 	case ProfileServiceNoParams:
 	case ProfilePriorityList:
-		s.rrs = make([]dnswire.RR, 12)
-		for i := range s.rrs {
+		rrs := s.init(12)
+		for i := range rrs {
 			var ps svcb.Params
 			ps.SetPort(8001 + uint16(i))
-			s.rrs[i] = rr(&dnswire.SVCBData{Priority: uint16(i) + 1, Target: "geo-routing.nexuspipe-sim.com.", Params: ps})
+			rrs[i] = rr(&dnswire.SVCBData{Priority: uint16(i) + 1, Target: "geo-routing.nexuspipe-sim.com.", Params: ps})
 		}
 		return s
 	default:
-		return s
+		return nil
 	}
 	s.data = dnswire.SVCBData{Priority: prio, Target: target, Params: ps}
-	s.one[0] = rr(&s.data)
-	s.rrs = s.one[:]
+	s.init(1)[0] = rr(&s.data)
 	return s
 }
 
 // answerSets is a domain's memo of positive answers: the last HTTPS, A and
-// AAAA set served for each owner, the apex at index 0 and www at 1. A set
-// is an immutable box holding its key, its records and (for one record) the
-// RDATA; a miss replaces the box, never writes into it.
+// AAAA set served for each owner, and its CNAME, the apex at index 0 and www
+// at 1. A set's box holds its key and, for one record, the RDATA too.
 type answerSets struct {
 	https [2]atomic.Pointer[httpsSet]
 	a     [2]atomic.Pointer[aSet]
 	aaaa  [2]atomic.Pointer[aaaaSet]
+	cname [2]atomic.Pointer[rrset]
 }
 
-// httpsSet is an HTTPS RRset and its key. It holds the ECHConfigList it
+// httpsSet is an HTTPS set and its key. It holds the ECHConfigList it
 // carries, so no other list can take that list's address.
 type httpsSet struct {
+	rrset
 	ech   []byte
 	preH3 bool
-	rrs   []dnswire.RR
-	one   [1]dnswire.RR
 	data  dnswire.SVCBData
 }
 
 // aSet and aaaaSet are one-record address sets, keyed by their address.
 type aSet struct {
-	rr   [1]dnswire.RR
+	rrset
 	data dnswire.AData
 }
 
 type aaaaSet struct {
-	rr   [1]dnswire.RR
+	rrset
 	data dnswire.AAAAData
+}
+
+// nsSet is an NS set and the provider arrangement it names.
+type nsSet struct {
+	rrset
+	ps []*Provider
 }
 
 // answerSets returns the domain's memo table, made on first use.
@@ -405,142 +402,104 @@ func b2i(b bool) int {
 	return 0
 }
 
-// sigCacheMax bounds a domain's signature cache. Content changes with
-// time — the SOA serial is the day number, ECH rotates HTTPS content
-// every 76 minutes — so an unbounded cache would grow for the life of the
-// World. Signing is RFC 6979, so a signature dropped by a clear is
-// re-made byte-equal; 256 is more than twice the largest per-domain cache
-// any benchmark workload builds, so none of them ever clears.
-const sigCacheMax = 256
-
-// signRRset returns the cached RRSIG over the RRset, signing on first use
-// for each distinct RRset content (the ECDSA step itself waits for the
-// signature's first read; see dnssec.SignRRset).
-func (d *DomainState) signRRset(rrs []dnswire.RR) (dnswire.RR, bool) {
-	if !d.Signed || len(rrs) == 0 {
-		return dnswire.RR{}, false
-	}
-	_, zsk := d.keys()
-	signer := zsk
-	if rrs[0].Type == dnswire.TypeDNSKEY {
-		signer = d.ksk
-	}
-	key, ok := contentKey(rrs)
-	if !ok {
-		return dnswire.RR{}, false
-	}
-
-	d.sigMu.Lock()
-	defer d.sigMu.Unlock()
-	if sig, ok := d.sigCache[key]; ok {
-		return sig, true
-	}
-	sig, err := dnssec.SignRRset(signer, rrs, sigInception, sigExpiration)
-	if err != nil {
-		return dnswire.RR{}, false
-	}
-	if d.sigCache == nil {
-		d.sigCache = map[[sha256.Size]byte]dnswire.RR{}
-	} else if len(d.sigCache) >= sigCacheMax {
-		clear(d.sigCache)
-	}
-	d.sigCache[key] = sig
-	return sig, true
-}
-
-// contentKey digests an RRset's records, packed into pooled scratch, and
-// their count.
-func contentKey(rrs []dnswire.RR) (key [sha256.Size]byte, ok bool) {
-	bp := dnswire.GetWireBuf()
-	defer dnswire.PutWireBuf(bp)
-	wire := *bp
-	for _, rr := range rrs {
-		var err error
-		if wire, err = dnswire.AppendPackRR(wire, rr); err != nil {
-			return key, false
-		}
-	}
-	wire = binary.BigEndian.AppendUint64(wire, uint64(len(rrs)))
-	*bp = wire
-	return sha256.Sum256(wire), true
-}
-
-// Signature validity window covering the whole study with margin.
-var (
-	sigInception  = StudyStart.Add(-60 * 24 * time.Hour)
-	sigExpiration = StudyEnd.Add(120 * 24 * time.Hour)
-)
-
-// DNSKEYRRset returns the domain's DNSKEY RRset (empty when unsigned).
-func (d *DomainState) DNSKEYRRset() []dnswire.RR {
-	if !d.Signed {
-		return nil
-	}
-	d.keys()
-	return d.dnskeys
-}
-
-// NSRRset synthesizes the NS RRset served at time t.
-func (d *DomainState) NSRRset(t time.Time) []dnswire.RR {
+// nsRRset returns the NS set served at t, memoised per provider
+// arrangement.
+func (d *DomainState) nsRRset(t time.Time) *rrset {
 	ps := d.ProvidersAt(t)
+	if s := d.ns.Load(); s != nil && slices.Equal(s.ps, ps) {
+		return &s.rrset
+	}
 	n := 0
 	for _, p := range ps {
 		n += len(p.NSHosts)
 	}
-	rrs := make([]dnswire.RR, 0, n)
+	s := &nsSet{ps: ps}
+	rrs := s.init(n)
 	for _, p := range ps {
 		for _, ns := range p.records().ns {
-			rrs = append(rrs, dnswire.RR{Name: d.Apex, Type: dnswire.TypeNS,
-				Class: dnswire.ClassINET, TTL: 3600, Data: ns})
+			rrs[0] = dnswire.RR{Name: d.Apex, Type: dnswire.TypeNS, Class: dnswire.ClassINET, TTL: 3600, Data: ns}
+			rrs = rrs[1:]
 		}
 	}
-	return rrs
+	d.ns.Store(s)
+	return &s.rrset
 }
 
-// SOARRset returns the SOA record served at t: memoised per (primary
-// provider, day), with RDATA the provider's zones share that day.
-func (d *DomainState) SOARRset(t time.Time) []dnswire.RR {
+// soaRRset returns the SOA set served at t, memoised per (primary provider,
+// day) in the slot of its day, with RDATA the provider's zones share that
+// day.
+func (d *DomainState) soaRRset(t time.Time) *rrset {
 	ps := d.ProvidersAt(t)
 	if len(ps) == 0 {
 		return nil
 	}
-	data := ps[0].soaData(t.Unix() / 86400)
-	soa := d.soa.Load()
-	if soa == nil || soa[0].Data != data {
-		soa = &[1]dnswire.RR{{Name: d.Apex, Type: dnswire.TypeSOA, Class: dnswire.ClassINET, TTL: 3600, Data: data}}
-		d.soa.Store(soa)
+	day := t.Unix() / 86400
+	data := ps[0].soaData(day)
+	slot := &d.soa[uint64(day)%uint64(len(d.soa))]
+	s := slot.Load()
+	if s == nil || s.all[0].Data != data {
+		s = newRRset(dnswire.RR{Name: d.Apex, Type: dnswire.TypeSOA, Class: dnswire.ClassINET, TTL: 3600, Data: data})
+		slot.Store(s)
 	}
-	return soa[:]
+	return s
 }
 
-// aRRset returns the A RRset of owner at t, memoised per owner and keyed by
+// aRRset returns the A set of owner at t, memoised per owner and keyed by
 // the address served, CurrentV4(t).
-func (d *DomainState) aRRset(owner string, t time.Time) []dnswire.RR {
+func (d *DomainState) aRRset(owner string, t time.Time) *rrset {
 	addr := d.CurrentV4(t)
 	slot := &d.answerSets().a[b2i(owner != d.Apex)]
 	if s := slot.Load(); s != nil && s.data.Addr == addr {
-		return s.rr[:]
+		return &s.rrset
 	}
 	s := &aSet{data: dnswire.AData{Addr: addr}}
-	s.rr[0] = dnswire.RR{Name: owner, Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: d.TTL, Data: &s.data}
+	s.init(1)[0] = dnswire.RR{Name: owner, Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: d.TTL, Data: &s.data}
 	slot.Store(s)
-	return s.rr[:]
+	return &s.rrset
 }
 
-// aaaaRRset returns the AAAA RRset of owner, which never changes: it is
-// built once per owner.
-func (d *DomainState) aaaaRRset(owner string) []dnswire.RR {
+// aaaaRRset returns the AAAA set of owner, which never changes: it is built
+// once per owner.
+func (d *DomainState) aaaaRRset(owner string) *rrset {
 	slot := &d.answerSets().aaaa[b2i(owner != d.Apex)]
 	if s := slot.Load(); s != nil {
-		return s.rr[:]
+		return &s.rrset
 	}
 	s := &aaaaSet{data: dnswire.AAAAData{Addr: d.OriginV6}}
 	if d.Proxied {
 		s.data.Addr = d.AnycastV6
 	}
-	s.rr[0] = dnswire.RR{Name: owner, Type: dnswire.TypeAAAA, Class: dnswire.ClassINET, TTL: d.TTL, Data: &s.data}
+	s.init(1)[0] = dnswire.RR{Name: owner, Type: dnswire.TypeAAAA, Class: dnswire.ClassINET, TTL: d.TTL, Data: &s.data}
 	slot.Store(s)
-	return s.rr[:]
+	return &s.rrset
+}
+
+// cnameRRset returns the CNAME set of a pathology owner, which never
+// changes: the apex aliases www and www the apex.
+func (d *DomainState) cnameRRset(owner string) *rrset {
+	www := owner != d.Apex
+	slot := &d.answerSets().cname[b2i(www)]
+	if s := slot.Load(); s != nil {
+		return s
+	}
+	target := d.Apex
+	if !www {
+		target = d.WWWName()
+	}
+	s := newRRset(dnswire.RR{Name: owner, Type: dnswire.TypeCNAME, Class: dnswire.ClassINET, TTL: d.TTL,
+		Data: &dnswire.CNAMEData{Target: target}})
+	slot.Store(s)
+	return s
+}
+
+// uploadedDS returns the DS set the registrant of a signed domain uploaded,
+// if any.
+func (d *DomainState) uploadedDS() *rrset {
+	if !d.Signed || !d.DSUploaded {
+		return nil
+	}
+	d.keys()
+	return d.ds
 }
 
 // String aids debugging.

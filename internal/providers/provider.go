@@ -53,21 +53,28 @@ type Provider struct {
 }
 
 // nsRecords are the RDATA values that name a provider's servers, built on
-// first use. Every NS RRset, referral, glue record and SOA that names the
-// provider shares them, so they are read-only.
+// first use, and the sets of its own zone. Every NS RRset, referral, glue
+// record and SOA that names the provider shares them, so they are read-only.
 type nsRecords struct {
 	ns    []*dnswire.NSData // per NSHosts entry
 	glue  []*dnswire.AData  // per NSAddrs entry
 	rname string            // SOA RNAME of the zones the provider hosts
+	hosts []*rrset          // each server's A set
+	infra *rrset            // the NS set of InfraDomain
 }
 
 func (p *Provider) records() *nsRecords {
 	p.recOnce.Do(func() {
+		infra := make([]dnswire.RR, len(p.NSHosts))
 		for i, host := range p.NSHosts {
 			p.rec.ns = append(p.rec.ns, &dnswire.NSData{Host: host})
 			p.rec.glue = append(p.rec.glue, &dnswire.AData{Addr: p.NSAddrs[i]})
+			p.rec.hosts = append(p.rec.hosts, newRRset(dnswire.RR{
+				Name: host, Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 3600, Data: p.rec.glue[i]}))
+			infra[i] = dnswire.RR{Name: p.InfraDomain, Type: dnswire.TypeNS, Class: dnswire.ClassINET, TTL: 3600, Data: p.rec.ns[i]}
 		}
 		p.rec.rname = "dns." + p.InfraDomain
+		p.rec.infra = newRRset(infra...)
 	})
 	return &p.rec
 }
@@ -177,96 +184,73 @@ func (p *Provider) HandleDNSAt(q *dnswire.Message, now time.Time) *dnswire.Messa
 
 	resp.Authoritative = true
 	// Only a signed zone has signatures to add, so only it pays for them.
-	sign := d.Signed && q.DNSSECOK()
-	rrs := p.answerFor(d, name, question.Type, now)
-	if len(rrs) == 0 {
+	var k *signer
+	if d.Signed && q.DNSSECOK() {
+		k = d.keys()
+	}
+	switch alias, set := p.answerFor(d, name, question.Type, now); {
+	case alias != nil:
+		resp.Answer = chain(alias, set, k)
+	case set != nil:
+		resp.Answer = set.answer(k)
+	default:
 		// NODATA (the owner names we model always exist).
 		if name != d.Apex && !d.isWWW(name) {
 			resp.RCode = dnswire.RCodeNXDomain
 		}
-		rrs = d.SOARRset(now)
-		if sign {
-			rrs = appendSigs(d, rrs)
-		}
-		resp.Authority = rrs
-		return resp
+		resp.Authority = d.soaRRset(now).answer(k)
 	}
-	if sign {
-		rrs = appendSigs(d, rrs)
-	}
-	resp.Answer = rrs
 	return resp
 }
 
-// appendSigs returns a copy of the answer with an RRSIG appended for each
-// of its RRsets. An answer is one RRset, or a CNAME followed by its target's:
-// each run of records with one owner and type is a set.
-func appendSigs(d *DomainState, rrs []dnswire.RR) []dnswire.RR {
-	out := make([]dnswire.RR, len(rrs), len(rrs)+2)
-	copy(out, rrs)
-	for start := 0; start < len(rrs); {
-		end := start + 1
-		for end < len(rrs) && rrs[end].Type == rrs[start].Type && rrs[end].Name == rrs[start].Name {
-			end++
-		}
-		if sig, ok := d.signRRset(rrs[start:end]); ok {
-			out = append(out, sig)
-		}
-		start = end
-	}
-	return out
-}
-
-// answerFor synthesizes the answer RRs for (name, type) of a hosted domain.
-func (p *Provider) answerFor(d *DomainState, name string, t dnswire.Type, now time.Time) []dnswire.RR {
+// answerFor finds the set answering (name, type) of a hosted domain, nil
+// when there is none. A CNAME pathology's name is answered by its CNAME
+// set: as alias ahead of its target's set, or alone when the target has
+// none.
+func (p *Provider) answerFor(d *DomainState, name string, t dnswire.Type, now time.Time) (alias, set *rrset) {
 	isApex := name == d.Apex
 	isWWW := d.isWWW(name)
 	if !isApex && !isWWW {
-		return nil
+		return nil, nil
 	}
 	if isWWW && !d.HasWWW {
-		return nil
+		return nil, nil
 	}
 
 	// CNAME pathologies first: they alias every type except CNAME itself.
-	if isApex && d.ApexCNAME && t != dnswire.TypeCNAME && t != dnswire.TypeNS &&
-		t != dnswire.TypeSOA && t != dnswire.TypeDNSKEY {
-		cname := dnswire.RR{Name: name, Type: dnswire.TypeCNAME, Class: dnswire.ClassINET,
-			TTL: d.TTL, Data: &dnswire.CNAMEData{Target: d.WWWName()}}
-		out := []dnswire.RR{cname}
-		return append(out, p.answerFor(d, d.WWWName(), t, now)...)
-	}
-	if isWWW && d.WWWCNAME && !d.ApexCNAME && t != dnswire.TypeCNAME {
-		cname := dnswire.RR{Name: name, Type: dnswire.TypeCNAME, Class: dnswire.ClassINET,
-			TTL: d.TTL, Data: &dnswire.CNAMEData{Target: d.Apex}}
-		out := []dnswire.RR{cname}
-		return append(out, p.answerFor(d, d.Apex, t, now)...)
+	if isApex && d.ApexCNAME && t != dnswire.TypeCNAME && t != dnswire.TypeNS && t != dnswire.TypeSOA && t != dnswire.TypeDNSKEY ||
+		isWWW && d.WWWCNAME && !d.ApexCNAME && t != dnswire.TypeCNAME {
+		alias = d.cnameRRset(name)
+		if _, set = p.answerFor(d, alias.all[0].Data.(*dnswire.CNAMEData).Target, t, now); set == nil {
+			return nil, alias
+		}
+		return alias, set
 	}
 
 	switch t {
 	case dnswire.TypeA:
-		return d.aRRset(name, now)
+		return nil, d.aRRset(name, now)
 	case dnswire.TypeAAAA:
-		return d.aaaaRRset(name)
+		return nil, d.aaaaRRset(name)
 	case dnswire.TypeHTTPS:
-		if !d.HTTPSPublished(now, p) {
-			return nil
+		if d.HTTPSPublished(now, p) {
+			return nil, d.httpsRRset(name, now, p.echListFor(d, now))
 		}
-		return d.httpsRRset(name, now, p.echListFor(d, now))
 	case dnswire.TypeNS:
 		if isApex {
-			return d.NSRRset(now)
+			return nil, d.nsRRset(now)
 		}
 	case dnswire.TypeSOA:
 		if isApex {
-			return d.SOARRset(now)
+			return nil, d.soaRRset(now)
 		}
 	case dnswire.TypeDNSKEY:
-		if isApex {
-			return d.DNSKEYRRset()
+		if isApex && d.Signed {
+			d.keys()
+			return nil, d.dnskey
 		}
 	}
-	return nil
+	return nil, nil
 }
 
 // answerInfra serves the provider's own NS host records.
@@ -275,15 +259,11 @@ func (p *Provider) answerInfra(resp *dnswire.Message, name string, t dnswire.Typ
 	rec := p.records()
 	for i, host := range p.NSHosts {
 		if name == host && t == dnswire.TypeA {
-			resp.Answer = append(resp.Answer, dnswire.RR{
-				Name: name, Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 3600, Data: rec.glue[i]})
+			resp.Answer = rec.hosts[i].records()
 		}
 	}
 	if name == p.InfraDomain && t == dnswire.TypeNS {
-		for _, ns := range rec.ns {
-			resp.Answer = append(resp.Answer, dnswire.RR{
-				Name: name, Type: dnswire.TypeNS, Class: dnswire.ClassINET, TTL: 3600, Data: ns})
-		}
+		resp.Answer = rec.infra.records()
 	}
 	return resp
 }

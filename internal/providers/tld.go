@@ -22,18 +22,20 @@ type TLDServer struct {
 	Addr  netip.Addr
 	Clock *simnet.Clock
 
-	ksk, zsk *dnssec.KeyPair
+	keys signer
+
+	apexOnce sync.Once
+	apex     tldSets
 
 	mu      sync.RWMutex
 	domains map[string]*DomainState
 	infra   map[string]*Provider // provider infra domains under this TLD, by apex
-	sigs    map[sigKey][]dnswire.RR
-	od      dnswire.OPTData // RDATA of every referral's OPT record, not a reply's own
+	od      dnswire.OPTData      // RDATA of every referral's OPT record, not a reply's own
 }
 
-// sigKey names one signed RRset of the TLD zone: an apex set ("ns", "soa",
-// "dnskey") or, with kind "ds|", the DS set of a delegated apex.
-type sigKey struct{ kind, apex string }
+// tldSets are a TLD server's own sets: its apex NS, SOA and DNSKEY, and
+// its host's glue.
+type tldSets struct{ ns, soa, dnskey, glue *rrset }
 
 // NewTLDServer creates a signed TLD server whose keys derive from seed.
 func NewTLDServer(tld string, addr netip.Addr, clock *simnet.Clock, seed int64) *TLDServer {
@@ -43,16 +45,14 @@ func NewTLDServer(tld string, addr netip.Addr, clock *simnet.Clock, seed int64) 
 		Host:    "a.nic-sim." + tld,
 		Addr:    addr,
 		Clock:   clock,
-		ksk:     dnssec.DeriveKey(seed, tld, true),
-		zsk:     dnssec.DeriveKey(seed, tld, false),
+		keys:    signer{ksk: dnssec.DeriveKey(seed, tld, true), zsk: dnssec.DeriveKey(seed, tld, false)},
 		domains: map[string]*DomainState{},
 		infra:   map[string]*Provider{},
-		sigs:    map[sigKey][]dnswire.RR{},
 	}
 }
 
 // DS returns the TLD's own DS record for the root zone.
-func (s *TLDServer) DS() (dnswire.RR, error) { return s.ksk.DS(3600) }
+func (s *TLDServer) DS() (dnswire.RR, error) { return s.keys.ksk.DS(3600) }
 
 // AddDomain registers a delegated child domain.
 func (s *TLDServer) AddDomain(d *DomainState) {
@@ -70,47 +70,21 @@ func (s *TLDServer) AddInfra(p *Provider) {
 	s.infra[p.InfraDomain] = p
 }
 
-// signCached signs an RRset with the TLD ZSK (KSK for DNSKEY), caching by
-// key. A miss signs under the write lock after a second look, so day
-// workers that miss together sign once.
-func (s *TLDServer) signCached(key sigKey, rrs []dnswire.RR) []dnswire.RR {
-	s.mu.RLock()
-	sig, ok := s.sigs[key]
-	s.mu.RUnlock()
-	if ok {
-		return sig
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sig, ok := s.sigs[key]; ok {
-		return sig
-	}
-	signer := s.zsk
-	if rrs[0].Type == dnswire.TypeDNSKEY {
-		signer = s.ksk
-	}
-	rr, err := dnssec.SignRRset(signer, rrs, sigInception, sigExpiration)
-	if err != nil {
-		return nil
-	}
-	out := []dnswire.RR{rr}
-	s.sigs[key] = out
-	return out
-}
-
-func (s *TLDServer) apexNS() []dnswire.RR {
-	return []dnswire.RR{{Name: s.TLD, Type: dnswire.TypeNS, Class: dnswire.ClassINET, TTL: 86400,
-		Data: &dnswire.NSData{Host: s.Host}}}
-}
-
-func (s *TLDServer) apexSOA() []dnswire.RR {
-	return []dnswire.RR{{Name: s.TLD, Type: dnswire.TypeSOA, Class: dnswire.ClassINET, TTL: 3600,
-		Data: &dnswire.SOAData{MName: s.Host, RName: "nstld.nic-sim" + "." + s.TLD,
-			Serial: 1, Refresh: 1800, Retry: 900, Expire: 604800, Minimum: 86400}}}
-}
-
-func (s *TLDServer) dnskeys() []dnswire.RR {
-	return []dnswire.RR{s.ksk.DNSKEY(3600), s.zsk.DNSKEY(3600)}
+// sets returns the server's own sets, built on first use.
+func (s *TLDServer) sets() *tldSets {
+	s.apexOnce.Do(func() {
+		s.apex = tldSets{
+			ns: newRRset(dnswire.RR{Name: s.TLD, Type: dnswire.TypeNS, Class: dnswire.ClassINET, TTL: 86400,
+				Data: &dnswire.NSData{Host: s.Host}}),
+			soa: newRRset(dnswire.RR{Name: s.TLD, Type: dnswire.TypeSOA, Class: dnswire.ClassINET, TTL: 3600,
+				Data: &dnswire.SOAData{MName: s.Host, RName: "nstld.nic-sim" + "." + s.TLD,
+					Serial: 1, Refresh: 1800, Retry: 900, Expire: 604800, Minimum: 86400}}),
+			dnskey: newRRset(s.keys.ksk.DNSKEY(3600), s.keys.zsk.DNSKEY(3600)),
+			glue: newRRset(dnswire.RR{Name: s.Host, Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 86400,
+				Data: &dnswire.AData{Addr: s.Addr}}),
+		}
+	})
+	return &s.apex
 }
 
 // HandleDNS implements simnet.DNSHandler at the server's own clock reading.
@@ -129,45 +103,43 @@ func (s *TLDServer) HandleDNSAt(q *dnswire.Message, now time.Time) *dnswire.Mess
 	}
 	question := q.Question[0]
 	name := dnswire.CanonicalName(question.Name)
-	dnssecOK := q.DNSSECOK()
+	var k *signer
+	if q.DNSSECOK() {
+		k = &s.keys
+	}
 
 	if !dnswire.IsSubdomain(name, s.TLD) {
 		resp.RCode = dnswire.RCodeRefused
 		return resp
 	}
+	own := s.sets()
 
 	// TLD apex.
 	if name == s.TLD {
 		resp.Authoritative = true
-		var rrs []dnswire.RR
-		var key sigKey
+		var set *rrset
 		switch question.Type {
 		case dnswire.TypeNS:
-			rrs, key = s.apexNS(), sigKey{kind: "ns"}
+			set = own.ns
 		case dnswire.TypeSOA:
-			rrs, key = s.apexSOA(), sigKey{kind: "soa"}
+			set = own.soa
 		case dnswire.TypeDNSKEY:
-			rrs, key = s.dnskeys(), sigKey{kind: "dnskey"}
-		case dnswire.TypeA:
-			// The TLD server's glue (host a.nic-sim.<tld> is below, but
-			// the apex itself has no A).
+			set = own.dnskey
 		}
-		if len(rrs) == 0 {
-			resp.Authority = s.apexSOA()
+		if set == nil {
+			// NODATA: the apex itself has no A, say (its server a.nic-sim.<tld>
+			// is below it).
+			resp.Authority = own.soa.records()
 			return resp
 		}
-		resp.Answer = rrs
-		if dnssecOK {
-			resp.Answer = append(resp.Answer, s.signCached(key, rrs)...)
-		}
+		resp.Answer = set.answer(k)
 		return resp
 	}
 
 	// Own NS host glue.
 	if name == s.Host && question.Type == dnswire.TypeA {
 		resp.Authoritative = true
-		resp.Answer = []dnswire.RR{{Name: name, Type: dnswire.TypeA, Class: dnswire.ClassINET,
-			TTL: 86400, Data: &dnswire.AData{Addr: s.Addr}}}
+		resp.Answer = own.glue.records()
 		return resp
 	}
 
@@ -185,21 +157,20 @@ func (s *TLDServer) HandleDNSAt(q *dnswire.Message, now time.Time) *dnswire.Mess
 	if !ok {
 		resp.RCode = dnswire.RCodeNXDomain
 		resp.Authoritative = true
-		return s.deny(resp, dnssecOK)
+		resp.Authority = own.soa.answer(k)
+		return resp
 	}
 
 	// DS at the delegation point: answered authoritatively by the parent.
 	if name == apex && question.Type == dnswire.TypeDS {
 		resp.Authoritative = true
-		if ds, ok := uploadedDS(d); ok {
-			resp.Answer = append(make([]dnswire.RR, 0, 2), ds)
-			if dnssecOK {
-				resp.Answer = append(resp.Answer, s.signCached(sigKey{"ds|", apex}, resp.Answer)...)
-			}
-			return resp
+		if ds := d.uploadedDS(); ds != nil {
+			resp.Answer = ds.answer(k)
+		} else {
+			// No DS: NODATA with (signed) SOA — provably unsigned delegation.
+			resp.Authority = own.soa.answer(k)
 		}
-		// No DS: NODATA with (signed) SOA — provably unsigned delegation.
-		return s.deny(resp, dnssecOK)
+		return resp
 	}
 
 	// Regular delegation referral.
@@ -210,32 +181,10 @@ func (s *TLDServer) HandleDNSAt(q *dnswire.Message, now time.Time) *dnswire.Mess
 		return resp
 	}
 	resp.Authority, resp.Additional = s.referral(d, ps, resp.Additional)
-	if ds, ok := uploadedDS(d); ok && dnssecOK {
-		resp.Authority = append(resp.Authority, ds) // clipped, so a fresh array
-		dsSet := resp.Authority[len(resp.Authority)-1:]
-		resp.Authority = append(resp.Authority, s.signCached(sigKey{"ds|", apex}, dsSet)...)
+	if ds := d.uploadedDS(); ds != nil && k != nil {
+		resp.Authority = append(resp.Authority, ds.answer(k)...) // clipped, so a fresh array
 	}
 	return resp
-}
-
-// deny fills in the authority section of a negative answer: the apex SOA
-// and, with DO, its RRSIG.
-func (s *TLDServer) deny(resp *dnswire.Message, dnssecOK bool) *dnswire.Message {
-	resp.Authority = s.apexSOA()
-	if dnssecOK {
-		resp.Authority = append(resp.Authority, s.signCached(sigKey{kind: "soa"}, resp.Authority)...)
-	}
-	return resp
-}
-
-// uploadedDS returns the DS record the registrant of a signed domain
-// uploaded, if any. Its RDATA is computed once per key.
-func uploadedDS(d *DomainState) (dnswire.RR, bool) {
-	if !d.Signed || !d.DSUploaded {
-		return dnswire.RR{}, false
-	}
-	ds, err := d.KSK().DS(3600)
-	return ds, err == nil
 }
 
 // referral is a child's delegation as built for a provider arrangement and OPT.

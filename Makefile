@@ -88,14 +88,14 @@ SERVE ?= Hot
 profile-serve:
 	$(GO) test -run xxx -bench 'BenchmarkServe$(SERVE)$$' -benchtime 3x -cpuprofile cpu.pprof -memprofile mem.pprof .
 
-# CPU time per layer of one root benchmark (W=<Benchmark>, by default
-# BenchmarkDailyDirect): three runs, each a fresh process with its own CPU
-# profile, in attribute.out/. Each sample of `go tool pprof -traces` goes to
-# the innermost repro/internal/<pkg> frame of its stack; GC workers and the
-# background sweeper and scavenger form the gc row, and samples with no
-# package frame the runtime row (a runtime frame innermost) or other.
-# Prints each layer's median share of the samples and its range over the
-# runs, largest first.
+# CPU time and allocated bytes per layer of one root benchmark
+# (W=<Benchmark>, by default BenchmarkDailyDirect): three runs, each a fresh
+# process with its own CPU and memory profile, in attribute.out/. Each sample
+# of `go tool pprof -traces` goes to the innermost repro/internal/<pkg> frame
+# of its stack; GC workers and the background sweeper and scavenger form the
+# gc row, and samples with no package frame the runtime row (a runtime frame
+# innermost) or other. Prints two tables, each layer's median share and its
+# range over the runs, largest first: CPU samples, then alloc_space.
 W ?= BenchmarkDailyDirect
 BENCHTIME ?= 1s
 attribute:
@@ -103,17 +103,20 @@ attribute:
 	@$(GO) test -c -o attribute.out/root.test .
 	@for i in 1 2 3; do \
 		attribute.out/root.test -test.run xxx -test.bench '^$(W)$$' -test.benchtime $(BENCHTIME) \
-			-test.cpuprofile attribute.out/cpu$$i.pprof | grep '^Benchmark' || exit 1; \
+			-test.cpuprofile attribute.out/cpu$$i.pprof -test.memprofile attribute.out/mem$$i.pprof | grep '^Benchmark' || exit 1; \
 	done
-	@printf '%-12s %8s  %s\n' layer median% range
-	@for i in 1 2 3; do $(GO) tool pprof -traces attribute.out/root.test attribute.out/cpu$$i.pprof 2>/dev/null | \
-	awk -v run=$$i 'function ms(v) { if (v ~ /ms$$/) return v + 0; if (v ~ /us$$/) return v / 1000; \
-			if (v ~ /ns$$/) return v / 1e6; if (v ~ /min$$/) return v * 60000; return v * 1000 } \
+	@for prof in cpu mem; do \
+	if [ $$prof = cpu ]; then index=cpu; else index=alloc_space; echo; fi; \
+	printf '%-12s %8s  %s\n' layer $${index%_*}% range; \
+	for i in 1 2 3; do $(GO) tool pprof -sample_index=$$index -traces attribute.out/root.test attribute.out/$$prof$$i.pprof 2>/dev/null | \
+	awk -v run=$$i 'function val(v) { if (v ~ /ms$$/) return v + 0; if (v ~ /us$$/) return v / 1000; \
+			if (v ~ /ns$$/) return v / 1e6; if (v ~ /min$$/) return v * 60000; if (v ~ /kB$$/) return v * 1024; \
+			if (v ~ /MB$$/) return v * 1048576; if (v ~ /GB$$/) return v * 1073741824; if (v ~ /B$$/) return v + 0; return v * 1000 } \
 		function flush() { if (v > 0) { l = gc ? "gc" : layer != "" ? layer : inner ~ /^runtime\./ ? "runtime" : "other"; \
 			t[l] += v; tot += v }; v = 0; gc = 0; layer = "" } \
 		/^-+\+/ { flush(); first = 1; next } \
-		first == "" { next } \
-		{ f = $$1; if (first) { v = ms($$1); f = inner = $$2; first = 0 }; \
+		first == "" || $$1 ~ /:$$/ { next } \
+		{ f = $$1; if (first) { v = val($$1); f = inner = $$2; first = 0 }; \
 			if (f ~ /^runtime\.(gcBgMarkWorker|bgsweep|bgscavenge)$$/) gc = 1; \
 			if (layer == "" && f ~ /^repro\/internal\//) { sub(/^repro\/internal\//, "", f); sub(/[.\/].*/, "", f); layer = f } } \
 		END { flush(); for (l in t) printf "%d %s %.2f\n", run, l, 100 * t[l] / tot }'; done | \
@@ -123,7 +126,8 @@ attribute:
 				for (i = 2; i <= n; i++) { y = x[i]; for (j = i - 1; j > 0 && x[j] > y; j--) x[j + 1] = x[j]; x[j + 1] = y }; \
 				med[l] = n % 2 ? x[(n + 1) / 2] : (x[n / 2] + x[n / 2 + 1]) / 2; lo[l] = x[1]; hi[l] = x[n] }; \
 			for (i = 2; i <= m; i++) { y = k[i]; for (j = i - 1; j > 0 && med[k[j]] < med[y]; j--) k[j + 1] = k[j]; k[j + 1] = y }; \
-			for (c = 1; c <= m; c++) printf "%-12s %8.1f  %.1f-%.1f\n", k[c], med[k[c]], lo[k[c]], hi[k[c]] }'
+			for (c = 1; c <= m; c++) printf "%-12s %8.1f  %.1f-%.1f\n", k[c], med[k[c]], lo[k[c]], hi[k[c]] }' || exit 1; \
+	done
 
 # Short fuzz pass over the wire-format decoders and the signature
 # verifier, seeded with workload-shaped queries, served SvcParams and

@@ -122,7 +122,8 @@ func (s *skeleton) query(id uint16, name string, t Type, dnssecOK bool) *Message
 // back to a pool: a slot is written once, when its query is built, so a
 // receiver may keep the query and read it as sent for good. Release on such
 // a query does nothing. The zero value is ready to use; a QuerySlab is not
-// safe for concurrent use.
+// safe for concurrent use, so the resolver's shared query table, its one
+// user, calls it under the table's write lock.
 type QuerySlab struct{ free []skeleton }
 
 // querySlabChunk is how many skeletons a QuerySlab allocates at a time

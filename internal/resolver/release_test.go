@@ -4,6 +4,7 @@ import (
 	"net/netip"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -75,9 +76,9 @@ func TestReleasedRepliesLeaveTheCachesUnchanged(t *testing.T) {
 // TestStubAnswerAllocBudgets pins what the recursor's side of a stub query
 // allocates once the stub releases the answer: nothing for a cached name,
 // and for a cold NODATA below a cached cut only the authoritative's own
-// answer — the walk's query and the cache entry coming from the resolver's
-// slabs, and the reply skeletons and the Response having stayed out of the
-// heap.
+// answer — the walk's query coming from the shared query table, the cache
+// entry from the resolver's slab, and the reply skeletons and the Response
+// having stayed out of the heap.
 func TestStubAnswerAllocBudgets(t *testing.T) {
 	if testrace.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -100,9 +101,8 @@ func TestStubAnswerAllocBudgets(t *testing.T) {
 		w.clock.Advance(61 * time.Second)
 		upstream += w.upstream(func() { w.resolver.HandleDNS(nodata).Release() })
 	}
-	// Each run carves its query from the query slab, a chunk of skeletons
-	// at a time: 40 runs pay for at most two chunks, which the per-run count
-	// rounds away. A few runs first fill the skeleton pool the replies go
+	// Every run sends the query table's one query for the name, built by
+	// the first. A few runs first fill the skeleton pool the replies go
 	// back to, whatever earlier tests left in it.
 	for i := 0; i < 8; i++ {
 		cold()
@@ -177,5 +177,87 @@ func TestWalkQueriesNeverPatched(t *testing.T) {
 	}
 	if total < 3*32 {
 		t.Fatalf("the servers saw %d queries: too few to span several query slab chunks", total)
+	}
+}
+
+// sharedQueries is keptQueries for senders on several goroutines.
+type sharedQueries struct {
+	mu sync.Mutex
+	k  keptQueries
+}
+
+func (s *sharedQueries) HandleDNS(q *dnswire.Message) *dnswire.Message {
+	s.mu.Lock()
+	s.k.seen, s.k.sent = append(s.k.seen, q), append(s.k.sent, queryCopy(q))
+	s.mu.Unlock()
+	return s.k.h.HandleDNS(q)
+}
+
+// TestForksShareOneQueryPerKey: walk's query is a pure function of (name,
+// type), so a resolver and all its forks build it once. The parent and two
+// forks on two goroutines, one of which flushes its caches halfway, walk the
+// same names again and again: each server must see one message per (name,
+// type) it was asked, every (name, type) walked must reach a server, and
+// every message must still say what it said when it arrived.
+func TestForksShareOneQueryPerKey(t *testing.T) {
+	w := buildWorld(t, true, true)
+	kept := map[netip.Addr]*sharedQueries{}
+	for addr, h := range w.auth {
+		kept[addr] = &sharedQueries{k: keptQueries{h: h}}
+		w.net.RegisterDNS(addr, kept[addr])
+	}
+	names := []string{"example.com.", "www.example.com.", "alias.example.com.", "missing.example.com.", "missing.com."}
+	types := []dnswire.Type{dnswire.TypeA, dnswire.TypeAAAA, dnswire.TypeHTTPS}
+	walk := func(r *Resolver, clock *simnet.Clock, flushAt int) {
+		for i := 0; i < 20; i++ {
+			if i == flushAt {
+				r.FlushCache()
+			}
+			clock.Advance(61 * time.Second) // past the negative TTLs: most rounds walk again
+			for _, name := range names {
+				for _, typ := range types {
+					r.HandleDNS(dnswire.NewQuery(uint16(i), name, typ, true)).Release()
+				}
+			}
+		}
+	}
+	walk(w.resolver, w.clock, -1)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		clock := simnet.NewClock(w.clock.Now())
+		f := w.resolver.Fork(w.net.WithClock(clock))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			walk(f, clock, 10*g-1)
+		}()
+	}
+	wg.Wait()
+
+	asked := map[rrKey]bool{}
+	sends := 0
+	for _, s := range kept {
+		msgs := map[rrKey]*dnswire.Message{}
+		for i, q := range s.k.seen {
+			if !reflect.DeepEqual(queryCopy(q), s.k.sent[i]) {
+				t.Fatalf("query %d to a server changed after it was sent:\n now %+v\n was %+v", i, q, &s.k.sent[i])
+			}
+			k := rrKey{q.Question[0].Name, q.Question[0].Type}
+			if m, ok := msgs[k]; ok && m != q {
+				t.Fatalf("%s/%s: the server saw two messages, %p and %p", k.name, k.t, m, q)
+			}
+			msgs[k], asked[k] = q, true
+		}
+		sends += len(s.k.seen)
+	}
+	for _, name := range names {
+		for _, typ := range types {
+			if !asked[rrKey{name, typ}] {
+				t.Errorf("%s/%s was walked but no server was asked it", name, typ)
+			}
+		}
+	}
+	if sends < 4*len(asked) {
+		t.Fatalf("%d queries sent for %d keys: too few repeats to show sharing", sends, len(asked))
 	}
 }

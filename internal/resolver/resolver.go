@@ -5,12 +5,15 @@
 // role Google Public DNS (8.8.8.8) and Cloudflare (1.1.1.1) play in the
 // paper's measurements.
 //
-// A resolver keeps four bounded caches: answers per (name, type),
+// A resolver keeps five bounded tables: answers per (name, type),
 // delegations per zone (the servers a referral named, for the NS TTL),
 // validated zone DNSKEY RRsets, and — shared with every Fork, and so by a
-// world's two public resolvers, Cloudflare's being a fork of Google's — a
-// memo of the signatures that already verified. docs/ARCHITECTURE.md,
-// "Recursor cold path", has the rules each one follows.
+// world's two public resolvers, Cloudflare's being a fork of Google's, and
+// all their day and hour forks — a memo of the signatures that already
+// verified and the one query walk sends for each (name, type). A fork's
+// answer and delegation maps start at the sizes its parent's previous fork
+// reached. docs/ARCHITECTURE.md, "Recursor cold path", has the rules each
+// one follows.
 //
 // The answer cache is load-bearing for two of the paper's findings: stale
 // HTTPS records explain both the ECH key-inconsistency window (§4.4.2) and
@@ -23,6 +26,7 @@ import (
 	"net/netip"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dnssec"
@@ -102,10 +106,9 @@ type Resolver struct {
 	// Anchor is the trusted root DNSKEY RRset used when Validate is set.
 	Anchor []dnswire.RR
 
-	mu      sync.Mutex
-	cache   map[rrKey]*cacheEntry
-	slab    []cacheEntry      // where newEntry carves the cache's entries from
-	queries dnswire.QuerySlab // where newQuery carves walk's queries from
+	mu    sync.Mutex
+	cache map[rrKey]*cacheEntry
+	slab  []cacheEntry // where newEntry carves the cache's entries from
 
 	// zoneKeys caches already-validated zone DNSKEY RRsets for
 	// zoneKeyTTL of virtual time.
@@ -117,9 +120,32 @@ type Resolver struct {
 	cuts     map[string]zoneCut
 	addrSets map[uint64][]netip.Addr
 
-	// memo remembers signatures that verified. It is the one piece of
-	// state Fork shares, so concurrent day workers verify each once.
-	memo *dnssec.SigMemo
+	// memo remembers signatures that verified, and queries holds walk's
+	// query for each (name, type). They are the state Fork shares, so
+	// concurrent day workers verify each signature and build each query
+	// once.
+	memo    *dnssec.SigMemo
+	queries *queryTable
+
+	// forks holds the cache and cut lengths this resolver's forks last
+	// reported; Fork presizes a new fork's maps from them. parentForks is
+	// the parent's forks, which this resolver reports into; nil for one
+	// made by New.
+	forks       tableLens
+	parentForks *tableLens
+}
+
+// tableLens is a resolver's answer-cache and cut-table lengths.
+type tableLens struct{ cache, cuts atomic.Int32 }
+
+// queryTable holds walk's one query per (name, type), shared by a resolver
+// and every fork of it. A query is a pure function of its key and is never
+// patched once built, so every sender may hand the same one to a server that
+// keeps what it is sent. The slab carves the queries, under mu.
+type queryTable struct {
+	mu   sync.RWMutex
+	m    map[rrKey]*dnswire.Message
+	slab dnswire.QuerySlab
 }
 
 type zoneKeyEntry struct {
@@ -165,7 +191,7 @@ func makeRoom[K comparable, V any](m map[K]V, max int, expired func(V) bool) {
 
 // New creates a resolver on the given network.
 func New(net *simnet.Network) *Resolver {
-	r := &Resolver{Net: net, memo: dnssec.NewSigMemo()}
+	r := &Resolver{Net: net, memo: dnssec.NewSigMemo(), queries: &queryTable{m: map[rrKey]*dnswire.Message{}}}
 	r.FlushCache()
 	return r
 }
@@ -173,15 +199,18 @@ func New(net *simnet.Network) *Resolver {
 // Fork returns a resolver on the given network (normally a per-day view of
 // the parent's) with the same validation configuration, empty answer,
 // delegation and zone-key caches, and the parent's verified-signature
-// memo. Per-day scan contexts use it to give each simulated day an isolated
-// recursor state: with record TTLs far below a day, a fresh cache answers
-// identically to the serial run's carried-over cache, without any
-// cross-day locking or time skew. The memo can be shared because a hit
+// memo and query table. Per-day scan contexts use it to give each simulated
+// day an isolated recursor state: with record TTLs far below a day, a fresh
+// cache answers identically to the serial run's carried-over cache, without
+// any cross-day locking or time skew. The memo can be shared because a hit
 // replaces only the ECDSA step of a verification whose other checks
-// (validity window included) still run against the fork's own clock.
+// (validity window included) still run against the fork's own clock; the
+// query table because it holds no DNS data. The fork's answer and cut maps
+// start at the sizes the parent's previous fork last reported.
 func (r *Resolver) Fork(net *simnet.Network) *Resolver {
-	f := &Resolver{Net: net, Validate: r.Validate, ValidateTypes: r.ValidateTypes, Anchor: r.Anchor, memo: r.memo}
-	f.FlushCache()
+	f := &Resolver{Net: net, Validate: r.Validate, ValidateTypes: r.ValidateTypes, Anchor: r.Anchor,
+		memo: r.memo, queries: r.queries, parentForks: &r.forks}
+	f.flush(int(r.forks.cache.Load()), int(r.forks.cuts.Load()))
 	return f
 }
 
@@ -209,14 +238,18 @@ func (r *Resolver) Put(zone string, keys []dnswire.RR) {
 }
 
 // FlushCache drops all cached answers, delegations and validated zone
-// keys. The verified-signature memo stays: it holds no DNS data.
-func (r *Resolver) FlushCache() {
+// keys. The verified-signature memo and the query table stay: they hold no
+// DNS data.
+func (r *Resolver) FlushCache() { r.flush(0, 0) }
+
+// flush is FlushCache with room for cacheLen answers and cutsLen cuts.
+func (r *Resolver) flush(cacheLen, cutsLen int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.cache = map[rrKey]*cacheEntry{}
-	r.slab, r.queries = nil, dnswire.QuerySlab{}
+	r.cache = make(map[rrKey]*cacheEntry, cacheLen)
+	r.slab = nil
 	r.zoneKeys = map[string]zoneKeyEntry{}
-	r.cuts = map[string]zoneCut{}
+	r.cuts = make(map[string]zoneCut, cutsLen)
 	r.addrSets = map[uint64][]netip.Addr{}
 }
 
@@ -246,13 +279,27 @@ func (r *Resolver) newEntry(rcode dnswire.RCode) *cacheEntry {
 	return &r.slab[len(r.slab)-1]
 }
 
-// newQuery returns walk's non-recursive query for (name, t) from the
-// resolver's query slab.
-func (r *Resolver) newQuery(name string, t dnswire.Type) *dnswire.Message {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	q := r.queries.NewQuery(uint16(len(name)*31+int(t)), name, t, true)
+// query returns walk's non-recursive query for (name, t), building it in
+// the table's slab on first ask. At maxAnswers keys the table is dropped
+// whole (no query ever expires); the dropped queries stay with their
+// holders.
+func (qt *queryTable) query(name string, t dnswire.Type) *dnswire.Message {
+	k := rrKey{name, t}
+	qt.mu.RLock()
+	q := qt.m[k]
+	qt.mu.RUnlock()
+	if q != nil {
+		return q
+	}
+	qt.mu.Lock()
+	defer qt.mu.Unlock()
+	if q = qt.m[k]; q != nil {
+		return q
+	}
+	makeRoom(qt.m, maxAnswers, func(*dnswire.Message) bool { return false })
+	q = qt.slab.NewQuery(uint16(len(name)*31+int(t)), name, t, true)
 	q.RecursionDesired = false
+	qt.m[k] = q
 	return q
 }
 
@@ -274,6 +321,9 @@ func (r *Resolver) store(name string, t dnswire.Type, e *cacheEntry) {
 	defer r.mu.Unlock()
 	makeRoom(r.cache, maxAnswers, func(e *cacheEntry) bool { return e.expires <= now })
 	r.cache[rrKey{name, t}] = e
+	if r.parentForks != nil {
+		r.parentForks.cache.Store(int32(len(r.cache)))
+	}
 }
 
 // minTTL returns the smallest TTL in the set, defaulting to def.
@@ -333,10 +383,10 @@ func (r *Resolver) walk(servers []netip.Addr, zone, name string, t dnswire.Type)
 	if len(servers) == 0 {
 		return nil, ErrNoServers
 	}
-	// q is a query slab slot, never patched once sent nor handed out again:
-	// a handler may keep the queries it saw (the benchmark's replay probe
-	// does). FlushCache drops the slab; the slots stay with their holders.
-	q := r.newQuery(name, t)
+	// q is the query table's one query for (name, t), never patched once
+	// sent: a handler may keep the queries it saw (the benchmark's replay
+	// probe does), and every fork sends this same one.
+	q := r.queries.query(name, t)
 	for depth := 0; depth < maxDepth; depth++ {
 		resp, err := r.queryAny(servers, q)
 		if err != nil {
@@ -384,6 +434,9 @@ func (r *Resolver) walk(servers []netip.Addr, zone, name string, t dnswire.Type)
 			r.mu.Lock()
 			makeRoom(r.cuts, maxCuts, func(c zoneCut) bool { return c.expires <= now })
 			r.cuts[child] = zoneCut{servers: next, expires: now + int64(ttl)*int64(time.Second)}
+			if r.parentForks != nil {
+				r.parentForks.cuts.Store(int32(len(r.cuts)))
+			}
 			r.mu.Unlock()
 			zone = child
 		}

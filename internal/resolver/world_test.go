@@ -183,8 +183,8 @@ func TestProviderChangeInsideNSTTL(t *testing.T) {
 }
 
 // TestConcurrentForksMatchSerial: eight forks of one recursor — sharing
-// nothing but its verified-signature memo — resolve the same names at
-// once; every AD bit must equal a serial run's on a recursor that shares
+// nothing but its verified-signature memo and query table — resolve the
+// same names at once; every AD bit must equal a serial run's on a recursor that shares
 // no memo with them. Run under -race (make race) this is the coverage for
 // the first resolver state day workers share, and for the records the
 // authoritatives share between all of them: the cached RRSIGs and per-key

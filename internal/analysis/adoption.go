@@ -8,22 +8,6 @@ import (
 	"repro/internal/tranco"
 )
 
-// obsName maps a listed apex domain to its snapshot observation key for the
-// given kind.
-func obsName(kind, apex string) string {
-	name := dnswire.CanonicalName(apex)
-	if kind == "www" {
-		return "www." + name
-	}
-	return name
-}
-
-// hasHTTPSOn reports whether the domain had HTTPS records in the snapshot.
-func hasHTTPSOn(snap *dataset.Snapshot, kind, apex string) bool {
-	obs, ok := snap.Obs[obsName(kind, apex)]
-	return ok && obs.HasHTTPS()
-}
-
 // OverlappingSets computes the phase-1 and phase-2 overlapping domain sets
 // (domains present in the stored Tranco list on every scanned day of the
 // phase, split at the 2023-08-01 source change).
@@ -74,43 +58,40 @@ func Adoption(store *dataset.Store) *AdoptionResult {
 		Phase1Size:  len(phase1),
 		Phase2Size:  len(phase2),
 	}
-	for _, day := range store.Days("apex") {
-		list, ok := store.TrancoListFor(day)
-		if !ok {
+	for apex := range (population{kind: "apex"}).days(store) {
+		list, ok := store.TrancoListFor(apex.date)
+		www, okW := population{kind: "www"}.on(store, apex.date)
+		if !ok || !okW {
 			continue
 		}
-		overlap := phase1
-		if !day.Before(tranco.SourceChangeDate) {
-			overlap = phase2
-		}
-		apexSnap, okA := store.SnapshotFor("apex", day)
-		wwwSnap, okW := store.SnapshotFor("www", day)
-		if !okA || !okW {
-			continue
+		overlap := population{kind: "apex", overlap: phase1}
+		if !apex.date.Before(tranco.SourceChangeDate) {
+			overlap.overlap = phase2
 		}
 		var dynApex, dynWWW, ovApex, ovWWW, ovTotal int
-		for _, apex := range list {
-			inOverlap := overlap[apex]
+		for _, entry := range list {
+			name := dnswire.CanonicalName(entry)
+			inOverlap := overlap.member(name)
 			if inOverlap {
 				ovTotal++
 			}
-			if hasHTTPSOn(apexSnap, "apex", apex) {
+			if _, on := apex.lookup(name); on {
 				dynApex++
 				if inOverlap {
 					ovApex++
 				}
 			}
-			if hasHTTPSOn(wwwSnap, "www", apex) {
+			if _, on := www.lookup("www." + name); on {
 				dynWWW++
 				if inOverlap {
 					ovWWW++
 				}
 			}
 		}
-		res.DynamicApex.Points = append(res.DynamicApex.Points, Point{day, pct(dynApex, len(list))})
-		res.DynamicWWW.Points = append(res.DynamicWWW.Points, Point{day, pct(dynWWW, len(list))})
-		res.OverlapApex.Points = append(res.OverlapApex.Points, Point{day, pct(ovApex, ovTotal)})
-		res.OverlapWWW.Points = append(res.OverlapWWW.Points, Point{day, pct(ovWWW, ovTotal)})
+		res.DynamicApex.Points = append(res.DynamicApex.Points, Point{apex.date, pct(dynApex, len(list))})
+		res.DynamicWWW.Points = append(res.DynamicWWW.Points, Point{apex.date, pct(dynWWW, len(list))})
+		res.OverlapApex.Points = append(res.OverlapApex.Points, Point{apex.date, pct(ovApex, ovTotal)})
+		res.OverlapWWW.Points = append(res.OverlapWWW.Points, Point{apex.date, pct(ovWWW, ovTotal)})
 	}
 	return res
 }

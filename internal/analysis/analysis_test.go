@@ -515,3 +515,79 @@ func TestAnomalyReport(t *testing.T) {
 		t.Fatalf("empty-events top = %q", tab.Rows[1][10])
 	}
 }
+
+// TestIntermittencyAgainstGenerator checks the §4.2.3 verdicts against the
+// world generator, which knows why each domain's HTTPS records come and go.
+// A daily campaign over the NS window must classify no domain the generator
+// made steady, and each generated cause must land in its class: a proxied
+// toggle keeps its NS set, a multi-provider mix changes it, a domain that
+// loses its NS records is lost. A switch away from Cloudflare reads as
+// SameNS: the store keeps a domain's NS set only on days it has HTTPS
+// records, and after the switch it has none.
+func TestIntermittencyAgainstGenerator(t *testing.T) {
+	c, err := core.NewCampaign(core.CampaignConfig{Size: 300, Seed: 31, StepDays: 1, Start: providers.NSScanStart})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RunDaily(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[providers.IntermittencyKind]IntermittencyClass{
+		providers.IntermitProxiedToggle: IntermitSameNS,
+		providers.IntermitMultiProvider: IntermitNSChanged,
+		providers.IntermitSwitchAway:    IntermitSameNS,
+		providers.IntermitNoNS:          IntermitLostNS,
+	}
+	seen := map[providers.IntermittencyKind]int{}
+	for name, v := range ClassifyIntermittency(c.Store) {
+		d := c.World.Domains[name]
+		if d == nil {
+			t.Fatalf("%s classified but not in the world", name)
+		}
+		if d.Intermittent == providers.IntermitNone {
+			t.Errorf("%s: steady domain classified %v", name, v.Class)
+			continue
+		}
+		seen[d.Intermittent]++
+		if v.Class != want[d.Intermittent] {
+			t.Errorf("%s: generated as kind %d, classified %v, want %v", name, d.Intermittent, v.Class, want[d.Intermittent])
+		}
+	}
+	for kind := range want {
+		if seen[kind] == 0 {
+			t.Errorf("no domain of generated kind %d classified: the campaign shows too little", kind)
+		}
+	}
+	t.Logf("classified per generated kind: %v", seen)
+}
+
+// TestNonCFPopulation: Table 3 and Fig 9 count one population, the adopters
+// with no Cloudflare name server. A domain that mixes Cloudflare with
+// another operator is Table 2's partial row and in neither.
+func TestNonCFPopulation(t *testing.T) {
+	st := dataset.NewStore()
+	day := time.Date(2023, 9, 1, 0, 0, 0, 0, time.UTC)
+	adopter := func(name string, rank int, ns ...string) *dataset.Observation {
+		return &dataset.Observation{Name: name, Rank: rank, NS: ns,
+			HTTPS: []dataset.HTTPSRecord{{Priority: 1, Target: "."}}}
+	}
+	st.AddSnapshot(&dataset.Snapshot{Date: day, Kind: "apex", Total: 3, Obs: map[string]*dataset.Observation{
+		"full.test.":    adopter("full.test.", 1, "ns1.cf.test."),
+		"partial.test.": adopter("partial.test.", 2, "ns1.cf.test.", "ns1.other.test."),
+		"none.test.":    adopter("none.test.", 3, "ns1.other.test."),
+	}})
+	st.AddNSSnapshot(&dataset.NSSnapshot{Date: day, Servers: map[string]*dataset.NSObservation{
+		"ns1.cf.test.":    {Host: "ns1.cf.test.", Org: CloudflareOrg},
+		"ns1.other.test.": {Host: "ns1.other.test.", Org: "Other"},
+	}})
+	if got := NonCFRankings(st); got.Count != 1 || got.Median != 3 {
+		t.Errorf("Fig 9 counts %d domains, median rank %d; want none.test. alone (rank 3)", got.Count, got.Median)
+	}
+	if got := NonCFProviders(st, nil).TopProviders; len(got) != 1 || got[0] != (ProviderCount{"Other", 1}) {
+		t.Errorf("Table 3 = %+v, want Other with one domain", got)
+	}
+	third := pct(1, 3)
+	if got := NSCategories(st, nil); got.FullMean != third || got.NoneMean != third || got.PartialMean != third {
+		t.Errorf("Table 2 = %+v, want a third in each row", got)
+	}
+}

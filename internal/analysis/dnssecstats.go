@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"strconv"
+
 	"repro/internal/dataset"
 )
 
@@ -15,44 +17,17 @@ type SignedResult struct {
 
 // Signed reproduces Fig 5.
 func Signed(store *dataset.Store, overlap map[string]bool) *SignedResult {
-	res := &SignedResult{
-		SignedApex: Series{Name: "signed-apex%"},
-		SignedWWW:  Series{Name: "signed-www%"},
-		ValidApex:  Series{Name: "ad-apex%"},
-		ValidWWW:   Series{Name: "ad-www%"},
+	apex, www := population{kind: "apex", overlap: overlap}, population{kind: "www", overlap: overlap}
+	return &SignedResult{
+		SignedApex: apex.share(store, "signed-apex%", nil, signed),
+		SignedWWW:  www.share(store, "signed-www%", nil, signed),
+		ValidApex:  apex.share(store, "ad-apex%", nil, validated),
+		ValidWWW:   www.share(store, "ad-www%", nil, validated),
 	}
-	for _, kind := range []string{"apex", "www"} {
-		signed, valid := &res.SignedApex, &res.ValidApex
-		if kind == "www" {
-			signed, valid = &res.SignedWWW, &res.ValidWWW
-		}
-		for _, day := range store.Days(kind) {
-			snap, ok := store.SnapshotFor(kind, day)
-			if !ok {
-				continue
-			}
-			adopters, s, v := 0, 0, 0
-			for name, obs := range snap.Obs {
-				if !obs.HasHTTPS() {
-					continue
-				}
-				if overlap != nil && !inOverlap(overlap, kind, name) {
-					continue
-				}
-				adopters++
-				if obs.Signed {
-					s++
-					if obs.AD {
-						v++
-					}
-				}
-			}
-			signed.Points = append(signed.Points, Point{day, pct(s, adopters)})
-			valid.Points = append(valid.Points, Point{day, pct(v, adopters)})
-		}
-	}
-	return res
 }
+
+func signed(obs *dataset.Observation) bool    { return obs.Signed }
+func validated(obs *dataset.Observation) bool { return obs.Signed && obs.AD }
 
 // Tables renders Fig 5.
 func (r *SignedResult) Tables(label string) []*Table {
@@ -115,9 +90,9 @@ func Census(store *dataset.Store) *CensusResult {
 // Table renders Table 9.
 func (r *CensusResult) Table() *Table {
 	row := func(name string, c CensusRow) []string {
-		return []string{name, itoa(c.Signed),
-			itoa(c.Secure) + " (" + fmtPct(pct(c.Secure, c.Signed)) + ")",
-			itoa(c.Insecure) + " (" + fmtPct(pct(c.Insecure, c.Signed)) + ")"}
+		return []string{name, strconv.Itoa(c.Signed),
+			strconv.Itoa(c.Secure) + " (" + fmtPct(pct(c.Secure, c.Signed)) + ")",
+			strconv.Itoa(c.Insecure) + " (" + fmtPct(pct(c.Insecure, c.Signed)) + ")"}
 	}
 	return &Table{
 		Title:   "Table 9: DNSSEC validation of signed domains (one-shot census)",
@@ -139,45 +114,11 @@ type SignedECHResult struct {
 
 // SignedECH reproduces Fig 14 for apex domains.
 func SignedECH(store *dataset.Store, overlap map[string]bool) *SignedECHResult {
-	res := &SignedECHResult{
-		SignedPct: Series{Name: "ech-signed%"},
-		ValidPct:  Series{Name: "ech-ad%"},
+	apex := population{kind: "apex", overlap: overlap}
+	return &SignedECHResult{
+		SignedPct: apex.share(store, "ech-signed%", (*dataset.Observation).HasECH, signed),
+		ValidPct:  apex.share(store, "ech-ad%", (*dataset.Observation).HasECH, validated),
 	}
-	for _, day := range store.Days("apex") {
-		snap, ok := store.SnapshotFor("apex", day)
-		if !ok {
-			continue
-		}
-		ech, signed, valid := 0, 0, 0
-		for name, obs := range snap.Obs {
-			if !obs.HasHTTPS() {
-				continue
-			}
-			if overlap != nil && !inOverlap(overlap, "apex", name) {
-				continue
-			}
-			hasECH := false
-			for _, r := range obs.HTTPS {
-				if r.HasECH {
-					hasECH = true
-					break
-				}
-			}
-			if !hasECH {
-				continue
-			}
-			ech++
-			if obs.Signed {
-				signed++
-				if obs.AD {
-					valid++
-				}
-			}
-		}
-		res.SignedPct.Points = append(res.SignedPct.Points, Point{day, pct(signed, ech)})
-		res.ValidPct.Points = append(res.ValidPct.Points, Point{day, pct(valid, ech)})
-	}
-	return res
 }
 
 // Table renders Fig 14.

@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/dataset"
@@ -22,37 +24,8 @@ type ECHDeploymentResult struct {
 // ECHDeployment reproduces Fig 13.
 func ECHDeployment(store *dataset.Store, overlap map[string]bool) *ECHDeploymentResult {
 	res := &ECHDeploymentResult{
-		Apex: Series{Name: "ech-apex%"},
-		WWW:  Series{Name: "ech-www%"},
-	}
-	for _, kind := range []string{"apex", "www"} {
-		series := &res.Apex
-		if kind == "www" {
-			series = &res.WWW
-		}
-		for _, day := range store.Days(kind) {
-			snap, ok := store.SnapshotFor(kind, day)
-			if !ok {
-				continue
-			}
-			adopters, withECH := 0, 0
-			for name, obs := range snap.Obs {
-				if !obs.HasHTTPS() {
-					continue
-				}
-				if overlap != nil && !inOverlap(overlap, kind, name) {
-					continue
-				}
-				adopters++
-				for _, r := range obs.HTTPS {
-					if r.HasECH {
-						withECH++
-						break
-					}
-				}
-			}
-			series.Points = append(series.Points, Point{day, pct(withECH, adopters)})
-		}
+		Apex: population{kind: "apex", overlap: overlap}.share(store, "ech-apex%", nil, (*dataset.Observation).HasECH),
+		WWW:  population{kind: "www", overlap: overlap}.share(store, "ech-www%", nil, (*dataset.Observation).HasECH),
 	}
 	prevNonzero := false
 	for _, p := range res.Apex.Points {
@@ -67,21 +40,6 @@ func ECHDeployment(store *dataset.Store, overlap map[string]bool) *ECHDeployment
 		}
 	}
 	return res
-}
-
-func inOverlap(overlap map[string]bool, kind, obsKey string) bool {
-	apex := obsKey
-	if kind == "www" {
-		apex = apex[len("www."):]
-	}
-	return overlap[trimDot(apex)]
-}
-
-func trimDot(s string) string {
-	if len(s) > 0 && s[len(s)-1] == '.' {
-		return s[:len(s)-1]
-	}
-	return s
 }
 
 // Table renders Fig 13.
@@ -201,24 +159,13 @@ func (r *ECHRotationResult) Table() *Table {
 		Title:   "Fig 4 / §4.4.2: ECH key rotation from hourly scans",
 		Columns: []string{"metric", "value"},
 		Rows: [][]string{
-			{"distinct ECH configs", itoa(r.DistinctConfigs)},
-			{"client-facing names", join(r.PublicNames)},
+			{"distinct ECH configs", strconv.Itoa(r.DistinctConfigs)},
+			{"client-facing names", strings.Join(r.PublicNames, ",")},
 			{"mean config duration (hours)", fmtFloat(r.MeanDurationHours)},
 		},
 	}
 	for _, b := range []string{"<1.1h", "1.1-1.2h", "1.2-1.3h", "1.3-1.4h", ">=1.4h"} {
-		t.Rows = append(t.Rows, []string{"domains with avg duration " + b, itoa(r.DurationHistogram[b])})
+		t.Rows = append(t.Rows, []string{"domains with avg duration " + b, strconv.Itoa(r.DurationHistogram[b])})
 	}
 	return t
-}
-
-func join(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += ","
-		}
-		out += s
-	}
-	return out
 }

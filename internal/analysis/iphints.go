@@ -1,11 +1,12 @@
 package analysis
 
 import (
-	"net/netip"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/svcb"
 )
 
 // HintUsageResult is Fig 11: hint usage and A/AAAA consistency over time.
@@ -19,73 +20,20 @@ type HintUsageResult struct {
 
 // HintUsage reproduces Fig 11 for a kind.
 func HintUsage(store *dataset.Store, kind string) *HintUsageResult {
-	res := &HintUsageResult{
+	p := population{kind: kind}
+	has4 := func(obs *dataset.Observation) bool { return len(obs.V4Hints()) > 0 }
+	has6 := func(obs *dataset.Observation) bool { return len(obs.V6Hints()) > 0 }
+	return &HintUsageResult{
 		Kind:    kind,
-		V4Usage: Series{Name: "ipv4hint%"},
-		V6Usage: Series{Name: "ipv6hint%"},
-		V4Match: Series{Name: "v4-match%"},
-		V6Match: Series{Name: "v6-match%"},
+		V4Usage: p.share(store, "ipv4hint%", nil, has4),
+		V6Usage: p.share(store, "ipv6hint%", nil, has6),
+		V4Match: p.share(store, "v4-match%", has4, func(obs *dataset.Observation) bool {
+			return svcb.SameAddrSet(obs.V4Hints(), obs.A)
+		}),
+		V6Match: p.share(store, "v6-match%", has6, func(obs *dataset.Observation) bool {
+			return svcb.SameAddrSet(obs.V6Hints(), obs.AAAA)
+		}),
 	}
-	for _, day := range store.Days(kind) {
-		snap, ok := store.SnapshotFor(kind, day)
-		if !ok {
-			continue
-		}
-		var adopters, with4, with6, match4, match6 int
-		for _, obs := range snap.Obs {
-			if !obs.HasHTTPS() {
-				continue
-			}
-			adopters++
-			var h4, h6 []netip.Addr
-			for _, r := range obs.HTTPS {
-				h4 = append(h4, r.V4Hints...)
-				h6 = append(h6, r.V6Hints...)
-			}
-			if len(h4) > 0 {
-				with4++
-				if addrSetEqual(h4, obs.A) {
-					match4++
-				}
-			}
-			if len(h6) > 0 {
-				with6++
-				if addrSetEqual(h6, obs.AAAA) {
-					match6++
-				}
-			}
-		}
-		res.V4Usage.Points = append(res.V4Usage.Points, Point{day, pct(with4, adopters)})
-		res.V6Usage.Points = append(res.V6Usage.Points, Point{day, pct(with6, adopters)})
-		res.V4Match.Points = append(res.V4Match.Points, Point{day, pct(match4, with4)})
-		res.V6Match.Points = append(res.V6Match.Points, Point{day, pct(match6, with6)})
-	}
-	return res
-}
-
-func addrSetEqual(a, b []netip.Addr) bool {
-	if len(b) == 0 {
-		return false
-	}
-	set := map[netip.Addr]bool{}
-	for _, x := range a {
-		set[x] = true
-	}
-	for _, y := range b {
-		if !set[y] {
-			return false
-		}
-	}
-	back := map[netip.Addr]bool{}
-	for _, y := range b {
-		back[y] = true
-	}
-	for _, x := range a {
-		if !back[x] {
-			return false
-		}
-	}
-	return true
 }
 
 // Tables renders Fig 11.
@@ -114,8 +62,7 @@ type MismatchDurationsResult struct {
 // MismatchDurations reproduces Fig 12: consecutive-day runs of hint/A
 // disagreement per domain.
 func MismatchDurations(store *dataset.Store, kind string) *MismatchDurationsResult {
-	days := store.Days(kind)
-	res := &MismatchDurationsResult{Kind: kind, StepDays: stepOf(days)}
+	res := &MismatchDurationsResult{Kind: kind, StepDays: stepOf(store.Days(kind))}
 	type state struct {
 		run        int
 		mismatches int
@@ -128,20 +75,10 @@ func MismatchDurations(store *dataset.Store, kind string) *MismatchDurationsResu
 			st.run = 0
 		}
 	}
-	for _, day := range days {
-		snap, ok := store.SnapshotFor(kind, day)
-		if !ok {
-			continue
-		}
+	for d := range (population{kind: kind}).days(store) {
 		seen := map[string]bool{}
-		for name, obs := range snap.Obs {
-			if !obs.HasHTTPS() {
-				continue
-			}
-			var h4 []netip.Addr
-			for _, r := range obs.HTTPS {
-				h4 = append(h4, r.V4Hints...)
-			}
+		for name, obs := range d.adopters() {
+			h4 := obs.V4Hints()
 			if len(h4) == 0 {
 				continue
 			}
@@ -152,7 +89,7 @@ func MismatchDurations(store *dataset.Store, kind string) *MismatchDurationsResu
 				states[name] = st
 			}
 			st.observed++
-			if !addrSetEqual(h4, obs.A) {
+			if !svcb.SameAddrSet(h4, obs.A) {
 				st.run++
 				st.mismatches++
 			} else {
@@ -219,29 +156,14 @@ func (r *MismatchDurationsResult) Table() *Table {
 		Columns: []string{"duration", "episodes"},
 	}
 	for _, b := range order {
-		t.Rows = append(t.Rows, []string{b, itoa(buckets[b])})
+		t.Rows = append(t.Rows, []string{b, strconv.Itoa(buckets[b])})
 	}
 	t.Rows = append(t.Rows,
 		[]string{"mean (days)", fmtFloat(r.MeanDays)},
-		[]string{"distinct domains", itoa(r.DistinctDomains)},
-		[]string{"persistent domains", itoa(r.PersistentDomains)},
+		[]string{"distinct domains", strconv.Itoa(r.DistinctDomains)},
+		[]string{"persistent domains", strconv.Itoa(r.PersistentDomains)},
 	)
 	return t
-}
-
-func fmtFloat(v float64) string {
-	n := int(v * 100)
-	return itoa(n/100) + "." + pad2(n%100)
-}
-
-func pad2(n int) string {
-	if n < 0 {
-		n = -n
-	}
-	if n < 10 {
-		return "0" + itoa(n)
-	}
-	return itoa(n)
 }
 
 // ConnectivityResult is the §4.3.5 probing experiment summary.
@@ -302,11 +224,11 @@ func (r *ConnectivityResult) Table() *Table {
 		Title:   "§4.3.5: connectivity of domains with mismatched IP hints",
 		Columns: []string{"metric", "count"},
 		Rows: [][]string{
-			{"mismatch occurrences (domain-days)", itoa(r.Occurrences)},
-			{"distinct domains", itoa(r.DistinctDomains)},
-			{"domains with ≥1 unreachable address", itoa(r.AnyUnreachable)},
-			{"  reachable only via IP hint", itoa(r.HintOnly)},
-			{"  reachable only via A record", itoa(r.AOnly)},
+			{"mismatch occurrences (domain-days)", strconv.Itoa(r.Occurrences)},
+			{"distinct domains", strconv.Itoa(r.DistinctDomains)},
+			{"domains with ≥1 unreachable address", strconv.Itoa(r.AnyUnreachable)},
+			{"  reachable only via IP hint", strconv.Itoa(r.HintOnly)},
+			{"  reachable only via A record", strconv.Itoa(r.AOnly)},
 		},
 	}
 }

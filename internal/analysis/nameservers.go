@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/dataset"
@@ -56,6 +57,39 @@ func isCloudflareOrg(org string) bool {
 	return strings.EqualFold(org, CloudflareOrg) || strings.EqualFold(org, "cloudflare")
 }
 
+// nsClass is Table 2's split of an adopter by the operators of its name
+// servers.
+type nsClass uint8
+
+const (
+	nsUnseen  nsClass = iota // no NS records observed: outside Table 2
+	cfNone                   // no Cloudflare name server (Table 3, Figs 3 and 9)
+	cfFull                   // Cloudflare name servers only (Table 4)
+	cfPartial                // Cloudflare and other operators together
+)
+
+// cloudflareNS attributes an observation's name servers to operators with
+// the day's NS scan and classifies the operator set.
+func cloudflareNS(obs *dataset.Observation, nsSnap *dataset.NSSnapshot) (orgs []string, class nsClass) {
+	if len(obs.NS) == 0 {
+		return nil, nsUnseen
+	}
+	orgs = nsOrgs(obs, nsSnap)
+	cf := 0
+	for _, org := range orgs {
+		if isCloudflareOrg(org) {
+			cf++
+		}
+	}
+	switch {
+	case cf == 0:
+		return orgs, cfNone
+	case cf == len(orgs):
+		return orgs, cfFull
+	}
+	return orgs, cfPartial
+}
+
 // NSCategoriesResult is Table 2: full/none/partial Cloudflare NS shares.
 type NSCategoriesResult struct {
 	FullMean, FullStd       float64
@@ -69,38 +103,20 @@ type NSCategoriesResult struct {
 // pair); nil gives the dynamic column.
 func NSCategories(store *dataset.Store, overlap map[string]bool) *NSCategoriesResult {
 	var full, none, partial []float64
-	for _, day := range store.NSDays() {
-		apexSnap, ok := store.SnapshotFor("apex", day)
-		if !ok {
-			continue
-		}
-		nsSnap, _ := store.NSSnapshotFor(day)
+	for d := range (population{kind: "apex", ns: true, overlap: overlap}).days(store) {
 		var f, n, p, total int
-		for name, obs := range apexSnap.Obs {
-			if !obs.HasHTTPS() || len(obs.NS) == 0 {
+		for _, obs := range d.adopters() {
+			switch _, class := cloudflareNS(obs, d.ns); class {
+			case cfFull:
+				f++
+			case cfNone:
+				n++
+			case cfPartial:
+				p++
+			default:
 				continue
-			}
-			if overlap != nil && !overlap[strings.TrimSuffix(name, ".")] {
-				continue
-			}
-			orgs := nsOrgs(obs, nsSnap)
-			cf, other := 0, 0
-			for _, org := range orgs {
-				if isCloudflareOrg(org) {
-					cf++
-				} else {
-					other++
-				}
 			}
 			total++
-			switch {
-			case cf > 0 && other == 0:
-				f++
-			case cf == 0:
-				n++
-			default:
-				p++
-			}
 		}
 		if total == 0 {
 			continue
@@ -148,35 +164,17 @@ type ProviderCount struct {
 	Domains int
 }
 
-// NonCFProviders reproduces Table 3 and Fig 3.
+// NonCFProviders reproduces Table 3 and Fig 3 over the "None Cloudflare
+// NS" adopters: no Cloudflare server in the NS set (partial mixes belong to
+// Table 2's partial row).
 func NonCFProviders(store *dataset.Store, overlap map[string]bool) *NonCFProvidersResult {
 	domainsPerOrg := map[string]map[string]bool{}
 	res := &NonCFProvidersResult{DailyDistinct: Series{Name: "distinct-nonCF-providers"}}
-	for _, day := range store.NSDays() {
-		apexSnap, ok := store.SnapshotFor("apex", day)
-		if !ok {
-			continue
-		}
-		nsSnap, _ := store.NSSnapshotFor(day)
+	for d := range (population{kind: "apex", ns: true, overlap: overlap}).days(store) {
 		today := map[string]bool{}
-		for name, obs := range apexSnap.Obs {
-			if !obs.HasHTTPS() {
-				continue
-			}
-			if overlap != nil && !overlap[strings.TrimSuffix(name, ".")] {
-				continue
-			}
-			// Table 3 counts the "None Cloudflare NS" population:
-			// domains whose NS set contains no Cloudflare servers
-			// (partial mixes belong to Table 2's partial row).
-			orgs := nsOrgs(obs, nsSnap)
-			anyCF := false
-			for _, org := range orgs {
-				if isCloudflareOrg(org) {
-					anyCF = true
-				}
-			}
-			if anyCF {
+		for name, obs := range d.adopters() {
+			orgs, class := cloudflareNS(obs, d.ns)
+			if class != cfNone {
 				continue
 			}
 			for _, org := range orgs {
@@ -188,7 +186,7 @@ func NonCFProviders(store *dataset.Store, overlap map[string]bool) *NonCFProvide
 			}
 		}
 		res.DailyDistinct.Points = append(res.DailyDistinct.Points,
-			Point{day, float64(len(today))})
+			Point{d.date, float64(len(today))})
 	}
 	for org, domains := range domainsPerOrg {
 		res.TopProviders = append(res.TopProviders, ProviderCount{Org: org, Domains: len(domains)})
@@ -213,31 +211,9 @@ func (r *NonCFProvidersResult) Table(n int) *Table {
 		if i == n {
 			break
 		}
-		t.Rows = append(t.Rows, []string{pc.Org, itoa(pc.Domains)})
+		t.Rows = append(t.Rows, []string{pc.Org, strconv.Itoa(pc.Domains)})
 	}
 	return t
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }
 
 // IntermittencyResult summarises §4.2.3.
@@ -284,6 +260,96 @@ func Intermittency(store *dataset.Store) *IntermittencyResult {
 	return IntermittencyMinObs(store, DefaultIntermittencyMinObs)
 }
 
+// IntermittencyClass is a domain's §4.2.3 class.
+type IntermittencyClass uint8
+
+// §4.2.3 classes.
+const (
+	// IntermitSameNS kept one NS operator set across its active days.
+	IntermitSameNS IntermittencyClass = iota + 1
+	// IntermitNSChanged deactivated alongside an NS set change.
+	IntermitNSChanged
+	// IntermitLostNS failed to resolve at all on some in-list day.
+	IntermitLostNS
+)
+
+// IntermittentDomain is one apex domain's §4.2.3 verdict.
+type IntermittentDomain struct {
+	Class IntermittencyClass
+	// AllCF marks an IntermitSameNS domain whose NS set is Cloudflare's
+	// alone.
+	AllCF bool
+	// Observed counts the domain's in-list days in the NS window.
+	Observed int
+}
+
+// ClassifyIntermittency gives the §4.2.3 verdict on every apex domain that
+// deactivated previously published HTTPS records — an adopter on one of
+// its in-list days and not on the next — at least once in the NS window,
+// keyed by canonical name. A domain's history is compressed to the days it
+// was in the list: on a day it fell out, the missing observation is churn,
+// not deactivation. A domain that failed to resolve on one of those days is
+// IntermitLostNS, else one that showed two NS operator sets on its active
+// days is IntermitNSChanged, else it is IntermitSameNS.
+func ClassifyIntermittency(store *dataset.Store) map[string]IntermittentDomain {
+	type history struct {
+		on, deactivated bool
+		lost, changed   bool
+		observed        int
+		set             string // the first active day's NS operator set
+		allCF           bool
+	}
+	hist := map[string]*history{}
+	for d := range (population{kind: "apex", ns: true}).days(store) {
+		list, _ := store.TrancoListFor(d.date)
+		for _, entry := range list {
+			name := dnswire.CanonicalName(entry)
+			h := hist[name]
+			if h == nil {
+				h = &history{}
+				hist[name] = h
+			}
+			obs, on := d.lookup(name)
+			if h.on && !on {
+				h.deactivated = true
+			}
+			h.on = on
+			h.observed++
+			if !on {
+				// An unresolvable day (e.g. every NS record gone).
+				h.lost = h.lost || obs != nil && obs.Err != ""
+				continue
+			}
+			orgs, class := cloudflareNS(obs, d.ns)
+			if len(orgs) == 0 {
+				continue
+			}
+			sort.Strings(orgs)
+			set := strings.Join(orgs, ",")
+			if h.set == "" {
+				h.set, h.allCF = set, class == cfFull
+			} else if set != h.set {
+				h.changed = true
+			}
+		}
+	}
+	out := map[string]IntermittentDomain{}
+	for name, h := range hist {
+		if !h.deactivated {
+			continue
+		}
+		v := IntermittentDomain{Class: IntermitSameNS, AllCF: h.allCF, Observed: h.observed}
+		switch {
+		case h.lost:
+			v = IntermittentDomain{Class: IntermitLostNS, Observed: h.observed}
+		case h.changed:
+			v = IntermittentDomain{Class: IntermitNSChanged, Observed: h.observed}
+		}
+		out[name] = v
+	}
+	return out
+}
+
 // IntermittencyMinObs is Intermittency with an explicit classification
 // gate: a domain must have been observed on at least minObs in-list days
 // before its deactivations count. Coverage weighting (the Weighted*
@@ -292,107 +358,40 @@ func Intermittency(store *dataset.Store) *IntermittencyResult {
 // churn noise, and a higher floor keeps it out of the §4.2.3 counts
 // entirely (reported in SparseSkipped instead).
 func IntermittencyMinObs(store *dataset.Store, minObs int) *IntermittencyResult {
-	if minObs < DefaultIntermittencyMinObs {
-		minObs = DefaultIntermittencyMinObs
-	}
-	days := store.NSDays()
-	if len(days) == 0 {
-		return &IntermittencyResult{MinObservations: minObs}
-	}
-	// History is compressed to the days the domain was actually in the
-	// list: on a day it fell out of the list, absence of an observation
-	// is a churn artifact, not evidence of record deactivation.
-	type history struct {
-		present []bool
-		nsSets  []string // canonical NS org set per observed day
-		errDays int      // days the domain failed to resolve at all
-	}
-	hist := map[string]*history{}
-	for _, day := range days {
-		apexSnap, ok := store.SnapshotFor("apex", day)
-		if !ok {
-			continue
-		}
-		list, _ := store.TrancoListFor(day)
-		nsSnap, _ := store.NSSnapshotFor(day)
-		for _, d := range list {
-			name := dnswire.CanonicalName(d)
-			h := hist[name]
-			if h == nil {
-				h = &history{}
-				hist[name] = h
-			}
-			present, nsSet := false, ""
-			if obs, ok := apexSnap.Obs[name]; ok {
-				if obs.HasHTTPS() {
-					present = true
-					orgs := nsOrgs(obs, nsSnap)
-					sort.Strings(orgs)
-					nsSet = strings.Join(orgs, ",")
-				} else if obs.Err != "" {
-					// The domain became unresolvable (e.g. lost its
-					// NS records entirely).
-					h.errDays++
-				}
-			}
-			h.present = append(h.present, present)
-			h.nsSets = append(h.nsSets, nsSet)
-		}
-	}
+	minObs = max(minObs, DefaultIntermittencyMinObs)
 	res := &IntermittencyResult{MinObservations: minObs}
-	for _, h := range hist {
-		// Two observed days is the structural floor: fewer cannot hold an
-		// on → off transition.
-		if len(h.present) < 2 {
-			continue
-		}
-		// Intermittency = at least one deactivation (on → off) of
-		// previously observed records.
-		deactivations := 0
-		for i := 1; i < len(h.present); i++ {
-			if h.present[i-1] && !h.present[i] {
-				deactivations++
-			}
-		}
-		if deactivations == 0 {
-			continue
-		}
-		// The gate: a deactivation observed on a too-sparse history is
-		// noise, not a classified trend.
-		if len(h.present) < minObs {
+	// Each bucket sums its domains' observed days; weighting divides
+	// by the NS window once, so the sums do not depend on map order.
+	var all, same, sameCF, changed, lost int
+	for _, v := range ClassifyIntermittency(store) {
+		if v.Observed < minObs {
 			res.SparseSkipped++
 			continue
 		}
-		// A domain in the list every scanned day contributes a full
-		// count; one that churned in for a fraction of the window
-		// contributes that fraction.
-		weight := float64(len(h.present)) / float64(len(days))
 		res.Intermittent++
-		res.WeightedIntermittent += weight
-		// Compare NS org sets across active days.
-		sets := map[string]bool{}
-		for i, p := range h.present {
-			if p && h.nsSets[i] != "" {
-				sets[h.nsSets[i]] = true
-			}
-		}
-		switch {
-		case h.errDays > 0:
+		all += v.Observed
+		switch v.Class {
+		case IntermitLostNS:
 			res.LostNS++
-			res.WeightedLostNS += weight
-		case len(sets) <= 1:
-			res.SameNS++
-			res.WeightedSameNS += weight
-			for s := range sets {
-				if isCloudflareOrg(s) {
-					res.SameNSAllCF++
-					res.WeightedSameNSAllCF += weight
-				}
-			}
-		default:
+			lost += v.Observed
+		case IntermitNSChanged:
 			res.NSChanged++
-			res.WeightedNSChanged += weight
+			changed += v.Observed
+		default:
+			res.SameNS++
+			same += v.Observed
+			if v.AllCF {
+				res.SameNSAllCF++
+				sameCF += v.Observed
+			}
 		}
+	}
+	if window := float64(len(store.NSDays())); window > 0 {
+		res.WeightedIntermittent = float64(all) / window
+		res.WeightedSameNS = float64(same) / window
+		res.WeightedSameNSAllCF = float64(sameCF) / window
+		res.WeightedNSChanged = float64(changed) / window
+		res.WeightedLostNS = float64(lost) / window
 	}
 	return res
 }
@@ -406,17 +405,17 @@ func (r *IntermittencyResult) Table() *Table {
 		Title:   "§4.2.3: intermittent HTTPS record activation",
 		Columns: []string{"metric", "count", "weighted"},
 		Rows: [][]string{
-			{"intermittent apex domains", itoa(r.Intermittent), fmtFloat(r.WeightedIntermittent)},
-			{"  same NS set throughout", itoa(r.SameNS), fmtFloat(r.WeightedSameNS)},
-			{"    of which exclusively Cloudflare", itoa(r.SameNSAllCF), fmtFloat(r.WeightedSameNSAllCF)},
-			{"  NS set changed", itoa(r.NSChanged), fmtFloat(r.WeightedNSChanged)},
-			{"  transient NS loss", itoa(r.LostNS), fmtFloat(r.WeightedLostNS)},
+			{"intermittent apex domains", strconv.Itoa(r.Intermittent), fmtFloat(r.WeightedIntermittent)},
+			{"  same NS set throughout", strconv.Itoa(r.SameNS), fmtFloat(r.WeightedSameNS)},
+			{"    of which exclusively Cloudflare", strconv.Itoa(r.SameNSAllCF), fmtFloat(r.WeightedSameNSAllCF)},
+			{"  NS set changed", strconv.Itoa(r.NSChanged), fmtFloat(r.WeightedNSChanged)},
+			{"  transient NS loss", strconv.Itoa(r.LostNS), fmtFloat(r.WeightedLostNS)},
 		},
 	}
 	if r.MinObservations > DefaultIntermittencyMinObs {
 		t.Rows = append(t.Rows, []string{
-			"  skipped (observed days < " + itoa(r.MinObservations) + ")",
-			itoa(r.SparseSkipped), "-"})
+			"  skipped (observed days < " + strconv.Itoa(r.MinObservations) + ")",
+			strconv.Itoa(r.SparseSkipped), "-"})
 	}
 	return t
 }

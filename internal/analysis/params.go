@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -34,20 +35,6 @@ func isCFDefaultConfig(obs *dataset.Observation) bool {
 	return len(r.V4Hints) > 0 && len(r.V6Hints) > 0 && !r.HasPort
 }
 
-// usesCloudflareNS checks an observation's NS list against Cloudflare.
-func usesCloudflareNS(obs *dataset.Observation, nsSnap *dataset.NSSnapshot) bool {
-	orgs := nsOrgs(obs, nsSnap)
-	if len(orgs) == 0 {
-		return false
-	}
-	for _, org := range orgs {
-		if !isCloudflareOrg(org) {
-			return false
-		}
-	}
-	return true
-}
-
 // DefaultVsCustomResult is Table 4.
 type DefaultVsCustomResult struct {
 	DefaultMean, CustomMean float64
@@ -58,27 +45,19 @@ type DefaultVsCustomResult struct {
 // the share with the default vs customised HTTPS configuration.
 func DefaultVsCustom(store *dataset.Store, overlap map[string]bool) *DefaultVsCustomResult {
 	var def []float64
-	for _, day := range store.NSDays() {
-		snap, ok := store.SnapshotFor("apex", day)
-		if !ok {
-			continue
-		}
-		nsSnap, _ := store.NSSnapshotFor(day)
-		d, total := 0, 0
-		for name, obs := range snap.Obs {
-			if !obs.HasHTTPS() || !usesCloudflareNS(obs, nsSnap) {
-				continue
-			}
-			if overlap != nil && !overlap[strings.TrimSuffix(name, ".")] {
+	for d := range (population{kind: "apex", ns: true, overlap: overlap}).days(store) {
+		n, total := 0, 0
+		for _, obs := range d.adopters() {
+			if _, class := cloudflareNS(obs, d.ns); class != cfFull {
 				continue
 			}
 			total++
 			if isCFDefaultConfig(obs) {
-				d++
+				n++
 			}
 		}
 		if total > 0 {
-			def = append(def, pct(d, total))
+			def = append(def, pct(n, total))
 		}
 	}
 	res := &DefaultVsCustomResult{Days: len(def)}
@@ -117,18 +96,10 @@ func ProviderParams(store *dataset.Store, org string) *ProviderParamsResult {
 	res := &ProviderParamsResult{Org: org}
 	var svc, alias, self, alt, noALPN, noV4, noV6, records int
 	seen := map[string]bool{}
-	for _, day := range store.NSDays() {
-		snap, ok := store.SnapshotFor("apex", day)
-		if !ok {
-			continue
-		}
-		nsSnap, _ := store.NSSnapshotFor(day)
-		for name, obs := range snap.Obs {
-			if !obs.HasHTTPS() {
-				continue
-			}
+	for d := range (population{kind: "apex", ns: true}).days(store) {
+		for name, obs := range d.adopters() {
 			match := false
-			for _, o := range nsOrgs(obs, nsSnap) {
+			for _, o := range nsOrgs(obs, d.ns) {
 				if strings.EqualFold(o, org) {
 					match = true
 				}
@@ -208,16 +179,9 @@ func SvcParams(store *dataset.Store, kind string) *SvcParamsResult {
 	aliasSelf := map[string]bool{}
 	noParams := map[string]bool{}
 	prioList := map[string]bool{}
-	for _, day := range store.Days(kind) {
-		snap, ok := store.SnapshotFor(kind, day)
-		if !ok {
-			continue
-		}
+	for d := range (population{kind: kind}).days(store) {
 		svc, records := 0, 0
-		for name, obs := range snap.Obs {
-			if !obs.HasHTTPS() {
-				continue
-			}
+		for name, obs := range d.adopters() {
 			prios := map[uint16]bool{}
 			for _, r := range obs.HTTPS {
 				records++
@@ -254,9 +218,9 @@ func (r *SvcParamsResult) Table(kind string) *Table {
 		Columns: []string{"metric", "value"},
 		Rows: [][]string{
 			{"ServiceMode record share (daily mean)", fmtPct(r.ServiceModePct)},
-			{"AliasMode records with \".\" target (domains)", itoa(r.AliasSelfTarget)},
-			{"ServiceMode without SvcParams (domains)", itoa(r.ServiceNoParams)},
-			{"multi-priority (port-per-priority) domains", itoa(r.PriorityListDomains)},
+			{"AliasMode records with \".\" target (domains)", strconv.Itoa(r.AliasSelfTarget)},
+			{"ServiceMode without SvcParams (domains)", strconv.Itoa(r.ServiceNoParams)},
+			{"multi-priority (port-per-priority) domains", strconv.Itoa(r.PriorityListDomains)},
 		},
 	}
 }
@@ -284,22 +248,9 @@ func ALPN(store *dataset.Store, kind string, overlap map[string]bool, sunset tim
 	}
 	var days []dayCount
 	allProtos := map[string]bool{}
-	for _, day := range store.Days(kind) {
-		snap, ok := store.SnapshotFor(kind, day)
-		if !ok {
-			continue
-		}
-		dc := dayCount{day: day, perProto: map[string]int{}}
-		for name, obs := range snap.Obs {
-			if !obs.HasHTTPS() {
-				continue
-			}
-			if overlap != nil {
-				apex := strings.TrimSuffix(strings.TrimPrefix(name, "www."), ".")
-				if !overlap[apex] {
-					continue
-				}
-			}
+	for d := range (population{kind: kind, overlap: overlap}).days(store) {
+		dc := dayCount{day: d.date, perProto: map[string]int{}}
+		for _, obs := range d.adopters() {
 			dc.total++
 			protos := map[string]bool{}
 			any := false

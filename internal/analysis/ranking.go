@@ -2,9 +2,9 @@ package analysis
 
 import (
 	"sort"
+	"strconv"
 
 	"repro/internal/dataset"
-	"repro/internal/dnswire"
 )
 
 // RankStats summarises a rank distribution (Figs 8–9).
@@ -66,23 +66,17 @@ func RankDistributions(store *dataset.Store, phase1 map[string]bool) []RankStats
 }
 
 // NonCFRankings reproduces Fig 9: the rank distribution of apex domains
-// that adopt HTTPS with non-Cloudflare name servers.
+// that adopt HTTPS with no Cloudflare name server, Table 3's population.
 func NonCFRankings(store *dataset.Store) RankStats {
 	sum := map[string]int{}
 	count := map[string]int{}
-	for _, day := range store.NSDays() {
-		snap, ok := store.SnapshotFor("apex", day)
-		if !ok {
-			continue
-		}
-		nsSnap, _ := store.NSSnapshotFor(day)
-		for name, obs := range snap.Obs {
-			if !obs.HasHTTPS() || usesCloudflareNS(obs, nsSnap) || len(obs.NS) == 0 {
+	for d := range (population{kind: "apex", ns: true}).days(store) {
+		for name, obs := range d.adopters() {
+			if _, class := cloudflareNS(obs, d.ns); class != cfNone {
 				continue
 			}
-			key := dnswire.CanonicalName(name)
-			sum[key] += obs.Rank
-			count[key]++
+			sum[name] += obs.Rank
+			count[name]++
 		}
 	}
 	var ranks []int
@@ -100,7 +94,7 @@ func RankTable(title string, stats ...RankStats) *Table {
 	}
 	for _, s := range stats {
 		t.Rows = append(t.Rows, []string{
-			s.Label, itoa(s.Count), fmtFloat(s.Mean), itoa(s.P25), itoa(s.Median), itoa(s.P75)})
+			s.Label, strconv.Itoa(s.Count), fmtFloat(s.Mean), strconv.Itoa(s.P25), strconv.Itoa(s.Median), strconv.Itoa(s.P75)})
 	}
 	return t
 }

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -101,6 +102,8 @@ func pct(num, den int) float64 {
 }
 
 func fmtPct(v float64) string { return fmt.Sprintf("%.2f%%", v) }
+
+func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'f', 2, 64) }
 
 // meanStd computes the mean and standard deviation of values.
 func meanStd(values []float64) (mean, std float64) {

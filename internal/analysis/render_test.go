@@ -69,11 +69,12 @@ func TestPctAndHelpers(t *testing.T) {
 	if fmtPct(12.345) != "12.35%" {
 		t.Errorf("fmtPct = %s", fmtPct(12.345))
 	}
-	if itoa(-42) != "-42" || itoa(0) != "0" || itoa(10007) != "10007" {
-		t.Error("itoa wrong")
-	}
-	if fmtFloat(6.57) != "6.57" {
-		t.Errorf("fmtFloat = %s", fmtFloat(6.57))
+	// Two decimals, rounded, sign kept: 0.29 and 2.3 are not truncated
+	// through their float error, and a value in (-1, 0) keeps its sign.
+	for v, want := range map[float64]string{6.57: "6.57", 0.29: "0.29", 2.3: "2.30", -0.5: "-0.50", 0: "0.00"} {
+		if got := fmtFloat(v); got != want {
+			t.Errorf("fmtFloat(%v) = %s, want %s", v, got, want)
+		}
 	}
 }
 
@@ -93,9 +94,4 @@ func TestTrendDeltaAndValueOn(t *testing.T) {
 	if f, l, d := TrendDelta(Series{}); f != 0 || l != 0 || d != 0 {
 		t.Error("empty TrendDelta not zero")
 	}
-}
-
-func TestAddrSetEqual(t *testing.T) {
-	a := []string{"1.2.3.4", "5.6.7.8"}
-	_ = a
 }

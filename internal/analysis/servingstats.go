@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/dataset"
@@ -127,19 +128,19 @@ func (r *StaleECHCorrelationResult) Table() *Table {
 	for _, d := range r.Days {
 		stale, fail := "-", "-"
 		if d.HasServing {
-			stale, fail = itoa(int(d.StaleServed)), itoa(int(d.UpstreamFailures))
+			stale, fail = strconv.Itoa(int(d.StaleServed)), strconv.Itoa(int(d.UpstreamFailures))
 		}
 		ech, inc, maxc := "-", "-", "-"
 		if d.ECHDomains > 0 {
-			ech, inc, maxc = itoa(d.ECHDomains), itoa(d.InconsistentDomains), itoa(d.MaxConfigs)
+			ech, inc, maxc = strconv.Itoa(d.ECHDomains), strconv.Itoa(d.InconsistentDomains), strconv.Itoa(d.MaxConfigs)
 		}
 		t.Rows = append(t.Rows, []string{
 			d.Date.Format("2006-01-02"), stale, fail, ech, inc, maxc,
 		})
 	}
 	t.Rows = append(t.Rows, []string{
-		"total", itoa(int(r.TotalStaleServed)), "-", "-", itoa(r.TotalInconsistent),
-		"coincident days: " + itoa(r.CoincidentDays),
+		"total", strconv.Itoa(int(r.TotalStaleServed)), "-", "-", strconv.Itoa(r.TotalInconsistent),
+		"coincident days: " + strconv.Itoa(r.CoincidentDays),
 	})
 	return t
 }

@@ -656,11 +656,8 @@ func (c *Campaign) discoverECHDomains(start time.Time) []string {
 	}
 	var echDomains []string
 	for name, o := range snap.Obs {
-		for _, rec := range o.HTTPS {
-			if rec.HasECH {
-				echDomains = append(echDomains, name)
-				break
-			}
+		if o.HasECH() {
+			echDomains = append(echDomains, name)
 		}
 	}
 	// snap.Obs is a map; sort so the hourly scan order (and with it the

@@ -57,6 +57,36 @@ type Observation struct {
 // HasHTTPS reports whether any HTTPS record was observed.
 func (o *Observation) HasHTTPS() bool { return len(o.HTTPS) > 0 }
 
+// V4Hints returns the ipv4hint addresses of all the observed HTTPS records,
+// in record order.
+func (o *Observation) V4Hints() []netip.Addr {
+	var out []netip.Addr
+	for _, r := range o.HTTPS {
+		out = append(out, r.V4Hints...)
+	}
+	return out
+}
+
+// V6Hints is V4Hints for ipv6hint.
+func (o *Observation) V6Hints() []netip.Addr {
+	var out []netip.Addr
+	for _, r := range o.HTTPS {
+		out = append(out, r.V6Hints...)
+	}
+	return out
+}
+
+// HasECH reports whether any observed HTTPS record carries the ech
+// parameter.
+func (o *Observation) HasECH() bool {
+	for _, r := range o.HTTPS {
+		if r.HasECH {
+			return true
+		}
+	}
+	return false
+}
+
 // Snapshot is one day's scan of one list.
 type Snapshot struct {
 	Date time.Time `json:"date"`

@@ -123,6 +123,13 @@ func TestObservationHasHTTPS(t *testing.T) {
 	if !o.HTTPS[0].AliasMode() {
 		t.Error("priority 0 not AliasMode")
 	}
+	if o.HasECH() {
+		t.Error("observation without an ech parameter has ECH")
+	}
+	o.HTTPS = append(o.HTTPS, HTTPSRecord{Priority: 1, Target: ".", HasECH: true})
+	if !o.HasECH() {
+		t.Error("ech on the second record not seen")
+	}
 }
 
 func TestWriteJSON(t *testing.T) {

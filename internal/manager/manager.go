@@ -143,13 +143,13 @@ func (a *Auditor) auditService(name string, data *dnswire.SVCBData, aAddrs, aaaa
 	// the domain unreachable for hint-preferring clients when the old
 	// address dies.
 	if hints, ok := data.Params.IPv4Hints(); ok && data.Target == "." {
-		if !sameAddrSet(hints, aAddrs) {
+		if !svcb.SameAddrSet(hints, aAddrs) {
 			add(Critical, CodeHintMismatchV4,
 				fmt.Sprintf("ipv4hint %v diverges from A records %v", hints, aAddrs))
 		}
 	}
 	if hints, ok := data.Params.IPv6Hints(); ok && data.Target == "." {
-		if !sameAddrSet(hints, aaaaAddrs) {
+		if !svcb.SameAddrSet(hints, aaaaAddrs) {
 			add(Critical, CodeHintMismatchV6,
 				fmt.Sprintf("ipv6hint %v diverges from AAAA records %v", hints, aaaaAddrs))
 		}
@@ -210,22 +210,6 @@ func lookupAddrs(z *zone.Zone, name string, t dnswire.Type) []netip.Addr {
 		}
 	}
 	return out
-}
-
-func sameAddrSet(a, b []netip.Addr) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	set := map[netip.Addr]bool{}
-	for _, x := range a {
-		set[x] = true
-	}
-	for _, y := range b {
-		if !set[y] {
-			return false
-		}
-	}
-	return true
 }
 
 // Manager applies automatic remediations to a zone, the way Certbot renews

@@ -3,6 +3,7 @@ package manager
 import (
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -65,6 +66,18 @@ func TestAuditHintMismatch(t *testing.T) {
 	f := findCode(a.Audit("a.com."), CodeHintMismatchV4)
 	if f == nil || f.Severity != Critical {
 		t.Fatalf("mismatch not flagged critical: %v", f)
+	}
+
+	// Hints and address records compare as sets: hints [x y] against A
+	// records [x x] is a mismatch, repeats or not.
+	x, y := netip.MustParseAddr("192.0.2.1"), netip.MustParseAddr("192.0.2.2")
+	var ps svcb.Params
+	_ = ps.SetIPv4Hints([]netip.Addr{x, y})
+	var codes []string
+	a.auditService("a.com.", &dnswire.SVCBData{Priority: 1, Target: ".", Params: ps}, []netip.Addr{x, x}, nil,
+		func(_ Severity, code, _ string) { codes = append(codes, code) })
+	if !slices.Contains(codes, CodeHintMismatchV4) {
+		t.Errorf("hints [x y] against A [x x]: findings %v, want %s", codes, CodeHintMismatchV4)
 	}
 }
 

@@ -456,11 +456,8 @@ func (s *Scanner) ProbeMismatches(date time.Time, snap *dataset.Snapshot, prober
 		if !obs.HasHTTPS() || len(obs.A) == 0 {
 			continue
 		}
-		var hints []netip.Addr
-		for _, rec := range obs.HTTPS {
-			hints = append(hints, rec.V4Hints...)
-		}
-		if len(hints) == 0 || sameAddrSet(hints, obs.A) {
+		hints := obs.V4Hints()
+		if len(hints) == 0 || svcb.SameAddrSet(hints, obs.A) {
 			continue
 		}
 		out = append(out, dataset.ProbeResult{
@@ -474,20 +471,4 @@ func (s *Scanner) ProbeMismatches(date time.Time, snap *dataset.Snapshot, prober
 		out[i].AOK = prober.ProbeTLS(apex, out[i].AAddr) == nil
 	})
 	return out
-}
-
-func sameAddrSet(a, b []netip.Addr) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	set := map[netip.Addr]bool{}
-	for _, x := range a {
-		set[x] = true
-	}
-	for _, y := range b {
-		if !set[y] {
-			return false
-		}
-	}
-	return true
 }

@@ -301,6 +301,18 @@ func TestProbeMismatches(t *testing.T) {
 		t.Errorf("reachability: got hint=%v a=%v, want %v/%v",
 			p.HintOK, p.AOK, target.HintReachable, target.AReachable)
 	}
+
+	// Hints and A records compare as sets: two records that each carry
+	// the one A address agree with it, a hint the A records lack does not.
+	x, y := netip.MustParseAddr("192.0.2.1"), netip.MustParseAddr("192.0.2.2")
+	rec := dataset.HTTPSRecord{Priority: 1, Target: ".", V4Hints: []netip.Addr{x}}
+	hand := &dataset.Snapshot{Obs: map[string]*dataset.Observation{
+		"twice.test.": {Name: "twice.test.", HTTPS: []dataset.HTTPSRecord{rec, rec}, A: []netip.Addr{x}},
+		"stale.test.": {Name: "stale.test.", HTTPS: []dataset.HTTPSRecord{rec}, A: []netip.Addr{y}},
+	}}
+	if got := sc.ProbeMismatches(mid, hand, w); len(got) != 1 || got[0].Domain != "stale.test." {
+		t.Errorf("hand-built snapshot probed %+v, want stale.test. alone", got)
+	}
 }
 
 func trimDot(s string) string {

@@ -410,6 +410,23 @@ func (ps *Params) SetIPv6Hints(addrs []netip.Addr) error {
 	return nil
 }
 
+// SameAddrSet reports whether a and b hold the same addresses, in any order
+// and with any repeats: the test of whether a name's IP hints agree with its
+// A or AAAA records (RFC 9460 §7.3; the paper's §4.3.5 mismatch).
+func SameAddrSet(a, b []netip.Addr) bool {
+	for _, x := range a {
+		if !slices.Contains(b, x) {
+			return false
+		}
+	}
+	for _, y := range b {
+		if !slices.Contains(a, y) {
+			return false
+		}
+	}
+	return true
+}
+
 // ECH returns the raw ECHConfigList bytes, if the ech parameter is present.
 func (ps Params) ECH() ([]byte, bool) {
 	return ps.Get(KeyECH)

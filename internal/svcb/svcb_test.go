@@ -244,6 +244,32 @@ func TestIPHintAccessors(t *testing.T) {
 	}
 }
 
+// TestSameAddrSet: hints agree with address records when the two hold the
+// same addresses, whatever their order and repeats.
+func TestSameAddrSet(t *testing.T) {
+	x, y, z := netip.MustParseAddr("192.0.2.1"), netip.MustParseAddr("192.0.2.2"), netip.MustParseAddr("2001:db8::1")
+	for _, c := range []struct {
+		a, b []netip.Addr
+		want bool
+	}{
+		{[]netip.Addr{x}, []netip.Addr{x}, true},
+		{[]netip.Addr{x, y}, []netip.Addr{y, x}, true},
+		{[]netip.Addr{x, x}, []netip.Addr{x}, true}, // one hint per record, two records
+		{[]netip.Addr{x}, []netip.Addr{x, x}, true},
+		{[]netip.Addr{x, y}, []netip.Addr{x, x}, false},
+		{[]netip.Addr{x}, []netip.Addr{x, y}, false},
+		{[]netip.Addr{x}, []netip.Addr{y}, false},
+		{[]netip.Addr{z}, []netip.Addr{z}, true},
+		{[]netip.Addr{x}, nil, false},
+		{nil, []netip.Addr{x}, false},
+		{nil, nil, true},
+	} {
+		if got := SameAddrSet(c.a, c.b); got != c.want {
+			t.Errorf("SameAddrSet(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+}
+
 // TestPresentationFormat pins the RFC 9460 presentation rendering of every
 // registered key and of an unregistered one, the key order of a whole list,
 // and the generic keyNNNNN="…" fallback for a malformed value.

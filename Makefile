@@ -134,8 +134,9 @@ attribute:
 # hand-mangled messages. Ten seconds per target is a smoke test, not a
 # campaign: it proves the targets build, the corpus parses, and no
 # quick-to-find panic has crept into Unpack, the SvcParams decoder (dirty
-# reuse against a fresh decode), the ECHConfigList decoder (accepted lists
-# re-marshal to themselves), the DoH GET parameter through the frontend
+# reuse against a fresh decode), the ECHConfigList reader (accepted lists
+# re-marshal to themselves; the in-place selection picks what the copy-out
+# does), the DoH GET parameter through the frontend
 # (400 exactly when it does not decode, reused scratch against fresh), DoT frame
 # reassembly (one write against the same bytes split anywhere), DoQ
 # stream framing (prefix and zero-ID checks, pooled scratch reused after a

@@ -11,6 +11,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/svcb"
+	"repro/internal/testrace"
 )
 
 func TestCanonicalName(t *testing.T) {
@@ -356,6 +357,43 @@ func TestKeyTagStable(t *testing.T) {
 	key2.PublicKey[0] ^= 0xff
 	if key2.KeyTag() == tag1 {
 		t.Error("KeyTag insensitive to key bytes")
+	}
+}
+
+// TestKeyTagMatchesWireSum: KeyTag, read from the fields, equals RFC 4034
+// Appendix B's sum over the packed RDATA, on keys of even and odd length,
+// and allocates nothing (SigMemo.Verify asks for it on every memo hit).
+func TestKeyTagMatchesWireSum(t *testing.T) {
+	wireSum := func(d *DNSKEYData) uint16 {
+		wire, _ := d.pack(nil, nil)
+		var ac uint32
+		for i, b := range wire {
+			if i&1 == 1 {
+				ac += uint32(b)
+			} else {
+				ac += uint32(b) << 8
+			}
+		}
+		ac += ac >> 16 & 0xffff
+		return uint16(ac)
+	}
+	keys := []*DNSKEYData{
+		{Flags: 257, Protocol: 3, Algorithm: AlgECDSAP256SHA256, PublicKey: bytes.Repeat([]byte{0xff}, 64)},
+		{Flags: 256, Protocol: 3, Algorithm: AlgECDSAP256SHA256, PublicKey: bytes.Repeat([]byte{1, 2, 3}, 11)},
+		{Flags: 0xffff, Protocol: 0xff, Algorithm: 0xff, PublicKey: []byte{0xff}},
+		{Flags: 257, Protocol: 3, Algorithm: 8},
+		{Flags: 1, Protocol: 2, Algorithm: 3, PublicKey: bytes.Repeat([]byte{0xfe, 0xdc, 0xba}, 9999)},
+	}
+	for _, k := range keys {
+		if got, want := k.KeyTag(), wireSum(k); got != want {
+			t.Errorf("KeyTag of a %d-byte key = %d, wire sum %d", len(k.PublicKey), got, want)
+		}
+	}
+	if testrace.Enabled {
+		return // the race detector's instrumentation allocates
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = keys[1].KeyTag() }); n != 0 {
+		t.Errorf("KeyTag allocated %v times", n)
 	}
 }
 

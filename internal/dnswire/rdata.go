@@ -280,14 +280,13 @@ func (d *DNSKEYData) String() string {
 		base64.StdEncoding.EncodeToString(d.PublicKey))
 }
 
-// KeyTag computes the RFC 4034 Appendix B key tag of the key.
+// KeyTag computes the RFC 4034 Appendix B key tag of the key: the sum of
+// the RDATA read as big-endian 16-bit words, taken here straight from the
+// fields rather than from packed bytes. Flags is one word and protocol and
+// algorithm another, so the key starts on a word boundary.
 func (d *DNSKEYData) KeyTag() uint16 {
-	wire, err := d.pack(nil, nil)
-	if err != nil {
-		return 0
-	}
-	var acc uint32
-	for i, b := range wire {
+	acc := uint32(d.Flags) + uint32(d.Protocol)<<8 + uint32(d.Algorithm)
+	for i, b := range d.PublicKey {
 		if i&1 == 0 {
 			acc += uint32(b) << 8
 		} else {

@@ -5,6 +5,15 @@
 // X25519 + HKDF-SHA256 + AES-128-GCM from the standard library, and a
 // rotating key manager modelling the 1–2 hour key rotation the paper
 // measures on cloudflare-ech.com.
+//
+// An ECHConfigList has one reader, walkList. It checks the whole list (a
+// malformed config anywhere fails it, even after a supported one) and hands
+// each config over in place, its byte fields aliasing the list; a config of
+// an unknown version carries only its version, for callers to skip.
+// UnmarshalList copies every config out of that walk. SelectInPlace keeps
+// the first supported one and copies nothing, so its PublicKey and
+// PublicName are valid only while the list's bytes are: a caller reading a
+// DNS answer hashes or copies them before the answer is reused.
 package ech
 
 import (
@@ -106,74 +115,160 @@ func MarshalList(configs []Config) []byte {
 	return append(b, inner...)
 }
 
-// UnmarshalList parses an ECHConfigList. Configs with unknown versions are
-// retained with only Version set and a nil PublicKey so callers can skip
-// them, mirroring how clients must ignore unsupported versions.
-func UnmarshalList(b []byte) ([]Config, error) {
+// rawConfig is one ECHConfig as walkList reads it, in place: its byte
+// fields alias the list. A config of a version other than DraftVersion
+// carries its version alone.
+type rawConfig struct {
+	version       uint16
+	id            uint8
+	kem           uint16
+	publicKey     []byte
+	suites        []byte // 4 bytes per suite: KDF, then AEAD
+	maxNameLength uint8
+	publicName    []byte
+	extensions    []byte
+}
+
+// walkList is the package's one reader of an ECHConfigList. It checks the
+// whole list and calls fn on each config in list order, skipping nothing:
+// a config of an unknown version is passed with its version alone, for the
+// caller to ignore as clients must. What fn sees aliases b. A fault
+// anywhere in the list is ErrMalformed (possibly wrapped), even after fn
+// has seen a config that is fine.
+func walkList(b []byte, fn func(rawConfig)) error {
 	if len(b) < 2 {
-		return nil, ErrMalformed
+		return ErrMalformed
 	}
 	total := int(binary.BigEndian.Uint16(b))
 	b = b[2:]
 	if len(b) != total || total == 0 {
-		return nil, ErrMalformed
+		return ErrMalformed
 	}
-	var configs []Config
 	for len(b) > 0 {
 		if len(b) < 4 {
-			return nil, ErrMalformed
+			return ErrMalformed
 		}
-		version := binary.BigEndian.Uint16(b)
+		c := rawConfig{version: binary.BigEndian.Uint16(b)}
 		clen := int(binary.BigEndian.Uint16(b[2:]))
 		b = b[4:]
 		if len(b) < clen {
-			return nil, ErrMalformed
+			return ErrMalformed
 		}
-		contents := b[:clen]
+		if c.version == DraftVersion {
+			if err := c.readContents(b[:clen]); err != nil {
+				return err
+			}
+		}
 		b = b[clen:]
-		if version != DraftVersion {
-			configs = append(configs, Config{Version: version})
-			continue
+		fn(c)
+	}
+	return nil
+}
+
+// readContents reads ECHConfigContents (everything after version+length).
+func (c *rawConfig) readContents(b []byte) error {
+	r := reader{b: b}
+	c.id = r.u8()
+	c.kem = r.u16()
+	c.publicKey = r.vec16()
+	c.suites = r.vec16()
+	if r.err != nil || len(c.suites)%4 != 0 || len(c.suites) == 0 {
+		return ErrMalformed
+	}
+	c.maxNameLength = r.u8()
+	c.publicName = r.vec8()
+	c.extensions = r.vec16()
+	if r.err != nil || len(r.b) != 0 {
+		return ErrMalformed
+	}
+	if len(c.publicName) == 0 {
+		return fmt.Errorf("ech: empty public_name: %w", ErrMalformed)
+	}
+	return nil
+}
+
+// supported reports whether this implementation can use the config:
+// draft-13, the X25519 KEM and at least one supported suite.
+func (c rawConfig) supported() bool {
+	if c.version != DraftVersion || c.kem != KEMX25519SHA256 {
+		return false
+	}
+	for i := 0; i < len(c.suites); i += 4 {
+		if supportedSuite(binary.BigEndian.Uint16(c.suites[i:]), binary.BigEndian.Uint16(c.suites[i+2:])) {
+			return true
 		}
-		cfg, err := unmarshalContents(contents)
-		if err != nil {
-			return nil, err
+	}
+	return false
+}
+
+// config copies the config out of its list.
+func (c rawConfig) config() Config {
+	if c.version != DraftVersion {
+		return Config{Version: c.version}
+	}
+	suites := make([]CipherSuite, len(c.suites)/4)
+	for i := range suites {
+		suites[i] = CipherSuite{
+			KDF:  binary.BigEndian.Uint16(c.suites[4*i:]),
+			AEAD: binary.BigEndian.Uint16(c.suites[4*i+2:]),
 		}
-		cfg.Version = version
-		configs = append(configs, cfg)
+	}
+	return Config{
+		Version:       c.version,
+		ConfigID:      c.id,
+		KEM:           c.kem,
+		PublicKey:     append([]byte(nil), c.publicKey...),
+		CipherSuites:  suites,
+		MaxNameLength: c.maxNameLength,
+		PublicName:    string(c.publicName),
+		Extensions:    append([]byte(nil), c.extensions...),
+	}
+}
+
+// UnmarshalList parses an ECHConfigList into fresh configs, a copy-out of
+// walkList. Configs with unknown versions are retained with only Version
+// set and a nil PublicKey so callers can skip them, mirroring how clients
+// must ignore unsupported versions.
+func UnmarshalList(b []byte) ([]Config, error) {
+	var configs []Config
+	if err := walkList(b, func(c rawConfig) { configs = append(configs, c.config()) }); err != nil {
+		return nil, err
 	}
 	return configs, nil
 }
 
-func unmarshalContents(b []byte) (Config, error) {
-	var c Config
-	r := reader{b: b}
-	c.ConfigID = r.u8()
-	c.KEM = r.u16()
-	c.PublicKey = r.vec16()
-	suites := r.vec16()
-	if r.err != nil || len(suites)%4 != 0 || len(suites) == 0 {
-		return c, ErrMalformed
-	}
-	for i := 0; i < len(suites); i += 4 {
-		c.CipherSuites = append(c.CipherSuites, CipherSuite{
-			KDF:  binary.BigEndian.Uint16(suites[i:]),
-			AEAD: binary.BigEndian.Uint16(suites[i+2:]),
-		})
-	}
-	c.MaxNameLength = r.u8()
-	c.PublicName = string(r.vec8())
-	c.Extensions = r.vec16()
-	if r.err != nil || len(r.b) != 0 {
-		return c, ErrMalformed
-	}
-	if len(c.PublicName) == 0 {
-		return c, fmt.Errorf("ech: empty public_name: %w", ErrMalformed)
-	}
-	return c, nil
+// ConfigRef is the config SelectConfig would pick from an ECHConfigList,
+// read in place: PublicKey and PublicName alias the list's bytes.
+type ConfigRef struct {
+	ConfigID   uint8
+	PublicKey  []byte
+	PublicName []byte
 }
 
-// reader is a tiny TLS-presentation-language cursor.
+// SelectInPlace is SelectConfig(UnmarshalList(b)) without the copies: it
+// checks the whole list as UnmarshalList does (a malformed config is
+// ErrMalformed even after a supported one) and returns the first supported
+// config, or ErrNoSupported. The returned slices alias b and are valid
+// only while b is: a caller that keeps anything copies or hashes it first.
+func SelectInPlace(b []byte) (ConfigRef, error) {
+	var ref ConfigRef
+	found := false
+	err := walkList(b, func(c rawConfig) {
+		if !found && c.supported() {
+			ref, found = ConfigRef{ConfigID: c.id, PublicKey: c.publicKey, PublicName: c.publicName}, true
+		}
+	})
+	if err != nil {
+		return ConfigRef{}, err
+	}
+	if !found {
+		return ConfigRef{}, ErrNoSupported
+	}
+	return ref, nil
+}
+
+// reader is a tiny TLS-presentation-language cursor. The vectors it reads
+// alias its input.
 type reader struct {
 	b   []byte
 	err error
@@ -209,8 +304,8 @@ func (r *reader) take(n int) []byte {
 	return v
 }
 
-func (r *reader) vec8() []byte  { return append([]byte(nil), r.take(int(r.u8()))...) }
-func (r *reader) vec16() []byte { return append([]byte(nil), r.take(int(r.u16()))...) }
+func (r *reader) vec8() []byte  { return r.take(int(r.u8())) }
+func (r *reader) vec16() []byte { return r.take(int(r.u16())) }
 
 // KeyPair is an ECH key pair: the private X25519 key and the public Config
 // that advertises it.
@@ -269,10 +364,16 @@ func SelectConfig(configs []Config) (Config, error) {
 			continue
 		}
 		for _, cs := range c.CipherSuites {
-			if cs.KDF == KDFHKDFSHA256 && cs.AEAD == AEADAES128GCM {
+			if supportedSuite(cs.KDF, cs.AEAD) {
 				return c, nil
 			}
 		}
 	}
 	return Config{}, ErrNoSupported
+}
+
+// supportedSuite reports whether the HPKE suite is HKDF-SHA256 +
+// AES-128-GCM, the one this implementation seals with.
+func supportedSuite(kdf, aead uint16) bool {
+	return kdf == KDFHKDFSHA256 && aead == AEADAES128GCM
 }

@@ -99,6 +99,34 @@ func TestSelectConfigNoSupported(t *testing.T) {
 	}
 }
 
+// TestSelectInPlaceAliasesTheList: the in-place selection picks what
+// SelectConfig does from the same list, its slices point into the list,
+// and it allocates nothing.
+func TestSelectInPlaceAliasesTheList(t *testing.T) {
+	kp1, _ := GenerateKeyPair(testRNG(1), 7, "cloudflare-ech.com")
+	kp2, _ := GenerateKeyPair(testRNG(2), 8, "provider.example")
+	unsupported := kp1.Config.Clone()
+	unsupported.CipherSuites = []CipherSuite{{KDF: 2, AEAD: 3}}
+	list := MarshalList([]Config{unsupported, kp2.Config, kp1.Config})
+	ref, err := SelectInPlace(list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.ConfigID != 8 || !bytes.Equal(ref.PublicKey, kp2.Config.PublicKey) || string(ref.PublicName) != "provider.example" {
+		t.Fatalf("picked %d %x %q, want config 8 of provider.example", ref.ConfigID, ref.PublicKey, ref.PublicName)
+	}
+	at := func(b []byte) int { return bytes.Index(list, b) }
+	if &list[at(ref.PublicKey)] != &ref.PublicKey[0] || &list[at(ref.PublicName)] != &ref.PublicName[0] {
+		t.Error("selection copied out of the list")
+	}
+	if testrace.Enabled {
+		return // the race detector's instrumentation allocates
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = SelectInPlace(list) }); n != 0 {
+		t.Errorf("SelectInPlace allocated %v times", n)
+	}
+}
+
 func TestSealOpenRoundTrip(t *testing.T) {
 	kp, err := GenerateKeyPair(testRNG(4), 9, "cover.example")
 	if err != nil {

@@ -9,7 +9,10 @@
 // strings, SummarizeHTTPS's fresh slices), so it hands every answer back as
 // soon as it has read it: to a Transport that offers Recycle, or, having
 // asked a recursor directly, with Release (a handler's reply is its
-// caller's). Its own query message follows when the scan is over.
+// caller's). Its own query message follows when the scan is over. The ech
+// parameter is the one value read in place (readECH, over
+// ech.SelectInPlace), under the same rule: its public key is hashed and
+// its public name copied before the answer goes back.
 package scanner
 
 import (
@@ -208,17 +211,32 @@ func SummarizeHTTPS(rr dnswire.RR) (dataset.HTTPSRecord, bool) {
 	if hints, ok := data.Params.IPv6Hints(); ok {
 		out.V6Hints = hints
 	}
-	if echBytes, ok := data.Params.ECH(); ok {
+	if e, has, ok := readECH(data.Params); has {
 		out.HasECH = true
-		if configs, err := ech.UnmarshalList(echBytes); err == nil {
-			if cfg, err := ech.SelectConfig(configs); err == nil {
-				out.ECHConfigID = cfg.ConfigID
-				out.ECHKeyHash = dnswire.FNV1a(cfg.PublicKey)
-				out.ECHPublicName = cfg.PublicName
-			}
+		if ok {
+			out.ECHConfigID, out.ECHKeyHash, out.ECHPublicName = e.ConfigID, e.KeyHash, e.PublicName
 		}
 	}
 	return out, true
+}
+
+// readECH reads an HTTPS record's ech parameter in place
+// (ech.SelectInPlace) and nothing else of its parameters: has reports that
+// the parameter is there, ok that its list is well formed and offers a
+// supported config, whose id, key hash and public name it fills in — the
+// values Fig 4 tracks rotation by. The key is hashed and the name copied,
+// so nothing returned aliases the answer.
+func readECH(ps svcb.Params) (obs dataset.ECHObservation, has, ok bool) {
+	list, has := ps.ECH()
+	if !has {
+		return obs, false, false
+	}
+	cfg, err := ech.SelectInPlace(list)
+	if err != nil {
+		return obs, true, false
+	}
+	obs.ConfigID, obs.KeyHash, obs.PublicName = cfg.ConfigID, dnswire.FNV1a(cfg.PublicKey), string(cfg.PublicName)
+	return obs, true, true
 }
 
 // ScanDomain performs the full per-domain scan sequence: HTTPS (with CNAME
@@ -402,12 +420,20 @@ func (s *Scanner) ScanNameServers(date time.Time, snaps ...*dataset.Snapshot) *d
 }
 
 // ECHScan performs one hourly ECH observation pass over the given domains
-// (the §4.4.2 experiment). Domains are scanned over the bounded worker
-// pool; observations come back in input-domain order.
+// (the §4.4.2 experiment): one observation per HTTPS record whose ech
+// parameter offers a supported config, and none for a record whose list
+// does not parse or offers none (it names no key to track). Domains are
+// scanned over the bounded worker pool; observations come back in
+// input-domain order.
 func (s *Scanner) ECHScan(now time.Time, domains []string) []dataset.ECHObservation {
+	// Each domain appends into its own one-observation cell of cells, so
+	// the usual single ECH record costs no allocation; only a domain with
+	// a second one grows a slice of its own.
+	cells := make([]dataset.ECHObservation, len(domains))
 	slots := make([][]dataset.ECHObservation, len(domains))
 	s.forEach(len(domains), func(i int) {
 		name := domains[i]
+		slots[i] = cells[i : i : i+1]
 		q := newQuery()
 		defer q.Release()
 		resp, err := s.query(q, name, name, dnswire.TypeHTTPS)
@@ -415,24 +441,22 @@ func (s *Scanner) ECHScan(now time.Time, domains []string) []dataset.ECHObservat
 			return
 		}
 		for _, rr := range resp.Answer {
-			if rr.Type != dnswire.TypeHTTPS {
+			data, isSVCB := rr.Data.(*dnswire.SVCBData)
+			if rr.Type != dnswire.TypeHTTPS || !isSVCB {
 				continue
 			}
-			sum, ok := SummarizeHTTPS(rr)
-			if !ok || !sum.HasECH {
-				continue
+			if obs, _, ok := readECH(data.Params); ok {
+				obs.Time, obs.Domain = now, dnswire.CanonicalName(name)
+				slots[i] = append(slots[i], obs)
 			}
-			slots[i] = append(slots[i], dataset.ECHObservation{
-				Time:       now,
-				Domain:     dnswire.CanonicalName(name),
-				ConfigID:   sum.ECHConfigID,
-				KeyHash:    sum.ECHKeyHash,
-				PublicName: sum.ECHPublicName,
-			})
 		}
 		s.done(resp)
 	})
-	var out []dataset.ECHObservation
+	n := 0
+	for _, obs := range slots {
+		n += len(obs)
+	}
+	out := make([]dataset.ECHObservation, 0, n)
 	for _, obs := range slots {
 		out = append(out, obs...)
 	}

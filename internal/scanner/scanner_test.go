@@ -1,6 +1,8 @@
 package scanner
 
 import (
+	"bytes"
+	"math/rand"
 	"net/netip"
 	"reflect"
 	"sort"
@@ -10,8 +12,10 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/dnswire"
+	"repro/internal/ech"
 	"repro/internal/providers"
 	"repro/internal/simnet"
+	"repro/internal/svcb"
 	"repro/internal/transport"
 )
 
@@ -267,6 +271,59 @@ func TestECHScanAndProbe(t *testing.T) {
 	for _, o := range obs {
 		if o.KeyHash == 0 || o.PublicName == "" {
 			t.Errorf("incomplete observation: %+v", o)
+		}
+	}
+}
+
+// handAnswers is a Transport that answers each HTTPS question from a
+// hand-built table of records.
+type handAnswers map[string][]dnswire.RR
+
+func (h handAnswers) Exchange(q *dnswire.Message) (*dnswire.Message, error) {
+	return &dnswire.Message{ID: q.ID, Response: true, Question: q.Question, Answer: h[q.Question[0].Name]}, nil
+}
+
+// TestECHScanSkipsUnusableLists: a record whose ech parameter does not
+// parse, or parses to no supported config, names no key, so the hourly scan
+// stores nothing for it (Fig 4 would count an empty public name and a zero
+// key hash as a config), while the daily summary still records that the
+// record publishes ECH.
+func TestECHScanSkipsUnusableLists(t *testing.T) {
+	kp, err := ech.GenerateKeyPair(rand.New(rand.NewSource(9)), 3, "cover.example")
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := ech.MarshalList([]ech.Config{kp.Config})
+	withList := func(name string, list []byte) dnswire.RR {
+		var ps svcb.Params
+		ps.SetECH(list)
+		return dnswire.RR{Name: name, Type: dnswire.TypeHTTPS, Class: dnswire.ClassINET, TTL: 300,
+			Data: &dnswire.SVCBData{Priority: 1, Target: ".", Params: ps}}
+	}
+	unknownOnly := []byte{0, 6, 0xfe, 0x0a, 0, 2, 0xaa, 0xbb} // one config, version fe0a
+	trailing := append(bytes.Clone(good[2:]), 0xfe, 0x0d, 0, 1, 7)
+	badAfterGood := append([]byte{byte(len(trailing) >> 8), byte(len(trailing))}, trailing...)
+	tr := handAnswers{
+		"good.test.":        {withList("good.test.", good)},
+		"truncated.test.":   {withList("truncated.test.", good[:len(good)-1])},
+		"unsupported.test.": {withList("unsupported.test.", unknownOnly)},
+		"trailing.test.":    {withList("trailing.test.", badAfterGood)},
+		"mixed.test.":       {withList("mixed.test.", unknownOnly), withList("mixed.test.", good)},
+	}
+	sc := &Scanner{Transport: tr, Concurrency: 2}
+	now := time.Date(2023, 7, 21, 0, 0, 0, 0, time.UTC)
+	domains := []string{"good.test.", "truncated.test.", "unsupported.test.", "trailing.test.", "mixed.test."}
+	want := []dataset.ECHObservation{
+		{Time: now, Domain: "good.test.", ConfigID: 3, KeyHash: dnswire.FNV1a(kp.Config.PublicKey), PublicName: "cover.example"},
+		{Time: now, Domain: "mixed.test.", ConfigID: 3, KeyHash: dnswire.FNV1a(kp.Config.PublicKey), PublicName: "cover.example"},
+	}
+	if got := sc.ECHScan(now, domains); !reflect.DeepEqual(got, want) {
+		t.Errorf("ECHScan stored %+v\nwant %+v", got, want)
+	}
+	for _, name := range domains[1:4] {
+		sum, ok := SummarizeHTTPS(tr[name][0])
+		if !ok || !sum.HasECH || sum.ECHConfigID != 0 || sum.ECHKeyHash != 0 || sum.ECHPublicName != "" {
+			t.Errorf("%s summarised as %+v, want HasECH and no key", name, sum)
 		}
 	}
 }

@@ -273,6 +273,14 @@ func (d *DomainState) httpsRRset(owner string, t time.Time, echList []byte) *rrs
 	return &s.rrset
 }
 
+// ProfileCFDefault's two alpn values, "h2,h3" and, before the h3-29
+// sunset, "h2,h3,h3-29", in wire form. Every set rebuilt at an ECH rotation
+// shares them; served records are read-only.
+var (
+	cfALPN      = []byte("\x02h2\x02h3")
+	cfALPNPreH3 = []byte("\x02h2\x02h3\x05h3-29")
+)
+
 // newHTTPSSet builds owner's HTTPS set for its memo key; nil for a profile
 // that publishes none.
 func (d *DomainState) newHTTPSSet(owner string, preH3 bool, echList []byte) *httpsSet {
@@ -292,11 +300,11 @@ func (d *DomainState) newHTTPSSet(owner string, preH3 bool, echList []byte) *htt
 	}
 	switch d.Profile {
 	case ProfileCFDefault:
-		alpn := []string{"h2", "h3"}
+		alpn := cfALPN
 		if preH3 {
-			alpn = append(alpn, "h3-29")
+			alpn = cfALPNPreH3
 		}
-		_ = ps.SetALPN(alpn)
+		ps.Set(svcb.KeyALPN, alpn)
 		withHints()
 		if echList != nil {
 			ps.SetECH(echList)

@@ -2,6 +2,7 @@ package providers
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -72,8 +73,9 @@ func TestWorldResolvesCFDefaultDomain(t *testing.T) {
 	if data.Priority != 1 || data.Target != "." {
 		t.Errorf("CF default shape wrong: %v", data)
 	}
+	// The world clock stands at StudyStart, before the h3-29 sunset.
 	alpn, ok := data.Params.ALPN()
-	if !ok || len(alpn) < 2 {
+	if !ok || !slices.Equal(alpn, []string{"h2", "h3", "h3-29"}) {
 		t.Errorf("CF default alpn = %v", alpn)
 	}
 	if _, ok := data.Params.IPv4Hints(); !ok {
@@ -81,6 +83,19 @@ func TestWorldResolvesCFDefaultDomain(t *testing.T) {
 	}
 	if _, ok := data.Params.IPv6Hints(); !ok {
 		t.Error("CF default missing ipv6hint")
+	}
+}
+
+// ProfileCFDefault's alpn values are written out in wire form; they must be
+// what svcb encodes for the same lists.
+func TestCFDefaultALPNWire(t *testing.T) {
+	for _, c := range []struct {
+		wire   []byte
+		protos []string
+	}{{cfALPN, []string{"h2", "h3"}}, {cfALPNPreH3, []string{"h2", "h3", "h3-29"}}} {
+		if want, err := svcb.EncodeALPN(c.protos); err != nil || !bytes.Equal(c.wire, want) {
+			t.Errorf("alpn %v: wire %x, svcb encodes %x (%v)", c.protos, c.wire, want, err)
+		}
 	}
 }
 

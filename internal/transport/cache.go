@@ -3,6 +3,7 @@ package transport
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"sync"
 	"time"
 
@@ -27,6 +28,11 @@ type Cache struct {
 	cfg   CacheConfig
 
 	shards []*cacheShard
+
+	// slabMu guards slab, the chunk growing shards carve new entries from.
+	// It is taken only when a shard grows, never on a probe.
+	slabMu sync.Mutex
+	slab   []cacheEntry
 }
 
 // CacheConfig sets the cache geometry and lifecycle policy. The zero
@@ -122,31 +128,44 @@ type cacheShard struct {
 	evictions, expirations uint64
 }
 
-// cacheEntry holds the response as a packed wire image plus the byte
-// offset and original value of every RR TTL field, precomputed at store
-// time. A hit is then one copy, an ID patch, and in-place TTL rewrites — no
-// message encode on the hot path. Both buffers belong to the entry: a
-// replace overwrites them in place and an eviction hands them, with the
-// struct, to the answer that displaced it.
+// cacheEntry holds the response in one buffer: the packed wire image,
+// buf[:wireLen], then one TTL slot per record, precomputed at store time. A
+// hit is then one copy, an ID patch, and in-place TTL rewrites — no message
+// encode on the hot path. The buffer belongs to the entry: a replace
+// overwrites it in place and an eviction hands it, with the struct, to the
+// answer that displaced it. Entries are carved from the cache's slab, so a
+// growing shard pays one allocation per answer: its buffer.
 type cacheEntry struct {
-	key      Key
-	wire     []byte
-	ttls     []ttlSlot
-	storedAt time.Time
-	expires  time.Time
-	// negative marks RFC 2308 entries (NXDOMAIN or empty answers).
-	negative bool
+	key Key
+	buf []byte
+	// storedAt, expires and refreshAt are virtual Unix nanoseconds.
 	// refreshAt is when a fresh hit starts reporting NeedsRefresh;
 	// refreshing latches after the first such hit so one entry generation
 	// arms at most one prefetch.
-	refreshAt  time.Time
-	refreshing bool
-	prev, next *cacheEntry
+	storedAt, expires, refreshAt int64
+	prev, next                   *cacheEntry
+	wireLen                      uint32
+	// negative marks RFC 2308 entries (NXDOMAIN or empty answers).
+	negative, refreshing bool
 }
 
-// ttlSlot locates one record's TTL field in an entry's wire image and keeps
-// the value it was stored with.
-type ttlSlot struct{ off, ttl uint32 }
+// A TTL slot is 8 bytes: the big-endian byte offset of one record's TTL
+// field in the wire image, then the big-endian TTL it was stored with.
+const slotSize = 8
+
+// appendBody appends the entry's wire image to dst with id patched in and
+// every TTL aged by elapsed seconds, then capped at ceiling, and returns
+// the appended body.
+func (e *cacheEntry) appendBody(dst []byte, id uint16, elapsed, ceiling uint32) []byte {
+	base := len(dst)
+	out := append(dst, e.buf[:e.wireLen]...)
+	binary.BigEndian.PutUint16(out[base:], id)
+	for t := e.buf[e.wireLen:]; len(t) >= slotSize; t = t[slotSize:] {
+		off, stored := binary.BigEndian.Uint32(t), binary.BigEndian.Uint32(t[4:])
+		binary.BigEndian.PutUint32(out[base+int(off):], min(stored-min(stored, elapsed), ceiling))
+	}
+	return out[base:]
+}
 
 // CacheStats aggregates what the cache owns across shards: its residents
 // and the entries it dropped. Hits, stale serves and prefetches are the
@@ -240,7 +259,7 @@ func (c *Cache) shardFor(key Key) *cacheShard {
 // backing array, so a caller handing in recycled scratch serves the hit
 // copy-free); a nil dst allocates, preserving the old behavior.
 func (c *Cache) Probe(key Key, id uint16, dst []byte) Lookup {
-	now := c.clock.Now()
+	now := c.clock.Now().UnixNano()
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -248,39 +267,31 @@ func (c *Cache) Probe(key Key, id uint16, dst []byte) Lookup {
 	if !found {
 		return Lookup{State: StateMiss}
 	}
-	if !e.expires.Add(c.cfg.StaleWindow).After(now) {
+	if e.expires+int64(c.cfg.StaleWindow) <= now {
 		s.remove(e)
 		delete(s.entries, key)
 		if e.negative {
 			s.negEntries--
 		}
+		// The slot stays in its slab chunk: let go of what it points at.
+		*e = cacheEntry{}
 		s.expirations++
 		return Lookup{State: StateMiss}
 	}
 	s.moveToFront(e)
-	if !e.expires.After(now) {
+	if e.expires <= now {
 		// Past TTL but within the stale window: report stale so the
 		// caller consults the upstream; StaleWire materializes the body
 		// only if that fails.
 		return Lookup{State: StateStale, Negative: e.negative}
 	}
 	l := Lookup{State: StateFresh, Negative: e.negative}
-	if c.cfg.RefreshAhead > 0 && !e.refreshing && !e.refreshAt.After(now) {
+	if c.cfg.RefreshAhead > 0 && !e.refreshing && e.refreshAt <= now {
 		e.refreshing = true
 		l.NeedsRefresh = true
 	}
-	elapsed := uint32(now.Sub(e.storedAt) / time.Second)
-	base := len(dst)
-	out := append(dst, e.wire...)
-	binary.BigEndian.PutUint16(out[base:], id)
-	for _, t := range e.ttls {
-		ttl := uint32(0)
-		if t.ttl > elapsed {
-			ttl = t.ttl - elapsed
-		}
-		binary.BigEndian.PutUint32(out[base+int(t.off):], ttl)
-	}
-	l.Body = out[base:]
+	elapsed := uint32(time.Duration(now-e.storedAt) / time.Second)
+	l.Body = e.appendBody(dst, id, elapsed, math.MaxUint32)
 	return l
 }
 
@@ -293,21 +304,15 @@ func (c *Cache) Probe(key Key, id uint16, dst []byte) Lookup {
 // The stale body is appended to dst under the same aliasing contract as
 // Probe; nil dst allocates a fresh copy.
 func (c *Cache) StaleWire(key Key, id uint16, dst []byte) (body []byte, ok bool) {
-	now := c.clock.Now()
+	now := c.clock.Now().UnixNano()
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, found := s.entries[key]
-	if !found || !e.expires.Add(c.cfg.StaleWindow).After(now) {
+	if !found || e.expires+int64(c.cfg.StaleWindow) <= now {
 		return nil, false
 	}
-	base := len(dst)
-	out := append(dst, e.wire...)
-	binary.BigEndian.PutUint16(out[base:], id)
-	for _, t := range e.ttls {
-		binary.BigEndian.PutUint32(out[base+int(t.off):], min(t.ttl, DefaultStaleTTL))
-	}
-	return out[base:], true
+	return e.appendBody(dst, id, 0, DefaultStaleTTL), true
 }
 
 // Put stores a response. Uncacheable responses (SERVFAIL and friends) are
@@ -327,10 +332,12 @@ func (c *Cache) Put(key Key, m *dnswire.Message) {
 }
 
 // insert stores m under key as the wire image it was packed to. The cache
-// copies wire, so the caller's buffer stays the caller's. The wire is walked
-// and validated before any entry is touched; after that a replace reuses
-// the entry's own buffers and an insert at capacity reuses the LRU victim's
-// struct and buffers, so only a growing shard allocates.
+// copies wire, with its TTL slots behind it, into the entry's buffer, so the
+// caller's buffer stays the caller's. The wire is walked and validated
+// before any entry is touched; after that a replace reuses the entry's own
+// buffer and an insert at capacity reuses the LRU victim's struct and
+// buffer, so only a growing shard allocates: the buffer, and now and then a
+// slab chunk.
 func (c *Cache) insert(key Key, m *dnswire.Message, wire []byte) {
 	ttl, negative, ok := cacheTTL(m)
 	if !ok || ttl <= 0 {
@@ -341,12 +348,12 @@ func (c *Cache) insert(key Key, m *dnswire.Message, wire []byte) {
 	}
 	// Room for the records of any usual answer; a longer walk spills to
 	// the heap.
-	var stack [16]ttlSlot
+	var stack [16 * slotSize]byte
 	slots, err := appendTTLSlots(stack[:0], wire)
 	if err != nil {
 		return
 	}
-	now := c.clock.Now()
+	now := c.clock.Now().UnixNano()
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -357,7 +364,7 @@ func (c *Cache) insert(key Key, m *dnswire.Message, wire []byte) {
 		s.evictions++
 	}
 	if e == nil {
-		e = new(cacheEntry)
+		e = c.newEntry()
 	} else {
 		s.remove(e)
 		if e.negative {
@@ -370,20 +377,38 @@ func (c *Cache) insert(key Key, m *dnswire.Message, wire []byte) {
 	if negative {
 		s.negEntries++
 	}
-	e.wire = append(e.wire[:0], wire...)
-	e.ttls = append(e.ttls[:0], slots...)
+	if n := len(wire) + len(slots); cap(e.buf) < n {
+		e.buf = make([]byte, 0, n)
+	}
+	e.buf = append(append(e.buf[:0], wire...), slots...)
+	e.wireLen = uint32(len(wire))
 	e.negative = negative
-	e.storedAt, e.expires = now, now.Add(ttl)
-	e.refreshAt, e.refreshing = time.Time{}, false
+	e.storedAt, e.expires = now, now+int64(ttl)
+	e.refreshAt, e.refreshing = 0, false
 	if c.cfg.RefreshAhead > 0 {
-		e.refreshAt = now.Add(time.Duration(c.cfg.RefreshAhead * float64(ttl)))
+		e.refreshAt = now + int64(time.Duration(c.cfg.RefreshAhead*float64(ttl)))
 	}
 }
 
-// appendTTLSlots walks a packed message once and appends the byte offset
-// and original value of every resource record's TTL field to dst, excluding
-// the OPT pseudo-record (its TTL field holds EDNS flags, not a TTL).
-func appendTTLSlots(dst []ttlSlot, wire []byte) ([]ttlSlot, error) {
+// newEntry carves a zeroed entry from the cache-wide slab, whose chunks
+// double from 16 to 256 entries. The slab is one for all shards: a fresh
+// fleet replica's shards hold a few dozen entries each, and per-shard
+// chunks would leave most of every chunk's tail unused.
+func (c *Cache) newEntry() *cacheEntry {
+	c.slabMu.Lock()
+	defer c.slabMu.Unlock()
+	if len(c.slab) == cap(c.slab) {
+		c.slab = make([]cacheEntry, 0, min(max(2*cap(c.slab), 16), 256))
+	}
+	c.slab = c.slab[:len(c.slab)+1]
+	return &c.slab[len(c.slab)-1]
+}
+
+// appendTTLSlots walks a packed message once and appends to dst one TTL
+// slot (slotSize bytes: the field's offset, then its value) for every
+// resource record, excluding the OPT pseudo-record (its TTL field holds
+// EDNS flags, not a TTL).
+func appendTTLSlots(dst, wire []byte) ([]byte, error) {
 	if len(wire) < 12 {
 		return nil, dnswire.ErrShortMessage
 	}
@@ -407,7 +432,8 @@ func appendTTLSlots(dst []ttlSlot, wire []byte) ([]ttlSlot, error) {
 			return nil, errTruncatedRR
 		}
 		if dnswire.Type(binary.BigEndian.Uint16(wire[pos:])) != dnswire.TypeOPT {
-			dst = append(dst, ttlSlot{off: uint32(pos + 4), ttl: binary.BigEndian.Uint32(wire[pos+4:])})
+			dst = binary.BigEndian.AppendUint32(dst, uint32(pos+4))
+			dst = append(dst, wire[pos+4:pos+8]...)
 		}
 		pos += 10 + int(binary.BigEndian.Uint16(wire[pos+8:]))
 		if pos > len(wire) {
@@ -449,7 +475,7 @@ func (c *Cache) Len() int {
 	return n
 }
 
-// Flush drops every entry.
+// Flush drops every entry, and the slab they were carved from.
 func (c *Cache) Flush() {
 	for _, s := range c.shards {
 		s.mu.Lock()
@@ -458,6 +484,9 @@ func (c *Cache) Flush() {
 		s.negEntries = 0
 		s.mu.Unlock()
 	}
+	c.slabMu.Lock()
+	c.slab = nil
+	c.slabMu.Unlock()
 }
 
 // Stats aggregates the resident and dropped entry counts across shards.

@@ -7,11 +7,14 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/dnswire"
+	"repro/internal/simnet"
 	"repro/internal/testrace"
 )
 
@@ -67,6 +70,110 @@ func TestCacheInsertAllocatesNothingWhenFullOrReplacing(t *testing.T) {
 	resident := cache.shards[0].head.key
 	if n := testing.AllocsPerRun(200, func() { cache.Put(resident, msgs[0]) }); n != 0 {
 		t.Errorf("replacing a resident entry: %v allocs, want 0", n)
+	}
+}
+
+// A growing shard pays one allocation per answer, its buffer: the entry is
+// carved from the cache-wide slab and the TTL slots ride behind the wire.
+// What is left over is slab chunks and the shard maps' growth. One default
+// cache takes a fleet replica's few hundred answers, then a campaign day's
+// thousands more. The first batch carries each shard's early map growth,
+// about 0.24 allocations per insert, so its ceiling is higher.
+func TestGrowingCacheAllocatesOnePerEntry(t *testing.T) {
+	if testrace.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	m := answerOf("grow.test.", 300, 200)
+	wire, err := m.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	_, clock := testNet()
+	cache := NewCacheWith(clock, CacheConfig{})
+	next := 0
+	for _, batch := range []struct {
+		n       int
+		ceiling float64
+	}{{401, 1.3}, {12_000, 1.1}} {
+		keys := make([]Key, batch.n)
+		for i := range keys {
+			keys[i] = Key{Name: fmt.Sprintf("g%05d.test.", next), Type: dnswire.TypeA, DO: true}
+			next++
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, k := range keys {
+			cache.insert(k, m, wire)
+		}
+		runtime.ReadMemStats(&after)
+		if cache.Len() != next {
+			t.Fatalf("%d inserts left %d entries", next, cache.Len())
+		}
+		per := float64(after.Mallocs-before.Mallocs) / float64(batch.n)
+		if per > batch.ceiling {
+			t.Errorf("%d inserts into a growing cache: %.2f allocations each, ceiling %v", batch.n, per, batch.ceiling)
+		} else {
+			t.Logf("%d inserts into a growing cache: %.2f allocations each", batch.n, per)
+		}
+	}
+}
+
+// Growing shards carve their entries from one slab. Inserts into every
+// shard at once, with Flushes dropping the slab among them, must each get an
+// entry of their own: every key still resident serves its own answer.
+func TestCacheConcurrentGrowthAndFlush(t *testing.T) {
+	_, clock := testNet()
+	cache := NewCacheWith(clock, CacheConfig{})
+	const workers, perWorker = 4, 300
+	keys := make([][]Key, workers)
+	wires := make([][][]byte, workers)
+	for w := range keys {
+		for i := 0; i < perWorker; i++ {
+			k := Key{Name: fmt.Sprintf("w%d-%03d.test.", w, i), Type: dnswire.TypeA, DO: true}
+			wire, err := answerOf(k.Name, 300).Pack()
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys[w], wires[w] = append(keys[w], k), append(wires[w], wire)
+		}
+	}
+	check := func(w, i int) error {
+		got := cache.Probe(keys[w][i], 7, nil)
+		if got.State == StateFresh && !bytes.Equal(got.Body[2:], wires[w][i][2:]) {
+			return fmt.Errorf("%s serves another answer: %x", keys[w][i].Name, got.Body)
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			m := answerOf("any.test.", 300) // insert reads only the TTL from m
+			for i, k := range keys[w] {
+				cache.insert(k, m, wires[w][i])
+				if err := check(w, i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 3; i++ {
+			cache.Flush()
+		}
+	}()
+	wg.Wait()
+	for w := range keys {
+		for i := range keys[w] {
+			if err := check(w, i); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 
@@ -355,7 +462,11 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 // field runs past the wire; bytes dnswire.Unpack accepts must yield one
 // slot per non-OPT record of the three sections, in order, holding that
 // record's TTL; and appending into a dirty dst must leave its prefix alone
-// and add exactly the slots a fresh call returns.
+// and add exactly the slots a fresh call returns. Any wire the walk accepts
+// must come back from the cache as it went in: stored over a longer
+// answer's buffer and probed, the body is the wire with the ID patched and
+// the TTLs aged at the slot offsets, and exactly as long, so the slot tail
+// the entry keeps behind the wire never leaks into it.
 func FuzzAppendTTLSlots(f *testing.F) {
 	signed := answerOf("signed.test.", 300, 60)
 	signed.Answer = append(signed.Answer, dnswire.RR{
@@ -383,28 +494,55 @@ func FuzzAppendTTLSlots(f *testing.F) {
 		f.Add(wire)
 		f.Add(wire[:len(wire)-3]) // last record cut short
 	}
+	// Every wire is stored over this answer, whose buffer is longer than
+	// most seeds'.
+	long := answerOf("long.test.", 300, 300, 300, 300, 300, 300, 300, 300)
+	// insert takes the retention window from the message, not the wire.
+	retain := answerOf("retain.test.", 3600)
 	f.Fuzz(func(t *testing.T, wire []byte) {
 		fresh, err := appendTTLSlots(nil, wire)
-		for _, s := range fresh {
-			if int(s.off)+4 > len(wire) {
-				t.Fatalf("slot at %d runs past a %d-byte wire", s.off, len(wire))
+		if len(fresh)%slotSize != 0 {
+			t.Fatalf("%d slot bytes, not a multiple of %d", len(fresh), slotSize)
+		}
+		for s := fresh; len(s) > 0; s = s[slotSize:] {
+			if off := binary.BigEndian.Uint32(s); int(off)+4 > len(wire) {
+				t.Fatalf("slot at %d runs past a %d-byte wire", off, len(wire))
 			}
 		}
 
-		junk := make([]ttlSlot, 16)
+		junk := make([]byte, 16*slotSize)
 		for i := range junk {
-			junk[i] = ttlSlot{off: uint32(i), ttl: ^uint32(i)}
+			junk[i] = ^byte(i)
 		}
-		prefix := slices.Clone(junk[:3])
-		dirty, dirtyErr := appendTTLSlots(junk[:3], wire)
-		if !slices.Equal(junk[:3], prefix) {
-			t.Fatalf("dst prefix rewritten: %v, want %v", junk[:3], prefix)
+		prefix := slices.Clone(junk[:3*slotSize])
+		dirty, dirtyErr := appendTTLSlots(junk[:3*slotSize], wire)
+		if !bytes.Equal(junk[:3*slotSize], prefix) {
+			t.Fatalf("dst prefix rewritten: %x, want %x", junk[:3*slotSize], prefix)
 		}
 		if (err == nil) != (dirtyErr == nil) {
 			t.Fatalf("fresh err %v, dirty err %v", err, dirtyErr)
 		}
-		if err == nil && (!slices.Equal(dirty[:3], prefix) || !slices.Equal(dirty[3:], fresh)) {
-			t.Fatalf("dirty append = %v, want %v then %v", dirty, prefix, fresh)
+		if err == nil && (!bytes.Equal(dirty[:3*slotSize], prefix) || !bytes.Equal(dirty[3*slotSize:], fresh)) {
+			t.Fatalf("dirty append = %x, want %x then %x", dirty, prefix, fresh)
+		}
+
+		if err == nil {
+			clock := simnet.NewClock(time.Date(2023, 7, 1, 0, 0, 0, 0, time.UTC))
+			cache := NewCacheWith(clock, CacheConfig{Shards: 1, ShardCapacity: 1})
+			cache.Put(testKey(0), long)
+			cache.insert(testKey(1), retain, wire) // evicts long, takes its buffer
+			const elapsed = 7
+			clock.Advance(elapsed * time.Second)
+			got := cache.Probe(testKey(1), 0xbeef, nil)
+			want := slices.Clone(wire)
+			binary.BigEndian.PutUint16(want, 0xbeef)
+			for s := fresh; len(s) > 0; s = s[slotSize:] {
+				ttl := binary.BigEndian.Uint32(s[4:])
+				binary.BigEndian.PutUint32(want[binary.BigEndian.Uint32(s):], ttl-min(ttl, elapsed))
+			}
+			if got.State != StateFresh || !bytes.Equal(got.Body, want) {
+				t.Fatalf("stored and probed: state %v, %d bytes\n got %x\nwant %x", got.State, len(got.Body), got.Body, want)
+			}
 		}
 
 		m, uerr := dnswire.Unpack(wire)
@@ -422,12 +560,14 @@ func FuzzAppendTTLSlots(f *testing.F) {
 				}
 			}
 		}
-		if len(fresh) != len(want) {
-			t.Fatalf("%d slots for %d non-OPT records", len(fresh), len(want))
+		if len(fresh) != len(want)*slotSize {
+			t.Fatalf("%d slots for %d non-OPT records", len(fresh)/slotSize, len(want))
 		}
-		for i, s := range fresh {
-			if s.ttl != want[i].TTL || binary.BigEndian.Uint32(wire[s.off:]) != s.ttl {
-				t.Fatalf("slot %d = %+v, want TTL %d of %s %s", i, s, want[i].TTL, want[i].Name, want[i].Type)
+		for i := range want {
+			s := fresh[i*slotSize:]
+			off, ttl := binary.BigEndian.Uint32(s), binary.BigEndian.Uint32(s[4:])
+			if ttl != want[i].TTL || binary.BigEndian.Uint32(wire[off:]) != ttl {
+				t.Fatalf("slot %d = (%d, %d), want TTL %d of %s %s", i, off, ttl, want[i].TTL, want[i].Name, want[i].Type)
 			}
 		}
 	})

@@ -148,7 +148,8 @@
 // reply queue, DoQ stream buffers, decoded answer Messages) lives in
 // sync.Pools, wire encoding appends into recycled buffers via the
 // dnswire reuse APIs, a miss encodes its answer once (Resolve packs into
-// dst and the cache stores a copy in the entry it evicts or replaces),
+// dst and the cache stores a copy in the entry it evicts or replaces, or
+// in one new buffer when a shard grows),
 // and cache keys are interned structs rather than formatted strings.
 // Every pool put-site runs its buffer through dnswire's recycling
 // ceiling (dnswire.TrimRecycled) so a jumbo answer cannot pin its backing array for a
@@ -162,8 +163,10 @@
 //     envelope sessions decode or hand off the body before recycling
 //     their scratch, and treat served bodies as read-only.
 //   - The cache copies the wire it is given (Resolve's packed answer, or
-//     Put's own pack of a message); an entry's bytes change only under
-//     its shard lock, when a replace or an eviction reuses its buffers.
+//     Put's own pack of a message) into the entry's one buffer, its TTL
+//     slots behind it; a served body is only ever the wire part. An
+//     entry's bytes change only under its shard lock, when a replace or
+//     an eviction reuses its buffer.
 //   - A Message returned by Client.Exchange is owned by the caller, who
 //     may give it back with Client.Recycle once it has copied out every
 //     value it wants: the message and everything reachable from it —

@@ -567,25 +567,27 @@ func BenchmarkDNSWirePackUnpack(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := dnswire.Unpack(wire); err != nil {
+		if err := dnswire.UnpackInto(new(dnswire.Message), wire); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkECHSealOpen(b *testing.B) {
-	kp, err := ech.GenerateKeyPair(rand.New(rand.NewSource(1)), 1, "cover.example")
+	now := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	km, err := ech.NewKeyManager(rand.New(rand.NewSource(1)), "cover.example", time.Hour, time.Hour, now)
 	if err != nil {
 		b.Fatal(err)
 	}
+	cfg := km.CurrentConfig(now)
 	payload := []byte("inner client hello sni=secret.example alpn=h2")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		enc, ct, err := ech.Seal(nil, kp.Config, nil, payload)
+		enc, ct, err := ech.Seal(nil, cfg, nil, payload)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := kp.Open(enc, nil, ct); err != nil {
+		if _, err := km.Open(now, cfg.ConfigID, enc, nil, ct); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -616,7 +618,7 @@ func BenchmarkBrowserNavigate(b *testing.B) {
 	scenarios[2].Build(l)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v := l.Visit(browser.Chrome(), "https://a.com")
+		v := l.Visit(browser.All()[0], "https://a.com") // Chrome
 		if !v.OK {
 			b.Fatal("visit failed")
 		}

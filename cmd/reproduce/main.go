@@ -46,8 +46,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"slices"
@@ -62,54 +64,77 @@ import (
 )
 
 func main() {
-	size := flag.Int("size", 10_000, "Tranco list size of the generated world")
-	seed := flag.Int64("seed", 2024, "generation seed")
-	step := flag.Int("step", 7, "scan every Nth day")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, runs the selected experiments and writes their tables to
+// stdout; progress, timings and errors go to stderr. It returns the exit
+// status: 2 for a fault in the command line, 1 for a failed campaign.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("reproduce", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	size := fs.Int("size", 10_000, "Tranco list size of the generated world")
+	seed := fs.Int64("seed", 2024, "generation seed")
+	step := fs.Int("step", 7, "scan every Nth day")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
 		"scan days, and hourly ECH scan hours, resolved concurrently (1 = serial; results are identical)")
-	frontends := flag.Int("frontends", 0, "encrypted-DNS frontends to scan through (0: direct stub queries)")
-	mixFlag := flag.String("mix", "doh", "frontend protocol mix (with -frontends): doh, dot, doq, mixed, or weights")
-	strategyFlag := flag.String("strategy", "serial", "resolution strategy (with -frontends): serial or race")
-	minObs := flag.Int("minobs", analysis.DefaultIntermittencyMinObs,
+	frontends := fs.Int("frontends", 0, "encrypted-DNS frontends to scan through (0: direct stub queries)")
+	mixFlag := fs.String("mix", "doh", "frontend protocol mix (with -frontends): doh, dot, doq, mixed, or weights")
+	strategyFlag := fs.String("strategy", "serial", "resolution strategy (with -frontends): serial or race")
+	minObs := fs.Int("minobs", analysis.DefaultIntermittencyMinObs,
 		"intermittency classification gate: minimum observed in-list days")
-	exp := flag.String("exp", "all", "experiment selector (comma-separated ids or 'all')")
-	quiet := flag.Bool("q", false, "suppress per-day progress")
-	flag.Parse()
+	exp := fs.String("exp", "all", "experiment selector (comma-separated ids or 'all')")
+	quiet := fs.Bool("q", false, "suppress per-day progress")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // the flag package has printed the fault and the usage
+	}
 
 	want, err := parseExperiments(*exp)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	sel := func(id string) bool { return want["all"] || want[id] }
 	// The telemetry timeline needs a fleet for its registry; explicit
 	// selection turns one on rather than rendering an empty table (under
 	// "all" it simply rides whatever -frontends says).
 	if want["timeline"] && *frontends == 0 {
-		fmt.Fprintln(os.Stderr, "timeline: enabling 4 frontends (the telemetry series need a fleet)")
+		fmt.Fprintln(stderr, "timeline: enabling 4 frontends (the telemetry series need a fleet)")
 		*frontends = 4
 	}
 	if want["slo"] && *frontends == 0 {
-		fmt.Fprintln(os.Stderr, "slo: enabling 4 frontends (anomaly captures need a fleet)")
+		fmt.Fprintln(stderr, "slo: enabling 4 frontends (anomaly captures need a fleet)")
 		*frontends = 4
 	}
 
 	mix, err := transport.ParseMix(*mixFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	strategy, err := transport.ParseStrategy(*strategyFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	if slices.ContainsFunc(serverExperiments, sel) {
-		runServerSide(*size, *seed, *step, *workers, *frontends, mix, strategy, *minObs, *quiet, sel)
+		cfg := core.CampaignConfig{Size: *size, Seed: *seed, StepDays: *step, DayWorkers: *workers,
+			HourWorkers: *workers, DoHFrontends: *frontends, TransportMix: mix, TransportStrategy: strategy}
+		if !*quiet {
+			cfg.Progress = stderr
+		}
+		if err := runServerSide(stdout, stderr, cfg, *minObs, sel); err != nil {
+			fmt.Fprintln(stderr, "error:", err)
+			return 1
+		}
 	}
 	if slices.ContainsFunc(clientExperiments, sel) {
-		runClientSide(sel)
+		runClientSide(stdout, sel)
 	}
+	return 0
 }
 
 // The -exp ids in usage order: the server-side experiments read the daily
@@ -137,37 +162,34 @@ func parseExperiments(spec string) (map[string]bool, error) {
 	return want, nil
 }
 
-func runServerSide(size int, seed int64, step, workers, frontends int, mix transport.Mix, strategy transport.StrategyKind, minObs int, quiet bool, sel func(string) bool) {
-	cfg := core.CampaignConfig{Size: size, Seed: seed, StepDays: step, DayWorkers: workers,
-		HourWorkers: workers, DoHFrontends: frontends, TransportMix: mix, TransportStrategy: strategy}
+// runServerSide runs the daily campaign cfg describes, and the hourly ECH
+// and validation experiments when selected, then writes every selected
+// server-side table to w.
+func runServerSide(w, stderr io.Writer, cfg core.CampaignConfig, minObs int, sel func(string) bool) error {
+	frontends := cfg.DoHFrontends
 	if sel("timeline") && frontends > 0 {
 		cfg.TelemetryInterval = time.Hour
 	}
 	if sel("slo") && frontends > 0 {
 		cfg.AnomalyCapture = true
 	}
-	if !quiet {
-		cfg.Progress = os.Stderr
-	}
 	// Reports are strategy-tagged when a fleet is in the loop, so runs
 	// through different resolution strategies are distinguishable.
 	fleet := ""
 	if frontends > 0 {
-		fleet = fmt.Sprintf(" frontends=%d mix=%s strategy=%s", frontends, mix, strategy)
+		fleet = fmt.Sprintf(" frontends=%d mix=%s strategy=%s", frontends, cfg.TransportMix, cfg.TransportStrategy)
 	}
-	fmt.Fprintf(os.Stderr, "building world: size=%d seed=%d step=%dd workers=%d%s\n",
-		size, seed, step, workers, fleet)
+	fmt.Fprintf(stderr, "building world: size=%d seed=%d step=%dd workers=%d%s\n",
+		cfg.Size, cfg.Seed, cfg.StepDays, cfg.DayWorkers, fleet)
 	c, err := core.NewCampaign(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
+		return err
 	}
 	start := time.Now()
 	if err := c.RunDaily(); err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "daily campaign done in %v (%d DNS queries)\n",
+	fmt.Fprintf(stderr, "daily campaign done in %v (%d DNS queries)\n",
 		time.Since(start).Round(time.Second), c.World.Net.QueryCount())
 
 	if sel("fig4") || sel("stalecorr") {
@@ -185,7 +207,7 @@ func runServerSide(size int, seed int64, step, workers, frontends int, mix trans
 			return
 		}
 		for _, t := range tables {
-			fmt.Println(t.Format())
+			fmt.Fprintln(w, t.Format())
 		}
 	}
 
@@ -199,9 +221,9 @@ func runServerSide(size int, seed int64, step, workers, frontends int, mix trans
 	print("fig3", analysis.SeriesTable("Fig 3: distinct non-Cloudflare providers with HTTPS RR", 20, nonCF.DailyDistinct))
 	if sel("intermittency") {
 		inter := analysis.IntermittencyMinObs(st, minObs)
-		fmt.Println(inter.Table().Format())
+		fmt.Fprintln(w, inter.Table().Format())
 		if inter.MinObservations > analysis.DefaultIntermittencyMinObs {
-			fmt.Printf("intermittency gate: minobs=%d skipped %d sparse histories\n\n",
+			fmt.Fprintf(w, "intermittency gate: minobs=%d skipped %d sparse histories\n\n",
 				inter.MinObservations, inter.SparseSkipped)
 		}
 	}
@@ -210,7 +232,7 @@ func runServerSide(size int, seed int64, step, workers, frontends int, mix trans
 	if sel("tab5") {
 		google := analysis.ProviderParams(st, "Google")
 		godaddy := analysis.ProviderParams(st, "GoDaddy")
-		fmt.Println(analysis.Table5(google, godaddy).Format())
+		fmt.Fprintln(w, analysis.Table5(google, godaddy).Format())
 	}
 	print("params", analysis.SvcParams(st, "apex").Table("apex"),
 		analysis.SvcParams(st, "www").Table("www"))
@@ -225,43 +247,46 @@ func runServerSide(size int, seed int64, step, workers, frontends int, mix trans
 	print("fig4", analysis.ECHRotation(st).Table())
 	if sel("fig5") {
 		for _, t := range analysis.Signed(st, nil).Tables("dynamic") {
-			fmt.Println(t.Format())
+			fmt.Fprintln(w, t.Format())
 		}
 		for _, t := range analysis.Signed(st, phase2).Tables("overlapping") {
-			fmt.Println(t.Format())
+			fmt.Fprintln(w, t.Format())
 		}
 	}
 	print("tab9", analysis.Census(st).Table())
 	print("stalecorr", analysis.StaleECHCorrelation(st).Table())
 	if sel("timeline") && frontends > 0 {
-		fmt.Println(analysis.TelemetryTimeline(st, "daily").Format())
+		fmt.Fprintln(w, analysis.TelemetryTimeline(st, "daily").Format())
 		if sel("fig4") || sel("stalecorr") {
-			fmt.Println(analysis.TelemetryTimeline(st, "hourly-ech").Format())
+			fmt.Fprintln(w, analysis.TelemetryTimeline(st, "hourly-ech").Format())
 		}
 	}
 	if sel("slo") && frontends > 0 {
-		fmt.Println(analysis.AnomalyReport(st).Format())
+		fmt.Fprintln(w, analysis.AnomalyReport(st).Format())
 	}
 	print("fig14", analysis.SignedECH(st, nil).Table())
 	if sel("fig8") {
 		stats := analysis.RankDistributions(st, phase1)
 		stats = append(stats, analysis.NonCFRankings(st))
-		fmt.Println(analysis.RankTable("Fig 8/9: rank distributions", stats...).Format())
+		fmt.Fprintln(w, analysis.RankTable("Fig 8/9: rank distributions", stats...).Format())
 	}
+	return nil
 }
 
-func runClientSide(sel func(string) bool) {
+// runClientSide runs the selected browser-lab experiments and writes their
+// tables to w.
+func runClientSide(w io.Writer, sel func(string) bool) {
 	behaviors := browser.All()
 	if sel("tab6") {
 		t, _ := browser.RunMatrix("Table 6: browser HTTPS RR support", browser.Table6Scenarios(), behaviors)
-		fmt.Println(t.Format())
+		fmt.Fprintln(w, t.Format())
 	}
 	if sel("tab7") {
 		t, _ := browser.RunMatrix("Table 7: browser ECH support and failover", browser.Table7Scenarios(), behaviors)
-		fmt.Println(t.Format())
+		fmt.Fprintln(w, t.Format())
 	}
 	if sel("failover") {
 		t, _ := browser.RunMatrix("§5.2.2: failover behaviours", browser.FailoverScenarios(), behaviors)
-		fmt.Println(t.Format())
+		fmt.Fprintln(w, t.Format())
 	}
 }

@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"time"
-
 	"repro/internal/dataset"
 	"repro/internal/dnswire"
 	"repro/internal/tranco"
@@ -102,31 +100,4 @@ func (r *AdoptionResult) Tables() []*Table {
 		SeriesTable("Fig 2a: HTTPS adoption, dynamic Tranco list", 24, r.DynamicApex, r.DynamicWWW),
 		SeriesTable("Fig 2b: HTTPS adoption, overlapping domains", 24, r.OverlapApex, r.OverlapWWW),
 	}
-}
-
-// TrendDelta summarises a series: first value, last value, and change.
-func TrendDelta(s Series) (first, last, delta float64) {
-	if len(s.Points) == 0 {
-		return 0, 0, 0
-	}
-	first = s.Points[0].Value
-	last = s.Points[len(s.Points)-1].Value
-	return first, last, last - first
-}
-
-// ValueOn returns the series value on the sample closest to date.
-func ValueOn(s Series, date time.Time) float64 {
-	best := 0.0
-	bestDiff := time.Duration(1 << 62)
-	for _, p := range s.Points {
-		d := p.Date.Sub(date)
-		if d < 0 {
-			d = -d
-		}
-		if d < bestDiff {
-			bestDiff = d
-			best = p.Value
-		}
-	}
-	return best
 }

@@ -49,7 +49,7 @@ func TestFig2Adoption(t *testing.T) {
 	if len(res.DynamicApex.Points) < 10 {
 		t.Fatalf("too few samples: %d", len(res.DynamicApex.Points))
 	}
-	first, last, delta := TrendDelta(res.DynamicApex)
+	first, last, delta := trendDelta(res.DynamicApex)
 	if first < 12 || first > 30 {
 		t.Errorf("dynamic apex adoption at start = %.1f%%, paper ≈20%%", first)
 	}
@@ -60,13 +60,13 @@ func TestFig2Adoption(t *testing.T) {
 		t.Errorf("dynamic apex trend not increasing: Δ=%.2f", delta)
 	}
 	// Overlapping set: broadly stable (no strong rise like the dynamic).
-	_, _, ovDelta := TrendDelta(res.OverlapApex)
+	_, _, ovDelta := trendDelta(res.OverlapApex)
 	if ovDelta > delta {
 		t.Errorf("overlapping trend (Δ=%.2f) rose faster than dynamic (Δ=%.2f)", ovDelta, delta)
 	}
 	// www sits below apex.
-	aFirst, _, _ := TrendDelta(res.DynamicApex)
-	wFirst, _, _ := TrendDelta(res.DynamicWWW)
+	aFirst, _, _ := trendDelta(res.DynamicApex)
+	wFirst, _, _ := trendDelta(res.DynamicWWW)
 	if wFirst > aFirst {
 		t.Errorf("www adoption (%.1f%%) above apex (%.1f%%)", wFirst, aFirst)
 	}
@@ -107,7 +107,7 @@ func TestTable3AndFig3NonCFProviders(t *testing.T) {
 		}
 	}
 	// Fig 3: upward trend in distinct provider count.
-	first, last, _ := TrendDelta(res.DailyDistinct)
+	first, last, _ := trendDelta(res.DailyDistinct)
 	if last < first {
 		t.Errorf("non-CF provider count fell: %.0f → %.0f (paper: upward trend)", first, last)
 	}
@@ -212,16 +212,16 @@ func TestFig11HintUsage(t *testing.T) {
 	if len(res.V4Usage.Points) == 0 {
 		t.Fatal("no points")
 	}
-	_, v4Last, _ := TrendDelta(res.V4Usage)
+	_, v4Last, _ := trendDelta(res.V4Usage)
 	if v4Last < 85 {
 		t.Errorf("ipv4hint usage = %.1f%%, paper ≈97%%", v4Last)
 	}
-	_, matchLast, _ := TrendDelta(res.V4Match)
+	_, matchLast, _ := trendDelta(res.V4Match)
 	if matchLast < 90 {
 		t.Errorf("v4 hint match = %.1f%%, paper >99%% post-fix", matchLast)
 	}
 	// v6 below v4 usage.
-	_, v6Last, _ := TrendDelta(res.V6Usage)
+	_, v6Last, _ := trendDelta(res.V6Usage)
 	if v6Last > v4Last+2 {
 		t.Errorf("ipv6hint usage (%.1f%%) above ipv4hint (%.1f%%)", v6Last, v4Last)
 	}
@@ -263,11 +263,11 @@ func TestConnectivityProbes(t *testing.T) {
 
 func TestFig13ECHDeployment(t *testing.T) {
 	res := ECHDeployment(store(t), nil)
-	before := ValueOn(res.Apex, time.Date(2023, 7, 1, 0, 0, 0, 0, time.UTC))
+	before := valueOn(res.Apex, time.Date(2023, 7, 1, 0, 0, 0, 0, time.UTC))
 	if before < 50 || before > 90 {
 		t.Errorf("ECH share before shutdown = %.1f%%, paper ≈70%%", before)
 	}
-	after := ValueOn(res.Apex, time.Date(2023, 11, 1, 0, 0, 0, 0, time.UTC))
+	after := valueOn(res.Apex, time.Date(2023, 11, 1, 0, 0, 0, 0, time.UTC))
 	if after > 1 {
 		t.Errorf("ECH share after shutdown = %.1f%%, paper 0%%", after)
 	}
@@ -301,11 +301,11 @@ func TestFig4ECHRotation(t *testing.T) {
 
 func TestFig5Signed(t *testing.T) {
 	res := Signed(store(t), nil)
-	_, last, _ := TrendDelta(res.SignedApex)
+	_, last, _ := trendDelta(res.SignedApex)
 	if last < 3 || last > 20 {
 		t.Errorf("signed share = %.1f%%, paper <10%%", last)
 	}
-	_, validLast, _ := TrendDelta(res.ValidApex)
+	_, validLast, _ := trendDelta(res.ValidApex)
 	if validLast > last {
 		t.Errorf("validated (%.1f%%) exceeds signed (%.1f%%)", validLast, last)
 	}
@@ -346,7 +346,7 @@ func TestTable9Census(t *testing.T) {
 func TestFig14SignedECH(t *testing.T) {
 	res := SignedECH(store(t), nil)
 	// Only meaningful before the shutdown.
-	v := ValueOn(res.SignedPct, time.Date(2023, 7, 1, 0, 0, 0, 0, time.UTC))
+	v := valueOn(res.SignedPct, time.Date(2023, 7, 1, 0, 0, 0, 0, time.UTC))
 	if v > 15 {
 		t.Errorf("signed ECH share = %.1f%%, paper <6%%", v)
 	}
@@ -539,7 +539,7 @@ func TestIntermittencyAgainstGenerator(t *testing.T) {
 		providers.IntermitNoNS:          IntermitLostNS,
 	}
 	seen := map[providers.IntermittencyKind]int{}
-	for name, v := range ClassifyIntermittency(c.Store) {
+	for name, v := range classifyIntermittency(c.Store) {
 		d := c.World.Domains[name]
 		if d == nil {
 			t.Fatalf("%s classified but not in the world", name)
@@ -590,4 +590,31 @@ func TestNonCFPopulation(t *testing.T) {
 	if got := NSCategories(st, nil); got.FullMean != third || got.NoneMean != third || got.PartialMean != third {
 		t.Errorf("Table 2 = %+v, want a third in each row", got)
 	}
+}
+
+// trendDelta summarises a series: first value, last value, and change.
+func trendDelta(s Series) (first, last, delta float64) {
+	if len(s.Points) == 0 {
+		return 0, 0, 0
+	}
+	first = s.Points[0].Value
+	last = s.Points[len(s.Points)-1].Value
+	return first, last, last - first
+}
+
+// valueOn returns the series value on the sample closest to date.
+func valueOn(s Series, date time.Time) float64 {
+	best := 0.0
+	bestDiff := time.Duration(1 << 62)
+	for _, p := range s.Points {
+		d := p.Date.Sub(date)
+		if d < 0 {
+			d = -d
+		}
+		if d < bestDiff {
+			bestDiff = d
+			best = p.Value
+		}
+	}
+	return best
 }

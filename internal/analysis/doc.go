@@ -14,6 +14,6 @@
 //   - dataset.Observation.HasECH decides ECH publication (Figs 13–14).
 //   - cloudflareNS puts an adopter's name servers in Table 2's full, none
 //     or partial Cloudflare class; Tables 3–4 and Figs 3 and 9 select by it.
-//   - ClassifyIntermittency gives each domain's §4.2.3 class, which
+//   - classifyIntermittency gives each domain's §4.2.3 class, which
 //     Intermittency and IntermittencyMinObs aggregate.
 package analysis

@@ -283,7 +283,7 @@ type IntermittentDomain struct {
 	Observed int
 }
 
-// ClassifyIntermittency gives the §4.2.3 verdict on every apex domain that
+// classifyIntermittency gives the §4.2.3 verdict on every apex domain that
 // deactivated previously published HTTPS records — an adopter on one of
 // its in-list days and not on the next — at least once in the NS window,
 // keyed by canonical name. A domain's history is compressed to the days it
@@ -291,7 +291,7 @@ type IntermittentDomain struct {
 // not deactivation. A domain that failed to resolve on one of those days is
 // IntermitLostNS, else one that showed two NS operator sets on its active
 // days is IntermitNSChanged, else it is IntermitSameNS.
-func ClassifyIntermittency(store *dataset.Store) map[string]IntermittentDomain {
+func classifyIntermittency(store *dataset.Store) map[string]IntermittentDomain {
 	type history struct {
 		on, deactivated bool
 		lost, changed   bool
@@ -363,7 +363,7 @@ func IntermittencyMinObs(store *dataset.Store, minObs int) *IntermittencyResult 
 	// Each bucket sums its domains' observed days; weighting divides
 	// by the NS window once, so the sums do not depend on map order.
 	var all, same, sameCF, changed, lost int
-	for _, v := range ClassifyIntermittency(store) {
+	for _, v := range classifyIntermittency(store) {
 		if v.Observed < minObs {
 			res.SparseSkipped++
 			continue

@@ -77,21 +77,3 @@ func TestPctAndHelpers(t *testing.T) {
 		}
 	}
 }
-
-func TestTrendDeltaAndValueOn(t *testing.T) {
-	base := time.Date(2023, 5, 8, 0, 0, 0, 0, time.UTC)
-	s := Series{Points: []Point{{base, 10}, {base.AddDate(0, 0, 30), 20}}}
-	f, l, d := TrendDelta(s)
-	if f != 10 || l != 20 || d != 10 {
-		t.Errorf("TrendDelta = %f %f %f", f, l, d)
-	}
-	if v := ValueOn(s, base.AddDate(0, 0, 2)); v != 10 {
-		t.Errorf("ValueOn = %f", v)
-	}
-	if v := ValueOn(s, base.AddDate(0, 0, 28)); v != 20 {
-		t.Errorf("ValueOn = %f", v)
-	}
-	if f, l, d := TrendDelta(Series{}); f != 0 || l != 0 || d != 0 {
-		t.Error("empty TrendDelta not zero")
-	}
-}

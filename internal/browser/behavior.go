@@ -61,8 +61,8 @@ type Behavior struct {
 
 // The four profiles measured in the paper (browser versions of Table 6).
 
-// Chrome returns the Chrome 120 behaviour profile.
-func Chrome() Behavior {
+// chrome returns the Chrome 120 behaviour profile.
+func chrome() Behavior {
 	return Behavior{
 		Name: "Chrome", Version: "120.0.6099",
 		UpgradesScheme:       true,
@@ -81,16 +81,16 @@ func Chrome() Behavior {
 	}
 }
 
-// Edge returns the Edge 120 profile (Chromium-derived; measured
+// edge returns the Edge 120 profile (Chromium-derived; measured
 // separately in the paper, identical outcomes).
-func Edge() Behavior {
-	b := Chrome()
+func edge() Behavior {
+	b := chrome()
 	b.Name, b.Version = "Edge", "120.0.2210"
 	return b
 }
 
-// Safari returns the Safari 17.2.1 profile.
-func Safari() Behavior {
+// safari returns the Safari 17.2.1 profile.
+func safari() Behavior {
 	return Behavior{
 		Name: "Safari", Version: "17.2.1",
 		UpgradesScheme:       false,
@@ -106,8 +106,8 @@ func Safari() Behavior {
 	}
 }
 
-// Firefox returns the Firefox 122 profile.
-func Firefox() Behavior {
+// firefox returns the Firefox 122 profile.
+func firefox() Behavior {
 	return Behavior{
 		Name: "Firefox", Version: "122.0.1",
 		RequiresDoH:          true,
@@ -130,5 +130,5 @@ func Firefox() Behavior {
 
 // All returns the four measured browsers in the paper's column order.
 func All() []Behavior {
-	return []Behavior{Chrome(), Safari(), Edge(), Firefox()}
+	return []Behavior{chrome(), safari(), edge(), firefox()}
 }

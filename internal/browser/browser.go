@@ -44,11 +44,6 @@ type Browser struct {
 	qid uint16
 }
 
-// New creates a browser instance using the resolver at resolverAddr.
-func New(b Behavior, net *simnet.Network, resolverAddr netip.Addr) *Browser {
-	return &Browser{B: b, Net: net, Resolver: resolverAddr}
-}
-
 // Attempt records one connection attempt.
 type Attempt struct {
 	Addr        netip.Addr

@@ -135,7 +135,7 @@ func TestSplitModeErrorCode(t *testing.T) {
 	}
 	l := NewLab()
 	split.Build(l)
-	v := l.Visit(Chrome(), split.URL)
+	v := l.Visit(chrome(), split.URL)
 	if v.OK {
 		t.Fatal("split mode unexpectedly succeeded")
 	}
@@ -155,7 +155,7 @@ func TestCorrectClientWouldHandleSplitMode(t *testing.T) {
 			split = sc
 		}
 	}
-	b := Firefox()
+	b := firefox()
 	b.Name = "SpecComplete"
 	b.ECHSplitModeRequery = true
 	l := NewLab()
@@ -174,7 +174,7 @@ func TestSafariNoECHOffered(t *testing.T) {
 	scenarios := Table7Scenarios()
 	l := NewLab()
 	scenarios[0].Build(l)
-	v := l.Visit(Safari(), "https://a.com")
+	v := l.Visit(safari(), "https://a.com")
 	for _, a := range v.Attempts {
 		if a.ECHOffered {
 			t.Error("Safari offered ECH")
@@ -188,7 +188,7 @@ func TestSafariNoECHOffered(t *testing.T) {
 func TestVisitResultString(t *testing.T) {
 	l := NewLab()
 	basicSetup(l)
-	v := l.Visit(Chrome(), "https://a.com")
+	v := l.Visit(chrome(), "https://a.com")
 	if v.String() == "" {
 		t.Error("empty String()")
 	}
@@ -197,10 +197,10 @@ func TestVisitResultString(t *testing.T) {
 func TestFirefoxDualALPNAnnotation(t *testing.T) {
 	// Behaviour flags the paper text describes are present on the
 	// profiles (used by documentation output).
-	if !Firefox().ALPNDualFallback || !Firefox().DelayedAddrFailover || !Firefox().RequiresDoH {
+	if !firefox().ALPNDualFallback || !firefox().DelayedAddrFailover || !firefox().RequiresDoH {
 		t.Error("Firefox profile missing behavioural annotations")
 	}
-	if Chrome().UsesIPHints || Edge().UsesPort {
+	if chrome().UsesIPHints || edge().UsesPort {
 		t.Error("Chromium profile wrongly supports hints/port")
 	}
 }
@@ -215,7 +215,7 @@ func TestFirefoxRoutesHTTPSOverDoHStub(t *testing.T) {
 	Table6Scenarios()[2].Build(l) // https://a.com basic setup
 	fl := l.EnableDoH()
 
-	v := l.Visit(Firefox(), "https://a.com")
+	v := l.Visit(firefox(), "https://a.com")
 	if !v.OK || v.Scheme != "https" {
 		t.Fatalf("Firefox visit over DoH failed: %+v", v)
 	}
@@ -225,7 +225,7 @@ func TestFirefoxRoutesHTTPSOverDoHStub(t *testing.T) {
 	}
 
 	// Chrome does not require DoH: the stub stays idle.
-	v = l.Visit(Chrome(), "https://a.com")
+	v = l.Visit(chrome(), "https://a.com")
 	if !v.OK {
 		t.Fatalf("Chrome visit failed: %+v", v)
 	}
@@ -251,7 +251,7 @@ func TestTable6MatrixUnchangedOverDoH(t *testing.T) {
 		l := NewLab()
 		sc.Build(l)
 		l.EnableDoH()
-		v := l.Visit(Firefox(), sc.URL)
+		v := l.Visit(firefox(), sc.URL)
 		got := sc.Classify(l, v)
 		if want := expectedTable6[sc.Row]["Firefox"]; got != want {
 			t.Errorf("%s: Firefox over DoH = %v, want %v", sc.Row, got, want)

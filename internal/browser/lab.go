@@ -149,7 +149,7 @@ func (l *Lab) EnableDoH() *transport.Fleet {
 // Visit runs one browser against the lab (fresh browser per call — the
 // paper clears caches between rounds).
 func (l *Lab) Visit(b Behavior, url string) *VisitResult {
-	br := New(b, l.Net, l.Resolver)
+	br := &Browser{B: b, Net: l.Net, Resolver: l.Resolver}
 	if l.DoH != nil {
 		br.DoH = l.DoH.Client
 	}

@@ -61,7 +61,7 @@ func (k *KeyPair) rdata() {
 			PublicKey: encodePublicKey(&k.Private.PublicKey),
 		}
 		var ds dnswire.RR
-		if ds, k.dsErr = MakeDS(k.dnskeyRR(0), 0); k.dsErr == nil {
+		if ds, k.dsErr = makeDS(k.dnskeyRR(0), 0); k.dsErr == nil {
 			k.ds = ds.Data.(*dnswire.DSData)
 		}
 	})
@@ -133,8 +133,8 @@ func (k *KeyPair) DS(ttl uint32) (dnswire.RR, error) {
 	return dnswire.RR{Name: k.Zone, Type: dnswire.TypeDS, Class: dnswire.ClassINET, TTL: ttl, Data: k.ds}, nil
 }
 
-// MakeDS computes the SHA-256 DS record for a DNSKEY record.
-func MakeDS(dnskey dnswire.RR, ttl uint32) (dnswire.RR, error) {
+// makeDS computes the SHA-256 DS record for a DNSKEY record.
+func makeDS(dnskey dnswire.RR, ttl uint32) (dnswire.RR, error) {
 	data, ok := dnskey.Data.(*dnswire.DNSKEYData)
 	if !ok {
 		return dnswire.RR{}, fmt.Errorf("dnssec: record is not a DNSKEY")
@@ -425,13 +425,13 @@ func (m *SigMemo) add(id [sha256.Size]byte) {
 	sh.m[id] = struct{}{}
 }
 
-// MatchesDS reports whether the DNSKEY record corresponds to the DS record.
-func MatchesDS(dnskey dnswire.RR, ds dnswire.RR) bool {
+// matchesDS reports whether the DNSKEY record corresponds to the DS record.
+func matchesDS(dnskey dnswire.RR, ds dnswire.RR) bool {
 	dsData, ok := ds.Data.(*dnswire.DSData)
 	if !ok {
 		return false
 	}
-	computed, err := MakeDS(dnskey, ds.TTL)
+	computed, err := makeDS(dnskey, ds.TTL)
 	if err != nil {
 		return false
 	}

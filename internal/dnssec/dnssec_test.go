@@ -207,11 +207,11 @@ func TestDSMatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !MatchesDS(key.DNSKEY(3600), ds) {
+	if !matchesDS(key.DNSKEY(3600), ds) {
 		t.Error("DS does not match its own DNSKEY")
 	}
 	other := DeriveKey(11, "example.com", true)
-	if MatchesDS(other.DNSKEY(3600), ds) {
+	if matchesDS(other.DNSKEY(3600), ds) {
 		t.Error("DS matched unrelated DNSKEY")
 	}
 }

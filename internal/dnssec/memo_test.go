@@ -211,8 +211,8 @@ func rrFromRData(typ dnswire.Type, rdata []byte) (dnswire.RR, bool) {
 	wire = binary.BigEndian.AppendUint32(wire, 3600)
 	wire = binary.BigEndian.AppendUint16(wire, uint16(len(rdata)))
 	wire = append(wire, rdata...)
-	m, err := dnswire.Unpack(wire)
-	if err != nil || len(m.Answer) != 1 {
+	m := new(dnswire.Message)
+	if err := dnswire.UnpackInto(m, wire); err != nil || len(m.Answer) != 1 {
 		return dnswire.RR{}, false
 	}
 	return m.Answer[0], true
@@ -290,11 +290,11 @@ func FuzzDNSKEYDS(f *testing.F) {
 	f.Fuzz(func(t *testing.T, flags uint16, protocol, algorithm uint8, key []byte) {
 		data := &dnswire.DNSKEYData{Flags: flags, Protocol: protocol, Algorithm: algorithm, PublicKey: key}
 		dnskey := dnswire.RR{Name: "example.com.", Type: dnswire.TypeDNSKEY, Class: dnswire.ClassINET, TTL: 3600, Data: data}
-		if ds, err := MakeDS(dnskey, 3600); err == nil {
+		if ds, err := makeDS(dnskey, 3600); err == nil {
 			if ds.Data.(*dnswire.DSData).KeyTag != data.KeyTag() {
 				t.Fatal("DS carries another key tag than its DNSKEY")
 			}
-			if !MatchesDS(dnskey, ds) {
+			if !matchesDS(dnskey, ds) {
 				t.Fatal("DNSKEY does not match the DS made from it")
 			}
 		}

@@ -129,7 +129,7 @@ func (v *Validator) validateZoneKeys(zone string, dsSet []dnswire.RR) ([]dnswire
 	} else {
 		for _, k := range keys {
 			for _, ds := range dsSet {
-				if MatchesDS(k, ds) {
+				if matchesDS(k, ds) {
 					anchored = append(anchored, k)
 				}
 			}

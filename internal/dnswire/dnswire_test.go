@@ -2,6 +2,7 @@ package dnswire
 
 import (
 	"bytes"
+	"errors"
 	"hash/fnv"
 	"math/rand"
 	"net/netip"
@@ -91,15 +92,18 @@ func TestNameFastPathsMatchReference(t *testing.T) {
 }
 
 func TestValidateName(t *testing.T) {
-	if err := ValidateName("example.com"); err != nil {
+	if err := validateCanonical("example.com."); err != nil {
 		t.Errorf("valid name rejected: %v", err)
 	}
-	if err := ValidateName(strings.Repeat("a", 64) + ".com"); err == nil {
+	if err := validateCanonical(strings.Repeat("a", 64) + ".com."); err == nil {
 		t.Error("overlong label accepted")
 	}
 	long := strings.Repeat("aaaaaaaaaa.", 26) // 286 bytes
-	if err := ValidateName(long); err == nil {
+	if err := validateCanonical(long); err == nil {
 		t.Error("overlong name accepted")
+	}
+	if _, err := packName(nil, long, nil); err == nil {
+		t.Error("packName accepted an overlong name")
 	}
 }
 
@@ -154,6 +158,25 @@ func TestUnpackNameLoopGuard(t *testing.T) {
 	}
 }
 
+// Unpack decodes a wire-format message into a new Message: the one-shot
+// decode of this package's tests. The program decodes with UnpackInto.
+func Unpack(b []byte) (*Message, error) {
+	m := new(Message)
+	if err := UnpackInto(m, b); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// wireName is name in uncompressed wire form, appended to prefix.
+func wireName(prefix []byte, name string) []byte {
+	b, err := packName(prefix, name, nil)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 func testRRs() []RR {
 	mustAddr := netip.MustParseAddr
 	var params svcb.Params
@@ -168,11 +191,11 @@ func testRRs() []RR {
 		{Name: "a.com.", Type: TypeSOA, Class: ClassINET, TTL: 3600, Data: &SOAData{
 			MName: "ns1.a.com.", RName: "hostmaster.a.com.", Serial: 2024010101,
 			Refresh: 7200, Retry: 3600, Expire: 1209600, Minimum: 300}},
-		{Name: "a.com.", Type: TypeTXT, Class: ClassINET, TTL: 300, Data: &TXTData{Strings: []string{"v=spf1 -all", "x"}}},
-		{Name: "a.com.", Type: TypeMX, Class: ClassINET, TTL: 300, Data: &MXData{Preference: 10, Host: "mx.a.com."}},
-		{Name: "_https._tcp.a.com.", Type: TypeSRV, Class: ClassINET, TTL: 300, Data: &SRVData{
-			Priority: 1, Weight: 5, Port: 443, Target: "a.com."}},
-		{Name: "sub.a.com.", Type: TypeDNAME, Class: ClassINET, TTL: 300, Data: &DNAMEData{Target: "other.net."}},
+		{Name: "a.com.", Type: TypeTXT, Class: ClassINET, TTL: 300, Data: &RawData{Bytes: []byte("\x0bv=spf1 -all\x01x")}},
+		{Name: "a.com.", Type: TypeMX, Class: ClassINET, TTL: 300, Data: &RawData{Bytes: wireName([]byte{0, 10}, "mx.a.com.")}},
+		{Name: "_https._tcp.a.com.", Type: TypeSRV, Class: ClassINET, TTL: 300, Data: &RawData{
+			Bytes: wireName([]byte{0, 1, 0, 5, 1, 0xbb}, "a.com.")}}, // priority 1, weight 5, port 443
+		{Name: "sub.a.com.", Type: TypeDNAME, Class: ClassINET, TTL: 300, Data: &RawData{Bytes: wireName(nil, "other.net.")}},
 		{Name: "a.com.", Type: TypeHTTPS, Class: ClassINET, TTL: 300, Data: &SVCBData{
 			Priority: 1, Target: ".", Params: params}},
 		{Name: "a.com.", Type: TypeHTTPS, Class: ClassINET, TTL: 300, Data: &SVCBData{
@@ -187,8 +210,8 @@ func testRRs() []RR {
 			TypeCovered: TypeHTTPS, Algorithm: AlgECDSAP256SHA256, Labels: 2,
 			OriginalTTL: 300, Expiration: 1700000000, Inception: 1690000000,
 			KeyTag: 4242, SignerName: "a.com.", Signature: bytes.Repeat([]byte{0xef}, 64)}},
-		{Name: "a.com.", Type: TypeNSEC, Class: ClassINET, TTL: 300, Data: &NSECData{
-			NextName: "b.a.com.", Types: []Type{TypeA, TypeRRSIG, TypeNSEC, TypeHTTPS}}},
+		{Name: "a.com.", Type: TypeNSEC, Class: ClassINET, TTL: 300, Data: &RawData{ // next name, then A RRSIG NSEC HTTPS
+			Bytes: append(wireName(nil, "b.a.com."), 0, 9, 0x40, 0, 0, 0, 0, 0x03, 0, 0, 0x40)}},
 	}
 }
 
@@ -309,21 +332,6 @@ func TestUnpackCorruptMessages(t *testing.T) {
 	}
 }
 
-func TestTCPFraming(t *testing.T) {
-	m := NewQuery(99, "tcp.example.com", TypeHTTPS, true)
-	var buf bytes.Buffer
-	if err := WriteTCP(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTCP(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ID != 99 || got.Question[0].Name != "tcp.example.com." {
-		t.Errorf("TCP round trip = %+v", got)
-	}
-}
-
 // TestFNV1aMatchesHashFNV: the helper the scanner's ECH key hash, the
 // world's per-domain seeds and the pool's member seeds are computed with
 // must equal hash/fnv's New64a bit for bit, on strings and bytes alike,
@@ -394,31 +402,6 @@ func TestKeyTagMatchesWireSum(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = keys[1].KeyTag() }); n != 0 {
 		t.Errorf("KeyTag allocated %v times", n)
-	}
-}
-
-func TestTypeBitmapRoundTrip(t *testing.T) {
-	types := []Type{TypeA, TypeNS, TypeSOA, TypeAAAA, TypeHTTPS, TypeRRSIG, Type(1234)}
-	wire, err := packTypeBitmap(nil, types)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := unpackTypeBitmap(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := append([]Type(nil), types...)
-	sortTypes(want)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("bitmap round trip = %v, want %v", got, want)
-	}
-}
-
-func sortTypes(ts []Type) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j-1] > ts[j]; j-- {
-			ts[j-1], ts[j] = ts[j], ts[j-1]
-		}
 	}
 }
 
@@ -506,5 +489,60 @@ func TestQuickCompressionCorrectness(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRawRDATARefusesCompressedNames pins what the decoder does with a
+// name-bearing RFC 1035 type it keeps raw (RFC 3597 §4): a name holding a
+// compression pointer is refused, because the copied pointer would aim into
+// whichever message re-packs the record — an MR whose RDATA is c0 0c, taken
+// as it stands, reads as the question's name in every answer it is served
+// in, "zzzz.longer-name.example." behind a longer question, not
+// "a.example.". A plain-label MX is kept and re-packs byte for byte. Both
+// hold for a fresh Message and for one recycled from a dirty decode.
+func TestRawRDATARefusesCompressedNames(t *testing.T) {
+	dirtyTmpl := NewQuery(7, "dirty.example", TypeMX, true).Reply()
+	dirtyTmpl.Answer = append(dirtyTmpl.Answer,
+		RR{Name: "dirty.example.", Type: TypeMX, Class: ClassINET, TTL: 60,
+			Data: &RawData{Bytes: wireName([]byte{0, 99}, "stale.leak-canary.example.")}},
+		RR{Name: "dirty.example.", Type: TypeHTTPS, Class: ClassINET, TTL: 60,
+			Data: &SVCBData{Priority: 1, Target: "svc.dirty.example."}})
+	dirtyWire, err := dirtyTmpl.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const typeMR = Type(9)
+	for _, into := range []string{"fresh", "dirty"} {
+		decode := func(wire []byte) (*Message, error) {
+			m := new(Message)
+			if into == "dirty" {
+				if err := UnpackInto(m, dirtyWire); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return m, UnpackInto(m, wire)
+		}
+		for _, c := range []struct {
+			what string
+			wire []byte
+		}{
+			{"MR c0 0c", rawAnswerWire(typeMR, []byte{0xc0, 0x0c})},
+			{"MX mx + pointer", rawAnswerWire(TypeMX, mxPointer)},
+		} {
+			if m, err := decode(c.wire); !errors.Is(err, ErrBadPointer) {
+				t.Errorf("%s, %s: error %v, want ErrBadPointer; decoded %v", into, c.what, err, m.Answer)
+			}
+		}
+		wire := rawAnswerWire(TypeMX, mxPlain)
+		m, err := decode(wire)
+		if err != nil {
+			t.Fatalf("%s, plain MX: %v", into, err)
+		}
+		if d, ok := m.Answer[0].Data.(*RawData); !ok || !bytes.Equal(d.Bytes, mxPlain) {
+			t.Errorf("%s, plain MX decoded to %#v, want RawData %x", into, m.Answer[0].Data, mxPlain)
+		}
+		if got, err := m.AppendPack(nil); err != nil || !bytes.Equal(got, wire) {
+			t.Errorf("%s, plain MX re-packs to %x (%v), want %x", into, got, err, wire)
+		}
 	}
 }

@@ -1,18 +1,29 @@
 // Package dnswire implements the DNS message wire format (RFC 1035 and
-// friends): header, questions, resource records, name compression, EDNS(0),
-// and the record types needed by the HTTPS-RR measurement framework,
-// including SVCB/HTTPS (RFC 9460) and the DNSSEC record types (RFC 4034).
+// friends): header, questions, resource records, name compression and
+// EDNS(0), for the record types the HTTPS-RR measurement framework speaks.
+//
+// # Record types
+//
+// The codec models A, AAAA, CNAME, NS, SOA, SVCB and HTTPS (RFC 9460), the
+// DNSSEC types DS, DNSKEY and RRSIG (RFC 4034), and the OPT pseudo-record.
+// Every other type decodes to RawData, its RDATA copied byte for byte and
+// re-packed as it came (RFC 3597). That is safe for every type but the
+// RFC 1035 ones whose RDATA holds a name a server may compress: MD, MF, MB,
+// MG, MR, PTR, MINFO and MX (RFC 3597 §4). A copied compression pointer
+// aims into whichever message re-packs the record, so a raw RDATA of those
+// types whose name holds one is refused, failing the decode with
+// ErrBadPointer; a plain-label name is kept. Names inside RDATA are
+// compressed on the way out only for CNAME, NS and SOA.
 //
 // # Reuse APIs
 //
-// The message codec comes in two forms: a convenience form that
-// allocates its result (Pack, Unpack) and a reuse form that appends into
-// or decodes into caller-owned storage (AppendPack, UnpackInto). The
-// serving layer's hot path uses only the reuse forms; the convenience
-// forms are thin wrappers kept for one-shot callers. The DoH GET
-// parameter codec exists in the reuse form only (AppendEncodeDoHParam,
-// DecodeDoHParamInto); the parameter travels as bytes aliasing the
-// encoder's scratch, never as a string.
+// Packing comes in two forms: Pack allocates its result, for one-shot
+// callers, and AppendPack appends into caller-owned storage. Decoding has
+// one form, UnpackInto, which decodes into a caller-owned Message; a
+// one-shot decode passes a new(Message). The serving layer's hot path uses
+// only AppendPack and UnpackInto. The DoH GET parameter codec exists in the
+// reuse form only (AppendEncodeDoHParam, DecodeDoHParamInto); the parameter
+// travels as bytes aliasing the encoder's scratch, never as a string.
 //
 // AppendPack(dst) appends the encoded message to dst and returns the
 // extended slice, amortising to zero allocations when the caller
@@ -24,9 +35,9 @@
 // whose types line up slot-for-slot with what the backing array holds:
 // byte slices are overwritten in place, and name strings are reused when
 // the bytes match. Slots come from each array's capacity, not from the
-// previous decode's length — sections, SvcParams, TXT strings and EDNS
-// options alike — so a short message between two long ones leaves the
-// long shape's storage in place. Names that do change are deduplicated
+// previous decode's length — sections, SvcParams and EDNS options alike —
+// so a short message between two long ones leaves the long shape's
+// storage in place. Names that do change are deduplicated
 // twice — within the message (compression-pointer reuse yields one
 // shared string) and across messages, via a bounded intern table that
 // rides the pooled decode scratch, so a steady-state decode whose names

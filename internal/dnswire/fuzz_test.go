@@ -58,7 +58,27 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	for _, bad := range badLabelWires(t) {
 		seeds = append(seeds, bad.wire)
 	}
+	// MX answers kept raw: one whose exchange name is plain labels, and one
+	// whose name ends in a compression pointer to the question.
+	seeds = append(seeds, rawAnswerWire(TypeMX, mxPlain), rawAnswerWire(TypeMX, mxPointer))
 	return seeds
+}
+
+// The RDATA of two MX records for the question a.example.: the exchange
+// mx.a.example. as plain labels, and as "mx" plus a pointer to the question.
+var (
+	mxPlain   = []byte{0, 10, 2, 'm', 'x', 1, 'a', 7, 'e', 'x', 'a', 'm', 'p', 'l', 'e', 0}
+	mxPointer = []byte{0, 10, 2, 'm', 'x', 0xc0, 0x0c}
+)
+
+// rawAnswerWire is a response to the question a.example. of type t with one
+// answer of that type and RDATA rd, its owner a pointer to the question: the
+// bytes AppendPack makes of the decoded message when rd is self-contained.
+func rawAnswerWire(t Type, rd []byte) []byte {
+	w := []byte{0, 1, 0x81, 0x80, 0, 1, 0, 1, 0, 0, 0, 0} // ID 1, QR RD RA, one question, one answer
+	w = append(w, 1, 'a', 7, 'e', 'x', 'a', 'm', 'p', 'l', 'e', 0, byte(t>>8), byte(t), 0, 1)
+	w = append(w, 0xc0, 0x0c, byte(t>>8), byte(t), 0, 1, 0, 0, 0, 60, byte(len(rd)>>8), byte(len(rd)))
+	return append(w, rd...)
 }
 
 // badLabelWires are well-formed queries but for one QNAME label byte
@@ -129,47 +149,6 @@ func FuzzUnpack(f *testing.F) {
 	})
 }
 
-// FuzzReadTCP drives the RFC 1035 §4.2.2 two-byte length framing with
-// arbitrary streams: malformed prefixes, short bodies, and trailing
-// garbage must come back as errors, never panics or over-reads.
-func FuzzReadTCP(f *testing.F) {
-	for _, s := range fuzzSeeds(f) {
-		framed := make([]byte, 2+len(s))
-		binary.BigEndian.PutUint16(framed, uint16(len(s)))
-		copy(framed[2:], s)
-		f.Add(framed)
-		// Length prefix longer than the body.
-		lying := bytes.Clone(framed)
-		binary.BigEndian.PutUint16(lying, uint16(len(s))+40)
-		f.Add(lying)
-		// Length prefix shorter than the body: trailing garbage.
-		if len(s) > 4 {
-			short := bytes.Clone(framed)
-			binary.BigEndian.PutUint16(short, uint16(len(s))-4)
-			f.Add(short)
-		}
-	}
-	f.Add([]byte{0x00})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		m, err := ReadTCP(r)
-		if err != nil {
-			return
-		}
-		if m == nil {
-			t.Fatal("ReadTCP returned nil message with nil error")
-		}
-		// A parsed frame must round-trip through the writer.
-		var buf bytes.Buffer
-		if err := WriteTCP(&buf, m); err != nil {
-			return
-		}
-		if _, err := ReadTCP(bytes.NewReader(buf.Bytes())); err != nil {
-			t.Fatalf("rewritten frame failed to read back: %v", err)
-		}
-	})
-}
-
 // FuzzUnpackInto drives the pooled decode path with dirty reuse: every
 // input is decoded twice, once into a fresh Message and once into a
 // Message still holding a fully-populated prior answer (the recycled
@@ -190,16 +169,17 @@ func FuzzUnpackInto(f *testing.F) {
 		f.Add(s)
 	}
 	// The dirty template: an answered message with populated answer,
-	// authority-adjacent EDNS state, SVCB params and an RRSIG, so every reuse
-	// slot (questions, RR sections, RDATA values, the OPT record) holds stale
-	// content a leaky decode could surface. The template itself is a seed, so
-	// its RRSIG slot is decoded over from the start.
+	// authority-adjacent EDNS state, SVCB params, a raw TXT record (the
+	// RawData slot) and an RRSIG, so every reuse slot (questions, RR
+	// sections, RDATA values, the OPT record) holds stale content a leaky
+	// decode could surface. The template itself is a seed, so its RRSIG slot
+	// is decoded over from the start.
 	dirtyTmpl := NewQuery(7, "dirty.example", TypeHTTPS, true).Reply()
 	dirtyTmpl.Answer = append(dirtyTmpl.Answer,
 		RR{Name: "dirty.example.", Type: TypeHTTPS, Class: ClassINET, TTL: 300,
 			Data: &SVCBData{Priority: 1, Target: "svc.dirty.example."}},
 		RR{Name: "dirty.example.", Type: TypeTXT, Class: ClassINET, TTL: 60,
-			Data: &TXTData{Strings: []string{"stale-state", "leak-canary"}}},
+			Data: &RawData{Bytes: []byte("\x0bstale-state\x0bleak-canary")}},
 		rrsigRR(testRRSIG(bytes.Repeat([]byte{0x5a}, 64))),
 	)
 	dirtyWire, err := dirtyTmpl.Pack()

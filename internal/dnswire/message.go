@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 
@@ -308,11 +307,12 @@ func packRR(dst []byte, rr RR, cmap *compressionMap) ([]byte, error) {
 	lenOff := len(dst)
 	dst = append(dst, 0, 0) // rdlength placeholder
 	// Name compression inside RDATA is only allowed for the RFC 1035
-	// well-known types; others pack names uncompressed. Each RData
-	// implementation honours that by ignoring or using cmap.
+	// well-known types, and of those the codec models CNAME, NS and SOA;
+	// others pack names uncompressed. Each RData implementation honours
+	// that by ignoring or using cmap.
 	rdataCmap := cmap
 	switch rr.Type {
-	case TypeCNAME, TypeNS, TypePTR, TypeMX, TypeSOA:
+	case TypeCNAME, TypeNS, TypeSOA:
 		// compression permitted
 	default:
 		rdataCmap = nil
@@ -332,13 +332,7 @@ func packRR(dst []byte, rr RR, cmap *compressionMap) ([]byte, error) {
 // PackRR encodes a single record without message context (no compression).
 // This is the canonical form used for DNSSEC signing.
 func PackRR(rr RR) ([]byte, error) {
-	return AppendPackRR(nil, rr)
-}
-
-// AppendPackRR is PackRR appending to dst, for callers that pack a whole
-// RRset into one scratch buffer.
-func AppendPackRR(dst []byte, rr RR) ([]byte, error) {
-	return packRR(dst, rr, nil)
+	return packRR(nil, rr, nil)
 }
 
 // maxInternedNames bounds each pooled scratch's cross-message name
@@ -412,15 +406,6 @@ func unpackNameCached(sc *decodeScratch, msg []byte, off int, prev string) (stri
 		sc.intern[s] = s
 	}
 	return s, end, nil
-}
-
-// Unpack decodes a wire-format message.
-func Unpack(b []byte) (*Message, error) {
-	m := new(Message)
-	if err := UnpackInto(m, b); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 // UnpackInto decodes a wire-format message into m, reusing m's question and
@@ -572,40 +557,6 @@ func (m *Message) String() string {
 		}
 	}
 	return sb.String()
-}
-
-// WriteTCP writes the message to w with the 2-byte length prefix used by
-// DNS over TCP. The frame is assembled in a pooled buffer, so a steady
-// stream of writes allocates nothing.
-func WriteTCP(w io.Writer, m *Message) error {
-	bp := GetWireBuf()
-	defer PutWireBuf(bp)
-	buf := append(*bp, 0, 0)
-	buf, err := m.AppendPack(buf)
-	if err != nil {
-		return err
-	}
-	*bp = buf
-	if len(buf)-2 > 65535 {
-		return fmt.Errorf("dnswire: message exceeds TCP limit")
-	}
-	binary.BigEndian.PutUint16(buf, uint16(len(buf)-2))
-	_, err = w.Write(buf)
-	return err
-}
-
-// ReadTCP reads one length-prefixed DNS message from r.
-func ReadTCP(r io.Reader) (*Message, error) {
-	var lenBuf [2]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint16(lenBuf[:])
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return Unpack(buf)
 }
 
 // FNV1a is the 64-bit FNV-1a hash of b, the same value as hash/fnv's

@@ -102,19 +102,9 @@ func ApexOf(name string) string {
 	return name[strings.LastIndexByte(name[:tld], '.')+1:]
 }
 
-// ValidateName checks RFC 1035 length limits on a canonical name. It walks
-// the name in place — no label splitting — so the pack hot path stays
-// allocation-free.
-func ValidateName(name string) error {
-	name = CanonicalName(name)
-	if name == "." {
-		return nil
-	}
-	return validateCanonical(name)
-}
-
-// validateCanonical applies the RFC 1035 limits to an already-canonical,
-// non-root, dot-terminated name.
+// validateCanonical applies the RFC 1035 length limits to an
+// already-canonical, non-root, dot-terminated name. It walks the name in
+// place — no label splitting — so the pack hot path stays allocation-free.
 func validateCanonical(name string) error {
 	total := 1 // root byte
 	for pos := 0; pos < len(name); {
@@ -134,7 +124,7 @@ func validateCanonical(name string) error {
 	return nil
 }
 
-// validateNameBytes is ValidateName over the byte form a wire decode
+// validateNameBytes is validateCanonical over the byte form a wire decode
 // produces (lower-case, dot-terminated), avoiding the string conversion.
 func validateNameBytes(name []byte) error {
 	if len(name) == 1 && name[0] == '.' {

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"net/netip"
-	"sort"
 	"strings"
 	"sync"
 
@@ -79,15 +78,6 @@ func (d *CNAMEData) pack(dst []byte, cmap *compressionMap) ([]byte, error) {
 func (d *CNAMEData) clone() RData   { c := *d; return &c }
 func (d *CNAMEData) String() string { return CanonicalName(d.Target) }
 
-// DNAMEData redirects the subtree under the owner to Target.
-type DNAMEData struct{ Target string }
-
-func (d *DNAMEData) pack(dst []byte, _ *compressionMap) ([]byte, error) {
-	return packName(dst, d.Target, nil)
-}
-func (d *DNAMEData) clone() RData   { c := *d; return &c }
-func (d *DNAMEData) String() string { return CanonicalName(d.Target) }
-
 // NSData names an authoritative name server for the owner zone.
 type NSData struct{ Host string }
 
@@ -96,28 +86,6 @@ func (d *NSData) pack(dst []byte, cmap *compressionMap) ([]byte, error) {
 }
 func (d *NSData) clone() RData   { c := *d; return &c }
 func (d *NSData) String() string { return CanonicalName(d.Host) }
-
-// PTRData maps an address back to a name.
-type PTRData struct{ Target string }
-
-func (d *PTRData) pack(dst []byte, cmap *compressionMap) ([]byte, error) {
-	return packName(dst, d.Target, cmap)
-}
-func (d *PTRData) clone() RData   { c := *d; return &c }
-func (d *PTRData) String() string { return CanonicalName(d.Target) }
-
-// MXData is a mail exchanger record.
-type MXData struct {
-	Preference uint16
-	Host       string
-}
-
-func (d *MXData) pack(dst []byte, cmap *compressionMap) ([]byte, error) {
-	dst = binary.BigEndian.AppendUint16(dst, d.Preference)
-	return packName(dst, d.Host, cmap)
-}
-func (d *MXData) clone() RData   { c := *d; return &c }
-func (d *MXData) String() string { return fmt.Sprintf("%d %s", d.Preference, CanonicalName(d.Host)) }
 
 // SOAData holds the start-of-authority parameters of a zone.
 type SOAData struct {
@@ -151,52 +119,6 @@ func (d *SOAData) clone() RData { c := *d; return &c }
 func (d *SOAData) String() string {
 	return fmt.Sprintf("%s %s %d %d %d %d %d", CanonicalName(d.MName), CanonicalName(d.RName),
 		d.Serial, d.Refresh, d.Retry, d.Expire, d.Minimum)
-}
-
-// TXTData carries one or more character-strings.
-type TXTData struct{ Strings []string }
-
-func (d *TXTData) pack(dst []byte, _ *compressionMap) ([]byte, error) {
-	if len(d.Strings) == 0 {
-		return nil, fmt.Errorf("dnswire: TXT record requires at least one string")
-	}
-	for _, s := range d.Strings {
-		if len(s) > 255 {
-			return nil, fmt.Errorf("dnswire: TXT string exceeds 255 bytes")
-		}
-		dst = append(dst, byte(len(s)))
-		dst = append(dst, s...)
-	}
-	return dst, nil
-}
-func (d *TXTData) clone() RData {
-	return &TXTData{Strings: append([]string(nil), d.Strings...)}
-}
-func (d *TXTData) String() string {
-	parts := make([]string, len(d.Strings))
-	for i, s := range d.Strings {
-		parts[i] = fmt.Sprintf("%q", s)
-	}
-	return strings.Join(parts, " ")
-}
-
-// SRVData locates a service endpoint (RFC 2782).
-type SRVData struct {
-	Priority uint16
-	Weight   uint16
-	Port     uint16
-	Target   string
-}
-
-func (d *SRVData) pack(dst []byte, _ *compressionMap) ([]byte, error) {
-	dst = binary.BigEndian.AppendUint16(dst, d.Priority)
-	dst = binary.BigEndian.AppendUint16(dst, d.Weight)
-	dst = binary.BigEndian.AppendUint16(dst, d.Port)
-	return packName(dst, d.Target, nil)
-}
-func (d *SRVData) clone() RData { c := *d; return &c }
-func (d *SRVData) String() string {
-	return fmt.Sprintf("%d %d %d %s", d.Priority, d.Weight, d.Port, CanonicalName(d.Target))
 }
 
 // SVCBData is the RDATA shared by SVCB and HTTPS records (RFC 9460).
@@ -371,95 +293,6 @@ func (d *RRSIGData) String() string {
 		base64.StdEncoding.EncodeToString(d.SignatureBytes()))
 }
 
-// NSECData is an authenticated-denial record naming the next owner and the
-// types present at this owner.
-type NSECData struct {
-	NextName string
-	Types    []Type
-}
-
-func (d *NSECData) pack(dst []byte, _ *compressionMap) ([]byte, error) {
-	var err error
-	dst, err = packName(dst, d.NextName, nil)
-	if err != nil {
-		return nil, err
-	}
-	return packTypeBitmap(dst, d.Types)
-}
-func (d *NSECData) clone() RData {
-	return &NSECData{NextName: d.NextName, Types: append([]Type(nil), d.Types...)}
-}
-func (d *NSECData) String() string {
-	parts := []string{CanonicalName(d.NextName)}
-	for _, t := range d.Types {
-		parts = append(parts, t.String())
-	}
-	return strings.Join(parts, " ")
-}
-
-func packTypeBitmap(dst []byte, types []Type) ([]byte, error) {
-	if len(types) == 0 {
-		return dst, nil
-	}
-	sorted := append([]Type(nil), types...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	// Group by window (high byte).
-	window := -1
-	var bitmap [32]byte
-	maxOctet := 0
-	flush := func() {
-		if window >= 0 {
-			dst = append(dst, byte(window), byte(maxOctet))
-			dst = append(dst, bitmap[:maxOctet]...)
-		}
-		bitmap = [32]byte{}
-		maxOctet = 0
-	}
-	for _, t := range sorted {
-		w := int(t >> 8)
-		if w != window {
-			flush()
-			window = w
-		}
-		lo := int(t & 0xff)
-		bitmap[lo/8] |= 0x80 >> (lo % 8)
-		if lo/8+1 > maxOctet {
-			maxOctet = lo/8 + 1
-		}
-	}
-	flush()
-	return dst, nil
-}
-
-func unpackTypeBitmap(b []byte) ([]Type, error) {
-	return unpackTypeBitmapInto(nil, b)
-}
-
-// unpackTypeBitmapInto appends the decoded types to the (possibly recycled)
-// types slice.
-func unpackTypeBitmapInto(types []Type, b []byte) ([]Type, error) {
-	for len(b) > 0 {
-		if len(b) < 2 {
-			return nil, fmt.Errorf("dnswire: truncated type bitmap")
-		}
-		window := int(b[0])
-		octets := int(b[1])
-		b = b[2:]
-		if octets == 0 || octets > 32 || len(b) < octets {
-			return nil, fmt.Errorf("dnswire: invalid type bitmap window length %d", octets)
-		}
-		for i := 0; i < octets; i++ {
-			for bit := 0; bit < 8; bit++ {
-				if b[i]&(0x80>>bit) != 0 {
-					types = append(types, Type(window<<8|i*8+bit))
-				}
-			}
-		}
-		b = b[octets:]
-	}
-	return types, nil
-}
-
 // OPTData is the EDNS(0) pseudo-record RDATA (options only; the UDP size and
 // extended flags live in the RR header fields, handled by Message).
 type OPTData struct {
@@ -489,7 +322,8 @@ func (d *OPTData) clone() RData {
 }
 func (d *OPTData) String() string { return fmt.Sprintf("OPT(%d options)", len(d.Options)) }
 
-// RawData carries RDATA of record types the codec does not model (RFC 3597).
+// RawData carries RDATA of record types the codec does not model (RFC 3597),
+// byte for byte; see checkRawNames for the one kind it refuses.
 type RawData struct{ Bytes []byte }
 
 func (d *RawData) pack(dst []byte, _ *compressionMap) ([]byte, error) {
@@ -500,21 +334,12 @@ func (d *RawData) String() string {
 	return fmt.Sprintf("\\# %d %s", len(d.Bytes), hex.EncodeToString(d.Bytes))
 }
 
-// reuseString returns prev when it equals the bytes of b (no allocation),
-// otherwise mints a new string.
-func reuseString(prev string, b []byte) string {
-	if prev == string(b) {
-		return prev
-	}
-	return string(b)
-}
-
 // unpackRDataInto decodes the RDATA of the given type from
 // msg[off:off+rdlen]. msg is the full message so compressed names can be
 // followed. When prev (the RDATA occupying this slot in a recycled Message)
 // has the matching concrete type, its value is updated in place — byte
-// slices, string sets, and name strings are reused so re-decoding an
-// unchanged record allocates nothing.
+// slices and name strings are reused so re-decoding an unchanged record
+// allocates nothing.
 func unpackRDataInto(t Type, msg []byte, off, rdlen int, prev RData, sc *decodeScratch) (RData, error) {
 	end := off + rdlen
 	if end > len(msg) {
@@ -542,17 +367,13 @@ func unpackRDataInto(t Type, msg []byte, off, rdlen int, prev RData, sc *decodeS
 			return d, nil
 		}
 		return &AAAAData{Addr: addr}, nil
-	case TypeCNAME, TypeNS, TypePTR, TypeDNAME:
+	case TypeCNAME, TypeNS:
 		var prevName string
 		switch d := prev.(type) {
 		case *CNAMEData:
 			prevName = d.Target
 		case *NSData:
 			prevName = d.Host
-		case *PTRData:
-			prevName = d.Target
-		case *DNAMEData:
-			prevName = d.Target
 		}
 		name, n, err := unpackNameCached(sc, msg, off, prevName)
 		if err != nil {
@@ -561,50 +382,18 @@ func unpackRDataInto(t Type, msg []byte, off, rdlen int, prev RData, sc *decodeS
 		if n != end {
 			return nil, fmt.Errorf("dnswire: %s RDATA has %d trailing bytes", t, end-n)
 		}
-		switch t {
-		case TypeCNAME:
+		if t == TypeCNAME {
 			if d, ok := prev.(*CNAMEData); ok {
 				d.Target = name
 				return d, nil
 			}
 			return &CNAMEData{Target: name}, nil
-		case TypeNS:
-			if d, ok := prev.(*NSData); ok {
-				d.Host = name
-				return d, nil
-			}
-			return &NSData{Host: name}, nil
-		case TypePTR:
-			if d, ok := prev.(*PTRData); ok {
-				d.Target = name
-				return d, nil
-			}
-			return &PTRData{Target: name}, nil
-		default:
-			if d, ok := prev.(*DNAMEData); ok {
-				d.Target = name
-				return d, nil
-			}
-			return &DNAMEData{Target: name}, nil
 		}
-	case TypeMX:
-		if rdlen < 3 {
-			return nil, fmt.Errorf("dnswire: MX RDATA too short")
+		if d, ok := prev.(*NSData); ok {
+			d.Host = name
+			return d, nil
 		}
-		d, ok := prev.(*MXData)
-		if !ok {
-			d = &MXData{}
-		}
-		pref := binary.BigEndian.Uint16(rd)
-		host, n, err := unpackNameCached(sc, msg, off+2, d.Host)
-		if err != nil {
-			return nil, err
-		}
-		if n != end {
-			return nil, fmt.Errorf("dnswire: MX RDATA has trailing bytes")
-		}
-		d.Preference, d.Host = pref, host
-		return d, nil
+		return &NSData{Host: name}, nil
 	case TypeSOA:
 		d, ok := prev.(*SOAData)
 		if !ok {
@@ -628,52 +417,6 @@ func unpackRDataInto(t Type, msg []byte, off, rdlen int, prev RData, sc *decodeS
 		d.Retry = binary.BigEndian.Uint32(f[8:])
 		d.Expire = binary.BigEndian.Uint32(f[12:])
 		d.Minimum = binary.BigEndian.Uint32(f[16:])
-		return d, nil
-	case TypeTXT:
-		d, ok := prev.(*TXTData)
-		if !ok {
-			d = &TXTData{}
-		}
-		prevStrs := d.Strings[:cap(d.Strings)]
-		strs := d.Strings[:0]
-		b := rd
-		for len(b) > 0 {
-			n := int(b[0])
-			b = b[1:]
-			if len(b) < n {
-				return nil, fmt.Errorf("dnswire: truncated TXT string")
-			}
-			var old string
-			if len(strs) < len(prevStrs) {
-				old = prevStrs[len(strs)]
-			}
-			strs = append(strs, reuseString(old, b[:n]))
-			b = b[n:]
-		}
-		if len(strs) == 0 {
-			return nil, fmt.Errorf("dnswire: empty TXT RDATA")
-		}
-		d.Strings = strs
-		return d, nil
-	case TypeSRV:
-		if rdlen < 7 {
-			return nil, fmt.Errorf("dnswire: SRV RDATA too short")
-		}
-		d, ok := prev.(*SRVData)
-		if !ok {
-			d = &SRVData{}
-		}
-		target, n, err := unpackNameCached(sc, msg, off+6, d.Target)
-		if err != nil {
-			return nil, err
-		}
-		if n != end {
-			return nil, fmt.Errorf("dnswire: SRV RDATA has trailing bytes")
-		}
-		d.Priority = binary.BigEndian.Uint16(rd)
-		d.Weight = binary.BigEndian.Uint16(rd[2:])
-		d.Port = binary.BigEndian.Uint16(rd[4:])
-		d.Target = target
 		return d, nil
 	case TypeSVCB, TypeHTTPS:
 		if rdlen < 3 {
@@ -751,24 +494,6 @@ func unpackRDataInto(t Type, msg []byte, off, rdlen int, prev RData, sc *decodeS
 			d.deferred, d.sign, d.once = false, nil, sync.Once{}
 		}
 		return d, nil
-	case TypeNSEC:
-		d, ok := prev.(*NSECData)
-		if !ok {
-			d = &NSECData{}
-		}
-		next, n, err := unpackNameCached(sc, msg, off, d.NextName)
-		if err != nil {
-			return nil, err
-		}
-		if n > end {
-			return nil, fmt.Errorf("dnswire: NSEC next name overruns RDATA")
-		}
-		types, err := unpackTypeBitmapInto(d.Types[:0], msg[n:end])
-		if err != nil {
-			return nil, err
-		}
-		d.NextName, d.Types = next, types
-		return d, nil
 	case TypeOPT:
 		d, ok := prev.(*OPTData)
 		if !ok {
@@ -797,6 +522,9 @@ func unpackRDataInto(t Type, msg []byte, off, rdlen int, prev RData, sc *decodeS
 		d.Options = opts
 		return d, nil
 	default:
+		if err := checkRawNames(t, rd); err != nil {
+			return nil, err
+		}
 		d, ok := prev.(*RawData)
 		if !ok {
 			d = &RawData{}
@@ -804,4 +532,37 @@ func unpackRDataInto(t Type, msg []byte, off, rdlen int, prev RData, sc *decodeS
 		d.Bytes = append(d.Bytes[:0], rd...)
 		return d, nil
 	}
+}
+
+// checkRawNames refuses the RDATA of an RFC 1035 name-bearing type the codec
+// keeps raw — MD, MF, MB, MG, MR, PTR, MINFO, MX — when one of its names
+// holds a compression pointer. RFC 3597 §4 lets servers compress only these
+// types; copied raw, the pointer would aim into whichever message re-packs
+// the record. The walk follows plain labels at the type's fixed name offset
+// and stops at the RDATA's end: bytes without a pointer are self-contained.
+func checkRawNames(t Type, rd []byte) error {
+	off, names := 0, 1
+	switch t {
+	case 3, 4, 7, 8, 9, TypePTR: // MD, MF, MB, MG, MR
+	case 14: // MINFO: two mailbox names
+		names = 2
+	case TypeMX:
+		off = 2 // after the preference
+	default:
+		return nil
+	}
+	for ; names > 0 && off < len(rd); names-- {
+		for off < len(rd) && rd[off] != 0 {
+			switch rd[off] & 0xc0 {
+			case 0:
+			case 0xc0:
+				return fmt.Errorf("dnswire: %s RDATA kept raw holds a compression pointer: %w", t, ErrBadPointer)
+			default:
+				return fmt.Errorf("dnswire: reserved label type %#x", rd[off]&0xc0)
+			}
+			off += 1 + int(rd[off])
+		}
+		off++
+	}
+	return nil
 }

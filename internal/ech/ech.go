@@ -103,9 +103,9 @@ func (c Config) Marshal() []byte {
 	return append(b, contents...)
 }
 
-// MarshalList encodes a list of configs as an ECHConfigList, the format
+// marshalList encodes a list of configs as an ECHConfigList, the format
 // carried in the ech SvcParam.
-func MarshalList(configs []Config) []byte {
+func marshalList(configs []Config) []byte {
 	var inner []byte
 	for _, c := range configs {
 		inner = append(inner, c.Marshal()...)
@@ -327,11 +327,11 @@ func generateX25519(rng io.Reader) (*ecdh.PrivateKey, error) {
 	return ecdh.X25519().NewPrivateKey(scalar[:])
 }
 
-// GenerateKeyPair creates a fresh X25519 key pair and its ECHConfig for the
+// generateKeyPair creates a fresh X25519 key pair and its ECHConfig for the
 // given config ID and public name. rng may be nil, in which case
 // crypto/rand.Reader is used; a deterministic rng yields a deterministic
 // key pair.
-func GenerateKeyPair(rng io.Reader, configID uint8, publicName string) (*KeyPair, error) {
+func generateKeyPair(rng io.Reader, configID uint8, publicName string) (*KeyPair, error) {
 	if rng == nil {
 		rng = rand.Reader
 	}

@@ -15,15 +15,15 @@ import (
 func testRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 func TestConfigListRoundTrip(t *testing.T) {
-	kp1, err := GenerateKeyPair(testRNG(1), 7, "cloudflare-ech.com")
+	kp1, err := generateKeyPair(testRNG(1), 7, "cloudflare-ech.com")
 	if err != nil {
 		t.Fatal(err)
 	}
-	kp2, err := GenerateKeyPair(testRNG(2), 8, "provider.example")
+	kp2, err := generateKeyPair(testRNG(2), 8, "provider.example")
 	if err != nil {
 		t.Fatal(err)
 	}
-	list := MarshalList([]Config{kp1.Config, kp2.Config})
+	list := marshalList([]Config{kp1.Config, kp2.Config})
 	got, err := UnmarshalList(list)
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 }
 
 func TestUnmarshalSkipsUnknownVersion(t *testing.T) {
-	kp, _ := GenerateKeyPair(testRNG(3), 1, "pub.example")
+	kp, _ := generateKeyPair(testRNG(3), 1, "pub.example")
 	known := kp.Config.Marshal()
 	unknown := []byte{0xfe, 0x0a, 0x00, 0x02, 0xaa, 0xbb} // version fe0a, 2 bytes
 	inner := append(unknown, known...)
@@ -103,11 +103,11 @@ func TestSelectConfigNoSupported(t *testing.T) {
 // SelectConfig does from the same list, its slices point into the list,
 // and it allocates nothing.
 func TestSelectInPlaceAliasesTheList(t *testing.T) {
-	kp1, _ := GenerateKeyPair(testRNG(1), 7, "cloudflare-ech.com")
-	kp2, _ := GenerateKeyPair(testRNG(2), 8, "provider.example")
+	kp1, _ := generateKeyPair(testRNG(1), 7, "cloudflare-ech.com")
+	kp2, _ := generateKeyPair(testRNG(2), 8, "provider.example")
 	unsupported := kp1.Config.Clone()
 	unsupported.CipherSuites = []CipherSuite{{KDF: 2, AEAD: 3}}
-	list := MarshalList([]Config{unsupported, kp2.Config, kp1.Config})
+	list := marshalList([]Config{unsupported, kp2.Config, kp1.Config})
 	ref, err := SelectInPlace(list)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestSelectInPlaceAliasesTheList(t *testing.T) {
 }
 
 func TestSealOpenRoundTrip(t *testing.T) {
-	kp, err := GenerateKeyPair(testRNG(4), 9, "cover.example")
+	kp, err := generateKeyPair(testRNG(4), 9, "cover.example")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +148,8 @@ func TestSealOpenRoundTrip(t *testing.T) {
 }
 
 func TestOpenWrongKeyFails(t *testing.T) {
-	kp1, _ := GenerateKeyPair(testRNG(6), 1, "pub.example")
-	kp2, _ := GenerateKeyPair(testRNG(7), 1, "pub.example")
+	kp1, _ := generateKeyPair(testRNG(6), 1, "pub.example")
+	kp2, _ := generateKeyPair(testRNG(7), 1, "pub.example")
 	enc, ct, err := Seal(testRNG(8), kp1.Config, []byte("aad"), []byte("secret"))
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestOpenWrongKeyFails(t *testing.T) {
 }
 
 func TestOpenWrongAADFails(t *testing.T) {
-	kp, _ := GenerateKeyPair(testRNG(9), 1, "pub.example")
+	kp, _ := generateKeyPair(testRNG(9), 1, "pub.example")
 	enc, ct, err := Seal(testRNG(10), kp.Config, []byte("aad-a"), []byte("secret"))
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestOpenWrongAADFails(t *testing.T) {
 }
 
 func TestSealTamperedCiphertextFails(t *testing.T) {
-	kp, _ := GenerateKeyPair(testRNG(11), 1, "pub.example")
+	kp, _ := generateKeyPair(testRNG(11), 1, "pub.example")
 	enc, ct, err := Seal(testRNG(12), kp.Config, nil, []byte("secret"))
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +307,7 @@ func TestConfigListMarshalsOncePerEpoch(t *testing.T) {
 	start := time.Unix(0, 0)
 	km, _ := NewKeyManager(testRNG(22), "x.example", time.Hour, 2*time.Hour, start)
 	first := km.ConfigList(start)
-	if want := MarshalList([]Config{km.CurrentConfig(start)}); !bytes.Equal(first, want) {
+	if want := marshalList([]Config{km.CurrentConfig(start)}); !bytes.Equal(first, want) {
 		t.Fatalf("ConfigList = %x, want the marshalled current config %x", first, want)
 	}
 	later := start.Add(59 * time.Minute)
@@ -334,7 +334,7 @@ func TestConfigListMarshalsOncePerEpoch(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				at := start.Add(time.Duration(i%8) * 30 * time.Minute)
-				if want := MarshalList([]Config{km.CurrentConfig(at)}); !bytes.Equal(km.ConfigList(at), want) {
+				if want := marshalList([]Config{km.CurrentConfig(at)}); !bytes.Equal(km.ConfigList(at), want) {
 					t.Errorf("ConfigList at +%v differs from the marshalled current config", at.Sub(start))
 					return
 				}
@@ -346,7 +346,7 @@ func TestConfigListMarshalsOncePerEpoch(t *testing.T) {
 
 // Property: Seal/Open round-trips for arbitrary payloads and AADs.
 func TestQuickSealOpen(t *testing.T) {
-	kp, err := GenerateKeyPair(testRNG(19), 1, "pub.example")
+	kp, err := generateKeyPair(testRNG(19), 1, "pub.example")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,13 +370,13 @@ func TestQuickConfigListRoundTrip(t *testing.T) {
 		n := int(nConfigs%3) + 1
 		var configs []Config
 		for i := 0; i < n; i++ {
-			kp, err := GenerateKeyPair(rng, uint8(i), "pub.example")
+			kp, err := generateKeyPair(rng, uint8(i), "pub.example")
 			if err != nil {
 				return false
 			}
 			configs = append(configs, kp.Config)
 		}
-		list := MarshalList(configs)
+		list := marshalList(configs)
 		got, err := UnmarshalList(list)
 		if err != nil || len(got) != n {
 			return false

@@ -24,7 +24,7 @@ func FuzzUnmarshalList(f *testing.F) {
 	}
 	list := km.ConfigList(start)
 	cur := km.CurrentConfig(start)
-	two := MarshalList([]Config{cur, km.CurrentConfig(start.Add(time.Hour))})
+	two := marshalList([]Config{cur, km.CurrentConfig(start.Add(time.Hour))})
 	f.Add(list)
 	f.Add(two)
 	f.Add(list[:len(list)-1]) // truncated: the list length now lies
@@ -38,7 +38,7 @@ func FuzzUnmarshalList(f *testing.F) {
 	}
 	unsupported := cur.Clone()
 	unsupported.ConfigID, unsupported.CipherSuites = 9, []CipherSuite{{KDF: 2, AEAD: 3}}
-	f.Add(MarshalList([]Config{unsupported, cur})) // an unsupported config, then a supported one
+	f.Add(marshalList([]Config{unsupported, cur})) // an unsupported config, then a supported one
 	unknown := []byte{0xfe, 0x0a, 0, 2, 0xaa, 0xbb}
 	f.Add(withListLength(unknown))                                            // an unknown-version config alone
 	f.Add(withListLength(append(bytes.Clone(list[2:]), 0xfe, 0x0d, 0, 1, 7))) // a malformed config after a supported one
@@ -65,7 +65,7 @@ func FuzzUnmarshalList(f *testing.F) {
 				return
 			}
 		}
-		if again := MarshalList(configs); !bytes.Equal(again, data) {
+		if again := marshalList(configs); !bytes.Equal(again, data) {
 			t.Fatalf("accepted %x re-marshals to %x", data, again)
 		}
 	})

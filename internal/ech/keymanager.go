@@ -86,7 +86,7 @@ func (km *KeyManager) keyFor(e int64) *epochKey {
 		return k
 	}
 	rng := mathrand.New(mathrand.NewSource(km.seed ^ e*0x9e3779b97f4a7c))
-	kp, err := GenerateKeyPair(rng, uint8(e&0xff), km.publicName)
+	kp, err := generateKeyPair(rng, uint8(e&0xff), km.publicName)
 	if err != nil {
 		return nil
 	}
@@ -103,7 +103,7 @@ func (km *KeyManager) ConfigList(now time.Time) []byte {
 	defer km.mu.Unlock()
 	k := km.keyFor(km.epochAt(now))
 	if k.list == nil {
-		k.list = MarshalList([]Config{k.Config})
+		k.list = marshalList([]Config{k.Config})
 	}
 	return k.list
 }

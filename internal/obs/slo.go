@@ -133,9 +133,9 @@ type WindowBurn struct {
 	Report SLOReport
 }
 
-// DefaultBurnWindows is the demo window ladder, scaled to drills that
+// defaultBurnWindows is the demo window ladder, scaled to drills that
 // span virtual minutes to hours.
-func DefaultBurnWindows() []time.Duration {
+func defaultBurnWindows() []time.Duration {
 	return []time.Duration{5 * time.Minute, 30 * time.Minute, 2 * time.Hour}
 }
 
@@ -148,7 +148,7 @@ func DefaultBurnWindows() []time.Duration {
 // so per-window stats are true deltas, latency histogram included; a
 // window older than the whole series has no such sample and judges the
 // cumulative stats — correct for drills shorter than the window. Empty
-// windows select DefaultBurnWindows. Returns nil when there is no
+// windows select defaultBurnWindows. Returns nil when there is no
 // sample at all.
 func Burn(slo SLO, base *Snapshot, points []Point, windows ...time.Duration) []WindowBurn {
 	samples := make([]Point, 0, len(points)+1)
@@ -160,7 +160,7 @@ func Burn(slo SLO, base *Snapshot, points []Point, windows ...time.Duration) []W
 		return nil
 	}
 	if len(windows) == 0 {
-		windows = DefaultBurnWindows()
+		windows = defaultBurnWindows()
 	}
 	latest := samples[len(samples)-1]
 	out := make([]WindowBurn, 0, len(windows))

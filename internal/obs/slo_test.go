@@ -148,8 +148,8 @@ func TestBurnCumulativeFallback(t *testing.T) {
 		"point-only": {nil, []Point{point}, 15},
 	} {
 		burns := Burn(DefaultSLO(), tc.base, tc.points) // default windows
-		if len(burns) != len(DefaultBurnWindows()) {
-			t.Fatalf("%s: %d windows, want the default %d", name, len(burns), len(DefaultBurnWindows()))
+		if len(burns) != len(defaultBurnWindows()) {
+			t.Fatalf("%s: %d windows, want the default %d", name, len(burns), len(defaultBurnWindows()))
 		}
 		// A run shorter than every window judges the cumulative stats.
 		for _, b := range burns {

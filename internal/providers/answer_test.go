@@ -449,7 +449,7 @@ func TestReferralShape(t *testing.T) {
 // DO together must all come away with the one signature its box made, not
 // each with its own.
 func TestTLDSignsOncePerRRset(t *testing.T) {
-	srv := NewTLDServer("test.", simnet.NewAllocator().AllocV4("nic"), simnet.NewClock(answerTime), 1)
+	srv := newTLDServer("test.", simnet.NewAllocator().AllocV4("nic"), simnet.NewClock(answerTime), 1)
 	const workers = 8
 	got := make([]*dnswire.RRSIGData, workers)
 	var start, done sync.WaitGroup

@@ -177,9 +177,9 @@ var nonCFWeights = []providerWeight{
 	{"gandi", 3}, {"cloudns", 3}, {"gentoo", 1}, {"sone", 7},
 }
 
-// ScaleCount converts an absolute 1M-scale count to the simulation scale,
+// scaleCount converts an absolute 1M-scale count to the simulation scale,
 // flooring at 1 so qualitative populations survive.
-func ScaleCount(count, size int) int {
+func scaleCount(count, size int) int {
 	scaled := count * size / 1_000_000
 	if scaled < 1 && count > 0 {
 		return 1

@@ -14,8 +14,8 @@ func TestScaleCount(t *testing.T) {
 		{0, 20_000, 0},
 	}
 	for _, c := range cases {
-		if got := ScaleCount(c.count, c.size); got != c.want {
-			t.Errorf("ScaleCount(%d, %d) = %d, want %d", c.count, c.size, got, c.want)
+		if got := scaleCount(c.count, c.size); got != c.want {
+			t.Errorf("scaleCount(%d, %d) = %d, want %d", c.count, c.size, got, c.want)
 		}
 	}
 }

@@ -91,9 +91,9 @@ func (p *Provider) soaData(day int64) *dnswire.SOAData {
 	return data
 }
 
-// NewProvider creates a provider with n name servers, allocating addresses
+// newProvider creates a provider with n name servers, allocating addresses
 // from alloc under the provider's org.
-func NewProvider(name string, alloc *simnet.Allocator, clock *simnet.Clock, supportsHTTPS bool, start time.Time) *Provider {
+func newProvider(name string, alloc *simnet.Allocator, clock *simnet.Clock, supportsHTTPS bool, start time.Time) *Provider {
 	infra := strings.ToLower(name) + "-dns-sim.com."
 	p := &Provider{
 		Name:          name,

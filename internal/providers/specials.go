@@ -110,9 +110,9 @@ func (w *World) assignIntermittency(rng *rand.Rand, pool []*DomainState) {
 		totalIntermittent = 4
 	}
 	sameNS := int(float64(totalIntermittent) * intermittentSameNSShare)
-	switchAway := ScaleCount(switchAwayCount, w.Cfg.Size)
-	multiMix := ScaleCount(multiProviderMixCount, w.Cfg.Size)
-	noNS := ScaleCount(20, w.Cfg.Size)
+	switchAway := scaleCount(switchAwayCount, w.Cfg.Size)
+	multiMix := scaleCount(multiProviderMixCount, w.Cfg.Size)
+	noNS := scaleCount(20, w.Cfg.Size)
 	multiNS := totalIntermittent - sameNS - switchAway - noNS
 	if multiNS < multiMix {
 		multiNS = multiMix
@@ -170,7 +170,7 @@ func (w *World) assignMismatches(rng *rand.Rand, pool []*DomainState) {
 	if late < 8 {
 		late = 8
 	}
-	persistent := ScaleCount(persistentMismatchCount, w.Cfg.Size)
+	persistent := scaleCount(persistentMismatchCount, w.Cfg.Size)
 
 	episode := func(d *DomainState, from time.Time) {
 		days := 1 + int(rng.ExpFloat64()*mismatchMeanDays)
@@ -213,7 +213,7 @@ func (w *World) assignMismatches(rng *rand.Rand, pool []*DomainState) {
 	// plant a floored scaled population with episodes inside that window
 	// so the experiment stays meaningful at small simulation scales.
 	probeStart := time.Date(2024, 1, 24, 0, 0, 0, 0, time.UTC)
-	probePop := ScaleCount(317, w.Cfg.Size)
+	probePop := scaleCount(317, w.Cfg.Size)
 	if probePop < 12 {
 		probePop = 12
 	}
@@ -229,7 +229,7 @@ func (w *World) assignMismatches(rng *rand.Rand, pool []*DomainState) {
 // whose ECH configs nevertheless point at Cloudflare's client-facing server
 // (§4.4.1).
 func (w *World) assignNonCFECH(rng *rand.Rand, pool []*DomainState) {
-	n := ScaleCount(nonCFECHApex, w.Cfg.Size)
+	n := scaleCount(nonCFECHApex, w.Cfg.Size)
 	for _, d := range take(&pool, n) {
 		d.ECH = true
 		// Their provider serves the CF config list.
@@ -245,17 +245,17 @@ func (w *World) assignNonCFECH(rng *rand.Rand, pool []*DomainState) {
 
 // assignPathologies plants the §E.1 configuration oddities.
 func (w *World) assignPathologies(rng *rand.Rand, cf, nonCF []*DomainState) {
-	for _, d := range take(&nonCF, ScaleCount(aliasSelfTargetCount, w.Cfg.Size)) {
+	for _, d := range take(&nonCF, scaleCount(aliasSelfTargetCount, w.Cfg.Size)) {
 		d.Profile = ProfileAliasSelf
 	}
-	for _, d := range take(&nonCF, ScaleCount(serviceNoParamsCount, w.Cfg.Size)) {
+	for _, d := range take(&nonCF, scaleCount(serviceNoParamsCount, w.Cfg.Size)) {
 		d.Profile = ProfileServiceNoParams
 		d.ALPN = nil
 	}
-	for _, d := range take(&nonCF, ScaleCount(priorityListCount, w.Cfg.Size)) {
+	for _, d := range take(&nonCF, scaleCount(priorityListCount, w.Cfg.Size)) {
 		d.Profile = ProfilePriorityList
 	}
-	for _, d := range take(&cf, ScaleCount(cnameApexCount, w.Cfg.Size)) {
+	for _, d := range take(&cf, scaleCount(cnameApexCount, w.Cfg.Size)) {
 		d.ApexCNAME = true
 		d.WWWCNAME = false // the two would alias each other in a loop
 		d.HasWWW = true

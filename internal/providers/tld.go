@@ -37,8 +37,8 @@ type TLDServer struct {
 // its host's glue.
 type tldSets struct{ ns, soa, dnskey, glue *rrset }
 
-// NewTLDServer creates a signed TLD server whose keys derive from seed.
-func NewTLDServer(tld string, addr netip.Addr, clock *simnet.Clock, seed int64) *TLDServer {
+// newTLDServer creates a signed TLD server whose keys derive from seed.
+func newTLDServer(tld string, addr netip.Addr, clock *simnet.Clock, seed int64) *TLDServer {
 	tld = dnswire.CanonicalName(tld)
 	return &TLDServer{
 		TLD:     tld,

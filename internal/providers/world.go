@@ -99,7 +99,7 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 // buildProviders creates Cloudflare, the named Table 3 providers, and the
 // generated long tail.
 func (w *World) buildProviders(rng *rand.Rand) {
-	cf := NewProvider("Cloudflare", w.Alloc, w.Clock, true, StudyStart.Add(-365*24*time.Hour))
+	cf := newProvider("Cloudflare", w.Alloc, w.Clock, true, StudyStart.Add(-365*24*time.Hour))
 	cf.IsCloudflare = true
 	cf.ECHManager = w.ECHKeys
 	cf.ECHProgramEnd = ECHDisableDate
@@ -116,23 +116,23 @@ func (w *World) buildProviders(rng *rand.Rand) {
 			offset := time.Duration(rng.Intn(300)) * 24 * time.Hour
 			start = StudyStart.Add(offset)
 		}
-		p := NewProvider(pw.name, w.Alloc, w.Clock, true, start)
+		p := newProvider(pw.name, w.Alloc, w.Clock, true, start)
 		w.addProvider(p)
 	}
 	// Generated tail up to the scaled distinct-provider total.
-	total := ScaleCount(nonCFProviderTotal, w.Cfg.Size)
+	total := scaleCount(nonCFProviderTotal, w.Cfg.Size)
 	for i := len(w.Providers) - 1; i < total; i++ {
 		start := StudyStart.Add(time.Duration(rng.Intn(320)) * 24 * time.Hour)
 		if rng.Intn(2) == 0 {
 			start = StudyStart.Add(-24 * time.Hour)
 		}
-		p := NewProvider(fmt.Sprintf("Provider%03d", i), w.Alloc, w.Clock, true, start)
+		p := newProvider(fmt.Sprintf("Provider%03d", i), w.Alloc, w.Clock, true, start)
 		w.addProvider(p)
 	}
 	// Legacy registrars without HTTPS support (hosting the bulk of
 	// non-adopters and the switch-away targets).
 	for _, name := range []string{"LegacyDNS", "RegistrarOne", "RegistrarTwo", "SelfHosted"} {
-		p := NewProvider(name, w.Alloc, w.Clock, false, time.Time{})
+		p := newProvider(name, w.Alloc, w.Clock, false, time.Time{})
 		w.addProvider(p)
 	}
 	// A pure cloud host (the AWS case): owns address space but is not a
@@ -179,7 +179,7 @@ func (w *World) buildTLDsAndRoot() error {
 
 	for _, tld := range tlds {
 		addr := w.Alloc.AllocV4("TLDRegistry")
-		srv := NewTLDServer(tld, addr, w.Clock, w.Cfg.Seed)
+		srv := newTLDServer(tld, addr, w.Clock, w.Cfg.Seed)
 		w.TLDs[tld] = srv
 		w.Net.RegisterDNS(addr, srv)
 		root.Add(dnswire.RR{Name: tld, Type: dnswire.TypeNS, Class: dnswire.ClassINET,

@@ -93,7 +93,9 @@ func TestCFDefaultALPNWire(t *testing.T) {
 		wire   []byte
 		protos []string
 	}{{cfALPN, []string{"h2", "h3"}}, {cfALPNPreH3, []string{"h2", "h3", "h3-29"}}} {
-		if want, err := svcb.EncodeALPN(c.protos); err != nil || !bytes.Equal(c.wire, want) {
+		var ps svcb.Params
+		err := ps.SetALPN(c.protos)
+		if want, _ := ps.Get(svcb.KeyALPN); err != nil || !bytes.Equal(c.wire, want) {
 			t.Errorf("alpn %v: wire %x, svcb encodes %x (%v)", c.protos, c.wire, want, err)
 		}
 	}
@@ -444,8 +446,8 @@ func TestWorldNamesSurviveWireDecode(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s: pack: %v", name, qt, err)
 				}
-				back, err := dnswire.Unpack(wire)
-				if err != nil {
+				back := new(dnswire.Message)
+				if err := dnswire.UnpackInto(back, wire); err != nil {
 					t.Fatalf("%s/%s: the world's own answer does not decode: %v", name, qt, err)
 				}
 				if back.String() != resp.String() {

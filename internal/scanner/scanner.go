@@ -6,7 +6,7 @@
 // domains with mismatched IP hints.
 //
 // A scan keeps nothing of an answer but copied values (addresses, name
-// strings, SummarizeHTTPS's fresh slices), so it hands every answer back as
+// strings, summarizeHTTPS's fresh slices), so it hands every answer back as
 // soon as it has read it: to a Transport that offers Recycle, or, having
 // asked a recursor directly, with Release (a handler's reply is its
 // caller's). Its own query message follows when the scan is over. The ech
@@ -188,8 +188,8 @@ func (s *Scanner) query(q *dnswire.Message, name, shown string, t dnswire.Type) 
 	return nil, err
 }
 
-// SummarizeHTTPS converts a wire HTTPS record into the dataset summary.
-func SummarizeHTTPS(rr dnswire.RR) (dataset.HTTPSRecord, bool) {
+// summarizeHTTPS converts a wire HTTPS record into the dataset summary.
+func summarizeHTTPS(rr dnswire.RR) (dataset.HTTPSRecord, bool) {
 	data, ok := rr.Data.(*dnswire.SVCBData)
 	if !ok {
 		return dataset.HTTPSRecord{}, false
@@ -317,7 +317,7 @@ func (s *Scanner) extractHTTPS(resp *dnswire.Message, obs *dataset.Observation) 
 	for _, rr := range resp.Answer {
 		switch rr.Type {
 		case dnswire.TypeHTTPS:
-			if sum, ok := SummarizeHTTPS(rr); ok {
+			if sum, ok := summarizeHTTPS(rr); ok {
 				obs.HTTPS = append(obs.HTTPS, sum)
 			}
 		case dnswire.TypeRRSIG:

@@ -289,11 +289,12 @@ func (h handAnswers) Exchange(q *dnswire.Message) (*dnswire.Message, error) {
 // key hash as a config), while the daily summary still records that the
 // record publishes ECH.
 func TestECHScanSkipsUnusableLists(t *testing.T) {
-	kp, err := ech.GenerateKeyPair(rand.New(rand.NewSource(9)), 3, "cover.example")
+	now := time.Date(2023, 7, 21, 0, 0, 0, 0, time.UTC)
+	km, err := ech.NewKeyManager(rand.New(rand.NewSource(9)), "cover.example", time.Hour, time.Hour, now.Add(-3*time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := ech.MarshalList([]ech.Config{kp.Config})
+	key, good := km.CurrentConfig(now).PublicKey, km.ConfigList(now) // config ID 3: the epoch
 	withList := func(name string, list []byte) dnswire.RR {
 		var ps svcb.Params
 		ps.SetECH(list)
@@ -311,17 +312,16 @@ func TestECHScanSkipsUnusableLists(t *testing.T) {
 		"mixed.test.":       {withList("mixed.test.", unknownOnly), withList("mixed.test.", good)},
 	}
 	sc := &Scanner{Transport: tr, Concurrency: 2}
-	now := time.Date(2023, 7, 21, 0, 0, 0, 0, time.UTC)
 	domains := []string{"good.test.", "truncated.test.", "unsupported.test.", "trailing.test.", "mixed.test."}
 	want := []dataset.ECHObservation{
-		{Time: now, Domain: "good.test.", ConfigID: 3, KeyHash: dnswire.FNV1a(kp.Config.PublicKey), PublicName: "cover.example"},
-		{Time: now, Domain: "mixed.test.", ConfigID: 3, KeyHash: dnswire.FNV1a(kp.Config.PublicKey), PublicName: "cover.example"},
+		{Time: now, Domain: "good.test.", ConfigID: 3, KeyHash: dnswire.FNV1a(key), PublicName: "cover.example"},
+		{Time: now, Domain: "mixed.test.", ConfigID: 3, KeyHash: dnswire.FNV1a(key), PublicName: "cover.example"},
 	}
 	if got := sc.ECHScan(now, domains); !reflect.DeepEqual(got, want) {
 		t.Errorf("ECHScan stored %+v\nwant %+v", got, want)
 	}
 	for _, name := range domains[1:4] {
-		sum, ok := SummarizeHTTPS(tr[name][0])
+		sum, ok := summarizeHTTPS(tr[name][0])
 		if !ok || !sum.HasECH || sum.ECHConfigID != 0 || sum.ECHKeyHash != 0 || sum.ECHPublicName != "" {
 			t.Errorf("%s summarised as %+v, want HasECH and no key", name, sum)
 		}
@@ -382,7 +382,7 @@ func trimDot(s string) string {
 func TestSummarizeHTTPSNonSVCB(t *testing.T) {
 	rr := dnswire.RR{Name: "a.com.", Type: dnswire.TypeA, Class: dnswire.ClassINET,
 		Data: &dnswire.AData{}}
-	if _, ok := SummarizeHTTPS(rr); ok {
+	if _, ok := summarizeHTTPS(rr); ok {
 		t.Error("non-SVCB record summarised")
 	}
 }

@@ -53,8 +53,8 @@ func paramSeeds(t testing.TB) [][]byte {
 
 // FuzzUnpackParamsInto drives the SvcParams decoder every HTTPS answer the
 // scanner reads goes through, with dirty reuse: decoding into a list that
-// still holds the ECH record's params must agree with a fresh UnpackParams
-// on the error or on every key and value, and whatever is accepted packs
+// still holds the ECH record's params must agree with a fresh decode on the
+// error or on every key and value, and whatever is accepted packs
 // back to the input bytes and decodes to the same params again.
 func FuzzUnpackParamsInto(f *testing.F) {
 	seeds := paramSeeds(f)
@@ -65,7 +65,7 @@ func FuzzUnpackParamsInto(f *testing.F) {
 	f.Add(seeds[1][:len(seeds[1])-3])
 	dirtyWire := seeds[1]
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fresh, freshErr := UnpackParams(data)
+		fresh, freshErr := UnpackParamsInto(nil, data)
 		dirty, err := UnpackParamsInto(nil, dirtyWire)
 		if err != nil {
 			t.Fatalf("dirty template failed to decode: %v", err)
@@ -85,7 +85,7 @@ func FuzzUnpackParamsInto(f *testing.F) {
 		if !bytes.Equal(wire, data) {
 			t.Fatalf("accepted %x re-packs to %x", data, wire)
 		}
-		again, err := UnpackParams(wire)
+		again, err := UnpackParamsInto(nil, wire)
 		if err != nil {
 			t.Fatalf("re-packed params failed to decode: %v", err)
 		}

@@ -126,7 +126,7 @@ func (ps Params) Clone() Params {
 
 // Pack appends the wire encoding of the parameter list to dst, in the key
 // order RFC 9460 §2.2 requires. A list already in that order — anything
-// Set built or UnpackParams accepted — is packed as it stands; only an
+// Set built or UnpackParamsInto accepted — is packed as it stands; only an
 // unordered one is copied and sorted first.
 func (ps Params) Pack(dst []byte) ([]byte, error) {
 	sorted := ps
@@ -148,14 +148,10 @@ func (ps Params) Pack(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// UnpackParams parses a wire-format SvcParams blob. It enforces the strictly
-// increasing key order required by RFC 9460.
-func UnpackParams(b []byte) (Params, error) {
-	return UnpackParamsInto(nil, b)
-}
-
 // UnpackParamsInto parses a wire-format SvcParams blob into the recycled
-// params slice, reusing its backing array and each slot's Value buffer.
+// params slice (nil for a fresh decode), enforcing the strictly increasing
+// key order RFC 9460 requires. It reuses params' backing array and each
+// slot's Value buffer.
 // Slots are taken from the array's capacity, so a list that shrank keeps
 // the Value buffers of its longer past; re-decoding a blob no longer than
 // any decoded before allocates nothing.
@@ -220,7 +216,7 @@ func validateValue(key ParamKey, v []byte) error {
 		_, err := decodeMandatory(v)
 		return err
 	case KeyALPN:
-		_, err := DecodeALPN(v)
+		_, err := decodeALPN(v)
 		return err
 	case KeyNoDefaultALPN:
 		if len(v) != 0 {
@@ -276,9 +272,9 @@ func (ps Params) Mandatory() ([]ParamKey, bool) {
 	return keys, true
 }
 
-// EncodeALPN encodes a list of ALPN protocol identifiers into wire format:
+// encodeALPN encodes a list of ALPN protocol identifiers into wire format:
 // a sequence of length-prefixed strings.
-func EncodeALPN(protos []string) ([]byte, error) {
+func encodeALPN(protos []string) ([]byte, error) {
 	var out []byte
 	for _, p := range protos {
 		if len(p) == 0 || len(p) > 255 {
@@ -290,8 +286,8 @@ func EncodeALPN(protos []string) ([]byte, error) {
 	return out, nil
 }
 
-// DecodeALPN decodes a wire-format alpn value into protocol identifiers.
-func DecodeALPN(v []byte) ([]string, error) {
+// decodeALPN decodes a wire-format alpn value into protocol identifiers.
+func decodeALPN(v []byte) ([]string, error) {
 	var protos []string
 	for len(v) > 0 {
 		n := int(v[0])
@@ -317,7 +313,7 @@ func (ps Params) ALPN() ([]string, bool) {
 	if !ok {
 		return nil, false
 	}
-	protos, err := DecodeALPN(v)
+	protos, err := decodeALPN(v)
 	if err != nil {
 		return nil, false
 	}
@@ -326,7 +322,7 @@ func (ps Params) ALPN() ([]string, bool) {
 
 // SetALPN sets the alpn parameter from a protocol list.
 func (ps *Params) SetALPN(protos []string) error {
-	v, err := EncodeALPN(protos)
+	v, err := encodeALPN(protos)
 	if err != nil {
 		return err
 	}
@@ -482,7 +478,7 @@ func formatParam(p Param) string {
 			return "mandatory=" + strings.Join(names, ",")
 		}
 	case KeyALPN:
-		if protos, err := DecodeALPN(p.Value); err == nil {
+		if protos, err := decodeALPN(p.Value); err == nil {
 			return "alpn=" + strings.Join(protos, ",")
 		}
 	case KeyNoDefaultALPN:

@@ -38,11 +38,11 @@ func TestKeyString(t *testing.T) {
 
 func TestALPNRoundTrip(t *testing.T) {
 	protos := []string{"h2", "h3", "http/1.1"}
-	v, err := EncodeALPN(protos)
+	v, err := encodeALPN(protos)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeALPN(v)
+	got, err := decodeALPN(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,17 +52,17 @@ func TestALPNRoundTrip(t *testing.T) {
 }
 
 func TestALPNErrors(t *testing.T) {
-	if _, err := EncodeALPN([]string{""}); err == nil {
-		t.Error("EncodeALPN accepted empty id")
+	if _, err := encodeALPN([]string{""}); err == nil {
+		t.Error("encodeALPN accepted empty id")
 	}
-	if _, err := DecodeALPN([]byte{}); err == nil {
-		t.Error("DecodeALPN accepted empty value")
+	if _, err := decodeALPN([]byte{}); err == nil {
+		t.Error("decodeALPN accepted empty value")
 	}
-	if _, err := DecodeALPN([]byte{5, 'h', '2'}); err == nil {
-		t.Error("DecodeALPN accepted truncated id")
+	if _, err := decodeALPN([]byte{5, 'h', '2'}); err == nil {
+		t.Error("decodeALPN accepted truncated id")
 	}
-	if _, err := DecodeALPN([]byte{0}); err == nil {
-		t.Error("DecodeALPN accepted zero-length id")
+	if _, err := decodeALPN([]byte{0}); err == nil {
+		t.Error("decodeALPN accepted zero-length id")
 	}
 }
 
@@ -111,7 +111,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnpackParams(wire)
+	got, err := UnpackParamsInto(nil, wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +129,8 @@ func TestUnpackRejectsUnsortedKeys(t *testing.T) {
 	wire = binary.BigEndian.AppendUint16(wire, uint16(KeyALPN))
 	wire = binary.BigEndian.AppendUint16(wire, 3)
 	wire = append(wire, 2, 'h', '2')
-	if _, err := UnpackParams(wire); err == nil {
-		t.Error("UnpackParams accepted unsorted keys")
+	if _, err := UnpackParamsInto(nil, wire); err == nil {
+		t.Error("UnpackParamsInto accepted unsorted keys")
 	}
 }
 
@@ -141,8 +141,8 @@ func TestUnpackRejectsDuplicateKeys(t *testing.T) {
 		wire = binary.BigEndian.AppendUint16(wire, 2)
 		wire = binary.BigEndian.AppendUint16(wire, 443)
 	}
-	if _, err := UnpackParams(wire); err == nil {
-		t.Error("UnpackParams accepted duplicate keys")
+	if _, err := UnpackParamsInto(nil, wire); err == nil {
+		t.Error("UnpackParamsInto accepted duplicate keys")
 	}
 }
 
@@ -151,8 +151,8 @@ func TestUnpackTruncated(t *testing.T) {
 	ps.SetPort(443)
 	wire, _ := ps.Pack(nil)
 	for i := 1; i < len(wire); i++ {
-		if _, err := UnpackParams(wire[:i]); err == nil {
-			t.Errorf("UnpackParams accepted truncation at %d", i)
+		if _, err := UnpackParamsInto(nil, wire[:i]); err == nil {
+			t.Errorf("UnpackParamsInto accepted truncation at %d", i)
 		}
 	}
 }
@@ -339,7 +339,7 @@ func TestQuickWireRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := UnpackParams(wire)
+		got, err := UnpackParamsInto(nil, wire)
 		if err != nil {
 			return false
 		}
@@ -393,7 +393,7 @@ func randomParams(rng *rand.Rand) Params {
 // array's capacity, so a short blob between two decodes of a long one must
 // change nothing about the second: for any blob — well-formed, truncated or
 // with a flipped byte — a list that decoded it, then an empty blob, then it
-// again agrees with a fresh UnpackParams on acceptance and content, reuses
+// again agrees with a fresh decode on acceptance and content, reuses
 // every Value buffer the first decode left (no allocation), and shares no
 // Value storage with another live list decoded from the same bytes.
 func TestQuickUnpackIntoShrinkThenGrow(t *testing.T) {
@@ -411,7 +411,7 @@ func TestQuickUnpackIntoShrinkThenGrow(t *testing.T) {
 				wire[rng.Intn(len(wire))] ^= byte(1 + rng.Intn(255))
 			}
 		}
-		fresh, freshErr := UnpackParams(wire)
+		fresh, freshErr := UnpackParamsInto(nil, wire)
 		// Two recycled lists with different pasts: a longer decode, and none.
 		dirty, _ := randomParams(rng).Pack(nil)
 		lists := make([]Params, 2)

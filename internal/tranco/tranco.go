@@ -180,13 +180,3 @@ func Overlapping(lists [][]string) []string {
 	sort.Strings(out)
 	return out
 }
-
-// RankOf returns the 1-based rank of domain in list, or 0 if absent.
-func RankOf(list []string, domain string) int {
-	for i, d := range list {
-		if d == domain {
-			return i + 1
-		}
-	}
-	return 0
-}

@@ -111,7 +111,7 @@ func TestSourceChangeShiftsComposition(t *testing.T) {
 	}
 }
 
-func TestOverlappingAndRankOf(t *testing.T) {
+func TestOverlapping(t *testing.T) {
 	lists := [][]string{{"a", "b", "c"}, {"b", "c", "d"}, {"c", "b", "x"}}
 	ov := Overlapping(lists)
 	if len(ov) != 2 || ov[0] != "b" || ov[1] != "c" {
@@ -119,9 +119,6 @@ func TestOverlappingAndRankOf(t *testing.T) {
 	}
 	if Overlapping(nil) != nil {
 		t.Error("Overlapping(nil) != nil")
-	}
-	if RankOf(lists[0], "c") != 3 || RankOf(lists[0], "zz") != 0 {
-		t.Error("RankOf wrong")
 	}
 }
 

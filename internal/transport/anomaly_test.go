@@ -215,7 +215,7 @@ func TestRecorderPoolChurnEvents(t *testing.T) {
 // forgiveness rule when a benched member serves successfully.
 func TestPoolScorecard(t *testing.T) {
 	_, clock := testNet()
-	p := NewPool(clock, BalanceRoundRobin, 1) // DefaultCooldown is a minute
+	p := newPool(clock, BalanceRoundRobin, 1) // DefaultCooldown is a minute
 	u := p.Add("fe0", frontendAddr(0), ProtoDoH)
 
 	p.MarkFailed(u)

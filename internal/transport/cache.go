@@ -212,8 +212,8 @@ type Key struct {
 	DO   bool
 }
 
-// CacheKey builds the lookup key for a question.
-func CacheKey(q dnswire.Question, dnssecOK bool) Key {
+// cacheKey builds the lookup key for a question.
+func cacheKey(q dnswire.Question, dnssecOK bool) Key {
 	return Key{Name: dnswire.CanonicalName(q.Name), Type: q.Type, DO: dnssecOK}
 }
 

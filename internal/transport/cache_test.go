@@ -545,12 +545,12 @@ func FuzzAppendTTLSlots(f *testing.F) {
 			}
 		}
 
-		m, uerr := dnswire.Unpack(wire)
-		if uerr != nil {
+		m := new(dnswire.Message)
+		if uerr := dnswire.UnpackInto(m, wire); uerr != nil {
 			return
 		}
 		if err != nil {
-			t.Fatalf("Unpack accepts the wire, appendTTLSlots rejects it: %v", err)
+			t.Fatalf("UnpackInto accepts the wire, appendTTLSlots rejects it: %v", err)
 		}
 		var want []dnswire.RR
 		for _, sec := range [][]dnswire.RR{m.Answer, m.Authority, m.Additional} {

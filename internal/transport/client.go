@@ -39,7 +39,7 @@ type Client struct {
 	Strategy StrategyConfig
 	// Latency is the latency model: the RTT of one exchange with u, fed
 	// to the pool's EWMA and costed on the exchange's virtual timeline.
-	// NewClient sets the 2–20 ms SyntheticLatency band; it must not be
+	// newClient sets the 2–20 ms SyntheticLatency band; it must not be
 	// nil. Exchanges are synchronous in-process calls, so the model is
 	// the only clock an attempt reads: the EWMA/P2 routing decisions and
 	// the race's completion-time comparisons replay with the rest of the
@@ -147,9 +147,9 @@ func (c *Client) Errors() uint64 { return c.errAnswers.Load() }
 // recursor struggled over a healthy transport and no stale cover existed.
 func (c *Client) ServFails() uint64 { return c.servfailAnswers.Load() }
 
-// NewClient creates a stub over the given network and pool, with the
+// newClient creates a stub over the given network and pool, with the
 // 2–20 ms SyntheticLatency band as its latency model.
-func NewClient(net *simnet.Network, pool *Pool) *Client {
+func newClient(net *simnet.Network, pool *Pool) *Client {
 	return &Client{
 		Net: net, Pool: pool,
 		Latency:  SyntheticLatency(2*time.Millisecond, 18*time.Millisecond),

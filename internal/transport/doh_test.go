@@ -29,8 +29,8 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		got.Question[0].Type != dnswire.TypeHTTPS || !got.DNSSECOK() {
 		t.Errorf("roundtrip mangled query: %+v", got)
 	}
-	ans, err := dnswire.Unpack(wire)
-	if err != nil || ans.ID != 42 || !ans.Response {
+	ans := new(dnswire.Message)
+	if err := dnswire.UnpackInto(ans, wire); err != nil || ans.ID != 42 || !ans.Response {
 		t.Errorf("answer %x: %v, %+v", wire, err, ans)
 	}
 }
@@ -93,8 +93,8 @@ func FuzzDoHDecodeRequest(f *testing.F) {
 		if want != StatusOK {
 			return
 		}
-		m, err := dnswire.Unpack(wantWire)
-		if err != nil || m.ID != decoded.ID || !m.Response {
+		m := new(dnswire.Message)
+		if err := dnswire.UnpackInto(m, wantWire); err != nil || m.ID != decoded.ID || !m.Response {
 			t.Fatalf("reply %x to query ID %d: %v, %+v", wantWire, decoded.ID, err, m)
 		}
 	})

@@ -190,8 +190,8 @@ func FuzzDoQStream(f *testing.F) {
 		if len(raw) < 4 || int(binary.BigEndian.Uint16(raw)) != len(raw)-2 || binary.BigEndian.Uint16(raw[2:]) != 0 {
 			t.Fatalf("answered a stream with a bad prefix or a non-zero ID: %x", raw)
 		}
-		m, err := dnswire.Unpack(want)
-		if err != nil || m.ID != 0 || !m.Response {
+		m := new(dnswire.Message)
+		if err := dnswire.UnpackInto(m, want); err != nil || m.ID != 0 || !m.Response {
 			t.Fatalf("reply %x: %v, %+v", want, err, m)
 		}
 	})

@@ -107,8 +107,8 @@ func TestDoTSplitLengthPrefixAcrossReads(t *testing.T) {
 	if stale {
 		t.Error("fresh answer marked stale")
 	}
-	m, err := dnswire.Unpack(wire)
-	if err != nil {
+	m := new(dnswire.Message)
+	if err := dnswire.UnpackInto(m, wire); err != nil {
 		t.Fatal(err)
 	}
 	if m.ID != 7 || len(m.Answer) != 1 {

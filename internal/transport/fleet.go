@@ -26,7 +26,7 @@ type FleetConfig struct {
 	// FailureCooldown benches a frontend's recursor after a hard failure.
 	FailureCooldown time.Duration
 	// Latency replaces the client's latency model (see Client.Latency);
-	// nil keeps NewClient's 2–20 ms SyntheticLatency band.
+	// nil keeps newClient's 2–20 ms SyntheticLatency band.
 	Latency func(*Upstream) time.Duration
 	// ChargeLatency charges sampled latencies (and protocol setup costs)
 	// to the network's virtual clock. See Client.ChargeLatency for when
@@ -80,7 +80,7 @@ type Fleet struct {
 // NewFleet creates an empty fleet over the network; frontends are wired
 // in with Add.
 func NewFleet(net *simnet.Network, clock *simnet.Clock, cfg FleetConfig) *Fleet {
-	client := NewClient(net, NewPool(clock, cfg.Balance, cfg.Seed))
+	client := newClient(net, newPool(clock, cfg.Balance, cfg.Seed))
 	client.Strategy = cfg.Strategy
 	if cfg.Latency != nil {
 		client.Latency = cfg.Latency

@@ -234,7 +234,7 @@ func (f *Frontend) Resolve(q *dnswire.Message, dst []byte, tr *obs.Trace) (Answe
 	}
 	question := q.Question[0]
 	dnssecOK := q.DNSSECOK()
-	key := CacheKey(question, dnssecOK)
+	key := cacheKey(question, dnssecOK)
 
 	stale := false
 	if f.Cache != nil {

@@ -122,9 +122,9 @@ type Pool struct {
 	rrNext int
 }
 
-// NewPool creates an empty pool using the given balancer. The seed
+// newPool creates an empty pool using the given balancer. The seed
 // drives the balancer's random draws, keeping simulations replayable.
-func NewPool(clock *simnet.Clock, balance Balance, seed int64) *Pool {
+func newPool(clock *simnet.Clock, balance Balance, seed int64) *Pool {
 	return &Pool{clock: clock, balance: balance, rng: rand.New(rand.NewSource(seed))}
 }
 

@@ -179,7 +179,7 @@ func TestCacheLRUEvictionPerShard(t *testing.T) {
 		return resp
 	}
 	key := func(i int) Key {
-		return CacheKey(dnswire.Question{Name: fmt.Sprintf("n%d.test.", i), Type: dnswire.TypeA}, false)
+		return cacheKey(dnswire.Question{Name: fmt.Sprintf("n%d.test.", i), Type: dnswire.TypeA}, false)
 	}
 	for i := 0; i < 4; i++ {
 		cache.Put(key(i), mk(fmt.Sprintf("n%d.test.", i)))
@@ -247,7 +247,7 @@ func TestRoundRobinCyclesFrontends(t *testing.T) {
 
 func TestP2FavoursLowerRTT(t *testing.T) {
 	_, clock := testNet()
-	pool := NewPool(clock, BalanceP2, 7)
+	pool := newPool(clock, BalanceP2, 7)
 	fast := pool.Add("fast", frontendAddr(0), ProtoDoH)
 	for i := 1; i < 4; i++ {
 		slow := pool.Add(fmt.Sprintf("slow%d", i), frontendAddr(i), ProtoDoH)

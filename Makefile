@@ -142,9 +142,10 @@ attribute:
 # stream framing (prefix and zero-ID checks, pooled scratch reused after a
 # valid stream against fresh scratch), the cache's TTL-slot walk (every
 # slot a decoded record's TTL, dirty reuse against a fresh walk), RRSIG verification (whose memoised and plain verdicts must
-# agree), or the DNSKEY side of it (DS construction, key tag, public-key
-# decoding); and that the world's O(1)-seeded random source still gives
-# math/rand's exact stream.
+# agree), or the DNSKEY side of it (DS construction and matching against
+# the reference builder, key tag, public-key decoding); that the pooled
+# signing digest equals the reference builder's; and that the world's
+# O(1)-seeded random source still gives math/rand's exact stream.
 fuzz-smoke:
 	$(GO) test ./internal/dnswire -fuzz 'FuzzUnpack$$' -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnswire -fuzz FuzzUnpackInto -fuzztime 10s -run xxx
@@ -157,6 +158,7 @@ fuzz-smoke:
 	$(GO) test ./internal/transport -fuzz FuzzAppendTTLSlots -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnssec -fuzz FuzzVerifyRRSIG -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnssec -fuzz FuzzDNSKEYDS -fuzztime 10s -run xxx
+	$(GO) test ./internal/dnssec -fuzz FuzzSigningDigest -fuzztime 10s -run xxx
 
 # Traced-exchange demo: a mixed-protocol fleet under the race strategy
 # with every exchange traced, dumping the five costliest span trees —

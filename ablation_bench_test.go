@@ -124,7 +124,7 @@ func BenchmarkAblationNameCompression(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			total := 12 // header
 			for _, rr := range m.Authority {
-				wire, err := dnswire.PackRR(rr)
+				wire, err := dnswire.PackRR(nil, rr)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -7,6 +7,13 @@
 // Secure (full chain), Insecure (a delegation is provably unsigned — the
 // common "missing DS" misconfiguration), and Bogus (signatures present but
 // invalid).
+//
+// Every canonical form the package hashes — an RRSIG's signing input (RFC
+// 4034 §3.1.8.1, §6.3) and a DS digest's owner ‖ RDATA (§5.1.4) — is
+// appended into one buffer from a pool, hashed there and dropped: members
+// are ordered through offset spans into that buffer, never packed into
+// slices of their own. So a memo hit and a DS match allocate nothing, and
+// a signature costs its RRSIG data and its deferred signing step.
 package dnssec
 
 import (
@@ -135,17 +142,10 @@ func (k *KeyPair) DS(ttl uint32) (dnswire.RR, error) {
 
 // makeDS computes the SHA-256 DS record for a DNSKEY record.
 func makeDS(dnskey dnswire.RR, ttl uint32) (dnswire.RR, error) {
-	data, ok := dnskey.Data.(*dnswire.DNSKEYData)
-	if !ok {
-		return dnswire.RR{}, fmt.Errorf("dnssec: record is not a DNSKEY")
-	}
-	_, owner, rdata, err := splitRR(dnskey)
+	data, digest, err := dsDigest(dnskey)
 	if err != nil {
 		return dnswire.RR{}, err
 	}
-	h := sha256.New()
-	h.Write(owner)
-	h.Write(rdata)
 	return dnswire.RR{
 		Name:  dnskey.Name,
 		Type:  dnswire.TypeDS,
@@ -155,7 +155,7 @@ func makeDS(dnskey dnswire.RR, ttl uint32) (dnswire.RR, error) {
 			KeyTag:     data.KeyTag(),
 			Algorithm:  data.Algorithm,
 			DigestType: dnswire.DigestSHA256,
-			Digest:     h.Sum(nil),
+			Digest:     digest[:],
 		},
 	}, nil
 }
@@ -181,60 +181,102 @@ func decodePublicKey(b []byte) (*ecdsa.PublicKey, error) {
 	return &ecdsa.PublicKey{Curve: elliptic.P256(), X: x, Y: y}, nil
 }
 
-// splitRR packs a record in canonical (lowercase, uncompressed) form and
-// returns the whole wire, its owner name and its RDATA.
-func splitRR(rr dnswire.RR) (full, owner, rdata []byte, err error) {
-	full, err = dnswire.PackRR(rr)
-	if err != nil {
-		return nil, nil, nil, err
+// wirePool holds the buffers the canonical forms are built in before they
+// are hashed. A hash input is dropped once hashed, so no buffer outlives
+// the call that took it.
+var wirePool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
+
+// ownerWireLen is the length of a canonical name's uncompressed wire form:
+// one length byte per label plus the root byte, so as long as its dotted
+// form and one more, the root alone one byte.
+func ownerWireLen(name string) int {
+	if name == "." {
+		return 1
 	}
-	// A name's wire form is one length byte per label plus the root byte:
-	// as long as its dotted form and one more, the root alone one byte.
-	n := 1
-	if name := dnswire.CanonicalName(rr.Name); name != "." {
-		n = len(name) + 1
-	}
-	// The fixed type/class/ttl/rdlen fields take 10 bytes.
-	return full, full[:n], full[n+10:], nil
+	return len(name) + 1
 }
 
-// canonicalRRsetWire returns the canonical signing input for an RRset: each
-// record's owner|type|class|origTTL|rdlen|rdata, with members sorted by
-// canonical RDATA, duplicates removed (RFC 4034 §6.3).
-func canonicalRRsetWire(rrs []dnswire.RR, origTTL uint32) ([]byte, error) {
-	if len(rrs) == 0 {
-		return nil, ErrEmptyRRset
+// fixedLen is the length of a record's type, class, TTL and RDLENGTH.
+const fixedLen = 10
+
+// dsDigest returns a DNSKEY record's data and its SHA-256 DS digest: the
+// hash of the canonical owner name ‖ RDATA (RFC 4034 §5.1.4).
+func dsDigest(dnskey dnswire.RR) (*dnswire.DNSKEYData, [sha256.Size]byte, error) {
+	data, ok := dnskey.Data.(*dnswire.DNSKEYData)
+	if !ok {
+		return nil, [sha256.Size]byte{}, fmt.Errorf("dnssec: record is not a DNSKEY")
 	}
+	bp := wirePool.Get().(*[]byte)
+	defer wirePool.Put(bp)
+	buf, err := dnswire.PackRR((*bp)[:0], dnskey)
+	if err != nil {
+		return nil, [sha256.Size]byte{}, err
+	}
+	*bp = buf
+	// Move the RDATA down over the fixed fields, up against the owner.
+	n := ownerWireLen(dnswire.CanonicalName(dnskey.Name))
+	n += copy(buf[n:], buf[n+fixedLen:])
+	return data, sha256.Sum256(buf[:n]), nil
+}
+
+// memberSpan locates one packed RRset member in signingDigest's buffer: its
+// canonical wire is buf[start:end], its RDATA buf[rdata:end].
+type memberSpan struct{ start, rdata, end int }
+
+// signingDigest returns the SHA-256 of an RRSIG's signing input (RFC 4034
+// §3.1.8.1): the RRSIG's fields but the signature, then each member's
+// canonical owner|type|class|origTTL|rdlen|rdata, members sorted by
+// canonical RDATA, duplicates removed (RFC 4034 §6.3). It packs the members
+// in the order given into one pooled buffer and sorts spans of it; the
+// prefix and the members in canonical order, appended behind them, are
+// what it hashes.
+func signingDigest(sig *dnswire.RRSIGData, rrs []dnswire.RR, origTTL uint32) ([sha256.Size]byte, error) {
+	if len(rrs) == 0 {
+		return [sha256.Size]byte{}, ErrEmptyRRset
+	}
+	bp := wirePool.Get().(*[]byte)
+	defer wirePool.Put(bp)
+	buf := (*bp)[:0]
 	name, typ, class := dnswire.CanonicalName(rrs[0].Name), rrs[0].Type, rrs[0].Class
-	type entry struct{ rdata, full []byte }
-	entries := make([]entry, 0, len(rrs))
+	rdataOff := ownerWireLen(name) + fixedLen
+	var stack [8]memberSpan
+	spans := stack[:0]
 	for _, rr := range rrs {
 		if dnswire.CanonicalName(rr.Name) != name || rr.Type != typ || rr.Class != class {
-			return nil, ErrMixedRRset
+			return [sha256.Size]byte{}, ErrMixedRRset
 		}
 		rr.TTL = origTTL
-		full, _, rdata, err := splitRR(rr)
-		if err != nil {
-			return nil, err
+		start := len(buf)
+		var err error
+		if buf, err = dnswire.PackRR(buf, rr); err != nil {
+			return [sha256.Size]byte{}, err
 		}
-		entries = append(entries, entry{rdata: rdata, full: full})
+		spans = append(spans, memberSpan{start, start + rdataOff, len(buf)})
 	}
-	slices.SortFunc(entries, func(a, b entry) int { return bytes.Compare(a.rdata, b.rdata) })
-	var out []byte
-	var prev []byte
-	for _, e := range entries {
-		if prev != nil && bytes.Equal(prev, e.rdata) {
+	slices.SortFunc(spans, func(a, b memberSpan) int {
+		return bytes.Compare(buf[a.rdata:a.end], buf[b.rdata:b.end])
+	})
+	in := len(buf)
+	// AppendSignedPrefix returns nil for a signer name that does not pack;
+	// the input is then the members alone.
+	if prefixed := sig.AppendSignedPrefix(buf); prefixed != nil {
+		buf = prefixed
+	}
+	for i, s := range spans {
+		if i > 0 && bytes.Equal(buf[s.rdata:s.end], buf[spans[i-1].rdata:spans[i-1].end]) {
 			continue
 		}
-		prev = e.rdata
-		out = append(out, e.full...)
+		buf = append(buf, buf[s.start:s.end]...)
 	}
-	return out, nil
+	*bp = buf
+	return sha256.Sum256(buf[in:]), nil
 }
 
 // SignRRset produces an RRSIG record over the RRset with the given key and
 // validity window. Every step that can fail runs here: the RRSIG's fixed
-// fields and the SHA-256 of the canonical signing input. The ECDSA step
+// fields and the SHA-256 of the canonical signing input, built and hashed
+// in a pooled buffer, so the call allocates the RRSIG data and the
+// deferred step's closure and nothing else. The ECDSA step
 // waits until something first reads the signature bytes — packing the
 // record, Clone, String, or verification (SigMemo.Verify, VerifyRRSIG),
 // all through RRSIGData.SignatureBytes — and runs once. RFC 6979 makes the
@@ -256,11 +298,11 @@ func SignRRset(key *KeyPair, rrs []dnswire.RR, inception, expiration time.Time) 
 		KeyTag:      key.KeyTag(),
 		SignerName:  key.Zone,
 	}
-	signed, err := signingInput(sig, rrs, origTTL)
+	digest, err := signingDigest(sig, rrs, origTTL)
 	if err != nil {
 		return dnswire.RR{}, err
 	}
-	priv, digest := key.Private, sha256.Sum256(signed)
+	priv := key.Private
 	sig.DeferSignature(func() []byte {
 		// signDigest fails only for a scalar that is no P-256 key, which
 		// DeriveKey never returns; an empty signature verifies nowhere.
@@ -294,15 +336,6 @@ func signDigest(priv *ecdsa.PrivateKey, digest [sha256.Size]byte) ([]byte, error
 	return out, nil
 }
 
-func signingInput(sig *dnswire.RRSIGData, rrs []dnswire.RR, origTTL uint32) ([]byte, error) {
-	input := sig.SignedPrefix()
-	rrsetWire, err := canonicalRRsetWire(rrs, origTTL)
-	if err != nil {
-		return nil, err
-	}
-	return append(input, rrsetWire...), nil
-}
-
 // VerifyRRSIG checks an RRSIG over an RRset against a DNSKEY record. now is
 // used for the validity window. It never consults a memo: every call pays
 // for the ECDSA verification.
@@ -320,7 +353,9 @@ func VerifyRRSIG(rrsig dnswire.RR, rrs []dnswire.RR, dnskey dnswire.RR, now time
 // algorithm, key tag, signer, and the validity window against the caller's
 // now — run on every call before the memo is consulted, which is why a hit
 // can never carry a signature past its expiration or onto another key,
-// owner or RRset. Only successes are stored. Safe for concurrent use;
+// owner or RRset. Only successes are stored. A hit allocates nothing: the
+// signing input is built and hashed in a pooled buffer, the id in a stack
+// array. Safe for concurrent use;
 // bounded at sigMemoCap entries (a full shard is dropped whole — entries do
 // not expire, there is nothing older to prefer). A nil *SigMemo verifies
 // without remembering.
@@ -379,11 +414,10 @@ func (m *SigMemo) Verify(rrsig dnswire.RR, rrs []dnswire.RR, dnskey dnswire.RR, 
 	if len(sigBytes) != 64 {
 		return fmt.Errorf("dnssec: P-256 signature must be 64 bytes, got %d", len(sigBytes))
 	}
-	input, err := signingInput(sig, rrs, sig.OriginalTTL)
+	digest, err := signingDigest(sig, rrs, sig.OriginalTTL)
 	if err != nil {
 		return err
 	}
-	digest := sha256.Sum256(input)
 	var id [sha256.Size]byte
 	if m != nil {
 		var buf [64 + 64 + sha256.Size]byte
@@ -431,13 +465,10 @@ func matchesDS(dnskey dnswire.RR, ds dnswire.RR) bool {
 	if !ok {
 		return false
 	}
-	computed, err := makeDS(dnskey, ds.TTL)
-	if err != nil {
-		return false
-	}
-	c := computed.Data.(*dnswire.DSData)
-	return c.KeyTag == dsData.KeyTag &&
-		c.Algorithm == dsData.Algorithm &&
-		c.DigestType == dsData.DigestType &&
-		bytes.Equal(c.Digest, dsData.Digest)
+	key, digest, err := dsDigest(dnskey)
+	return err == nil &&
+		key.KeyTag() == dsData.KeyTag &&
+		key.Algorithm == dsData.Algorithm &&
+		dsData.DigestType == dnswire.DigestSHA256 &&
+		bytes.Equal(digest[:], dsData.Digest)
 }

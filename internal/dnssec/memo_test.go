@@ -1,6 +1,7 @@
 package dnssec
 
 import (
+	"bytes"
 	"crypto/ecdh"
 	"crypto/sha256"
 	"encoding/binary"
@@ -290,12 +291,26 @@ func FuzzDNSKEYDS(f *testing.F) {
 	f.Fuzz(func(t *testing.T, flags uint16, protocol, algorithm uint8, key []byte) {
 		data := &dnswire.DNSKEYData{Flags: flags, Protocol: protocol, Algorithm: algorithm, PublicKey: key}
 		dnskey := dnswire.RR{Name: "example.com.", Type: dnswire.TypeDNSKEY, Class: dnswire.ClassINET, TTL: 3600, Data: data}
-		if ds, err := makeDS(dnskey, 3600); err == nil {
+		ref, refErr := refMakeDS(dnskey, 3600)
+		ds, err := makeDS(dnskey, 3600)
+		if errText(err) != errText(refErr) {
+			t.Fatalf("makeDS: %v; reference: %v", err, refErr)
+		}
+		if err == nil {
+			if !bytes.Equal(ds.Data.(*dnswire.DSData).Digest, ref.Data.(*dnswire.DSData).Digest) {
+				t.Fatal("makeDS digest differs from the reference")
+			}
 			if ds.Data.(*dnswire.DSData).KeyTag != data.KeyTag() {
 				t.Fatal("DS carries another key tag than its DNSKEY")
 			}
-			if !matchesDS(dnskey, ds) {
-				t.Fatal("DNSKEY does not match the DS made from it")
+			if !matchesDS(dnskey, ref) {
+				t.Fatal("DNSKEY does not match the reference DS made from it")
+			}
+			other := *ref.Data.(*dnswire.DSData)
+			other.Digest = append([]byte(nil), other.Digest...)
+			other.Digest[len(key)%sha256.Size] ^= 1
+			if matchesDS(dnskey, dnswire.RR{Name: ref.Name, Type: dnswire.TypeDS, Class: ref.Class, Data: &other}) {
+				t.Fatal("DNSKEY matches a DS whose digest differs in one bit")
 			}
 		}
 		// crypto/ecdh is the independent judge of what a P-256 point is.

@@ -119,9 +119,7 @@ func (v *Validator) validateZoneKeys(zone string, dsSet []dnswire.RR) ([]dnswire
 	if dsSet == nil {
 		for _, k := range keys {
 			for _, a := range v.anchor {
-				kw, err1 := dnswire.PackRR(k)
-				aw, err2 := dnswire.PackRR(a)
-				if err1 == nil && err2 == nil && string(kw) == string(aw) {
+				if sameWire(k, a) {
 					anchored = append(anchored, k)
 				}
 			}
@@ -147,11 +145,27 @@ func (v *Validator) validateZoneKeys(zone string, dsSet []dnswire.RR) ([]dnswire
 	return keys, Secure, nil
 }
 
-// zoneChain returns the delegation points from the root down to the zone
-// containing name: the suffixes of name at which the source has an NS or
-// DNSKEY RRset (i.e. real zone cuts in the modelled hierarchy).
-func (v *Validator) zoneChain(name string) []string {
-	chain := []string{"."}
+// sameWire reports whether two records pack to the same canonical wire.
+func sameWire(a, b dnswire.RR) bool {
+	bp := wirePool.Get().(*[]byte)
+	defer wirePool.Put(bp)
+	buf, err := dnswire.PackRR((*bp)[:0], a)
+	if err != nil {
+		return false
+	}
+	n := len(buf)
+	if buf, err = dnswire.PackRR(buf, b); err != nil {
+		return false
+	}
+	*bp = buf
+	return string(buf[:n]) == string(buf[n:])
+}
+
+// zoneChain appends to chain the delegation points from the root down to
+// the zone containing name: the suffixes of name at which the source has
+// an NS or DNSKEY RRset (i.e. real zone cuts in the modelled hierarchy).
+func (v *Validator) zoneChain(chain []string, name string) []string {
+	chain = append(chain, ".")
 	// name is canonical, so every suffix that starts a label is too.
 	for i := len(name) - 2; i >= 0; i-- {
 		if i > 0 && name[i-1] != '.' {
@@ -178,7 +192,8 @@ func (v *Validator) Validate(name string, t dnswire.Type) (Result, error) {
 		return Indeterminate, fmt.Errorf("dnssec: %s/%s not found", name, t)
 	}
 
-	chain := v.zoneChain(name)
+	var stack [8]string // the root, a TLD, a domain: deeper chains spill
+	chain := v.zoneChain(stack[:0], name)
 	// Validate the root zone keys against the anchor.
 	zoneKeys, res, err := v.validateZoneKeys(".", nil)
 	if err != nil {

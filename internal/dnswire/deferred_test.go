@@ -37,7 +37,7 @@ func rrsigRR(d *RRSIGData) RR {
 func TestDeferredSignatureRunsOnce(t *testing.T) {
 	sig := bytes.Repeat([]byte{0xef, 0x01}, 32)
 	eager := testRRSIG(sig)
-	wantWire, err := PackRR(rrsigRR(eager))
+	wantWire, err := PackRR(nil, rrsigRR(eager))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestDeferredSignatureRunsOnce(t *testing.T) {
 	}
 	reads := []read{
 		{"pack", func(d *RRSIGData) bool {
-			wire, err := PackRR(rrsigRR(d))
+			wire, err := PackRR(nil, rrsigRR(d))
 			return err == nil && bytes.Equal(wire, wantWire)
 		}},
 		{"Clone", func(d *RRSIGData) bool { return reflect.DeepEqual(rrsigRR(d).Clone().Data, eager) }},

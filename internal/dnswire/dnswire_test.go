@@ -54,10 +54,11 @@ func TestNameHelpers(t *testing.T) {
 	}
 }
 
-// TestNameFastPathsMatchReference holds the single-pass CanonicalName and
-// the suffix-slicing ApexOf to the definitions they replaced, on the inputs
-// where a shortcut could differ: case, surrounding and inner whitespace,
-// missing and doubled dots, non-ASCII and invalid UTF-8.
+// TestNameFastPathsMatchReference holds the single-pass CanonicalName, the
+// suffix-slicing ApexOf and the dot-counting CountLabels to the definitions
+// they replaced, on the inputs where a shortcut could differ: case,
+// surrounding and inner whitespace, missing and doubled dots, non-ASCII and
+// invalid UTF-8.
 func TestNameFastPathsMatchReference(t *testing.T) {
 	refCanonical := func(s string) string {
 		s = strings.ToLower(strings.TrimSpace(s))
@@ -87,6 +88,9 @@ func TestNameFastPathsMatchReference(t *testing.T) {
 		}
 		if got, want := ApexOf(in), refApex(in); got != want {
 			t.Errorf("ApexOf(%q) = %q, reference %q", in, got, want)
+		}
+		if got, want := CountLabels(in), len(SplitLabels(in)); got != want {
+			t.Errorf("CountLabels(%q) = %d, reference %d", in, got, want)
 		}
 	}
 }
@@ -217,7 +221,7 @@ func testRRs() []RR {
 
 func TestRRWireRoundTrip(t *testing.T) {
 	for _, rr := range testRRs() {
-		wire, err := PackRR(rr)
+		wire, err := PackRR(nil, rr)
 		if err != nil {
 			t.Fatalf("PackRR(%s): %v", rr.Type, err)
 		}
@@ -305,7 +309,7 @@ func TestAliasModeRejectsParams(t *testing.T) {
 	params.SetPort(443)
 	rr := RR{Name: "a.com.", Type: TypeHTTPS, Class: ClassINET, TTL: 300,
 		Data: &SVCBData{Priority: 0, Target: "b.com.", Params: params}}
-	if _, err := PackRR(rr); err == nil {
+	if _, err := PackRR(nil, rr); err == nil {
 		t.Error("AliasMode with params packed successfully")
 	}
 }

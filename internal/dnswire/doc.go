@@ -25,6 +25,12 @@
 // reuse form only (AppendEncodeDoHParam, DecodeDoHParamInto); the parameter
 // travels as bytes aliasing the encoder's scratch, never as a string.
 //
+// A single record has the append form only: PackRR(dst, rr) appends its
+// canonical, uncompressed wire (RFC 4034 §6.2) to dst, and
+// RRSIGData.AppendSignedPrefix(dst) an RRSIG's fields but the signature.
+// DNSSEC builds every signing input and DS digest input with these two
+// into one recycled buffer; a one-shot caller passes nil.
+//
 // AppendPack(dst) appends the encoded message to dst and returns the
 // extended slice, amortising to zero allocations when the caller
 // recycles the buffer. Name compression runs on a pooled offset map, so

@@ -329,10 +329,13 @@ func packRR(dst []byte, rr RR, cmap *compressionMap) ([]byte, error) {
 	return dst, nil
 }
 
-// PackRR encodes a single record without message context (no compression).
-// This is the canonical form used for DNSSEC signing.
-func PackRR(rr RR) ([]byte, error) {
-	return packRR(nil, rr, nil)
+// PackRR appends a single record to dst without message context (no
+// compression) and returns the extended slice: the canonical form of RFC
+// 4034 §6.2 that DNSSEC signs, owner and RDATA names lower-cased. A caller
+// that recycles dst packs without allocating; a one-shot caller passes nil.
+// On error it returns nil.
+func PackRR(dst []byte, rr RR) ([]byte, error) {
+	return packRR(dst, rr, nil)
 }
 
 // maxInternedNames bounds each pooled scratch's cross-message name

@@ -64,9 +64,13 @@ func SplitLabels(name string) []string {
 	return strings.Split(strings.TrimSuffix(name, "."), ".")
 }
 
-// CountLabels returns the number of labels in the canonical name.
+// CountLabels returns the number of labels in the canonical name, the
+// root excluded: as many as the dots that end them.
 func CountLabels(name string) int {
-	return len(SplitLabels(name))
+	if name = CanonicalName(name); name == "." {
+		return 0
+	}
+	return strings.Count(name, ".")
 }
 
 // ParentName returns the name with its leftmost label removed.

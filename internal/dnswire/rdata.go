@@ -261,13 +261,14 @@ func (d *RRSIGData) SignatureBytes() []byte {
 }
 
 func (d *RRSIGData) pack(dst []byte, _ *compressionMap) ([]byte, error) {
-	dst = d.packPresig(dst)
+	dst = d.AppendSignedPrefix(dst)
 	return append(dst, d.SignatureBytes()...), nil
 }
 
-// packPresig packs all RRSIG fields except the signature itself; this is the
-// prefix that is included in the data being signed (RFC 4034 §3.1.8.1).
-func (d *RRSIGData) packPresig(dst []byte) []byte {
+// AppendSignedPrefix appends every RRSIG field but the signature itself to
+// dst: the prefix of the data being signed (RFC 4034 §3.1.8.1), with the
+// signer's name lower-cased and uncompressed.
+func (d *RRSIGData) AppendSignedPrefix(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, uint16(d.TypeCovered))
 	dst = append(dst, d.Algorithm, d.Labels)
 	dst = binary.BigEndian.AppendUint32(dst, d.OriginalTTL)
@@ -277,10 +278,6 @@ func (d *RRSIGData) packPresig(dst []byte) []byte {
 	dst, _ = packName(dst, d.SignerName, nil)
 	return dst
 }
-
-// SignedPrefix returns the canonical pre-signature prefix used as input to
-// the signing function.
-func (d *RRSIGData) SignedPrefix() []byte { return d.packPresig(nil) }
 
 func (d *RRSIGData) clone() RData {
 	return &RRSIGData{TypeCovered: d.TypeCovered, Algorithm: d.Algorithm, Labels: d.Labels,

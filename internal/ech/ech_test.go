@@ -280,8 +280,8 @@ func TestKeyManagerRetryConfigs(t *testing.T) {
 func TestKeyManagerKeyCount(t *testing.T) {
 	start := time.Unix(0, 0)
 	km, _ := NewKeyManager(testRNG(18), "x.example", time.Hour, 2*time.Hour, start)
-	if n := km.KeyCount(start); n != 3 {
-		t.Errorf("KeyCount = %d, want 3 (current + 2h retention at 1h period)", n)
+	if n := km.keyCount(start); n != 3 {
+		t.Errorf("keyCount = %d, want 3 (current + 2h retention at 1h period)", n)
 	}
 }
 

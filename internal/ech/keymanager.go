@@ -140,7 +140,7 @@ func (km *KeyManager) RetryConfigs(now time.Time) []byte {
 	return km.ConfigList(now)
 }
 
-// KeyCount returns how many keys (current + retained) can still decrypt.
-func (km *KeyManager) KeyCount(now time.Time) int {
+// keyCount returns how many keys (current + retained) can still decrypt.
+func (km *KeyManager) keyCount(now time.Time) int {
 	return int(km.retain/km.period) + 1
 }

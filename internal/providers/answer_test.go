@@ -540,7 +540,7 @@ func worldCrypto(t *testing.T, w *World) []string {
 			for _, rr := range rrs {
 				switch rr.Type {
 				case dnswire.TypeDNSKEY, dnswire.TypeDS, dnswire.TypeRRSIG:
-					wire, err := dnswire.PackRR(rr)
+					wire, err := dnswire.PackRR(nil, rr)
 					if err != nil {
 						t.Errorf("packing %s %s: %v", rr.Name, rr.Type, err)
 					}
@@ -660,7 +660,7 @@ func TestSigCacheBounded(t *testing.T) {
 // packed returns a record's wire bytes, hex-encoded.
 func packed(t *testing.T, rr dnswire.RR) string {
 	t.Helper()
-	wire, err := dnswire.PackRR(rr)
+	wire, err := dnswire.PackRR(nil, rr)
 	if err != nil {
 		t.Fatalf("packing %s %s: %v", rr.Name, rr.Type, err)
 	}
@@ -671,7 +671,7 @@ func packed(t *testing.T, rr dnswire.RR) string {
 func packedSet(rrs []dnswire.RR) string {
 	var out string
 	for _, rr := range rrs {
-		wire, err := dnswire.PackRR(rr)
+		wire, err := dnswire.PackRR(nil, rr)
 		if err != nil {
 			return err.Error()
 		}

@@ -153,7 +153,7 @@ func TestStaleCutFallsBackToRoot(t *testing.T) {
 
 // TestCachesStayBounded drives fifty TTL generations of fresh names through
 // the answer cache and the zone-key cache: neither map may ever exceed its
-// cap, and CacheLen must keep counting exactly the live entries.
+// cap, and cacheLen must keep counting exactly the live entries.
 func TestCachesStayBounded(t *testing.T) {
 	w := buildWorld(t, false, false)
 	r := w.resolver
@@ -172,12 +172,12 @@ func TestCachesStayBounded(t *testing.T) {
 					gen, len(r.cache), maxAnswers, len(r.zoneKeys), maxZoneKeys)
 			}
 		}
-		if got := r.CacheLen(); got != perGen {
-			t.Fatalf("generation %d: CacheLen %d, want the %d entries still inside their TTL", gen, got, perGen)
+		if got := r.cacheLen(); got != perGen {
+			t.Fatalf("generation %d: cacheLen %d, want the %d entries still inside their TTL", gen, got, perGen)
 		}
 		w.clock.Advance(ttl)
-		if got := r.CacheLen(); got != 0 {
-			t.Fatalf("generation %d: CacheLen %d after every TTL ran out", gen, got)
+		if got := r.cacheLen(); got != 0 {
+			t.Fatalf("generation %d: cacheLen %d after every TTL ran out", gen, got)
 		}
 	}
 	if len(r.cache) <= perGen {
@@ -194,8 +194,8 @@ func TestCachesStayBounded(t *testing.T) {
 			t.Fatalf("%d live answers, cap %d", len(r.cache), maxAnswers)
 		}
 	}
-	if got := r.CacheLen(); got != len(r.cache) || got == 0 {
-		t.Errorf("CacheLen %d with %d live entries in the map", got, len(r.cache))
+	if got := r.cacheLen(); got != len(r.cache) || got == 0 {
+		t.Errorf("cacheLen %d with %d live entries in the map", got, len(r.cache))
 	}
 }
 

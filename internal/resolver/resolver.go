@@ -253,8 +253,8 @@ func (r *Resolver) flush(cacheLen, cutsLen int) {
 	r.addrSets = map[uint64][]netip.Addr{}
 }
 
-// CacheLen returns the number of live cache entries.
-func (r *Resolver) CacheLen() int {
+// cacheLen returns the number of live cache entries.
+func (r *Resolver) cacheLen() int {
 	now := r.now()
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -211,7 +211,7 @@ func TestCacheExpiryOnVirtualClock(t *testing.T) {
 	if _, err := w.resolver.Resolve("www.example.com.", dnswire.TypeA); err != nil {
 		t.Fatal(err)
 	}
-	if w.resolver.CacheLen() == 0 {
+	if w.resolver.cacheLen() == 0 {
 		t.Fatal("nothing cached after a resolution")
 	}
 	baseline := w.net.QueryCount()
@@ -229,7 +229,7 @@ func TestCacheExpiryOnVirtualClock(t *testing.T) {
 	// the live-entry count must fall to zero without any eviction pass —
 	// expiry is purely a virtual-clock comparison.
 	w.clock.Advance(2 * time.Hour)
-	if got := w.resolver.CacheLen(); got != 0 {
+	if got := w.resolver.cacheLen(); got != 0 {
 		t.Errorf("%d entries still live after all TTLs expired", got)
 	}
 
@@ -318,11 +318,11 @@ func TestCacheLenAndFlush(t *testing.T) {
 	if _, err := w.resolver.Resolve("www.example.com.", dnswire.TypeA); err != nil {
 		t.Fatal(err)
 	}
-	if w.resolver.CacheLen() == 0 {
+	if w.resolver.cacheLen() == 0 {
 		t.Error("cache empty after resolution")
 	}
 	w.resolver.FlushCache()
-	if w.resolver.CacheLen() != 0 {
+	if w.resolver.cacheLen() != 0 {
 		t.Error("cache not empty after flush")
 	}
 }

@@ -63,10 +63,10 @@ func (z *Zone) Add(rr dnswire.RR) {
 	defer z.mu.Unlock()
 	k := rrsetKey{name: rr.Name, typ: rr.Type}
 	set := z.rrsets[k]
-	newWire, err := dnswire.PackRR(rr)
+	newWire, err := dnswire.PackRR(nil, rr)
 	if err == nil {
 		for i, existing := range set {
-			if w, err2 := dnswire.PackRR(existing); err2 == nil && string(w) == string(newWire) {
+			if w, err2 := dnswire.PackRR(nil, existing); err2 == nil && string(w) == string(newWire) {
 				set[i] = rr
 				z.rrsets[k] = set
 				delete(z.sigs, k)

@@ -257,11 +257,11 @@ func signingDigest(sig *dnswire.RRSIGData, rrs []dnswire.RR, origTTL uint32) ([s
 		return bytes.Compare(buf[a.rdata:a.end], buf[b.rdata:b.end])
 	})
 	in := len(buf)
-	// AppendSignedPrefix returns nil for a signer name that does not pack;
-	// the input is then the members alone.
-	if prefixed := sig.AppendSignedPrefix(buf); prefixed != nil {
-		buf = prefixed
+	prefixed, err := sig.AppendSignedPrefix(buf)
+	if err != nil {
+		return [sha256.Size]byte{}, err
 	}
+	buf = prefixed
 	for i, s := range spans {
 		if i > 0 && bytes.Equal(buf[s.rdata:s.end], buf[spans[i-1].rdata:spans[i-1].end]) {
 			continue

@@ -5,9 +5,11 @@ import (
 	"crypto/ecdsa"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math/big"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -156,6 +158,36 @@ func TestSignVerifyRRset(t *testing.T) {
 	bumped[0].TTL, bumped[1].TTL = 150, 150
 	if err := VerifyRRSIG(sig, bumped, key.DNSKEY(3600), testNow); err != nil {
 		t.Errorf("TTL-decayed RRset rejected: %v", err)
+	}
+}
+
+// An RRSIG whose signer name does not pack (a 64-byte label) is an error
+// wherever its fields are packed: alone, inside a message, when signing and
+// when verifying. None of them may pack the rest of the record around a
+// signer it dropped.
+func TestOverlongSignerFailsEveryPack(t *testing.T) {
+	zone := strings.Repeat("x", 64) + ".example."
+	key := DeriveKey(3, zone, false)
+	rrs := []dnswire.RR{{Name: "a.example.", Type: dnswire.TypeA, Class: dnswire.ClassINET,
+		TTL: 300, Data: &dnswire.AData{Addr: netip.MustParseAddr("1.2.3.4")}}}
+	if _, err := SignRRset(key, rrs, testInception, testExpiration); !errors.Is(err, dnswire.ErrLabelTooLong) {
+		t.Errorf("SignRRset: err = %v, want %v", err, dnswire.ErrLabelTooLong)
+	}
+	sig := dnswire.RR{Name: "a.example.", Type: dnswire.TypeRRSIG, Class: dnswire.ClassINET, TTL: 300,
+		Data: &dnswire.RRSIGData{TypeCovered: dnswire.TypeA, Algorithm: dnswire.AlgECDSAP256SHA256,
+			Labels: 2, OriginalTTL: 300, Expiration: uint32(testExpiration.Unix()),
+			Inception: uint32(testInception.Unix()), KeyTag: key.KeyTag(), SignerName: zone,
+			Signature: make([]byte, 64)}}
+	if b, err := dnswire.PackRR(nil, sig); !errors.Is(err, dnswire.ErrLabelTooLong) {
+		t.Errorf("PackRR: %x, err = %v, want %v", b, err, dnswire.ErrLabelTooLong)
+	}
+	m := dnswire.NewQuery(1, "a.example.", dnswire.TypeA, true).Reply()
+	m.Answer = append(m.Answer, rrs[0], sig)
+	if b, err := m.Pack(); !errors.Is(err, dnswire.ErrLabelTooLong) {
+		t.Errorf("Message.Pack: %x, err = %v, want %v", b, err, dnswire.ErrLabelTooLong)
+	}
+	if err := VerifyRRSIG(sig, rrs, key.DNSKEY(3600), testNow); !errors.Is(err, dnswire.ErrLabelTooLong) {
+		t.Errorf("VerifyRRSIG: err = %v, want %v", err, dnswire.ErrLabelTooLong)
 	}
 }
 

@@ -54,7 +54,10 @@ func refSigningInput(sig *dnswire.RRSIGData, rrs []dnswire.RR, origTTL uint32) (
 		entries = append(entries, entry{rdata: rdata, full: full})
 	}
 	slices.SortFunc(entries, func(a, b entry) int { return bytes.Compare(a.rdata, b.rdata) })
-	out := sig.AppendSignedPrefix(nil)
+	out, err := sig.AppendSignedPrefix(nil)
+	if err != nil {
+		return nil, err
+	}
 	var prev []byte
 	for _, e := range entries {
 		if prev != nil && bytes.Equal(prev, e.rdata) {

@@ -27,7 +27,8 @@
 //
 // A single record has the append form only: PackRR(dst, rr) appends its
 // canonical, uncompressed wire (RFC 4034 §6.2) to dst, and
-// RRSIGData.AppendSignedPrefix(dst) an RRSIG's fields but the signature.
+// RRSIGData.AppendSignedPrefix(dst) an RRSIG's fields but the signature;
+// both fail on a name that does not pack, a signer's included.
 // DNSSEC builds every signing input and DS digest input with these two
 // into one recycled buffer; a one-shot caller passes nil.
 //

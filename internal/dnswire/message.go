@@ -374,24 +374,28 @@ func putDecScratch(sc *decodeScratch) {
 	decScratchPool.Put(sc)
 }
 
-// unpackNameCached decodes the name at msg[off:], reusing prev when the
+// unpackNameCached decodes the name at msg[off:], deduplicating against
+// names already decoded for this message, then reusing prev when the
 // decoded bytes match it (the steady state when a recycled Message sees the
-// same answers again) and otherwise deduplicating against names already
-// minted for this message. Repeated decodes of an unchanged message
-// allocate zero strings.
+// same answers again). A prev that matches joins that per-message memo, so
+// a caller that seeds the question slot with the query's own name gets
+// that very string back for the question and for every owner spelled the
+// same way, whatever their recycled slots held. Repeated decodes of an
+// unchanged message allocate zero strings.
 func unpackNameCached(sc *decodeScratch, msg []byte, off int, prev string) (string, int, error) {
 	b, end, err := appendName(sc.buf[:0], msg, off)
 	sc.buf = b
 	if err != nil {
 		return "", 0, err
 	}
-	if prev != "" && prev == string(b) {
-		return prev, end, nil
-	}
 	for _, s := range sc.names {
 		if s == string(b) {
 			return s, end, nil
 		}
+	}
+	if prev != "" && prev == string(b) {
+		sc.names = append(sc.names, prev)
+		return prev, end, nil
 	}
 	// The map lookup with an inline []byte→string conversion does not
 	// allocate (compiler-recognised pattern), so a steady-state decode

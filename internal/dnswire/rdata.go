@@ -261,22 +261,29 @@ func (d *RRSIGData) SignatureBytes() []byte {
 }
 
 func (d *RRSIGData) pack(dst []byte, _ *compressionMap) ([]byte, error) {
-	dst = d.AppendSignedPrefix(dst)
+	dst, err := d.AppendSignedPrefix(dst)
+	if err != nil {
+		return nil, err
+	}
 	return append(dst, d.SignatureBytes()...), nil
 }
 
 // AppendSignedPrefix appends every RRSIG field but the signature itself to
 // dst: the prefix of the data being signed (RFC 4034 §3.1.8.1), with the
-// signer's name lower-cased and uncompressed.
-func (d *RRSIGData) AppendSignedPrefix(dst []byte) []byte {
+// signer's name lower-cased and uncompressed. A signer name that does not
+// pack is an error, and then it returns nil.
+func (d *RRSIGData) AppendSignedPrefix(dst []byte) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint16(dst, uint16(d.TypeCovered))
 	dst = append(dst, d.Algorithm, d.Labels)
 	dst = binary.BigEndian.AppendUint32(dst, d.OriginalTTL)
 	dst = binary.BigEndian.AppendUint32(dst, d.Expiration)
 	dst = binary.BigEndian.AppendUint32(dst, d.Inception)
 	dst = binary.BigEndian.AppendUint16(dst, d.KeyTag)
-	dst, _ = packName(dst, d.SignerName, nil)
-	return dst
+	dst, err := packName(dst, d.SignerName, nil)
+	if err != nil {
+		return nil, fmt.Errorf("packing RRSIG signer %q: %w", d.SignerName, err)
+	}
+	return dst, nil
 }
 
 func (d *RRSIGData) clone() RData {

@@ -1,6 +1,11 @@
 package dnswire
 
-import "testing"
+import (
+	"net/netip"
+	"strings"
+	"testing"
+	"unsafe"
+)
 
 // TestTrimRecycledCeiling pins the recycling ceiling: buffers at or under
 // maxRecycledBuf keep their backing array (truncated to zero length),
@@ -60,5 +65,65 @@ func TestDecodeScratchNameCeiling(t *testing.T) {
 	// The string header must have been zeroed, not just truncated.
 	if s := sc2.names[:1][0]; s != "" {
 		t.Fatalf("recycled memo still pins %q", s)
+	}
+}
+
+// A decode into a message whose question slot holds the query's own name
+// hands back that very string, not an equal copy: for the question and for
+// every owner spelled the same way. It holds in a fresh message, in one
+// whose slots last held another answer's names, and in one whose slots
+// hold equal strings an earlier decode of the same answer made.
+func TestDecodeSharesTheQueryName(t *testing.T) {
+	const spelled = "www.share.example."
+	answer := func(name string) []byte {
+		m := NewQuery(1, name, TypeA, true).Reply()
+		for _, a := range []string{"192.0.2.1", "192.0.2.2"} {
+			m.Answer = append(m.Answer, RR{Name: name, Type: TypeA, Class: ClassINET, TTL: 300,
+				Data: &AData{Addr: netip.MustParseAddr(a)}})
+		}
+		m.Answer = append(m.Answer, rrsigRR(testRRSIG(make([]byte, 64))))
+		m.Answer[len(m.Answer)-1].Name = name
+		m.Authority = append(m.Authority, RR{Name: "share.example.", Type: TypeNS, Class: ClassINET,
+			TTL: 300, Data: &NSData{Host: "ns1.share.example."}})
+		wire, err := m.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire
+	}
+	wire := answer(spelled)
+	for _, before := range []struct {
+		name string
+		wire []byte
+	}{{"fresh", nil}, {"after another answer", answer("other.share.example.")}, {"after the same answer", wire}} {
+		m := new(Message)
+		if before.wire != nil {
+			if err := UnpackInto(m, before.wire); err != nil {
+				t.Fatal(err)
+			}
+		}
+		qname := strings.Clone(spelled)
+		m.Question = append(m.Question[:0], Question{Name: qname, Type: TypeA, Class: ClassINET})
+		if err := UnpackInto(m, wire); err != nil {
+			t.Fatal(err)
+		}
+		if unsafe.StringData(m.Question[0].Name) != unsafe.StringData(qname) {
+			t.Errorf("%s: the question is a copy of the query's name", before.name)
+		}
+		owners := 0
+		for _, sec := range [][]RR{m.Answer, m.Authority, m.Additional} {
+			for i, rr := range sec {
+				if rr.Name != spelled {
+					continue
+				}
+				owners++
+				if unsafe.StringData(rr.Name) != unsafe.StringData(qname) {
+					t.Errorf("%s: owner %d (%s) is a copy of the query's name", before.name, i, rr.Type)
+				}
+			}
+		}
+		if owners != 3 {
+			t.Errorf("%s: %d owners spelled %s, want 3", before.name, owners, spelled)
+		}
 	}
 }

@@ -29,10 +29,12 @@ type Cache struct {
 
 	shards []*cacheShard
 
-	// slabMu guards slab, the chunk growing shards carve new entries from.
-	// It is taken only when a shard grows, never on a probe.
+	// slabMu guards slab and arena, the chunks growing shards carve new
+	// entries and their buffers from. It is taken only when a shard grows,
+	// never on a probe.
 	slabMu sync.Mutex
 	slab   []cacheEntry
+	arena  []byte
 }
 
 // CacheConfig sets the cache geometry and lifecycle policy. The zero
@@ -133,8 +135,10 @@ type cacheShard struct {
 // hit is then one copy, an ID patch, and in-place TTL rewrites — no message
 // encode on the hot path. The buffer belongs to the entry: a replace
 // overwrites it in place and an eviction hands it, with the struct, to the
-// answer that displaced it. Entries are carved from the cache's slab, so a
-// growing shard pays one allocation per answer: its buffer.
+// answer that displaced it; either makes a new one only when the answer
+// does not fit. A growing shard carves the struct from the cache's slab and
+// the buffer, capacity capped at its length, from the cache's arena, so it
+// pays no allocation of its own per answer.
 type cacheEntry struct {
 	key Key
 	buf []byte
@@ -336,8 +340,8 @@ func (c *Cache) Put(key Key, m *dnswire.Message) {
 // caller's buffer stays the caller's. The wire is walked and validated
 // before any entry is touched; after that a replace reuses the entry's own
 // buffer and an insert at capacity reuses the LRU victim's struct and
-// buffer, so only a growing shard allocates: the buffer, and now and then a
-// slab chunk.
+// buffer, so only a growing shard allocates: now and then a slab or arena
+// chunk.
 func (c *Cache) insert(key Key, m *dnswire.Message, wire []byte) {
 	ttl, negative, ok := cacheTTL(m)
 	if !ok || ttl <= 0 {
@@ -357,6 +361,7 @@ func (c *Cache) insert(key Key, m *dnswire.Message, wire []byte) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	n := len(wire) + len(slots)
 	e, replace := s.entries[key]
 	if !replace && len(s.entries) >= s.capacity {
 		e = s.tail
@@ -364,7 +369,7 @@ func (c *Cache) insert(key Key, m *dnswire.Message, wire []byte) {
 		s.evictions++
 	}
 	if e == nil {
-		e = c.newEntry()
+		e = c.newEntry(n)
 	} else {
 		s.remove(e)
 		if e.negative {
@@ -377,7 +382,7 @@ func (c *Cache) insert(key Key, m *dnswire.Message, wire []byte) {
 	if negative {
 		s.negEntries++
 	}
-	if n := len(wire) + len(slots); cap(e.buf) < n {
+	if cap(e.buf) < n {
 		e.buf = make([]byte, 0, n)
 	}
 	e.buf = append(append(e.buf[:0], wire...), slots...)
@@ -391,17 +396,29 @@ func (c *Cache) insert(key Key, m *dnswire.Message, wire []byte) {
 }
 
 // newEntry carves a zeroed entry from the cache-wide slab, whose chunks
-// double from 16 to 256 entries. The slab is one for all shards: a fresh
-// fleet replica's shards hold a few dozen entries each, and per-shard
-// chunks would leave most of every chunk's tail unused.
-func (c *Cache) newEntry() *cacheEntry {
+// double from 16 to 256 entries, and gives it an empty buffer of capacity n
+// carved from the cache-wide arena, whose chunks double from 1 KiB to
+// 16 KiB (an answer larger than that gets a chunk of its own size). The
+// carve is a three-index slice, so an append past n moves the buffer
+// rather than writing on a neighbour's bytes. Slab and arena are one for
+// all shards: a fresh fleet replica's shards hold a few dozen entries
+// each, and per-shard chunks would leave most of every chunk's tail
+// unused.
+func (c *Cache) newEntry(n int) *cacheEntry {
 	c.slabMu.Lock()
 	defer c.slabMu.Unlock()
 	if len(c.slab) == cap(c.slab) {
 		c.slab = make([]cacheEntry, 0, min(max(2*cap(c.slab), 16), 256))
 	}
 	c.slab = c.slab[:len(c.slab)+1]
-	return &c.slab[len(c.slab)-1]
+	e := &c.slab[len(c.slab)-1]
+	if cap(c.arena)-len(c.arena) < n {
+		c.arena = make([]byte, 0, max(min(max(2*cap(c.arena), 1<<10), 16<<10), n))
+	}
+	at := len(c.arena)
+	c.arena = c.arena[:at+n]
+	e.buf = c.arena[at : at : at+n]
+	return e
 }
 
 // appendTTLSlots walks a packed message once and appends to dst one TTL
@@ -475,7 +492,7 @@ func (c *Cache) Len() int {
 	return n
 }
 
-// Flush drops every entry, and the slab they were carved from.
+// Flush drops every entry, and the slab and arena they were carved from.
 func (c *Cache) Flush() {
 	for _, s := range c.shards {
 		s.mu.Lock()
@@ -485,7 +502,7 @@ func (c *Cache) Flush() {
 		s.mu.Unlock()
 	}
 	c.slabMu.Lock()
-	c.slab = nil
+	c.slab, c.arena = nil, nil
 	c.slabMu.Unlock()
 }
 

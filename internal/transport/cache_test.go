@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/dnswire"
 	"repro/internal/simnet"
@@ -73,13 +75,14 @@ func TestCacheInsertAllocatesNothingWhenFullOrReplacing(t *testing.T) {
 	}
 }
 
-// A growing shard pays one allocation per answer, its buffer: the entry is
-// carved from the cache-wide slab and the TTL slots ride behind the wire.
-// What is left over is slab chunks and the shard maps' growth. One default
-// cache takes a fleet replica's few hundred answers, then a campaign day's
-// thousands more. The first batch carries each shard's early map growth,
-// about 0.24 allocations per insert, so its ceiling is higher.
-func TestGrowingCacheAllocatesOnePerEntry(t *testing.T) {
+// A growing shard pays no allocation of its own per answer: the entry is
+// carved from the cache-wide slab and its buffer, TTL slots behind the
+// wire, from the cache-wide arena. What is left over is slab and arena
+// chunks and the shard maps' growth. One default cache takes a fleet
+// replica's few hundred answers, then a campaign day's thousands more. The
+// first batch carries each shard's early map growth and the first, small
+// chunks: about 0.27 allocations per insert, against 0.02 for the second.
+func TestGrowingCacheAllocatesOnlyChunks(t *testing.T) {
 	if testrace.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
@@ -95,7 +98,7 @@ func TestGrowingCacheAllocatesOnePerEntry(t *testing.T) {
 	for _, batch := range []struct {
 		n       int
 		ceiling float64
-	}{{401, 1.3}, {12_000, 1.1}} {
+	}{{401, 0.3}, {12_000, 0.03}} {
 		keys := make([]Key, batch.n)
 		for i := range keys {
 			keys[i] = Key{Name: fmt.Sprintf("g%05d.test.", next), Type: dnswire.TypeA, DO: true}
@@ -112,9 +115,9 @@ func TestGrowingCacheAllocatesOnePerEntry(t *testing.T) {
 		}
 		per := float64(after.Mallocs-before.Mallocs) / float64(batch.n)
 		if per > batch.ceiling {
-			t.Errorf("%d inserts into a growing cache: %.2f allocations each, ceiling %v", batch.n, per, batch.ceiling)
+			t.Errorf("%d inserts into a growing cache: %.3f allocations each, ceiling %v", batch.n, per, batch.ceiling)
 		} else {
-			t.Logf("%d inserts into a growing cache: %.2f allocations each", batch.n, per)
+			t.Logf("%d inserts into a growing cache: %.3f allocations each", batch.n, per)
 		}
 	}
 }
@@ -173,6 +176,92 @@ func TestCacheConcurrentGrowthAndFlush(t *testing.T) {
 			if err := check(w, i); err != nil {
 				t.Fatal(err)
 			}
+		}
+	}
+}
+
+// The arena grows only while the cache does. On a full cache an insert
+// reuses the LRU victim's buffer and a replace the entry's own, and an
+// answer too large for either gets a buffer of its own: churn through
+// evictions and through replacements by ever larger answers carves nothing,
+// so a cache's resident bytes stay bounded by what it held when it filled.
+func TestFullCacheChurnNeverGrowsArena(t *testing.T) {
+	_, clock := testNet()
+	cache := NewCacheWith(clock, CacheConfig{Shards: 1, ShardCapacity: 8})
+	ttls := slices.Repeat([]uint32{300}, 10)
+	for i := 0; i < 8; i++ {
+		cache.Put(testKey(i), answerOf(testKey(i).Name, 300))
+	}
+	arena := cache.arena
+	for i := 8; i < 200; i++ {
+		cache.Put(testKey(i), answerOf(testKey(i).Name, ttls[:1+i%4]...))
+	}
+	for n := 5; n <= len(ttls); n++ {
+		for i := 192; i < 200; i++ {
+			cache.Put(testKey(i), answerOf(testKey(i).Name, ttls[:n]...))
+		}
+	}
+	if st := cache.Stats(); st.Entries != 8 || st.Evictions != 192 {
+		t.Fatalf("not the churn the test means: %+v", st)
+	}
+	if unsafe.SliceData(cache.arena) != unsafe.SliceData(arena) || len(cache.arena) != len(arena) || cap(cache.arena) != cap(arena) {
+		t.Errorf("churn on a full cache grew the arena: %d of %d bytes carved, was %d of %d",
+			len(cache.arena), cap(cache.arena), len(arena), cap(arena))
+	}
+}
+
+// Entries carved from one arena chunk sit side by side, each buffer's
+// capacity ending where the next one's bytes begin. Writing every entry's
+// buffer up to its capacity, and appending past it, must leave every
+// neighbour serving what it served before.
+func TestArenaNeighboursSurviveFullBuffers(t *testing.T) {
+	_, clock := testNet()
+	cache := NewCacheWith(clock, CacheConfig{Shards: 4, ShardCapacity: 64})
+	ttls := []uint32{300, 200, 100, 400, 500}
+	const n = 40
+	for i := 0; i < n; i++ {
+		cache.Put(testKey(i), answerOf(testKey(i).Name, ttls[:1+i%len(ttls)]...))
+	}
+	// Replaced by shorter answers, some buffers keep spare capacity.
+	for i := 0; i < n; i += 3 {
+		cache.Put(testKey(i), answerOf(testKey(i).Name, 300))
+	}
+	want := make([][]byte, n)
+	for i := range want {
+		want[i] = cache.Probe(testKey(i), 7, nil).Body
+	}
+	type span struct{ start, end uintptr }
+	var spans []span
+	for _, s := range cache.shards {
+		for e := s.head; e != nil; e = e.next {
+			start := uintptr(unsafe.Pointer(unsafe.SliceData(e.buf)))
+			spans = append(spans, span{start, start + uintptr(cap(e.buf))})
+			full := e.buf[:cap(e.buf)]
+			for j := len(e.buf); j < len(full); j++ {
+				full[j] = 0xff
+			}
+			_ = append(full, 0xff)
+		}
+	}
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.start, b.start) })
+	adjacent, overlaps := 0, 0
+	for i := 1; i < len(spans); i++ {
+		if spans[i-1].end > spans[i].start {
+			overlaps++
+		}
+		if spans[i-1].end >= spans[i].start {
+			adjacent++
+		}
+	}
+	if adjacent == 0 {
+		t.Fatal("no two entry buffers are neighbours: the test exercises no carve")
+	}
+	if overlaps > 0 {
+		t.Errorf("%d entry buffers reach into the next one's bytes", overlaps)
+	}
+	for i := range want {
+		if got := cache.Probe(testKey(i), 7, nil); got.State != StateFresh || !bytes.Equal(got.Body, want[i]) {
+			t.Errorf("%s changed when its neighbours filled their buffers:\n got %x\nwant %x", testKey(i).Name, got.Body, want[i])
 		}
 	}
 }

@@ -95,12 +95,15 @@ type Client struct {
 	// backing array can be returned as soon as resolve is done with it —
 	// only the winning *Upstream escapes via the outcome.
 	scratch sync.Pool
-	// msgPool recycles attempt answer messages. Every attempt decodes into
-	// a pooled message; losers go back via discard as soon as resolve
+	// msgPool recycles attempt answer messages, one pool per question type
+	// the scanner asks and one for every other type (msgPoolIndex). Every
+	// attempt decodes into a message from its query type's pool, so the
+	// decode lands on sections that last held answers of its own shape and
+	// reuses their RDATA; losers go back via discard as soon as resolve
 	// rules them out, and winners come home when the caller hands them to
 	// Recycle or, under ReuseAnswers, via the lastAns swap at the next
-	// exchange.
-	msgPool sync.Pool
+	// exchange. A message goes home to the pool its own question names.
+	msgPool [len(pooledTypes) + 1]sync.Pool
 
 	// exchangeLatency, bound by a fleet, observes each successful
 	// exchange's critical-path virtual duration.
@@ -163,23 +166,43 @@ type exchangeScratch struct {
 	cand []*Upstream
 }
 
-// getMsg pops a recycled answer message for a dial attempt to decode
-// into.
-func (c *Client) getMsg() *dnswire.Message {
-	if m, ok := c.msgPool.Get().(*dnswire.Message); ok {
+// pooledTypes are the question types with an answer pool of their own:
+// the daily scan's HTTPS, A, AAAA, SOA and NS.
+var pooledTypes = [...]dnswire.Type{dnswire.TypeHTTPS, dnswire.TypeA, dnswire.TypeAAAA, dnswire.TypeSOA, dnswire.TypeNS}
+
+// msgPoolIndex names the answer pool of question type t: its own if it
+// has one, else the last, which every other type shares.
+func msgPoolIndex(t dnswire.Type) int {
+	for i, pt := range pooledTypes {
+		if t == pt {
+			return i
+		}
+	}
+	return len(pooledTypes)
+}
+
+// getMsg pops a recycled answer message, from question type t's pool,
+// for a dial attempt to decode into.
+func (c *Client) getMsg(t dnswire.Type) *dnswire.Message {
+	if m, ok := c.msgPool[msgPoolIndex(t)].Get().(*dnswire.Message); ok {
 		return m
 	}
 	return new(dnswire.Message)
 }
 
-// putMsg takes an answer message home. Under the race detector it is
-// poisoned first — a header no real answer carries (QR clear, opcode 15,
-// RCODE 0xffff; AA, TC, AD, CD set), every question and record of type
-// and class 0 under poisonName — so a read after the hand-back cannot pass
-// for an answer. RDATA values and slice capacity stay for the next decode
-// to reuse, and for the race detector to catch a holder of one when that
-// decode overwrites it.
+// putMsg takes an answer message home, to the pool its question's type
+// names (a message without a question goes with the other types). Under
+// the race detector it is poisoned once that question is read — a header
+// no real answer carries (QR clear, opcode 15, RCODE 0xffff; AA, TC, AD,
+// CD set), every question and record of type and class 0 under poisonName
+// — so a read after the hand-back cannot pass for an answer. RDATA values
+// and slice capacity stay for the next decode to reuse, and for the race
+// detector to catch a holder of one when that decode overwrites it.
 func (c *Client) putMsg(m *dnswire.Message) {
+	var t dnswire.Type
+	if len(m.Question) > 0 {
+		t = m.Question[0].Type
+	}
 	if testrace.Enabled {
 		*m = dnswire.Message{ID: 0xdead, Opcode: 15, RCode: 0xffff,
 			Authoritative: true, Truncated: true, AuthenticatedData: true, CheckingDisabled: true,
@@ -193,7 +216,7 @@ func (c *Client) putMsg(m *dnswire.Message) {
 			}
 		}
 	}
-	c.msgPool.Put(m)
+	c.msgPool[msgPoolIndex(t)].Put(m)
 }
 
 const poisonName = "poisoned-after-recycle.invalid."
@@ -475,7 +498,10 @@ func (c *Client) dial(up *Upstream, q *dnswire.Message, tr *obs.Trace) (at attem
 		// synchronous: zero it in place, restore it on query and answer.
 		q.ID = 0
 	}
-	m := c.getMsg()
+	m := c.getMsg(q.Question[0].Type)
+	// The query's question in the recycled slot: the decode keeps its name
+	// for the answer's question and every owner spelled the same way.
+	m.Question = append(m.Question[:0], q.Question[0])
 	at.Stale, err = s.Exchange(q, m, tr)
 	if err == nil && !answers(m, q) {
 		err = errWrongAnswer

@@ -149,8 +149,13 @@
 // sync.Pools, wire encoding appends into recycled buffers via the
 // dnswire reuse APIs, a miss encodes its answer once (Resolve packs into
 // dst and the cache stores a copy in the entry it evicts or replaces, or
-// in one new buffer when a shard grows),
+// in a buffer carved from the cache's arena when a shard grows),
 // and cache keys are interned structs rather than formatted strings.
+// Answer Messages are pooled per question type (HTTPS, A, AAAA, SOA, NS
+// and one pool for the rest), so a decode lands on RDATA values of its
+// own shape, and the dial seeds the message's question slot with the
+// query's question, so the decoded question and every owner spelled the
+// same way share the query's name string.
 // Every pool put-site runs its buffer through dnswire's recycling
 // ceiling (dnswire.TrimRecycled) so a jumbo answer cannot pin its backing array for a
 // campaign. Pooling never feeds an RNG or an ordering decision — buffer
@@ -178,9 +183,9 @@
 //     valid only until that client's next exchange, which reclaims it —
 //     safe only for a serial sole-driver caller, like the workload engine
 //     and the benchmark harness, which flip it on through SetReuseAnswers
-//     for the duration of a run. Both feed one pool; Recycle drops the
-//     pending claim, so a message given back explicitly is not pooled
-//     again.
+//     for the duration of a run. Both feed the pool the message's own
+//     question type names; Recycle drops the pending claim, so a message
+//     given back explicitly is not pooled again.
 //   - The resolver recycles losing attempts' Messages (Client.discard) —
 //     exactly for attempts whose answer can no longer escape the
 //     exchange (raced losers, superseded parked SERVFAILs);

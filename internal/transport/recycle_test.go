@@ -11,18 +11,19 @@ import (
 	"repro/internal/testrace"
 )
 
-// cannedRecursor answers from prebuilt responses, patching only the ID, so
-// an exchange through it counts the serving layer's allocations and nothing
-// of a handler's. A handler's answer belongs to its caller, who releases it
-// (simnet.DNSHandler), so one Reply-built message cannot be served twice:
-// each call hands out a value copy of it, which Release leaves alone, in a
-// slot this test's serial exchanges are done with by the next call.
-type cannedRecursor map[string]*cannedAnswer
+// cannedRecursor answers from prebuilt responses, one per question,
+// patching only the ID, so an exchange through it counts the serving
+// layer's allocations and nothing of a handler's. A handler's answer
+// belongs to its caller, who releases it (simnet.DNSHandler), so one
+// Reply-built message cannot be served twice: each call hands out a value
+// copy of it, which Release leaves alone, in a slot this test's serial
+// exchanges are done with by the next call.
+type cannedRecursor map[dnswire.Question]*cannedAnswer
 
 type cannedAnswer struct{ built, out dnswire.Message }
 
 func (c cannedRecursor) HandleDNS(q *dnswire.Message) *dnswire.Message {
-	a := c[q.Question[0].Name]
+	a := c[q.Question[0]]
 	a.out = a.built
 	a.out.ID = q.ID
 	return &a.out
@@ -30,10 +31,10 @@ func (c cannedRecursor) HandleDNS(q *dnswire.Message) *dnswire.Message {
 
 // replyingRecursor is what a real handler does: a fresh Reply per query
 // carrying records it shares between answers.
-type replyingRecursor map[string]*cannedAnswer
+type replyingRecursor map[dnswire.Question]*cannedAnswer
 
 func (c replyingRecursor) HandleDNS(q *dnswire.Message) *dnswire.Message {
-	a := c[q.Question[0].Name]
+	a := c[q.Question[0]]
 	resp := q.Reply()
 	resp.RecursionAvailable = true
 	resp.Answer, resp.Authority = a.built.Answer, a.built.Authority
@@ -49,48 +50,69 @@ func (c replyingRecursor) HandleDNS(q *dnswire.Message) *dnswire.Message {
 // A second encode, a fresh entry or a fresh message graph would each show
 // up here — and so would a reply skeleton the frontend did not release, on
 // the leg whose recursor builds one per query, or a raced loser
-// whose answer the client did not take back.
+// whose answer the client did not take back. The scan-day legs ask one
+// name what the daily scan asks, HTTPS, A, AAAA, SOA and NS in turn: each
+// answer decodes into a message whose sections last held its own type's
+// records, or a fresh RDATA value would show up here.
 func TestExchangeAllocBudgets(t *testing.T) {
 	if testrace.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	names := []string{"one.budget.test.", "two.budget.test."}
 	recursor := cannedRecursor{}
-	for i, name := range names {
-		resp := dnswire.NewQuery(1, name, dnswire.TypeHTTPS, true).Reply()
+	answer := func(name string, qtype dnswire.Type, rrs ...dnswire.RR) dnswire.Question {
+		resp := dnswire.NewQuery(1, name, qtype, true).Reply()
 		resp.RecursionAvailable = true
-		if i == 0 {
-			// One NODATA and one HTTPS answer: alternating shapes are what
-			// recycled slots have to survive.
-			resp.Authority = append(resp.Authority, dnswire.RR{
-				Name: "budget.test.", Type: dnswire.TypeSOA, Class: dnswire.ClassINET, TTL: 300,
-				Data: &dnswire.SOAData{MName: "ns1.budget.test.", RName: "hostmaster.budget.test.", Minimum: 300},
-			})
-		} else {
-			data := &dnswire.SVCBData{Priority: 1, Target: "."}
-			if err := data.Params.SetALPN([]string{"h2", "h3"}); err != nil {
-				t.Fatal(err)
+		for _, rr := range rrs {
+			if rr.Type == dnswire.TypeSOA && qtype != dnswire.TypeSOA {
+				resp.Authority = append(resp.Authority, rr)
+			} else {
+				resp.Answer = append(resp.Answer, rr)
 			}
-			if err := data.Params.SetIPv4Hints([]netip.Addr{netip.MustParseAddr("192.0.2.1")}); err != nil {
-				t.Fatal(err)
-			}
-			resp.Answer = append(resp.Answer, dnswire.RR{
-				Name: name, Type: dnswire.TypeHTTPS, Class: dnswire.ClassINET, TTL: 300, Data: data,
-			})
 		}
-		recursor[name] = &cannedAnswer{built: *resp}
+		recursor[resp.Question[0]] = &cannedAnswer{built: *resp}
+		return resp.Question[0]
+	}
+	rr := func(name string, t dnswire.Type, data dnswire.RData) dnswire.RR {
+		return dnswire.RR{Name: name, Type: t, Class: dnswire.ClassINET, TTL: 300, Data: data}
+	}
+	https := &dnswire.SVCBData{Priority: 1, Target: "."}
+	if err := https.Params.SetALPN([]string{"h2", "h3"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := https.Params.SetIPv4Hints([]netip.Addr{netip.MustParseAddr("192.0.2.1")}); err != nil {
+		t.Fatal(err)
+	}
+	soa := &dnswire.SOAData{MName: "ns1.budget.test.", RName: "hostmaster.budget.test.", Minimum: 300}
+	// One NODATA and one HTTPS answer: alternating shapes are what recycled
+	// slots have to survive.
+	twoNames := []dnswire.Question{
+		answer("one.budget.test.", dnswire.TypeHTTPS, rr("budget.test.", dnswire.TypeSOA, soa)),
+		answer("two.budget.test.", dnswire.TypeHTTPS, rr("two.budget.test.", dnswire.TypeHTTPS, https)),
+	}
+	const scanned = "scan.budget.test."
+	scanDay := []dnswire.Question{
+		answer(scanned, dnswire.TypeHTTPS, rr(scanned, dnswire.TypeHTTPS, https)),
+		answer(scanned, dnswire.TypeA, rr(scanned, dnswire.TypeA, &dnswire.AData{Addr: netip.MustParseAddr("192.0.2.1")}),
+			rr(scanned, dnswire.TypeA, &dnswire.AData{Addr: netip.MustParseAddr("192.0.2.2")})),
+		answer(scanned, dnswire.TypeAAAA, rr(scanned, dnswire.TypeAAAA, &dnswire.AAAAData{Addr: netip.MustParseAddr("2001:db8::1")})),
+		answer(scanned, dnswire.TypeSOA, rr(scanned, dnswire.TypeSOA, soa)),
+		answer(scanned, dnswire.TypeNS, rr(scanned, dnswire.TypeNS, &dnswire.NSData{Host: "ns1.budget.test."}),
+			rr(scanned, dnswire.TypeNS, &dnswire.NSData{Host: "ns2.budget.test."})),
 	}
 	for _, strategy := range []StrategyKind{StrategySerial, StrategyRace} {
 		for _, proto := range []Protocol{ProtoDoH, ProtoDoT, ProtoDoQ} {
 			for _, tc := range []struct {
-				kind     string
-				hit      bool
-				cache    CacheConfig
-				recursor simnet.DNSHandler
+				kind      string
+				hit       bool
+				cache     CacheConfig
+				recursor  simnet.DNSHandler
+				questions []dnswire.Question
 			}{
-				{"hit", true, CacheConfig{}, recursor},
-				{"miss", false, CacheConfig{Shards: 1, ShardCapacity: 1}, recursor},
-				{"miss with a reply built per query", false, CacheConfig{Shards: 1, ShardCapacity: 1}, replyingRecursor(recursor)},
+				{"hit", true, CacheConfig{}, recursor, twoNames},
+				{"miss", false, CacheConfig{Shards: 1, ShardCapacity: 1}, recursor, twoNames},
+				{"miss with a reply built per query", false, CacheConfig{Shards: 1, ShardCapacity: 1}, replyingRecursor(recursor), twoNames},
+				{"scan-day hit", true, CacheConfig{}, recursor, scanDay},
+				{"scan-day miss", false, CacheConfig{Shards: 1, ShardCapacity: 1}, recursor, scanDay},
 			} {
 				leg := fmt.Sprintf("%s %s %s", strategy, proto, tc.kind)
 				// Every RTT lies past the race stagger, so every race fires,
@@ -112,11 +134,11 @@ func TestExchangeAllocBudgets(t *testing.T) {
 				for i := 0; i < 2; i++ {
 					fl.Add(proto, "fe", tc.recursor, frontendAddr(i))
 				}
-				q := dnswire.NewQuery(1, names[0], dnswire.TypeHTTPS, true)
+				q := dnswire.NewQuery(1, scanned, dnswire.TypeHTTPS, true)
 				i := 0
 				exchange := func() {
 					q.ID++
-					q.Question[0].Name = names[i%len(names)]
+					q.Question[0] = tc.questions[i%len(tc.questions)]
 					i++
 					m, err := fl.Client.Exchange(q)
 					if err != nil || m.RCode != dnswire.RCodeNoError {
@@ -173,7 +195,7 @@ func TestRecycleUnderReuseAnswersPoolsOnce(t *testing.T) {
 	}
 	// Whatever the pool still holds, it must not hold the live answer.
 	for i := 0; i < 8; i++ {
-		if m := client.getMsg(); m == live {
+		if m := client.getMsg(dnswire.TypeA); m == live {
 			t.Fatal("the answer in the caller's hands is also in the message pool")
 		}
 	}

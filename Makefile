@@ -21,10 +21,12 @@ test:
 # validator and authoritatives (forked recursors share one
 # verified-signature memo across day workers; built messages come from and
 # go back to one skeleton pool), the ECH key manager, whose per-epoch
-# memo every day and hour worker reads through one lock, and the Tranco
-# simulator, whose spelling table every day worker reads).
+# memo every day and hour worker reads through one lock, the Tranco
+# simulator, whose spelling table every day worker reads, and the zone
+# store, its authoritative server and the manager that edits it, whose
+# served records every concurrent recursor shares).
 race:
-	$(GO) test -race ./internal/scanner ./internal/simnet ./internal/core ./internal/transport ./internal/dnswire ./internal/obs ./internal/dataset ./internal/workload ./internal/resolver ./internal/dnssec ./internal/providers ./internal/ech ./internal/tranco
+	$(GO) test -race ./internal/scanner ./internal/simnet ./internal/core ./internal/transport ./internal/dnswire ./internal/obs ./internal/dataset ./internal/workload ./internal/resolver ./internal/dnssec ./internal/providers ./internal/ech ./internal/tranco ./internal/zone ./internal/authserver ./internal/manager
 
 # Tier-1 verify as the roadmap defines it, then the nested benchmark
 # module: bench/ compiles against this module's exported surface, so its
@@ -144,8 +146,9 @@ attribute:
 # slot a decoded record's TTL, dirty reuse against a fresh walk), RRSIG verification (whose memoised and plain verdicts must
 # agree), or the DNSKEY side of it (DS construction and matching against
 # the reference builder, key tag, public-key decoding); that the pooled
-# signing digest equals the reference builder's; and that the world's
-# O(1)-seeded random source still gives math/rand's exact stream.
+# signing digest equals the reference builder's; that the world's
+# O(1)-seeded random source still gives math/rand's exact stream; and that
+# a metric key renders as fmt's %s=%q over sort.Slice-sorted labels.
 fuzz-smoke:
 	$(GO) test ./internal/dnswire -fuzz 'FuzzUnpack$$' -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnswire -fuzz FuzzUnpackInto -fuzztime 10s -run xxx
@@ -159,6 +162,7 @@ fuzz-smoke:
 	$(GO) test ./internal/dnssec -fuzz FuzzVerifyRRSIG -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnssec -fuzz FuzzDNSKEYDS -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnssec -fuzz FuzzSigningDigest -fuzztime 10s -run xxx
+	$(GO) test ./internal/obs -fuzz FuzzMetricKey -fuzztime 10s -run xxx
 
 # Traced-exchange demo: a mixed-protocol fleet under the race strategy
 # with every exchange traced, dumping the five costliest span trees —

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -281,4 +282,81 @@ func TestFindingString(t *testing.T) {
 	if f.String() == "" || Critical.String() != "CRITICAL" || Warning.String() != "WARNING" || Info.String() != "INFO" {
 		t.Error("string rendering broken")
 	}
+}
+
+// TestPublishECHNeverEditsServedRecords: PublishECH edits the records it
+// looked up, so Lookup hands out copies; no answer Query served, before or
+// after a publication, ever shows a later edit.
+func TestPublishECHNeverEditsServedRecords(t *testing.T) {
+	start := time.Unix(0, 0)
+	km, err := ech.NewKeyManager(rand.New(rand.NewSource(2)), "cover.a.com", time.Hour, 2*time.Hour, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z := testZone()
+	addHTTPS(z, 1, ".", func(ps *svcb.Params) { _ = ps.SetALPN([]string{"h2"}) })
+	m := &Manager{Zone: z, TTL: 300}
+	echOf := func(res zone.QueryResult) []byte {
+		list, _ := res.Answer[0].Data.(*dnswire.SVCBData).Params.ECH()
+		return list
+	}
+	before := z.Query("a.com.", dnswire.TypeHTTPS, false)
+	if err := m.PublishECH("a.com.", km, start); err != nil {
+		t.Fatal(err)
+	}
+	first := z.Query("a.com.", dnswire.TypeHTTPS, false)
+	firstList := slices.Clone(echOf(first))
+	if echOf(before) != nil || firstList == nil {
+		t.Fatalf("ech before publication %x, after %x", echOf(before), firstList)
+	}
+	later := start.Add(3 * time.Hour)
+	if err := m.PublishECH("a.com.", km, later); err != nil {
+		t.Fatal(err)
+	}
+	if echOf(before) != nil || !slices.Equal(echOf(first), firstList) {
+		t.Errorf("a later publication edited served answers: %x, %x", echOf(before), echOf(first))
+	}
+	if now := echOf(z.Query("a.com.", dnswire.TypeHTTPS, false)); slices.Equal(now, firstList) {
+		t.Error("the later publication did not rotate the served list")
+	}
+	rrs, _, _ := z.Lookup("a.com.", dnswire.TypeHTTPS)
+	rrs[0].Data.(*dnswire.SVCBData).Params.SetECH([]byte{0, 0})
+	if now := echOf(z.Query("a.com.", dnswire.TypeHTTPS, false)); slices.Equal(now, []byte{0, 0}) {
+		t.Error("an edit of a Lookup result shows in Query")
+	}
+}
+
+// TestPublishECHUnderConcurrentQueries: readers pack the answers Query
+// serves while PublishECH rotates the list underneath them; under -race, a
+// write into any served record would show.
+func TestPublishECHUnderConcurrentQueries(t *testing.T) {
+	start := time.Unix(0, 0)
+	km, err := ech.NewKeyManager(rand.New(rand.NewSource(2)), "cover.a.com", time.Hour, 2*time.Hour, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z := testZone()
+	addHTTPS(z, 1, ".", func(ps *svcb.Params) { _ = ps.SetALPN([]string{"h2"}) })
+	m := &Manager{Zone: z, TTL: 300}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				for _, rr := range z.Query("a.com.", dnswire.TypeHTTPS, false).Answer {
+					if _, err := dnswire.PackRR(nil, rr); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for h := 0; h < 50; h++ {
+		if err := m.PublishECH("a.com.", km, start.Add(time.Duration(h)*time.Hour)); err != nil {
+			t.Error(err)
+		}
+	}
+	wg.Wait()
 }

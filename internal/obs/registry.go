@@ -1,9 +1,8 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,25 +94,32 @@ func NewRegistry(clock Clock) *Registry {
 	return &Registry{clock: clock, entries: map[string]*entry{}, volatile: map[string]bool{}}
 }
 
-// metricKey renders the stable identity of (name, labels); labels are
-// sorted by key so registration order never matters.
+// metricKey renders the stable identity of (name, labels) as
+// name{k1="v1",k2="v2"}: keys bare, values quoted as strconv.Quote does (the
+// %q of fmt), labels sorted by key so registration order never matters.
+// Labels of equal key keep their given order. Up to eight labels and a
+// short key are sorted and rendered on the stack, so a key costs its one
+// string.
 func metricKey(name string, labels []Label) string {
 	if len(labels) == 0 {
 		return name
 	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
+	var lbuf [8]Label
+	ls := append(lbuf[:0], labels...)
+	for i := 1; i < len(ls); i++ { // insertion sort: stable
+		for j := i; j > 0 && ls[j].Key < ls[j-1].Key; j-- {
+			ls[j], ls[j-1] = ls[j-1], ls[j]
+		}
+	}
+	var buf [128]byte
+	b := append(append(buf[:0], name...), '{')
 	for i, l := range ls {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", l.Key, l.Value)
+		b = strconv.AppendQuote(append(append(b, l.Key...), '='), l.Value)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return string(append(b, '}'))
 }
 
 // register installs (or replaces) the entry for (name, labels).

@@ -282,22 +282,15 @@ var (
 )
 
 // newHTTPSSet builds owner's HTTPS set for its memo key; nil for a profile
-// that publishes none.
+// that publishes none. A one-record set's parameters and hint values live in
+// the set itself, so a rebuild at an ECH rotation is one allocation.
 func (d *DomainState) newHTTPSSet(owner string, preH3 bool, echList []byte) *httpsSet {
 	s := &httpsSet{ech: echList, preH3: preH3}
 	rr := func(data *dnswire.SVCBData) dnswire.RR {
 		return dnswire.RR{Name: owner, Type: dnswire.TypeHTTPS, Class: dnswire.ClassINET, TTL: d.TTL, Data: data}
 	}
 	prio, target := uint16(1), "."
-	var ps svcb.Params
-	withHints := func() {
-		if d.HintV4 {
-			_ = ps.SetIPv4Hints([]netip.Addr{d.HintV4Addr()})
-		}
-		if d.HintV6 {
-			_ = ps.SetIPv6Hints([]netip.Addr{d.AnycastV6})
-		}
-	}
+	ps := svcb.Params(s.params[:0])
 	switch d.Profile {
 	case ProfileCFDefault:
 		alpn := cfALPN
@@ -305,7 +298,7 @@ func (d *DomainState) newHTTPSSet(owner string, preH3 bool, echList []byte) *htt
 			alpn = cfALPNPreH3
 		}
 		ps.Set(svcb.KeyALPN, alpn)
-		withHints()
+		s.setHints(&ps, d.HintV4, d.HintV6, d.HintV4Addr(), d.AnycastV6)
 		if echList != nil {
 			ps.SetECH(echList)
 		}
@@ -313,23 +306,20 @@ func (d *DomainState) newHTTPSSet(owner string, preH3 bool, echList []byte) *htt
 		if len(d.ALPN) > 0 {
 			_ = ps.SetALPN(d.ALPN)
 		}
-		withHints()
+		s.setHints(&ps, d.HintV4, d.HintV6, d.HintV4Addr(), d.AnycastV6)
 		if echList != nil {
 			ps.SetECH(echList)
 		}
 	case ProfileGoogle:
 		if len(d.ALPN) > 0 {
 			_ = ps.SetALPN(d.ALPN)
-			if d.HintV4 {
-				_ = ps.SetIPv4Hints([]netip.Addr{d.OriginV4})
-			}
+			s.setHints(&ps, d.HintV4, false, d.OriginV4, netip.Addr{})
 		}
 	case ProfileGoDaddyAlias:
 		prio, target = 0, "redirect."+d.Providers[0].InfraDomain
 	case ProfileGoDaddyService:
 		_ = ps.SetALPN(d.ALPN)
-		_ = ps.SetIPv4Hints([]netip.Addr{d.OriginV4})
-		_ = ps.SetIPv6Hints([]netip.Addr{d.OriginV6})
+		s.setHints(&ps, true, true, d.OriginV4, d.OriginV6)
 	case ProfileAliasSelf:
 		prio = 0
 	case ProfileServiceNoParams:
@@ -349,6 +339,17 @@ func (d *DomainState) newHTTPSSet(owner string, preH3 bool, echList []byte) *htt
 	return s
 }
 
+// setHints sets ps's ipv4hint to v4 and its ipv6hint to v6, each when asked
+// for, with s.hints holding the values.
+func (s *httpsSet) setHints(ps *svcb.Params, withV4, withV6 bool, v4, v6 netip.Addr) {
+	if withV4 {
+		_ = ps.SetHintsIn(svcb.KeyIPv4Hint, s.hints[:4:4], []netip.Addr{v4})
+	}
+	if withV6 {
+		_ = ps.SetHintsIn(svcb.KeyIPv6Hint, s.hints[4:], []netip.Addr{v6})
+	}
+}
+
 // answerSets is a domain's memo of positive answers: the last HTTPS, A and
 // AAAA set served for each owner, and its CNAME, the apex at index 0 and www
 // at 1. A set's box holds its key and, for one record, the RDATA too.
@@ -360,12 +361,16 @@ type answerSets struct {
 }
 
 // httpsSet is an HTTPS set and its key. It holds the ECHConfigList it
-// carries, so no other list can take that list's address.
+// carries, so no other list can take that list's address. A one-record set's
+// RDATA, its parameter list (alpn, ipv4hint, ech, ipv6hint) and its hint
+// values (the IPv4 address, then the IPv6 one) sit in the box too.
 type httpsSet struct {
 	rrset
-	ech   []byte
-	preH3 bool
-	data  dnswire.SVCBData
+	ech    []byte
+	preH3  bool
+	data   dnswire.SVCBData
+	params [4]svcb.Param
+	hints  [4 + 16]byte
 }
 
 // aSet and aaaaSet are one-record address sets, keyed by their address.

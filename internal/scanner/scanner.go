@@ -12,7 +12,8 @@
 // caller's). Its own query message follows when the scan is over. The ech
 // parameter is the one value read in place (readECH, over
 // ech.SelectInPlace), under the same rule: its public key is hashed and
-// its public name copied before the answer goes back.
+// its public name found in the table of names already seen (publicNames),
+// or copied, before the answer goes back.
 package scanner
 
 import (
@@ -83,6 +84,36 @@ func (s *Scanner) Fork(net *simnet.Network, transport Transport) *Scanner {
 		Net: net, Primary: s.Primary, Backup: s.Backup,
 		Transport: transport, Whois: s.Whois, Concurrency: s.Concurrency,
 	}
+}
+
+// maxPublicNames bounds a nameTable. A world's ECH publishers share a few
+// public names (Cloudflare's one, in the paper); names past the bound are
+// copied, not kept.
+const maxPublicNames = 32
+
+// nameTable interns byte strings: every caller asking for the same bytes
+// gets one string.
+type nameTable struct {
+	mu sync.Mutex
+	m  map[string]string
+}
+
+// publicNames interns the ECH public names every scan reads, so each stored
+// observation and record of one name shares one string.
+var publicNames = nameTable{m: map[string]string{}}
+
+// intern returns b as a string, the table's own when it holds one.
+func (t *nameTable) intern(b []byte) string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if s, ok := t.m[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(t.m) < maxPublicNames {
+		t.m[s] = s
+	}
+	return s
 }
 
 func (s *Scanner) nextID() uint16 {
@@ -224,8 +255,10 @@ func summarizeHTTPS(rr dnswire.RR) (dataset.HTTPSRecord, bool) {
 // (ech.SelectInPlace) and nothing else of its parameters: has reports that
 // the parameter is there, ok that its list is well formed and offers a
 // supported config, whose id, key hash and public name it fills in — the
-// values Fig 4 tracks rotation by. The key is hashed and the name copied,
-// so nothing returned aliases the answer.
+// values Fig 4 tracks rotation by. The key is hashed and the name interned
+// in publicNames, so nothing returned aliases the answer: the scans read
+// the same public name in nearly every record, and all of them share the
+// table's string.
 func readECH(ps svcb.Params) (obs dataset.ECHObservation, has, ok bool) {
 	list, has := ps.ECH()
 	if !has {
@@ -235,7 +268,7 @@ func readECH(ps svcb.Params) (obs dataset.ECHObservation, has, ok bool) {
 	if err != nil {
 		return obs, true, false
 	}
-	obs.ConfigID, obs.KeyHash, obs.PublicName = cfg.ConfigID, dnswire.FNV1a(cfg.PublicKey), string(cfg.PublicName)
+	obs.ConfigID, obs.KeyHash, obs.PublicName = cfg.ConfigID, dnswire.FNV1a(cfg.PublicKey), publicNames.intern(cfg.PublicName)
 	return obs, true, true
 }
 

@@ -165,18 +165,22 @@ func (n *Network) RegisterDNS(addr netip.Addr, h DNSHandler) {
 	n.state.dns[addr] = h
 }
 
-// SetRootServers records the root name server addresses for resolvers.
+// SetRootServers records a copy of the root name server addresses for
+// resolvers. It replaces the list rather than writing into it, so a list
+// RootServers handed out keeps its addresses.
 func (n *Network) SetRootServers(addrs []netip.Addr) {
 	n.state.mu.Lock()
 	defer n.state.mu.Unlock()
 	n.state.roots = append([]netip.Addr(nil), addrs...)
 }
 
-// RootServers returns the configured root server addresses.
+// RootServers returns the configured root server addresses: the network's
+// own list, read-only, capacity-clipped so an append copies.
 func (n *Network) RootServers() []netip.Addr {
 	n.state.mu.RLock()
 	defer n.state.mu.RUnlock()
-	return append([]netip.Addr(nil), n.state.roots...)
+	roots := n.state.roots
+	return roots[:len(roots):len(roots)]
 }
 
 // QueryDNS sends a DNS query to the server at addr and returns its response,

@@ -99,10 +99,19 @@ func TestRootServers(t *testing.T) {
 	if len(got) != 1 || got[0] != roots[0] {
 		t.Errorf("RootServers = %v", got)
 	}
-	// Returned slice is a copy.
-	got[0] = netip.MustParseAddr("1.1.1.1")
-	if n.RootServers()[0] != roots[0] {
-		t.Error("RootServers aliases internal state")
+	// The list is the caller's copy of SetRootServers' input, and a list
+	// handed out is read-only: capacity-clipped, and left as it was when
+	// SetRootServers replaces the network's.
+	roots[0] = netip.MustParseAddr("1.1.1.1")
+	if n.RootServers()[0] != got[0] || got[0] == roots[0] {
+		t.Error("RootServers aliases SetRootServers' input")
+	}
+	if cap(got) != len(got) {
+		t.Errorf("RootServers cap = %d, want %d", cap(got), len(got))
+	}
+	n.SetRootServers([]netip.Addr{roots[0], roots[0]})
+	if len(got) != 1 || got[0] != netip.MustParseAddr("198.41.0.4") || len(n.RootServers()) != 2 {
+		t.Errorf("after SetRootServers: held %v, now %v", got, n.RootServers())
 	}
 }
 

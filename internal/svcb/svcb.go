@@ -360,19 +360,7 @@ func (ps Params) IPv4Hints() ([]netip.Addr, bool) {
 
 // SetIPv4Hints sets the ipv4hint parameter. All addresses must be IPv4.
 func (ps *Params) SetIPv4Hints(addrs []netip.Addr) error {
-	var v []byte
-	for _, a := range addrs {
-		if !a.Is4() {
-			return fmt.Errorf("svcb: %v is not an IPv4 address", a)
-		}
-		b := a.As4()
-		v = append(v, b[:]...)
-	}
-	if len(v) == 0 {
-		return fmt.Errorf("svcb: empty ipv4hint list")
-	}
-	ps.Set(KeyIPv4Hint, v)
-	return nil
+	return ps.SetHintsIn(KeyIPv4Hint, nil, addrs)
 }
 
 // IPv6Hints returns the decoded ipv6hint addresses, if present and valid.
@@ -391,18 +379,30 @@ func (ps Params) IPv6Hints() ([]netip.Addr, bool) {
 
 // SetIPv6Hints sets the ipv6hint parameter. All addresses must be IPv6.
 func (ps *Params) SetIPv6Hints(addrs []netip.Addr) error {
-	var v []byte
+	return ps.SetHintsIn(KeyIPv6Hint, nil, addrs)
+}
+
+// SetHintsIn sets key, ipv4hint or ipv6hint, to addrs, which must all be of
+// its family, writing the value over buf's storage: a caller whose buf has
+// room for the addresses allocates nothing.
+func (ps *Params) SetHintsIn(key ParamKey, buf []byte, addrs []netip.Addr) error {
+	v := buf[:0]
 	for _, a := range addrs {
-		if !a.Is6() || a.Is4In6() {
-			return fmt.Errorf("svcb: %v is not an IPv6 address", a)
+		switch {
+		case key == KeyIPv4Hint && a.Is4():
+			b := a.As4()
+			v = append(v, b[:]...)
+		case key == KeyIPv6Hint && a.Is6() && !a.Is4In6():
+			b := a.As16()
+			v = append(v, b[:]...)
+		default:
+			return fmt.Errorf("svcb: %v is not an address for %s", a, key)
 		}
-		b := a.As16()
-		v = append(v, b[:]...)
 	}
 	if len(v) == 0 {
-		return fmt.Errorf("svcb: empty ipv6hint list")
+		return fmt.Errorf("svcb: empty %s list", key)
 	}
-	ps.Set(KeyIPv6Hint, v)
+	ps.Set(key, v)
 	return nil
 }
 

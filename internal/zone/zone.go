@@ -5,6 +5,7 @@ package zone
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -94,7 +95,10 @@ func (z *Zone) RemoveRRset(name string, t dnswire.Type) {
 	}
 }
 
-// Lookup returns the RRset and its signatures for (name, type).
+// Lookup returns the RRset and its signatures for (name, type), deep
+// copies the caller owns: an editor such as manager.PublishECH writes into
+// what it looked up (data.Params.SetECH) before it adds the records back,
+// and a record Query serves must never be one of those.
 func (z *Zone) Lookup(name string, t dnswire.Type) (rrs, sigs []dnswire.RR, ok bool) {
 	name = dnswire.CanonicalName(name)
 	z.mu.RLock()
@@ -183,7 +187,11 @@ type QueryResult struct {
 }
 
 // Query resolves a question against the zone's data with authoritative
-// semantics. dnssecOK controls whether RRSIGs are included.
+// semantics. dnssecOK controls whether RRSIGs are included. Each section is
+// a slice of its own, but its records' RDATA is the zone's, shared with
+// every other answer: a reader copies an RR or Clones it, and never writes
+// through Data. Add and RemoveRRset replace a record, never edit it, so an
+// answer already served keeps what it said.
 func (z *Zone) Query(name string, t dnswire.Type, dnssecOK bool) QueryResult {
 	name = dnswire.CanonicalName(name)
 	z.mu.RLock()
@@ -194,52 +202,34 @@ func (z *Zone) Query(name string, t dnswire.Type, dnssecOK bool) QueryResult {
 	}
 
 	// Delegation: if name is at or below a child zone cut, return a
-	// referral with the child NS set (plus glue if present). Exception:
-	// DS queries at the cut itself are answered authoritatively by the
-	// parent (RFC 4035 §3.1.4.1).
-	for cut := range z.delegations {
-		if name == cut && t == dnswire.TypeDS {
-			continue
+	// referral with the child NS set (plus glue if present).
+	if cut, ok := z.cutLocked(name, t); ok {
+		ns := z.rrsets[rrsetKey{name: cut, typ: dnswire.TypeNS}]
+		var ds, dsSigs []dnswire.RR
+		if dnssecOK {
+			dsKey := rrsetKey{name: cut, typ: dnswire.TypeDS}
+			ds, dsSigs = z.rrsets[dsKey], z.sigs[dsKey]
 		}
-		if dnswire.IsSubdomain(name, cut) && name != z.Origin {
-			res := QueryResult{Referral: true}
-			nsKey := rrsetKey{name: cut, typ: dnswire.TypeNS}
-			res.Authority = cloneRRs(z.rrsets[nsKey])
-			if dnssecOK {
-				if ds, ok := z.rrsets[rrsetKey{name: cut, typ: dnswire.TypeDS}]; ok {
-					res.Authority = append(res.Authority, cloneRRs(ds)...)
-					res.Authority = append(res.Authority, cloneRRs(z.sigs[rrsetKey{name: cut, typ: dnswire.TypeDS}])...)
-				}
+		res := QueryResult{Referral: true, Authority: slices.Concat(ns, ds, dsSigs)}
+		for _, rr := range ns {
+			host := rr.Data.(*dnswire.NSData).Host
+			for _, gt := range [...]dnswire.Type{dnswire.TypeA, dnswire.TypeAAAA} {
+				res.Additional = append(res.Additional, z.rrsets[rrsetKey{name: host, typ: gt}]...)
 			}
-			for _, ns := range z.rrsets[nsKey] {
-				host := ns.Data.(*dnswire.NSData).Host
-				for _, gt := range []dnswire.Type{dnswire.TypeA, dnswire.TypeAAAA} {
-					if glue, ok := z.rrsets[rrsetKey{name: host, typ: gt}]; ok {
-						res.Additional = append(res.Additional, cloneRRs(glue)...)
-					}
-				}
-			}
-			return res
 		}
+		return res
 	}
 
 	k := rrsetKey{name: name, typ: t}
 	if rrs, ok := z.rrsets[k]; ok {
-		res := QueryResult{Answer: cloneRRs(rrs)}
-		if dnssecOK {
-			res.Answer = append(res.Answer, cloneRRs(z.sigs[k])...)
-		}
-		return res
+		return QueryResult{Answer: z.withSigsLocked(k, rrs, dnssecOK)}
 	}
 
 	// CNAME processing: if a CNAME exists at the name (and the query was
 	// not for CNAME), return it; resolution continues at the target.
 	ck := rrsetKey{name: name, typ: dnswire.TypeCNAME}
 	if cname, ok := z.rrsets[ck]; ok && t != dnswire.TypeCNAME {
-		res := QueryResult{Answer: cloneRRs(cname)}
-		if dnssecOK {
-			res.Answer = append(res.Answer, cloneRRs(z.sigs[ck])...)
-		}
+		res := QueryResult{Answer: z.withSigsLocked(ck, cname, dnssecOK)}
 		// Chase within this zone if the target is local.
 		target := dnswire.CanonicalName(cname[0].Data.(*dnswire.CNAMEData).Target)
 		if dnswire.IsSubdomain(target, z.Origin) && target != name {
@@ -251,14 +241,34 @@ func (z *Zone) Query(name string, t dnswire.Type, dnssecOK bool) QueryResult {
 
 	// NODATA vs NXDOMAIN.
 	soaKey := rrsetKey{name: z.Origin, typ: dnswire.TypeSOA}
-	authority := cloneRRs(z.rrsets[soaKey])
-	if dnssecOK {
-		authority = append(authority, cloneRRs(z.sigs[soaKey])...)
-	}
+	authority := z.withSigsLocked(soaKey, z.rrsets[soaKey], dnssecOK)
 	if z.nameExistsLocked(name) {
 		return QueryResult{Authority: authority} // NODATA
 	}
 	return QueryResult{RCode: dnswire.RCodeNXDomain, Authority: authority}
+}
+
+// cutLocked returns the child zone cut a question for (name, t) is referred
+// to: the topmost cut at or above name, so nested cuts refer the same way
+// every time. A DS question at a cut itself is answered by this zone, the
+// parent side (RFC 4035 §3.1.4.1). It costs one probe per label below the
+// origin.
+func (z *Zone) cutLocked(name string, t dnswire.Type) (cut string, ok bool) {
+	for n := name; n != z.Origin; n = dnswire.ParentName(n) {
+		if z.delegations[n] && (n != name || t != dnswire.TypeDS) {
+			cut, ok = n, true
+		}
+	}
+	return cut, ok
+}
+
+// withSigsLocked returns a fresh section holding the RRset rrs at k and,
+// for a DO ask, its signatures behind it.
+func (z *Zone) withSigsLocked(k rrsetKey, rrs []dnswire.RR, dnssecOK bool) []dnswire.RR {
+	if !dnssecOK {
+		return slices.Clone(rrs)
+	}
+	return slices.Concat(rrs, z.sigs[k])
 }
 
 func (z *Zone) nameExistsLocked(name string) bool {
@@ -277,18 +287,11 @@ func (z *Zone) queryLocked(name string, t dnswire.Type, dnssecOK bool, depth int
 	}
 	k := rrsetKey{name: name, typ: t}
 	if rrs, ok := z.rrsets[k]; ok {
-		out := cloneRRs(rrs)
-		if dnssecOK {
-			out = append(out, cloneRRs(z.sigs[k])...)
-		}
-		return out
+		return z.withSigsLocked(k, rrs, dnssecOK)
 	}
 	ck := rrsetKey{name: name, typ: dnswire.TypeCNAME}
 	if cname, ok := z.rrsets[ck]; ok && t != dnswire.TypeCNAME {
-		out := cloneRRs(cname)
-		if dnssecOK {
-			out = append(out, cloneRRs(z.sigs[ck])...)
-		}
+		out := z.withSigsLocked(ck, cname, dnssecOK)
 		target := dnswire.CanonicalName(cname[0].Data.(*dnswire.CNAMEData).Target)
 		if dnswire.IsSubdomain(target, z.Origin) && target != name {
 			out = append(out, z.queryLocked(target, t, dnssecOK, depth-1)...)

@@ -3,6 +3,7 @@ package zone
 import (
 	"bytes"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -216,4 +217,67 @@ func hasType(rrs []dnswire.RR, t dnswire.Type) bool {
 		}
 	}
 	return false
+}
+
+// TestZoneReferralPicksTopmostCut: with nested cuts, a question below both
+// is referred to the upper one — the zone it is delegated to — every time,
+// whatever order the cuts were added or are stored in. A DS question at
+// the lower cut goes there too; one at the upper cut is answered here.
+func TestZoneReferralPicksTopmostCut(t *testing.T) {
+	z := New("example.")
+	z.SetSOA("ns.example.", "hostmaster.example.", 1, 300)
+	for _, cut := range []string{"b.a.example.", "a.example."} {
+		z.Add(dnswire.RR{Name: cut, Type: dnswire.TypeNS, Class: dnswire.ClassINET, TTL: 3600,
+			Data: &dnswire.NSData{Host: "ns." + cut}})
+		z.Add(dnswire.RR{Name: cut, Type: dnswire.TypeDS, Class: dnswire.ClassINET, TTL: 3600,
+			Data: &dnswire.DSData{KeyTag: 1, Algorithm: 13, DigestType: 2, Digest: make([]byte, 32)}})
+	}
+	for i := 0; i < 200; i++ {
+		for _, q := range []struct {
+			name string
+			t    dnswire.Type
+		}{{"x.b.a.example.", dnswire.TypeA}, {"b.a.example.", dnswire.TypeNS}, {"b.a.example.", dnswire.TypeDS}} {
+			res := z.Query(q.name, q.t, true)
+			if !res.Referral || len(res.Authority) == 0 || res.Authority[0].Name != "a.example." {
+				t.Fatalf("ask %d for %s/%s: referral %v to %+v, want a.example.", i, q.name, q.t, res.Referral, res.Authority)
+			}
+		}
+	}
+	if res := z.Query("a.example.", dnswire.TypeDS, false); res.Referral || len(res.Answer) != 1 {
+		t.Errorf("DS at the upper cut: %+v, want the parent's answer", res)
+	}
+}
+
+// TestZoneAnswersShareRecords: a served record's RDATA is the zone's own,
+// each section a slice of its own; a later Add or RemoveRRset replaces
+// records and leaves what was served as it was.
+func TestZoneAnswersShareRecords(t *testing.T) {
+	z := buildTestZone()
+	inception := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	if err := z.Sign(4, inception, inception.Add(time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	www := z.rrsets[rrsetKey{name: "www.example.com.", typ: dnswire.TypeA}][0].Data
+	ans := z.Query("www.example.com.", dnswire.TypeA, true)
+	plain := z.Query("www.example.com.", dnswire.TypeA, false)
+	neg := z.Query("www.example.com.", dnswire.TypeAAAA, true)
+	if len(ans.Answer) != 2 || ans.Answer[0].Data != www || len(plain.Answer) != 1 || plain.Answer[0].Data != www {
+		t.Fatalf("answers %+v and %+v do not serve the zone's record %p", ans.Answer, plain.Answer, www)
+	}
+	soa := z.rrsets[rrsetKey{name: "example.com.", typ: dnswire.TypeSOA}][0].Data
+	if len(neg.Authority) != 2 || neg.Authority[0].Data != soa {
+		t.Fatalf("NODATA authority %+v does not serve the zone's SOA %p", neg.Authority, soa)
+	}
+	served, servedPlain := slices.Clone(ans.Answer), slices.Clone(plain.Answer)
+	z.Add(aRR("www.example.com.", "10.0.0.80", 300)) // identical: replaced in place
+	z.Add(aRR("www.example.com.", "10.0.0.81", 300))
+	if again := z.Query("www.example.com.", dnswire.TypeA, false); len(again.Answer) != 2 || again.Answer[0].Data == www {
+		t.Errorf("after Add: %+v, want the replacement and the new record", again.Answer)
+	}
+	z.RemoveRRset("www.example.com.", dnswire.TypeA)
+	if !slices.Equal(ans.Answer, served) || !slices.Equal(plain.Answer, servedPlain) ||
+		ans.Answer[0].Data.(*dnswire.AData).Addr != netip.MustParseAddr("10.0.0.80") {
+		t.Errorf("served answers changed under Add and RemoveRRset: %+v and %+v, were %+v and %+v",
+			ans.Answer, plain.Answer, served, servedPlain)
+	}
 }

@@ -7,12 +7,8 @@
 // Usage:
 //
 //	dohserve [-size N] [-seed S] [-frontends N] [-proto doh|dot|doq|mixed]
-//	         [-strategy serial|race] [-balance p2|roundrobin] [-shards N] [-shardcap N]
-//	         [-hot N] [-stalewindow D] [-refreshahead F] [-cooldown D]
-//	         [-epochs N] [-epochlen D] [-queries N] [-kill N] [-chaos] [-flap P]
-//	         [-trace N] [-tail K] [-taillat D] [-clients N] [-loadmodel closed|open]
-//	         [-rate F] [-think D] [-zipf S] [-stubttl D] [-diurnal A] [-peak D]
-//	         [-crowdmult F] [-crowdat D] [-crowddur D] [-crowddomain NAME] [-crowdfrac F]
+//	         [-strategy serial|race] [-hot N] [-epochs N] [-epochlen D]
+//	         [-queries N] [-kill N] [-chaos] [-trace N] [-tail K] [-clients N]
 //
 // The drill is one loop on the world's virtual clock. One query per name
 // of the -hot working set warms the cache, and a registry snapshot then
@@ -23,18 +19,19 @@
 //
 // Two perturbations compose: -kill N marks N frontend addresses
 // unreachable at the middle epoch, and -chaos re-rolls each recursor's
-// availability with probability -flap at every epoch (the RFC 8767
+// availability with probability 0.35 at every epoch (the RFC 8767
 // serve-stale drill, reported with per-recursor recovery times: virtual
 // time from a recursor coming back to its first successful exchange).
 //
-// The engine flags shape the load (see internal/workload); a flash crowd
-// sits at an offset from the drill's start, and each epoch's engine gets
-// the part inside it. -proto also deals each client a protocol
+// The fleet is the campaign's, with serve-stale for an hour, prefetch at
+// 80% of TTL and a 15 s recursor cooldown. The -clients stubs are the
+// engine's open-loop population (see internal/workload) drawing Zipf(1)
+// from the working set; -proto also deals each client a protocol
 // preference, and a deterministic 1-in-8 latency tail gives -strategy
 // race upsets to win. -trace N traces every exchange and dumps the N
 // costliest of the drill (virtual cost, then name) as span trees; -tail
 // K keeps the top-K anomalous ones (an error, SERVFAIL, stale answer,
-// failover or race, or a cost of at least -taillat).
+// failover or race).
 //
 // The report adds a per-epoch curve, the obs.DefaultSLO burn table, the
 // flight recorder's events, and per-frontend, per-protocol, strategy,
@@ -76,44 +73,22 @@ func run(args []string, stdout, stderr io.Writer) error {
 	frontends := fs.Int("frontends", 4, "number of encrypted-DNS frontends")
 	protoMix := fs.String("proto", "doh", "protocol mix: doh, dot, doq, mixed, or weights like doh=60,dot=30,doq=10")
 	strategyName := fs.String("strategy", "serial", "resolution strategy (serial, race)")
-	balanceName := fs.String("balance", "p2", "load-balancing policy (p2, roundrobin)")
-	shards := fs.Int("shards", transport.DefaultShards, "answer-cache shard count")
-	shardCap := fs.Int("shardcap", transport.DefaultShardCapacity, "answer-cache entries per shard")
 	hot := fs.Int("hot", 500, "working-set size (the popularity-ranked names the clients draw from)")
-	staleWindow := fs.Duration("stalewindow", time.Hour, "RFC 8767 serve-stale window (0 disables)")
-	refreshAhead := fs.Float64("refreshahead", 0.8, "prefetch at this fraction of TTL elapsed (0 disables)")
-	cooldown := fs.Duration("cooldown", 15*time.Second, "frontend benches its recursor this long after a hard failure")
 	epochs := fs.Int("epochs", 30, "drill epochs")
 	epochLen := fs.Duration("epochlen", 90*time.Second, "virtual time per epoch")
 	queries := fs.Int("queries", 2000, "queries over the whole drill, split evenly across epochs (0: every epoch's full horizon)")
 	kill := fs.Int("kill", 1, "frontend addresses to mark unreachable at the middle epoch")
 	chaos := fs.Bool("chaos", false, "flap the recursors behind the frontends at every epoch")
-	flap := fs.Float64("flap", 0.35, "per-epoch probability that -chaos takes a recursor down")
 	traceN := fs.Int("trace", 0, "trace every exchange and dump the span trees of the drill's N costliest")
 	tailK := fs.Int("tail", 0, "tail-sample anomalous exchanges into a top-K ring and dump name, cost and flags (0 disables; add -trace N for their span trees)")
-	tailLat := fs.Duration("taillat", 0, "-tail also retains exchanges at or over this virtual cost")
 	clients := fs.Int("clients", 100_000, "simulated stub clients")
-	loadModel := fs.String("loadmodel", "closed", "arrival model (closed, open)")
-	openRate := fs.Float64("rate", 0.1, "open-loop per-client arrival rate (queries/sec)")
-	think := fs.Duration("think", 10*time.Second, "closed-loop mean think time")
-	zipfS := fs.Float64("zipf", 1.0, "Zipf popularity exponent")
-	stubTTL := fs.Duration("stubttl", 60*time.Second, "per-client stub-cache TTL")
-	diurnal := fs.Float64("diurnal", 0, "diurnal rate amplitude in [0,0.95] (0 disables)")
-	peak := fs.Duration("peak", 20*time.Hour, "diurnal peak time-of-day")
-	crowdMult := fs.Float64("crowdmult", 0, "flash-crowd rate multiplier (0: no crowd)")
-	crowdAt := fs.Duration("crowdat", 2*time.Minute, "flash-crowd start, offset from the drill's start")
-	crowdDur := fs.Duration("crowddur", time.Minute, "flash-crowd duration")
-	crowdDomain := fs.String("crowddomain", "", "pin crowd draws to this domain (must be in the working set)")
-	crowdFrac := fs.Float64("crowdfrac", 0.8, "fraction of crowd draws pinned to -crowddomain")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	strategy, err1 := transport.ParseStrategy(*strategyName)
-	balance, err2 := transport.ParseBalance(*balanceName)
-	mix, err3 := transport.ParseMix(*protoMix)
-	model, err4 := workload.ParseModel(*loadModel)
-	if err := errors.Join(err1, err2, err3, err4); err != nil {
+	mix, err2 := transport.ParseMix(*protoMix)
+	if err := errors.Join(err1, err2); err != nil {
 		return err
 	}
 	switch {
@@ -121,18 +96,24 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return errors.New("-frontends must be at least 1")
 	case *epochs < 1 || *epochLen <= 0:
 		return errors.New("-epochs must be at least 1 and -epochlen positive")
-	case *flap < 0 || *flap > 1:
-		return errors.New("-flap must be in [0,1]")
 	case *queries < 0 || *kill < 0:
 		return errors.New("-queries and -kill must not be negative")
 	}
 
+	// The drill's fixed fleet and load shape.
+	const (
+		staleWindow     = time.Hour        // RFC 8767 serve-stale
+		refreshAhead    = 0.8              // prefetch at this fraction of TTL elapsed
+		failureCooldown = 15 * time.Second // a frontend benches its recursor after a hard failure
+		flapProb        = 0.35             // per-epoch chance that -chaos takes a recursor down
+		zipfS           = 1.0              // popularity exponent over the working set
+	)
+
 	// The campaign builds the world and the fleet with the same wiring
 	// the measurement runs use; here only the fleet is driven.
 	camp, err := core.NewCampaign(core.CampaignConfig{Size: *size, Seed: *seed,
-		DoHFrontends: *frontends, DoHBalance: balance, TransportMix: mix, TransportStrategy: strategy,
-		DoHShards: *shards, DoHShardCap: *shardCap, DoHStaleWindow: *staleWindow,
-		DoHRefreshAhead: *refreshAhead, DoHFailureCooldown: *cooldown})
+		DoHFrontends: *frontends, TransportMix: mix, TransportStrategy: strategy,
+		DoHStaleWindow: staleWindow, DoHRefreshAhead: refreshAhead, DoHFailureCooldown: failureCooldown})
 	if err != nil {
 		return err
 	}
@@ -143,7 +124,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			tcfg.SampleEvery, tcfg.Capacity = 1, *traceN
 		}
 		if *tailK > 0 {
-			tcfg.Tail = &obs.TailConfig{TopK: *tailK, Latency: *tailLat}
+			tcfg.Tail = &obs.TailConfig{TopK: *tailK}
 		}
 		client.Tracer = obs.NewTracer(world.Clock, tcfg)
 	}
@@ -181,25 +162,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		list = list[:*hot]
 	}
 
-	wcfg := workload.Config{Clients: *clients, Model: model, Domains: list, ZipfS: *zipfS,
-		OpenRate: *openRate, Think: *think, Duration: *epochLen, StubTTL: *stubTTL, Mix: mix,
-		Diurnal: workload.Diurnal{Amplitude: *diurnal, Peak: *peak}}
-	crowd := workload.FlashCrowd{At: *crowdAt, Duration: *crowdDur, Multiplier: *crowdMult,
-		Domain: *crowdDomain, Fraction: *crowdFrac}
+	wcfg := workload.Config{Clients: *clients, Domains: list, ZipfS: zipfS, Duration: *epochLen, Mix: mix}
+	cache := camp.Fleet.Cache.Config()
 	fmt.Fprintf(stdout, "world: %d domains (working set %d); fleet: %d frontends (mix %s), strategy %s, balance %s, cache %d×%d\n",
-		*size, len(list), *frontends, mix, strategy, balance, *shards, *shardCap)
-	fmt.Fprintf(stdout, "drill: %d epochs × %v, query budget %d (0: full horizon); %d clients (%s loop), zipf %.2f, stub TTL %v; stale window %v, cooldown %v\n",
-		*epochs, *epochLen, *queries, *clients, model, *zipfS, *stubTTL,
-		camp.Fleet.Cache.Config().StaleWindow, camp.Fleet.Frontends[0].FailureCooldown)
-	fmt.Fprintf(stdout, "perturbations: -kill %d at epoch %d, -chaos %v (-flap %.2f)\n",
-		min(*kill, *frontends), *epochs/2, *chaos, *flap)
-	if *crowdMult > 0 {
-		fmt.Fprintf(stdout, "flash crowd: ×%.1f at +%v for %v", *crowdMult, *crowdAt, *crowdDur)
-		if *crowdDomain != "" {
-			fmt.Fprintf(stdout, ", %.0f%% pinned to %s", 100**crowdFrac, *crowdDomain)
-		}
-		fmt.Fprintln(stdout)
-	}
+		*size, len(list), *frontends, mix, strategy, camp.Cfg.DoHBalance, cache.Shards, cache.ShardCapacity)
+	fmt.Fprintf(stdout, "drill: %d epochs × %v, query budget %d (0: full horizon); %d clients (open loop, %.1f q/s each), zipf %.2f, stub TTL %v; stale window %v, cooldown %v\n",
+		*epochs, *epochLen, *queries, *clients, workload.OpenRate, zipfS, workload.StubTTL,
+		cache.StaleWindow, camp.Fleet.Frontends[0].FailureCooldown)
+	fmt.Fprintf(stdout, "perturbations: -kill %d at epoch %d, -chaos %v (flap probability %.2f)\n",
+		min(*kill, *frontends), *epochs/2, *chaos, flapProb)
 
 	// Warm up the cache while everything is healthy, then take the
 	// baseline. The sampler keeps full snapshots, not stable ones: the
@@ -225,7 +196,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		for _, u := range ups {
 			if *chaos {
-				u.setDown(flaps.Float64() < *flap)
+				u.setDown(flaps.Float64() < flapProb)
 			}
 			if u.down {
 				rows[e].down++
@@ -241,7 +212,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			world.Clock.Advance(*epochLen)
 		} else {
 			wcfg.Seed, wcfg.MaxQueries = *seed+int64(e), share
-			wcfg.Crowds = crowdWithin(crowd, time.Duration(e)**epochLen, *epochLen)
 			eng, err := workload.New(wcfg, world.Clock, client)
 			if err != nil {
 				return err
@@ -274,19 +244,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	dumpTraces(stdout, client, *traceN)
 	dumpTail(stdout, client)
 	return nil
-}
-
-// crowdWithin returns the part of fc that falls inside the epoch
-// starting at offset on the drill's load timeline (epoch e at e
-// epoch lengths, whatever latency the fleet charged the clock),
-// re-anchored to the epoch's own start; nil when fc is off or misses it.
-func crowdWithin(fc workload.FlashCrowd, offset, epochLen time.Duration) []workload.FlashCrowd {
-	from, to := max(fc.At, offset), min(fc.At+fc.Duration, offset+epochLen)
-	if fc.Multiplier <= 0 || from >= to {
-		return nil
-	}
-	fc.At, fc.Duration = from-offset, to-from
-	return []workload.FlashCrowd{fc}
 }
 
 // epochRow is one epoch's perturbation and engine totals.

@@ -2,25 +2,26 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
 	"io"
-	"reflect"
+	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
-
-	"repro/internal/workload"
 )
 
 // ciShapes are the drills CI's mains smoke runs, at toy size.
 var ciShapes = []string{
 	"-size 300 -queries 200 -hot 50",
 	"-size 300 -chaos -queries 100 -hot 50",
-	"-size 300 -proto mixed -clients 1000 -queries 0 -epochs 5 -epochlen 1m -crowdmult 5 -crowdat 90s",
+	"-size 300 -proto mixed -clients 1000 -queries 0 -epochs 5 -epochlen 1m",
 	"-size 300 -chaos -queries 150 -hot 50 -trace 2 -tail 4",
 	"-size 300 -proto mixed -strategy race -chaos -queries 150 -hot 50",
 	"-size 300 -proto mixed -kill 2",
+	"-size 300 -seed 2 -frontends 2 -queries 200 -hot 50",
 }
 
 var (
@@ -82,23 +83,40 @@ func TestCIShapes(t *testing.T) {
 	}
 }
 
-// TestCrowdWithin: a flash crowd anchored to the drill's start reaches
-// each epoch's engine as the part that falls inside that epoch.
-func TestCrowdWithin(t *testing.T) {
-	fc := workload.FlashCrowd{At: 90 * time.Second, Duration: time.Minute, Multiplier: 5}
-	want := [][]workload.FlashCrowd{
-		nil,
-		{{At: 30 * time.Second, Duration: 30 * time.Second, Multiplier: 5}},
-		{{At: 0, Duration: 30 * time.Second, Multiplier: 5}},
-		nil,
+// TestCIShapesCoverEveryFlag keeps the flag surface and CI in step: every
+// flag dohserve defines is exercised by some CI shape, and CI's mains
+// smoke runs exactly the shapes TestCIShapes checks.
+func TestCIShapesCoverEveryFlag(t *testing.T) {
+	var usage bytes.Buffer
+	if err := run([]string{"-h"}, io.Discard, &usage); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("run -h: %v", err)
 	}
-	for e, w := range want {
-		if got := crowdWithin(fc, time.Duration(e)*time.Minute, time.Minute); !reflect.DeepEqual(got, w) {
-			t.Errorf("epoch %d: got %+v, want %+v", e, got, w)
+	flags := regexp.MustCompile(`(?m)^  -(\w+)`).FindAllStringSubmatch(usage.String(), -1)
+	if len(flags) == 0 {
+		t.Fatalf("no flags in the usage text:\n%s", usage.String())
+	}
+	for _, f := range flags {
+		if !slices.ContainsFunc(ciShapes, func(shape string) bool {
+			return slices.Contains(strings.Fields(shape), "-"+f[1])
+		}) {
+			t.Errorf("flag -%s appears in no CI shape", f[1])
 		}
 	}
-	fc.Multiplier = 0
-	if got := crowdWithin(fc, time.Minute, time.Minute); got != nil {
-		t.Errorf("crowd off: got %+v", got)
+
+	ci, err := os.ReadFile("../../.github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inCI []string
+	for _, m := range regexp.MustCompile(`(?m)go run \./cmd/dohserve ([^>\n]*?)\s*(?:>.*)?$`).FindAllStringSubmatch(string(ci), -1) {
+		if !slices.Contains(inCI, m[1]) {
+			inCI = append(inCI, m[1])
+		}
+	}
+	want := slices.Clone(ciShapes)
+	slices.Sort(inCI)
+	slices.Sort(want)
+	if !slices.Equal(inCI, want) {
+		t.Errorf("ci.yml runs dohserve shapes\n  %q\nbut ciShapes holds\n  %q", inCI, want)
 	}
 }

@@ -271,8 +271,8 @@ type ECHPolicy struct {
 	Margin    time.Duration
 }
 
-// SafeRetention returns the minimum retention for superseded ECH keys.
-func (p ECHPolicy) SafeRetention() time.Duration {
+// safeRetention returns the minimum retention for superseded ECH keys.
+func (p ECHPolicy) safeRetention() time.Duration {
 	return p.RecordTTL + p.Margin
 }
 
@@ -281,13 +281,13 @@ func (p ECHPolicy) SafeRetention() time.Duration {
 // cached records.
 func (p ECHPolicy) CheckRotation(rotationPeriod, retention time.Duration) []Finding {
 	var findings []Finding
-	if retention < p.SafeRetention() {
+	if retention < p.safeRetention() {
 		findings = append(findings, Finding{
 			Severity: Critical,
 			Code:     CodeECHNoRetention,
 			Name:     "(ech-policy)",
 			Message: fmt.Sprintf("retention %v < TTL+margin %v: cached configs outlive the keys (clients will hit the retry path or fail)",
-				retention, p.SafeRetention()),
+				retention, p.safeRetention()),
 		})
 	}
 	if rotationPeriod < p.RecordTTL {

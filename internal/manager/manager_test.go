@@ -226,8 +226,8 @@ func TestSyncHintsDropsOrphanedHints(t *testing.T) {
 
 func TestECHPolicy(t *testing.T) {
 	p := ECHPolicy{RecordTTL: 300 * time.Second, Margin: 60 * time.Second}
-	if p.SafeRetention() != 360*time.Second {
-		t.Errorf("SafeRetention = %v", p.SafeRetention())
+	if p.safeRetention() != 360*time.Second {
+		t.Errorf("safeRetention = %v", p.safeRetention())
 	}
 	// Safe configuration: no findings.
 	if fs := p.CheckRotation(76*time.Minute, 3*time.Hour); len(fs) != 0 {

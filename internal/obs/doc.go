@@ -52,7 +52,7 @@
 // each exchange's outcome by its owner — the TraceFlags (error, SERVFAIL,
 // stale-served, failover, race) and the virtual cost, all known
 // once the exchange is over — and keeps the ones matching a deterministic
-// anomaly predicate (a flag set, or cost over a threshold), ranked into a
+// anomaly predicate (any flag set), ranked into a
 // bounded top-K ring by (cost, name, flags): properties of the exchange
 // itself, not of scheduling, so the retained set is stable under
 // concurrent drivers wherever per-exchange outcomes are. An exchange head

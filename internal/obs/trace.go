@@ -23,19 +23,14 @@ type TraceConfig struct {
 	// sampling: Finish judges every exchange, sampled or not, by the
 	// outcome its owner reports and keeps those matching the anomaly
 	// predicate — any TraceFlag set (error, SERVFAIL, stale-served,
-	// failover, race fired) or virtual cost at or over
-	// Tail.Latency — ranked in a bounded top-K ring by virtual cost. One
-	// that head sampling skipped is kept as a span-less record, so
-	// SampleEvery 1 with Tail is how to get span trees for anomalies.
+	// failover, race fired) — ranked in a bounded top-K ring by virtual
+	// cost. One that head sampling skipped is kept as a span-less record,
+	// so SampleEvery 1 with Tail is how to get span trees for anomalies.
 	Tail *TailConfig
 }
 
 // TailConfig parameterizes tail-based trace retention.
 type TailConfig struct {
-	// Latency keeps any finished trace whose virtual cost reaches the
-	// threshold; 0 disables the latency predicate (anomaly flags still
-	// keep traces).
-	Latency time.Duration
 	// TopK bounds the tail ring; 0 selects DefaultTopK.
 	TopK int
 }
@@ -152,14 +147,14 @@ func (t *Tracer) Start(name string) *Trace {
 // Finish closes the named exchange with what its owner knows once it is
 // over: its anomaly flags and total virtual duration. A head-sampled
 // exchange (tr non-nil) is ranked into the head ring; with tail retention on,
-// an exchange with a flag set, or a cost at or over the latency
-// threshold, is ranked into the top-K tail ring, sampled or not. One that
-// is neither allocates nothing. Nil-safe on both receiver and trace.
+// an exchange with a flag set is ranked into the top-K tail ring, sampled
+// or not. One that is neither allocates nothing. Nil-safe on both receiver
+// and trace.
 func (t *Tracer) Finish(tr *Trace, name string, flags TraceFlag, total time.Duration) {
 	if t == nil {
 		return
 	}
-	tail := t.tail != nil && (flags != 0 || (t.tail.Latency > 0 && total >= t.tail.Latency))
+	tail := t.tail != nil && flags != 0
 	if tr == nil && !tail {
 		return
 	}

@@ -101,13 +101,13 @@ func TestNilTracerAndTraceSafe(t *testing.T) {
 // TestTailSamplingKeepsAnomalies drives exchanges the head sampler
 // skips — Start hands them no trace — and asserts the tail ring retains
 // exactly the anomalous ones from the outcome Finish is given: the
-// flagged stale serve and the over-threshold slow exchange, ranked by
-// virtual cost, as span-less records.
+// flagged stale serve and the flagged slow failover, ranked by virtual
+// cost, as span-less records.
 func TestTailSamplingKeepsAnomalies(t *testing.T) {
 	clock := testClock()
 	tr := NewTracer(clock, TraceConfig{
 		SampleEvery: 100,
-		Tail:        &TailConfig{Latency: 50 * time.Millisecond, TopK: 4},
+		Tail:        &TailConfig{TopK: 4},
 	})
 	var staleStart time.Time
 	for i := 0; i < 10; i++ {
@@ -121,7 +121,7 @@ func TestTailSamplingKeepsAnomalies(t *testing.T) {
 			staleStart = clock.Now()
 		}
 		if i == 7 {
-			dur = 60 * time.Millisecond
+			dur, flags = 60*time.Millisecond, FlagFailover
 		}
 		clock.Advance(dur) // a charging clock: the exchange's cost elapses
 		tr.Finish(trace, "q", flags, dur)
@@ -132,10 +132,10 @@ func TestTailSamplingKeepsAnomalies(t *testing.T) {
 	}
 	tail := tr.Tail()
 	if len(tail) != 2 {
-		t.Fatalf("tail ring len = %d, want 2 (stale + slow): %v", len(tail), tail)
+		t.Fatalf("tail ring len = %d, want 2 (stale + failover): %v", len(tail), tail)
 	}
-	if tail[0].Duration != 60*time.Millisecond || tail[0].Flags != 0 {
-		t.Fatalf("tail[0] = %+v, want the unflagged 60ms exchange first", tail[0])
+	if tail[0].Duration != 60*time.Millisecond || tail[0].Flags != FlagFailover {
+		t.Fatalf("tail[0] = %+v, want the 60ms failover first", tail[0])
 	}
 	if tail[1].Flags != FlagStale || tail[1].Name != "q" || tail[1].Duration != 10*time.Millisecond {
 		t.Fatalf("tail[1] = %+v, want the 10ms stale exchange", tail[1])

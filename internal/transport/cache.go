@@ -204,21 +204,28 @@ func NewCacheWith(clock *simnet.Clock, cfg CacheConfig) *Cache {
 // Config returns the cache's resolved lifecycle configuration.
 func (c *Cache) Config() CacheConfig { return c.cfg }
 
-// Key identifies a cache entry: canonical qname, qtype, and the DO bit
-// (responses differ — RRSIGs present or not). It is a comparable value
-// type used directly as the shard map key, so building one for a probe
+// Key identifies a cache entry by what its answer depends on and what a
+// reply echoes of its question: canonical qname, qtype and qclass,
+// whether the query carried EDNS(0), and its DO bit (responses differ —
+// an OPT record, RRSIGs present or not). It is a comparable value type
+// used directly as the shard map key, so building one for a probe
 // allocates nothing when the question name is already canonical — the
 // steady state on the query hot path. The name string is shared with the
-// question that produced it; the cache never mutates it.
+// question that produced it; the cache never mutates it. Only the name,
+// type and DO feed the shard hash.
 type Key struct {
-	Name string
-	Type dnswire.Type
-	DO   bool
+	Name   string
+	Type   dnswire.Type
+	Class  dnswire.Class
+	DO     bool
+	NoEDNS bool
 }
 
-// cacheKey builds the lookup key for a question.
-func cacheKey(q dnswire.Question, dnssecOK bool) Key {
-	return Key{Name: dnswire.CanonicalName(q.Name), Type: q.Type, DO: dnssecOK}
+// cacheKey builds the lookup key for a one-question query.
+func cacheKey(q *dnswire.Message) Key {
+	question := q.Question[0]
+	return Key{Name: dnswire.CanonicalName(question.Name), Type: question.Type, Class: question.Class,
+		DO: q.DNSSECOK(), NoEDNS: q.OPT() == nil}
 }
 
 // fnv32a constants (hash/fnv), inlined so shard selection neither

@@ -232,9 +232,7 @@ func (f *Frontend) Resolve(q *dnswire.Message, dst []byte, tr *obs.Trace) (Answe
 		resp.RCode = dnswire.RCodeFormErr
 		return packAnswerAppend(resp, dst)
 	}
-	question := q.Question[0]
-	dnssecOK := q.DNSSECOK()
-	key := cacheKey(question, dnssecOK)
+	key := cacheKey(q)
 
 	stale := false
 	if f.Cache != nil {
@@ -258,13 +256,14 @@ func (f *Frontend) Resolve(q *dnswire.Message, dst []byte, tr *obs.Trace) (Answe
 				}
 				f.prefetch(key, q)
 			}
+			echoFlags(probe.Body, q)
 			return Answer{Wire: probe.Body}, nil
 		case StateStale:
 			stale = true
 			if f.inCooldown() {
 				// The handler is benched; ride the stale answer out
 				// rather than hammering a dead recursor.
-				if ans, ok := f.serveStale(key, q.ID, dst); ok {
+				if ans, ok := f.serveStale(key, q, dst); ok {
 					if tr != nil {
 						tr.Add("stale.serve", 0, 0, obs.L("reason", "cooldown"))
 					}
@@ -281,7 +280,7 @@ func (f *Frontend) Resolve(q *dnswire.Message, dst []byte, tr *obs.Trace) (Answe
 	if resp == nil {
 		f.noteHandlerFailure()
 		if stale {
-			if ans, ok := f.serveStale(key, q.ID, dst); ok {
+			if ans, ok := f.serveStale(key, q, dst); ok {
 				if tr != nil {
 					tr.Add("stale.serve", 0, 0, obs.L("reason", "upstream-dead"))
 				}
@@ -305,7 +304,7 @@ func (f *Frontend) Resolve(q *dnswire.Message, dst []byte, tr *obs.Trace) (Answe
 		// SERVFAIL is not evidence of health, so any armed cooldown
 		// stays armed (it neither clears nor extends).
 		if stale {
-			if ans, ok := f.serveStale(key, q.ID, dst); ok {
+			if ans, ok := f.serveStale(key, q, dst); ok {
 				f.upstreamFail.Add(1)
 				if tr != nil {
 					tr.Add("stale.serve", 0, 0, obs.L("reason", "servfail"))
@@ -360,15 +359,27 @@ func answers(m, q *dnswire.Message) bool {
 		strings.EqualFold(m.Question[0].Name, q.Question[0].Name)
 }
 
-// serveStale materializes the stale body, marked so stubs can count it;
-// ok is false when the entry vanished since the probe (LRU pressure).
-func (f *Frontend) serveStale(key Key, id uint16, dst []byte) (Answer, bool) {
-	body, ok := f.Cache.StaleWire(key, id, dst)
+// serveStale materializes the stale body for q, marked so stubs can
+// count it; ok is false when the entry vanished since the probe (LRU
+// pressure).
+func (f *Frontend) serveStale(key Key, q *dnswire.Message, dst []byte) (Answer, bool) {
+	body, ok := f.Cache.StaleWire(key, q.ID, dst)
 	if !ok {
 		return Answer{}, false
 	}
+	echoFlags(body, q)
 	f.staleServed.Add(1)
 	return Answer{Wire: body, Stale: true}, true
+}
+
+// echoFlags copies into a cached reply the header bits a reply echoes
+// from its query besides the ID (dnswire.Message.Reply): the opcode and
+// RD. Whoever's query filled the entry, each asker reads its own.
+func echoFlags(wire []byte, q *dnswire.Message) {
+	wire[2] = wire[2]&^0x79 | byte(q.Opcode&0xf)<<3
+	if q.RecursionDesired {
+		wire[2] |= 1
+	}
 }
 
 // prefetch refreshes an entry nearing expiry: the hit that armed it was

@@ -84,7 +84,7 @@ func TestProtocolParseAndPorts(t *testing.T) {
 	// A protocol's name is the flag value that selects it alone.
 	for _, p := range []Protocol{ProtoDoH, ProtoDoT, ProtoDoQ} {
 		m, err := ParseMix(p.String())
-		if err != nil || m.Period() != 1 || m.Weight(p) != 1 {
+		if err != nil || m.Period() != 1 || m.weight(p) != 1 {
 			t.Errorf("ParseMix(%q) = %+v, %v; want %v alone", p.String(), m, err, p)
 		}
 	}

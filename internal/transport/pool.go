@@ -28,7 +28,7 @@ const (
 	BalanceRoundRobin
 )
 
-// String names the balancer for flags and stats output.
+// String names the balancer for stats output.
 func (b Balance) String() string {
 	switch b {
 	case BalanceP2:
@@ -38,16 +38,6 @@ func (b Balance) String() string {
 	default:
 		return fmt.Sprintf("balance(%d)", int(b))
 	}
-}
-
-// ParseBalance resolves a flag value to a Balance.
-func ParseBalance(name string) (Balance, error) {
-	for _, b := range []Balance{BalanceP2, BalanceRoundRobin} {
-		if b.String() == name {
-			return b, nil
-		}
-	}
-	return 0, fmt.Errorf("transport: unknown balance %q (want p2 or roundrobin)", name)
 }
 
 // ewmaWeight is the smoothing factor for RTT averaging, matching an

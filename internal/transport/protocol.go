@@ -80,8 +80,8 @@ func (m Mix) normalized() Mix {
 	return m
 }
 
-// Weight returns the weight for one protocol.
-func (m Mix) Weight(p Protocol) int {
+// weight returns the weight for one protocol.
+func (m Mix) weight(p Protocol) int {
 	switch p {
 	case ProtoDoH:
 		return m.DoH
@@ -137,7 +137,7 @@ func (m Mix) String() string {
 	m = m.normalized()
 	var parts []string
 	for _, p := range []Protocol{ProtoDoH, ProtoDoT, ProtoDoQ} {
-		if w := m.Weight(p); w > 0 {
+		if w := m.weight(p); w > 0 {
 			parts = append(parts, fmt.Sprintf("%s=%d", p, w))
 		}
 	}

@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 	"net/netip"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -179,7 +178,7 @@ func TestCacheLRUEvictionPerShard(t *testing.T) {
 		return resp
 	}
 	key := func(i int) Key {
-		return cacheKey(dnswire.Question{Name: fmt.Sprintf("n%d.test.", i), Type: dnswire.TypeA}, false)
+		return cacheKey(dnswire.NewQuery(0, fmt.Sprintf("n%d.test.", i), dnswire.TypeA, false))
 	}
 	for i := 0; i < 4; i++ {
 		cache.Put(key(i), mk(fmt.Sprintf("n%d.test.", i)))
@@ -416,6 +415,49 @@ func TestSERVFAILFailsOverToNextUpstream(t *testing.T) {
 
 // newStaleFleet builds a single-frontend fleet with a lifecycle-configured
 // cache: serve-stale armed, optional prefetch and failure cooldown.
+// TestCacheHitEchoesItsAsker: a reply copies its query's ID, opcode, RD
+// bit and question, so a cached answer serves an asker only what that
+// asker's own miss would have drawn. A hit patches the header bits; a
+// query differing in class or EDNS(0) gets its own entry.
+func TestCacheHitEchoesItsAsker(t *testing.T) {
+	_, fe, recursor, _ := newStaleFleet(t, CacheConfig{}, 0, ProtoDoH)
+	resolve := func(q *dnswire.Message) *dnswire.Message {
+		t.Helper()
+		ans, err := fe.Resolve(q, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m dnswire.Message
+		if err := dnswire.UnpackInto(&m, ans.Wire); err != nil {
+			t.Fatal(err)
+		}
+		return &m
+	}
+	resolve(dnswire.NewQuery(1, "echo.test.", dnswire.TypeHTTPS, false))
+
+	hit := dnswire.NewQuery(2, "echo.test.", dnswire.TypeHTTPS, false)
+	hit.Opcode, hit.RecursionDesired = 2, false
+	if m := resolve(hit); recursor.queries != 1 || m.ID != 2 || m.Opcode != 2 || m.RecursionDesired {
+		t.Fatalf("hit: %d recursor queries, reply ID %d opcode %d RD %v; want 1, 2, 2, false",
+			recursor.queries, m.ID, m.Opcode, m.RecursionDesired)
+	}
+
+	chaos := dnswire.NewQuery(3, "echo.test.", dnswire.TypeHTTPS, false)
+	chaos.Question[0].Class = 3
+	plain := dnswire.NewQuery(4, "echo.test.", dnswire.TypeHTTPS, false)
+	plain.Additional = nil
+	for _, q := range []*dnswire.Message{chaos, plain} {
+		m := resolve(q)
+		if m.Question[0] != q.Question[0] || (m.OPT() == nil) != (q.OPT() == nil) {
+			t.Errorf("query %d: reply question %+v, OPT %v; want %+v, OPT %v",
+				q.ID, m.Question[0], m.OPT() != nil, q.Question[0], q.OPT() != nil)
+		}
+	}
+	if recursor.queries != 3 {
+		t.Errorf("recursor saw %d queries, want 3: class and EDNS each key their own entry", recursor.queries)
+	}
+}
+
 func newStaleFleet(t *testing.T, cfg CacheConfig, cooldown time.Duration, proto Protocol) (*Client, *Frontend, *stubRecursor, *simnet.Clock) {
 	t.Helper()
 	net, clock := testNet()
@@ -725,20 +767,5 @@ func TestRefreshAheadPrefetch(t *testing.T) {
 	}
 	if recursor.queries != 3 {
 		t.Errorf("recursor saw %d queries, want 3 (initial + 2 prefetches)", recursor.queries)
-	}
-}
-
-func TestParseBalance(t *testing.T) {
-	for _, s := range []Balance{BalanceP2, BalanceRoundRobin} {
-		got, err := ParseBalance(s.String())
-		if err != nil || got != s {
-			t.Errorf("ParseBalance(%q) = %v, %v", s.String(), got, err)
-		}
-	}
-	for _, name := range []string{"nope", "ewma", "hash"} {
-		_, err := ParseBalance(name)
-		if err == nil || !strings.Contains(err.Error(), "want p2 or roundrobin") {
-			t.Errorf("ParseBalance(%q) error = %v, want one listing p2 and roundrobin", name, err)
-		}
 	}
 }

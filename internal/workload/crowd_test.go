@@ -55,16 +55,17 @@ func newCrowdFleet(t *testing.T, n int, cache transport.CacheConfig, cooldown ti
 	return fl, rec, net, clock
 }
 
-// TestCrowdAtCacheEntryTTLExpiry schedules a thundering herd to land
-// exactly when the fleet-cache entry it hammers expires: the herd must
-// be absorbed by exactly one upstream refetch, never amplified into
-// per-client recursor traffic.
+// TestCrowdAtCacheEntryTTLExpiry lands a thundering herd exactly when
+// the fleet-cache entry it hammers expires: the herd must be absorbed by
+// exactly one upstream refetch, never amplified into per-client
+// recursor traffic.
 func TestCrowdAtCacheEntryTTLExpiry(t *testing.T) {
 	fl, rec, _, clock := newCrowdFleet(t, 1,
 		transport.CacheConfig{Shards: 4, ShardCapacity: 64}, 0)
 
 	// Warm the entry at t0: it expires exactly 30 s (the recursor TTL)
 	// later.
+	warmed := clock.Now()
 	if _, err := fl.Client.Query("crowd.test", dnswire.TypeHTTPS, false); err != nil {
 		t.Fatal(err)
 	}
@@ -72,14 +73,12 @@ func TestCrowdAtCacheEntryTTLExpiry(t *testing.T) {
 		t.Fatalf("warm query: recursor saw %d, want 1", rec.queries)
 	}
 
+	// The herd: 3 000 clients asking for the one name from the expiry on,
+	// for a span shorter than the refetched entry's TTL.
+	clock.Set(warmed.Add(30 * time.Second))
 	eng, err := New(Config{
-		Clients: 500, Model: ModelOpen, Seed: 7,
-		Domains: []string{"crowd.test"}, Duration: 40 * time.Second,
-		OpenRate: 0.2, StubTTL: 2 * time.Second,
-		Crowds: []FlashCrowd{{
-			At: 30 * time.Second, Duration: 5 * time.Second,
-			Multiplier: 20, Domain: "crowd.test", Fraction: 1,
-		}},
+		Clients: 3_000, Model: ModelOpen, Seed: 7,
+		Domains: []string{"crowd.test"}, Duration: 10 * time.Second,
 	}, clock, fl.Client)
 	if err != nil {
 		t.Fatal(err)
@@ -112,19 +111,17 @@ func TestCrowdDuringRecursorFlap(t *testing.T) {
 		transport.CacheConfig{Shards: 4, ShardCapacity: 64, StaleWindow: time.Hour},
 		5*time.Minute)
 
+	warmed := clock.Now()
 	if _, err := fl.Client.Query("crowd.test", dnswire.TypeHTTPS, false); err != nil {
 		t.Fatal(err)
 	}
 	rec.fail = true // the recursor flaps before the entry's 30 s TTL runs out
 
+	// The crowd arrives 2 s past the entry's expiry.
+	clock.Set(warmed.Add(32 * time.Second))
 	eng, err := New(Config{
-		Clients: 400, Model: ModelOpen, Seed: 7,
-		Domains: []string{"crowd.test"}, Duration: 45 * time.Second,
-		OpenRate: 0.05, StubTTL: 2 * time.Second,
-		Crowds: []FlashCrowd{{
-			At: 32 * time.Second, Duration: 5 * time.Second,
-			Multiplier: 20, Domain: "crowd.test", Fraction: 1,
-		}},
+		Clients: 2_000, Model: ModelOpen, Seed: 7,
+		Domains: []string{"crowd.test"}, Duration: 5 * time.Second,
 	}, clock, fl.Client)
 	if err != nil {
 		t.Fatal(err)
@@ -156,13 +153,10 @@ func TestCrowdFailoverPastDeadFrontends(t *testing.T) {
 		net.SetAddrDown(fl.Addrs[i].Addr(), true)
 	}
 
+	// 20 000 clients over 5 s: some 7 900 queries, spread over 50 names.
 	eng, err := New(Config{
-		Clients: 1_000, Model: ModelOpen, Seed: 7,
-		Domains: testDomains(50), Duration: 30 * time.Second,
-		OpenRate: 0.05, StubTTL: 5 * time.Second,
-		Crowds: []FlashCrowd{{
-			At: 10 * time.Second, Duration: 5 * time.Second, Multiplier: 30,
-		}},
+		Clients: 20_000, Model: ModelOpen, Seed: 7,
+		Domains: testDomains(50), Duration: 5 * time.Second,
 	}, clock, fl.Client)
 	if err != nil {
 		t.Fatal(err)

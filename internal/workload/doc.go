@@ -13,19 +13,18 @@
 // what New allocates: 73 bytes per client, the calendar's ring included.
 // Every client queries HTTPS, the paper's record of interest. Query domains are drawn from a Zipf(s)
 // popularity law over the ranked domain list via a Walker alias table —
-// O(1) per draw. Arrivals follow either a closed loop (exponential
-// think time after each answer) or an open loop (per-client Poisson
-// arrivals), with the instantaneous rate shaped by a diurnal cosine
-// curve and scheduled flash crowds.
+// O(1) per draw. Arrivals follow an open loop: each client's queries
+// are a Poisson process at OpenRate, whatever the serving layer answers
+// or how long it takes.
 //
 // # Calendar queue
 //
 // Pending arrivals — exactly one per client — live in a calendar queue:
 // a power-of-two ring of time buckets, each an intrusive singly linked
 // list threaded through the client records. A bucket spans a power of
-// two nanoseconds that holds eight to sixteen arrivals at the configured
-// aggregate rate, and the ring at least two mean gaps, both derived from
-// Config. Activating a bucket copies
+// two nanoseconds that holds eight to sixteen arrivals at the aggregate
+// rate, and the ring at least two mean gaps, both derived from
+// Clients and OpenRate. Activating a bucket copies
 // its events out, sorted by (due, client); a push into the active bucket
 // is merged into that sorted run; events a lap or more ahead stay in
 // their slot until their lap comes round; a lap with nothing due jumps
@@ -43,7 +42,7 @@
 // The engine is a pure function of (Config, clock start time, target):
 // single-goroutine by construction, total event order fixed by the
 // (due, client) tie-break, per-client RNG streams independent of firing
-// order, and stub-cache TTLs taken from Config.StubTTL rather than
+// order, and stub-cache TTLs fixed at StubTTL rather than taken from
 // answer TTLs (answer TTLs depend on fleet-cache LRU residency, which
 // is schedule-dependent whenever other drivers share the fleet). Two
 // runs with the same inputs replay byte-identically; Summary.Digest — an

@@ -10,63 +10,25 @@ import (
 	"repro/internal/transport"
 )
 
-// Model selects the arrival law driving each simulated client.
+// Model names the arrival law. ModelOpen, the zero value, is the only
+// one: the type stays because the repo benchmark sets Config.Model by
+// name.
 type Model uint8
 
-const (
-	// ModelClosed is a closed-loop client: it issues a query, consumes
-	// the answer, thinks for an exponential pause, and repeats. Load
-	// self-limits — a slow serving layer slows its own offered load.
-	ModelClosed Model = iota
-	// ModelOpen is an open-loop client: arrivals follow a Poisson
-	// process regardless of completions, the law that models a large
-	// independent population and can overload the serving layer.
-	ModelOpen
-)
+// ModelOpen is an open-loop client: arrivals follow a Poisson process
+// regardless of completions, the law that models a large independent
+// population and can overload the serving layer.
+const ModelOpen Model = 0
 
-// String renders the model in ParseModel form.
-func (m Model) String() string {
-	if m == ModelOpen {
-		return "open"
-	}
-	return "closed"
-}
+// OpenRate is each client's mean arrival rate in queries per second.
+const OpenRate = 0.1
 
-// ParseModel parses "closed" or "open" (the -loadmodel flag values).
-func ParseModel(s string) (Model, error) {
-	switch s {
-	case "closed", "":
-		return ModelClosed, nil
-	case "open":
-		return ModelOpen, nil
-	}
-	return ModelClosed, fmt.Errorf("workload: unknown model %q (want closed or open)", s)
-}
-
-// Diurnal shapes the arrival rate over the day: the instantaneous rate
-// is scaled by 1 + Amplitude·cos(2π·(tod−Peak)/24h), so load peaks at
-// Peak (a time-of-day offset) and bottoms out twelve hours away.
-type Diurnal struct {
-	// Amplitude in [0, 0.95]; 0 disables the curve.
-	Amplitude float64
-	// Peak is the time-of-day of maximum load (e.g. 20h for an evening
-	// peak).
-	Peak time.Duration
-}
-
-// FlashCrowd is a scheduled load spike: for Duration starting At (an
-// offset from engine start) every client's arrival rate is multiplied
-// by Multiplier, and — when Domain is set — Fraction of the spike's
-// domain draws are pinned to that one name, the thundering-herd shape
-// that hammers a single cache entry.
-type FlashCrowd struct {
-	At         time.Duration
-	Duration   time.Duration
-	Multiplier float64
-	// Domain must be a member of Config.Domains when set.
-	Domain   string
-	Fraction float64
-}
+// StubTTL is each client's stub-cache entry lifetime. It is fixed
+// rather than the answer's TTL: answer TTLs depend on fleet-cache aging,
+// whose LRU residency is schedule-dependent under concurrent scanner
+// stages, and the engine's event stream must stay a pure function of
+// (seed, clock, config).
+const StubTTL = 60 * time.Second
 
 // Config parameterises a workload engine run. The engine is a pure
 // function of (Config, clock start, target): every knob feeds the
@@ -74,7 +36,7 @@ type FlashCrowd struct {
 type Config struct {
 	// Clients is the simulated stub population size.
 	Clients int
-	// Model selects closed-loop think-time or open-loop Poisson arrivals.
+	// Model is the arrival law; ModelOpen is the only one.
 	Model Model
 	// Seed drives every client's RNG stream.
 	Seed int64
@@ -84,49 +46,16 @@ type Config struct {
 	// ZipfS is the popularity exponent; 0 selects 1.0, the classic
 	// DNS-trace value. Negative is rejected.
 	ZipfS float64
-	// OpenRate is the open-loop per-client mean arrival rate in
-	// queries/second; 0 selects 0.1. Negative is rejected.
-	OpenRate float64
-	// Think is the closed-loop mean think time; 0 selects 10s. Negative
-	// is rejected.
-	Think time.Duration
 	// Duration bounds the simulated horizon. Zero is allowed only with
 	// MaxQueries set.
 	Duration time.Duration
 	// MaxQueries, when positive, stops the run after that many queries —
 	// the budget knob benchmark smoke runs use.
 	MaxQueries int
-	// StubTTL is each client's stub-cache entry lifetime. It is a fixed
-	// configured value rather than the answer's TTL: answer TTLs depend
-	// on fleet-cache aging, whose LRU residency is schedule-dependent
-	// under concurrent scanner stages, and the engine's event stream
-	// must stay a pure function of (seed, clock, config). 0 selects 60s;
-	// negative is rejected.
-	StubTTL time.Duration
 	// Mix deals per-client protocol preferences across the population
 	// (the dnscrypt-proxy-style per-stub preference). The zero Mix
 	// leaves every client protocol-agnostic.
 	Mix transport.Mix
-	// Diurnal shapes the rate over the day; Crowds schedules spikes.
-	Diurnal Diurnal
-	Crowds  []FlashCrowd
-}
-
-// withDefaults fills the zero-value knobs.
-func (cfg Config) withDefaults() Config {
-	if cfg.ZipfS == 0 {
-		cfg.ZipfS = 1.0
-	}
-	if cfg.OpenRate == 0 {
-		cfg.OpenRate = 0.1
-	}
-	if cfg.Think == 0 {
-		cfg.Think = 10 * time.Second
-	}
-	if cfg.StubTTL == 0 {
-		cfg.StubTTL = 60 * time.Second
-	}
-	return cfg
 }
 
 // stubSlots is each client's direct-mapped stub-cache size.
@@ -193,10 +122,8 @@ type Engine struct {
 	cal calendar         // per-client records and the arrival schedule
 	q   *dnswire.Message // reused query message (ID/QNAME patched per event)
 
-	start     int64 // unix nanos at Run start
-	end       int64
-	charged   int64   // clock high-water mark already Set
-	crowdRank []int32 // resolved Domains rank per crowd (-1: none)
+	end     int64 // unix nanos the horizon ends at
+	charged int64 // clock high-water mark already Set
 
 	queries, stubHits, errors uint64
 	digest                    uint64
@@ -212,39 +139,25 @@ const (
 // alias table, client RNG streams, protocol preferences and the calendar
 // are all built here, so Run allocates a constant amount.
 func New(cfg Config, clock *simnet.Clock, target Exchanger) (*Engine, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Clients <= 0 {
+	if cfg.ZipfS == 0 {
+		cfg.ZipfS = 1.0
+	}
+	switch {
+	case cfg.Clients <= 0:
 		return nil, fmt.Errorf("workload: Clients must be positive")
-	}
-	if len(cfg.Domains) == 0 {
+	case len(cfg.Domains) == 0:
 		return nil, fmt.Errorf("workload: Domains must be non-empty")
-	}
-	if cfg.Duration <= 0 && cfg.MaxQueries <= 0 {
+	case cfg.Duration <= 0 && cfg.MaxQueries <= 0:
 		return nil, fmt.Errorf("workload: need Duration or MaxQueries")
-	}
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{{"ZipfS", cfg.ZipfS}, {"OpenRate", cfg.OpenRate}, {"Think", float64(cfg.Think)},
-		{"StubTTL", float64(cfg.StubTTL)}} {
-		if f.v < 0 {
-			return nil, fmt.Errorf("workload: %s must not be negative", f.name)
-		}
-	}
-	if cfg.Diurnal.Amplitude < 0 || cfg.Diurnal.Amplitude > 0.95 {
-		return nil, fmt.Errorf("workload: Diurnal.Amplitude %v outside [0, 0.95]", cfg.Diurnal.Amplitude)
-	}
-	if clock == nil {
+	case cfg.ZipfS < 0:
+		return nil, fmt.Errorf("workload: ZipfS must not be negative")
+	case clock == nil:
 		return nil, fmt.Errorf("workload: nil clock")
-	}
-	if target == nil {
+	case target == nil:
 		return nil, fmt.Errorf("workload: nil target")
 	}
 
-	mean := float64(cfg.Think) / float64(time.Second)
-	if cfg.Model == ModelOpen {
-		mean = 1 / cfg.OpenRate
-	}
+	mean := 1 / OpenRate
 	e := &Engine{
 		cfg: cfg, clock: clock, target: target,
 		zipf:     newZipfSampler(len(cfg.Domains), cfg.ZipfS),
@@ -255,30 +168,8 @@ func New(cfg Config, clock *simnet.Clock, target Exchanger) (*Engine, error) {
 		cal:      newCalendar(cfg.Clients, mean*float64(time.Second)),
 		digest:   fnvOffset,
 	}
-	rankOf := make(map[string]uint32, len(cfg.Domains))
 	for i, d := range cfg.Domains {
 		e.names[i] = dnswire.CanonicalName(d)
-		rankOf[e.names[i]] = uint32(i)
-	}
-	e.crowdRank = make([]int32, len(cfg.Crowds))
-	for i, fc := range cfg.Crowds {
-		e.crowdRank[i] = -1
-		if fc.Multiplier <= 0 {
-			return nil, fmt.Errorf("workload: crowd %d Multiplier must be positive", i)
-		}
-		if fc.At < 0 || fc.Duration < 0 {
-			return nil, fmt.Errorf("workload: crowd %d At %v and Duration %v must not be negative", i, fc.At, fc.Duration)
-		}
-		if fc.Fraction < 0 || fc.Fraction > 1 {
-			return nil, fmt.Errorf("workload: crowd %d Fraction %v outside [0, 1]", i, fc.Fraction)
-		}
-		if fc.Domain != "" {
-			rank, ok := rankOf[dnswire.CanonicalName(fc.Domain)]
-			if !ok {
-				return nil, fmt.Errorf("workload: crowd %d domain %q not in Domains", i, fc.Domain)
-			}
-			e.crowdRank[i] = int32(rank)
-		}
 	}
 	for i := range e.cacheDom {
 		e.cacheDom[i] = emptySlot
@@ -304,46 +195,10 @@ func New(cfg Config, clock *simnet.Clock, target Exchanger) (*Engine, error) {
 // emptySlot marks an unused stub-cache slot (no rank reaches 2^32−1).
 const emptySlot = ^uint32(0)
 
-// rateFactor is the instantaneous arrival-rate multiplier at t (unix
-// nanos): the diurnal curve times any active flash crowd.
-func (e *Engine) rateFactor(t int64) float64 {
-	f := 1.0
-	if a := e.cfg.Diurnal.Amplitude; a > 0 {
-		tod := time.Unix(0, t).UTC()
-		day := float64(tod.Sub(tod.Truncate(24*time.Hour))) - float64(e.cfg.Diurnal.Peak)
-		f = 1 + a*math.Cos(2*math.Pi*day/float64(24*time.Hour))
-	}
-	for _, fc := range e.cfg.Crowds {
-		at := e.start + int64(fc.At)
-		if t >= at && t < at+int64(fc.Duration) {
-			f *= fc.Multiplier
-		}
-	}
-	return f
-}
-
-// crowdPin returns the pinned domain rank when t falls inside a crowd
-// that hammers one domain and the client's draw lands in its Fraction.
-func (e *Engine) crowdPin(r *rng, t int64) (uint32, bool) {
-	for i, fc := range e.cfg.Crowds {
-		if e.crowdRank[i] < 0 {
-			continue
-		}
-		at := e.start + int64(fc.At)
-		if t >= at && t < at+int64(fc.Duration) && r.float64() <= fc.Fraction {
-			return uint32(e.crowdRank[i]), true
-		}
-	}
-	return 0, false
-}
-
-// gap draws the client's next inter-arrival span from due, scaled by
-// the rate factor at due (a piecewise-thinning approximation of the
-// non-homogeneous Poisson process — exact when the factor is constant
-// over the gap, which the statistical tests verify at the configured
-// tolerances).
-func (e *Engine) gap(r *rng, due int64) int64 {
-	d := r.exp(e.mean / e.rateFactor(due))
+// gap draws the client's next exponential inter-arrival span, in
+// nanoseconds.
+func (e *Engine) gap(r *rng) int64 {
+	d := r.exp(e.mean)
 	if d > 1e9 { // degenerate draw; cap far past any horizon
 		d = 1e9
 	}
@@ -396,10 +251,7 @@ const (
 // slot. Returns the outcome for the digest.
 func (e *Engine) process(ev event) byte {
 	c := &e.cal.clients[ev.client]
-	rank, pinned := e.crowdPin(&c.rng, ev.due)
-	if !pinned {
-		rank = e.zipf.draw(&c.rng)
-	}
+	rank := e.zipf.draw(&c.rng)
 	e.queries++
 	slot := int(ev.client)*stubSlots + int(rank)%stubSlots
 	if e.cacheDom[slot] == rank && e.cacheExp[slot] >= ev.due {
@@ -423,7 +275,7 @@ func (e *Engine) process(ev event) byte {
 		outcome = outcomeError
 	} else {
 		e.cacheDom[slot] = rank
-		e.cacheExp[slot] = ev.due + int64(e.cfg.StubTTL)
+		e.cacheExp[slot] = ev.due + int64(StubTTL)
 	}
 	e.digestEvent(ev.client, ev.due, rank, outcome)
 	return outcome
@@ -434,10 +286,10 @@ func (e *Engine) process(ev event) byte {
 // single-goroutine by construction: determinism comes from the total
 // event order, not from locking. Safe to call once per engine.
 func (e *Engine) Run() Summary {
-	e.start = e.clock.Now().UnixNano()
-	e.charged = e.start
+	start := e.clock.Now().UnixNano()
+	e.charged = start
 	if e.cfg.Duration > 0 {
-		e.end = e.start + int64(e.cfg.Duration)
+		e.end = start + int64(e.cfg.Duration)
 	} else {
 		e.end = math.MaxInt64
 	}
@@ -451,7 +303,7 @@ func (e *Engine) Run() Summary {
 
 	// Seed every client's first arrival.
 	for i := range e.cal.clients {
-		e.cal.Push(uint32(i), e.start+e.gap(&e.cal.clients[i].rng, e.start))
+		e.cal.Push(uint32(i), start+e.gap(&e.cal.clients[i].rng))
 	}
 
 	for {
@@ -463,7 +315,7 @@ func (e *Engine) Run() Summary {
 			break
 		}
 		e.process(ev)
-		e.cal.Push(ev.client, ev.due+e.gap(&e.cal.clients[ev.client].rng, ev.due))
+		e.cal.Push(ev.client, ev.due+e.gap(&e.cal.clients[ev.client].rng))
 	}
 
 	if e.cfg.Duration > 0 {

@@ -136,7 +136,9 @@ attribute:
 # hand-mangled messages. Ten seconds per target is a smoke test, not a
 # campaign: it proves the targets build, the corpus parses, and no
 # quick-to-find panic has crept into Unpack, the SvcParams decoder (dirty
-# reuse against a fresh decode), the ECHConfigList reader (accepted lists
+# reuse against a fresh decode), the scanner's interned alpn and hint
+# decode (equal to the svcb accessors, first read and table hit alike), the
+# ECHConfigList reader (accepted lists
 # re-marshal to themselves; the in-place selection picks what the copy-out
 # does), the DoH GET parameter through the frontend
 # (400 exactly when it does not decode, reused scratch against fresh), DoT frame
@@ -153,6 +155,7 @@ fuzz-smoke:
 	$(GO) test ./internal/dnswire -fuzz 'FuzzUnpack$$' -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnswire -fuzz FuzzUnpackInto -fuzztime 10s -run xxx
 	$(GO) test ./internal/svcb -fuzz FuzzUnpackParamsInto -fuzztime 10s -run xxx
+	$(GO) test ./internal/scanner -fuzz FuzzSummarizeHTTPS -fuzztime 10s -run xxx
 	$(GO) test ./internal/ech -fuzz FuzzUnmarshalList -fuzztime 10s -run xxx
 	$(GO) test ./internal/providers -fuzz FuzzStreamSource -fuzztime 10s -run xxx
 	$(GO) test ./internal/transport -fuzz FuzzDoHDecodeRequest -fuzztime 10s -run xxx

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
+	"repro/internal/dataset"
+	"repro/internal/providers"
 	"repro/internal/transport"
 )
 
@@ -88,5 +92,77 @@ func TestGoldenStoreDigests(t *testing.T) {
 				t.Errorf("store digest %s, want %s", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestAnalysesLeaveTheStoreUnchanged: a store's slices are shared between
+// observations and read-only (dataset's "Shared values"), so no analysis
+// may write into one. Every analysis reproduce runs is run twice, its
+// tables rendered, over the stores of both golden campaigns, which must
+// still render to their golden digests.
+func TestAnalysesLeaveTheStoreUnchanged(t *testing.T) {
+	daily, err := NewCampaign(goldenFleet(CampaignConfig{
+		Size: 300, Seed: 29,
+		Start:    time.Date(2024, 1, 25, 0, 0, 0, 0, time.UTC),
+		End:      time.Date(2024, 2, 8, 0, 0, 0, 0, time.UTC),
+		StepDays: 7, DayWorkers: 3, AnomalyCapture: true,
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := daily.RunDaily(); err != nil {
+		t.Fatal(err)
+	}
+	daily.RunValidationCensus(daily.Cfg.End)
+	hourly, err := NewCampaign(goldenFleet(CampaignConfig{Size: 300, Seed: 31, HourWorkers: 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hourly.RunHourlyECH(time.Date(2023, 7, 21, 0, 0, 0, 0, time.UTC), 1)
+
+	for _, c := range []struct {
+		name, want string
+		st         *dataset.Store
+	}{{"daily-fleet", goldenDailyFleet, daily.Store}, {"hourly-ech", goldenHourlyECH, hourly.Store}} {
+		for range 2 {
+			runEveryAnalysis(c.st)
+		}
+		var buf bytes.Buffer
+		if err := c.st.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:]) != c.want {
+			t.Errorf("%s: store digest %x after the analyses, want %s", c.name, sum, c.want)
+		}
+	}
+}
+
+// runEveryAnalysis runs each analysis reproduce reports over st and
+// renders its tables.
+func runEveryAnalysis(st *dataset.Store) {
+	phase1, phase2 := analysis.OverlappingSets(st)
+	nonCF := analysis.NonCFProviders(st, nil)
+	tables := analysis.Adoption(st).Tables()
+	tables = append(tables, analysis.HintUsage(st, "apex").Tables()...)
+	tables = append(tables, analysis.Signed(st, nil).Tables("dynamic")...)
+	tables = append(tables, analysis.Signed(st, phase2).Tables("overlapping")...)
+	tables = append(tables,
+		analysis.NSCategories(st, nil).Table("dynamic"), analysis.NSCategories(st, phase2).Table("overlapping"),
+		nonCF.Table(10), analysis.SeriesTable("fig3", 20, nonCF.DailyDistinct),
+		analysis.IntermittencyMinObs(st, analysis.DefaultIntermittencyMinObs).Table(),
+		analysis.DefaultVsCustom(st, nil).Table("dynamic"), analysis.DefaultVsCustom(st, phase2).Table("overlapping"),
+		analysis.Table5(analysis.ProviderParams(st, "Google"), analysis.ProviderParams(st, "GoDaddy")),
+		analysis.SvcParams(st, "apex").Table("apex"), analysis.SvcParams(st, "www").Table("www"),
+		analysis.ALPN(st, "apex", phase2, providers.H3Draft29SunsetDate).Table(),
+		analysis.ALPN(st, "www", phase2, providers.H3Draft29SunsetDate).Table(),
+		analysis.MismatchDurations(st, "apex").Table(), analysis.Connectivity(st).Table(),
+		analysis.ECHDeployment(st, nil).Table(), analysis.ECHRotation(st).Table(),
+		analysis.Census(st).Table(), analysis.StaleECHCorrelation(st).Table(),
+		analysis.TelemetryTimeline(st, "daily"), analysis.TelemetryTimeline(st, "hourly-ech"),
+		analysis.AnomalyReport(st), analysis.SignedECH(st, nil).Table(),
+		analysis.RankTable("fig8", append(analysis.RankDistributions(st, phase1), analysis.NonCFRankings(st))...),
+	)
+	for _, tbl := range tables {
+		tbl.Format()
 	}
 }

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bufio"
 	"encoding/json"
 	"io"
 	"net/netip"
@@ -58,20 +59,28 @@ type Observation struct {
 func (o *Observation) HasHTTPS() bool { return len(o.HTTPS) > 0 }
 
 // V4Hints returns the ipv4hint addresses of all the observed HTTPS records,
-// in record order.
+// in record order. When at most one record carries hints that is the
+// record's stored slice, shared and read-only; only two or more are joined
+// into a new one.
 func (o *Observation) V4Hints() []netip.Addr {
-	var out []netip.Addr
-	for _, r := range o.HTTPS {
-		out = append(out, r.V4Hints...)
-	}
-	return out
+	return joinHints(o.HTTPS, func(r *HTTPSRecord) []netip.Addr { return r.V4Hints })
 }
 
 // V6Hints is V4Hints for ipv6hint.
 func (o *Observation) V6Hints() []netip.Addr {
+	return joinHints(o.HTTPS, func(r *HTTPSRecord) []netip.Addr { return r.V6Hints })
+}
+
+func joinHints(recs []HTTPSRecord, hints func(*HTTPSRecord) []netip.Addr) []netip.Addr {
 	var out []netip.Addr
-	for _, r := range o.HTTPS {
-		out = append(out, r.V6Hints...)
+	for i := range recs {
+		switch h := hints(&recs[i]); {
+		case len(h) == 0:
+		case out == nil:
+			out = slices.Clip(h) // a second record's append copies it
+		default:
+			out = append(out, h...)
+		}
 	}
 	return out
 }
@@ -276,9 +285,9 @@ type Store struct {
 	// hourly-ech series over the same dates never collide.
 	telemetry map[string]*TelemetrySeries
 
-	ech        []ECHObservation
-	probes     []ProbeResult
-	validation []ValidationResult
+	ech        recTable[ECHObservation]
+	probes     recTable[ProbeResult]
+	validation recTable[ValidationResult]
 
 	// trancoLists preserves each day's ranked list for overlap analysis.
 	trancoLists map[int64][]string
@@ -346,26 +355,73 @@ func sortedValues[V any](m map[int64]V) []V {
 	return out
 }
 
-// appendRecs and copyRecs are the append tables' write and read: records
-// are kept in arrival order, so a read is a copy (never nil, which keeps
-// an empty table rendering as [] in the export).
+// recTable is an append table: records in arrival order, held in chunks
+// that are never regrown, so a growing table copies nothing it holds. A
+// chunk holds as many records as the table held before it (at least
+// minChunk and at most maxChunk), so a small table costs a chunk or two and
+// a large one wastes at most one chunk's unused tail.
+type recTable[T any] struct {
+	chunks [][]T
+	n      int
+}
 
-func appendRecs[T any](s *Store, table *[]T, recs []T) {
+const (
+	minChunk = 16
+	maxChunk = 1 << 12
+)
+
+func (t *recTable[T]) add(recs []T) {
+	for len(recs) > 0 {
+		k := len(t.chunks) - 1
+		if k < 0 || len(t.chunks[k]) == cap(t.chunks[k]) {
+			t.chunks = append(t.chunks, make([]T, 0, min(max(t.n, minChunk), maxChunk)))
+			k++
+		}
+		m := min(len(recs), cap(t.chunks[k])-len(t.chunks[k]))
+		t.chunks[k] = append(t.chunks[k], recs[:m]...)
+		t.n += m
+		recs = recs[m:]
+	}
+}
+
+// all copies the table out in arrival order, never nil.
+func (t *recTable[T]) all() []T {
+	out := make([]T, 0, t.n)
+	for _, c := range t.chunks {
+		out = append(out, c...)
+	}
+	return out
+}
+
+// writeJSON writes the table as one JSON array, encoding a chunk at a time
+// (a chunk is never empty).
+func (t *recTable[T]) writeJSON(w *bufio.Writer) error {
+	w.WriteByte('[')
+	for i, c := range t.chunks {
+		b, err := json.Marshal(c)
+		if err != nil {
+			return err
+		}
+		if i > 0 {
+			w.WriteByte(',')
+		}
+		w.Write(b[1 : len(b)-1])
+	}
+	return w.WriteByte(']')
+}
+
+// appendRecs and copyRecs are the append tables' write and read.
+
+func appendRecs[T any](s *Store, table *recTable[T], recs []T) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	*table = append(*table, recs...)
+	table.add(recs)
 }
 
-func copyRecs[T any](s *Store, table *[]T) []T {
+func copyRecs[T any](s *Store, table *recTable[T]) []T {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return cloneRecs(*table)
-}
-
-func cloneRecs[T any](recs []T) []T {
-	out := make([]T, len(recs))
-	copy(out, recs)
-	return out
+	return table.all()
 }
 
 func (s *Store) snapshots(kind string) map[int64]*Snapshot {
@@ -483,35 +539,49 @@ func (s *Store) Probes() []ProbeResult { return copyRecs(s, &s.probes) }
 // Validation returns the DNSSEC census in append order.
 func (s *Store) Validation() []ValidationResult { return copyRecs(s, &s.validation) }
 
-// export is the JSON layout for WriteJSON.
-type export struct {
-	Apex       []*Snapshot        `json:"apex"`
-	WWW        []*Snapshot        `json:"www"`
-	NS         []*NSSnapshot      `json:"ns"`
-	Serving    []*ServingSnapshot `json:"serving,omitempty"`
-	Anomalies  []*AnomalyCapture  `json:"anomalies,omitempty"`
-	Telemetry  []*TelemetrySeries `json:"telemetry,omitempty"`
-	ECH        []ECHObservation   `json:"ech"`
-	Probes     []ProbeResult      `json:"probes"`
-	Validation []ValidationResult `json:"validation"`
-}
-
-// WriteJSON serialises the whole store. The per-day tables are rendered
-// in day order and the append tables in append order, so stores committed
-// in the same order produce equal bytes.
+// WriteJSON serialises the whole store as one JSON object: the per-day
+// tables in day order and the append tables in append order, so stores
+// committed in the same order produce equal bytes. It encodes under the
+// read lock one table at a time, and an append table one chunk at a time,
+// so an export holds neither the whole document nor a copy of a table.
 func (s *Store) WriteJSON(w io.Writer) error {
 	s.mu.RLock()
-	e := export{
-		Apex:       sortedValues(s.apex),
-		WWW:        sortedValues(s.www),
-		NS:         sortedValues(s.ns),
-		Serving:    sortedValues(s.serving),
-		Anomalies:  sortedValues(s.anomaly),
-		Telemetry:  s.telemetryAll(),
-		ECH:        cloneRecs(s.ech),
-		Probes:     cloneRecs(s.probes),
-		Validation: cloneRecs(s.validation),
+	defer s.mu.RUnlock()
+	bw := bufio.NewWriter(w)
+	var err error
+	put := func(key string, v any) {
+		bw.WriteString(key)
+		if err == nil {
+			var b []byte
+			b, err = json.Marshal(v)
+			bw.Write(b)
+		}
 	}
-	s.mu.RUnlock()
-	return json.NewEncoder(w).Encode(&e)
+	put(`{"apex":`, sortedValues(s.apex))
+	put(`,"www":`, sortedValues(s.www))
+	put(`,"ns":`, sortedValues(s.ns))
+	// The serving, anomaly and telemetry tables are left out when empty.
+	if v := sortedValues(s.serving); len(v) > 0 {
+		put(`,"serving":`, v)
+	}
+	if v := sortedValues(s.anomaly); len(v) > 0 {
+		put(`,"anomalies":`, v)
+	}
+	if v := s.telemetryAll(); len(v) > 0 {
+		put(`,"telemetry":`, v)
+	}
+	for _, t := range []struct {
+		key   string
+		write func(*bufio.Writer) error
+	}{{`,"ech":`, s.ech.writeJSON}, {`,"probes":`, s.probes.writeJSON}, {`,"validation":`, s.validation.writeJSON}} {
+		bw.WriteString(t.key)
+		if err == nil {
+			err = t.write(bw)
+		}
+	}
+	bw.WriteString("}\n")
+	if err != nil {
+		return err
+	}
+	return bw.Flush()
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func day(y, m, d int) time.Time { return time.Date(y, time.Month(m), d, 0, 0, 0, 0, time.UTC) }
@@ -129,6 +130,68 @@ func TestObservationHasHTTPS(t *testing.T) {
 	o.HTTPS = append(o.HTTPS, HTTPSRecord{Priority: 1, Target: ".", HasECH: true})
 	if !o.HasECH() {
 		t.Error("ech on the second record not seen")
+	}
+}
+
+// TestHintReadsShareOneRecord: an observation whose hints sit in one
+// record reads that record's slice, no copy; hints spread over two records
+// are joined into a new slice, in record order, that leaves both records'
+// slices as they were.
+func TestHintReadsShareOneRecord(t *testing.T) {
+	a, b := netip.MustParseAddr("192.0.2.1"), netip.MustParseAddr("192.0.2.2")
+	one := []netip.Addr{a}
+	o := &Observation{HTTPS: []HTTPSRecord{{Priority: 1}, {Priority: 2, V4Hints: one}}}
+	if h := o.V4Hints(); len(h) != 1 || unsafe.SliceData(h) != unsafe.SliceData(one) {
+		t.Errorf("one hinted record read as %v at %p, want its slice at %p", h, unsafe.SliceData(h), unsafe.SliceData(one))
+	}
+	if o.V6Hints() != nil {
+		t.Error("no ipv6hint read as a non-nil list")
+	}
+	roomy := append(make([]netip.Addr, 0, 4), a)
+	o.HTTPS = []HTTPSRecord{{Priority: 1, V4Hints: roomy}, {Priority: 2, V4Hints: []netip.Addr{b}}}
+	h := o.V4Hints()
+	if len(h) != 2 || h[0] != a || h[1] != b || unsafe.SliceData(h) == unsafe.SliceData(roomy) {
+		t.Errorf("two hinted records read as %v at %p (first record's %p)", h, unsafe.SliceData(h), unsafe.SliceData(roomy))
+	}
+	if roomy[:2][1] == b {
+		t.Error("joining two records wrote into the first record's array")
+	}
+}
+
+// TestAppendTablesNeverRegrow: a table appended past many chunks reads back
+// every record in arrival order, and records already held stay where they
+// are: a growing table copies nothing it holds.
+func TestAppendTablesNeverRegrow(t *testing.T) {
+	s := NewStore()
+	if got := s.ECHObservations(); got == nil || len(got) != 0 {
+		t.Fatalf("empty table read as %#v, want an empty non-nil slice", got)
+	}
+	s.AddECH(ECHObservation{KeyHash: 0})
+	first := &s.ech.chunks[0][0]
+	const n = 3*maxChunk + 7
+	for i := 1; i < n; i += 5 {
+		batch := make([]ECHObservation, 0, 5)
+		for j := i; j < min(i+5, n); j++ {
+			batch = append(batch, ECHObservation{KeyHash: uint64(j)})
+		}
+		s.AddECH(batch...)
+	}
+	if &s.ech.chunks[0][0] != first {
+		t.Error("the first record moved: the table regrew a chunk")
+	}
+	got := s.ECHObservations()
+	if len(got) != n {
+		t.Fatalf("%d records read back, want %d", len(got), n)
+	}
+	for i, o := range got {
+		if o.KeyHash != uint64(i) {
+			t.Fatalf("record %d read back as %d", i, o.KeyHash)
+		}
+	}
+	for _, c := range s.ech.chunks {
+		if cap(c) > maxChunk {
+			t.Fatalf("a chunk of %d records, bound %d", cap(c), maxChunk)
+		}
 	}
 }
 

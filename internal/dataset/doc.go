@@ -11,10 +11,12 @@
 // Store keeps its per-day tables (apex/www/NS snapshots, serving and
 // anomaly records, Tranco lists, telemetry series) in maps
 // keyed by UTC day and its three append tables (ECH observations,
-// connectivity probes, validation rows) in plain slices, all behind one
-// sync.RWMutex. It is safe for concurrent use, but every campaign writer
-// is a single goroutine — the pipeline's in-order committer — so the
-// lock is never contended on the measurement path.
+// connectivity probes, validation rows) in chunks that are never regrown,
+// all behind one sync.RWMutex. WriteJSON encodes under the read lock, a
+// table (an append table, a chunk) at a time, so an export never holds the
+// whole document. The store is safe for concurrent use, but every
+// campaign writer is a single goroutine — the pipeline's in-order
+// committer — so the lock is never contended on the measurement path.
 //
 // # Determinism contract
 //
@@ -26,4 +28,16 @@
 // committed in the same order (the pipeline's ordered committer
 // guarantees that), the export is the same. The concurrent-append tests
 // under -race cover the locking.
+//
+// # Shared values
+//
+// The slices a stored observation holds — A, AAAA, NS, CNAMEChain, HTTPS,
+// and each HTTPSRecord's ALPN, V4Hints and V6Hints — are shared: the
+// scanner interns them by content, so observations of one value, on any
+// day, hold the same backing array (while the value's table has room). They are read-only. A reader that
+// wants to sort, trim or append to one copies it first. Observation.V4Hints
+// and V6Hints follow the same rule: with at most one record carrying hints
+// they return that record's slice itself. The append tables' reads
+// (ECHObservations, Probes, Validation) are copies, the caller's to
+// change.
 package dataset

@@ -42,9 +42,9 @@ func TestWalkStartsAtClosestCut(t *testing.T) {
 	}
 
 	f := w.resolver.Fork(w.net)
-	if len(f.cuts) != 0 || len(f.addrSets) != 0 || len(f.cache) != 0 || len(f.zoneKeys) != 0 {
-		t.Errorf("fork starts with %d cuts, %d address sets, %d answers, %d zone keys; want none",
-			len(f.cuts), len(f.addrSets), len(f.cache), len(f.zoneKeys))
+	if len(f.cuts) != 0 || len(f.cache) != 0 || len(f.zoneKeys) != 0 {
+		t.Errorf("fork starts with %d cuts, %d answers, %d zone keys; want none",
+			len(f.cuts), len(f.cache), len(f.zoneKeys))
 	}
 	if f.memo == nil || f.memo != w.resolver.memo {
 		t.Error("fork does not share the parent's verified-signature memo")
@@ -55,8 +55,8 @@ func TestWalkStartsAtClosestCut(t *testing.T) {
 
 	memo := w.resolver.memo
 	w.resolver.FlushCache()
-	if len(w.resolver.cuts) != 0 || len(w.resolver.addrSets) != 0 {
-		t.Errorf("%d cuts and %d address sets survive FlushCache", len(w.resolver.cuts), len(w.resolver.addrSets))
+	if len(w.resolver.cuts) != 0 {
+		t.Errorf("%d cuts survive FlushCache", len(w.resolver.cuts))
 	}
 	if w.resolver.memo != memo {
 		t.Error("FlushCache replaced the memo")

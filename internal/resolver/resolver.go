@@ -115,10 +115,9 @@ type Resolver struct {
 	zoneKeys map[string]zoneKeyEntry
 
 	// cuts maps a zone to the servers a referral named for it, for the NS
-	// RRset's TTL. addrSets interns those server lists by content:
+	// RRset's TTL. The server lists are interned (dnswire.InternAddrs):
 	// thousands of apexes share a few dozen provider NS sets.
-	cuts     map[string]zoneCut
-	addrSets map[uint64][]netip.Addr
+	cuts map[string]zoneCut
 
 	// memo remembers signatures that verified, and queries holds walk's
 	// query for each (name, type). They are the state Fork shares, so
@@ -168,7 +167,6 @@ const (
 	maxAnswers  = 1 << 18
 	maxZoneKeys = 1 << 14
 	maxCuts     = 1 << 16
-	maxAddrSets = 1 << 10
 )
 
 // makeRoom keeps m below max entries: at the cap it sweeps the expired
@@ -250,7 +248,6 @@ func (r *Resolver) flush(cacheLen, cutsLen int) {
 	r.slab = nil
 	r.zoneKeys = map[string]zoneKeyEntry{}
 	r.cuts = make(map[string]zoneCut, cutsLen)
-	r.addrSets = map[uint64][]netip.Addr{}
 }
 
 // cacheLen returns the number of live cache entries.
@@ -510,35 +507,7 @@ func (r *Resolver) referral(resp *dnswire.Message) (zone string, ttl uint32, ser
 			}
 		}
 	}
-	return zone, ttl, r.intern(addrs)
-}
-
-// intern returns the resolver's one retained copy of an address list, so
-// the cut table holds a slice per distinct NS set, not per delegation.
-func (r *Resolver) intern(addrs []netip.Addr) []netip.Addr {
-	if len(addrs) == 0 {
-		return nil
-	}
-	// The hash key is every address's 16 bytes; up to 16 addresses it stays
-	// on the stack.
-	var buf [16 * 16]byte
-	key := buf[:0]
-	for _, a := range addrs {
-		b := a.As16()
-		key = append(key, b[:]...)
-	}
-	h := dnswire.FNV1a(key)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if set, ok := r.addrSets[h]; ok && slices.Equal(set, addrs) {
-		return set
-	}
-	if len(r.addrSets) >= maxAddrSets {
-		clear(r.addrSets)
-	}
-	set := slices.Clone(addrs)
-	r.addrSets[h] = set
-	return set
+	return zone, ttl, dnswire.InternAddrs(addrs)
 }
 
 // sigsLast returns a response section ordered data first, RRSIGs last, and

@@ -5,21 +5,21 @@
 // scans, the hourly ECH rotation scans, and the TLS connectivity probes for
 // domains with mismatched IP hints.
 //
-// A scan keeps nothing of an answer but copied values (addresses, name
-// strings, summarizeHTTPS's fresh slices), so it hands every answer back as
+// A scan keeps nothing of an answer but interned values (dnswire.Interner:
+// address and name lists, alpn and hint values, HTTPS record sets, ECH
+// public names), so a value seen before costs no allocation and all its
+// observations share one read-only copy. It hands every answer back as
 // soon as it has read it: to a Transport that offers Recycle, or, having
 // asked a recursor directly, with Release (a handler's reply is its
 // caller's). Its own query message follows when the scan is over. The ech
-// parameter is the one value read in place (readECH, over
-// ech.SelectInPlace), under the same rule: its public key is hashed and
-// its public name found in the table of names already seen (publicNames),
-// or copied, before the answer goes back.
+// parameter is read in place (readECH, over ech.SelectInPlace).
 package scanner
 
 import (
 	"fmt"
+	"maps"
 	"net/netip"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -86,35 +86,14 @@ func (s *Scanner) Fork(net *simnet.Network, transport Transport) *Scanner {
 	}
 }
 
-// maxPublicNames bounds a nameTable. A world's ECH publishers share a few
-// public names (Cloudflare's one, in the paper); names past the bound are
-// copied, not kept.
-const maxPublicNames = 32
-
-// nameTable interns byte strings: every caller asking for the same bytes
-// gets one string.
-type nameTable struct {
-	mu sync.Mutex
-	m  map[string]string
-}
-
-// publicNames interns the ECH public names every scan reads, so each stored
-// observation and record of one name shares one string.
-var publicNames = nameTable{m: map[string]string{}}
-
-// intern returns b as a string, the table's own when it holds one.
-func (t *nameTable) intern(b []byte) string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if s, ok := t.m[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	if len(t.m) < maxPublicNames {
-		t.m[s] = s
-	}
-	return s
-}
+// The tables a scan interns its stored values in, besides dnswire's
+// address and name lists.
+var (
+	alpnLists        dnswire.Interner[[]string]
+	v4Hints, v6Hints dnswire.Interner[[]netip.Addr]
+	httpsSets        dnswire.Interner[[]dataset.HTTPSRecord]
+	publicNames      dnswire.Interner[string]
+)
 
 func (s *Scanner) nextID() uint16 {
 	return uint16(s.qid.Add(1))
@@ -219,34 +198,26 @@ func (s *Scanner) query(q *dnswire.Message, name, shown string, t dnswire.Type) 
 	return nil, err
 }
 
-// summarizeHTTPS converts a wire HTTPS record into the dataset summary.
+// summarizeHTTPS converts a wire HTTPS record into the dataset summary,
+// whose alpn and hint values are interned.
 func summarizeHTTPS(rr dnswire.RR) (dataset.HTTPSRecord, bool) {
 	data, ok := rr.Data.(*dnswire.SVCBData)
-	if !ok {
+	if !ok || rr.Type != dnswire.TypeHTTPS {
 		return dataset.HTTPSRecord{}, false
 	}
+	ps := data.Params
 	out := dataset.HTTPSRecord{
-		Priority: data.Priority,
-		Target:   data.Target,
+		Priority:  data.Priority,
+		Target:    data.Target,
+		ALPN:      dnswire.InternParam(&alpnLists, ps, svcb.KeyALPN, svcb.Params.ALPN),
+		NoDefALPN: ps.Has(svcb.KeyNoDefaultALPN),
+		V4Hints:   dnswire.InternParam(&v4Hints, ps, svcb.KeyIPv4Hint, svcb.Params.IPv4Hints),
+		V6Hints:   dnswire.InternParam(&v6Hints, ps, svcb.KeyIPv6Hint, svcb.Params.IPv6Hints),
 	}
-	if alpn, ok := data.Params.ALPN(); ok {
-		out.ALPN = alpn
-	}
-	out.NoDefALPN = data.Params.Has(svcb.KeyNoDefaultALPN)
-	if port, ok := data.Params.Port(); ok {
-		out.Port, out.HasPort = port, true
-	}
-	if hints, ok := data.Params.IPv4Hints(); ok {
-		out.V4Hints = hints
-	}
-	if hints, ok := data.Params.IPv6Hints(); ok {
-		out.V6Hints = hints
-	}
-	if e, has, ok := readECH(data.Params); has {
-		out.HasECH = true
-		if ok {
-			out.ECHConfigID, out.ECHKeyHash, out.ECHPublicName = e.ConfigID, e.KeyHash, e.PublicName
-		}
+	out.Port, out.HasPort = ps.Port()
+	e, has, ok := readECH(ps)
+	if out.HasECH = has; ok {
+		out.ECHConfigID, out.ECHKeyHash, out.ECHPublicName = e.ConfigID, e.KeyHash, e.PublicName
 	}
 	return out, true
 }
@@ -255,10 +226,8 @@ func summarizeHTTPS(rr dnswire.RR) (dataset.HTTPSRecord, bool) {
 // (ech.SelectInPlace) and nothing else of its parameters: has reports that
 // the parameter is there, ok that its list is well formed and offers a
 // supported config, whose id, key hash and public name it fills in — the
-// values Fig 4 tracks rotation by. The key is hashed and the name interned
-// in publicNames, so nothing returned aliases the answer: the scans read
-// the same public name in nearly every record, and all of them share the
-// table's string.
+// values Fig 4 tracks rotation by. The key is hashed and the name interned,
+// so nothing returned aliases the answer.
 func readECH(ps svcb.Params) (obs dataset.ECHObservation, has, ok bool) {
 	list, has := ps.ECH()
 	if !has {
@@ -268,7 +237,11 @@ func readECH(ps svcb.Params) (obs dataset.ECHObservation, has, ok bool) {
 	if err != nil {
 		return obs, true, false
 	}
-	obs.ConfigID, obs.KeyHash, obs.PublicName = cfg.ConfigID, dnswire.FNV1a(cfg.PublicKey), publicNames.intern(cfg.PublicName)
+	name, seen := publicNames.Lookup(cfg.PublicName)
+	if !seen {
+		name = publicNames.Keep(cfg.PublicName, string(cfg.PublicName))
+	}
+	obs.ConfigID, obs.KeyHash, obs.PublicName = cfg.ConfigID, dnswire.FNV1a(cfg.PublicKey), name
 	return obs, true, true
 }
 
@@ -312,19 +285,11 @@ func (s *Scanner) scanInto(canon, name string, obs *dataset.Observation) {
 	}
 	// Follow-up queries for adopters.
 	if resp, err := s.query(q, canon, name, dnswire.TypeA); err == nil {
-		for _, rr := range resp.Answer {
-			if a, ok := rr.Data.(*dnswire.AData); ok {
-				obs.A = append(obs.A, a.Addr)
-			}
-		}
+		obs.A = answerAddrs(resp, dnswire.TypeA)
 		s.done(resp)
 	}
 	if resp, err := s.query(q, canon, name, dnswire.TypeAAAA); err == nil {
-		for _, rr := range resp.Answer {
-			if a, ok := rr.Data.(*dnswire.AAAAData); ok {
-				obs.AAAA = append(obs.AAAA, a.Addr)
-			}
-		}
+		obs.AAAA = answerAddrs(resp, dnswire.TypeAAAA)
 		s.done(resp)
 	}
 	apex := dnswire.ApexOf(canon)
@@ -337,29 +302,75 @@ func (s *Scanner) scanInto(canon, name string, obs *dataset.Observation) {
 		s.done(resp)
 	}
 	if resp, err := s.query(q, apex, apex, dnswire.TypeNS); err == nil {
+		var buf [4]string
+		hosts := buf[:0]
 		for _, rr := range resp.Answer {
 			if ns, ok := rr.Data.(*dnswire.NSData); ok {
-				obs.NS = append(obs.NS, ns.Host)
+				hosts = append(hosts, ns.Host)
 			}
 		}
+		obs.NS = dnswire.InternNames(hosts)
 		s.done(resp)
 	}
 }
 
+// answerAddrs returns the interned addresses of resp's t (A or AAAA)
+// records.
+func answerAddrs(resp *dnswire.Message, t dnswire.Type) []netip.Addr {
+	var buf [8]netip.Addr
+	addrs := buf[:0]
+	for _, rr := range resp.Answer {
+		switch d := rr.Data.(type) {
+		case *dnswire.AData:
+			if t == dnswire.TypeA {
+				addrs = append(addrs, d.Addr)
+			}
+		case *dnswire.AAAAData:
+			if t == dnswire.TypeAAAA {
+				addrs = append(addrs, d.Addr)
+			}
+		}
+	}
+	return dnswire.InternAddrs(addrs)
+}
+
+// extractHTTPS reads resp's answer into obs, which holds no HTTPS records
+// yet: the HTTPS records' summaries, interned as a set under their keys
+// (summarized only the first time the set is seen), whether an RRSIG
+// covered them, and the CNAME targets, appended to the chain so far.
 func (s *Scanner) extractHTTPS(resp *dnswire.Message, obs *dataset.Observation) {
+	var kb [1024]byte
+	key := kb[:0]
+	var cb [4]string
+	chain := append(cb[:0], obs.CNAMEChain...)
 	for _, rr := range resp.Answer {
 		switch rr.Type {
 		case dnswire.TypeHTTPS:
-			if sum, ok := summarizeHTTPS(rr); ok {
-				obs.HTTPS = append(obs.HTTPS, sum)
+			if data, ok := rr.Data.(*dnswire.SVCBData); ok {
+				key = data.AppendKey(key)
 			}
 		case dnswire.TypeRRSIG:
 			if sig, ok := rr.Data.(*dnswire.RRSIGData); ok && sig.TypeCovered == dnswire.TypeHTTPS {
 				obs.Signed = true
 			}
 		case dnswire.TypeCNAME:
-			obs.CNAMEChain = append(obs.CNAMEChain, rr.Data.(*dnswire.CNAMEData).Target)
+			chain = append(chain, rr.Data.(*dnswire.CNAMEData).Target)
 		}
+	}
+	if len(key) > 0 {
+		set, ok := httpsSets.Lookup(key)
+		if !ok {
+			for _, rr := range resp.Answer {
+				if sum, ok := summarizeHTTPS(rr); ok {
+					set = append(set, sum)
+				}
+			}
+			set = httpsSets.Keep(key, slices.Clip(set))
+		}
+		obs.HTTPS = set
+	}
+	if len(chain) > len(obs.CNAMEChain) {
+		obs.CNAMEChain = dnswire.InternNames(chain)
 	}
 }
 
@@ -369,27 +380,33 @@ func (s *Scanner) extractHTTPS(resp *dnswire.Message, obs *dataset.Observation) 
 // "www.<name>." (tranco.Simulator.CanonListFor), index for index, so no
 // name is spelled anew each day.
 func (s *Scanner) ScanList(date time.Time, kind string, list []string, www ...string) *dataset.Snapshot {
-	slots := make([]*dataset.Observation, len(list))
 	if len(www) == 0 {
 		www = make([]string, len(list)) // every name spelt anew
 	}
+	snap := &dataset.Snapshot{Date: date, Kind: kind, Total: len(list), Obs: map[string]*dataset.Observation{}}
+	// Most domain-days are dropped: only a keeper goes to the heap, carved
+	// from a slab of 64 (a list wastes at most one slab's unused tail).
+	var mu sync.Mutex
+	var slab []dataset.Observation
 	s.forEach(len(list), func(i int) {
 		canon, name := spell(kind, list[i], www[i])
-		// Most domain-days are dropped: only a keeper goes to the heap.
 		var obs dataset.Observation
 		s.scanInto(canon, name, &obs)
-		if obs.HasHTTPS() || obs.Err != "" {
-			kept := obs
-			kept.Rank = i + 1
-			slots[i] = &kept
+		if !obs.HasHTTPS() && obs.Err == "" {
+			return
+		}
+		obs.Rank = i + 1
+		mu.Lock()
+		defer mu.Unlock()
+		if len(slab) == cap(slab) {
+			slab = make([]dataset.Observation, 0, 64)
+		}
+		slab = append(slab, obs)
+		// A name listed twice keeps its last rank, whichever worker is first.
+		if prev := snap.Obs[obs.Name]; prev == nil || prev.Rank < obs.Rank {
+			snap.Obs[obs.Name] = &slab[len(slab)-1]
 		}
 	})
-	snap := &dataset.Snapshot{Date: date, Kind: kind, Total: len(list), Obs: map[string]*dataset.Observation{}}
-	for _, obs := range slots {
-		if obs != nil {
-			snap.Obs[obs.Name] = obs
-		}
-	}
 	return snap
 }
 
@@ -421,11 +438,7 @@ func (s *Scanner) ScanNameServers(date time.Time, snaps ...*dataset.Snapshot) *d
 			}
 		}
 	}
-	hosts := make([]string, 0, len(hostSet))
-	for h := range hostSet {
-		hosts = append(hosts, h)
-	}
-	sort.Strings(hosts)
+	hosts := slices.Sorted(maps.Keys(hostSet))
 
 	results := make([]*dataset.NSObservation, len(hosts))
 	s.forEach(len(hosts), func(i int) {
@@ -433,11 +446,7 @@ func (s *Scanner) ScanNameServers(date time.Time, snaps ...*dataset.Snapshot) *d
 		q := newQuery()
 		defer q.Release()
 		if resp, err := s.query(q, hosts[i], hosts[i], dnswire.TypeA); err == nil {
-			for _, rr := range resp.Answer {
-				if a, ok := rr.Data.(*dnswire.AData); ok {
-					nso.Addrs = append(nso.Addrs, a.Addr)
-				}
-			}
+			nso.Addrs = answerAddrs(resp, dnswire.TypeA)
 			s.done(resp)
 		}
 		if s.Whois != nil && len(nso.Addrs) > 0 {
@@ -474,26 +483,16 @@ func (s *Scanner) ECHScan(now time.Time, domains []string) []dataset.ECHObservat
 			return
 		}
 		for _, rr := range resp.Answer {
-			data, isSVCB := rr.Data.(*dnswire.SVCBData)
-			if rr.Type != dnswire.TypeHTTPS || !isSVCB {
-				continue
-			}
-			if obs, _, ok := readECH(data.Params); ok {
-				obs.Time, obs.Domain = now, dnswire.CanonicalName(name)
-				slots[i] = append(slots[i], obs)
+			if data, ok := rr.Data.(*dnswire.SVCBData); ok && rr.Type == dnswire.TypeHTTPS {
+				if obs, _, ok := readECH(data.Params); ok {
+					obs.Time, obs.Domain = now, dnswire.CanonicalName(name)
+					slots[i] = append(slots[i], obs)
+				}
 			}
 		}
 		s.done(resp)
 	})
-	n := 0
-	for _, obs := range slots {
-		n += len(obs)
-	}
-	out := make([]dataset.ECHObservation, 0, n)
-	for _, obs := range slots {
-		out = append(out, obs...)
-	}
-	return out
+	return slices.Concat(slots...)
 }
 
 // ProbeMismatches runs the §4.3.5 connectivity experiment: for every
@@ -501,14 +500,8 @@ func (s *Scanner) ECHScan(now time.Time, domains []string) []dataset.ECHObservat
 // addresses. Candidates are probed in sorted domain order over the bounded
 // worker pool, so the result slice is deterministic for a snapshot.
 func (s *Scanner) ProbeMismatches(date time.Time, snap *dataset.Snapshot, prober Prober) []dataset.ProbeResult {
-	names := make([]string, 0, len(snap.Obs))
-	for name := range snap.Obs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	out := make([]dataset.ProbeResult, 0, len(names))
-	for _, name := range names {
+	var out []dataset.ProbeResult
+	for _, name := range slices.Sorted(maps.Keys(snap.Obs)) {
 		obs := snap.Obs[name]
 		if !obs.HasHTTPS() || len(obs.A) == 0 {
 			continue

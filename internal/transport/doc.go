@@ -195,7 +195,7 @@
 //     next (core.TestServedRecordsStayReadOnly).
 //   - A handler's message goes home another way: it is the frontend's
 //     once HandleDNS returns (simnet.DNSHandler), and Resolve, prefetch
-//     and servFailWire Release it, like their own FORMERR and SERVFAIL
+//     and servFailWire Release it, like their own FORMERR, NOTIMP and SERVFAIL
 //     replies, once packed and, where cached, inserted.
 //
 // # What the envelopes do differently

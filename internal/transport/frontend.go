@@ -226,10 +226,16 @@ func (f *Frontend) bindMetrics(reg *obs.Registry) {
 func (f *Frontend) Resolve(q *dnswire.Message, dst []byte, tr *obs.Trace) (Answer, error) {
 	f.served.Add(1)
 
-	if len(q.Question) != 1 {
+	if q.Opcode != dnswire.OpcodeQuery || len(q.Question) != 1 {
+		// Only a standard query with one question is resolved and cached;
+		// any other opcode is one this server does not implement
+		// (RFC 1035 §4.1.1).
 		resp := q.Reply()
 		defer resp.Release()
 		resp.RCode = dnswire.RCodeFormErr
+		if q.Opcode != dnswire.OpcodeQuery {
+			resp.RCode = dnswire.RCodeNotImp
+		}
 		return packAnswerAppend(resp, dst)
 	}
 	key := cacheKey(q)
@@ -372,11 +378,12 @@ func (f *Frontend) serveStale(key Key, q *dnswire.Message, dst []byte) (Answer, 
 	return Answer{Wire: body, Stale: true}, true
 }
 
-// echoFlags copies into a cached reply the header bits a reply echoes
-// from its query besides the ID (dnswire.Message.Reply): the opcode and
-// RD. Whoever's query filled the entry, each asker reads its own.
+// echoFlags copies into a cached reply the header bit a reply echoes from
+// its query besides the ID and opcode (dnswire.Message.Reply): RD. Whoever's
+// query filled the entry, each asker reads its own. The opcode needs no
+// patch: only QUERY's 0 reaches the cache.
 func echoFlags(wire []byte, q *dnswire.Message) {
-	wire[2] = wire[2]&^0x79 | byte(q.Opcode&0xf)<<3
+	wire[2] &^= 1
 	if q.RecursionDesired {
 		wire[2] |= 1
 	}

@@ -418,7 +418,9 @@ func TestSERVFAILFailsOverToNextUpstream(t *testing.T) {
 // TestCacheHitEchoesItsAsker: a reply copies its query's ID, opcode, RD
 // bit and question, so a cached answer serves an asker only what that
 // asker's own miss would have drawn. A hit patches the header bits; a
-// query differing in class or EDNS(0) gets its own entry.
+// query differing in class or EDNS(0) gets its own entry; a query of
+// another opcode than QUERY is answered NOTIMP, its ID, opcode and question
+// echoed, and reaches neither the recursor nor the cache.
 func TestCacheHitEchoesItsAsker(t *testing.T) {
 	_, fe, recursor, _ := newStaleFleet(t, CacheConfig{}, 0, ProtoDoH)
 	resolve := func(q *dnswire.Message) *dnswire.Message {
@@ -436,10 +438,18 @@ func TestCacheHitEchoesItsAsker(t *testing.T) {
 	resolve(dnswire.NewQuery(1, "echo.test.", dnswire.TypeHTTPS, false))
 
 	hit := dnswire.NewQuery(2, "echo.test.", dnswire.TypeHTTPS, false)
-	hit.Opcode, hit.RecursionDesired = 2, false
-	if m := resolve(hit); recursor.queries != 1 || m.ID != 2 || m.Opcode != 2 || m.RecursionDesired {
-		t.Fatalf("hit: %d recursor queries, reply ID %d opcode %d RD %v; want 1, 2, 2, false",
-			recursor.queries, m.ID, m.Opcode, m.RecursionDesired)
+	hit.RecursionDesired = false
+	if m := resolve(hit); recursor.queries != 1 || m.ID != 2 || m.Opcode != 0 || m.RecursionDesired || m.RCode != dnswire.RCodeNoError {
+		t.Fatalf("hit: %d recursor queries, reply ID %d opcode %d RD %v rcode %v; want 1, 2, 0, false, NOERROR",
+			recursor.queries, m.ID, m.Opcode, m.RecursionDesired, m.RCode)
+	}
+
+	status := dnswire.NewQuery(5, "echo.test.", dnswire.TypeHTTPS, false)
+	status.Opcode = 2
+	if m := resolve(status); recursor.queries != 1 || m.ID != 5 || m.Opcode != 2 || m.RCode != dnswire.RCodeNotImp ||
+		len(m.Question) != 1 || m.Question[0] != status.Question[0] || len(m.Answer) != 0 {
+		t.Fatalf("opcode 2: %d recursor queries, reply ID %d opcode %d rcode %v question %+v, %d answers; want 1, 5, 2, NOTIMP, %+v, 0",
+			recursor.queries, m.ID, m.Opcode, m.RCode, m.Question, len(m.Answer), status.Question[0])
 	}
 
 	chaos := dnswire.NewQuery(3, "echo.test.", dnswire.TypeHTTPS, false)

@@ -15,7 +15,7 @@ test:
 # Race-detector pass over the concurrency-heavy packages (the pipelined
 # campaign scheduler, the substrate it fans out over, the serving
 # layer's shared cache/pool/cooldown state, the pooled wire codec and
-# its decode-scratch intern table, the telemetry registry every worker
+# the decode name table every decode shares, the telemetry registry every worker
 # increments, the dataset store the pipeline commits into, the workload
 # engine driving fleets inside the pipelined day replicas, the recursor,
 # validator and authoritatives (forked recursors share one

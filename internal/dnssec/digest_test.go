@@ -15,7 +15,9 @@ import (
 // every canonical form is built in a pooled buffer and hashed there: nothing
 // for a memo hit or a DS match, and 2 for SignRRset before anything reads
 // its signature (the RRSIG data and the deferred step's closure; the owner's
-// labels are counted, not split).
+// labels are counted, not split). Reading the signature runs the ECDSA step,
+// whose DER output is read into r‖s in place: 66 in all (71 while it went
+// through asn1.Unmarshal into two big.Ints).
 func TestSignatureAllocBudgets(t *testing.T) {
 	if testrace.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -46,6 +48,15 @@ func TestSignatureAllocBudgets(t *testing.T) {
 		{"SignRRset, signature unread", 2, func() {
 			if _, err := SignRRset(f.key, f.rrs, testInception, testExpiration); err != nil {
 				t.Fatal(err)
+			}
+		}},
+		{"SignRRset, signature read", 66, func() {
+			sig, err := SignRRset(f.key, f.rrs, testInception, testExpiration)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sig.Data.(*dnswire.RRSIGData).SignatureBytes()) != 64 {
+				t.Fatal("the signature is not 64 bytes")
 			}
 		}},
 	}

@@ -23,7 +23,6 @@ import (
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/sha256"
-	"encoding/asn1"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -326,14 +325,68 @@ func signDigest(priv *ecdsa.PrivateKey, digest [sha256.Size]byte) ([]byte, error
 	if err != nil {
 		return nil, fmt.Errorf("dnssec: signing: %w", err)
 	}
-	var rs struct{ R, S *big.Int }
-	if _, err := asn1.Unmarshal(der, &rs); err != nil {
+	out := make([]byte, 64)
+	if err := derSig(out, der); err != nil {
 		return nil, fmt.Errorf("dnssec: signing: %w", err)
 	}
-	out := make([]byte, 64)
-	rs.R.FillBytes(out[:32]) // left-pads a short r or s
-	rs.S.FillBytes(out[32:])
 	return out, nil
+}
+
+var errBadDER = errors.New("malformed DER ECDSA signature")
+
+// derSig reads the DER SEQUENCE{INTEGER r, INTEGER s} that PrivateKey.Sign
+// returns into out as r‖s, each integer left-padded to half of out. A P-256
+// signature's DER is at most 72 bytes, so every length is in short form.
+func derSig(out, der []byte) error {
+	seq, rest, ok := derElem(der, 0x30)
+	if !ok || len(rest) != 0 {
+		return errBadDER
+	}
+	r, seq, ok := derElem(seq, 0x02)
+	if !ok {
+		return errBadDER
+	}
+	s, seq, ok := derElem(seq, 0x02)
+	if !ok || len(seq) != 0 {
+		return errBadDER
+	}
+	half := len(out) / 2
+	if !derUint(out[:half], r) || !derUint(out[half:], s) {
+		return errBadDER
+	}
+	return nil
+}
+
+// derElem splits off b's first element, which must carry tag and a
+// short-form length.
+func derElem(b []byte, tag byte) (val, rest []byte, ok bool) {
+	if len(b) < 2 || b[0] != tag || b[1] > 0x7f || int(b[1]) > len(b)-2 {
+		return nil, nil, false
+	}
+	n := 2 + int(b[1])
+	return b[2:n], b[n:], true
+}
+
+// derUint writes a minimally encoded, non-negative DER integer into dst,
+// right-aligned and zero-padded; it reports false for any other integer or
+// one too long for dst.
+func derUint(dst, v []byte) bool {
+	if len(v) == 0 || v[0]&0x80 != 0 {
+		return false
+	}
+	if len(v) > 1 && v[0] == 0 {
+		if v[1]&0x80 == 0 {
+			return false // not minimal
+		}
+		v = v[1:]
+	}
+	if len(v) > len(dst) {
+		return false
+	}
+	pad := len(dst) - len(v)
+	clear(dst[:pad])
+	copy(dst[pad:], v)
+	return true
 }
 
 // VerifyRRSIG checks an RRSIG over an RRset against a DNSKEY record. now is

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/big"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -49,6 +50,49 @@ func TestSignDigestRFC6979KnownAnswer(t *testing.T) {
 		"f7cb1c942d657c41d436c7a1b6e29f65f3e900dbb9aff4064dc4ab2f843acda8"
 	if hex.EncodeToString(got) != want {
 		t.Errorf("r‖s = %x\nwant  %s", got, want)
+	}
+}
+
+// TestDERSig: the DER reader against hand-built encodings — a 31-byte r, an
+// s whose top bit forces a leading zero, a zero — and against every way an
+// encoding can be cut short, run long or be no minimal positive integer.
+func TestDERSig(t *testing.T) {
+	r31 := bytes.Repeat([]byte{0x11}, 31)
+	sHigh := bytes.Repeat([]byte{0xee}, 32)
+	integer := func(v []byte) []byte { return append([]byte{0x02, byte(len(v))}, v...) }
+	seq := func(parts ...[]byte) []byte {
+		body := bytes.Join(parts, nil)
+		return append([]byte{0x30, byte(len(body))}, body...)
+	}
+	good := seq(integer(r31), integer(append([]byte{0}, sHigh...)))
+	out := bytes.Repeat([]byte{0xff}, 64) // dirty: padding must be written
+	if err := derSig(out, good); err != nil {
+		t.Fatal(err)
+	}
+	if want := append(append([]byte{0}, r31...), sHigh...); !bytes.Equal(out, want) {
+		t.Errorf("r‖s = %x\nwant  %x", out, want)
+	}
+	if err := derSig(out, seq(integer([]byte{0}), integer([]byte{1}))); err != nil || !bytes.Equal(out, append(make([]byte, 63), 1)) {
+		t.Errorf("r = 0, s = 1 read as %x, %v", out, err)
+	}
+	for name, der := range map[string][]byte{
+		"empty":                 nil,
+		"truncated":             good[:len(good)-1],
+		"trailing byte":         append(slices.Clone(good), 0),
+		"one integer":           seq(integer(r31)),
+		"three integers":        seq(integer(r31), integer(r31), integer(r31)),
+		"not a sequence":        append([]byte{0x31}, good[1:]...),
+		"not an integer":        seq(integer(r31), append([]byte{0x04, 1}, 1)),
+		"33-byte s":             seq(integer(r31), integer(append([]byte{1}, sHigh...))),
+		"negative r":            seq(integer([]byte{0x80}), integer(r31)),
+		"empty r":               seq(integer(nil), integer(r31)),
+		"non-minimal r":         seq(integer([]byte{0, 0x11}), integer(r31)),
+		"long-form length":      append([]byte{0x30, 0x81, good[1]}, good[2:]...),
+		"length past the input": append([]byte{0x30, 0x7f}, good[2:]...),
+	} {
+		if err := derSig(make([]byte, 64), der); err == nil {
+			t.Errorf("%s: %x read without an error", name, der)
+		}
 	}
 }
 

@@ -46,9 +46,10 @@
 // so a short message between two long ones leaves the long shape's
 // storage in place. Names that do change are deduplicated
 // twice — within the message (compression-pointer reuse yields one
-// shared string) and across messages, via a bounded intern table that
-// rides the pooled decode scratch, so a steady-state decode whose names
-// have all been seen before mints zero strings. The aliasing
+// shared string) and across messages, via one bounded Interner that every
+// decode in the process shares (2^15 names; past that a name is copied
+// and not kept), so a decode whose names have all been seen before, on
+// any goroutine, mints zero strings. The aliasing
 // consequence: callers must not hold references into a Message across
 // UnpackInto calls on it.
 //

@@ -9,8 +9,9 @@ import (
 	"repro/internal/svcb"
 )
 
-// maxInterned bounds every Interner: past it, a value is copied and not
-// kept, so a long run over ever-new values holds at most this many.
+// maxInterned bounds an Interner whose own bound is unset: past it, a value
+// is copied and not kept, so a long run over ever-new values holds at most
+// this many.
 const maxInterned = 1 << 12
 
 // Interner is a bounded, content-addressed table of shared values: every
@@ -22,8 +23,9 @@ const maxInterned = 1 << 12
 // interned it first. The zero value is ready to use, and it is safe for
 // concurrent use: a hit holds the read lock for one map probe.
 type Interner[V any] struct {
-	mu sync.RWMutex
-	m  map[string]V
+	mu  sync.RWMutex
+	m   map[string]V
+	max int // the table's bound; 0 means maxInterned
 }
 
 // Lookup returns the value kept under key.
@@ -43,13 +45,41 @@ func (t *Interner[V]) Keep(key []byte, v V) V {
 	if w, ok := t.m[string(key)]; ok {
 		return w
 	}
-	if len(t.m) < maxInterned {
+	if len(t.m) < t.bound() {
 		if t.m == nil {
 			t.m = map[string]V{}
 		}
 		t.m[string(key)] = v
 	}
 	return v
+}
+
+// InternString returns the string t keeps for b's bytes. A miss makes one
+// string, which a table below its bound keeps as its key and value both.
+func InternString(t *Interner[string], b []byte) string {
+	if s, ok := t.Lookup(b); ok {
+		return s
+	}
+	s := string(b)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if w, ok := t.m[s]; ok {
+		return w
+	}
+	if len(t.m) < t.bound() {
+		if t.m == nil {
+			t.m = map[string]string{}
+		}
+		t.m[s] = s
+	}
+	return s
+}
+
+func (t *Interner[V]) bound() int {
+	if t.max == 0 {
+		return maxInterned
+	}
+	return t.max
 }
 
 // The lists InternAddrs and InternNames keep: the scanner's A and AAAA

@@ -237,11 +237,8 @@ func readECH(ps svcb.Params) (obs dataset.ECHObservation, has, ok bool) {
 	if err != nil {
 		return obs, true, false
 	}
-	name, seen := publicNames.Lookup(cfg.PublicName)
-	if !seen {
-		name = publicNames.Keep(cfg.PublicName, string(cfg.PublicName))
-	}
-	obs.ConfigID, obs.KeyHash, obs.PublicName = cfg.ConfigID, dnswire.FNV1a(cfg.PublicKey), name
+	obs.ConfigID, obs.KeyHash = cfg.ConfigID, dnswire.FNV1a(cfg.PublicKey)
+	obs.PublicName = dnswire.InternString(&publicNames, cfg.PublicName)
 	return obs, true, true
 }
 

@@ -141,8 +141,8 @@ attribute:
 # ECHConfigList reader (accepted lists
 # re-marshal to themselves; the in-place selection picks what the copy-out
 # does), the DoH GET parameter through the frontend
-# (400 exactly when it does not decode, reused scratch against fresh), DoT frame
-# reassembly (one write against the same bytes split anywhere), DoQ
+# (400 exactly when it does not decode, reused scratch against fresh), DoT
+# frames (served in arrival order against reverse order), DoQ
 # stream framing (prefix and zero-ID checks, pooled scratch reused after a
 # valid stream against fresh scratch), the cache's TTL-slot walk (every
 # slot a decoded record's TTL, dirty reuse against a fresh walk), RRSIG verification (whose memoised and plain verdicts must
@@ -159,7 +159,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ech -fuzz FuzzUnmarshalList -fuzztime 10s -run xxx
 	$(GO) test ./internal/providers -fuzz FuzzStreamSource -fuzztime 10s -run xxx
 	$(GO) test ./internal/transport -fuzz FuzzDoHDecodeRequest -fuzztime 10s -run xxx
-	$(GO) test ./internal/transport -fuzz FuzzDoTWrite -fuzztime 10s -run xxx
+	$(GO) test ./internal/transport -fuzz FuzzDoTFrames -fuzztime 10s -run xxx
 	$(GO) test ./internal/transport -fuzz FuzzDoQStream -fuzztime 10s -run xxx
 	$(GO) test ./internal/transport -fuzz FuzzAppendTTLSlots -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnssec -fuzz FuzzVerifyRRSIG -fuzztime 10s -run xxx

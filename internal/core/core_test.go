@@ -127,9 +127,9 @@ func TestCampaignThroughDoHFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fleet.Fleet.Frontends) != 3 || fleet.Fleet.Pool.Len() != 3 {
+	if len(fleet.Fleet.Frontends) != 3 || len(fleet.Fleet.Pool.Stats()) != 3 {
 		t.Fatalf("fleet not built: %d frontends, %d pool members",
-			len(fleet.Fleet.Frontends), fleet.Fleet.Pool.Len())
+			len(fleet.Fleet.Frontends), len(fleet.Fleet.Pool.Stats()))
 	}
 	if err := fleet.RunDaily(); err != nil {
 		t.Fatal(err)

@@ -12,7 +12,7 @@ import (
 // anything over is dropped for the GC. The ceiling is what stops one
 // jumbo message from pinning its array in a pool for a whole campaign;
 // every pooled envelope scratch of the serving layer (DoH request and
-// response bodies, DoT frame reassembly, DoQ stream buffers) runs through
+// response bodies, DoT and DoQ frame buffers) runs through
 // the same helper.
 func TestTrimRecycledCeiling(t *testing.T) {
 	under := make([]byte, 100, maxRecycledBuf)

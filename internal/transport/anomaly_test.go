@@ -204,8 +204,8 @@ func TestRecorderPoolChurnEvents(t *testing.T) {
 		t.Fatalf("fe0 failed %d times with %v recorded, want one pool.cooldown per failure and at least two",
 			failures, kinds)
 	}
-	if fl.Pool.Len() != 2 {
-		t.Fatalf("pool len = %d, want 2: a failing member is benched, never removed", fl.Pool.Len())
+	if fl.Pool.size() != 2 {
+		t.Fatalf("pool len = %d, want 2: a failing member is benched, never removed", fl.Pool.size())
 	}
 }
 
@@ -218,7 +218,7 @@ func TestPoolScorecard(t *testing.T) {
 	p := newPool(clock, BalanceRoundRobin, 1) // DefaultCooldown is a minute
 	u := p.Add("fe0", frontendAddr(0), ProtoDoH)
 
-	p.MarkFailed(u)
+	p.markFailed(u)
 	st := p.Stats()[0]
 	if st.ConsecFails != 1 || st.CooldownTotal != time.Minute {
 		t.Fatalf("after one failure: streak=%d occupancy=%v", st.ConsecFails, st.CooldownTotal)
@@ -227,7 +227,7 @@ func TestPoolScorecard(t *testing.T) {
 	// Re-failure 30s into the bench extends the window by 30s — the
 	// occupancy charges the extension, not a second full cooldown.
 	clock.Advance(30 * time.Second)
-	p.MarkFailed(u)
+	p.markFailed(u)
 	st = p.Stats()[0]
 	if st.ConsecFails != 2 || st.CooldownTotal != 90*time.Second {
 		t.Fatalf("after mid-bench re-failure: streak=%d occupancy=%v, want 2 and 1m30s", st.ConsecFails, st.CooldownTotal)
@@ -236,7 +236,7 @@ func TestPoolScorecard(t *testing.T) {
 	// A successful exchange 30s later forgives the remaining 30s and
 	// resets the streak.
 	clock.Advance(30 * time.Second)
-	p.ObserveRTT(u, 5*time.Millisecond)
+	p.observeRTT(u, 5*time.Millisecond)
 	st = p.Stats()[0]
 	if st.ConsecFails != 0 || st.CooldownTotal != time.Minute {
 		t.Fatalf("after recovery: streak=%d occupancy=%v, want 0 and 1m", st.ConsecFails, st.CooldownTotal)

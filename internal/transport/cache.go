@@ -103,7 +103,7 @@ func (s EntryState) String() string {
 type Lookup struct {
 	// State classifies the probe; Body is non-nil only for Fresh. A
 	// stale probe carries no body — the caller is expected to consult
-	// the upstream first and materialize the stale answer with StaleWire
+	// the upstream first and materialize the stale answer with staleWire
 	// only if that fails, so the common refresh path never pays the copy.
 	State EntryState
 	// Body is the response wire image with the query ID patched in and
@@ -120,7 +120,7 @@ type cacheShard struct {
 	mu      sync.Mutex
 	entries map[Key]*cacheEntry
 	// head is most recently used, tail least; entries form a doubly
-	// linked list so Probe/Put/evict are all O(1).
+	// linked list so probe/Put/evict are all O(1).
 	head, tail *cacheEntry
 	capacity   int
 	// negEntries tracks resident negative entries so Stats is O(shards),
@@ -258,18 +258,18 @@ func (c *Cache) shardFor(key Key) *cacheShard {
 	return c.shards[key.shardHash()%uint32(len(c.shards))]
 }
 
-// Probe is the lifecycle-aware lookup: it classifies the entry as fresh,
+// probe is the lifecycle-aware lookup: it classifies the entry as fresh,
 // stale, or missing, and returns a servable wire image for a fresh entry:
 // the stored response with the given query ID patched in and every TTL
 // aged by the virtual time elapsed since storing. A stale probe carries
 // no body: the caller is expected to consult the upstream, and to serve
-// the stale body (StaleWire) only when that fails. Entries past TTL +
+// the stale body (staleWire) only when that fails. Entries past TTL +
 // StaleWindow are evicted by the probe.
 //
 // On a fresh hit the wire image is appended to dst (Body aliases dst's
 // backing array, so a caller handing in recycled scratch serves the hit
 // copy-free); a nil dst allocates, preserving the old behavior.
-func (c *Cache) Probe(key Key, id uint16, dst []byte) Lookup {
+func (c *Cache) probe(key Key, id uint16, dst []byte) Lookup {
 	now := c.clock.Now().UnixNano()
 	s := c.shardFor(key)
 	s.mu.Lock()
@@ -292,7 +292,7 @@ func (c *Cache) Probe(key Key, id uint16, dst []byte) Lookup {
 	s.moveToFront(e)
 	if e.expires <= now {
 		// Past TTL but within the stale window: report stale so the
-		// caller consults the upstream; StaleWire materializes the body
+		// caller consults the upstream; staleWire materializes the body
 		// only if that fails.
 		return Lookup{State: StateStale, Negative: e.negative}
 	}
@@ -306,15 +306,15 @@ func (c *Cache) Probe(key Key, id uint16, dst []byte) Lookup {
 	return l
 }
 
-// StaleWire materializes the stale answer a prior Probe reported, with
+// staleWire materializes the stale answer a prior probe reported, with
 // the query ID patched in and every TTL capped at DefaultStaleTTL per RFC
 // 8767. The entry is re-evaluated under the shard lock: if a sibling
 // refreshed it meanwhile the (now fresh) body is still served with capped
 // TTLs — conservative but correct — and if it vanished (LRU pressure) ok
 // is false and the caller has nothing to serve.
 // The stale body is appended to dst under the same aliasing contract as
-// Probe; nil dst allocates a fresh copy.
-func (c *Cache) StaleWire(key Key, id uint16, dst []byte) (body []byte, ok bool) {
+// probe; nil dst allocates a fresh copy.
+func (c *Cache) staleWire(key Key, id uint16, dst []byte) (body []byte, ok bool) {
 	now := c.clock.Now().UnixNano()
 	s := c.shardFor(key)
 	s.mu.Lock()
@@ -487,9 +487,9 @@ func skipName(wire []byte, pos int) (int, error) {
 	}
 }
 
-// Len returns the number of resident entries (including not-yet-swept
+// size returns the number of resident entries (including not-yet-swept
 // expired ones).
-func (c *Cache) Len() int {
+func (c *Cache) size() int {
 	n := 0
 	for _, s := range c.shards {
 		s.mu.Lock()

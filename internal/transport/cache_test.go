@@ -110,8 +110,8 @@ func TestGrowingCacheAllocatesOnlyChunks(t *testing.T) {
 			cache.insert(k, m, wire)
 		}
 		runtime.ReadMemStats(&after)
-		if cache.Len() != next {
-			t.Fatalf("%d inserts left %d entries", next, cache.Len())
+		if cache.size() != next {
+			t.Fatalf("%d inserts left %d entries", next, cache.size())
 		}
 		per := float64(after.Mallocs-before.Mallocs) / float64(batch.n)
 		if per > batch.ceiling {
@@ -142,7 +142,7 @@ func TestCacheConcurrentGrowthAndFlush(t *testing.T) {
 		}
 	}
 	check := func(w, i int) error {
-		got := cache.Probe(keys[w][i], 7, nil)
+		got := cache.probe(keys[w][i], 7, nil)
 		if got.State == StateFresh && !bytes.Equal(got.Body[2:], wires[w][i][2:]) {
 			return fmt.Errorf("%s serves another answer: %x", keys[w][i].Name, got.Body)
 		}
@@ -228,7 +228,7 @@ func TestArenaNeighboursSurviveFullBuffers(t *testing.T) {
 	}
 	want := make([][]byte, n)
 	for i := range want {
-		want[i] = cache.Probe(testKey(i), 7, nil).Body
+		want[i] = cache.probe(testKey(i), 7, nil).Body
 	}
 	type span struct{ start, end uintptr }
 	var spans []span
@@ -260,7 +260,7 @@ func TestArenaNeighboursSurviveFullBuffers(t *testing.T) {
 		t.Errorf("%d entry buffers reach into the next one's bytes", overlaps)
 	}
 	for i := range want {
-		if got := cache.Probe(testKey(i), 7, nil); got.State != StateFresh || !bytes.Equal(got.Body, want[i]) {
+		if got := cache.probe(testKey(i), 7, nil); got.State != StateFresh || !bytes.Equal(got.Body, want[i]) {
 			t.Errorf("%s changed when its neighbours filled their buffers:\n got %x\nwant %x", testKey(i).Name, got.Body, want[i])
 		}
 	}
@@ -274,7 +274,7 @@ func TestCacheRejectedWireLeavesEntriesIntact(t *testing.T) {
 	cache := NewCacheWith(clock, CacheConfig{Shards: 1, ShardCapacity: 2})
 	cache.Put(testKey(0), answerOf(testKey(0).Name, 300))
 	cache.Put(testKey(1), answerOf(testKey(1).Name, 300))
-	want := cache.Probe(testKey(0), 7, nil).Body
+	want := cache.probe(testKey(0), 7, nil).Body
 
 	m := answerOf(testKey(0).Name, 100, 100)
 	wire, err := m.Pack()
@@ -285,13 +285,13 @@ func TestCacheRejectedWireLeavesEntriesIntact(t *testing.T) {
 	cache.insert(testKey(2), m, wire[:len(wire)-3])
 	cache.insert(testKey(2), m, wire[:8]) // shorter than a header
 
-	if got := cache.Probe(testKey(0), 7, nil); got.State != StateFresh || !bytes.Equal(got.Body, want) {
+	if got := cache.probe(testKey(0), 7, nil); got.State != StateFresh || !bytes.Equal(got.Body, want) {
 		t.Errorf("entry changed by a rejected replace: state %v\n got %x\nwant %x", got.State, got.Body, want)
 	}
 	if st := cache.Stats(); st.Entries != 2 || st.Evictions != 0 {
 		t.Errorf("a rejected insert evicted: %+v", st)
 	}
-	if cache.Probe(testKey(2), 7, nil).State != StateMiss {
+	if cache.probe(testKey(2), 7, nil).State != StateMiss {
 		t.Error("a rejected wire was stored")
 	}
 }
@@ -483,7 +483,7 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 	var hits, negativeHits, staleServes int
 	probe := func(step string, k int, id uint16) {
 		t.Helper()
-		got := cache.Probe(testKey(k), id, nil)
+		got := cache.probe(testKey(k), id, nil)
 		want := model.probe(t, clock.Now(), testKey(k), id)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: probe of %s\n got %+v\nwant %+v", step, testKey(k).Name, got, want)
@@ -525,7 +525,7 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 			probe(step, k, uint16(rng.Intn(1<<16)))
 		case op < 8:
 			id := uint16(rng.Intn(1 << 16))
-			body, ok := cache.StaleWire(testKey(k), id, nil)
+			body, ok := cache.staleWire(testKey(k), id, nil)
 			wantBody, wantOK := model.staleWire(t, clock.Now(), testKey(k), id)
 			if ok != wantOK || !bytes.Equal(body, wantBody) {
 				t.Fatalf("%s: stale wire of %s\n got %x %v\nwant %x %v", step,
@@ -622,7 +622,7 @@ func FuzzAppendTTLSlots(f *testing.F) {
 			cache.insert(testKey(1), retain, wire) // evicts long, takes its buffer
 			const elapsed = 7
 			clock.Advance(elapsed * time.Second)
-			got := cache.Probe(testKey(1), 0xbeef, nil)
+			got := cache.probe(testKey(1), 0xbeef, nil)
 			want := slices.Clone(wire)
 			binary.BigEndian.PutUint16(want, 0xbeef)
 			for s := fresh; len(s) > 0; s = s[slotSize:] {

@@ -321,7 +321,7 @@ func (c *Client) ExchangePreferring(q *dnswire.Message, pref Protocol) (*dnswire
 	if sc == nil {
 		sc = new(exchangeScratch)
 	}
-	candidates := c.Pool.Candidates(sc.cand[:0], pref)
+	candidates := c.Pool.candidates(sc.cand[:0], pref)
 	if len(candidates) == 0 {
 		sc.cand = candidates
 		c.scratch.Put(sc)
@@ -569,7 +569,7 @@ func (c *Client) bench(at attemptResult) {
 	if at.Err == nil || !at.Bench {
 		return
 	}
-	c.Pool.MarkFailed(at.Upstream)
+	c.Pool.markFailed(at.Upstream)
 	if c.Recorder != nil {
 		c.Recorder.Emit("pool.cooldown", obs.L("member", at.Upstream.Name))
 	}
@@ -591,7 +591,7 @@ func (c *Client) charge(out *outcome, d time.Duration) {
 // resolve charges its critical path once the exchange's shape is known.
 func (c *Client) sample(up *Upstream, setupRTTs int) time.Duration {
 	d := c.Latency(up)
-	c.Pool.ObserveRTT(up, d)
+	c.Pool.observeRTT(up, d)
 	return d + time.Duration(setupRTTs)*d
 }
 

@@ -20,14 +20,19 @@
 //     parameter in and an HTTP-style status, the answer wire and the
 //     serve-stale marker out (400 for a parameter that does not decode,
 //     502 for upstream failure).
-//   - DoT (dot.go): the RFC 7858 envelope: persistent connections
-//     carrying 2-byte length-prefixed frames; queries pipeline and
-//     responses return out of order, matched by query ID; framing errors
-//     and dead addresses kill the connection (and the client fails over).
+//   - DoT (dot.go): the RFC 7858 envelope: a persistent connection on
+//     which each exchange is one whole 2-byte length-prefixed frame and
+//     the one frame that answers it, concurrent exchanges independent of
+//     each other; a bad frame or a dead address kills the connection (and
+//     the client fails over).
 //   - DoQ (doq.go): the RFC 9250 envelope: one stream per query over a
-//     session, message ID pinned to 0 on the wire, stream errors
-//     isolated from the session; fresh sessions pay a handshake RTT,
-//     resumed ones ride 0-RTT.
+//     session, the same framing, message ID pinned to 0 on the wire,
+//     stream errors isolated from the session; fresh sessions pay a
+//     handshake RTT, resumed ones ride 0-RTT.
+//   - Frames (frame.go): the half DoT and DoQ share — packFrame on the
+//     client, and on the server a pooled frameStream that reads one frame
+//     and answers it through Resolve (a hard upstream failure becomes a
+//     synthesized SERVFAIL).
 //   - Cache: the sharded TTL+LRU answer cache shared across frontends
 //     regardless of protocol (the anycast-pod property).
 //   - Pool and Client: the load-balanced upstream set (P2 or round-robin
@@ -123,8 +128,8 @@
 // entry point takes its result storage from the caller:
 //
 //	session.Exchange(q, into, tr)      Frontend.exchangeDoH(sc, param, tr)
-//	Frontend.Resolve(q, dst, tr)       Cache.Probe(key, id, dst)
-//	Pool.Candidates(dst, pref)         Cache.StaleWire(key, id, dst)
+//	Frontend.Resolve(q, dst, tr)       Cache.probe(key, id, dst)
+//	Pool.candidates(dst, pref)         Cache.staleWire(key, id, dst)
 //
 // into receives the decoded answer; sc is the DoH exchange's pooled
 // server scratch, whose buffer the answer wire lands in; dst is
@@ -144,8 +149,8 @@
 //
 // With callers recycling those arguments the hot path is allocation-free
 // by construction, on a miss as on a hit: per-exchange state (candidate
-// orderings, DoH parameter and answer scratch, DoT frame reassembly and
-// reply queue, DoQ stream buffers, decoded answer Messages) lives in
+// orderings, DoH parameter and answer scratch, DoT and DoQ frame
+// buffers, decoded answer Messages) lives in
 // sync.Pools, wire encoding appends into recycled buffers via the
 // dnswire reuse APIs, a miss encodes its answer once (Resolve packs into
 // dst and the cache stores a copy in the entry it evicts or replaces, or
@@ -205,10 +210,10 @@
 // session, whose Exchange(q, into, tr) is the attempt (a DoT connection,
 // a DoQ session, or a DoH GET session):
 //
-//	envelope  setup RTTs                   session dies on
-//	DoH       0                            address down
-//	DoT       2 (TCP, TLS)                 address down, bad frame
-//	DoQ       1 (handshake), 0 if resumed  address down
+//	envelope  setup RTTs                   session dies on          a bad query costs
+//	DoH       0                            address down             a 400 (benched)
+//	DoT       2 (TCP, TLS)                 address down, bad frame  the connection
+//	DoQ       1 (handshake), 0 if resumed  address down             its stream
 //
 // A DoQ member dialed before resumes with 0-RTT on its ticket. Lookup and
 // dial run under the client lock, so attempts that miss together share

@@ -167,11 +167,11 @@ func FuzzDoQStream(f *testing.F) {
 	f.Add([]byte{})
 	fe := &Frontend{Name: "doq0", Proto: ProtoDoQ, Handler: &stubRecursor{ttl: 300}}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		want, wantStale, wantErr := new(doqStream).serve(fe, raw, nil)
-		st := doqStreamPool.Get().(*doqStream)
+		want, wantStale, wantErr := new(frameStream).serve(fe, raw, nil)
+		st := frameStreamPool.Get().(*frameStream)
 		defer func() {
 			st.buf = dnswire.TrimRecycled(st.buf)
-			doqStreamPool.Put(st)
+			frameStreamPool.Put(st)
 		}()
 		if _, _, err := st.serve(fe, valid, nil); err != nil {
 			t.Fatalf("valid stream reset: %v", err)

@@ -3,11 +3,8 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"reflect"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -50,21 +47,6 @@ func dotFrame(wire []byte) []byte {
 	return out
 }
 
-// readResponse pops the connection's next response frame in server
-// emission order.
-func readResponse(c *dotConn) (wire []byte, stale bool, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.check(); err != nil {
-		return nil, false, err
-	}
-	r, ok := c.popReply()
-	if !ok {
-		return nil, false, fmt.Errorf("%w: no response pending", ErrConnClosed)
-	}
-	return r.wire, r.stale, nil
-}
-
 func packQuery(t testing.TB, id uint16, name string) []byte {
 	t.Helper()
 	wire, err := dnswire.NewQuery(id, name, dnswire.TypeA, false).Pack()
@@ -74,80 +56,9 @@ func packQuery(t testing.TB, id uint16, name string) []byte {
 	return wire
 }
 
-// TestDoTSplitLengthPrefixAcrossReads drips one frame into the connection
-// byte by byte — the 2-byte length prefix itself split across writes —
-// and expects exactly one well-formed response once the frame completes.
-func TestDoTSplitLengthPrefixAcrossReads(t *testing.T) {
-	conn, _ := dotFixture(t)
-	frame := dotFrame(packQuery(t, 7, "split.test"))
-
-	// First byte of the length prefix alone.
-	if err := conn.Write(frame[:1]); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := readResponse(conn); err == nil {
-		t.Fatal("response emitted from half a length prefix")
-	}
-	// Second prefix byte plus half the message.
-	mid := 2 + len(frame[2:])/2
-	if err := conn.Write(frame[1:mid]); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := readResponse(conn); err == nil {
-		t.Fatal("response emitted from a truncated message body")
-	}
-	// The rest: the frame completes and is answered.
-	if err := conn.Write(frame[mid:]); err != nil {
-		t.Fatal(err)
-	}
-	wire, stale, err := readResponse(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stale {
-		t.Error("fresh answer marked stale")
-	}
-	m := new(dnswire.Message)
-	if err := dnswire.UnpackInto(m, wire); err != nil {
-		t.Fatal(err)
-	}
-	if m.ID != 7 || len(m.Answer) != 1 {
-		t.Errorf("reassembled answer mangled: id=%d answers=%d", m.ID, len(m.Answer))
-	}
-}
-
-// TestDoTPipelinedOutOfOrderResponses writes three frames in one segment
-// and expects the responses out of order (reverse arrival), each matched
-// to its query by ID — the RFC 7858 pipelining contract.
-func TestDoTPipelinedOutOfOrderResponses(t *testing.T) {
-	conn, recursor := dotFixture(t)
-	var burst []byte
-	for i := uint16(1); i <= 3; i++ {
-		burst = append(burst, dotFrame(packQuery(t, i, fmt.Sprintf("p%d.test", i)))...)
-	}
-	if err := conn.Write(burst); err != nil {
-		t.Fatal(err)
-	}
-	if recursor.queries != 3 {
-		t.Fatalf("pipelined burst reached the recursor %d times, want 3", recursor.queries)
-	}
-	var order []uint16
-	for i := 0; i < 3; i++ {
-		wire, _, err := readResponse(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		order = append(order, binary.BigEndian.Uint16(wire))
-	}
-	if order[0] != 3 || order[1] != 2 || order[2] != 1 {
-		t.Errorf("response order = %v, want out-of-order [3 2 1]", order)
-	}
-}
-
 // TestDoTExchangeDemuxesConcurrentPipelines runs many goroutines
-// pipelining distinct queries over one connection; every caller must get
-// the response bearing its own ID even though frames interleave and
-// arrive out of order.
+// exchanging distinct queries over one connection at once; every caller
+// must get the response bearing its own ID.
 func TestDoTExchangeDemuxesConcurrentPipelines(t *testing.T) {
 	conn, _ := dotFixture(t)
 	const n = 32
@@ -180,16 +91,62 @@ func TestDoTExchangeDemuxesConcurrentPipelines(t *testing.T) {
 	}
 }
 
-// TestDoTMalformedFrameClosesConnection: an unparseable message inside a
-// well-framed segment kills the connection, per RFC 7858's handling of
-// framing violations.
-func TestDoTMalformedFrameClosesConnection(t *testing.T) {
+// TestDoTSameIDExchangesGetTheirOwnAnswers runs 32 goroutines over one
+// connection, all with one query ID and each with its own name, 50
+// exchanges apiece: every exchange must draw the answer to its own
+// question. Matching answers to callers by ID alone cannot tell them
+// apart.
+func TestDoTSameIDExchangesGetTheirOwnAnswers(t *testing.T) {
 	conn, _ := dotFixture(t)
-	if err := conn.Write(dotFrame([]byte{0xde, 0xad})); err == nil {
-		t.Fatal("malformed frame accepted")
+	const workers, rounds = 32, 50
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	for i := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			q := dnswire.NewQuery(4242, fmt.Sprintf("same%d.test", i), dnswire.TypeA, false)
+			for r := range rounds {
+				m, _, err := exchangeVia(conn, q)
+				if err == nil && !answers(m, q) {
+					err = fmt.Errorf("round %d: asked %v, answered %v", r, q.Question, m.Question)
+				}
+				if err != nil {
+					errs[i] = err
+					return
+				}
+			}
+		}()
 	}
-	if err := conn.Write(dotFrame(packQuery(t, 1, "after.test"))); err == nil {
-		t.Fatal("connection still usable after a framing violation")
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("worker %d: %v", i, err)
+		}
+	}
+}
+
+// TestDoTMalformedFrameClosesConnection: a frame the server cannot read
+// kills the connection, per RFC 7858's handling of framing violations —
+// a message that does not decode, served raw or packed by Exchange.
+func TestDoTMalformedFrameClosesConnection(t *testing.T) {
+	for _, bad := range []func(c *dotConn) error{
+		func(c *dotConn) error {
+			_, _, err := c.serve(new(frameStream), dotFrame([]byte{0xde, 0xad}), nil)
+			return err
+		},
+		func(c *dotConn) error {
+			_, _, err := exchangeVia(c, unparseableQuery(1, "bad.test"))
+			return err
+		},
+	} {
+		conn, _ := dotFixture(t)
+		if err := bad(conn); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("malformed frame: %v, want ErrBadFrame", err)
+		}
+		if _, _, err := exchangeVia(conn, dnswire.NewQuery(1, "after.test", dnswire.TypeA, false)); !errors.Is(err, ErrConnClosed) {
+			t.Fatalf("exchange after a framing violation: %v, want ErrConnClosed", err)
+		}
 	}
 }
 
@@ -250,84 +207,78 @@ func TestDoTMidStreamDeathFailsOverToPoolSibling(t *testing.T) {
 	}
 }
 
-// FuzzDoTWrite holds the connection's frame reassembly to the framing
-// alone: a byte stream written in one Write and the same stream split at
-// fuzzer-chosen offsets (each byte of cuts is the length of the next write;
-// the rest goes in one last write) must draw the same reply bytes for each
-// query ID — only their order may differ, since each write's batch is
-// answered in reverse. A frame that fails to decode must close the
-// connection on both sides, so the next Write returns ErrConnClosed.
-func FuzzDoTWrite(f *testing.F) {
+// FuzzDoTFrames cuts the input into whole frames at their length
+// prefixes (an incomplete tail is dropped) and serves them on two fresh
+// connections, in arrival order on one and in reverse on the other. Each
+// frame must draw the same reply bytes on both, so a cached answer that
+// depends on which query filled the entry shows, and each reply carries
+// its frame's query ID. A frame that does not decode closes its
+// connection: it fails with ErrBadFrame and the next exchange with
+// ErrConnClosed.
+func FuzzDoTFrames(f *testing.F) {
 	one := dotFrame(packQuery(f, 7, "site0000.example"))
 	var three []byte
 	for i, name := range []string{"site0001.example", "crowd.test", "a.very.deep.subdomain.of.site0002.example"} {
 		three = append(three, dotFrame(packQuery(f, uint16(i+1), name))...)
 	}
-	f.Add(one, []byte{})
-	f.Add(three, []byte{})
-	f.Add(three, []byte{5, 40, 1, 0, 3})
-	f.Add(one, []byte{1})                             // the length prefix split across writes
-	f.Add(append([]byte{0, 0}, three...), []byte{1})  // a zero-length frame
-	f.Add(append(bytes.Clone(one), 0, 0), []byte{30}) // ... after a good one
-	f.Fuzz(func(t *testing.T, stream, cuts []byte) {
-		whole, _ := dotFixture(t)
-		wholeErr := whole.Write(stream)
-		split, _ := dotFixture(t)
-		var splitErr error
-		rest := stream
-		for _, c := range cuts {
-			n := min(int(c), len(rest))
-			if splitErr = split.Write(rest[:n]); splitErr != nil {
+	chaos := dnswire.NewQuery(2, "crowd.test", dnswire.TypeA, false)
+	chaos.Question[0].Class = 3 // CH: the same name and type in another class
+	chaosWire, err := chaos.Pack()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(one)
+	f.Add(three)
+	f.Add(append(bytes.Clone(three), one[:5]...))             // a frame cut short at the end
+	f.Add(append(bytes.Clone(one), one[0]))                   // half a length prefix at the end
+	f.Add(append([]byte{0, 0}, three...))                     // a zero-length frame
+	f.Add(append(bytes.Clone(one), 0, 0))                     // ... after a good one
+	f.Add(append(bytes.Clone(three), dotFrame(chaosWire)...)) // one name asked in two classes
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		var frames [][]byte
+		for len(stream) >= 2 {
+			n := 2 + int(binary.BigEndian.Uint16(stream))
+			if len(stream) < n {
 				break
 			}
-			rest = rest[n:]
+			frames, stream = append(frames, stream[:n]), stream[n:]
 		}
-		if splitErr == nil {
-			splitErr = split.Write(rest)
-		}
-		if (wholeErr == nil) != (splitErr == nil) {
-			t.Fatalf("one write: %v; split writes: %v", wholeErr, splitErr)
-		}
-		if wholeErr != nil {
-			for _, side := range []struct {
-				what string
-				err  error
-				c    *dotConn
-			}{{"one write", wholeErr, whole}, {"split writes", splitErr, split}} {
-				if !errors.Is(side.err, ErrBadFrame) {
-					t.Fatalf("%s failed with %v, not a bad frame", side.what, side.err)
-				}
-				if err := side.c.Write(one); !errors.Is(err, ErrConnClosed) {
-					t.Fatalf("%s: the Write after a bad frame returned %v, want ErrConnClosed", side.what, err)
-				}
+		inOrder, reversed := serveFrames(t, frames, false), serveFrames(t, frames, true)
+		for i := range frames {
+			if inOrder[i] != nil && reversed[i] != nil && !bytes.Equal(inOrder[i], reversed[i]) {
+				t.Fatalf("frame %d drew %x in arrival order, %x in reverse", i, inOrder[i], reversed[i])
 			}
-			return
-		}
-		if got, want := repliesByID(t, split), repliesByID(t, whole); !reflect.DeepEqual(got, want) {
-			t.Fatalf("split writes drew replies %v, one write %v", got, want)
 		}
 	})
 }
 
-// repliesByID drains the connection's reply frames into their hex wire
-// forms per query ID, sorted, so two connections compare whatever order
-// their batches were answered in.
-func repliesByID(t *testing.T, c *dotConn) map[uint16][]string {
+// serveFrames serves frames on a fresh DoT connection, last first if
+// reverse is set, and returns each frame's reply: nil for the frame that
+// closed the connection and those it left unserved.
+func serveFrames(t *testing.T, frames [][]byte, reverse bool) [][]byte {
 	t.Helper()
-	out := map[uint16][]string{}
-	for {
-		wire, _, err := readResponse(c)
+	conn, _ := dotFixture(t)
+	st := new(frameStream)
+	replies := make([][]byte, len(frames))
+	for k := range frames {
+		i := k
+		if reverse {
+			i = len(frames) - 1 - k
+		}
+		wire, _, err := conn.serve(st, frames[i], nil)
 		if err != nil {
-			break
+			if !errors.Is(err, ErrBadFrame) || new(frameStream).read(frames[i]) == nil {
+				t.Fatalf("frame %d %x failed with %v", i, frames[i], err)
+			}
+			if _, _, err := exchangeVia(conn, dnswire.NewQuery(1, "after.test", dnswire.TypeA, false)); !errors.Is(err, ErrConnClosed) {
+				t.Fatalf("the exchange after a bad frame returned %v, want ErrConnClosed", err)
+			}
+			return replies
 		}
-		if len(wire) < 2 {
-			t.Fatalf("reply frame of %d bytes", len(wire))
+		if len(wire) < 2 || !bytes.Equal(wire[:2], frames[i][2:4]) {
+			t.Fatalf("frame %d %x drew %x, not its own ID", i, frames[i], wire)
 		}
-		id := binary.BigEndian.Uint16(wire)
-		out[id] = append(out[id], hex.EncodeToString(wire))
+		replies[i] = bytes.Clone(wire)
 	}
-	for _, ws := range out {
-		slices.Sort(ws)
-	}
-	return out
+	return replies
 }

@@ -116,8 +116,8 @@ func (fl *Fleet) bindMetrics() {
 		add("cache_negative_entries", obs.KindGauge, float64(cs.NegativeEntries))
 	})
 	reg.RegisterView(func(add obs.ViewAdd) {
-		add("pool_members", obs.KindGauge, float64(fl.Pool.Len()))
-		add("pool_healthy", obs.KindGauge, float64(fl.Pool.Healthy()))
+		add("pool_members", obs.KindGauge, float64(fl.Pool.size()))
+		add("pool_healthy", obs.KindGauge, float64(fl.Pool.healthy()))
 		for _, us := range fl.Pool.Stats() {
 			labels := []obs.Label{obs.L("member", us.Name), obs.L("proto", us.Proto.String())}
 			add("pool_member_queries_total", obs.KindCounter, float64(us.Queries), labels...)

@@ -150,9 +150,9 @@ func (f *Frontend) protocol() Protocol { return f.Proto }
 func (f *Frontend) dial(n *simnet.Network, ap netip.AddrPort, resumed bool) (session, int) {
 	switch f.Proto {
 	case ProtoDoT:
-		return &dotConn{fe: f, net: n, ap: ap, pending: map[uint16]dotReply{}}, 2
+		return &dotConn{framedConn{fe: f, net: n, ap: ap}}, 2
 	case ProtoDoQ:
-		s := &doqSession{fe: f, net: n, ap: ap}
+		s := &doqSession{framedConn{fe: f, net: n, ap: ap}}
 		if resumed {
 			return s, 0
 		}
@@ -243,7 +243,7 @@ func (f *Frontend) Resolve(q *dnswire.Message, dst []byte, tr *obs.Trace) (Answe
 	stale := false
 	if f.Cache != nil {
 		// Wire fast path: a hit is one append + ID/TTL patches, no encode.
-		probe := f.Cache.Probe(key, q.ID, dst)
+		probe := f.Cache.probe(key, q.ID, dst)
 		if tr != nil {
 			tr.Add("cache.probe", 0, 0, obs.L("state", probe.State.String()))
 		}
@@ -369,7 +369,7 @@ func answers(m, q *dnswire.Message) bool {
 // count it; ok is false when the entry vanished since the probe (LRU
 // pressure).
 func (f *Frontend) serveStale(key Key, q *dnswire.Message, dst []byte) (Answer, bool) {
-	body, ok := f.Cache.StaleWire(key, q.ID, dst)
+	body, ok := f.Cache.staleWire(key, q.ID, dst)
 	if !ok {
 		return Answer{}, false
 	}

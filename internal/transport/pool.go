@@ -128,16 +128,16 @@ func (p *Pool) Add(name string, addr netip.AddrPort, proto Protocol) *Upstream {
 	return u
 }
 
-// Len returns the member count.
-func (p *Pool) Len() int {
+// size returns the member count.
+func (p *Pool) size() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.ups)
 }
 
-// Healthy returns how many members are currently un-benched — the fleet
+// healthy returns how many members are currently un-benched — the fleet
 // capacity a chaos run watches recover after flaps.
-func (p *Pool) Healthy() int {
+func (p *Pool) healthy() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	now := p.clock.Now()
@@ -150,7 +150,7 @@ func (p *Pool) Healthy() int {
 	return n
 }
 
-// Candidates returns the failover order for a query: the balancer's pick
+// candidates returns the failover order for a query: the balancer's pick
 // first, the remaining healthy members next, and benched members last so
 // a fully-down fleet still gets retried rather than erroring instantly.
 // The client's resolver consumes this ordering — serial failover walks
@@ -167,7 +167,7 @@ func (p *Pool) Healthy() int {
 // workload engine deals across its simulated population. ProtoAny keeps
 // the pool's ordering untouched; the preference never promotes a benched
 // member over a healthy one.
-func (p *Pool) Candidates(dst []*Upstream, pref Protocol) []*Upstream {
+func (p *Pool) candidates(dst []*Upstream, pref Protocol) []*Upstream {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	now := p.clock.Now()
@@ -263,10 +263,10 @@ func (u *Upstream) effectiveRTT() float64 {
 	return u.rttSeconds
 }
 
-// ObserveRTT folds a latency sample into the member's moving average. A
+// observeRTT folds a latency sample into the member's moving average. A
 // sample means the member just completed an exchange, so any bench state
 // is cleared: a demonstrably-serving upstream is healthy.
-func (p *Pool) ObserveRTT(u *Upstream, d time.Duration) {
+func (p *Pool) observeRTT(u *Upstream, d time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	sample := d.Seconds()
@@ -285,17 +285,17 @@ func (p *Pool) ObserveRTT(u *Upstream, d time.Duration) {
 	u.downUntil = time.Time{}
 }
 
-// IsBenched reports whether the member is currently cooling down after
-// a failure — still offered by Candidates as a last resort, but not a
+// isBenched reports whether the member is currently cooling down after
+// a failure — still offered by candidates as a last resort, but not a
 // member a race should duplicate load onto.
-func (p *Pool) IsBenched(u *Upstream) bool {
+func (p *Pool) isBenched(u *Upstream) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return u.downUntil.After(p.clock.Now())
 }
 
-// MarkFailed benches the member for DefaultCooldown.
-func (p *Pool) MarkFailed(u *Upstream) {
+// markFailed benches the member for DefaultCooldown.
+func (p *Pool) markFailed(u *Upstream) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	u.failures++

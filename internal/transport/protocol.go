@@ -16,8 +16,8 @@ const (
 	// per query, GET (base64url dns parameter) or POST (raw wire format).
 	ProtoDoH Protocol = iota
 	// ProtoDoT is DNS over TLS (RFC 7858): 2-byte length-prefixed frames
-	// over a persistent connection, pipelined queries with out-of-order
-	// responses matched by query ID.
+	// over a persistent connection, one whole frame per query and one per
+	// answer.
 	ProtoDoT
 	// ProtoDoQ is DNS over QUIC (RFC 9250): one stream per query over a
 	// session, message ID pinned to zero on the wire, connection setup and
@@ -26,7 +26,7 @@ const (
 )
 
 // ProtoAny is the no-preference sentinel for preference-aware candidate
-// orderings (Pool.Candidates, Client.ExchangePreferring):
+// orderings (Pool.candidates, Client.ExchangePreferring):
 // the pool's failover order is used as-is.
 const ProtoAny Protocol = -1
 

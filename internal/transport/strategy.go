@@ -239,7 +239,7 @@ func (c *Client) race(q *dnswire.Message, candidates []*Upstream, tr *obs.Trace)
 	// worth racing and the exchange walks the candidates serially.
 	primary := candidates[0]
 	pi := c.partner(candidates)
-	if pi < 0 || c.Pool.IsBenched(primary) {
+	if pi < 0 || c.Pool.isBenched(primary) {
 		return c.serialResolve(q, candidates, outcome{}, attemptResult{}, nil, tr)
 	}
 
@@ -267,7 +267,7 @@ func (c *Client) race(q *dnswire.Message, candidates []*Upstream, tr *obs.Trace)
 func (c *Client) partner(candidates []*Upstream) int {
 	fallback := -1
 	for i := 1; i < len(candidates); i++ {
-		if c.Pool.IsBenched(candidates[i]) {
+		if c.Pool.isBenched(candidates[i]) {
 			continue
 		}
 		if candidates[i].Proto != candidates[0].Proto {

@@ -184,17 +184,17 @@ func TestCacheLRUEvictionPerShard(t *testing.T) {
 		cache.Put(key(i), mk(fmt.Sprintf("n%d.test.", i)))
 	}
 	// Touch n0 so n1 becomes least recently used, then overflow.
-	if cache.Probe(key(0), 0, nil).State != StateFresh {
+	if cache.probe(key(0), 0, nil).State != StateFresh {
 		t.Fatal("warm entry missing")
 	}
 	cache.Put(key(4), mk("n4.test."))
-	if cache.Len() != 4 {
-		t.Fatalf("cache holds %d entries, want capacity 4", cache.Len())
+	if cache.size() != 4 {
+		t.Fatalf("cache holds %d entries, want capacity 4", cache.size())
 	}
-	if cache.Probe(key(1), 0, nil).State != StateMiss {
+	if cache.probe(key(1), 0, nil).State != StateMiss {
 		t.Error("LRU victim n1 still cached")
 	}
-	if cache.Probe(key(0), 0, nil).State != StateFresh {
+	if cache.probe(key(0), 0, nil).State != StateFresh {
 		t.Error("recently-used n0 evicted")
 	}
 	stats := cache.Stats()
@@ -250,13 +250,13 @@ func TestP2FavoursLowerRTT(t *testing.T) {
 	fast := pool.Add("fast", frontendAddr(0), ProtoDoH)
 	for i := 1; i < 4; i++ {
 		slow := pool.Add(fmt.Sprintf("slow%d", i), frontendAddr(i), ProtoDoH)
-		pool.ObserveRTT(slow, 50*time.Millisecond)
+		pool.observeRTT(slow, 50*time.Millisecond)
 	}
-	pool.ObserveRTT(fast, time.Millisecond)
+	pool.observeRTT(fast, time.Millisecond)
 	wins := 0
 	const draws = 400
 	for i := 0; i < draws; i++ {
-		if pool.Candidates(nil, ProtoAny)[0] == fast {
+		if pool.candidates(nil, ProtoAny)[0] == fast {
 			wins++
 		}
 	}

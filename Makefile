@@ -145,7 +145,10 @@ attribute:
 # frames (served in arrival order against reverse order), DoQ
 # stream framing (prefix and zero-ID checks, pooled scratch reused after a
 # valid stream against fresh scratch), the cache's TTL-slot walk (every
-# slot a decoded record's TTL, dirty reuse against a fresh walk), RRSIG verification (whose memoised and plain verdicts must
+# slot a decoded record's TTL, dirty reuse against a fresh walk), the
+# recursor under fuzzed authoritative replies (AD only on the authentic
+# RRset, a bounded upstream count, nothing cached from a reply to another
+# query), RRSIG verification (whose memoised and plain verdicts must
 # agree), or the DNSKEY side of it (DS construction and matching against
 # the reference builder, key tag, public-key decoding); that the pooled
 # signing digest equals the reference builder's; that the world's
@@ -162,6 +165,7 @@ fuzz-smoke:
 	$(GO) test ./internal/transport -fuzz FuzzDoTFrames -fuzztime 10s -run xxx
 	$(GO) test ./internal/transport -fuzz FuzzDoQStream -fuzztime 10s -run xxx
 	$(GO) test ./internal/transport -fuzz FuzzAppendTTLSlots -fuzztime 10s -run xxx
+	$(GO) test ./internal/resolver -fuzz FuzzResolverUpstream -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnssec -fuzz FuzzVerifyRRSIG -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnssec -fuzz FuzzDNSKEYDS -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnssec -fuzz FuzzSigningDigest -fuzztime 10s -run xxx

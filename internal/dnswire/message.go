@@ -157,6 +157,15 @@ func (m *Message) Reply() *Message {
 	return &s.Message
 }
 
+// Answers reports whether m is an answer to q: it carries q's ID and q's
+// one question, the name compared case-insensitively. A reply that fails
+// it answers some other query, whatever it says.
+func (m *Message) Answers(q *Message) bool {
+	return m.ID == q.ID && len(m.Question) == 1 && len(q.Question) == 1 &&
+		m.Question[0].Type == q.Question[0].Type && m.Question[0].Class == q.Question[0].Class &&
+		strings.EqualFold(m.Question[0].Name, q.Question[0].Name)
+}
+
 // OPT returns the EDNS(0) pseudo-record from the additional section, if any.
 func (m *Message) OPT() *RR {
 	for i := range m.Additional {

@@ -1,12 +1,18 @@
 package resolver
 
 import (
+	"errors"
+	"fmt"
+	"net/netip"
+	"runtime/debug"
 	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/authserver"
 	"repro/internal/dnswire"
 	"repro/internal/simnet"
+	"repro/internal/zone"
 )
 
 // onPath rewrites the answers of one authoritative server, the way an
@@ -98,5 +104,79 @@ func TestHostileAnswersNeverGetAD(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestReplyToAnotherQueryIsNeitherReturnedNorCached puts an on-path
+// mutator in front of example.com's server that hands back a hostile
+// HTTPS record in a reply to some other query — another question, another
+// ID — or in a truncated one. None of them answers the recursor's query:
+// the resolution fails as if the server had refused, nothing is cached,
+// and once the mutator steps aside the genuine record resolves.
+func TestReplyToAnotherQueryIsNeitherReturnedNorCached(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*dnswire.Message)
+	}{
+		{"other question", func(m *dnswire.Message) { m.Question[0].Name = "evil.example." }},
+		{"other ID", func(m *dnswire.Message) { m.ID ^= 0x5555 }},
+		{"truncated", func(m *dnswire.Message) { m.Truncated = true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := buildWorld(t, false, false)
+			attacker := &onPath{inner: w.exSrv, mutate: func(m *dnswire.Message) {
+				for i, rr := range m.Answer {
+					if rr.Type == dnswire.TypeHTTPS {
+						m.Answer[i].Data = &dnswire.SVCBData{Priority: 1, Target: "evil.example."}
+					}
+				}
+				tc.mutate(m)
+			}}
+			w.net.RegisterDNS(w.exAddr, attacker)
+			if res, err := w.resolver.Resolve("example.com.", dnswire.TypeHTTPS); !errors.Is(err, ErrServFail) {
+				t.Fatalf("Resolve = %+v, %v; want ErrServFail", res, err)
+			}
+			if e, ok := w.resolver.cached("example.com.", dnswire.TypeHTTPS); ok {
+				t.Fatalf("cached %+v from a reply to another query", e.rrs())
+			}
+			attacker.mutate = nil
+			res := w.mustResolve(t, "example.com.", dnswire.TypeHTTPS)
+			if len(res.Answer) != 1 || res.Answer[0].Data.(*dnswire.SVCBData).Target != "." {
+				t.Errorf("after the mutator left: %+v", res.Answer)
+			}
+		})
+	}
+}
+
+// TestGluelessDelegationCycleEnds delegates a.test to five name servers
+// under b.test and b.test to five under a.test, none with glue: resolving
+// a name under either needs the other's servers first. The resolution must
+// fail after the glueless lookups maxGlueless allows, 3 at the top, 2 in
+// each of those, 1 below, each after one upstream query: 1 + 3·(1 + 2·(1
+// + 1·1)) = 16 queries, not recurse until the stack runs out (capped here
+// so that a regression fails fast).
+func TestGluelessDelegationCycleEnds(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(64 << 20))
+	clock := simnet.NewClock(time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC))
+	n := simnet.New(clock)
+	rootAddr := netip.MustParseAddr("198.41.0.4")
+	root := zone.New(".")
+	root.SetSOA("a.root-servers.net.", "nstld.verisign-grs.com.", 1, 300)
+	root.Add(nsRR(".", "a.root-servers.net."))
+	root.Add(aRR("a.root-servers.net.", rootAddr.String(), 3600))
+	for i := range 5 {
+		root.Add(nsRR("a.test.", fmt.Sprintf("ns%d.b.test.", i)))
+		root.Add(nsRR("b.test.", fmt.Sprintf("ns%d.a.test.", i)))
+	}
+	srv := authserver.New()
+	srv.AddZone(root)
+	n.RegisterDNS(rootAddr, srv)
+	n.SetRootServers([]netip.Addr{rootAddr})
+
+	if res, err := New(n).Resolve("www.a.test.", dnswire.TypeA); !errors.Is(err, ErrServFail) {
+		t.Fatalf("Resolve = %+v, %v; want ErrServFail", res, err)
+	}
+	if got := n.QueryCount(); got != 16 {
+		t.Errorf("%d upstream queries, want 16", got)
 	}
 }

@@ -47,6 +47,15 @@ const maxChase = 8
 // maxDepth bounds referral-following depth.
 const maxDepth = 16
 
+// maxGlueless is how many name servers without glue a referral may have
+// resolved. Each of those lookups may in turn resolve one fewer per
+// referral, down to none (the shape of Unbound's target-fetch-policy
+// "3 2 1 0"), so a glueless delegation cycle ends, and no referral turns
+// one query into thousands: not one naming thousands of glueless servers
+// (the NXNSAttack amplification), nor a cycle that names several at every
+// turn. The delegations the world makes need two at most.
+const maxGlueless = 3
+
 // Response is the outcome of a recursive resolution. Its record slices may
 // alias the resolver's cache, capacity-clipped: read them, or append to get
 // a copy, but do not write through them.
@@ -361,22 +370,23 @@ func (r *Resolver) closestCut(name string, t dnswire.Type) ([]netip.Addr, string
 // When a walk that started below the root fails — the cut's servers are
 // down, or refuse a zone that has since moved — the cut is dropped and the
 // walk redone from the root, so a cached delegation never produces a
-// failure the root walk would not have.
-func (r *Resolver) lookupAuthoritative(name string, t dnswire.Type) (*cacheEntry, error) {
+// failure the root walk would not have. glueless is resolveRRset's.
+func (r *Resolver) lookupAuthoritative(name string, t dnswire.Type, glueless int) (*cacheEntry, error) {
 	servers, zone := r.closestCut(name, t)
-	e, err := r.walk(servers, zone, name, t)
+	e, err := r.walk(servers, zone, name, t, glueless)
 	if err != nil && zone != "." {
 		r.mu.Lock()
 		delete(r.cuts, zone)
 		r.mu.Unlock()
-		e, err = r.walk(r.Net.RootServers(), ".", name, t)
+		e, err = r.walk(r.Net.RootServers(), ".", name, t, glueless)
 	}
 	return e, err
 }
 
 // walk follows referrals from the servers of zone down to an answer for
-// name, recording each delegation it crosses in the cut table.
-func (r *Resolver) walk(servers []netip.Addr, zone, name string, t dnswire.Type) (*cacheEntry, error) {
+// name, recording each delegation it crosses in the cut table. glueless
+// is resolveRRset's.
+func (r *Resolver) walk(servers []netip.Addr, zone, name string, t dnswire.Type, glueless int) (*cacheEntry, error) {
 	if len(servers) == 0 {
 		return nil, ErrNoServers
 	}
@@ -384,7 +394,7 @@ func (r *Resolver) walk(servers []netip.Addr, zone, name string, t dnswire.Type)
 	// sent: a handler may keep the queries it saw (the benchmark's replay
 	// probe does), and every fork sends this same one.
 	q := r.queries.query(name, t)
-	for depth := 0; depth < maxDepth; depth++ {
+	for range maxDepth {
 		resp, err := r.queryAny(servers, q)
 		if err != nil {
 			return nil, err
@@ -420,7 +430,7 @@ func (r *Resolver) walk(servers []netip.Addr, zone, name string, t dnswire.Type)
 		}
 		// Referral: gather next servers from the authority NS set, as
 		// interned addresses that hold nothing of the reply.
-		child, ttl, next := r.referral(resp)
+		child, ttl, next := r.referral(resp, glueless)
 		resp.Release()
 		if len(next) == 0 {
 			return nil, fmt.Errorf("%w: dead referral for %s", ErrServFail, name)
@@ -442,22 +452,27 @@ func (r *Resolver) walk(servers []netip.Addr, zone, name string, t dnswire.Type)
 	return nil, ErrLoop
 }
 
-// queryAny tries the servers in order and returns the first response,
-// which is the caller's to release; a refusal it releases itself.
+// queryAny tries the servers in order and returns the first response
+// that answers q, which is the caller's to release. A refusal, and a
+// reply that is truncated or answers another query (another ID or
+// question), it releases itself and moves on to the next server: nothing
+// of such a reply is returned or cached.
 func (r *Resolver) queryAny(servers []netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 	var lastErr error
 	for _, s := range servers {
 		resp, err := r.Net.QueryDNS(s, q)
-		if err != nil {
+		switch {
+		case err != nil:
 			lastErr = err
 			continue
-		}
-		if resp.RCode == dnswire.RCodeRefused {
+		case resp.Truncated || !resp.Answers(q):
+			lastErr = fmt.Errorf("resolver: %v sent no answer to the query", s)
+		case resp.RCode == dnswire.RCodeRefused:
 			lastErr = fmt.Errorf("resolver: %v refused", s)
-			resp.Release()
-			continue
+		default:
+			return resp, nil
 		}
-		return resp, nil
+		resp.Release()
 	}
 	if lastErr == nil {
 		lastErr = ErrServFail
@@ -466,10 +481,12 @@ func (r *Resolver) queryAny(servers []netip.Addr, q *dnswire.Message) (*dnswire.
 }
 
 // referral extracts the delegated zone, its NS TTL and the name server
-// addresses from a referral response.
-func (r *Resolver) referral(resp *dnswire.Message) (zone string, ttl uint32, servers []netip.Addr) {
+// addresses from a referral response, resolving at most glueless of the
+// name servers that came without glue, each with one fewer of its own.
+func (r *Resolver) referral(resp *dnswire.Message, glueless int) (zone string, ttl uint32, servers []netip.Addr) {
 	var buf [8]netip.Addr
 	addrs := buf[:0] // interned below, so the scratch stays on the stack
+	chased := 0
 	for _, rr := range resp.Authority {
 		ns, ok := rr.Data.(*dnswire.NSData)
 		if !ok {
@@ -493,11 +510,12 @@ func (r *Resolver) referral(resp *dnswire.Message) (zone string, ttl uint32, ser
 				addrs = append(addrs, d.Addr)
 			}
 		}
-		if len(addrs) > n {
+		if len(addrs) > n || chased == glueless {
 			continue
 		}
 		// Glueless delegation: resolve the NS host's address.
-		sub, err := r.resolveRRset(h, dnswire.TypeA, maxChase)
+		chased++
+		sub, err := r.resolveRRset(h, dnswire.TypeA, glueless-1)
 		if err != nil {
 			continue
 		}
@@ -550,15 +568,14 @@ func negativeTTL(authority []dnswire.RR) uint32 {
 }
 
 // resolveRRset resolves one (canonical name, type) with caching, no CNAME
-// chasing.
-func (r *Resolver) resolveRRset(name string, t dnswire.Type, depth int) (*cacheEntry, error) {
-	if depth <= 0 {
-		return nil, ErrLoop
-	}
+// chasing. glueless is how many name servers without glue each referral
+// on the way may have resolved: maxGlueless for a query of its own, one
+// fewer for each glueless lookup it is nested in (see maxGlueless).
+func (r *Resolver) resolveRRset(name string, t dnswire.Type, glueless int) (*cacheEntry, error) {
 	if e, ok := r.cached(name, t); ok {
 		return e, nil
 	}
-	e, err := r.lookupAuthoritative(name, t)
+	e, err := r.lookupAuthoritative(name, t, glueless)
 	if err != nil {
 		return nil, err
 	}
@@ -581,7 +598,7 @@ func (r *Resolver) resolveInto(out *Response, name string, t dnswire.Type) error
 	*out = Response{RCode: dnswire.RCodeNoError, AuthenticatedData: r.Validate}
 	current := dnswire.CanonicalName(name)
 	for hop := 0; hop < maxChase; hop++ {
-		e, err := r.resolveRRset(current, t, maxChase)
+		e, err := r.resolveRRset(current, t, maxGlueless)
 		if err != nil {
 			return err
 		}
@@ -673,7 +690,7 @@ func (r *Resolver) validateEntry(name string, t dnswire.Type, e *cacheEntry) boo
 type chainSource struct{ r *Resolver }
 
 func (cs *chainSource) FetchRRset(name string, t dnswire.Type) ([]dnswire.RR, []dnswire.RR, bool) {
-	e, err := cs.r.resolveRRset(name, t, maxChase)
+	e, err := cs.r.resolveRRset(name, t, maxGlueless)
 	if err != nil || e.rcode != dnswire.RCodeNoError || e.nData == 0 {
 		return nil, nil, false
 	}

@@ -36,7 +36,7 @@ func nsRR(zone, host string) dnswire.RR {
 		Data: &dnswire.NSData{Host: host}}
 }
 
-func buildWorld(t *testing.T, sign bool, uploadDS bool) *testWorld {
+func buildWorld(t testing.TB, sign bool, uploadDS bool) *testWorld {
 	t.Helper()
 	clock := simnet.NewClock(time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC))
 	n := simnet.New(clock)

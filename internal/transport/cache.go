@@ -73,39 +73,39 @@ const (
 // the authority section carries no SOA to derive a TTL from.
 const negativeTTL = 30 * time.Second
 
-// EntryState is where a cache lookup landed in the entry lifecycle.
-type EntryState int
+// entryState is where a cache lookup landed in the entry lifecycle.
+type entryState int
 
 const (
-	// StateMiss: no entry, or the entry aged past TTL + StaleWindow and
+	// stateMiss: no entry, or the entry aged past TTL + StaleWindow and
 	// was evicted by the lookup.
-	StateMiss EntryState = iota
-	// StateFresh: within TTL; the answer is served directly.
-	StateFresh
-	// StateStale: past TTL but within StaleWindow; the answer may be
+	stateMiss entryState = iota
+	// stateFresh: within TTL; the answer is served directly.
+	stateFresh
+	// stateStale: past TTL but within StaleWindow; the answer may be
 	// served under RFC 8767 if the upstream cannot produce a fresh one.
-	StateStale
+	stateStale
 )
 
 // String names the state for stats output.
-func (s EntryState) String() string {
+func (s entryState) String() string {
 	switch s {
-	case StateFresh:
+	case stateFresh:
 		return "fresh"
-	case StateStale:
+	case stateStale:
 		return "stale"
 	default:
 		return "miss"
 	}
 }
 
-// Lookup is the result of a lifecycle-aware cache probe.
-type Lookup struct {
+// lookup is the result of a lifecycle-aware cache probe.
+type lookup struct {
 	// State classifies the probe; Body is non-nil only for Fresh. A
 	// stale probe carries no body — the caller is expected to consult
 	// the upstream first and materialize the stale answer with staleWire
 	// only if that fails, so the common refresh path never pays the copy.
-	State EntryState
+	State entryState
 	// Body is the response wire image with the query ID patched in and
 	// TTLs aged by elapsed virtual time (Fresh only).
 	Body []byte
@@ -269,14 +269,14 @@ func (c *Cache) shardFor(key Key) *cacheShard {
 // On a fresh hit the wire image is appended to dst (Body aliases dst's
 // backing array, so a caller handing in recycled scratch serves the hit
 // copy-free); a nil dst allocates, preserving the old behavior.
-func (c *Cache) probe(key Key, id uint16, dst []byte) Lookup {
+func (c *Cache) probe(key Key, id uint16, dst []byte) lookup {
 	now := c.clock.Now().UnixNano()
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, found := s.entries[key]
 	if !found {
-		return Lookup{State: StateMiss}
+		return lookup{State: stateMiss}
 	}
 	if e.expires+int64(c.cfg.StaleWindow) <= now {
 		s.remove(e)
@@ -287,16 +287,16 @@ func (c *Cache) probe(key Key, id uint16, dst []byte) Lookup {
 		// The slot stays in its slab chunk: let go of what it points at.
 		*e = cacheEntry{}
 		s.expirations++
-		return Lookup{State: StateMiss}
+		return lookup{State: stateMiss}
 	}
 	s.moveToFront(e)
 	if e.expires <= now {
 		// Past TTL but within the stale window: report stale so the
 		// caller consults the upstream; staleWire materializes the body
 		// only if that fails.
-		return Lookup{State: StateStale, Negative: e.negative}
+		return lookup{State: stateStale, Negative: e.negative}
 	}
-	l := Lookup{State: StateFresh, Negative: e.negative}
+	l := lookup{State: stateFresh, Negative: e.negative}
 	if c.cfg.RefreshAhead > 0 && !e.refreshing && e.refreshAt <= now {
 		e.refreshing = true
 		l.NeedsRefresh = true

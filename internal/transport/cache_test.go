@@ -143,7 +143,7 @@ func TestCacheConcurrentGrowthAndFlush(t *testing.T) {
 	}
 	check := func(w, i int) error {
 		got := cache.probe(keys[w][i], 7, nil)
-		if got.State == StateFresh && !bytes.Equal(got.Body[2:], wires[w][i][2:]) {
+		if got.State == stateFresh && !bytes.Equal(got.Body[2:], wires[w][i][2:]) {
 			return fmt.Errorf("%s serves another answer: %x", keys[w][i].Name, got.Body)
 		}
 		return nil
@@ -260,7 +260,7 @@ func TestArenaNeighboursSurviveFullBuffers(t *testing.T) {
 		t.Errorf("%d entry buffers reach into the next one's bytes", overlaps)
 	}
 	for i := range want {
-		if got := cache.probe(testKey(i), 7, nil); got.State != StateFresh || !bytes.Equal(got.Body, want[i]) {
+		if got := cache.probe(testKey(i), 7, nil); got.State != stateFresh || !bytes.Equal(got.Body, want[i]) {
 			t.Errorf("%s changed when its neighbours filled their buffers:\n got %x\nwant %x", testKey(i).Name, got.Body, want[i])
 		}
 	}
@@ -285,13 +285,13 @@ func TestCacheRejectedWireLeavesEntriesIntact(t *testing.T) {
 	cache.insert(testKey(2), m, wire[:len(wire)-3])
 	cache.insert(testKey(2), m, wire[:8]) // shorter than a header
 
-	if got := cache.probe(testKey(0), 7, nil); got.State != StateFresh || !bytes.Equal(got.Body, want) {
+	if got := cache.probe(testKey(0), 7, nil); got.State != stateFresh || !bytes.Equal(got.Body, want) {
 		t.Errorf("entry changed by a rejected replace: state %v\n got %x\nwant %x", got.State, got.Body, want)
 	}
 	if st := cache.Stats(); st.Entries != 2 || st.Evictions != 0 {
 		t.Errorf("a rejected insert evicted: %+v", st)
 	}
-	if cache.probe(testKey(2), 7, nil).State != StateMiss {
+	if cache.probe(testKey(2), 7, nil).State != stateMiss {
 		t.Error("a rejected wire was stored")
 	}
 }
@@ -384,7 +384,7 @@ func (e *modelEntry) body(t *testing.T, id uint16, ttl func(uint32) uint32) []by
 	return wire
 }
 
-func (mc *modelCache) probe(t *testing.T, now time.Time, key Key, id uint16) Lookup {
+func (mc *modelCache) probe(t *testing.T, now time.Time, key Key, id uint16) lookup {
 	t.Helper()
 	i := mc.find(key)
 	if i >= 0 && !mc.lru[i].expires.Add(mc.cfg.StaleWindow).After(now) {
@@ -393,11 +393,11 @@ func (mc *modelCache) probe(t *testing.T, now time.Time, key Key, id uint16) Loo
 		i = -1
 	}
 	if i < 0 {
-		return Lookup{State: StateMiss}
+		return lookup{State: stateMiss}
 	}
 	e := mc.touch(i)
 	if !e.expires.After(now) {
-		return Lookup{State: StateStale, Negative: e.negative}
+		return lookup{State: stateStale, Negative: e.negative}
 	}
 	elapsed := uint32(now.Sub(e.storedAt) / time.Second)
 	age := func(ttl uint32) uint32 {
@@ -406,7 +406,7 @@ func (mc *modelCache) probe(t *testing.T, now time.Time, key Key, id uint16) Loo
 		}
 		return 0
 	}
-	return Lookup{State: StateFresh, Negative: e.negative, Body: e.body(t, id, age)}
+	return lookup{State: stateFresh, Negative: e.negative, Body: e.body(t, id, age)}
 }
 
 func (mc *modelCache) staleWire(t *testing.T, now time.Time, key Key, id uint16) ([]byte, bool) {
@@ -488,7 +488,7 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: probe of %s\n got %+v\nwant %+v", step, testKey(k).Name, got, want)
 		}
-		if got.State == StateFresh {
+		if got.State == stateFresh {
 			hits++
 			if got.Negative {
 				negativeHits++
@@ -629,7 +629,7 @@ func FuzzAppendTTLSlots(f *testing.F) {
 				ttl := binary.BigEndian.Uint32(s[4:])
 				binary.BigEndian.PutUint32(want[binary.BigEndian.Uint32(s):], ttl-min(ttl, elapsed))
 			}
-			if got.State != StateFresh || !bytes.Equal(got.Body, want) {
+			if got.State != stateFresh || !bytes.Equal(got.Body, want) {
 				t.Fatalf("stored and probed: state %v, %d bytes\n got %x\nwant %x", got.State, len(got.Body), got.Body, want)
 			}
 		}

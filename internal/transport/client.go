@@ -70,16 +70,17 @@ type Client struct {
 	// emitted beside the counter that campaigns store) plus strategy and
 	// pool-cooldown kinds. Nil records nothing.
 	Recorder *obs.Recorder
-	// ReuseAnswers opts into answer-message recycling: the *dnswire.Message
-	// an exchange returns stays valid only until this client's next
-	// exchange begins, at which point its memory is reclaimed for the next
-	// answer. Callers that consume each answer before issuing the next
-	// query (the workload engine, benchmarks, any serial driver) get a
-	// near-allocation-free exchange loop; callers that retain answers or
-	// exchange concurrently must leave it off — the default keeps the
+
+	// reuseAnswers opts into answer-message recycling (SetReuseAnswers):
+	// the *dnswire.Message an exchange returns stays valid only until this
+	// client's next exchange begins, at which point its memory is reclaimed
+	// for the next answer. Callers that consume each answer before issuing
+	// the next query (the workload engine, benchmarks, any serial driver)
+	// get a near-allocation-free exchange loop; callers that retain answers
+	// or exchange concurrently must leave it off — the default keeps the
 	// returned message caller-owned until the caller itself gives it back
 	// with Recycle, the explicit form of the same hand-over.
-	ReuseAnswers bool
+	reuseAnswers bool
 
 	mu  sync.Mutex
 	qid uint16
@@ -89,19 +90,13 @@ type Client struct {
 	sessions map[*Upstream]session
 	lastAns  *dnswire.Message
 
-	// scratch recycles per-exchange candidate buffers. Exchange is the
-	// hottest path in a campaign (every simulated query lands here), and
-	// the pool ordering is consumed synchronously inside resolve, so the
-	// backing array can be returned as soon as resolve is done with it —
-	// only the winning *Upstream escapes via the outcome.
-	scratch sync.Pool
 	// msgPool recycles attempt answer messages, one pool per question type
 	// the scanner asks and one for every other type (msgPoolIndex). Every
 	// attempt decodes into a message from its query type's pool, so the
 	// decode lands on sections that last held answers of its own shape and
 	// reuses their RDATA; losers go back via discard as soon as resolve
 	// rules them out, and winners come home when the caller hands them to
-	// Recycle or, under ReuseAnswers, via the lastAns swap at the next
+	// Recycle or, under reuseAnswers, via the lastAns swap at the next
 	// exchange. A message goes home to the pool its own question names.
 	msgPool [len(pooledTypes) + 1]sync.Pool
 
@@ -158,12 +153,6 @@ func newClient(net *simnet.Network, pool *Pool) *Client {
 		Latency:  SyntheticLatency(2*time.Millisecond, 18*time.Millisecond),
 		sessions: map[*Upstream]session{},
 	}
-}
-
-// exchangeScratch is the reusable per-exchange working set pooled by
-// Client.scratch.
-type exchangeScratch struct {
-	cand []*Upstream
 }
 
 // pooledTypes are the question types with an answer pool of their own:
@@ -236,11 +225,11 @@ func (c *Client) discard(at attemptResult) {
 // caller has read what it needs: the message, and everything reachable
 // from it (sections, RDATA values, their byte slices), is reclaimed for a
 // later exchange's decode and must not be touched again. It is the explicit
-// way into the pool that discard and ReuseAnswers feed; if m is the answer
-// ReuseAnswers would reclaim at the next exchange, that claim is dropped,
+// way into the pool that discard and reuseAnswers feed; if m is the answer
+// reuseAnswers would reclaim at the next exchange, that claim is dropped,
 // so one message is never pooled twice. Safe for concurrent use.
 func (c *Client) Recycle(m *dnswire.Message) {
-	if c.ReuseAnswers {
+	if c.reuseAnswers {
 		c.mu.Lock()
 		if c.lastAns == m {
 			c.lastAns = nil
@@ -250,7 +239,7 @@ func (c *Client) Recycle(m *dnswire.Message) {
 	c.putMsg(m)
 }
 
-// SetReuseAnswers toggles ReuseAnswers (see the field's contract). It
+// SetReuseAnswers toggles reuseAnswers (see the field's contract). It
 // exists so serial drivers like the workload engine can opt a client in
 // for exactly the span they are its sole user.
 func (c *Client) SetReuseAnswers(on bool) {
@@ -261,11 +250,11 @@ func (c *Client) SetReuseAnswers(on bool) {
 		c.lastAns = nil
 		c.mu.Unlock()
 	}
-	c.ReuseAnswers = on
+	c.reuseAnswers = on
 }
 
 // reclaimLast recycles the previous exchange's winning answer under the
-// ReuseAnswers contract: by the time the next exchange begins, the caller
+// reuseAnswers contract: by the time the next exchange begins, the caller
 // is done with it.
 func (c *Client) reclaimLast() {
 	c.mu.Lock()
@@ -309,7 +298,7 @@ func (c *Client) ExchangePreferring(q *dnswire.Message, pref Protocol) (*dnswire
 	if len(q.Question) == 0 {
 		return nil, fmt.Errorf("%w: query without question", ErrBadEnvelope)
 	}
-	if c.ReuseAnswers {
+	if c.reuseAnswers {
 		c.reclaimLast()
 	}
 	name := dnswire.CanonicalName(q.Question[0].Name)
@@ -317,14 +306,12 @@ func (c *Client) ExchangePreferring(q *dnswire.Message, pref Protocol) (*dnswire
 	// packing, cache keys, trace labels — reuses this one normalisation
 	// instead of re-canonicalising (and re-allocating) per site.
 	q.Question[0].Name = name
-	sc, _ := c.scratch.Get().(*exchangeScratch)
-	if sc == nil {
-		sc = new(exchangeScratch)
-	}
-	candidates := c.Pool.candidates(sc.cand[:0], pref)
+	// The ordering lives on the stack: resolve consumes it synchronously
+	// and only the winning *Upstream escapes via the outcome, so the
+	// common fleet sizes cost no allocation and a larger one spills once.
+	var buf [8]*Upstream
+	candidates, healthy := c.Pool.candidates(buf[:0], pref)
 	if len(candidates) == 0 {
-		sc.cand = candidates
-		c.scratch.Put(sc)
 		return nil, ErrNoUpstreams
 	}
 	tr := c.Tracer.Start(name)
@@ -333,11 +320,7 @@ func (c *Client) ExchangePreferring(q *dnswire.Message, pref Protocol) (*dnswire
 			obs.L("qtype", q.Question[0].Type.String()),
 			obs.L("strategy", c.Strategy.Kind.String()))
 	}
-	out := c.resolve(q, candidates, tr)
-	// resolve is synchronous and does not retain the slice, so the buffer
-	// can go back in the pool before the outcome is processed.
-	sc.cand = candidates
-	c.scratch.Put(sc)
+	out := c.resolve(q, candidates, healthy, tr)
 	// The anomaly flags are a function of the outcome alone, so the
 	// tracer's tail predicate judges every exchange, traced or not. An
 	// exchange that raced or failed over is anomalous enough to retain.
@@ -378,7 +361,7 @@ func (c *Client) ExchangePreferring(q *dnswire.Message, pref Protocol) (*dnswire
 	if c.exchangeLatency != nil {
 		c.exchangeLatency.Observe(out.Elapsed)
 	}
-	if c.ReuseAnswers {
+	if c.reuseAnswers {
 		c.mu.Lock()
 		c.lastAns = out.Winner.Msg
 		c.mu.Unlock()
@@ -503,7 +486,7 @@ func (c *Client) dial(up *Upstream, q *dnswire.Message, tr *obs.Trace) (at attem
 	// for the answer's question and every owner spelled the same way.
 	m.Question = append(m.Question[:0], q.Question[0])
 	at.Stale, err = s.Exchange(q, m, tr)
-	if err == nil && !answers(m, q) {
+	if err == nil && !m.Answers(q) {
 		err = errWrongAnswer
 	}
 	q.ID = id

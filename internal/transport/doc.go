@@ -29,10 +29,13 @@
 //     session, the same framing, message ID pinned to 0 on the wire,
 //     stream errors isolated from the session; fresh sessions pay a
 //     handshake RTT, resumed ones ride 0-RTT.
-//   - Frames (frame.go): the half DoT and DoQ share — packFrame on the
-//     client, and on the server a pooled frameStream that reads one frame
-//     and answers it through Resolve (a hard upstream failure becomes a
-//     synthesized SERVFAIL).
+//   - Frames (frame.go): every envelope's server half — one pooled
+//     frameStream per exchange holds the decoded query, the buffer a DoH
+//     parameter decodes into and the answer wire. DoT and DoQ also share
+//     packFrame on the client, and on the server read one frame and
+//     answer it through Resolve (a hard upstream failure becomes a
+//     synthesized SERVFAIL); DoH decodes its parameter and answers with a
+//     status.
 //   - Cache: the sharded TTL+LRU answer cache shared across frontends
 //     regardless of protocol (the anycast-pod property).
 //   - Pool and Client: the load-balanced upstream set (P2 or round-robin
@@ -94,8 +97,9 @@
 //
 // Client.Exchange is candidate selection plus one resolver: the Pool
 // orders the members (its Balance policy picks the head, healthy members
-// follow, benched members last), and the client's resolve switches on
-// Strategy.Kind to drive attempts over that ordering. Two kinds exist:
+// follow, benched members last) and counts the healthy head, under one
+// lock, and the client's resolve switches on Strategy.Kind to drive
+// attempts over that ordering. Two kinds exist:
 //
 //   - StrategySerial (the zero value): one candidate at a time, first
 //     usable answer wins, SERVFAIL returned only when every member
@@ -104,7 +108,9 @@
 //     DoH fallback shape, RFC 8305's connection-attempt delay). The
 //     primary gets a 5 ms head start; if its answer has not arrived when
 //     the timer fires, the first healthy candidate on a *different*
-//     protocol (else any healthy one) launches too, and the earlier
+//     protocol (else the second healthy one) launches too — read off the
+//     ordering's healthy head, so a benched primary races nothing — and
+//     the earlier
 //     virtual completion wins. The loser is cancelled and accounted as
 //     wasted upstream load; if both fail, the exchange falls through to
 //     the remaining candidates serially.
@@ -127,15 +133,17 @@
 // Each operation on the query path has exactly one entry point, and that
 // entry point takes its result storage from the caller:
 //
-//	session.Exchange(q, into, tr)      Frontend.exchangeDoH(sc, param, tr)
+//	session.Exchange(q, into, tr)      Frontend.exchangeDoH(st, param, tr)
 //	Frontend.Resolve(q, dst, tr)       Cache.probe(key, id, dst)
 //	Pool.candidates(dst, pref)         Cache.staleWire(key, id, dst)
 //
-// into receives the decoded answer; sc is the DoH exchange's pooled
-// server scratch, whose buffer the answer wire lands in; dst is
-// append-style scratch, where nil simply
-// allocates; tr is the exchange's trace, where nil traces nothing; pref
-// is a protocol preference, where ProtoAny means none. There are no
+// into receives the decoded answer; st is the exchange's pooled server
+// scratch (the frameStream every envelope serves from), whose buffers the
+// DoH parameter decodes into and the answer wire lands in; dst is
+// append-style scratch, where nil simply allocates (the client hands
+// candidates an 8-member array on its stack); tr is the exchange's trace,
+// where nil traces nothing; pref is a protocol preference, where ProtoAny
+// means none. There are no
 // allocating or untraced twins — a one-shot caller passes a fresh
 // Message and nils.
 //
@@ -148,10 +156,11 @@
 // it is itself the anomaly.
 //
 // With callers recycling those arguments the hot path is allocation-free
-// by construction, on a miss as on a hit: per-exchange state (candidate
-// orderings, DoH parameter and answer scratch, DoT and DoQ frame
-// buffers, decoded answer Messages) lives in
-// sync.Pools, wire encoding appends into recycled buffers via the
+// by construction, on a miss as on a hit: the candidate ordering lives on
+// the client's stack, and the rest of the per-exchange state (one
+// frameStream pool for all three envelopes' server scratch, the client's
+// query wire buffers, decoded answer Messages) lives in sync.Pools, wire
+// encoding appends into recycled buffers via the
 // dnswire reuse APIs, a miss encodes its answer once (Resolve packs into
 // dst and the cache stores a copy in the entry it evicts or replaces, or
 // in a buffer carved from the cache's arena when a shard grows),
@@ -168,7 +177,7 @@
 //
 // The aliasing rules that make copy-free serving safe:
 //
-//   - An Answer's Wire (and a Lookup's Body) aliases the dst the caller
+//   - An Answer's Wire (and a lookup's Body) aliases the dst the caller
 //     handed in: it is valid until the caller reuses that buffer, so
 //     envelope sessions decode or hand off the body before recycling
 //     their scratch, and treat served bodies as read-only.
@@ -184,7 +193,7 @@
 //     for a later exchange's decode (the scanner does this at every read
 //     site). Once per message, and only if no part of it was handed to
 //     someone who keeps it.
-//   - ReuseAnswers says the same implicitly: the returned message is
+//   - SetReuseAnswers says the same implicitly: the returned message is
 //     valid only until that client's next exchange, which reclaims it —
 //     safe only for a serial sole-driver caller, like the workload engine
 //     and the benchmark harness, which flip it on through SetReuseAnswers

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"sync"
 
 	"repro/internal/dnswire"
 	"repro/internal/obs"
@@ -29,34 +28,24 @@ var (
 	ErrStatus      = errors.New("doh: non-success status")
 )
 
-// dohScratch is one GET exchange's server-side scratch: the decoded query
-// message, the parameter decode buffer and the answer wire buffer. A DoH
-// exchange is fully synchronous, so the scratch is released before the
-// session's Exchange returns and the exchange costs no allocations.
-type dohScratch struct {
-	q        dnswire.Message
-	buf, ans []byte
-}
-
-var dohScratchPool = sync.Pool{New: func() any { return new(dohScratch) }}
-
 // exchangeDoH is the server half of one GET exchange: param is the
 // request's "dns" parameter. A parameter that does not decode is a 400,
 // and a hard upstream failure with nothing stale is a 502 — DoH is the one
-// envelope with a status channel distinct from the DNS RCode. The answer
-// wire aliases sc's buffer, so it is valid until sc is recycled.
-// Server-side spans are recorded onto tr (a nil tr traces nothing).
-func (f *Frontend) exchangeDoH(sc *dohScratch, param []byte, tr *obs.Trace) (status int, wire []byte, stale bool) {
-	buf, err := dnswire.DecodeDoHParamInto(&sc.q, param, sc.buf)
-	sc.buf = buf
+// envelope with a status channel distinct from the DNS RCode. The
+// parameter decodes into st's in buffer and the answer wire aliases its
+// answer buffer, so it is valid until st is released. Server-side spans
+// are recorded onto tr (a nil tr traces nothing).
+func (f *Frontend) exchangeDoH(st *frameStream, param []byte, tr *obs.Trace) (status int, wire []byte, stale bool) {
+	in, err := dnswire.DecodeDoHParamInto(&st.q, param, st.in)
+	st.in = in
 	if err != nil {
 		return StatusBadRequest, nil, false
 	}
-	ans, err := f.Resolve(&sc.q, sc.ans[:0], tr)
+	ans, err := f.Resolve(&st.q, st.buf[:0], tr)
 	if err != nil {
 		return StatusServFailUpstream, nil, false
 	}
-	sc.ans = ans.Wire
+	st.buf = ans.Wire
 	return StatusOK, ans.Wire, ans.Stale
 }
 
@@ -80,8 +69,10 @@ type answeredError struct {
 func (e *answeredError) Unwrap() error { return e.error }
 
 // Exchange encodes the query's GET parameter into a pooled buffer, serves
-// it out of pooled scratch, and decodes the answer into the caller's
-// message before the scratch is recycled.
+// it out of the pooled scratch DoT and DoQ serve from too, and decodes the
+// answer into the caller's message before the scratch is recycled. The
+// reachability check stays its own: a dead DoH address reports the
+// network's error, not a closed connection, for there is none to close.
 func (s *dohSession) Exchange(q, into *dnswire.Message, tr *obs.Trace) (bool, error) {
 	if _, err := s.net.Service(s.ap); err != nil {
 		return false, err
@@ -93,12 +84,9 @@ func (s *dohSession) Exchange(q, into *dnswire.Message, tr *obs.Trace) (bool, er
 	if err != nil {
 		return false, err
 	}
-	sc := dohScratchPool.Get().(*dohScratch)
-	defer func() {
-		sc.buf, sc.ans = dnswire.TrimRecycled(sc.buf), dnswire.TrimRecycled(sc.ans)
-		dohScratchPool.Put(sc)
-	}()
-	status, wire, stale := s.fe.exchangeDoH(sc, param, tr)
+	st := frameStreamPool.Get().(*frameStream)
+	defer st.release()
+	status, wire, stale := s.fe.exchangeDoH(st, param, tr)
 	if status != StatusOK {
 		return false, &answeredError{fmt.Errorf("%w: %d", ErrStatus, status), status}
 	}

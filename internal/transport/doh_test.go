@@ -20,7 +20,7 @@ func dohParam(t testing.TB, q *dnswire.Message) []byte {
 
 func TestEnvelopeRoundTrip(t *testing.T) {
 	fe := &Frontend{Name: "doh0", Proto: ProtoDoH, Handler: &stubRecursor{ttl: 300}}
-	sc := new(dohScratch)
+	sc := new(frameStream)
 	status, wire, stale := fe.exchangeDoH(sc, dohParam(t, dnswire.NewQuery(42, "example.com", dnswire.TypeHTTPS, true)), nil)
 	if status != StatusOK || stale {
 		t.Fatalf("status %d stale %v, want 200 fresh", status, stale)
@@ -44,7 +44,7 @@ func TestEnvelopeRejections(t *testing.T) {
 		{"missing param", nil},
 		{"bad base64", []byte("!!!")},
 	} {
-		if status, wire, _ := fe.exchangeDoH(new(dohScratch), tc.param, nil); status != StatusBadRequest || wire != nil {
+		if status, wire, _ := fe.exchangeDoH(new(frameStream), tc.param, nil); status != StatusBadRequest || wire != nil {
 			t.Errorf("%s: got status %d with %x, want a bare 400", tc.name, status, wire)
 		}
 	}
@@ -73,12 +73,9 @@ func FuzzDoHDecodeRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, param []byte) {
 		decoded := new(dnswire.Message)
 		_, decodeErr := dnswire.DecodeDoHParamInto(decoded, param, nil)
-		want, wantWire, wantStale := fe.exchangeDoH(new(dohScratch), param, nil)
-		sc := dohScratchPool.Get().(*dohScratch)
-		defer func() {
-			sc.buf, sc.ans = dnswire.TrimRecycled(sc.buf), dnswire.TrimRecycled(sc.ans)
-			dohScratchPool.Put(sc)
-		}()
+		want, wantWire, wantStale := fe.exchangeDoH(new(frameStream), param, nil)
+		sc := frameStreamPool.Get().(*frameStream)
+		defer sc.release()
 		if status, _, _ := fe.exchangeDoH(sc, valid, nil); status != StatusOK {
 			t.Fatalf("valid query answered %d", status)
 		}

@@ -108,7 +108,7 @@ func TestDoTSameIDExchangesGetTheirOwnAnswers(t *testing.T) {
 			q := dnswire.NewQuery(4242, fmt.Sprintf("same%d.test", i), dnswire.TypeA, false)
 			for r := range rounds {
 				m, _, err := exchangeVia(conn, q)
-				if err == nil && !answers(m, q) {
+				if err == nil && !m.Answers(q) {
 					err = fmt.Errorf("round %d: asked %v, answered %v", r, q.Question, m.Question)
 				}
 				if err != nil {

@@ -70,20 +70,22 @@ func packFrame(bp *[]byte, q *dnswire.Message) ([]byte, error) {
 	return frame, nil
 }
 
-// frameStream is the server-side scratch of one exchange: the decoded
-// query and the answer wire buffer. An exchange is synchronous — frame
-// in, frame out — so the scratch goes back to frameStreamPool before the
-// session's Exchange returns and the exchange costs no allocations.
+// frameStream is the server-side scratch of one exchange in any of the
+// three envelopes: the decoded query, the buffer a DoH "dns" parameter
+// decodes into, and the answer wire buffer. An exchange is synchronous —
+// query in, answer out — so the scratch goes back to frameStreamPool
+// before the session's Exchange returns and the exchange costs no
+// allocations.
 type frameStream struct {
-	q   dnswire.Message
-	buf []byte
+	q       dnswire.Message
+	in, buf []byte
 }
 
 var frameStreamPool = sync.Pool{New: func() any { return new(frameStream) }}
 
 // release hands the scratch back to frameStreamPool.
 func (st *frameStream) release() {
-	st.buf = dnswire.TrimRecycled(st.buf)
+	st.in, st.buf = dnswire.TrimRecycled(st.in), dnswire.TrimRecycled(st.buf)
 	frameStreamPool.Put(st)
 }
 

@@ -3,8 +3,7 @@ package transport
 import (
 	"errors"
 	"net/netip"
-	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dnswire"
@@ -64,8 +63,9 @@ type Frontend struct {
 	// hits depends on worker interleaving.
 	Recorder *obs.Recorder
 
-	mu            sync.Mutex
-	cooldownUntil time.Time
+	// cooldownUntil is the virtual instant (Unix nanoseconds) the armed
+	// failure cooldown ends; zero when none is armed.
+	cooldownUntil atomic.Int64
 
 	// Lifecycle counters are obs handles so a fleet registry can expose
 	// them without an extra indirection on the increment path; the
@@ -167,9 +167,7 @@ func (f *Frontend) inCooldown() bool {
 	if f.FailureCooldown <= 0 || f.Cache == nil {
 		return false
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.cooldownUntil.After(f.Cache.clock.Now())
+	return f.cooldownUntil.Load() > f.Cache.clock.Now().UnixNano()
 }
 
 // noteHandlerFailure arms the failure cooldown.
@@ -181,9 +179,7 @@ func (f *Frontend) noteHandlerFailure() {
 	if f.FailureCooldown <= 0 || f.Cache == nil {
 		return
 	}
-	f.mu.Lock()
-	f.cooldownUntil = f.Cache.clock.Now().Add(f.FailureCooldown)
-	f.mu.Unlock()
+	f.cooldownUntil.Store(f.Cache.clock.Now().Add(f.FailureCooldown).UnixNano())
 }
 
 // noteHandlerSuccess clears any cooldown: a demonstrably-answering
@@ -192,9 +188,7 @@ func (f *Frontend) noteHandlerSuccess() {
 	if f.FailureCooldown <= 0 {
 		return
 	}
-	f.mu.Lock()
-	f.cooldownUntil = time.Time{}
-	f.mu.Unlock()
+	f.cooldownUntil.Store(0)
 }
 
 // bindMetrics registers the frontend's counters onto a registry, labeled
@@ -248,7 +242,7 @@ func (f *Frontend) Resolve(q *dnswire.Message, dst []byte, tr *obs.Trace) (Answe
 			tr.Add("cache.probe", 0, 0, obs.L("state", probe.State.String()))
 		}
 		switch probe.State {
-		case StateFresh:
+		case stateFresh:
 			f.cacheHits.Add(1)
 			if probe.Negative {
 				f.negativeHits.Add(1)
@@ -264,18 +258,12 @@ func (f *Frontend) Resolve(q *dnswire.Message, dst []byte, tr *obs.Trace) (Answe
 			}
 			echoFlags(probe.Body, q)
 			return Answer{Wire: probe.Body}, nil
-		case StateStale:
+		case stateStale:
 			stale = true
+			// A benched handler: ride the stale answer out rather than
+			// hammering a dead recursor.
 			if f.inCooldown() {
-				// The handler is benched; ride the stale answer out
-				// rather than hammering a dead recursor.
-				if ans, ok := f.serveStale(key, q, dst); ok {
-					if tr != nil {
-						tr.Add("stale.serve", 0, 0, obs.L("reason", "cooldown"))
-					}
-					if f.Recorder != nil {
-						f.Recorder.Emit("frontend.stale", obs.L("reason", "cooldown"))
-					}
+				if ans, ok := f.serveStale(key, q, dst, tr, "cooldown"); ok {
 					return ans, nil
 				}
 			}
@@ -286,13 +274,7 @@ func (f *Frontend) Resolve(q *dnswire.Message, dst []byte, tr *obs.Trace) (Answe
 	if resp == nil {
 		f.noteHandlerFailure()
 		if stale {
-			if ans, ok := f.serveStale(key, q, dst); ok {
-				if tr != nil {
-					tr.Add("stale.serve", 0, 0, obs.L("reason", "upstream-dead"))
-				}
-				if f.Recorder != nil {
-					f.Recorder.Emit("frontend.stale", obs.L("reason", "upstream-dead"))
-				}
+			if ans, ok := f.serveStale(key, q, dst, tr, "upstream-dead"); ok {
 				return ans, nil
 			}
 		}
@@ -310,14 +292,8 @@ func (f *Frontend) Resolve(q *dnswire.Message, dst []byte, tr *obs.Trace) (Answe
 		// SERVFAIL is not evidence of health, so any armed cooldown
 		// stays armed (it neither clears nor extends).
 		if stale {
-			if ans, ok := f.serveStale(key, q, dst); ok {
+			if ans, ok := f.serveStale(key, q, dst, tr, "servfail"); ok {
 				f.upstreamFail.Add(1)
-				if tr != nil {
-					tr.Add("stale.serve", 0, 0, obs.L("reason", "servfail"))
-				}
-				if f.Recorder != nil {
-					f.Recorder.Emit("frontend.stale", obs.L("reason", "servfail"))
-				}
 				return ans, nil
 			}
 		}
@@ -350,31 +326,30 @@ func (f *Frontend) Resolve(q *dnswire.Message, dst []byte, tr *obs.Trace) (Answe
 // as the hard failure of none, so nothing from it is cached or served.
 func (f *Frontend) handle(q *dnswire.Message) *dnswire.Message {
 	resp := f.Handler.HandleDNS(q)
-	if resp != nil && (resp.Truncated || !answers(resp, q)) {
+	if resp != nil && (resp.Truncated || !resp.Answers(q)) {
 		resp.Release()
 		return nil
 	}
 	return resp
 }
 
-// answers reports whether m carries q's ID and its one question (the
-// name compared case-insensitively).
-func answers(m, q *dnswire.Message) bool {
-	return m.ID == q.ID && len(m.Question) == 1 && len(q.Question) == 1 &&
-		m.Question[0].Type == q.Question[0].Type && m.Question[0].Class == q.Question[0].Class &&
-		strings.EqualFold(m.Question[0].Name, q.Question[0].Name)
-}
-
 // serveStale materializes the stale body for q, marked so stubs can
-// count it; ok is false when the entry vanished since the probe (LRU
-// pressure).
-func (f *Frontend) serveStale(key Key, q *dnswire.Message, dst []byte) (Answer, bool) {
+// count it, and records why it was served: a stale.serve span onto tr and
+// a frontend.stale event. ok is false when the entry vanished since the
+// probe (LRU pressure).
+func (f *Frontend) serveStale(key Key, q *dnswire.Message, dst []byte, tr *obs.Trace, reason string) (Answer, bool) {
 	body, ok := f.Cache.staleWire(key, q.ID, dst)
 	if !ok {
 		return Answer{}, false
 	}
 	echoFlags(body, q)
 	f.staleServed.Add(1)
+	if tr != nil {
+		tr.Add("stale.serve", 0, 0, obs.L("reason", reason))
+	}
+	if f.Recorder != nil {
+		f.Recorder.Emit("frontend.stale", obs.L("reason", reason))
+	}
 	return Answer{Wire: body, Stale: true}, true
 }
 

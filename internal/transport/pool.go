@@ -150,11 +150,13 @@ func (p *Pool) healthy() int {
 	return n
 }
 
-// candidates returns the failover order for a query: the balancer's pick
-// first, the remaining healthy members next, and benched members last so
-// a fully-down fleet still gets retried rather than erroring instantly.
-// The client's resolver consumes this ordering — serial failover walks
-// it, racing takes the top two across protocols.
+// candidates returns the failover order for a query and how many of its
+// members lead it healthy: the balancer's pick first, the remaining
+// healthy members next, and benched members last so a fully-down fleet
+// still gets retried rather than erroring instantly. The client's
+// resolver consumes this ordering — serial failover walks it, racing
+// pairs within its healthy head — so one lock and one clock read decide
+// both.
 //
 // The ordering is written into dst (reused from length zero, grown as
 // needed; nil allocates) so per-exchange callers can recycle one buffer
@@ -167,7 +169,7 @@ func (p *Pool) healthy() int {
 // workload engine deals across its simulated population. ProtoAny keeps
 // the pool's ordering untouched; the preference never promotes a benched
 // member over a healthy one.
-func (p *Pool) candidates(dst []*Upstream, pref Protocol) []*Upstream {
+func (p *Pool) candidates(dst []*Upstream, pref Protocol) ([]*Upstream, int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	now := p.clock.Now()
@@ -200,7 +202,7 @@ func (p *Pool) candidates(dst []*Upstream, pref Protocol) []*Upstream {
 		preferProto(dst[:healthy], pref)
 		preferProto(benched, pref)
 	}
-	return dst
+	return dst, healthy
 }
 
 // preferProto stable-partitions seg so members speaking pref come
@@ -283,15 +285,6 @@ func (p *Pool) observeRTT(u *Upstream, d time.Duration) {
 		u.cooldownTotal -= u.downUntil.Sub(now)
 	}
 	u.downUntil = time.Time{}
-}
-
-// isBenched reports whether the member is currently cooling down after
-// a failure — still offered by candidates as a last resort, but not a
-// member a race should duplicate load onto.
-func (p *Pool) isBenched(u *Upstream) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return u.downUntil.After(p.clock.Now())
 }
 
 // markFailed benches the member for DefaultCooldown.

@@ -178,7 +178,7 @@ func TestExchangeAllocBudgets(t *testing.T) {
 	}
 }
 
-// Under ReuseAnswers the client already holds a claim on the answer it
+// Under SetReuseAnswers the client already holds a claim on the answer it
 // last returned; Recycle must drop that claim, or the next exchange would
 // pool the message a second time and two later decodes would share it.
 func TestRecycleUnderReuseAnswersPoolsOnce(t *testing.T) {

@@ -115,8 +115,9 @@ type StrategyConfig struct {
 const raceStagger = 5 * time.Millisecond
 
 // resolve drives one exchange over the pool's failover-ordered
-// candidates under c.Strategy, deciding which candidates are attempted,
-// in what simulated overlap, and which attempt's answer wins. tr, when
+// candidates, of which the first healthy are un-benched, under
+// c.Strategy, deciding which candidates are attempted, in what
+// simulated overlap, and which attempt's answer wins. tr, when
 // non-nil, receives a "dial" span per attempt at its simulated launch
 // offset (the race's stagger edge) with the attempt's virtual cost as
 // its duration.
@@ -131,12 +132,12 @@ const raceStagger = 5 * time.Millisecond
 //
 // A Kind outside the two strategies dials nothing and fails the
 // exchange, so nothing runs under a name StrategyStats does not report.
-func (c *Client) resolve(q *dnswire.Message, candidates []*Upstream, tr *obs.Trace) outcome {
+func (c *Client) resolve(q *dnswire.Message, candidates []*Upstream, healthy int, tr *obs.Trace) outcome {
 	switch c.Strategy.Kind {
 	case StrategySerial:
 		return c.serialResolve(q, candidates, outcome{}, attemptResult{}, nil, tr)
 	case StrategyRace:
-		return c.race(q, candidates, tr)
+		return c.race(q, candidates, healthy, tr)
 	}
 	return outcome{Err: fmt.Errorf("transport: unknown %v", c.Strategy.Kind)}
 }
@@ -230,21 +231,20 @@ func (c *Client) serialFrom(out outcome, q *dnswire.Message, candidates []*Upstr
 // partner launches at all (an answer at or before the stagger edge
 // cancels the timer), and completion times are compared as launch offset
 // plus Cost. Ties go to the primary — it started first.
-func (c *Client) race(q *dnswire.Message, candidates []*Upstream, tr *obs.Trace) outcome {
+func (c *Client) race(q *dnswire.Message, candidates []*Upstream, healthy int, tr *obs.Trace) outcome {
 	// The race pairs the balancer's pick with the first *healthy*
 	// candidate speaking a different protocol — the happy-eyeballs
 	// point is protocol diversity. A single-protocol fleet degrades to
 	// racing the plain second healthy candidate (connection racing);
 	// with no healthy partner (or a benched primary) there is nothing
 	// worth racing and the exchange walks the candidates serially.
-	primary := candidates[0]
-	pi := c.partner(candidates)
-	if pi < 0 || c.Pool.isBenched(primary) {
+	pi := partner(candidates[:healthy])
+	if pi < 0 {
 		return c.serialResolve(q, candidates, outcome{}, attemptResult{}, nil, tr)
 	}
 
 	var out outcome
-	atA := c.attempt(&out, primary, q, 0, "race-primary", tr)
+	atA := c.attempt(&out, candidates[0], q, 0, "race-primary", tr)
 	c.bench(atA)
 	// The primary's outcome was known before the timer fired: an answer
 	// at or before the stagger edge cancels the timer (no race, no
@@ -259,25 +259,22 @@ func (c *Client) race(q *dnswire.Message, candidates []*Upstream, tr *obs.Trace)
 	return c.pairWith(out, q, candidates, atA, pi, tr)
 }
 
-// partner picks the race partner among the candidates after the head:
-// the first un-benched member speaking a different protocol, else the
-// first un-benched member of any protocol (connection racing beats no
-// racing), else -1. A race must not pick a benched partner: a duplicate
-// attempt against a known-bad member wastes load and extends its bench.
-func (c *Client) partner(candidates []*Upstream) int {
-	fallback := -1
-	for i := 1; i < len(candidates); i++ {
-		if c.Pool.isBenched(candidates[i]) {
-			continue
-		}
-		if candidates[i].Proto != candidates[0].Proto {
-			return i
-		}
-		if fallback < 0 {
-			fallback = i
+// partner picks the race partner among the healthy head of the ordering:
+// the first member after the primary speaking a different protocol, else
+// the second (connection racing beats no racing), else -1 — as when the
+// primary itself is benched and the head is empty. A race must not pick
+// a benched partner: a duplicate attempt against a known-bad member
+// wastes load and extends its bench.
+func partner(healthy []*Upstream) int {
+	if len(healthy) < 2 {
+		return -1
+	}
+	for i, u := range healthy[1:] {
+		if u.Proto != healthy[0].Proto {
+			return i + 1
 		}
 	}
-	return fallback
+	return 1
 }
 
 // pairWith is the race's tail once its timer fired: the partner at index

@@ -184,17 +184,17 @@ func TestCacheLRUEvictionPerShard(t *testing.T) {
 		cache.Put(key(i), mk(fmt.Sprintf("n%d.test.", i)))
 	}
 	// Touch n0 so n1 becomes least recently used, then overflow.
-	if cache.probe(key(0), 0, nil).State != StateFresh {
+	if cache.probe(key(0), 0, nil).State != stateFresh {
 		t.Fatal("warm entry missing")
 	}
 	cache.Put(key(4), mk("n4.test."))
 	if cache.size() != 4 {
 		t.Fatalf("cache holds %d entries, want capacity 4", cache.size())
 	}
-	if cache.probe(key(1), 0, nil).State != StateMiss {
+	if cache.probe(key(1), 0, nil).State != stateMiss {
 		t.Error("LRU victim n1 still cached")
 	}
-	if cache.probe(key(0), 0, nil).State != StateFresh {
+	if cache.probe(key(0), 0, nil).State != stateFresh {
 		t.Error("recently-used n0 evicted")
 	}
 	stats := cache.Stats()
@@ -256,7 +256,7 @@ func TestP2FavoursLowerRTT(t *testing.T) {
 	wins := 0
 	const draws = 400
 	for i := 0; i < draws; i++ {
-		if pool.candidates(nil, ProtoAny)[0] == fast {
+		if c, _ := pool.candidates(nil, ProtoAny); c[0] == fast {
 			wins++
 		}
 	}

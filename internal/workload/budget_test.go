@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -17,7 +18,10 @@ func (n *nopTarget) Exchange(*dnswire.Message) (*dnswire.Message, error) { retur
 
 // TestRunAllocsIndependentOfQueries: New allocates everything a run
 // needs, so Run allocates the same small amount whether it serves 10^4
-// or 10^5 queries.
+// or 10^5 queries. The count is process-wide, so an allocation of the
+// runtime's own that lands inside the window adds to it; Run is
+// deterministic, so its own count repeats, and the least over three fresh
+// engines is Run's.
 func TestRunAllocsIndependentOfQueries(t *testing.T) {
 	if testrace.Enabled {
 		t.Skip("the race detector allocates on its own")
@@ -27,22 +31,26 @@ func TestRunAllocsIndependentOfQueries(t *testing.T) {
 			Clients: 20_000, Model: ModelOpen, Seed: 3,
 			Domains: testDomains(500), Duration: 24 * time.Hour, MaxQueries: queries,
 		}
-		// AllocsPerRun calls the function once to warm up, then once more.
-		var engines []*Engine
-		for i := 0; i < 2; i++ {
-			e, err := New(cfg, testClock(), &nopTarget{})
-			if err != nil {
-				t.Fatal(err)
+		least := math.Inf(1)
+		for range 3 {
+			// AllocsPerRun calls the function once to warm up, then once more.
+			var engines []*Engine
+			for i := 0; i < 2; i++ {
+				e, err := New(cfg, testClock(), &nopTarget{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				engines = append(engines, e)
 			}
-			engines = append(engines, e)
+			least = min(least, testing.AllocsPerRun(1, func() {
+				e := engines[0]
+				engines = engines[1:]
+				if sum := e.Run(); sum.Queries != uint64(queries) {
+					t.Fatalf("ran %d queries, want %d", sum.Queries, queries)
+				}
+			}))
 		}
-		return testing.AllocsPerRun(1, func() {
-			e := engines[0]
-			engines = engines[1:]
-			if sum := e.Run(); sum.Queries != uint64(queries) {
-				t.Fatalf("ran %d queries, want %d", sum.Queries, queries)
-			}
-		})
+		return least
 	}
 	small, large := allocs(10_000), allocs(100_000)
 	if small != large {

@@ -77,7 +77,7 @@ type preferring interface {
 // answerReuser is the optional answer-recycling toggle
 // (*transport.Client implements it). The engine is the target's sole
 // driver for the duration of Run and discards every answer before the
-// next exchange, which is exactly the contract ReuseAnswers needs, so
+// next exchange, which is exactly the contract SetReuseAnswers needs, so
 // Run flips it on for the run and restores it after.
 type answerReuser interface{ SetReuseAnswers(on bool) }
 

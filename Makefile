@@ -148,8 +148,10 @@ attribute:
 # slot a decoded record's TTL, dirty reuse against a fresh walk), the
 # recursor under fuzzed authoritative replies (AD only on the authentic
 # RRset, a bounded upstream count, nothing cached from a reply to another
-# query), RRSIG verification (whose memoised and plain verdicts must
-# agree), or the DNSKEY side of it (DS construction and matching against
+# query), RRSIG verification (whose verdicts through the process memo and
+# plain must agree), a signed set whose record, signature, key or time is
+# changed after the signer seeded the memo with it (the same agreement),
+# or the DNSKEY side of it (DS construction and matching against
 # the reference builder, key tag, public-key decoding); that the pooled
 # signing digest equals the reference builder's; that the world's
 # O(1)-seeded random source still gives math/rand's exact stream; and that
@@ -168,6 +170,7 @@ fuzz-smoke:
 	$(GO) test ./internal/resolver -fuzz FuzzResolverUpstream -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnssec -fuzz FuzzVerifyRRSIG -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnssec -fuzz FuzzDNSKEYDS -fuzztime 10s -run xxx
+	$(GO) test ./internal/dnssec -fuzz FuzzSeededMemo -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnssec -fuzz FuzzSigningDigest -fuzztime 10s -run xxx
 	$(GO) test ./internal/obs -fuzz FuzzMetricKey -fuzztime 10s -run xxx
 

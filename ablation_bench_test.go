@@ -58,8 +58,8 @@ func BenchmarkAblationResolverCacheCold(b *testing.B) {
 // BenchmarkAblationZoneKeyCache isolates the validated-zone-key cache. Both
 // arms validate the HTTPS RRsets that the world's resolver returns with AD
 // for names of the day's list, over that same resolver warmed by those
-// resolutions (every fetch is a cache hit) and with a fresh signature memo
-// per validation (every signature is verified in full); they differ only
+// resolutions (every fetch is a cache hit) and with no signature memo
+// (every signature is verified in full); they differ only
 // in the validator's KeyCache. Without it, every validation re-verifies the
 // root and TLD DNSKEY self-signatures (two ECDSA verifies per level per
 // domain).
@@ -85,7 +85,7 @@ func BenchmarkAblationZoneKeyCache(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, name := range signed {
 					v := dnssec.NewValidator(w.GoogleResolver, w.Anchor, w.Clock.Now())
-					v.KeyCache, v.Memo = mode.keys, dnssec.NewSigMemo()
+					v.KeyCache = mode.keys
 					if res, err := v.Validate(name, dnswire.TypeHTTPS); res != dnssec.Secure {
 						b.Fatalf("%s validates %v: %v", name, res, err)
 					}

@@ -313,12 +313,14 @@ func BenchmarkFig8Rankings(b *testing.B) {
 // probes included) of the given day count; cfg supplies the size, the
 // day-worker count and, for a fleet campaign, the serving layer. A positive
 // concurrency overrides the scanner's. World construction runs off the
-// clock; only RunDaily is measured.
+// clock; only RunDaily is measured, and its ECDSA signs and full verifies
+// are reported per op.
 func benchmarkCampaignDays(b *testing.B, days, concurrency int, cfg core.CampaignConfig) {
 	b.Helper()
 	cfg.Seed, cfg.StepDays = 7, 1
 	cfg.Start = time.Date(2024, 1, 25, 0, 0, 0, 0, time.UTC)
 	cfg.End = cfg.Start.AddDate(0, 0, days-1)
+	var ops ecdsaOps
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		c, err := core.NewCampaign(cfg)
@@ -329,13 +331,31 @@ func benchmarkCampaignDays(b *testing.B, days, concurrency int, cfg core.Campaig
 			c.Scanner.Concurrency = concurrency
 		}
 		b.StartTimer()
-		if err := c.RunDaily(); err != nil {
+		ops.count(func() { err = c.RunDaily() })
+		if err != nil {
 			b.Fatal(err)
 		}
 		if len(c.Store.Days("apex")) != days {
 			b.Fatal("incomplete campaign")
 		}
 	}
+	ops.report(b)
+}
+
+// ecdsaOps sums the ECDSA signs and full verifies of a benchmark's timed
+// runs, to report per op.
+type ecdsaOps struct{ signs, verifies uint64 }
+
+func (e *ecdsaOps) count(run func()) {
+	before := dnssec.ReadCounts()
+	run()
+	n := dnssec.ReadCounts().Sub(before)
+	e.signs, e.verifies = e.signs+n.Signs, e.verifies+n.Verifies
+}
+
+func (e *ecdsaOps) report(b *testing.B) {
+	b.ReportMetric(float64(e.signs)/float64(b.N), "signs/op")
+	b.ReportMetric(float64(e.verifies)/float64(b.N), "verifies/op")
 }
 
 // BenchmarkCampaignSerialVsPipelined compares the serial day walk against
@@ -394,6 +414,7 @@ func BenchmarkHourlyECH(b *testing.B) {
 	b.ReportAllocs()
 	cfg := fleetCampaign()
 	cfg.Seed = 7
+	var ops ecdsaOps
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		c, err := core.NewCampaign(cfg)
@@ -401,11 +422,12 @@ func BenchmarkHourlyECH(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		c.RunHourlyECH(time.Date(2023, 7, 21, 0, 0, 0, 0, time.UTC), 5)
+		ops.count(func() { c.RunHourlyECH(time.Date(2023, 7, 21, 0, 0, 0, 0, time.UTC), 5) })
 		if len(c.Store.ECHObservations()) == 0 {
 			b.Fatal("no ECH observations")
 		}
 	}
+	ops.report(b)
 }
 
 // benchmarkServe runs the repo benchmark's serve workloads as a Go

@@ -714,6 +714,7 @@ func (c *Campaign) censusRow(r dnssec.ChainSource, name string, now time.Time) d
 	}
 	if row.Signed {
 		v := dnssec.NewValidator(r, c.World.Anchor, now)
+		v.Memo = dnssec.ProcessMemo()
 		target := dnswire.TypeDNSKEY
 		if row.HasHTTPS {
 			target = dnswire.TypeHTTPS

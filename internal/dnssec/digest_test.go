@@ -121,12 +121,12 @@ func TestConcurrentSignVerifyMatchesSerial(t *testing.T) {
 	}
 	serial := make([]outcome, workers)
 	for g := range serial {
-		serial[g] = run(g, NewSigMemo())
+		serial[g] = run(g, new(SigMemo))
 		if serial[g].good != "<nil>" || serial[g].tampered != ErrBadSignature.Error() {
 			t.Fatalf("set %d: serial verdicts %q and %q", g, serial[g].good, serial[g].tampered)
 		}
 	}
-	memo := NewSigMemo()
+	memo := new(SigMemo)
 	var wg sync.WaitGroup
 	for g := range workers {
 		wg.Add(1)

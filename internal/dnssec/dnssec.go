@@ -14,6 +14,13 @@
 // are ordered through offset spans into that buffer, never packed into
 // slices of their own. So a memo hit and a DS match allocate nothing, and
 // a signature costs its RRSIG data and its deferred signing step.
+//
+// The process keeps one SigMemo (ProcessMemo) of signatures known to
+// verify: those that passed a full verification and every signature this
+// process made, added by the signer the moment it makes one. Every
+// signature a simulated world serves is made here, so its validators run a
+// hash lookup where they would run ECDSA. ReadCounts tells signs, full
+// verifications and memo hits apart.
 package dnssec
 
 import (
@@ -29,6 +36,7 @@ import (
 	"math/big"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dnswire"
@@ -301,13 +309,7 @@ func SignRRset(key *KeyPair, rrs []dnswire.RR, inception, expiration time.Time) 
 	if err != nil {
 		return dnswire.RR{}, err
 	}
-	priv := key.Private
-	sig.DeferSignature(func() []byte {
-		// signDigest fails only for a scalar that is no P-256 key, which
-		// DeriveKey never returns; an empty signature verifies nowhere.
-		out, _ := signDigest(priv, digest)
-		return out
-	})
+	sig.DeferSignature(func() []byte { return key.sign(digest) })
 	return dnswire.RR{
 		Name:  owner,
 		Type:  dnswire.TypeRRSIG,
@@ -317,10 +319,26 @@ func SignRRset(key *KeyPair, rrs []dnswire.RR, inception, expiration time.Time) 
 	}, nil
 }
 
+// sign is SignRRset's deferred step: k's signature over digest, whose memo
+// id it adds to the process memo. A signature k just made verifies under
+// k's public key, so a later check of it is a lookup. signDigest fails only
+// for a scalar that is no P-256 key, which DeriveKey never returns; the
+// empty signature it then leaves verifies nowhere and is not added.
+func (k *KeyPair) sign(digest [sha256.Size]byte) []byte {
+	out, err := signDigest(k.Private, digest)
+	if err != nil {
+		return nil
+	}
+	processMemo.add(memoID(k.dnskey.PublicKey, out, digest))
+	counters.seeds.Add(1)
+	return out
+}
+
 // signDigest signs a SHA-256 digest and returns the fixed-width r‖s of RFC
 // 6605 §4. Handed no random source, PrivateKey.Sign picks the nonce per RFC
 // 6979: the signature is a function of the key and the digest alone.
 func signDigest(priv *ecdsa.PrivateKey, digest [sha256.Size]byte) ([]byte, error) {
+	counters.signs.Add(1)
 	der, err := priv.Sign(nil, digest[:], crypto.SHA256)
 	if err != nil {
 		return nil, fmt.Errorf("dnssec: signing: %w", err)
@@ -396,22 +414,23 @@ func VerifyRRSIG(rrsig dnswire.RR, rrs []dnswire.RR, dnskey dnswire.RR, now time
 	return (*SigMemo)(nil).Verify(rrsig, rrs, dnskey, now)
 }
 
-// SigMemo remembers which signatures already verified, so that a campaign
-// whose recursors meet the same (key, signature, RRset) thousands of times
-// — a TLD's DS RRset once per adopter, a domain's chain once per scan day —
-// pays for each ECDSA verification once. An entry is SHA-256(public key ‖
-// signature ‖ signing-input digest): a pure function of the three inputs of
-// the ECDSA step, so a hit can stand in for that step and nothing else.
-// The checks that depend on anything outside the key — type covered,
-// algorithm, key tag, signer, and the validity window against the caller's
-// now — run on every call before the memo is consulted, which is why a hit
-// can never carry a signature past its expiration or onto another key,
-// owner or RRset. Only successes are stored. A hit allocates nothing: the
-// signing input is built and hashed in a pooled buffer, the id in a stack
-// array. Safe for concurrent use;
-// bounded at sigMemoCap entries (a full shard is dropped whole — entries do
-// not expire, there is nothing older to prefer). A nil *SigMemo verifies
-// without remembering.
+// SigMemo remembers which signatures are known to verify, so that a
+// campaign whose recursors meet the same (key, signature, RRset) thousands
+// of times — a TLD's DS RRset once per adopter, a domain's chain once per
+// scan day — pays for each ECDSA verification at most once. An entry is
+// memoID(public key, signature, signing-input digest): a pure function of
+// the three inputs of the ECDSA step, so a hit can stand in for that step
+// and nothing else. The checks that depend on anything outside the key —
+// type covered, algorithm, key tag, signer, and the validity window against
+// the caller's now — run on every call before the memo is consulted, which
+// is why a hit can never carry a signature past its expiration or onto
+// another key, owner or RRset. A memo stores successes; the process memo
+// also every signature this process made, which verifies by construction.
+// A hit allocates nothing: the signing input is built and hashed in a
+// pooled buffer, the id in a stack array. Safe for concurrent use; bounded
+// at sigMemoCap entries (a full shard is dropped whole — entries do not
+// expire, there is nothing older to prefer). The zero value is an empty
+// memo; a nil *SigMemo verifies without remembering.
 type SigMemo struct {
 	shards [sigMemoShards]struct {
 		mu sync.Mutex
@@ -424,11 +443,48 @@ const (
 	sigMemoCap    = 1 << 16
 )
 
-// NewSigMemo returns an empty memo.
-func NewSigMemo() *SigMemo { return &SigMemo{} }
+// processMemo is the memo SignRRset's deferred step seeds. Its ids are pure
+// functions of their inputs, so one memo serves every world of the process.
+var processMemo SigMemo
+
+// ProcessMemo returns the memo every signature this process makes is added
+// to, for a validator's Memo.
+func ProcessMemo() *SigMemo { return &processMemo }
+
+// counters counts the process's ECDSA work; ReadCounts reads them.
+var counters struct{ signs, verifies, hits, seeds, resets atomic.Uint64 }
+
+// Counts is the ECDSA work a process has done since it started.
+type Counts struct {
+	Signs    uint64 // signatures made
+	Verifies uint64 // full ECDSA verifications run
+	Hits     uint64 // verifications a memo hit stood in for
+	Seeds    uint64 // ids the signer added to the process memo
+	Resets   uint64 // memo shards dropped whole at their cap
+}
+
+// ReadCounts returns the process's counts so far; the difference of two
+// reads counts what ran between them.
+func ReadCounts() Counts {
+	return Counts{counters.signs.Load(), counters.verifies.Load(), counters.hits.Load(),
+		counters.seeds.Load(), counters.resets.Load()}
+}
+
+// Sub returns c less an earlier read.
+func (c Counts) Sub(earlier Counts) Counts {
+	return Counts{c.Signs - earlier.Signs, c.Verifies - earlier.Verifies, c.Hits - earlier.Hits,
+		c.Seeds - earlier.Seeds, c.Resets - earlier.Resets}
+}
+
+// memoID is a memo entry: SHA-256(public key ‖ signature ‖ signing-input
+// digest).
+func memoID(pub, sig []byte, digest [sha256.Size]byte) [sha256.Size]byte {
+	var buf [64 + 64 + sha256.Size]byte
+	return sha256.Sum256(append(append(append(buf[:0], pub...), sig...), digest[:]...))
+}
 
 // Verify is VerifyRRSIG with the ECDSA step skipped for a (key, signature,
-// RRset) that m has seen verify. Its verdict equals VerifyRRSIG's on every
+// RRset) that m knows to verify. Its verdict equals VerifyRRSIG's on every
 // input.
 func (m *SigMemo) Verify(rrsig dnswire.RR, rrs []dnswire.RR, dnskey dnswire.RR, now time.Time) error {
 	sig, ok := rrsig.Data.(*dnswire.RRSIGData)
@@ -473,10 +529,9 @@ func (m *SigMemo) Verify(rrsig dnswire.RR, rrs []dnswire.RR, dnskey dnswire.RR, 
 	}
 	var id [sha256.Size]byte
 	if m != nil {
-		var buf [64 + 64 + sha256.Size]byte
-		id = sha256.Sum256(append(append(append(buf[:0], keyData.PublicKey...), sigBytes...), digest[:]...))
-		if m.seen(id) {
-			return nil // this key decoded and verified this input before
+		if id = memoID(keyData.PublicKey, sigBytes, digest); m.seen(id) {
+			counters.hits.Add(1)
+			return nil // this key made or verified this signature over this input
 		}
 	}
 	pub, err := decodePublicKey(keyData.PublicKey)
@@ -485,6 +540,7 @@ func (m *SigMemo) Verify(rrsig dnswire.RR, rrs []dnswire.RR, dnskey dnswire.RR, 
 	}
 	r := new(big.Int).SetBytes(sigBytes[:32])
 	s := new(big.Int).SetBytes(sigBytes[32:])
+	counters.verifies.Add(1)
 	if !ecdsa.Verify(pub, digest[:], r, s) {
 		return ErrBadSignature
 	}
@@ -507,6 +563,9 @@ func (m *SigMemo) add(id [sha256.Size]byte) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.m == nil || len(sh.m) >= sigMemoCap/sigMemoShards {
+		if sh.m != nil {
+			counters.resets.Add(1)
+		}
 		sh.m = map[[sha256.Size]byte]struct{}{}
 	}
 	sh.m[id] = struct{}{}

@@ -34,7 +34,7 @@ func newMemoFixture(t testing.TB) memoFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := memoFixture{key: key, rrs: rrs, sig: sig, memo: NewSigMemo()}
+	f := memoFixture{key: key, rrs: rrs, sig: sig, memo: new(SigMemo)}
 	if err := f.memo.Verify(sig, rrs, key.DNSKEY(3600), testNow); err != nil {
 		t.Fatalf("priming verify: %v", err)
 	}
@@ -148,7 +148,7 @@ func TestValidatorHostileChainMemoOnAndOff(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			memo := NewSigMemo()
+			memo := new(SigMemo)
 			w := buildWorld(t, true, true)
 			anchor := w.records[rrKey(".", dnswire.TypeDNSKEY)]
 			prime := NewValidator(w, anchor, testNow)
@@ -180,7 +180,7 @@ func TestValidatorHostileChainMemoOnAndOff(t *testing.T) {
 // TestSigMemoBounded: the memo never holds more than its cap, however many
 // distinct signatures verify.
 func TestSigMemoBounded(t *testing.T) {
-	m := NewSigMemo()
+	m := new(SigMemo)
 	var seed [8]byte
 	for i := 0; i < 3*sigMemoCap; i++ {
 		binary.BigEndian.PutUint64(seed[:], uint64(i))
@@ -219,13 +219,10 @@ func rrFromRData(typ dnswire.Type, rdata []byte) (dnswire.RR, bool) {
 	return m.Answer[0], true
 }
 
-// fuzzMemo outlives the fuzz iterations, so every input meets a memo
-// dirtied by all the earlier ones.
-var fuzzMemo = NewSigMemo()
-
 // FuzzVerifyRRSIG feeds the signature path RRSIG and DNSKEY RDATA straight
-// from the fuzzer: nothing may panic, and the memoised verifier must agree
-// with the plain one on every input, on first sight and on the repeat.
+// from the fuzzer: nothing may panic, and the process memo — seeded by the
+// fixture's signer and dirtied by every earlier input — must agree with the
+// plain verifier on every input, on first sight and on the repeat.
 func FuzzVerifyRRSIG(f *testing.F) {
 	fx := newMemoFixture(f)
 	rdataOf := func(rr dnswire.RR) []byte {
@@ -263,7 +260,7 @@ func FuzzVerifyRRSIG(f *testing.F) {
 		}
 		plain := VerifyRRSIG(sig, fx.rrs, key, testNow)
 		for pass := 1; pass <= 2; pass++ {
-			if got := fuzzMemo.Verify(sig, fx.rrs, key, testNow); errText(got) != errText(plain) {
+			if got := processMemo.Verify(sig, fx.rrs, key, testNow); errText(got) != errText(plain) {
 				t.Fatalf("memoised pass %d: %v, plain: %v", pass, got, plain)
 			}
 		}
@@ -273,8 +270,9 @@ func FuzzVerifyRRSIG(f *testing.F) {
 // FuzzDNSKEYDS hands the key side of the chain DNSKEY RDATA straight from
 // the fuzzer — any flags, protocol and algorithm, key bytes of any length:
 // DS construction, the key tag, public-key decoding and verification must
-// not panic, the memoised verdict must be the plain one, and the fixture's
-// signature must never verify under a key that is not a point on P-256.
+// not panic, the process memo's verdict (the fixture's signature is seeded
+// in it) must be the plain one, and the fixture's signature must never
+// verify under a key that is not a point on P-256.
 func FuzzDNSKEYDS(f *testing.F) {
 	fx := newMemoFixture(f)
 	good := fx.key.DNSKEY(3600).Data.(*dnswire.DNSKEYData)
@@ -323,7 +321,7 @@ func FuzzDNSKEYDS(f *testing.F) {
 			t.Fatalf("signature verified under a %d-byte key that is no curve point", len(key))
 		}
 		for pass := 1; pass <= 2; pass++ {
-			if got := fuzzMemo.Verify(fx.sig, fx.rrs, dnskey, testNow); errText(got) != errText(plain) {
+			if got := processMemo.Verify(fx.sig, fx.rrs, dnskey, testNow); errText(got) != errText(plain) {
 				t.Fatalf("memoised pass %d: %v, plain: %v", pass, got, plain)
 			}
 		}

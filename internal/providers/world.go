@@ -440,8 +440,8 @@ func (w *World) assignNonAdopterProvider(d *DomainState, rng *rand.Rand) {
 }
 
 // buildResolvers wires the two public resolvers. Cloudflare's is a fork of
-// Google's: the same validation config, caches of its own, and one
-// verified-signature memo for the world, since a memo entry is a pure
+// Google's: the same validation config and caches of its own. Both check
+// signatures against dnssec's process memo, since a memo entry is a pure
 // function of (public key, signature, signing-input digest).
 func (w *World) buildResolvers() {
 	w.GoogleAddr = netip.MustParseAddr("8.8.8.8")

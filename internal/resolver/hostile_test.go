@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/authserver"
+	"repro/internal/dnssec"
 	"repro/internal/dnswire"
 	"repro/internal/simnet"
 	"repro/internal/zone"
@@ -30,12 +31,15 @@ func (p *onPath) HandleDNS(q *dnswire.Message) *dnswire.Message {
 	return resp
 }
 
-// TestHostileAnswersNeverGetAD primes the recursor — and, when it has one,
-// its verified-signature memo — with a secure resolution of the HTTPS
-// RRset, then serves it the same signatures outside their validity window,
-// with a flipped byte, over changed RDATA, or stripped. AD must be clear every time,
-// identically with the memo set and nil, and the untouched RRset must
-// validate again afterwards.
+// TestHostileAnswersNeverGetAD primes the recursor with a secure
+// resolution of the HTTPS RRset (its signatures are in dnssec's process
+// memo from the moment the zone made them), then serves it the same
+// signatures outside their validity window, with a flipped byte, over
+// changed RDATA, or stripped. AD must be clear every time, and the
+// untouched RRset must validate again afterwards. The recursor checks
+// signatures through the memo; in the "memo nil" legs a validator with no
+// memo, which verifies every signature in full, reads the records the
+// recursor holds after each resolution and must agree with its AD bit.
 func TestHostileAnswersNeverGetAD(t *testing.T) {
 	flipSig := func(m *dnswire.Message) {
 		for i, rr := range m.Answer {
@@ -77,18 +81,25 @@ func TestHostileAnswersNeverGetAD(t *testing.T) {
 				w := buildWorld(t, true, true)
 				attacker := &onPath{inner: w.exSrv}
 				w.net.RegisterDNS(w.exAddr, attacker)
-				if !withMemo {
-					w.resolver.memo = nil
+				resolve := func() *Response {
+					res := w.mustResolve(t, "example.com.", dnswire.TypeHTTPS)
+					if !withMemo {
+						v := dnssec.NewValidator(w.resolver, w.resolver.Anchor, w.clock.Now())
+						if got, err := v.Validate("example.com.", dnswire.TypeHTTPS); (got == dnssec.Secure) != res.AuthenticatedData {
+							t.Errorf("memo-less validator: %v (%v); recursor's AD bit: %v", got, err, res.AuthenticatedData)
+						}
+					}
+					return res
 				}
 				start := w.clock.Now()
-				if res := w.mustResolve(t, "example.com.", dnswire.TypeHTTPS); !res.AuthenticatedData {
+				if res := resolve(); !res.AuthenticatedData {
 					t.Fatal("priming resolution is not secure")
 				}
 
 				w.resolver.FlushCache() // forget the answers, keep the memo
 				w.clock.Set(start.Add(tc.shift))
 				attacker.mutate = tc.mutate
-				res := w.mustResolve(t, "example.com.", dnswire.TypeHTTPS)
+				res := resolve()
 				if res.AuthenticatedData {
 					t.Error("AD set on a hostile answer")
 				}
@@ -99,7 +110,7 @@ func TestHostileAnswersNeverGetAD(t *testing.T) {
 				w.resolver.FlushCache()
 				w.clock.Set(start)
 				attacker.mutate = nil
-				if res := w.mustResolve(t, "example.com.", dnswire.TypeHTTPS); !res.AuthenticatedData {
+				if res := resolve(); !res.AuthenticatedData {
 					t.Error("the untouched RRset no longer validates after the hostile one")
 				}
 			})

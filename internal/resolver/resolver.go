@@ -5,15 +5,16 @@
 // role Google Public DNS (8.8.8.8) and Cloudflare (1.1.1.1) play in the
 // paper's measurements.
 //
-// A resolver keeps five bounded tables: answers per (name, type),
+// A resolver keeps four bounded tables: answers per (name, type),
 // delegations per zone (the servers a referral named, for the NS TTL),
 // validated zone DNSKEY RRsets, and — shared with every Fork, and so by a
 // world's two public resolvers, Cloudflare's being a fork of Google's, and
-// all their day and hour forks — a memo of the signatures that already
-// verified and the one query walk sends for each (name, type). A fork's
-// answer and delegation maps start at the sizes its parent's previous fork
-// reached. docs/ARCHITECTURE.md, "Recursor cold path", has the rules each
-// one follows.
+// all their day and hour forks — the one query walk sends for each (name,
+// type). A fork's answer and delegation maps start at the sizes its
+// parent's previous fork reached. Signatures are checked against dnssec's
+// process memo, to which the signer adds every signature it makes.
+// docs/ARCHITECTURE.md, "Recursor cold path", has the rules each one
+// follows.
 //
 // The answer cache is load-bearing for two of the paper's findings: stale
 // HTTPS records explain both the ECH key-inconsistency window (§4.4.2) and
@@ -128,11 +129,8 @@ type Resolver struct {
 	// thousands of apexes share a few dozen provider NS sets.
 	cuts map[string]zoneCut
 
-	// memo remembers signatures that verified, and queries holds walk's
-	// query for each (name, type). They are the state Fork shares, so
-	// concurrent day workers verify each signature and build each query
-	// once.
-	memo    *dnssec.SigMemo
+	// queries holds walk's query for each (name, type). It is the state
+	// Fork shares, so concurrent day workers build each query once.
 	queries *queryTable
 
 	// forks holds the cache and cut lengths this resolver's forks last
@@ -198,25 +196,23 @@ func makeRoom[K comparable, V any](m map[K]V, max int, expired func(V) bool) {
 
 // New creates a resolver on the given network.
 func New(net *simnet.Network) *Resolver {
-	r := &Resolver{Net: net, memo: dnssec.NewSigMemo(), queries: &queryTable{m: map[rrKey]*dnswire.Message{}}}
+	r := &Resolver{Net: net, queries: &queryTable{m: map[rrKey]*dnswire.Message{}}}
 	r.FlushCache()
 	return r
 }
 
 // Fork returns a resolver on the given network (normally a per-day view of
 // the parent's) with the same validation configuration, empty answer,
-// delegation and zone-key caches, and the parent's verified-signature
-// memo and query table. Per-day scan contexts use it to give each simulated
-// day an isolated recursor state: with record TTLs far below a day, a fresh
-// cache answers identically to the serial run's carried-over cache, without
-// any cross-day locking or time skew. The memo can be shared because a hit
-// replaces only the ECDSA step of a verification whose other checks
-// (validity window included) still run against the fork's own clock; the
-// query table because it holds no DNS data. The fork's answer and cut maps
-// start at the sizes the parent's previous fork last reported.
+// delegation and zone-key caches, and the parent's query table. Per-day
+// scan contexts use it to give each simulated day an isolated recursor
+// state: with record TTLs far below a day, a fresh cache answers
+// identically to the serial run's carried-over cache, without any cross-day
+// locking or time skew. The query table can be shared because it holds no
+// DNS data. The fork's answer and cut maps start at the sizes the parent's
+// previous fork last reported.
 func (r *Resolver) Fork(net *simnet.Network) *Resolver {
 	f := &Resolver{Net: net, Validate: r.Validate, ValidateTypes: r.ValidateTypes, Anchor: r.Anchor,
-		memo: r.memo, queries: r.queries, parentForks: &r.forks}
+		queries: r.queries, parentForks: &r.forks}
 	f.flush(int(r.forks.cache.Load()), int(r.forks.cuts.Load()))
 	return f
 }
@@ -245,8 +241,7 @@ func (r *Resolver) Put(zone string, keys []dnswire.RR) {
 }
 
 // FlushCache drops all cached answers, delegations and validated zone
-// keys. The verified-signature memo and the query table stay: they hold no
-// DNS data.
+// keys. The query table stays: it holds no DNS data.
 func (r *Resolver) FlushCache() { r.flush(0, 0) }
 
 // flush is FlushCache with room for cacheLen answers and cutsLen cuts.
@@ -673,7 +668,7 @@ func (r *Resolver) validateEntry(name string, t dnswire.Type, e *cacheEntry) boo
 		// never secure: its AD bit is known without walking the chain.
 		if len(e.answer) > int(e.nData) {
 			v := dnssec.NewValidator(&chainSource{r: r}, r.Anchor, r.Net.Clock.Now())
-			v.KeyCache, v.Memo = r, r.memo
+			v.KeyCache, v.Memo = r, dnssec.ProcessMemo()
 			if res, _ := v.Validate(name, t); res == dnssec.Secure {
 				ad = adSecure
 			}

@@ -183,9 +183,9 @@ func TestProviderChangeInsideNSTTL(t *testing.T) {
 }
 
 // TestConcurrentForksMatchSerial: eight forks of one recursor — sharing
-// nothing but its verified-signature memo and query table — resolve the
-// same names at once; every AD bit must equal a serial run's on a recursor that shares
-// no memo with them. Run under -race (make race) this is the coverage for
+// nothing but its query table and dnssec's process memo — resolve the same
+// names at once; every AD bit must equal a serial run's. Run under -race
+// (make race) this is the coverage for
 // the first resolver state day workers share, and for the records the
 // authoritatives share between all of them: the cached RRSIGs and per-key
 // DNSKEY RDATA every fork aliases into its cache must come out of the run

@@ -18,7 +18,10 @@ import (
 // it stays exported. An entry must be called by a test in another package
 // and by no non-test code outside its own: anything else fails
 // TestInternalSurface, so the list cannot outlive its reasons.
-var surfaceAllowlist = map[string]string{}
+var surfaceAllowlist = map[string]string{
+	"repro/internal/dnssec.ReadCounts": "the process's ECDSA counts; the campaign benchmarks report them per op " +
+		"and core's tests pin them, and no program prints them yet",
+}
 
 // TestInternalSurface keeps the internal/ packages' exported surface to what
 // the rest of the program uses. It parses every Go file of the module and of

@@ -35,10 +35,10 @@ import (
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/dnssec"
 	"repro/internal/dnswire"
 	"repro/internal/obs"
 	"repro/internal/providers"
+	"repro/internal/resolver"
 	"repro/internal/scanner"
 	"repro/internal/simnet"
 	"repro/internal/transport"
@@ -197,14 +197,21 @@ func (c *Campaign) setWorldClock(t time.Time) {
 	c.World.Clock.Set(t)
 }
 
-// cacheConfig assembles the answer-cache lifecycle configuration from
-// the campaign knobs (shared by the campaign fleet and per-day replicas).
-func (c *Campaign) cacheConfig() transport.CacheConfig {
-	return transport.CacheConfig{
-		Shards:        c.Cfg.DoHShards,
-		ShardCapacity: c.Cfg.DoHShardCap,
-		StaleWindow:   c.Cfg.DoHStaleWindow,
-		RefreshAhead:  c.Cfg.DoHRefreshAhead,
+// fleetConfig is the fleet configuration the campaign knobs set, shared by
+// the campaign fleet and every context's replica, with seed for the pool's
+// and the router's randomness.
+func (c *Campaign) fleetConfig(seed int64) transport.FleetConfig {
+	return transport.FleetConfig{
+		Balance:  c.Cfg.DoHBalance,
+		Seed:     seed,
+		Strategy: transport.StrategyConfig{Kind: c.Cfg.TransportStrategy},
+		Cache: transport.CacheConfig{
+			Shards:        c.Cfg.DoHShards,
+			ShardCapacity: c.Cfg.DoHShardCap,
+			StaleWindow:   c.Cfg.DoHStaleWindow,
+			RefreshAhead:  c.Cfg.DoHRefreshAhead,
+		},
+		FailureCooldown: c.Cfg.DoHFailureCooldown,
 	}
 }
 
@@ -226,13 +233,9 @@ func frontendRecursor(g, cf simnet.DNSHandler, i int) (simnet.DNSHandler, string
 // (cmd/dohserve's drill).
 func (c *Campaign) buildFleet(n int, mix transport.Mix) {
 	w := c.World
-	fl := transport.NewFleet(w.Net, w.Clock, transport.FleetConfig{
-		Balance: c.Cfg.DoHBalance, Seed: c.Cfg.Seed,
-		Strategy:        transport.StrategyConfig{Kind: c.Cfg.TransportStrategy},
-		Cache:           c.cacheConfig(),
-		FailureCooldown: c.Cfg.DoHFailureCooldown,
-		ChargeLatency:   true,
-	})
+	cfg := c.fleetConfig(c.Cfg.Seed)
+	cfg.ChargeLatency = true
+	fl := transport.NewFleet(w.Net, w.Clock, cfg)
 	protos := mix.Assign(n)
 	for i := 0; i < n; i++ {
 		recursor, org := frontendRecursor(w.GoogleResolver, w.CFResolver, i)
@@ -313,14 +316,9 @@ func (c *Campaign) newScanContext(at time.Time, seed int64, day bool) *scanConte
 		if day && c.Cfg.AnomalyCapture {
 			tracer = obs.NewTracer(clock, obs.TraceConfig{Tail: &obs.TailConfig{}})
 		}
-		fl := transport.NewFleet(net, clock, transport.FleetConfig{
-			Balance: c.Cfg.DoHBalance, Seed: seed,
-			Strategy:        transport.StrategyConfig{Kind: c.Cfg.TransportStrategy},
-			Cache:           c.cacheConfig(),
-			FailureCooldown: c.Cfg.DoHFailureCooldown,
-			Override:        true,
-			Tracer:          tracer,
-		})
+		cfg := c.fleetConfig(seed)
+		cfg.Override, cfg.Tracer = true, tracer
+		fl := transport.NewFleet(net, clock, cfg)
 		protos := c.Cfg.TransportMix.Assign(len(c.Fleet.Addrs))
 		for i, ap := range c.Fleet.Addrs {
 			recursor, _ := frontendRecursor(g, cf, i)
@@ -685,16 +683,15 @@ func (c *Campaign) RunValidationCensus(day time.Time) {
 	c.setWorldClock(day.Add(12 * time.Hour))
 	list := c.World.Tranco.ListFor(day)
 	r := c.World.GoogleResolver
-	now := c.World.Clock.Now()
 	rows := make([]dataset.ValidationResult, len(list))
 	scanner.ForEach(len(list), c.Scanner.Concurrency, func(i int) {
-		rows[i] = c.censusRow(r, list[i], now)
+		rows[i] = c.censusRow(r, list[i])
 	})
 	c.Store.AddValidation(rows...)
 }
 
 // censusRow classifies one domain for the validation census.
-func (c *Campaign) censusRow(r dnssec.ChainSource, name string, now time.Time) dataset.ValidationResult {
+func (c *Campaign) censusRow(r *resolver.Resolver, name string) dataset.ValidationResult {
 	apex := dnswire.CanonicalName(name)
 	row := dataset.ValidationResult{Domain: apex}
 
@@ -713,14 +710,11 @@ func (c *Campaign) censusRow(r dnssec.ChainSource, name string, now time.Time) d
 		}
 	}
 	if row.Signed {
-		v := dnssec.NewValidator(r, c.World.Anchor, now)
-		v.Memo = dnssec.ProcessMemo()
 		target := dnswire.TypeDNSKEY
 		if row.HasHTTPS {
 			target = dnswire.TypeHTTPS
 		}
-		res, _ := v.Validate(apex, target)
-		row.Result = res.String()
+		row.Result = r.ValidateChain(apex, target).String()
 	}
 	return row
 }

@@ -195,7 +195,7 @@ func (v *Validator) Validate(name string, t dnswire.Type) (Result, error) {
 	var stack [8]string // the root, a TLD, a domain: deeper chains spill
 	chain := v.zoneChain(stack[:0], name)
 	// Validate the root zone keys against the anchor.
-	zoneKeys, res, err := v.validateZoneKeys(".", nil)
+	keys, res, err := v.validateZoneKeys(".", nil)
 	if err != nil {
 		return res, err
 	}
@@ -207,10 +207,10 @@ func (v *Validator) Validate(name string, t dnswire.Type) (Result, error) {
 			return Insecure, nil
 		}
 		// The DS RRset is served and signed by the parent zone.
-		if err := v.verifyWithKeys(dsSet, dsSigs, zoneKeys); err != nil {
+		if err := v.verifyWithKeys(dsSet, dsSigs, keys); err != nil {
 			return Bogus, fmt.Errorf("dnssec: DS RRset for %s fails validation: %w", zone, err)
 		}
-		zoneKeys, res, err = v.validateZoneKeys(zone, dsSet)
+		keys, res, err = v.validateZoneKeys(zone, dsSet)
 		if err != nil {
 			return res, err
 		}
@@ -219,7 +219,7 @@ func (v *Validator) Validate(name string, t dnswire.Type) (Result, error) {
 	if len(sigs) == 0 {
 		return Bogus, fmt.Errorf("dnssec: %s/%s unsigned inside signed zone", name, t)
 	}
-	if err := v.verifyWithKeys(rrs, sigs, zoneKeys); err != nil {
+	if err := v.verifyWithKeys(rrs, sigs, keys); err != nil {
 		return Bogus, err
 	}
 	return Secure, nil

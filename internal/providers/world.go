@@ -449,7 +449,6 @@ func (w *World) buildResolvers() {
 
 	g := resolver.New(w.Net)
 	g.Validate = true
-	g.ValidateTypes = map[dnswire.Type]bool{dnswire.TypeHTTPS: true}
 	g.Anchor = w.Anchor
 	w.GoogleResolver = g
 	w.Net.RegisterDNS(w.GoogleAddr, g)

@@ -42,9 +42,8 @@ func TestWalkStartsAtClosestCut(t *testing.T) {
 	}
 
 	f := w.resolver.Fork(w.net)
-	if len(f.cuts) != 0 || len(f.cache) != 0 || len(f.zoneKeys) != 0 {
-		t.Errorf("fork starts with %d cuts, %d answers, %d zone keys; want none",
-			len(f.cuts), len(f.cache), len(f.zoneKeys))
+	if len(f.cuts) != 0 || len(f.cache) != 0 {
+		t.Errorf("fork starts with %d cuts, %d answers; want none", len(f.cuts), len(f.cache))
 	}
 	if n := w.upstream(func() { _, _ = f.Resolve("www.example.com.", dnswire.TypeA) }); n != 3 {
 		t.Errorf("fork's first name: %d upstream queries, want 3", n)
@@ -89,7 +88,7 @@ func TestCutExpiresWithNSTTL(t *testing.T) {
 // turning the secure chain insecure.
 func TestDSAskedOnParentSide(t *testing.T) {
 	w := buildWorld(t, true, true)
-	w.resolver.Validate = false // so that the first resolution fetches no DS itself
+	w.resolver.Validate = false // only HTTPS answers validate, so the A lookup fetches no DS either way
 	w.mustResolve(t, "www.example.com.", dnswire.TypeA)
 	if _, ok := w.resolver.cuts["example.com."]; !ok {
 		t.Fatal("the example.com. cut was not cached")
@@ -145,8 +144,8 @@ func TestStaleCutFallsBackToRoot(t *testing.T) {
 }
 
 // TestCachesStayBounded drives fifty TTL generations of fresh names through
-// the answer cache and the zone-key cache: neither map may ever exceed its
-// cap, and cacheLen must keep counting exactly the live entries.
+// the answer cache: the map may never exceed its cap, and cacheLen must keep
+// counting exactly the live entries.
 func TestCachesStayBounded(t *testing.T) {
 	w := buildWorld(t, false, false)
 	r := w.resolver
@@ -157,12 +156,8 @@ func TestCachesStayBounded(t *testing.T) {
 		for i := 0; i < perGen; i++ {
 			name := fmt.Sprintf("g%d-n%d.example.com.", gen, i)
 			r.store(name, dnswire.TypeA, &cacheEntry{expires: expires})
-			if i%512 == 0 {
-				r.Put(name, nil)
-			}
-			if len(r.cache) > maxAnswers || len(r.zoneKeys) > maxZoneKeys {
-				t.Fatalf("generation %d: %d answers (cap %d), %d zone keys (cap %d)",
-					gen, len(r.cache), maxAnswers, len(r.zoneKeys), maxZoneKeys)
+			if len(r.cache) > maxAnswers {
+				t.Fatalf("generation %d: %d answers (cap %d)", gen, len(r.cache), maxAnswers)
 			}
 		}
 		if got := r.cacheLen(); got != perGen {

@@ -5,14 +5,15 @@
 // role Google Public DNS (8.8.8.8) and Cloudflare (1.1.1.1) play in the
 // paper's measurements.
 //
-// A resolver keeps four bounded tables: answers per (name, type),
-// delegations per zone (the servers a referral named, for the NS TTL),
-// validated zone DNSKEY RRsets, and — shared with every Fork, and so by a
-// world's two public resolvers, Cloudflare's being a fork of Google's, and
-// all their day and hour forks — the one query walk sends for each (name,
-// type). A fork's answer and delegation maps start at the sizes its
-// parent's previous fork reached. Signatures are checked against dnssec's
-// process memo, to which the signer adds every signature it makes.
+// A resolver keeps three bounded tables: answers per (name, type), where a
+// zone's validated keys are its DNSKEY answer with the AD bit set;
+// delegations per zone (the servers a referral named, for the NS TTL); and
+// — shared with every Fork, and so by a world's two public resolvers,
+// Cloudflare's being a fork of Google's, and all their day and hour forks —
+// the one query walk sends for each (name, type). A fork's answer and
+// delegation maps start at the sizes its parent's previous fork reached.
+// Signatures are checked against dnssec's process memo, to which the signer
+// adds every signature it makes.
 // docs/ARCHITECTURE.md, "Recursor cold path", has the rules each one
 // follows.
 //
@@ -107,22 +108,15 @@ func (e *cacheEntry) sigs() []dnswire.RR { return slices.Clip(e.answer[e.nData:]
 // Resolver is a caching recursive resolver.
 type Resolver struct {
 	Net *simnet.Network
-	// Validate enables DNSSEC chain validation (AD bit computation).
+	// Validate enables DNSSEC chain validation of HTTPS answers, the only
+	// ones whose AD bit the measurements read.
 	Validate bool
-	// ValidateTypes, when non-nil, restricts validation to the listed
-	// query types (a measurement optimisation: the scanner only needs
-	// the AD bit on HTTPS responses).
-	ValidateTypes map[dnswire.Type]bool
 	// Anchor is the trusted root DNSKEY RRset used when Validate is set.
 	Anchor []dnswire.RR
 
 	mu    sync.Mutex
 	cache map[rrKey]*cacheEntry
 	slab  []cacheEntry // where newEntry carves the cache's entries from
-
-	// zoneKeys caches already-validated zone DNSKEY RRsets for
-	// zoneKeyTTL of virtual time.
-	zoneKeys map[string]zoneKeyEntry
 
 	// cuts maps a zone to the servers a referral named for it, for the NS
 	// RRset's TTL. The server lists are interned (dnswire.InternAddrs):
@@ -154,26 +148,17 @@ type queryTable struct {
 	slab dnswire.QuerySlab
 }
 
-type zoneKeyEntry struct {
-	keys    []dnswire.RR
-	expires int64
-}
-
 type zoneCut struct {
 	servers []netip.Addr
 	expires int64
 }
 
-// zoneKeyTTL bounds reuse of validated zone keys (matches DNSKEY TTL).
-const zoneKeyTTL = time.Hour
-
 // Cache caps. Each sits above the largest benchmark working set (a
 // 20 000-domain serving world), so they bound a long-lived resolver
 // without moving any workload's upstream query count.
 const (
-	maxAnswers  = 1 << 18
-	maxZoneKeys = 1 << 14
-	maxCuts     = 1 << 16
+	maxAnswers = 1 << 18
+	maxCuts    = 1 << 16
 )
 
 // makeRoom keeps m below max entries: at the cap it sweeps the expired
@@ -202,16 +187,16 @@ func New(net *simnet.Network) *Resolver {
 }
 
 // Fork returns a resolver on the given network (normally a per-day view of
-// the parent's) with the same validation configuration, empty answer,
-// delegation and zone-key caches, and the parent's query table. Per-day
-// scan contexts use it to give each simulated day an isolated recursor
-// state: with record TTLs far below a day, a fresh cache answers
-// identically to the serial run's carried-over cache, without any cross-day
-// locking or time skew. The query table can be shared because it holds no
-// DNS data. The fork's answer and cut maps start at the sizes the parent's
-// previous fork last reported.
+// the parent's) with the same validation configuration, empty answer and
+// delegation caches, and the parent's query table. Per-day scan contexts
+// use it to give each simulated day an isolated recursor state: with record
+// TTLs far below a day, a fresh cache answers identically to the serial
+// run's carried-over cache, without any cross-day locking or time skew.
+// The query table can be shared because it holds no DNS data. The fork's
+// answer and cut maps start at the sizes the parent's previous fork last
+// reported.
 func (r *Resolver) Fork(net *simnet.Network) *Resolver {
-	f := &Resolver{Net: net, Validate: r.Validate, ValidateTypes: r.ValidateTypes, Anchor: r.Anchor,
+	f := &Resolver{Net: net, Validate: r.Validate, Anchor: r.Anchor,
 		queries: r.queries, parentForks: &r.forks}
 	f.flush(int(r.forks.cache.Load()), int(r.forks.cuts.Load()))
 	return f
@@ -219,29 +204,34 @@ func (r *Resolver) Fork(net *simnet.Network) *Resolver {
 
 func (r *Resolver) now() int64 { return r.Net.Clock.Now().UnixNano() }
 
-// Get implements dnssec.ZoneKeyCache.
+// Get implements dnssec.ZoneKeyCache: a zone's keys are validated while its
+// live DNSKEY answer carries the AD bit Put set.
 func (r *Resolver) Get(zone string) ([]dnswire.RR, bool) {
 	now := r.now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.zoneKeys[zone]
-	if !ok || e.expires <= now {
+	e := r.cache[rrKey{zone, dnswire.TypeDNSKEY}]
+	if e == nil || e.expires <= now || e.ad != adSecure {
 		return nil, false
 	}
-	return e.keys, true
+	return e.rrs(), true
 }
 
-// Put implements dnssec.ZoneKeyCache.
+// Put implements dnssec.ZoneKeyCache: it sets the AD bit of zone's DNSKEY
+// answer when keys are that answer's own records, the ones the validator
+// fetched. Keys of an answer fetched again since, or copied from it, mark
+// nothing: only the records that validated are vouched for.
 func (r *Resolver) Put(zone string, keys []dnswire.RR) {
-	now := r.now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	makeRoom(r.zoneKeys, maxZoneKeys, func(e zoneKeyEntry) bool { return e.expires <= now })
-	r.zoneKeys[zone] = zoneKeyEntry{keys: keys, expires: now + int64(zoneKeyTTL)}
+	e := r.cache[rrKey{zone, dnswire.TypeDNSKEY}]
+	if e != nil && len(keys) > 0 && len(keys) == int(e.nData) && &keys[0] == &e.answer[0] {
+		e.ad = adSecure
+	}
 }
 
-// FlushCache drops all cached answers, delegations and validated zone
-// keys. The query table stays: it holds no DNS data.
+// FlushCache drops all cached answers (validated zone keys with them) and
+// delegations. The query table stays: it holds no DNS data.
 func (r *Resolver) FlushCache() { r.flush(0, 0) }
 
 // flush is FlushCache with room for cacheLen answers and cutsLen cuts.
@@ -250,7 +240,6 @@ func (r *Resolver) flush(cacheLen, cutsLen int) {
 	defer r.mu.Unlock()
 	r.cache = make(map[rrKey]*cacheEntry, cacheLen)
 	r.slab = nil
-	r.zoneKeys = map[string]zoneKeyEntry{}
 	r.cuts = make(map[string]zoneCut, cutsLen)
 }
 
@@ -610,8 +599,7 @@ func (r *Resolver) resolveInto(out *Response, name string, t dnswire.Type) error
 		if e.nData == 0 {
 			out.Authority = e.authority
 		}
-		shouldValidate := r.Validate && (r.ValidateTypes == nil || r.ValidateTypes[t])
-		if shouldValidate && (e.nData > 0 || e.rcode == dnswire.RCodeNoError) {
+		if r.Validate && t == dnswire.TypeHTTPS && (e.nData > 0 || e.rcode == dnswire.RCodeNoError) {
 			out.AuthenticatedData = out.AuthenticatedData && r.validateEntry(current, t, e)
 		} else {
 			out.AuthenticatedData = false
@@ -666,12 +654,8 @@ func (r *Resolver) validateEntry(name string, t dnswire.Type, e *cacheEntry) boo
 		ad = adInsecure
 		// An RRset that came without signatures is insecure or bogus,
 		// never secure: its AD bit is known without walking the chain.
-		if len(e.answer) > int(e.nData) {
-			v := dnssec.NewValidator(&chainSource{r: r}, r.Anchor, r.Net.Clock.Now())
-			v.KeyCache, v.Memo = r, dnssec.ProcessMemo()
-			if res, _ := v.Validate(name, t); res == dnssec.Secure {
-				ad = adSecure
-			}
+		if len(e.answer) > int(e.nData) && r.ValidateChain(name, t) == dnssec.Secure {
+			ad = adSecure
 		}
 		r.mu.Lock()
 		e.ad = ad
@@ -680,23 +664,28 @@ func (r *Resolver) validateEntry(name string, t dnswire.Type, e *cacheEntry) boo
 	return ad == adSecure
 }
 
-// chainSource adapts the resolver's own iterative lookups to the validator,
-// which asks only for the canonical name it was given and suffixes of it.
-type chainSource struct{ r *Resolver }
+// ValidateChain validates the RRset (name, t) from the trust anchor down,
+// over the resolver's own lookups, at its clock's time: the one place this
+// package builds a validator, for the recursor's AD bit and for the Table 9
+// census alike. Zone keys that validated are kept in the resolver's
+// answers (Get, Put), and signatures are checked against dnssec's process
+// memo.
+func (r *Resolver) ValidateChain(name string, t dnswire.Type) dnssec.Result {
+	v := dnssec.NewValidator(r, r.Anchor, r.Net.Clock.Now())
+	v.KeyCache, v.Memo = r, dnssec.ProcessMemo()
+	res, _ := v.Validate(name, t)
+	return res
+}
 
-func (cs *chainSource) FetchRRset(name string, t dnswire.Type) ([]dnswire.RR, []dnswire.RR, bool) {
-	e, err := cs.r.resolveRRset(name, t, maxGlueless)
+// FetchRRset implements dnssec.ChainSource over the resolver's iterative,
+// caching lookups: the RRset of (name, t) and its signatures, when that
+// resolves to a non-empty answer.
+func (r *Resolver) FetchRRset(name string, t dnswire.Type) ([]dnswire.RR, []dnswire.RR, bool) {
+	e, err := r.resolveRRset(dnswire.CanonicalName(name), t, maxGlueless)
 	if err != nil || e.rcode != dnswire.RCodeNoError || e.nData == 0 {
 		return nil, nil, false
 	}
 	return e.rrs(), e.sigs(), true
-}
-
-// FetchRRset exposes the resolver as a dnssec.ChainSource so callers (e.g.
-// the Table 9 validation census) can run full chain validation over live
-// recursive lookups.
-func (r *Resolver) FetchRRset(name string, t dnswire.Type) ([]dnswire.RR, []dnswire.RR, bool) {
-	return (&chainSource{r: r}).FetchRRset(dnswire.CanonicalName(name), t)
 }
 
 // HandleDNS implements simnet.DNSHandler so the resolver can be placed at a

@@ -153,9 +153,11 @@ attribute:
 # changed after the signer seeded the memo with it (the same agreement),
 # or the DNSKEY side of it (DS construction and matching against
 # the reference builder, key tag, public-key decoding); that the pooled
-# signing digest equals the reference builder's; that the world's
-# O(1)-seeded random source still gives math/rand's exact stream; and that
-# a metric key renders as fmt's %s=%q over sort.Slice-sorted labels.
+# signing digest equals the reference builder's; that the in-package RFC
+# 6979 signer's bytes equal crypto/ecdsa's for any derived key and digest;
+# that the world's O(1)-seeded random source still gives math/rand's exact
+# stream; and that a metric key renders as fmt's %s=%q over
+# sort.Slice-sorted labels.
 fuzz-smoke:
 	$(GO) test ./internal/dnswire -fuzz 'FuzzUnpack$$' -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnswire -fuzz FuzzUnpackInto -fuzztime 10s -run xxx
@@ -172,6 +174,7 @@ fuzz-smoke:
 	$(GO) test ./internal/dnssec -fuzz FuzzDNSKEYDS -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnssec -fuzz FuzzSeededMemo -fuzztime 10s -run xxx
 	$(GO) test ./internal/dnssec -fuzz FuzzSigningDigest -fuzztime 10s -run xxx
+	$(GO) test ./internal/dnssec -fuzz FuzzSignDigest -fuzztime 10s -run xxx
 	$(GO) test ./internal/obs -fuzz FuzzMetricKey -fuzztime 10s -run xxx
 
 # Traced-exchange demo: a mixed-protocol fleet under the race strategy

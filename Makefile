@@ -90,14 +90,19 @@ SERVE ?= Hot
 profile-serve:
 	$(GO) test -run xxx -bench 'BenchmarkServe$(SERVE)$$' -benchtime 3x -cpuprofile cpu.pprof -memprofile mem.pprof .
 
-# CPU time and allocated bytes per layer of one root benchmark
+# CPU time, allocated bytes and allocations per layer of one root benchmark
 # (W=<Benchmark>, by default BenchmarkDailyDirect): three runs, each a fresh
-# process with its own CPU and memory profile, in attribute.out/. Each sample
+# process with its own CPU and memory profile, in attribute.out/; the memory
+# profile samples one allocation per 4 KiB, not the default 512 KiB, so a
+# small object made often is counted, not missed. Each sample
 # of `go tool pprof -traces` goes to the innermost repro/internal/<pkg> frame
 # of its stack; GC workers and the background sweeper and scavenger form the
 # gc row, and samples with no package frame the runtime row (a runtime frame
-# innermost) or other. Prints two tables, each layer's median share and its
-# range over the runs, largest first: CPU samples, then alloc_space.
+# innermost) or other. Prints three tables, each layer's median share and
+# its range over the runs, largest first: CPU samples, then alloc_space (who
+# allocates the bytes), then alloc_objects (who makes the allocations, the
+# count every allocs_per_op claim is made in: a small object made often
+# shows here, not in the bytes).
 W ?= BenchmarkDailyDirect
 BENCHTIME ?= 1s
 attribute:
@@ -105,11 +110,11 @@ attribute:
 	@$(GO) test -c -o attribute.out/root.test .
 	@for i in 1 2 3; do \
 		attribute.out/root.test -test.run xxx -test.bench '^$(W)$$' -test.benchtime $(BENCHTIME) \
-			-test.cpuprofile attribute.out/cpu$$i.pprof -test.memprofile attribute.out/mem$$i.pprof | grep '^Benchmark' || exit 1; \
+			-test.cpuprofile attribute.out/cpu$$i.pprof -test.memprofile attribute.out/mem$$i.pprof -test.memprofilerate 4096 | grep '^Benchmark' || exit 1; \
 	done
-	@for prof in cpu mem; do \
-	if [ $$prof = cpu ]; then index=cpu; else index=alloc_space; echo; fi; \
-	printf '%-12s %8s  %s\n' layer $${index%_*}% range; \
+	@for index in cpu alloc_space alloc_objects; do \
+	prof=mem; if [ $$index = cpu ]; then prof=cpu; else echo; fi; \
+	printf '%-12s %8s  %s\n' layer $${index#alloc_}% range; \
 	for i in 1 2 3; do $(GO) tool pprof -sample_index=$$index -traces attribute.out/root.test attribute.out/$$prof$$i.pprof 2>/dev/null | \
 	awk -v run=$$i 'function val(v) { if (v ~ /ms$$/) return v + 0; if (v ~ /us$$/) return v / 1000; \
 			if (v ~ /ns$$/) return v / 1e6; if (v ~ /min$$/) return v * 60000; if (v ~ /kB$$/) return v * 1024; \

@@ -199,8 +199,15 @@ func (v *Validator) Validate(name string, t dnswire.Type) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	// Walk down the delegations.
+	// Walk down the delegations. A zone whose keys already validated needs
+	// no DS: its keys stand for the delegation they were anchored by.
 	for _, zone := range chain[1:] {
+		if v.KeyCache != nil {
+			if cached, ok := v.KeyCache.Get(zone); ok {
+				keys = cached
+				continue
+			}
+		}
 		dsSet, dsSigs, dsOK := v.source.FetchRRset(zone, dnswire.TypeDS)
 		if !dsOK || len(dsSet) == 0 {
 			// Provably unsigned delegation: everything below is insecure.

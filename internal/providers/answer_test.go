@@ -94,7 +94,9 @@ func TestUnsignedDomainPaysNothingForDO(t *testing.T) {
 // its reply skeleton and nothing else, signed or not, and released it costs
 // nothing; a referral costs the skeleton, its sections being the child's
 // memo, and for a signed child one more array for the DS and its RRSIG
-// behind the shared NS set.
+// behind the shared NS set. An unsigned NODATA asked on a new day costs
+// the day's SOA RDATA its provider's zones share and nothing for the new
+// SOA box, which is carved from the provider's slab.
 func TestAuthoritativeAllocBudgets(t *testing.T) {
 	if testrace.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -122,6 +124,7 @@ func TestAuthoritativeAllocBudgets(t *testing.T) {
 	}{
 		{"provider NODATA for an unsigned domain", 1, unsigned.Providers[0], dnswire.NewQuery(1, unsigned.Apex, dnswire.TypeHTTPS, true), false, false},
 		{"unsigned NODATA again on the same day", 0, unsigned.Providers[0], dnswire.NewQuery(1, unsigned.Apex, dnswire.TypeHTTPS, true), false, true},
+		{"unsigned NODATA on a new day, released", 1, unsigned.Providers[0], dnswire.NewQuery(1, unsigned.Apex, dnswire.TypeHTTPS, true), true, true},
 		{"provider HTTPS answer of a signed adopter", 1, sp, dnswire.NewQuery(2, signed.Apex, dnswire.TypeHTTPS, true), false, false},
 		{"unsigned apex HTTPS again", 0, adopter.Providers[0], dnswire.NewQuery(2, adopter.Apex, dnswire.TypeHTTPS, true), false, true},
 		{"A again", 0, adopter.Providers[0], dnswire.NewQuery(2, adopter.Apex, dnswire.TypeA, true), false, true},

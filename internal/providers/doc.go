@@ -26,7 +26,9 @@
 // signing path whole. A domain's boxes are keyed by what they are built
 // from: its SOA set by (ProvidersAt(t)[0], day) in four slots by day modulo
 // 4, so day workers on neighbouring days keep each other's, with RDATA its
-// provider's zones share that day; its NS set and its referral by provider
+// provider's zones share that day and a box carved from that provider's
+// slab (a carved box is never handed out again, so it is as much the set's
+// own as a box allocated alone); its NS set and its referral by provider
 // arrangement (the referral by OPT record too); its HTTPS, A, AAAA and CNAME
 // sets per owner (apex or www), in one table made on the first positive
 // answer, HTTPS by the identity of the provider's ECHConfigList (the box

@@ -440,7 +440,7 @@ func (d *DomainState) nsRRset(t time.Time) *rrset {
 
 // soaRRset returns the SOA set served at t, memoised per (primary provider,
 // day) in the slot of its day, with RDATA the provider's zones share that
-// day.
+// day. A miss stores a new box carved from that provider's slab.
 func (d *DomainState) soaRRset(t time.Time) *rrset {
 	ps := d.ProvidersAt(t)
 	if len(ps) == 0 {
@@ -451,7 +451,7 @@ func (d *DomainState) soaRRset(t time.Time) *rrset {
 	slot := &d.soa[uint64(day)%uint64(len(d.soa))]
 	s := slot.Load()
 	if s == nil || s.all[0].Data != data {
-		s = newRRset(dnswire.RR{Name: d.Apex, Type: dnswire.TypeSOA, Class: dnswire.ClassINET, TTL: 3600, Data: data})
+		s = ps[0].soaBox(dnswire.RR{Name: d.Apex, Type: dnswire.TypeSOA, Class: dnswire.ClassINET, TTL: 3600, Data: data})
 		slot.Store(s)
 	}
 	return s

@@ -50,6 +50,9 @@ type Provider struct {
 	rec     nsRecords
 
 	soas [8]atomic.Pointer[dnswire.SOAData] // recent days' SOA RDATA, by day modulo 8
+
+	slabMu sync.Mutex
+	slab   []rrset // where soaBox carves its zones' SOA boxes from
 }
 
 // nsRecords are the RDATA values that name a provider's servers, built on
@@ -89,6 +92,22 @@ func (p *Provider) soaData(day int64) *dnswire.SOAData {
 		slot.Store(data)
 	}
 	return data
+}
+
+// soaBox returns a fresh SOA box for one of the provider's zones, carved
+// from the provider's slab, whose chunks double from 4 to 128 boxes. A
+// carved box is never handed out again, so every box already served keeps
+// saying what it said; a full chunk stays alive while any of its boxes does.
+func (p *Provider) soaBox(rr dnswire.RR) *rrset {
+	p.slabMu.Lock()
+	if len(p.slab) == cap(p.slab) {
+		p.slab = make([]rrset, 0, min(max(2*cap(p.slab), 4), 128))
+	}
+	p.slab = p.slab[:len(p.slab)+1]
+	s := &p.slab[len(p.slab)-1]
+	p.slabMu.Unlock()
+	s.init(1)[0] = rr
+	return s
 }
 
 // newProvider creates a provider with n name servers, allocating addresses

@@ -13,8 +13,9 @@ import (
 // records and a signed one the records with the RRSIG behind them, both
 // capacity-clipped and neither a copy. The box signs itself at most once, on
 // its first signed ask, and is written nowhere else: a memo miss replaces
-// the box. zone.Zone keeps the root's sets beside their signatures the same
-// way.
+// the box. A domain's SOA boxes are carved from its provider's slab
+// (Provider.soaBox), and are never written after hand-out either. zone.Zone
+// keeps the root's sets beside their signatures the same way.
 type rrset struct {
 	all  []dnswire.RR // the records, then the RRSIG slot
 	once sync.Once

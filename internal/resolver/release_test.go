@@ -78,41 +78,46 @@ func TestReleasedRepliesLeaveTheCachesUnchanged(t *testing.T) {
 // entry from the resolver's slab, the reply skeletons and the Response
 // having stayed out of the heap, the authoritative's zone lookup counting
 // each origin's labels without splitting it, and its authority section one
-// slice over the zone's own SOA record, not a deep copy.
+// slice over the zone's own SOA record, not a deep copy. A signed zone's
+// NODATA costs the same: the entry keeps the SOA as a capacity-clipped
+// slice of the section, ahead of the RRSIG it drops, not as a copy.
 func TestStubAnswerAllocBudgets(t *testing.T) {
 	if testrace.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	w := buildWorld(t, false, false)
-	cached := dnswire.NewQuery(1, "www.example.com.", dnswire.TypeA, true)
-	nodata := dnswire.NewQuery(2, "www.example.com.", dnswire.TypeAAAA, true)
-	for _, q := range []*dnswire.Message{cached, nodata} {
-		if resp := w.resolver.HandleDNS(q); resp.RCode != dnswire.RCodeNoError {
-			t.Fatalf("%v: rcode %v", q.Question[0], resp.RCode)
+	for _, signed := range []bool{false, true} {
+		w := buildWorld(t, signed, signed)
+		cached := dnswire.NewQuery(1, "www.example.com.", dnswire.TypeA, true)
+		nodata := dnswire.NewQuery(2, "www.example.com.", dnswire.TypeAAAA, true)
+		for _, q := range []*dnswire.Message{cached, nodata} {
+			if resp := w.resolver.HandleDNS(q); resp.RCode != dnswire.RCodeNoError {
+				t.Fatalf("signed %v, %v: rcode %v", signed, q.Question[0], resp.RCode)
+			}
 		}
-	}
-	if n := testing.AllocsPerRun(100, func() { w.resolver.HandleDNS(cached).Release() }); n != 0 {
-		t.Errorf("cached name: %v allocations, want 0", n)
-	}
-	// The negative answer lives 60 s, the example.com. cut an hour: every
-	// run below is one upstream query from the cut, all of them inside it.
-	var upstream uint64
-	cold := func() {
-		w.clock.Advance(61 * time.Second)
-		upstream += w.upstream(func() { w.resolver.HandleDNS(nodata).Release() })
-	}
-	// Every run sends the query table's one query for the name, built by
-	// the first. A few runs first fill the skeleton pool the replies go
-	// back to, whatever earlier tests left in it.
-	for i := 0; i < 8; i++ {
-		cold()
-	}
-	n := testing.AllocsPerRun(40, cold)
-	if upstream != 49 {
-		t.Fatalf("%d upstream queries in 49 runs: not the cold path below a warm cut", upstream)
-	}
-	if n != 2 {
-		t.Errorf("cold NODATA below a cached cut: %v allocations, want 2", n)
+		if n := testing.AllocsPerRun(100, func() { w.resolver.HandleDNS(cached).Release() }); n != 0 {
+			t.Errorf("signed %v, cached name: %v allocations, want 0", signed, n)
+		}
+		// The negative answer lives 60 s, the example.com. cut an hour:
+		// every run below is one upstream query from the cut, all of them
+		// inside it.
+		var upstream uint64
+		cold := func() {
+			w.clock.Advance(61 * time.Second)
+			upstream += w.upstream(func() { w.resolver.HandleDNS(nodata).Release() })
+		}
+		// Every run sends the query table's one query for the name, built
+		// by the first. A few runs first fill the skeleton pool the replies
+		// go back to, whatever earlier tests left in it.
+		for i := 0; i < 8; i++ {
+			cold()
+		}
+		n := testing.AllocsPerRun(40, cold)
+		if upstream != 49 {
+			t.Fatalf("signed %v: %d upstream queries in 49 runs: not the cold path below a warm cut", signed, upstream)
+		}
+		if n != 2 {
+			t.Errorf("signed %v, cold NODATA below a cached cut: %v allocations, want 2", signed, n)
+		}
 	}
 }
 

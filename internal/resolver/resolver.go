@@ -394,12 +394,13 @@ func (r *Resolver) walk(servers []netip.Addr, zone, name string, t dnswire.Type,
 			ttl := minTTL(e.rrs(), 300)
 			if n == 0 {
 				// Negative answer: TTL from SOA minimum if present, and
-				// the SOA kept (without its signatures) for the reply.
+				// the SOA kept (without its signatures) for the reply: a
+				// capacity-clipped alias of the server's section, not a
+				// copy. The RRSIGs behind it are pinned anyway, by the
+				// box the server keeps them in.
 				ttl = negativeTTL(resp.Authority)
 				auth, k := sigsLast(resp.Authority)
-				if e.authority = auth; k < len(auth) {
-					e.authority = slices.Clone(auth[:k]) // a copy, not to pin the dropped RRSIGs
-				}
+				e.authority = auth[:k:k]
 			}
 			e.expires = now + int64(ttl)*int64(time.Second)
 			// The entry aliases the server's section arrays, which are

@@ -13,7 +13,7 @@
 // appended into one buffer from a pool, hashed there and dropped: members
 // are ordered through offset spans into that buffer, never packed into
 // slices of their own. So a memo hit and a DS match allocate nothing, and
-// a signature costs its RRSIG data and its deferred signing step.
+// a signature costs its RRSIG data.
 //
 // That step is made here, not by crypto/ecdsa: its only deterministic
 // signer, PrivateKey.Sign handed no random source, converts the key, builds
@@ -57,38 +57,22 @@ var (
 	ErrMixedRRset   = errors.New("dnssec: RRset members differ in name/type/class")
 )
 
-// KeyPair is a DNSSEC signing key for one zone. It caches its public RDATA
-// and must not be copied after first use.
+// KeyPair is a DNSSEC signing key for one zone: its private scalar, its
+// public key and the DNSKEY and DS RDATA that carry it, all made by
+// DeriveKey. Every record the key hands out shares those two RDATA values,
+// so they are read-only. A KeyPair must not be copied: a copy's DNSKEY
+// PublicKey and DS Digest would still be the original's arrays.
 type KeyPair struct {
-	Zone    string
-	Private *ecdsa.PrivateKey
-	Flags   uint16 // DNSKEYFlagZone, optionally DNSKEYFlagSEP for a KSK
+	Zone  string
+	Flags uint16 // DNSKEYFlagZone, optionally DNSKEYFlagSEP for a KSK
 
-	// The key's DNSKEY and DS RDATA, encoded on first use. Every record the
-	// key hands out shares these two values, so they are read-only.
-	once   sync.Once
-	dnskey *dnswire.DNSKEYData
-	ds     *dnswire.DSData
-	dsErr  error
-}
-
-func (k *KeyPair) rdata() {
-	k.once.Do(func() {
-		k.dnskey = &dnswire.DNSKEYData{
-			Flags:     k.Flags,
-			Protocol:  3,
-			Algorithm: dnswire.AlgECDSAP256SHA256,
-			PublicKey: encodePublicKey(&k.Private.PublicKey),
-		}
-		var ds dnswire.RR
-		if ds, k.dsErr = makeDS(k.dnskeyRR(0), 0); k.dsErr == nil {
-			k.ds = ds.Data.(*dnswire.DSData)
-		}
-	})
-}
-
-func (k *KeyPair) dnskeyRR(ttl uint32) dnswire.RR {
-	return dnswire.RR{Name: k.Zone, Type: dnswire.TypeDNSKEY, Class: dnswire.ClassINET, TTL: ttl, Data: k.dnskey}
+	d        [32]byte // the private scalar, big-endian
+	pub      [64]byte // the public key as X‖Y (RFC 6605 §4)
+	tag      uint16
+	dnskey   dnswire.DNSKEYData // PublicKey is pub[:]
+	ds       dnswire.DSData     // Digest is dsDigest[:]
+	dsDigest [sha256.Size]byte
+	dsErr    error
 }
 
 // DeriveKey returns zone's ECDSA-P256 key in the world built from seed: its
@@ -96,89 +80,51 @@ func (k *KeyPair) dnskeyRR(ttl uint32) dnswire.RR {
 // equal inputs give equal keys in any process and nothing else does. ksk
 // selects the SEP flag and the key-signing role. The counter moves on only
 // when a digest is not a valid scalar (zero, or at least the group order:
-// under 2⁻³² per draw).
+// under 2⁻³² per draw), which crypto/ecdh's range check tells. That check
+// computes the public key once; the DNSKEY and DS RDATA are built here,
+// inside the key, so a derivation allocates the KeyPair and what ecdh does.
 func DeriveKey(seed int64, zone string, ksk bool) *KeyPair {
 	zone = dnswire.CanonicalName(zone)
-	flags := uint16(dnswire.DNSKEYFlagZone)
+	k := &KeyPair{Zone: zone, Flags: dnswire.DNSKEYFlagZone}
 	if ksk {
-		flags |= dnswire.DNSKEYFlagSEP
+		k.Flags |= dnswire.DNSKEYFlagSEP
 	}
-	input := binary.BigEndian.AppendUint64([]byte("dnssec-key"), uint64(seed))
-	input = binary.BigEndian.AppendUint16(input, flags)
+	var stack [len("dnssec-key") + 8 + 2 + 255 + 4]byte
+	input := append(stack[:0], "dnssec-key"...)
+	input = binary.BigEndian.AppendUint64(input, uint64(seed))
+	input = binary.BigEndian.AppendUint16(input, k.Flags)
 	input = append(input, zone...)
 	for counter := uint32(0); ; counter++ {
-		scalar := sha256.Sum256(binary.BigEndian.AppendUint32(input, counter))
-		if priv, err := p256Key(scalar[:]); err == nil {
-			return &KeyPair{Zone: zone, Private: priv, Flags: flags}
+		k.d = sha256.Sum256(binary.BigEndian.AppendUint32(input, counter))
+		if priv, err := ecdh.P256().NewPrivateKey(k.d[:]); err == nil {
+			copy(k.pub[:], priv.PublicKey().Bytes()[1:]) // 0x04 ‖ X ‖ Y
+			break
 		}
 	}
-}
-
-// p256Key loads a 32-byte big-endian scalar as an ECDSA private key. It
-// fails for zero and for values at or above the group order.
-func p256Key(scalar []byte) (*ecdsa.PrivateKey, error) {
-	priv, err := ecdh.P256().NewPrivateKey(scalar)
-	if err != nil {
-		return nil, err
+	k.dnskey = dnswire.DNSKEYData{Flags: k.Flags, Protocol: 3, Algorithm: dnswire.AlgECDSAP256SHA256, PublicKey: k.pub[:]}
+	k.tag = k.dnskey.KeyTag()
+	if _, k.dsDigest, k.dsErr = dsDigest(k.DNSKEY(0)); k.dsErr == nil {
+		k.ds = dnswire.DSData{KeyTag: k.tag, Algorithm: dnswire.AlgECDSAP256SHA256,
+			DigestType: dnswire.DigestSHA256, Digest: k.dsDigest[:]}
 	}
-	pub := priv.PublicKey().Bytes() // 0x04 ‖ X ‖ Y
-	return &ecdsa.PrivateKey{
-		PublicKey: ecdsa.PublicKey{
-			Curve: elliptic.P256(),
-			X:     new(big.Int).SetBytes(pub[1:33]),
-			Y:     new(big.Int).SetBytes(pub[33:]),
-		},
-		D: new(big.Int).SetBytes(scalar),
-	}, nil
+	return k
 }
 
 // DNSKEY returns the public DNSKEY record for the key.
 func (k *KeyPair) DNSKEY(ttl uint32) dnswire.RR {
-	k.rdata()
-	return k.dnskeyRR(ttl)
+	return dnswire.RR{Name: k.Zone, Type: dnswire.TypeDNSKEY, Class: dnswire.ClassINET, TTL: ttl, Data: &k.dnskey}
 }
 
 // KeyTag returns the RFC 4034 key tag of the key's DNSKEY record.
-func (k *KeyPair) KeyTag() uint16 {
-	k.rdata()
-	return k.dnskey.KeyTag()
-}
+func (k *KeyPair) KeyTag() uint16 { return k.tag }
 
 // DS returns the SHA-256 delegation-signer record to be published in the
 // parent zone for this (key-signing) key.
 func (k *KeyPair) DS(ttl uint32) (dnswire.RR, error) {
-	if k.rdata(); k.dsErr != nil {
+	if k.dsErr != nil {
 		return dnswire.RR{}, k.dsErr
 	}
-	return dnswire.RR{Name: k.Zone, Type: dnswire.TypeDS, Class: dnswire.ClassINET, TTL: ttl, Data: k.ds}, nil
-}
-
-// makeDS computes the SHA-256 DS record for a DNSKEY record.
-func makeDS(dnskey dnswire.RR, ttl uint32) (dnswire.RR, error) {
-	data, digest, err := dsDigest(dnskey)
-	if err != nil {
-		return dnswire.RR{}, err
-	}
-	return dnswire.RR{
-		Name:  dnskey.Name,
-		Type:  dnswire.TypeDS,
-		Class: dnswire.ClassINET,
-		TTL:   ttl,
-		Data: &dnswire.DSData{
-			KeyTag:     data.KeyTag(),
-			Algorithm:  data.Algorithm,
-			DigestType: dnswire.DigestSHA256,
-			Digest:     digest[:],
-		},
-	}, nil
-}
-
-// encodePublicKey serialises a P-256 public key as X||Y (RFC 6605 §4).
-func encodePublicKey(pub *ecdsa.PublicKey) []byte {
-	out := make([]byte, 64)
-	pub.X.FillBytes(out[:32])
-	pub.Y.FillBytes(out[32:])
-	return out
+	return dnswire.RR{Name: k.Zone, Type: dnswire.TypeDS, Class: dnswire.ClassINET, TTL: ttl, Data: &k.ds}, nil
 }
 
 // decodePublicKey parses an RFC 6605 X||Y public key.
@@ -288,11 +234,12 @@ func signingDigest(sig *dnswire.RRSIGData, rrs []dnswire.RR, origTTL uint32) ([s
 // SignRRset produces an RRSIG record over the RRset with the given key and
 // validity window. Every step that can fail runs here: the RRSIG's fixed
 // fields and the SHA-256 of the canonical signing input, built and hashed
-// in a pooled buffer, so the call allocates the RRSIG data and the
-// deferred step's closure and nothing else. The ECDSA step (signDigest, 13
-// allocations) waits until something first reads the signature bytes —
-// packing the record, Clone, String, or verification (SigMemo.Verify,
-// VerifyRRSIG), all through RRSIGData.SignatureBytes — and runs once. RFC
+// in a pooled buffer. The call allocates the RRSIG data and nothing else;
+// the data holds the key and the digest for the deferred ECDSA step
+// (KeyPair.SignDigest, 13 allocations), which waits until something first
+// reads the signature bytes — packing the record, Clone, String, or
+// verification (SigMemo.Verify, VerifyRRSIG), all through
+// RRSIGData.SignatureBytes — and runs once. RFC
 // 6979 makes the bytes a function of the key and the digest alone, so they
 // are the same whenever they are made; a record nothing reads never pays
 // for them.
@@ -316,7 +263,7 @@ func SignRRset(key *KeyPair, rrs []dnswire.RR, inception, expiration time.Time) 
 	if err != nil {
 		return dnswire.RR{}, err
 	}
-	sig.DeferSignature(func() []byte { return key.sign(digest) })
+	sig.DeferSignature(key, digest)
 	return dnswire.RR{
 		Name:  owner,
 		Type:  dnswire.TypeRRSIG,
@@ -326,18 +273,19 @@ func SignRRset(key *KeyPair, rrs []dnswire.RR, inception, expiration time.Time) 
 	}, nil
 }
 
-// sign is SignRRset's deferred step: k's signature over digest, whose memo
-// id it adds to the process memo. A signature k just made verifies under
-// k's public key, so a later check of it is a lookup. signDigest fails only
-// for a scalar that is no P-256 key, which DeriveKey never returns, or for
-// an r or s of zero (chance about 2⁻²⁵⁶); the empty signature it then
-// leaves verifies nowhere and is not added.
-func (k *KeyPair) sign(digest [sha256.Size]byte) []byte {
-	out, err := signDigest(k.Private, digest)
+// SignDigest is SignRRset's deferred step (dnswire.DigestSigner): k's
+// signature over digest, whose memo id it adds to the process memo. A
+// signature k just made verifies under k's public key, so a later check of
+// it is a lookup. signDigest fails only for a scalar that is no P-256 key,
+// which DeriveKey never returns, or for an r or s of zero (chance about
+// 2⁻²⁵⁶); the empty signature it then leaves verifies nowhere and is not
+// added.
+func (k *KeyPair) SignDigest(digest [sha256.Size]byte) []byte {
+	out, err := signDigest(k.d, digest)
 	if err != nil {
 		return nil
 	}
-	processMemo.add(memoID(k.dnskey.PublicKey, out, digest))
+	processMemo.add(memoID(k.pub[:], out, digest))
 	counters.seeds.Add(1)
 	return out
 }
@@ -351,28 +299,27 @@ var p256OrderInverse, _ = elliptic.P256().(interface{ Inverse(*big.Int) *big.Int
 
 // signScratch holds signDigest's integers; signPool keeps their words
 // between calls.
-type signScratch struct{ e, r, k, kInv, s, q big.Int }
+type signScratch struct{ d, e, r, k, kInv, s, q big.Int }
 
 var signPool = sync.Pool{New: func() any { return new(signScratch) }}
 
-// signDigest signs a SHA-256 digest and returns the fixed-width r‖s of RFC
-// 6605 §4. Its nonce is RFC 6979 §3.2's, so the signature is a function of
-// the key and the digest alone: byte for byte what crypto/ecdsa's
-// PrivateKey.Sign returns when handed no random source. The nonce's DRBG
-// runs on stack arrays, k·G comes from crypto/ecdh and s from pooled
-// integers: 13 allocations, where that Sign takes 64.
-func signDigest(priv *ecdsa.PrivateKey, digest [sha256.Size]byte) ([]byte, error) {
+// signDigest signs a SHA-256 digest under the big-endian scalar x and
+// returns the fixed-width r‖s of RFC 6605 §4. Its nonce is RFC 6979 §3.2's,
+// so the signature is a function of the key and the digest alone: byte for
+// byte what crypto/ecdsa's PrivateKey.Sign returns when handed no random
+// source. The nonce's DRBG runs on stack arrays, k·G comes from crypto/ecdh
+// and s from pooled integers: 13 allocations, where that Sign takes 64.
+func signDigest(x, digest [sha256.Size]byte) ([]byte, error) {
 	counters.signs.Add(1)
-	n, d := p256Order, priv.D
+	sc := signPool.Get().(*signScratch)
+	defer signPool.Put(sc)
+	n, d := p256Order, sc.d.SetBytes(x[:])
 	if d.Sign() <= 0 || d.Cmp(n) >= 0 {
 		return nil, errors.New("dnssec: signing: scalar is no P-256 key")
 	}
-	sc := signPool.Get().(*signScratch)
-	defer signPool.Put(sc)
 	e := sc.e.SetBytes(digest[:])
 	sc.q.QuoRem(e, n, e) // e = digest mod n: RFC 6979's h1
-	var x, h1 [32]byte
-	d.FillBytes(x[:])
+	var h1 [32]byte
 	e.FillBytes(h1[:])
 	kBytes, kG := rfc6979Nonce(x, h1)
 	r := sc.r.SetBytes(kG.PublicKey().Bytes()[1:33]) // k·G is 0x04 ‖ X ‖ Y

@@ -60,15 +60,20 @@ func stdlibSign(t testing.TB, priv *ecdsa.PrivateKey, digest [sha256.Size]byte) 
 	return out
 }
 
-// checkSignMatchesStdlib fails unless signDigest's r‖s equals crypto/ecdsa's.
-func checkSignMatchesStdlib(t testing.TB, priv *ecdsa.PrivateKey, digest [sha256.Size]byte) {
+// checkSignMatchesStdlib fails unless signDigest's r‖s under the scalar x
+// equals crypto/ecdsa's.
+func checkSignMatchesStdlib(t testing.TB, x, digest [sha256.Size]byte) {
 	t.Helper()
-	got, err := signDigest(priv, digest)
+	got, err := signDigest(x, digest)
 	if err != nil {
 		t.Fatalf("digest %x: %v", digest, err)
 	}
+	priv, err := p256Key(x[:])
+	if err != nil {
+		t.Fatalf("scalar %x: %v", x, err)
+	}
 	if want := stdlibSign(t, priv, digest); !bytes.Equal(got, want) {
-		t.Fatalf("digest %x under key %x:\nr‖s  %x\nwant %x", digest, priv.D, got, want)
+		t.Fatalf("digest %x under key %x:\nr‖s  %x\nwant %x", digest, x, got, want)
 	}
 }
 
@@ -87,7 +92,7 @@ func TestSignMatchesStdlib(t *testing.T) {
 		if i < len(edges) {
 			digest = edges[i]
 		}
-		checkSignMatchesStdlib(t, key.Private, digest)
+		checkSignMatchesStdlib(t, key.d, digest)
 	}
 }
 
@@ -101,7 +106,7 @@ func FuzzSignDigest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, zone string, digest []byte) {
 		var d [sha256.Size]byte
 		copy(d[:], digest)
-		checkSignMatchesStdlib(t, DeriveKey(seed, zone, false).Private, d)
+		checkSignMatchesStdlib(t, DeriveKey(seed, zone, false).d, d)
 	})
 }
 
@@ -123,10 +128,10 @@ func TestSignAllocs(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	ceiling := signAllocCeiling()
-	priv := DeriveKey(7, "example.com.", false).Private
+	x := DeriveKey(7, "example.com.", false).d
 	digest := sha256.Sum256([]byte("sample"))
 	if got := testing.AllocsPerRun(200, func() {
-		if _, err := signDigest(priv, digest); err != nil {
+		if _, err := signDigest(x, digest); err != nil {
 			t.Fatal(err)
 		}
 	}); got > ceiling {

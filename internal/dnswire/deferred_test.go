@@ -8,16 +8,29 @@ import (
 	"testing"
 )
 
+// countingSigner returns sig for the digest it expects, and counts the
+// times it has run.
+type countingSigner struct {
+	sig    []byte
+	digest [32]byte
+	calls  atomic.Int32
+}
+
+func (s *countingSigner) SignDigest(digest [32]byte) []byte {
+	s.calls.Add(1)
+	if digest != s.digest {
+		return nil
+	}
+	return bytes.Clone(s.sig)
+}
+
 // deferredRRSIG returns an RRSIG whose signature is left to its first read,
 // and the count of the times its signer has run.
 func deferredRRSIG(sig []byte) (*RRSIGData, *atomic.Int32) {
-	calls := new(atomic.Int32)
+	s := &countingSigner{sig: sig, digest: [32]byte{0: 0xd1, 31: 0x9e}}
 	d := testRRSIG(nil)
-	d.DeferSignature(func() []byte {
-		calls.Add(1)
-		return bytes.Clone(sig)
-	})
-	return d, calls
+	d.DeferSignature(s, s.digest)
+	return d, &s.calls
 }
 
 // testRRSIG is the fixed-field part every record here shares.
@@ -84,7 +97,8 @@ func TestDeferredSignatureRunsOnce(t *testing.T) {
 
 // TestUnpackIntoClearsDeferredSignature: a decode into a recycled RRSIG slot
 // whose signature was deferred and never read takes the wire bytes, leaves
-// nothing of the deferred state behind, and never runs the signer.
+// nothing of the deferred state behind — no signer, so a pooled RRSIG never
+// keeps a zone key alive, and no digest — and never runs the signer.
 func TestUnpackIntoClearsDeferredSignature(t *testing.T) {
 	sig := bytes.Repeat([]byte{0x5a}, 64)
 	m := NewQuery(7, "a.com", TypeHTTPS, true).Reply()
@@ -120,5 +134,9 @@ func TestUnpackIntoClearsDeferredSignature(t *testing.T) {
 	}
 	if n := calls.Load(); n != 0 {
 		t.Errorf("the slot's signer ran %d times over decoded bytes", n)
+	}
+	if slot.deferred || slot.signer != nil || slot.digest != ([32]byte{}) {
+		t.Errorf("the recycled slot kept deferred state: deferred %v, signer %v, digest %x",
+			slot.deferred, slot.signer, slot.digest)
 	}
 }

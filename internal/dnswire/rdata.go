@@ -238,24 +238,33 @@ type RRSIGData struct {
 	Signature []byte
 
 	// deferred is set by DeferSignature before the record is shared and
-	// never after, so reading it races with nothing; sign runs under once
-	// and is dropped when it has.
+	// never after, so reading it races with nothing; the signer runs over
+	// digest under once and is dropped when it has.
 	deferred bool
 	once     sync.Once
-	sign     func() []byte
+	signer   DigestSigner
+	digest   [32]byte
 }
 
-// DeferSignature makes sign compute the signature of a fresh record the
-// first time it is read. Call it before the record is shared; sign runs at
-// most once, on whichever goroutine reads first, and must return the same
-// bytes whenever it runs.
-func (d *RRSIGData) DeferSignature(sign func() []byte) { d.deferred, d.sign = true, sign }
+// A DigestSigner makes a deferred signature: SignDigest returns the
+// signature over a 32-byte signing-input digest, the same bytes whenever it
+// runs.
+type DigestSigner interface {
+	SignDigest(digest [32]byte) []byte
+}
+
+// DeferSignature makes s sign digest into the signature of a fresh record
+// the first time the signature is read. Call it before the record is
+// shared; s runs at most once, on whichever goroutine reads first.
+func (d *RRSIGData) DeferSignature(s DigestSigner, digest [32]byte) {
+	d.deferred, d.signer, d.digest = true, s, digest
+}
 
 // SignatureBytes returns the signature, running a deferred signer first if
 // nothing has read it yet. Safe for concurrent use.
 func (d *RRSIGData) SignatureBytes() []byte {
 	if d.deferred {
-		d.once.Do(func() { d.Signature, d.sign = d.sign(), nil })
+		d.once.Do(func() { d.Signature, d.signer = d.signer.SignDigest(d.digest), nil })
 	}
 	return d.Signature
 }
@@ -495,7 +504,7 @@ func unpackRDataInto(t Type, msg []byte, off, rdlen int, prev RData, sc *decodeS
 		d.SignerName = signer
 		d.Signature = append(d.Signature[:0], msg[n:end]...)
 		if d.deferred { // the wire bytes are the signature: a recycled slot's signer must never run
-			d.deferred, d.sign, d.once = false, nil, sync.Once{}
+			d.deferred, d.signer, d.digest, d.once = false, nil, [32]byte{}, sync.Once{}
 		}
 		return d, nil
 	case TypeOPT:

@@ -12,8 +12,10 @@ import (
 // records and the signature sit in one array, so an unsigned ask gets the
 // records and a signed one the records with the RRSIG behind them, both
 // capacity-clipped and neither a copy. The box signs itself at most once, on
-// its first signed ask, and is written nowhere else: a memo miss replaces
-// the box. A domain's SOA boxes are carved from its provider's slab
+// its first signed ask, for one allocation, the RRSIG data: until something
+// reads the signature, that data holds the zone key and the digest the
+// ECDSA step will sign. The box is written nowhere else: a memo miss
+// replaces the box. A domain's SOA boxes are carved from its provider's slab
 // (Provider.soaBox), and are never written after hand-out either. zone.Zone
 // keeps the root's sets beside their signatures the same way.
 type rrset struct {

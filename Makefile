@@ -94,10 +94,15 @@ profile-serve:
 # (W=<Benchmark>, by default BenchmarkDailyDirect): three runs, each a fresh
 # process with its own CPU and memory profile, in attribute.out/; the memory
 # profile samples one allocation per 4 KiB, not the default 512 KiB, so a
-# small object made often is counted, not missed. Each sample
+# small object made often is counted, not missed. The root benchmarks build
+# their campaign, name list and serve engine off the clock, but the profiles
+# cover the whole process: every sample with a frame matching SETUP (pprof's
+# -ignore, and -focus for the complement) goes to the setup (dropped) row,
+# so each table still sums to 100 and the cut shows. Each other sample
 # of `go tool pprof -traces` goes to the innermost repro/internal/<pkg> frame
 # of its stack; GC workers and the background sweeper and scavenger form the
-# gc row, and samples with no package frame the runtime row (a runtime frame
+# gc row (which carries no benchmark frame, so it holds setup's GC too), and
+# samples with no package frame the runtime row (a runtime frame
 # innermost) or other. Prints three tables, each layer's median share and
 # its range over the runs, largest first: CPU samples, then alloc_space (who
 # allocates the bytes), then alloc_objects (who makes the allocations, the
@@ -105,6 +110,7 @@ profile-serve:
 # shows here, not in the bytes).
 W ?= BenchmarkDailyDirect
 BENCHTIME ?= 1s
+SETUP := core\.NewCampaign|workload\.New$$|\.serveNames$$
 attribute:
 	@mkdir -p attribute.out
 	@$(GO) test -c -o attribute.out/root.test .
@@ -114,26 +120,30 @@ attribute:
 	done
 	@for index in cpu alloc_space alloc_objects; do \
 	prof=mem; if [ $$index = cpu ]; then prof=cpu; else echo; fi; \
-	printf '%-12s %8s  %s\n' layer $${index#alloc_}% range; \
-	for i in 1 2 3; do $(GO) tool pprof -sample_index=$$index -traces attribute.out/root.test attribute.out/$$prof$$i.pprof 2>/dev/null | \
+	printf '%-16s %8s  %s\n' layer $${index#alloc_}% range; \
+	for i in 1 2 3; do { for cut in ignore focus; do \
+		$(GO) tool pprof -sample_index=$$index -traces -$$cut '$(SETUP)' attribute.out/root.test attribute.out/$$prof$$i.pprof 2>/dev/null; \
+		echo "# $$cut"; done; } | \
 	awk -v run=$$i 'function val(v) { if (v ~ /ms$$/) return v + 0; if (v ~ /us$$/) return v / 1000; \
 			if (v ~ /ns$$/) return v / 1e6; if (v ~ /min$$/) return v * 60000; if (v ~ /kB$$/) return v * 1024; \
 			if (v ~ /MB$$/) return v * 1048576; if (v ~ /GB$$/) return v * 1073741824; if (v ~ /B$$/) return v + 0; return v * 1000 } \
-		function flush() { if (v > 0) { l = gc ? "gc" : layer != "" ? layer : inner ~ /^runtime\./ ? "runtime" : "other"; \
+		function flush() { if (v > 0) { l = setup ? "setup (dropped)" : gc ? "gc" : layer != "" ? layer : inner ~ /^runtime\./ ? "runtime" : "other"; \
 			t[l] += v; tot += v }; v = 0; gc = 0; layer = "" } \
+		/^# ignore$$/ { flush(); setup = 1; first = ""; next } \
+		/^# focus$$/ { flush(); next } \
 		/^-+\+/ { flush(); first = 1; next } \
 		first == "" || $$1 ~ /:$$/ { next } \
 		{ f = $$1; if (first) { v = val($$1); f = inner = $$2; first = 0 }; \
 			if (f ~ /^runtime\.(gcBgMarkWorker|bgsweep|bgscavenge)$$/) gc = 1; \
 			if (layer == "" && f ~ /^repro\/internal\//) { sub(/^repro\/internal\//, "", f); sub(/[.\/].*/, "", f); layer = f } } \
-		END { flush(); for (l in t) printf "%d %s %.2f\n", run, l, 100 * t[l] / tot }'; done | \
-	awk '!($$2 in med) { k[++m] = $$2; med[$$2] = 0 } { s[$$2, $$1] = $$3; if ($$1 > n) n = $$1 } \
+		END { flush(); for (l in t) printf "%d\t%s\t%.2f\n", run, l, 100 * t[l] / tot }'; done | \
+	awk -F'\t' '!($$2 in med) { k[++m] = $$2; med[$$2] = 0 } { s[$$2, $$1] = $$3; if ($$1 > n) n = $$1 } \
 		END { if (!m) { print "attribute: no samples folded" > "/dev/stderr"; exit 1 }; \
 			for (c = 1; c <= m; c++) { l = k[c]; for (i = 1; i <= n; i++) x[i] = ((l, i) in s) ? s[l, i] : 0; \
 				for (i = 2; i <= n; i++) { y = x[i]; for (j = i - 1; j > 0 && x[j] > y; j--) x[j + 1] = x[j]; x[j + 1] = y }; \
 				med[l] = n % 2 ? x[(n + 1) / 2] : (x[n / 2] + x[n / 2 + 1]) / 2; lo[l] = x[1]; hi[l] = x[n] }; \
 			for (i = 2; i <= m; i++) { y = k[i]; for (j = i - 1; j > 0 && med[k[j]] < med[y]; j--) k[j + 1] = k[j]; k[j + 1] = y }; \
-			for (c = 1; c <= m; c++) printf "%-12s %8.1f  %.1f-%.1f\n", k[c], med[k[c]], lo[k[c]], hi[k[c]] }' || exit 1; \
+			for (c = 1; c <= m; c++) printf "%-16s %8.1f  %.1f-%.1f\n", k[c], med[k[c]], lo[k[c]], hi[k[c]] }' || exit 1; \
 	done
 
 # Short fuzz pass over the wire-format decoders and the signature

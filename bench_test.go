@@ -311,11 +311,10 @@ func BenchmarkFig8Rankings(b *testing.B) {
 
 // benchmarkCampaignDays times a daily campaign (NS scans and connectivity
 // probes included) of the given day count; cfg supplies the size, the
-// day-worker count and, for a fleet campaign, the serving layer. A positive
-// concurrency overrides the scanner's. World construction runs off the
-// clock; only RunDaily is measured, and its ECDSA signs and full verifies
-// are reported per op.
-func benchmarkCampaignDays(b *testing.B, days, concurrency int, cfg core.CampaignConfig) {
+// day-worker count and, for a fleet campaign, the serving layer. World
+// construction runs off the clock; only RunDaily is measured, and its
+// ECDSA signs and full verifies are reported per op.
+func benchmarkCampaignDays(b *testing.B, days int, cfg core.CampaignConfig) {
 	b.Helper()
 	cfg.Seed, cfg.StepDays = 7, 1
 	cfg.Start = time.Date(2024, 1, 25, 0, 0, 0, 0, time.UTC)
@@ -326,9 +325,6 @@ func benchmarkCampaignDays(b *testing.B, days, concurrency int, cfg core.Campaig
 		c, err := core.NewCampaign(cfg)
 		if err != nil {
 			b.Fatal(err)
-		}
-		if concurrency > 0 {
-			c.Scanner.Concurrency = concurrency
 		}
 		b.StartTimer()
 		ops.count(func() { err = c.RunDaily() })
@@ -366,10 +362,10 @@ func (e *ecdsaOps) report(b *testing.B) {
 // core.day_pipeline_speedup).
 func BenchmarkCampaignSerialVsPipelined(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
-		benchmarkCampaignDays(b, 21, 0, core.CampaignConfig{Size: 300, DayWorkers: 1})
+		benchmarkCampaignDays(b, 21, core.CampaignConfig{Size: 300, DayWorkers: 1})
 	})
 	b.Run("dayworkers8", func(b *testing.B) {
-		benchmarkCampaignDays(b, 21, 0, core.CampaignConfig{Size: 300, DayWorkers: 8})
+		benchmarkCampaignDays(b, 21, core.CampaignConfig{Size: 300, DayWorkers: 8})
 	})
 }
 
@@ -378,7 +374,7 @@ func BenchmarkCampaignSerialVsPipelined(b *testing.B) {
 // validator and authoritatives own the profile (`make profile` runs this).
 func BenchmarkDailyDirect(b *testing.B) {
 	b.ReportAllocs()
-	benchmarkCampaignDays(b, 15, 1, core.CampaignConfig{Size: 3000, DayWorkers: 1})
+	benchmarkCampaignDays(b, 15, core.CampaignConfig{Size: 3000, DayWorkers: 1})
 }
 
 // fleetCampaign is the serving layer of the repo benchmark's fleet campaigns:
@@ -400,7 +396,7 @@ func fleetCampaign() core.CampaignConfig {
 // (`make profile-fleet` runs this).
 func BenchmarkDailyFleet(b *testing.B) {
 	b.ReportAllocs()
-	benchmarkCampaignDays(b, 16, 0, fleetCampaign())
+	benchmarkCampaignDays(b, 16, fleetCampaign())
 }
 
 // BenchmarkHourlyECH is the repo benchmark's hourly-ech workload as a Go
@@ -451,15 +447,9 @@ func benchmarkServe(b *testing.B, size, shards, capacity, queries int) {
 			b.Fatal(err)
 		}
 		c.World.Clock.Set(at)
-		var names []string
-		for _, name := range c.World.Tranco.ListFor(at) {
-			if d, ok := c.World.Domain(dnswire.ApexOf(name)); ok && len(d.ProvidersAt(at)) > 0 {
-				names = append(names, name)
-			}
-		}
 		eng, err := workload.New(workload.Config{
 			Clients: 1_000_000, Model: workload.ModelOpen, Seed: 7,
-			Domains: names, ZipfS: 1, Duration: 24 * time.Hour, MaxQueries: queries,
+			Domains: serveNames(c, at), ZipfS: 1, Duration: 24 * time.Hour, MaxQueries: queries,
 			Mix: cfg.TransportMix,
 		}, c.World.Clock, c.Fleet.Client)
 		if err != nil {
@@ -475,6 +465,19 @@ func benchmarkServe(b *testing.B, size, shards, capacity, queries int) {
 		}
 	}
 	b.ReportMetric(ns/n, "ns/query")
+}
+
+// serveNames is the serve benchmarks' name population: the names listed at
+// at whose apex some provider serves then. It is setup, run off the clock,
+// and `make attribute`'s SETUP pattern names it.
+func serveNames(c *core.Campaign, at time.Time) []string {
+	var names []string
+	for _, name := range c.World.Tranco.ListFor(at) {
+		if d, ok := c.World.Domain(dnswire.ApexOf(name)); ok && len(d.ProvidersAt(at)) > 0 {
+			names = append(names, name)
+		}
+	}
+	return names
 }
 
 // BenchmarkServeHot is the repo benchmark's serve-hot workload: 900 000

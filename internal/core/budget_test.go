@@ -11,10 +11,9 @@ import (
 )
 
 // runCampaign runs the paper's method over size names for days days, one
-// day and one scan worker at a time — direct (stub to public recursor) when
-// fleet is nil, else through the fleet it configures — and returns the
-// names it scanned, apex and www, and the allocations and bytes the run
-// made.
+// day at a time — direct (stub to public recursor) when fleet is nil, else
+// through the fleet it configures — and returns the names it scanned, apex
+// and www, and the allocations and bytes the run made.
 func runCampaign(t *testing.T, size, days int, fleet func(*CampaignConfig)) (names int, mallocs, bytes uint64) {
 	t.Helper()
 	if testrace.Enabled {
@@ -29,7 +28,6 @@ func runCampaign(t *testing.T, size, days int, fleet func(*CampaignConfig)) (nam
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Scanner.Concurrency = 1
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	if err := c.RunDaily(); err != nil {
@@ -164,7 +162,6 @@ func TestHourlyECHAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Scanner.Concurrency = 1
 	if err := c.RunDaily(); err != nil {
 		t.Fatal(err)
 	}

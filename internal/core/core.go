@@ -8,13 +8,13 @@
 // context — a per-day virtual clock, a network view over the shared world,
 // forked recursors with fresh caches, a forked scanner with its own
 // query-ID stream, and (when configured) a per-day encrypted-DNS fleet
-// replica — so up to CampaignConfig.DayWorkers days resolve concurrently
-// while snapshots commit to the Store in strict day order. Because record
-// TTLs are far below a day and all authoritative content is a pure
-// function of (domain state, virtual time), a per-day context produces
-// byte-identical results to the old serial walk — including with a mixed
-// DoH/DoT/DoQ fleet, whose per-day replicas keep their clocks frozen (see
-// newScanContext).
+// replica — so up to CampaignConfig.DayWorkers days resolve concurrently,
+// each scanned on one goroutine, while snapshots commit to the Store in
+// strict day order. Because record TTLs are far below a day and all
+// authoritative content is a pure function of (domain state, virtual
+// time), a per-day context produces byte-identical results to the old
+// serial walk — including with a mixed DoH/DoT/DoQ fleet, whose per-day
+// replicas keep their clocks frozen (see newScanContext).
 //
 // The hourly ECH schedule pipelines the same way at hour granularity:
 // each hour gets its own scan context (fresh clock, forked recursors —
@@ -90,7 +90,7 @@ type CampaignConfig struct {
 	// answers and how many attempts fire, never the answers themselves,
 	// so campaign stores stay byte-identical across worker counts under
 	// either strategy (per-day replicas keep their clocks frozen; see
-	// newDayContext).
+	// newScanContext).
 	TransportStrategy transport.StrategyKind
 	// DoHShards and DoHShardCap set the shared answer cache geometry;
 	// zero values select the transport package defaults.
@@ -293,11 +293,13 @@ func (p dayProber) ProbeTLS(apex string, addr netip.Addr) error {
 // replica's registry). Hour contexts keep the registry counters
 // RunHourlyECH snapshots and nothing else.
 //
-// Replica clients keep the synthetic latency for pool routing but do NOT
-// charge it to the context's clock: concurrent scan workers would
-// interleave their clock charges nondeterministically, and a drifting
-// clock can move time-sensitive answers (ECH configs rotate on a
-// 76-minute period) — freezing the context's clock is what makes a
+// A context scans on the one goroutine that runs it (the day and hour
+// pipelines are the campaign's only parallel level), so its queries, and
+// the walks they start, are a function of the seed. Replica clients keep
+// the synthetic latency for pool routing but do NOT charge it to the
+// context's clock: a charged clock would drift with the replica's routing,
+// and a drifting clock can move time-sensitive answers (ECH configs rotate
+// on a 76-minute period) — freezing the context's clock is what makes a
 // mixed-protocol pipelined campaign byte-identical to the serial run.
 func (c *Campaign) newScanContext(at time.Time, seed int64, day bool) *scanContext {
 	clock := simnet.NewClock(at)
@@ -677,14 +679,14 @@ func partitionByDay(points []obs.Point) map[time.Time][]obs.Point {
 // RunValidationCensus reproduces the Table 9 one-shot census (the paper ran
 // it on January 2nd, 2024): for every domain in that day's list, determine
 // HTTPS presence, signing, Cloudflare NS use, and full-chain validation.
-// Domains are censused concurrently on the scanner's worker bound; rows are
-// stored in list order.
+// Domains are censused on Cfg.DayWorkers goroutines; rows are stored in
+// list order.
 func (c *Campaign) RunValidationCensus(day time.Time) {
 	c.setWorldClock(day.Add(12 * time.Hour))
 	list := c.World.Tranco.ListFor(day)
 	r := c.World.GoogleResolver
 	rows := make([]dataset.ValidationResult, len(list))
-	scanner.ForEach(len(list), c.Scanner.Concurrency, func(i int) {
+	forEach(len(list), c.Cfg.DayWorkers, func(i int) {
 		rows[i] = c.censusRow(r, list[i])
 	})
 	c.Store.AddValidation(rows...)

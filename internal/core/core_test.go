@@ -234,7 +234,7 @@ func TestPipelinedMatchesSerial(t *testing.T) {
 
 // TestPipelinedMixedFleetMatchesSerial runs the pipelining equivalence
 // through a mixed DoH/DoT/DoQ serving fleet: per-day replicas keep their
-// clocks frozen (newDayContext), so a campaign through the encrypted
+// clocks frozen (newScanContext), so a campaign through the encrypted
 // layer — any protocol mix — must produce a byte-identical store for any
 // worker count, serving-layer lifecycle snapshots included.
 func TestPipelinedMixedFleetMatchesSerial(t *testing.T) {

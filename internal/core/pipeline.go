@@ -1,6 +1,46 @@
 package core
 
-import "repro/internal/scanner"
+import (
+	"sync"
+	"sync/atomic"
+)
+
+// forEach runs fn for every index in [0, n) on a bounded pool of workers
+// goroutines (1 runs inline). Callers write results into per-index slots,
+// so output order is deterministic regardless of scheduling. It is the
+// campaign's one fan-out: the day and hour pipelines (through runOrdered)
+// and the validation census. A scan context scans on the goroutine that
+// runs it.
+func forEach(n, workers int, fn func(i int)) {
+	if workers < 1 {
+		workers = 1
+	}
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
 
 // runOrdered executes n indexed jobs on a bounded worker pool and commits
 // each result in strict index order — the shared slot-committer shape
@@ -45,7 +85,7 @@ func runOrdered[T any](n, workers int, run func(i int) T, commit func(i int, res
 			commit(i, slots[i].res)
 		}
 	}()
-	scanner.ForEach(n, workers, func(i int) {
+	forEach(n, workers, func(i int) {
 		slots[i].res = run(i)
 		close(slots[i].ready)
 	})

@@ -106,7 +106,7 @@ func TestStoredValuesShared(t *testing.T) {
 	}
 	tr[at("cdn.test.", dnswire.TypeHTTPS)] = []dnswire.RR{https("cdn.test.", 1)}
 
-	sc := &Scanner{Transport: tr, Concurrency: 2}
+	sc := &Scanner{Transport: tr}
 	list := []string{"a.test", "b.test", "c.test", "d.test"}
 	day := time.Date(2024, 1, 25, 0, 0, 0, 0, time.UTC)
 	first, second := sc.ScanList(day, "apex", list), sc.ScanList(day.AddDate(0, 0, 1), "apex", list)

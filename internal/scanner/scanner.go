@@ -21,7 +21,6 @@ import (
 	"net/netip"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -59,30 +58,30 @@ type Scanner struct {
 	Transport Transport
 	// Whois resolves name-server operators.
 	Whois *whois.DB
-	// Concurrency bounds parallel domain scans (the paper paces its
-	// scans for ethics; here it bounds simulation goroutines).
+	// Concurrency is read by nothing; it stays because the benchmark
+	// module sets it by name. Every scan runs on its caller's goroutine,
+	// and a campaign runs days and hours in parallel instead.
 	Concurrency int
 
-	// qid is the query-ID stream. Atomic, not mutex-guarded: every query
-	// of every worker draws from it, so a mutex here serializes the whole
-	// scan fan-out.
+	// qid is the query-ID stream. Atomic, so that goroutines sharing one
+	// Scanner draw distinct IDs.
 	qid atomic.Uint32
 }
 
 // New creates a scanner using the given resolvers.
 func New(net *simnet.Network, primary, backup netip.Addr, db *whois.DB) *Scanner {
-	return &Scanner{Net: net, Primary: primary, Backup: backup, Whois: db, Concurrency: 8}
+	return &Scanner{Net: net, Primary: primary, Backup: backup, Whois: db}
 }
 
-// Fork returns a scanner with the same resolvers, WHOIS database, and
-// concurrency bound, but running over the given network view, with the
-// given transport (nil for bare stub queries) and its own query-ID stream.
-// Per-day scan contexts fork the campaign scanner so concurrent days never
-// share mutable scanner state.
+// Fork returns a scanner with the same resolvers and WHOIS database, but
+// running over the given network view, with the given transport (nil for
+// bare stub queries) and its own query-ID stream. Per-day scan contexts
+// fork the campaign scanner so concurrent days never share mutable scanner
+// state.
 func (s *Scanner) Fork(net *simnet.Network, transport Transport) *Scanner {
 	return &Scanner{
 		Net: net, Primary: s.Primary, Backup: s.Backup,
-		Transport: transport, Whois: s.Whois, Concurrency: s.Concurrency,
+		Transport: transport, Whois: s.Whois,
 	}
 }
 
@@ -97,48 +96,6 @@ var (
 
 func (s *Scanner) nextID() uint16 {
 	return uint16(s.qid.Add(1))
-}
-
-// ForEach runs fn for every index in [0, n) on a bounded pool of workers
-// goroutines (1 runs inline). Callers write results into per-index slots,
-// so output order is deterministic regardless of scheduling. It is the one
-// fan-out primitive every parallel measurement loop shares — the
-// per-domain list scan, NS/ECH/probe passes, the validation census, and
-// the campaign's day pipeline.
-func ForEach(n, workers int, fn func(i int)) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// forEach runs fn over [0, n) on the scanner's own concurrency bound.
-func (s *Scanner) forEach(n int, fn func(i int)) {
-	ForEach(n, s.Concurrency, fn)
 }
 
 // recycler is the optional way home for an answer the scanner has finished
@@ -371,11 +328,11 @@ func (s *Scanner) extractHTTPS(resp *dnswire.Message, obs *dataset.Observation) 
 	}
 }
 
-// ScanList scans a ranked domain list concurrently over the bounded worker
-// pool, producing a snapshot. kind is "apex" or "www"; for "www" the names
-// are prefixed. www, if given, is each name's canonical www spelling
-// "www.<name>." (tranco.Simulator.CanonListFor), index for index, so no
-// name is spelled anew each day.
+// ScanList scans a ranked domain list in rank order, producing a snapshot.
+// kind is "apex" or "www"; for "www" the names are prefixed. www, if given,
+// is each name's canonical www spelling "www.<name>."
+// (tranco.Simulator.CanonListFor), index for index, so no name is spelled
+// anew each day.
 func (s *Scanner) ScanList(date time.Time, kind string, list []string, www ...string) *dataset.Snapshot {
 	if len(www) == 0 {
 		www = make([]string, len(list)) // every name spelt anew
@@ -383,27 +340,22 @@ func (s *Scanner) ScanList(date time.Time, kind string, list []string, www ...st
 	snap := &dataset.Snapshot{Date: date, Kind: kind, Total: len(list), Obs: map[string]*dataset.Observation{}}
 	// Most domain-days are dropped: only a keeper goes to the heap, carved
 	// from a slab of 64 (a list wastes at most one slab's unused tail).
-	var mu sync.Mutex
 	var slab []dataset.Observation
-	s.forEach(len(list), func(i int) {
+	var obs dataset.Observation
+	for i := range list {
 		canon, name := spell(kind, list[i], www[i])
-		var obs dataset.Observation
 		s.scanInto(canon, name, &obs)
 		if !obs.HasHTTPS() && obs.Err == "" {
-			return
+			continue
 		}
 		obs.Rank = i + 1
-		mu.Lock()
-		defer mu.Unlock()
 		if len(slab) == cap(slab) {
 			slab = make([]dataset.Observation, 0, 64)
 		}
 		slab = append(slab, obs)
-		// A name listed twice keeps its last rank, whichever worker is first.
-		if prev := snap.Obs[obs.Name]; prev == nil || prev.Rank < obs.Rank {
-			snap.Obs[obs.Name] = &slab[len(slab)-1]
-		}
-	})
+		// A name listed twice keeps its last rank.
+		snap.Obs[obs.Name] = &slab[len(slab)-1]
+	}
 	return snap
 }
 
@@ -425,7 +377,7 @@ func spell(kind, name, www string) (canon, shown string) {
 
 // ScanNameServers resolves the addresses of every name-server host seen in
 // the snapshot and attributes them via WHOIS (§4.2.2 methodology). Hosts
-// are scanned in sorted order over the scanner's bounded worker pool.
+// are scanned in sorted order.
 func (s *Scanner) ScanNameServers(date time.Time, snaps ...*dataset.Snapshot) *dataset.NSSnapshot {
 	hostSet := map[string]bool{}
 	for _, snap := range snaps {
@@ -437,23 +389,19 @@ func (s *Scanner) ScanNameServers(date time.Time, snaps ...*dataset.Snapshot) *d
 	}
 	hosts := slices.Sorted(maps.Keys(hostSet))
 
-	results := make([]*dataset.NSObservation, len(hosts))
-	s.forEach(len(hosts), func(i int) {
-		nso := &dataset.NSObservation{Host: hosts[i]}
-		q := newQuery()
-		defer q.Release()
-		if resp, err := s.query(q, hosts[i], hosts[i], dnswire.TypeA); err == nil {
+	out := &dataset.NSSnapshot{Date: date, Servers: make(map[string]*dataset.NSObservation, len(hosts))}
+	q := newQuery()
+	defer q.Release()
+	for _, host := range hosts {
+		nso := &dataset.NSObservation{Host: host}
+		if resp, err := s.query(q, host, host, dnswire.TypeA); err == nil {
 			nso.Addrs = answerAddrs(resp, dnswire.TypeA)
 			s.done(resp)
 		}
 		if s.Whois != nil && len(nso.Addrs) > 0 {
 			nso.Org = s.Whois.AttributeNameServer(nso.Addrs[0])
 		}
-		results[i] = nso
-	})
-	out := &dataset.NSSnapshot{Date: date, Servers: make(map[string]*dataset.NSObservation, len(hosts))}
-	for _, nso := range results {
-		out.Servers[nso.Host] = nso
+		out.Servers[host] = nso
 	}
 	return out
 }
@@ -461,41 +409,35 @@ func (s *Scanner) ScanNameServers(date time.Time, snaps ...*dataset.Snapshot) *d
 // ECHScan performs one hourly ECH observation pass over the given domains
 // (the §4.4.2 experiment): one observation per HTTPS record whose ech
 // parameter offers a supported config, and none for a record whose list
-// does not parse or offers none (it names no key to track). Domains are
-// scanned over the bounded worker pool; observations come back in
-// input-domain order.
+// does not parse or offers none (it names no key to track). Observations
+// come back in input-domain order, in one slice presized for one per
+// domain.
 func (s *Scanner) ECHScan(now time.Time, domains []string) []dataset.ECHObservation {
-	// Each domain appends into its own one-observation cell of cells, so
-	// the usual single ECH record costs no allocation; only a domain with
-	// a second one grows a slice of its own.
-	cells := make([]dataset.ECHObservation, len(domains))
-	slots := make([][]dataset.ECHObservation, len(domains))
-	s.forEach(len(domains), func(i int) {
-		name := domains[i]
-		slots[i] = cells[i : i : i+1]
-		q := newQuery()
-		defer q.Release()
+	out := make([]dataset.ECHObservation, 0, len(domains))
+	q := newQuery()
+	defer q.Release()
+	for _, name := range domains {
 		resp, err := s.query(q, name, name, dnswire.TypeHTTPS)
 		if err != nil {
-			return
+			continue
 		}
 		for _, rr := range resp.Answer {
 			if data, ok := rr.Data.(*dnswire.SVCBData); ok && rr.Type == dnswire.TypeHTTPS {
 				if obs, _, ok := readECH(data.Params); ok {
 					obs.Time, obs.Domain = now, dnswire.CanonicalName(name)
-					slots[i] = append(slots[i], obs)
+					out = append(out, obs)
 				}
 			}
 		}
 		s.done(resp)
-	})
-	return slices.Concat(slots...)
+	}
+	return out
 }
 
 // ProbeMismatches runs the §4.3.5 connectivity experiment: for every
 // observation whose IP hints disagree with its A records, TLS-probe both
-// addresses. Candidates are probed in sorted domain order over the bounded
-// worker pool, so the result slice is deterministic for a snapshot.
+// addresses. Candidates are probed in sorted domain order, so the result
+// slice is deterministic for a snapshot.
 func (s *Scanner) ProbeMismatches(date time.Time, snap *dataset.Snapshot, prober Prober) []dataset.ProbeResult {
 	var out []dataset.ProbeResult
 	for _, name := range slices.Sorted(maps.Keys(snap.Obs)) {
@@ -507,15 +449,13 @@ func (s *Scanner) ProbeMismatches(date time.Time, snap *dataset.Snapshot, prober
 		if len(hints) == 0 || svcb.SameAddrSet(hints, obs.A) {
 			continue
 		}
+		apex := dnswire.ApexOf(obs.Name)
 		out = append(out, dataset.ProbeResult{
 			Date: date, Domain: obs.Name, Mismatch: true,
 			HintAddr: hints[0], AAddr: obs.A[0],
+			HintOK: prober.ProbeTLS(apex, hints[0]) == nil,
+			AOK:    prober.ProbeTLS(apex, obs.A[0]) == nil,
 		})
 	}
-	s.forEach(len(out), func(i int) {
-		apex := dnswire.ApexOf(out[i].Domain)
-		out[i].HintOK = prober.ProbeTLS(apex, out[i].HintAddr) == nil
-		out[i].AOK = prober.ProbeTLS(apex, out[i].AAddr) == nil
-	})
 	return out
 }

@@ -138,6 +138,21 @@ func TestScanListCountsAndRanks(t *testing.T) {
 			t.Errorf("%s rank = %d", name, obs.Rank)
 		}
 	}
+	// A name listed twice keeps its later rank.
+	var adopter string
+	for i, name := range list {
+		if obs := snap.Obs[dnswire.CanonicalName(name)]; obs != nil && obs.Rank == i+1 && obs.Err == "" {
+			adopter = name
+			break
+		}
+	}
+	if adopter == "" {
+		t.Fatal("no adopter stored at its own rank")
+	}
+	twice := sc.ScanList(w.Clock.Now(), "apex", []string{adopter, list[0], adopter})
+	if obs := twice.Obs[dnswire.CanonicalName(adopter)]; obs == nil || obs.Rank != 3 {
+		t.Errorf("%s listed at ranks 1 and 3 stored as %+v, want rank 3", adopter, obs)
+	}
 	// www variant prefixes names.
 	wsnap := sc.ScanList(w.Clock.Now(), "www", list[:50])
 	for name := range wsnap.Obs {
@@ -311,7 +326,7 @@ func TestECHScanSkipsUnusableLists(t *testing.T) {
 		"trailing.test.":    {withList("trailing.test.", badAfterGood)},
 		"mixed.test.":       {withList("mixed.test.", unknownOnly), withList("mixed.test.", good)},
 	}
-	sc := &Scanner{Transport: tr, Concurrency: 2}
+	sc := &Scanner{Transport: tr}
 	domains := []string{"good.test.", "truncated.test.", "unsupported.test.", "trailing.test.", "mixed.test."}
 	want := []dataset.ECHObservation{
 		{Time: now, Domain: "good.test.", ConfigID: 3, KeyHash: dnswire.FNV1a(key), PublicName: "cover.example"},
@@ -391,12 +406,11 @@ func TestSummarizeHTTPSNonSVCB(t *testing.T) {
 // not mutable state: separate query-ID streams, separate transports.
 func TestScannerForkIsolation(t *testing.T) {
 	w, sc := scanWorld(t)
-	sc.Concurrency = 3
 	dayClock := simnet.NewClock(w.Clock.Now().Add(24 * time.Hour))
 	view := w.Net.WithClock(dayClock)
 	f := sc.Fork(view, nil)
 	if f.Net != view || f.Primary != sc.Primary || f.Backup != sc.Backup ||
-		f.Whois != sc.Whois || f.Concurrency != 3 {
+		f.Whois != sc.Whois {
 		t.Error("fork did not copy configuration")
 	}
 	if f.Transport != nil {
@@ -411,8 +425,8 @@ func TestScannerForkIsolation(t *testing.T) {
 	}
 }
 
-// TestECHScanDeterministicOrder verifies the parallel ECH scan emits
-// observations in input-domain order regardless of worker scheduling.
+// TestECHScanDeterministicOrder verifies repeated ECH scans emit the same
+// observations in the same order.
 func TestECHScanDeterministicOrder(t *testing.T) {
 	w, sc := scanWorld(t)
 	w.Clock.Set(time.Date(2023, 7, 21, 0, 0, 0, 0, time.UTC))
@@ -441,8 +455,8 @@ func TestECHScanDeterministicOrder(t *testing.T) {
 	}
 }
 
-// TestScanNameServersDeterministic verifies repeated parallel NS scans of
-// the same snapshot produce identical snapshots.
+// TestScanNameServersDeterministic verifies repeated NS scans of the same
+// snapshot produce identical snapshots.
 func TestScanNameServersDeterministic(t *testing.T) {
 	w, sc := scanWorld(t)
 	list := w.Tranco.ListFor(w.Clock.Now())[:200]
@@ -515,12 +529,11 @@ func TestSpellMatchesScanList(t *testing.T) {
 	}
 }
 
-// TestConcurrentCanonScansMatchSerial: four workers share one recursor, its
-// answer cache and the slab its entries come from, and scan with the list's
-// canonical spellings; each kind's snapshot must equal one worker's
-// ScanList, which spells every name itself. A name whose NS records are gone
-// that day is scanned too, so a stored error text is compared.
-func TestConcurrentCanonScansMatchSerial(t *testing.T) {
+// TestCanonScansMatchSpelledAnew: a scan with the list's canonical
+// spellings must store, for each kind, what a ScanList that spells every
+// name itself stores. A name whose NS records are gone that day is scanned
+// too, so a stored error text is compared.
+func TestCanonScansMatchSpelledAnew(t *testing.T) {
 	w, base := scanWorld(t)
 	var gone *providers.DomainState
 	for _, c := range w.Domains {
@@ -535,16 +548,14 @@ func TestConcurrentCanonScansMatchSerial(t *testing.T) {
 	list, www := w.Tranco.CanonListFor(at)
 	listed := trimDot(gone.Apex)
 	list, www = append(list[:400:400], listed), append(www[:400:400], "www."+gone.Apex)
-	scan := func(workers int, kind string, canon []string) *dataset.Snapshot {
+	scan := func(kind string, canon []string) *dataset.Snapshot {
 		net := w.Net.WithClock(simnet.NewClock(at))
 		net.OverrideDNS(base.Primary, w.GoogleResolver.Fork(net))
 		net.OverrideDNS(base.Backup, w.CFResolver.Fork(net))
-		sc := base.Fork(net, nil)
-		sc.Concurrency = workers
-		return sc.ScanList(at, kind, list, canon...)
+		return base.Fork(net, nil).ScanList(at, kind, list, canon...)
 	}
 	for _, kind := range []string{"apex", "www"} {
-		want, got := scan(1, kind, nil), scan(4, kind, www)
+		want, got := scan(kind, nil), scan(kind, www)
 		key := gone.Apex
 		if kind == "www" {
 			key = "www." + key
@@ -553,7 +564,7 @@ func TestConcurrentCanonScansMatchSerial(t *testing.T) {
 			t.Fatalf("%s scan of %s on a day without NS records: %+v", kind, key, o)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: four workers over canonical spellings store what one worker spelling each name does not", kind)
+			t.Errorf("%s: a scan over canonical spellings stores what a scan spelling each name does not", kind)
 		}
 	}
 }
@@ -594,17 +605,16 @@ func (c copiedReplies) HandleDNS(q *dnswire.Message) *dnswire.Message {
 }
 
 // TestRecycledAnswersLeaveScansUnchanged scans the same list three times,
-// each through its own racing doh=2,dot=1,doq=1 fleet over forked recursors
-// with eight workers: with the bare client (whose answers the scanner hands
-// back for the next decode to overwrite), with a forwarding counter, and
-// with a transport that hides Recycle (every answer left to the collector).
-// A value read out of an answer after it went home — or a message decoded
-// into by two workers at once, which the race detector sees — would move
-// one of the three results; they must be deep-equal. The counter proves the
-// scanner hands back exactly the answers it was given. Two more scans ask
-// forked recursors directly: bare, so that every reply and every scan's own
-// query is released into the pool the other workers build theirs from, and
-// behind copiedReplies, where nothing the scanner reads is ever released.
+// each through its own racing doh=2,dot=1,doq=1 fleet over forked recursors:
+// with the bare client (whose answers the scanner hands back for the next
+// decode to overwrite), with a forwarding counter, and with a transport
+// that hides Recycle (every answer left to the collector). A value read out
+// of an answer after it went home would move one of the three results; they
+// must be deep-equal. The counter proves the scanner hands back exactly the
+// answers it was given. Two more scans ask forked recursors directly: bare,
+// so that every reply and every scan's own query is released into the pool
+// the next ones are built from, and behind copiedReplies, where nothing the
+// scanner reads is ever released.
 func TestRecycledAnswersLeaveScansUnchanged(t *testing.T) {
 	w, base := scanWorld(t)
 	at := time.Date(2023, 7, 21, 12, 0, 0, 0, time.UTC)
@@ -623,7 +633,6 @@ func TestRecycledAnswersLeaveScansUnchanged(t *testing.T) {
 		ech  []dataset.ECHObservation
 	}
 	run := func(sc *Scanner) (r result) {
-		sc.Concurrency = 8
 		r.snap = sc.ScanList(at, "apex", list)
 		r.ns = sc.ScanNameServers(at, r.snap)
 		r.ech = sc.ECHScan(at, echDomains)
